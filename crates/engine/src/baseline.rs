@@ -91,8 +91,14 @@ fn compile(pattern: &str) -> Result<(Regex, Vec<Finder>, QueryStats)> {
     let regex = Regex::new(pattern)?;
     // The scan baseline anchors on required literals too, mirroring the
     // Boyer-Moore literal optimizations inside grep-class tools — keeping
-    // the Figure 9 comparison honest.
-    let prefilter: Vec<Finder> = LogicalPlan::from_ast(regex.ast(), 16)
+    // the Figure 9 comparison honest. It is also the ground truth the
+    // differential tests compare the engine against, so in debug builds
+    // it proves those literals required exactly as `Engine::query` does:
+    // an unsound gram would otherwise drop the same true matches from
+    // both sides, and the two paths carry the same checking cost.
+    let logical = LogicalPlan::from_ast(regex.ast(), 16);
+    crate::engine::debug_assert_required_grams_sound(regex.ast(), &logical, pattern);
+    let prefilter: Vec<Finder> = logical
         .required_grams()
         .into_iter()
         .filter(|g| g.len() >= 2)

@@ -35,7 +35,11 @@ pub type InMemoryEngine = Engine<free_corpus::MemCorpus, MemIndex>;
 /// the index could discard true matches. Compiled out of release builds;
 /// a budget-exhausted check (`Unknown`) is treated as passing since it
 /// proves nothing either way.
-fn debug_assert_required_grams_sound(ast: &free_regex::Ast, logical: &LogicalPlan, pattern: &str) {
+pub(crate) fn debug_assert_required_grams_sound(
+    ast: &free_regex::Ast,
+    logical: &LogicalPlan,
+    pattern: &str,
+) {
     if cfg!(debug_assertions) {
         use free_regex::factor::{gram_is_factor, FactorCheck, DEFAULT_STATE_BUDGET};
         for gram in logical.required_grams() {
@@ -56,20 +60,27 @@ fn debug_assert_required_grams_sound(ast: &free_regex::Ast, logical: &LogicalPla
 /// Builds Boyer-Moore finders for the plan's required grams (anchoring).
 /// Grams of length 1 never reject realistic candidates and grams contained
 /// in a longer required gram are subsumed by it, so both are dropped.
+/// The finders come longest needle first (ties in byte order): the
+/// prefilter is a conjunction, so the order changes no outcome, and a
+/// longer literal is both the rarer one and the one Boyer-Moore skips
+/// through fastest, so it is the cheapest way to reject a page.
 /// Public so alternative executors (the live index) can reuse the same
 /// confirmation prefilter.
 pub fn build_prefilter(logical: &LogicalPlan) -> Vec<Finder> {
     let grams = logical.required_grams();
-    grams
+    let mut needles: Vec<&[u8]> = grams
         .iter()
+        .copied()
         .filter(|g| g.len() >= 2)
         .filter(|g| {
             !grams
                 .iter()
-                .any(|other| other.len() > g.len() && other.windows(g.len()).any(|w| w == **g))
+                .any(|other| other.len() > g.len() && other.windows(g.len()).any(|w| w == *g))
         })
-        .map(|g| Finder::new(g))
-        .collect()
+        .collect();
+    needles.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+    needles.dedup();
+    needles.into_iter().map(Finder::new).collect()
 }
 
 /// Selects gram keys per the configured index kind. Returns the keys and
@@ -586,6 +597,28 @@ mod tests {
         // reject depending on the candidate set; it must never exceed the
         // examined count.
         assert!(with_anchor <= r.stats().docs_examined);
+    }
+
+    #[test]
+    fn prefilter_checks_the_longest_literal_first() {
+        let needles = |pattern: &str| -> Vec<Vec<u8>> {
+            let ast = free_regex::parse(pattern).unwrap();
+            build_prefilter(&LogicalPlan::from_ast(&ast, 16))
+                .iter()
+                .map(|f| f.needle().to_vec())
+                .collect()
+        };
+        // Plan order is left to right; the prefilter reorders.
+        assert_eq!(
+            needles("the.{0,40}quetzalcoatl.{0,9}and"),
+            vec![b"quetzalcoatl".to_vec(), b"and".to_vec(), b"the".to_vec()]
+        );
+        // Ties break in byte order, repeats collapse, and a gram inside a
+        // longer one is still dropped.
+        assert_eq!(
+            needles("zeta.*alfa.*zeta.*alf"),
+            vec![b"alfa".to_vec(), b"zeta".to_vec()]
+        );
     }
 
     #[test]

@@ -146,7 +146,6 @@ pub fn confirm<C: Corpus>(
 ) -> Result<()> {
     let start = Instant::now();
     let mut searcher = regex.searcher();
-    let nfa = regex.nfa();
     let mut visit = |doc: DocId, bytes: &[u8], stats: &mut QueryStats| -> bool {
         stats.docs_examined += 1;
         stats.bytes_examined += bytes.len() as u64;
@@ -158,13 +157,13 @@ pub fn confirm<C: Corpus>(
                 return true;
             }
         }
-        if !searcher.is_match(nfa, bytes) {
+        if !searcher.is_match(bytes) {
             return true;
         }
         stats.matching_docs += 1;
         let spans: Vec<free_regex::Span> = if want_spans {
             searcher
-                .find_all(nfa, bytes)
+                .find_all(bytes)
                 .into_iter()
                 .map(|m| m.span())
                 .collect()

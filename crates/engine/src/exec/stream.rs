@@ -8,11 +8,16 @@
 //! galloping over decoded slices in memory).
 //!
 //! [`confirm_source`] drives confirmation from that cursor in batches.
-//! With `threads > 1` each batch fans out to a scoped worker pool reading
-//! candidate data units through shared [`Corpus`] random access; workers
-//! report per-document outcomes which the main thread folds back in
-//! doc-id order, so results, early-exit points, and every logical cost
-//! counter are identical for any thread count.
+//! The first batch is always confirmed inline on the calling thread, so
+//! a query whose candidates fit in one batch never crosses a thread.
+//! With `threads > 1`, a stream that outlives its first batch gets
+//! `threads - 1` scoped helpers, spawned once for the rest of the query
+//! and fed a chunk of every later batch (the calling thread confirms
+//! the first chunk itself), reading candidate data units through shared
+//! [`Corpus`] random access. Helpers report per-document outcomes which
+//! the calling thread folds back in doc-id order, so results, early-exit
+//! points, and every logical cost counter are identical for any thread
+//! count.
 
 use crate::budget::RequestBudget;
 use crate::metrics::QueryStats;
@@ -21,17 +26,20 @@ use crate::Result;
 use free_corpus::{Corpus, DocId};
 use free_index::cursor::{CursorStats, PostingsCursor};
 use free_index::{AndCursor, IndexRead, OrCursor, SliceCursor};
-use free_regex::nfa::Nfa;
 use free_regex::{Finder, Regex, Searcher, Span};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Candidate doc ids pulled per worker per round; sized so a round is
-/// large enough to amortize thread wake-up but small enough that first-k
-/// queries stop after a sliver of the candidate stream.
-const BATCH_PER_WORKER: usize = 32;
+/// Candidate doc ids pulled per confirmation thread per batch (a batch is
+/// `threads` times this); sized so a batch is large enough to amortize
+/// handing chunks to the helpers but small enough that first-k queries
+/// stop after a sliver of the candidate stream.
+pub const BATCH_PER_WORKER: usize = 32;
 
-/// Batch size for single-threaded confirmation pulls.
-const SEQ_BATCH: usize = 32;
+/// Name of the global counter of confirmation helper threads spawned:
+/// zero for a query whose candidates fit in its first batch, at most
+/// `threads - 1` for any other, whatever the candidate count.
+pub const HELPERS_SPAWNED_COUNTER: &str = "free_confirm_helpers_spawned_total";
 
 /// How many scanned documents go by between budget polls on the scan
 /// fallback path (which has no batch boundaries of its own).
@@ -164,55 +172,55 @@ struct Outcome {
     spans: Vec<Span>,
 }
 
-/// Examines one document: prefilter, containment check, optional span
-/// extraction. Pure with respect to `stats` — counting happens in `fold`.
+/// Examines one document: prefilter, then one decision pass of the
+/// automaton (span extraction, when wanted, answers containment too).
+/// Pure with respect to `stats` — counting happens in `fold`.
 fn examine(
     searcher: &mut Searcher,
-    nfa: &Nfa,
     prefilter: &[Finder],
     want_spans: bool,
     doc: DocId,
     bytes: &[u8],
 ) -> Outcome {
-    let len = bytes.len() as u64;
+    let mut outcome = Outcome {
+        doc,
+        bytes: bytes.len() as u64,
+        prefiltered: false,
+        matched: false,
+        spans: Vec::new(),
+    };
     // Anchoring: every required literal must occur before the automaton
     // is engaged (sublinear rejection via Boyer-Moore).
-    for f in prefilter {
-        if !f.contains(bytes) {
-            return Outcome {
-                doc,
-                bytes: len,
-                prefiltered: true,
-                matched: false,
-                spans: Vec::new(),
-            };
-        }
-    }
-    if !searcher.is_match(nfa, bytes) {
-        return Outcome {
-            doc,
-            bytes: len,
-            prefiltered: false,
-            matched: false,
-            spans: Vec::new(),
-        };
-    }
-    let spans = if want_spans {
-        searcher
-            .find_all(nfa, bytes)
+    if prefilter.iter().any(|f| !f.contains(bytes)) {
+        outcome.prefiltered = true;
+    } else if want_spans {
+        // `find_all` is empty exactly when the page does not match.
+        outcome.spans = searcher
+            .find_all(bytes)
             .into_iter()
             .map(|m| m.span())
-            .collect()
+            .collect();
+        outcome.matched = !outcome.spans.is_empty();
     } else {
-        Vec::new()
-    };
-    Outcome {
-        doc,
-        bytes: len,
-        prefiltered: false,
-        matched: true,
-        spans,
+        outcome.matched = searcher.is_match(bytes);
     }
+    outcome
+}
+
+/// Fetches and examines `ids` in order.
+fn examine_all<C: Corpus>(
+    corpus: &C,
+    searcher: &mut Searcher,
+    prefilter: &[Finder],
+    want_spans: bool,
+    ids: &[DocId],
+) -> Result<Vec<Outcome>> {
+    ids.iter()
+        .map(|&doc| {
+            let bytes = corpus.get(doc)?;
+            Ok(examine(searcher, prefilter, want_spans, doc, &bytes))
+        })
+        .collect()
 }
 
 /// Folds one outcome into the stats and the caller's visitor. Returns
@@ -237,16 +245,20 @@ fn fold(
     on_doc(o.doc, o.spans)
 }
 
-/// Confirms candidate ids delivered by `next_batch`, sequentially or via a
-/// scoped worker pool. `next_batch` fills the buffer with up to `n` ids;
-/// an empty fill ends the stream.
+/// Confirms candidate ids delivered by `next_batch`, which fills the
+/// buffer with up to `n` ids; an empty fill ends the stream.
 ///
 /// The `budget` is polled once per batch, *before* any of the batch's
 /// outcomes are folded: an expired request therefore surfaces a structured
 /// error with exactly the counters of the batches already consumed — never
 /// a half-folded batch.
-// `expect` on `join()`: re-raising a confirmation worker's panic on the
-// coordinating thread is the correct way to propagate it.
+///
+/// No thread is spawned per batch. The first batch (every batch, with one
+/// thread) is confirmed inline; only a stream that outlives it gets
+/// helpers, spawned once and fed over channels until the query ends.
+// `expect` on `recv()`: a helper only hangs up by panicking, and
+// re-raising that on the coordinating thread is the correct way to
+// propagate it.
 #[allow(clippy::too_many_arguments, clippy::expect_used)]
 fn confirm_ids<C: Corpus>(
     corpus: &C,
@@ -260,68 +272,94 @@ fn confirm_ids<C: Corpus>(
     next_batch: &mut dyn FnMut(usize, &mut Vec<DocId>) -> Result<()>,
 ) -> Result<()> {
     let threads = threads.max(1);
-    let nfa = regex.nfa();
-    if threads == 1 {
-        let mut searcher = regex.searcher();
-        let mut batch = Vec::new();
-        loop {
-            budget.check()?;
-            batch.clear();
-            next_batch(SEQ_BATCH, &mut batch)?;
-            if batch.is_empty() {
-                return Ok(());
-            }
-            for &doc in &batch {
-                let bytes = corpus.get(doc)?;
-                let o = examine(&mut searcher, nfa, prefilter, want_spans, doc, &bytes);
-                if !fold(o, stats, on_doc) {
-                    return Ok(());
-                }
-            }
-        }
-    }
-    // Searchers are created once and reused across rounds: the lazy DFA
-    // cache each worker builds keeps paying off for the whole query.
-    let mut searchers: Vec<Searcher> = (0..threads).map(|_| regex.searcher()).collect();
     let mut batch = Vec::new();
-    loop {
+    let mut pull = |batch: &mut Vec<DocId>| -> Result<bool> {
         budget.check()?;
         batch.clear();
-        next_batch(threads * BATCH_PER_WORKER, &mut batch)?;
-        if batch.is_empty() {
+        next_batch(threads * BATCH_PER_WORKER, batch)?;
+        Ok(!batch.is_empty())
+    };
+    // The lazy DFA caches this searcher builds keep paying off for the
+    // whole query, inline or not.
+    let mut searcher = regex.searcher();
+    for batch_no in 0usize.. {
+        if !pull(&mut batch)? {
             return Ok(());
         }
-        let chunk = batch.len().div_ceil(threads);
-        let mut rounds: Vec<Result<Vec<Outcome>>> = Vec::with_capacity(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = batch
-                .chunks(chunk)
-                .zip(searchers.iter_mut())
-                .map(|(ids, searcher)| {
-                    s.spawn(move || -> Result<Vec<Outcome>> {
-                        let mut out = Vec::with_capacity(ids.len());
-                        for &doc in ids {
-                            let bytes = corpus.get(doc)?;
-                            out.push(examine(searcher, nfa, prefilter, want_spans, doc, &bytes));
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            for h in handles {
-                rounds.push(h.join().expect("confirmation worker panicked"));
-            }
-        });
-        // Chunks are contiguous slices of the sorted batch, so folding
-        // them in spawn order preserves doc-id order.
-        for r in rounds {
-            for o in r? {
-                if !fold(o, stats, on_doc) {
-                    return Ok(());
-                }
+        if threads > 1 && batch_no > 0 {
+            break;
+        }
+        for &doc in &batch {
+            let bytes = corpus.get(doc)?;
+            let o = examine(&mut searcher, prefilter, want_spans, doc, &bytes);
+            if !fold(o, stats, on_doc) {
+                return Ok(());
             }
         }
     }
+    free_trace::metrics::global()
+        .counter(
+            HELPERS_SPAWNED_COUNTER,
+            "Confirmation helper threads spawned (once per query that outlives its first batch)",
+        )
+        .add(threads as u64 - 1);
+    std::thread::scope(|s| {
+        // Each helper owns a searcher for as long as the query runs and
+        // answers one chunk per job; hanging up its job channel (leaving
+        // this closure) is what ends it.
+        let helpers: Vec<_> = (1..threads)
+            .map(|_| {
+                let (job_tx, job_rx) = mpsc::channel::<Vec<DocId>>();
+                let (out_tx, out_rx) = mpsc::channel();
+                s.spawn(move || {
+                    let mut searcher = regex.searcher();
+                    for ids in job_rx {
+                        let out = examine_all(corpus, &mut searcher, prefilter, want_spans, &ids);
+                        if out_tx.send(out).is_err() {
+                            break;
+                        }
+                    }
+                });
+                (job_tx, out_rx)
+            })
+            .collect();
+        loop {
+            let mut chunks = batch.chunks(batch.len().div_ceil(threads));
+            let mine = chunks.next().unwrap_or_default();
+            let busy: Vec<_> = chunks
+                .zip(&helpers)
+                .map(|(ids, (job_tx, out_rx))| {
+                    // A failed send means the helper died; `recv` below
+                    // reports it.
+                    let _ = job_tx.send(ids.to_vec());
+                    out_rx
+                })
+                .collect();
+            let mut rounds = Vec::with_capacity(threads);
+            rounds.push(examine_all(
+                corpus,
+                &mut searcher,
+                prefilter,
+                want_spans,
+                mine,
+            ));
+            for out_rx in busy {
+                rounds.push(out_rx.recv().expect("confirmation helper panicked"));
+            }
+            // Chunks are contiguous slices of the sorted batch, so folding
+            // them in chunk order preserves doc-id order.
+            for r in rounds {
+                for o in r? {
+                    if !fold(o, stats, on_doc) {
+                        return Ok(());
+                    }
+                }
+            }
+            if !pull(&mut batch)? {
+                return Ok(());
+            }
+        }
+    })
 }
 
 /// Confirmation entry point: runs the full regex over the candidate
@@ -385,7 +423,6 @@ pub fn confirm_source_budgeted<C: Corpus>(
             // blind scan, not index-assisted confirmation.
             let start = Instant::now();
             let mut searcher = regex.searcher();
-            let nfa = regex.nfa();
             let mut expired: Result<()> = Ok(());
             let mut since_check = 0usize;
             corpus.scan(&mut |doc, bytes| {
@@ -399,7 +436,7 @@ pub fn confirm_source_budgeted<C: Corpus>(
                         }
                     }
                 }
-                let o = examine(&mut searcher, nfa, prefilter, want_spans, doc, bytes);
+                let o = examine(&mut searcher, prefilter, want_spans, doc, bytes);
                 fold(o, stats, on_doc)
             })?;
             stats.scan_time += start.elapsed();

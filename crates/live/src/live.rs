@@ -145,14 +145,15 @@ impl LiveIndex {
         let segments: Vec<Arc<Segment>> = segments.into_iter().map(Arc::new).collect();
         let memtable = Arc::new(memtable);
         let deleted: Arc<BTreeSet<DocId>> = Arc::new(BTreeSet::new());
-        let published = Arc::new(SnapshotCell::new(Arc::new(Snapshot {
-            segments: segments.clone(),
-            memtable: memtable.clone(),
-            wal_base: manifest.wal_base,
-            deleted: deleted.clone(),
+        let published = Arc::new(SnapshotCell::new(Arc::new(Snapshot::new(
+            segments.clone(),
+            memtable.clone(),
+            manifest.wal_base,
+            deleted.clone(),
             generation,
-            config: config.clone(),
-        })));
+            config.clone(),
+            None,
+        ))));
         let mut live = LiveIndex {
             dir,
             config,
@@ -239,16 +240,20 @@ impl LiveIndex {
     }
 
     /// Builds and publishes a snapshot of the current state. Called at
-    /// the end of every mutation; cheap (a handful of `Arc` clones).
+    /// the end of every mutation; cheap (a handful of `Arc` clones, plus
+    /// one pass over the tombstones when a delete or compaction changed
+    /// them).
     fn publish(&self) {
-        self.published.store(Arc::new(Snapshot {
-            segments: self.segments.clone(),
-            memtable: self.memtable.clone(),
-            wal_base: self.manifest.wal_base,
-            deleted: self.deleted.clone(),
-            generation: self.generation,
-            config: self.config.clone(),
-        }));
+        let prev = self.published.load();
+        self.published.store(Arc::new(Snapshot::new(
+            self.segments.clone(),
+            self.memtable.clone(),
+            self.manifest.wal_base,
+            self.deleted.clone(),
+            self.generation,
+            self.config.clone(),
+            Some(&prev),
+        )));
     }
 
     /// Adds one document, returning its sequence number. Durable on

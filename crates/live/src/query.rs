@@ -13,10 +13,8 @@
 
 use crate::cursor::{OffsetCursor, SeqMapCursor, TombstoneFilterCursor};
 use crate::error::{Error, Result};
-use crate::memtable::Memtable;
-use crate::segment::Segment;
+use crate::snapshot::Snapshot;
 use crate::view::LiveView;
-use crate::LiveConfig;
 use free_corpus::DocId;
 use free_engine::exec::stream::{
     compile_plan, confirm_source_budgeted, CandidateSource, StreamState,
@@ -28,12 +26,10 @@ use free_index::cursor::PostingsCursor;
 use free_index::{OrCursor, SliceCursor};
 use free_regex::{Regex, Span};
 use free_trace::json::JsonObject;
-use std::collections::BTreeSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-request execution options: the request-scoped counterpart to the
-/// index-wide [`LiveConfig`]. `threads = 0` means "use the configured
+/// index-wide [`crate::LiveConfig`]. `threads = 0` means "use the configured
 /// default"; the budget defaults to unlimited, so `QueryOpts::default()`
 /// reproduces the classic `query()` behaviour exactly.
 #[derive(Clone, Debug)]
@@ -107,16 +103,6 @@ impl LiveQueryResult {
     }
 }
 
-/// Everything the executor needs, borrowed from a snapshot.
-pub(crate) struct ExecInputs<'a> {
-    pub segments: &'a [Arc<Segment>],
-    pub memtable: &'a Memtable,
-    pub wal_base: DocId,
-    pub deleted: &'a BTreeSet<DocId>,
-    pub config: &'a LiveConfig,
-    pub generation: u64,
-}
-
 fn class_rank(c: PlanClass) -> u8 {
     match c {
         PlanClass::Indexed => 0,
@@ -128,20 +114,27 @@ fn class_rank(c: PlanClass) -> u8 {
 /// Runs `pattern` over the live index view: builds the regex and logical
 /// plan, then executes them via [`execute_prepared`].
 pub(crate) fn execute(
-    inputs: &ExecInputs<'_>,
+    snapshot: &Snapshot,
     pattern: &str,
     threads: usize,
     want_spans: bool,
     budget: &RequestBudget,
 ) -> Result<LiveQueryResult> {
-    let econfig = &inputs.config.engine;
+    let econfig = &snapshot.config.engine;
     let mut query_span = econfig.tracer.span("live.query");
     query_span.record("pattern", pattern);
-    query_span.record("generation", inputs.generation);
+    query_span.record("generation", snapshot.generation);
     let prep_start = Instant::now();
     let prepared = PreparedQuery::new_traced(pattern, econfig.class_expand_limit, &query_span)?;
     let prep_time = prep_start.elapsed();
-    let mut result = execute_prepared(inputs, &prepared, threads, want_spans, budget, &query_span)?;
+    let mut result = execute_prepared(
+        snapshot,
+        &prepared,
+        threads,
+        want_spans,
+        budget,
+        &query_span,
+    )?;
     result.stats.base.plan_time += prep_time;
     free_engine::record_query(free_trace::metrics::global(), &result.stats.base);
     emit_qlog(pattern, &result.stats.base, want_spans);
@@ -205,14 +198,14 @@ impl PreparedQuery {
 // both call sites branch away from; `pop()` sits in the `len == 1` arm.
 #[allow(clippy::expect_used)]
 pub(crate) fn execute_prepared(
-    inputs: &ExecInputs<'_>,
+    snapshot: &Snapshot,
     prepared: &PreparedQuery,
     threads: usize,
     want_spans: bool,
     budget: &RequestBudget,
     query_span: &free_trace::Span,
 ) -> Result<LiveQueryResult> {
-    let econfig = &inputs.config.engine;
+    let econfig = &snapshot.config.engine;
     let pattern = &prepared.pattern;
     let regex = &prepared.regex;
     let logical = &prepared.logical;
@@ -225,7 +218,7 @@ pub(crate) fn execute_prepared(
     let mut cursors: Vec<Box<dyn PostingsCursor>> = Vec::new();
     {
         let mut span = query_span.child("live.plan");
-        for seg in inputs.segments {
+        for seg in &snapshot.segments {
             sources += 1;
             let options = PlanOptions {
                 num_docs: seg.meta.num_docs as usize,
@@ -245,28 +238,28 @@ pub(crate) fn execute_prepared(
                 cursors.push(Box::new(SeqMapCursor::new(cursor, seg.seqs.clone())));
             }
         }
-        if !inputs.memtable.is_empty() {
+        if !snapshot.memtable.is_empty() {
             sources += 1;
             let options = PlanOptions {
-                num_docs: inputs.memtable.len(),
+                num_docs: snapshot.memtable.len(),
                 prune_selectivity: econfig.prune_selectivity,
             };
             let physical =
-                PhysicalPlan::from_logical_with(logical, inputs.memtable.index(), options);
-            let class = physical.classify(inputs.memtable.len());
+                PhysicalPlan::from_logical_with(logical, snapshot.memtable.index(), options);
+            let class = physical.classify(snapshot.memtable.len());
             if class_rank(class) > class_rank(worst_class) {
                 worst_class = class;
             }
             if physical.is_scan() {
                 scanned += 1;
-                let seqs: Vec<DocId> = (0..inputs.memtable.len() as DocId)
-                    .map(|i| inputs.wal_base + i)
+                let seqs: Vec<DocId> = (0..snapshot.memtable.len() as DocId)
+                    .map(|i| snapshot.wal_base + i)
                     .collect();
                 cursors.push(Box::new(SliceCursor::new(seqs)));
             } else {
-                let cursor = compile_plan(&physical, inputs.memtable.index(), &mut stats)?
+                let cursor = compile_plan(&physical, snapshot.memtable.index(), &mut stats)?
                     .expect("non-scan plans always compile to a cursor");
-                cursors.push(Box::new(OffsetCursor::new(cursor, inputs.wal_base)));
+                cursors.push(Box::new(OffsetCursor::new(cursor, snapshot.wal_base)));
             }
         }
         span.record("sources", sources);
@@ -292,11 +285,13 @@ pub(crate) fn execute_prepared(
         1 => cursors.pop().expect("one cursor"),
         _ => Box::new(OrCursor::new(cursors)?),
     };
-    let root: Box<dyn PostingsCursor> = if inputs.deleted.is_empty() {
+    let root: Box<dyn PostingsCursor> = if snapshot.tombstones.is_empty() {
         merged
     } else {
-        let deleted: Arc<Vec<DocId>> = Arc::new(inputs.deleted.iter().copied().collect());
-        Box::new(TombstoneFilterCursor::new(merged, deleted)?)
+        Box::new(TombstoneFilterCursor::new(
+            merged,
+            snapshot.tombstones.clone(),
+        )?)
     };
     let mut st = StreamState::new(root);
     st.refresh(&mut stats);
@@ -308,20 +303,12 @@ pub(crate) fn execute_prepared(
     } else {
         Vec::new()
     };
-    let live_docs = inputs
-        .segments
-        .iter()
-        .map(|s| s.live_docs(inputs.deleted))
-        .sum::<usize>()
-        + (0..inputs.memtable.len() as DocId)
-            .filter(|i| !inputs.deleted.contains(&(inputs.wal_base + i)))
-            .count();
     let view = LiveView {
-        segments: inputs.segments,
-        memtable: inputs.memtable,
-        wal_base: inputs.wal_base,
-        deleted: inputs.deleted,
-        live_docs,
+        segments: &snapshot.segments,
+        memtable: &snapshot.memtable,
+        wal_base: snapshot.wal_base,
+        deleted: &snapshot.deleted,
+        live_docs: snapshot.live_docs,
     };
     let mut matches = Vec::new();
     {
@@ -349,7 +336,7 @@ pub(crate) fn execute_prepared(
             base: stats,
             sources,
             scanned_sources: scanned,
-            generation: inputs.generation,
+            generation: snapshot.generation,
         },
     })
 }

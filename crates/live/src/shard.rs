@@ -41,8 +41,7 @@
 
 use crate::error::{Error, Result};
 use crate::query::{
-    execute_prepared, ExecInputs, LiveMatch, LiveQueryResult, LiveQueryStats, PreparedQuery,
-    QueryOpts,
+    execute_prepared, LiveMatch, LiveQueryResult, LiveQueryStats, PreparedQuery, QueryOpts,
 };
 use crate::snapshot::Snapshot;
 use crate::stats::LiveStats;
@@ -916,7 +915,7 @@ impl ShardedSnapshot {
         if n == 1 {
             let started = Instant::now();
             let outcome = execute_prepared(
-                &exec_inputs(&self.shards[0]),
+                &self.shards[0],
                 &prepared,
                 budgets[0],
                 want_spans,
@@ -939,12 +938,7 @@ impl ShardedSnapshot {
                         scope.spawn(move || {
                             let started = Instant::now();
                             let outcome = execute_prepared(
-                                &exec_inputs(snap),
-                                prepared,
-                                budget,
-                                want_spans,
-                                req_budget,
-                                &span,
+                                snap, prepared, budget, want_spans, req_budget, &span,
                             );
                             record_shard_red(s, outcome.is_ok(), started.elapsed());
                             outcome
@@ -1048,17 +1042,6 @@ fn record_shard_red(shard: usize, ok: bool, elapsed: std::time::Duration) {
 }
 
 /// Borrows one shard snapshot as executor inputs.
-fn exec_inputs(snap: &Snapshot) -> ExecInputs<'_> {
-    ExecInputs {
-        segments: &snap.segments,
-        memtable: &snap.memtable,
-        wal_base: snap.wal_base,
-        deleted: &snap.deleted,
-        config: &snap.config,
-        generation: snap.generation,
-    }
-}
-
 /// The one-writer/many-reader publication point for composite
 /// snapshots, mirroring [`crate::snapshot::SnapshotCell`].
 struct ShardedCell {

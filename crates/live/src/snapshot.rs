@@ -17,7 +17,7 @@
 
 use crate::error::{Error, Result};
 use crate::memtable::Memtable;
-use crate::query::{execute, ExecInputs, LiveQueryResult, QueryOpts};
+use crate::query::{execute, LiveQueryResult, QueryOpts};
 use crate::segment::Segment;
 use crate::LiveConfig;
 use free_corpus::{Corpus, DocId};
@@ -36,9 +36,51 @@ pub struct Snapshot {
     pub(crate) deleted: Arc<BTreeSet<DocId>>,
     pub(crate) generation: u64,
     pub(crate) config: Arc<LiveConfig>,
+    /// `deleted` as the sorted list the executor filters candidates
+    /// with, and the live document count: both fixed for the life of the
+    /// snapshot, so they are worked out once here, not once per query.
+    pub(crate) tombstones: Arc<Vec<DocId>>,
+    pub(crate) live_docs: usize,
 }
 
 impl Snapshot {
+    /// Freezes the given state. `prev`, the snapshot this one replaces,
+    /// lends its tombstone list when no delete or compaction came
+    /// between the two (the set is then the very same `Arc`).
+    pub(crate) fn new(
+        segments: Vec<Arc<Segment>>,
+        memtable: Arc<Memtable>,
+        wal_base: DocId,
+        deleted: Arc<BTreeSet<DocId>>,
+        generation: u64,
+        config: Arc<LiveConfig>,
+        prev: Option<&Snapshot>,
+    ) -> Snapshot {
+        let tombstones = match prev {
+            Some(p) if Arc::ptr_eq(&p.deleted, &deleted) => p.tombstones.clone(),
+            _ => Arc::new(deleted.iter().copied().collect()),
+        };
+        // Every sequence number from `wal_base` on names a buffered
+        // document, so the tombstones in that range are the buffer's dead.
+        let buffered_dead = deleted.range(wal_base..).count().min(memtable.len());
+        let live_docs = segments
+            .iter()
+            .map(|s| s.live_docs(&deleted))
+            .sum::<usize>()
+            + memtable.len()
+            - buffered_dead;
+        Snapshot {
+            segments,
+            memtable,
+            wal_base,
+            deleted,
+            generation,
+            config,
+            tombstones,
+            live_docs,
+        }
+    }
+
     /// The generation this snapshot was published at.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -62,13 +104,7 @@ impl Snapshot {
 
     /// Number of live (queryable) documents.
     pub fn live_docs(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| s.live_docs(&self.deleted))
-            .sum::<usize>()
-            + (0..self.memtable.len() as DocId)
-                .filter(|i| !self.deleted.contains(&(self.wal_base + i)))
-                .count()
+        self.live_docs
     }
 
     /// Sequence numbers of all live documents, ascending.
@@ -141,20 +177,7 @@ impl Snapshot {
         } else {
             opts.threads
         };
-        execute(
-            &ExecInputs {
-                segments: &self.segments,
-                memtable: &self.memtable,
-                wal_base: self.wal_base,
-                deleted: &self.deleted,
-                config: &self.config,
-                generation: self.generation,
-            },
-            pattern,
-            threads,
-            opts.want_spans,
-            &opts.budget,
-        )
+        execute(self, pattern, threads, opts.want_spans, &opts.budget)
     }
 
     /// The segment owning `seq`, found by binary search over the

@@ -125,6 +125,24 @@ impl Ast {
         }
     }
 
+    /// The expression matching exactly the reversals of this one's
+    /// matches: concatenations run back to front, everything else keeps
+    /// its shape. With no anchors or look-around in the syntax the
+    /// reversal is exact, which is what lets a right-to-left automaton
+    /// over it find where matches *start* (see [`crate::dfa`]).
+    pub fn reversed(&self) -> Ast {
+        match self {
+            Ast::Empty | Ast::Class(_) => self.clone(),
+            Ast::Concat(ns) => Ast::Concat(ns.iter().rev().map(Ast::reversed).collect()),
+            Ast::Alternate(ns) => Ast::Alternate(ns.iter().map(Ast::reversed).collect()),
+            Ast::Repeat { node, min, max } => Ast::Repeat {
+                node: Box::new(node.reversed()),
+                min: *min,
+                max: *max,
+            },
+        }
+    }
+
     /// Number of nodes in the tree (used by compilation size limits).
     pub fn size(&self) -> usize {
         match self {
@@ -259,6 +277,18 @@ mod tests {
             Ast::alternate(vec![Ast::byte(b'a'), Ast::byte(b'b')]).as_literal(),
             None
         );
+    }
+
+    #[test]
+    fn reversed_flips_concatenations_only() {
+        let a = Ast::concat(vec![
+            Ast::alternate(vec![Ast::literal(b"ab"), Ast::literal(b"cde")]),
+            Ast::star(Ast::literal(b"xy")),
+            Ast::byte(b'z'),
+        ]);
+        assert_eq!(format!("{:?}", a.reversed()), "z(yx)*(ba|edc)");
+        assert_eq!(a.reversed().reversed(), a);
+        assert_eq!(a.reversed().size(), a.size());
     }
 
     #[test]

@@ -49,7 +49,8 @@ impl DenseDfa {
 
         let mut start_set = Vec::new();
         seen.iter_mut().for_each(|s| *s = false);
-        nfa.epsilon_closure_into(nfa.start(), &mut start_set, &mut seen);
+        let mut stack = Vec::new();
+        nfa.epsilon_closure_into(nfa.start(), &mut start_set, &mut seen, &mut stack);
         start_set.sort_unstable();
 
         let mut intern = |set: Box<[StateId]>,
@@ -91,11 +92,11 @@ impl DenseDfa {
                 let mut next_set = Vec::new();
                 seen.iter_mut().for_each(|s| *s = false);
                 // Unanchored search: the pattern can restart at any byte.
-                nfa.epsilon_closure_into(nfa.start(), &mut next_set, &mut seen);
+                nfa.epsilon_closure_into(nfa.start(), &mut next_set, &mut seen, &mut stack);
                 for &s in current.iter() {
                     if let State::Class { class: c, next } = nfa.state(s) {
                         if nfa.class(c).contains(rep) {
-                            nfa.epsilon_closure_into(next, &mut next_set, &mut seen);
+                            nfa.epsilon_closure_into(next, &mut next_set, &mut seen, &mut stack);
                         }
                     }
                 }

@@ -1,15 +1,32 @@
 //! An on-the-fly (lazy) determinization of the Thompson NFA.
 //!
-//! The lazy DFA answers the only question FREE's runtime asks of most data
-//! units — "does this page contain a match at all?" — in strict `O(n)` time
-//! with one table lookup per haystack byte. DFA states are created the
-//! first time they are visited (subset construction, McNaughton–Yamada),
-//! keyed by their NFA state set; transitions are dense over the NFA's byte
-//! equivalence classes rather than all 256 bytes.
+//! Lazy DFAs answer every question FREE's confirmation step asks of a
+//! data unit, each in strict `O(n)` time with one table lookup per
+//! haystack byte:
 //!
-//! Search is *unanchored*: every DFA state set implicitly includes the
-//! epsilon closure of the NFA start state, which is equivalent to prefixing
-//! the pattern with `.*?`.
+//! * *does this page contain a match at all?* — an **unanchored** DFA over
+//!   the pattern, run left to right ([`LazyDfa::shortest_match`]);
+//! * *where do matches start?* — an unanchored DFA over the **reversed**
+//!   pattern ([`crate::Ast::reversed`]), run right to left
+//!   ([`LazyDfa::accepting_positions_rev`]): it is accepting at offset
+//!   `i` exactly when some match begins at `i`;
+//! * *where does the longest match from this start end?* — an
+//!   **anchored** DFA over the pattern ([`LazyDfa::longest_match_at`]).
+//!
+//! [`crate::Searcher`] composes the three into leftmost-longest spans.
+//!
+//! DFA states are created the first time they are visited (subset
+//! construction, McNaughton–Yamada), keyed by their NFA state set;
+//! transitions are dense over the NFA's byte equivalence classes rather
+//! than all 256 bytes. A state's id *is* its row offset in the transition
+//! table (pre-multiplied by the stride), with the accepting and dead
+//! flags in the two top bits, so the inner loop is one class lookup, one
+//! table read and one compare per byte.
+//!
+//! An *unanchored* automaton implicitly adds the epsilon closure of the
+//! NFA start state to every state set, which is equivalent to prefixing
+//! the pattern with `.*?`; an *anchored* one does not, and so has a dead
+//! state (the empty set) it can stop at.
 //!
 //! If a pathological pattern forces more than the configured state limit
 //! states, the cache is cleared and rebuilt; callers never observe a
@@ -18,56 +35,116 @@
 use crate::nfa::{Nfa, State, StateId};
 use rustc_hash::FxHashMap;
 
-/// Identifier of a DFA state (index into the state table).
+/// A DFA state: its row offset into the transition table in the low 30
+/// bits, [`ACCEPT`] and [`DEAD`] above them.
 type DfaStateId = u32;
 
-/// Sentinel: transition not yet computed.
+/// Flag: the state's NFA set contains the match state.
+const ACCEPT: DfaStateId = 1 << 31;
+
+/// Flag: the state's NFA set is empty (anchored automata only).
+const DEAD: DfaStateId = 1 << 30;
+
+/// Ids at or above this carry a flag (or are [`UNKNOWN`]): the one
+/// compare the inner loop makes per byte.
+const FLAGGED: DfaStateId = DEAD;
+
+/// Mask selecting the row offset out of an id.
+const OFFSET: DfaStateId = DEAD - 1;
+
+/// Sentinel: transition not yet computed. No real id has every offset
+/// bit set (the state limit is clamped below that).
 const UNKNOWN: DfaStateId = u32::MAX;
+
+/// How many bytes [`LazyDfa::run`] takes at a time.
+const STRIDE: usize = 8;
+
+/// How many idle-stretch tests [`LazyDfa::note_idle`] judges at a time.
+const IDLE_WINDOW: u32 = 128;
 
 /// Default bound on cached DFA states before the cache is reset.
 pub const DEFAULT_STATE_LIMIT: usize = 10_000;
 
-/// A lazily-built deterministic automaton for unanchored containment search.
+/// A lazily-built deterministic automaton over one NFA.
 #[derive(Clone, Debug)]
 pub struct LazyDfa {
-    /// Transition table: `transitions[state * stride + byte_class]`.
+    /// Transition table: `transitions[row offset + byte class]`.
     transitions: Vec<DfaStateId>,
-    /// Whether each DFA state is accepting.
-    is_match: Vec<bool>,
-    /// Interned NFA state sets, for rebuilding transitions lazily.
+    /// Interned NFA state sets, by state index (row offset / stride).
     sets: Vec<Box<[StateId]>>,
     /// Map from NFA state set to DFA state id.
     cache: FxHashMap<Box<[StateId]>, DfaStateId>,
+    /// Maps each haystack byte to its equivalence class.
+    classes: [u8; 256],
     /// Number of byte classes (stride of the transition table).
     stride: usize,
+    /// Whether matches must begin where the search begins.
+    anchored: bool,
+    /// Whether [`LazyDfa::run`] still tests for idle stretches (never, when
+    /// anchored: such an automaton does not loop in its start state), and
+    /// the current window of its attempts.
+    idle_pays: bool,
+    idle_tried: u32,
+    idle_passed: u32,
     start: DfaStateId,
     state_limit: usize,
     /// Number of times the cache overflowed and was reset.
     resets: u64,
     /// Scratch for epsilon closures.
     seen: Vec<bool>,
+    /// Scratch: the NFA set being stepped, the set it steps to, and the
+    /// closure work stack.
+    current: Vec<StateId>,
+    next: Vec<StateId>,
+    stack: Vec<StateId>,
     /// One representative byte per input equivalence class.
     reps: Vec<u8>,
 }
 
 impl LazyDfa {
-    /// Creates a lazy DFA for `nfa` with the default state limit.
+    /// Creates an unanchored lazy DFA for `nfa` with the default state
+    /// limit.
     pub fn new(nfa: &Nfa) -> LazyDfa {
         LazyDfa::with_state_limit(nfa, DEFAULT_STATE_LIMIT)
     }
 
-    /// Creates a lazy DFA with a custom cache limit (min 2).
+    /// Creates an unanchored lazy DFA with a custom cache limit (min 2).
     pub fn with_state_limit(nfa: &Nfa, state_limit: usize) -> LazyDfa {
+        LazyDfa::build(nfa, false, state_limit)
+    }
+
+    /// Creates an anchored lazy DFA (matches must begin where the search
+    /// begins) with a custom cache limit (min 2).
+    pub fn anchored(nfa: &Nfa, state_limit: usize) -> LazyDfa {
+        LazyDfa::build(nfa, true, state_limit)
+    }
+
+    fn build(nfa: &Nfa, anchored: bool, state_limit: usize) -> LazyDfa {
+        let stride = nfa.num_byte_classes() as usize;
+        let mut classes = [0u8; 256];
+        for (b, slot) in classes.iter_mut().enumerate() {
+            // At most 256 classes, so every class index fits a byte.
+            *slot = nfa.byte_class(b as u8) as u8;
+        }
         let mut dfa = LazyDfa {
             transitions: Vec::new(),
-            is_match: Vec::new(),
             sets: Vec::new(),
             cache: FxHashMap::default(),
-            stride: nfa.num_byte_classes() as usize,
+            classes,
+            stride,
+            anchored,
+            idle_pays: !anchored,
+            idle_tried: 0,
+            idle_passed: 0,
             start: 0,
-            state_limit: state_limit.max(2),
+            // Every row offset (plus the rows a reset transiently adds)
+            // must stay clear of the flag bits.
+            state_limit: state_limit.clamp(2, OFFSET as usize / stride - 4),
             resets: 0,
             seen: vec![false; nfa.len()],
+            current: Vec::new(),
+            next: Vec::new(),
+            stack: Vec::new(),
             reps: nfa.byte_class_representatives(),
         };
         dfa.reset(nfa);
@@ -76,7 +153,7 @@ impl LazyDfa {
 
     /// Number of materialized DFA states.
     pub fn num_states(&self) -> usize {
-        self.is_match.len()
+        self.sets.len()
     }
 
     /// How many times the state cache overflowed.
@@ -86,13 +163,13 @@ impl LazyDfa {
 
     fn reset(&mut self, nfa: &Nfa) {
         self.transitions.clear();
-        self.is_match.clear();
         self.sets.clear();
         self.cache.clear();
-        // State 0: the unanchored start = closure(nfa.start).
+        // State 0: closure(nfa.start), which an unanchored automaton
+        // also folds into every later state.
         let mut set = Vec::new();
         self.seen.iter_mut().for_each(|s| *s = false);
-        nfa.epsilon_closure_into(nfa.start(), &mut set, &mut self.seen);
+        nfa.epsilon_closure_into(nfa.start(), &mut set, &mut self.seen, &mut self.stack);
         set.sort_unstable();
         self.start = self.intern(nfa, set.into_boxed_slice());
     }
@@ -101,11 +178,19 @@ impl LazyDfa {
         if let Some(&id) = self.cache.get(&set) {
             return id;
         }
-        let id = self.is_match.len() as DfaStateId;
-        let accepting = set.iter().any(|&s| matches!(nfa.state(s), State::Match));
-        self.is_match.push(accepting);
+        let mut id = (self.sets.len() * self.stride) as DfaStateId;
+        if set.iter().any(|&s| matches!(nfa.state(s), State::Match)) {
+            id |= ACCEPT;
+        }
+        // Nothing leaves the empty set: its row loops back to itself.
+        let fill = if set.is_empty() {
+            id |= DEAD;
+            id
+        } else {
+            UNKNOWN
+        };
         self.transitions
-            .extend(std::iter::repeat_n(UNKNOWN, self.stride));
+            .extend(std::iter::repeat_n(fill, self.stride));
         self.sets.push(set.clone());
         self.cache.insert(set, id);
         id
@@ -117,33 +202,148 @@ impl LazyDfa {
     /// NFA set is re-interned first, so in-progress partial matches are
     /// never lost; the returned id is always valid against the new table.
     #[inline(never)]
-    fn compute_transition(&mut self, nfa: &Nfa, state: DfaStateId, class: u16) -> DfaStateId {
+    fn compute_transition(&mut self, nfa: &Nfa, state: DfaStateId, class: usize) -> DfaStateId {
         let mut state = state;
-        if self.is_match.len() >= self.state_limit {
-            let saved = self.sets[state as usize].clone();
+        if self.sets.len() >= self.state_limit {
+            let saved = self.sets[(state & OFFSET) as usize / self.stride].clone();
             self.resets += 1;
             self.reset(nfa);
             state = self.intern(nfa, saved);
         }
+        let row = (state & OFFSET) as usize;
         // A representative byte for this class.
-        let rep = self.reps[class as usize];
-        let current = self.sets[state as usize].clone();
-        let mut next_set = Vec::new();
+        let rep = self.reps[class];
+        self.current.clear();
+        self.current
+            .extend_from_slice(&self.sets[row / self.stride]);
+        self.next.clear();
         self.seen.iter_mut().for_each(|s| *s = false);
-        // Unanchored: every state set implicitly restarts the pattern.
-        nfa.epsilon_closure_into(nfa.start(), &mut next_set, &mut self.seen);
-        for &s in current.iter() {
+        if !self.anchored {
+            // Unanchored: every state set implicitly restarts the pattern.
+            nfa.epsilon_closure_into(nfa.start(), &mut self.next, &mut self.seen, &mut self.stack);
+        }
+        for &s in &self.current {
             if let State::Class { class: c, next } = nfa.state(s) {
                 if nfa.class(c).contains(rep) {
-                    nfa.epsilon_closure_into(next, &mut next_set, &mut self.seen);
+                    nfa.epsilon_closure_into(next, &mut self.next, &mut self.seen, &mut self.stack);
                 }
             }
         }
-        next_set.sort_unstable();
-        next_set.dedup();
-        let next_id = self.intern(nfa, next_set.into_boxed_slice());
-        self.transitions[state as usize * self.stride + class as usize] = next_id;
+        self.next.sort_unstable();
+        let next_id = match self.cache.get(self.next.as_slice()) {
+            Some(&id) => id,
+            None => self.intern(nfa, self.next.as_slice().into()),
+        };
+        self.transitions[row + class] = next_id;
         next_id
+    }
+
+    /// Feeds `haystack` to the automaton from `state` — front to back, or
+    /// back to front when `REV` — until it *enters* a flagged (accepting
+    /// or dead) state or the input runs out. Returns the state reached and
+    /// how many bytes were consumed; the state is flagged only if the last
+    /// byte consumed entered it (or none was).
+    ///
+    /// Each byte's row comes from the state the byte before produced, so
+    /// the plain loop runs at the latency of one dependent load per byte.
+    /// An unanchored automaton spends most of a page that does not match
+    /// in its start state, though, so the input is taken [`STRIDE`] bytes
+    /// at a time, and a stretch that starts there and whose every byte
+    /// leads back there — lookups that do not depend on one another — is
+    /// passed over whole. Where the text leaves the start state too often
+    /// for that to pay (an alternation of many first letters), the
+    /// attempt is given up: see [`LazyDfa::note_idle`].
+    #[inline(always)]
+    fn run<const REV: bool>(
+        &mut self,
+        nfa: &Nfa,
+        state: DfaStateId,
+        haystack: &[u8],
+    ) -> (DfaStateId, usize) {
+        let len = haystack.len();
+        if len == 0 {
+            return (state, 0);
+        }
+        // Only unflagged states are stepped *from* below, so the flags
+        // come off once here rather than once per byte.
+        let mut state = state & OFFSET;
+        let mut rest = haystack;
+        let (mut tried, mut passed) = (0u32, 0u32);
+        let reached = loop {
+            let transitions = self.transitions.as_slice();
+            let classes = &self.classes;
+            let class_of = |b: u8| usize::from(classes[usize::from(b)]);
+            // A flagged start (nullable pattern) never equals `state`.
+            let idle = if self.idle_pays { self.start } else { UNKNOWN };
+            let mut pending = None;
+            'scan: while !rest.is_empty() {
+                let n = rest.len().min(STRIDE);
+                let stretch = if REV {
+                    &rest[rest.len() - n..]
+                } else {
+                    &rest[..n]
+                };
+                let mut idles = false;
+                if state == idle && n == STRIDE {
+                    idles = stretch.iter().fold(true, |all, &b| {
+                        all & (transitions[idle as usize + class_of(b)] == idle)
+                    });
+                    tried += 1;
+                    passed += u32::from(idles);
+                }
+                if !idles {
+                    for i in 0..n {
+                        let b = stretch[if REV { n - 1 - i } else { i }];
+                        let next = transitions[state as usize + class_of(b)];
+                        if next >= FLAGGED {
+                            pending = Some((class_of(b), next));
+                            rest = if REV {
+                                &rest[..rest.len() - (i + 1)]
+                            } else {
+                                &rest[i + 1..]
+                            };
+                            break 'scan;
+                        }
+                        state = next;
+                    }
+                }
+                rest = if REV {
+                    &rest[..rest.len() - n]
+                } else {
+                    &rest[n..]
+                };
+            }
+            let Some((class, next)) = pending else {
+                break state;
+            };
+            state = if next == UNKNOWN {
+                self.compute_transition(nfa, state, class)
+            } else {
+                next
+            };
+            if state >= FLAGGED {
+                break state;
+            }
+        };
+        self.note_idle(tried, passed);
+        (reached, len - rest.len())
+    }
+
+    /// Books how the idle-stretch test of [`LazyDfa::run`] fared. A failed
+    /// test costs about half of what stepping through the stretch does (a
+    /// mispredicted branch on top of the lookups), a passed one saves
+    /// nearly all of it; once a window of attempts shows fewer than half
+    /// passing, the test is dropped for the life of this automaton and
+    /// every stretch is stepped through, as if this shortcut did not
+    /// exist.
+    fn note_idle(&mut self, tried: u32, passed: u32) {
+        self.idle_tried += tried;
+        self.idle_passed += passed;
+        if self.idle_tried >= IDLE_WINDOW {
+            self.idle_pays = self.idle_passed * 2 >= self.idle_tried;
+            self.idle_tried = 0;
+            self.idle_passed = 0;
+        }
     }
 
     /// Returns `true` iff `haystack` contains a match, scanning from the
@@ -152,27 +352,60 @@ impl LazyDfa {
         self.shortest_match(nfa, haystack).is_some()
     }
 
-    /// Returns the end offset of the leftmost shortest match, if any.
-    /// (The *start* offset requires the Pike VM; see [`crate::pike`].)
+    /// Returns the end offset of the leftmost shortest match, if any
+    /// (from offset 0 only, when the automaton is anchored).
     pub fn shortest_match(&mut self, nfa: &Nfa, haystack: &[u8]) -> Option<usize> {
-        let mut state = self.start;
-        if self.is_match[state as usize] {
+        if self.start & ACCEPT != 0 {
             return Some(0);
         }
-        let mut pos = 0;
-        while pos < haystack.len() {
-            let class = nfa.byte_class(haystack[pos]);
-            let mut next = self.transitions[state as usize * self.stride + class as usize];
-            if next == UNKNOWN {
-                next = self.compute_transition(nfa, state, class);
-            }
-            state = next;
-            pos += 1;
-            if self.is_match[state as usize] {
-                return Some(pos);
+        let (state, consumed) = self.run::<false>(nfa, self.start, haystack);
+        (state & ACCEPT != 0).then_some(consumed)
+    }
+
+    /// Runs the automaton over `haystack` *right to left* and reports
+    /// every offset at which it is accepting, in decreasing order.
+    ///
+    /// For an unanchored automaton over a reversed pattern those are
+    /// exactly the offsets where a match of the original pattern starts:
+    /// after consuming `haystack[i..]` backwards it accepts iff some
+    /// `haystack[i..j]` reversed is in the reversed language.
+    pub fn accepting_positions_rev(
+        &mut self,
+        nfa: &Nfa,
+        haystack: &[u8],
+        on_accept: &mut dyn FnMut(usize),
+    ) {
+        let mut state = self.start;
+        let mut pos = haystack.len();
+        if state & ACCEPT != 0 {
+            on_accept(pos);
+        }
+        while pos > 0 && state & DEAD == 0 {
+            let (reached, consumed) = self.run::<true>(nfa, state, &haystack[..pos]);
+            state = reached;
+            pos -= consumed;
+            if state & ACCEPT != 0 {
+                on_accept(pos);
             }
         }
-        None
+    }
+
+    /// Returns the end offset of the longest match that starts exactly at
+    /// `at`, stopping as soon as the automaton dies. Meant for an
+    /// [anchored](LazyDfa::anchored) automaton.
+    pub fn longest_match_at(&mut self, nfa: &Nfa, haystack: &[u8], at: usize) -> Option<usize> {
+        let mut state = self.start;
+        let mut pos = at;
+        let mut last = (state & ACCEPT != 0).then_some(pos);
+        while pos < haystack.len() && state & DEAD == 0 {
+            let (reached, consumed) = self.run::<false>(nfa, state, &haystack[pos..]);
+            state = reached;
+            pos += consumed;
+            if state & ACCEPT != 0 {
+                last = Some(pos);
+            }
+        }
+        last
     }
 }
 
@@ -269,6 +502,85 @@ mod tests {
         assert!(dfa.is_match(&nfa, b"abcdefz"));
         assert!(!dfa.is_match(&nfa, b"abcdef"));
         assert!(dfa.resets() > 0);
+    }
+
+    #[test]
+    fn anchored_automaton_finds_the_longest_end_and_dies() {
+        let nfa = Nfa::compile(&parse("ab*|abbc").unwrap()).unwrap();
+        let mut dfa = LazyDfa::anchored(&nfa, DEFAULT_STATE_LIMIT);
+        assert_eq!(dfa.longest_match_at(&nfa, b"xabbbx", 1), Some(5));
+        assert_eq!(dfa.longest_match_at(&nfa, b"xabbcx", 1), Some(5));
+        assert_eq!(dfa.longest_match_at(&nfa, b"xabbbx", 0), None, "anchored");
+        assert_eq!(
+            dfa.longest_match_at(&nfa, b"xa", 1),
+            Some(2),
+            "end of input"
+        );
+        // Anchored containment only looks at offset 0.
+        assert_eq!(dfa.shortest_match(&nfa, b"ab"), Some(1));
+        assert_eq!(dfa.shortest_match(&nfa, b"xab"), None);
+        // The empty set is one dead state however it is reached.
+        let states = dfa.num_states();
+        assert_eq!(dfa.longest_match_at(&nfa, b"zzzzzzzzzzzzzzzz", 0), None);
+        assert_eq!(dfa.num_states(), states);
+    }
+
+    #[test]
+    fn reversed_automaton_accepts_exactly_where_matches_start() {
+        let ast = parse("ab+|bc").unwrap();
+        let rev = Nfa::compile(&ast.reversed()).unwrap();
+        let mut dfa = LazyDfa::new(&rev);
+        let starts = |dfa: &mut LazyDfa, hay: &[u8]| {
+            let mut out = Vec::new();
+            dfa.accepting_positions_rev(&rev, hay, &mut |i| out.push(i));
+            out.reverse();
+            out
+        };
+        assert_eq!(starts(&mut dfa, b"xabbcab"), vec![1, 3, 5]);
+        assert_eq!(starts(&mut dfa, b"ba"), Vec::<usize>::new());
+        assert_eq!(starts(&mut dfa, b""), Vec::<usize>::new());
+        // A nullable pattern starts (an empty match) everywhere.
+        let rev = Nfa::compile(&parse("a*").unwrap().reversed()).unwrap();
+        let mut out = Vec::new();
+        LazyDfa::new(&rev).accepting_positions_rev(&rev, b"ba", &mut |i| out.push(i));
+        assert_eq!(out, vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn idle_stretches_are_skipped_or_given_up_without_changing_answers() {
+        // 40 KiB of lowercase text with the needle planted at known
+        // offsets; `z` opens nothing else, so almost every stretch idles,
+        // while the vowel alternation leaves the start state every few
+        // bytes and must make the automaton give the test up.
+        let mut hay: Vec<u8> = (0..40_960u32)
+            .map(|i| b"the quick brown fox jumps over a lazy dog "[(i % 42) as usize])
+            .collect();
+        for at in [4_000, 20_001, 40_950] {
+            hay[at..at + 4].copy_from_slice(b"zyzx");
+        }
+        for (pattern, idles) in [("zyzx", true), ("(a|e|i|o|u|t|h|r)zx|zyzx", false)] {
+            let nfa = Nfa::compile(&parse(pattern).unwrap()).unwrap();
+            let mut dfa = LazyDfa::new(&nfa);
+            let mut vm = PikeVm::new(&nfa);
+            assert_eq!(dfa.shortest_match(&nfa, &hay), Some(4_004), "{pattern}");
+            assert_eq!(
+                dfa.shortest_match(&nfa, &hay[4_004..]),
+                Some(16_001),
+                "{pattern}"
+            );
+            assert_eq!(
+                dfa.shortest_match(&nfa, &hay[20_005..]),
+                Some(20_949),
+                "{pattern}"
+            );
+            assert!(!dfa.is_match(&nfa, &hay[..4_003]), "{pattern}");
+            assert_eq!(
+                vm.find_at(&nfa, &hay, 0).map(|s| s.end),
+                Some(4_004),
+                "{pattern}"
+            );
+            assert_eq!(dfa.idle_pays, idles, "{pattern}");
+        }
     }
 
     #[test]

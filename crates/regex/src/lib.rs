@@ -11,15 +11,17 @@
 //!   `\d`) extended with the usual `{m,n}` counted repetition, `\s`, `\w`,
 //!   and hex escapes.
 //! * [`nfa::Nfa`] — Thompson construction over the parsed [`ast::Ast`].
-//! * [`pike::PikeVm`] — an NFA simulation that reports match *spans* with
-//!   leftmost-longest semantics (what `grep -o` would print).
 //! * [`dfa::LazyDfa`] — an on-the-fly determinized automaton with byte-class
-//!   alphabet compression; used for fast containment tests
-//!   ("does this data unit match at all?").
-//! * [`dense::DenseDfa`] — an eagerly built DFA with Hopcroft minimization,
-//!   used where the automaton is known to be small and for cross-checking
-//!   the lazy DFA in tests.
-//! * [`Regex`] — the high-level façade tying the above together.
+//!   alphabet compression. The production matcher is three of them: one
+//!   decides containment ("does this data unit match at all?"), one run
+//!   right to left over the reversed pattern marks where matches start,
+//!   one anchored extends a start to its longest end — leftmost-longest
+//!   *spans* (what `grep -o` would print) at DFA speed.
+//! * [`Regex`] / [`Searcher`] — the high-level façade composing them.
+//! * [`pike::PikeVm`] — an NFA simulation that reports the same spans
+//!   directly; kept as the differential reference for the DFA path.
+//! * [`dense::DenseDfa`] — an eagerly built DFA with Hopcroft minimization;
+//!   a second reference, cross-checking the lazy DFA in tests.
 //!
 //! Everything operates on `&[u8]`: FREE's corpus is raw web-page bytes and
 //! its index keys are byte multigrams, so no UTF-8 assumptions are made

@@ -2,21 +2,21 @@
 //!
 //! A [`Regex`] owns the parsed AST and the compiled NFA (both immutable and
 //! shareable across threads). Searching requires mutable scratch state (the
-//! lazy DFA cache, Pike VM thread lists), which lives in a [`Searcher`];
-//! each thread that wants to match creates its own searcher via
-//! [`Regex::searcher`]. For convenience, `Regex` also exposes direct
-//! `is_match`/`find`/`find_iter` methods that lazily maintain a searcher in
-//! a mutex — fine for casual use, while bulk scanning (FREE's confirmation
-//! step) should hold a dedicated `Searcher` per worker.
+//! lazy DFA caches), which lives in a [`Searcher`]; each thread that wants
+//! to match creates its own searcher via [`Regex::searcher`]. For
+//! convenience, `Regex` also exposes direct `is_match`/`find`/`find_all`
+//! methods that maintain one searcher in a mutex, created the first time
+//! one of them is called — fine for casual use, while bulk scanning
+//! (FREE's confirmation step) should hold a dedicated `Searcher` per
+//! worker.
 
 use crate::ast::Ast;
-use crate::dfa::LazyDfa;
+use crate::dfa::{LazyDfa, DEFAULT_STATE_LIMIT};
 use crate::error::Result;
 use crate::nfa::Nfa;
 use crate::parser::{Parser, ParserConfig};
-use crate::pike::PikeVm;
 use crate::Span;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Configuration for compiling a [`Regex`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -25,13 +25,34 @@ pub struct RegexConfig {
     pub parser: ParserConfig,
 }
 
+/// The immutable compiled form every [`Searcher`] of one pattern shares.
+#[derive(Debug)]
+struct Program {
+    ast: Ast,
+    nfa: Nfa,
+    /// The NFA of the reversed pattern, compiled the first time a
+    /// searcher needs match *starts* (containment never does).
+    reverse: OnceLock<Nfa>,
+}
+
+impl Program {
+    // `expect`: reversal keeps every node of the AST, so the reversed
+    // program has exactly as many states as the forward one, which
+    // compiled within the same limit.
+    #[allow(clippy::expect_used)]
+    fn reverse(&self) -> &Nfa {
+        self.reverse.get_or_init(|| {
+            Nfa::compile(&self.ast.reversed()).expect("reversed pattern compiles like the original")
+        })
+    }
+}
+
 /// A compiled regular expression.
 #[derive(Clone, Debug)]
 pub struct Regex {
     pattern: String,
-    ast: Arc<Ast>,
-    nfa: Arc<Nfa>,
-    shared: Arc<Mutex<Searcher>>,
+    program: Arc<Program>,
+    shared: Arc<OnceLock<Mutex<Searcher>>>,
 }
 
 /// A single match: a [`Span`] within some haystack.
@@ -94,16 +115,18 @@ impl Regex {
         };
         let nfa = {
             let mut span = parent.child("regex.compile");
-            let nfa = Arc::new(Nfa::compile(&ast)?);
+            let nfa = Nfa::compile(&ast)?;
             span.record("nfa_states", nfa.len());
             nfa
         };
-        let shared = Arc::new(Mutex::new(Searcher::for_nfa(&nfa)));
         Ok(Regex {
             pattern: pattern.to_string(),
-            ast: Arc::new(ast),
-            nfa,
-            shared,
+            program: Arc::new(Program {
+                ast,
+                nfa,
+                reverse: OnceLock::new(),
+            }),
+            shared: Arc::new(OnceLock::new()),
         })
     }
 
@@ -114,46 +137,57 @@ impl Regex {
 
     /// The parsed AST (used by FREE's index planner).
     pub fn ast(&self) -> &Ast {
-        &self.ast
+        &self.program.ast
     }
 
     /// The compiled NFA.
     pub fn nfa(&self) -> &Nfa {
-        &self.nfa
+        &self.program.nfa
     }
 
     /// Creates a searcher with its own scratch state, for dedicated or
     /// multi-threaded use.
     pub fn searcher(&self) -> Searcher {
-        Searcher::for_nfa(&self.nfa)
+        self.searcher_with_state_limit(DEFAULT_STATE_LIMIT)
+    }
+
+    /// [`Regex::searcher`] with a custom bound on the states each of its
+    /// lazy DFAs may cache before starting over (min 2). Results never
+    /// depend on the bound; a tiny one forces mid-document cache resets,
+    /// which is what the differential tests use it for.
+    pub fn searcher_with_state_limit(&self, state_limit: usize) -> Searcher {
+        Searcher {
+            contains: LazyDfa::with_state_limit(&self.program.nfa, state_limit),
+            spans: None,
+            state_limit,
+            program: self.program.clone(),
+        }
+    }
+
+    /// The searcher behind the convenience methods, created on first
+    /// use. It recovers from lock poisoning: every search starts from a
+    /// fresh run state, and the lazy-DFA caches stay valid across an
+    /// unwound insert, so a panicked peer can't corrupt it.
+    fn shared(&self) -> MutexGuard<'_, Searcher> {
+        self.shared
+            .get_or_init(|| Mutex::new(self.searcher()))
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether `haystack` contains a match.
-    ///
-    /// The shared searcher recovers from lock poisoning: every search
-    /// starts from a fresh run state, and the lazy-DFA cache stays valid
-    /// across an unwound insert, so a panicked peer can't corrupt it.
     pub fn is_match(&self, haystack: &[u8]) -> bool {
-        self.shared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_match(&self.nfa, haystack)
+        self.shared().is_match(haystack)
     }
 
     /// The leftmost-longest match, if any.
     pub fn find(&self, haystack: &[u8]) -> Option<Match> {
-        self.shared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .find(&self.nfa, haystack)
+        self.shared().find(haystack)
     }
 
     /// All non-overlapping leftmost-longest matches.
     pub fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
-        self.shared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .find_all(&self.nfa, haystack)
+        self.shared().find_all(haystack)
     }
 
     /// Number of non-overlapping matches in `haystack`.
@@ -162,58 +196,121 @@ impl Regex {
     }
 }
 
-/// Mutable scratch state for searching: a lazy DFA cache plus a Pike VM.
+/// Mutable scratch state for searching one pattern: its lazy DFA caches.
 ///
-/// The search strategy is two-tier, mirroring production engines: the lazy
-/// DFA (one table lookup per byte) decides *whether* a match exists, the
-/// Pike VM is only engaged to recover spans.
+/// Three automata, each answering one question in linear time (see
+/// [`crate::dfa`]): the forward unanchored DFA decides *whether* the
+/// haystack matches; only if it does, and spans are wanted, the reverse
+/// DFA marks every offset a match starts at and the anchored DFA extends
+/// each start the iteration reaches to its longest end. The pattern
+/// language has no anchors or look-around, so whether `haystack[i..j]`
+/// matches never depends on the bytes around it, and the spans are
+/// exactly the leftmost-longest ones a backtracking or Pike-VM search
+/// reports ([`crate::pike`] and [`crate::oracle`] are the references the
+/// property tests hold this to).
 #[derive(Clone, Debug)]
 pub struct Searcher {
-    dfa: LazyDfa,
-    vm: PikeVm,
+    program: Arc<Program>,
+    state_limit: usize,
+    /// Forward, unanchored: does the haystack contain a match?
+    contains: LazyDfa,
+    /// Built the first time a haystack that matches is asked for spans.
+    spans: Option<SpanScratch>,
+}
+
+/// The span-recovery half of a [`Searcher`].
+#[derive(Clone, Debug)]
+struct SpanScratch {
+    /// Reversed pattern, unanchored, run right to left: accepting at `i`
+    /// iff some match starts at `i`.
+    starts: LazyDfa,
+    /// Forward, anchored: the longest end from a given start.
+    longest: LazyDfa,
+    /// Bitset over `0..=haystack.len()` of the offsets `starts` accepted.
+    marks: Vec<u64>,
+}
+
+impl SpanScratch {
+    /// Marks every offset of `haystack` at which a match starts.
+    fn mark_starts(&mut self, reverse: &Nfa, haystack: &[u8]) {
+        self.marks.clear();
+        self.marks.resize(haystack.len() / 64 + 1, 0);
+        let marks = &mut self.marks;
+        self.starts
+            .accepting_positions_rev(reverse, haystack, &mut |i| marks[i / 64] |= 1 << (i % 64));
+    }
+
+    /// The first marked offset at or after `at`.
+    fn next_start(&self, at: usize) -> Option<usize> {
+        let mut word = at / 64;
+        let mut bits = *self.marks.get(word)? & (!0u64 << (at % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.marks.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
 }
 
 impl Searcher {
-    fn for_nfa(nfa: &Nfa) -> Searcher {
-        Searcher {
-            dfa: LazyDfa::new(nfa),
-            vm: PikeVm::new(nfa),
-        }
-    }
-
-    /// Whether `haystack` contains a match of `nfa`'s pattern.
-    pub fn is_match(&mut self, nfa: &Nfa, haystack: &[u8]) -> bool {
-        self.dfa.is_match(nfa, haystack)
+    /// Whether `haystack` contains a match.
+    pub fn is_match(&mut self, haystack: &[u8]) -> bool {
+        self.contains.is_match(&self.program.nfa, haystack)
     }
 
     /// The leftmost-longest match, if any.
-    pub fn find(&mut self, nfa: &Nfa, haystack: &[u8]) -> Option<Match> {
-        // DFA pre-filter: bail out in O(n) when there is no match at all.
-        self.dfa.shortest_match(nfa, haystack)?;
-        self.vm.find_at(nfa, haystack, 0).map(|span| Match { span })
+    pub fn find(&mut self, haystack: &[u8]) -> Option<Match> {
+        let mut first = None;
+        self.for_each_match(haystack, &mut |span| {
+            first = Some(Match { span });
+            false
+        });
+        first
     }
 
-    /// All non-overlapping leftmost-longest matches, in order.
-    pub fn find_all(&mut self, nfa: &Nfa, haystack: &[u8]) -> Vec<Match> {
+    /// All non-overlapping leftmost-longest matches, in order. Empty iff
+    /// [`Searcher::is_match`] is false, so a caller that wants the spans
+    /// need not ask the containment question separately.
+    pub fn find_all(&mut self, haystack: &[u8]) -> Vec<Match> {
         let mut out = Vec::new();
-        if self.dfa.shortest_match(nfa, haystack).is_none() {
-            return out;
-        }
-        let mut at = 0;
-        while at <= haystack.len() {
-            match self.vm.find_at(nfa, haystack, at) {
-                None => break,
-                Some(span) => {
-                    at = if span.is_empty() {
-                        span.end + 1
-                    } else {
-                        span.end
-                    };
-                    out.push(Match { span });
-                }
-            }
-        }
+        self.for_each_match(haystack, &mut |span| {
+            out.push(Match { span });
+            true
+        });
         out
+    }
+
+    /// Visits the non-overlapping leftmost-longest matches in order until
+    /// `visit` returns `false`.
+    fn for_each_match(&mut self, haystack: &[u8], visit: &mut dyn FnMut(Span) -> bool) {
+        let program = &*self.program;
+        // Decision pass: most haystacks end here.
+        if !self.contains.is_match(&program.nfa, haystack) {
+            return;
+        }
+        let state_limit = self.state_limit;
+        let spans = self.spans.get_or_insert_with(|| SpanScratch {
+            starts: LazyDfa::with_state_limit(program.reverse(), state_limit),
+            longest: LazyDfa::anchored(&program.nfa, state_limit),
+            marks: Vec::new(),
+        });
+        spans.mark_starts(program.reverse(), haystack);
+        let mut at = 0;
+        while let Some(start) = spans.next_start(at) {
+            // A marked offset starts a match, so the anchored pass finds
+            // an end; the `else` is unreachable.
+            let Some(end) = spans
+                .longest
+                .longest_match_at(&program.nfa, haystack, start)
+            else {
+                debug_assert!(false, "marked start {start} has no match");
+                return;
+            };
+            if !visit(Span::new(start, end)) {
+                return;
+            }
+            at = if end == start { end + 1 } else { end };
+        }
     }
 }
 
@@ -250,7 +347,7 @@ mod tests {
         let re = Regex::new("(cat|dog)s?").unwrap();
         let mut s = re.searcher();
         let hay = b"cats and dogs";
-        assert_eq!(s.find_all(re.nfa(), hay).len(), re.find_all(hay).len());
+        assert_eq!(s.find_all(hay).len(), re.find_all(hay).len());
     }
 
     #[test]
@@ -259,11 +356,86 @@ mod tests {
         let re2 = re.clone();
         let handle = std::thread::spawn(move || {
             let mut s = re2.searcher();
-            s.is_match(re2.nfa(), b"mail me at bob@example.com now")
+            s.is_match(b"mail me at bob@example.com now")
         });
         let mut s = re.searcher();
-        assert!(s.is_match(re.nfa(), b"alice@school.edu"));
+        assert!(s.is_match(b"alice@school.edu"));
         assert!(handle.join().unwrap());
+    }
+
+    #[test]
+    fn shared_searcher_is_built_on_first_use_only() {
+        let re = Regex::new("ab+c").unwrap();
+        assert!(re.shared.get().is_none(), "compiling builds no scratch");
+        let _ = re.searcher();
+        assert!(
+            re.shared.get().is_none(),
+            "dedicated searchers are separate"
+        );
+        assert!(re.is_match(b"abbc"));
+        assert!(re.shared.get().is_some());
+        // Clones share it, and the reverse program waits for a span request.
+        let clone = re.clone();
+        assert!(clone.shared.get().is_some());
+        assert!(re.program.reverse.get().is_none());
+        assert_eq!(clone.find(b"xabcx").unwrap().range(), 1..4);
+        assert!(re.program.reverse.get().is_some());
+    }
+
+    #[test]
+    fn shared_searcher_survives_a_poisoned_lock() {
+        let re = Regex::new("needle").unwrap();
+        assert!(re.is_match(b"a needle"));
+        let re2 = re.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = re2.shared();
+            panic!("poison the shared searcher");
+        })
+        .join();
+        assert!(re.shared.get().unwrap().is_poisoned());
+        assert!(re.is_match(b"still a needle"));
+        assert_eq!(re.find_all(b"needle needle").len(), 2);
+    }
+
+    #[test]
+    fn long_documents_agree_with_the_pike_vm() {
+        // Long enough that the eight-byte stride, the idle-stretch test
+        // (kept for the rare first byte, given up for the alternation of
+        // common ones) and, with a two-state cache, many mid-document
+        // flushes all come into play — none of which a short property-test
+        // haystack reaches.
+        let mut x = 0x2545_F491u32;
+        let hay: Vec<u8> = (0..6000)
+            .map(|_| {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                b"abbacc9 01ab2345c, the fox"[(x >> 24) as usize % 26]
+            })
+            .collect();
+        for pattern in [
+            r"(ab|ba)+c{0,3}|\d{2,4}",
+            r"9 .{0,12}x",
+            r"(a|b|c|t|h|e|f|o)x?\d",
+            r"c*",
+        ] {
+            let re = Regex::new(pattern).unwrap();
+            let mut vm = crate::pike::PikeVm::new(re.nfa());
+            let mut want = Vec::new();
+            let mut at = 0;
+            while let Some(span) = vm.find_at(re.nfa(), &hay, at) {
+                at = if span.is_empty() {
+                    span.end + 1
+                } else {
+                    span.end
+                };
+                want.push(Match { span });
+            }
+            assert!(want.len() > 10, "{pattern}: {}", want.len());
+            for limit in [DEFAULT_STATE_LIMIT, 2, 3, 5] {
+                let mut searcher = re.searcher_with_state_limit(limit);
+                assert_eq!(searcher.find_all(&hay), want, "{pattern} limit {limit}");
+                assert_eq!(searcher.find(&hay), want.first().copied());
+            }
+        }
     }
 
     #[test]

@@ -156,9 +156,17 @@ impl Nfa {
     }
 
     /// Adds the epsilon closure of `id` to `set` (a sorted, deduped vector),
-    /// using `seen` as a scratch bitmap sized to `self.len()`.
-    pub fn epsilon_closure_into(&self, id: StateId, set: &mut Vec<StateId>, seen: &mut [bool]) {
-        let mut stack = vec![id];
+    /// using `seen` as a scratch bitmap sized to `self.len()` and `stack`
+    /// as the work stack (taken and left empty, so a caller taking
+    /// closures in a loop allocates it once).
+    pub fn epsilon_closure_into(
+        &self,
+        id: StateId,
+        set: &mut Vec<StateId>,
+        seen: &mut [bool],
+        stack: &mut Vec<StateId>,
+    ) {
+        stack.push(id);
         while let Some(s) = stack.pop() {
             if seen[s as usize] {
                 continue;
@@ -519,7 +527,7 @@ mod tests {
         let n = nfa("a*b");
         let mut seen = vec![false; n.len()];
         let mut set = Vec::new();
-        n.epsilon_closure_into(n.start(), &mut set, &mut seen);
+        n.epsilon_closure_into(n.start(), &mut set, &mut seen, &mut Vec::new());
         // Closure of start must contain the `a` class state and the `b`
         // class state (star is skippable), and no split states.
         assert_eq!(set.len(), 2);

@@ -1,12 +1,14 @@
 //! A Pike-style virtual machine: simulates the Thompson NFA over a haystack
 //! while tracking match *spans*, with leftmost-longest (POSIX) semantics.
 //!
-//! The VM is the span-producing tier of the engine. The lazy DFA
-//! ([`crate::dfa`]) answers "does this data unit contain a match?" faster,
-//! but cannot report where the match starts; FREE's confirmation step uses
-//! the DFA as a pre-filter and this VM to enumerate the actual matching
-//! strings (the paper reports *matching strings*, e.g. "Thomas Alva Edison",
-//! not just matching pages).
+//! The VM is a *reference*, not a production tier. It carries a start
+//! offset per thread, which makes leftmost-longest spans a direct reading
+//! of the simulation — easy to audit, and an order of magnitude slower per byte
+//! than a DFA. The production [`crate::Searcher`] gets the same spans
+//! from three lazy DFAs ([`crate::dfa`]); the property tests hold the two
+//! (and the backtracking [`crate::oracle`]) equal, and the Criterion
+//! benches keep timing it as the baseline the DFA path is measured
+//! against.
 
 use crate::nfa::{Nfa, State, StateId};
 use crate::Span;

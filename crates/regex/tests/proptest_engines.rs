@@ -1,14 +1,16 @@
 //! Property-based cross-checks: the Pike VM, lazy DFA and dense DFA must
 //! all agree with the naive backtracking oracle on random patterns and
 //! haystacks over a small alphabet (small alphabets maximize the chance of
-//! overlapping matches and epsilon subtleties).
+//! overlapping matches and epsilon subtleties), and the production
+//! [`Searcher`](free_regex::Searcher)'s DFA-only spans must equal what the
+//! Pike VM and the oracle iterate.
 
 use free_regex::dense::DenseDfa;
 use free_regex::dfa::LazyDfa;
 use free_regex::nfa::Nfa;
 use free_regex::oracle;
 use free_regex::pike::PikeVm;
-use free_regex::{parse, Ast};
+use free_regex::{parse, Ast, Regex, Span};
 use proptest::prelude::*;
 
 /// Generates a random AST directly (avoids biasing toward what the string
@@ -32,6 +34,23 @@ fn arb_ast() -> impl Strategy<Value = Ast> {
             inner.prop_map(Ast::star),
         ]
     })
+}
+
+/// Non-overlapping leftmost-longest iteration over a `find_at`, the way
+/// `Searcher::find_all` defines it: after an empty match, step one byte.
+fn iterate(hay: &[u8], mut find_at: impl FnMut(usize) -> Option<Span>) -> Vec<Span> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at <= hay.len() {
+        let Some(span) = find_at(at) else { break };
+        at = if span.is_empty() {
+            span.end + 1
+        } else {
+            span.end
+        };
+        out.push(span);
+    }
+    out
 }
 
 fn arb_haystack() -> impl Strategy<Value = Vec<u8>> {
@@ -64,6 +83,38 @@ proptest! {
         let got = vm.find_at(&nfa, &hay, 0);
         let want = oracle::find_at(&ast, &hay, 0);
         prop_assert_eq!(got, want, "ast {:?} hay {:?}", ast, hay);
+    }
+
+    /// The production span path (three lazy DFAs, no Pike VM) against
+    /// both references, with the default cache and with one so small it
+    /// resets mid-document. Nullable patterns, empty matches at the end
+    /// of input and empty haystacks all come out of `arb_ast` /
+    /// `arb_haystack` (`ε`, `x*`, `{0,n}` and length 0 are in range).
+    #[test]
+    fn dfa_spans_match_pike_and_oracle(
+        ast in arb_ast(),
+        hay in arb_haystack(),
+        state_limit in 2usize..8,
+    ) {
+        let rendered = format!("{ast:?}");
+        // ε is Debug-only notation, not parseable syntax; render it as
+        // the empty group the parser does accept.
+        let re = Regex::new(&rendered.replace('ε', "()")).expect("rendering parses");
+        let nfa = Nfa::compile(re.ast()).expect("compiles");
+        let mut vm = PikeVm::new(&nfa);
+        let pike = iterate(&hay, |at| vm.find_at(&nfa, &hay, at));
+        let oracle = iterate(&hay, |at| oracle::find_at(re.ast(), &hay, at));
+        prop_assert_eq!(&pike, &oracle, "references disagree on {}", rendered);
+
+        for mut searcher in [re.searcher(), re.searcher_with_state_limit(state_limit)] {
+            // Twice: the second run reuses whatever the caches hold.
+            for _ in 0..2 {
+                let got: Vec<Span> = searcher.find_all(&hay).iter().map(|m| m.span()).collect();
+                prop_assert_eq!(&got, &pike, "find_all on {} over {:?}", rendered, hay);
+                prop_assert_eq!(searcher.find(&hay).map(|m| m.span()), pike.first().copied());
+                prop_assert_eq!(searcher.is_match(&hay), !pike.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -2,20 +2,24 @@
 //! path must return byte-identical candidates to the eager slice
 //! reference, over both the in-memory index and the blocked on-disk
 //! format, and confirmation must return the same matches for any thread
-//! count.
+//! count — also where the inline first batch hands over to the helper
+//! threads, and when a budget runs out between two batches.
 
 // Integration tests: unwraps in helper functions are assertions, the
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use free_corpus::MemCorpus;
-use free_engine::exec::stream::compile_plan;
+use free_corpus::{DocId, MemCorpus};
+use free_engine::exec::stream::{
+    compile_plan, confirm_source_budgeted, CandidateSource, StreamState, BATCH_PER_WORKER,
+};
 use free_engine::exec::{eval_plan, Candidates};
 use free_engine::metrics::QueryStats;
 use free_engine::plan::physical::PhysicalPlan;
-use free_engine::{Engine, EngineConfig};
+use free_engine::{CancelToken, Engine, EngineConfig, Error, RequestBudget};
 use free_index::cursor::drain;
 use free_index::postings::Postings;
-use free_index::{IndexRead, IndexReader, IndexWriter, MemIndex};
+use free_index::{IndexRead, IndexReader, IndexWriter, MemIndex, SliceCursor};
+use free_regex::{Regex, Span};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -249,4 +253,148 @@ fn engine_reports_postings_skipped_on_disk_index() {
     );
     assert!(stats.cursor_seeks > 0, "{stats}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `n` pages, two in three matching `ne+dle` (some twice, so span lists
+/// differ from page to page), for the boundary tests below.
+fn boundary_corpus(n: usize) -> MemCorpus {
+    MemCorpus::from_docs(
+        (0..n)
+            .map(|i| match i % 3 {
+                0 => format!("page {i}: a needle, then a neeedle").into_bytes(),
+                1 => format!("page {i}: only hay").into_bytes(),
+                _ => format!("page {i}: one needle").into_bytes(),
+            })
+            .collect(),
+    )
+}
+
+/// What one confirmation pass delivered: the matches in delivery order,
+/// its counters (clocks zeroed), and how it ended.
+type Confirmed = (Vec<(DocId, Vec<Span>)>, QueryStats, Result<(), Error>);
+
+/// Confirms `source` with `threads`, cancelling `cancel` as soon as
+/// `cancel_at` documents have been delivered.
+fn confirm_with(
+    corpus: &MemCorpus,
+    source: &mut CandidateSource,
+    threads: usize,
+    cancel: Option<(&CancelToken, usize)>,
+) -> Confirmed {
+    let regex = Regex::new("ne+dle").unwrap();
+    let budget = match cancel {
+        Some((token, _)) => RequestBudget::unlimited().cancelled_by(token.clone()),
+        None => RequestBudget::unlimited(),
+    };
+    let mut stats = QueryStats::default();
+    let mut hits = Vec::new();
+    let outcome = confirm_source_budgeted(
+        corpus,
+        &regex,
+        source,
+        true,
+        &[],
+        threads,
+        &budget,
+        &mut stats,
+        &mut |doc, spans| {
+            hits.push((doc, spans));
+            if let Some((token, at)) = cancel {
+                if hits.len() == at {
+                    token.cancel();
+                }
+            }
+            true
+        },
+    );
+    stats.index_time = Default::default();
+    stats.confirm_time = Default::default();
+    (hits, stats, outcome)
+}
+
+/// Candidate counts on both sides of every batch boundary give the same
+/// matches, in the same order, with the same spans and the same counters
+/// at 1, 2 and 4 threads — whether the candidates arrive materialized or
+/// as a stream, and so whether they are confirmed inline (one batch or
+/// less) or by the helpers (anything more).
+#[test]
+fn inline_and_parallel_confirmation_agree_at_batch_boundaries() {
+    let mut counts = vec![0, 1];
+    for threads in [1, 2, 4] {
+        let batch = threads * BATCH_PER_WORKER;
+        counts.extend([batch - 1, batch, batch + 1, 3 * batch]);
+    }
+    counts.sort_unstable();
+    counts.dedup();
+    for &n in &counts {
+        let corpus = boundary_corpus(n);
+        let ids: Vec<DocId> = (0..n as DocId).collect();
+        let (want, want_stats, outcome) =
+            confirm_with(&corpus, &mut CandidateSource::Docs(ids.clone()), 1, None);
+        outcome.unwrap();
+        assert_eq!(want.len(), n - (n + 1) / 3, "n={n}");
+        assert_eq!(want_stats.docs_examined, n);
+        for threads in [1, 2, 4] {
+            let mut docs = CandidateSource::Docs(ids.clone());
+            let cursor = Box::new(SliceCursor::new(ids.clone()));
+            let mut stream = CandidateSource::Stream(StreamState::new(cursor));
+            for source in [&mut docs, &mut stream] {
+                let (got, stats, outcome) = confirm_with(&corpus, source, threads, None);
+                outcome.unwrap();
+                assert_eq!(got, want, "n={n} threads={threads}");
+                // A streamed pass also counts what its cursor did; the
+                // confirmation counters must not differ.
+                let mut stats = stats;
+                stats.candidates = want_stats.candidates;
+                stats.postings_decoded = want_stats.postings_decoded;
+                assert_eq!(stats, want_stats, "n={n} threads={threads}");
+            }
+        }
+    }
+}
+
+/// A budget that runs out while batch `k` is being folded is noticed at
+/// the next batch boundary: the caller gets a structured error after
+/// exactly the first `k` batches — every match in them, none beyond, and
+/// counters to match — for any thread count.
+#[test]
+fn budget_expiring_at_a_batch_boundary_yields_an_exact_prefix() {
+    for threads in [1usize, 2, 4] {
+        let batch = threads * BATCH_PER_WORKER;
+        let n = 4 * batch + 5;
+        let corpus = boundary_corpus(n);
+        let ids: Vec<DocId> = (0..n as DocId).collect();
+        let (full, _, outcome) =
+            confirm_with(&corpus, &mut CandidateSource::Docs(ids.clone()), 1, None);
+        outcome.unwrap();
+        // Batch 1 is the inline one, batches 2.. the helpers'.
+        for batches in [1, 2, 3] {
+            let boundary = (batches * batch) as DocId;
+            let prefix: Vec<_> = full
+                .iter()
+                .filter(|(d, _)| *d < boundary)
+                .cloned()
+                .collect();
+            let token = CancelToken::new();
+            // Cancel in the middle of the last batch that may be folded.
+            let cancel_at = prefix.len() - 3;
+            let (got, stats, outcome) = confirm_with(
+                &corpus,
+                &mut CandidateSource::Docs(ids.clone()),
+                threads,
+                Some((&token, cancel_at)),
+            );
+            assert!(
+                matches!(outcome, Err(Error::Cancelled)),
+                "threads={threads} batches={batches}: {outcome:?}"
+            );
+            assert_eq!(got, prefix, "threads={threads} batches={batches}");
+            assert_eq!(stats.docs_examined, batches * batch);
+            assert_eq!(stats.matching_docs, prefix.len());
+            assert_eq!(
+                stats.match_count,
+                prefix.iter().map(|(_, s)| s.len()).sum::<usize>()
+            );
+        }
+    }
 }
