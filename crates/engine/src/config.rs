@@ -62,8 +62,10 @@ pub struct EngineConfig {
     /// to `0|1|…|9`); larger classes become NULL. Keeping this modest
     /// avoids plans that OR hundreds of useless single-byte grams.
     pub class_expand_limit: usize,
-    /// Memory budget (encoded-postings bytes) for the external index
-    /// builder before it spills a run to disk.
+    /// Memory budget in bytes for the postings buffer of an on-disk build
+    /// (4 bytes per posting). A key set whose postings exceed it is built
+    /// in several corpus scans over consecutive key ranges, with the same
+    /// resulting file (see [`build_index`](crate::build_index)).
     pub build_memory_budget: usize,
     /// Conjunction members whose estimated selectivity exceeds this are
     /// pruned when a more selective member exists (the paper's Example

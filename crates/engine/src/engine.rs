@@ -11,7 +11,7 @@ use crate::select::{enumerate_complete, presuf_shell, selector_for, MiningStats,
 use crate::Error;
 use crate::Result;
 use free_corpus::Corpus;
-use free_index::{IndexBuilder, IndexRead, IndexReader, MemIndex};
+use free_index::{CountedPostings, IndexRead, IndexReader, IndexWriter, MemIndex};
 use free_regex::{Finder, Regex};
 use std::path::Path;
 use std::time::Instant;
@@ -118,13 +118,12 @@ pub fn select_keys<C: Corpus>(
     }
 }
 
-/// Generates postings for the selected keys in one corpus scan, feeding
-/// them to `sink` in document order. Public for the same reason as
-/// [`select_keys`].
-pub fn generate_postings<C: Corpus>(
+/// One corpus scan that reports, in document order, every `(key, doc)`
+/// pair with `keys[key]` occurring in `doc`, each pair once.
+fn scan_postings<C: Corpus>(
     corpus: &C,
     keys: &[SelectedGram],
-    sink: &mut dyn FnMut(&[u8], free_corpus::DocId) -> Result<()>,
+    sink: &mut dyn FnMut(usize, free_corpus::DocId) -> Result<()>,
 ) -> Result<()> {
     let patterns: Vec<&[u8]> = keys.iter().map(|g| &*g.gram).collect();
     let mut matcher = GramMatcher::new(&patterns);
@@ -133,7 +132,7 @@ pub fn generate_postings<C: Corpus>(
         let mut ok = true;
         matcher.match_distinct(bytes, u64::from(doc), &mut |pi| {
             if pending.is_ok() {
-                if let Err(e) = sink(patterns[pi as usize], doc) {
+                if let Err(e) = sink(pi as usize, doc) {
                     pending = Err(e);
                     ok = false;
                 }
@@ -142,6 +141,62 @@ pub fn generate_postings<C: Corpus>(
         ok
     })?;
     pending
+}
+
+/// Generates postings for the selected keys in one corpus scan, feeding
+/// them to `sink` in document order. Public for the same reason as
+/// [`select_keys`]; a build that writes an index file should call
+/// [`build_index`], which never handles key bytes per posting.
+pub fn generate_postings<C: Corpus>(
+    corpus: &C,
+    keys: &[SelectedGram],
+    sink: &mut dyn FnMut(&[u8], free_corpus::DocId) -> Result<()>,
+) -> Result<()> {
+    scan_postings(corpus, keys, &mut |key, doc| sink(&keys[key].gram, doc))
+}
+
+/// Builds the index file for `keys` over `corpus` at `index_path` and
+/// opens it: the shared final stage of every on-disk build (the batch
+/// engine, a live flush).
+///
+/// `keys` is a selector's output: sorted, and each `doc_count` exact
+/// (the [`GramSelector`](crate::GramSelector) contract). The counts size
+/// one [`CountedPostings`] buffer of 4 bytes per posting, a corpus scan
+/// fills it by key index, and it is written out in key order. If the
+/// buffer would exceed `memory_budget` bytes the keys are cut into
+/// consecutive ranges that fit (a lone key may exceed it), one scan each:
+/// ranges of a sorted dictionary are written in order, so the file is the
+/// same for any budget. Keys that break the contract make the build fail
+/// with [`free_index::Error::Corrupt`].
+pub fn build_index<C: Corpus>(
+    corpus: &C,
+    keys: &[SelectedGram],
+    index_path: &Path,
+    memory_budget: usize,
+) -> Result<IndexReader> {
+    let mut writer = IndexWriter::create(index_path)?;
+    let max_postings =
+        (memory_budget / std::mem::size_of::<free_corpus::DocId>()).min(u32::MAX as usize) as u64;
+    let mut rest = keys;
+    while !rest.is_empty() {
+        // The keys before the first one that overflows the buffer, and
+        // never none: a lone key may exceed the budget.
+        let mut postings = 0u64;
+        let fit = rest
+            .iter()
+            .position(|g| {
+                postings += u64::from(g.doc_count);
+                postings > max_postings
+            })
+            .unwrap_or(rest.len())
+            .max(1);
+        let (range, later) = rest.split_at(fit);
+        let mut counted = CountedPostings::new(range.iter().map(|g| g.doc_count))?;
+        scan_postings(corpus, range, &mut |key, doc| Ok(counted.add(key, doc)?))?;
+        counted.write_to(range.iter().map(|g| &*g.gram), &mut writer)?;
+        rest = later;
+    }
+    Ok(writer.finish()?)
 }
 
 impl<C: Corpus> Engine<C, MemIndex> {
@@ -190,7 +245,7 @@ impl<C: Corpus> Engine<C, MemIndex> {
 
 impl<C: Corpus> Engine<C, IndexReader> {
     /// Builds an engine whose index is constructed on disk at
-    /// `index_path` (using the external run-merge builder).
+    /// `index_path` (see [`build_index`]).
     pub fn build_on_disk(
         corpus: C,
         config: EngineConfig,
@@ -210,12 +265,12 @@ impl<C: Corpus> Engine<C, IndexReader> {
         let construct_start = Instant::now();
         let index = {
             let mut span = build_span.child("build.construct");
-            let mut builder =
-                IndexBuilder::with_memory_budget(index_path.as_ref(), config.build_memory_budget);
-            generate_postings(&corpus, &keys, &mut |key, doc| {
-                builder.add(key, doc).map_err(Into::into)
-            })?;
-            let index = builder.finish()?;
+            let index = build_index(
+                &corpus,
+                &keys,
+                index_path.as_ref(),
+                config.build_memory_budget,
+            )?;
             span.record("postings", index.stats().num_postings);
             index
         };

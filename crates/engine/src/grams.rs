@@ -7,114 +7,159 @@
 //! the same trick production string engines use. Matches are reported once
 //! per `(pattern, document)` via a stamp vector, because the paper's
 //! postings record *data units containing* a gram, not occurrences.
+//!
+//! The automaton is a handful of flat arrays. States are numbered
+//! breadth-first over the sorted patterns, so the children of a state are
+//! consecutive states and a transition is a search of one short run of
+//! the label array; the root, the only state with up to 256 children,
+//! has a dense row instead.
 
-use rustc_hash::FxHashMap;
+/// One automaton state. The children of state `s` are the states
+/// `states[s].children..states[s + 1].children`, and the patterns ending
+/// exactly at `s` are `pattern_ids[states[s].patterns..states[s +
+/// 1].patterns]`; a sentinel state closes the last range of each.
+#[derive(Clone, Copy, Debug)]
+struct State {
+    /// Id of the first child.
+    children: u32,
+    /// Failure link: the longest proper suffix of this state's string
+    /// that is also a state.
+    fail: u32,
+    /// The nearest state along the failure chain, this one included, at
+    /// which a pattern ends; 0 (the root, where none does) if there is
+    /// none.
+    report: u32,
+    /// Start of this state's run in `pattern_ids`.
+    patterns: u32,
+}
 
 /// A set of byte patterns compiled into an Aho-Corasick automaton.
 #[derive(Clone, Debug)]
 pub struct GramMatcher {
-    /// goto function: per-state sparse byte transitions.
-    goto: Vec<FxHashMap<u8, u32>>,
-    /// failure links.
-    fail: Vec<u32>,
-    /// pattern indices ending at each state.
-    output: Vec<Vec<u32>>,
-    /// number of patterns.
-    num_patterns: usize,
+    /// Transitions out of the root for every byte (0: stay at the root).
+    root: Vec<u32>,
+    /// Every state in breadth-first order, then the sentinel.
+    states: Vec<State>,
+    /// `labels[s]`: the byte on the edge into state `s`. Sorted within
+    /// each run of siblings.
+    labels: Vec<u8>,
+    /// Pattern indices grouped by the state they end at.
+    pattern_ids: Vec<u32>,
     /// per-pattern "seen in current doc" stamps.
     stamps: Vec<u64>,
 }
 
 impl GramMatcher {
     /// Builds the automaton from `patterns`. Empty patterns are rejected
-    /// by debug assertion (grams are never empty).
+    /// by debug assertion (grams are never empty) and never match.
     pub fn new<P: AsRef<[u8]>>(patterns: &[P]) -> GramMatcher {
-        // Trie construction.
-        let mut goto: Vec<FxHashMap<u8, u32>> = vec![FxHashMap::default()];
-        let mut output: Vec<Vec<u32>> = vec![Vec::new()];
-        for (pi, pat) in patterns.iter().enumerate() {
-            let pat = pat.as_ref();
-            debug_assert!(!pat.is_empty(), "gram patterns must be non-empty");
-            let mut state = 0u32;
-            for &b in pat {
-                state = match goto[state as usize].get(&b) {
-                    Some(&next) => next,
-                    None => {
-                        let next = goto.len() as u32;
-                        goto.push(FxHashMap::default());
-                        output.push(Vec::new());
-                        goto[state as usize].insert(b, next);
-                        next
-                    }
-                };
+        let pattern = |i: u32| patterns[i as usize].as_ref();
+        // Sorted, the patterns below any trie node are one contiguous
+        // range, split by the next byte into the ranges of its children.
+        let mut order: Vec<u32> = (0..patterns.len() as u32)
+            .filter(|&i| {
+                debug_assert!(!pattern(i).is_empty(), "gram patterns must be non-empty");
+                !pattern(i).is_empty()
+            })
+            .collect();
+        order.sort_by(|&a, &b| pattern(a).cmp(pattern(b)));
+
+        // The trie: `pending[s]` is the range of `order` below state `s`.
+        let mut pending: Vec<(usize, usize)> = vec![(0, order.len())];
+        let mut states: Vec<State> = Vec::new();
+        let mut labels: Vec<u8> = vec![0];
+        let mut pattern_ids: Vec<u32> = Vec::with_capacity(order.len());
+        let mut depth_end = 1; // first state of the next depth
+        let mut depth = 0;
+        let mut s = 0;
+        while s < pending.len() {
+            if s == depth_end {
+                depth += 1;
+                depth_end = pending.len();
             }
-            output[state as usize].push(pi as u32);
-        }
-        // Failure links by BFS (standard construction); output sets are
-        // merged down fail links so each state directly lists all patterns
-        // ending there.
-        let mut fail = vec![0u32; goto.len()];
-        let mut queue = std::collections::VecDeque::new();
-        for (_, &s) in goto[0].iter() {
-            fail[s as usize] = 0;
-            queue.push_back(s);
-        }
-        while let Some(s) = queue.pop_front() {
-            // Inherit outputs when a state is *popped*: its fail target is
-            // strictly shallower, so BFS order guarantees it is final.
-            let inherited = output[fail[s as usize] as usize].clone();
-            output[s as usize].extend(inherited);
-            let transitions: Vec<(u8, u32)> =
-                goto[s as usize].iter().map(|(&b, &t)| (b, t)).collect();
-            for (b, t) in transitions {
-                queue.push_back(t);
-                // Follow fail links of s until a state with a b-transition.
-                let mut f = fail[s as usize];
-                loop {
-                    if let Some(&next) = goto[f as usize].get(&b) {
-                        if next != t {
-                            fail[t as usize] = next;
-                        }
-                        break;
-                    }
-                    if f == 0 {
-                        fail[t as usize] = 0;
-                        break;
-                    }
-                    f = fail[f as usize];
-                }
+            let (mut next, end) = pending[s];
+            states.push(State {
+                children: pending.len() as u32,
+                fail: 0,
+                report: 0,
+                patterns: pattern_ids.len() as u32,
+            });
+            // Patterns that end here sort before their extensions.
+            while next < end && pattern(order[next]).len() == depth {
+                pattern_ids.push(order[next]);
+                next += 1;
             }
+            while next < end {
+                let byte = pattern(order[next])[depth];
+                let run = order[next..end]
+                    .iter()
+                    .take_while(|&&i| pattern(i)[depth] == byte)
+                    .count();
+                labels.push(byte);
+                pending.push((next, next + run));
+                next += run;
+            }
+            s += 1;
         }
-        GramMatcher {
-            goto,
-            fail,
-            output,
-            num_patterns: patterns.len(),
+        let num_states = states.len();
+        states.push(State {
+            children: num_states as u32,
+            fail: 0,
+            report: 0,
+            patterns: pattern_ids.len() as u32,
+        });
+
+        let mut root = vec![0u32; 256];
+        for child in states[0].children..states[1].children {
+            root[labels[child as usize] as usize] = child;
+        }
+        let mut matcher = GramMatcher {
+            root,
+            states,
+            labels,
+            pattern_ids,
             stamps: vec![u64::MAX; patterns.len()],
+        };
+        // Failure and report links, shallow states first: a state's links
+        // lead to strictly shallower states, which are already final. The
+        // children of the root keep `fail == 0`.
+        for s in 1..num_states {
+            let here = matcher.states[s];
+            let ends_here = here.patterns != matcher.states[s + 1].patterns;
+            matcher.states[s].report = if ends_here {
+                s as u32
+            } else {
+                matcher.states[here.fail as usize].report
+            };
+            for child in here.children..matcher.states[s + 1].children {
+                matcher.states[child as usize].fail =
+                    matcher.step(here.fail, matcher.labels[child as usize]);
+            }
         }
+        matcher
     }
 
     /// Number of patterns in the automaton.
     pub fn num_patterns(&self) -> usize {
-        self.num_patterns
+        self.stamps.len()
     }
 
     /// Number of automaton states (for diagnostics).
     pub fn num_states(&self) -> usize {
-        self.goto.len()
+        self.states.len() - 1
     }
 
     #[inline]
     fn step(&self, mut state: u32, b: u8) -> u32 {
-        loop {
-            if let Some(&next) = self.goto[state as usize].get(&b) {
-                return next;
+        while state != 0 {
+            let first = self.states[state as usize].children as usize;
+            let end = self.states[state as usize + 1].children as usize;
+            if let Some(i) = self.labels[first..end].iter().position(|&l| l == b) {
+                return (first + i) as u32;
             }
-            if state == 0 {
-                return 0;
-            }
-            state = self.fail[state as usize];
+            state = self.states[state as usize].fail;
         }
+        self.root[b as usize]
     }
 
     /// Scans `haystack` and invokes `on_match(pattern_index)` once for
@@ -135,11 +180,17 @@ impl GramMatcher {
         let mut state = 0u32;
         for &b in haystack {
             state = self.step(state, b);
-            for &pi in &self.output[state as usize] {
-                if self.stamps[pi as usize] != doc_stamp {
-                    self.stamps[pi as usize] = doc_stamp;
-                    on_match(pi);
+            let mut at = self.states[state as usize].report as usize;
+            while at != 0 {
+                let ending =
+                    self.states[at].patterns as usize..self.states[at + 1].patterns as usize;
+                for &pi in &self.pattern_ids[ending] {
+                    if self.stamps[pi as usize] != doc_stamp {
+                        self.stamps[pi as usize] = doc_stamp;
+                        on_match(pi);
+                    }
                 }
+                at = self.states[self.states[at].fail as usize].report as usize;
             }
         }
     }
@@ -271,5 +322,57 @@ mod tests {
         // Two identical patterns: both indices fire.
         let got = find(&["aa", "aa"], "aa");
         assert_eq!(got.len(), 2);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// The shape the build feeds it: a mined (prefix-free, heavily
+        /// prefix-sharing) key set, here over text and binary bytes, plus
+        /// repeated patterns and patterns nested in others.
+        #[test]
+        fn agrees_with_windows_on_mined_key_sets(
+            docs in prop::collection::vec(
+                prop::collection::vec(
+                    prop_oneof![Just(b'a'), Just(b'b'), Just(b' '), Just(0u8), Just(255u8)],
+                    0..48,
+                ),
+                1..12,
+            ),
+            threshold in 0usize..6,
+            repeated in 0usize..4,
+        ) {
+            let corpus = free_corpus::MemCorpus::from_docs(docs.clone());
+            let config = free_select::SelectConfig {
+                usefulness_threshold: ((threshold as f64 + 0.5) / docs.len() as f64).min(1.0),
+                ..free_select::SelectConfig::default()
+            };
+            let mined = free_select::mine_multigrams(&corpus, &config).unwrap();
+            let mut patterns: Vec<Vec<u8>> = mined.grams.iter().map(|g| g.gram.to_vec()).collect();
+            for i in 0..repeated.min(patterns.len()) {
+                let again = patterns[i * 7 % patterns.len()].clone();
+                // A proper suffix, when there is one: a pattern inside a pattern.
+                patterns.push(again[again.len() / 2..].to_vec());
+                patterns.push(again);
+            }
+            let mut m = GramMatcher::new(&patterns);
+            prop_assert_eq!(m.num_patterns(), patterns.len());
+            let prefixes: std::collections::BTreeSet<&[u8]> = patterns
+                .iter()
+                .flat_map(|p| (1..=p.len()).map(move |cut| &p[..cut]))
+                .collect();
+            prop_assert_eq!(m.num_states(), prefixes.len() + 1, "one state per distinct prefix");
+            for (stamp, doc) in docs.iter().enumerate() {
+                let want: Vec<u32> = patterns
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| doc.windows(p.len()).any(|w| w == &p[..]))
+                    .map(|(i, _)| i as u32)
+                    .collect();
+                prop_assert_eq!(m.distinct_patterns(doc, stamp as u64), want, "doc {:?}", doc);
+            }
+        }
     }
 }

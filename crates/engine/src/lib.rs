@@ -51,7 +51,9 @@ mod engine;
 
 pub use budget::{CancelToken, RequestBudget};
 pub use config::{EngineConfig, IndexKind, ScanPolicy};
-pub use engine::{build_prefilter, generate_postings, select_keys, Engine, InMemoryEngine};
+pub use engine::{
+    build_index, build_prefilter, generate_postings, select_keys, Engine, InMemoryEngine,
+};
 pub use error::{Error, Result};
 pub use exec::analyze::{ExplainAnalyze, NodeStats};
 pub use exec::partition_threads;

@@ -6,12 +6,19 @@
 //! fit in memory, this module implements that recipe as a classic run
 //! merge: postings accumulate in a [`MemIndex`]; when the memory budget is
 //! exceeded the batch is sorted and spilled to a run file; at the end all
-//! runs are merged key-by-key into the final [`IndexWriter`].
+//! runs, and last the batch still in memory, are merged key-by-key into
+//! the final [`IndexWriter`].
 //!
 //! Because the corpus is scanned in document-id order, every run covers a
 //! disjoint, increasing range of doc ids; merging a key's postings across
 //! runs is therefore pure concatenation (re-encoded to restore the delta
 //! base), never an interleave.
+//!
+//! [`IndexBuilder`] knows nothing about the keys in advance. A build that
+//! does — a sorted dictionary with exact document counts, which is what
+//! every gram selector returns — uses [`CountedPostings`] instead: one
+//! buffer sized from the counts, filled by key index, written in key
+//! order. No hashing, no sorting, no run files.
 
 use crate::format::{IndexReader, IndexWriter};
 use crate::memindex::MemIndex;
@@ -105,29 +112,45 @@ impl IndexBuilder {
         Ok(())
     }
 
-    /// Merges all runs (plus the in-memory remainder) into the final index
-    /// and opens it.
+    /// Merges all runs and the in-memory remainder into the final index
+    /// and opens it. The run files are removed whether or not the merge
+    /// succeeds.
     pub fn finish(mut self) -> Result<IndexReader> {
-        self.spill()?;
-        let mut writer = IndexWriter::create(&self.output)?;
-        {
-            let mut readers = Vec::with_capacity(self.runs.len());
-            for path in &self.runs {
-                readers.push(RunReader::open(path)?);
-            }
-            merge_runs(&mut readers, &mut writer)?;
-        }
-        for path in &self.runs {
+        let merged = self.merge();
+        let removed = self.runs.iter().try_for_each(|path| {
             std::fs::remove_file(path)
-                .map_err(|e| Error::io(format!("remove run {}", path.display()), e))?;
+                .map_err(|e| Error::io(format!("remove run {}", path.display()), e))
+        });
+        let reader = merged?;
+        removed?;
+        Ok(reader)
+    }
+
+    fn merge(&mut self) -> Result<IndexReader> {
+        let mut writer = IndexWriter::create(&self.output)?;
+        let mut readers = Vec::with_capacity(self.runs.len() + 1);
+        for path in &self.runs {
+            readers.push(RunReader::open(path)?);
         }
+        // The remainder holds the newest documents, so it merges last.
+        let remainder = std::mem::take(&mut self.current).into_sorted();
+        readers.push(RunReader::new(RunSource::Memory(remainder.into_iter()))?);
+        merge_runs(&mut readers, &mut writer)?;
         writer.finish()
     }
 }
 
-/// Streaming reader over one sorted run file.
+/// Where a sorted run's records come from.
+enum RunSource {
+    /// A spilled run file.
+    File(BufReader<File>),
+    /// The batch that never left memory.
+    Memory(std::vec::IntoIter<(Key, Postings)>),
+}
+
+/// Streaming reader over one sorted run.
 struct RunReader {
-    reader: BufReader<File>,
+    source: RunSource,
     /// Look-ahead record.
     pending: Option<(Key, Postings)>,
 }
@@ -136,8 +159,12 @@ impl RunReader {
     fn open(path: &Path) -> Result<RunReader> {
         let f =
             File::open(path).map_err(|e| Error::io(format!("open run {}", path.display()), e))?;
+        RunReader::new(RunSource::File(BufReader::new(f)))
+    }
+
+    fn new(source: RunSource) -> Result<RunReader> {
         let mut r = RunReader {
-            reader: BufReader::new(f),
+            source,
             pending: None,
         };
         r.advance()?;
@@ -145,7 +172,10 @@ impl RunReader {
     }
 
     fn advance(&mut self) -> Result<()> {
-        self.pending = read_record(&mut self.reader)?;
+        self.pending = match &mut self.source {
+            RunSource::File(reader) => read_record(reader)?,
+            RunSource::Memory(records) => records.next(),
+        };
         Ok(())
     }
 
@@ -212,7 +242,7 @@ fn read_varint_continuing(r: &mut BufReader<File>, first: u8) -> Result<u64> {
 }
 
 /// Merges sorted runs into the writer. Runs cover disjoint ascending doc
-/// ranges in run-file order, so equal keys concatenate.
+/// ranges in run order, so equal keys concatenate.
 // `expect`: `take()` is only called on readers whose `peek_key()` just
 // matched, so a record is guaranteed to be pending.
 #[allow(clippy::expect_used)]
@@ -235,6 +265,117 @@ fn merge_runs(readers: &mut [RunReader], writer: &mut IndexWriter) -> Result<()>
         writer.add(&key, &merged.finish())?;
     }
     Ok(())
+}
+
+/// Postings for a dictionary known in advance: sorted keys, each with the
+/// exact number of documents that contain it.
+///
+/// One buffer of `sum(doc_counts)` document ids is laid out key after key
+/// (offsets are prefix sums of the counts) and filled by key *index* as a
+/// corpus scan finds `(key, doc)` pairs; [`write_to`](Self::write_to)
+/// then streams it into an [`IndexWriter`] in key order. Memory is 4
+/// bytes per posting plus 8 per key, all of it in two allocations.
+///
+/// The counts are a promise made by whoever chose the keys. A pair beyond
+/// a key's count, a key left short, and documents out of order are all
+/// reported as [`Error::Corrupt`]; nothing is ever truncated or padded.
+pub struct CountedPostings {
+    /// Per key: where its next document id goes, and where its run ends
+    /// (which is where the next key's run starts).
+    spans: Vec<Span>,
+    docs: Vec<DocId>,
+}
+
+#[derive(Clone, Copy)]
+struct Span {
+    next: u32,
+    end: u32,
+}
+
+impl CountedPostings {
+    /// Lays out the buffer for keys with the given document counts.
+    pub fn new(doc_counts: impl IntoIterator<Item = u32>) -> Result<CountedPostings> {
+        let mut end = 0u32;
+        let mut spans = Vec::new();
+        for count in doc_counts {
+            let next = end;
+            end = end.checked_add(count).ok_or_else(|| {
+                Error::Corrupt("more than 2^32 postings in one accumulation".into())
+            })?;
+            spans.push(Span { next, end });
+        }
+        Ok(CountedPostings {
+            spans,
+            docs: vec![0; end as usize],
+        })
+    }
+
+    /// Records that document `doc` contains key number `key`. Documents
+    /// must arrive in non-decreasing order; a repeated `(key, doc)` pair
+    /// coalesces.
+    #[inline]
+    pub fn add(&mut self, key: usize, doc: DocId) -> Result<()> {
+        let start = match key.checked_sub(1) {
+            Some(prev) => self.spans[prev].end,
+            None => 0,
+        };
+        let span = &mut self.spans[key];
+        if span.next > start {
+            let last = self.docs[span.next as usize - 1];
+            if last == doc {
+                return Ok(());
+            }
+            if last > doc {
+                return Err(Error::Corrupt(format!(
+                    "documents out of order: {doc} after {last}"
+                )));
+            }
+        }
+        if span.next == span.end {
+            return Err(Error::Corrupt(format!(
+                "key {key} occurs in more than the {} document(s) its selector counted",
+                span.end - start
+            )));
+        }
+        self.docs[span.next as usize] = doc;
+        span.next += 1;
+        Ok(())
+    }
+
+    /// Appends every key with its postings to `writer`. `keys` yields the
+    /// key bytes in the order the counts were given, which must be
+    /// strictly ascending (the writer checks). Keys counted in no
+    /// document are left out.
+    pub fn write_to<'k>(
+        self,
+        keys: impl ExactSizeIterator<Item = &'k [u8]>,
+        writer: &mut IndexWriter,
+    ) -> Result<()> {
+        if keys.len() != self.spans.len() {
+            return Err(Error::Corrupt(format!(
+                "{} key(s) for {} document count(s)",
+                keys.len(),
+                self.spans.len()
+            )));
+        }
+        let mut start = 0usize;
+        for (key, span) in keys.zip(&self.spans) {
+            if span.next != span.end {
+                return Err(Error::Corrupt(format!(
+                    "key {:?} occurs in {} document(s), its selector counted {}",
+                    String::from_utf8_lossy(key),
+                    span.next as usize - start,
+                    span.end as usize - start
+                )));
+            }
+            let end = span.end as usize;
+            if end > start {
+                writer.add(key, &Postings::from_sorted(&self.docs[start..end]))?;
+            }
+            start = end;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -323,6 +464,143 @@ mod tests {
         let path = tmpfile("emptyb");
         let r = IndexBuilder::new(&path).finish().unwrap();
         assert_eq!(r.num_keys(), 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_build_that_never_spilled_touches_no_run_file() {
+        let dir = std::env::temp_dir().join(format!("free-builder-norun-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("only.idx");
+        // A directory where run 0 would go: creating the run would fail.
+        std::fs::create_dir(path.with_extension("run0.tmp")).unwrap();
+        let mut b = IndexBuilder::new(&path);
+        for doc in 0..50u32 {
+            b.add(format!("key{}", doc % 9).as_bytes(), doc).unwrap();
+        }
+        assert_eq!(b.num_runs(), 0);
+        let r = b.finish().unwrap();
+        assert_eq!(r.num_keys(), 9);
+        assert_eq!(
+            r.postings(b"key3").unwrap().unwrap(),
+            vec![3, 12, 21, 30, 39, 48]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn run_files_removed_when_the_merge_fails() {
+        let path = tmpfile("failmerge");
+        let mut b = IndexBuilder::with_memory_budget(&path, 8);
+        for doc in 0..50u32 {
+            b.add(format!("key{doc}").as_bytes(), doc).unwrap();
+        }
+        assert!(b.num_runs() > 1);
+        let runs: Vec<PathBuf> = (0..b.num_runs()).map(|i| b.run_path(i)).collect();
+        // Cut the last run short: its reader fails on open.
+        let last = runs.last().unwrap();
+        let len = std::fs::metadata(last).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(last)
+            .unwrap()
+            .set_len(len - 1)
+            .unwrap();
+        assert!(b.finish().is_err());
+        for run in &runs {
+            assert!(!run.exists(), "{} left behind", run.display());
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `CountedPostings` over the exact counts of `pairs` (keyed by index
+    /// into `keys`), written to `path`.
+    fn counted_index(
+        path: &Path,
+        keys: &[&[u8]],
+        counts: &[u32],
+        pairs: &[(usize, DocId)],
+    ) -> Result<IndexReader> {
+        let mut counted = CountedPostings::new(counts.iter().copied())?;
+        for &(key, doc) in pairs {
+            counted.add(key, doc)?;
+        }
+        let mut writer = IndexWriter::create(path)?;
+        counted.write_to(keys.iter().copied(), &mut writer)?;
+        writer.finish()
+    }
+
+    #[test]
+    fn counted_postings_write_the_file_the_builder_writes() {
+        let keys: Vec<String> = (0..25).map(|i| format!("key{i:02}")).collect();
+        let key_refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
+        let mut pairs = Vec::new();
+        for doc in 0..1200u32 {
+            for k in 0..((doc % 7) + 1) {
+                pairs.push((((doc + k * 13) % 24) as usize, doc)); // key 24 never occurs
+                if doc % 5 == 0 {
+                    pairs.push((((doc + k * 13) % 24) as usize, doc)); // repeats coalesce
+                }
+            }
+        }
+        let mut counts = vec![0u32; keys.len()];
+        let mut distinct = pairs.clone();
+        distinct.dedup();
+        for &(key, _) in &distinct {
+            counts[key] += 1;
+        }
+        assert!(counts.iter().any(|&c| c > 128), "a blocked list is covered");
+        let (p1, p2) = (tmpfile("counted1"), tmpfile("counted2"));
+        counted_index(&p1, &key_refs, &counts, &pairs).unwrap();
+        let mut b = IndexBuilder::new(&p2);
+        for &(key, doc) in &pairs {
+            b.add(key_refs[key], doc).unwrap();
+        }
+        b.finish().unwrap();
+        assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
+        std::fs::remove_file(&p1).unwrap();
+        std::fs::remove_file(&p2).unwrap();
+    }
+
+    #[test]
+    fn counted_postings_reject_every_broken_promise() {
+        let path = tmpfile("countedbad");
+        let keys: [&[u8]; 2] = [b"aa", b"bb"];
+        let corrupt = |r: Result<IndexReader>, what: &str| match r {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            Err(other) => panic!("{other}"),
+            Ok(_) => panic!("accepted: {what}"),
+        };
+        // One document more than counted, one fewer, out of order.
+        corrupt(
+            counted_index(&path, &keys, &[1, 1], &[(0, 1), (1, 1), (0, 2)]),
+            "more than the 1 document(s)",
+        );
+        corrupt(
+            counted_index(&path, &keys, &[2, 1], &[(0, 1), (1, 1)]),
+            "occurs in 1 document(s), its selector counted 2",
+        );
+        corrupt(
+            counted_index(&path, &keys, &[2, 1], &[(0, 5), (1, 5), (0, 4)]),
+            "out of order",
+        );
+        // Keys out of order, or not as many as counts.
+        corrupt(
+            counted_index(&path, &[b"bb", b"aa"], &[1, 1], &[(0, 1), (1, 1)]),
+            "keys out of order",
+        );
+        corrupt(
+            counted_index(&path, &keys[..1], &[1, 1], &[(0, 1), (1, 1)]),
+            "1 key(s)",
+        );
+        assert!(matches!(
+            CountedPostings::new([u32::MAX, 1]),
+            Err(Error::Corrupt(_))
+        ));
+        // A neighbour's run is never read as this key's last document.
+        let r = counted_index(&path, &keys, &[1, 1], &[(0, 7), (1, 7)]).unwrap();
+        assert_eq!(r.postings(b"bb").unwrap().unwrap(), vec![7]);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -18,9 +18,11 @@
 //!   [`IndexReader`]): header, key directory (loaded into memory whole —
 //!   the paper stresses the multigram directory is small enough to cache),
 //!   and a postings section read on demand.
-//! * [`builder`] — an external-memory build path that spills sorted runs
-//!   of `(gram, doc)` pairs to disk and merges them, mirroring the paper's
-//!   "generate postings, sort, construct" final pass.
+//! * [`builder`] — the paper's "generate postings, sort, construct" final
+//!   pass, twice: [`CountedPostings`] for a dictionary known in advance
+//!   (one exact-size buffer filled by key index), and [`IndexBuilder`]
+//!   for an arbitrary `(gram, doc)` stream (sorted runs spilled to disk
+//!   and merged).
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +40,7 @@ pub mod stats;
 pub mod varint;
 
 pub use blocked::{BlockedCursor, BlockedPostings};
-pub use builder::IndexBuilder;
+pub use builder::{CountedPostings, IndexBuilder};
 pub use cursor::{CursorStats, PostingsCursor, SliceCursor};
 pub use error::{Error, Result};
 pub use format::{IndexReader, IndexWriter, VerifyIssue, VerifyIssueKind};

@@ -15,6 +15,8 @@ use rustc_hash::FxHashMap;
 #[derive(Clone, Debug, Default)]
 pub struct MemIndex {
     map: FxHashMap<Key, PostingsBuilder>,
+    /// Sum of the builders' encoded lengths, kept current by `add`.
+    encoded_bytes: u64,
 }
 
 impl MemIndex {
@@ -26,14 +28,21 @@ impl MemIndex {
     /// Adds a posting. Ids must be non-decreasing per key (corpus scans
     /// deliver them in order); duplicate `(key, doc)` pairs coalesce.
     pub fn add(&mut self, key: &[u8], doc: DocId) {
-        match self.map.get_mut(key) {
-            Some(b) => b.push(doc),
+        let added = match self.map.get_mut(key) {
+            Some(b) => {
+                let before = b.encoded_len();
+                b.push(doc);
+                b.encoded_len() - before
+            }
             None => {
                 let mut b = PostingsBuilder::new();
                 b.push(doc);
+                let len = b.encoded_len();
                 self.map.insert(key.into(), b);
+                len
             }
-        }
+        };
+        self.encoded_bytes += added as u64;
     }
 
     /// Total number of postings across all keys.
@@ -41,9 +50,9 @@ impl MemIndex {
         self.map.values().map(|b| b.len() as u64).sum()
     }
 
-    /// Estimated heap bytes held by encoded postings.
+    /// Heap bytes held by encoded postings (a running count: `O(1)`).
     pub fn encoded_bytes(&self) -> u64 {
-        self.map.values().map(|b| b.encoded_len() as u64).sum()
+        self.encoded_bytes
     }
 
     /// Drains into sorted `(key, postings)` pairs, consuming the index.
@@ -148,6 +157,31 @@ mod tests {
         assert_eq!(s.num_postings, 3);
         assert_eq!(s.key_bytes, 5);
         assert!(s.postings_bytes >= 3);
+    }
+
+    #[test]
+    fn running_byte_count_equals_recomputed_sum() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut idx = MemIndex::new();
+        let mut doc = 0u32;
+        for step in 0..4000 {
+            // Gaps wide enough for multi-byte varints, duplicates, new
+            // and repeated keys.
+            if rng.gen_range(0..3) > 0 {
+                doc += [0u32, 1, 200, 70_000][rng.gen_range(0..4)];
+            }
+            let key = [b'k', rng.gen_range(0..40u8)];
+            idx.add(&key, doc);
+            if step % 97 == 0 {
+                let recomputed: u64 = idx.map.values().map(|b| b.encoded_len() as u64).sum();
+                assert_eq!(idx.encoded_bytes(), recomputed);
+            }
+        }
+        let recomputed: u64 = idx.map.values().map(|b| b.encoded_len() as u64).sum();
+        assert_eq!(idx.encoded_bytes(), recomputed);
+        assert_eq!(idx.stats().postings_bytes, recomputed);
     }
 
     #[test]

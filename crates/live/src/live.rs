@@ -688,19 +688,19 @@ impl LiveIndex {
             return Ok(0.0);
         }
         let base = self.manifest.wal_base;
-        let live_buf: Vec<Vec<u8>> = self
-            .memtable
-            .docs()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.deleted.contains(&(base + *i as DocId)))
-            .map(|(_, d)| d.clone())
-            .collect();
+        let live_buf = MemCorpus::from_docs(
+            self.memtable
+                .docs()
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !self.deleted.contains(&(base + *i as DocId)))
+                .map(|(_, d)| d.clone())
+                .collect(),
+        );
         if live_buf.is_empty() {
             return Ok(0.0);
         }
-        let (keys, _) =
-            free_engine::select_keys(&MemCorpus::from_docs(live_buf.clone()), &self.config.engine)?;
+        let (keys, _) = free_engine::select_keys(&live_buf, &self.config.engine)?;
         let absent: Vec<&[u8]> = keys
             .iter()
             .map(|g| &*g.gram)
@@ -711,13 +711,12 @@ impl LiveIndex {
         }
         let mut matcher = GramMatcher::new(&absent);
         let mut hit = 0usize;
-        for (i, doc) in live_buf.iter().enumerate() {
+        live_buf.scan(&mut |i, doc| {
             let mut any = false;
-            matcher.match_distinct(doc, i as u64, &mut |_| any = true);
-            if any {
-                hit += 1;
-            }
-        }
+            matcher.match_distinct(doc, u64::from(i), &mut |_| any = true);
+            hit += usize::from(any);
+            true
+        })?;
         Ok(hit as f64 / live_buf.len() as f64)
     }
 

@@ -3,9 +3,9 @@
 //!
 //! A flush seals the write buffer into a segment by running the same
 //! build pipeline the offline engine uses — mine a key set over the
-//! segment's documents ([`free_engine::select_keys`]), generate postings
-//! in one scan ([`free_engine::generate_postings`]), and write the
-//! blocked on-disk index format. Each segment therefore carries its *own*
+//! segment's documents ([`free_engine::select_keys`]), then generate
+//! postings in one scan and write the blocked on-disk index format
+//! ([`free_engine::build_index`]). Each segment therefore carries its *own*
 //! key set, mined from its own documents; queries stay exact regardless
 //! because planning happens per segment and confirmation runs the full
 //! regex.
@@ -14,7 +14,7 @@ use crate::error::{Error, Result};
 use crate::manifest::SegmentMeta;
 use free_corpus::{Corpus, CorpusWriter, DiskCorpus, DocId};
 use free_engine::EngineConfig;
-use free_index::{IndexBuilder, IndexRead, IndexReader};
+use free_index::{IndexRead, IndexReader};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -230,12 +230,12 @@ pub fn build_segment(
     let corpus = maybe_cache(writer.finish()?, cache_bytes);
     write_seqs(&seqs_path(seg_root, id), &seqs)?;
     let (keys, _mining) = free_engine::select_keys(&corpus, config)?;
-    let mut builder =
-        IndexBuilder::with_memory_budget(index_path(seg_root, id), config.build_memory_budget);
-    free_engine::generate_postings(&corpus, &keys, &mut |key, doc| {
-        builder.add(key, doc).map_err(free_engine::Error::from)
-    })?;
-    let index = builder.finish()?;
+    let index = free_engine::build_index(
+        &corpus,
+        &keys,
+        &index_path(seg_root, id),
+        config.build_memory_budget,
+    )?;
     let meta = SegmentMeta {
         id,
         num_docs: docs.len() as u32,

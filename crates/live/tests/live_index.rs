@@ -123,6 +123,29 @@ fn flush_seals_segment_and_persists() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A flush runs the batch build's final stage on its own documents: the
+/// segment's index file is byte for byte the file `Engine::build_on_disk`
+/// writes for the same pages (CRC32 recorded at commit 1ac5c4b, before
+/// the build kernels were rewritten; `free-engine`'s `build_identity`
+/// test pins the same constant).
+#[test]
+fn flush_segment_index_file_is_pinned() {
+    use free_corpus::synth::{Generator, SynthConfig};
+    use free_corpus::Corpus;
+    let dir = tmp_dir("golden-flush");
+    let (pages, _) = Generator::new(SynthConfig::tiny(200, 7)).build_mem();
+    let pages: Vec<Vec<u8>> = (0..pages.len() as DocId)
+        .map(|id| pages.get(id).unwrap())
+        .collect();
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&pages).unwrap();
+    assert!(live.flush().unwrap());
+    let bytes = std::fs::read(dir.join("segments/seg-0.idx")).unwrap();
+    assert_eq!(bytes.len(), 210_159);
+    assert_eq!(free_checksum::crc32(&bytes), 0x0f3f_bf82);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn delete_hides_docs_everywhere() {
     let dir = tmp_dir("delete");

@@ -15,9 +15,9 @@
 //! optimistically (their immediate prefix's usefulness is unknown until
 //! the pass ends) and filtered level-by-level afterwards.
 
+use crate::counter::{count_pass, GramCounter, GramSet};
 use crate::{Error, GramSelector, Result, SelectConfig, SelectedGram};
 use free_corpus::Corpus;
-use rustc_hash::FxHashMap;
 
 /// Statistics from a mining run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -68,15 +68,6 @@ impl Selection {
 /// A substring-closed gram predicate accepted by [`mine_filtered`].
 pub(crate) type GramFilter<'a> = &'a (dyn Fn(&[u8]) -> bool + Sync);
 
-/// Per-gram counting cell: document frequency plus the last document that
-/// touched it (so each document is counted once — `M(x)` counts data
-/// units, not occurrences).
-#[derive(Clone, Copy)]
-struct Cell {
-    count: u32,
-    last_doc: u32,
-}
-
 /// Runs Algorithm 3.1 over `corpus` with the config's threshold.
 pub fn mine_multigrams(corpus: &dyn Corpus, config: &SelectConfig) -> Result<Selection> {
     mine_filtered(corpus, config, config.usefulness_threshold, None)
@@ -111,114 +102,61 @@ pub(crate) fn mine_filtered(
 
     let mut useful: Vec<SelectedGram> = Vec::new();
     let mut stats = MiningStats::default();
-    // The grams confirmed useless at length `k-1`, to be extended.
-    // Level 0 is the empty gram, represented implicitly.
-    let mut expand: FxHashMap<Box<[u8]>, ()> = FxHashMap::default();
+    // The grams confirmed useless at length `k-1`, to be extended: the
+    // empty gram before the first pass.
+    let mut frontier = GramSet::new(0);
+    frontier.intern(0, &[]);
+    let mut gram = Vec::new();
     let mut k = 1usize;
-    let mut first_pass = true;
 
-    while k <= config.max_gram_len && (first_pass || !expand.is_empty()) {
-        let k_end = (k + config.lengths_per_pass - 1).min(config.max_gram_len);
-        let mut counts: FxHashMap<Box<[u8]>, Cell> = FxHashMap::default();
-        let mut bytes_read = 0u64;
+    while k <= config.max_gram_len && !frontier.is_empty() {
+        let levels = config.lengths_per_pass.min(GramCounter::MAX_LEVELS);
+        let k_end = k.saturating_add(levels - 1).min(config.max_gram_len);
         let kept_before = useful.len();
 
         // One corpus scan: count every gram of length k..=k_end whose
-        // (k-1)-prefix is in `expand` and that the filter accepts.
-        corpus.scan(&mut |doc, bytes| {
-            bytes_read += bytes.len() as u64;
-            for i in 0..bytes.len() {
-                if !first_pass {
-                    let pfx_end = i + k - 1;
-                    if pfx_end > bytes.len() {
-                        break;
-                    }
-                    if !expand.contains_key(&bytes[i..pfx_end]) {
-                        continue;
-                    }
-                }
-                for m in k..=k_end {
-                    let end = i + m;
-                    if end > bytes.len() {
-                        break;
-                    }
-                    let gram = &bytes[i..end];
-                    if let Some(f) = filter {
-                        // Substring closure: once a gram at this position
-                        // is irrelevant, every extension contains it and
-                        // is irrelevant too.
-                        if !f(gram) {
-                            break;
-                        }
-                    }
-                    match counts.get_mut(gram) {
-                        Some(cell) => {
-                            if cell.last_doc != doc {
-                                cell.last_doc = doc;
-                                cell.count += 1;
-                            }
-                        }
-                        None => {
-                            counts.insert(
-                                gram.into(),
-                                Cell {
-                                    count: 1,
-                                    last_doc: doc,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            true
-        })?;
+        // (k-1)-prefix is in the frontier and that the filter accepts.
+        // Grams longer than k are counted optimistically: whether their
+        // immediate prefix is useless is only known once the scan ends.
+        let mut counter = GramCounter::new();
+        let bytes_read = count_pass(corpus, &mut frontier, false, k_end, filter, &mut counter)?;
         stats.passes += 1;
-        stats.candidates_counted += counts.len() as u64;
-        let grams_considered = counts.len() as u64;
+        stats.candidates_counted += counter.len() as u64;
 
-        // Resolve levels in order: a length-m gram is a real candidate only
-        // if its (m-1)-prefix is useless *at this point*.
-        let mut by_len: Vec<Vec<(Box<[u8]>, u32)>> = vec![Vec::new(); k_end - k + 1];
-        for (gram, cell) in counts {
-            by_len[gram.len() - k].push((gram, cell.count));
-        }
-        let mut prev_useless: FxHashMap<Box<[u8]>, ()> = expand;
-        for (level, grams) in by_len.into_iter().enumerate() {
-            let m = k + level;
-            let mut next_useless: FxHashMap<Box<[u8]>, ()> = FxHashMap::default();
-            for (gram, count) in grams {
-                // Candidate iff the immediate prefix is useless. For the
-                // first level of the pass this holds by construction.
-                if m > k || !first_pass {
-                    let prefix = &gram[..m - 1];
-                    let prefix_ok = if m == k {
-                        true // enforced during the scan
-                    } else {
-                        prev_useless.contains_key(prefix)
-                    };
-                    if !prefix_ok {
-                        stats.candidates_skipped += 1;
-                        continue;
-                    }
-                }
-                if count <= threshold {
+        // Resolve shortest grams first: a gram is a real candidate only if
+        // its immediate prefix is a useless candidate. For the shortest
+        // length that holds by construction of the frontier.
+        let last_level = (k_end - k) as u32;
+        let mut next_frontier = GramSet::new(k_end);
+        for slot in counter.slots_by_level() {
+            let c = counter.entry(slot);
+            if c.level > 0 && !counter.is_useless(c.parent) {
+                stats.candidates_skipped += 1;
+                continue;
+            }
+            let is_useful = c.doc_count <= threshold;
+            if !is_useful {
+                counter.mark_useless(slot);
+            }
+            if is_useful || c.level == last_level {
+                counter.gram_bytes(slot, &frontier, &mut gram);
+                if is_useful {
                     useful.push(SelectedGram {
-                        gram,
-                        doc_count: count,
+                        gram: gram.as_slice().into(),
+                        doc_count: c.doc_count,
                     });
                 } else {
-                    next_useless.insert(gram, ());
+                    next_frontier.intern(next_frontier.hash(&gram), &gram);
                 }
             }
-            prev_useless = next_useless;
         }
-        expand = prev_useless;
         let pass = PassStats {
             lengths: (k, k_end),
-            grams_considered,
+            grams_considered: counter.len() as u64,
             grams_kept: (useful.len() - kept_before) as u64,
             bytes_read,
         };
+        frontier = next_frontier;
         config.tracer.event(
             "mine.pass",
             vec![
@@ -232,7 +170,6 @@ pub(crate) fn mine_filtered(
         );
         stats.per_pass.push(pass);
         k = k_end + 1;
-        first_pass = false;
     }
 
     useful.sort_by(|a, b| a.gram.cmp(&b.gram));
@@ -532,6 +469,131 @@ mod tests {
                 if a.gram != b.gram {
                     assert!(!b.gram.starts_with(&a.gram));
                 }
+            }
+        }
+    }
+
+    /// The definition the miner must reproduce, computed the slow way:
+    /// document counts of every substring up to `max_len` that `filter`
+    /// accepts, by enumeration.
+    fn oracle_counts(
+        docs: &[Vec<u8>],
+        max_len: usize,
+        filter: &dyn Fn(&[u8]) -> bool,
+    ) -> std::collections::BTreeMap<Vec<u8>, u32> {
+        let mut seen = std::collections::BTreeSet::new();
+        for (d, doc) in docs.iter().enumerate() {
+            for i in 0..doc.len() {
+                for m in 1..=max_len.min(doc.len() - i) {
+                    if filter(&doc[i..i + m]) {
+                        seen.insert((doc[i..i + m].to_vec(), d));
+                    }
+                }
+            }
+        }
+        let mut counts = std::collections::BTreeMap::new();
+        for (gram, _) in seen {
+            *counts.entry(gram).or_insert(0u32) += 1;
+        }
+        counts
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 96 }))]
+
+        /// Against the definition, for any corpus over a small alphabet
+        /// with long shared stretches (so useless grams, and with them
+        /// keys, pass 16 bytes), any cutoff, any number of lengths per
+        /// pass, with and without a substring-closed filter.
+        #[test]
+        fn mining_matches_the_definition(
+            shared in prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..32),
+            docs in prop::collection::vec(
+                (prop_oneof![0usize..33, 18usize..33], prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), Just(0u8)], 0..10)),
+                1..14,
+            ),
+            threshold in prop_oneof![0usize..16, 1usize..4],
+            max_gram_len in prop_oneof![1usize..=20, 17usize..=20],
+            lengths_per_pass in 1usize..=4,
+            universe in prop_oneof![
+                Just(None),
+                prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 1..24).prop_map(Some),
+            ],
+        ) {
+            // Each document: a cut of the shared stretch, then its own tail.
+            let docs: Vec<Vec<u8>> = docs
+                .into_iter()
+                .map(|(cut, tail)| [&shared[..cut.min(shared.len())], &tail[..]].concat())
+                .collect();
+            let corpus = MemCorpus::from_docs(docs.clone());
+            // The `c` whose floor(c * N) is the drawn document threshold.
+            let c = ((threshold as f64 + 0.5) / docs.len() as f64).min(1.0);
+            let config = SelectConfig {
+                usefulness_threshold: c,
+                max_gram_len,
+                lengths_per_pass,
+                ..SelectConfig::default()
+            };
+            // Substrings of one string: substring-closed by construction.
+            let in_universe = |g: &[u8]| match &universe {
+                Some(u) => u.windows(g.len()).any(|w| w == g),
+                None => true,
+            };
+            let sel = match &universe {
+                Some(_) => mine_filtered(&corpus, &config, c, Some(&in_universe)).unwrap(),
+                None => mine_multigrams(&corpus, &config).unwrap(),
+            };
+            let counts = oracle_counts(&docs, max_gram_len, &in_universe);
+            let threshold = threshold.min(docs.len()) as u32;
+            let useful = |g: &[u8]| counts[g] <= threshold;
+
+            prop_assert_eq!(sel.num_docs, docs.len());
+            prop_assert!(sel.grams.windows(2).all(|w| w[0].gram < w[1].gram), "sorted, no repeats");
+            for g in &sel.grams {
+                prop_assert!(!g.gram.is_empty() && g.gram.len() <= max_gram_len);
+                prop_assert_eq!(Some(&g.doc_count), counts.get(&g.gram[..]), "exact count of {:?}", g.gram);
+                prop_assert!(useful(&g.gram), "{:?} is useful", g.gram);
+                for cut in 1..g.gram.len() {
+                    prop_assert!(!useful(&g.gram[..cut]), "prefix {cut} of {:?} is useless", g.gram);
+                }
+            }
+            // Prefix free: a sorted neighbour would be the witness.
+            prop_assert!(sel.grams.windows(2).all(|w| !w[1].gram.starts_with(&w[0].gram)));
+            // Every useful gram is covered by exactly the minimal useful
+            // gram that is its prefix; together with the loop above this
+            // makes the selection equal to the definition's.
+            let selected: std::collections::BTreeSet<&[u8]> =
+                sel.grams.iter().map(|g| &g.gram[..]).collect();
+            for gram in counts.keys().filter(|g| useful(g)) {
+                let covers = (1..=gram.len()).filter(|&cut| selected.contains(&gram[..cut])).count();
+                prop_assert_eq!(covers, 1, "{:?} covered once", gram);
+            }
+
+            let stats = &sel.stats;
+            prop_assert_eq!(stats.passes, stats.per_pass.len());
+            let considered: u64 = stats.per_pass.iter().map(|p| p.grams_considered).sum();
+            prop_assert_eq!(considered, stats.candidates_counted);
+            let kept: u64 = stats.per_pass.iter().map(|p| p.grams_kept).sum();
+            prop_assert_eq!(kept, sel.grams.len() as u64);
+            let mut next_len = 1;
+            for p in &stats.per_pass {
+                prop_assert_eq!(p.lengths.0, next_len);
+                prop_assert!(p.lengths.1 < p.lengths.0 + lengths_per_pass && p.lengths.1 <= max_gram_len);
+                prop_assert_eq!(p.bytes_read, corpus.total_bytes());
+                next_len = p.lengths.1 + 1;
+            }
+            // One length per pass counts candidates only, so nothing is
+            // counted and then skipped, and the counted grams are exactly
+            // the definition's candidates: those with no useful prefix.
+            if lengths_per_pass == 1 {
+                prop_assert_eq!(stats.candidates_skipped, 0);
+                let candidates = counts
+                    .keys()
+                    .filter(|g| (1..g.len()).all(|cut| !useful(&g[..cut])))
+                    .count();
+                prop_assert_eq!(stats.candidates_counted, candidates as u64);
             }
         }
     }

@@ -6,9 +6,9 @@
 //! (up to the cutoff) can be looked up — and shows it is an order of
 //! magnitude larger than the multigram index while only ~32 % faster.
 
+use crate::counter::{count_pass, GramCounter, GramSet};
 use crate::{Result, SelectedGram};
 use free_corpus::Corpus;
-use rustc_hash::FxHashMap;
 
 /// Enumerates every distinct k-gram for `k = min_len..=max_len` with its
 /// document frequency, sorted lexicographically.
@@ -20,47 +20,21 @@ pub fn enumerate_complete(
     max_len: usize,
 ) -> Result<Vec<SelectedGram>> {
     assert!(min_len >= 1 && min_len <= max_len);
-    struct Cell {
-        count: u32,
-        last_doc: u32,
+    assert!(max_len - min_len < GramCounter::MAX_LEVELS);
+    // One counting pass whose frontier is every (min_len - 1)-gram the
+    // corpus holds, collected as the scan meets them.
+    let mut prefixes = GramSet::new(min_len - 1);
+    let mut counter = GramCounter::new();
+    count_pass(corpus, &mut prefixes, true, max_len, None, &mut counter)?;
+    let mut out = Vec::with_capacity(counter.len());
+    let mut gram = Vec::new();
+    for slot in counter.slots_by_level() {
+        counter.gram_bytes(slot, &prefixes, &mut gram);
+        out.push(SelectedGram {
+            gram: gram.as_slice().into(),
+            doc_count: counter.entry(slot).doc_count,
+        });
     }
-    let mut counts: FxHashMap<Box<[u8]>, Cell> = FxHashMap::default();
-    corpus.scan(&mut |doc, bytes| {
-        for i in 0..bytes.len() {
-            for m in min_len..=max_len {
-                let end = i + m;
-                if end > bytes.len() {
-                    break;
-                }
-                let gram = &bytes[i..end];
-                match counts.get_mut(gram) {
-                    Some(cell) => {
-                        if cell.last_doc != doc {
-                            cell.last_doc = doc;
-                            cell.count += 1;
-                        }
-                    }
-                    None => {
-                        counts.insert(
-                            gram.into(),
-                            Cell {
-                                count: 1,
-                                last_doc: doc,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        true
-    })?;
-    let mut out: Vec<SelectedGram> = counts
-        .into_iter()
-        .map(|(gram, cell)| SelectedGram {
-            gram,
-            doc_count: cell.count,
-        })
-        .collect();
     out.sort_by(|a, b| a.gram.cmp(&b.gram));
     Ok(out)
 }

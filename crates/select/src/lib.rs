@@ -36,6 +36,7 @@ use free_corpus::Corpus;
 pub mod apriori;
 pub mod budgeted;
 pub mod complete;
+mod counter;
 pub mod presuf;
 pub mod spec;
 pub mod trigram;
