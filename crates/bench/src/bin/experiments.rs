@@ -1060,7 +1060,7 @@ fn run_serve_load(config: &ExperimentConfig) -> String {
 }
 
 /// Workload capture/replay round-trip (`replay`): queries a live index
-/// — unsharded and 2-way sharded — with the durable query log on, then
+/// — one rooted shard and 2-way sharded — with the durable query log on, then
 /// replays each captured log against its own directory, closed-loop and
 /// open-loop, verifying every recorded per-query result count. The log
 /// is finally mined for `FA6xx` workload diagnostics (what `free log
@@ -1108,17 +1108,8 @@ fn run_replay(config: &ExperimentConfig) -> String {
             flush_threshold_docs: (config.num_docs / 4).max(32),
             ..free_live::LiveConfig::default()
         };
-        enum Idx {
-            Plain(free_live::LiveIndex),
-            Sharded(free_live::ShardedLiveIndex),
-        }
-        let mut idx = if shards == 1 {
-            Idx::Plain(free_live::LiveIndex::create(&dir, live_config).expect("create"))
-        } else {
-            Idx::Sharded(
-                free_live::ShardedLiveIndex::create(&dir, live_config, shards).expect("create"),
-            )
-        };
+        let mut idx =
+            free_live::ShardedLiveIndex::create(&dir, live_config, shards).expect("create");
         let mut page = Vec::new();
         let mut batch: Vec<Vec<u8>> = Vec::new();
         for doc_id in 0..config.num_docs as u32 {
@@ -1126,18 +1117,12 @@ fn run_replay(config: &ExperimentConfig) -> String {
             generator.page(doc_id, &mut page);
             batch.push(page.clone());
             if batch.len() == 64 {
-                match &mut idx {
-                    Idx::Plain(l) => drop(l.add_batch(&batch).expect("ingest")),
-                    Idx::Sharded(s) => drop(s.add_batch(&batch).expect("ingest")),
-                }
+                idx.add_batch(&batch).expect("ingest");
                 batch.clear();
             }
         }
         if !batch.is_empty() {
-            match &mut idx {
-                Idx::Plain(l) => drop(l.add_batch(&batch).expect("ingest")),
-                Idx::Sharded(s) => drop(s.add_batch(&batch).expect("ingest")),
-            }
+            idx.add_batch(&batch).expect("ingest");
         }
 
         // Capture: every query is recorded; a 2ms slow threshold gives
@@ -1148,10 +1133,7 @@ fn run_replay(config: &ExperimentConfig) -> String {
         free_trace::qlog::set_slow_threshold_ns(Some(2_000_000));
         for _ in 0..ROUNDS {
             for q in &queries {
-                match &idx {
-                    Idx::Plain(l) => drop(l.query(q.pattern).expect("query")),
-                    Idx::Sharded(s) => drop(s.query(q.pattern).expect("query")),
-                }
+                idx.query(q.pattern).expect("query");
             }
         }
         free_trace::qlog::shutdown();

@@ -23,6 +23,7 @@ pub mod serve;
 use free_corpus::{Corpus, FsCorpus};
 use free_engine::{Engine, EngineConfig};
 use free_index::IndexReader;
+use free_live::ShardedLiveIndex;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -464,285 +465,75 @@ fn live_config(threads: usize) -> free_live::LiveConfig {
     }
 }
 
-/// A live index of either on-disk layout — single-writer
-/// ([`free_live::LiveIndex`]) or sharded
-/// ([`free_live::ShardedLiveIndex`], detected by its `sharded.manifest`)
-/// — so every live subcommand works on both transparently.
-pub enum LiveHandle {
-    /// An unsharded live index.
-    Plain(free_live::LiveIndex),
-    /// A sharded live index.
-    Sharded(free_live::ShardedLiveIndex),
+/// The aggregate shape, summed across shards.
+struct LiveShape {
+    segments: usize,
+    memtable_docs: usize,
+    tombstones: usize,
+    live_docs: usize,
+    total_bytes: u64,
 }
 
-/// An aggregate shape summary (for output lines shared by both layouts).
-#[derive(Clone, Copy, Debug)]
-pub struct LiveShape {
-    /// Sealed segments (summed across shards).
-    pub segments: usize,
-    /// Write-buffer documents (summed across shards).
-    pub memtable_docs: usize,
-    /// Tombstones not yet reclaimed.
-    pub tombstones: usize,
-    /// Live (queryable) documents.
-    pub live_docs: usize,
-}
-
-impl LiveHandle {
-    /// Opens the live index at `dir`, auto-detecting its layout.
-    pub fn open(dir: &Path, config: free_live::LiveConfig) -> free_live::Result<LiveHandle> {
-        if free_live::is_sharded(dir) {
-            Ok(LiveHandle::Sharded(free_live::ShardedLiveIndex::open(
-                dir, config,
-            )?))
-        } else {
-            Ok(LiveHandle::Plain(free_live::LiveIndex::open(dir, config)?))
-        }
-    }
-
-    /// Opens the live index at `dir`, creating an unsharded one when the
-    /// directory holds neither layout (use `free create --shards N` for
-    /// a sharded index).
-    pub fn open_or_create(
-        dir: &Path,
-        config: free_live::LiveConfig,
-    ) -> free_live::Result<LiveHandle> {
-        if free_live::is_sharded(dir) {
-            Ok(LiveHandle::Sharded(free_live::ShardedLiveIndex::open(
-                dir, config,
-            )?))
-        } else {
-            Ok(LiveHandle::Plain(free_live::LiveIndex::open_or_create(
-                dir, config,
-            )?))
-        }
-    }
-
-    /// Number of shards (1 for the plain layout).
-    pub fn num_shards(&self) -> usize {
-        match self {
-            LiveHandle::Plain(_) => 1,
-            LiveHandle::Sharded(s) => s.num_shards(),
-        }
-    }
-
-    /// Adds a batch of documents, returning their global sequence numbers.
-    pub fn add_batch<D: AsRef<[u8]>>(&mut self, docs: &[D]) -> free_live::Result<Vec<u32>> {
-        match self {
-            LiveHandle::Plain(l) => l.add_batch(docs),
-            LiveHandle::Sharded(s) => s.add_batch(docs),
-        }
-    }
-
-    /// Tombstones one document by global sequence number.
-    pub fn delete(&mut self, seq: u32) -> free_live::Result<()> {
-        match self {
-            LiveHandle::Plain(l) => l.delete(seq),
-            LiveHandle::Sharded(s) => s.delete(seq),
-        }
-    }
-
-    /// Seals the write buffer(s).
-    pub fn flush(&mut self) -> free_live::Result<bool> {
-        match self {
-            LiveHandle::Plain(l) => l.flush(),
-            LiveHandle::Sharded(s) => s.flush(),
-        }
-    }
-
-    /// Compacts all segments (every shard in parallel when sharded).
-    pub fn compact(&mut self) -> free_live::Result<bool> {
-        match self {
-            LiveHandle::Plain(l) => l.compact(),
-            LiveHandle::Sharded(s) => s.compact(),
-        }
-    }
-
-    /// Live (queryable) documents.
-    pub fn live_docs(&self) -> usize {
-        match self {
-            LiveHandle::Plain(l) => l.live_docs(),
-            LiveHandle::Sharded(s) => s.live_docs(),
-        }
-    }
-
-    /// Runs a query with the configured thread count.
-    pub fn query(&self, pattern: &str) -> free_live::Result<free_live::LiveQueryResult> {
-        match self {
-            LiveHandle::Plain(l) => l.query(pattern),
-            LiveHandle::Sharded(s) => s.query(pattern),
-        }
-    }
-
-    /// A cheap cloneable read handle for concurrent queries.
-    pub fn reader(&self) -> ReaderHandle {
-        match self {
-            LiveHandle::Plain(l) => ReaderHandle::Plain(l.reader()),
-            LiveHandle::Sharded(s) => ReaderHandle::Sharded(s.reader()),
-        }
-    }
-
-    /// The aggregate shape (summed across shards when sharded).
-    pub fn shape(&self) -> LiveShape {
-        match self {
-            LiveHandle::Plain(l) => {
-                let s = l.stats();
-                LiveShape {
-                    segments: s.segments.len(),
-                    memtable_docs: s.memtable_docs,
-                    tombstones: s.tombstones,
-                    live_docs: s.live_docs,
-                }
-            }
-            LiveHandle::Sharded(idx) => {
-                let per = idx.shard_stats();
-                LiveShape {
-                    segments: per.iter().map(|s| s.segments.len()).sum(),
-                    memtable_docs: per.iter().map(|s| s.memtable_docs).sum(),
-                    tombstones: per.iter().map(|s| s.tombstones).sum(),
-                    live_docs: per.iter().map(|s| s.live_docs).sum(),
-                }
-            }
-        }
-    }
-
-    /// Index shape as one JSON object. Plain indexes keep their original
-    /// schema; sharded ones add `"shards"` and a `"per_shard"` breakdown.
-    pub fn stats_json(&self) -> String {
-        match self {
-            LiveHandle::Plain(l) => l.stats().to_json(),
-            LiveHandle::Sharded(s) => sharded_stats_json(s),
+impl LiveShape {
+    fn of(per_shard: &[free_live::LiveStats]) -> LiveShape {
+        LiveShape {
+            segments: per_shard.iter().map(|s| s.segments.len()).sum(),
+            memtable_docs: per_shard.iter().map(|s| s.memtable_docs).sum(),
+            tombstones: per_shard.iter().map(|s| s.tombstones).sum(),
+            live_docs: per_shard.iter().map(|s| s.live_docs).sum(),
+            total_bytes: per_shard.iter().map(|s| s.total_bytes).sum(),
         }
     }
 }
 
-/// Aggregate + per-shard stats of a sharded index as one JSON object.
-fn sharded_stats_json(idx: &free_live::ShardedLiveIndex) -> String {
-    let per = idx.shard_stats();
-    let per_shard = per
-        .iter()
-        .enumerate()
-        .map(|(s, stats)| {
-            let mut o = free_trace::json::JsonObject::new();
-            o.field_u64("shard", s as u64)
-                .field_raw("stats", stats.to_json());
-            o.finish()
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut o = free_trace::json::JsonObject::new();
-    o.field_u64("shards", idx.num_shards() as u64)
-        .field_u64("generation", idx.generation())
+/// Writes the aggregate shape of `idx` as JSON fields of `o`.
+fn aggregate_fields(
+    o: &mut free_trace::json::JsonObject,
+    idx: &ShardedLiveIndex,
+    shape: &LiveShape,
+) {
+    o.field_u64("generation", idx.generation())
         .field_u64("next_seq", u64::from(idx.next_seq()))
-        .field_u64(
-            "num_segments",
-            per.iter().map(|s| s.segments.len()).sum::<usize>() as u64,
-        )
-        .field_u64(
-            "memtable_docs",
-            per.iter().map(|s| s.memtable_docs).sum::<usize>() as u64,
-        )
-        .field_u64(
-            "tombstones",
-            per.iter().map(|s| s.tombstones).sum::<usize>() as u64,
-        )
-        .field_u64(
-            "live_docs",
-            per.iter().map(|s| s.live_docs).sum::<usize>() as u64,
-        )
-        .field_u64(
-            "total_bytes",
-            per.iter().map(|s| s.total_bytes).sum::<u64>(),
-        )
-        .field_raw("per_shard", format!("[{per_shard}]"));
+        .field_u64("num_segments", shape.segments as u64)
+        .field_u64("memtable_docs", shape.memtable_docs as u64)
+        .field_u64("tombstones", shape.tombstones as u64)
+        .field_u64("live_docs", shape.live_docs as u64)
+        .field_u64("total_bytes", shape.total_bytes);
+}
+
+/// The `per_shard` JSON array: each shard's stats, plus its key-set
+/// drift when `drifts` carries one per shard.
+fn per_shard_json(per_shard: &[free_live::LiveStats], drifts: Option<&[f64]>) -> String {
+    let mut arr = free_trace::json::JsonArray::new();
+    for (s, stats) in per_shard.iter().enumerate() {
+        let mut o = free_trace::json::JsonObject::new();
+        o.field_u64("shard", s as u64)
+            .field_raw("stats", stats.to_json());
+        if let Some(drifts) = drifts {
+            o.field_f64("drift_fraction", drifts[s]);
+        }
+        arr.push_raw(o.finish());
+    }
+    arr.finish()
+}
+
+/// Index shape as one JSON object (the line protocol's `stats` reply):
+/// the shard count, the aggregate, and a `per_shard` breakdown.
+pub(crate) fn live_stats_json(idx: &ShardedLiveIndex) -> String {
+    let per = idx.shard_stats();
+    let mut o = free_trace::json::JsonObject::new();
+    o.field_u64("shards", idx.num_shards() as u64);
+    aggregate_fields(&mut o, idx, &LiveShape::of(&per));
+    o.field_raw("per_shard", per_shard_json(&per, None));
     o.finish()
 }
 
-/// A read handle over either layout (what `free serve` queries from).
-#[derive(Clone)]
-pub enum ReaderHandle {
-    /// Unsharded reader.
-    Plain(free_live::LiveReader),
-    /// Sharded reader.
-    Sharded(free_live::ShardedReader),
-}
-
-impl ReaderHandle {
-    /// The freshest published snapshot.
-    pub fn snapshot(&self) -> SnapshotHandle {
-        match self {
-            ReaderHandle::Plain(r) => SnapshotHandle::Plain(r.snapshot()),
-            ReaderHandle::Sharded(r) => SnapshotHandle::Sharded(r.snapshot()),
-        }
-    }
-
-    /// Generation of the freshest published snapshot.
-    pub fn generation(&self) -> u64 {
-        match self {
-            ReaderHandle::Plain(r) => r.generation(),
-            ReaderHandle::Sharded(r) => r.generation(),
-        }
-    }
-}
-
-/// A frozen consistent view over either layout.
-pub enum SnapshotHandle {
-    /// Unsharded snapshot.
-    Plain(std::sync::Arc<free_live::Snapshot>),
-    /// Sharded composite snapshot.
-    Sharded(std::sync::Arc<free_live::ShardedSnapshot>),
-}
-
-impl SnapshotHandle {
-    /// Generation this snapshot was published at.
-    pub fn generation(&self) -> u64 {
-        match self {
-            SnapshotHandle::Plain(s) => s.generation(),
-            SnapshotHandle::Sharded(s) => s.generation(),
-        }
-    }
-
-    /// Runs a query against this frozen view.
-    pub fn query_with(
-        &self,
-        pattern: &str,
-        threads: usize,
-        want_spans: bool,
-    ) -> free_live::Result<free_live::LiveQueryResult> {
-        match self {
-            SnapshotHandle::Plain(s) => s.query_with(pattern, threads, want_spans),
-            SnapshotHandle::Sharded(s) => s.query_with(pattern, threads, want_spans),
-        }
-    }
-
-    /// Runs a query with full per-request options (threads, spans,
-    /// deadline/cancellation budget).
-    pub fn query_opts(
-        &self,
-        pattern: &str,
-        opts: &free_live::QueryOpts,
-    ) -> free_live::Result<free_live::LiveQueryResult> {
-        match self {
-            SnapshotHandle::Plain(s) => s.query_opts(pattern, opts),
-            SnapshotHandle::Sharded(s) => s.query_opts(pattern, opts),
-        }
-    }
-
-    /// Reads one live document by global sequence number.
-    pub fn get(&self, seq: u32) -> free_live::Result<Vec<u8>> {
-        match self {
-            SnapshotHandle::Plain(s) => s.get(seq),
-            SnapshotHandle::Sharded(s) => s.get(seq),
-        }
-    }
-}
-
-/// `free create`: initializes an empty live index at `dir` — unsharded
-/// for `shards == 1`, otherwise partitioned over `shards` independent
-/// shards with round-robin document routing (the count is fixed for the
-/// lifetime of the directory). The selection strategy is likewise fixed
-/// at create time and persisted in the manifest(s) so flushes and
-/// compactions keep re-mining with it.
+/// `free create`: initializes an empty live index at `dir` over `shards`
+/// independent shards with round-robin document routing (the count is
+/// fixed for the lifetime of the directory; one shard is rooted at `dir`
+/// itself). The selection strategy is likewise fixed at create time and
+/// persisted in the manifest(s) so flushes and compactions keep
+/// re-mining with it.
 pub fn live_create(
     dir: &Path,
     shards: usize,
@@ -754,33 +545,25 @@ pub fn live_create(
             free_live::MAX_SHARDS
         )));
     }
-    let selector_note = if selector.is_default() {
+    let mut note = if shards == 1 {
         String::new()
     } else {
-        format!(" (selector {selector})")
+        format!(" with {shards} shards")
     };
+    if !selector.is_default() {
+        let _ = write!(note, " (selector {selector})");
+    }
     let mut config = live_config(0);
     config.engine.selector = selector;
-    if shards == 1 {
-        free_live::LiveIndex::create(dir, config)?;
-        Ok(format!(
-            "created live index at {}{selector_note}\n",
-            dir.display()
-        ))
-    } else {
-        free_live::ShardedLiveIndex::create(dir, config, shards)?;
-        Ok(format!(
-            "created live index at {} with {shards} shards{selector_note}\n",
-            dir.display()
-        ))
-    }
+    ShardedLiveIndex::create(dir, config, shards)?;
+    Ok(format!("created live index at {}{note}\n", dir.display()))
 }
 
 /// `free add`: ingests each file as one document into the live index at
-/// `dir` (created unsharded on first use), printing the assigned
+/// `dir` (created with one shard on first use), printing the assigned
 /// sequence numbers.
 pub fn live_add(dir: &Path, files: &[PathBuf]) -> Result<String> {
-    let mut live = LiveHandle::open_or_create(dir, live_config(0))?;
+    let mut live = ShardedLiveIndex::open_or_create(dir, live_config(0), 1)?;
     let mut docs = Vec::with_capacity(files.len());
     for f in files {
         docs.push(std::fs::read(f)?);
@@ -790,7 +573,7 @@ pub fn live_add(dir: &Path, files: &[PathBuf]) -> Result<String> {
     for (f, id) in files.iter().zip(&ids) {
         let _ = writeln!(out, "added {} as doc {id}", f.display());
     }
-    let shape = live.shape();
+    let shape = LiveShape::of(&live.shard_stats());
     let _ = writeln!(
         out,
         "# {} live doc(s), {} segment(s), {} buffered",
@@ -801,7 +584,7 @@ pub fn live_add(dir: &Path, files: &[PathBuf]) -> Result<String> {
 
 /// `free delete`: tombstones documents by sequence number.
 pub fn live_delete(dir: &Path, seqs: &[u32]) -> Result<String> {
-    let mut live = LiveHandle::open(dir, live_config(0))?;
+    let mut live = ShardedLiveIndex::open(dir, live_config(0))?;
     let mut out = String::new();
     for &seq in seqs {
         live.delete(seq)?;
@@ -812,13 +595,12 @@ pub fn live_delete(dir: &Path, seqs: &[u32]) -> Result<String> {
 }
 
 /// `free compact`: flushes the write buffer and merges all segments into
-/// one (per shard, in parallel, when sharded), reclaiming tombstoned
-/// documents.
+/// one per shard (shards in parallel), reclaiming tombstoned documents.
 pub fn live_compact(dir: &Path) -> Result<String> {
-    let mut live = LiveHandle::open(dir, live_config(0))?;
-    let before = live.shape();
+    let mut live = ShardedLiveIndex::open(dir, live_config(0))?;
+    let before = LiveShape::of(&live.shard_stats());
     let changed = live.compact()?;
-    let after = live.shape();
+    let after = LiveShape::of(&live.shard_stats());
     if !changed && before.segments == after.segments {
         return Ok(format!(
             "nothing to compact: {} segment(s), {} tombstone(s)\n",
@@ -832,89 +614,32 @@ pub fn live_compact(dir: &Path) -> Result<String> {
     ))
 }
 
-/// `free segments`: reports the live index's shape, plus any `FA30x`
-/// health findings. With `json`, emits one JSON object with the stats
-/// and the diagnostics. The returned exit code is 1 when any finding is
+/// Renders a diagnostic list as a JSON array.
+fn diags_to_json(diags: &[free_analyze::Diagnostic]) -> String {
+    let mut arr = free_trace::json::JsonArray::new();
+    for d in diags {
+        let mut o = free_trace::json::JsonObject::new();
+        o.field_str("code", d.code)
+            .field_str("severity", &d.severity.to_string())
+            .field_str("message", &d.message);
+        if let Some(s) = &d.suggestion {
+            o.field_str("suggestion", s);
+        }
+        arr.push_raw(o.finish());
+    }
+    arr.finish()
+}
+
+/// `free segments`: reports the live index's shape shard by shard, plus
+/// each shard's `FA30x` health findings (prefixed `shard N:`) and the
+/// cross-shard balance check (`FA501`, trivially quiet for one shard).
+/// With `json`, emits one object: `shards`, the aggregate under `stats`,
+/// a `per_shard` breakdown with each shard's `drift_fraction`, and the
+/// `diagnostics`. The returned exit code is 1 when any finding is
 /// error-severity (e.g. `FA304` snapshot lag), so scripts and CI can
 /// gate on index health without parsing the output.
 pub fn live_segments(dir: &Path, json: bool) -> Result<(String, i32)> {
-    if free_live::is_sharded(dir) {
-        return sharded_segments(dir, json);
-    }
-    let live = free_live::LiveIndex::open(dir, live_config(0))?;
-    let stats = live.stats();
-    let drift = live.key_set_drift()?;
-    let health = free_analyze::LiveHealth {
-        num_segments: stats.segments.len(),
-        memtable_docs: stats.memtable_docs,
-        live_docs: stats.live_docs,
-        tombstoned_docs: stats.tombstones,
-        drift_fraction: drift,
-        retired_segment_files: live.retired_segment_files().len(),
-        snapshot_lag: live.snapshot_lag(),
-    };
-    let diags = free_analyze::analyze_live(&health, &free_analyze::LiveAnalysisConfig::default());
-    let exit_code = i32::from(
-        diags
-            .iter()
-            .any(|d| d.severity == free_analyze::Severity::Error),
-    );
-    if json {
-        let rendered = diags
-            .iter()
-            .map(|d| {
-                let mut o = free_trace::json::JsonObject::new();
-                o.field_str("code", d.code)
-                    .field_str("severity", &d.severity.to_string())
-                    .field_str("message", &d.message);
-                if let Some(s) = &d.suggestion {
-                    o.field_str("suggestion", s);
-                }
-                o.finish()
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut o = free_trace::json::JsonObject::new();
-        o.field_raw("stats", stats.to_json())
-            .field_f64("drift_fraction", drift)
-            .field_raw("diagnostics", format!("[{rendered}]"));
-        return Ok((format!("{}\n", o.finish()), exit_code));
-    }
-    let mut out = stats.render_human();
-    let _ = writeln!(out, "key-set drift: {:.0}%", drift * 100.0);
-    for d in &diags {
-        let _ = writeln!(out, "{}[{}]: {}", d.severity, d.code, d.message);
-        if let Some(s) = &d.suggestion {
-            let _ = writeln!(out, "  help: {s}");
-        }
-    }
-    Ok((out, exit_code))
-}
-
-/// Renders a diagnostic list as a JSON array body (no brackets).
-fn diags_to_json(diags: &[free_analyze::Diagnostic]) -> String {
-    diags
-        .iter()
-        .map(|d| {
-            let mut o = free_trace::json::JsonObject::new();
-            o.field_str("code", d.code)
-                .field_str("severity", &d.severity.to_string())
-                .field_str("message", &d.message);
-            if let Some(s) = &d.suggestion {
-                o.field_str("suggestion", s);
-            }
-            o.finish()
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// `free segments` over a sharded index: per-shard health (each shard's
-/// diagnostics prefixed `shard N:`) plus cross-shard balance checks
-/// (`FA501`), aggregated into one report. JSON output carries the
-/// aggregate under `"stats"` and a `"per_shard"` breakdown.
-fn sharded_segments(dir: &Path, json: bool) -> Result<(String, i32)> {
-    let idx = free_live::ShardedLiveIndex::open(dir, live_config(0))?;
+    let idx = ShardedLiveIndex::open(dir, live_config(0))?;
     let per = idx.shard_stats();
     let mut diags = Vec::new();
     let mut drifts = Vec::with_capacity(per.len());
@@ -949,49 +674,26 @@ fn sharded_segments(dir: &Path, json: bool) -> Result<(String, i32)> {
             .iter()
             .any(|d| d.severity == free_analyze::Severity::Error),
     );
-    let segments: usize = per.iter().map(|s| s.segments.len()).sum();
-    let live_docs: usize = per.iter().map(|s| s.live_docs).sum();
-    let tombstones: usize = per.iter().map(|s| s.tombstones).sum();
+    let shape = LiveShape::of(&per);
     if json {
-        let per_shard = per
-            .iter()
-            .enumerate()
-            .map(|(s, stats)| {
-                let mut o = free_trace::json::JsonObject::new();
-                o.field_u64("shard", s as u64)
-                    .field_raw("stats", stats.to_json())
-                    .field_f64("drift_fraction", drifts[s]);
-                o.finish()
-            })
-            .collect::<Vec<_>>()
-            .join(",");
         let mut agg = free_trace::json::JsonObject::new();
-        agg.field_u64("generation", idx.generation())
-            .field_u64("next_seq", u64::from(idx.next_seq()))
-            .field_u64("num_segments", segments as u64)
-            .field_u64(
-                "memtable_docs",
-                per.iter().map(|s| s.memtable_docs).sum::<usize>() as u64,
-            )
-            .field_u64("tombstones", tombstones as u64)
-            .field_u64("live_docs", live_docs as u64)
-            .field_u64(
-                "total_bytes",
-                per.iter().map(|s| s.total_bytes).sum::<u64>(),
-            );
+        aggregate_fields(&mut agg, &idx, &shape);
         let mut o = free_trace::json::JsonObject::new();
         o.field_u64("shards", idx.num_shards() as u64)
             .field_raw("stats", agg.finish())
-            .field_raw("per_shard", format!("[{per_shard}]"))
-            .field_raw("diagnostics", format!("[{}]", diags_to_json(&diags)));
+            .field_raw("per_shard", per_shard_json(&per, Some(&drifts)))
+            .field_raw("diagnostics", diags_to_json(&diags));
         return Ok((format!("{}\n", o.finish()), exit_code));
     }
     let mut out = format!(
-        "sharded live index: {} shard(s), generation {}, next seq {}\n\
-         # total: {live_docs} live doc(s), {segments} segment(s), {tombstones} tombstone(s)\n",
+        "live index: {} shard(s), generation {}, next seq {}\n\
+         # total: {} live doc(s), {} segment(s), {} tombstone(s)\n",
         idx.num_shards(),
         idx.generation(),
         idx.next_seq(),
+        shape.live_docs,
+        shape.segments,
+        shape.tombstones,
     );
     for (s, stats) in per.iter().enumerate() {
         let _ = writeln!(out, "-- shard {s} --");
@@ -1028,7 +730,7 @@ pub fn fsck(path: &Path, deep: bool, sample: usize, json: bool) -> Result<(Strin
 /// `free search --live`: queries the live index, printing one line per
 /// matching document.
 pub fn live_search(dir: &Path, pattern: &str, threads: usize) -> Result<String> {
-    let live = LiveHandle::open(dir, live_config(threads))?;
+    let live = ShardedLiveIndex::open(dir, live_config(threads))?;
     let result = live.query(pattern)?;
     let mut out = String::new();
     for m in &result.matches {
@@ -1224,7 +926,14 @@ mod tests {
 
     #[test]
     fn sharded_live_cli_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("freegrep-shardcli-{}", std::process::id()));
+        for shards in [1usize, 4] {
+            live_cli_roundtrip(shards);
+        }
+    }
+
+    fn live_cli_roundtrip(shards: usize) {
+        let dir =
+            std::env::temp_dir().join(format!("freegrep-shardcli-{shards}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let live_dir = dir.join("live");
@@ -1237,7 +946,7 @@ mod tests {
             })
             .collect();
 
-        // A zero shard count is a usage error, not a silent unsharded
+        // A zero shard count is a usage error, not a silent one-shard
         // index.
         let zero = live_create(&live_dir, 0, free_engine::SelectorSpec::default());
         assert!(
@@ -1246,10 +955,17 @@ mod tests {
         );
         assert!(!live_dir.exists(), "--shards 0 must not create anything");
 
-        let created = live_create(&live_dir, 4, free_engine::SelectorSpec::default()).unwrap();
-        assert!(created.contains("4 shards"), "{created}");
-        // Creating over an existing index must refuse, not clobber.
-        assert!(live_create(&live_dir, 2, free_engine::SelectorSpec::default()).is_err());
+        let created = live_create(&live_dir, shards, free_engine::SelectorSpec::default()).unwrap();
+        assert_eq!(created.contains("4 shards"), shards == 4, "{created}");
+        // One shard is rooted at the directory, more sit behind a
+        // sharded manifest.
+        assert_eq!(live_dir.join("live.manifest").is_file(), shards == 1);
+        assert_eq!(live_dir.join("sharded.manifest").is_file(), shards > 1);
+        // Creating over an existing index must refuse, not clobber —
+        // whichever layout either side has.
+        for again in [1, 2] {
+            assert!(live_create(&live_dir, again, free_engine::SelectorSpec::default()).is_err());
+        }
 
         let out = live_add(&live_dir, &files).unwrap();
         assert!(
@@ -1272,15 +988,22 @@ mod tests {
 
         let (json, code) = live_segments(&live_dir, true).unwrap();
         assert_eq!(code, 0, "{json}");
-        assert!(json.contains("\"shards\":4"), "{json}");
+        assert!(json.contains(&format!("\"shards\":{shards}")), "{json}");
         assert!(json.contains("\"per_shard\":["), "{json}");
+        assert!(json.contains("\"drift_fraction\":"), "{json}");
         assert!(json.contains("\"live_docs\":5"), "{json}");
         let (human, code) = live_segments(&live_dir, false).unwrap();
         assert_eq!(code, 0, "{human}");
-        assert!(human.contains("sharded live index: 4 shard(s)"), "{human}");
-        assert!(human.contains("-- shard 3 --"), "{human}");
+        assert!(
+            human.contains(&format!("live index: {shards} shard(s)")),
+            "{human}"
+        );
+        assert!(
+            human.contains(&format!("-- shard {} --", shards - 1)),
+            "{human}"
+        );
 
-        // fsck auto-detects the sharded layout and verifies every shard.
+        // fsck auto-detects the layout and verifies every shard.
         let (fsck_out, code) = fsck(&live_dir, false, 4, false).unwrap();
         assert_eq!(code, 0, "{fsck_out}");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -499,8 +499,9 @@ fn usage() -> String {
      and renders estimated vs. actual work per plan node\n\
      metrics dumps the process metrics registry in Prometheus text format \
      (run with a PATTERN to populate it from one query first)\n\
-     create initializes an empty live index; --shards N > 1 partitions it \
-     over N parallel shards (fixed for the directory's lifetime)\n\
+     create initializes an empty live index of N >= 1 shards (default 1, \
+     rooted at DIR; N > 1 go under DIR/shard-<s>/; fixed for the \
+     directory's lifetime)\n\
      --selector SPEC picks the gram-selection strategy, recorded in the \
      manifest: apriori[:c=0.1] (paper Algorithm 3.1, the default), \
      trigram[:k=3] (complete fixed-k grams), \
@@ -509,7 +510,7 @@ fn usage() -> String {
      captured query log); analyze --index DIR classifies the plan against \
      that index's actual gram dictionary\n\
      add/delete/compact/segments operate a live (incrementally updatable) \
-     index in DIR (default ./.freelive), sharded or not; \
+     index in DIR (default ./.freelive), whatever its shard count; \
      search --live DIR queries it\n\
      fsck verifies on-disk state (live dir, batch index dir, corpus store, \
      or bare index file; default ./.freelive) without mutating anything; \

@@ -11,9 +11,10 @@
 //! from sealed and unsealed segments; a torn trailing fragment or a
 //! corrupt segment is skipped (and reported), never a fatal error.
 
-use crate::{CliError, LiveHandle, Result, SearchIndex};
+use crate::{CliError, Result, SearchIndex};
 use free_analyze::workload::{analyze_workload, QueryRecord, WorkloadOptions};
 use free_engine::qlog::now_ms;
+use free_live::ShardedLiveIndex;
 use free_trace::json::JsonObject;
 use free_trace::qlog::{self, SegmentStatus};
 use std::fmt::Write as _;
@@ -215,7 +216,7 @@ impl ReplayOptions {
 /// The index a replay runs against.
 enum ReplayTarget {
     Batch(Box<SearchIndex>),
-    Live(LiveHandle),
+    Live(ShardedLiveIndex),
 }
 
 impl ReplayTarget {
@@ -261,9 +262,10 @@ pub fn replay(opts: &ReplayOptions) -> Result<(String, i32)> {
         (Some(dir), None) => {
             ReplayTarget::Batch(Box::new(SearchIndex::open_with_threads(dir, opts.threads)?))
         }
-        (None, Some(dir)) => {
-            ReplayTarget::Live(LiveHandle::open(dir, crate::live_config(opts.threads))?)
-        }
+        (None, Some(dir)) => ReplayTarget::Live(ShardedLiveIndex::open(
+            dir,
+            crate::live_config(opts.threads),
+        )?),
         (None, None) => {
             return Err(CliError::Usage(
                 "replay needs a target: --index DIR (batch) or --dir DIR (live)".into(),

@@ -46,14 +46,14 @@
 //! `status` field (`ok|error|timeout|shed`) and bumps the RED series
 //! `free_serve_requests_total{status=…}`.
 //!
-//! Concurrency model: queries are served from read-handle snapshots
-//! ([`free_live::LiveReader`] or, for a sharded directory,
-//! [`free_live::ShardedReader`]) and never take the writer lock, so any
-//! number of connections can search while an
-//! `add`/`delete`/`flush`/`compact` command holds the single writer (a
-//! `Mutex<LiveHandle>`; sharded writes still fan out across shards
-//! inside it). Workers are a fixed thread pool fed by the bounded
-//! channel; each worker owns one connection at a time.
+//! Concurrency model: queries are served from the composite snapshots
+//! a [`free_live::ShardedReader`] hands out (a live directory is N >= 1
+//! shards; the usual one is rooted at the directory itself) and never
+//! take the writer lock, so any number of connections can search while
+//! an `add`/`delete`/`flush`/`compact` command holds the single writer
+//! (a `Mutex<ShardedLiveIndex>`; writes fan out across shards inside
+//! it). Workers are a fixed thread pool fed by the bounded channel; each
+//! worker owns one connection at a time.
 //!
 //! Shutdown is a protocol command rather than a signal handler (the
 //! workspace forbids `unsafe`, which rules out `sigaction`): on
@@ -63,9 +63,9 @@
 //! every worker finishes the requests already in flight before the
 //! server returns.
 
-use crate::{CliError, LiveHandle, ReaderHandle, Result};
+use crate::{CliError, Result};
 use free_engine::RequestBudget;
-use free_live::{QueryCache, QueryOpts};
+use free_live::{QueryCache, QueryOpts, ShardedLiveIndex, ShardedReader};
 use free_trace::json::{JsonArray, JsonObject};
 use free_trace::JsonValue;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -228,8 +228,8 @@ impl Drop for Permit<'_> {
 /// handle, admission control, the result cache, and the observability
 /// endpoints.
 struct ServeCtx {
-    writer: Mutex<LiveHandle>,
-    reader: ReaderHandle,
+    writer: Mutex<ShardedLiveIndex>,
+    reader: ShardedReader,
     addr: SocketAddr,
     threads: usize,
     shutdown: AtomicBool,
@@ -310,7 +310,8 @@ pub fn serve(options: &ServeOptions, announce: impl FnOnce(SocketAddr)) -> Resul
     if let Some(ms) = options.slow_ms {
         free_trace::qlog::set_slow_threshold_ns(Some(ms.saturating_mul(1_000_000)));
     }
-    let live = LiveHandle::open_or_create(&options.dir, crate::live_config(options.threads))?;
+    let live =
+        ShardedLiveIndex::open_or_create(&options.dir, crate::live_config(options.threads), 1)?;
     let listener = TcpListener::bind(("127.0.0.1", options.port))?;
     let addr = listener.local_addr()?;
     let workers = if options.workers == 0 {
@@ -726,7 +727,7 @@ fn execute_request(request: &JsonValue, ctx: &ServeCtx, request_id: u64) -> Resu
         });
     }
     if request.get("stats").is_some() {
-        let stats = lock_writer(ctx).stats_json();
+        let stats = crate::live_stats_json(&lock_writer(ctx));
         o.field_raw("stats", stats);
         return Ok(Executed::Response {
             body: o.finish(),
@@ -858,7 +859,7 @@ fn run_query(params: &QueryParams<'_>, ctx: &ServeCtx, request_id: u64) -> Resul
 }
 
 /// The serialized writer: one command at a time, queries unaffected.
-fn lock_writer(ctx: &ServeCtx) -> std::sync::MutexGuard<'_, LiveHandle> {
+fn lock_writer(ctx: &ServeCtx) -> std::sync::MutexGuard<'_, ShardedLiveIndex> {
     ctx.writer.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -1317,9 +1318,16 @@ mod tests {
 
     #[test]
     fn sharded_index_serves_and_reports_shards() {
-        let dir = std::env::temp_dir().join(format!("free-serve-shard-{}", std::process::id()));
+        for shards in [1, 3] {
+            serves_and_reports_shards(shards);
+        }
+    }
+
+    fn serves_and_reports_shards(shards: usize) {
+        let dir =
+            std::env::temp_dir().join(format!("free-serve-shard-{shards}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        crate::live_create(&dir, 3, free_engine::SelectorSpec::default()).unwrap();
+        crate::live_create(&dir, shards, free_engine::SelectorSpec::default()).unwrap();
         let (addr, handle) = start_server(&dir);
 
         let added = roundtrip(
@@ -1342,8 +1350,16 @@ mod tests {
 
         let stats = roundtrip(addr, r#"{"stats":true}"#);
         let shape = stats.get("stats").unwrap();
-        assert_eq!(shape.get("shards").and_then(JsonValue::as_u64), Some(3));
+        assert_eq!(
+            shape.get("shards").and_then(JsonValue::as_u64),
+            Some(shards as u64)
+        );
         assert_eq!(shape.get("live_docs").and_then(JsonValue::as_u64), Some(4));
+        let per_shard = shape
+            .get("per_shard")
+            .and_then(JsonValue::as_array)
+            .unwrap();
+        assert_eq!(per_shard.len(), shards);
 
         let bye = roundtrip(addr, r#"{"shutdown":true}"#);
         assert_eq!(

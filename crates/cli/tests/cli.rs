@@ -606,6 +606,65 @@ fn live_segments_json_is_parseable() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A second `free create` over an existing live directory is refused in
+/// both orders — four shards then one, one then four — and writes
+/// nothing. (The first order used to exit 0 and drop a second, rooted
+/// layout into the root of the sharded directory.)
+#[test]
+fn create_refuses_a_second_layout() {
+    let dir = setup("double-create");
+    let tree = |root: &std::path::Path| {
+        fn walk(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    walk(&path, out);
+                }
+                out.push(path);
+            }
+        }
+        let mut out = Vec::new();
+        walk(root, &mut out);
+        out.sort();
+        out
+    };
+    for (name, first, second) in [("sharded-first", "4", "1"), ("rooted-first", "1", "4")] {
+        let live_dir = dir.join(name);
+        let create = |shards: &str| {
+            free()
+                .args(["create", "--shards", shards, "--dir"])
+                .arg(&live_dir)
+                .output()
+                .unwrap()
+        };
+        let out = create(first);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let before = tree(&live_dir);
+        let out = create(second);
+        assert!(!out.status.success(), "{name}: second create must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("already exists"), "{stderr}");
+        assert_eq!(
+            tree(&live_dir),
+            before,
+            "{name}: refused create wrote files"
+        );
+        // Without `--shards`, the default of one is refused the same way.
+        let out = free()
+            .args(["create", "--dir"])
+            .arg(&live_dir)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{name}: bare create must fail");
+        assert_eq!(tree(&live_dir), before);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn build_refuses_overwrite_without_force() {
     let dir = setup("force");

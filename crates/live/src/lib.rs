@@ -46,9 +46,8 @@ pub use manifest::{Manifest, SegmentMeta};
 pub use qcache::QueryCache;
 pub use query::{LiveMatch, LiveQueryResult, LiveQueryStats, QueryOpts};
 pub use shard::{
-    derive_next_seq, is_sharded, recoverable_next_seq, shard_dir, shard_local_count,
-    ShardedLiveIndex, ShardedManifest, ShardedReader, ShardedSnapshot, MAX_SHARDS,
-    SHARDED_MANIFEST_FILE,
+    derive_next_seq, recoverable_next_seq, shard_dir, shard_local_count, ShardedLiveIndex,
+    ShardedManifest, ShardedReader, ShardedSnapshot, MAX_SHARDS, SHARDED_MANIFEST_FILE,
 };
 pub use snapshot::{LiveReader, Snapshot};
 pub use stats::{LiveStats, SegmentStats};

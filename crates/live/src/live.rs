@@ -69,10 +69,11 @@ pub struct LiveIndex {
 
 impl LiveIndex {
     /// Initializes an empty live index in `dir`. Fails with
-    /// [`Error::AlreadyExists`] if one is already there.
+    /// [`Error::AlreadyExists`] if one is already there, rooted or
+    /// sharded.
     pub fn create(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
         let dir = dir.as_ref();
-        if Manifest::exists(dir) {
+        if Manifest::exists(dir) || crate::ShardedManifest::exists(dir) {
             return Err(Error::AlreadyExists(dir.to_path_buf()));
         }
         std::fs::create_dir_all(dir.join(SEGMENTS_DIR))

@@ -11,13 +11,18 @@
 //! [`LiveIndex`] directory that flush, compaction, crash recovery, and
 //! `fsck` already understand.
 //!
-//! On disk:
+//! On disk, a live directory is N >= 1 shards. One shard is rooted at
+//! the directory itself — exactly the files [`LiveIndex::create`] writes,
+//! no sharded manifest — and N > 1 live under `shard-<s>/`:
 //!
 //! ```text
 //! <dir>/sharded.manifest   CRC-checksummed `FREESHRD 1` header, shards=N
 //! <dir>/shard-0/           a normal live index directory
 //! <dir>/shard-1/           …
 //! ```
+//!
+//! (A `sharded.manifest` saying `shards=1` over `shard-0/`, which older
+//! versions wrote, still opens.)
 //!
 //! Writes route each document to its shard (batches split and commit to
 //! the per-shard WALs in parallel); flush and compaction run across all
@@ -49,7 +54,7 @@ use crate::{LiveConfig, LiveIndex, Manifest};
 use free_checksum::crc32;
 use free_corpus::DocId;
 use free_engine::{partition_threads, QueryStats};
-use free_trace::metrics::{self, Counter, Gauge};
+use free_trace::metrics::{self, Counter, Gauge, Histogram};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -62,11 +67,6 @@ pub const SHARDED_MANIFEST_FILE: &str = "sharded.manifest";
 const SHARDED_HEADER: &str = "FREESHRD 1 ";
 /// Upper bound on the shard count recorded at create time.
 pub const MAX_SHARDS: usize = 256;
-
-/// Whether `dir` holds a sharded live index (has a sharded manifest).
-pub fn is_sharded(dir: impl AsRef<Path>) -> bool {
-    ShardedManifest::exists(dir.as_ref())
-}
 
 /// Directory of shard `s` under a sharded index root.
 pub fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
@@ -275,11 +275,26 @@ fn repair_routing(shards: &mut [LiveIndex]) -> Result<()> {
 }
 
 /// Per-shard labeled metric handles, resolved once at open so hot-path
-/// updates are plain atomic stores.
+/// updates are plain atomic stores. The three `query*` series are the
+/// per-shard RED metrics: a hot or slow shard is visible in `free
+/// metrics` without per-query logs, and all three exist for every shard
+/// from open on.
 struct ShardMetrics {
     added: Counter,
     live_docs: Gauge,
     segments: Gauge,
+    queries: Counter,
+    query_errors: Counter,
+    query_ns: Histogram,
+}
+
+impl ShardMetrics {
+    /// Folds one shard's slice of a fanned-out query into its RED series.
+    fn record_query(&self, ok: bool, elapsed: std::time::Duration) {
+        self.queries.inc();
+        self.query_errors.add(u64::from(!ok));
+        self.query_ns.observe_duration(elapsed);
+    }
 }
 
 fn shard_metrics(shard: usize) -> ShardMetrics {
@@ -304,6 +319,24 @@ fn shard_metrics(shard: usize) -> ShardMetrics {
             "shard",
             &label,
         ),
+        queries: registry.labeled_counter(
+            "free_shard_queries_total",
+            "per-shard query executions",
+            "shard",
+            &label,
+        ),
+        query_errors: registry.labeled_counter(
+            "free_shard_query_errors_total",
+            "per-shard query failures",
+            "shard",
+            &label,
+        ),
+        query_ns: registry.labeled_histogram(
+            "free_shard_query_ns",
+            "per-shard query latency in nanoseconds",
+            "shard",
+            &label,
+        ),
     }
 }
 
@@ -319,7 +352,7 @@ pub struct ShardedLiveIndex {
     generation: u64,
     next_seq: DocId,
     published: Arc<ShardedCell>,
-    metrics: Vec<ShardMetrics>,
+    metrics: Arc<[ShardMetrics]>,
     /// Set when a partial batch commit could not be rolled back: the
     /// router's sequence cursor no longer agrees with shard state, so
     /// further mutations would assign wrong global sequences. Mutating
@@ -329,8 +362,10 @@ pub struct ShardedLiveIndex {
 }
 
 impl ShardedLiveIndex {
-    /// Creates a new sharded live index with `shards` partitions, fixed
-    /// for the lifetime of the directory. Fails with
+    /// Creates a new live index with `shards` partitions, fixed for the
+    /// lifetime of the directory: one shard is rooted at `dir` itself
+    /// (the bytes [`LiveIndex::create`] writes), more go under
+    /// `shard-<s>/` behind a sharded manifest. Fails with
     /// [`Error::AlreadyExists`] if `dir` already holds a live index of
     /// either layout.
     pub fn create(
@@ -351,6 +386,9 @@ impl ShardedLiveIndex {
         if ShardedManifest::exists(dir) || Manifest::exists(dir) {
             return Err(Error::AlreadyExists(dir.to_path_buf()));
         }
+        if shards == 1 {
+            return ShardedLiveIndex::assemble(dir, vec![LiveIndex::create(dir, config)?]);
+        }
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::io(format!("create {}", dir.display()), e))?;
         manifest.store(dir)?;
@@ -360,10 +398,11 @@ impl ShardedLiveIndex {
         ShardedLiveIndex::assemble(dir, indexes)
     }
 
-    /// Opens an existing sharded live index. The shard count comes from
-    /// the sharded manifest; the global sequence cursor is reconstructed
-    /// from the shards' local cursors, which also re-proves the
-    /// round-robin routing invariant.
+    /// Opens an existing live index. A directory with a `FREELIVE`
+    /// manifest and no sharded manifest is one shard rooted at `dir`;
+    /// otherwise the shard count comes from the sharded manifest. The
+    /// global sequence cursor is reconstructed from the shards' local
+    /// cursors, which also re-proves the round-robin routing invariant.
     ///
     /// A crash (or unrecoverable I/O failure) during a parallel batch
     /// commit can leave some shards holding documents of a batch other
@@ -377,6 +416,9 @@ impl ShardedLiveIndex {
     /// [`Error::Corrupt`].
     pub fn open(dir: impl AsRef<Path>, config: LiveConfig) -> Result<ShardedLiveIndex> {
         let dir = dir.as_ref();
+        if Manifest::exists(dir) && !ShardedManifest::exists(dir) {
+            return ShardedLiveIndex::assemble(dir, vec![LiveIndex::open(dir, config)?]);
+        }
         let manifest = ShardedManifest::load(dir)?;
         let mut indexes = (0..manifest.shards)
             .map(|s| LiveIndex::open(shard_dir(dir, s), config.clone()))
@@ -394,15 +436,15 @@ impl ShardedLiveIndex {
         ShardedLiveIndex::assemble(dir, indexes)
     }
 
-    /// Opens `dir` if it holds a sharded index, creates it with `shards`
-    /// partitions otherwise.
+    /// Opens `dir` if it holds a live index of either layout, creates it
+    /// with `shards` partitions otherwise.
     pub fn open_or_create(
         dir: impl AsRef<Path>,
         config: LiveConfig,
         shards: usize,
     ) -> Result<ShardedLiveIndex> {
         let dir = dir.as_ref();
-        if ShardedManifest::exists(dir) {
+        if ShardedManifest::exists(dir) || Manifest::exists(dir) {
             ShardedLiveIndex::open(dir, config)
         } else {
             ShardedLiveIndex::create(dir, config, shards)
@@ -413,15 +455,16 @@ impl ShardedLiveIndex {
         let locals: Vec<DocId> = shards.iter().map(LiveIndex::next_seq).collect();
         let next_seq = derive_next_seq(&locals)?;
         let generation = shards.iter().map(LiveIndex::generation).sum();
-        let snaps: Vec<Arc<Snapshot>> = shards.iter().map(LiveIndex::snapshot).collect();
+        let metrics: Arc<[ShardMetrics]> = (0..shards.len()).map(shard_metrics).collect();
         let initial = Arc::new(ShardedSnapshot {
-            shards: snaps,
+            shards: shards.iter().map(LiveIndex::snapshot).collect(),
+            metrics: metrics.clone(),
             generation,
             next_seq,
         });
         let index = ShardedLiveIndex {
             dir: dir.to_path_buf(),
-            metrics: (0..shards.len()).map(shard_metrics).collect(),
+            metrics,
             shards,
             generation,
             next_seq,
@@ -750,7 +793,7 @@ impl ShardedLiveIndex {
     /// stored vector is always a consistent cross-shard cut.
     fn publish(&self) {
         let snaps: Vec<Arc<Snapshot>> = self.shards.iter().map(LiveIndex::snapshot).collect();
-        for (snap, m) in snaps.iter().zip(&self.metrics) {
+        for (snap, m) in snaps.iter().zip(self.metrics.iter()) {
             // Exact: tombstones always name physically present docs, and
             // flush/compact consume them.
             let total: usize = snap.segments.iter().map(|s| s.meta.num_docs as usize).sum();
@@ -760,6 +803,7 @@ impl ShardedLiveIndex {
         }
         self.published.store(Arc::new(ShardedSnapshot {
             shards: snaps,
+            metrics: self.metrics.clone(),
             generation: self.generation,
             next_seq: self.next_seq,
         }));
@@ -781,6 +825,7 @@ fn remap_seq_err(e: Error, global: DocId) -> Error {
 /// unit. All read operations are `&self` and thread-safe.
 pub struct ShardedSnapshot {
     shards: Vec<Arc<Snapshot>>,
+    metrics: Arc<[ShardMetrics]>,
     generation: u64,
     next_seq: DocId,
 }
@@ -863,9 +908,6 @@ impl ShardedSnapshot {
     /// With [`free_engine::ScanPolicy::Reject`], the query is rejected
     /// if *any* shard with candidate sources degenerates to a scan over
     /// its partition.
-    // `expect` on `join()`: re-raising a shard query worker's panic on
-    // the coordinating thread is the correct way to propagate it.
-    #[allow(clippy::expect_used)]
     pub fn query_with(
         &self,
         pattern: &str,
@@ -922,7 +964,7 @@ impl ShardedSnapshot {
                 req_budget,
                 &query_span,
             );
-            record_shard_red(0, outcome.is_ok(), started.elapsed());
+            self.metrics[0].record_query(outcome.is_ok(), started.elapsed());
             outcomes.push(outcome);
         } else {
             std::thread::scope(|scope| {
@@ -931,8 +973,9 @@ impl ShardedSnapshot {
                     .shards
                     .iter()
                     .zip(&budgets)
+                    .zip(self.metrics.iter())
                     .enumerate()
-                    .map(|(s, (snap, &budget))| {
+                    .map(|(s, ((snap, &budget), red))| {
                         let mut span = query_span.child("live.query.shard");
                         span.record("shard", s as u64);
                         scope.spawn(move || {
@@ -940,7 +983,7 @@ impl ShardedSnapshot {
                             let outcome = execute_prepared(
                                 snap, prepared, budget, want_spans, req_budget, &span,
                             );
-                            record_shard_red(s, outcome.is_ok(), started.elapsed());
+                            red.record_query(outcome.is_ok(), started.elapsed());
                             outcome
                         })
                     })
@@ -1006,42 +1049,6 @@ impl ShardedSnapshot {
     }
 }
 
-/// Folds one shard's slice of a fanned-out query into the per-shard RED
-/// series (`free_shard_queries_total` / `free_shard_query_errors_total`
-/// / `free_shard_query_ns`, all labeled `{shard="s"}`), so a hot or
-/// slow shard is visible in `free metrics` without per-query logs. The
-/// error series is touched (by zero) on success too, so all three
-/// series exist for every shard from its first query.
-fn record_shard_red(shard: usize, ok: bool, elapsed: std::time::Duration) {
-    let registry = free_trace::metrics::global();
-    let label = shard.to_string();
-    registry
-        .labeled_counter(
-            "free_shard_queries_total",
-            "per-shard query executions",
-            "shard",
-            &label,
-        )
-        .inc();
-    registry
-        .labeled_counter(
-            "free_shard_query_errors_total",
-            "per-shard query failures",
-            "shard",
-            &label,
-        )
-        .add(u64::from(!ok));
-    registry
-        .labeled_histogram(
-            "free_shard_query_ns",
-            "per-shard query latency in nanoseconds",
-            "shard",
-            &label,
-        )
-        .observe_duration(elapsed);
-}
-
-/// Borrows one shard snapshot as executor inputs.
 /// The one-writer/many-reader publication point for composite
 /// snapshots, mirroring [`crate::snapshot::SnapshotCell`].
 struct ShardedCell {
@@ -1373,18 +1380,40 @@ mod tests {
     fn create_refuses_existing_layouts() {
         let dir = fresh_dir("exists");
         let _idx = ShardedLiveIndex::create(&dir, config(), 2).unwrap();
-        assert!(matches!(
-            ShardedLiveIndex::create(&dir, config(), 2),
-            Err(Error::AlreadyExists(_))
-        ));
         let plain = fresh_dir("exists-plain");
         let _p = LiveIndex::create(&plain, config()).unwrap();
-        assert!(matches!(
-            ShardedLiveIndex::create(&plain, config(), 2),
-            Err(Error::AlreadyExists(_))
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&plain);
+        // A rooted single shard is byte for byte what `LiveIndex::create`
+        // writes: no sharded manifest, no `shard-0/`.
+        let rooted = fresh_dir("exists-rooted");
+        let one = ShardedLiveIndex::create(&rooted, config(), 1).unwrap();
+        assert_eq!(one.num_shards(), 1);
+        assert!(Manifest::exists(&rooted) && !ShardedManifest::exists(&rooted));
+        assert!(!shard_dir(&rooted, 0).exists());
+        for existing in [&dir, &plain, &rooted] {
+            let before = listing(existing);
+            for shards in [1, 2] {
+                assert!(matches!(
+                    ShardedLiveIndex::create(existing, config(), shards),
+                    Err(Error::AlreadyExists(_))
+                ));
+            }
+            assert!(matches!(
+                LiveIndex::create(existing, config()),
+                Err(Error::AlreadyExists(_))
+            ));
+            assert_eq!(listing(existing), before, "a refused create wrote files");
+            let _ = std::fs::remove_dir_all(existing);
+        }
+    }
+
+    /// Sorted names directly under `dir`.
+    fn listing(dir: &Path) -> Vec<std::ffi::OsString> {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_corpus::{DocId, MemCorpus};
 use free_engine::{Engine, EngineConfig};
-use free_live::{Error, LiveConfig, LiveIndex};
+use free_live::{Error, LiveConfig, LiveIndex, ShardedLiveIndex};
 use std::path::Path;
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -383,6 +383,35 @@ fn stats_json_shape() {
     let json = stats.to_json();
     assert!(json.contains("\"num_segments\":1"), "{json}");
     assert!(json.contains("\"tombstones\":1"), "{json}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The per-shard RED series are resolved once at open and move by
+/// exactly one per query. This is the only test of this binary that
+/// queries through a `ShardedLiveIndex`, so the global `{shard="0"}`
+/// series are its own.
+#[test]
+fn shard_red_series_count_each_query_once() {
+    let dir = tmp_dir("shard-red");
+    let mut live = ShardedLiveIndex::create(&dir, config(), 1).unwrap();
+    live.add_batch(&docs()).unwrap();
+    let series = |name: &str| -> Option<u64> {
+        let prefix = format!("{name}{{shard=\"0\"}} ");
+        free_trace::metrics::global()
+            .expose()
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix)?.trim().parse().ok())
+    };
+    let before = series("free_shard_queries_total").unwrap_or(0);
+    for (i, pattern) in ["quick", "sphinx.*quartz", "(unclosed"].iter().enumerate() {
+        let outcome = live.query(pattern);
+        assert_eq!(outcome.is_ok(), i < 2, "{pattern}");
+        // A pattern that fails to parse never reaches a shard.
+        let ran = (i as u64 + 1).min(2);
+        assert_eq!(series("free_shard_queries_total"), Some(before + ran));
+        assert_eq!(series("free_shard_query_errors_total"), Some(0));
+        assert_eq!(series("free_shard_query_ns_count"), Some(before + ran));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

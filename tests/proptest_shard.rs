@@ -6,13 +6,15 @@
 //! thread count, and the equivalence must survive a reopen.
 //!
 //! Shard count defaults to {1, 4} and can be pinned with `FREE_SHARDS=N`
-//! (the CI matrix runs both).
+//! (the CI matrix runs both). One shard is the rooted layout: the very
+//! directory `LiveIndex` writes, which the second property hands back
+//! and forth between the two types.
 
 // Integration tests: unwraps in helper functions are assertions, the
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_engine::EngineConfig;
-use free_live::{LiveConfig, LiveIndex, ShardedLiveIndex};
+use free_live::{LiveConfig, LiveIndex, ShardedLiveIndex, ShardedManifest};
 use free_regex::Span;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -95,6 +97,19 @@ fn plain_results(live: &LiveIndex, pattern: &str, threads: usize) -> Vec<(u32, V
         .collect()
 }
 
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), &target).unwrap();
+        }
+    }
+}
+
 fn sharded_results(idx: &ShardedLiveIndex, pattern: &str, threads: usize) -> Vec<(u32, Vec<Span>)> {
     idx.query_with(pattern, threads, true)
         .unwrap()
@@ -118,6 +133,9 @@ proptest! {
             let mut plain = LiveIndex::create(&plain_dir, live_config()).unwrap();
             let mut sharded =
                 ShardedLiveIndex::create(&shard_dir, live_config(), shards).unwrap();
+            // One shard is rooted at the directory, with no manifest of
+            // its own; more sit behind one.
+            prop_assert_eq!(ShardedManifest::exists(&shard_dir), shards > 1);
             // Surviving (seq, doc) pairs, for delete targeting.
             let mut model: Vec<(u32, Vec<u8>)> = Vec::new();
 
@@ -181,5 +199,80 @@ proptest! {
             let _ = std::fs::remove_dir_all(&plain_dir);
             let _ = std::fs::remove_dir_all(&shard_dir);
         }
+    }
+
+    /// One layout: a directory written by `LiveIndex` *is* a one-shard
+    /// index. After any schedule it opens as a `ShardedLiveIndex` with
+    /// byte-identical answers at 1 and 4 threads, takes further writes,
+    /// and opens as a `LiveIndex` again to those same answers — the
+    /// hand-over between `LiveIndex::create` and `free serve`. The same
+    /// files under `shard-0/` behind a hand-written `shards=1` manifest
+    /// (what older versions wrote) answer identically too.
+    #[test]
+    fn plain_directory_is_one_rooted_shard(
+        ops in prop::collection::vec(arb_op(), 1..8),
+        extra in prop::collection::vec(arb_doc(), 1..5),
+    ) {
+        let rooted_dir = fresh_dir();
+        let legacy_dir = fresh_dir();
+        let mut plain = LiveIndex::create(&rooted_dir, live_config()).unwrap();
+        let mut live: Vec<u32> = Vec::new();
+        for op in &ops {
+            match op {
+                Op::Add(docs) => live.extend(plain.add_batch(docs).unwrap()),
+                Op::Delete(raw) => {
+                    if !live.is_empty() {
+                        plain.delete(live.remove(raw % live.len())).unwrap();
+                    }
+                }
+                Op::Flush => {
+                    plain.flush().unwrap();
+                }
+                Op::Compact => {
+                    plain.compact().unwrap();
+                }
+            }
+        }
+        let next_seq = plain.next_seq();
+        let want: Vec<_> = PATTERNS.iter().map(|p| plain_results(&plain, p, 1)).collect();
+        drop(plain);
+        copy_dir(&rooted_dir, &free_live::shard_dir(&legacy_dir, 0));
+        ShardedManifest { shards: 1, selector: None }.store(&legacy_dir).unwrap();
+
+        let mut after_writes = Vec::new();
+        for dir in [&rooted_dir, &legacy_dir] {
+            let mut sharded = ShardedLiveIndex::open(dir, live_config()).unwrap();
+            prop_assert_eq!(sharded.num_shards(), 1);
+            prop_assert_eq!(sharded.next_seq(), next_seq);
+            prop_assert_eq!(sharded.live_seqs(), live.clone());
+            for (pattern, want) in PATTERNS.iter().zip(&want) {
+                for threads in [1usize, 4] {
+                    prop_assert_eq!(
+                        &sharded_results(&sharded, pattern, threads), want,
+                        "pattern {} diverged at {} thread(s) in {}",
+                        pattern, threads, dir.display()
+                    );
+                }
+            }
+            let ids = sharded.add_batch(&extra).unwrap();
+            prop_assert_eq!(ids[0], next_seq, "writes continue the sequence");
+            sharded.delete(ids[0]).unwrap();
+            sharded.flush().unwrap();
+            after_writes.push(
+                PATTERNS.iter().map(|p| sharded_results(&sharded, p, 4)).collect::<Vec<_>>(),
+            );
+        }
+        prop_assert_eq!(&after_writes[0], &after_writes[1]);
+
+        let plain = LiveIndex::open(&rooted_dir, live_config()).unwrap();
+        prop_assert_eq!(plain.next_seq(), next_seq + extra.len() as u32);
+        for (pattern, want) in PATTERNS.iter().zip(&after_writes[0]) {
+            prop_assert_eq!(
+                &plain_results(&plain, pattern, 1), want,
+                "pattern {} diverged after the hand-back", pattern
+            );
+        }
+        let _ = std::fs::remove_dir_all(&rooted_dir);
+        let _ = std::fs::remove_dir_all(&legacy_dir);
     }
 }
