@@ -11,9 +11,13 @@
 //! | `FA101`–`FA199` | plan soundness verifier (Algorithm 4.1 invariant) |
 //! | `FA201`–`FA299` | static cost classifier (INDEXED / WEAK / SCAN) |
 //! | `FA301`–`FA399` | live-index health (fragmentation, drift, tombstones) |
-//! | `FA400`–`FA499` | on-disk integrity (`free fsck`) |
+//! | `FA401`–`FA499` | on-disk integrity (`free fsck`) |
 //! | `FA500`–`FA599` | sharded-index health and layout (imbalance, routing) |
 //! | `FA600`–`FA699` | workload diagnostics (query-log mining) |
+//!
+//! `FA400` (an advisory for artifacts written before the checksummed
+//! formats) is retired: those formats are no longer read, so the finding
+//! cannot occur. The number is not reused.
 
 use free_engine::PlanClass;
 use free_regex::Span;
@@ -57,11 +61,9 @@ pub mod codes {
     /// Retired segment files linger on disk, or the published snapshot
     /// trails the writer's generation.
     pub const SNAPSHOT_STALENESS: &str = "FA304";
-    /// An artifact predates the checksummed format revision, so bit rot
-    /// in it is undetectable (advisory, not an error).
-    pub const LEGACY_FORMAT: &str = "FA400";
-    /// An artifact is structurally unreadable: bad magic, truncated
-    /// header, unparseable directory or log line.
+    /// An artifact is structurally unreadable: bad magic, unsupported
+    /// format version, truncated header, unparseable directory or log
+    /// line.
     pub const STRUCTURAL_DAMAGE: &str = "FA401";
     /// Stored bytes fail their recorded CRC32.
     pub const CHECKSUM_MISMATCH: &str = "FA402";

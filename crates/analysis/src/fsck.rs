@@ -1,13 +1,13 @@
 //! `free fsck` — a deep static verifier for on-disk index state
-//! (`FA400`–`FA499`).
+//! (`FA401`–`FA499`).
 //!
 //! Layered checks, cheapest first:
 //!
 //! * **L0 structural** — magics, versions, offset bounds, and the CRC32
-//!   checksums carried by the version-3 index format, version-2 corpus
-//!   stores, and version-2 live-index metadata. Artifacts predating the
-//!   checksummed revisions stay readable and are reported as an `FA400`
-//!   advisory, not an error.
+//!   checksums every artifact carries: the index file, corpus stores, and
+//!   the live-index metadata (manifest, sequence maps, tombstone log).
+//!   Each artifact has one accepted format; any other version is
+//!   structural damage (`FA401`).
 //! * **L1 intra-file semantic** — postings doc-id monotonicity, skip
 //!   tables consistent with their blocks, sequence-map ascent, directory
 //!   doc counts vs decoded payloads.
@@ -288,16 +288,6 @@ fn check_index_file(
             return None;
         }
     };
-    if !idx.checksummed() {
-        r.diagnostics.push(diag(
-            codes::LEGACY_FORMAT,
-            Severity::Info,
-            format!(
-                "{what} {} predates the checksummed format (v3); bit rot is undetectable",
-                path.display()
-            ),
-        ));
-    }
     match idx.verify(doc_bound) {
         Ok(issues) => {
             for issue in issues {
@@ -414,17 +404,6 @@ fn check_corpus(dir: &Path, what: &str, r: &mut FsckReport) -> Option<DiskCorpus
             return None;
         }
     };
-    if !corpus.checksummed() {
-        r.diagnostics.push(diag(
-            codes::LEGACY_FORMAT,
-            Severity::Info,
-            format!(
-                "{what} {} predates the checksummed format (v2); bit rot is undetectable",
-                dir.display()
-            ),
-        ));
-        return Some(corpus);
-    }
     match corpus.verify_units() {
         Ok(bad) => {
             for (id, detail) in bad.iter().take(5) {
@@ -734,21 +713,8 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
         diagnostics: Vec::new(),
     };
     r.artifacts_checked += 1;
-    let manifest = match Manifest::load_with_format(dir) {
-        Ok((m, checksummed)) => {
-            if !checksummed {
-                r.diagnostics.push(diag(
-                    codes::LEGACY_FORMAT,
-                    Severity::Info,
-                    format!(
-                        "manifest in {} predates the checksummed format (FREELIVE 2); \
-                         torn rewrites are undetectable",
-                        dir.display()
-                    ),
-                ));
-            }
-            m
-        }
+    let manifest = match Manifest::load(dir) {
+        Ok(m) => m,
         Err(e) => {
             let msg = e.to_string();
             r.diagnostics.push(diag(
@@ -849,17 +815,7 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
     r.artifacts_checked += 1;
     let tomb_path = dir.join(free_live::TOMBSTONES_FILE);
     match free_live::read_tombstones(&tomb_path) {
-        Ok((seqs, checksummed)) => {
-            if !checksummed {
-                r.diagnostics.push(diag(
-                    codes::LEGACY_FORMAT,
-                    Severity::Info,
-                    format!(
-                        "tombstone log {} has unchecksummed entries (legacy format)",
-                        tomb_path.display()
-                    ),
-                ));
-            }
+        Ok(seqs) => {
             let wal_end = wal_len.map(|n| manifest.wal_base + n as DocId);
             for seq in seqs {
                 let in_segment = manifest
@@ -930,18 +886,8 @@ fn check_segment(
     }
     // L0/L1: the sequence map.
     r.artifacts_checked += 1;
-    match free_live::segment::read_seqs_with_format(&seqs_path) {
-        Ok((seqs, checksummed)) => {
-            if !checksummed {
-                r.diagnostics.push(diag(
-                    codes::LEGACY_FORMAT,
-                    Severity::Info,
-                    format!(
-                        "{what} sequence map {} predates the checksummed format (FREESEQ2)",
-                        seqs_path.display()
-                    ),
-                ));
-            }
+    match free_live::segment::read_seqs(&seqs_path) {
+        Ok(seqs) => {
             if seqs.len() != meta.num_docs as usize
                 || seqs.first() != Some(&meta.first_seq)
                 || seqs.last() != Some(&meta.last_seq)
@@ -1008,7 +954,7 @@ fn check_segment(
 }
 
 /// fsck over a batch (`freegrep index`) directory: the manifest's file
-/// list, the optional index checksum line, and the index itself.
+/// list, its index checksum line, and the index itself.
 fn fsck_batch(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
     let mut r = FsckReport {
         target,
@@ -1052,7 +998,7 @@ fn fsck_batch(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
             ));
         }
     }
-    // L0: whole-file checksum of the index, when the manifest records one.
+    // L0: whole-file checksum of the index, as the manifest records it.
     match &checksum {
         Some(hex) => match (u32::from_str_radix(hex, 16), std::fs::read(&idx_path)) {
             (Ok(expected), Ok(bytes)) => {
@@ -1086,10 +1032,10 @@ fn fsck_batch(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
         },
         None => {
             r.diagnostics.push(diag(
-                codes::LEGACY_FORMAT,
-                Severity::Info,
+                codes::STRUCTURAL_DAMAGE,
+                Severity::Error,
                 format!(
-                    "manifest {} records no index checksum (pre-checksum build)",
+                    "manifest {} records no index checksum",
                     manifest_path.display()
                 ),
             ));

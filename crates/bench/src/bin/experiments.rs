@@ -13,17 +13,6 @@
 //!   ablate    threshold & gram-length sweeps (design-choice ablations)
 //!   disk      end-to-end on-disk pipeline demo (DiskCorpus + IndexReader)
 //!   grams     mined-gram report: length histogram, most/least selective keys
-//!   ingest    live-index sustained ingest: docs/sec plus query latency
-//!             percentiles measured *while* ingesting (report also written
-//!             to results/ingest.txt)
-//!   serve-load  snapshot read-path scaling: QPS and latency percentiles at
-//!               1/4/8 reader threads, with and without a concurrent
-//!               writer running continuous flush + compaction (report also
-//!               written to results/serve_load.txt)
-//!   corpus-get  positioned-read micro-benchmark: ns/get for per-call
-//!               open+seek+read vs. one shared handle (pread) vs. pread
-//!               plus the sharded doc cache (report also written to
-//!               results/corpus_get.txt)
 //!   shard-scaling  sharded live-index scaling: ingest/build time and
 //!               fan-out query QPS + latency percentiles at 1/2/4/8
 //!               shards over the same synthetic corpus (report also
@@ -41,8 +30,8 @@
 //!             captured workload; asserts every strategy answers every
 //!             query identically (report also written to
 //!             results/selection_shootout.txt)
-//!   all       everything above (except disk, grams, ingest, serve-load,
-//!             corpus-get, shard-scaling, replay, and selection-shootout)
+//!   all       everything above (except disk, grams, shard-scaling,
+//!             replay, and selection-shootout)
 //!
 //! Options:
 //!   --docs N      number of synthetic pages (default 2000)
@@ -107,19 +96,13 @@ fn main() {
         .collect();
     }
 
-    // `disk`, `ingest`, `serve-load`, `corpus-get`, `shard-scaling`,
-    // `replay` and `selection-shootout` build their own pipelines; only
-    // the paper figures need the four prebuilt in-memory indexes.
+    // `disk`, `shard-scaling`, `replay` and `selection-shootout` build
+    // their own pipelines; only the paper figures need the four prebuilt
+    // in-memory indexes.
     let needs_experiment = commands.iter().any(|c| {
         !matches!(
             c.as_str(),
-            "disk"
-                | "ingest"
-                | "serve-load"
-                | "corpus-get"
-                | "shard-scaling"
-                | "replay"
-                | "selection-shootout"
+            "disk" | "shard-scaling" | "replay" | "selection-shootout"
         )
     });
     let experiment = if needs_experiment {
@@ -172,9 +155,6 @@ fn main() {
             "ablate" => run_ablations(exp()),
             "disk" => run_disk_demo(&config),
             "grams" => run_gram_report(exp()),
-            "ingest" => run_ingest_bench(&config),
-            "serve-load" => run_serve_load(&config),
-            "corpus-get" => run_corpus_get_bench(&config),
             "shard-scaling" => run_shard_scaling(&config),
             "replay" => run_replay(&config),
             "selection-shootout" => run_selection_shootout(&config),
@@ -415,647 +395,6 @@ fn run_disk_demo(config: &ExperimentConfig) -> String {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
-    out
-}
-
-/// Live-index sustained-ingest benchmark: streams the synthetic corpus
-/// into a [`free_live::LiveIndex`] in batches (letting the configured
-/// thresholds flush segments along the way), measuring ingest throughput
-/// and — after every batch — one query, so the latency percentiles
-/// reflect queries running *while* the index is being written. Ends with
-/// a timed compaction and a post-compaction query pass. The rendered
-/// report is also written to `results/ingest.txt`.
-fn run_ingest_bench(config: &ExperimentConfig) -> String {
-    use free_bench::queries::benchmark_queries;
-    use std::fmt::Write as _;
-    use std::time::Duration;
-
-    let dir = std::env::temp_dir().join(format!("free-ingest-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let synth = free_corpus::synth::SynthConfig {
-        num_docs: config.num_docs,
-        seed: config.seed,
-        ..free_corpus::synth::SynthConfig::default()
-    };
-    let generator = free_corpus::synth::Generator::new(synth);
-
-    const BATCH: usize = 64;
-    let live_config = free_live::LiveConfig {
-        engine: free_engine::EngineConfig {
-            usefulness_threshold: config.usefulness_threshold,
-            max_gram_len: config.max_gram_len,
-            ..free_engine::EngineConfig::default()
-        },
-        // Aim for a handful of segment flushes over the run.
-        flush_threshold_docs: (config.num_docs / 8).max(BATCH),
-        ..free_live::LiveConfig::default()
-    };
-    let mut live = free_live::LiveIndex::create(&dir, live_config).expect("create live index");
-
-    // Indexable benchmark queries only: the scan-class ones would time
-    // corpus I/O, not the live read path under ingest.
-    let queries: Vec<_> = benchmark_queries()
-        .into_iter()
-        .filter(|q| !q.expect_scan)
-        .take(4)
-        .collect();
-
-    let mut latencies: Vec<Duration> = Vec::new();
-    let mut ingest_time = Duration::ZERO;
-    let mut total_bytes = 0u64;
-    let mut page = Vec::new();
-    let mut doc_id = 0u32;
-    let mut batch_no = 0usize;
-    while (doc_id as usize) < config.num_docs {
-        let mut batch: Vec<Vec<u8>> = Vec::with_capacity(BATCH);
-        while batch.len() < BATCH && (doc_id as usize) < config.num_docs {
-            page.clear();
-            generator.page(doc_id, &mut page);
-            total_bytes += page.len() as u64;
-            batch.push(page.clone());
-            doc_id += 1;
-        }
-        let t = Instant::now();
-        live.add_batch(&batch).expect("ingest batch");
-        ingest_time += t.elapsed();
-
-        let q = &queries[batch_no % queries.len()];
-        let t = Instant::now();
-        let result = live.query(q.pattern).expect("query under ingest");
-        latencies.push(t.elapsed());
-        std::hint::black_box(result.matches.len());
-        batch_no += 1;
-    }
-    let docs_per_sec = config.num_docs as f64 / ingest_time.as_secs_f64();
-    let mib_per_sec = total_bytes as f64 / (1 << 20) as f64 / ingest_time.as_secs_f64();
-    let segments_before = live.num_segments();
-
-    let t = Instant::now();
-    live.compact().expect("compact");
-    let compact_time = t.elapsed();
-
-    let mut after: Vec<Duration> = Vec::new();
-    for q in &queries {
-        let t = Instant::now();
-        let result = live.query(q.pattern).expect("query after compact");
-        after.push(t.elapsed());
-        std::hint::black_box(result.matches.len());
-    }
-
-    latencies.sort();
-    after.sort();
-    let pct = |v: &[Duration], p: f64| -> Duration {
-        if v.is_empty() {
-            return Duration::ZERO;
-        }
-        v[((v.len() - 1) as f64 * p).round() as usize]
-    };
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Live ingest — {} docs ({} bytes) in batches of {BATCH}",
-        config.num_docs, total_bytes
-    );
-    let _ = writeln!(
-        out,
-        "sustained ingest: {docs_per_sec:.0} docs/s ({mib_per_sec:.1} MiB/s), \
-         {segments_before} segment(s) + buffer at end of ingest"
-    );
-    let _ = writeln!(
-        out,
-        "query latency while ingesting ({} queries): p50 {:.2?}  p99 {:.2?}",
-        latencies.len(),
-        pct(&latencies, 0.50),
-        pct(&latencies, 0.99),
-    );
-    let _ = writeln!(
-        out,
-        "compaction to 1 segment: {compact_time:.2?}; queries after compaction: \
-         p50 {:.2?}  max {:.2?}",
-        pct(&after, 0.50),
-        pct(&after, 1.0),
-    );
-
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write("results/ingest.txt", &out))
-    {
-        eprintln!("# could not write results/ingest.txt: {e}");
-    } else {
-        eprintln!("# report written to results/ingest.txt");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    out
-}
-
-/// Snapshot read-path scaling benchmark (`serve-load`): fixed-duration
-/// query loops at 1/4/8 reader threads over [`free_live::LiveReader`]
-/// handles — the same lock-free path `free serve` uses — first against a
-/// quiescent index, then with a writer thread continuously adding,
-/// deleting, flushing and compacting. QPS should scale with readers in
-/// both columns; if the churn column collapses, readers are blocking on
-/// the writer. The report is also written to `results/serve_load.txt`.
-fn run_serve_load(config: &ExperimentConfig) -> String {
-    use free_bench::queries::benchmark_queries;
-    use std::fmt::Write as _;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::time::Duration;
-
-    const RUN_FOR: Duration = Duration::from_millis(1200);
-
-    let queries: Vec<_> = benchmark_queries()
-        .into_iter()
-        .filter(|q| !q.expect_scan)
-        .take(4)
-        .collect();
-
-    // A fresh, identical index per configuration so later rows aren't
-    // measured against state mutated by earlier churn.
-    let build = |dir: &std::path::Path| -> free_live::LiveIndex {
-        let _ = std::fs::remove_dir_all(dir);
-        let synth = free_corpus::synth::SynthConfig {
-            num_docs: config.num_docs,
-            seed: config.seed,
-            ..free_corpus::synth::SynthConfig::default()
-        };
-        let generator = free_corpus::synth::Generator::new(synth);
-        let mut live = free_live::LiveIndex::create(
-            dir,
-            free_live::LiveConfig {
-                engine: free_engine::EngineConfig {
-                    usefulness_threshold: config.usefulness_threshold,
-                    max_gram_len: config.max_gram_len,
-                    ..free_engine::EngineConfig::default()
-                },
-                flush_threshold_docs: (config.num_docs / 4).max(32),
-                ..free_live::LiveConfig::default()
-            },
-        )
-        .expect("create live index");
-        let mut page = Vec::new();
-        let mut batch: Vec<Vec<u8>> = Vec::new();
-        for doc_id in 0..config.num_docs as u32 {
-            page.clear();
-            generator.page(doc_id, &mut page);
-            batch.push(page.clone());
-            if batch.len() == 64 {
-                live.add_batch(&batch).expect("ingest");
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            live.add_batch(&batch).expect("ingest");
-        }
-        live
-    };
-
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Serve load — {} docs, {} queries round-robin, {RUN_FOR:?} per cell, {cores} core(s)",
-        config.num_docs,
-        queries.len()
-    );
-    if cores == 1 {
-        let _ = writeln!(
-            out,
-            "(single-core host: expect flat QPS across reader counts — the \
-             scaling signal here is that more readers and writer churn do \
-             NOT collapse throughput, i.e. readers never block)"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{:<9}{:<12}{:>10}{:>12}{:>12}{:>12}",
-        "readers", "writer", "QPS", "p50", "p99", "writer ops"
-    );
-    for with_writer in [false, true] {
-        for readers in [1usize, 4, 8] {
-            let dir = std::env::temp_dir().join(format!(
-                "free-serve-load-{}-{readers}-{with_writer}",
-                std::process::id()
-            ));
-            let mut live = build(&dir);
-            let reader = live.reader();
-            let latency = free_trace::Histogram::new();
-            let done = AtomicBool::new(false);
-            let total = AtomicU64::new(0);
-            let writer_ops = AtomicU64::new(0);
-            let started = Instant::now();
-            std::thread::scope(|scope| {
-                for r in 0..readers {
-                    let reader = reader.clone();
-                    let latency = latency.clone();
-                    let queries = &queries;
-                    let (done, total) = (&done, &total);
-                    scope.spawn(move || {
-                        let mut i = r;
-                        while !done.load(Ordering::Relaxed) {
-                            let q = &queries[i % queries.len()];
-                            i += 1;
-                            let t = Instant::now();
-                            let result = reader.snapshot().query_with(q.pattern, 1, false);
-                            latency.observe_duration(t.elapsed());
-                            std::hint::black_box(result.expect("query").matches.len());
-                            total.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-                if with_writer {
-                    let (done, writer_ops) = (&done, &writer_ops);
-                    let live = &mut live;
-                    scope.spawn(move || {
-                        // Continuous churn: add a few docs, delete one,
-                        // flush, compact — each publish retires files the
-                        // readers may still be streaming from.
-                        let mut next_doc = 0u64;
-                        while !done.load(Ordering::Relaxed) {
-                            let docs: Vec<Vec<u8>> = (0..4)
-                                .map(|i| format!("churn document {}", next_doc + i).into_bytes())
-                                .collect();
-                            next_doc += docs.len() as u64;
-                            let ids = live.add_batch(&docs).expect("churn add");
-                            live.delete(ids[0]).expect("churn delete");
-                            live.flush().expect("churn flush");
-                            live.compact().expect("churn compact");
-                            writer_ops.fetch_add(4, Ordering::Relaxed);
-                        }
-                    });
-                }
-                std::thread::sleep(RUN_FOR);
-                done.store(true, Ordering::Relaxed);
-            });
-            let elapsed = started.elapsed();
-            let _ = writeln!(
-                out,
-                "{:<9}{:<12}{:>10.0}{:>12}{:>12}{:>12}",
-                readers,
-                if with_writer { "churning" } else { "idle" },
-                total.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64(),
-                format!("{:.2?}", Duration::from_nanos(latency.quantile(0.50))),
-                format!("{:.2?}", Duration::from_nanos(latency.quantile(0.99))),
-                writer_ops.load(Ordering::Relaxed),
-            );
-            drop(live);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    // Sharded fan-out cell: the same read loop against a 4-shard
-    // layout, then the per-shard RED series (`free_shard_*`, labelled
-    // `{shard="K"}`) the fan-out recorded — the same series `free
-    // metrics` exposes from a sharded `free serve`.
-    const SHARDS: usize = 4;
-    {
-        let dir = std::env::temp_dir().join(format!("free-serve-load-sh-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let synth = free_corpus::synth::SynthConfig {
-            num_docs: config.num_docs,
-            seed: config.seed,
-            ..free_corpus::synth::SynthConfig::default()
-        };
-        let generator = free_corpus::synth::Generator::new(synth);
-        let mut live = free_live::ShardedLiveIndex::create(
-            &dir,
-            free_live::LiveConfig {
-                engine: free_engine::EngineConfig {
-                    usefulness_threshold: config.usefulness_threshold,
-                    max_gram_len: config.max_gram_len,
-                    ..free_engine::EngineConfig::default()
-                },
-                flush_threshold_docs: (config.num_docs / 4).max(32),
-                ..free_live::LiveConfig::default()
-            },
-            SHARDS,
-        )
-        .expect("create sharded live index");
-        let mut page = Vec::new();
-        let mut batch: Vec<Vec<u8>> = Vec::new();
-        for doc_id in 0..config.num_docs as u32 {
-            page.clear();
-            generator.page(doc_id, &mut page);
-            batch.push(page.clone());
-            if batch.len() == 64 {
-                live.add_batch(&batch).expect("ingest");
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            live.add_batch(&batch).expect("ingest");
-        }
-        live.flush().expect("flush");
-        let reader = live.reader();
-        let done = AtomicBool::new(false);
-        let total = AtomicU64::new(0);
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            for r in 0..4usize {
-                let reader = reader.clone();
-                let queries = &queries;
-                let (done, total) = (&done, &total);
-                scope.spawn(move || {
-                    let mut i = r;
-                    while !done.load(Ordering::Relaxed) {
-                        let q = &queries[i % queries.len()];
-                        i += 1;
-                        let result = reader.snapshot().query_with(q.pattern, 1, false);
-                        std::hint::black_box(result.expect("query").matches.len());
-                        total.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            std::thread::sleep(RUN_FOR);
-            done.store(true, Ordering::Relaxed);
-        });
-        let elapsed = started.elapsed();
-        let _ = writeln!(
-            out,
-            "\nSharded fan-out ({SHARDS} shards, 4 readers): {:.0} QPS; per-shard RED series:",
-            total.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64()
-        );
-        let _ = writeln!(
-            out,
-            "{:<7}{:>10}{:>8}{:>12}{:>12}",
-            "shard", "queries", "errors", "p50", "p99"
-        );
-        let registry = free_trace::metrics::global();
-        for s in 0..SHARDS {
-            let label = s.to_string();
-            let queries_total = registry
-                .labeled_counter("free_shard_queries_total", "", "shard", &label)
-                .get();
-            let errors_total = registry
-                .labeled_counter("free_shard_query_errors_total", "", "shard", &label)
-                .get();
-            let lat = registry.labeled_histogram("free_shard_query_ns", "", "shard", &label);
-            let _ = writeln!(
-                out,
-                "{:<7}{:>10}{:>8}{:>12}{:>12}",
-                s,
-                queries_total,
-                errors_total,
-                format!("{:.2?}", Duration::from_nanos(lat.quantile(0.50))),
-                format!("{:.2?}", Duration::from_nanos(lat.quantile(0.99))),
-            );
-        }
-        drop(live);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // ------------------------------------------------------------------
-    // Production-service cells: the full `free serve` stack in process —
-    // HTTP front end, admission control, snapshot-keyed result cache —
-    // driven over real loopback sockets.
-    // ------------------------------------------------------------------
-    {
-        use std::io::{Read as _, Write as _};
-        use std::net::TcpStream;
-
-        /// One HTTP/1.1 POST /query on a fresh connection; returns the
-        /// status code.
-        fn post_query(addr: std::net::SocketAddr, body: &str) -> u16 {
-            let Ok(mut s) = TcpStream::connect(addr) else {
-                return 0;
-            };
-            let _ = write!(
-                s,
-                "POST /query HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            );
-            let mut response = String::new();
-            let _ = s.read_to_string(&mut response);
-            response
-                .split_whitespace()
-                .nth(1)
-                .and_then(|c| c.parse().ok())
-                .unwrap_or(0)
-        }
-
-        /// Scrapes one counter from GET /metrics.
-        fn scrape(addr: std::net::SocketAddr, series: &str) -> u64 {
-            let Ok(mut s) = TcpStream::connect(addr) else {
-                return 0;
-            };
-            let _ = write!(
-                s,
-                "GET /metrics HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n"
-            );
-            let mut response = String::new();
-            let _ = s.read_to_string(&mut response);
-            response
-                .lines()
-                .find(|l| l.starts_with(series))
-                .and_then(|l| l.rsplit(' ').next())
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0)
-        }
-
-        /// Boots `free serve` on an ephemeral port in a background
-        /// thread, runs `drive(addr)`, then shuts the server down over
-        /// the line protocol.
-        fn with_server(
-            options: freegrep::serve::ServeOptions,
-            drive: impl FnOnce(std::net::SocketAddr),
-        ) {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    freegrep::serve::serve(&options, |addr| {
-                        let _ = tx.send(addr);
-                    })
-                    .expect("serve");
-                });
-                let addr = rx.recv().expect("server announces its address");
-                drive(addr);
-                let mut s = TcpStream::connect(addr).expect("shutdown connect");
-                let _ = writeln!(s, "{{\"shutdown\":true}}");
-                let mut line = String::new();
-                let _ = std::io::BufRead::read_line(&mut std::io::BufReader::new(s), &mut line);
-            });
-        }
-
-        // Overload: 8 closed-loop clients against a 2-permit admission
-        // gate, result cache off so every admitted query pays for real
-        // confirmation. Reports goodput (admitted QPS), shed rate, and
-        // admitted-only latency — the RED view of a saturated server.
-        {
-            let dir =
-                std::env::temp_dir().join(format!("free-serve-load-ov-{}", std::process::id()));
-            drop(build(&dir));
-            let mut options = freegrep::serve::ServeOptions::new(&dir);
-            options.workers = 8;
-            options.threads = 1;
-            options.max_concurrent = 2;
-            options.cache_entries = 0;
-            let bodies: Vec<String> = queries
-                .iter()
-                .map(|q| format!("{{\"query\":\"{}\"}}", free_trace::json::escape(q.pattern)))
-                .collect();
-            let admitted = AtomicU64::new(0);
-            let shed = AtomicU64::new(0);
-            let failed = AtomicU64::new(0);
-            let latency = free_trace::Histogram::new();
-            let started = Instant::now();
-            with_server(options, |addr| {
-                let done = AtomicBool::new(false);
-                std::thread::scope(|scope| {
-                    for c in 0..8usize {
-                        let (done, admitted, shed, failed) = (&done, &admitted, &shed, &failed);
-                        let (bodies, latency) = (&bodies, latency.clone());
-                        scope.spawn(move || {
-                            let mut i = c;
-                            while !done.load(Ordering::Relaxed) {
-                                let body = &bodies[i % bodies.len()];
-                                i += 1;
-                                let t = Instant::now();
-                                match post_query(addr, body) {
-                                    200 => {
-                                        latency.observe_duration(t.elapsed());
-                                        admitted.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    429 => {
-                                        shed.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    _ => {
-                                        failed.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                        });
-                    }
-                    std::thread::sleep(RUN_FOR);
-                    done.store(true, Ordering::Relaxed);
-                });
-            });
-            let elapsed = started.elapsed().as_secs_f64();
-            let (adm, shd, fld) = (
-                admitted.load(Ordering::Relaxed),
-                shed.load(Ordering::Relaxed),
-                failed.load(Ordering::Relaxed),
-            );
-            let offered = adm + shd + fld;
-            let _ = writeln!(
-                out,
-                "\nOverload (HTTP, 8 clients, max-concurrent 2, cache off):"
-            );
-            let _ = writeln!(
-                out,
-                "  offered {:.0} req/s, goodput {:.0} req/s, shed {shd} ({:.1}%), \
-                 other {fld}; admitted p50 {:.2?}, p99 {:.2?}",
-                offered as f64 / elapsed,
-                adm as f64 / elapsed,
-                if offered == 0 {
-                    0.0
-                } else {
-                    100.0 * shd as f64 / offered as f64
-                },
-                Duration::from_nanos(latency.quantile(0.50)),
-                Duration::from_nanos(latency.quantile(0.99)),
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-
-        // Cache hit rate: 4 clients drawing from a 16-pattern pool with
-        // zipfian popularity (weight 1/rank) against the snapshot-keyed
-        // result cache. The hot head should live in the cache; the
-        // counters come from the server's own /metrics endpoint.
-        {
-            use rand::{Rng as _, SeedableRng as _};
-            let dir =
-                std::env::temp_dir().join(format!("free-serve-load-zipf-{}", std::process::id()));
-            drop(build(&dir));
-            let mut options = freegrep::serve::ServeOptions::new(&dir);
-            options.workers = 8;
-            options.threads = 1;
-            options.cache_entries = 1024;
-            // 16 patterns, unique per rank (the `|zq…` arm never
-            // matches the synthetic corpus) so each is its own cache
-            // key with the same execution cost class.
-            let pool: Vec<String> = (0..16)
-                .map(|k| {
-                    let q = &queries[k % queries.len()];
-                    format!(
-                        "{{\"query\":\"{}\"}}",
-                        free_trace::json::escape(&format!("{}|zqx{k}", q.pattern))
-                    )
-                })
-                .collect();
-            // Cumulative zipf weights over ranks 1..=16.
-            let weights: Vec<u64> = (1..=pool.len() as u64).map(|k| 1_000_000 / k).collect();
-            let cumulative: Vec<u64> = weights
-                .iter()
-                .scan(0u64, |acc, w| {
-                    *acc += w;
-                    Some(*acc)
-                })
-                .collect();
-            let total_weight = *cumulative.last().expect("non-empty pool");
-            let served = AtomicU64::new(0);
-            let latency = free_trace::Histogram::new();
-            let started = Instant::now();
-            let mut cache_stats = (0u64, 0u64);
-            with_server(options, |addr| {
-                let hits0 = scrape(addr, "free_qcache_hits_total");
-                let misses0 = scrape(addr, "free_qcache_misses_total");
-                let done = AtomicBool::new(false);
-                std::thread::scope(|scope| {
-                    for c in 0..4usize {
-                        let (done, served) = (&done, &served);
-                        let (pool, cumulative, latency) = (&pool, &cumulative, latency.clone());
-                        scope.spawn(move || {
-                            let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed ^ c as u64);
-                            while !done.load(Ordering::Relaxed) {
-                                let draw = rng.gen_range(0..total_weight);
-                                let rank = cumulative.partition_point(|&cum| cum <= draw);
-                                let t = Instant::now();
-                                if post_query(addr, &pool[rank]) == 200 {
-                                    latency.observe_duration(t.elapsed());
-                                    served.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        });
-                    }
-                    std::thread::sleep(RUN_FOR);
-                    done.store(true, Ordering::Relaxed);
-                });
-                cache_stats = (
-                    scrape(addr, "free_qcache_hits_total") - hits0,
-                    scrape(addr, "free_qcache_misses_total") - misses0,
-                );
-            });
-            let elapsed = started.elapsed().as_secs_f64();
-            let (hits, misses) = cache_stats;
-            let lookups = hits + misses;
-            let _ = writeln!(
-                out,
-                "\nCache hit rate (HTTP, 4 clients, zipfian over 16 patterns):"
-            );
-            let _ = writeln!(
-                out,
-                "  {:.0} req/s; cache {hits} hits / {misses} misses ({:.1}% hit rate); \
-                 p50 {:.2?}, p99 {:.2?}",
-                served.load(Ordering::Relaxed) as f64 / elapsed,
-                if lookups == 0 {
-                    0.0
-                } else {
-                    100.0 * hits as f64 / lookups as f64
-                },
-                Duration::from_nanos(latency.quantile(0.50)),
-                Duration::from_nanos(latency.quantile(0.99)),
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/serve_load.txt", &out))
-    {
-        eprintln!("# could not write results/serve_load.txt: {e}");
-    } else {
-        eprintln!("# report written to results/serve_load.txt");
-    }
     out
 }
 
@@ -1400,118 +739,6 @@ fn run_selection_shootout(config: &ExperimentConfig) -> String {
     out
 }
 
-/// Positioned-read micro-benchmark (`corpus-get`): ns per `Corpus::get`
-/// under three document read strategies — re-opening the data file per
-/// call (what `DiskCorpus::get` once did), positioned reads on one shared
-/// handle (what it does now), and the shared handle fronted by the
-/// sharded [`free_corpus::DocCache`]. Random-access pattern over the
-/// synthetic corpus. The report is also written to
-/// `results/corpus_get.txt`.
-fn run_corpus_get_bench(config: &ExperimentConfig) -> String {
-    use free_corpus::Corpus as _;
-    use std::fmt::Write as _;
-    use std::io::{Read as _, Seek as _};
-
-    let dir = std::env::temp_dir().join(format!("free-corpus-get-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let synth = free_corpus::synth::SynthConfig {
-        num_docs: config.num_docs,
-        seed: config.seed,
-        ..free_corpus::synth::SynthConfig::default()
-    };
-    let (corpus, _) = free_corpus::synth::Generator::new(synth)
-        .build_disk(&dir)
-        .expect("corpus to disk");
-    let num_docs = corpus.len() as u32;
-
-    // Reconstruct the doc extents once, so the "legacy" strategy can
-    // replay exactly the open+seek+read sequence the old `get` did.
-    let mut offsets: Vec<(u64, usize)> = Vec::with_capacity(num_docs as usize);
-    let mut start = 0u64;
-    for id in 0..num_docs {
-        let len = corpus.get(id).expect("doc").len();
-        offsets.push((start, len));
-        start += len as u64;
-    }
-    let data_path = dir.join("corpus.dat");
-
-    // Fixed pseudo-random access pattern, shared by all strategies; a
-    // skewed tail (80% of reads over 20% of docs) gives the cache
-    // something realistic to hold.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    use rand::{Rng as _, SeedableRng as _};
-    let rounds = (config.num_docs * 8).max(4000);
-    let pattern: Vec<u32> = (0..rounds)
-        .map(|_| {
-            if rng.gen_bool(0.8) {
-                rng.gen_range(0..num_docs.div_ceil(5).max(1))
-            } else {
-                rng.gen_range(0..num_docs)
-            }
-        })
-        .collect();
-
-    let time = |f: &mut dyn FnMut(u32) -> usize| -> f64 {
-        let t = Instant::now();
-        let mut bytes = 0usize;
-        for &id in &pattern {
-            bytes += f(id);
-        }
-        std::hint::black_box(bytes);
-        t.elapsed().as_nanos() as f64 / pattern.len() as f64
-    };
-
-    let reopen_ns = time(&mut |id| {
-        let (start, len) = offsets[id as usize];
-        let mut f = std::fs::File::open(&data_path).expect("open data file");
-        f.seek(std::io::SeekFrom::Start(start)).expect("seek");
-        let mut buf = vec![0u8; len];
-        f.read_exact(&mut buf).expect("read");
-        buf.len()
-    });
-    let pread_ns = time(&mut |id| corpus.get(id).expect("doc").len());
-    let cached = free_corpus::DiskCorpus::open(&dir)
-        .expect("reopen")
-        .with_cache(8 << 20);
-    let cached_ns = time(&mut |id| cached.get(id).expect("doc").len());
-    let (hits, misses) = cached.cache_stats().expect("cache enabled");
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Corpus get — {} docs, {} random reads (80% over the hottest 20%)",
-        num_docs,
-        pattern.len()
-    );
-    let _ = writeln!(out, "{:<34}{:>12}", "strategy", "ns/get");
-    let _ = writeln!(
-        out,
-        "{:<34}{:>12.0}",
-        "open+seek+read per call (legacy)", reopen_ns
-    );
-    let _ = writeln!(out, "{:<34}{:>12.0}", "shared handle, pread", pread_ns);
-    let _ = writeln!(
-        out,
-        "{:<34}{:>12.0}",
-        "shared handle + sharded doc cache", cached_ns
-    );
-    let _ = writeln!(
-        out,
-        "cache: {hits} hits / {misses} misses ({:.0}% hit rate)",
-        hits as f64 / (hits + misses).max(1) as f64 * 100.0
-    );
-
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/corpus_get.txt", &out))
-    {
-        eprintln!("# could not write results/corpus_get.txt: {e}");
-    } else {
-        eprintln!("# report written to results/corpus_get.txt");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    out
-}
-
 /// Sharded live-index scaling benchmark (`shard-scaling`): streams the
 /// same synthetic corpus into sharded live indexes at 1/2/4/8 shards,
 /// timing the full ingest (WAL append + memtable + threshold-triggered
@@ -1688,8 +915,8 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: experiments [--docs N] [--seed S] [--c X] [--repeats N] [--csv DIR] \
-         <table3|fig9|fig10|fig11|fig12|latency|ablate|disk|grams|ingest|serve-load|\
-         corpus-get|shard-scaling|replay|all>..."
+         <table3|fig9|fig10|fig11|fig12|latency|ablate|disk|grams|shard-scaling|\
+         replay|selection-shootout|all>..."
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

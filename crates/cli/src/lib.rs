@@ -200,8 +200,7 @@ pub fn build_index_report(options: &IndexOptions) -> Result<(String, free_engine
 
     // Manifest: everything needed to reopen consistently. The checksum
     // line records the CRC32 of the finished index file so `free fsck`
-    // can prove the pair still belongs together; readers ignore unknown
-    // keys, so pre-checksum manifests stay loadable.
+    // can prove the pair still belongs together.
     let idx_bytes = std::fs::read(options.index_dir.join(INDEX_FILE))?;
     let mut manifest = String::new();
     let _ = writeln!(manifest, "version=1");

@@ -1,4 +1,4 @@
-//! End-to-end tests driving the compiled `freegrep` binary.
+//! End-to-end tests driving the compiled `free` binary.
 
 // Integration tests: unwraps in helper functions are assertions, the
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
@@ -6,11 +6,6 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-fn freegrep() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_freegrep"))
-}
-
-/// The same binary under its paper name, as `free analyze` is documented.
 fn free() -> Command {
     Command::new(env!("CARGO_BIN_EXE_free"))
 }
@@ -123,7 +118,7 @@ fn assert_json(s: &str) {
 fn index_then_search() {
     let dir = setup("search");
     let index_dir = dir.join("idx");
-    let out = freegrep()
+    let out = free()
         .args(["index", "--out"])
         .arg(&index_dir)
         .args(["--ext", "rs", "--c", "0.9"])
@@ -137,7 +132,7 @@ fn index_then_search() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("indexed 2 files"));
 
-    let out = freegrep()
+    let out = free()
         .args(["search", "--index"])
         .arg(&index_dir)
         .arg(r"magic_\a+ = \d+")
@@ -166,7 +161,7 @@ fn search_threads_flag_gives_identical_output() {
         )
         .unwrap();
     }
-    assert!(freegrep()
+    assert!(free()
         .args(["index", "--out"])
         .arg(&index_dir)
         .args(["--ext", "rs", "--c", "0.9"])
@@ -175,7 +170,7 @@ fn search_threads_flag_gives_identical_output() {
         .unwrap()
         .success());
     let run = |threads: &str| {
-        let out = freegrep()
+        let out = free()
             .args(["search", "--index"])
             .arg(&index_dir)
             .args(["--threads", threads, "magic_token"])
@@ -194,11 +189,11 @@ fn search_threads_flag_gives_identical_output() {
     assert_eq!(run("0"), one, "auto thread count must not change output");
 
     // The flag is in --help.
-    let out = freegrep().arg("--help").output().unwrap();
+    let out = free().arg("--help").output().unwrap();
     assert!(String::from_utf8_lossy(&out.stdout).contains("--threads N"));
 
     // A malformed value is rejected cleanly.
-    let out = freegrep()
+    let out = free()
         .args(["search", "--index"])
         .arg(&index_dir)
         .args(["--threads", "lots", "magic_token"])
@@ -212,7 +207,7 @@ fn search_threads_flag_gives_identical_output() {
 fn explain_and_stats() {
     let dir = setup("explain");
     let index_dir = dir.join("idx");
-    assert!(freegrep()
+    assert!(free()
         .args(["index", "--out"])
         .arg(&index_dir)
         .args(["--c", "0.9"])
@@ -220,14 +215,14 @@ fn explain_and_stats() {
         .status()
         .unwrap()
         .success());
-    let out = freegrep()
+    let out = free()
         .args(["explain", "--index"])
         .arg(&index_dir)
         .arg("magic_token")
         .output()
         .unwrap();
     assert!(String::from_utf8_lossy(&out.stdout).contains("physical:"));
-    let out = freegrep()
+    let out = free()
         .args(["stats", "--index"])
         .arg(&index_dir)
         .output()
@@ -268,7 +263,7 @@ fn build_verbose_and_stats_json() {
 fn search_stats_json_is_parseable() {
     let dir = setup("searchjson");
     let index_dir = dir.join("idx");
-    assert!(freegrep()
+    assert!(free()
         .args(["index", "--out"])
         .arg(&index_dir)
         .args(["--ext", "rs", "--c", "0.9"])
@@ -276,7 +271,7 @@ fn search_stats_json_is_parseable() {
         .status()
         .unwrap()
         .success());
-    let out = freegrep()
+    let out = free()
         .args(["search", "--index"])
         .arg(&index_dir)
         .args(["--files-only", "--stats-json", "magic_token"])
@@ -298,7 +293,7 @@ fn search_stats_json_is_parseable() {
 fn explain_analyze_text_and_json() {
     let dir = setup("expanalyze");
     let index_dir = dir.join("idx");
-    assert!(freegrep()
+    assert!(free()
         .args(["index", "--out"])
         .arg(&index_dir)
         .args(["--ext", "rs", "--c", "0.9"])
@@ -337,7 +332,7 @@ fn explain_analyze_text_and_json() {
 fn metrics_dump_is_prometheus_text() {
     let dir = setup("metricsdump");
     let index_dir = dir.join("idx");
-    assert!(freegrep()
+    assert!(free()
         .args(["index", "--out"])
         .arg(&index_dir)
         .args(["--ext", "rs", "--c", "0.9"])
@@ -372,7 +367,7 @@ fn metrics_dump_is_prometheus_text() {
 fn bad_pattern_fails_cleanly() {
     let dir = setup("badpat");
     let index_dir = dir.join("idx");
-    assert!(freegrep()
+    assert!(free()
         .args(["index", "--out"])
         .arg(&index_dir)
         .args(["--c", "0.9"])
@@ -380,7 +375,7 @@ fn bad_pattern_fails_cleanly() {
         .status()
         .unwrap()
         .success());
-    let out = freegrep()
+    let out = free()
         .args(["search", "--index"])
         .arg(&index_dir)
         .arg("(unclosed")
@@ -393,7 +388,7 @@ fn bad_pattern_fails_cleanly() {
 
 #[test]
 fn missing_index_is_an_error() {
-    let out = freegrep()
+    let out = free()
         .args(["search", "--index", "/nonexistent/fg", "pattern"])
         .output()
         .unwrap();
@@ -402,7 +397,7 @@ fn missing_index_is_an_error() {
 
 #[test]
 fn help_prints_usage() {
-    let out = freegrep().arg("--help").output().unwrap();
+    let out = free().arg("--help").output().unwrap();
     assert!(out.status.success());
     let usage = String::from_utf8_lossy(&out.stdout);
     assert!(usage.contains("usage:"), "{usage}");
@@ -473,7 +468,7 @@ fn analyze_parse_error_exits_nonzero_with_diagnostic() {
 
 #[test]
 fn analyze_via_freegrep_name_too() {
-    let out = freegrep().args(["analyze", "a*"]).output().unwrap();
+    let out = free().args(["analyze", "a*"]).output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("FA001"));
 }
@@ -670,7 +665,7 @@ fn build_refuses_overwrite_without_force() {
     let dir = setup("force");
     let index_dir = dir.join("idx");
     let build = |extra: &[&str]| {
-        let mut cmd = freegrep();
+        let mut cmd = free();
         cmd.args(["index", "--out"])
             .arg(&index_dir)
             .args(["--ext", "rs", "--c", "0.9"]);
@@ -697,7 +692,7 @@ fn build_refuses_overwrite_without_force() {
 fn fsck_batch_index_clean_and_corrupted() {
     let dir = setup("fsck-batch");
     let index_dir = dir.join("idx");
-    assert!(freegrep()
+    assert!(free()
         .args(["index", "--out"])
         .arg(&index_dir)
         .args(["--ext", "rs", "--c", "0.9"])
@@ -773,6 +768,17 @@ fn fsck_live_directory() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("ok: no integrity errors"), "{stdout}");
+
+    // A tombstone append torn after its first digit is an error, not a
+    // delete of whatever document that digit names.
+    let log = live_dir.join("tombstones.log");
+    let intact = std::fs::read(&log).unwrap();
+    std::fs::write(&log, [&intact[..], b"1"].concat()).unwrap();
+    let out = free().args(["fsck"]).arg(&live_dir).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("error[FA401]: tombstone log"), "{stdout}");
+    std::fs::write(&log, &intact).unwrap();
 
     // Damage a segment's sequence map; fsck must flag it, not fix it.
     let seg_dir = live_dir.join("segments");

@@ -7,15 +7,14 @@
 //! <dir>/corpus.idx   header + one table entry per unit
 //! ```
 //!
-//! The version-2 index header is an 8-byte magic, a u32 version, a u64
-//! unit count, and a u32 CRC32 of the count's little-endian bytes. Each
-//! table entry is the unit's cumulative *end* offset (u64) followed by
-//! the CRC32 of the unit's bytes (u32), so data unit `i` occupies
-//! `dat[offset[i-1]..offset[i]]` (with `offset[-1] = 0`) and any bit
-//! flip in either file is detectable. Version-1 stores (no checksums,
-//! 8-byte entries) are still readable and appendable. The full table is
-//! loaded into memory on open — 12 bytes per data unit, which for the
-//! paper's 700 k pages is under 9 MB.
+//! The index header is an 8-byte magic (`FREECORP`), a u32 version (2,
+//! the only one accepted), a u64 unit count, and a u32 CRC32 of the
+//! count's little-endian bytes. Each table entry is the unit's cumulative
+//! *end* offset (u64) followed by the CRC32 of the unit's bytes (u32), so
+//! data unit `i` occupies `dat[offset[i-1]..offset[i]]` (with
+//! `offset[-1] = 0`) and any bit flip in either file is detectable. The
+//! full table is loaded into memory on open — 12 bytes per data unit,
+//! which for the paper's 700 k pages is under 9 MB.
 //!
 //! The store is appendable: [`CorpusWriter::open_append`] resumes writing
 //! after the last committed unit in O(1) — it reads only the index header
@@ -45,76 +44,58 @@ const MAGIC: &[u8; 8] = b"FREECORP";
 const VERSION: u32 = 2;
 const DATA_FILE: &str = "corpus.dat";
 const INDEX_FILE: &str = "corpus.idx";
-/// Byte offset of the u64 unit count inside the index file (v1 and v2).
+/// Byte offset of the u64 unit count inside the index file.
 const COUNT_OFFSET: u64 = 12;
+/// Byte offset where the entry table starts: magic, version, count, and
+/// the u32 CRC of the count.
+const TABLE_OFFSET: u64 = 24;
+/// Bytes per table entry: the u64 end offset, then the unit's CRC32.
+const ENTRY_STRIDE: u64 = 12;
 
-/// Byte offset where the entry table starts, by format version (v2 adds
-/// a u32 CRC of the count after the count itself).
-fn table_offset(version: u32) -> u64 {
-    if version >= 2 {
-        24
-    } else {
-        20
-    }
-}
-
-/// Bytes per table entry: v1 stores the end offset only, v2 appends the
-/// unit's CRC32.
-fn entry_stride(version: u32) -> u64 {
-    if version >= 2 {
-        12
-    } else {
-        8
-    }
-}
-
-/// Reads and validates the index-file header, returning the format
-/// version and unit count. For v2, the count must match its stored CRC.
-// `expect`: both `try_into` calls slice fixed ranges of a 20-byte buffer.
+/// Reads and validates the index-file header from the start of `idx`,
+/// leaving it at the entry table. Returns the unit count, which must
+/// match its stored CRC.
+// `expect`: every `try_into` slices a fixed range of a 24-byte buffer.
 #[allow(clippy::expect_used)]
-fn read_header(idx: &File, idx_path: &Path) -> Result<(u32, u64)> {
-    let mut header = [0u8; 20];
-    idx.read_exact_at(&mut header, 0)
-        .map_err(|e| Error::io(format!("read header of {}", idx_path.display()), e))?;
-    if &header[..8] != MAGIC {
+fn read_header(idx: &mut impl Read, idx_path: &Path) -> Result<u64> {
+    let mut header = [0u8; TABLE_OFFSET as usize];
+    // The magic is judged before the rest is read, so a short file that
+    // is not a corpus index at all says so.
+    let (magic, rest) = header.split_at_mut(MAGIC.len());
+    idx.read_exact(magic)
+        .map_err(|e| Error::io(format!("read magic of {}", idx_path.display()), e))?;
+    if magic != MAGIC {
         return Err(Error::Corrupt(format!(
-            "bad magic in {}: {:?}",
-            idx_path.display(),
-            &header[..8]
+            "bad magic in {}: {magic:?}",
+            idx_path.display()
         )));
     }
+    idx.read_exact(rest)
+        .map_err(|e| Error::io(format!("read header of {}", idx_path.display()), e))?;
     let version = u32::from_le_bytes(header[8..12].try_into().expect("fixed size"));
-    if version == 0 || version > VERSION {
+    if version != VERSION {
         return Err(Error::Corrupt(format!(
-            "unsupported corpus version {version}"
+            "{}: unsupported format, rebuild (corpus version {version}, expected {VERSION})",
+            idx_path.display()
         )));
     }
     let count_bytes: [u8; 8] = header[12..20].try_into().expect("fixed size");
-    if version >= 2 {
-        let mut crc_bytes = [0u8; 4];
-        idx.read_exact_at(&mut crc_bytes, 20)
-            .map_err(|e| Error::io(format!("read count CRC of {}", idx_path.display()), e))?;
-        if u32::from_le_bytes(crc_bytes) != crc32(&count_bytes) {
-            return Err(Error::Corrupt(format!(
-                "unit count fails its CRC in {}",
-                idx_path.display()
-            )));
-        }
+    let count_crc = u32::from_le_bytes(header[20..24].try_into().expect("fixed size"));
+    if count_crc != crc32(&count_bytes) {
+        return Err(Error::Corrupt(format!(
+            "unit count fails its CRC in {}",
+            idx_path.display()
+        )));
     }
-    Ok((version, u64::from_le_bytes(count_bytes)))
+    Ok(u64::from_le_bytes(count_bytes))
 }
 
 /// Streaming writer that appends data units to an on-disk corpus.
 pub struct CorpusWriter {
     data: BufWriter<File>,
-    /// Format version of the store being written (new stores are
-    /// [`VERSION`]; `open_append` keeps appending in the file's own
-    /// version so legacy stores stay self-consistent).
-    version: u32,
-    /// End offsets of units appended by *this* writer (absolute positions).
-    new_ends: Vec<u64>,
-    /// CRC32 of each unit appended by this writer (v2 stores only).
-    new_crcs: Vec<u32>,
+    /// Table entries (absolute end offset, CRC32) of the units appended
+    /// by *this* writer, in their on-disk form.
+    new_entries: Vec<u8>,
     /// Units already committed before this writer opened.
     base_count: u64,
     written: u64,
@@ -135,7 +116,7 @@ impl CorpusWriter {
         let idx_path = dir.join(INDEX_FILE);
         let idx = File::create(&idx_path)
             .map_err(|e| Error::io(format!("create {}", idx_path.display()), e))?;
-        let mut header = Vec::with_capacity(table_offset(VERSION) as usize);
+        let mut header = Vec::with_capacity(TABLE_OFFSET as usize);
         header.extend_from_slice(MAGIC);
         header.extend_from_slice(&VERSION.to_le_bytes());
         header.extend_from_slice(&0u64.to_le_bytes());
@@ -144,9 +125,7 @@ impl CorpusWriter {
             .map_err(|e| Error::io("write header", e))?;
         Ok(CorpusWriter {
             data: BufWriter::new(data),
-            version: VERSION,
-            new_ends: Vec::new(),
-            new_crcs: Vec::new(),
+            new_entries: Vec::new(),
             base_count: 0,
             written: 0,
             dir,
@@ -163,16 +142,13 @@ impl CorpusWriter {
         let idx_path = dir.join(INDEX_FILE);
         let idx = File::open(&idx_path)
             .map_err(|e| Error::io(format!("open {}", idx_path.display()), e))?;
-        let (version, base_count) = read_header(&idx, &idx_path)?;
+        let base_count = read_header(&mut &idx, &idx_path)?;
         let written = if base_count == 0 {
             0
         } else {
             let mut buf8 = [0u8; 8];
-            idx.read_exact_at(
-                &mut buf8,
-                table_offset(version) + (base_count - 1) * entry_stride(version),
-            )
-            .map_err(|e| Error::io("read tail offset", e))?;
+            idx.read_exact_at(&mut buf8, TABLE_OFFSET + (base_count - 1) * ENTRY_STRIDE)
+                .map_err(|e| Error::io("read tail offset", e))?;
             u64::from_le_bytes(buf8)
         };
         let data_path = dir.join(DATA_FILE);
@@ -200,9 +176,7 @@ impl CorpusWriter {
             .map_err(|e| Error::io("seek to append position", e))?;
         Ok(CorpusWriter {
             data: BufWriter::new(data),
-            version,
-            new_ends: Vec::new(),
-            new_crcs: Vec::new(),
+            new_entries: Vec::new(),
             base_count,
             written,
             dir,
@@ -211,21 +185,20 @@ impl CorpusWriter {
 
     /// Appends one data unit, returning its id.
     pub fn append(&mut self, doc: &[u8]) -> Result<DocId> {
-        let id = (self.base_count + self.new_ends.len() as u64) as DocId;
+        let id = self.len() as DocId;
         self.data
             .write_all(doc)
             .map_err(|e| Error::io(format!("write data unit {id}"), e))?;
         self.written += doc.len() as u64;
-        self.new_ends.push(self.written);
-        if self.version >= 2 {
-            self.new_crcs.push(crc32(doc));
-        }
+        let entries = &mut self.new_entries;
+        entries.extend_from_slice(&self.written.to_le_bytes());
+        entries.extend_from_slice(&crc32(doc).to_le_bytes());
         Ok(id)
     }
 
     /// Number of data units in the store (committed plus pending).
     pub fn len(&self) -> usize {
-        self.base_count as usize + self.new_ends.len()
+        self.base_count as usize + self.new_entries.len() / ENTRY_STRIDE as usize
     }
 
     /// Whether the store holds no data units at all.
@@ -245,26 +218,16 @@ impl CorpusWriter {
             .write(true)
             .open(&idx_path)
             .map_err(|e| Error::io(format!("open {}", idx_path.display()), e))?;
-        let stride = entry_stride(self.version) as usize;
-        let mut table = Vec::with_capacity(self.new_ends.len() * stride);
-        for (i, &end) in self.new_ends.iter().enumerate() {
-            table.extend_from_slice(&end.to_le_bytes());
-            if self.version >= 2 {
-                table.extend_from_slice(&self.new_crcs[i].to_le_bytes());
-            }
-        }
         // Entries first, count last: the count is the commit point.
         idx.write_all_at(
-            &table,
-            table_offset(self.version) + self.base_count * stride as u64,
+            &self.new_entries,
+            TABLE_OFFSET + self.base_count * ENTRY_STRIDE,
         )
         .map_err(|e| Error::io("write offsets", e))?;
         let count_bytes = (self.len() as u64).to_le_bytes();
         let mut commit = Vec::with_capacity(12);
         commit.extend_from_slice(&count_bytes);
-        if self.version >= 2 {
-            commit.extend_from_slice(&crc32(&count_bytes).to_le_bytes());
-        }
+        commit.extend_from_slice(&crc32(&count_bytes).to_le_bytes());
         idx.write_all_at(&commit, COUNT_OFFSET)
             .map_err(|e| Error::io("write count", e))?;
         DiskCorpus::open(&self.dir)
@@ -280,8 +243,8 @@ pub struct DiskCorpus {
     data: File,
     /// Cumulative end offsets; `ends[i]` is one past the last byte of doc i.
     ends: Vec<u64>,
-    /// Per-unit CRC32s, present for v2 stores (absent for legacy v1).
-    crcs: Option<Vec<u32>>,
+    /// Per-unit CRC32s, parallel to `ends`.
+    crcs: Vec<u32>,
     /// Optional read-through document cache (see [`DocCache`]).
     cache: Option<DocCache>,
 }
@@ -306,41 +269,11 @@ impl DiskCorpus {
         let idx = File::open(&idx_path)
             .map_err(|e| Error::io(format!("open {}", idx_path.display()), e))?;
         let mut r = BufReader::new(idx);
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)
-            .map_err(|e| Error::io("read magic", e))?;
-        if &magic != MAGIC {
-            return Err(Error::Corrupt(format!(
-                "bad magic in {}: {magic:?}",
-                idx_path.display()
-            )));
-        }
-        let mut buf4 = [0u8; 4];
-        r.read_exact(&mut buf4)
-            .map_err(|e| Error::io("read version", e))?;
-        let version = u32::from_le_bytes(buf4);
-        if version == 0 || version > VERSION {
-            return Err(Error::Corrupt(format!(
-                "unsupported corpus version {version}"
-            )));
-        }
+        let count = read_header(&mut r, &idx_path)? as usize;
         let mut buf8 = [0u8; 8];
-        r.read_exact(&mut buf8)
-            .map_err(|e| Error::io("read count", e))?;
-        let count = u64::from_le_bytes(buf8) as usize;
-        if version >= 2 {
-            let count_bytes = buf8;
-            r.read_exact(&mut buf4)
-                .map_err(|e| Error::io("read count CRC", e))?;
-            if u32::from_le_bytes(buf4) != crc32(&count_bytes) {
-                return Err(Error::Corrupt(format!(
-                    "unit count fails its CRC in {}",
-                    idx_path.display()
-                )));
-            }
-        }
+        let mut buf4 = [0u8; 4];
         let mut ends = Vec::with_capacity(count);
-        let mut crcs = (version >= 2).then(|| Vec::with_capacity(count));
+        let mut crcs = Vec::with_capacity(count);
         let mut prev = 0u64;
         for i in 0..count {
             r.read_exact(&mut buf8)
@@ -353,11 +286,9 @@ impl DiskCorpus {
             }
             ends.push(end);
             prev = end;
-            if let Some(crcs) = &mut crcs {
-                r.read_exact(&mut buf4)
-                    .map_err(|e| Error::io(format!("read unit CRC {i}"), e))?;
-                crcs.push(u32::from_le_bytes(buf4));
-            }
+            r.read_exact(&mut buf4)
+                .map_err(|e| Error::io(format!("read unit CRC {i}"), e))?;
+            crcs.push(u32::from_le_bytes(buf4));
         }
         let data_path = dir.join(DATA_FILE);
         let data_len = std::fs::metadata(&data_path)
@@ -380,21 +311,11 @@ impl DiskCorpus {
         })
     }
 
-    /// Whether the store carries per-unit checksums (format v2+). Legacy
-    /// v1 stores stay readable; `free fsck` reports them as an advisory.
-    pub fn checksummed(&self) -> bool {
-        self.crcs.is_some()
-    }
-
     /// Re-reads every unit sequentially and checks its stored CRC32,
-    /// returning one `(id, detail)` pair per corrupted unit. Empty on a
-    /// clean store; always empty for legacy v1 stores (nothing to check).
-    /// This is `free fsck`'s offline scan — the hot [`Corpus::scan`] path
-    /// deliberately skips these checks.
+    /// returning one `(id, detail)` pair per corrupted unit; empty on a
+    /// clean store. This is `free fsck`'s offline scan — the hot
+    /// [`Corpus::scan`] path deliberately skips these checks.
     pub fn verify_units(&self) -> Result<Vec<(DocId, String)>> {
-        let Some(crcs) = &self.crcs else {
-            return Ok(Vec::new());
-        };
         let file = File::open(&self.data_path)
             .map_err(|e| Error::io(format!("open {}", self.data_path.display()), e))?;
         let mut r = BufReader::with_capacity(1 << 20, file);
@@ -407,12 +328,12 @@ impl DiskCorpus {
                 .map_err(|e| Error::io(format!("verify data unit {i}"), e))?;
             prev = end;
             let actual = crc32(&buf);
-            if actual != crcs[i] {
+            if actual != self.crcs[i] {
                 bad.push((
                     i as DocId,
                     format!(
                         "data unit {i} fails its CRC (stored {:08x}, actual {actual:08x})",
-                        crcs[i]
+                        self.crcs[i]
                     ),
                 ));
             }
@@ -453,13 +374,11 @@ impl Corpus for DiskCorpus {
         self.data
             .read_exact_at(&mut buf, start)
             .map_err(|e| Error::io(format!("read data unit {id}"), e))?;
-        if let Some(crcs) = &self.crcs {
-            if crc32(&buf) != crcs[id as usize] {
-                return Err(Error::Corrupt(format!(
-                    "data unit {id} fails its CRC in {}",
-                    self.data_path.display()
-                )));
-            }
+        if crc32(&buf) != self.crcs[id as usize] {
+            return Err(Error::Corrupt(format!(
+                "data unit {id} fails its CRC in {}",
+                self.data_path.display()
+            )));
         }
         if let Some(cache) = &self.cache {
             cache.insert(id, std::sync::Arc::new(buf.clone()));
@@ -692,37 +611,27 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Hand-crafts a version-1 store (8-byte entries, no CRCs).
-    fn write_v1_store(dir: &Path, docs: &[&[u8]]) {
-        std::fs::create_dir_all(dir).unwrap();
-        let mut data = Vec::new();
-        let mut idx = Vec::new();
-        idx.extend_from_slice(MAGIC);
-        idx.extend_from_slice(&1u32.to_le_bytes());
-        idx.extend_from_slice(&(docs.len() as u64).to_le_bytes());
-        for d in docs {
-            data.extend_from_slice(d);
-            idx.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        }
-        std::fs::write(dir.join(DATA_FILE), data).unwrap();
-        std::fs::write(dir.join(INDEX_FILE), idx).unwrap();
-    }
-
     #[test]
-    fn version1_stores_still_readable_and_appendable() {
-        let dir = tmpdir("v1compat");
-        write_v1_store(&dir, &[b"legacy one", b"legacy two"]);
-        let c = DiskCorpus::open(&dir).unwrap();
-        assert!(!c.checksummed());
-        assert_eq!(c.get(0).unwrap(), b"legacy one");
-        assert_eq!(c.get(1).unwrap(), b"legacy two");
-        assert!(c.verify_units().unwrap().is_empty());
-        // Appends keep the file's own (v1) format self-consistent.
-        let mut w = CorpusWriter::open_append(&dir).unwrap();
-        w.append(b"appended").unwrap();
-        let c = w.finish().unwrap();
-        assert!(!c.checksummed());
-        assert_eq!(c.get(2).unwrap(), b"appended");
+    fn other_versions_are_rejected() {
+        let dir = tmpdir("oneversion");
+        let mut w = CorpusWriter::create(&dir).unwrap();
+        w.append(b"doc").unwrap();
+        drop(w.finish().unwrap());
+        let good = std::fs::read(dir.join(INDEX_FILE)).unwrap();
+        for version in [1u32, 3] {
+            let mut idx = good.clone();
+            idx[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(dir.join(INDEX_FILE), &idx).unwrap();
+            for err in [
+                DiskCorpus::open(&dir).err(),
+                CorpusWriter::open_append(&dir).err(),
+            ] {
+                assert!(
+                    matches!(&err, Some(Error::Corrupt(m)) if m.contains("unsupported format, rebuild")),
+                    "version {version}: {err:?}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -732,7 +641,7 @@ mod tests {
         let mut w = CorpusWriter::create(&dir).unwrap();
         w.append(b"guarded bytes").unwrap();
         let c = w.finish().unwrap();
-        assert!(c.checksummed());
+        assert_eq!(c.crcs, vec![crc32(b"guarded bytes")]);
         assert!(c.verify_units().unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }

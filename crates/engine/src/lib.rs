@@ -45,7 +45,9 @@ pub mod grams;
 pub mod metrics;
 pub mod plan;
 pub mod qlog;
-pub mod select;
+/// Index key selection: the strategies live in the `free-select` crate
+/// behind [`GramSelector`]; the engine re-exports it under its old name.
+pub use free_select as select;
 
 mod engine;
 

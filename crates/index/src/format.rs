@@ -6,10 +6,12 @@
 //! +--------------------------------------------------------------+
 //! | directory: for each key, in lexicographic order:             |
 //! |   key_len varint | key bytes | doc_count varint              |
-//! |   encoding u8 (v2+) | postings_len varint                    |
+//! |   encoding u8 | postings_len varint                          |
 //! |   (offsets are implicit prefix sums)                         |
 //! +--------------------------------------------------------------+
 //! | postings section: concatenated encoded postings lists        |
+//! +--------------------------------------------------------------+
+//! | footer: magic "FREESUM1" | meta_crc u32 | postings_crc u32   |
 //! +--------------------------------------------------------------+
 //! ```
 //!
@@ -18,24 +20,18 @@
 //! of a complete n-gram index's keys), so key lookups never touch disk and
 //! I/O is spent only on the postings actually needed by a query.
 //!
-//! Version 2 stores each list in one of two encodings, tagged per
-//! directory entry: short lists stay plain delta-varint, while lists
-//! longer than one block are stored as [`BlockedPostings`] (skip table +
+//! Each list is stored in one of two encodings, tagged per directory
+//! entry: short lists stay plain delta-varint, while lists longer than
+//! one block are stored as [`BlockedPostings`] (skip table +
 //! independently decodable blocks), so [`IndexReader::cursor`] can `seek`
 //! across them without decoding everything.
-//!
-//! Version 3 appends a 16-byte footer after the postings section:
-//!
-//! ```text
-//! | footer magic "FREESUM1" | meta_crc u32 | postings_crc u32 |
-//! ```
 //!
 //! `meta_crc` is the CRC32 of the header plus directory, verified on
 //! every open (those bytes are read into memory anyway); `postings_crc`
 //! covers the whole postings section and is verified offline by
 //! [`IndexReader::verify`] (`free fsck`), so the open path stays O(dir).
-//! Version 1 (all plain, no tags) and version 2 (no footer) files are
-//! still readable; fsck reports them as an advisory, not an error.
+//! The version is 3 and no other is accepted: a file that says otherwise
+//! is damaged or foreign, and the answer to both is to rebuild it.
 
 use crate::blocked::{BlockedPostings, BLOCK_SIZE};
 use crate::cursor::{PostingsCursor, SliceCursor};
@@ -53,7 +49,7 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"FREEIDX1";
 const VERSION: u32 = 3;
 
-/// Magic introducing the version-3 checksum footer.
+/// Magic introducing the checksum footer.
 const FOOTER_MAGIC: &[u8; 8] = b"FREESUM1";
 /// Total footer size: magic + meta CRC + postings CRC.
 const FOOTER_LEN: u64 = 16;
@@ -232,9 +228,9 @@ pub struct IndexReader {
     num_postings: u64,
     key_bytes: u64,
     postings_bytes: u64,
-    /// Expected CRC of the postings section (`None` for pre-v3 files).
-    /// Checked by [`IndexReader::verify`], not on the query path.
-    postings_crc: Option<u32>,
+    /// Expected CRC of the postings section. Checked by
+    /// [`IndexReader::verify`], not on the query path.
+    postings_crc: u32,
 }
 
 /// What a [`VerifyIssue`] is about, so callers (fsck) can map each issue
@@ -282,15 +278,26 @@ impl IndexReader {
             return Err(Error::Corrupt(format!("bad magic in {}", path.display())));
         }
         let version = u32::from_le_bytes(header[8..12].try_into().expect("fixed size"));
-        // v1 (all lists plain) is still readable; v2 adds the per-entry
-        // encoding tag.
-        if version == 0 || version > VERSION {
+        if version != VERSION {
             return Err(Error::Corrupt(format!(
-                "unsupported index version {version}"
+                "{}: unsupported format, rebuild (index version {version}, expected {VERSION})",
+                path.display()
             )));
         }
         let num_keys = u64::from_le_bytes(header[12..20].try_into().expect("fixed size"));
         let dir_bytes = u64::from_le_bytes(header[20..28].try_into().expect("fixed size"));
+        let file_len = file
+            .metadata()
+            .map_err(|e| Error::io("stat index", e))?
+            .len();
+        // Both sizes are allocated below, before the CRC that covers them
+        // can be located; an entry takes at least four directory bytes.
+        if dir_bytes > file_len || num_keys > dir_bytes {
+            return Err(Error::Corrupt(format!(
+                "header of {} claims {num_keys} keys in {dir_bytes} directory bytes; the file has {file_len}",
+                path.display()
+            )));
+        }
         let mut dir = vec![0u8; dir_bytes as usize];
         file.read_exact(&mut dir)
             .map_err(|e| Error::io("read directory", e))?;
@@ -313,20 +320,14 @@ impl IndexReader {
             cursor = &cursor[key_len as usize..];
             let (doc_count, used) = varint::decode(cursor)?;
             cursor = &cursor[used..];
-            let blocked = if version >= 2 {
-                let enc = *cursor
-                    .first()
-                    .ok_or_else(|| Error::Corrupt(format!("truncated encoding tag, key {i}")))?;
-                cursor = &cursor[1..];
-                match enc {
-                    ENC_PLAIN => false,
-                    ENC_BLOCKED => true,
-                    other => {
-                        return Err(Error::Corrupt(format!("unknown postings encoding {other}")))
-                    }
-                }
-            } else {
-                false
+            let enc = *cursor
+                .first()
+                .ok_or_else(|| Error::Corrupt(format!("truncated encoding tag, key {i}")))?;
+            cursor = &cursor[1..];
+            let blocked = match enc {
+                ENC_PLAIN => false,
+                ENC_BLOCKED => true,
+                other => return Err(Error::Corrupt(format!("unknown postings encoding {other}"))),
             };
             let (plen, used) = varint::decode(cursor)?;
             cursor = &cursor[used..];
@@ -347,44 +348,33 @@ impl IndexReader {
         if !cursor.is_empty() {
             return Err(Error::Corrupt("trailing bytes in directory".into()));
         }
-        let file_len = file
-            .metadata()
-            .map_err(|e| Error::io("stat index", e))?
-            .len();
-        let footer_len = if version >= 3 { FOOTER_LEN } else { 0 };
-        if postings_start + offset + footer_len > file_len {
+        if postings_start + offset + FOOTER_LEN > file_len {
             return Err(Error::Corrupt(format!(
                 "postings section truncated: need {} bytes, file has {}",
-                postings_start + offset + footer_len,
+                postings_start + offset + FOOTER_LEN,
                 file_len
             )));
         }
-        let postings_crc = if version >= 3 {
-            let mut footer = [0u8; FOOTER_LEN as usize];
-            file.read_exact_at(&mut footer, postings_start + offset)
-                .map_err(|e| Error::io("read footer", e))?;
-            if &footer[..8] != FOOTER_MAGIC {
-                return Err(Error::Corrupt(format!(
-                    "bad footer magic in {}",
-                    path.display()
-                )));
-            }
-            let meta_crc = u32::from_le_bytes(footer[8..12].try_into().expect("fixed size"));
-            let mut crc = Crc32::new();
-            crc.update(&header);
-            crc.update(&dir);
-            if crc.finish() != meta_crc {
-                return Err(Error::Corrupt(format!(
-                    "header/directory checksum mismatch in {}",
-                    path.display()
-                )));
-            }
-            Some(u32::from_le_bytes(
-                footer[12..16].try_into().expect("fixed size"),
-            ))
-        } else {
-            None
-        };
+        let mut footer = [0u8; FOOTER_LEN as usize];
+        file.read_exact_at(&mut footer, postings_start + offset)
+            .map_err(|e| Error::io("read footer", e))?;
+        if &footer[..8] != FOOTER_MAGIC {
+            return Err(Error::Corrupt(format!(
+                "bad footer magic in {}",
+                path.display()
+            )));
+        }
+        let meta_crc = u32::from_le_bytes(footer[8..12].try_into().expect("fixed size"));
+        let mut crc = Crc32::new();
+        crc.update(&header);
+        crc.update(&dir);
+        if crc.finish() != meta_crc {
+            return Err(Error::Corrupt(format!(
+                "header/directory checksum mismatch in {}",
+                path.display()
+            )));
+        }
+        let postings_crc = u32::from_le_bytes(footer[12..16].try_into().expect("fixed size"));
         Ok(IndexReader {
             file,
             postings_start,
@@ -397,15 +387,8 @@ impl IndexReader {
         })
     }
 
-    /// Whether this file carries version-3 checksums. Pre-v3 files open
-    /// fine but [`IndexReader::verify`] can only run semantic checks on
-    /// them; fsck reports that as an advisory.
-    pub fn checksummed(&self) -> bool {
-        self.postings_crc.is_some()
-    }
-
     /// Exhaustively verifies the file: streams the postings section
-    /// against its recorded CRC (v3+), then decodes every entry and
+    /// against its recorded CRC, then decodes every entry and
     /// checks doc-id monotonicity, skip-table consistency, and directory
     /// doc counts. When `doc_bound` is given, doc ids must be `< bound`.
     ///
@@ -414,30 +397,28 @@ impl IndexReader {
     /// errors still abort with `Err`.
     pub fn verify(&self, doc_bound: Option<DocId>) -> Result<Vec<VerifyIssue>> {
         let mut issues = Vec::new();
-        if let Some(expected) = self.postings_crc {
-            let mut crc = Crc32::new();
-            let mut buf = vec![0u8; 1 << 20];
-            let mut pos = self.postings_start;
-            let mut remaining = self.postings_bytes;
-            while remaining > 0 {
-                let n = remaining.min(buf.len() as u64) as usize;
-                self.file
-                    .read_exact_at(&mut buf[..n], pos)
-                    .map_err(|e| Error::io("read postings for verify", e))?;
-                crc.update(&buf[..n]);
-                pos += n as u64;
-                remaining -= n as u64;
-            }
-            let actual = crc.finish();
-            if actual != expected {
-                issues.push(VerifyIssue {
-                    kind: VerifyIssueKind::Checksum,
-                    key: None,
-                    detail: format!(
-                        "postings section checksum mismatch: stored {expected:#010x}, computed {actual:#010x}"
-                    ),
-                });
-            }
+        let mut crc = Crc32::new();
+        let mut buf = vec![0u8; 1 << 20];
+        let mut pos = self.postings_start;
+        let mut remaining = self.postings_bytes;
+        while remaining > 0 {
+            let n = remaining.min(buf.len() as u64) as usize;
+            self.file
+                .read_exact_at(&mut buf[..n], pos)
+                .map_err(|e| Error::io("read postings for verify", e))?;
+            crc.update(&buf[..n]);
+            pos += n as u64;
+            remaining -= n as u64;
+        }
+        let (expected, actual) = (self.postings_crc, crc.finish());
+        if actual != expected {
+            issues.push(VerifyIssue {
+                kind: VerifyIssueKind::Checksum,
+                key: None,
+                detail: format!(
+                    "postings section checksum mismatch: stored {expected:#010x}, computed {actual:#010x}"
+                ),
+            });
         }
         for key in &self.sorted_keys {
             let e = self.entries[key];
@@ -611,6 +592,23 @@ mod tests {
         std::env::temp_dir().join(format!("free-index-{name}-{}.idx", std::process::id()))
     }
 
+    /// Hand-assembles an index file around one directory and postings
+    /// section, with a footer whose CRCs are right for those bytes.
+    fn craft(version: u32, num_keys: u64, dir: &[u8], postings: &[u8]) -> Vec<u8> {
+        let mut file = Vec::new();
+        file.extend_from_slice(MAGIC);
+        file.extend_from_slice(&version.to_le_bytes());
+        file.extend_from_slice(&num_keys.to_le_bytes());
+        file.extend_from_slice(&(dir.len() as u64).to_le_bytes());
+        file.extend_from_slice(dir);
+        let meta_crc = free_checksum::crc32(&file);
+        file.extend_from_slice(postings);
+        file.extend_from_slice(FOOTER_MAGIC);
+        file.extend_from_slice(&meta_crc.to_le_bytes());
+        file.extend_from_slice(&free_checksum::crc32(postings).to_le_bytes());
+        file
+    }
+
     #[test]
     fn roundtrip() {
         let path = tmpfile("roundtrip");
@@ -737,56 +735,58 @@ mod tests {
     }
 
     #[test]
-    fn version1_files_still_readable() {
-        // Hand-craft a v1 file: directory entries have no encoding tag.
-        let path = tmpfile("v1compat");
+    fn only_version_3_opens() {
+        let path = tmpfile("oneversion");
         let postings = Postings::from_sorted(&[3, 9, 27]);
         let mut dir = Vec::new();
-        varint::encode(2, &mut dir); // key_len
+        varint::encode(2, &mut dir);
         dir.extend_from_slice(b"ab");
         varint::encode(postings.len() as u64, &mut dir);
+        dir.push(ENC_PLAIN);
         varint::encode(postings.encoded().len() as u64, &mut dir);
-        let mut file = Vec::new();
-        file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&1u32.to_le_bytes());
-        file.extend_from_slice(&1u64.to_le_bytes());
-        file.extend_from_slice(&(dir.len() as u64).to_le_bytes());
-        file.extend_from_slice(&dir);
-        file.extend_from_slice(postings.encoded());
-        std::fs::write(&path, &file).unwrap();
+        // Internally consistent files (right CRCs for their own bytes)
+        // that merely claim another generation.
+        for version in [1u32, 2, 4] {
+            std::fs::write(&path, craft(version, 1, &dir, postings.encoded())).unwrap();
+            let err = IndexReader::open(&path).err().expect("must not open");
+            assert!(
+                matches!(&err, Error::Corrupt(m) if m.contains("unsupported format, rebuild")),
+                "version {version}: {err}"
+            );
+        }
+        std::fs::write(&path, craft(VERSION, 1, &dir, postings.encoded())).unwrap();
         let r = IndexReader::open(&path).unwrap();
         assert_eq!(r.postings(b"ab").unwrap().unwrap(), vec![3, 9, 27]);
-        let mut c = r.cursor(b"ab").unwrap().unwrap();
-        assert_eq!(c.seek(9).unwrap(), Some(9));
+        // A written v3 file whose version field rots to 2 must not fall
+        // back to a reader that skips the footer.
+        let mut w = IndexWriter::create(&path).unwrap();
+        w.add(b"key", &Postings::from_sorted(&[7, 8])).unwrap();
+        drop(w.finish().unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(IndexReader::open(&path), Err(Error::Corrupt(_))));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn rejects_future_version_and_bad_encoding() {
         let path = tmpfile("futurever");
-        let mut file = Vec::new();
-        file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&99u32.to_le_bytes());
-        file.extend_from_slice(&0u64.to_le_bytes());
-        file.extend_from_slice(&0u64.to_le_bytes());
-        std::fs::write(&path, &file).unwrap();
+        std::fs::write(&path, craft(99, 0, &[], &[])).unwrap();
         assert!(matches!(IndexReader::open(&path), Err(Error::Corrupt(_))));
-        // v2 entry with an unknown encoding tag.
+        // An entry with an unknown encoding tag.
         let mut dir = Vec::new();
         varint::encode(1, &mut dir);
         dir.push(b'k');
         varint::encode(1, &mut dir); // doc_count
         dir.push(7); // bogus encoding
         varint::encode(1, &mut dir); // payload len
-        let mut file = Vec::new();
-        file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&2u32.to_le_bytes());
-        file.extend_from_slice(&1u64.to_le_bytes());
-        file.extend_from_slice(&(dir.len() as u64).to_le_bytes());
-        file.extend_from_slice(&dir);
-        file.push(0);
-        std::fs::write(&path, &file).unwrap();
-        assert!(matches!(IndexReader::open(&path), Err(Error::Corrupt(_))));
+        std::fs::write(&path, craft(VERSION, 1, &dir, &[0])).unwrap();
+        let err = IndexReader::open(&path).err().expect("must not open");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("encoding 7")),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -798,7 +798,6 @@ mod tests {
         w.add(b"long", &Postings::from_sorted(&ids)).unwrap();
         w.add(b"short", &Postings::from_sorted(&[1, 4])).unwrap();
         let r = w.finish().unwrap();
-        assert!(r.checksummed());
         assert!(r.verify(Some(6_000)).unwrap().is_empty());
         // doc_bound below the max id is reported as a range issue.
         let issues = r.verify(Some(10)).unwrap();
@@ -856,32 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_versions_open_without_checksums() {
-        // A v2 file (no footer) must still open, report !checksummed(),
-        // and verify() runs the semantic checks only.
-        let path = tmpfile("v2legacy");
-        let postings = Postings::from_sorted(&[3, 9, 27]);
-        let mut dir = Vec::new();
-        varint::encode(2, &mut dir);
-        dir.extend_from_slice(b"ab");
-        varint::encode(postings.len() as u64, &mut dir);
-        dir.push(ENC_PLAIN);
-        varint::encode(postings.encoded().len() as u64, &mut dir);
-        let mut file = Vec::new();
-        file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&2u32.to_le_bytes());
-        file.extend_from_slice(&1u64.to_le_bytes());
-        file.extend_from_slice(&(dir.len() as u64).to_le_bytes());
-        file.extend_from_slice(&dir);
-        file.extend_from_slice(postings.encoded());
-        std::fs::write(&path, &file).unwrap();
-        let r = IndexReader::open(&path).unwrap();
-        assert!(!r.checksummed());
-        assert!(r.verify(Some(100)).unwrap().is_empty());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn verify_flags_non_ascending_plain_postings() {
         // Zero deltas after the first id decode "successfully" into
         // duplicate doc ids; verify() must catch what decode() tolerates.
@@ -895,14 +868,7 @@ mod tests {
         varint::encode(2, &mut dir); // doc_count
         dir.push(ENC_PLAIN);
         varint::encode(enc.len() as u64, &mut dir);
-        let mut file = Vec::new();
-        file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&2u32.to_le_bytes());
-        file.extend_from_slice(&1u64.to_le_bytes());
-        file.extend_from_slice(&(dir.len() as u64).to_le_bytes());
-        file.extend_from_slice(&dir);
-        file.extend_from_slice(&enc);
-        std::fs::write(&path, &file).unwrap();
+        std::fs::write(&path, craft(VERSION, 1, &dir, &enc)).unwrap();
         let r = IndexReader::open(&path).unwrap();
         let issues = r.verify(None).unwrap();
         assert!(issues.iter().any(|i| i.kind == VerifyIssueKind::Order));

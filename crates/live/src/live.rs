@@ -30,11 +30,10 @@ pub const TOMBSTONES_FILE: &str = "tombstones.log";
 /// Sealed-segments directory name.
 pub const SEGMENTS_DIR: &str = "segments";
 
-/// Version-2 tombstone-log header line. Entries that follow are
+/// Tombstone-log header line. Entries that follow are
 /// `"<seq> <crc32-hex>"`, the CRC taken over the decimal sequence
-/// string, so a damaged digit can't silently resurrect (or delete) the
-/// wrong document. Headerless logs with bare `"<seq>"` lines are the
-/// legacy version-1 format and stay readable.
+/// string, so a damaged digit or a torn append can't silently resurrect
+/// (or delete) the wrong document. No other line shape is accepted.
 pub const TOMBSTONES_HEADER: &str = "FREETOMB 2";
 
 /// An LSM-style incrementally updatable index over the FREE engine.
@@ -758,7 +757,7 @@ impl LiveIndex {
 
     fn load_tombstones(&mut self) -> Result<()> {
         let path = self.dir.join(TOMBSTONES_FILE);
-        let (seqs, checksummed) = match read_tombstones(&path) {
+        let seqs = match read_tombstones(&path) {
             Ok(t) => t,
             Err(Error::NotFound(_)) => return Ok(()),
             Err(e) => return Err(e),
@@ -773,7 +772,7 @@ impl LiveIndex {
                 stale = true;
             }
         }
-        if stale || !checksummed {
+        if stale {
             self.rewrite_tombstones()?;
         }
         Ok(())
@@ -837,11 +836,11 @@ fn tombstone_line(seq: DocId) -> String {
 }
 
 /// Reads a tombstone log without opening the index. Returns the logged
-/// sequence numbers (in file order, so duplicates survive for callers
-/// that care) and whether every entry carried a valid version-2
-/// checksum. Entries with a checksum are verified; a mismatch is
-/// [`Error::Corrupt`]. Missing files map to [`Error::NotFound`].
-pub fn read_tombstones(path: &Path) -> Result<(Vec<DocId>, bool)> {
+/// sequence numbers in file order, so duplicates survive for callers
+/// that care. Every entry must be `<seq> <crc32-hex>` with a matching
+/// checksum; anything else (a bare number is what a torn append leaves)
+/// is [`Error::Corrupt`]. Missing files map to [`Error::NotFound`].
+pub fn read_tombstones(path: &Path) -> Result<Vec<DocId>> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -850,36 +849,30 @@ pub fn read_tombstones(path: &Path) -> Result<(Vec<DocId>, bool)> {
         Err(e) => return Err(Error::io(format!("read {}", path.display()), e)),
     };
     let mut seqs = Vec::new();
-    let mut checksummed = true;
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() || line == TOMBSTONES_HEADER {
             continue;
         }
-        let (digits, crc_hex) = match line.split_once(' ') {
-            Some(parts) => parts,
-            None => {
-                // Legacy bare-number entry: readable, but unprotected.
-                checksummed = false;
-                (line, "")
-            }
-        };
+        let (digits, crc_hex) = line.split_once(' ').ok_or_else(|| {
+            Error::Corrupt(format!(
+                "{}: unsupported format, rebuild (tombstone line {line:?} is not \"<seq> <crc32-hex>\")",
+                path.display()
+            ))
+        })?;
         let seq: DocId = digits
             .parse()
             .map_err(|_| Error::Corrupt(format!("bad tombstone line {line:?}")))?;
-        if !crc_hex.is_empty() {
-            let expected = u32::from_str_radix(crc_hex.trim(), 16)
-                .map_err(|_| Error::Corrupt(format!("bad tombstone checksum in {line:?}")))?;
-            let actual = free_checksum::crc32(digits.as_bytes());
-            if actual != expected {
-                return Err(Error::Corrupt(format!(
-                    "tombstone checksum mismatch in {line:?}"
-                )));
-            }
+        let expected = u32::from_str_radix(crc_hex.trim(), 16)
+            .map_err(|_| Error::Corrupt(format!("bad tombstone checksum in {line:?}")))?;
+        if free_checksum::crc32(digits.as_bytes()) != expected {
+            return Err(Error::Corrupt(format!(
+                "tombstone checksum mismatch in {line:?}"
+            )));
         }
         seqs.push(seq);
     }
-    Ok((seqs, checksummed))
+    Ok(seqs)
 }
 
 /// Segment ids with files under `seg_root` that the manifest does not

@@ -29,13 +29,12 @@ use std::path::{Path, PathBuf};
 
 /// Manifest file name inside the live index directory.
 pub const MANIFEST_FILE: &str = "live.manifest";
-/// Version-1 header: format magic plus version, no checksum.
-const HEADER_V1: &str = "FREELIVE 1";
-/// Version-2 header prefix; the rest of the line is the CRC32 of the
-/// manifest body (every byte after the header line) in lowercase hex.
-/// Putting the checksum in the *first* line means a torn or truncated
-/// rewrite is detected no matter where the damage lands.
-const HEADER_V2: &str = "FREELIVE 2 ";
+/// Header prefix (magic plus version, the only one accepted); the rest of
+/// the line is the CRC32 of the manifest body (every byte after the
+/// header line) in lowercase hex. Putting the checksum in the *first*
+/// line means a torn or truncated rewrite is detected no matter where the
+/// damage lands.
+const HEADER: &str = "FREELIVE 2 ";
 
 /// Committed description of one sealed segment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,13 +96,6 @@ impl Manifest {
 
     /// Loads and validates the manifest in `dir`.
     pub fn load(dir: &Path) -> Result<Manifest> {
-        Ok(Manifest::load_with_format(dir)?.0)
-    }
-
-    /// Loads the manifest and reports whether it carried a version-2
-    /// checksummed header (`false` for legacy version-1 manifests, which
-    /// remain fully readable; fsck downgrades that to an advisory).
-    pub fn load_with_format(dir: &Path) -> Result<(Manifest, bool)> {
         let path = Manifest::path(dir);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
@@ -112,29 +104,24 @@ impl Manifest {
             }
             Err(e) => return Err(Error::io(format!("read {}", path.display()), e)),
         };
-        let (first, body) = text
+        let (hex, body) = text
             .split_once('\n')
-            .ok_or_else(|| Error::Corrupt(format!("bad manifest header in {}", path.display())))?;
-        let checksummed = if first == HEADER_V1 {
-            false
-        } else if let Some(hex) = first.strip_prefix(HEADER_V2) {
-            let expected = u32::from_str_radix(hex.trim(), 16).map_err(|_| {
-                Error::Corrupt(format!("bad manifest checksum in {}", path.display()))
-            })?;
-            let actual = crc32(body.as_bytes());
-            if actual != expected {
-                return Err(Error::Corrupt(format!(
-                    "manifest checksum mismatch in {}: header says {expected:08x}, body is {actual:08x}",
+            .and_then(|(first, body)| Some((first.strip_prefix(HEADER)?, body)))
+            .ok_or_else(|| {
+                Error::Corrupt(format!(
+                    "{}: unsupported format, rebuild (no \"{HEADER}<crc32>\" header line)",
                     path.display()
-                )));
-            }
-            true
-        } else {
+                ))
+            })?;
+        let expected = u32::from_str_radix(hex.trim(), 16)
+            .map_err(|_| Error::Corrupt(format!("bad manifest checksum in {}", path.display())))?;
+        let actual = crc32(body.as_bytes());
+        if actual != expected {
             return Err(Error::Corrupt(format!(
-                "bad manifest header in {}",
+                "manifest checksum mismatch in {}: header says {expected:08x}, body is {actual:08x}",
                 path.display()
             )));
-        };
+        }
         let mut m = Manifest::new();
         for line in body.lines() {
             let line = line.trim();
@@ -168,11 +155,10 @@ impl Manifest {
             }
         }
         m.validate()?;
-        Ok((m, checksummed))
+        Ok(m)
     }
 
     /// Atomically writes the manifest into `dir` (temp file + rename).
-    /// Always writes the version-2 checksummed header.
     pub fn store(&self, dir: &Path) -> Result<()> {
         self.validate()?;
         let mut body = String::new();
@@ -189,7 +175,7 @@ impl Manifest {
                 s.id, s.first_seq, s.last_seq, s.num_docs
             ));
         }
-        let text = format!("{HEADER_V2}{:08x}\n{body}", crc32(body.as_bytes()));
+        let text = format!("{HEADER}{:08x}\n{body}", crc32(body.as_bytes()));
         let path = Manifest::path(dir);
         let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
         std::fs::write(&tmp, text).map_err(|e| Error::io(format!("write {}", tmp.display()), e))?;
@@ -317,8 +303,13 @@ mod tests {
     #[test]
     fn garbage_rejected() {
         let dir = tmpdir("garbage");
-        std::fs::write(Manifest::path(&dir), "not a manifest\n").unwrap();
-        assert!(matches!(Manifest::load(&dir), Err(Error::Corrupt(_))));
+        // Headerless: what every generation before `FREELIVE 2` looks like.
+        std::fs::write(Manifest::path(&dir), "generation=4\nwal_base=7\n").unwrap();
+        let err = Manifest::load(&dir).expect_err("must not load");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("unsupported format, rebuild")),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -328,9 +319,7 @@ mod tests {
         let mut m = Manifest::new();
         m.wal_base = 10;
         m.store(&dir).unwrap();
-        let (loaded, checksummed) = Manifest::load_with_format(&dir).unwrap();
-        assert_eq!(loaded, m);
-        assert!(checksummed);
+        assert_eq!(Manifest::load(&dir).unwrap(), m);
         // Flipping any body byte must fail the header CRC.
         let path = Manifest::path(&dir);
         let text = std::fs::read_to_string(&path).unwrap();
@@ -351,22 +340,6 @@ mod tests {
         m.store(&dir).unwrap();
         let loaded = Manifest::load(&dir).unwrap();
         assert_eq!(loaded.selector.as_deref(), Some("apriori:c=0.2"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn version1_manifests_still_load() {
-        let dir = tmpdir("v1compat");
-        std::fs::write(
-            Manifest::path(&dir),
-            "FREELIVE 1\ngeneration=4\nwal_base=7\nwal_epoch=2\nnext_segment_id=0\n",
-        )
-        .unwrap();
-        let (m, checksummed) = Manifest::load_with_format(&dir).unwrap();
-        assert!(!checksummed);
-        assert_eq!(m.generation, 4);
-        assert_eq!(m.wal_base, 7);
-        assert_eq!(m.wal_epoch, 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

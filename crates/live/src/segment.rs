@@ -20,11 +20,10 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Version-1 sequence-map magic: no checksum.
-const SEQS_MAGIC_V1: &[u8; 8] = b"FREESEQ1";
-/// Version-2 sequence-map magic: the file ends with a CRC32 (LE) over
-/// everything before it (magic, count, and the sequence words).
-const SEQS_MAGIC_V2: &[u8; 8] = b"FREESEQ2";
+/// Sequence-map magic (the only generation accepted): the file is the
+/// magic, a u64 count, the u32 sequence words, and a trailing CRC32 (LE)
+/// over everything before it.
+const SEQS_MAGIC: &[u8; 8] = b"FREESEQ2";
 
 /// Directory of the segment's corpus store.
 pub fn corpus_dir(seg_root: &Path, id: u64) -> PathBuf {
@@ -41,10 +40,10 @@ pub fn seqs_path(seg_root: &Path, id: u64) -> PathBuf {
     seg_root.join(format!("seg-{id}.seqs"))
 }
 
-/// Writes the local→global sequence map (version 2: trailing CRC32).
+/// Writes the local→global sequence map.
 pub fn write_seqs(path: &Path, seqs: &[DocId]) -> Result<()> {
     let mut buf = Vec::with_capacity(20 + seqs.len() * 4);
-    buf.extend_from_slice(SEQS_MAGIC_V2);
+    buf.extend_from_slice(SEQS_MAGIC);
     buf.extend_from_slice(&(seqs.len() as u64).to_le_bytes());
     for &s in seqs {
         buf.extend_from_slice(&s.to_le_bytes());
@@ -57,49 +56,42 @@ pub fn write_seqs(path: &Path, seqs: &[DocId]) -> Result<()> {
         .map_err(|e| Error::io(format!("write {}", path.display()), e))
 }
 
-/// Reads a local→global sequence map, validating strict ascent.
-pub fn read_seqs(path: &Path) -> Result<Vec<DocId>> {
-    Ok(read_seqs_with_format(path)?.0)
-}
-
-/// Reads a sequence map, reporting whether the file carried a version-2
-/// trailing checksum (`false` for legacy version-1 files).
+/// Reads a local→global sequence map, validating its checksum and
+/// strict ascent.
 // `unwrap`: every `try_into` takes a slice whose length was validated
-// against `expected_len` above.
+// against the count above.
 #[allow(clippy::unwrap_used)]
-pub fn read_seqs_with_format(path: &Path) -> Result<(Vec<DocId>, bool)> {
+pub fn read_seqs(path: &Path) -> Result<Vec<DocId>> {
     let mut f = File::open(path).map_err(|e| Error::io(format!("open {}", path.display()), e))?;
     let mut bytes = Vec::new();
     f.read_to_end(&mut bytes)
         .map_err(|e| Error::io(format!("read {}", path.display()), e))?;
-    if bytes.len() < 16 {
-        return Err(Error::Corrupt(format!("bad seqs file {}", path.display())));
+    if bytes.len() < 16 || &bytes[..8] != SEQS_MAGIC {
+        return Err(Error::Corrupt(format!(
+            "{}: unsupported format, rebuild (seqs file without the FREESEQ2 magic)",
+            path.display()
+        )));
     }
-    let checksummed = match &bytes[..8] {
-        m if m == SEQS_MAGIC_V2 => true,
-        m if m == SEQS_MAGIC_V1 => false,
-        _ => return Err(Error::Corrupt(format!("bad seqs file {}", path.display()))),
-    };
-    let count = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let expected_len = 16 + count * 4 + if checksummed { 4 } else { 0 };
-    if bytes.len() != expected_len {
+    let count = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    // Header, `count` four-byte words, and the CRC; compared without
+    // multiplying a count that damage may have made enormous.
+    let words = bytes.len().checked_sub(20).filter(|n| n % 4 == 0);
+    if words.map(|n| (n / 4) as u64) != Some(count) {
         return Err(Error::Corrupt(format!(
             "seqs file {} length mismatch",
             path.display()
         )));
     }
-    let body_end = 16 + count * 4;
-    if checksummed {
-        let stored = u32::from_le_bytes(bytes[body_end..].try_into().unwrap());
-        let actual = free_checksum::crc32(&bytes[..body_end]);
-        if stored != actual {
-            return Err(Error::Corrupt(format!(
-                "seqs file {} checksum mismatch: stored {stored:#010x}, computed {actual:#010x}",
-                path.display()
-            )));
-        }
+    let body_end = bytes.len() - 4;
+    let stored = u32::from_le_bytes(bytes[body_end..].try_into().unwrap());
+    let actual = free_checksum::crc32(&bytes[..body_end]);
+    if stored != actual {
+        return Err(Error::Corrupt(format!(
+            "seqs file {} checksum mismatch: stored {stored:#010x}, computed {actual:#010x}",
+            path.display()
+        )));
     }
-    let mut seqs = Vec::with_capacity(count);
+    let mut seqs = Vec::with_capacity(count as usize);
     let mut prev: Option<DocId> = None;
     for chunk in bytes[16..body_end].chunks_exact(4) {
         let s = DocId::from_le_bytes(chunk.try_into().unwrap());
@@ -114,7 +106,7 @@ pub fn read_seqs_with_format(path: &Path) -> Result<(Vec<DocId>, bool)> {
         prev = Some(s);
         seqs.push(s);
     }
-    Ok((seqs, checksummed))
+    Ok(seqs)
 }
 
 /// A sealed segment opened for reading.
@@ -278,9 +270,7 @@ mod tests {
         let dir = tmpdir("seqs");
         let path = dir.join("x.seqs");
         write_seqs(&path, &[3, 7, 8, 100]).unwrap();
-        let (seqs, checksummed) = read_seqs_with_format(&path).unwrap();
-        assert_eq!(seqs, vec![3, 7, 8, 100]);
-        assert!(checksummed);
+        assert_eq!(read_seqs(&path).unwrap(), vec![3, 7, 8, 100]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -296,22 +286,6 @@ mod tests {
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(read_seqs(&path), Err(Error::Corrupt(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn version1_seqs_still_readable() {
-        let dir = tmpdir("seqs-v1");
-        let path = dir.join("x.seqs");
-        let mut buf = Vec::new();
-        buf.extend_from_slice(SEQS_MAGIC_V1);
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        buf.extend_from_slice(&5u32.to_le_bytes());
-        buf.extend_from_slice(&9u32.to_le_bytes());
-        std::fs::write(&path, &buf).unwrap();
-        let (seqs, checksummed) = read_seqs_with_format(&path).unwrap();
-        assert_eq!(seqs, vec![5, 9]);
-        assert!(!checksummed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -194,6 +194,37 @@ fn tombstones_survive_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A delete of seq 42 that tears after its first byte leaves a bare `4`
+/// at the tail of the log. Opening must refuse that line rather than
+/// tombstone document 4, which nobody deleted, and must not rewrite the
+/// log.
+#[test]
+fn torn_tombstone_append_is_detected_not_misapplied() {
+    let dir = tmp_dir("tombstone-torn");
+    {
+        let mut live = LiveIndex::create(&dir, config()).unwrap();
+        let docs: Vec<Vec<u8>> = (0..50)
+            .map(|i| format!("document number {i}").into_bytes())
+            .collect();
+        let docs: Vec<&[u8]> = docs.iter().map(|d| &d[..]).collect();
+        live.add_batch(&docs).unwrap();
+        live.delete(7).unwrap();
+    }
+    let log = dir.join(free_live::TOMBSTONES_FILE);
+    let mut torn = std::fs::read(&log).unwrap();
+    torn.push(b'4');
+    std::fs::write(&log, &torn).unwrap();
+    let err = LiveIndex::open(&dir, config())
+        .err()
+        .expect("a torn tombstone log must not open");
+    assert!(
+        matches!(&err, Error::Corrupt(m) if m.contains("\"4\"")),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(&log).unwrap(), torn, "open must not repair");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn compact_merges_segments_and_drops_tombstones() {
     let dir = tmp_dir("compact");

@@ -1,7 +1,7 @@
 //! Corruption-injection property test for `free fsck`.
 //!
 //! The harness builds one realistic live-index fixture (two sealed
-//! segments, a non-empty WAL, a tombstone), then for each case flips a
+//! segments, a non-empty WAL, two tombstones), then for each case flips a
 //! bit, truncates, or extends a random byte range of a random on-disk
 //! artifact in a fresh copy, and asserts the safety contract:
 //!
@@ -10,7 +10,10 @@
 //! > and every probe query returns exactly the pristine results).
 //!
 //! A fault that slips past fsck *and* changes query results is the bug
-//! class this whole subsystem exists to rule out.
+//! class this whole subsystem exists to rule out. Random faults rarely
+//! land on the few bytes that choose how the rest of a file is read, so
+//! one deterministic test sweeps every header bit and every truncation
+//! length of the two line-oriented files.
 
 // Integration tests: unwraps in helper functions are assertions, the
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
@@ -104,9 +107,13 @@ fn fixture() -> &'static Fixture {
         live.flush().unwrap();
         live.add_batch(&docs[3..5]).unwrap();
         live.flush().unwrap();
-        // ...a tombstone, and one buffered doc so the WAL is non-empty.
-        live.delete(1).unwrap();
-        live.add(docs[5]).unwrap();
+        // ...buffered docs so the WAL is non-empty, and two tombstones:
+        // one in a sealed segment, one whose first digit names a live
+        // document the probes match (seq 1), so a delete torn after that
+        // digit is visible.
+        live.add_batch(&docs).unwrap();
+        live.delete(2).unwrap();
+        live.delete(10).unwrap();
         let reference = PATTERNS.iter().map(|p| probe(&live, p)).collect();
         drop(live);
 
@@ -196,29 +203,79 @@ proptest! {
             return Ok(());
         }
 
-        let report = fsck(&case_dir, &FsckOptions { deep: true, sample: 16 })
-            .expect("fsck itself must not fail on a recognizable directory");
-        if !report.has_errors() {
-            // fsck passed the state as sound, so the index must behave
-            // exactly like the pristine one (warnings/advisories — e.g. a
-            // stale tombstone — may legitimately fire without changing
-            // results). Reopening may repair benign damage; that's fine
-            // on this throwaway copy.
-            let live = LiveIndex::open(&case_dir, config())
-                .map_err(|e| TestCaseError::fail(format!(
-                    "fsck reported no errors for {} + {fault:?}, yet reopen failed: {e}",
-                    rel.display()
-                )))?;
-            for (pattern, want) in PATTERNS.iter().zip(&fixture.reference) {
-                let got = probe(&live, pattern);
-                prop_assert_eq!(
-                    &got, want,
-                    "fsck reported no errors for {} + {:?}, yet {:?} changed results",
-                    rel.display(), fault, pattern
-                );
+        detected_or_harmless(&case_dir, true)
+            .map_err(|e| TestCaseError::fail(format!("{} + {fault:?}: {e}", rel.display())))?;
+        std::fs::remove_dir_all(&case_dir).unwrap();
+    }
+}
+
+/// The oracle: fsck either reports an error for the damaged copy in
+/// `case_dir` (returns `Ok(true)`), or it passed the state as sound, in
+/// which case the index must behave exactly like the pristine one
+/// (warnings/advisories — e.g. a stale tombstone — may legitimately fire
+/// without changing results). Reopening may repair benign damage; that's
+/// fine on a throwaway copy.
+fn detected_or_harmless(case_dir: &Path, deep: bool) -> Result<bool, String> {
+    let report = fsck(case_dir, &FsckOptions { deep, sample: 16 })
+        .expect("fsck itself must not fail on a recognizable directory");
+    if report.has_errors() {
+        return Ok(true);
+    }
+    let live = LiveIndex::open(case_dir, config())
+        .map_err(|e| format!("fsck reported no errors, yet reopen failed: {e}"))?;
+    for (pattern, want) in PATTERNS.iter().zip(&fixture().reference) {
+        if &probe(&live, pattern) != want {
+            return Err(format!(
+                "fsck reported no errors, yet {pattern:?} changed results"
+            ));
+        }
+    }
+    Ok(false)
+}
+
+/// Every bit of every fixed-size header is covered by a magic, a version
+/// check or a CRC, so every single-bit flip there must be *detected*; and
+/// every truncation of the tombstone log and the manifest that cuts a
+/// line must be detected or harmless. Truncating the tombstone log at a
+/// line boundary drops whole, individually valid records, which per-line
+/// checksums cannot see (ROADMAP item 8a); those lengths are skipped.
+#[test]
+fn header_bits_and_line_truncations_are_detected() {
+    let fixture = fixture();
+    let case = |rel: &Path, fault: Fault| {
+        let case_dir = fresh_dir("sweep");
+        copy_dir(&fixture.dir, &case_dir);
+        assert!(inject(&case_dir.join(rel), fault));
+        let detected = detected_or_harmless(&case_dir, false)
+            .unwrap_or_else(|e| panic!("{} + {fault:?}: {e}", rel.display()));
+        std::fs::remove_dir_all(&case_dir).unwrap();
+        detected
+    };
+    for rel in &fixture.files {
+        let name = rel.file_name().unwrap().to_str().unwrap();
+        let header_len = match name {
+            "corpus.idx" => 24,
+            _ if name.ends_with(".idx") => 28,
+            _ if name.ends_with(".seqs") => 16,
+            _ => 0,
+        };
+        for offset in 0..header_len {
+            for bit in 0..8 {
+                let fault = Fault::BitFlip { offset, bit };
+                assert!(case(rel, fault), "{} + {fault:?} undetected", rel.display());
             }
         }
-        std::fs::remove_dir_all(&case_dir).unwrap();
+        if name == free_live::TOMBSTONES_FILE || name == free_live::manifest::MANIFEST_FILE {
+            let bytes = std::fs::read(fixture.dir.join(rel)).unwrap();
+            for offset in 0..bytes.len() {
+                let whole_lines =
+                    offset == 0 || bytes[offset - 1] == b'\n' || bytes[offset] == b'\n';
+                if name == free_live::TOMBSTONES_FILE && whole_lines {
+                    continue;
+                }
+                case(rel, Fault::Truncate { offset });
+            }
+        }
     }
 }
 
