@@ -64,7 +64,7 @@ pub struct EngineConfig {
     pub class_expand_limit: usize,
     /// Memory budget in bytes for the postings buffer of an on-disk build
     /// (4 bytes per posting). A key set whose postings exceed it is built
-    /// in several corpus scans over consecutive key ranges, with the same
+    /// one buffer at a time over consecutive key ranges, with the same
     /// resulting file (see [`build_index`](crate::build_index)).
     pub build_memory_budget: usize,
     /// Conjunction members whose estimated selectivity exceeds this are
@@ -87,6 +87,11 @@ pub struct EngineConfig {
     /// — single-threaded, so library users get deterministic scheduling
     /// unless they opt in. Results and logical cost counters are
     /// identical for every thread count; only wall-clock changes.
+    ///
+    /// This governs confirmation only. Builds (mining and the postings
+    /// scan) use the machine's available parallelism, whatever this says,
+    /// and write the same bytes on any number of cores (see
+    /// [`build_ranges`](crate::select::build_ranges)).
     pub num_threads: usize,
     /// Trace collector for build and query spans/events. The default is
     /// [`free_trace::Tracer::disabled`], which reduces every tracing hook

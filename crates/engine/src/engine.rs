@@ -11,7 +11,7 @@ use crate::select::{enumerate_complete, presuf_shell, selector_for, MiningStats,
 use crate::Error;
 use crate::Result;
 use free_corpus::Corpus;
-use free_index::{CountedPostings, IndexRead, IndexReader, IndexWriter, MemIndex};
+use free_index::{CountedPostings, CountedRange, IndexRead, IndexReader, IndexWriter, MemIndex};
 use free_regex::{Finder, Regex};
 use std::path::Path;
 use std::time::Instant;
@@ -118,15 +118,19 @@ pub fn select_keys<C: Corpus>(
     }
 }
 
+/// The Aho-Corasick automaton over `keys`, pattern `i` being `keys[i]`.
+fn matcher_for(keys: &[SelectedGram]) -> GramMatcher {
+    let patterns: Vec<&[u8]> = keys.iter().map(|g| &*g.gram).collect();
+    GramMatcher::new(&patterns)
+}
+
 /// One corpus scan that reports, in document order, every `(key, doc)`
-/// pair with `keys[key]` occurring in `doc`, each pair once.
+/// pair with pattern `key` of `matcher` occurring in `doc`, each pair once.
 fn scan_postings<C: Corpus>(
     corpus: &C,
-    keys: &[SelectedGram],
+    matcher: &mut GramMatcher,
     sink: &mut dyn FnMut(usize, free_corpus::DocId) -> Result<()>,
 ) -> Result<()> {
-    let patterns: Vec<&[u8]> = keys.iter().map(|g| &*g.gram).collect();
-    let mut matcher = GramMatcher::new(&patterns);
     let mut pending: Result<()> = Ok(());
     corpus.scan(&mut |doc, bytes| {
         let mut ok = true;
@@ -152,7 +156,9 @@ pub fn generate_postings<C: Corpus>(
     keys: &[SelectedGram],
     sink: &mut dyn FnMut(&[u8], free_corpus::DocId) -> Result<()>,
 ) -> Result<()> {
-    scan_postings(corpus, keys, &mut |key, doc| sink(&keys[key].gram, doc))
+    scan_postings(corpus, &mut matcher_for(keys), &mut |key, doc| {
+        sink(&keys[key].gram, doc)
+    })
 }
 
 /// Builds the index file for `keys` over `corpus` at `index_path` and
@@ -161,22 +167,46 @@ pub fn generate_postings<C: Corpus>(
 ///
 /// `keys` is a selector's output: sorted, and each `doc_count` exact
 /// (the [`GramSelector`](crate::GramSelector) contract). The counts size
-/// one [`CountedPostings`] buffer of 4 bytes per posting, a corpus scan
-/// fills it by key index, and it is written out in key order. If the
+/// one [`CountedPostings`] buffer of 4 bytes per posting, corpus scans
+/// fill it by key index, and it is written out in key order. If the
 /// buffer would exceed `memory_budget` bytes the keys are cut into
-/// consecutive ranges that fit (a lone key may exceed it), one scan each:
-/// ranges of a sorted dictionary are written in order, so the file is the
-/// same for any budget. Keys that break the contract make the build fail
-/// with [`free_index::Error::Corrupt`].
+/// consecutive waves that fit (a lone key may exceed it), one buffer
+/// each. A wave's keys are cut again into consecutive ranges of about
+/// equal postings, one per core the build may use
+/// ([`build_ranges`](crate::select::build_ranges)), scanned at once, each
+/// by its own thread with its own matcher into its own part of the
+/// buffer. Ranges of a sorted dictionary written in order make the same
+/// file for any budget or core count. Keys that break the contract make
+/// the build fail with [`free_index::Error::Corrupt`].
 pub fn build_index<C: Corpus>(
     corpus: &C,
     keys: &[SelectedGram],
     index_path: &Path,
     memory_budget: usize,
 ) -> Result<IndexReader> {
+    let ranges = crate::select::build_ranges(corpus.total_bytes());
+    let (index, _) = build_index_in(corpus, keys, index_path, memory_budget, ranges)?;
+    Ok(index)
+}
+
+/// [`build_index`] cutting each wave into `ranges` key ranges. Returns
+/// the index and the number of key ranges (corpus scans) it took.
+fn build_index_in<C: Corpus>(
+    corpus: &C,
+    keys: &[SelectedGram],
+    index_path: &Path,
+    memory_budget: usize,
+    ranges: usize,
+) -> Result<(IndexReader, usize)> {
     let mut writer = IndexWriter::create(index_path)?;
     let max_postings =
         (memory_budget / std::mem::size_of::<free_corpus::DocId>()).min(u32::MAX as usize) as u64;
+    let fill = |mut range: CountedRange<'_>, mut matcher: GramMatcher| -> Result<()> {
+        scan_postings(corpus, &mut matcher, &mut |key, doc| {
+            Ok(range.add(key, doc)?)
+        })
+    };
+    let mut scans = 0;
     let mut rest = keys;
     while !rest.is_empty() {
         // The keys before the first one that overflows the buffer, and
@@ -190,13 +220,65 @@ pub fn build_index<C: Corpus>(
             })
             .unwrap_or(rest.len())
             .max(1);
-        let (range, later) = rest.split_at(fit);
-        let mut counted = CountedPostings::new(range.iter().map(|g| g.doc_count))?;
-        scan_postings(corpus, range, &mut |key, doc| Ok(counted.add(key, doc)?))?;
-        counted.write_to(range.iter().map(|g| &*g.gram), &mut writer)?;
+        let (wave, later) = rest.split_at(fit);
+        let mut counted = CountedPostings::new(wave.iter().map(|g| g.doc_count))?;
+        let cuts = balanced_cuts(wave, ranges);
+        let bounds: Vec<usize> = (std::iter::once(0).chain(cuts.iter().copied()))
+            .chain([wave.len()])
+            .collect();
+        scans += bounds.len() - 1;
+        // The calling thread builds every matcher and scans the first
+        // range itself; the other threads only scan, and allocate nothing
+        // that outlives them (glibc keeps what a thread frees in that
+        // thread's own malloc arena).
+        let key_ranges = bounds.windows(2).map(|b| &wave[b[0]..b[1]]);
+        let mut parts = key_ranges.zip(counted.split_at_keys(&cuts));
+        let filled: Vec<Result<()>> = std::thread::scope(|s| {
+            let first = parts.next();
+            let others: Vec<_> = parts
+                .map(|(range, part)| {
+                    let matcher = matcher_for(range);
+                    s.spawn(move || fill(part, matcher))
+                })
+                .collect();
+            let first = first.map_or(Ok(()), |(range, part)| fill(part, matcher_for(range)));
+            std::iter::once(first)
+                .chain(
+                    others
+                        .into_iter()
+                        .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+                )
+                .collect()
+        });
+        filled.into_iter().collect::<Result<()>>()?;
+        counted.write_to(wave.iter().map(|g| &*g.gram), &mut writer)?;
         rest = later;
     }
-    Ok(writer.finish()?)
+    Ok((writer.finish()?, scans))
+}
+
+/// Where to cut the sorted `wave` into at most `ranges` consecutive key
+/// ranges of about equal postings: the first key of every range but the
+/// first. A range ends at the first key whose postings before it reach
+/// the next share; a key larger than a share takes the shares it spans.
+fn balanced_cuts(wave: &[SelectedGram], ranges: usize) -> Vec<usize> {
+    let total = u128::from(wave.iter().map(|g| u64::from(g.doc_count)).sum::<u64>());
+    let ranges = ranges as u128;
+    let mut cuts = Vec::new();
+    // Shares reached so far, plus one.
+    let mut share = 1u128;
+    let mut before = 0u128;
+    for (i, g) in wave.iter().enumerate() {
+        let reached = |share: u128| share < ranges && before * ranges >= total * share;
+        if total > 0 && i > 0 && reached(share) {
+            cuts.push(i);
+            while reached(share) {
+                share += 1;
+            }
+        }
+        before += u128::from(g.doc_count);
+    }
+    cuts
 }
 
 impl<C: Corpus> Engine<C, MemIndex> {
@@ -265,13 +347,15 @@ impl<C: Corpus> Engine<C, IndexReader> {
         let construct_start = Instant::now();
         let index = {
             let mut span = build_span.child("build.construct");
-            let index = build_index(
+            let (index, ranges) = build_index_in(
                 &corpus,
                 &keys,
                 index_path.as_ref(),
                 config.build_memory_budget,
+                crate::select::build_ranges(corpus.total_bytes()),
             )?;
             span.record("postings", index.stats().num_postings);
+            span.record("ranges", ranges);
             index
         };
         let construct_time = construct_start.elapsed();
@@ -600,6 +684,80 @@ mod tests {
         let mut a = mem.query("clinton").unwrap();
         assert_eq!(r.matching_docs().unwrap(), a.matching_docs().unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn any_number_of_key_ranges_writes_the_same_file() {
+        let dir = std::env::temp_dir().join(format!("free-engine-ranges-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let corpus = tiny_corpus();
+        let (keys, _) = select_keys(&corpus, &EngineConfig::default()).unwrap();
+        let build = |budget: usize, ranges: usize| {
+            let path = dir.join(format!("{budget}-{ranges}.free"));
+            let (_, scans) = build_index_in(&corpus, &keys, &path, budget, ranges).unwrap();
+            (std::fs::read(&path).unwrap(), scans)
+        };
+        let (want, _) = build(usize::MAX, 1);
+        for ranges in [1, 2, 4] {
+            let (bytes, scans) = build(free_index::builder::DEFAULT_MEMORY_BUDGET, ranges);
+            assert_eq!(scans, ranges, "one buffer cut into {ranges} ranges");
+            assert!(bytes == want, "{ranges} ranges, default budget");
+            // 1024 postings in flight: many buffers, each cut into ranges.
+            let (bytes, scans) = build(4096, ranges);
+            assert!(scans > 4 * ranges, "{scans} scans");
+            assert!(bytes == want, "{ranges} ranges, 4096-byte budget");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_traced_build_records_its_key_ranges() {
+        let dir = std::env::temp_dir().join(format!("free-engine-traced-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let corpus = tiny_corpus();
+        let ranges = crate::select::build_ranges(corpus.total_bytes());
+        let tracer = free_trace::Tracer::enabled();
+        let config = EngineConfig {
+            tracer: tracer.clone(),
+            ..EngineConfig::default()
+        };
+        Engine::build_on_disk(corpus, config, dir.join("idx.free")).unwrap();
+        let events = tracer.events();
+        let construct = (events.iter()).find(|e| {
+            e.name == "build.construct" && matches!(e.kind, free_trace::EventKind::SpanEnd { .. })
+        });
+        assert_eq!(
+            construct.and_then(|e| e.attr("ranges")),
+            Some(&free_trace::Value::U64(ranges as u64))
+        );
+        let pass = events.iter().find(|e| e.name == "mine.pass").unwrap();
+        assert!(pass.attr("ranges").is_some() && pass.attr("fold_us").is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn balanced_cuts_split_postings_evenly() {
+        let cut = |counts: &[u32], ranges: usize| -> Vec<usize> {
+            let keys: Vec<SelectedGram> = (counts.iter().enumerate())
+                .map(|(i, &doc_count)| SelectedGram {
+                    gram: vec![i as u8].into(),
+                    doc_count,
+                })
+                .collect();
+            balanced_cuts(&keys, ranges)
+        };
+        // Cut where half the postings are behind, not where a greedy fill
+        // of half would stop (30 | 30 | 40: a third scan).
+        assert_eq!(cut(&[30, 30, 40], 2), vec![2]);
+        assert_eq!(cut(&[30, 30, 40], 1), Vec::<usize>::new());
+        assert_eq!(cut(&[5; 8], 4), vec![2, 4, 6]);
+        // A key larger than a share takes the shares it spans.
+        assert_eq!(cut(&[1, 100, 1, 1], 4), vec![2]);
+        assert_eq!(cut(&[3], 4), Vec::<usize>::new());
+        assert_eq!(cut(&[0, 0, 0], 2), Vec::<usize>::new());
+        assert!(cut(&[], 2).is_empty());
     }
 
     #[test]

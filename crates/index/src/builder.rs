@@ -17,8 +17,9 @@
 //! [`IndexBuilder`] knows nothing about the keys in advance. A build that
 //! does — a sorted dictionary with exact document counts, which is what
 //! every gram selector returns — uses [`CountedPostings`] instead: one
-//! buffer sized from the counts, filled by key index, written in key
-//! order. No hashing, no sorting, no run files.
+//! buffer sized from the counts, filled by key index (by one scan per
+//! range of keys, several at once), written in key order. No hashing, no
+//! sorting, no run files.
 
 use crate::format::{IndexReader, IndexWriter};
 use crate::memindex::MemIndex;
@@ -275,6 +276,8 @@ fn merge_runs(readers: &mut [RunReader], writer: &mut IndexWriter) -> Result<()>
 /// corpus scan finds `(key, doc)` pairs; [`write_to`](Self::write_to)
 /// then streams it into an [`IndexWriter`] in key order. Memory is 4
 /// bytes per posting plus 8 per key, all of it in two allocations.
+/// [`split_at_keys`](Self::split_at_keys) cuts the keys into consecutive
+/// ranges that separate scans, on separate threads, fill at once.
 ///
 /// The counts are a promise made by whoever chose the keys. A pair beyond
 /// a key's count, a key left short, and documents out of order are all
@@ -290,6 +293,17 @@ pub struct CountedPostings {
 struct Span {
     next: u32,
     end: u32,
+}
+
+/// The keys of one range of a [`CountedPostings`], filled on their own;
+/// see [`CountedPostings::split_at_keys`].
+pub struct CountedRange<'a> {
+    /// Index of the range's first key in the whole dictionary.
+    first: usize,
+    spans: &'a mut [Span],
+    /// The range's part of the buffer, which starts at offset `base`.
+    docs: &'a mut [DocId],
+    base: u32,
 }
 
 impl CountedPostings {
@@ -315,31 +329,41 @@ impl CountedPostings {
     /// coalesces.
     #[inline]
     pub fn add(&mut self, key: usize, doc: DocId) -> Result<()> {
-        let start = match key.checked_sub(1) {
-            Some(prev) => self.spans[prev].end,
-            None => 0,
-        };
-        let span = &mut self.spans[key];
-        if span.next > start {
-            let last = self.docs[span.next as usize - 1];
-            if last == doc {
-                return Ok(());
-            }
-            if last > doc {
-                return Err(Error::Corrupt(format!(
-                    "documents out of order: {doc} after {last}"
-                )));
-            }
+        CountedRange {
+            first: 0,
+            spans: &mut self.spans,
+            docs: &mut self.docs,
+            base: 0,
         }
-        if span.next == span.end {
-            return Err(Error::Corrupt(format!(
-                "key {key} occurs in more than the {} document(s) its selector counted",
-                span.end - start
-            )));
+        .add(key, doc)
+    }
+
+    /// Cuts the keys before each of `cuts` from the keys after it: one
+    /// [`CountedRange`] per range of consecutive keys, which a scan fills
+    /// by key index counted from the range's first key, apart from (and
+    /// at the same time as) the other ranges.
+    ///
+    /// # Panics
+    ///
+    /// If `cuts` are not ascending key indices.
+    pub fn split_at_keys(&mut self, cuts: &[usize]) -> Vec<CountedRange<'_>> {
+        let keys = self.spans.len();
+        let mut ranges = Vec::with_capacity(cuts.len() + 1);
+        let (mut spans, mut docs) = (&mut self.spans[..], &mut self.docs[..]);
+        let (mut first, mut base) = (0, 0u32);
+        for &cut in cuts.iter().chain(std::iter::once(&keys)) {
+            let (these, rest) = std::mem::take(&mut spans).split_at_mut(cut - first);
+            let end = these.last().map_or(base, |s| s.end);
+            let (buffer, rest_docs) = std::mem::take(&mut docs).split_at_mut((end - base) as usize);
+            ranges.push(CountedRange {
+                first,
+                spans: these,
+                docs: buffer,
+                base,
+            });
+            (spans, docs, first, base) = (rest, rest_docs, cut, end);
         }
-        self.docs[span.next as usize] = doc;
-        span.next += 1;
-        Ok(())
+        ranges
     }
 
     /// Appends every key with its postings to `writer`. `keys` yields the
@@ -374,6 +398,40 @@ impl CountedPostings {
             }
             start = end;
         }
+        Ok(())
+    }
+}
+
+impl CountedRange<'_> {
+    /// Records that document `doc` contains the range's key number `key`,
+    /// as [`CountedPostings::add`] does.
+    #[inline]
+    pub fn add(&mut self, key: usize, doc: DocId) -> Result<()> {
+        let start = match key.checked_sub(1) {
+            Some(prev) => self.spans[prev].end,
+            None => self.base,
+        };
+        let span = &mut self.spans[key];
+        if span.next > start {
+            let last = self.docs[(span.next - 1 - self.base) as usize];
+            if last == doc {
+                return Ok(());
+            }
+            if last > doc {
+                return Err(Error::Corrupt(format!(
+                    "documents out of order: {doc} after {last}"
+                )));
+            }
+        }
+        if span.next == span.end {
+            return Err(Error::Corrupt(format!(
+                "key {} occurs in more than the {} document(s) its selector counted",
+                self.first + key,
+                span.end - start
+            )));
+        }
+        self.docs[(span.next - self.base) as usize] = doc;
+        span.next += 1;
         Ok(())
     }
 }
@@ -561,6 +619,52 @@ mod tests {
         assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
         std::fs::remove_file(&p1).unwrap();
         std::fs::remove_file(&p2).unwrap();
+    }
+
+    #[test]
+    fn key_ranges_filled_apart_write_the_same_file() {
+        let keys: Vec<String> = (0..25).map(|i| format!("key{i:02}")).collect();
+        let key_refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
+        let pairs: Vec<(usize, DocId)> = (0..400u32)
+            .flat_map(|doc| (0..(doc % 5) + 1).map(move |k| (((doc + k * 7) % 25) as usize, doc)))
+            .collect();
+        let mut counts = vec![0u32; keys.len()];
+        for &(key, _) in &pairs {
+            counts[key] += 1;
+        }
+        let (whole, apart) = (tmpfile("rangeswhole"), tmpfile("rangesapart"));
+        counted_index(&whole, &key_refs, &counts, &pairs).unwrap();
+        for cuts in [&[][..], &[1], &[7, 8, 20], &[0, 13, 25]] {
+            let mut counted = CountedPostings::new(counts.iter().copied()).unwrap();
+            let starts: Vec<usize> = std::iter::once(0).chain(cuts.iter().copied()).collect();
+            // Last range first: the ranges share nothing.
+            for (r, mut range) in counted.split_at_keys(cuts).into_iter().enumerate().rev() {
+                let end = cuts.get(r).copied().unwrap_or(keys.len());
+                for &(key, doc) in pairs.iter().filter(|p| (starts[r]..end).contains(&p.0)) {
+                    range.add(key - starts[r], doc).unwrap();
+                }
+            }
+            let mut writer = IndexWriter::create(&apart).unwrap();
+            counted
+                .write_to(key_refs.iter().copied(), &mut writer)
+                .unwrap();
+            writer.finish().unwrap();
+            assert_eq!(
+                std::fs::read(&apart).unwrap(),
+                std::fs::read(&whole).unwrap(),
+                "cuts {cuts:?}"
+            );
+        }
+        // A range names a key that breaks its count by its whole index.
+        let mut counted = CountedPostings::new([1, 1, 1]).unwrap();
+        let mut ranges = counted.split_at_keys(&[2]);
+        ranges[1].add(0, 4).unwrap();
+        match ranges[1].add(0, 5) {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains("key 2 occurs in more"), "{msg}"),
+            other => panic!("{:?}", other.err()),
+        }
+        std::fs::remove_file(&whole).unwrap();
+        std::fs::remove_file(&apart).unwrap();
     }
 
     #[test]

@@ -306,6 +306,7 @@ impl IndexReader {
         let mut entries =
             FxHashMap::with_capacity_and_hasher(num_keys as usize, Default::default());
         let mut sorted_keys = Vec::with_capacity(num_keys as usize);
+        let overflow = || Error::Corrupt(format!("{}: directory sizes overflow", path.display()));
         let mut cursor = &dir[..];
         let mut offset = 0u64;
         let mut num_postings = 0u64;
@@ -331,28 +332,37 @@ impl IndexReader {
             };
             let (plen, used) = varint::decode(cursor)?;
             cursor = &cursor[used..];
+            // The directory is not yet checked against its CRC: every
+            // size in it is untrusted.
+            let (Ok(doc_count32), Ok(len)) = (u32::try_from(doc_count), u32::try_from(plen)) else {
+                return Err(Error::Corrupt(format!(
+                    "key {i} claims {doc_count} postings in {plen} bytes"
+                )));
+            };
             entries.insert(
                 key.clone(),
                 DirEntry {
-                    doc_count: doc_count as u32,
+                    doc_count: doc_count32,
                     offset,
-                    len: plen as u32,
+                    len,
                     blocked,
                 },
             );
             sorted_keys.push(key);
-            offset += plen;
-            num_postings += doc_count;
+            offset = offset.checked_add(plen).ok_or_else(overflow)?;
+            num_postings = num_postings.checked_add(doc_count).ok_or_else(overflow)?;
             key_bytes += key_len;
         }
         if !cursor.is_empty() {
             return Err(Error::Corrupt("trailing bytes in directory".into()));
         }
-        if postings_start + offset + FOOTER_LEN > file_len {
+        let need = postings_start
+            .checked_add(offset)
+            .and_then(|n| n.checked_add(FOOTER_LEN))
+            .ok_or_else(overflow)?;
+        if need > file_len {
             return Err(Error::Corrupt(format!(
-                "postings section truncated: need {} bytes, file has {}",
-                postings_start + offset + FOOTER_LEN,
-                file_len
+                "postings section truncated: need {need} bytes, file has {file_len}"
             )));
         }
         let mut footer = [0u8; FOOTER_LEN as usize];
@@ -787,6 +797,36 @@ mod tests {
             matches!(&err, Error::Corrupt(m) if m.contains("encoding 7")),
             "{err}"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn directory_sizes_past_u32_are_corrupt_before_the_crc() {
+        let path = tmpfile("dirsizes");
+        let entry = |dir: &mut Vec<u8>, key: u8, doc_count: u64, plen: u64| {
+            varint::encode(1, dir);
+            dir.push(key);
+            varint::encode(doc_count, dir);
+            dir.push(ENC_PLAIN);
+            varint::encode(plen, dir);
+        };
+        // Two keys of 2^63 postings bytes each: their sum wrapped past
+        // 2^64 (a panic under overflow checks) while each was truncated
+        // to 0 by `as u32`; the header/directory CRC is checked after.
+        let mut dir = Vec::new();
+        entry(&mut dir, b'a', 1, 1 << 63);
+        entry(&mut dir, b'b', 1, 1 << 63);
+        std::fs::write(&path, craft(VERSION, 2, &dir, &[])).unwrap();
+        let err = IndexReader::open(&path).err().expect("must not open");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("claims 1 postings in 9223372036854775808 bytes")),
+            "{err}"
+        );
+        // A doc count that `as u32` would have cut to 0, CRCs intact.
+        let mut dir = Vec::new();
+        entry(&mut dir, b'a', 1 << 32, 1);
+        std::fs::write(&path, craft(VERSION, 1, &dir, &[0])).unwrap();
+        assert!(matches!(IndexReader::open(&path), Err(Error::Corrupt(_))));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -20,7 +20,8 @@
 //!   and a postings section read on demand.
 //! * [`builder`] — the paper's "generate postings, sort, construct" final
 //!   pass, twice: [`CountedPostings`] for a dictionary known in advance
-//!   (one exact-size buffer filled by key index), and [`IndexBuilder`]
+//!   (one exact-size buffer filled by key index, by several scans at once
+//!   over consecutive key ranges), and [`IndexBuilder`]
 //!   for an arbitrary `(gram, doc)` stream (sorted runs spilled to disk
 //!   and merged).
 
@@ -40,7 +41,7 @@ pub mod stats;
 pub mod varint;
 
 pub use blocked::{BlockedCursor, BlockedPostings};
-pub use builder::{CountedPostings, IndexBuilder};
+pub use builder::{CountedPostings, CountedRange, IndexBuilder};
 pub use cursor::{CursorStats, PostingsCursor, SliceCursor};
 pub use error::{Error, Result};
 pub use format::{IndexReader, IndexWriter, VerifyIssue, VerifyIssueKind};

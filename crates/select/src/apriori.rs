@@ -15,9 +15,10 @@
 //! optimistically (their immediate prefix's usefulness is unknown until
 //! the pass ends) and filtered level-by-level afterwards.
 
-use crate::counter::{count_pass, GramCounter, GramSet};
+use crate::counter::{count_ranges, GramCounter, GramSet};
 use crate::{Error, GramSelector, Result, SelectConfig, SelectedGram};
 use free_corpus::Corpus;
+use std::ops::Range;
 
 /// Statistics from a mining run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -90,6 +91,19 @@ pub(crate) fn mine_filtered(
     threshold_c: f64,
     filter: Option<GramFilter<'_>>,
 ) -> Result<Selection> {
+    let ranges = crate::build_ranges(corpus.total_bytes());
+    mine_in_ranges(corpus, config, threshold_c, filter, ranges)
+}
+
+/// [`mine_filtered`] with each pass counting `ranges` document ranges at
+/// once; the selection and its statistics are the same for any number.
+fn mine_in_ranges(
+    corpus: &dyn Corpus,
+    config: &SelectConfig,
+    threshold_c: f64,
+    filter: Option<GramFilter<'_>>,
+    ranges: usize,
+) -> Result<Selection> {
     config.validate()?;
     if !(0.0..=1.0).contains(&threshold_c) {
         return Err(Error::Config(format!(
@@ -100,7 +114,12 @@ pub(crate) fn mine_filtered(
     // floor(c * N): a gram is useful iff count <= threshold.
     let threshold = (threshold_c * n as f64).floor() as u32;
 
-    let mut useful: Vec<SelectedGram> = Vec::new();
+    // The minimal useful grams found so far, their bytes end to end in
+    // `useful_bytes`. Nothing is allocated per gram while the counters
+    // hold their tables, so the grams' allocations, which outlive the
+    // mining, are not left scattered between the tables' freed space.
+    let mut useful_bytes: Vec<u8> = Vec::new();
+    let mut useful: Vec<(Range<usize>, u32)> = Vec::new();
     let mut stats = MiningStats::default();
     // The grams confirmed useless at length `k-1`, to be extended: the
     // empty gram before the first pass.
@@ -108,6 +127,10 @@ pub(crate) fn mine_filtered(
     frontier.intern(0, &[]);
     let mut gram = Vec::new();
     let mut k = 1usize;
+    // One counter per document range, kept from pass to pass.
+    let mut counters: Vec<GramCounter> = (0..ranges.clamp(1, n.max(1)))
+        .map(|_| GramCounter::new())
+        .collect();
 
     while k <= config.max_gram_len && !frontier.is_empty() {
         let levels = config.lengths_per_pass.min(GramCounter::MAX_LEVELS);
@@ -118,8 +141,8 @@ pub(crate) fn mine_filtered(
         // (k-1)-prefix is in the frontier and that the filter accepts.
         // Grams longer than k are counted optimistically: whether their
         // immediate prefix is useless is only known once the scan ends.
-        let mut counter = GramCounter::new();
-        let bytes_read = count_pass(corpus, &mut frontier, false, k_end, filter, &mut counter)?;
+        let (bytes_read, fold) = count_ranges(corpus, &frontier, &mut counters, k_end, filter)?;
+        let counter = &mut counters[0];
         stats.passes += 1;
         stats.candidates_counted += counter.len() as u64;
 
@@ -141,10 +164,9 @@ pub(crate) fn mine_filtered(
             if is_useful || c.level == last_level {
                 counter.gram_bytes(slot, &frontier, &mut gram);
                 if is_useful {
-                    useful.push(SelectedGram {
-                        gram: gram.as_slice().into(),
-                        doc_count: c.doc_count,
-                    });
+                    let start = useful_bytes.len();
+                    useful_bytes.extend_from_slice(&gram);
+                    useful.push((start..useful_bytes.len(), c.doc_count));
                 } else {
                     next_frontier.intern(next_frontier.hash(&gram), &gram);
                 }
@@ -166,15 +188,25 @@ pub(crate) fn mine_filtered(
                 ("grams_considered", pass.grams_considered.into()),
                 ("grams_kept", pass.grams_kept.into()),
                 ("bytes_read", pass.bytes_read.into()),
+                ("ranges", counters.len().into()),
+                ("fold_us", (fold.as_micros() as u64).into()),
             ],
         );
         stats.per_pass.push(pass);
         k = k_end + 1;
     }
 
-    useful.sort_by(|a, b| a.gram.cmp(&b.gram));
+    drop(counters);
+    let bytes = |gram: &Range<usize>| &useful_bytes[gram.clone()];
+    useful.sort_by(|a, b| bytes(&a.0).cmp(bytes(&b.0)));
+    let grams = (useful.iter())
+        .map(|(gram, doc_count)| SelectedGram {
+            gram: bytes(gram).into(),
+            doc_count: *doc_count,
+        })
+        .collect();
     Ok(Selection {
-        grams: useful,
+        grams,
         num_docs: n,
         stats,
     })
@@ -405,7 +437,7 @@ mod tests {
             tracer: tracer.clone(),
             ..SelectConfig::default()
         };
-        let sel = mine_multigrams(&corpus, &config).unwrap();
+        let sel = mine_in_ranges(&corpus, &config, config.usefulness_threshold, None, 2).unwrap();
         let passes: Vec<_> = tracer
             .events()
             .into_iter()
@@ -419,6 +451,8 @@ mod tests {
                 "{e:?}"
             );
             assert!(e.attr("bytes_read").is_some());
+            assert_eq!(e.attr("ranges"), Some(&free_trace::Value::U64(2)));
+            assert!(e.attr("fold_us").is_some());
         }
     }
 
@@ -521,6 +555,7 @@ mod tests {
                 Just(None),
                 prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 1..24).prop_map(Some),
             ],
+            ranges in 1usize..=4,
         ) {
             // Each document: a cut of the shared stretch, then its own tail.
             let docs: Vec<Vec<u8>> = docs
@@ -541,10 +576,13 @@ mod tests {
                 Some(u) => u.windows(g.len()).any(|w| w == g),
                 None => true,
             };
-            let sel = match &universe {
-                Some(_) => mine_filtered(&corpus, &config, c, Some(&in_universe)).unwrap(),
-                None => mine_multigrams(&corpus, &config).unwrap(),
-            };
+            let filter: Option<GramFilter<'_>> = universe.as_ref().map(|_| &in_universe as GramFilter<'_>);
+            let sel = mine_in_ranges(&corpus, &config, c, filter, ranges).unwrap();
+            // Document ranges (more of them than documents, too) change
+            // neither the selection nor its statistics.
+            let one_range = mine_in_ranges(&corpus, &config, c, filter, 1).unwrap();
+            prop_assert_eq!(&sel.grams, &one_range.grams);
+            prop_assert_eq!(&sel.stats, &one_range.stats);
             let counts = oracle_counts(&docs, max_gram_len, &in_universe);
             let threshold = threshold.min(docs.len()) as u32;
             let useful = |g: &[u8]| counts[g] <= threshold;

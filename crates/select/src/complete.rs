@@ -6,7 +6,7 @@
 //! (up to the cutoff) can be looked up — and shows it is an order of
 //! magnitude larger than the multigram index while only ~32 % faster.
 
-use crate::counter::{count_pass, GramCounter, GramSet};
+use crate::counter::{count_pass, GramCounter, GramSet, Prefixes};
 use crate::{Result, SelectedGram};
 use free_corpus::Corpus;
 
@@ -22,10 +22,19 @@ pub fn enumerate_complete(
     assert!(min_len >= 1 && min_len <= max_len);
     assert!(max_len - min_len < GramCounter::MAX_LEVELS);
     // One counting pass whose frontier is every (min_len - 1)-gram the
-    // corpus holds, collected as the scan meets them.
+    // corpus holds, collected as the scan meets them: one range, since
+    // the frontier is written while it is read.
     let mut prefixes = GramSet::new(min_len - 1);
     let mut counter = GramCounter::new();
-    count_pass(corpus, &mut prefixes, true, max_len, None, &mut counter)?;
+    count_pass(
+        corpus,
+        Prefixes::Any(&mut prefixes),
+        0..usize::MAX,
+        max_len,
+        None,
+        &mut counter,
+        &mut GramCounter::reserve,
+    )?;
     let mut out = Vec::with_capacity(counter.len());
     let mut gram = Vec::new();
     for slot in counter.slots_by_level() {

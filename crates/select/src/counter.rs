@@ -15,12 +15,21 @@
 //! stored or chased, whatever the gram length. Gram bytes are rebuilt
 //! from the edges only for the grams a pass keeps.
 //!
-//! Both tables are sized by the grams actually seen and are dropped with
-//! the pass (or the selection) that owns them.
+//! Both tables are sized by the grams actually seen. A frontier is
+//! dropped with its pass; counters are cleared for the next pass and
+//! dropped with the selection.
+//!
+//! A pass over a closed frontier sums over independent data units, so
+//! [`count_ranges`] cuts the corpus into contiguous document ranges,
+//! counts them at once (a thread and a counter each, the frontier shared)
+//! and folds the counters into one.
 
 use crate::apriori::GramFilter;
 use crate::Result;
 use free_corpus::{Corpus, DocId};
+use std::ops::Range;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Multiplier of the Fibonacci hash that spreads a key over a table.
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -204,7 +213,8 @@ pub(crate) struct Counted {
     pub(crate) doc_count: u32,
 }
 
-/// Document frequencies of the grams of one counting pass.
+/// Document frequencies of the grams of one counting pass (and, once
+/// [cleared](Self::clear), of the next, in the same table).
 pub(crate) struct GramCounter {
     slots: Vec<Slot>,
     /// `64 - log2(slots.len())`.
@@ -231,6 +241,15 @@ impl GramCounter {
         }
     }
 
+    /// A counter of no slots, standing in for one away being grown.
+    fn placeholder() -> GramCounter {
+        GramCounter {
+            slots: Vec::new(),
+            shift: 64,
+            len: 0,
+        }
+    }
+
     /// Number of distinct grams counted.
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -242,11 +261,16 @@ impl GramCounter {
         (key.wrapping_mul(MIX) >> self.shift) as usize
     }
 
+    /// Whether `additional` new grams fit without growing.
+    #[inline]
+    fn has_room(&self, additional: usize) -> bool {
+        (self.len + additional) * 2 <= self.slots.len()
+    }
+
     /// Makes room for `additional` new grams. Growing moves slots, so
     /// this is called only while no slot index is held.
-    #[inline]
     pub(crate) fn reserve(&mut self, additional: usize) {
-        while (self.len + additional) * 2 > self.slots.len() {
+        while !self.has_room(additional) {
             self.grow();
         }
     }
@@ -283,35 +307,68 @@ impl GramCounter {
         }
     }
 
-    /// Doubles the table. A gram's key names its parent's slot, so grams
-    /// move shortest first and each level is re-keyed by where its
-    /// parents went.
-    fn grow(&mut self) {
+    /// Doubles the table. Returns the old one, in which each gram's
+    /// `last_doc` names the slot the gram moved to.
+    fn grow(&mut self) -> GramCounter {
         // Slot indices are 32 bits; a table this large is 32 GiB.
         assert!(
             self.slots.len() < 1 << 31,
             "gram counter exceeds 2^30 grams"
         );
-        let order = self.slots_by_level();
-        let doubled = vec![EMPTY; self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        self.shift -= 1;
-        let mask = self.slots.len() - 1;
-        let mut moved = vec![0u32; old.len()];
-        for from in order {
-            let slot = old[from as usize];
+        let doubled = GramCounter::with_table_bits(65 - self.shift);
+        let mut old = std::mem::replace(self, doubled);
+        self.absorb(&mut old);
+        old
+    }
+
+    /// Adds the counts of `other`, a counter of the same pass over other
+    /// data units. A gram's key names its parent's slot, so grams go
+    /// shortest first and each level is re-keyed by where its parents
+    /// went. Afterwards each gram's `last_doc` in `other` (which no scan
+    /// reads again) names the slot the gram went to.
+    pub(crate) fn absorb(&mut self, other: &mut GramCounter) {
+        let order = other.slots_by_level();
+        for (done, &from) in order.iter().enumerate() {
+            if !self.has_room(1) {
+                let regrown = self.grow();
+                for &seen in &order[..done] {
+                    let went = &mut other.slots[seen as usize].last_doc;
+                    *went = regrown.slots[*went as usize].last_doc;
+                }
+            }
+            let slot = other.slots[from as usize];
             let parent = if level_of(slot.tag) == 0 {
                 slot.parent
             } else {
-                moved[slot.parent as usize]
+                other.slots[slot.parent as usize].last_doc
             };
-            let mut to = self.slot_of(parent, slot.tag & !USELESS);
-            while self.slots[to].tag != 0 {
+            let key = slot.tag & !USELESS;
+            let mask = self.slots.len() - 1;
+            let mut to = self.slot_of(parent, key);
+            loop {
+                let here = &mut self.slots[to];
+                if here.tag == 0 {
+                    *here = Slot {
+                        parent,
+                        count: 0,
+                        ..slot
+                    };
+                    self.len += 1;
+                }
+                if here.tag & !USELESS == key && here.parent == parent {
+                    here.count += slot.count;
+                    break;
+                }
                 to = (to + 1) & mask;
             }
-            self.slots[to] = Slot { parent, ..slot };
-            moved[from as usize] = to as u32;
+            other.slots[from as usize].last_doc = to as u32;
         }
+    }
+
+    /// Forgets every gram, keeping the table for the next pass.
+    pub(crate) fn clear(&mut self) {
+        self.slots.fill(EMPTY);
+        self.len = 0;
     }
 
     /// The slots that hold a gram, shortest grams first (a counting sort
@@ -381,45 +438,77 @@ impl GramCounter {
     }
 }
 
-/// One corpus scan. At every position where a gram of length
-/// `frontier.gram_len() + 1` fits and whose prefix of `frontier`'s length
-/// is in `frontier` (every prefix, added on the fly, when
-/// `intern_prefixes`), counts the grams of each length up to `k_end`
-/// that fit, stopping at the first one `filter` rejects. Returns the
-/// corpus bytes read.
+/// The grams a counting pass extends: the frontier.
+pub(crate) enum Prefixes<'a> {
+    /// Only the grams in the set, which ranges counted at once share.
+    In(&'a GramSet),
+    /// Every gram of the set's length, each added to the set as the scan
+    /// meets it.
+    Any(&'a mut GramSet),
+}
+
+impl Prefixes<'_> {
+    fn set(&self) -> &GramSet {
+        match self {
+            Prefixes::In(set) => set,
+            Prefixes::Any(set) => set,
+        }
+    }
+}
+
+/// One corpus scan over the data units whose position in scan order is
+/// in `docs`. At every position where a gram one byte longer than the
+/// `prefixes` fits and whose prefix of their length is one of them,
+/// counts the grams of each length up to `k_end` that fit, stopping at
+/// the first one `filter` rejects. A `counter` without room for the
+/// grams of a position is handed to `grow` (given how many), which must
+/// leave it with that room. Returns the bytes of those data units.
 pub(crate) fn count_pass(
     corpus: &dyn Corpus,
-    frontier: &mut GramSet,
-    intern_prefixes: bool,
+    mut prefixes: Prefixes<'_>,
+    docs: Range<usize>,
     k_end: usize,
     filter: Option<GramFilter<'_>>,
     counter: &mut GramCounter,
+    grow: &mut dyn FnMut(&mut GramCounter, usize),
 ) -> Result<u64> {
-    let prefix_len = frontier.gram_len();
+    let prefix_len = prefixes.set().gram_len();
     let k = prefix_len + 1;
     debug_assert!(k <= k_end && k_end - k < GramCounter::MAX_LEVELS);
     let mut bytes_read = 0u64;
+    let mut next_position = 0usize;
     corpus.scan(&mut |doc, bytes| {
+        let position = next_position;
+        next_position += 1;
+        if position < docs.start {
+            return true;
+        }
+        if position >= docs.end {
+            return false;
+        }
         bytes_read += bytes.len() as u64;
         let Some(last_start) = bytes.len().checked_sub(k) else {
             return true;
         };
-        let mut hash = frontier.hash(&bytes[..prefix_len]);
+        let mut hash = prefixes.set().hash(&bytes[..prefix_len]);
         for i in 0..=last_start {
             if i > 0 && prefix_len > 0 {
-                hash = frontier.roll(hash, bytes[i - 1], bytes[i + prefix_len - 1]);
+                hash = prefixes
+                    .set()
+                    .roll(hash, bytes[i - 1], bytes[i + prefix_len - 1]);
             }
             let prefix = &bytes[i..i + prefix_len];
-            let prefix_id = if intern_prefixes {
-                frontier.intern(hash, prefix)
-            } else {
-                match frontier.find(hash, prefix) {
+            let prefix_id = match &mut prefixes {
+                Prefixes::In(set) => match set.find(hash, prefix) {
                     Some(id) => id,
                     None => continue,
-                }
+                },
+                Prefixes::Any(set) => set.intern(hash, prefix),
             };
             let longest = k_end.min(bytes.len() - i);
-            counter.reserve(longest - prefix_len);
+            if !counter.has_room(longest - prefix_len) {
+                grow(counter, longest - prefix_len);
+            }
             let mut parent = prefix_id;
             for m in k..=longest {
                 if let Some(f) = filter {
@@ -438,12 +527,208 @@ pub(crate) fn count_pass(
     Ok(bytes_read)
 }
 
+/// One [`count_pass`] over the closed `frontier` with the corpus cut into
+/// one contiguous document range per counter, counted at once, each by
+/// its own thread into its own counter (cleared first); every thread
+/// scans the corpus and skips the data units outside its range. The
+/// counters are then folded into the first: counts stay exact because no
+/// data unit is in two ranges. Returns the corpus bytes read and how long
+/// the fold took.
+///
+/// The counters keep their tables from pass to pass, and the calling
+/// thread allocates every table (see [`Handoff`]).
+pub(crate) fn count_ranges(
+    corpus: &dyn Corpus,
+    frontier: &GramSet,
+    counters: &mut [GramCounter],
+    k_end: usize,
+    filter: Option<GramFilter<'_>>,
+) -> Result<(u64, Duration)> {
+    let ranges = counters.len();
+    let per_range = corpus.len().div_ceil(ranges.max(1));
+    // The last range is open, whatever the scan turns out to visit.
+    let docs = |r: usize| {
+        let end = if r + 1 == ranges {
+            usize::MAX
+        } else {
+            (r + 1) * per_range
+        };
+        r * per_range..end
+    };
+    let count =
+        |r: usize, counter: &mut GramCounter, grow: &mut dyn FnMut(&mut GramCounter, usize)| {
+            counter.clear();
+            count_pass(
+                corpus,
+                Prefixes::In(frontier),
+                docs(r),
+                k_end,
+                filter,
+                counter,
+                grow,
+            )
+        };
+    let bytes: Vec<Result<u64>> = match counters {
+        [counter] => vec![count(0, counter, &mut GramCounter::reserve)],
+        _ => {
+            let handoff = Handoff::new(ranges);
+            std::thread::scope(|s| {
+                // Threads waiting on a caller that unwinds are let go.
+                let _closing = Closing(&handoff);
+                let workers: Vec<_> = (counters.iter_mut().enumerate())
+                    .map(|(r, counter)| {
+                        let handoff = &handoff;
+                        s.spawn(move || {
+                            let _done = Done(handoff);
+                            count(r, counter, &mut |counter, additional| {
+                                handoff.grow(r, counter, additional);
+                            })
+                        })
+                    })
+                    .collect();
+                handoff.serve();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        }
+    };
+    let mut bytes_read = 0;
+    for range in bytes {
+        bytes_read += range?;
+    }
+    let started = Instant::now();
+    if let Some((folded, others)) = counters.split_first_mut() {
+        for other in others {
+            folded.absorb(other);
+        }
+    }
+    Ok((bytes_read, started.elapsed()))
+}
+
+/// Where the threads of [`count_ranges`] hand in a counter that filled,
+/// and the calling thread hands it back grown.
+///
+/// A counting thread allocates nothing that outlives it. glibc gives each
+/// thread a malloc arena of its own and keeps what is freed in it, and a
+/// block one thread allocated and another freed can be reused, and grown,
+/// by the freer inside the first thread's arena. Either way memory
+/// allocated off the calling thread stays resident beside the caller's.
+struct Handoff {
+    state: Mutex<HandoffState>,
+    /// A counter was handed in, or a thread is done.
+    to_caller: Condvar,
+    /// A counter was handed back, or the caller stopped serving.
+    to_threads: Condvar,
+}
+
+struct HandoffState {
+    /// Per range: a counter to grow, and the room it needs.
+    full: Vec<Option<(GramCounter, usize)>>,
+    /// Per range: the counter, grown.
+    grown: Vec<Option<GramCounter>>,
+    /// Threads still counting.
+    counting: usize,
+    /// The caller serves no more.
+    closed: bool,
+}
+
+impl Handoff {
+    fn new(ranges: usize) -> Handoff {
+        Handoff {
+            state: Mutex::new(HandoffState {
+                full: (0..ranges).map(|_| None).collect(),
+                grown: (0..ranges).map(|_| None).collect(),
+                counting: ranges,
+                closed: false,
+            }),
+            to_caller: Condvar::new(),
+            to_threads: Condvar::new(),
+        }
+    }
+
+    /// Every update of the state is one assignment, so a thread that
+    /// panicked holding the lock left it valid.
+    fn lock(&self) -> MutexGuard<'_, HandoffState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// On the thread counting range `r`: waits while the caller makes
+    /// room in `counter` for `additional` grams.
+    fn grow(&self, r: usize, counter: &mut GramCounter, additional: usize) {
+        let full = std::mem::replace(counter, GramCounter::placeholder());
+        let mut state = self.lock();
+        state.full[r] = Some((full, additional));
+        self.to_caller.notify_one();
+        *counter = loop {
+            if let Some(grown) = state.grown[r].take() {
+                break grown;
+            }
+            assert!(!state.closed, "the calling thread stopped growing counters");
+            state = self
+                .to_threads
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+    }
+
+    /// On the calling thread: grows what is handed in until every thread
+    /// is done.
+    fn serve(&self) {
+        let mut state = self.lock();
+        while state.counting > 0 {
+            let handed =
+                (state.full.iter_mut().enumerate()).find_map(|(r, full)| Some((r, full.take()?)));
+            match handed {
+                Some((r, (mut counter, additional))) => {
+                    drop(state);
+                    counter.reserve(additional);
+                    state = self.lock();
+                    state.grown[r] = Some(counter);
+                    self.to_threads.notify_all();
+                }
+                None => {
+                    state = self
+                        .to_caller
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+        }
+    }
+}
+
+/// Tells the caller, when dropped, that one counting thread is done.
+struct Done<'a>(&'a Handoff);
+
+impl Drop for Done<'_> {
+    fn drop(&mut self) {
+        self.0.lock().counting -= 1;
+        self.0.to_caller.notify_one();
+    }
+}
+
+/// Tells the counting threads, when dropped, that the caller serves no
+/// more.
+struct Closing<'a>(&'a Handoff);
+
+impl Drop for Closing<'_> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.to_threads.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::Prefixes::{Any, In};
     use super::*;
     use free_corpus::MemCorpus;
     use std::collections::{BTreeMap, BTreeSet};
 
+    /// Every data unit of the corpus.
+    const ALL: Range<usize> = 0..usize::MAX;
     /// Every gram of length `k..=k_end` starting at a position whose
     /// `(k-1)`-prefix is in `prefixes` (any prefix when `None`), with its
     /// document count: the definition `count_pass` implements.
@@ -563,7 +848,16 @@ mod tests {
         let mut frontier = GramSet::with_table_bits(0, 1);
         frontier.intern(0, &[]);
         let mut counter = GramCounter::with_table_bits(1);
-        let bytes = count_pass(&corpus, &mut frontier, false, 3, None, &mut counter).unwrap();
+        let bytes = count_pass(
+            &corpus,
+            In(&frontier),
+            ALL,
+            3,
+            None,
+            &mut counter,
+            &mut GramCounter::reserve,
+        )
+        .unwrap();
         assert_eq!(bytes, docs.iter().map(|d| d.len() as u64).sum::<u64>());
         let want = naive_counts(&docs, None, 1, 3);
         assert_eq!(counted(&counter, &frontier), want);
@@ -590,7 +884,16 @@ mod tests {
             frontier.intern(frontier.hash(p), p);
         }
         let mut counter = GramCounter::with_table_bits(1);
-        count_pass(&corpus, &mut frontier, false, 6, None, &mut counter).unwrap();
+        count_pass(
+            &corpus,
+            In(&frontier),
+            ALL,
+            6,
+            None,
+            &mut counter,
+            &mut GramCounter::reserve,
+        )
+        .unwrap();
         assert_eq!(
             counted(&counter, &frontier),
             naive_counts(&docs, Some(&prefixes), 3, 6)
@@ -598,8 +901,98 @@ mod tests {
 
         let mut open = GramSet::with_table_bits(2, 1);
         let mut counter = GramCounter::with_table_bits(1);
-        count_pass(&corpus, &mut open, true, 4, None, &mut counter).unwrap();
+        count_pass(
+            &corpus,
+            Any(&mut open),
+            ALL,
+            4,
+            None,
+            &mut counter,
+            &mut GramCounter::reserve,
+        )
+        .unwrap();
         assert_eq!(counted(&counter, &open), naive_counts(&docs, None, 3, 4));
+    }
+
+    #[test]
+    fn folding_disjoint_ranges_counts_their_union() {
+        let docs = docs();
+        let corpus = MemCorpus::from_docs(docs.clone());
+        let mut frontier = GramSet::with_table_bits(0, 1);
+        frontier.intern(0, &[]);
+        let want = naive_counts(&docs, None, 1, 3);
+        let total: u64 = docs.iter().map(|d| d.len() as u64).sum();
+        // Ranges in scan order, one of them empty and the last one open.
+        // Every counter starts from two slots, so the fold grows the first
+        // while re-keying what it absorbs.
+        let cuts = [0, 1, 1, 17, usize::MAX];
+        let mut counters = cuts.windows(2).map(|cut| {
+            let mut counter = GramCounter::with_table_bits(1);
+            let bytes = count_pass(
+                &corpus,
+                In(&frontier),
+                cut[0]..cut[1],
+                3,
+                None,
+                &mut counter,
+                &mut GramCounter::reserve,
+            );
+            (counter, bytes.unwrap())
+        });
+        let (mut folded, mut bytes) = counters.next().unwrap();
+        let slots_before = folded.slots.len();
+        for (mut counter, b) in counters {
+            folded.absorb(&mut counter);
+            bytes += b;
+        }
+        assert!(folded.slots.len() > slots_before, "the fold grew the table");
+        assert_eq!(bytes, total);
+        assert_eq!(counted(&folded, &frontier), want);
+        assert_eq!(folded.len(), want.len());
+        assert!(folded.slots.len() >= 2 * folded.len());
+
+        // The same through the threaded pass, more ranges than documents
+        // included, twice over the same counters: each pass starts clean.
+        for ranges in [1, 2, 3, 4, docs.len() + 3] {
+            let mut counters: Vec<GramCounter> = (0..ranges).map(|_| GramCounter::new()).collect();
+            for pass in 0..2 {
+                let (bytes, _) = count_ranges(&corpus, &frontier, &mut counters, 3, None).unwrap();
+                assert_eq!(bytes, total, "{ranges} ranges, pass {pass}");
+                assert_eq!(
+                    counted(&counters[0], &frontier),
+                    want,
+                    "{ranges} ranges, pass {pass}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn threads_hand_full_counters_to_the_caller_to_grow() {
+        // Thousands of distinct grams per range: every thread's counter
+        // fills its first table more than once.
+        let mut x = 7u32;
+        let docs: Vec<Vec<u8>> = (0..16)
+            .map(|_| {
+                (0..96)
+                    .map(|_| {
+                        x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                        (x >> 16) as u8
+                    })
+                    .collect()
+            })
+            .collect();
+        let corpus = MemCorpus::from_docs(docs.clone());
+        let mut frontier = GramSet::new(0);
+        frontier.intern(0, &[]);
+        let want = naive_counts(&docs, None, 1, 3);
+        // A counter is full at half its slots.
+        assert!(want.len() > 2 * GramCounter::new().slots.len());
+        for ranges in [1, 2, 4] {
+            let mut counters: Vec<GramCounter> = (0..ranges).map(|_| GramCounter::new()).collect();
+            count_ranges(&corpus, &frontier, &mut counters, 3, None).unwrap();
+            assert_eq!(counted(&counters[0], &frontier), want, "{ranges} ranges");
+        }
     }
 
     #[test]
@@ -613,11 +1006,12 @@ mod tests {
         let mut counter = GramCounter::with_table_bits(1);
         count_pass(
             &corpus,
-            &mut frontier,
-            false,
+            In(&frontier),
+            ALL,
             3,
             Some(&filter),
             &mut counter,
+            &mut GramCounter::reserve,
         )
         .unwrap();
         let want: BTreeMap<Vec<u8>, u32> = [

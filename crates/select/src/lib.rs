@@ -97,6 +97,23 @@ impl From<free_corpus::Error> for Error {
     }
 }
 
+/// Corpus bytes a build scan needs per range before a second thread pays
+/// for its spawn; smaller corpora (tiny flushes, unit tests) stay on the
+/// calling thread.
+const MIN_RANGE_BYTES: u64 = 64 << 10;
+
+/// How many ranges a build scan over `corpus_bytes` runs at once: one per
+/// core the process may use (`std::thread::available_parallelism`, which
+/// honours affinity masks and cgroup quotas), but no more than one per
+/// 64 KiB of corpus. The a-priori passes cut the corpus into that many
+/// document ranges, the postings build its dictionary into that many key
+/// ranges; neither changes a byte of output.
+pub fn build_ranges(corpus_bytes: u64) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let fit = usize::try_from(corpus_bytes / MIN_RANGE_BYTES).unwrap_or(usize::MAX);
+    cores.min(fit).max(1)
+}
+
 /// A selected gram key with its document frequency (`M(x)` in the paper).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SelectedGram {
