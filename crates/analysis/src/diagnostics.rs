@@ -54,7 +54,8 @@ pub mod codes {
     pub const ESTIMATE_DRIFT: &str = "FA204";
     /// A live index is split across too many sealed segments.
     pub const OVER_FRAGMENTED: &str = "FA301";
-    /// New documents contain candidate grams no sealed segment mined.
+    /// New documents contain candidate grams the live index's dictionary
+    /// lacks.
     pub const KEY_SET_DRIFT: &str = "FA302";
     /// Tombstoned documents dominate a live index's stored documents.
     pub const TOMBSTONE_DEBT: &str = "FA303";
@@ -91,7 +92,7 @@ pub mod codes {
     /// offsets or units past end of data).
     pub const CORPUS_OFFSETS: &str = "FA423";
     /// The key directory violates the miner's prefix-free invariant
-    /// (advisory: compaction's union key set legitimately does this).
+    /// (advisory: a complete-gram index legitimately does this).
     pub const PREFIX_FREE: &str = "FA424";
     /// The on-disk gram dictionary is inconsistent with the selector the
     /// manifest records (e.g. a fixed-k trigram index containing keys of
@@ -100,6 +101,9 @@ pub mod codes {
     /// the actual key set — but rebuilds and compactions will not
     /// reproduce it, so the recorded provenance is a lie.
     pub const SELECTOR_MISMATCH: &str = "FA425";
+    /// A live segment other than the oldest holds a key outside the
+    /// dictionary (the oldest segment's keys), which queries never read.
+    pub const OUTSIDE_DICTIONARY: &str = "FA426";
     /// A query-log segment ends in a torn (unterminated) trailing
     /// fragment — the shape a crash mid-append leaves. Readers skip the
     /// fragment; every whole line before it is trusted (advisory).

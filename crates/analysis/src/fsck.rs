@@ -13,11 +13,14 @@
 //!   doc counts vs decoded payloads.
 //! * **L2 cross-structure** — manifest ↔ files-on-disk agreement (no
 //!   dangling or orphaned segments), WAL epoch staleness, corpus offset
-//!   tables, key-directory shape.
+//!   tables, key-directory shape, and a live index's one-dictionary
+//!   rule: every segment but the oldest indexes only the oldest
+//!   segment's keys.
 //! * **L3 sampled semantic** (`--deep`) — re-mines sampled documents
 //!   with the Aho-Corasick gram scanner and proves the index's
-//!   no-false-negative guarantee: every sampled document containing an
-//!   indexed gram appears in that gram's postings.
+//!   no-false-negative guarantee: every sampled document containing a
+//!   dictionary key appears in that key's postings (a live segment is
+//!   held to the whole dictionary, not just its own directory).
 //!
 //! Everything here reads artifacts *directly* — never through
 //! [`free_live::LiveIndex::open`], which repairs state as a side effect
@@ -27,7 +30,7 @@
 use crate::diagnostics::{codes, diagnostic_json, json_string, Diagnostic, Severity};
 use free_corpus::{Corpus, DiskCorpus, DocId};
 use free_engine::grams::GramMatcher;
-use free_index::{IndexRead, IndexReader, VerifyIssueKind};
+use free_index::{IndexRead, IndexReader, Key, VerifyIssueKind};
 use free_live::{Manifest, SegmentMeta};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -320,8 +323,8 @@ fn check_index_file(
 }
 
 /// L2 key-directory shape: the miner's key set is prefix-free (a gram
-/// and its extension are never both useful). A compacted segment's union
-/// key set legitimately violates this, so it is advisory only.
+/// and its extension are never both useful). A complete-gram index
+/// legitimately violates this, so it is advisory only.
 fn check_prefix_free(idx: &IndexReader, path: &Path, what: &str, r: &mut FsckReport) {
     let keys = idx.keys();
     let violations = keys
@@ -334,7 +337,7 @@ fn check_prefix_free(idx: &IndexReader, path: &Path, what: &str, r: &mut FsckRep
             Severity::Info,
             format!(
                 "{what} {}: key directory is not prefix-free ({violations} key(s) extend \
-                 another key); expected for merged segments, unexpected for a fresh build",
+                 another key); expected for a complete-gram index, unexpected for a mined one",
                 path.display()
             ),
         ));
@@ -448,17 +451,19 @@ fn sample_ids(n: usize, want: usize) -> Vec<DocId> {
     out
 }
 
-/// L3: re-mines `sample` documents with the gram scanner and proves the
-/// postings invariant both ways. `get_doc` resolves a local id to bytes.
+/// L3: re-mines `sample` documents with the gram scanner for `keys`, the
+/// dictionary `idx` must be complete for, and proves the postings
+/// invariant both ways (a key absent from `idx` has empty postings).
+/// `get_doc` resolves a local id to bytes.
 fn check_deep(
     idx: &IndexReader,
+    keys: &[Key],
     what: &str,
     num_docs: usize,
     sample: usize,
     get_doc: &mut dyn FnMut(DocId) -> Result<Vec<u8>, String>,
     r: &mut FsckReport,
 ) {
-    let keys = idx.keys().to_vec();
     if keys.is_empty() {
         return;
     }
@@ -467,7 +472,7 @@ fn check_deep(
         return;
     }
     // One automaton pass per sampled doc records which keys it contains.
-    let mut matcher = GramMatcher::new(&keys);
+    let mut matcher = GramMatcher::new(keys);
     let mut present: Vec<BTreeSet<DocId>> = vec![BTreeSet::new(); keys.len()];
     for &id in &sampled {
         let bytes = match get_doc(id) {
@@ -745,8 +750,14 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
         }
     }
     let seg_root = dir.join(free_live::SEGMENTS_DIR);
-    for meta in &manifest.segments {
-        check_segment(&seg_root, meta, selector, opts, &mut r);
+    // The dictionary: the oldest segment's key directory.
+    let mut dictionary: Option<IndexReader> = None;
+    for (i, meta) in manifest.segments.iter().enumerate() {
+        let keys = dictionary.as_ref().map(IndexReader::keys);
+        let idx = check_segment(&seg_root, meta, selector, keys, opts, &mut r);
+        if i == 0 {
+            dictionary = idx;
+        }
     }
     // L2: segment files on disk the manifest does not name.
     let orphans = free_live::orphan_segment_ids(&seg_root, &manifest);
@@ -855,14 +866,18 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
 }
 
 /// All layers over one sealed segment. `selector` is the live manifest's
-/// recorded (and already parse-checked) gram-selection strategy, when any.
+/// recorded (and already parse-checked) gram-selection strategy, when
+/// any; `dictionary` is the live index's dictionary, `None` for the
+/// oldest segment, whose own directory it is. Returns the segment's
+/// index when it is readable.
 fn check_segment(
     seg_root: &Path,
     meta: &SegmentMeta,
     selector: Option<&str>,
+    dictionary: Option<&[Key]>,
     opts: &FsckOptions,
     r: &mut FsckReport,
-) {
+) -> Option<IndexReader> {
     let what = format!("segment {}", meta.id);
     let idx_path = free_live::segment::index_path(seg_root, meta.id);
     let seqs_path = free_live::segment::seqs_path(seg_root, meta.id);
@@ -882,7 +897,7 @@ fn check_segment(
                 missing.join(", ")
             ),
         ));
-        return;
+        return None;
     }
     // L0/L1: the sequence map.
     r.artifacts_checked += 1;
@@ -938,11 +953,24 @@ fn check_segment(
     if let (Some(idx), Some(spec)) = (&idx, selector) {
         check_selector(idx, spec, &what, r);
     }
-    // L3: sampled re-mining.
+    // L2: a younger segment indexes only the dictionary's keys.
+    let outside = dictionary.zip(idx.as_ref()).map_or(0, |(dict, idx)| {
+        let outside = idx.keys().iter().filter(|k| dict.binary_search(k).is_err());
+        outside.count()
+    });
+    if outside > 0 {
+        r.diagnostics.push(diag(
+            codes::OUTSIDE_DICTIONARY,
+            Severity::Error,
+            format!("{what}: {outside} key(s) are not in the dictionary, the oldest segment's"),
+        ));
+    }
+    // L3: sampled re-mining against the dictionary's keys.
     if opts.deep {
-        if let (Some(idx), Some(corpus)) = (idx, corpus) {
+        if let (Some(idx), Some(corpus)) = (&idx, corpus) {
             check_deep(
-                &idx,
+                idx,
+                dictionary.unwrap_or(idx.keys()),
                 &what,
                 corpus.len(),
                 opts.sample,
@@ -951,6 +979,7 @@ fn check_segment(
             );
         }
     }
+    idx
 }
 
 /// fsck over a batch (`freegrep index`) directory: the manifest's file
@@ -1076,6 +1105,7 @@ fn fsck_batch(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
             let files = files.clone();
             check_deep(
                 &idx,
+                idx.keys(),
                 "index",
                 files.len(),
                 opts.sample,
@@ -1352,6 +1382,107 @@ mod tests {
         let hits = r.with_code(codes::SELECTOR_MISMATCH);
         assert_eq!(hits.len(), 1, "{}", r.render_human());
         assert!(r.has_errors());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A live config whose dictionary is non-empty on a few dozen docs.
+    fn dictionary_config() -> free_live::LiveConfig {
+        let mut config = free_live::LiveConfig::default();
+        config.engine.usefulness_threshold = 0.5;
+        config
+    }
+
+    fn numbered_docs(range: std::ops::Range<usize>) -> Vec<Vec<u8>> {
+        const WORDS: [&str; 5] = ["amber", "basalt", "cobalt", "dolomite", "emerald"];
+        range
+            .map(|i| format!("record {i} holds {} and {}", WORDS[i % 5], WORDS[i * 3 % 5]))
+            .map(String::into_bytes)
+            .collect()
+    }
+
+    /// Rewrites the index at `path` with `edit` applied to its
+    /// `(key, postings)` list, CRCs and all.
+    fn rewrite_index(path: &Path, edit: impl FnOnce(&mut Vec<(Key, Vec<DocId>)>)) {
+        let idx = IndexReader::open(path).unwrap();
+        let mut entries: Vec<(Key, Vec<DocId>)> = idx
+            .keys()
+            .iter()
+            .map(|k| (k.clone(), idx.postings(k).unwrap().unwrap()))
+            .collect();
+        drop(idx);
+        edit(&mut entries);
+        let mut w = IndexWriter::create(path).unwrap();
+        for (key, docs) in &entries {
+            w.add(key, &Postings::from_sorted(docs)).unwrap();
+        }
+        drop(w.finish().unwrap());
+    }
+
+    #[test]
+    fn younger_segments_are_held_to_the_dictionary() {
+        let dir = tmpdir("dictionary");
+        let root = dir.join("idx");
+        let mut idx = free_live::LiveIndex::create(&root, dictionary_config()).unwrap();
+        idx.add_batch(&numbered_docs(0..30)).unwrap();
+        idx.flush().unwrap();
+        idx.add_batch(&numbered_docs(30..50)).unwrap();
+        idx.flush().unwrap();
+        drop(idx);
+        let deep = FsckOptions {
+            deep: true,
+            ..FsckOptions::default()
+        };
+        let r = fsck(&root, &deep).unwrap();
+        assert!(r.diagnostics.is_empty(), "{}", r.render_human());
+        let seg_1 = root.join("segments/seg-1.idx");
+        let pristine = std::fs::read(&seg_1).unwrap();
+
+        // The younger segment drops a dictionary key its documents hold:
+        // the deep check, run with the dictionary's keys, finds them.
+        rewrite_index(&seg_1, |entries| {
+            let widest = (0..entries.len())
+                .max_by_key(|&i| entries[i].1.len())
+                .unwrap();
+            entries.remove(widest);
+        });
+        let r = fsck(&root, &deep).unwrap();
+        assert!(r.has_errors(), "{}", r.render_human());
+        assert!(
+            !r.with_code(codes::POSTINGS_INCOMPLETE).is_empty(),
+            "{}",
+            r.render_human()
+        );
+
+        // A key outside the dictionary breaks the one-dictionary rule.
+        std::fs::write(&seg_1, &pristine).unwrap();
+        rewrite_index(&seg_1, |entries| {
+            entries.push((b"\xff\xfe"[..].into(), vec![0]))
+        });
+        let r = fsck(&root, &FsckOptions::default()).unwrap();
+        let hits = r.with_code(codes::OUTSIDE_DICTIONARY);
+        assert_eq!(hits.len(), 1, "{}", r.render_human());
+        assert_eq!(hits[0].severity, Severity::Error);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pristine_multi_segment_sharded_directory_is_clean() {
+        let dir = tmpdir("dictionary-sharded");
+        let root = dir.join("idx");
+        let mut idx = free_live::ShardedLiveIndex::create(&root, dictionary_config(), 2).unwrap();
+        for batch in [0..40, 40..60, 60..80] {
+            idx.add_batch(&numbered_docs(batch)).unwrap();
+            idx.flush().unwrap();
+        }
+        idx.add_batch(&numbered_docs(80..90)).unwrap();
+        drop(idx);
+        let deep = FsckOptions {
+            deep: true,
+            ..FsckOptions::default()
+        };
+        let r = fsck(&root, &deep).unwrap();
+        assert!(r.diagnostics.is_empty(), "{}", r.render_human());
+        assert!(r.docs_sampled >= 80, "{}", r.docs_sampled);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

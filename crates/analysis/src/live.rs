@@ -9,7 +9,7 @@
 //! | Code | Finding |
 //! |---|---|
 //! | `FA301` | over-fragmented: too many sealed segments |
-//! | `FA302` | key-set drift: new docs escape the mined key sets |
+//! | `FA302` | key-set drift: new docs escape the mined dictionary |
 //! | `FA303` | tombstone debt: deleted docs dominate stored docs |
 //! | `FA304` | snapshot staleness: retired segment files linger, or the published snapshot trails the writer |
 //!
@@ -33,8 +33,8 @@ pub struct LiveHealth {
     /// Tombstoned documents not yet reclaimed by compaction.
     pub tombstoned_docs: usize,
     /// Fraction of live write-buffer documents containing a candidate
-    /// gram absent from every sealed segment's key set (see the live
-    /// crate's drift probe).
+    /// gram absent from the index's dictionary (see the live crate's
+    /// drift probe).
     pub drift_fraction: f64,
     /// Segment files on disk that no manifest entry references (retired
     /// by compaction but never unlinked — leaked disk).
@@ -76,7 +76,7 @@ pub fn analyze_live(health: &LiveHealth, cfg: &LiveAnalysisConfig) -> Vec<Diagno
                 None,
                 format!(
                     "index is split across {} segments (threshold {}); every query \
-                     plans and merges one candidate stream per segment",
+                     merges one candidate stream per segment",
                     health.num_segments, cfg.max_segments
                 ),
             )
@@ -90,16 +90,16 @@ pub fn analyze_live(health: &LiveHealth, cfg: &LiveAnalysisConfig) -> Vec<Diagno
                 Severity::Warning,
                 None,
                 format!(
-                    "{:.0}% of buffered documents contain candidate grams no sealed \
-                     segment ever mined (threshold {:.0}%); queries over new content \
+                    "{:.0}% of buffered documents contain candidate grams the index's \
+                     dictionary lacks (threshold {:.0}%); queries over new content \
                      degrade toward scans",
                     health.drift_fraction * 100.0,
                     cfg.drift_threshold * 100.0
                 ),
             )
             .with_suggestion(
-                "run `free compact` to seal the buffer and unify key sets, or \
-                 rebuild to re-mine keys over the full corpus",
+                "run `free compact` to re-mine the dictionary over every live \
+                 document",
             ),
         );
     }

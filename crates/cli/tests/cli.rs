@@ -812,6 +812,44 @@ fn fsck_live_directory() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A `FREELIVE 2` manifest (one key set per segment) is another format:
+/// fsck reports FA401 and exits non-zero, and search refuses to open it.
+#[test]
+fn fsck_refuses_a_freelive_2_directory() {
+    let dir = setup("fsck-freelive-2");
+    let live_dir = dir.join("live");
+    std::fs::write(dir.join("a.txt"), b"the quick brown fox jumps\n").unwrap();
+    for verb in ["add", "compact"] {
+        let mut cmd = free();
+        cmd.args([verb, "--dir"]).arg(&live_dir);
+        if verb == "add" {
+            cmd.arg(dir.join("a.txt"));
+        }
+        assert!(cmd.status().unwrap().success(), "{verb}");
+    }
+    let manifest = live_dir.join("live.manifest");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    std::fs::write(&manifest, text.replacen("FREELIVE 3 ", "FREELIVE 2 ", 1)).unwrap();
+
+    let out = free()
+        .args(["fsck", "--json"])
+        .arg(&live_dir)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("\"code\":\"FA401\""), "{stdout}");
+    assert!(stdout.contains("unsupported format, rebuild"), "{stdout}");
+    let out = free()
+        .args(["search", "--live"])
+        .arg(&live_dir)
+        .arg("quick")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `free fsck` with no PATH checks ./.freelive; a missing target is a
 /// usage-style failure (exit 2), not a crash.
 #[test]

@@ -34,7 +34,6 @@ pub mod error;
 pub mod format;
 pub mod instrument;
 pub mod memindex;
-pub mod merge;
 pub mod ops;
 pub mod postings;
 pub mod stats;
@@ -47,7 +46,6 @@ pub use error::{Error, Result};
 pub use format::{IndexReader, IndexWriter, VerifyIssue, VerifyIssueKind};
 pub use instrument::{InstrumentedCursor, OpCounters};
 pub use memindex::MemIndex;
-pub use merge::{merge_indexes, union_keys, MergeInput};
 pub use ops::{AndCursor, OrCursor};
 pub use postings::{Postings, PostingsBuilder};
 pub use stats::IndexStats;

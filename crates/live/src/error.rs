@@ -35,8 +35,8 @@ pub enum Error {
     UnknownDoc(u32),
     /// The document is already tombstoned.
     AlreadyDeleted(u32),
-    /// Every per-segment plan degenerated to a scan and the engine's scan
-    /// policy is `Reject`. Carries the offending pattern.
+    /// The query's plan over the dictionary degenerated to a scan and the
+    /// engine's scan policy is `Reject`. Carries the offending pattern.
     ScanRejected(String),
     /// The request's deadline expired mid-confirmation; execution stopped
     /// at a batch boundary with no partial results.
@@ -81,9 +81,9 @@ impl fmt::Display for Error {
             }
             Error::ScanRejected(pattern) => write!(
                 f,
-                "query {pattern:?} cannot use any segment index (every \
-                 per-segment plan is a full scan) and the scan policy is \
-                 set to reject"
+                "query {pattern:?} cannot use the index (its plan over the \
+                 dictionary is a full scan) and the scan policy is set to \
+                 reject"
             ),
             Error::Timeout { elapsed } => write!(
                 f,

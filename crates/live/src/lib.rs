@@ -5,18 +5,23 @@
 //! of the same building blocks so documents can be added, deleted, and
 //! queried continuously:
 //!
+//! - **Dictionary**: one set of mined keys per live index, the oldest
+//!   segment's key directory. Only the first flush into an empty index
+//!   and compaction mine; every other segment and the write buffer
+//!   index exactly the dictionary's keys, so a query is planned once per
+//!   snapshot against it.
 //! - **Write buffer**: new documents land in a WAL-backed in-memory
-//!   buffer (a [`memtable::Memtable`]) whose complete-gram index answers
-//!   queries over them exactly.
+//!   buffer (a [`memtable::Memtable`]); each batch is matched against
+//!   the dictionary as it arrives and keeps its postings by key id.
 //! - **Segments**: a *flush* seals the buffer into an immutable segment
-//!   in the `free-index` on-disk format, with a key set mined from just
-//!   that segment's documents.
+//!   in the `free-index` on-disk format, writing the buffered postings
+//!   without mining or scanning.
 //! - **Tombstones**: deletes are logged sequence numbers, filtered out of
 //!   every query and physically eliminated by compaction.
-//! - **Compaction**: k-way-merges all segments into one, remapping doc
-//!   ids, dropping tombstoned documents, and merging the per-segment
-//!   indexes without re-mining (union key set, completed per segment by
-//!   a targeted gram scan).
+//! - **Compaction**: rewrites every surviving document into one segment
+//!   with the batch build, so its index is byte for byte
+//!   `Engine::build_on_disk` over the live documents and its mined keys
+//!   become the new dictionary.
 //!
 //! Every document has a stable, never-reused global sequence number
 //! ([`free_corpus::DocId`]), and queries at any generation return
@@ -57,7 +62,7 @@ use free_engine::EngineConfig;
 /// Configuration for a [`LiveIndex`].
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
-    /// Engine configuration used for segment key mining, planning, and
+    /// Engine configuration used for dictionary mining, planning, and
     /// confirmation. The same configuration must be used across sessions
     /// for a given live index directory.
     pub engine: EngineConfig,
@@ -65,10 +70,6 @@ pub struct LiveConfig {
     pub flush_threshold_bytes: u64,
     /// Flush the write buffer once it holds this many documents.
     pub flush_threshold_docs: usize,
-    /// Maximum gram length indexed by the write buffer's in-memory
-    /// index (all grams of length 2..=this are indexed, so buffer
-    /// planning is exact). Values below 2 are treated as 2.
-    pub memtable_gram_len: usize,
     /// Byte budget of each sealed segment's read-through document
     /// cache (see [`free_corpus::DocCache`]): confirmation reads of hot
     /// documents skip the `pread` syscall. 0 disables caching.
@@ -81,7 +82,6 @@ impl Default for LiveConfig {
             engine: EngineConfig::default(),
             flush_threshold_bytes: 4 << 20,
             flush_threshold_docs: 8192,
-            memtable_gram_len: 3,
             segment_cache_bytes: 1 << 20,
         }
     }

@@ -1,21 +1,17 @@
 //! The live index: ingest, tombstone deletes, flush, and compaction.
 
 use crate::error::{Error, Result};
-use crate::manifest::{Manifest, SegmentMeta};
-use crate::memtable::Memtable;
+use crate::manifest::Manifest;
+use crate::memtable::{BufferMatcher, Memtable};
 use crate::query::LiveQueryResult;
-use crate::segment::{
-    build_segment, corpus_dir, index_path, maybe_cache, remove_segment_files, seqs_path,
-    write_seqs, Segment,
-};
+use crate::segment::{remove_segment_files, Segment, SegmentWriter};
 use crate::snapshot::{LiveReader, Snapshot, SnapshotCell};
 use crate::stats::{LiveStats, SegmentStats};
 use crate::LiveConfig;
 use free_corpus::{Corpus, CorpusWriter, DiskCorpus, DocId, MemCorpus};
 use free_engine::grams::GramMatcher;
-use free_index::{merge_indexes, union_keys, IndexRead, IndexWriter, MergeInput};
+use free_index::{IndexRead, IndexWriter};
 use free_trace::metrics;
-use rustc_hash::FxHashMap;
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -39,10 +35,12 @@ pub const TOMBSTONES_HEADER: &str = "FREETOMB 2";
 /// An LSM-style incrementally updatable index over the FREE engine.
 ///
 /// Documents are added to a write-ahead corpus store (the WAL) and
-/// mirrored in an in-memory [`Memtable`]; a *flush* seals the buffer into
-/// an immutable segment with its own mined key set; deletes are
-/// tombstones; *compaction* k-way-merges every sealed segment into one,
-/// remapping doc ids and eliminating tombstoned documents. Every
+/// mirrored in an in-memory [`Memtable`], indexed by the index's one
+/// dictionary: the oldest segment's key directory. A *flush* seals the
+/// buffer into an immutable segment over that dictionary's keys (the
+/// first flush, with no dictionary yet, mines one); deletes are
+/// tombstones; *compaction* rewrites every surviving document into one
+/// segment with the batch build, mining a fresh dictionary. Every
 /// document keeps a stable, never-reused global sequence number, so
 /// query results are comparable across any schedule of mutations.
 ///
@@ -51,19 +49,24 @@ pub const TOMBSTONES_HEADER: &str = "FREETOMB 2";
 /// mutation, so a [`LiveQueryResult`] always reflects exactly one
 /// generation — and any number of [`LiveReader`] threads can query
 /// concurrently without ever blocking on a flush or compaction.
-/// Segments, the write buffer, and the tombstone set are `Arc`-shared
-/// between the writer and published snapshots; the writer mutates them
-/// copy-on-write (`Arc::make_mut`), cloning at most once per
-/// publish-then-mutate cycle.
+/// Segments, the write buffer's chunks, and the tombstone set are
+/// `Arc`-shared between the writer and published snapshots; the writer
+/// mutates the buffer and the tombstones copy-on-write
+/// (`Arc::make_mut`), so an add copies chunk pointers, never postings.
 pub struct LiveIndex {
     dir: PathBuf,
     config: Arc<LiveConfig>,
     manifest: Manifest,
     segments: Vec<Arc<Segment>>,
     memtable: Arc<Memtable>,
+    /// The dictionary's automaton, built by the first add that needs it
+    /// and dropped by compaction, the one operation that replaces a
+    /// dictionary in use (the first flush creates one, nothing else
+    /// changes it).
+    matcher: Option<BufferMatcher>,
     deleted: Arc<BTreeSet<DocId>>,
     generation: u64,
-    published: Arc<SnapshotCell>,
+    published: Arc<SnapshotCell<Snapshot>>,
 }
 
 impl LiveIndex {
@@ -135,15 +138,15 @@ impl LiveIndex {
             .map_err(|e| Error::io("write wal epoch", e))?;
         }
         let wal = DiskCorpus::open(&wal_dir)?;
-        let mut memtable = Memtable::new(config.memtable_gram_len);
+        let mut buffered: Vec<Vec<u8>> = Vec::with_capacity(wal.len());
         wal.scan(&mut |_, bytes| {
-            memtable.push(bytes);
+            buffered.push(bytes.to_vec());
             true
         })?;
         let generation = manifest.generation;
         let config = Arc::new(config);
         let segments: Vec<Arc<Segment>> = segments.into_iter().map(Arc::new).collect();
-        let memtable = Arc::new(memtable);
+        let memtable = Arc::new(Memtable::default());
         let deleted: Arc<BTreeSet<DocId>> = Arc::new(BTreeSet::new());
         let published = Arc::new(SnapshotCell::new(Arc::new(Snapshot::new(
             segments.clone(),
@@ -160,10 +163,16 @@ impl LiveIndex {
             manifest,
             segments,
             memtable,
+            matcher: None,
             deleted,
             generation,
             published,
         };
+        if !buffered.is_empty() {
+            live.buffer(&buffered);
+        }
+        // Tombstones are checked against the documents this publishes.
+        live.publish();
         live.load_tombstones()?;
         live.publish();
         live.record_shape_metrics();
@@ -296,15 +305,8 @@ impl LiveIndex {
             bytes += doc.as_ref().len() as u64;
         }
         writer.finish()?;
-        let mut ids = Vec::with_capacity(docs.len());
-        // Copy-on-write: the first push after a publish clones the
-        // buffer (a snapshot still references it); the rest of the
-        // batch mutates the now-unique copy in place.
-        let memtable = Arc::make_mut(&mut self.memtable);
-        for doc in docs {
-            let local = memtable.push(doc.as_ref());
-            ids.push(self.manifest.wal_base + local);
-        }
+        let first = self.manifest.wal_base + self.buffer(docs);
+        let ids: Vec<DocId> = (first..first + docs.len() as DocId).collect();
         self.generation += 1;
         metrics::global()
             .counter(
@@ -317,6 +319,21 @@ impl LiveIndex {
         drop(span);
         self.publish();
         Ok(ids)
+    }
+
+    /// Appends `docs` to the write buffer as one chunk, indexed by the
+    /// dictionary when the index has one; returns the first document's
+    /// local id. Copy-on-write: a snapshot may still hold the buffer, so
+    /// `Arc::make_mut` copies its chunk pointers, never a chunk.
+    fn buffer<D: AsRef<[u8]>>(&mut self, docs: &[D]) -> DocId {
+        let matcher = match self.segments.first() {
+            None => None,
+            Some(dict) => Some(
+                self.matcher
+                    .get_or_insert_with(|| BufferMatcher::new(dict.index.keys())),
+            ),
+        };
+        Arc::make_mut(&mut self.memtable).push_batch(docs, matcher)
     }
 
     /// Flushes if the write buffer has crossed either configured
@@ -336,7 +353,7 @@ impl LiveIndex {
     /// disappears from queries immediately; its storage is reclaimed by
     /// the next compaction (or flush, for still-buffered documents).
     pub fn delete(&mut self, seq: DocId) -> Result<()> {
-        if !self.physically_present(seq) {
+        if !self.snapshot().physically_present(seq) {
             return Err(Error::UnknownDoc(seq));
         }
         if self.deleted.contains(&seq) {
@@ -361,8 +378,10 @@ impl LiveIndex {
         Ok(())
     }
 
-    /// Seals the write buffer into a new immutable segment (mining a
-    /// fresh key set for it) and resets the WAL. Tombstoned buffer
+    /// Seals the write buffer into a new immutable segment and resets the
+    /// WAL. The segment indexes the dictionary's keys with the postings
+    /// the buffer recorded; only the first flush, into an index with no
+    /// segments, mines (and so creates the dictionary). Tombstoned buffer
     /// documents are simply not written — their tombstones are consumed.
     /// Returns whether anything was flushed.
     pub fn flush(&mut self) -> Result<bool> {
@@ -413,32 +432,43 @@ impl LiveIndex {
         let mut span = self.config.engine.tracer.span(op);
         let base = self.manifest.wal_base;
         let next_seq = base + keep_docs as DocId;
-        let survivors: Vec<(DocId, &[u8])> = self.memtable.docs()[..keep_docs]
-            .iter()
-            .enumerate()
-            .map(|(i, doc)| (base + i as DocId, &**doc))
-            .filter(|(seq, _)| !self.deleted.contains(seq))
-            .collect();
-        span.record("docs", survivors.len());
-        span.record("dropped_tombstones", keep_docs - survivors.len());
+        let live = |local: usize| !self.deleted.contains(&(base + local as DocId));
+        let survivors = (0..keep_docs).filter(|&local| live(local)).count();
+        span.record("docs", survivors);
+        span.record("dropped_tombstones", keep_docs - survivors);
         span.record("dropped_docs", self.memtable.len() - keep_docs);
         let mut new_segment = None;
-        if !survivors.is_empty() {
+        if survivors > 0 {
             let id = self.manifest.next_segment_id;
-            let seg = build_segment(
-                &self.dir.join(SEGMENTS_DIR),
-                id,
-                &survivors,
-                &self.config.engine,
-                self.config.segment_cache_bytes,
-            )?;
+            let mut writer = SegmentWriter::create(&self.dir.join(SEGMENTS_DIR), id)?;
+            // Buffer local id -> segment local id; `None` is not sealed.
+            let mut remap: Vec<Option<DocId>> = Vec::with_capacity(keep_docs);
+            let mut sealed: DocId = 0;
+            for (local, doc) in self.memtable.docs().take(keep_docs).enumerate() {
+                if live(local) {
+                    writer.append(base + local as DocId, doc)?;
+                    remap.push(Some(sealed));
+                    sealed += 1;
+                } else {
+                    remap.push(None);
+                }
+            }
+            let cache_bytes = self.config.segment_cache_bytes;
+            let seg = match self.segments.first() {
+                None => writer.mine(&self.config.engine, cache_bytes)?,
+                Some(dict) => writer.seal(cache_bytes, |_, path| {
+                    let mut index = IndexWriter::create(path)?;
+                    self.memtable
+                        .write_postings(dict.index.keys(), &remap, &mut index)?;
+                    Ok(index.finish()?)
+                })?,
+            };
             span.record("segment_id", id);
             span.record("keys", seg.num_keys());
             self.manifest.segments.push(seg.meta.clone());
             self.manifest.next_segment_id += 1;
             new_segment = Some(seg);
         }
-        drop(survivors);
         // Commit: manifest first (it names the new segment and the new
         // WAL epoch), then consume buffer tombstones and reset the WAL.
         self.generation += 1;
@@ -460,7 +490,7 @@ impl LiveIndex {
         self.reset_wal()?;
         // Replace rather than clear: snapshots may still hold the old
         // buffer, which stays valid (and frozen) until they drop it.
-        self.memtable = Arc::new(Memtable::new(self.config.memtable_gram_len));
+        self.memtable = Arc::new(Memtable::default());
         if let Some(seg) = new_segment {
             self.segments.push(Arc::new(seg));
         }
@@ -468,16 +498,14 @@ impl LiveIndex {
         Ok(())
     }
 
-    /// Flushes, then k-way-merges every sealed segment into one:
-    /// surviving documents are rewritten in global sequence order with
-    /// local doc ids remapped densely, tombstoned documents are dropped
-    /// and their tombstones consumed, and the segments' indexes are
-    /// merged directory-by-directory (no re-mining — the merged key set
-    /// is the union, completed per segment by a targeted gram scan for
-    /// keys that segment never mined). Returns whether anything changed.
-    // `expect`: the rewrite path runs only when survivors exist, so
-    // `new_seqs` is non-empty (`new_seqs[0]` is read just above).
-    #[allow(clippy::expect_used)]
+    /// Flushes, then rewrites every surviving document into one segment
+    /// with the batch build: the survivors, in sequence order, are
+    /// written to a new corpus, and a dictionary mined over them indexes
+    /// it, so the segment's index is byte for byte what
+    /// `Engine::build_on_disk` writes over the live documents and its key
+    /// directory becomes the index's dictionary. Tombstoned documents are
+    /// dropped and their tombstones consumed; sequence numbers are kept.
+    /// Returns whether anything changed.
     pub fn compact(&mut self) -> Result<bool> {
         let mut span = self.config.engine.tracer.span("compact");
         self.flush()?;
@@ -489,128 +517,35 @@ impl LiveIndex {
             return Ok(false);
         }
         let seg_root = self.dir.join(SEGMENTS_DIR);
-        // Merge order: k-way by sequence number across segments,
-        // dropping tombstoned docs and assigning dense new local ids.
-        let k = self.segments.len();
-        let mut remaps: Vec<Vec<Option<DocId>>> = self
-            .segments
-            .iter()
-            .map(|s| vec![None; s.seqs.len()])
-            .collect();
-        let mut order: Vec<(usize, DocId)> = Vec::new();
-        let mut new_seqs: Vec<DocId> = Vec::new();
-        let mut heads = vec![0usize; k];
-        loop {
-            let mut best: Option<(DocId, usize)> = None;
-            for (i, head) in heads.iter().enumerate() {
-                if *head < self.segments[i].seqs.len() {
-                    let seq = self.segments[i].seqs[*head];
-                    if best.is_none_or(|(b, _)| seq < b) {
-                        best = Some((seq, i));
-                    }
-                }
-            }
-            let Some((seq, i)) = best else { break };
-            let local = heads[i];
-            heads[i] += 1;
-            if self.deleted.contains(&seq) {
-                continue;
-            }
-            remaps[i][local] = Some(new_seqs.len() as DocId);
-            order.push((i, local as DocId));
-            new_seqs.push(seq);
-        }
         let old_ids: Vec<u64> = self.segments.iter().map(|s| s.meta.id).collect();
-        let old_segments = self.manifest.segments.len();
-        if new_seqs.is_empty() {
-            // Everything tombstoned: commit an empty segment list.
-            self.generation += 1;
-            self.manifest.segments.clear();
-            self.manifest.generation = self.generation;
-            self.manifest.store(&self.dir)?;
-            self.deleted = Arc::new(BTreeSet::new());
-            self.rewrite_tombstones()?;
-            // Retiring the files is safe while snapshots still hold the
-            // segments: their open descriptors keep the data readable.
-            for id in old_ids {
-                remove_segment_files(&seg_root, id);
-            }
-            self.segments.clear();
-            self.publish();
-            self.finish_compaction_metrics(&mut span, old_segments, 0);
-            return Ok(true);
-        }
-        // Rewrite surviving documents in merged sequence order.
-        let id = self.manifest.next_segment_id;
-        let mut writer = CorpusWriter::create(corpus_dir(&seg_root, id))?;
         let mut merge_bytes = 0u64;
-        for &(i, local) in &order {
-            let bytes = self.segments[i].corpus.get(local)?;
-            merge_bytes += bytes.len() as u64;
-            writer.append(&bytes)?;
-        }
-        let corpus = maybe_cache(writer.finish()?, self.config.segment_cache_bytes);
-        write_seqs(&seqs_path(&seg_root, id), &new_seqs)?;
-        // Merge the indexes. A key one segment mined and another didn't
-        // is completed by scanning the other segment's surviving docs for
-        // just those grams, so the merged index keeps the full postings
-        // invariant (key present ⇒ postings list every doc containing it).
-        let index = {
-            let inputs: Vec<MergeInput<'_>> = self
-                .segments
-                .iter()
-                .zip(&remaps)
-                .map(|(s, remap)| MergeInput {
-                    index: &s.index,
-                    remap,
-                })
-                .collect();
-            let union = union_keys(&inputs);
-            let mut completions: Vec<FxHashMap<Vec<u8>, Vec<DocId>>> =
-                vec![FxHashMap::default(); k];
-            for (i, seg) in self.segments.iter().enumerate() {
-                let missing: Vec<&[u8]> = union
-                    .iter()
-                    .map(|key| &**key)
-                    .filter(|key| !seg.index.contains_key(key))
-                    .collect();
-                if missing.is_empty() || remaps[i].iter().all(Option::is_none) {
-                    continue;
-                }
-                let mut matcher = GramMatcher::new(&missing);
-                let remap = &remaps[i];
-                let mut found: Vec<Vec<DocId>> = vec![Vec::new(); missing.len()];
+        let mut new_segment = None;
+        // The old dictionary's automaton is dead weight from here on.
+        self.matcher = None;
+        // The flush left every live document in a segment.
+        if self.live_docs() > 0 {
+            let id = self.manifest.next_segment_id;
+            let mut writer = SegmentWriter::create(&seg_root, id)?;
+            // Segments hold disjoint, ascending sequence ranges, so
+            // reading them in order yields the survivors in sequence order.
+            for seg in &self.segments {
+                let mut appended = Ok(());
                 seg.corpus.scan(&mut |local, bytes| {
-                    if let Some(new_id) = remap[local as usize] {
-                        matcher.match_distinct(bytes, u64::from(local), &mut |pi| {
-                            found[pi as usize].push(new_id);
-                        });
+                    let seq = seg.seqs[local as usize];
+                    if !self.deleted.contains(&seq) {
+                        merge_bytes += bytes.len() as u64;
+                        appended = writer.append(seq, bytes);
                     }
-                    true
+                    appended.is_ok()
                 })?;
-                completions[i] = missing
-                    .iter()
-                    .zip(found)
-                    .filter(|(_, v)| !v.is_empty())
-                    .map(|(key, v)| (key.to_vec(), v))
-                    .collect();
+                appended?;
             }
-            merge_indexes(
-                &inputs,
-                &mut |key, i| completions[i].get(key).cloned(),
-                IndexWriter::create(index_path(&seg_root, id))?,
-            )?
-        };
-        let meta = SegmentMeta {
-            id,
-            num_docs: new_seqs.len() as u32,
-            first_seq: new_seqs[0],
-            last_seq: *new_seqs.last().expect("non-empty"),
-        };
+            new_segment = Some(writer.mine(&self.config.engine, self.config.segment_cache_bytes)?);
+            self.manifest.next_segment_id = id + 1;
+        }
         // Commit, then clean up the replaced segments.
         self.generation += 1;
-        self.manifest.segments = vec![meta.clone()];
-        self.manifest.next_segment_id = id + 1;
+        self.manifest.segments = new_segment.iter().map(|s| s.meta.clone()).collect();
         self.manifest.generation = self.generation;
         self.manifest.store(&self.dir)?;
         self.deleted = Arc::new(BTreeSet::new());
@@ -619,17 +554,22 @@ impl LiveIndex {
         // segments; unlinking their files only drops the directory
         // entries — the snapshots' open descriptors stay readable, and
         // the disk space returns when the last `Arc<Segment>` drops.
-        for old in old_ids {
+        for &old in &old_ids {
             remove_segment_files(&seg_root, old);
         }
-        self.segments = vec![Arc::new(Segment {
-            meta,
-            corpus,
-            index,
-            seqs: Arc::new(new_seqs),
-        })];
+        self.segments = new_segment.into_iter().map(Arc::new).collect();
         self.publish();
-        self.finish_compaction_metrics(&mut span, old_segments, merge_bytes);
+        let m = metrics::global();
+        m.counter("free_live_compactions_total", "Segment compactions")
+            .inc();
+        m.counter(
+            "free_live_merge_bytes_total",
+            "Document bytes rewritten by compaction",
+        )
+        .add(merge_bytes);
+        self.record_shape_metrics();
+        span.record("segments_merged", old_ids.len());
+        span.record("merge_bytes", merge_bytes);
         Ok(true)
     }
 
@@ -679,22 +619,21 @@ impl LiveIndex {
 
     /// Key-set drift: the fraction of live write-buffer documents
     /// containing at least one *candidate* gram — a gram the miner would
-    /// select from the buffer — that no sealed segment ever mined. High
-    /// drift means the corpus has evolved past the mined key sets and
-    /// queries over new content degrade toward scans; flushing seals the
-    /// buffer with a fresh key set and compaction unifies them.
+    /// select from the buffer — that the dictionary lacks. High drift
+    /// means the corpus has evolved past the dictionary and queries over
+    /// new content degrade toward scans; compaction re-mines it over
+    /// every live document.
     pub fn key_set_drift(&self) -> Result<f64> {
-        if self.segments.is_empty() || self.memtable.is_empty() {
+        let Some(dict) = self.segments.first() else {
             return Ok(0.0);
-        }
+        };
         let base = self.manifest.wal_base;
         let live_buf = MemCorpus::from_docs(
             self.memtable
                 .docs()
-                .iter()
                 .enumerate()
                 .filter(|(i, _)| !self.deleted.contains(&(base + *i as DocId)))
-                .map(|(_, d)| d.clone())
+                .map(|(_, d)| d.to_vec())
                 .collect(),
         );
         if live_buf.is_empty() {
@@ -704,7 +643,7 @@ impl LiveIndex {
         let absent: Vec<&[u8]> = keys
             .iter()
             .map(|g| &*g.gram)
-            .filter(|g| !self.segments.iter().any(|s| s.index.contains_key(g)))
+            .filter(|g| !dict.index.contains_key(g))
             .collect();
         if absent.is_empty() {
             return Ok(0.0);
@@ -738,23 +677,6 @@ impl LiveIndex {
         self.generation - self.snapshot().generation()
     }
 
-    fn owner(&self, seq: DocId) -> Option<&Segment> {
-        let i = self.segments.partition_point(|s| s.meta.last_seq < seq);
-        self.segments
-            .get(i)
-            .map(|s| &**s)
-            .filter(|s| s.meta.first_seq <= seq)
-    }
-
-    /// Whether `seq` names a stored document (live or tombstoned).
-    fn physically_present(&self, seq: DocId) -> bool {
-        if seq >= self.manifest.wal_base {
-            ((seq - self.manifest.wal_base) as usize) < self.memtable.len()
-        } else {
-            self.owner(seq).is_some_and(|s| s.contains_seq(seq))
-        }
-    }
-
     fn load_tombstones(&mut self) -> Result<()> {
         let path = self.dir.join(TOMBSTONES_FILE);
         let seqs = match read_tombstones(&path) {
@@ -763,10 +685,11 @@ impl LiveIndex {
             Err(e) => return Err(e),
         };
         let mut stale = false;
+        let present = self.snapshot();
         for seq in seqs {
             // Tombstones whose docs a compaction already eliminated (a
             // crash can leave the log ahead of the manifest) are stale.
-            if self.physically_present(seq) {
+            if present.physically_present(seq) {
                 Arc::make_mut(&mut self.deleted).insert(seq);
             } else {
                 stale = true;
@@ -805,25 +728,6 @@ impl LiveIndex {
         metrics::global()
             .gauge("free_live_segments", "Sealed segments in the live index")
             .set(self.segments.len() as i64);
-    }
-
-    fn finish_compaction_metrics(
-        &self,
-        span: &mut free_trace::Span,
-        segments_merged: usize,
-        merge_bytes: u64,
-    ) {
-        let m = metrics::global();
-        m.counter("free_live_compactions_total", "Segment compactions")
-            .inc();
-        m.counter(
-            "free_live_merge_bytes_total",
-            "Document bytes rewritten by compaction",
-        )
-        .add(merge_bytes);
-        self.record_shape_metrics();
-        span.record("segments_merged", segments_merged);
-        span.record("merge_bytes", merge_bytes);
     }
 }
 

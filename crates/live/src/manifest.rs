@@ -33,8 +33,10 @@ pub const MANIFEST_FILE: &str = "live.manifest";
 /// the line is the CRC32 of the manifest body (every byte after the
 /// header line) in lowercase hex. Putting the checksum in the *first*
 /// line means a torn or truncated rewrite is detected no matter where the
-/// damage lands.
-const HEADER: &str = "FREELIVE 2 ";
+/// damage lands. Version 3 marks one dictionary per index (every segment
+/// indexes the oldest segment's keys); a version 2 directory has a key
+/// set per segment, which the version 3 planner would under-read.
+const HEADER: &str = "FREELIVE 3 ";
 
 /// Committed description of one sealed segment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,32 +98,7 @@ impl Manifest {
 
     /// Loads and validates the manifest in `dir`.
     pub fn load(dir: &Path) -> Result<Manifest> {
-        let path = Manifest::path(dir);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(Error::NotFound(dir.to_path_buf()))
-            }
-            Err(e) => return Err(Error::io(format!("read {}", path.display()), e)),
-        };
-        let (hex, body) = text
-            .split_once('\n')
-            .and_then(|(first, body)| Some((first.strip_prefix(HEADER)?, body)))
-            .ok_or_else(|| {
-                Error::Corrupt(format!(
-                    "{}: unsupported format, rebuild (no \"{HEADER}<crc32>\" header line)",
-                    path.display()
-                ))
-            })?;
-        let expected = u32::from_str_radix(hex.trim(), 16)
-            .map_err(|_| Error::Corrupt(format!("bad manifest checksum in {}", path.display())))?;
-        let actual = crc32(body.as_bytes());
-        if actual != expected {
-            return Err(Error::Corrupt(format!(
-                "manifest checksum mismatch in {}: header says {expected:08x}, body is {actual:08x}",
-                path.display()
-            )));
-        }
+        let body = read_checksummed(dir, MANIFEST_FILE, HEADER)?;
         let mut m = Manifest::new();
         for line in body.lines() {
             let line = line.trim();
@@ -175,12 +152,7 @@ impl Manifest {
                 s.id, s.first_seq, s.last_seq, s.num_docs
             ));
         }
-        let text = format!("{HEADER}{:08x}\n{body}", crc32(body.as_bytes()));
-        let path = Manifest::path(dir);
-        let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-        std::fs::write(&tmp, text).map_err(|e| Error::io(format!("write {}", tmp.display()), e))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| Error::io(format!("rename {} over manifest", tmp.display()), e))
+        write_checksummed(dir, MANIFEST_FILE, HEADER, &body)
     }
 
     /// Structural invariants: segments sorted by sequence range, ranges
@@ -216,6 +188,48 @@ impl Manifest {
         }
         Ok(())
     }
+}
+
+/// Reads the file `file` in `dir`: a `<header><crc32-hex>` line, then the
+/// body that checksum covers, which is returned. A missing file is
+/// [`Error::NotFound`]; another header is "unsupported format, rebuild".
+pub(crate) fn read_checksummed(dir: &Path, file: &str, header: &str) -> Result<String> {
+    let path = dir.join(file);
+    let text = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Err(Error::NotFound(dir.to_path_buf()))
+        }
+        Err(e) => return Err(Error::io(format!("read {}", path.display()), e)),
+    };
+    let (first, body) = text.split_once('\n').unwrap_or((&text, ""));
+    let hex = first.strip_prefix(header).ok_or_else(|| {
+        Error::Corrupt(format!(
+            "{}: unsupported format, rebuild (header {:?}, expected \"{header}<crc32>\")",
+            path.display(),
+            first.get(..header.len()).unwrap_or(first)
+        ))
+    })?;
+    let expected = u32::from_str_radix(hex.trim(), 16)
+        .map_err(|_| Error::Corrupt(format!("bad header checksum in {}", path.display())))?;
+    let actual = crc32(body.as_bytes());
+    if actual != expected {
+        return Err(Error::Corrupt(format!(
+            "checksum mismatch in {}: header says {expected:08x}, body is {actual:08x}",
+            path.display()
+        )));
+    }
+    Ok(body.to_string())
+}
+
+/// Atomically writes `body` under a `<header><crc32-hex>` line to the
+/// file `file` in `dir` (temp file + rename).
+pub(crate) fn write_checksummed(dir: &Path, file: &str, header: &str, body: &str) -> Result<()> {
+    let text = format!("{header}{:08x}\n{body}", crc32(body.as_bytes()));
+    let tmp = dir.join(format!("{file}.tmp"));
+    std::fs::write(&tmp, text).map_err(|e| Error::io(format!("write {}", tmp.display()), e))?;
+    std::fs::rename(&tmp, dir.join(file))
+        .map_err(|e| Error::io(format!("rename {} over {file}", tmp.display()), e))
 }
 
 impl Default for Manifest {
@@ -305,6 +319,15 @@ mod tests {
         let dir = tmpdir("garbage");
         // Headerless: what every generation before `FREELIVE 2` looks like.
         std::fs::write(Manifest::path(&dir), "generation=4\nwal_base=7\n").unwrap();
+        let err = Manifest::load(&dir).expect_err("must not load");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("unsupported format, rebuild")),
+            "{err}"
+        );
+        // A well-formed `FREELIVE 2` manifest: per-segment key sets.
+        let body = "generation=4\nwal_base=7\n";
+        let old = format!("FREELIVE 2 {:08x}\n{body}", crc32(body.as_bytes()));
+        std::fs::write(Manifest::path(&dir), old).unwrap();
         let err = Manifest::load(&dir).expect_err("must not load");
         assert!(
             matches!(&err, Error::Corrupt(m) if m.contains("unsupported format, rebuild")),

@@ -1,66 +1,173 @@
-//! The in-memory write buffer: documents plus a complete-gram memtable.
+//! The in-memory write buffer: documents not yet sealed into a segment,
+//! indexed by the live index's dictionary as they arrive.
 //!
-//! Newly added documents are appended to the WAL corpus store for
-//! durability and mirrored here for query access. The buffer maintains a
-//! [`MemIndex`] over *all* grams of length 2..=`gram_len` of each
-//! document — a complete index, not a mined one, so the planner can plan
-//! against the buffer with the same machinery it uses for sealed
-//! segments, and any plan it produces is exact (a gram absent from the
-//! memtable provably occurs in no buffered document).
+//! Documents are appended to the WAL for durability and mirrored here.
+//! Each `add_batch` becomes an immutable, `Arc`-shared chunk of the
+//! documents plus, grouped by key id, the dictionary keys (the oldest
+//! segment's key directory) each one contains. A snapshot copies chunk
+//! pointers, never postings, and a flush writes the grouped postings into
+//! the new segment without scanning a document again. Before the first
+//! flush there is no dictionary: queries confirm the whole buffer, a scan
+//! the flush thresholds bound.
 
+use crate::error::Result;
 use free_corpus::DocId;
-use free_index::MemIndex;
+use free_engine::grams::GramMatcher;
+use free_index::{IndexRead, IndexStats, IndexWriter, Key, Postings};
+use std::sync::Arc;
 
-/// The write buffer over documents not yet sealed into a segment.
-///
-/// `Clone` supports the live index's copy-on-write publication scheme:
-/// the writer clones the buffer (documents plus gram index) at most
-/// once per publish-then-mutate cycle via `Arc::make_mut`.
-#[derive(Clone)]
-pub struct Memtable {
-    docs: Vec<Vec<u8>>,
-    bytes: u64,
-    index: MemIndex,
-    gram_len: usize,
+/// The dictionary's Aho-Corasick automaton as the write buffer runs it
+/// (pattern `i` is key `i`). Each match's stamp is a count of the
+/// documents matched so far, so no two documents share one even when
+/// truncated sequence numbers are reused.
+pub(crate) struct BufferMatcher {
+    matcher: GramMatcher,
+    matched: u64,
 }
 
-impl Memtable {
-    /// Creates an empty buffer indexing grams of length 2..=`gram_len`.
-    pub fn new(gram_len: usize) -> Memtable {
-        Memtable {
-            docs: Vec::new(),
-            bytes: 0,
-            index: MemIndex::new(),
-            gram_len: gram_len.max(2),
+impl BufferMatcher {
+    pub(crate) fn new(keys: &[Key]) -> BufferMatcher {
+        BufferMatcher {
+            matcher: GramMatcher::new(keys),
+            matched: 0,
+        }
+    }
+}
+
+/// Buffered documents and their postings, immutable once built: key id
+/// `keys[i]` (ascending) is in the documents `run(i)` (local ids,
+/// ascending), the run ending at `run_ends[i]` in `locals`.
+#[derive(Default)]
+struct Chunk {
+    /// Local id of the chunk's first document.
+    first: DocId,
+    docs: Vec<Arc<[u8]>>,
+    keys: Vec<u32>,
+    run_ends: Vec<u32>,
+    locals: Vec<DocId>,
+}
+
+impl Chunk {
+    /// Appends `locals` to key `key`'s run; keys arrive in ascending order.
+    fn push_run(&mut self, key: u32, locals: &[DocId]) {
+        self.locals.extend_from_slice(locals);
+        if self.keys.last() != Some(&key) {
+            self.keys.push(key);
+            self.run_ends.push(0);
+        }
+        if let Some(end) = self.run_ends.last_mut() {
+            *end = self.locals.len() as u32;
         }
     }
 
-    /// Appends one document, indexing its grams. Returns the local id.
-    pub fn push(&mut self, doc: &[u8]) -> DocId {
-        let local = self.docs.len() as DocId;
-        for len in 2..=self.gram_len {
-            if doc.len() < len {
-                break;
-            }
-            for gram in doc.windows(len) {
-                // MemIndex coalesces repeated (key, doc) pairs, so every
-                // window can be pushed without deduplicating first.
-                self.index.add(gram, local);
+    fn run(&self, i: usize) -> &[DocId] {
+        let start = i.checked_sub(1).map_or(0, |p| self.run_ends[p]);
+        &self.locals[start as usize..self.run_ends[i] as usize]
+    }
+
+    fn runs(&self) -> impl Iterator<Item = (u32, &[DocId])> {
+        (0..self.keys.len()).map(|i| (self.keys[i], self.run(i)))
+    }
+
+    /// The documents and postings of `a`, then of `b`, which follows it.
+    fn merge(a: &Chunk, b: &Chunk) -> Chunk {
+        let mut merged = Chunk {
+            first: a.first,
+            docs: [&a.docs[..], &b.docs[..]].concat(),
+            locals: Vec::with_capacity(a.locals.len() + b.locals.len()),
+            ..Chunk::default()
+        };
+        let (mut ra, mut rb) = (a.runs().peekable(), b.runs().peekable());
+        while let Some(key) = [ra.peek(), rb.peek()]
+            .into_iter()
+            .flatten()
+            .map(|r| r.0)
+            .min()
+        {
+            for runs in [&mut ra, &mut rb] {
+                if let Some((_, locals)) = runs.next_if(|r| r.0 == key) {
+                    merged.push_run(key, locals);
+                }
             }
         }
-        self.bytes += doc.len() as u64;
-        self.docs.push(doc.to_vec());
-        local
+        merged.keys.shrink_to_fit();
+        merged.run_ends.shrink_to_fit();
+        merged
+    }
+}
+
+/// The write buffer over documents not yet sealed into a segment.
+///
+/// `Clone` copies chunk pointers only: the live index mutates the buffer
+/// copy-on-write (`Arc::make_mut`) while published snapshots keep the
+/// chunks they hold.
+#[derive(Clone, Default)]
+pub struct Memtable {
+    chunks: Vec<Arc<Chunk>>,
+    bytes: u64,
+}
+
+impl Memtable {
+    /// Appends `docs`, recording for each document the dictionary keys
+    /// `matcher` finds in it (none without a dictionary). Returns the
+    /// local id of the first document.
+    ///
+    /// The batch becomes a new chunk, and chunk sizes then follow a
+    /// binary counter: the newest two merge while the older holds no
+    /// more documents. A buffer of n documents has O(log n) chunks, each
+    /// posting is copied O(log n) times, and a key takes one run per
+    /// chunk rather than one per batch.
+    pub(crate) fn push_batch<D: AsRef<[u8]>>(
+        &mut self,
+        docs: &[D],
+        matcher: Option<&mut BufferMatcher>,
+    ) -> DocId {
+        let first = self.len() as DocId;
+        // (key id, local id) pairs, sorted into per-key runs.
+        let mut pairs: Vec<u64> = Vec::new();
+        if let Some(m) = matcher {
+            for (i, doc) in docs.iter().enumerate() {
+                let local = u64::from(first) + i as u64;
+                m.matched += 1;
+                m.matcher
+                    .match_distinct(doc.as_ref(), m.matched, &mut |key| {
+                        pairs.push(u64::from(key) << 32 | local);
+                    });
+            }
+            pairs.sort_unstable();
+        }
+        let distinct = pairs.chunk_by(|a, b| a >> 32 == b >> 32).count();
+        let mut chunk = Chunk {
+            first,
+            docs: docs.iter().map(|d| Arc::from(d.as_ref())).collect(),
+            keys: Vec::with_capacity(distinct),
+            run_ends: Vec::with_capacity(distinct),
+            locals: Vec::with_capacity(pairs.len()),
+        };
+        for pair in pairs {
+            chunk.push_run((pair >> 32) as u32, &[pair as DocId]);
+        }
+        self.bytes += docs.iter().map(|d| d.as_ref().len() as u64).sum::<u64>();
+        self.chunks.push(Arc::new(chunk));
+        while let [.., older, newer] = &self.chunks[..] {
+            if older.docs.len() > newer.docs.len() {
+                break;
+            }
+            let merged = Chunk::merge(older, newer);
+            self.chunks.truncate(self.chunks.len() - 2);
+            self.chunks.push(Arc::new(merged));
+        }
+        first
     }
 
     /// Number of buffered documents.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.chunks.iter().map(|c| c.docs.len()).sum()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.len() == 0
     }
 
     /// Total buffered document bytes.
@@ -70,56 +177,182 @@ impl Memtable {
 
     /// One buffered document by local id.
     pub fn doc(&self, local: usize) -> Option<&[u8]> {
-        self.docs.get(local).map(|d| &**d)
+        let c = self.chunks.partition_point(|c| c.first as usize <= local);
+        let chunk = &self.chunks[c.checked_sub(1)?];
+        chunk.docs.get(local - chunk.first as usize).map(|d| &**d)
     }
 
     /// All buffered documents in local-id order.
-    pub fn docs(&self) -> &[Vec<u8>] {
-        &self.docs
+    pub fn docs(&self) -> impl Iterator<Item = &[u8]> {
+        self.chunks.iter().flat_map(|c| c.docs.iter().map(|d| &**d))
     }
 
-    /// The complete-gram index over the buffer.
-    pub fn index(&self) -> &MemIndex {
-        &self.index
+    /// Local ids of the buffered documents containing dictionary key
+    /// `key`, ascending.
+    fn postings(&self, key: u32) -> Vec<DocId> {
+        let runs = self
+            .chunks
+            .iter()
+            .filter_map(|c| Some(c.run(c.keys.binary_search(&key).ok()?)));
+        runs.flatten().copied().collect()
     }
 
-    /// Drops everything (after a flush sealed the buffer into a segment).
-    pub fn clear(&mut self) {
-        self.docs.clear();
-        self.bytes = 0;
-        self.index = MemIndex::new();
+    /// Writes the buffered postings of `keys`, the dictionary the buffer
+    /// was indexed with, into `writer`: each local id becomes
+    /// `remap[local]`, and documents mapped to `None` (tombstoned or not
+    /// sealed) are left out, as are keys left with no document.
+    pub(crate) fn write_postings(
+        &self,
+        keys: &[Key],
+        remap: &[Option<DocId>],
+        writer: &mut IndexWriter,
+    ) -> Result<()> {
+        // Every chunk lists its keys in order, so one cursor per chunk
+        // walks them all in step with the dictionary; chunks hold
+        // ascending local ids, so each key's postings come out sorted.
+        let mut runs: Vec<_> = self.chunks.iter().map(|c| c.runs().peekable()).collect();
+        let mut docs: Vec<DocId> = Vec::new();
+        for (id, key) in keys.iter().enumerate() {
+            docs.clear();
+            for run in &mut runs {
+                if let Some((_, locals)) = run.next_if(|&(k, _)| k as usize == id) {
+                    docs.extend(
+                        locals
+                            .iter()
+                            .filter_map(|&l| remap.get(l as usize).copied().flatten()),
+                    );
+                }
+            }
+            if !docs.is_empty() {
+                writer.add(key, &Postings::from_sorted(&docs))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The buffer read through the dictionary it was indexed with, so a plan
+/// over the dictionary compiles against it like against any segment.
+pub(crate) struct BufferIndex<'a> {
+    /// The dictionary: the oldest segment's sorted key directory.
+    pub(crate) keys: &'a [Key],
+    pub(crate) memtable: &'a Memtable,
+}
+
+impl BufferIndex<'_> {
+    fn id(&self, key: &[u8]) -> Option<u32> {
+        let i = self.keys.binary_search_by(|k| (**k).cmp(key)).ok()?;
+        Some(i as u32)
+    }
+}
+
+impl IndexRead for BufferIndex<'_> {
+    fn num_keys(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn contains_key(&self, key: &[u8]) -> bool {
+        self.id(key).is_some()
+    }
+
+    fn doc_count(&self, key: &[u8]) -> Option<usize> {
+        Some(self.memtable.postings(self.id(key)?).len())
+    }
+
+    fn postings(&self, key: &[u8]) -> free_index::Result<Option<Vec<DocId>>> {
+        Ok(self.id(key).map(|k| self.memtable.postings(k)))
+    }
+
+    fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
+        self.keys.iter().for_each(|k| f(k));
+    }
+
+    /// Key count only: nothing reads the sizes of the buffer's postings.
+    fn stats(&self) -> IndexStats {
+        IndexStats {
+            num_keys: self.keys.len() as u64,
+            ..IndexStats::default()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use free_index::IndexRead;
 
-    #[test]
-    fn indexes_complete_grams() {
-        let mut m = Memtable::new(3);
-        m.push(b"abcab");
-        m.push(b"xy");
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.bytes(), 7);
-        // 2-grams and 3-grams of doc 0, deduplicated.
-        assert_eq!(m.index().postings(b"ab").unwrap().unwrap(), vec![0]);
-        assert_eq!(m.index().postings(b"abc").unwrap().unwrap(), vec![0]);
-        assert_eq!(m.index().postings(b"xy").unwrap().unwrap(), vec![1]);
-        // 4-grams are not indexed.
-        assert!(m.index().postings(b"abca").unwrap().is_none());
-        // Short docs index what they can.
-        assert!(m.index().postings(b"y").unwrap().is_none());
+    fn keys(list: &[&str]) -> Vec<Key> {
+        list.iter().map(|k| k.as_bytes().into()).collect()
     }
 
     #[test]
-    fn clear_resets() {
-        let mut m = Memtable::new(3);
-        m.push(b"hello");
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.bytes(), 0);
-        assert_eq!(m.index().num_keys(), 0);
+    fn indexes_dictionary_keys_by_id() {
+        let dict = keys(&["ab", "ca", "zz"]);
+        let mut matcher = BufferMatcher::new(&dict);
+        let mut m = Memtable::default();
+        assert_eq!(m.push_batch(&[&b"abcab"[..], b"xy"], Some(&mut matcher)), 0);
+        assert_eq!(m.push_batch(&[b"cab"], Some(&mut matcher)), 2);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.bytes(), 10);
+        assert_eq!(m.doc(1), Some(&b"xy"[..]));
+        assert_eq!(m.doc(2), Some(&b"cab"[..]));
+        assert_eq!(m.doc(3), None);
+        let index = BufferIndex {
+            keys: &dict,
+            memtable: &m,
+        };
+        assert_eq!(index.postings(b"ab").unwrap(), Some(vec![0, 2]));
+        assert_eq!(index.postings(b"ca").unwrap(), Some(vec![0, 2]));
+        // A dictionary key no buffered document contains: present, empty.
+        assert_eq!(index.postings(b"zz").unwrap(), Some(vec![]));
+        // A key outside the dictionary is absent.
+        assert_eq!(index.postings(b"xy").unwrap(), None);
+    }
+
+    #[test]
+    fn chunks_merge_like_a_binary_counter() {
+        let dict = keys(&["a", "b", "c"]);
+        let mut matcher = BufferMatcher::new(&dict);
+        let mut m = Memtable::default();
+        let docs: Vec<String> = (0..7)
+            .map(|i| ["ab", "bc", "ca"][i % 3].repeat(i + 1))
+            .collect();
+        let mut sizes = Vec::new();
+        for doc in &docs {
+            m.push_batch(&[doc.as_bytes()], Some(&mut matcher));
+            sizes.push(m.chunks.iter().map(|c| c.docs.len()).collect::<Vec<_>>());
+        }
+        assert_eq!(sizes[2], vec![2, 1]);
+        assert_eq!(sizes[3], vec![4]);
+        assert_eq!(sizes[6], vec![4, 2, 1]);
+        for (i, doc) in docs.iter().enumerate() {
+            assert_eq!(m.doc(i), Some(doc.as_bytes()));
+        }
+        let index = BufferIndex {
+            keys: &dict,
+            memtable: &m,
+        };
+        for key in ["a", "b", "c"] {
+            let want: Vec<DocId> = (0..7).filter(|&i| docs[i as usize].contains(key)).collect();
+            assert_eq!(index.postings(key.as_bytes()).unwrap(), Some(want), "{key}");
+        }
+    }
+
+    #[test]
+    fn buffer_without_dictionary_holds_documents_only() {
+        let mut m = Memtable::default();
+        m.push_batch(&[&b"hello"[..], b"world"], None);
+        let snapshot = m.clone();
+        m.push_batch(&[b"again"], None);
+        assert_eq!(snapshot.len(), 2, "a clone keeps the chunks it holds");
+        assert_eq!(
+            m.docs().collect::<Vec<_>>(),
+            vec![&b"hello"[..], b"world", b"again"]
+        );
+        let dict = keys(&["ll"]);
+        let index = BufferIndex {
+            keys: &dict,
+            memtable: &m,
+        };
+        assert_eq!(index.postings(b"ll").unwrap(), Some(vec![]));
     }
 }

@@ -1,10 +1,15 @@
 //! The multi-segment query executor.
 //!
-//! One logical plan is built per query; a *physical* plan is then derived
-//! per source (each sealed segment and the write buffer) against that
-//! source's own index, compiled to a cursor over local ids with the PR 2
-//! streaming machinery, and lifted into the global sequence space by the
-//! adapters in [`crate::cursor`]. The per-source streams merge through
+//! One logical plan is built per query and one *physical* plan per
+//! snapshot, against the index's dictionary (the oldest segment's key
+//! directory). Every source — each sealed segment and the write buffer —
+//! indexes exactly the dictionary's keys, so that one plan compiles
+//! against each source's index to a cursor over local ids, and a
+//! dictionary key absent from a source's directory is one none of its
+//! documents contains (an empty branch, not a NULL one). The cursors are
+//! lifted into the global sequence space by the adapters in
+//! [`crate::cursor`]. Before the first flush there is no dictionary and
+//! the buffer is confirmed whole. The per-source streams merge through
 //! the engine's `OrCursor` k-way heap (global sequence order), tombstones
 //! are filtered out, and the surviving candidates are confirmed by the
 //! engine's batched (optionally parallel) confirmation running against a
@@ -13,6 +18,7 @@
 
 use crate::cursor::{OffsetCursor, SeqMapCursor, TombstoneFilterCursor};
 use crate::error::{Error, Result};
+use crate::memtable::BufferIndex;
 use crate::snapshot::Snapshot;
 use crate::view::LiveView;
 use free_corpus::DocId;
@@ -68,8 +74,12 @@ pub struct LiveQueryStats {
     pub base: QueryStats,
     /// Number of candidate sources consulted (segments + write buffer).
     pub sources: usize,
-    /// Sources whose per-source plan degenerated to a scan.
+    /// Sources confirmed whole: every source when the plan cannot use the
+    /// index, or the write buffer before the first flush.
     pub scanned_sources: usize,
+    /// The index keys the plan fetched, deduplicated (over every shard of
+    /// a sharded index, sorted).
+    pub grams: Vec<Box<[u8]>>,
     /// Generation the query ran at.
     pub generation: u64,
 }
@@ -103,14 +113,6 @@ impl LiveQueryResult {
     }
 }
 
-fn class_rank(c: PlanClass) -> u8 {
-    match c {
-        PlanClass::Indexed => 0,
-        PlanClass::Weak => 1,
-        PlanClass::Scan => 2,
-    }
-}
-
 /// Runs `pattern` over the live index view: builds the regex and logical
 /// plan, then executes them via [`execute_prepared`].
 pub(crate) fn execute(
@@ -137,24 +139,25 @@ pub(crate) fn execute(
     )?;
     result.stats.base.plan_time += prep_time;
     free_engine::record_query(free_trace::metrics::global(), &result.stats.base);
-    emit_qlog(pattern, &result.stats.base, want_spans);
+    emit_qlog(pattern, &result.stats, want_spans);
     Ok(result)
 }
 
 /// Appends one record for a finished live query to the durable query
 /// log (no-op when none is installed). Live confirmation always runs to
-/// exhaustion, so records are `complete`; physical plans differ per
-/// source, so no gram keys are recorded, and there is no per-operator
-/// flight-recorder tree on the live path (the analyze executor is
-/// batch-only) — slow live queries are still flagged `slow`.
-pub(crate) fn emit_qlog(pattern: &str, stats: &QueryStats, want_spans: bool) {
+/// exhaustion, so records are `complete`, and they carry the plan's
+/// gram keys. There is no per-operator flight-recorder tree on the live
+/// path (the analyze executor is batch-only) — slow live queries are
+/// still flagged `slow`.
+pub(crate) fn emit_qlog(pattern: &str, stats: &LiveQueryStats, want_spans: bool) {
     if free_trace::qlog::enabled() {
-        let slow = free_engine::qlog::is_slow(stats);
+        let slow = free_engine::qlog::is_slow(&stats.base);
+        let grams: Vec<&[u8]> = stats.grams.iter().map(|g| &**g).collect();
         free_trace::qlog::emit(free_engine::qlog::query_record(
             "live",
             pattern,
-            stats,
-            &[],
+            &stats.base,
+            &grams,
             true,
             want_spans,
             slow,
@@ -164,9 +167,9 @@ pub(crate) fn emit_qlog(pattern: &str, stats: &QueryStats, want_spans: bool) {
 }
 
 /// A pattern parsed and logically planned once, reusable across every
-/// source it executes against. A sharded index prepares one of these and
+/// shard it executes against. A sharded index prepares one of these and
 /// fans it out to all shards; only the *physical* plan (which depends on
-/// each source's own index) is derived per execution.
+/// each shard's dictionary) is derived per execution.
 pub(crate) struct PreparedQuery {
     pattern: String,
     regex: Regex,
@@ -195,7 +198,7 @@ impl PreparedQuery {
 /// shards pays regex parsing and logical planning once and records one
 /// query.
 // `expect`: `compile_plan` returns `None` only for scan plans, which
-// both call sites branch away from; `pop()` sits in the `len == 1` arm.
+// the compiling branch excludes; `pop()` sits in the `len == 1` arm.
 #[allow(clippy::expect_used)]
 pub(crate) fn execute_prepared(
     snapshot: &Snapshot,
@@ -212,72 +215,74 @@ pub(crate) fn execute_prepared(
 
     let plan_start = Instant::now();
     let mut stats = QueryStats::default();
-    let mut sources = 0usize;
-    let mut scanned = 0usize;
-    let mut worst_class = PlanClass::Indexed;
-    let mut cursors: Vec<Box<dyn PostingsCursor>> = Vec::new();
+    let sources = snapshot.segments.len() + usize::from(!snapshot.memtable.is_empty());
+    let mut cursors: Vec<Box<dyn PostingsCursor>> = Vec::with_capacity(sources);
+    // One plan per snapshot, against the dictionary (the oldest segment's
+    // key directory): every source indexes exactly its keys, so a key
+    // missing from a source's directory is in none of its documents.
+    let planned = snapshot.segments.first().map(|dict| {
+        let options = PlanOptions {
+            num_docs: dict.meta.num_docs as usize,
+            prune_selectivity: econfig.prune_selectivity,
+        };
+        let physical = PhysicalPlan::from_logical_with(logical, &dict.index, options);
+        (dict, physical)
+    });
+    // Without a dictionary (nothing flushed yet) or with a plan that
+    // cannot use it, every document is a candidate.
+    let scan = planned.as_ref().is_none_or(|(_, p)| p.is_scan());
     {
         let mut span = query_span.child("live.plan");
-        for seg in &snapshot.segments {
-            sources += 1;
-            let options = PlanOptions {
-                num_docs: seg.meta.num_docs as usize,
-                prune_selectivity: econfig.prune_selectivity,
-            };
-            let physical = PhysicalPlan::from_logical_with(logical, &seg.index, options);
-            let class = physical.classify(seg.meta.num_docs as usize);
-            if class_rank(class) > class_rank(worst_class) {
-                worst_class = class;
+        if scan {
+            // A buffer scan before the first flush is bounded by the flush
+            // thresholds: only a plan that cannot use the index is policed.
+            if planned.is_some() {
+                match econfig.scan_policy {
+                    ScanPolicy::Allow => {}
+                    ScanPolicy::Warn => eprintln!(
+                        "warning: query {pattern:?} cannot use the index; \
+                         scanning every live document"
+                    ),
+                    ScanPolicy::Reject => return Err(Error::ScanRejected(pattern.to_string())),
+                }
             }
-            if physical.is_scan() {
-                scanned += 1;
+            for seg in &snapshot.segments {
                 cursors.push(Box::new(SliceCursor::new((*seg.seqs).clone())));
-            } else {
-                let cursor = compile_plan(&physical, &seg.index, &mut stats)?
+            }
+            if !snapshot.memtable.is_empty() {
+                let seqs = (0..snapshot.memtable.len() as DocId).map(|i| snapshot.wal_base + i);
+                cursors.push(Box::new(SliceCursor::new(seqs.collect())));
+            }
+        } else if let Some((dict, physical)) = &planned {
+            for seg in &snapshot.segments {
+                let cursor = compile_plan(physical, &seg.index, &mut stats)?
                     .expect("non-scan plans always compile to a cursor");
                 cursors.push(Box::new(SeqMapCursor::new(cursor, seg.seqs.clone())));
             }
-        }
-        if !snapshot.memtable.is_empty() {
-            sources += 1;
-            let options = PlanOptions {
-                num_docs: snapshot.memtable.len(),
-                prune_selectivity: econfig.prune_selectivity,
-            };
-            let physical =
-                PhysicalPlan::from_logical_with(logical, snapshot.memtable.index(), options);
-            let class = physical.classify(snapshot.memtable.len());
-            if class_rank(class) > class_rank(worst_class) {
-                worst_class = class;
-            }
-            if physical.is_scan() {
-                scanned += 1;
-                let seqs: Vec<DocId> = (0..snapshot.memtable.len() as DocId)
-                    .map(|i| snapshot.wal_base + i)
-                    .collect();
-                cursors.push(Box::new(SliceCursor::new(seqs)));
-            } else {
-                let cursor = compile_plan(&physical, snapshot.memtable.index(), &mut stats)?
+            if !snapshot.memtable.is_empty() {
+                let buffer = BufferIndex {
+                    keys: dict.index.keys(),
+                    memtable: &snapshot.memtable,
+                };
+                let cursor = compile_plan(physical, &buffer, &mut stats)?
                     .expect("non-scan plans always compile to a cursor");
                 cursors.push(Box::new(OffsetCursor::new(cursor, snapshot.wal_base)));
             }
         }
         span.record("sources", sources);
-        span.record("scanned_sources", scanned);
+        span.record("scanned_sources", if scan { sources } else { 0 });
     }
-    if sources > 0 && scanned == sources {
-        match econfig.scan_policy {
-            ScanPolicy::Allow => {}
-            ScanPolicy::Warn => eprintln!(
-                "warning: query {pattern:?} cannot use any segment index; \
-                 scanning every live document"
-            ),
-            ScanPolicy::Reject => return Err(Error::ScanRejected(pattern.to_string())),
-        }
-    }
-    stats.used_scan = scanned > 0 && scanned == sources;
-    stats.plan_class = worst_class;
+    stats.used_scan = scan && sources > 0;
+    stats.plan_class = match &planned {
+        Some((dict, physical)) => physical.classify(dict.meta.num_docs as usize),
+        None if stats.used_scan => PlanClass::Scan,
+        None => PlanClass::Indexed,
+    };
     stats.plan_time = plan_start.elapsed();
+    let grams = planned
+        .as_ref()
+        .map(|(_, p)| p.gram_keys().into_iter().map(Into::into).collect())
+        .unwrap_or_default();
 
     let index_start = Instant::now();
     let merged: Box<dyn PostingsCursor> = match cursors.len() {
@@ -303,13 +308,7 @@ pub(crate) fn execute_prepared(
     } else {
         Vec::new()
     };
-    let view = LiveView {
-        segments: &snapshot.segments,
-        memtable: &snapshot.memtable,
-        wal_base: snapshot.wal_base,
-        deleted: &snapshot.deleted,
-        live_docs: snapshot.live_docs,
-    };
+    let view = LiveView(snapshot);
     let mut matches = Vec::new();
     {
         let mut span = query_span.child("live.confirm");
@@ -335,7 +334,8 @@ pub(crate) fn execute_prepared(
         stats: LiveQueryStats {
             base: stats,
             sources,
-            scanned_sources: scanned,
+            scanned_sources: if scan { sources } else { 0 },
+            grams,
             generation: snapshot.generation,
         },
     })

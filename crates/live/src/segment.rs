@@ -1,14 +1,16 @@
-//! Sealed immutable segments: a corpus store, a mined index, and the
+//! Sealed immutable segments: a corpus store, an index, and the
 //! local→global sequence map.
 //!
-//! A flush seals the write buffer into a segment by running the same
-//! build pipeline the offline engine uses — mine a key set over the
-//! segment's documents ([`free_engine::select_keys`]), then generate
-//! postings in one scan and write the blocked on-disk index format
-//! ([`free_engine::build_index`]). Each segment therefore carries its *own*
-//! key set, mined from its own documents; queries stay exact regardless
-//! because planning happens per segment and confirmation runs the full
-//! regex.
+//! The oldest segment's key directory is the live index's *dictionary*.
+//! Two operations mine one, with the same pipeline the offline engine
+//! uses (`SegmentWriter::mine`: [`free_engine::select_keys`], then
+//! [`free_engine::build_index`]): the first flush into an index with no
+//! segments, and compaction, which rewrites every live document into one
+//! segment. Every other flush indexes exactly the dictionary's keys, with
+//! the postings the write buffer recorded as documents arrived
+//! (`SegmentWriter::seal`). Each segment is therefore complete for every
+//! dictionary key: a key absent from its directory occurs in none of its
+//! documents.
 
 use crate::error::{Error, Result};
 use crate::manifest::SegmentMeta;
@@ -115,7 +117,7 @@ pub struct Segment {
     pub meta: SegmentMeta,
     /// The segment's document store (local ids).
     pub corpus: DiskCorpus,
-    /// The segment's mined index (local ids).
+    /// The segment's index (local ids): mined, or over the dictionary.
     pub index: IndexReader,
     /// Strictly ascending map local id → global sequence number. Shared
     /// with cursors via `Arc` so query streams borrow nothing.
@@ -168,11 +170,6 @@ impl Segment {
         Ok(())
     }
 
-    /// Whether `seq` names a document stored in this segment.
-    pub fn contains_seq(&self, seq: DocId) -> bool {
-        self.local_of(seq).is_some()
-    }
-
     /// Local doc id of the document with sequence `seq`, if stored here.
     pub fn local_of(&self, seq: DocId) -> Option<DocId> {
         self.seqs.binary_search(&seq).ok().map(|i| i as DocId)
@@ -197,51 +194,81 @@ impl Segment {
     }
 }
 
-/// Builds and seals a segment from `(sequence, bytes)` pairs (ascending
-/// by sequence), mining a fresh key set with the engine's selection
-/// policy. Returns the opened segment.
-// `expect`: callers never seal an empty segment; `seqs[0]` above would
-// already have panicked if `docs` were empty.
-#[allow(clippy::expect_used)]
-pub fn build_segment(
-    seg_root: &Path,
+/// A segment being written: its documents in ascending sequence order,
+/// then its index, either mined or handed over by the caller.
+pub(crate) struct SegmentWriter {
+    root: PathBuf,
     id: u64,
-    docs: &[(DocId, &[u8])],
-    config: &EngineConfig,
-    cache_bytes: usize,
-) -> Result<Segment> {
-    assert!(!docs.is_empty(), "segments are never empty");
-    std::fs::create_dir_all(seg_root)
-        .map_err(|e| Error::io(format!("create {}", seg_root.display()), e))?;
-    let mut writer = CorpusWriter::create(corpus_dir(seg_root, id))?;
-    let mut seqs = Vec::with_capacity(docs.len());
-    for (seq, bytes) in docs {
-        writer.append(bytes)?;
-        seqs.push(*seq);
+    corpus: CorpusWriter,
+    seqs: Vec<DocId>,
+}
+
+impl SegmentWriter {
+    /// Starts segment `id` under `seg_root`.
+    pub(crate) fn create(seg_root: &Path, id: u64) -> Result<SegmentWriter> {
+        std::fs::create_dir_all(seg_root)
+            .map_err(|e| Error::io(format!("create {}", seg_root.display()), e))?;
+        Ok(SegmentWriter {
+            root: seg_root.to_path_buf(),
+            id,
+            corpus: CorpusWriter::create(corpus_dir(seg_root, id))?,
+            seqs: Vec::new(),
+        })
     }
-    let corpus = maybe_cache(writer.finish()?, cache_bytes);
-    write_seqs(&seqs_path(seg_root, id), &seqs)?;
-    let (keys, _mining) = free_engine::select_keys(&corpus, config)?;
-    let index = free_engine::build_index(
-        &corpus,
-        &keys,
-        &index_path(seg_root, id),
-        config.build_memory_budget,
-    )?;
-    let meta = SegmentMeta {
-        id,
-        num_docs: docs.len() as u32,
-        first_seq: seqs[0],
-        last_seq: *seqs.last().expect("non-empty"),
-    };
-    let segment = Segment {
-        meta,
-        corpus,
-        index,
-        seqs: Arc::new(seqs),
-    };
-    segment.check()?;
-    Ok(segment)
+
+    /// Appends the document with sequence number `seq`, which must exceed
+    /// every one appended before it.
+    pub(crate) fn append(&mut self, seq: DocId, bytes: &[u8]) -> Result<()> {
+        self.corpus.append(bytes)?;
+        self.seqs.push(seq);
+        Ok(())
+    }
+
+    /// Seals the segment with the batch build: a key set mined over its
+    /// documents with the engine's selection policy
+    /// ([`free_engine::select_keys`]), then one postings scan
+    /// ([`free_engine::build_index`]). The index file is byte for byte
+    /// what `Engine::build_on_disk` writes for the same documents.
+    pub(crate) fn mine(self, config: &EngineConfig, cache_bytes: usize) -> Result<Segment> {
+        self.seal(cache_bytes, |corpus, path| {
+            let (keys, _mining) = free_engine::select_keys(corpus, config)?;
+            Ok(free_engine::build_index(
+                corpus,
+                &keys,
+                path,
+                config.build_memory_budget,
+            )?)
+        })
+    }
+
+    /// Seals the segment with the index `index` writes at the given path
+    /// over the segment's (local-id) corpus. Returns the opened segment.
+    // `expect`: callers never seal an empty segment; `seqs[0]` above would
+    // already have panicked if nothing was appended.
+    #[allow(clippy::expect_used)]
+    pub(crate) fn seal(
+        self,
+        cache_bytes: usize,
+        index: impl FnOnce(&DiskCorpus, &Path) -> Result<IndexReader>,
+    ) -> Result<Segment> {
+        let (root, id, seqs) = (self.root, self.id, self.seqs);
+        assert!(!seqs.is_empty(), "segments are never empty");
+        let corpus = maybe_cache(self.corpus.finish()?, cache_bytes);
+        write_seqs(&seqs_path(&root, id), &seqs)?;
+        let segment = Segment {
+            meta: SegmentMeta {
+                id,
+                num_docs: seqs.len() as u32,
+                first_seq: seqs[0],
+                last_seq: *seqs.last().expect("non-empty"),
+            },
+            index: index(&corpus, &index_path(&root, id))?,
+            corpus,
+            seqs: Arc::new(seqs),
+        };
+        segment.check()?;
+        Ok(segment)
+    }
 }
 
 /// Best-effort removal of a segment's files (after compaction replaced
@@ -306,8 +333,11 @@ mod tests {
             (9, b"jumped over the lazy dog"),
             (12, b"the quick red dog"),
         ];
-        let config = EngineConfig::default();
-        let seg = build_segment(&dir, 0, &docs, &config, 1 << 16).unwrap();
+        let mut writer = SegmentWriter::create(&dir, 0).unwrap();
+        for (seq, bytes) in docs {
+            writer.append(seq, bytes).unwrap();
+        }
+        let seg = writer.mine(&EngineConfig::default(), 1 << 16).unwrap();
         assert_eq!(seg.meta.first_seq, 5);
         assert_eq!(seg.meta.last_seq, 12);
         assert_eq!(seg.local_of(9), Some(1));

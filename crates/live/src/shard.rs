@@ -45,25 +45,25 @@
 //! count (`tests/proptest_shard.rs` pins this differentially).
 
 use crate::error::{Error, Result};
+use crate::manifest::{read_checksummed, write_checksummed};
 use crate::query::{
     execute_prepared, LiveMatch, LiveQueryResult, LiveQueryStats, PreparedQuery, QueryOpts,
 };
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::stats::LiveStats;
 use crate::{LiveConfig, LiveIndex, Manifest};
-use free_checksum::crc32;
 use free_corpus::DocId;
 use free_engine::{partition_threads, QueryStats};
 use free_trace::metrics::{self, Counter, Gauge, Histogram};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Sharded manifest file name inside the index directory.
 pub const SHARDED_MANIFEST_FILE: &str = "sharded.manifest";
 /// Version-1 header prefix; the rest of the line is the CRC32 of the
 /// manifest body in lowercase hex (same torn-write protection as the
-/// live manifest's `FREELIVE 2` header).
+/// live manifest's `FREELIVE 3` header).
 const SHARDED_HEADER: &str = "FREESHRD 1 ";
 /// Upper bound on the shard count recorded at create time.
 pub const MAX_SHARDS: usize = 256;
@@ -98,33 +98,7 @@ impl ShardedManifest {
 
     /// Loads and validates the sharded manifest in `dir`.
     pub fn load(dir: &Path) -> Result<ShardedManifest> {
-        let path = ShardedManifest::path(dir);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(Error::NotFound(dir.to_path_buf()))
-            }
-            Err(e) => return Err(Error::io(format!("read {}", path.display()), e)),
-        };
-        let (first, body) = text.split_once('\n').ok_or_else(|| {
-            Error::Corrupt(format!("bad sharded manifest header in {}", path.display()))
-        })?;
-        let hex = first.strip_prefix(SHARDED_HEADER).ok_or_else(|| {
-            Error::Corrupt(format!("bad sharded manifest header in {}", path.display()))
-        })?;
-        let expected = u32::from_str_radix(hex.trim(), 16).map_err(|_| {
-            Error::Corrupt(format!(
-                "bad sharded manifest checksum in {}",
-                path.display()
-            ))
-        })?;
-        let actual = crc32(body.as_bytes());
-        if actual != expected {
-            return Err(Error::Corrupt(format!(
-                "sharded manifest checksum mismatch in {}: header says {expected:08x}, body is {actual:08x}",
-                path.display()
-            )));
-        }
+        let body = read_checksummed(dir, SHARDED_MANIFEST_FILE, SHARDED_HEADER)?;
         let mut shards: Option<usize> = None;
         let mut selector: Option<String> = None;
         for line in body.lines() {
@@ -146,7 +120,10 @@ impl ShardedManifest {
         }
         let m = ShardedManifest {
             shards: shards.ok_or_else(|| {
-                Error::Corrupt(format!("sharded manifest {} lacks shards=", path.display()))
+                Error::Corrupt(format!(
+                    "sharded manifest in {} lacks shards=",
+                    dir.display()
+                ))
             })?,
             selector,
         };
@@ -162,12 +139,7 @@ impl ShardedManifest {
         if let Some(selector) = &self.selector {
             body.push_str(&format!("selector={selector}\n"));
         }
-        let text = format!("{SHARDED_HEADER}{:08x}\n{body}", crc32(body.as_bytes()));
-        let path = ShardedManifest::path(dir);
-        let tmp = dir.join(format!("{SHARDED_MANIFEST_FILE}.tmp"));
-        std::fs::write(&tmp, text).map_err(|e| Error::io(format!("write {}", tmp.display()), e))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| Error::io(format!("rename {} over sharded manifest", tmp.display()), e))
+        write_checksummed(dir, SHARDED_MANIFEST_FILE, SHARDED_HEADER, &body)
     }
 
     fn validate(&self) -> Result<()> {
@@ -351,7 +323,7 @@ pub struct ShardedLiveIndex {
     shards: Vec<LiveIndex>,
     generation: u64,
     next_seq: DocId,
-    published: Arc<ShardedCell>,
+    published: Arc<SnapshotCell<ShardedSnapshot>>,
     metrics: Arc<[ShardMetrics]>,
     /// Set when a partial batch commit could not be rolled back: the
     /// router's sequence cursor no longer agrees with shard state, so
@@ -468,7 +440,7 @@ impl ShardedLiveIndex {
             shards,
             generation,
             next_seq,
-            published: Arc::new(ShardedCell::new(initial)),
+            published: Arc::new(SnapshotCell::new(initial)),
             poisoned: None,
         };
         index.publish();
@@ -512,21 +484,12 @@ impl ShardedLiveIndex {
 
     /// Global sequence numbers of all live documents, ascending.
     pub fn live_seqs(&self) -> Vec<DocId> {
-        let n = self.shards.len() as DocId;
-        let mut out = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            out.extend(shard.live_seqs().into_iter().map(|l| l * n + s as DocId));
-        }
-        out.sort_unstable();
-        out
+        self.snapshot().live_seqs()
     }
 
     /// Reads one live document by global sequence number.
     pub fn get(&self, seq: DocId) -> Result<Vec<u8>> {
-        let n = self.shards.len() as DocId;
-        self.shards[(seq % n) as usize]
-            .get(seq / n)
-            .map_err(|e| remap_seq_err(e, seq))
+        self.snapshot().get(seq)
     }
 
     /// The most recently published composite snapshot.
@@ -794,11 +757,7 @@ impl ShardedLiveIndex {
     fn publish(&self) {
         let snaps: Vec<Arc<Snapshot>> = self.shards.iter().map(LiveIndex::snapshot).collect();
         for (snap, m) in snaps.iter().zip(self.metrics.iter()) {
-            // Exact: tombstones always name physically present docs, and
-            // flush/compact consume them.
-            let total: usize = snap.segments.iter().map(|s| s.meta.num_docs as usize).sum();
-            m.live_docs
-                .set((total + snap.memtable.len() - snap.deleted.len()) as i64);
+            m.live_docs.set(snap.live_docs() as i64);
             m.segments.set(snap.segments.len() as i64);
         }
         self.published.store(Arc::new(ShardedSnapshot {
@@ -997,6 +956,7 @@ impl ShardedSnapshot {
         let mut stats = QueryStats::default();
         let mut sources = 0usize;
         let mut scanned = 0usize;
+        let mut grams: Vec<Box<[u8]>> = Vec::new();
         let n_docid = n as DocId;
         // Per-shard match streams, lifted into global sequence space.
         let mut queues: Vec<std::vec::IntoIter<LiveMatch>> = Vec::with_capacity(n);
@@ -1006,6 +966,7 @@ impl ShardedSnapshot {
             stats.absorb(&result.stats.base);
             sources += result.stats.sources;
             scanned += result.stats.scanned_sources;
+            grams.extend(result.stats.grams);
             for m in &mut result.matches {
                 m.seq = m.seq * n_docid + s as DocId;
             }
@@ -1013,6 +974,8 @@ impl ShardedSnapshot {
             queues.push(result.matches.into_iter());
         }
         stats.plan_time += prep_time;
+        grams.sort_unstable();
+        grams.dedup();
 
         // K-way merge by global sequence. Each queue is already
         // ascending; with at most MAX_SHARDS queues a linear min-scan
@@ -1036,41 +999,15 @@ impl ShardedSnapshot {
         }
 
         free_engine::record_query(free_trace::metrics::global(), &stats);
+        let stats = LiveQueryStats {
+            base: stats,
+            sources,
+            scanned_sources: scanned,
+            grams,
+            generation: self.generation,
+        };
         crate::query::emit_qlog(pattern, &stats, want_spans);
-        Ok(LiveQueryResult {
-            matches,
-            stats: LiveQueryStats {
-                base: stats,
-                sources,
-                scanned_sources: scanned,
-                generation: self.generation,
-            },
-        })
-    }
-}
-
-/// The one-writer/many-reader publication point for composite
-/// snapshots, mirroring [`crate::snapshot::SnapshotCell`].
-struct ShardedCell {
-    current: RwLock<Arc<ShardedSnapshot>>,
-}
-
-impl ShardedCell {
-    fn new(initial: Arc<ShardedSnapshot>) -> ShardedCell {
-        ShardedCell {
-            current: RwLock::new(initial),
-        }
-    }
-
-    fn load(&self) -> Arc<ShardedSnapshot> {
-        self.current
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    fn store(&self, snapshot: Arc<ShardedSnapshot>) {
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = snapshot;
+        Ok(LiveQueryResult { matches, stats })
     }
 }
 
@@ -1080,7 +1017,7 @@ impl ShardedCell {
 /// composite view.
 #[derive(Clone)]
 pub struct ShardedReader {
-    cell: Arc<ShardedCell>,
+    cell: Arc<SnapshotCell<ShardedSnapshot>>,
 }
 
 impl ShardedReader {

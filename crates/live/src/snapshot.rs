@@ -195,7 +195,7 @@ impl Snapshot {
         if seq >= self.wal_base {
             ((seq - self.wal_base) as usize) < self.memtable.len()
         } else {
-            self.owner(seq).is_some_and(|s| s.contains_seq(seq))
+            self.owner(seq).is_some_and(|s| s.local_of(seq).is_some())
         }
     }
 }
@@ -204,19 +204,20 @@ impl Snapshot {
 /// snapshot and swaps it atomically. `load` clones the `Arc` under a
 /// read lock held only for the refcount bump, so readers never wait on
 /// a flush or compaction (which build their state *before* storing).
-pub(crate) struct SnapshotCell {
-    current: RwLock<Arc<Snapshot>>,
+/// `T` is a `Snapshot`, or a `ShardedSnapshot` for a sharded index.
+pub(crate) struct SnapshotCell<T> {
+    current: RwLock<Arc<T>>,
 }
 
-impl SnapshotCell {
-    pub(crate) fn new(initial: Arc<Snapshot>) -> SnapshotCell {
+impl<T> SnapshotCell<T> {
+    pub(crate) fn new(initial: Arc<T>) -> SnapshotCell<T> {
         SnapshotCell {
             current: RwLock::new(initial),
         }
     }
 
     /// The most recently published snapshot.
-    pub(crate) fn load(&self) -> Arc<Snapshot> {
+    pub(crate) fn load(&self) -> Arc<T> {
         self.current
             .read()
             .unwrap_or_else(|e| e.into_inner())
@@ -225,7 +226,7 @@ impl SnapshotCell {
 
     /// Publishes `snapshot`, making it visible to every subsequent
     /// `load`. In-flight readers keep whatever they loaded.
-    pub(crate) fn store(&self, snapshot: Arc<Snapshot>) {
+    pub(crate) fn store(&self, snapshot: Arc<T>) {
         *self.current.write().unwrap_or_else(|e| e.into_inner()) = snapshot;
     }
 }
@@ -238,7 +239,7 @@ impl SnapshotCell {
 /// [`Snapshot`] to pin a generation across several reads.
 #[derive(Clone)]
 pub struct LiveReader {
-    pub(crate) cell: Arc<SnapshotCell>,
+    pub(crate) cell: Arc<SnapshotCell<Snapshot>>,
 }
 
 impl LiveReader {

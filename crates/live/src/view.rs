@@ -1,68 +1,48 @@
-//! A [`Corpus`] view over the whole live index keyed by global sequence
-//! number, so the engine's confirmation machinery (including parallel
-//! confirmation and first-k early exit) runs unchanged against segments
-//! plus write buffer.
+//! A [`Corpus`] view over a snapshot of the whole live index keyed by
+//! global sequence number, so the engine's confirmation machinery
+//! (including parallel confirmation and first-k early exit) runs
+//! unchanged against segments plus write buffer.
 
-use crate::memtable::Memtable;
-use crate::segment::Segment;
+use crate::snapshot::Snapshot;
 use free_corpus::{Corpus, DocId};
-use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Read view of a live index at one generation. `get` is keyed by global
 /// sequence number; ids with no live document error like any other
-/// out-of-range access.
-pub(crate) struct LiveView<'a> {
-    pub segments: &'a [Arc<Segment>],
-    pub memtable: &'a Memtable,
-    pub wal_base: DocId,
-    pub deleted: &'a BTreeSet<DocId>,
-    /// Live (non-tombstoned) document count, reported as `len()`.
-    pub live_docs: usize,
-}
-
-impl LiveView<'_> {
-    /// The segment owning `seq`, found by binary search over the sorted,
-    /// non-overlapping sequence ranges.
-    fn owner(&self, seq: DocId) -> Option<&Segment> {
-        let i = self.segments.partition_point(|s| s.meta.last_seq < seq);
-        self.segments
-            .get(i)
-            .map(|s| &**s)
-            .filter(|s| s.meta.first_seq <= seq)
-    }
-}
+/// out-of-range access, and `len` is the live document count.
+pub(crate) struct LiveView<'a>(pub &'a Snapshot);
 
 impl Corpus for LiveView<'_> {
     fn len(&self) -> usize {
-        self.live_docs
+        self.0.live_docs
     }
 
     fn total_bytes(&self) -> u64 {
-        self.segments.iter().map(|s| s.data_bytes()).sum::<u64>() + self.memtable.bytes()
+        let s = self.0;
+        s.segments.iter().map(|s| s.data_bytes()).sum::<u64>() + s.memtable.bytes()
     }
 
     fn get(&self, seq: DocId) -> free_corpus::Result<Vec<u8>> {
-        if seq >= self.wal_base {
-            let local = (seq - self.wal_base) as usize;
-            if let Some(doc) = self.memtable.doc(local) {
+        let s = self.0;
+        if seq >= s.wal_base {
+            if let Some(doc) = s.memtable.doc((seq - s.wal_base) as usize) {
                 return Ok(doc.to_vec());
             }
-        } else if let Some(seg) = self.owner(seq) {
+        } else if let Some(seg) = s.owner(seq) {
             if let Some(local) = seg.local_of(seq) {
                 return seg.corpus.get(local);
             }
         }
         Err(free_corpus::Error::DocOutOfRange {
             id: seq,
-            len: self.live_docs,
+            len: s.live_docs,
         })
     }
 
     fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> free_corpus::Result<()> {
-        for seg in self.segments {
+        let s = self.0;
+        for seg in &s.segments {
             for (local, &seq) in seg.seqs.iter().enumerate() {
-                if self.deleted.contains(&seq) {
+                if s.deleted.contains(&seq) {
                     continue;
                 }
                 let bytes = seg.corpus.get(local as DocId)?;
@@ -71,12 +51,9 @@ impl Corpus for LiveView<'_> {
                 }
             }
         }
-        for (local, doc) in self.memtable.docs().iter().enumerate() {
-            let seq = self.wal_base + local as DocId;
-            if self.deleted.contains(&seq) {
-                continue;
-            }
-            if !f(seq, doc) {
+        for (local, doc) in s.memtable.docs().enumerate() {
+            let seq = s.wal_base + local as DocId;
+            if !s.deleted.contains(&seq) && !f(seq, doc) {
                 return Ok(());
             }
         }

@@ -146,6 +146,154 @@ fn flush_segment_index_file_is_pinned() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `SynthConfig::tiny(200, 7)`: the corpus `build_identity.rs` pins.
+fn synth_pages() -> Vec<Vec<u8>> {
+    use free_corpus::synth::{Generator, SynthConfig};
+    use free_corpus::Corpus;
+    let (pages, _) = Generator::new(SynthConfig::tiny(200, 7)).build_mem();
+    (0..pages.len() as DocId)
+        .map(|id| pages.get(id).unwrap())
+        .collect()
+}
+
+/// Compaction is the batch build over the live documents: two flushes
+/// of 100 pages compact into the file `Engine::build_on_disk` writes for
+/// all 200 (the constant `build_identity.rs` pins), and after deletes
+/// into the file it writes for the survivors.
+#[test]
+fn compaction_is_a_batch_build() {
+    let dir = tmp_dir("compact-batch");
+    let pages = synth_pages();
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&pages[..100]).unwrap();
+    live.flush().unwrap();
+    live.add_batch(&pages[100..]).unwrap();
+    live.flush().unwrap();
+    assert_eq!(live.num_segments(), 2);
+    assert!(live.compact().unwrap());
+    let bytes = std::fs::read(dir.join("segments/seg-2.idx")).unwrap();
+    assert_eq!(bytes.len(), 210_159);
+    assert_eq!(free_checksum::crc32(&bytes), 0x0f3f_bf82);
+
+    for seq in [3, 50, 120, 199] {
+        live.delete(seq).unwrap();
+    }
+    assert!(live.compact().unwrap());
+    let survivors: Vec<Vec<u8>> = live
+        .live_seqs()
+        .iter()
+        .map(|&s| live.get(s).unwrap())
+        .collect();
+    assert_eq!(survivors.len(), 196);
+    let batch = dir.join("batch.free");
+    Engine::build_on_disk(MemCorpus::from_docs(survivors), config().engine, &batch).unwrap();
+    assert_eq!(
+        std::fs::read(dir.join("segments/seg-3.idx")).unwrap(),
+        std::fs::read(&batch).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A flush into an index with a dictionary neither mines nor scans: the
+/// segment holds exactly the postings a batch build over its documents
+/// with the dictionary's keys (counted by a matcher scan) would, and the
+/// write buffer answers through the same dictionary before the flush.
+#[test]
+fn later_flushes_index_the_dictionary() {
+    use free_corpus::{Corpus, DiskCorpus};
+    use free_engine::grams::GramMatcher;
+    use free_engine::select::SelectedGram;
+    use free_index::IndexReader;
+    let dir = tmp_dir("dictionary-flush");
+    let pages = synth_pages();
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&pages[..100]).unwrap();
+    live.flush().unwrap();
+    let dict = IndexReader::open(dir.join("segments/seg-0.idx")).unwrap();
+    // Dictionary keys as literal patterns, plus a conjunction of two.
+    let words: Vec<String> = dict
+        .keys()
+        .iter()
+        .filter(|k| k.len() >= 3 && k.iter().all(u8::is_ascii_alphanumeric))
+        .step_by(97)
+        .take(6)
+        .map(|k| String::from_utf8(k.to_vec()).unwrap())
+        .collect();
+    let mut patterns: Vec<String> = words.clone();
+    patterns.push(format!("{}.*{}", words[0], words[1]));
+    let patterns: Vec<&str> = patterns.iter().map(String::as_str).collect();
+
+    for batch in pages[100..].chunks(36) {
+        live.add_batch(batch).unwrap();
+    }
+    live.delete(130).unwrap();
+    live.delete(171).unwrap();
+    assert_matches_rebuild(&live, &patterns);
+    let buffered = live.query(&words[0]).unwrap();
+    assert!(!buffered.stats.grams.is_empty(), "the plan fetched no key");
+    assert_eq!(buffered.stats.scanned_sources, 0);
+
+    live.flush().unwrap();
+    assert_eq!(live.num_segments(), 2);
+    assert_matches_rebuild(&live, &patterns);
+    let second = DiskCorpus::open(dir.join("segments/seg-1.corpus")).unwrap();
+    assert_eq!(second.len(), 98);
+    let mut matcher = GramMatcher::new(dict.keys());
+    let mut counts = vec![0u32; dict.keys().len()];
+    second
+        .scan(&mut |doc, bytes| {
+            matcher.match_distinct(bytes, u64::from(doc), &mut |k| counts[k as usize] += 1);
+            true
+        })
+        .unwrap();
+    let keys: Vec<SelectedGram> = dict
+        .keys()
+        .iter()
+        .zip(counts)
+        .map(|(gram, doc_count)| SelectedGram {
+            gram: gram.clone(),
+            doc_count,
+        })
+        .collect();
+    let want = dir.join("second.free");
+    free_engine::build_index(&second, &keys, &want, usize::MAX).unwrap();
+    assert_eq!(
+        std::fs::read(dir.join("segments/seg-1.idx")).unwrap(),
+        std::fs::read(&want).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `FREELIVE 2` directory has a key set per segment, which the
+/// one-dictionary planner would under-read: both open paths refuse it.
+#[test]
+fn freelive_2_directories_are_refused() {
+    let dir = tmp_dir("freelive-2");
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&docs()[..3]).unwrap();
+    live.flush().unwrap();
+    live.add_batch(&docs()[3..]).unwrap();
+    live.flush().unwrap();
+    assert_eq!(live.num_segments(), 2);
+    drop(live);
+    // The body and its CRC are untouched: only the version differs.
+    let path = dir.join("live.manifest");
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, text.replacen("FREELIVE 3 ", "FREELIVE 2 ", 1)).unwrap();
+    let errors = [
+        LiveIndex::open(&dir, config()).err(),
+        ShardedLiveIndex::open(&dir, config()).err(),
+    ];
+    for err in errors {
+        let err = err.expect("a FREELIVE 2 directory must not open");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("unsupported format, rebuild")),
+            "{err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn delete_hides_docs_everywhere() {
     let dir = tmp_dir("delete");

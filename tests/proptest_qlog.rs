@@ -134,6 +134,49 @@ fn capture(
         .collect()
 }
 
+/// A live query has one plan per shard (against that shard's
+/// dictionary), so its record carries the plan's gram keys: the union
+/// over shards, each key once.
+#[test]
+fn live_records_carry_the_plan_grams() {
+    let _guard = QLOG.lock().unwrap_or_else(|e| e.into_inner());
+    let docs: Vec<String> = (0..60)
+        .map(|i| format!("entry {i:03} filed under shelf {}", i % 7))
+        .collect();
+    let docs: Vec<&str> = docs.iter().map(String::as_str).collect();
+    for shards in [1, 3] {
+        let dir = fresh_dir("grams-idx");
+        let log_dir = fresh_dir("grams-log");
+        let mut layout = Layout::create(&dir, shards);
+        layout.add_batch(&docs);
+        layout.flush();
+        qlog::install(LogWriter::with_config(&log_dir, LogConfig::default()).unwrap());
+        layout.query("entry 042");
+        qlog::shutdown();
+        let records: Vec<String> = qlog::read_dir(&log_dir)
+            .unwrap()
+            .iter()
+            .flat_map(|seg| seg.trusted_records().to_vec())
+            .collect();
+        assert_eq!(records.len(), 1, "{records:?}");
+        let record = free_trace::JsonValue::parse(&records[0]).unwrap();
+        let grams: Vec<&str> = record
+            .get("grams")
+            .and_then(free_trace::JsonValue::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(free_trace::JsonValue::as_str)
+            .collect();
+        assert!(!grams.is_empty(), "{shards} shard(s): {}", records[0]);
+        let mut unique = grams.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), grams.len(), "{}", records[0]);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&log_dir);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
