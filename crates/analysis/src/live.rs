@@ -2,14 +2,15 @@
 //!
 //! The batch analyzers judge *queries*; these judge the *index shape* of
 //! a live (incrementally updated) index. The caller summarizes the index
-//! into a [`LiveHealth`] — this module deliberately has no dependency on
-//! the live-index crate, so the analysis stays a pure function of plain
-//! numbers and is trivially testable.
+//! into a [`LiveHealth`]; apart from the drift tolerance it shares with
+//! compaction, this module takes nothing from the live-index crate, so
+//! the analysis stays a pure function of plain numbers and is trivially
+//! testable.
 //!
 //! | Code | Finding |
 //! |---|---|
 //! | `FA301` | over-fragmented: too many sealed segments |
-//! | `FA302` | key-set drift: new docs escape the mined dictionary |
+//! | `FA302` | dictionary drift: the next compaction re-mines the dictionary |
 //! | `FA303` | tombstone debt: deleted docs dominate stored docs |
 //! | `FA304` | snapshot staleness: retired segment files linger, or the published snapshot trails the writer |
 //!
@@ -32,9 +33,10 @@ pub struct LiveHealth {
     pub live_docs: usize,
     /// Tombstoned documents not yet reclaimed by compaction.
     pub tombstoned_docs: usize,
-    /// Fraction of live write-buffer documents containing a candidate
-    /// gram absent from the index's dictionary (see the live crate's
-    /// drift probe).
+    /// How far the documents flushed since the last compaction have
+    /// drifted from the dictionary: `|1 - ratio|` of their postings per
+    /// document byte to the dictionary's baseline
+    /// (`free_live::Drift::fraction`).
     pub drift_fraction: f64,
     /// Segment files on disk that no manifest entry references (retired
     /// by compaction but never unlinked — leaked disk).
@@ -49,7 +51,9 @@ pub struct LiveHealth {
 pub struct LiveAnalysisConfig {
     /// Flag `FA301` when more than this many segments exist.
     pub max_segments: usize,
-    /// Flag `FA302` when the drift fraction exceeds this.
+    /// Flag `FA302` when the drift fraction exceeds this; the default is
+    /// the tolerance past which compaction re-mines, so the finding fires
+    /// exactly when the next compaction will.
     pub drift_threshold: f64,
     /// Flag `FA303` when tombstones exceed this fraction of stored docs.
     pub tombstone_threshold: f64,
@@ -59,7 +63,7 @@ impl Default for LiveAnalysisConfig {
     fn default() -> LiveAnalysisConfig {
         LiveAnalysisConfig {
             max_segments: 8,
-            drift_threshold: 0.25,
+            drift_threshold: free_live::DRIFT_TOLERANCE,
             tombstone_threshold: 0.3,
         }
     }
@@ -90,9 +94,11 @@ pub fn analyze_live(health: &LiveHealth, cfg: &LiveAnalysisConfig) -> Vec<Diagno
                 Severity::Warning,
                 None,
                 format!(
-                    "{:.0}% of buffered documents contain candidate grams the index's \
-                     dictionary lacks (threshold {:.0}%); queries over new content \
-                     degrade toward scans",
+                    "the dictionary has drifted {:.0}% from the documents flushed since \
+                     the last compaction (their postings per byte against the mined \
+                     documents'; 100% for an empty dictionary or one with no recorded \
+                     baseline; threshold {:.0}%): queries over new content lose \
+                     selectivity, and the next compaction re-mines it",
                     health.drift_fraction * 100.0,
                     cfg.drift_threshold * 100.0
                 ),

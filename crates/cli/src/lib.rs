@@ -503,16 +503,22 @@ fn aggregate_fields(
         .field_u64("total_bytes", shape.total_bytes);
 }
 
-/// The `per_shard` JSON array: each shard's stats, plus its key-set
+/// The `per_shard` JSON array: each shard's stats, plus its dictionary
 /// drift when `drifts` carries one per shard.
-fn per_shard_json(per_shard: &[free_live::LiveStats], drifts: Option<&[f64]>) -> String {
+fn per_shard_json(
+    per_shard: &[free_live::LiveStats],
+    drifts: Option<&[free_live::Drift]>,
+) -> String {
     let mut arr = free_trace::json::JsonArray::new();
     for (s, stats) in per_shard.iter().enumerate() {
         let mut o = free_trace::json::JsonObject::new();
         o.field_u64("shard", s as u64)
             .field_raw("stats", stats.to_json());
-        if let Some(drifts) = drifts {
-            o.field_f64("drift_fraction", drifts[s]);
+        if let Some(drift) = drifts.map(|d| d[s]) {
+            o.field_f64("drift_fraction", drift.fraction);
+            if let Some(ratio) = drift.ratio {
+                o.field_f64("drift_ratio", ratio);
+            }
         }
         arr.push_raw(o.finish());
     }
@@ -636,24 +642,25 @@ fn diags_to_json(diags: &[free_analyze::Diagnostic]) -> String {
 /// each shard's `FA30x` health findings (prefixed `shard N:`) and the
 /// cross-shard balance check (`FA501`, trivially quiet for one shard).
 /// With `json`, emits one object: `shards`, the aggregate under `stats`,
-/// a `per_shard` breakdown with each shard's `drift_fraction`, and the
-/// `diagnostics`. The returned exit code is 1 when any finding is
-/// error-severity (e.g. `FA304` snapshot lag), so scripts and CI can
-/// gate on index health without parsing the output.
+/// a `per_shard` breakdown with each shard's `drift_fraction` (and
+/// `drift_ratio` when there is one), and the `diagnostics`. The returned
+/// exit code is 1 when any finding is error-severity (e.g. `FA304`
+/// snapshot lag), so scripts and CI can gate on index health without
+/// parsing the output.
 pub fn live_segments(dir: &Path, json: bool) -> Result<(String, i32)> {
     let idx = ShardedLiveIndex::open(dir, live_config(0))?;
     let per = idx.shard_stats();
     let mut diags = Vec::new();
     let mut drifts = Vec::with_capacity(per.len());
     for (s, (live, stats)) in idx.shards().iter().zip(&per).enumerate() {
-        let drift = live.key_set_drift()?;
+        let drift = live.drift();
         drifts.push(drift);
         let health = free_analyze::LiveHealth {
             num_segments: stats.segments.len(),
             memtable_docs: stats.memtable_docs,
             live_docs: stats.live_docs,
             tombstoned_docs: stats.tombstones,
-            drift_fraction: drift,
+            drift_fraction: drift.fraction,
             retired_segment_files: live.retired_segment_files().len(),
             snapshot_lag: live.snapshot_lag(),
         };
@@ -700,7 +707,15 @@ pub fn live_segments(dir: &Path, json: bool) -> Result<(String, i32)> {
     for (s, stats) in per.iter().enumerate() {
         let _ = writeln!(out, "-- shard {s} --");
         out.push_str(&stats.render_human());
-        let _ = writeln!(out, "key-set drift: {:.0}%", drifts[s] * 100.0);
+        let ratio = drifts[s]
+            .ratio
+            .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}"));
+        let _ = writeln!(
+            out,
+            "dictionary drift: ratio {ratio}, {:.0}% (re-mine past {:.0}%)",
+            drifts[s].fraction * 100.0,
+            free_live::DRIFT_TOLERANCE * 100.0
+        );
     }
     for d in &diags {
         let _ = writeln!(out, "{}[{}]: {}", d.severity, d.code, d.message);

@@ -30,7 +30,8 @@
 //! that serves query results. [`Corpus::scan`] (the mining/merge
 //! throughput path, which re-reads the corpus many times per build) does
 //! *not* verify; `free fsck` covers scans offline via
-//! [`DiskCorpus::verify_units`].
+//! [`DiskCorpus::verify_units`], and a scan whose bytes are written out
+//! again uses [`DiskCorpus::scan_checked`].
 
 use crate::cache::DocCache;
 use crate::{Corpus, DocId, Error, Result};
@@ -321,29 +322,47 @@ impl DiskCorpus {
     /// clean store. This is `free fsck`'s offline scan — the hot
     /// [`Corpus::scan`] path deliberately skips these checks.
     pub fn verify_units(&self) -> Result<Vec<(DocId, String)>> {
-        let file = File::open(&self.data_path)
-            .map_err(|e| Error::io(format!("open {}", self.data_path.display()), e))?;
-        let mut r = BufReader::with_capacity(READ_BUFFER, file);
-        let mut buf = Vec::new();
         let mut bad = Vec::new();
-        let mut prev = 0u64;
-        for (i, &end) in self.ends.iter().enumerate() {
-            buf.resize((end - prev) as usize, 0);
-            r.read_exact(&mut buf)
-                .map_err(|e| Error::io(format!("verify data unit {i}"), e))?;
-            prev = end;
-            let actual = crc32(&buf);
-            if actual != self.crcs[i] {
-                bad.push((
-                    i as DocId,
-                    format!(
-                        "data unit {i} fails its CRC (stored {:08x}, actual {actual:08x})",
-                        self.crcs[i]
-                    ),
-                ));
+        self.scan(&mut |id, bytes| {
+            if let Err(detail) = self.check_unit(id, bytes) {
+                bad.push((id, detail));
             }
-        }
+            true
+        })?;
         Ok(bad)
+    }
+
+    /// [`Corpus::scan`] with every unit checked against its stored CRC32
+    /// before `f` sees it: the first that fails ends the pass with
+    /// [`Error::Corrupt`]. A copy that the writer checksums afresh (live
+    /// compaction) reads through this, so damage is refused, not
+    /// laundered into a store that verifies clean.
+    pub fn scan_checked(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
+        let mut bad = None;
+        self.scan(&mut |id, bytes| match self.check_unit(id, bytes) {
+            Ok(()) => f(id, bytes),
+            Err(detail) => {
+                bad = Some(detail);
+                false
+            }
+        })?;
+        match bad {
+            Some(detail) => Err(Error::Corrupt(format!(
+                "{detail} in {}",
+                self.data_path.display()
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    fn check_unit(&self, id: DocId, bytes: &[u8]) -> std::result::Result<(), String> {
+        let (stored, actual) = (self.crcs[id as usize], crc32(bytes));
+        if actual != stored {
+            return Err(format!(
+                "data unit {id} fails its CRC (stored {stored:08x}, actual {actual:08x})"
+            ));
+        }
+        Ok(())
     }
 
     fn bounds(&self, id: DocId) -> Result<(u64, u64)> {
@@ -668,6 +687,19 @@ mod tests {
         let bad = c.verify_units().unwrap();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].0, 1);
+        // A checked scan hands over the good unit and stops at the bad one.
+        let mut seen = Vec::new();
+        let err = c
+            .scan_checked(&mut |id, _| {
+                seen.push(id);
+                true
+            })
+            .expect_err("a damaged unit must end the pass");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("data unit 1 fails its CRC")),
+            "{err}"
+        );
+        assert_eq!(seen, vec![0]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -101,10 +101,13 @@ impl BlockedPostings {
     /// Decodes everything (for tests and full unions).
     pub fn decode(&self) -> Result<Vec<DocId>> {
         let mut out = Vec::with_capacity(self.count as usize);
-        for (i, _) in self.skips.iter().enumerate() {
-            self.decode_block(i, &mut out)?;
-        }
+        self.decode_into(&mut out)?;
         Ok(out)
+    }
+
+    /// Appends every id, in order, to `out`.
+    pub(crate) fn decode_into(&self, out: &mut Vec<DocId>) -> Result<()> {
+        (0..self.skips.len()).try_for_each(|i| self.decode_block(i, out))
     }
 
     fn block_bytes(&self, i: usize) -> &[u8] {

@@ -394,7 +394,7 @@ impl CountedPostings {
             }
             let end = span.end as usize;
             if end > start {
-                writer.add(key, &Postings::from_sorted(&self.docs[start..end]))?;
+                writer.add_sorted(key, &self.docs[start..end])?;
             }
             start = end;
         }

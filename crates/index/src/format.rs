@@ -28,14 +28,15 @@
 //!
 //! `meta_crc` is the CRC32 of the header plus directory, verified on
 //! every open (those bytes are read into memory anyway); `postings_crc`
-//! covers the whole postings section and is verified offline by
-//! [`IndexReader::verify`] (`free fsck`), so the open path stays O(dir).
+//! covers the whole postings section and is checked by every sequential
+//! pass over it ([`PostingsStream`]: [`IndexReader::verify`] for `free
+//! fsck`, and live compaction's merge), so the open path stays O(dir).
 //! The version is 3 and no other is accepted: a file that says otherwise
 //! is damaged or foreign, and the answer to both is to rebuild it.
 
 use crate::blocked::{BlockedPostings, BLOCK_SIZE};
 use crate::cursor::{PostingsCursor, SliceCursor};
-use crate::postings::Postings;
+use crate::postings::{decode_into, encode_into, Postings};
 use crate::stats::IndexStats;
 use crate::{varint, DocId, Error, IndexRead, Key, Result};
 use bytes::Bytes;
@@ -68,7 +69,8 @@ pub struct IndexWriter {
     num_keys: u64,
     num_postings: u64,
     key_bytes: u64,
-    last_key: Option<Key>,
+    /// The key added last (meaningless while `num_keys` is 0).
+    last_key: Vec<u8>,
     /// Spill the postings section to a temp file when it outgrows memory.
     spill: Option<BufWriter<File>>,
     spilled_bytes: u64,
@@ -98,7 +100,7 @@ impl IndexWriter {
             num_keys: 0,
             num_postings: 0,
             key_bytes: 0,
-            last_key: None,
+            last_key: Vec::new(),
             spill: None,
             spilled_bytes: 0,
             postings_crc: Crc32::new(),
@@ -112,36 +114,61 @@ impl IndexWriter {
     /// Appends one key with its postings. Keys must arrive in strictly
     /// increasing order.
     pub fn add(&mut self, key: &[u8], postings: &Postings) -> Result<()> {
-        if let Some(last) = &self.last_key {
-            if key <= &last[..] {
-                return Err(Error::Corrupt(format!(
-                    "keys out of order: {:?} after {:?}",
-                    String::from_utf8_lossy(key),
-                    String::from_utf8_lossy(last)
-                )));
-            }
+        if postings.len() > BLOCK_SIZE {
+            let blocked = BlockedPostings::from_postings(postings)?;
+            self.push_entry(key, postings.len(), ENC_BLOCKED, |out| {
+                blocked.write_to(out)
+            })
+        } else {
+            self.push_entry(key, postings.len(), ENC_PLAIN, |out| {
+                out.extend_from_slice(postings.encoded())
+            })
         }
-        self.last_key = Some(key.into());
+    }
+
+    /// Appends one key with its postings given as strictly ascending ids,
+    /// encoded once, straight into the postings section: the bytes
+    /// [`IndexWriter::add`] writes for the same ids.
+    pub fn add_sorted(&mut self, key: &[u8], ids: &[DocId]) -> Result<()> {
+        if ids.len() > BLOCK_SIZE {
+            let blocked = BlockedPostings::from_sorted(ids);
+            self.push_entry(key, ids.len(), ENC_BLOCKED, |out| blocked.write_to(out))
+        } else {
+            self.push_entry(key, ids.len(), ENC_PLAIN, |out| encode_into(ids, out))
+        }
+    }
+
+    /// Appends one directory entry; `write` appends its payload to the
+    /// postings section. Lists longer than one block are stored blocked,
+    /// so readers can skip across them (the skip table costs ~2 % of the
+    /// payload).
+    fn push_entry(
+        &mut self,
+        key: &[u8],
+        count: usize,
+        enc: u8,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<()> {
+        if self.num_keys > 0 && key <= &self.last_key[..] {
+            return Err(Error::Corrupt(format!(
+                "keys out of order: {:?} after {:?}",
+                String::from_utf8_lossy(key),
+                String::from_utf8_lossy(&self.last_key)
+            )));
+        }
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
+        let start = self.postings.len();
+        write(&mut self.postings);
+        let payload = &self.postings[start..];
+        self.postings_crc.update(payload);
         varint::encode(key.len() as u64, &mut self.directory);
         self.directory.extend_from_slice(key);
-        varint::encode(postings.len() as u64, &mut self.directory);
-        if postings.len() > BLOCK_SIZE {
-            // Long lists are stored blocked so readers can skip across
-            // them; the skip-table overhead is ~2 % of the payload.
-            self.directory.push(ENC_BLOCKED);
-            let mut payload = Vec::with_capacity(postings.encoded().len() + 64);
-            BlockedPostings::from_postings(postings)?.write_to(&mut payload);
-            varint::encode(payload.len() as u64, &mut self.directory);
-            self.postings_crc.update(&payload);
-            self.postings.extend_from_slice(&payload);
-        } else {
-            self.directory.push(ENC_PLAIN);
-            varint::encode(postings.encoded().len() as u64, &mut self.directory);
-            self.postings_crc.update(postings.encoded());
-            self.postings.extend_from_slice(postings.encoded());
-        }
+        varint::encode(count as u64, &mut self.directory);
+        self.directory.push(enc);
+        varint::encode(payload.len() as u64, &mut self.directory);
         self.num_keys += 1;
-        self.num_postings += postings.len() as u64;
+        self.num_postings += count as u64;
         self.key_bytes += key.len() as u64;
         if self.postings.len() >= SPILL_THRESHOLD {
             self.flush_spill()?;
@@ -208,14 +235,21 @@ impl IndexWriter {
     }
 }
 
-/// One directory entry.
+/// One directory entry. A list is stored blocked exactly when it holds
+/// more than [`BLOCK_SIZE`] postings: the writer's rule, to which `open`
+/// holds every entry's encoding tag.
 #[derive(Clone, Copy, Debug)]
 struct DirEntry {
-    doc_count: u32,
     offset: u64,
     len: u32,
+    doc_count: u32,
+}
+
+impl DirEntry {
     /// Whether the payload is a serialized [`BlockedPostings`].
-    blocked: bool,
+    fn blocked(&self) -> bool {
+        self.doc_count as usize > BLOCK_SIZE
+    }
 }
 
 /// A read-only on-disk index. The directory lives in memory; postings are
@@ -223,8 +257,11 @@ struct DirEntry {
 pub struct IndexReader {
     file: File,
     postings_start: u64,
-    entries: FxHashMap<Key, DirEntry>,
+    /// Each key's position in `sorted_keys` and `dir`.
+    entries: FxHashMap<Key, u32>,
     sorted_keys: Vec<Key>,
+    /// Directory entries in key order.
+    dir: Vec<DirEntry>,
     num_postings: u64,
     key_bytes: u64,
     postings_bytes: u64,
@@ -292,7 +329,7 @@ impl IndexReader {
             .len();
         // Both sizes are allocated below, before the CRC that covers them
         // can be located; an entry takes at least four directory bytes.
-        if dir_bytes > file_len || num_keys > dir_bytes {
+        if dir_bytes > file_len || num_keys > dir_bytes.min(u32::MAX.into()) {
             return Err(Error::Corrupt(format!(
                 "header of {} claims {num_keys} keys in {dir_bytes} directory bytes; the file has {file_len}",
                 path.display()
@@ -306,6 +343,7 @@ impl IndexReader {
         let mut entries =
             FxHashMap::with_capacity_and_hasher(num_keys as usize, Default::default());
         let mut sorted_keys = Vec::with_capacity(num_keys as usize);
+        let mut entry_list = Vec::with_capacity(num_keys as usize);
         let overflow = || Error::Corrupt(format!("{}: directory sizes overflow", path.display()));
         let mut cursor = &dir[..];
         let mut offset = 0u64;
@@ -339,16 +377,19 @@ impl IndexReader {
                     "key {i} claims {doc_count} postings in {plen} bytes"
                 )));
             };
-            entries.insert(
-                key.clone(),
-                DirEntry {
-                    doc_count: doc_count32,
-                    offset,
-                    len,
-                    blocked,
-                },
-            );
+            if blocked != (doc_count32 as usize > BLOCK_SIZE) {
+                return Err(Error::Corrupt(format!(
+                    "key {i} stores {doc_count} postings {}",
+                    if blocked { "blocked" } else { "plain" }
+                )));
+            }
+            entries.insert(key.clone(), i as u32);
             sorted_keys.push(key);
+            entry_list.push(DirEntry {
+                offset,
+                len,
+                doc_count: doc_count32,
+            });
             offset = offset.checked_add(plen).ok_or_else(overflow)?;
             num_postings = num_postings.checked_add(doc_count).ok_or_else(overflow)?;
             key_bytes += key_len;
@@ -390,6 +431,7 @@ impl IndexReader {
             postings_start,
             entries,
             sorted_keys,
+            dir: entry_list,
             num_postings,
             key_bytes,
             postings_bytes: offset,
@@ -397,45 +439,22 @@ impl IndexReader {
         })
     }
 
-    /// Exhaustively verifies the file: streams the postings section
-    /// against its recorded CRC, then decodes every entry and
-    /// checks doc-id monotonicity, skip-table consistency, and directory
-    /// doc counts. When `doc_bound` is given, doc ids must be `< bound`.
+    /// Exhaustively verifies the file in one [`PostingsStream`] pass:
+    /// decodes every entry and checks doc-id monotonicity, skip-table
+    /// consistency, and directory doc counts, then the section against its
+    /// recorded CRC (reported first). When `doc_bound` is given, doc ids
+    /// must be `< bound`.
     ///
     /// Returns structural findings rather than failing on the first one,
     /// so fsck can report everything wrong with a file in one pass. I/O
     /// errors still abort with `Err`.
     pub fn verify(&self, doc_bound: Option<DocId>) -> Result<Vec<VerifyIssue>> {
         let mut issues = Vec::new();
-        let mut crc = Crc32::new();
-        let mut buf = vec![0u8; 1 << 20];
-        let mut pos = self.postings_start;
-        let mut remaining = self.postings_bytes;
-        while remaining > 0 {
-            let n = remaining.min(buf.len() as u64) as usize;
-            self.file
-                .read_exact_at(&mut buf[..n], pos)
-                .map_err(|e| Error::io("read postings for verify", e))?;
-            crc.update(&buf[..n]);
-            pos += n as u64;
-            remaining -= n as u64;
-        }
-        let (expected, actual) = (self.postings_crc, crc.finish());
-        if actual != expected {
-            issues.push(VerifyIssue {
-                kind: VerifyIssueKind::Checksum,
-                key: None,
-                detail: format!(
-                    "postings section checksum mismatch: stored {expected:#010x}, computed {actual:#010x}"
-                ),
-            });
-        }
-        for key in &self.sorted_keys {
-            let e = self.entries[key];
+        let mut stream = self.stream();
+        while let Some((key, e, payload)) = stream.next_raw()? {
             let name = String::from_utf8_lossy(key).into_owned();
-            let payload = self.read_payload(e)?;
-            let decoded = if e.blocked {
-                match BlockedPostings::read(&payload) {
+            let decoded = if e.blocked() {
+                match BlockedPostings::read(payload) {
                     Ok(b) => {
                         if let Err(err) = b.validate() {
                             issues.push(VerifyIssue {
@@ -467,7 +486,8 @@ impl IndexReader {
                     }
                 }
             } else {
-                match Postings::from_encoded(Bytes::from(payload), e.doc_count).decode() {
+                match Postings::from_encoded(Bytes::copy_from_slice(payload), e.doc_count).decode()
+                {
                     Ok(d) => d,
                     Err(err) => {
                         issues.push(VerifyIssue {
@@ -514,7 +534,31 @@ impl IndexReader {
                 }
             }
         }
+        match stream.finish() {
+            Err(Error::Corrupt(detail)) => issues.insert(
+                0,
+                VerifyIssue {
+                    kind: VerifyIssueKind::Checksum,
+                    key: None,
+                    detail,
+                },
+            ),
+            other => other?,
+        }
         Ok(issues)
+    }
+
+    /// A sequential pass over the postings section (see
+    /// [`PostingsStream`]).
+    pub fn stream(&self) -> PostingsStream<'_> {
+        PostingsStream {
+            index: self,
+            next: 0,
+            buf: Vec::new(),
+            start: 0,
+            pos: self.postings_start,
+            crc: Crc32::new(),
+        }
     }
 
     /// Reads one entry's raw payload bytes from disk (positioned read, so
@@ -530,16 +574,115 @@ impl IndexReader {
     /// Reads and fully decodes one entry's postings.
     fn decode_entry(&self, e: DirEntry) -> Result<Vec<DocId>> {
         let buf = self.read_payload(e)?;
-        if e.blocked {
+        if e.blocked() {
             BlockedPostings::read(&buf)?.decode()
         } else {
             Postings::from_encoded(Bytes::from(buf), e.doc_count).decode()
         }
     }
 
+    fn entry(&self, key: &[u8]) -> Option<DirEntry> {
+        self.entries.get(key).map(|&i| self.dir[i as usize])
+    }
+
     /// The sorted key list (borrowed).
     pub fn keys(&self) -> &[Key] {
         &self.sorted_keys
+    }
+}
+
+/// Bytes a [`PostingsStream`] reads at a time.
+const STREAM_CHUNK: usize = 256 << 10;
+
+/// One sequential pass over an index's postings section, entry by entry
+/// in key order, through one buffer filled by large positioned reads:
+/// no lookup and no syscall per key.
+///
+/// The section's CRC32 is taken over the bytes as they stream in, and
+/// [`PostingsStream::finish`] checks it. A caller that writes what it
+/// read into a file of its own (which gets a fresh checksum) must finish
+/// the pass before it commits that file, or it would launder damage.
+pub struct PostingsStream<'a> {
+    index: &'a IndexReader,
+    /// Directory position of the next entry.
+    next: usize,
+    /// Bytes read and not yet taken are `buf[start..]`.
+    buf: Vec<u8>,
+    start: usize,
+    /// File offset of the first byte not yet read.
+    pos: u64,
+    crc: Crc32,
+}
+
+impl<'a> PostingsStream<'a> {
+    /// The key of the next entry; `None` past the last.
+    pub fn peek_key(&self) -> Option<&'a [u8]> {
+        self.index.sorted_keys.get(self.next).map(|k| &**k)
+    }
+
+    /// Decodes the next entry's postings into `out`, replacing what it
+    /// held, and returns the entry's key; `None` past the last entry.
+    /// The ids must ascend strictly and number what the directory says,
+    /// or the entry is [`Error::Corrupt`].
+    pub fn next_into(&mut self, out: &mut Vec<DocId>) -> Result<Option<&'a [u8]>> {
+        out.clear();
+        let Some((key, e, payload)) = self.next_raw()? else {
+            return Ok(None);
+        };
+        if e.blocked() {
+            BlockedPostings::read(payload)?.decode_into(out)?;
+        } else {
+            decode_into(payload, e.doc_count, out)?;
+        }
+        if out.len() != e.doc_count as usize || out.windows(2).any(|w| w[1] <= w[0]) {
+            return Err(Error::Corrupt(format!(
+                "postings of {:?} disagree with the directory",
+                String::from_utf8_lossy(key)
+            )));
+        }
+        Ok(Some(key))
+    }
+
+    /// The next entry's key, directory entry and raw payload.
+    fn next_raw(&mut self) -> Result<Option<(&'a Key, DirEntry, &[u8])>> {
+        let index = self.index;
+        let Some(key) = index.sorted_keys.get(self.next) else {
+            return Ok(None);
+        };
+        let e = index.dir[self.next];
+        self.next += 1;
+        let len = e.len as usize;
+        let have = self.buf.len() - self.start;
+        if have < len {
+            self.buf.drain(..self.start);
+            self.start = 0;
+            // `open` checked that the entries exactly fill the section.
+            let left = index.postings_start + index.postings_bytes - self.pos;
+            let n = (len - have).max(STREAM_CHUNK).min(left as usize);
+            self.buf.resize(have + n, 0);
+            index
+                .file
+                .read_exact_at(&mut self.buf[have..], self.pos)
+                .map_err(|err| Error::io("stream postings", err))?;
+            self.crc.update(&self.buf[have..]);
+            self.pos += n as u64;
+        }
+        let payload = &self.buf[self.start..self.start + len];
+        self.start += len;
+        Ok(Some((key, e, payload)))
+    }
+
+    /// Ends the pass: reads the entries not yet taken, then fails with
+    /// [`Error::Corrupt`] unless the section matches its recorded CRC32.
+    pub fn finish(mut self) -> Result<()> {
+        while self.next_raw()?.is_some() {}
+        let (expected, actual) = (self.index.postings_crc, self.crc.finish());
+        if actual != expected {
+            return Err(Error::Corrupt(format!(
+                "postings section checksum mismatch: stored {expected:#010x}, computed {actual:#010x}"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -553,22 +696,22 @@ impl IndexRead for IndexReader {
     }
 
     fn doc_count(&self, key: &[u8]) -> Option<usize> {
-        self.entries.get(key).map(|e| e.doc_count as usize)
+        self.entry(key).map(|e| e.doc_count as usize)
     }
 
     fn postings(&self, key: &[u8]) -> Result<Option<Vec<DocId>>> {
-        match self.entries.get(key) {
+        match self.entry(key) {
             None => Ok(None),
-            Some(&e) => Ok(Some(self.decode_entry(e)?)),
+            Some(e) => Ok(Some(self.decode_entry(e)?)),
         }
     }
 
     fn cursor(&self, key: &[u8]) -> Result<Option<Box<dyn PostingsCursor>>> {
-        let Some(&e) = self.entries.get(key) else {
+        let Some(e) = self.entry(key) else {
             return Ok(None);
         };
         let buf = self.read_payload(e)?;
-        if e.blocked {
+        if e.blocked() {
             // The cursor owns the raw blocked list and decodes blocks on
             // demand, driven by `seek`.
             Ok(Some(Box::new(BlockedPostings::read(&buf)?.into_cursor()?)))
@@ -728,8 +871,8 @@ mod tests {
         w.add(b"rare", &Postings::from_sorted(&[4, 40, 9_996]))
             .unwrap();
         let r = w.finish().unwrap();
-        assert!(r.entries[&b"common"[..]].blocked);
-        assert!(!r.entries[&b"rare"[..]].blocked);
+        assert!(r.entry(b"common").unwrap().blocked());
+        assert!(!r.entry(b"rare").unwrap().blocked());
         // Full decode agrees regardless of encoding.
         assert_eq!(r.postings(b"common").unwrap().unwrap(), ids);
         assert_eq!(r.postings(b"rare").unwrap().unwrap(), vec![4, 40, 9_996]);
@@ -795,6 +938,25 @@ mod tests {
         let err = IndexReader::open(&path).err().expect("must not open");
         assert!(
             matches!(&err, Error::Corrupt(m) if m.contains("encoding 7")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn encoding_tag_must_follow_the_count() {
+        let path = tmpfile("tagcount");
+        let postings = Postings::from_sorted(&[3]);
+        let mut dir = Vec::new();
+        varint::encode(1, &mut dir);
+        dir.push(b'k');
+        varint::encode(1, &mut dir);
+        dir.push(ENC_BLOCKED);
+        varint::encode(postings.encoded().len() as u64, &mut dir);
+        std::fs::write(&path, craft(VERSION, 1, &dir, postings.encoded())).unwrap();
+        let err = IndexReader::open(&path).err().expect("must not open");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("stores 1 postings blocked")),
             "{err}"
         );
         std::fs::remove_file(&path).unwrap();
@@ -912,6 +1074,71 @@ mod tests {
         let r = IndexReader::open(&path).unwrap();
         let issues = r.verify(None).unwrap();
         assert!(issues.iter().any(|i| i.kind == VerifyIssueKind::Order));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn add_sorted_writes_the_bytes_add_writes() {
+        let long: Vec<DocId> = (0..1_000).map(|i| i * 3).collect();
+        let lists: [(&[u8], &[DocId]); 3] = [(b"a", &[1, 2]), (b"b", &long), (b"c", &[7])];
+        let (p, q) = (tmpfile("add-postings"), tmpfile("add-sorted"));
+        let mut w = IndexWriter::create(&p).unwrap();
+        let mut v = IndexWriter::create(&q).unwrap();
+        for (key, ids) in lists {
+            w.add(key, &Postings::from_sorted(ids)).unwrap();
+            v.add_sorted(key, ids).unwrap();
+        }
+        drop((w.finish().unwrap(), v.finish().unwrap()));
+        assert_eq!(std::fs::read(&p).unwrap(), std::fs::read(&q).unwrap());
+        std::fs::remove_file(&p).unwrap();
+        std::fs::remove_file(&q).unwrap();
+    }
+
+    #[test]
+    fn stream_reads_every_entry_in_key_order_and_checks_the_crc() {
+        let path = tmpfile("stream");
+        let long: Vec<DocId> = (0..1_000).map(|i| i * 3).collect();
+        let lists: Vec<(&[u8], Vec<DocId>)> = vec![
+            (b"a", vec![1, 2]),
+            (b"b", long.clone()),
+            (b"c", vec![]),
+            (b"d", vec![5, 9_000]),
+        ];
+        let mut w = IndexWriter::create(&path).unwrap();
+        for (key, ids) in &lists {
+            w.add_sorted(key, ids).unwrap();
+        }
+        let r = w.finish().unwrap();
+        let mut stream = r.stream();
+        let mut out = vec![42];
+        let mut seen = Vec::new();
+        assert_eq!(stream.peek_key(), Some(&b"a"[..]));
+        while let Some(key) = stream.next_into(&mut out).unwrap() {
+            seen.push((key, out.clone()));
+        }
+        assert_eq!(stream.peek_key(), None);
+        assert_eq!(seen, lists);
+        stream.finish().unwrap();
+
+        // "a" is [1, 2], stored as the bytes 1 and 1; making the second 3
+        // still decodes ([1, 4]), so only the section CRC can tell.
+        let postings_bytes = r.stats().postings_bytes as usize;
+        drop(r);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let section = bytes.len() - FOOTER_LEN as usize - postings_bytes;
+        bytes[section + 1] ^= 0x02;
+        std::fs::write(&path, &bytes).unwrap();
+        let r = IndexReader::open(&path).unwrap();
+        let mut stream = r.stream();
+        assert_eq!(stream.next_into(&mut out).unwrap(), Some(&b"a"[..]));
+        assert_eq!(out, vec![1, 4]);
+        let err = stream
+            .finish()
+            .expect_err("a damaged section must not pass");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("checksum")),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

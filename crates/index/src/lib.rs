@@ -17,7 +17,8 @@
 //! * [`mod@format`] — the immutable on-disk format ([`IndexWriter`] /
 //!   [`IndexReader`]): header, key directory (loaded into memory whole —
 //!   the paper stresses the multigram directory is small enough to cache),
-//!   and a postings section read on demand.
+//!   and a postings section read on demand, or in one checksummed pass
+//!   ([`PostingsStream`]).
 //! * [`builder`] — the paper's "generate postings, sort, construct" final
 //!   pass, twice: [`CountedPostings`] for a dictionary known in advance
 //!   (one exact-size buffer filled by key index, by several scans at once
@@ -43,7 +44,7 @@ pub use blocked::{BlockedCursor, BlockedPostings};
 pub use builder::{CountedPostings, CountedRange, IndexBuilder};
 pub use cursor::{CursorStats, PostingsCursor, SliceCursor};
 pub use error::{Error, Result};
-pub use format::{IndexReader, IndexWriter, VerifyIssue, VerifyIssueKind};
+pub use format::{IndexReader, IndexWriter, PostingsStream, VerifyIssue, VerifyIssueKind};
 pub use instrument::{InstrumentedCursor, OpCounters};
 pub use memindex::MemIndex;
 pub use ops::{AndCursor, OrCursor};

@@ -104,23 +104,7 @@ impl Postings {
     /// Decodes into a sorted `Vec<DocId>`.
     pub fn decode(&self) -> Result<Vec<DocId>> {
         let mut out = Vec::with_capacity(self.count as usize);
-        let mut buf = &self.encoded[..];
-        let mut current = 0u64;
-        for i in 0..self.count {
-            let (delta, used) = varint::decode(buf)?;
-            buf = &buf[used..];
-            current = if i == 0 { delta } else { current + delta };
-            if current > u64::from(DocId::MAX) {
-                return Err(Error::Corrupt("doc id overflows u32".into()));
-            }
-            out.push(current as DocId);
-        }
-        if !buf.is_empty() {
-            return Err(Error::Corrupt(format!(
-                "{} trailing bytes after postings",
-                buf.len()
-            )));
-        }
+        decode_into(&self.encoded, self.count, &mut out)?;
         Ok(out)
     }
 
@@ -133,6 +117,43 @@ impl Postings {
             first: true,
         }
     }
+}
+
+/// Appends the delta-varint encoding of strictly ascending `ids` to
+/// `out`: the bytes [`Postings::from_sorted`] encodes them to.
+pub(crate) fn encode_into(ids: &[DocId], out: &mut Vec<u8>) {
+    let mut prev = None;
+    for &id in ids {
+        debug_assert!(
+            prev.is_none_or(|p| id > p),
+            "ids must be strictly increasing"
+        );
+        varint::encode(u64::from(prev.map_or(id, |p| id - p)), out);
+        prev = Some(id);
+    }
+}
+
+/// Appends the `count` ids delta-varint `encoded` holds, which must be
+/// exactly those, to `out`.
+pub(crate) fn decode_into(encoded: &[u8], count: u32, out: &mut Vec<DocId>) -> Result<()> {
+    let mut buf = encoded;
+    let mut current = 0u64;
+    for i in 0..count {
+        let (delta, used) = varint::decode(buf)?;
+        buf = &buf[used..];
+        current = if i == 0 { delta } else { current + delta };
+        if current > u64::from(DocId::MAX) {
+            return Err(Error::Corrupt("doc id overflows u32".into()));
+        }
+        out.push(current as DocId);
+    }
+    if !buf.is_empty() {
+        return Err(Error::Corrupt(format!(
+            "{} trailing bytes after postings",
+            buf.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Iterator over an encoded postings list.

@@ -7,9 +7,9 @@
 //!
 //! - **Dictionary**: one set of mined keys per live index, the oldest
 //!   segment's key directory. Only the first flush into an empty index
-//!   and compaction mine; every other segment and the write buffer
-//!   index exactly the dictionary's keys, so a query is planned once per
-//!   snapshot against it.
+//!   and a re-mining compaction mine; every other segment and the write
+//!   buffer index exactly the dictionary's keys, so a query is planned
+//!   once per snapshot against it.
 //! - **Write buffer**: new documents land in a WAL-backed in-memory
 //!   buffer (a [`memtable::Memtable`]); each batch is matched against
 //!   the dictionary as it arrives and keeps its postings by key id.
@@ -18,10 +18,12 @@
 //!   without mining or scanning.
 //! - **Tombstones**: deletes are logged sequence numbers, filtered out of
 //!   every query and physically eliminated by compaction.
-//! - **Compaction**: rewrites every surviving document into one segment
-//!   with the batch build, so its index is byte for byte
-//!   `Engine::build_on_disk` over the live documents and its mined keys
-//!   become the new dictionary.
+//! - **Compaction**: rewrites every surviving document into one segment.
+//!   It merges the segments' postings under the dictionary, unless the
+//!   documents flushed since the last compaction have drifted from it
+//!   ([`LiveIndex::drift`], [`DRIFT_TOLERANCE`]); then it runs the batch
+//!   build, so the index is byte for byte `Engine::build_on_disk` over
+//!   the live documents and its mined keys become the new dictionary.
 //!
 //! Every document has a stable, never-reused global sequence number
 //! ([`free_corpus::DocId`]), and queries at any generation return
@@ -40,14 +42,15 @@ pub mod snapshot;
 pub mod stats;
 
 mod live;
+mod postings;
 mod view;
 
 pub use error::{Error, Result};
 pub use live::{
-    orphan_segment_ids, read_tombstones, LiveIndex, SEGMENTS_DIR, TOMBSTONES_FILE,
-    TOMBSTONES_HEADER, WAL_DIR, WAL_EPOCH_FILE,
+    orphan_segment_ids, read_tombstones, Drift, LiveIndex, DRIFT_TOLERANCE, SEGMENTS_DIR,
+    TOMBSTONES_FILE, TOMBSTONES_HEADER, WAL_DIR, WAL_EPOCH_FILE,
 };
-pub use manifest::{Manifest, SegmentMeta};
+pub use manifest::{Baseline, Manifest, SegmentMeta};
 pub use qcache::QueryCache;
 pub use query::{LiveMatch, LiveQueryResult, LiveQueryStats, QueryOpts};
 pub use shard::{

@@ -3,19 +3,20 @@
 use crate::error::{Error, Result};
 use crate::manifest::Manifest;
 use crate::memtable::{BufferMatcher, Memtable};
+use crate::postings::{write_postings, Source};
 use crate::query::LiveQueryResult;
 use crate::segment::{remove_segment_files, Segment, SegmentWriter};
 use crate::snapshot::{LiveReader, Snapshot, SnapshotCell};
 use crate::stats::{LiveStats, SegmentStats};
 use crate::LiveConfig;
-use free_corpus::{Corpus, CorpusWriter, DiskCorpus, DocId, MemCorpus};
-use free_engine::grams::GramMatcher;
+use free_corpus::{Corpus, CorpusWriter, DiskCorpus, DocId};
 use free_index::{IndexRead, IndexWriter};
-use free_trace::metrics;
+use free_trace::{metrics, Span};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// WAL corpus-store directory name inside a live index directory.
 pub const WAL_DIR: &str = "wal";
@@ -25,6 +26,42 @@ pub const WAL_EPOCH_FILE: &str = "wal.epoch";
 pub const TOMBSTONES_FILE: &str = "tombstones.log";
 /// Sealed-segments directory name.
 pub const SEGMENTS_DIR: &str = "segments";
+
+/// How far the dictionary may drift before compaction re-mines it: a
+/// compaction re-mines when the documents flushed since the last one
+/// hold postings per document byte outside `1 ± DRIFT_TOLERANCE` times
+/// the mined documents' (the dictionary's recorded baseline). `free
+/// segments` flags `FA302` on the same comparison. The band comes from
+/// scratch live indexes over synthetic pages; see DESIGN.md, *Live
+/// index*, under compaction.
+pub const DRIFT_TOLERANCE: f64 = 0.1;
+
+/// The dictionary measured against the documents flushed since the last
+/// compaction (see [`LiveIndex::drift`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Drift {
+    /// Those documents' postings per document byte over the dictionary's
+    /// baseline; `None` when there is nothing to compare: no such
+    /// documents, an empty dictionary, or no recorded baseline.
+    pub ratio: Option<f64>,
+    /// `|1 - ratio|`. It is 1.0 when the next compaction re-mines an empty
+    /// or baseline-less dictionary, and 0.0 when there is no ratio and
+    /// nothing to re-mine, including when the next compaction would
+    /// rewrite nothing at all.
+    pub fraction: f64,
+}
+
+impl Drift {
+    const NONE: Drift = Drift {
+        ratio: None,
+        fraction: 0.0,
+    };
+
+    /// Whether the next compaction re-mines the dictionary.
+    pub fn remines(&self) -> bool {
+        self.fraction > DRIFT_TOLERANCE
+    }
+}
 
 /// Tombstone-log header line. Entries that follow are
 /// `"<seq> <crc32-hex>"`, the CRC taken over the decimal sequence
@@ -40,7 +77,8 @@ pub const TOMBSTONES_HEADER: &str = "FREETOMB 2";
 /// buffer into an immutable segment over that dictionary's keys (the
 /// first flush, with no dictionary yet, mines one); deletes are
 /// tombstones; *compaction* rewrites every surviving document into one
-/// segment with the batch build, mining a fresh dictionary. Every
+/// segment, merging the segments' postings under the dictionary, or
+/// mining a fresh one when the new documents have drifted from it. Every
 /// document keeps a stable, never-reused global sequence number, so
 /// query results are comparable across any schedule of mutations.
 ///
@@ -60,10 +98,11 @@ pub struct LiveIndex {
     segments: Vec<Arc<Segment>>,
     memtable: Arc<Memtable>,
     /// The dictionary's automaton, built by the first add that needs it
-    /// and dropped by compaction, the one operation that replaces a
-    /// dictionary in use (the first flush creates one, nothing else
-    /// changes it).
-    matcher: Option<BufferMatcher>,
+    /// and dropped only when the dictionary is replaced: by a re-mining
+    /// compaction, or one that leaves no segment (the first flush creates
+    /// a dictionary, and a merge keeps it key for key). Boxed: it is
+    /// large, and the index is moved around whole.
+    matcher: Option<Box<BufferMatcher>>,
     deleted: Arc<BTreeSet<DocId>>,
     generation: u64,
     published: Arc<SnapshotCell<Snapshot>>,
@@ -329,8 +368,9 @@ impl LiveIndex {
         let matcher = match self.segments.first() {
             None => None,
             Some(dict) => Some(
-                self.matcher
-                    .get_or_insert_with(|| BufferMatcher::new(dict.index.keys())),
+                &mut **self
+                    .matcher
+                    .get_or_insert_with(|| Box::new(BufferMatcher::new(dict.index.keys()))),
             ),
         };
         Arc::make_mut(&mut self.memtable).push_batch(docs, matcher)
@@ -442,7 +482,7 @@ impl LiveIndex {
             let id = self.manifest.next_segment_id;
             let mut writer = SegmentWriter::create(&self.dir.join(SEGMENTS_DIR), id)?;
             // Buffer local id -> segment local id; `None` is not sealed.
-            let mut remap: Vec<Option<DocId>> = Vec::with_capacity(keep_docs);
+            let mut remap: Vec<Option<DocId>> = Vec::with_capacity(self.memtable.len());
             let mut sealed: DocId = 0;
             for (local, doc) in self.memtable.docs().take(keep_docs).enumerate() {
                 if live(local) {
@@ -453,13 +493,18 @@ impl LiveIndex {
                     remap.push(None);
                 }
             }
+            remap.resize(self.memtable.len(), None);
             let cache_bytes = self.config.segment_cache_bytes;
             let seg = match self.segments.first() {
-                None => writer.mine(&self.config.engine, cache_bytes)?,
+                None => {
+                    let seg = writer.mine(&self.config.engine, cache_bytes)?;
+                    self.manifest.baseline = Some(seg.baseline());
+                    seg
+                }
                 Some(dict) => writer.seal(cache_bytes, |_, path| {
                     let mut index = IndexWriter::create(path)?;
-                    self.memtable
-                        .write_postings(dict.index.keys(), &remap, &mut index)?;
+                    let sources = self.memtable.sources(&remap).collect();
+                    write_postings(dict.index.keys(), sources, false, &mut index)?;
                     Ok(index.finish()?)
                 })?,
             };
@@ -498,14 +543,24 @@ impl LiveIndex {
         Ok(())
     }
 
-    /// Flushes, then rewrites every surviving document into one segment
-    /// with the batch build: the survivors, in sequence order, are
-    /// written to a new corpus, and a dictionary mined over them indexes
-    /// it, so the segment's index is byte for byte what
-    /// `Engine::build_on_disk` writes over the live documents and its key
-    /// directory becomes the index's dictionary. Tombstoned documents are
-    /// dropped and their tombstones consumed; sequence numbers are kept.
-    /// Returns whether anything changed.
+    /// Flushes, then rewrites every surviving document into one segment:
+    /// the survivors, in sequence order, are copied into a new corpus,
+    /// each checked against its stored CRC on the way (a damaged one is
+    /// [`Error::Corrupt`] and nothing is committed). The segment is
+    /// indexed one of two ways, as [`LiveIndex::drift`] decides:
+    ///
+    /// - *Merge* (the dictionary fits): each dictionary key's postings
+    ///   are the segments' lists, concatenated and renumbered, read in
+    ///   one checksummed pass per segment. Nothing is mined or scanned,
+    ///   and the dictionary keeps every key, one whose documents were all
+    ///   deleted with an empty list.
+    /// - *Re-mine* (the dictionary is empty, has no baseline, or has
+    ///   drifted): the batch build, so the index is byte for byte what
+    ///   `Engine::build_on_disk` writes over the live documents, and its
+    ///   keys become the new dictionary with a new baseline.
+    ///
+    /// Tombstoned documents are dropped and their tombstones consumed;
+    /// sequence numbers are kept. Returns whether anything changed.
     pub fn compact(&mut self) -> Result<bool> {
         let mut span = self.config.engine.tracer.span("compact");
         self.flush()?;
@@ -516,34 +571,32 @@ impl LiveIndex {
             span.record("skipped", "single live segment, no tombstones");
             return Ok(false);
         }
+        let drift = self.drift();
+        if let Some(ratio) = drift.ratio {
+            span.record("ratio", ratio);
+        }
         let seg_root = self.dir.join(SEGMENTS_DIR);
         let old_ids: Vec<u64> = self.segments.iter().map(|s| s.meta.id).collect();
         let mut merge_bytes = 0u64;
         let mut new_segment = None;
-        // The old dictionary's automaton is dead weight from here on.
-        self.matcher = None;
         // The flush left every live document in a segment.
         if self.live_docs() > 0 {
             let id = self.manifest.next_segment_id;
-            let mut writer = SegmentWriter::create(&seg_root, id)?;
-            // Segments hold disjoint, ascending sequence ranges, so
-            // reading them in order yields the survivors in sequence order.
-            for seg in &self.segments {
-                let mut appended = Ok(());
-                seg.corpus.scan(&mut |local, bytes| {
-                    let seq = seg.seqs[local as usize];
-                    if !self.deleted.contains(&seq) {
-                        merge_bytes += bytes.len() as u64;
-                        appended = writer.append(seq, bytes);
-                    }
-                    appended.is_ok()
-                })?;
-                appended?;
-            }
-            new_segment = Some(writer.mine(&self.config.engine, self.config.segment_cache_bytes)?);
+            let written = self.write_compacted(id, drift.remines(), &mut merge_bytes, &mut span);
+            // A failed rewrite leaves the committed state as it was.
+            new_segment = Some(written.inspect_err(|_| remove_segment_files(&seg_root, id))?);
             self.manifest.next_segment_id = id + 1;
         }
+        let remined = drift.remines() && new_segment.is_some();
+        span.record("remined", remined);
+        if remined || new_segment.is_none() {
+            // The dictionary is replaced (or gone): the old automaton is
+            // dead weight.
+            self.manifest.baseline = new_segment.as_ref().map(Segment::baseline);
+            self.matcher = None;
+        }
         // Commit, then clean up the replaced segments.
+        let commit = Instant::now();
         self.generation += 1;
         self.manifest.segments = new_segment.iter().map(|s| s.meta.clone()).collect();
         self.manifest.generation = self.generation;
@@ -559,9 +612,17 @@ impl LiveIndex {
         }
         self.segments = new_segment.into_iter().map(Arc::new).collect();
         self.publish();
+        span.record("commit", commit.elapsed());
         let m = metrics::global();
         m.counter("free_live_compactions_total", "Segment compactions")
             .inc();
+        if remined {
+            m.counter(
+                "free_live_remines_total",
+                "Compactions that re-mined the dictionary",
+            )
+            .inc();
+        }
         m.counter(
             "free_live_merge_bytes_total",
             "Document bytes rewritten by compaction",
@@ -571,6 +632,73 @@ impl LiveIndex {
         span.record("segments_merged", old_ids.len());
         span.record("merge_bytes", merge_bytes);
         Ok(true)
+    }
+
+    /// Writes compaction's segment `id`: every surviving document, copied
+    /// in sequence order after a check against its stored CRC, indexed by
+    /// the batch build when `remine` and by merging the segments'
+    /// postings under the dictionary otherwise. Records the copy and the
+    /// merge-or-mine durations on `span`.
+    fn write_compacted(
+        &self,
+        id: u64,
+        remine: bool,
+        merge_bytes: &mut u64,
+        span: &mut Span,
+    ) -> Result<Segment> {
+        let start = Instant::now();
+        let mut writer = SegmentWriter::create(&self.dir.join(SEGMENTS_DIR), id)?;
+        // Per segment, local id -> local id in the new segment. Segments
+        // hold disjoint, ascending sequence ranges, so reading them in
+        // order yields the survivors in sequence order.
+        let mut remaps = Vec::with_capacity(self.segments.len());
+        let mut next: DocId = 0;
+        for seg in &self.segments {
+            let mut remap = Vec::with_capacity(seg.seqs.len());
+            let mut appended = Ok(());
+            seg.corpus
+                .scan_checked(&mut |local, bytes| {
+                    let seq = seg.seqs[local as usize];
+                    if self.deleted.contains(&seq) {
+                        remap.push(None);
+                        return true;
+                    }
+                    remap.push(Some(next));
+                    next += 1;
+                    *merge_bytes += bytes.len() as u64;
+                    appended = writer.append(seq, bytes);
+                    appended.is_ok()
+                })
+                .map_err(|e| match e {
+                    free_corpus::Error::Corrupt(m) => {
+                        Error::Corrupt(format!("segment {}: {m}", seg.meta.id))
+                    }
+                    other => other.into(),
+                })?;
+            appended?;
+            remaps.push(remap);
+        }
+        span.record("copy", start.elapsed());
+        let start = Instant::now();
+        let cache_bytes = self.config.segment_cache_bytes;
+        let segment = if remine {
+            writer.mine(&self.config.engine, cache_bytes)?
+        } else {
+            writer.seal(cache_bytes, |_, path| {
+                let sources = (self.segments.iter().zip(remaps))
+                    .map(|(seg, remap)| Source::Segment {
+                        id: seg.meta.id,
+                        stream: seg.index.stream(),
+                        remap,
+                    })
+                    .collect();
+                let mut index = IndexWriter::create(path)?;
+                write_postings(self.segments[0].index.keys(), sources, true, &mut index)?;
+                Ok(index.finish()?)
+            })?
+        };
+        span.record(if remine { "mine" } else { "merge" }, start.elapsed());
+        Ok(segment)
     }
 
     /// Runs `pattern` over the current generation with the configured
@@ -617,46 +745,44 @@ impl LiveIndex {
         }
     }
 
-    /// Key-set drift: the fraction of live write-buffer documents
-    /// containing at least one *candidate* gram — a gram the miner would
-    /// select from the buffer — that the dictionary lacks. High drift
-    /// means the corpus has evolved past the dictionary and queries over
-    /// new content degrade toward scans; compaction re-mines it over
-    /// every live document.
-    pub fn key_set_drift(&self) -> Result<f64> {
-        let Some(dict) = self.segments.first() else {
-            return Ok(0.0);
-        };
+    /// The dictionary measured against the documents flushed since the
+    /// last compaction, counting what the next flush would seal as
+    /// flushed: their postings per document byte over the dictionary's
+    /// baseline. This is the decision the next [`LiveIndex::compact`]
+    /// acts on ([`Drift::remines`]) and what `free segments` reports as
+    /// `FA302`. It reads segment and buffer totals, never a document.
+    pub fn drift(&self) -> Drift {
         let base = self.manifest.wal_base;
-        let live_buf = MemCorpus::from_docs(
-            self.memtable
-                .docs()
-                .enumerate()
-                .filter(|(i, _)| !self.deleted.contains(&(base + *i as DocId)))
-                .map(|(_, d)| d.to_vec())
-                .collect(),
-        );
-        if live_buf.is_empty() {
-            return Ok(0.0);
+        let live = |local: DocId| !self.deleted.contains(&(base + local));
+        let (mut postings, mut bytes) = self.memtable.totals(live);
+        // What the next compaction finds after its flush: nothing to
+        // rewrite is nothing to re-mine.
+        let flushing = (0..self.memtable.len() as DocId).any(live);
+        let rewrites = self.segments.len() + usize::from(flushing) > 1
+            || self.deleted.range(..base).next().is_some();
+        if self.segments.is_empty() || !rewrites || self.live_docs() == 0 {
+            return Drift::NONE;
         }
-        let (keys, _) = free_engine::select_keys(&live_buf, &self.config.engine)?;
-        let absent: Vec<&[u8]> = keys
-            .iter()
-            .map(|g| &*g.gram)
-            .filter(|g| !dict.index.contains_key(g))
-            .collect();
-        if absent.is_empty() {
-            return Ok(0.0);
+        // An empty dictionary's baseline holds no postings.
+        let Some(baseline) = self.manifest.baseline.filter(|b| b.postings > 0) else {
+            return Drift {
+                ratio: None,
+                fraction: 1.0,
+            };
+        };
+        for seg in &self.segments[1..] {
+            postings += seg.index.stats().num_postings;
+            bytes += seg.data_bytes();
         }
-        let mut matcher = GramMatcher::new(&absent);
-        let mut hit = 0usize;
-        live_buf.scan(&mut |i, doc| {
-            let mut any = false;
-            matcher.match_distinct(doc, u64::from(i), &mut |_| any = true);
-            hit += usize::from(any);
-            true
-        })?;
-        Ok(hit as f64 / live_buf.len() as f64)
+        if bytes == 0 {
+            return Drift::NONE;
+        }
+        let density = |postings: u64, bytes: u64| postings as f64 / bytes as f64;
+        let ratio = density(postings, bytes) / density(baseline.postings, baseline.bytes);
+        Drift {
+            ratio: Some(ratio),
+            fraction: (1.0 - ratio).abs(),
+        }
     }
 
     /// Segment ids whose files are still present under `segments/` but
@@ -809,5 +935,46 @@ pub fn orphan_segment_ids(seg_root: &Path, manifest: &Manifest) -> Vec<u64> {
 fn remove_orphans(seg_root: &Path, manifest: &Manifest) {
     for id in orphan_segment_ids(seg_root, manifest) {
         remove_segment_files(seg_root, id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use free_corpus::synth::{Generator, SynthConfig};
+
+    fn pages(seed: u64, n: usize) -> Vec<Vec<u8>> {
+        let generator = Generator::new(SynthConfig::tiny(n, seed));
+        let mut page = Vec::new();
+        (0..n as DocId)
+            .map(|id| {
+                generator.page(id, &mut page);
+                page.clone()
+            })
+            .collect()
+    }
+
+    /// A merge keeps the dictionary key for key, so the write buffer's
+    /// automaton survives it; a re-mine replaces the dictionary and drops
+    /// the automaton.
+    #[test]
+    fn only_a_remine_drops_the_buffer_matcher() {
+        let dir = std::env::temp_dir().join(format!("free-live-matcher-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut live = LiveIndex::create(&dir, LiveConfig::default()).unwrap();
+        let same = pages(7, 200);
+        live.add_batch(&same[..100]).unwrap();
+        live.flush().unwrap();
+        live.add_batch(&same[100..]).unwrap();
+        assert!(live.matcher.is_some());
+        assert!(!live.drift().remines());
+        assert!(live.compact().unwrap());
+        assert!(live.matcher.is_some(), "a merge keeps the automaton");
+
+        live.add_batch(&pages(99, 100)).unwrap();
+        assert!(live.drift().remines());
+        assert!(live.compact().unwrap());
+        assert!(live.matcher.is_none(), "a re-mine drops it");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

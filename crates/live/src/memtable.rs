@@ -5,15 +5,16 @@
 //! Each `add_batch` becomes an immutable, `Arc`-shared chunk of the
 //! documents plus, grouped by key id, the dictionary keys (the oldest
 //! segment's key directory) each one contains. A snapshot copies chunk
-//! pointers, never postings, and a flush writes the grouped postings into
-//! the new segment without scanning a document again. Before the first
-//! flush there is no dictionary: queries confirm the whole buffer, a scan
-//! the flush thresholds bound.
+//! pointers, never postings, and a flush hands the chunks to the one
+//! postings writer (the `postings` module), which writes the grouped
+//! postings into the new segment without scanning a document again.
+//! Before the first flush there is no dictionary: queries confirm the
+//! whole buffer, a scan the flush thresholds bound.
 
-use crate::error::Result;
+use crate::postings::Source;
 use free_corpus::DocId;
 use free_engine::grams::GramMatcher;
-use free_index::{IndexRead, IndexStats, IndexWriter, Key, Postings};
+use free_index::{IndexRead, IndexStats, Key};
 use std::sync::Arc;
 
 /// The dictionary's Aho-Corasick automaton as the write buffer runs it
@@ -38,11 +39,11 @@ impl BufferMatcher {
 /// `keys[i]` (ascending) is in the documents `run(i)` (local ids,
 /// ascending), the run ending at `run_ends[i]` in `locals`.
 #[derive(Default)]
-struct Chunk {
+pub(crate) struct Chunk {
     /// Local id of the chunk's first document.
     first: DocId,
     docs: Vec<Arc<[u8]>>,
-    keys: Vec<u32>,
+    pub(crate) keys: Vec<u32>,
     run_ends: Vec<u32>,
     locals: Vec<DocId>,
 }
@@ -60,7 +61,7 @@ impl Chunk {
         }
     }
 
-    fn run(&self, i: usize) -> &[DocId] {
+    pub(crate) fn run(&self, i: usize) -> &[DocId] {
         let start = i.checked_sub(1).map_or(0, |p| self.run_ends[p]);
         &self.locals[start as usize..self.run_ends[i] as usize]
     }
@@ -197,37 +198,24 @@ impl Memtable {
         runs.flatten().copied().collect()
     }
 
-    /// Writes the buffered postings of `keys`, the dictionary the buffer
-    /// was indexed with, into `writer`: each local id becomes
-    /// `remap[local]`, and documents mapped to `None` (tombstoned or not
-    /// sealed) are left out, as are keys left with no document.
-    pub(crate) fn write_postings(
-        &self,
-        keys: &[Key],
-        remap: &[Option<DocId>],
-        writer: &mut IndexWriter,
-    ) -> Result<()> {
-        // Every chunk lists its keys in order, so one cursor per chunk
-        // walks them all in step with the dictionary; chunks hold
-        // ascending local ids, so each key's postings come out sorted.
-        let mut runs: Vec<_> = self.chunks.iter().map(|c| c.runs().peekable()).collect();
-        let mut docs: Vec<DocId> = Vec::new();
-        for (id, key) in keys.iter().enumerate() {
-            docs.clear();
-            for run in &mut runs {
-                if let Some((_, locals)) = run.next_if(|&(k, _)| k as usize == id) {
-                    docs.extend(
-                        locals
-                            .iter()
-                            .filter_map(|&l| remap.get(l as usize).copied().flatten()),
-                    );
-                }
-            }
-            if !docs.is_empty() {
-                writer.add(key, &Postings::from_sorted(&docs))?;
-            }
-        }
-        Ok(())
+    /// The buffer's chunks as sources of a segment's postings (see the
+    /// `postings` module), each buffered local id `l` becoming `remap[l]`.
+    pub(crate) fn sources<'a>(
+        &'a self,
+        remap: &'a [Option<DocId>],
+    ) -> impl Iterator<Item = Source<'a>> {
+        self.chunks.iter().map(move |c| Source::chunk(c, remap))
+    }
+
+    /// Postings and document bytes of the buffered documents `live`
+    /// keeps: what a flush would seal.
+    pub(crate) fn totals(&self, live: impl Fn(DocId) -> bool) -> (u64, u64) {
+        let postings = self.chunks.iter().flat_map(|c| &c.locals);
+        let bytes = self.docs().zip(0..).filter(|&(_, l)| live(l));
+        (
+            postings.filter(|&&l| live(l)).count() as u64,
+            bytes.map(|(d, _)| d.len() as u64).sum(),
+        )
     }
 }
 

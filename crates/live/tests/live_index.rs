@@ -148,28 +148,53 @@ fn flush_segment_index_file_is_pinned() {
 
 /// `SynthConfig::tiny(200, 7)`: the corpus `build_identity.rs` pins.
 fn synth_pages() -> Vec<Vec<u8>> {
+    tiny_pages(200, 7)
+}
+
+/// `SynthConfig::tiny(n, 99)`: pages from another vocabulary.
+fn other_vocabulary(n: usize) -> Vec<Vec<u8>> {
+    tiny_pages(n, 99)
+}
+
+fn tiny_pages(n: usize, seed: u64) -> Vec<Vec<u8>> {
     use free_corpus::synth::{Generator, SynthConfig};
     use free_corpus::Corpus;
-    let (pages, _) = Generator::new(SynthConfig::tiny(200, 7)).build_mem();
+    let (pages, _) = Generator::new(SynthConfig::tiny(n, seed)).build_mem();
     (0..pages.len() as DocId)
         .map(|id| pages.get(id).unwrap())
         .collect()
 }
 
-/// Compaction is the batch build over the live documents: two flushes
-/// of 100 pages compact into the file `Engine::build_on_disk` writes for
-/// all 200 (the constant `build_identity.rs` pins), and after deletes
-/// into the file it writes for the survivors.
+/// Patterns that hit the synthetic pages, for differential checks.
+const SYNTH_PATTERNS: &[&str] = &["Clinton", "[0-9]{5}", "<script", "sigmod.*200[0-9]", "ebay"];
+
+/// The survivors' contents, in sequence order.
+fn survivors(live: &LiveIndex) -> Vec<Vec<u8>> {
+    live.live_seqs()
+        .iter()
+        .map(|&s| live.get(s).unwrap())
+        .collect()
+}
+
+/// A compaction that re-mines is the batch build over the live
+/// documents. After a first flush of 20 pages the next 180 drift from the
+/// dictionary (ratio ~0.64), so compaction re-mines into the file
+/// `Engine::build_on_disk` writes for all 200 (the constant
+/// `build_identity.rs` pins). After deletes, pages from another
+/// vocabulary drift again, and the re-mine writes the batch build over
+/// the survivors.
 #[test]
 fn compaction_is_a_batch_build() {
     let dir = tmp_dir("compact-batch");
     let pages = synth_pages();
     let mut live = LiveIndex::create(&dir, config()).unwrap();
-    live.add_batch(&pages[..100]).unwrap();
+    live.add_batch(&pages[..20]).unwrap();
     live.flush().unwrap();
-    live.add_batch(&pages[100..]).unwrap();
+    live.add_batch(&pages[20..]).unwrap();
     live.flush().unwrap();
     assert_eq!(live.num_segments(), 2);
+    let drift = live.drift();
+    assert!(drift.ratio.unwrap() < 0.9 && drift.remines(), "{drift:?}");
     assert!(live.compact().unwrap());
     let bytes = std::fs::read(dir.join("segments/seg-2.idx")).unwrap();
     assert_eq!(bytes.len(), 210_159);
@@ -178,19 +203,275 @@ fn compaction_is_a_batch_build() {
     for seq in [3, 50, 120, 199] {
         live.delete(seq).unwrap();
     }
+    live.add_batch(&other_vocabulary(60)).unwrap();
+    let drift = live.drift();
+    assert!(drift.ratio.unwrap() < 0.9 && drift.remines(), "{drift:?}");
     assert!(live.compact().unwrap());
-    let survivors: Vec<Vec<u8>> = live
-        .live_seqs()
-        .iter()
-        .map(|&s| live.get(s).unwrap())
-        .collect();
-    assert_eq!(survivors.len(), 196);
+    let survivors = survivors(&live);
+    assert_eq!(survivors.len(), 256);
     let batch = dir.join("batch.free");
     Engine::build_on_disk(MemCorpus::from_docs(survivors), config().engine, &batch).unwrap();
     assert_eq!(
-        std::fs::read(dir.join("segments/seg-3.idx")).unwrap(),
+        std::fs::read(dir.join("segments/seg-4.idx")).unwrap(),
         std::fs::read(&batch).unwrap()
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The dictionary's keys with the number of `corpus` documents holding
+/// each, counted by a matcher scan: the key set a flush or a merge
+/// writes postings for.
+fn counted_keys(
+    keys: &[free_index::Key],
+    corpus: &impl free_corpus::Corpus,
+) -> Vec<free_engine::select::SelectedGram> {
+    let mut matcher = free_engine::grams::GramMatcher::new(keys);
+    let mut counts = vec![0u32; keys.len()];
+    corpus
+        .scan(&mut |doc, bytes| {
+            matcher.match_distinct(bytes, u64::from(doc), &mut |k| counts[k as usize] += 1);
+            true
+        })
+        .unwrap();
+    (keys.iter().zip(counts))
+        .map(|(gram, doc_count)| free_engine::select::SelectedGram {
+            gram: gram.clone(),
+            doc_count,
+        })
+        .collect()
+}
+
+/// A compaction whose new documents fit the dictionary merges postings
+/// under it, mining nothing. With deletes in the mix, the compacted index
+/// holds exactly the dictionary's keys, each with the postings a batch
+/// build over the survivors with those keys (counted by a matcher scan)
+/// writes; a key whose only document was deleted keeps an empty entry.
+/// The baseline is unchanged, and the write buffer goes on indexing with
+/// the same dictionary.
+#[test]
+fn compaction_merges_under_the_dictionary() {
+    use free_corpus::{Corpus, DiskCorpus};
+    use free_index::{IndexRead, IndexReader, IndexWriter};
+    let dir = tmp_dir("compact-merge");
+    let pages = synth_pages();
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&pages[..100]).unwrap();
+    live.flush().unwrap();
+    live.add_batch(&pages[100..]).unwrap();
+    live.flush().unwrap();
+    let dict = IndexReader::open(dir.join("segments/seg-0.idx")).unwrap();
+    let second = IndexReader::open(dir.join("segments/seg-1.idx")).unwrap();
+    // A key only one document of the first flush holds.
+    let lone = (dict.keys().iter())
+        .find(|k| dict.doc_count(k) == Some(1) && !second.contains_key(k))
+        .unwrap();
+    let lone_seq = dict.postings(lone).unwrap().unwrap()[0];
+    let mut deletes = vec![lone_seq, 50, 120, 199];
+    deletes.sort_unstable();
+    deletes.dedup();
+    for &seq in &deletes {
+        live.delete(seq).unwrap();
+    }
+    let baseline = free_live::Manifest::load(&dir).unwrap().baseline;
+    let drift = live.drift();
+    assert!(!drift.remines(), "{drift:?}");
+    assert!(live.compact().unwrap());
+    assert_eq!(free_live::Manifest::load(&dir).unwrap().baseline, baseline);
+
+    let merged = IndexReader::open(dir.join("segments/seg-2.idx")).unwrap();
+    assert_eq!(merged.keys(), dict.keys());
+    assert_eq!(merged.doc_count(lone), Some(0));
+    let survivors = DiskCorpus::open(dir.join("segments/seg-2.corpus")).unwrap();
+    assert_eq!(survivors.len(), 200 - deletes.len());
+    let built = dir.join("built.free");
+    let built = free_engine::build_index(
+        &survivors,
+        &counted_keys(dict.keys(), &survivors),
+        &built,
+        usize::MAX,
+    )
+    .unwrap();
+    // The batch build leaves the emptied key out; the merge keeps it.
+    let want = dir.join("want.free");
+    let mut writer = IndexWriter::create(&want).unwrap();
+    for key in dict.keys() {
+        let postings = built.postings(key).unwrap().unwrap_or_default();
+        writer.add_sorted(key, &postings).unwrap();
+    }
+    drop(writer.finish().unwrap());
+    assert_eq!(
+        std::fs::read(dir.join("segments/seg-2.idx")).unwrap(),
+        std::fs::read(&want).unwrap()
+    );
+    assert_matches_rebuild(&live, SYNTH_PATTERNS);
+
+    live.add_batch(&pages[..30]).unwrap();
+    assert_matches_rebuild(&live, SYNTH_PATTERNS);
+    live.flush().unwrap();
+    let third = IndexReader::open(dir.join("segments/seg-3.idx")).unwrap();
+    assert!(third.keys().iter().all(|k| dict.contains_key(k)));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A manifest without a `baseline=` line, as written before the line
+/// existed, opens with unchanged answers; its next compaction re-mines
+/// (the batch build over the survivors) and records the line.
+#[test]
+fn baseline_less_manifest_remines_at_next_compaction() {
+    use free_live::{Baseline, Drift, Manifest};
+    let dir = tmp_dir("no-baseline");
+    let pages = synth_pages();
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&pages[..100]).unwrap();
+    live.flush().unwrap();
+    live.add_batch(&pages[100..]).unwrap();
+    live.flush().unwrap();
+    live.delete(7).unwrap();
+    let answers = |live: &LiveIndex| -> Vec<Vec<DocId>> {
+        (SYNTH_PATTERNS.iter())
+            .map(|p| live.query(p).unwrap().matching_seqs())
+            .collect()
+    };
+    let before = answers(&live);
+    assert!(!live.drift().remines());
+    drop(live);
+    let mut manifest = Manifest::load(&dir).unwrap();
+    assert!(manifest.baseline.is_some());
+    manifest.baseline = None;
+    manifest.store(&dir).unwrap();
+    let text = std::fs::read_to_string(dir.join(free_live::manifest::MANIFEST_FILE)).unwrap();
+    assert!(!text.contains("baseline="), "{text}");
+
+    let mut live = LiveIndex::open(&dir, config()).unwrap();
+    assert_eq!(answers(&live), before);
+    let drift = live.drift();
+    assert_eq!(
+        drift,
+        Drift {
+            ratio: None,
+            fraction: 1.0
+        }
+    );
+    assert!(live.compact().unwrap());
+    let batch = dir.join("batch.free");
+    Engine::build_on_disk(
+        MemCorpus::from_docs(survivors(&live)),
+        config().engine,
+        &batch,
+    )
+    .unwrap();
+    assert_eq!(
+        std::fs::read(dir.join("segments/seg-2.idx")).unwrap(),
+        std::fs::read(&batch).unwrap()
+    );
+    let seg = &live.stats().segments[0];
+    let index = free_index::IndexReader::open(&batch).unwrap();
+    assert_eq!(
+        Manifest::load(&dir).unwrap().baseline,
+        Some(Baseline {
+            postings: free_index::IndexRead::stats(&index).num_postings,
+            bytes: seg.data_bytes,
+        })
+    );
+    assert_eq!(answers(&live), before);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `drift` is the decision compaction takes, so `free segments` flags
+/// FA302 exactly when the next compaction re-mines: a first flush that
+/// fits, one the rest drifts from, and one that mines no key at all.
+#[test]
+fn drift_predicts_the_remine() {
+    let pages = synth_pages();
+    for (first, remines) in [(100, false), (20, true), (5, true)] {
+        let dir = tmp_dir(&format!("drift-predicts-{first}"));
+        let mut live = LiveIndex::create(&dir, config()).unwrap();
+        live.add_batch(&pages[..first]).unwrap();
+        live.flush().unwrap();
+        // Buffered, not flushed: the drift counts what compaction's flush
+        // will seal.
+        live.add_batch(&pages[first..]).unwrap();
+        let drift = live.drift();
+        assert_eq!(drift.remines(), remines, "first flush {first}: {drift:?}");
+        let baseline = free_live::Manifest::load(&dir).unwrap().baseline;
+        assert!(live.compact().unwrap());
+        let after = free_live::Manifest::load(&dir).unwrap().baseline;
+        assert_eq!(after != baseline, remines, "first flush {first}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A flipped byte in a source segment's postings section fails the
+/// merge with `Error::Corrupt` before anything is committed, rather than
+/// being re-checksummed into a segment that verifies clean.
+#[test]
+fn compaction_refuses_damaged_postings() {
+    let dir = tmp_dir("compact-bad-postings");
+    let pages = synth_pages();
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&pages[..100]).unwrap();
+    live.flush().unwrap();
+    live.add_batch(&pages[100..]).unwrap();
+    live.flush().unwrap();
+    live.delete(5).unwrap();
+    assert!(!live.drift().remines());
+    drop(live);
+    let path = dir.join("segments/seg-1.idx");
+    let postings_bytes = {
+        let index = free_index::IndexReader::open(&path).unwrap();
+        free_index::IndexRead::stats(&index).postings_bytes as usize
+    };
+    let mut bytes = std::fs::read(&path).unwrap();
+    // The footer is 16 bytes; the postings section ends where it starts.
+    let at = bytes.len() - 16 - postings_bytes / 2;
+    bytes[at] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    let manifest = std::fs::read(dir.join("live.manifest")).unwrap();
+
+    let mut live = LiveIndex::open(&dir, config()).unwrap();
+    let err = live.compact().expect_err("damaged postings must not merge");
+    assert!(
+        matches!(&err, Error::Corrupt(m) if m.contains("segment 1 postings")),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(dir.join("live.manifest")).unwrap(), manifest);
+    assert!(!dir.join("segments/seg-2.idx").exists());
+    assert!(!dir.join("segments/seg-2.corpus").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Compaction checks every document it copies against the CRC its store
+/// recorded. A flipped byte fails it with `Error::Corrupt` and leaves the
+/// committed directory as the flush left it, instead of laundering the
+/// damage into a store that verifies clean.
+#[test]
+fn compaction_refuses_corrupt_documents() {
+    use free_corpus::DiskCorpus;
+    let dir = tmp_dir("compact-bad-doc");
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&docs()).unwrap();
+    live.flush().unwrap();
+    drop(live);
+    let data = dir.join("segments/seg-0.corpus/corpus.dat");
+    let mut bytes = std::fs::read(&data).unwrap();
+    bytes[3] ^= 0x20;
+    std::fs::write(&data, &bytes).unwrap();
+
+    let mut live = LiveIndex::open(&dir, config()).unwrap();
+    live.add(b"a fresh document to flush").unwrap();
+    live.flush().unwrap();
+    let manifest = std::fs::read(dir.join("live.manifest")).unwrap();
+    let err = live
+        .compact()
+        .expect_err("a corrupt document must not be copied");
+    assert!(
+        matches!(&err, Error::Corrupt(m) if m.contains("segment 0: data unit 0 fails its CRC")),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(dir.join("live.manifest")).unwrap(), manifest);
+    assert!(!dir.join("segments/seg-2.corpus").exists());
+    let store = DiskCorpus::open(dir.join("segments/seg-0.corpus")).unwrap();
+    assert_eq!(store.verify_units().unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -506,26 +787,22 @@ fn query_threads_agree() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Pages from another vocabulary hold far fewer dictionary postings per
+/// byte than the pages the dictionary was mined from: a ratio below 0.9,
+/// so the next compaction re-mines (and `free segments` flags FA302).
 #[test]
 fn key_set_drift_flags_novel_content() {
     let dir = tmp_dir("drift");
-    // A permissive usefulness threshold so the tiny buffer corpus still
-    // mines keys (a gram is useful iff it hits at most half the docs).
-    let mut cfg = config();
-    cfg.engine.usefulness_threshold = 0.5;
-    let mut live = LiveIndex::create(&dir, cfg).unwrap();
-    live.add_batch(&docs()).unwrap();
-    assert_eq!(live.key_set_drift().unwrap(), 0.0, "no segments yet");
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&synth_pages()[..100]).unwrap();
+    assert_eq!(live.drift().fraction, 0.0, "no segments yet");
     live.flush().unwrap();
-    assert_eq!(live.key_set_drift().unwrap(), 0.0, "empty buffer");
+    assert_eq!(live.drift().fraction, 0.0, "nothing since the mining");
 
-    // Novel, repetitive content the sealed key set never saw.
-    let novel: Vec<Vec<u8>> = (0..8)
-        .map(|i| format!("zzyzx volcanic rhubarb {i}").into_bytes())
-        .collect();
-    live.add_batch(&novel).unwrap();
-    let drift = live.key_set_drift().unwrap();
-    assert!(drift > 0.5, "drift {drift} should flag novel content");
+    live.add_batch(&other_vocabulary(100)).unwrap();
+    let drift = live.drift();
+    assert!(drift.ratio.unwrap() < 0.9, "{drift:?}");
+    assert!(drift.fraction > free_live::DRIFT_TOLERANCE && drift.remines());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
