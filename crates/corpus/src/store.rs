@@ -19,9 +19,9 @@
 //! The store is appendable: [`CorpusWriter::open_append`] resumes writing
 //! after the last committed unit in O(1) — it reads only the index header
 //! and the *tail* offset (never the full table, never the data file), and
-//! [`CorpusWriter::finish`] appends the new entries and patches the count
+//! [`CorpusWriter::commit`] appends the new entries and patches the count
 //! (plus its CRC, one positioned write) in place. The count is the commit
-//! point: entries are written before the count, so a crash mid-finish
+//! point: entries are written before the count, so a crash mid-commit
 //! leaves the previously committed prefix readable and any torn tail
 //! bytes are truncated on the next reopen.
 //!
@@ -117,7 +117,7 @@ impl CorpusWriter {
         let data_path = dir.join(DATA_FILE);
         let data = File::create(&data_path)
             .map_err(|e| Error::io(format!("create {}", data_path.display()), e))?;
-        // Write the header (count 0) up front so `finish` only ever patches
+        // Write the header (count 0) up front so `commit` only ever patches
         // the count and appends offsets, in both create and append modes.
         let idx_path = dir.join(INDEX_FILE);
         let idx = File::create(&idx_path)
@@ -214,8 +214,8 @@ impl CorpusWriter {
 
     /// Flushes everything, appends the new entries, and commits them by
     /// patching the unit count (and its CRC, in one positioned write)
-    /// in the header. Returns the opened read-side corpus.
-    pub fn finish(mut self) -> Result<DiskCorpus> {
+    /// in the header. Costs O(units appended), whatever the store holds.
+    pub fn commit(mut self) -> Result<()> {
         self.data
             .flush()
             .map_err(|e| Error::io("flush data file", e))?;
@@ -235,8 +235,15 @@ impl CorpusWriter {
         commit.extend_from_slice(&count_bytes);
         commit.extend_from_slice(&crc32(&count_bytes).to_le_bytes());
         idx.write_all_at(&commit, COUNT_OFFSET)
-            .map_err(|e| Error::io("write count", e))?;
-        DiskCorpus::open(&self.dir)
+            .map_err(|e| Error::io("write count", e))
+    }
+
+    /// [`CorpusWriter::commit`], then the opened read-side corpus, which
+    /// reads the whole entry table.
+    pub fn finish(self) -> Result<DiskCorpus> {
+        let dir = self.dir.clone();
+        self.commit()?;
+        DiskCorpus::open(dir)
     }
 }
 
@@ -633,6 +640,49 @@ mod tests {
         assert_eq!(c.get(1).unwrap(), b"after crash");
         assert_eq!(c.total_bytes(), 9 + 11);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn commits_write_what_one_pass_writes() {
+        let (one, many) = (tmpdir("one-pass"), tmpdir("many-commits"));
+        let units: Vec<Vec<u8>> = (0..20)
+            .map(|i| format!("unit {i} {}", "z".repeat(i % 5)).into_bytes())
+            .collect();
+        let mut w = CorpusWriter::create(&one).unwrap();
+        for unit in &units {
+            w.append(unit).unwrap();
+        }
+        w.commit().unwrap();
+        CorpusWriter::create(&many).unwrap().commit().unwrap();
+        for batch in units.chunks(3) {
+            let mut w = CorpusWriter::open_append(&many).unwrap();
+            for unit in batch {
+                w.append(unit).unwrap();
+            }
+            w.commit().unwrap();
+        }
+        let same = || {
+            [DATA_FILE, INDEX_FILE].iter().all(|f| {
+                std::fs::read(one.join(f)).unwrap() == std::fs::read(many.join(f)).unwrap()
+            })
+        };
+        assert!(same());
+        // A writer dropped before its commit leaves data bytes behind; the
+        // next append truncates them.
+        let mut w = CorpusWriter::open_append(&many).unwrap();
+        w.append(b"never committed").unwrap();
+        drop(w);
+        assert!(!same());
+        let w = CorpusWriter::open_append(&many).unwrap();
+        assert_eq!(w.len(), units.len());
+        w.commit().unwrap();
+        assert!(same());
+        let c = DiskCorpus::open(&many).unwrap();
+        for (id, unit) in units.iter().enumerate() {
+            assert_eq!(&c.get(id as DocId).unwrap(), unit);
+        }
+        std::fs::remove_dir_all(&one).unwrap();
+        std::fs::remove_dir_all(&many).unwrap();
     }
 
     #[test]

@@ -185,19 +185,20 @@ pub fn build_index<C: Corpus>(
     memory_budget: usize,
 ) -> Result<IndexReader> {
     let ranges = crate::select::build_ranges(corpus.total_bytes());
-    let (index, _) = build_index_in(corpus, keys, index_path, memory_budget, ranges)?;
+    let (index, _, _) = build_index_in(corpus, keys, index_path, memory_budget, ranges)?;
     Ok(index)
 }
 
 /// [`build_index`] cutting each wave into `ranges` key ranges. Returns
-/// the index and the number of key ranges (corpus scans) it took.
+/// the index, the number of key ranges (corpus scans) it took, and the
+/// most bytes its matchers held at once.
 fn build_index_in<C: Corpus>(
     corpus: &C,
     keys: &[SelectedGram],
     index_path: &Path,
     memory_budget: usize,
     ranges: usize,
-) -> Result<(IndexReader, usize)> {
+) -> Result<(IndexReader, usize, usize)> {
     let mut writer = IndexWriter::create(index_path)?;
     let max_postings =
         (memory_budget / std::mem::size_of::<free_corpus::DocId>()).min(u32::MAX as usize) as u64;
@@ -206,7 +207,7 @@ fn build_index_in<C: Corpus>(
             Ok(range.add(key, doc)?)
         })
     };
-    let mut scans = 0;
+    let (mut scans, mut matcher_bytes) = (0, 0);
     let mut rest = keys;
     while !rest.is_empty() {
         // The keys before the first one that overflows the buffer, and
@@ -233,15 +234,21 @@ fn build_index_in<C: Corpus>(
         // thread's own malloc arena).
         let key_ranges = bounds.windows(2).map(|b| &wave[b[0]..b[1]]);
         let mut parts = key_ranges.zip(counted.split_at_keys(&cuts));
+        let mut wave_bytes = 0;
+        let mut matcher = |range| {
+            let matcher = matcher_for(range);
+            wave_bytes += matcher.resident_bytes();
+            matcher
+        };
         let filled: Vec<Result<()>> = std::thread::scope(|s| {
             let first = parts.next();
             let others: Vec<_> = parts
                 .map(|(range, part)| {
-                    let matcher = matcher_for(range);
+                    let matcher = matcher(range);
                     s.spawn(move || fill(part, matcher))
                 })
                 .collect();
-            let first = first.map_or(Ok(()), |(range, part)| fill(part, matcher_for(range)));
+            let first = first.map_or(Ok(()), |(range, part)| fill(part, matcher(range)));
             std::iter::once(first)
                 .chain(
                     others
@@ -251,10 +258,11 @@ fn build_index_in<C: Corpus>(
                 .collect()
         });
         filled.into_iter().collect::<Result<()>>()?;
+        matcher_bytes = matcher_bytes.max(wave_bytes);
         counted.write_to(wave.iter().map(|g| &*g.gram), &mut writer)?;
         rest = later;
     }
-    Ok((writer.finish()?, scans))
+    Ok((writer.finish()?, scans, matcher_bytes))
 }
 
 /// Where to cut the sorted `wave` into at most `ranges` consecutive key
@@ -347,7 +355,7 @@ impl<C: Corpus> Engine<C, IndexReader> {
         let construct_start = Instant::now();
         let index = {
             let mut span = build_span.child("build.construct");
-            let (index, ranges) = build_index_in(
+            let (index, ranges, matcher_bytes) = build_index_in(
                 &corpus,
                 &keys,
                 index_path.as_ref(),
@@ -356,6 +364,7 @@ impl<C: Corpus> Engine<C, IndexReader> {
             )?;
             span.record("postings", index.stats().num_postings);
             span.record("ranges", ranges);
+            span.record("matcher_bytes", matcher_bytes);
             index
         };
         let construct_time = construct_start.elapsed();
@@ -695,7 +704,7 @@ mod tests {
         let (keys, _) = select_keys(&corpus, &EngineConfig::default()).unwrap();
         let build = |budget: usize, ranges: usize| {
             let path = dir.join(format!("{budget}-{ranges}.free"));
-            let (_, scans) = build_index_in(&corpus, &keys, &path, budget, ranges).unwrap();
+            let (_, scans, _) = build_index_in(&corpus, &keys, &path, budget, ranges).unwrap();
             (std::fs::read(&path).unwrap(), scans)
         };
         let (want, _) = build(usize::MAX, 1);
@@ -732,6 +741,10 @@ mod tests {
             construct.and_then(|e| e.attr("ranges")),
             Some(&free_trace::Value::U64(ranges as u64))
         );
+        assert!(matches!(
+            construct.and_then(|e| e.attr("matcher_bytes")),
+            Some(&free_trace::Value::U64(bytes)) if bytes > 0
+        ));
         let pass = events.iter().find(|e| e.name == "mine.pass").unwrap();
         assert!(pass.attr("ranges").is_some() && pass.attr("fold_us").is_some());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,4 +1,5 @@
-//! Multi-pattern gram matching: a from-scratch Aho-Corasick automaton.
+//! Multi-pattern gram matching: an Aho-Corasick automaton compiled into a
+//! DFA over the trie's internal states.
 //!
 //! The final index-construction scan must, for every data unit, find which
 //! of the selected gram keys occur in it (to emit postings). Probing a hash
@@ -8,45 +9,83 @@
 //! per `(pattern, document)` via a stamp vector, because the paper's
 //! postings record *data units containing* a gram, not occurrences.
 //!
-//! The automaton is a handful of flat arrays. States are numbered
-//! breadth-first over the sorted patterns, so the children of a state are
-//! consecutive states and a transition is a search of one short run of
-//! the label array; the root, the only state with up to 256 children,
-//! has a dense row instead.
+//! Every transition is precomputed, so a byte costs one table lookup and
+//! no failure-link walk. Only the trie's *internal* states (those with a
+//! child) have a row: a mined dictionary is prefix free, so every key ends
+//! at a leaf, and most states are leaves. A transition into a state that
+//! reports patterns is flagged and names a *report*: the patterns to
+//! report (the state's own and those along its failure chain, flattened)
+//! and the row to resume at — the state's own if it is internal, else
+//! that of the nearest internal state on its failure chain, which is where
+//! every transition out of the leaf goes. Columns are byte classes: one
+//! per byte some pattern uses, and one for every other byte, all of which
+//! lead back to the root.
 
-/// One automaton state. The children of state `s` are the states
-/// `states[s].children..states[s + 1].children`, and the patterns ending
-/// exactly at `s` are `pattern_ids[states[s].patterns..states[s +
-/// 1].patterns]`; a sentinel state closes the last range of each.
+use std::ops::Range;
+
+/// Set on a transition whose target reports patterns: the other bits
+/// index `reports`. When clear, the entry is the target's row offset.
+const REPORT: u32 = 1 << 31;
+
+/// What a transition into a reporting state does.
 #[derive(Clone, Copy, Debug)]
-struct State {
-    /// Id of the first child.
-    children: u32,
-    /// Failure link: the longest proper suffix of this state's string
-    /// that is also a state.
-    fail: u32,
-    /// The nearest state along the failure chain, this one included, at
-    /// which a pattern ends; 0 (the root, where none does) if there is
-    /// none.
-    report: u32,
-    /// Start of this state's run in `pattern_ids`.
-    patterns: u32,
+struct Report {
+    /// Row offset the scan continues from.
+    resume: u32,
+    /// Start of the state's patterns in `outputs`; the next report's
+    /// `start` ends them (a sentinel closes the last).
+    start: u32,
 }
 
-/// A set of byte patterns compiled into an Aho-Corasick automaton.
+/// A set of byte patterns compiled into an Aho-Corasick DFA.
 #[derive(Clone, Debug)]
 pub struct GramMatcher {
-    /// Transitions out of the root for every byte (0: stay at the root).
-    root: Vec<u32>,
-    /// Every state in breadth-first order, then the sentinel.
-    states: Vec<State>,
-    /// `labels[s]`: the byte on the edge into state `s`. Sorted within
-    /// each run of siblings.
-    labels: Vec<u8>,
-    /// Pattern indices grouped by the state they end at.
-    pattern_ids: Vec<u32>,
-    /// per-pattern "seen in current doc" stamps.
-    stamps: Vec<u64>,
+    /// The column of every byte.
+    class: [u8; 256],
+    /// The transitions of the internal states, one row of `classes`
+    /// entries each, in breadth-first order; the root's row is first.
+    delta: Vec<u32>,
+    /// One per reporting state, then a sentinel.
+    reports: Vec<Report>,
+    /// Pattern indices, grouped by the reporting state they belong to.
+    outputs: Vec<u32>,
+    /// Trie states, internal and leaves, the root included.
+    num_states: usize,
+    /// Per pattern, the number of the last scan that reported it.
+    stamps: Vec<u32>,
+    /// Scans are numbered by distinct consecutive `doc_stamp`s: the
+    /// last scan's number, and its `doc_stamp`.
+    scan: (u32, u64),
+}
+
+/// Calls `f(byte, child, own)` for every child of the trie state whose
+/// patterns are `below` (sorted, sharing their first `depth` bytes), in
+/// byte order: `below[child]` are the patterns below the child, and the
+/// first `own` of them end there.
+fn for_each_child<P: AsRef<[u8]>>(
+    patterns: &[P],
+    below: &[u32],
+    depth: usize,
+    mut f: impl FnMut(u8, Range<usize>, usize),
+) {
+    let pattern = |i: u32| patterns[i as usize].as_ref();
+    // A linear scan, not a binary search: each pattern is looked at once
+    // per depth, and most ranges are short.
+    let count = |run: &[u32], same: &dyn Fn(&[u8]) -> bool| {
+        run.iter().take_while(|&&i| same(pattern(i))).count()
+    };
+    // Patterns that end at the state itself sort before their extensions.
+    let mut start = count(below, &|p| p.len() == depth);
+    while let Some(&first) = below.get(start) {
+        let byte = pattern(first)[depth];
+        let end = start + count(&below[start..], &|p| p[depth] == byte);
+        f(
+            byte,
+            start..end,
+            count(&below[start..end], &|p| p.len() == depth + 1),
+        );
+        start = end;
+    }
 }
 
 impl GramMatcher {
@@ -54,7 +93,7 @@ impl GramMatcher {
     /// by debug assertion (grams are never empty) and never match.
     pub fn new<P: AsRef<[u8]>>(patterns: &[P]) -> GramMatcher {
         let pattern = |i: u32| patterns[i as usize].as_ref();
-        // Sorted, the patterns below any trie node are one contiguous
+        // Sorted, the patterns below any trie state are one contiguous
         // range, split by the next byte into the ranges of its children.
         let mut order: Vec<u32> = (0..patterns.len() as u32)
             .filter(|&i| {
@@ -64,79 +103,110 @@ impl GramMatcher {
             .collect();
         order.sort_by(|&a, &b| pattern(a).cmp(pattern(b)));
 
-        // The trie: `pending[s]` is the range of `order` below state `s`.
-        let mut pending: Vec<(usize, usize)> = vec![(0, order.len())];
-        let mut states: Vec<State> = Vec::new();
-        let mut labels: Vec<u8> = vec![0];
-        let mut pattern_ids: Vec<u32> = Vec::with_capacity(order.len());
-        let mut depth_end = 1; // first state of the next depth
-        let mut depth = 0;
+        let mut used = [false; 256];
+        for &i in &order {
+            for &b in pattern(i) {
+                used[usize::from(b)] = true;
+            }
+        }
+        let mut class = [0u8; 256];
+        // Class 0 gathers the unused bytes, if there are any.
+        let mut classes = usize::from(used.contains(&false));
+        for (column, _) in class.iter_mut().zip(used).filter(|&(_, used)| used) {
+            *column = classes as u8;
+            classes += 1;
+        }
+
+        // Internal states are the distinct proper prefixes, the empty one
+        // included. Counted first, so the table is allocated once at its
+        // final size: a pattern adds those of its proper prefixes that
+        // are longer than its common prefix with the one before it, plus
+        // that common prefix when it is the whole of the one before.
+        let mut num_internal = 1;
+        let mut prev: &[u8] = &[];
+        for &i in &order {
+            let p = pattern(i);
+            let common = p.iter().zip(prev).take_while(|(a, b)| a == b).count();
+            num_internal += (p.len() - 1).saturating_sub(common)
+                + usize::from(common == prev.len() && 0 < common && common < p.len());
+            prev = p;
+        }
+        assert!(
+            num_internal * classes <= REPORT as usize,
+            "{num_internal} internal states x {classes} byte classes overflow a transition"
+        );
+
+        // The rows, breadth first. An internal state is the range of
+        // `order` below it, its depth, and the row of its nearest internal
+        // failure state, which is shallower and so already final: the
+        // state's row is a copy of that one with its children's entries
+        // written over.
+        let mut internal: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(num_internal);
+        internal.push((0, order.len() as u32, 0, 0));
+        let mut delta = vec![0u32; num_internal * classes];
+        let mut reports: Vec<Report> = Vec::new();
+        let mut outputs: Vec<u32> = Vec::new();
+        let mut leaves = 0;
         let mut s = 0;
-        while s < pending.len() {
-            if s == depth_end {
-                depth += 1;
-                depth_end = pending.len();
+        while let Some(&(start, end, depth, fail_row)) = internal.get(s) {
+            let (row, fail_row) = (s * classes, fail_row as usize);
+            if s > 0 {
+                delta.copy_within(fail_row..fail_row + classes, row);
             }
-            let (mut next, end) = pending[s];
-            states.push(State {
-                children: pending.len() as u32,
-                fail: 0,
-                report: 0,
-                patterns: pattern_ids.len() as u32,
+            let below = &order[start as usize..end as usize];
+            for_each_child(patterns, below, depth as usize, |byte, child, own| {
+                let column = usize::from(class[usize::from(byte)]);
+                // The child's failure target, as a transition from the
+                // parent's failure state (the root's children fail to it).
+                let fail = if s == 0 { 0 } else { delta[fail_row + column] };
+                let (fail_resume, inherited) = match fail & REPORT {
+                    0 => (fail, 0..0),
+                    _ => {
+                        let r = (fail ^ REPORT) as usize;
+                        let end = reports
+                            .get(r + 1)
+                            .map_or(outputs.len(), |n| n.start as usize);
+                        (reports[r].resume, reports[r].start as usize..end)
+                    }
+                };
+                let child_row = if own < child.len() {
+                    let (first, last) = (start + child.start as u32, start + child.end as u32);
+                    internal.push((first, last, depth + 1, fail_resume));
+                    ((internal.len() - 1) * classes) as u32
+                } else {
+                    leaves += 1;
+                    fail_resume
+                };
+                delta[row + column] = if own == 0 && inherited.is_empty() {
+                    child_row
+                } else {
+                    reports.push(Report {
+                        resume: child_row,
+                        start: outputs.len() as u32,
+                    });
+                    outputs.extend_from_slice(&below[child.start..child.start + own]);
+                    outputs.extend_from_within(inherited);
+                    REPORT | (reports.len() - 1) as u32
+                };
             });
-            // Patterns that end here sort before their extensions.
-            while next < end && pattern(order[next]).len() == depth {
-                pattern_ids.push(order[next]);
-                next += 1;
-            }
-            while next < end {
-                let byte = pattern(order[next])[depth];
-                let run = order[next..end]
-                    .iter()
-                    .take_while(|&&i| pattern(i)[depth] == byte)
-                    .count();
-                labels.push(byte);
-                pending.push((next, next + run));
-                next += run;
-            }
             s += 1;
         }
-        let num_states = states.len();
-        states.push(State {
-            children: num_states as u32,
-            fail: 0,
-            report: 0,
-            patterns: pattern_ids.len() as u32,
+        debug_assert_eq!(internal.len(), num_internal);
+        reports.push(Report {
+            resume: 0,
+            start: outputs.len() as u32,
         });
-
-        let mut root = vec![0u32; 256];
-        for child in states[0].children..states[1].children {
-            root[labels[child as usize] as usize] = child;
+        reports.shrink_to_fit();
+        outputs.shrink_to_fit();
+        GramMatcher {
+            class,
+            delta,
+            reports,
+            outputs,
+            num_states: internal.len() + leaves,
+            stamps: vec![0; patterns.len()],
+            scan: (0, u64::MAX),
         }
-        let mut matcher = GramMatcher {
-            root,
-            states,
-            labels,
-            pattern_ids,
-            stamps: vec![u64::MAX; patterns.len()],
-        };
-        // Failure and report links, shallow states first: a state's links
-        // lead to strictly shallower states, which are already final. The
-        // children of the root keep `fail == 0`.
-        for s in 1..num_states {
-            let here = matcher.states[s];
-            let ends_here = here.patterns != matcher.states[s + 1].patterns;
-            matcher.states[s].report = if ends_here {
-                s as u32
-            } else {
-                matcher.states[here.fail as usize].report
-            };
-            for child in here.children..matcher.states[s + 1].children {
-                matcher.states[child as usize].fail =
-                    matcher.step(here.fail, matcher.labels[child as usize]);
-            }
-        }
-        matcher
     }
 
     /// Number of patterns in the automaton.
@@ -146,26 +216,21 @@ impl GramMatcher {
 
     /// Number of automaton states (for diagnostics).
     pub fn num_states(&self) -> usize {
-        self.states.len() - 1
+        self.num_states
     }
 
-    #[inline]
-    fn step(&self, mut state: u32, b: u8) -> u32 {
-        while state != 0 {
-            let first = self.states[state as usize].children as usize;
-            let end = self.states[state as usize + 1].children as usize;
-            if let Some(i) = self.labels[first..end].iter().position(|&l| l == b) {
-                return (first + i) as u32;
-            }
-            state = self.states[state as usize].fail;
-        }
-        self.root[b as usize]
+    /// Bytes the matcher holds, inline and on the heap.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<GramMatcher>()
+            + 4 * (self.delta.capacity() + self.outputs.capacity() + self.stamps.capacity())
+            + std::mem::size_of::<Report>() * self.reports.capacity()
     }
 
     /// Scans `haystack` and invokes `on_match(pattern_index)` once for
     /// each *distinct* pattern found. `doc_stamp` must be unique per call
     /// scope (e.g. the document id) — it powers occurrence deduplication
-    /// without clearing state between documents.
+    /// without clearing state between documents: consecutive calls with
+    /// one stamp report each pattern once between them.
     pub fn match_distinct(
         &mut self,
         haystack: &[u8],
@@ -177,20 +242,31 @@ impl GramMatcher {
             u64::MAX,
             "u64::MAX is the unstamped sentinel and would suppress matches"
         );
-        let mut state = 0u32;
+        if self.scan.1 != doc_stamp {
+            // Numbers wrap after 2^32 - 1 scans: start over.
+            if self.scan.0 == u32::MAX {
+                self.stamps.fill(0);
+                self.scan.0 = 0;
+            }
+            self.scan = (self.scan.0 + 1, doc_stamp);
+        }
+        let scan = self.scan.0;
+        let mut row = 0;
         for &b in haystack {
-            state = self.step(state, b);
-            let mut at = self.states[state as usize].report as usize;
-            while at != 0 {
-                let ending =
-                    self.states[at].patterns as usize..self.states[at + 1].patterns as usize;
-                for &pi in &self.pattern_ids[ending] {
-                    if self.stamps[pi as usize] != doc_stamp {
-                        self.stamps[pi as usize] = doc_stamp;
-                        on_match(pi);
-                    }
+            let next = self.delta[row + usize::from(self.class[usize::from(b)])];
+            if next & REPORT == 0 {
+                row = next as usize;
+                continue;
+            }
+            let r = (next ^ REPORT) as usize;
+            let (report, end) = (self.reports[r], self.reports[r + 1].start);
+            row = report.resume as usize;
+            for &pi in &self.outputs[report.start as usize..end as usize] {
+                let stamp = &mut self.stamps[pi as usize];
+                if *stamp != scan {
+                    *stamp = scan;
+                    on_match(pi);
                 }
-                at = self.states[self.states[at].fail as usize].report as usize;
             }
         }
     }
@@ -372,6 +448,56 @@ mod tests {
                     .map(|(i, _)| i as u32)
                     .collect();
                 prop_assert_eq!(m.distinct_patterns(doc, stamp as u64), want, "doc {:?}", doc);
+            }
+        }
+
+        /// Any pattern set, not only a mined one: duplicated patterns, a
+        /// pattern that is a prefix of another (so it ends at an internal
+        /// state), one that is a suffix of another, and no patterns at
+        /// all, against haystacks over all 256 byte values, most of which
+        /// no pattern uses.
+        #[test]
+        fn agrees_with_windows_on_any_pattern_set(
+            seeds in prop::collection::vec(
+                prop::collection::vec(
+                    prop_oneof![Just(b'a'), Just(b'b'), Just(0u8), Just(255u8)],
+                    1..7,
+                ),
+                0..8,
+            ),
+            derived in prop::collection::vec((0usize..64, 0usize..4), 0..8),
+            haystacks in prop::collection::vec(
+                prop::collection::vec(
+                    prop_oneof![Just(b'a'), Just(b'b'), Just(0u8), Just(255u8), any::<u8>()],
+                    0..96,
+                ),
+                1..6,
+            ),
+        ) {
+            let mut patterns = seeds.clone();
+            for &(which, how) in &derived {
+                let Some(p) = seeds.get(which % seeds.len().max(1)) else { break };
+                patterns.push(match how {
+                    0 => p.clone(),
+                    1 => p[..p.len().div_ceil(2)].to_vec(),
+                    2 => p[p.len() / 2..].to_vec(),
+                    // The seed becomes a prefix of another pattern.
+                    _ => [&p[..], b"ab"].concat(),
+                });
+            }
+            let mut m = GramMatcher::new(&patterns);
+            prop_assert_eq!(m.num_patterns(), patterns.len());
+            let prefixes: std::collections::BTreeSet<&[u8]> = patterns
+                .iter()
+                .flat_map(|p| (1..=p.len()).map(move |cut| &p[..cut]))
+                .collect();
+            prop_assert_eq!(m.num_states(), prefixes.len() + 1, "one state per distinct prefix");
+            for (stamp, hay) in haystacks.iter().enumerate() {
+                let want: Vec<u32> = (patterns.iter().enumerate())
+                    .filter(|(_, p)| hay.windows(p.len()).any(|w| w == &p[..]))
+                    .map(|(i, _)| i as u32)
+                    .collect();
+                prop_assert_eq!(m.distinct_patterns(hay, stamp as u64), want, "{:?}", hay);
             }
         }
     }

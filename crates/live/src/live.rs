@@ -127,7 +127,7 @@ impl LiveIndex {
             manifest.selector = Some(config.engine.selector.to_string());
         }
         manifest.store(dir)?;
-        CorpusWriter::create(dir.join(WAL_DIR))?.finish()?;
+        CorpusWriter::create(dir.join(WAL_DIR))?.commit()?;
         std::fs::write(dir.join(WAL_EPOCH_FILE), "0\n")
             .map_err(|e| Error::io("write wal epoch", e))?;
         std::fs::write(dir.join(TOMBSTONES_FILE), format!("{TOMBSTONES_HEADER}\n"))
@@ -169,7 +169,7 @@ impl LiveIndex {
         let wal_dir = dir.join(WAL_DIR);
         if epoch != manifest.wal_epoch || !wal_dir.join("corpus.idx").is_file() {
             let _ = std::fs::remove_dir_all(&wal_dir);
-            CorpusWriter::create(&wal_dir)?.finish()?;
+            CorpusWriter::create(&wal_dir)?.commit()?;
             std::fs::write(
                 dir.join(WAL_EPOCH_FILE),
                 format!("{}\n", manifest.wal_epoch),
@@ -208,7 +208,7 @@ impl LiveIndex {
             published,
         };
         if !buffered.is_empty() {
-            live.buffer(&buffered);
+            live.buffer(&buffered, &mut Span::disabled());
         }
         // Tombstones are checked against the documents this publishes.
         live.publish();
@@ -337,14 +337,16 @@ impl LiveIndex {
         }
         // WAL first, memtable after the commit: an I/O error mid-batch
         // leaves the in-memory state agreeing with the committed prefix.
+        let wal = Instant::now();
         let mut writer = CorpusWriter::open_append(self.dir.join(WAL_DIR))?;
         let mut bytes = 0u64;
         for doc in docs {
             writer.append(doc.as_ref())?;
             bytes += doc.as_ref().len() as u64;
         }
-        writer.finish()?;
-        let first = self.manifest.wal_base + self.buffer(docs);
+        writer.commit()?;
+        span.record("wal_us", wal.elapsed().as_micros() as u64);
+        let first = self.manifest.wal_base + self.buffer(docs, &mut span);
         let ids: Vec<DocId> = (first..first + docs.len() as DocId).collect();
         self.generation += 1;
         metrics::global()
@@ -363,8 +365,9 @@ impl LiveIndex {
     /// Appends `docs` to the write buffer as one chunk, indexed by the
     /// dictionary when the index has one; returns the first document's
     /// local id. Copy-on-write: a snapshot may still hold the buffer, so
-    /// `Arc::make_mut` copies its chunk pointers, never a chunk.
-    fn buffer<D: AsRef<[u8]>>(&mut self, docs: &[D]) -> DocId {
+    /// `Arc::make_mut` copies its chunk pointers, never a chunk. Records
+    /// where the time went on `span` (see [`Memtable::push_batch`]).
+    fn buffer<D: AsRef<[u8]>>(&mut self, docs: &[D], span: &mut Span) -> DocId {
         let matcher = match self.segments.first() {
             None => None,
             Some(dict) => Some(
@@ -373,7 +376,7 @@ impl LiveIndex {
                     .get_or_insert_with(|| Box::new(BufferMatcher::new(dict.index.keys()))),
             ),
         };
-        Arc::make_mut(&mut self.memtable).push_batch(docs, matcher)
+        Arc::make_mut(&mut self.memtable).push_batch(docs, matcher, span)
     }
 
     /// Flushes if the write buffer has crossed either configured
@@ -842,7 +845,7 @@ impl LiveIndex {
     fn reset_wal(&self) -> Result<()> {
         let wal_dir = self.dir.join(WAL_DIR);
         let _ = std::fs::remove_dir_all(&wal_dir);
-        CorpusWriter::create(&wal_dir)?.finish()?;
+        CorpusWriter::create(&wal_dir)?.commit()?;
         std::fs::write(
             self.dir.join(WAL_EPOCH_FILE),
             format!("{}\n", self.manifest.wal_epoch),

@@ -15,15 +15,20 @@ use crate::postings::Source;
 use free_corpus::DocId;
 use free_engine::grams::GramMatcher;
 use free_index::{IndexRead, IndexStats, Key};
+use free_trace::Span;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The dictionary's Aho-Corasick automaton as the write buffer runs it
-/// (pattern `i` is key `i`). Each match's stamp is a count of the
-/// documents matched so far, so no two documents share one even when
-/// truncated sequence numbers are reused.
+/// (pattern `i` is key `i`), and the per-key counters that group a
+/// batch's postings. Each match's stamp is a count of the documents
+/// matched so far, so no two documents share one even when truncated
+/// sequence numbers are reused.
 pub(crate) struct BufferMatcher {
     matcher: GramMatcher,
     matched: u64,
+    /// One per key, all zero between batches.
+    counts: Vec<u32>,
 }
 
 impl BufferMatcher {
@@ -31,8 +36,14 @@ impl BufferMatcher {
         BufferMatcher {
             matcher: GramMatcher::new(keys),
             matched: 0,
+            counts: vec![0; keys.len()],
         }
     }
+}
+
+/// Microseconds since `start`, for a span attribute.
+fn micros(start: Instant) -> u64 {
+    start.elapsed().as_micros() as u64
 }
 
 /// Buffered documents and their postings, immutable once built: key id
@@ -49,16 +60,54 @@ pub(crate) struct Chunk {
 }
 
 impl Chunk {
-    /// Appends `locals` to key `key`'s run; keys arrive in ascending order.
-    fn push_run(&mut self, key: u32, locals: &[DocId]) {
-        self.locals.extend_from_slice(locals);
-        if self.keys.last() != Some(&key) {
-            self.keys.push(key);
-            self.run_ends.push(0);
+    /// Records the postings of the chunk's documents: the keys `m` finds
+    /// in each, grouped by key id. The pairs arrive in document order; a
+    /// counting sort over key ids places each local id in its key's run,
+    /// so every run comes out ascending without a comparison.
+    fn index(&mut self, m: &mut BufferMatcher, span: &mut Span) {
+        let start = Instant::now();
+        // The keys of every document, one after the other; `ends[i]` ends
+        // document `i`'s.
+        let (mut found, mut ends) = (Vec::new(), Vec::with_capacity(self.docs.len()));
+        let mut distinct = 0;
+        for doc in &self.docs {
+            m.matched += 1;
+            let counts = &mut m.counts;
+            m.matcher.match_distinct(doc, m.matched, &mut |key| {
+                let count = &mut counts[key as usize];
+                distinct += usize::from(*count == 0);
+                *count += 1;
+                found.push(key);
+            });
+            ends.push(found.len());
         }
-        if let Some(end) = self.run_ends.last_mut() {
-            *end = self.locals.len() as u32;
+        span.record("match_us", micros(start));
+        span.record("postings", found.len());
+
+        let start = Instant::now();
+        self.keys.reserve_exact(distinct);
+        self.run_ends.reserve_exact(distinct);
+        self.locals = vec![0; found.len()];
+        // Each count becomes where its key's next local id goes.
+        let mut end = 0;
+        for (key, count) in m.counts.iter_mut().enumerate().filter(|(_, c)| **c > 0) {
+            self.keys.push(key as u32);
+            (*count, end) = (end, end + *count);
+            self.run_ends.push(end);
         }
+        let mut doc_start = 0;
+        for (local, doc_end) in (self.first..).zip(ends) {
+            for &key in &found[doc_start..doc_end] {
+                let at = &mut m.counts[key as usize];
+                self.locals[*at as usize] = local;
+                *at += 1;
+            }
+            doc_start = doc_end;
+        }
+        for &key in &self.keys {
+            m.counts[key as usize] = 0;
+        }
+        span.record("group_us", micros(start));
     }
 
     pub(crate) fn run(&self, i: usize) -> &[DocId] {
@@ -66,30 +115,39 @@ impl Chunk {
         &self.locals[start as usize..self.run_ends[i] as usize]
     }
 
-    fn runs(&self) -> impl Iterator<Item = (u32, &[DocId])> {
-        (0..self.keys.len()).map(|i| (self.keys[i], self.run(i)))
-    }
-
-    /// The documents and postings of `a`, then of `b`, which follows it.
+    /// The documents and postings of `a`, then of `b`, which follows it:
+    /// a two-pointer walk over the two key lists that copies whole runs.
     fn merge(a: &Chunk, b: &Chunk) -> Chunk {
         let mut merged = Chunk {
             first: a.first,
             docs: [&a.docs[..], &b.docs[..]].concat(),
+            keys: Vec::with_capacity(a.keys.len() + b.keys.len()),
+            run_ends: Vec::with_capacity(a.keys.len() + b.keys.len()),
             locals: Vec::with_capacity(a.locals.len() + b.locals.len()),
-            ..Chunk::default()
         };
-        let (mut ra, mut rb) = (a.runs().peekable(), b.runs().peekable());
-        while let Some(key) = [ra.peek(), rb.peek()]
-            .into_iter()
-            .flatten()
-            .map(|r| r.0)
-            .min()
-        {
-            for runs in [&mut ra, &mut rb] {
-                if let Some((_, locals)) = runs.next_if(|r| r.0 == key) {
-                    merged.push_run(key, locals);
-                }
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&ka), Some(&kb)) = (a.keys.get(i), b.keys.get(j)) {
+            if ka <= kb {
+                merged.locals.extend_from_slice(a.run(i));
+                i += 1;
             }
+            if kb <= ka {
+                merged.locals.extend_from_slice(b.run(j));
+                j += 1;
+            }
+            merged.keys.push(ka.min(kb));
+            merged.run_ends.push(merged.locals.len() as u32);
+        }
+        // One side is done; the other's remaining runs follow whole.
+        for (chunk, from) in [(a, i), (b, j)] {
+            let start = from.checked_sub(1).map_or(0, |p| chunk.run_ends[p]);
+            let shift = merged.locals.len() as u32 - start;
+            merged.keys.extend_from_slice(&chunk.keys[from..]);
+            merged
+                .locals
+                .extend_from_slice(&chunk.locals[start as usize..]);
+            let ends = chunk.run_ends[from..].iter().map(|end| end + shift);
+            merged.run_ends.extend(ends);
         }
         merged.keys.shrink_to_fit();
         merged.run_ends.shrink_to_fit();
@@ -111,7 +169,9 @@ pub struct Memtable {
 impl Memtable {
     /// Appends `docs`, recording for each document the dictionary keys
     /// `matcher` finds in it (none without a dictionary). Returns the
-    /// local id of the first document.
+    /// local id of the first document. Records on `span` the time spent
+    /// merging chunks (`merge_us`) and, with a dictionary, matching and
+    /// grouping (`match_us`, `group_us`) and the postings found.
     ///
     /// The batch becomes a new chunk, and chunk sizes then follow a
     /// binary counter: the newest two merge while the older holds no
@@ -122,34 +182,20 @@ impl Memtable {
         &mut self,
         docs: &[D],
         matcher: Option<&mut BufferMatcher>,
+        span: &mut Span,
     ) -> DocId {
         let first = self.len() as DocId;
-        // (key id, local id) pairs, sorted into per-key runs.
-        let mut pairs: Vec<u64> = Vec::new();
-        if let Some(m) = matcher {
-            for (i, doc) in docs.iter().enumerate() {
-                let local = u64::from(first) + i as u64;
-                m.matched += 1;
-                m.matcher
-                    .match_distinct(doc.as_ref(), m.matched, &mut |key| {
-                        pairs.push(u64::from(key) << 32 | local);
-                    });
-            }
-            pairs.sort_unstable();
-        }
-        let distinct = pairs.chunk_by(|a, b| a >> 32 == b >> 32).count();
         let mut chunk = Chunk {
             first,
             docs: docs.iter().map(|d| Arc::from(d.as_ref())).collect(),
-            keys: Vec::with_capacity(distinct),
-            run_ends: Vec::with_capacity(distinct),
-            locals: Vec::with_capacity(pairs.len()),
+            ..Chunk::default()
         };
-        for pair in pairs {
-            chunk.push_run((pair >> 32) as u32, &[pair as DocId]);
+        if let Some(m) = matcher {
+            chunk.index(m, span);
         }
         self.bytes += docs.iter().map(|d| d.as_ref().len() as u64).sum::<u64>();
         self.chunks.push(Arc::new(chunk));
+        let start = Instant::now();
         while let [.., older, newer] = &self.chunks[..] {
             if older.docs.len() > newer.docs.len() {
                 break;
@@ -158,6 +204,7 @@ impl Memtable {
             self.chunks.truncate(self.chunks.len() - 2);
             self.chunks.push(Arc::new(merged));
         }
+        span.record("merge_us", micros(start));
         first
     }
 
@@ -272,13 +319,22 @@ mod tests {
         list.iter().map(|k| k.as_bytes().into()).collect()
     }
 
+    /// `push_batch` without a trace.
+    fn push<D: AsRef<[u8]>>(
+        m: &mut Memtable,
+        docs: &[D],
+        matcher: Option<&mut BufferMatcher>,
+    ) -> DocId {
+        m.push_batch(docs, matcher, &mut Span::disabled())
+    }
+
     #[test]
     fn indexes_dictionary_keys_by_id() {
         let dict = keys(&["ab", "ca", "zz"]);
         let mut matcher = BufferMatcher::new(&dict);
         let mut m = Memtable::default();
-        assert_eq!(m.push_batch(&[&b"abcab"[..], b"xy"], Some(&mut matcher)), 0);
-        assert_eq!(m.push_batch(&[b"cab"], Some(&mut matcher)), 2);
+        assert_eq!(push(&mut m, &[&b"abcab"[..], b"xy"], Some(&mut matcher)), 0);
+        assert_eq!(push(&mut m, &[b"cab"], Some(&mut matcher)), 2);
         assert_eq!(m.len(), 3);
         assert_eq!(m.bytes(), 10);
         assert_eq!(m.doc(1), Some(&b"xy"[..]));
@@ -306,7 +362,7 @@ mod tests {
             .collect();
         let mut sizes = Vec::new();
         for doc in &docs {
-            m.push_batch(&[doc.as_bytes()], Some(&mut matcher));
+            push(&mut m, &[doc.as_bytes()], Some(&mut matcher));
             sizes.push(m.chunks.iter().map(|c| c.docs.len()).collect::<Vec<_>>());
         }
         assert_eq!(sizes[2], vec![2, 1]);
@@ -328,9 +384,9 @@ mod tests {
     #[test]
     fn buffer_without_dictionary_holds_documents_only() {
         let mut m = Memtable::default();
-        m.push_batch(&[&b"hello"[..], b"world"], None);
+        push(&mut m, &[&b"hello"[..], b"world"], None);
         let snapshot = m.clone();
-        m.push_batch(&[b"again"], None);
+        push(&mut m, &[b"again"], None);
         assert_eq!(snapshot.len(), 2, "a clone keeps the chunks it holds");
         assert_eq!(
             m.docs().collect::<Vec<_>>(),
@@ -342,5 +398,68 @@ mod tests {
             memtable: &m,
         };
         assert_eq!(index.postings(b"ll").unwrap(), Some(vec![]));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// Random batches of 1 to 39 documents, then two single-document
+        /// batches (so the last push merges) whose documents hold no key:
+        /// every chunk's keys are strictly ascending and its runs are
+        /// exactly a sort of the chunk's `(key, local)` pairs, found by a
+        /// naive search; the buffer's postings are the whole buffer's.
+        #[test]
+        fn chunks_group_postings_like_a_sort(
+            batches in prop::collection::vec(
+                prop::collection::vec(
+                    prop::collection::vec(
+                        prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), Just(b'x')],
+                        0..10,
+                    ),
+                    1..40,
+                ),
+                1..10,
+            ),
+        ) {
+            let dict = keys(&["a", "ab", "b", "bca", "c", "cc", "xx"]);
+            let contains = |doc: &[u8], key: &[u8]| doc.windows(key.len()).any(|w| w == key);
+            let mut matcher = BufferMatcher::new(&dict);
+            let mut m = Memtable::default();
+            let mut docs: Vec<Vec<u8>> = Vec::new();
+            let tail = [vec![b"xqx".to_vec()], vec![b"q".to_vec()]];
+            for batch in batches.iter().chain(&tail) {
+                prop_assert_eq!(push(&mut m, batch, Some(&mut matcher)) as usize, docs.len());
+                docs.extend_from_slice(batch);
+            }
+            for chunk in &m.chunks {
+                let first = chunk.first as usize;
+                let mut pairs: Vec<(u32, DocId)> = Vec::new();
+                for (local, doc) in (first..).zip(&docs[first..first + chunk.docs.len()]) {
+                    for (key, k) in dict.iter().enumerate() {
+                        if contains(doc, k) {
+                            pairs.push((key as u32, local as DocId));
+                        }
+                    }
+                }
+                pairs.sort_unstable();
+                let runs = || pairs.chunk_by(|a, b| a.0 == b.0);
+                prop_assert!(chunk.keys.windows(2).all(|w| w[0] < w[1]));
+                prop_assert_eq!(&chunk.keys, &runs().map(|r| r[0].0).collect::<Vec<_>>());
+                for (i, run) in runs().enumerate() {
+                    let want: Vec<DocId> = run.iter().map(|p| p.1).collect();
+                    prop_assert_eq!(chunk.run(i), &want[..]);
+                }
+                prop_assert_eq!(chunk.locals.len(), pairs.len());
+            }
+            let index = BufferIndex { keys: &dict, memtable: &m };
+            for k in &dict {
+                let want: Vec<DocId> = (0..docs.len() as DocId)
+                    .filter(|&l| contains(&docs[l as usize], k))
+                    .collect();
+                prop_assert_eq!(index.postings(k).unwrap(), Some(want));
+            }
+        }
     }
 }

@@ -545,6 +545,76 @@ fn later_flushes_index_the_dictionary() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// How the buffer was batched leaves no trace in what it seals: the same
+/// 300 pages added 1, 7 or 36 at a time flush to byte-identical second
+/// segments.
+#[test]
+fn batch_sizes_flush_identical_segments() {
+    let pages = tiny_pages(400, 7);
+    let mut sealed = Vec::new();
+    for size in [1, 7, 36] {
+        let dir = tmp_dir(&format!("batch-size-{size}"));
+        let mut live = LiveIndex::create(&dir, config()).unwrap();
+        live.add_batch(&pages[..100]).unwrap();
+        live.flush().unwrap();
+        for batch in pages[100..].chunks(size) {
+            live.add_batch(batch).unwrap();
+        }
+        live.flush().unwrap();
+        assert_eq!(live.num_segments(), 2);
+        let segments = dir.join("segments");
+        let files: Vec<Vec<u8>> = [
+            "seg-1.idx",
+            "seg-1.corpus/corpus.dat",
+            "seg-1.corpus/corpus.idx",
+        ]
+        .iter()
+        .map(|f| std::fs::read(segments.join(f)).unwrap())
+        .collect();
+        sealed.push(files);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert!(sealed[0] == sealed[1] && sealed[1] == sealed[2]);
+}
+
+/// A traced add attributes its time: the `ingest` span records the WAL
+/// append, the dictionary match, the grouping into a chunk and the chunk
+/// merges, which fit inside the span, and the postings the batch holds.
+#[test]
+fn a_traced_add_attributes_its_time() {
+    use free_trace::{EventKind, Tracer, Value};
+    let dir = tmp_dir("traced-add");
+    let tracer = Tracer::enabled();
+    let mut config = config();
+    config.engine.tracer = tracer.clone();
+    let pages = synth_pages();
+    let mut live = LiveIndex::create(&dir, config).unwrap();
+    live.add_batch(&pages[..100]).unwrap();
+    live.flush().unwrap();
+    live.add_batch(&pages[100..136]).unwrap();
+    let events = tracer.events();
+    let add = (events.iter().rev())
+        .find(|e| e.name == "ingest" && matches!(e.kind, EventKind::SpanEnd { .. }))
+        .unwrap();
+    let EventKind::SpanEnd { elapsed_ns } = add.kind else {
+        unreachable!()
+    };
+    let attr = |key| match add.attr(key) {
+        Some(&Value::U64(v)) => v,
+        other => panic!("{key}: {other:?}"),
+    };
+    let phases: u64 = ["wal_us", "match_us", "group_us", "merge_us"]
+        .into_iter()
+        .map(attr)
+        .sum();
+    assert!(
+        phases * 1000 <= elapsed_ns,
+        "{phases} us in {elapsed_ns} ns"
+    );
+    assert!(attr("postings") > 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A `FREELIVE 2` directory has a key set per segment, which the
 /// one-dictionary planner would under-read: both open paths refuse it.
 #[test]
