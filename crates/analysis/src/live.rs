@@ -34,9 +34,8 @@ pub struct LiveHealth {
     /// Tombstoned documents not yet reclaimed by compaction.
     pub tombstoned_docs: usize,
     /// How far the documents flushed since the last compaction have
-    /// drifted from the dictionary: `|1 - ratio|` of their postings per
-    /// document byte to the dictionary's baseline
-    /// (`free_live::Drift::fraction`).
+    /// drifted from the dictionary: the share of their postings on keys
+    /// useless among them (`free_live::Drift::fraction`).
     pub drift_fraction: f64,
     /// Segment files on disk that no manifest entry references (retired
     /// by compaction but never unlinked — leaked disk).
@@ -94,10 +93,10 @@ pub fn analyze_live(health: &LiveHealth, cfg: &LiveAnalysisConfig) -> Vec<Diagno
                 Severity::Warning,
                 None,
                 format!(
-                    "the dictionary has drifted {:.0}% from the documents flushed since \
-                     the last compaction (their postings per byte against the mined \
-                     documents'; 100% for an empty dictionary or one with no recorded \
-                     baseline; threshold {:.0}%): queries over new content lose \
+                    "the dictionary has drifted from the documents flushed since the \
+                     last compaction: {:.1}% of their postings fall on keys useless \
+                     among them (100% when it indexes none of them, as an empty \
+                     dictionary does; threshold {:.1}%): queries over new content lose \
                      selectivity, and the next compaction re-mines it",
                     health.drift_fraction * 100.0,
                     cfg.drift_threshold * 100.0
@@ -279,7 +278,7 @@ mod tests {
         let diags = analyze_live(&health, &LiveAnalysisConfig::default());
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, codes::KEY_SET_DRIFT);
-        assert!(diags[0].message.contains("80%"), "{}", diags[0].message);
+        assert!(diags[0].message.contains("80.0%"), "{}", diags[0].message);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `freegrep` — grep with a prebuilt multigram index.
+//! `freegrep` — grep with a prebuilt gram index (the paper's presuf shell).
 //!
 //! The library half of the CLI: index manifests, the index/search/explain
 //! operations, and output formatting. `main.rs` is a thin argument parser
@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! <index-dir>/manifest.txt   key=value lines: root, file list, config
-//! <index-dir>/idx.free       the multigram index (free-index format)
+//! <index-dir>/idx.free       the gram index (free-index format)
 //! ```
 //!
 //! The manifest pins the exact file list the index was built over, so
@@ -516,8 +516,8 @@ fn per_shard_json(
             .field_raw("stats", stats.to_json());
         if let Some(drift) = drifts.map(|d| d[s]) {
             o.field_f64("drift_fraction", drift.fraction);
-            if let Some(ratio) = drift.ratio {
-                o.field_f64("drift_ratio", ratio);
+            if let Some(share) = drift.share {
+                o.field_f64("drift_share", share);
             }
         }
         arr.push_raw(o.finish());
@@ -643,7 +643,7 @@ fn diags_to_json(diags: &[free_analyze::Diagnostic]) -> String {
 /// cross-shard balance check (`FA501`, trivially quiet for one shard).
 /// With `json`, emits one object: `shards`, the aggregate under `stats`,
 /// a `per_shard` breakdown with each shard's `drift_fraction` (and
-/// `drift_ratio` when there is one), and the `diagnostics`. The returned
+/// `drift_share` when there is one), and the `diagnostics`. The returned
 /// exit code is 1 when any finding is error-severity (e.g. `FA304`
 /// snapshot lag), so scripts and CI can gate on index health without
 /// parsing the output.
@@ -707,12 +707,13 @@ pub fn live_segments(dir: &Path, json: bool) -> Result<(String, i32)> {
     for (s, stats) in per.iter().enumerate() {
         let _ = writeln!(out, "-- shard {s} --");
         out.push_str(&stats.render_human());
-        let ratio = drifts[s]
-            .ratio
-            .map_or_else(|| "n/a".to_string(), |r| format!("{r:.3}"));
+        let share = drifts[s]
+            .share
+            .map_or_else(|| "n/a".to_string(), |r| format!("{:.1}%", r * 100.0));
         let _ = writeln!(
             out,
-            "dictionary drift: ratio {ratio}, {:.0}% (re-mine past {:.0}%)",
+            "dictionary drift: {:.1}% (new postings on keys useless among the new \
+             documents: {share}; re-mine past {:.1}%)",
             drifts[s].fraction * 100.0,
             free_live::DRIFT_TOLERANCE * 100.0
         );

@@ -1,4 +1,4 @@
-//! `freegrep` — grep with a prebuilt multigram index.
+//! `freegrep` — grep with a prebuilt gram index (the paper's presuf shell).
 //!
 //! ```text
 //! freegrep index|build [--out DIR] [--ext rs,toml] [--c 0.1] [--selector SPEC] [--force] [--verbose] [--stats-json] <ROOT>

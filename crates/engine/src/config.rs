@@ -8,10 +8,13 @@ pub enum IndexKind {
     /// Complete k-gram indexes for `k = 2..=max_gram_len` — the paper's
     /// "optimal but prohibitively large" baseline.
     Complete,
-    /// Minimal useful multigrams (Algorithm 3.1).
+    /// Minimal useful multigrams (Algorithm 3.1): the shell's input, and
+    /// a column of Table 3.
     Multigram,
     /// Multigrams further pruned to a presuf shell (§3.2, the shortest
-    /// common suffix rule). Called "Suffix" in Table 3.
+    /// common suffix rule). Called "Suffix" in Table 3. The default: a
+    /// quarter of the multigram keys and under half the postings, with
+    /// every query answered the same.
     Presuf,
 }
 
@@ -44,7 +47,7 @@ pub enum ScanPolicy {
 /// Tunables for index construction and query execution.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Which index family to build.
+    /// Which index family to build; the default is the presuf shell.
     pub index_kind: IndexKind,
     /// The usefulness threshold `c` (Definition 3.4): a gram is useful if
     /// `sel(x) <= c`. The paper's experiments fix `c = 0.1` and suggest
@@ -111,7 +114,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            index_kind: IndexKind::Multigram,
+            index_kind: IndexKind::Presuf,
             usefulness_threshold: 0.1,
             max_gram_len: 10,
             lengths_per_pass: 2,
@@ -203,7 +206,8 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.usefulness_threshold, 0.1);
         assert_eq!(c.max_gram_len, 10);
-        assert_eq!(c.index_kind, IndexKind::Multigram);
+        // §3.2: the shell is the paper's index structure.
+        assert_eq!(c.index_kind, IndexKind::Presuf);
         assert!(c.validate().is_ok());
     }
 

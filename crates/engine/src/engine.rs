@@ -112,8 +112,7 @@ pub fn select_keys<C: Corpus>(
             // fixed-k set it is the identity: equal-length keys cannot be
             // proper suffixes of one another).
             let sel = selector_for(&config.selector).select(corpus, &config.select_config())?;
-            let stats = sel.stats;
-            Ok((presuf_shell(&sel.grams), stats))
+            Ok((presuf_shell(sel.grams), sel.stats))
         }
     }
 }
@@ -185,20 +184,21 @@ pub fn build_index<C: Corpus>(
     memory_budget: usize,
 ) -> Result<IndexReader> {
     let ranges = crate::select::build_ranges(corpus.total_bytes());
-    let (index, _, _) = build_index_in(corpus, keys, index_path, memory_budget, ranges)?;
+    let (index, ..) = build_index_in(corpus, keys, index_path, memory_budget, ranges)?;
     Ok(index)
 }
 
 /// [`build_index`] cutting each wave into `ranges` key ranges. Returns
-/// the index, the number of key ranges (corpus scans) it took, and the
-/// most bytes its matchers held at once.
+/// the index, the number of key ranges (corpus scans) it took, the most
+/// bytes its matchers held at once, and the keys its matchers report per
+/// trie leaf.
 fn build_index_in<C: Corpus>(
     corpus: &C,
     keys: &[SelectedGram],
     index_path: &Path,
     memory_budget: usize,
     ranges: usize,
-) -> Result<(IndexReader, usize, usize)> {
+) -> Result<(IndexReader, usize, usize, f64)> {
     let mut writer = IndexWriter::create(index_path)?;
     let max_postings =
         (memory_budget / std::mem::size_of::<free_corpus::DocId>()).min(u32::MAX as usize) as u64;
@@ -208,6 +208,7 @@ fn build_index_in<C: Corpus>(
         })
     };
     let (mut scans, mut matcher_bytes) = (0, 0);
+    let (mut leaves, mut leaf_keys) = (0, 0);
     let mut rest = keys;
     while !rest.is_empty() {
         // The keys before the first one that overflows the buffer, and
@@ -238,6 +239,8 @@ fn build_index_in<C: Corpus>(
         let mut matcher = |range| {
             let matcher = matcher_for(range);
             wave_bytes += matcher.resident_bytes();
+            leaves += matcher.num_leaves();
+            leaf_keys += matcher.leaf_keys();
             matcher
         };
         let filled: Vec<Result<()>> = std::thread::scope(|s| {
@@ -262,7 +265,8 @@ fn build_index_in<C: Corpus>(
         counted.write_to(wave.iter().map(|g| &*g.gram), &mut writer)?;
         rest = later;
     }
-    Ok((writer.finish()?, scans, matcher_bytes))
+    let keys_per_leaf = leaf_keys as f64 / leaves.max(1) as f64;
+    Ok((writer.finish()?, scans, matcher_bytes, keys_per_leaf))
 }
 
 /// Where to cut the sorted `wave` into at most `ranges` consecutive key
@@ -355,7 +359,7 @@ impl<C: Corpus> Engine<C, IndexReader> {
         let construct_start = Instant::now();
         let index = {
             let mut span = build_span.child("build.construct");
-            let (index, ranges, matcher_bytes) = build_index_in(
+            let (index, ranges, matcher_bytes, keys_per_leaf) = build_index_in(
                 &corpus,
                 &keys,
                 index_path.as_ref(),
@@ -365,6 +369,7 @@ impl<C: Corpus> Engine<C, IndexReader> {
             span.record("postings", index.stats().num_postings);
             span.record("ranges", ranges);
             span.record("matcher_bytes", matcher_bytes);
+            span.record("keys_per_leaf", keys_per_leaf);
             index
         };
         let construct_time = construct_start.elapsed();
@@ -704,7 +709,7 @@ mod tests {
         let (keys, _) = select_keys(&corpus, &EngineConfig::default()).unwrap();
         let build = |budget: usize, ranges: usize| {
             let path = dir.join(format!("{budget}-{ranges}.free"));
-            let (_, scans, _) = build_index_in(&corpus, &keys, &path, budget, ranges).unwrap();
+            let (_, scans, ..) = build_index_in(&corpus, &keys, &path, budget, ranges).unwrap();
             (std::fs::read(&path).unwrap(), scans)
         };
         let (want, _) = build(usize::MAX, 1);
@@ -745,6 +750,11 @@ mod tests {
             construct.and_then(|e| e.attr("matcher_bytes")),
             Some(&free_trace::Value::U64(bytes)) if bytes > 0
         ));
+        // The default dictionary is a presuf shell: one key per leaf.
+        assert_eq!(
+            construct.and_then(|e| e.attr("keys_per_leaf")),
+            Some(&free_trace::Value::F64(1.0))
+        );
         let pass = events.iter().find(|e| e.name == "mine.pass").unwrap();
         assert!(pass.attr("ranges").is_some() && pass.attr("fold_us").is_some());
         std::fs::remove_dir_all(&dir).unwrap();

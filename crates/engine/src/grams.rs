@@ -51,6 +51,9 @@ pub struct GramMatcher {
     outputs: Vec<u32>,
     /// Trie states, internal and leaves, the root included.
     num_states: usize,
+    /// Leaves, and the keys a transition into one reports, summed.
+    leaves: usize,
+    leaf_keys: usize,
     /// Per pattern, the number of the last scan that reported it.
     stamps: Vec<u32>,
     /// Scans are numbered by distinct consecutive `doc_stamp`s: the
@@ -146,7 +149,7 @@ impl GramMatcher {
         let mut delta = vec![0u32; num_internal * classes];
         let mut reports: Vec<Report> = Vec::new();
         let mut outputs: Vec<u32> = Vec::new();
-        let mut leaves = 0;
+        let (mut leaves, mut leaf_keys) = (0, 0);
         let mut s = 0;
         while let Some(&(start, end, depth, fail_row)) = internal.get(s) {
             let (row, fail_row) = (s * classes, fail_row as usize);
@@ -175,6 +178,7 @@ impl GramMatcher {
                     ((internal.len() - 1) * classes) as u32
                 } else {
                     leaves += 1;
+                    leaf_keys += own + inherited.len();
                     fail_resume
                 };
                 delta[row + column] = if own == 0 && inherited.is_empty() {
@@ -204,6 +208,8 @@ impl GramMatcher {
             reports,
             outputs,
             num_states: internal.len() + leaves,
+            leaves,
+            leaf_keys,
             stamps: vec![0; patterns.len()],
             scan: (0, u64::MAX),
         }
@@ -217,6 +223,27 @@ impl GramMatcher {
     /// Number of automaton states (for diagnostics).
     pub fn num_states(&self) -> usize {
         self.num_states
+    }
+
+    /// Trie leaves: one per pattern that no other pattern extends.
+    pub fn num_leaves(&self) -> usize {
+        self.leaves
+    }
+
+    /// Keys reported by a transition into a leaf, summed over the leaves:
+    /// the leaf's own plus every pattern that is a suffix of it. It
+    /// equals [`GramMatcher::num_leaves`] exactly when no pattern is a
+    /// proper suffix of another, as in a presuf shell.
+    pub fn leaf_keys(&self) -> usize {
+        self.leaf_keys
+    }
+
+    /// Internal states whose transitions report a pattern: none when no
+    /// pattern occurs inside a proper prefix of another, as in any mined
+    /// dictionary (a proper prefix of a key is useless, so none of its
+    /// substrings is a key).
+    pub fn reporting_internal_states(&self) -> usize {
+        self.reports.len() - 1 - self.leaves
     }
 
     /// Bytes the matcher holds, inline and on the heap.
@@ -283,6 +310,30 @@ impl GramMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A mined dictionary is prefix free, so every key ends at a leaf,
+    /// and a proper prefix of a key is useless, so none of its substrings
+    /// is a key: no internal state reports. Its presuf shell also has no
+    /// key that is a proper suffix of another, so every leaf reports its
+    /// own key and nothing else; the multigram set it comes from does not.
+    #[test]
+    fn a_mined_shell_reports_one_key_per_leaf() {
+        use crate::{select_keys, EngineConfig, IndexKind};
+        use free_corpus::synth::{Generator, SynthConfig};
+        let corpus = Generator::new(SynthConfig::tiny(200, 7)).build_mem().0;
+        for kind in [IndexKind::Presuf, IndexKind::Multigram] {
+            let (keys, _) = select_keys(&corpus, &EngineConfig::with_kind(kind)).unwrap();
+            let patterns: Vec<&[u8]> = keys.iter().map(|g| &*g.gram).collect();
+            let m = GramMatcher::new(&patterns);
+            assert_eq!(m.reporting_internal_states(), 0, "{kind:?}");
+            assert_eq!(m.num_leaves(), keys.len(), "{kind:?}");
+            if kind == IndexKind::Presuf {
+                assert_eq!(m.leaf_keys(), m.num_leaves());
+            } else {
+                assert!(m.leaf_keys() > m.num_leaves());
+            }
+        }
+    }
 
     fn find(patterns: &[&str], haystack: &str) -> Vec<String> {
         let mut m = GramMatcher::new(patterns);

@@ -20,20 +20,35 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// The default build of [`corpus`]: its presuf shell, 3 433 keys and
+/// 25 833 postings in 52 094 bytes (under the multigram default: 14 078
+/// keys and 70 277 postings in 210 159 bytes).
+const SHELL_CRC: u32 = 0xae1d_1a12;
+const SHELL_LEN: usize = 52_094;
+
 fn corpus() -> MemCorpus {
     Generator::new(SynthConfig::tiny(200, 7)).build_mem().0
 }
 
 /// CRC32 and length of the file `Engine::build_on_disk` writes for
-/// `SynthConfig::tiny(200, 7)`, recorded at commit 1ac5c4b (hash-map
-/// miner, per-state-map matcher, run-file builder).
+/// `SynthConfig::tiny(200, 7)`. The kinds and selectors other than the
+/// default were recorded at commit 1ac5c4b (hash-map miner,
+/// per-state-map matcher, run-file builder); the multigram file was the
+/// default then, and still writing it byte for byte shows that making the
+/// presuf shell the default changed what is built, not how.
 #[test]
 fn golden_index_files() {
     let dir = tmp_dir("golden");
     let cases = [
         (
-            "multigram",
+            "default (presuf shell)",
             EngineConfig::default(),
+            SHELL_CRC,
+            SHELL_LEN,
+        ),
+        (
+            "multigram",
+            EngineConfig::with_kind(IndexKind::Multigram),
             0x0f3f_bf82u32,
             210_159usize,
         ),
@@ -85,10 +100,10 @@ fn any_memory_budget_writes_the_same_file() {
         build_index(&corpus, keys, &path, budget).unwrap();
         std::fs::read(&path).unwrap()
     };
-    // 70 277 postings at 4 bytes: two scans under a 200 000-byte budget.
+    // 25 833 postings at 4 bytes: two scans under a 60 000-byte budget.
     let whole = build(&keys, usize::MAX);
-    assert_eq!(free_checksum::crc32(&whole), 0x0f3f_bf82);
-    assert_eq!(build(&keys, 200_000), whole);
+    assert_eq!(free_checksum::crc32(&whole), SHELL_CRC);
+    assert_eq!(build(&keys, 60_000), whole);
     // Down to one key per scan (a lone key may exceed the budget).
     let some = build(&keys[..600], usize::MAX);
     for budget in [4096, 64, 0] {

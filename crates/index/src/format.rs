@@ -589,6 +589,11 @@ impl IndexReader {
     pub fn keys(&self) -> &[Key] {
         &self.sorted_keys
     }
+
+    /// Each key's document count, in the order of [`IndexReader::keys`].
+    pub fn doc_counts(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.dir.iter().map(|e| e.doc_count)
+    }
 }
 
 /// Bytes a [`PostingsStream`] reads at a time.

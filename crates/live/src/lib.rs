@@ -47,10 +47,10 @@ mod view;
 
 pub use error::{Error, Result};
 pub use live::{
-    orphan_segment_ids, read_tombstones, Drift, LiveIndex, DRIFT_TOLERANCE, SEGMENTS_DIR,
-    TOMBSTONES_FILE, TOMBSTONES_HEADER, WAL_DIR, WAL_EPOCH_FILE,
+    orphan_segment_ids, read_tombstones, useful_limit, Drift, LiveIndex, DRIFT_TOLERANCE,
+    SEGMENTS_DIR, TOMBSTONES_FILE, TOMBSTONES_HEADER, WAL_DIR, WAL_EPOCH_FILE,
 };
-pub use manifest::{Baseline, Manifest, SegmentMeta};
+pub use manifest::{Manifest, SegmentMeta};
 pub use qcache::QueryCache;
 pub use query::{LiveMatch, LiveQueryResult, LiveQueryStats, QueryOpts};
 pub use shard::{

@@ -10,7 +10,7 @@ use crate::snapshot::{LiveReader, Snapshot, SnapshotCell};
 use crate::stats::{LiveStats, SegmentStats};
 use crate::LiveConfig;
 use free_corpus::{Corpus, CorpusWriter, DiskCorpus, DocId};
-use free_index::{IndexRead, IndexWriter};
+use free_index::IndexWriter;
 use free_trace::{metrics, Span};
 use std::collections::BTreeSet;
 use std::io::Write;
@@ -28,32 +28,59 @@ pub const TOMBSTONES_FILE: &str = "tombstones.log";
 pub const SEGMENTS_DIR: &str = "segments";
 
 /// How far the dictionary may drift before compaction re-mines it: a
-/// compaction re-mines when the documents flushed since the last one
-/// hold postings per document byte outside `1 ± DRIFT_TOLERANCE` times
-/// the mined documents' (the dictionary's recorded baseline). `free
-/// segments` flags `FA302` on the same comparison. The band comes from
-/// scratch live indexes over synthetic pages; see DESIGN.md, *Live
-/// index*, under compaction.
-pub const DRIFT_TOLERANCE: f64 = 0.1;
+/// compaction re-mines when more than this share of the postings of the
+/// documents flushed since the last one fall on keys that are useless
+/// among those documents (see [`useful_limit`]). On synthetic pages, a
+/// dictionary mined from 36 or more pages like them puts at most 7 %
+/// there, and one mined from 20 pages, or from another vocabulary, puts
+/// 8-48 %. `free segments` flags `FA302` on the same rule. See
+/// DESIGN.md, *Live index*, under compaction.
+pub const DRIFT_TOLERANCE: f64 = 0.075;
+
+/// The most of `n` documents a key may be in and still pass the paper's
+/// usefulness test at threshold `c` (Definition 3.4), with a margin for
+/// sampling: the largest count that a key in a share `c` of all
+/// documents reaches with probability at least 1 %. Without the margin a
+/// handful of documents flags every key two of them share.
+pub fn useful_limit(n: u64, c: f64) -> u64 {
+    if c >= 1.0 {
+        return n;
+    }
+    if c <= 0.0 {
+        return 0;
+    }
+    // P(X >= k) for X ~ Binomial(n, c), summed from k = n down; each term
+    // from the one above it in log space (c^n underflows).
+    let (ln_c, ln_q) = (c.ln(), (1.0 - c).ln());
+    let mut ln_pmf = n as f64 * ln_c;
+    let mut tail = 0.0;
+    for k in (1..=n).rev() {
+        tail += ln_pmf.exp();
+        if tail >= 0.01 {
+            return k;
+        }
+        ln_pmf += (k as f64 / (n - k + 1) as f64).ln() + ln_q - ln_c;
+    }
+    0
+}
 
 /// The dictionary measured against the documents flushed since the last
 /// compaction (see [`LiveIndex::drift`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Drift {
-    /// Those documents' postings per document byte over the dictionary's
-    /// baseline; `None` when there is nothing to compare: no such
-    /// documents, an empty dictionary, or no recorded baseline.
-    pub ratio: Option<f64>,
-    /// `|1 - ratio|`. It is 1.0 when the next compaction re-mines an empty
-    /// or baseline-less dictionary, and 0.0 when there is no ratio and
-    /// nothing to re-mine, including when the next compaction would
-    /// rewrite nothing at all.
+    /// The share of those documents' postings that fall on keys useless
+    /// among them; `None` when there is nothing to measure: no such
+    /// documents, or none of them holds a dictionary key.
+    pub share: Option<f64>,
+    /// The share, or 1.0 when the next compaction re-mines a dictionary
+    /// that indexes nothing of the new documents (an empty one among
+    /// them), and 0.0 when the next compaction would rewrite nothing.
     pub fraction: f64,
 }
 
 impl Drift {
     const NONE: Drift = Drift {
-        ratio: None,
+        share: None,
         fraction: 0.0,
     };
 
@@ -499,11 +526,7 @@ impl LiveIndex {
             remap.resize(self.memtable.len(), None);
             let cache_bytes = self.config.segment_cache_bytes;
             let seg = match self.segments.first() {
-                None => {
-                    let seg = writer.mine(&self.config.engine, cache_bytes)?;
-                    self.manifest.baseline = Some(seg.baseline());
-                    seg
-                }
+                None => writer.mine(&self.config.engine, cache_bytes)?,
                 Some(dict) => writer.seal(cache_bytes, |_, path| {
                     let mut index = IndexWriter::create(path)?;
                     let sources = self.memtable.sources(&remap).collect();
@@ -557,10 +580,11 @@ impl LiveIndex {
     ///   one checksummed pass per segment. Nothing is mined or scanned,
     ///   and the dictionary keeps every key, one whose documents were all
     ///   deleted with an empty list.
-    /// - *Re-mine* (the dictionary is empty, has no baseline, or has
-    ///   drifted): the batch build, so the index is byte for byte what
-    ///   `Engine::build_on_disk` writes over the live documents, and its
-    ///   keys become the new dictionary with a new baseline.
+    /// - *Re-mine* (the dictionary indexes nothing of the new documents,
+    ///   an empty one included, or has drifted from them): the batch
+    ///   build, so the index is byte for byte what `Engine::build_on_disk`
+    ///   writes over the live documents, and its keys become the new
+    ///   dictionary.
     ///
     /// Tombstoned documents are dropped and their tombstones consumed;
     /// sequence numbers are kept. Returns whether anything changed.
@@ -575,8 +599,8 @@ impl LiveIndex {
             return Ok(false);
         }
         let drift = self.drift();
-        if let Some(ratio) = drift.ratio {
-            span.record("ratio", ratio);
+        if let Some(share) = drift.share {
+            span.record("share", share);
         }
         let seg_root = self.dir.join(SEGMENTS_DIR);
         let old_ids: Vec<u64> = self.segments.iter().map(|s| s.meta.id).collect();
@@ -595,7 +619,6 @@ impl LiveIndex {
         if remined || new_segment.is_none() {
             // The dictionary is replaced (or gone): the old automaton is
             // dead weight.
-            self.manifest.baseline = new_segment.as_ref().map(Segment::baseline);
             self.matcher = None;
         }
         // Commit, then clean up the replaced segments.
@@ -750,41 +773,68 @@ impl LiveIndex {
 
     /// The dictionary measured against the documents flushed since the
     /// last compaction, counting what the next flush would seal as
-    /// flushed: their postings per document byte over the dictionary's
-    /// baseline. This is the decision the next [`LiveIndex::compact`]
+    /// flushed: the share of their postings on keys that are useless
+    /// among them, each key's count set against [`useful_limit`] for
+    /// their number. This is the decision the next [`LiveIndex::compact`]
     /// acts on ([`Drift::remines`]) and what `free segments` reports as
-    /// `FA302`. It reads segment and buffer totals, never a document.
+    /// `FA302`. It reads the counts the segments' key directories and the
+    /// buffer's runs hold, never a document.
     pub fn drift(&self) -> Drift {
         let base = self.manifest.wal_base;
-        let live = |local: DocId| !self.deleted.contains(&(base + local));
-        let (mut postings, mut bytes) = self.memtable.totals(live);
+        let dead: Vec<DocId> = self.deleted.range(base..).map(|seq| seq - base).collect();
         // What the next compaction finds after its flush: nothing to
         // rewrite is nothing to re-mine.
-        let flushing = (0..self.memtable.len() as DocId).any(live);
+        let flushing = dead.len() < self.memtable.len();
         let rewrites = self.segments.len() + usize::from(flushing) > 1
             || self.deleted.range(..base).next().is_some();
-        if self.segments.is_empty() || !rewrites || self.live_docs() == 0 {
+        let Some(dict) = self.segments.first().map(|s| &s.index) else {
+            return Drift::NONE;
+        };
+        if !rewrites || self.live_docs() == 0 {
             return Drift::NONE;
         }
-        // An empty dictionary's baseline holds no postings.
-        let Some(baseline) = self.manifest.baseline.filter(|b| b.postings > 0) else {
+        // Per dictionary key, the new documents holding it. A younger
+        // segment's keys are dictionary keys, in the same order.
+        let keys = dict.keys();
+        let mut counts = vec![0u32; keys.len()];
+        let mut n = self.memtable.count_keys(&dead, &mut counts);
+        for seg in &self.segments[1..] {
+            n += u64::from(seg.meta.num_docs);
+            let mut at = 0;
+            for (key, count) in seg.index.keys().iter().zip(seg.index.doc_counts()) {
+                at += keys[at..].partition_point(|k| k < key);
+                if keys.get(at) == Some(key) {
+                    counts[at] += count;
+                }
+            }
+        }
+        if n == 0 {
+            return Drift::NONE;
+        }
+        let engine = &self.config.engine;
+        let c = engine
+            .selector
+            .usefulness_threshold(engine.usefulness_threshold);
+        let limit = useful_limit(n, c);
+        let (mut useless, mut total) = (0u64, 0u64);
+        for count in counts.into_iter().map(u64::from) {
+            total += count;
+            if count > limit {
+                useless += count;
+            }
+        }
+        if total == 0 {
+            // Nothing of the new documents is indexed: an empty
+            // dictionary, or one mined from other content entirely.
             return Drift {
-                ratio: None,
+                share: None,
                 fraction: 1.0,
             };
-        };
-        for seg in &self.segments[1..] {
-            postings += seg.index.stats().num_postings;
-            bytes += seg.data_bytes();
         }
-        if bytes == 0 {
-            return Drift::NONE;
-        }
-        let density = |postings: u64, bytes: u64| postings as f64 / bytes as f64;
-        let ratio = density(postings, bytes) / density(baseline.postings, baseline.bytes);
+        let share = useless as f64 / total as f64;
         Drift {
-            ratio: Some(ratio),
-            fraction: (1.0 - ratio).abs(),
+            share: Some(share),
+            fraction: share,
         }
     }
 

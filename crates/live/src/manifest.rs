@@ -22,11 +22,9 @@
 //! already sealed in the flushed segment, so nothing is lost or
 //! duplicated.
 //!
-//! Whenever a dictionary is mined, the manifest records its density as
-//! `baseline=<postings> <document bytes>`: what compaction's drift rule
-//! holds later documents to. The line is optional. A manifest without it
-//! (one written before the line existed) is valid under the same version,
-//! and its next compaction re-mines and writes the line.
+//! Manifests written before the drift rule read only the segments' own
+//! counts also carry a `baseline=` line. Like any unknown key, it is
+//! ignored, and the next store drops it.
 
 use crate::error::{Error, Result};
 use free_checksum::crc32;
@@ -57,17 +55,6 @@ pub struct SegmentMeta {
     pub last_seq: DocId,
 }
 
-/// The dictionary's density when it was mined: the mined documents'
-/// postings and stored bytes. Compaction holds the documents flushed
-/// since then to it (see `LiveIndex::drift`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Baseline {
-    /// Postings the mined segment's index holds.
-    pub postings: u64,
-    /// Document bytes the mined segment stores.
-    pub bytes: u64,
-}
-
 /// The committed structural state of a live index.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Manifest {
@@ -86,10 +73,6 @@ pub struct Manifest {
     /// a-priori strategy; the line is omitted on store so pre-selector
     /// manifests stay byte-identical.
     pub selector: Option<String>,
-    /// The dictionary's [`Baseline`], recorded whenever one is mined.
-    /// `None` (no `baseline=` line, as in manifests written before the
-    /// line existed) makes the next compaction re-mine, which records it.
-    pub baseline: Option<Baseline>,
     /// Sealed segments in ascending sequence order.
     pub segments: Vec<SegmentMeta>,
 }
@@ -103,7 +86,6 @@ impl Manifest {
             wal_epoch: 0,
             next_segment_id: 0,
             selector: None,
-            baseline: None,
             segments: Vec::new(),
         }
     }
@@ -137,15 +119,6 @@ impl Manifest {
                 "wal_epoch" => m.wal_epoch = value.parse().map_err(bad)?,
                 "next_segment_id" => m.next_segment_id = value.parse().map_err(bad)?,
                 "selector" => m.selector = Some(value.to_string()),
-                "baseline" => {
-                    let (postings, bytes) = value
-                        .split_once(' ')
-                        .ok_or_else(|| Error::Corrupt(format!("bad baseline line {line:?}")))?;
-                    m.baseline = Some(Baseline {
-                        postings: postings.parse().map_err(bad)?,
-                        bytes: bytes.parse().map_err(bad)?,
-                    });
-                }
                 "segment" => {
                     let fields: Vec<&str> = value.split_whitespace().collect();
                     if fields.len() != 4 {
@@ -176,9 +149,6 @@ impl Manifest {
         body.push_str(&format!("next_segment_id={}\n", self.next_segment_id));
         if let Some(selector) = &self.selector {
             body.push_str(&format!("selector={selector}\n"));
-        }
-        if let Some(b) = self.baseline {
-            body.push_str(&format!("baseline={} {}\n", b.postings, b.bytes));
         }
         for s in &self.segments {
             body.push_str(&format!(
@@ -293,10 +263,6 @@ mod tests {
             wal_epoch: 3,
             next_segment_id: 5,
             selector: Some("trigram:k=3".to_string()),
-            baseline: Some(Baseline {
-                postings: 3_100,
-                bytes: 52_000,
-            }),
             segments: vec![
                 SegmentMeta {
                     id: 2,
@@ -333,7 +299,6 @@ mod tests {
             wal_epoch: 0,
             next_segment_id: 2,
             selector: None,
-            baseline: None,
             segments: vec![
                 SegmentMeta {
                     id: 0,
@@ -398,11 +363,29 @@ mod tests {
         m.store(&dir).unwrap();
         let text = std::fs::read_to_string(Manifest::path(&dir)).unwrap();
         assert!(!text.contains("selector="), "{text}");
-        assert!(!text.contains("baseline="), "{text}");
         m.selector = Some("apriori:c=0.2".to_string());
         m.store(&dir).unwrap();
         let loaded = Manifest::load(&dir).unwrap();
         assert_eq!(loaded.selector.as_deref(), Some("apriori:c=0.2"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A manifest written before the drift rule read the segments' own
+    /// counts carries `baseline=<postings> <bytes>`: it loads as if the
+    /// line were absent, and the next store drops it.
+    #[test]
+    fn a_baseline_line_is_ignored() {
+        let dir = tmpdir("baseline");
+        let body = "generation=3\nwal_base=10\nwal_epoch=1\nnext_segment_id=1\n\
+                    baseline=3100 52000\nsegment=0 0 9 10\n";
+        let text = format!("{HEADER}{:08x}\n{body}", crc32(body.as_bytes()));
+        std::fs::write(Manifest::path(&dir), text).unwrap();
+        let m = Manifest::load(&dir).unwrap();
+        assert_eq!((m.wal_base, m.segments.len()), (10, 1));
+        m.store(&dir).unwrap();
+        let stored = std::fs::read_to_string(Manifest::path(&dir)).unwrap();
+        assert!(!stored.contains("baseline="), "{stored}");
+        assert_eq!(Manifest::load(&dir).unwrap(), m);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -254,15 +254,23 @@ impl Memtable {
         self.chunks.iter().map(move |c| Source::chunk(c, remap))
     }
 
-    /// Postings and document bytes of the buffered documents `live`
-    /// keeps: what a flush would seal.
-    pub(crate) fn totals(&self, live: impl Fn(DocId) -> bool) -> (u64, u64) {
-        let postings = self.chunks.iter().flat_map(|c| &c.locals);
-        let bytes = self.docs().zip(0..).filter(|&(_, l)| live(l));
-        (
-            postings.filter(|&&l| live(l)).count() as u64,
-            bytes.map(|(d, _)| d.len() as u64).sum(),
-        )
+    /// Adds to `counts[key]` how many buffered documents hold dictionary
+    /// key `key`, leaving out the local ids in `dead` (ascending), and
+    /// returns how many documents that leaves: what a flush would seal.
+    /// Run lengths, unless a dead document sits in a run.
+    pub(crate) fn count_keys(&self, dead: &[DocId], counts: &mut [u32]) -> u64 {
+        for chunk in &self.chunks {
+            for (i, &key) in chunk.keys.iter().enumerate() {
+                let run = chunk.run(i);
+                let gone = if dead.is_empty() {
+                    0
+                } else {
+                    run.iter().filter(|l| dead.binary_search(l).is_ok()).count()
+                };
+                counts[key as usize] += (run.len() - gone) as u32;
+            }
+        }
+        (self.len() - dead.len()) as u64
     }
 }
 

@@ -5,8 +5,8 @@
 //! Two operations mine one, with the same pipeline the offline engine
 //! uses (`SegmentWriter::mine`: [`free_engine::select_keys`], then
 //! [`free_engine::build_index`]): the first flush into an index with no
-//! segments, and a compaction that finds the dictionary empty, without a
-//! baseline, or drifted. Every other segment is sealed over exactly the
+//! segments, and a compaction that finds the new documents drifted from
+//! the dictionary (`LiveIndex::drift`). Every other segment is sealed over exactly the
 //! dictionary's keys by the one postings writer (`SegmentWriter::seal`
 //! with the `postings` module): a flush writes the postings the write
 //! buffer recorded as documents arrived, and a merging compaction
@@ -15,7 +15,7 @@
 //! from its directory occurs in none of its documents.
 
 use crate::error::{Error, Result};
-use crate::manifest::{Baseline, SegmentMeta};
+use crate::manifest::SegmentMeta;
 use free_corpus::{Corpus, CorpusWriter, DiskCorpus, DocId};
 use free_engine::EngineConfig;
 use free_index::{IndexRead, IndexReader};
@@ -193,15 +193,6 @@ impl Segment {
     /// Number of keys in the segment's index directory.
     pub fn num_keys(&self) -> usize {
         self.index.num_keys()
-    }
-
-    /// The segment's postings and document bytes, recorded as the
-    /// dictionary's baseline when its index was mined.
-    pub fn baseline(&self) -> Baseline {
-        Baseline {
-            postings: self.index.stats().num_postings,
-            bytes: self.data_bytes(),
-        }
     }
 }
 

@@ -252,6 +252,17 @@ impl SelectorSpec {
     pub fn is_default(&self) -> bool {
         *self == SelectorSpec::default()
     }
+
+    /// The usefulness threshold `c` this strategy selects with: its own
+    /// override, else `engine_c`.
+    pub fn usefulness_threshold(&self, engine_c: f64) -> f64 {
+        match self {
+            SelectorSpec::Apriori { c }
+            | SelectorSpec::Budgeted { c, .. }
+            | SelectorSpec::Workload { c, .. } => c.unwrap_or(engine_c),
+            SelectorSpec::Trigram { .. } => engine_c,
+        }
+    }
 }
 
 impl fmt::Display for SelectorSpec {

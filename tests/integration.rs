@@ -21,10 +21,12 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 #[test]
 fn all_modes_agree_on_benchmark_queries() {
     let (corpus, _) = Generator::new(SynthConfig::tiny(250, 77)).build_mem();
-    let multigram = Engine::build_in_memory(corpus.clone(), EngineConfig::default()).unwrap();
-    let presuf =
-        Engine::build_in_memory(corpus.clone(), EngineConfig::with_kind(IndexKind::Presuf))
-            .unwrap();
+    let multigram = Engine::build_in_memory(
+        corpus.clone(),
+        EngineConfig::with_kind(IndexKind::Multigram),
+    )
+    .unwrap();
+    let presuf = Engine::build_in_memory(corpus.clone(), EngineConfig::default()).unwrap();
     let complete = Engine::build_in_memory(
         corpus.clone(),
         EngineConfig {
@@ -295,4 +297,103 @@ fn optimizations_preserve_results() {
             assert_eq!(r.all_matches().unwrap(), want, "{pattern}");
         }
     }
+}
+
+/// Every live directory written before the presuf shell became the
+/// default holds a multigram dictionary. Opened under the new default it
+/// keeps that dictionary through flushes and a merging compaction, and
+/// only its first drift re-mine turns it into a shell: the batch build
+/// over the survivors. Answers equal a scan, and a deep fsck is clean,
+/// at every step.
+#[test]
+fn a_multigram_live_directory_becomes_a_shell_at_its_first_remine() {
+    use free_analyze::{fsck, FsckOptions};
+    use free_live::{LiveConfig, LiveIndex};
+    let dir = tmpdir("multigram-upgrade");
+    let live_dir = dir.join("live");
+    let pages = |n: usize, seed: u64| -> Vec<Vec<u8>> {
+        let (corpus, _) = Generator::new(SynthConfig::tiny(n, seed)).build_mem();
+        (0..n as u32).map(|id| corpus.get(id).unwrap()).collect()
+    };
+    let same = pages(200, 7);
+    let check = |live: &LiveIndex| {
+        let seqs = live.live_seqs();
+        let docs: Vec<Vec<u8>> = seqs.iter().map(|&s| live.get(s).unwrap()).collect();
+        let corpus = MemCorpus::from_docs(docs);
+        for pattern in ["Clinton", "[0-9]{5}", "<script", "sigmod.*200[0-9]", "ebay"] {
+            let (want, _) = baseline::scan_matching_docs(&corpus, pattern).unwrap();
+            let want: Vec<u32> = want.iter().map(|&d| seqs[d as usize]).collect();
+            assert_eq!(
+                live.query(pattern).unwrap().matching_seqs(),
+                want,
+                "{pattern}"
+            );
+        }
+        let report = fsck(
+            &live_dir,
+            &FsckOptions {
+                deep: true,
+                sample: 64,
+            },
+        )
+        .unwrap();
+        assert!(report.diagnostics.is_empty(), "{}", report.render_human());
+    };
+    let dictionary = |live: &LiveIndex| -> Vec<free_index::Key> {
+        let id = live.stats().segments[0].id;
+        let path = live_dir.join(format!("segments/seg-{id}.idx"));
+        free_index::IndexReader::open(path).unwrap().keys().to_vec()
+    };
+
+    let multigram = LiveConfig {
+        engine: EngineConfig::with_kind(IndexKind::Multigram),
+        ..LiveConfig::default()
+    };
+    let mut live = LiveIndex::create(&live_dir, multigram).unwrap();
+    live.add_batch(&same[..100]).unwrap();
+    live.flush().unwrap();
+    let mined = dictionary(&live);
+    drop(live);
+
+    let mut live = LiveIndex::open(&live_dir, LiveConfig::default()).unwrap();
+    assert_eq!(dictionary(&live), mined);
+    check(&live);
+    live.add_batch(&same[100..150]).unwrap();
+    live.flush().unwrap();
+    live.add_batch(&same[150..]).unwrap();
+    live.delete(3).unwrap();
+    check(&live);
+    assert!(!live.drift().remines(), "{:?}", live.drift());
+    assert!(live.compact().unwrap());
+    assert_eq!(dictionary(&live), mined, "a merge keeps the dictionary");
+    check(&live);
+
+    live.add_batch(&pages(100, 99)).unwrap();
+    assert!(live.drift().remines(), "{:?}", live.drift());
+    assert!(live.compact().unwrap());
+    let survivors: Vec<Vec<u8>> = (live.live_seqs().iter())
+        .map(|&s| live.get(s).unwrap())
+        .collect();
+    let shell = dir.join("shell.free");
+    Engine::build_on_disk(
+        MemCorpus::from_docs(survivors),
+        EngineConfig::default(),
+        &shell,
+    )
+    .unwrap();
+    let id = live.stats().segments[0].id;
+    assert_eq!(
+        std::fs::read(live_dir.join(format!("segments/seg-{id}.idx"))).unwrap(),
+        std::fs::read(&shell).unwrap()
+    );
+    let keys = dictionary(&live);
+    assert!(keys.len() < mined.len());
+    for (i, a) in keys.iter().enumerate() {
+        assert!(!keys
+            .iter()
+            .enumerate()
+            .any(|(j, b)| i != j && b.ends_with(a)));
+    }
+    check(&live);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
