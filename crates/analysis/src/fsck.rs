@@ -706,6 +706,20 @@ fn shard_next_seq(sdir: &Path) -> Option<(DocId, DocId)> {
     Some((manifest.wal_base + wal.len() as DocId, manifest.wal_base))
 }
 
+/// What the next open does about an unreadable WAL epoch stamp: with
+/// buffered documents it refuses (whether they are sealed already is
+/// unknowable), over an empty WAL it rewrites the stamp.
+fn unreadable_stamp_outcome(wal_len: Option<usize>, epoch: u64) -> String {
+    match wal_len {
+        Some(0) => format!("the WAL is empty, so the next open rewrites the stamp as {epoch}"),
+        Some(n) => format!(
+            "open refuses the directory while the WAL holds {n} buffered doc(s); \
+             restore the stamp (the manifest commits epoch {epoch})"
+        ),
+        None => "what open does depends on the WAL (see its own finding)".to_string(),
+    }
+}
+
 /// fsck over a live index directory: manifest, every segment (seqs +
 /// corpus + index, cross-checked), the WAL, the epoch stamp, the
 /// tombstone log, and orphaned files.
@@ -806,7 +820,11 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
                 r.diagnostics.push(diag(
                     codes::STRUCTURAL_DAMAGE,
                     Severity::Error,
-                    format!("WAL epoch stamp {} is not a number", epoch_path.display()),
+                    format!(
+                        "WAL epoch stamp {} is not a number; {}",
+                        epoch_path.display(),
+                        unreadable_stamp_outcome(wal_len, manifest.wal_epoch)
+                    ),
                 ));
             }
         },
@@ -815,9 +833,9 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
                 codes::STALE_WAL_EPOCH,
                 Severity::Error,
                 format!(
-                    "WAL epoch stamp {} unreadable ({e}); the WAL will be discarded on \
-                     the next open",
-                    epoch_path.display()
+                    "WAL epoch stamp {} unreadable ({e}); {}",
+                    epoch_path.display(),
+                    unreadable_stamp_outcome(wal_len, manifest.wal_epoch)
                 ),
             ));
         }
@@ -1219,7 +1237,7 @@ mod tests {
         let dir = tmpdir("sharded");
         let root = dir.join("idx");
         let config = free_live::LiveConfig::default();
-        let mut idx = free_live::ShardedLiveIndex::create(&root, config.clone(), 3).unwrap();
+        let mut idx = free_live::LiveIndex::create_sharded(&root, config.clone(), 3).unwrap();
         let docs: Vec<Vec<u8>> = (0..9u8).map(|i| vec![b'a' + (i % 4); 12]).collect();
         idx.add_batch(&docs).unwrap();
         idx.flush().unwrap();
@@ -1285,7 +1303,7 @@ mod tests {
         let dir = tmpdir("sharded-corrupt");
         let root = dir.join("idx");
         let mut idx =
-            free_live::ShardedLiveIndex::create(&root, free_live::LiveConfig::default(), 2)
+            free_live::LiveIndex::create_sharded(&root, free_live::LiveConfig::default(), 2)
                 .unwrap();
         idx.add_batch(&[b"alpha beta gamma".as_slice(), b"delta epsilon zeta"])
             .unwrap();
@@ -1362,7 +1380,7 @@ mod tests {
     fn shard_selector_divergence_is_flagged() {
         let dir = tmpdir("selector-shard");
         let root = dir.join("idx");
-        let idx = free_live::ShardedLiveIndex::create(&root, free_live::LiveConfig::default(), 2)
+        let idx = free_live::LiveIndex::create_sharded(&root, free_live::LiveConfig::default(), 2)
             .unwrap();
         drop(idx);
         let r = fsck(&root, &FsckOptions::default()).unwrap();
@@ -1469,7 +1487,7 @@ mod tests {
     fn pristine_multi_segment_sharded_directory_is_clean() {
         let dir = tmpdir("dictionary-sharded");
         let root = dir.join("idx");
-        let mut idx = free_live::ShardedLiveIndex::create(&root, dictionary_config(), 2).unwrap();
+        let mut idx = free_live::LiveIndex::create_sharded(&root, dictionary_config(), 2).unwrap();
         for batch in [0..40, 40..60, 60..80] {
             idx.add_batch(&numbered_docs(batch)).unwrap();
             idx.flush().unwrap();

@@ -448,7 +448,7 @@ fn run_replay(config: &ExperimentConfig) -> String {
             ..free_live::LiveConfig::default()
         };
         let mut idx =
-            free_live::ShardedLiveIndex::create(&dir, live_config, shards).expect("create");
+            free_live::LiveIndex::create_sharded(&dir, live_config, shards).expect("create");
         let mut page = Vec::new();
         let mut batch: Vec<Vec<u8>> = Vec::new();
         for doc_id in 0..config.num_docs as u32 {
@@ -472,7 +472,7 @@ fn run_replay(config: &ExperimentConfig) -> String {
         free_trace::qlog::set_slow_threshold_ns(Some(2_000_000));
         for _ in 0..ROUNDS {
             for q in &queries {
-                idx.query(q.pattern).expect("query");
+                idx.snapshot().query(q.pattern).expect("query");
             }
         }
         free_trace::qlog::shutdown();
@@ -812,7 +812,7 @@ fn run_shard_scaling(config: &ExperimentConfig) -> String {
         };
         let generator = free_corpus::synth::Generator::new(synth);
         let mut stream = generator.stream();
-        let mut live = free_live::ShardedLiveIndex::create(
+        let mut live = free_live::LiveIndex::create_sharded(
             &dir,
             free_live::LiveConfig {
                 engine: free_engine::EngineConfig {
@@ -856,7 +856,14 @@ fn run_shard_scaling(config: &ExperimentConfig) -> String {
             i += 1;
             let qt = Instant::now();
             let result = snapshot
-                .query_with(q.pattern, shards, false)
+                .query_opts(
+                    q.pattern,
+                    &free_live::QueryOpts {
+                        threads: shards,
+                        want_spans: false,
+                        ..free_live::QueryOpts::default()
+                    },
+                )
                 .expect("fan-out query");
             latency.observe_duration(qt.elapsed());
             std::hint::black_box(result.matches.len());

@@ -23,7 +23,7 @@ pub mod serve;
 use free_corpus::{Corpus, FsCorpus};
 use free_engine::{Engine, EngineConfig};
 use free_index::IndexReader;
-use free_live::ShardedLiveIndex;
+use free_live::{LiveIndex, LiveStats, Shard};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -467,48 +467,26 @@ fn live_config(threads: usize) -> free_live::LiveConfig {
     }
 }
 
-/// The aggregate shape, summed across shards.
-struct LiveShape {
-    segments: usize,
-    memtable_docs: usize,
-    tombstones: usize,
-    live_docs: usize,
-    total_bytes: u64,
+/// Writes the aggregate shape ([`LiveIndex::stats`]) as JSON fields of
+/// `o`.
+fn aggregate_fields(o: &mut free_trace::json::JsonObject, stats: &LiveStats) {
+    o.field_u64("generation", stats.generation)
+        .field_u64("next_seq", u64::from(stats.next_seq))
+        .field_u64("num_segments", stats.segments.len() as u64)
+        .field_u64("memtable_docs", stats.memtable_docs as u64)
+        .field_u64("tombstones", stats.tombstones as u64)
+        .field_u64("live_docs", stats.live_docs as u64)
+        .field_u64("total_bytes", stats.total_bytes);
 }
 
-impl LiveShape {
-    fn of(per_shard: &[free_live::LiveStats]) -> LiveShape {
-        LiveShape {
-            segments: per_shard.iter().map(|s| s.segments.len()).sum(),
-            memtable_docs: per_shard.iter().map(|s| s.memtable_docs).sum(),
-            tombstones: per_shard.iter().map(|s| s.tombstones).sum(),
-            live_docs: per_shard.iter().map(|s| s.live_docs).sum(),
-            total_bytes: per_shard.iter().map(|s| s.total_bytes).sum(),
-        }
-    }
-}
-
-/// Writes the aggregate shape of `idx` as JSON fields of `o`.
-fn aggregate_fields(
-    o: &mut free_trace::json::JsonObject,
-    idx: &ShardedLiveIndex,
-    shape: &LiveShape,
-) {
-    o.field_u64("generation", idx.generation())
-        .field_u64("next_seq", u64::from(idx.next_seq()))
-        .field_u64("num_segments", shape.segments as u64)
-        .field_u64("memtable_docs", shape.memtable_docs as u64)
-        .field_u64("tombstones", shape.tombstones as u64)
-        .field_u64("live_docs", shape.live_docs as u64)
-        .field_u64("total_bytes", shape.total_bytes);
+/// Each shard's own stats, in shard order.
+fn shard_stats(idx: &LiveIndex) -> Vec<LiveStats> {
+    idx.shards().iter().map(Shard::stats).collect()
 }
 
 /// The `per_shard` JSON array: each shard's stats, plus its dictionary
 /// drift when `drifts` carries one per shard.
-fn per_shard_json(
-    per_shard: &[free_live::LiveStats],
-    drifts: Option<&[free_live::Drift]>,
-) -> String {
+fn per_shard_json(per_shard: &[LiveStats], drifts: Option<&[free_live::Drift]>) -> String {
     let mut arr = free_trace::json::JsonArray::new();
     for (s, stats) in per_shard.iter().enumerate() {
         let mut o = free_trace::json::JsonObject::new();
@@ -527,12 +505,11 @@ fn per_shard_json(
 
 /// Index shape as one JSON object (the line protocol's `stats` reply):
 /// the shard count, the aggregate, and a `per_shard` breakdown.
-pub(crate) fn live_stats_json(idx: &ShardedLiveIndex) -> String {
-    let per = idx.shard_stats();
+pub(crate) fn live_stats_json(idx: &LiveIndex) -> String {
     let mut o = free_trace::json::JsonObject::new();
     o.field_u64("shards", idx.num_shards() as u64);
-    aggregate_fields(&mut o, idx, &LiveShape::of(&per));
-    o.field_raw("per_shard", per_shard_json(&per, None));
+    aggregate_fields(&mut o, &idx.stats());
+    o.field_raw("per_shard", per_shard_json(&shard_stats(idx), None));
     o.finish()
 }
 
@@ -563,7 +540,7 @@ pub fn live_create(
     }
     let mut config = live_config(0);
     config.engine.selector = selector;
-    ShardedLiveIndex::create(dir, config, shards)?;
+    LiveIndex::create_sharded(dir, config, shards)?;
     Ok(format!("created live index at {}{note}\n", dir.display()))
 }
 
@@ -571,7 +548,7 @@ pub fn live_create(
 /// `dir` (created with one shard on first use), printing the assigned
 /// sequence numbers.
 pub fn live_add(dir: &Path, files: &[PathBuf]) -> Result<String> {
-    let mut live = ShardedLiveIndex::open_or_create(dir, live_config(0), 1)?;
+    let mut live = LiveIndex::open_or_create(dir, live_config(0))?;
     let mut docs = Vec::with_capacity(files.len());
     for f in files {
         docs.push(std::fs::read(f)?);
@@ -581,18 +558,20 @@ pub fn live_add(dir: &Path, files: &[PathBuf]) -> Result<String> {
     for (f, id) in files.iter().zip(&ids) {
         let _ = writeln!(out, "added {} as doc {id}", f.display());
     }
-    let shape = LiveShape::of(&live.shard_stats());
+    let stats = live.stats();
     let _ = writeln!(
         out,
         "# {} live doc(s), {} segment(s), {} buffered",
-        shape.live_docs, shape.segments, shape.memtable_docs
+        stats.live_docs,
+        stats.segments.len(),
+        stats.memtable_docs
     );
     Ok(out)
 }
 
 /// `free delete`: tombstones documents by sequence number.
 pub fn live_delete(dir: &Path, seqs: &[u32]) -> Result<String> {
-    let mut live = ShardedLiveIndex::open(dir, live_config(0))?;
+    let mut live = LiveIndex::open(dir, live_config(0))?;
     let mut out = String::new();
     for &seq in seqs {
         live.delete(seq)?;
@@ -605,20 +584,25 @@ pub fn live_delete(dir: &Path, seqs: &[u32]) -> Result<String> {
 /// `free compact`: flushes the write buffer and merges all segments into
 /// one per shard (shards in parallel), reclaiming tombstoned documents.
 pub fn live_compact(dir: &Path) -> Result<String> {
-    let mut live = ShardedLiveIndex::open(dir, live_config(0))?;
-    let before = LiveShape::of(&live.shard_stats());
+    let mut live = LiveIndex::open(dir, live_config(0))?;
+    let before = live.stats();
     let changed = live.compact()?;
-    let after = LiveShape::of(&live.shard_stats());
-    if !changed && before.segments == after.segments {
+    let after = live.stats();
+    if !changed && before.segments.len() == after.segments.len() {
         return Ok(format!(
             "nothing to compact: {} segment(s), {} tombstone(s)\n",
-            after.segments, after.tombstones
+            after.segments.len(),
+            after.tombstones
         ));
     }
     Ok(format!(
         "compacted {} segment(s) + {} buffered doc(s) ({} tombstone(s) reclaimed) \
          into {} segment(s); {} live doc(s)\n",
-        before.segments, before.memtable_docs, before.tombstones, after.segments, after.live_docs
+        before.segments.len(),
+        before.memtable_docs,
+        before.tombstones,
+        after.segments.len(),
+        after.live_docs
     ))
 }
 
@@ -648,8 +632,8 @@ fn diags_to_json(diags: &[free_analyze::Diagnostic]) -> String {
 /// snapshot lag), so scripts and CI can gate on index health without
 /// parsing the output.
 pub fn live_segments(dir: &Path, json: bool) -> Result<(String, i32)> {
-    let idx = ShardedLiveIndex::open(dir, live_config(0))?;
-    let per = idx.shard_stats();
+    let idx = LiveIndex::open(dir, live_config(0))?;
+    let per = shard_stats(&idx);
     let mut diags = Vec::new();
     let mut drifts = Vec::with_capacity(per.len());
     for (s, (live, stats)) in idx.shards().iter().zip(&per).enumerate() {
@@ -683,10 +667,10 @@ pub fn live_segments(dir: &Path, json: bool) -> Result<(String, i32)> {
             .iter()
             .any(|d| d.severity == free_analyze::Severity::Error),
     );
-    let shape = LiveShape::of(&per);
+    let shape = idx.stats();
     if json {
         let mut agg = free_trace::json::JsonObject::new();
-        aggregate_fields(&mut agg, &idx, &shape);
+        aggregate_fields(&mut agg, &shape);
         let mut o = free_trace::json::JsonObject::new();
         o.field_u64("shards", idx.num_shards() as u64)
             .field_raw("stats", agg.finish())
@@ -698,10 +682,10 @@ pub fn live_segments(dir: &Path, json: bool) -> Result<(String, i32)> {
         "live index: {} shard(s), generation {}, next seq {}\n\
          # total: {} live doc(s), {} segment(s), {} tombstone(s)\n",
         idx.num_shards(),
-        idx.generation(),
-        idx.next_seq(),
+        shape.generation,
+        shape.next_seq,
         shape.live_docs,
-        shape.segments,
+        shape.segments.len(),
         shape.tombstones,
     );
     for (s, stats) in per.iter().enumerate() {
@@ -748,8 +732,8 @@ pub fn fsck(path: &Path, deep: bool, sample: usize, json: bool) -> Result<(Strin
 /// `free search --live`: queries the live index, printing one line per
 /// matching document.
 pub fn live_search(dir: &Path, pattern: &str, threads: usize) -> Result<String> {
-    let live = ShardedLiveIndex::open(dir, live_config(threads))?;
-    let result = live.query(pattern)?;
+    let live = LiveIndex::open(dir, live_config(threads))?;
+    let result = live.snapshot().query(pattern)?;
     let mut out = String::new();
     for m in &result.matches {
         let _ = writeln!(out, "doc {}: {} match(es)", m.seq, m.spans.len());

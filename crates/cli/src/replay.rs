@@ -14,7 +14,7 @@
 use crate::{CliError, Result, SearchIndex};
 use free_analyze::workload::{analyze_workload, QueryRecord, WorkloadOptions};
 use free_engine::qlog::now_ms;
-use free_live::ShardedLiveIndex;
+use free_live::LiveIndex;
 use free_trace::json::JsonObject;
 use free_trace::qlog::{self, SegmentStatus};
 use std::fmt::Write as _;
@@ -216,7 +216,7 @@ impl ReplayOptions {
 /// The index a replay runs against.
 enum ReplayTarget {
     Batch(Box<SearchIndex>),
-    Live(ShardedLiveIndex),
+    Live(LiveIndex),
 }
 
 impl ReplayTarget {
@@ -226,7 +226,7 @@ impl ReplayTarget {
         match self {
             ReplayTarget::Batch(index) => index.counts(pattern),
             ReplayTarget::Live(handle) => {
-                let result = handle.query(pattern)?;
+                let result = handle.snapshot().query(pattern)?;
                 let docs = result.matches.len() as u64;
                 let spans = result.matches.iter().map(|m| m.spans.len() as u64).sum();
                 Ok((docs, spans))
@@ -262,10 +262,9 @@ pub fn replay(opts: &ReplayOptions) -> Result<(String, i32)> {
         (Some(dir), None) => {
             ReplayTarget::Batch(Box::new(SearchIndex::open_with_threads(dir, opts.threads)?))
         }
-        (None, Some(dir)) => ReplayTarget::Live(ShardedLiveIndex::open(
-            dir,
-            crate::live_config(opts.threads),
-        )?),
+        (None, Some(dir)) => {
+            ReplayTarget::Live(LiveIndex::open(dir, crate::live_config(opts.threads))?)
+        }
         (None, None) => {
             return Err(CliError::Usage(
                 "replay needs a target: --index DIR (batch) or --dir DIR (live)".into(),

@@ -46,13 +46,12 @@
 //! `status` field (`ok|error|timeout|shed`) and bumps the RED series
 //! `free_serve_requests_total{status=…}`.
 //!
-//! Concurrency model: queries are served from the composite snapshots
-//! a [`free_live::ShardedReader`] hands out (a live directory is N >= 1
+//! Concurrency model: queries are served from the snapshots a
+//! [`free_live::LiveReader`] hands out (a live directory is N >= 1
 //! shards; the usual one is rooted at the directory itself) and never
 //! take the writer lock, so any number of connections can search while
 //! an `add`/`delete`/`flush`/`compact` command holds the single writer
-//! (a `Mutex<ShardedLiveIndex>`; writes fan out across shards inside
-//! it). Workers are a fixed thread pool fed by the bounded channel; each
+//! (a `Mutex<LiveIndex>`; writes fan out across shards inside it). Workers are a fixed thread pool fed by the bounded channel; each
 //! worker owns one connection at a time.
 //!
 //! Shutdown is a protocol command rather than a signal handler (the
@@ -65,7 +64,7 @@
 
 use crate::{CliError, Result};
 use free_engine::RequestBudget;
-use free_live::{QueryCache, QueryOpts, ShardedLiveIndex, ShardedReader};
+use free_live::{LiveIndex, LiveReader, QueryCache, QueryOpts};
 use free_trace::json::{JsonArray, JsonObject};
 use free_trace::JsonValue;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -228,10 +227,9 @@ impl Drop for Permit<'_> {
 /// handle, admission control, the result cache, and the observability
 /// endpoints.
 struct ServeCtx {
-    writer: Mutex<ShardedLiveIndex>,
-    reader: ShardedReader,
+    writer: Mutex<LiveIndex>,
+    reader: LiveReader,
     addr: SocketAddr,
-    threads: usize,
     shutdown: AtomicBool,
     tracer: free_trace::Tracer,
     gate: Gate,
@@ -310,8 +308,7 @@ pub fn serve(options: &ServeOptions, announce: impl FnOnce(SocketAddr)) -> Resul
     if let Some(ms) = options.slow_ms {
         free_trace::qlog::set_slow_threshold_ns(Some(ms.saturating_mul(1_000_000)));
     }
-    let live =
-        ShardedLiveIndex::open_or_create(&options.dir, crate::live_config(options.threads), 1)?;
+    let live = LiveIndex::open_or_create(&options.dir, crate::live_config(options.threads))?;
     let listener = TcpListener::bind(("127.0.0.1", options.port))?;
     let addr = listener.local_addr()?;
     let workers = if options.workers == 0 {
@@ -333,7 +330,6 @@ pub fn serve(options: &ServeOptions, announce: impl FnOnce(SocketAddr)) -> Resul
         reader: live.reader(),
         writer: Mutex::new(live),
         addr,
-        threads: options.threads,
         shutdown: AtomicBool::new(false),
         tracer: free_trace::Tracer::with_capacity(1024),
         gate: Gate::new(options.max_concurrent),
@@ -817,21 +813,20 @@ fn run_query(params: &QueryParams<'_>, ctx: &ServeCtx, request_id: u64) -> Resul
     let cached = ctx
         .cache
         .as_ref()
-        .and_then(|c| c.get(params.pattern, true, generation));
+        .and_then(|c| c.get(params.pattern, generation));
     let matches: Arc<Vec<free_live::LiveMatch>> = match cached {
         Some(hit) => hit,
         None => {
             let result = snapshot.query_opts(
                 params.pattern,
                 &QueryOpts {
-                    threads: ctx.threads,
-                    want_spans: true,
                     budget: params.budget(ctx),
+                    ..QueryOpts::default()
                 },
             )?;
             let fresh = Arc::new(result.matches);
             if let Some(cache) = &ctx.cache {
-                cache.insert(params.pattern, true, generation, fresh.clone());
+                cache.insert(params.pattern, generation, fresh.clone());
             }
             fresh
         }
@@ -859,7 +854,7 @@ fn run_query(params: &QueryParams<'_>, ctx: &ServeCtx, request_id: u64) -> Resul
 }
 
 /// The serialized writer: one command at a time, queries unaffected.
-fn lock_writer(ctx: &ServeCtx) -> std::sync::MutexGuard<'_, ShardedLiveIndex> {
+fn lock_writer(ctx: &ServeCtx) -> std::sync::MutexGuard<'_, LiveIndex> {
     ctx.writer.lock().unwrap_or_else(|e| e.into_inner())
 }
 

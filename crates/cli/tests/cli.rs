@@ -850,6 +850,45 @@ fn fsck_refuses_a_freelive_2_directory() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A garbled `wal.epoch` over buffered documents: fsck reports that open
+/// refuses, and a search does refuse, leaving the WAL byte for byte as
+/// it was instead of discarding acknowledged documents.
+#[test]
+fn a_garbled_wal_epoch_keeps_buffered_docs() {
+    let dir = setup("garbled-epoch");
+    let live_dir = dir.join("live");
+    std::fs::write(dir.join("a.txt"), b"the quick brown fox jumps\n").unwrap();
+    std::fs::write(dir.join("b.txt"), b"the lazy dog sleeps\n").unwrap();
+    for verb in ["add", "compact", "add"] {
+        let mut cmd = free();
+        cmd.args([verb, "--dir"]).arg(&live_dir);
+        if verb == "add" {
+            cmd.arg(dir.join("a.txt")).arg(dir.join("b.txt"));
+        }
+        assert!(cmd.status().unwrap().success(), "{verb}");
+    }
+    std::fs::write(live_dir.join("wal.epoch"), "x\n").unwrap();
+    let wal = |name: &str| std::fs::read(live_dir.join("wal").join(name)).unwrap();
+    let before = (wal("corpus.dat"), wal("corpus.idx"));
+
+    let out = free().args(["fsck"]).arg(&live_dir).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("open refuses the directory while the WAL holds 2 buffered doc(s)"),
+        "{stdout}"
+    );
+    let out = free()
+        .args(["search", "--live"])
+        .arg(&live_dir)
+        .arg("quick")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!((wal("corpus.dat"), wal("corpus.idx")), before);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `free fsck` with no PATH checks ./.freelive; a missing target is a
 /// usage-style failure (exit 2), not a crash.
 #[test]

@@ -367,3 +367,36 @@ fn production_service_end_to_end() {
     assert!(report.contains("timeout"), "{report}");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// `free_live_segments` counts the sealed segments of every shard: after
+/// a flush of a 4-shard index holding 3 documents, three shards hold one
+/// segment each. The server is a process of its own, so the gauge is this
+/// index's alone.
+#[test]
+fn live_segments_gauge_sums_every_shard() {
+    let dir = std::env::temp_dir().join(format!("free-serve-segments-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let created = Command::new(env!("CARGO_BIN_EXE_free"))
+        .args(["create", "--shards", "4", "--dir"])
+        .arg(&dir)
+        .status()
+        .unwrap();
+    assert!(created.success());
+    let server = Server::start(&dir);
+    assert!(ok(
+        &server.request(r#"{"add":["one doc","two doc","three doc"]}"#)
+    ));
+    assert!(ok(&server.request(r#"{"flush":true}"#)));
+    let metrics = server.request(r#"{"metrics":true}"#);
+    let text = metrics.get("metrics").and_then(JsonValue::as_str).unwrap();
+    assert_eq!(metric_value(text, "free_live_segments "), 3, "{text}");
+    assert!(ok(&server.request(r#"{"shutdown":true}"#)));
+    let Server {
+        mut child,
+        mut stdout,
+        ..
+    } = server;
+    std::io::Read::read_to_string(&mut stdout, &mut String::new()).unwrap();
+    assert!(child.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,9 +4,8 @@ use crate::error::{Error, Result};
 use crate::manifest::Manifest;
 use crate::memtable::{BufferMatcher, Memtable};
 use crate::postings::{write_postings, Source};
-use crate::query::LiveQueryResult;
 use crate::segment::{remove_segment_files, Segment, SegmentWriter};
-use crate::snapshot::{LiveReader, Snapshot, SnapshotCell};
+use crate::snapshot::ShardSnapshot;
 use crate::stats::{LiveStats, SegmentStats};
 use crate::LiveConfig;
 use free_corpus::{Corpus, CorpusWriter, DiskCorpus, DocId};
@@ -65,7 +64,7 @@ pub fn useful_limit(n: u64, c: f64) -> u64 {
 }
 
 /// The dictionary measured against the documents flushed since the last
-/// compaction (see [`LiveIndex::drift`]).
+/// compaction (see [`Shard::drift`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Drift {
     /// The share of those documents' postings that fall on keys useless
@@ -96,29 +95,31 @@ impl Drift {
 /// (or delete) the wrong document. No other line shape is accepted.
 pub const TOMBSTONES_HEADER: &str = "FREETOMB 2";
 
-/// An LSM-style incrementally updatable index over the FREE engine.
+/// One shard of a [`crate::LiveIndex`]: an LSM-style incrementally
+/// updatable index over the FREE engine, in one directory.
 ///
 /// Documents are added to a write-ahead corpus store (the WAL) and
-/// mirrored in an in-memory [`Memtable`], indexed by the index's one
+/// mirrored in an in-memory [`Memtable`], indexed by the shard's one
 /// dictionary: the oldest segment's key directory. A *flush* seals the
 /// buffer into an immutable segment over that dictionary's keys (the
 /// first flush, with no dictionary yet, mines one); deletes are
 /// tombstones; *compaction* rewrites every surviving document into one
 /// segment, merging the segments' postings under the dictionary, or
 /// mining a fresh one when the new documents have drifted from it. Every
-/// document keeps a stable, never-reused global sequence number, so
-/// query results are comparable across any schedule of mutations.
+/// document keeps a stable, never-reused sequence number (local to the
+/// shard), so query results are comparable across any schedule of
+/// mutations.
 ///
-/// Mutations take `&mut self`; reads go through an immutable
-/// [`Snapshot`] republished (an atomic `Arc` swap) after every
-/// mutation, so a [`LiveQueryResult`] always reflects exactly one
-/// generation — and any number of [`LiveReader`] threads can query
-/// concurrently without ever blocking on a flush or compaction.
-/// Segments, the write buffer's chunks, and the tombstone set are
-/// `Arc`-shared between the writer and published snapshots; the writer
-/// mutates the buffer and the tombstones copy-on-write
-/// (`Arc::make_mut`), so an add copies chunk pointers, never postings.
-pub struct LiveIndex {
+/// Mutations take `&mut self` and are the router's alone; outside the
+/// crate a shard is read-only inspection through
+/// [`crate::LiveIndex::shards`]. After every mutation the shard freezes
+/// its state into a `ShardSnapshot`, which the router collects into
+/// the index's published [`crate::Snapshot`]. Segments, the write
+/// buffer's chunks, and the tombstone set are `Arc`-shared between the
+/// writer and snapshots; the writer mutates the buffer and the
+/// tombstones copy-on-write (`Arc::make_mut`), so an add copies chunk
+/// pointers, never postings.
+pub struct Shard {
     dir: PathBuf,
     config: Arc<LiveConfig>,
     manifest: Manifest,
@@ -128,18 +129,18 @@ pub struct LiveIndex {
     /// and dropped only when the dictionary is replaced: by a re-mining
     /// compaction, or one that leaves no segment (the first flush creates
     /// a dictionary, and a merge keeps it key for key). Boxed: it is
-    /// large, and the index is moved around whole.
+    /// large, and the shard is moved around whole.
     matcher: Option<Box<BufferMatcher>>,
     deleted: Arc<BTreeSet<DocId>>,
     generation: u64,
-    published: Arc<SnapshotCell<Snapshot>>,
+    published: Arc<ShardSnapshot>,
 }
 
-impl LiveIndex {
-    /// Initializes an empty live index in `dir`. Fails with
-    /// [`Error::AlreadyExists`] if one is already there, rooted or
-    /// sharded.
-    pub fn create(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
+impl Shard {
+    /// Initializes an empty shard in `dir`. Fails with
+    /// [`Error::AlreadyExists`] if a live index is already there, rooted
+    /// or sharded.
+    pub(crate) fn create(dir: impl AsRef<Path>, config: LiveConfig) -> Result<Shard> {
         let dir = dir.as_ref();
         if Manifest::exists(dir) || crate::ShardedManifest::exists(dir) {
             return Err(Error::AlreadyExists(dir.to_path_buf()));
@@ -159,12 +160,12 @@ impl LiveIndex {
             .map_err(|e| Error::io("write wal epoch", e))?;
         std::fs::write(dir.join(TOMBSTONES_FILE), format!("{TOMBSTONES_HEADER}\n"))
             .map_err(|e| Error::io("write tombstones", e))?;
-        LiveIndex::open(dir, config)
+        Shard::open(dir, config)
     }
 
-    /// Opens the live index in `dir`, replaying the WAL into the write
-    /// buffer and discarding any state a crash left uncommitted.
-    pub fn open(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
+    /// Opens the shard in `dir`, replaying the WAL into the write buffer
+    /// and discarding any state a crash left uncommitted.
+    pub(crate) fn open(dir: impl AsRef<Path>, config: LiveConfig) -> Result<Shard> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = Manifest::load(&dir)?;
         // The manifest's recorded selection strategy wins over whatever
@@ -191,10 +192,22 @@ impl LiveIndex {
         // stamp disagrees — its docs are already sealed in a segment.
         let epoch = std::fs::read_to_string(dir.join(WAL_EPOCH_FILE))
             .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0);
+            .and_then(|s| s.trim().parse::<u64>().ok());
         let wal_dir = dir.join(WAL_DIR);
-        if epoch != manifest.wal_epoch || !wal_dir.join("corpus.idx").is_file() {
+        let wal_present = wal_dir.join("corpus.idx").is_file();
+        if epoch.is_none() && wal_present && DiskCorpus::open(&wal_dir)?.len() > 0 {
+            // Every writer of the stamp recreates the WAL empty first, so
+            // a missing or garbled stamp over buffered documents is damage:
+            // whether they are sealed already is unknowable, and discarding
+            // them could lose acknowledged writes.
+            return Err(Error::Corrupt(format!(
+                "{}: WAL epoch stamp unreadable while the WAL holds buffered \
+                 documents; restore {WAL_EPOCH_FILE} (the manifest commits epoch {})",
+                dir.display(),
+                manifest.wal_epoch
+            )));
+        }
+        if epoch != Some(manifest.wal_epoch) || !wal_present {
             let _ = std::fs::remove_dir_all(&wal_dir);
             CorpusWriter::create(&wal_dir)?.commit()?;
             std::fs::write(
@@ -214,7 +227,7 @@ impl LiveIndex {
         let segments: Vec<Arc<Segment>> = segments.into_iter().map(Arc::new).collect();
         let memtable = Arc::new(Memtable::default());
         let deleted: Arc<BTreeSet<DocId>> = Arc::new(BTreeSet::new());
-        let published = Arc::new(SnapshotCell::new(Arc::new(Snapshot::new(
+        let published = Arc::new(ShardSnapshot::new(
             segments.clone(),
             memtable.clone(),
             manifest.wal_base,
@@ -222,8 +235,8 @@ impl LiveIndex {
             generation,
             config.clone(),
             None,
-        ))));
-        let mut live = LiveIndex {
+        ));
+        let mut live = Shard {
             dir,
             config,
             manifest,
@@ -241,33 +254,22 @@ impl LiveIndex {
         live.publish();
         live.load_tombstones()?;
         live.publish();
-        live.record_shape_metrics();
         Ok(live)
     }
 
-    /// Opens the index in `dir`, initializing it first if absent.
-    pub fn open_or_create(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
-        let dir = dir.as_ref();
-        if Manifest::exists(dir) {
-            LiveIndex::open(dir, config)
-        } else {
-            LiveIndex::create(dir, config)
-        }
-    }
-
-    /// The index's configuration.
-    pub fn config(&self) -> &LiveConfig {
+    /// The shard's configuration.
+    pub(crate) fn config(&self) -> &LiveConfig {
         &self.config
     }
 
     /// Mutation counter: bumps on every add/delete/flush/compact, so two
     /// equal generations imply identical query results.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// The next sequence number to be assigned.
-    pub fn next_seq(&self) -> DocId {
+    /// The next (local) sequence number to be assigned.
+    pub(crate) fn next_seq(&self) -> DocId {
         self.manifest.wal_base + self.memtable.len() as DocId
     }
 
@@ -279,81 +281,41 @@ impl LiveIndex {
     /// Number of buffered (unflushed) documents in the write buffer,
     /// live or tombstoned. `next_seq() - buffered_docs()` is the flush
     /// frontier: everything below it is sealed into segments.
-    pub fn buffered_docs(&self) -> usize {
+    pub(crate) fn buffered_docs(&self) -> usize {
         self.memtable.len()
     }
 
-    /// Number of live (queryable) documents.
-    pub fn live_docs(&self) -> usize {
-        self.snapshot().live_docs()
-    }
-
-    /// Sequence numbers of all live documents, ascending.
-    pub fn live_seqs(&self) -> Vec<DocId> {
-        self.snapshot().live_seqs()
-    }
-
-    /// Reads one live document by sequence number.
-    pub fn get(&self, seq: DocId) -> Result<Vec<u8>> {
-        self.snapshot().get(seq)
-    }
-
-    /// The most recently published snapshot. Mutating methods publish
+    /// The most recently frozen snapshot. Mutating methods publish
     /// before returning, so between mutations this is exactly the
     /// writer's in-memory state.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.published.load()
+    pub(crate) fn snapshot(&self) -> Arc<ShardSnapshot> {
+        self.published.clone()
     }
 
-    /// A cheap, cloneable handle other threads can use to query the
-    /// index concurrently with this writer. Readers always see the
-    /// freshest published generation and never block on mutations.
-    pub fn reader(&self) -> LiveReader {
-        LiveReader {
-            cell: self.published.clone(),
-        }
-    }
-
-    /// Builds and publishes a snapshot of the current state. Called at
-    /// the end of every mutation; cheap (a handful of `Arc` clones, plus
-    /// one pass over the tombstones when a delete or compaction changed
-    /// them).
-    fn publish(&self) {
-        let prev = self.published.load();
-        self.published.store(Arc::new(Snapshot::new(
+    /// Freezes a snapshot of the current state. Called at the end of
+    /// every mutation; cheap (a handful of `Arc` clones, plus one pass
+    /// over the tombstones when a delete or compaction changed them).
+    fn publish(&mut self) {
+        self.published = Arc::new(ShardSnapshot::new(
             self.segments.clone(),
             self.memtable.clone(),
             self.manifest.wal_base,
             self.deleted.clone(),
             self.generation,
             self.config.clone(),
-            Some(&prev),
-        )));
+            Some(&self.published),
+        ));
     }
 
-    /// Adds one document, returning its sequence number. Durable on
-    /// return (committed to the WAL); may trigger an automatic flush.
-    pub fn add(&mut self, doc: &[u8]) -> Result<DocId> {
-        Ok(self.add_batch(&[doc])?[0])
-    }
-
-    /// Adds a batch of documents, returning their sequence numbers. The
-    /// whole batch commits to the WAL with one append-reopen, so bulk
-    /// ingest amortizes the per-call O(1) reopen cost.
-    pub fn add_batch<D: AsRef<[u8]>>(&mut self, docs: &[D]) -> Result<Vec<DocId>> {
-        let ids = self.add_batch_deferred(docs)?;
-        self.maybe_flush()?;
-        Ok(ids)
-    }
-
-    /// Like [`LiveIndex::add_batch`] but never auto-flushes, leaving the
-    /// whole batch in the write buffer regardless of thresholds. The
-    /// sharded router commits one batch across many shards with this and
-    /// runs [`LiveIndex::maybe_flush`] only after *every* shard is
-    /// durable, so a crash mid-commit can only ever leave excess
-    /// documents in shard WALs — where [`LiveIndex::truncate_buffer`]
-    /// can still discard them.
-    pub fn add_batch_deferred<D: AsRef<[u8]>>(&mut self, docs: &[D]) -> Result<Vec<DocId>> {
+    /// Appends a batch of documents to the WAL and the write buffer,
+    /// returning their local sequence numbers. The whole batch commits to
+    /// the WAL with one append-reopen. Never auto-flushes, leaving the
+    /// whole batch in the write buffer regardless of thresholds: the
+    /// router commits one batch across its shards with this and runs
+    /// [`Shard::maybe_flush`] only after *every* shard holds its part, so
+    /// a crash mid-commit can only ever leave excess documents in shard
+    /// WALs — where [`Shard::truncate_buffer`] can still discard them.
+    pub(crate) fn add_batch_deferred<D: AsRef<[u8]>>(&mut self, docs: &[D]) -> Result<Vec<DocId>> {
         if docs.is_empty() {
             return Ok(Vec::new());
         }
@@ -407,9 +369,9 @@ impl LiveIndex {
     }
 
     /// Flushes if the write buffer has crossed either configured
-    /// threshold; the auto-flush check `add_batch` runs after every
-    /// ingest. Returns whether a flush happened.
-    pub fn maybe_flush(&mut self) -> Result<bool> {
+    /// threshold; the auto-flush check [`crate::LiveIndex::add_batch`]
+    /// runs after every ingest. Returns whether a flush happened.
+    pub(crate) fn maybe_flush(&mut self) -> Result<bool> {
         if self.memtable.bytes() >= self.config.flush_threshold_bytes
             || self.memtable.len() >= self.config.flush_threshold_docs
         {
@@ -422,7 +384,7 @@ impl LiveIndex {
     /// Tombstones the document with sequence number `seq`. The document
     /// disappears from queries immediately; its storage is reclaimed by
     /// the next compaction (or flush, for still-buffered documents).
-    pub fn delete(&mut self, seq: DocId) -> Result<()> {
+    pub(crate) fn delete(&mut self, seq: DocId) -> Result<()> {
         if !self.snapshot().physically_present(seq) {
             return Err(Error::UnknownDoc(seq));
         }
@@ -454,7 +416,7 @@ impl LiveIndex {
     /// segments, mines (and so creates the dictionary). Tombstoned buffer
     /// documents are simply not written — their tombstones are consumed.
     /// Returns whether anything was flushed.
-    pub fn flush(&mut self) -> Result<bool> {
+    pub(crate) fn flush(&mut self) -> Result<bool> {
         if self.memtable.is_empty() {
             return Ok(false);
         }
@@ -462,7 +424,6 @@ impl LiveIndex {
         metrics::global()
             .counter("free_live_flushes_total", "Write-buffer flushes")
             .inc();
-        self.record_shape_metrics();
         Ok(true)
     }
 
@@ -475,7 +436,7 @@ impl LiveIndex {
     /// router uses this to restore the cross-shard routing invariant
     /// after a partial batch commit; nothing else should call it.
     /// Returns whether anything was dropped.
-    pub fn truncate_buffer(&mut self, keep_docs: usize) -> Result<bool> {
+    pub(crate) fn truncate_buffer(&mut self, keep_docs: usize) -> Result<bool> {
         if keep_docs >= self.memtable.len() {
             return Ok(false);
         }
@@ -486,18 +447,17 @@ impl LiveIndex {
                 "Write-buffer truncations (sharded crash recovery)",
             )
             .inc();
-        self.record_shape_metrics();
         Ok(true)
     }
 
-    /// Shared core of [`LiveIndex::flush`] and
-    /// [`LiveIndex::truncate_buffer`]: seals the first `keep_docs`
+    /// Shared core of [`Shard::flush`] and
+    /// [`Shard::truncate_buffer`]: seals the first `keep_docs`
     /// buffered documents (minus tombstoned ones) into a segment,
     /// advances `wal_base` past exactly those documents, and resets the
     /// WAL — dropping any buffered tail beyond `keep_docs`. Commit
     /// order (manifest first, then tombstones, then the WAL reset) makes
     /// a crash at any point recoverable via the WAL epoch check in
-    /// [`LiveIndex::open`].
+    /// [`Shard::open`].
     fn seal_buffer_prefix(&mut self, keep_docs: usize, op: &'static str) -> Result<()> {
         let mut span = self.config.engine.tracer.span(op);
         let base = self.manifest.wal_base;
@@ -573,7 +533,7 @@ impl LiveIndex {
     /// the survivors, in sequence order, are copied into a new corpus,
     /// each checked against its stored CRC on the way (a damaged one is
     /// [`Error::Corrupt`] and nothing is committed). The segment is
-    /// indexed one of two ways, as [`LiveIndex::drift`] decides:
+    /// indexed one of two ways, as [`Shard::drift`] decides:
     ///
     /// - *Merge* (the dictionary fits): each dictionary key's postings
     ///   are the segments' lists, concatenated and renumbered, read in
@@ -588,7 +548,7 @@ impl LiveIndex {
     ///
     /// Tombstoned documents are dropped and their tombstones consumed;
     /// sequence numbers are kept. Returns whether anything changed.
-    pub fn compact(&mut self) -> Result<bool> {
+    pub(crate) fn compact(&mut self) -> Result<bool> {
         let mut span = self.config.engine.tracer.span("compact");
         self.flush()?;
         if self.segments.is_empty() {
@@ -607,7 +567,7 @@ impl LiveIndex {
         let mut merge_bytes = 0u64;
         let mut new_segment = None;
         // The flush left every live document in a segment.
-        if self.live_docs() > 0 {
+        if self.published.live_docs() > 0 {
             let id = self.manifest.next_segment_id;
             let written = self.write_compacted(id, drift.remines(), &mut merge_bytes, &mut span);
             // A failed rewrite leaves the committed state as it was.
@@ -654,7 +614,6 @@ impl LiveIndex {
             "Document bytes rewritten by compaction",
         )
         .add(merge_bytes);
-        self.record_shape_metrics();
         span.record("segments_merged", old_ids.len());
         span.record("merge_bytes", merge_bytes);
         Ok(true)
@@ -727,23 +686,6 @@ impl LiveIndex {
         Ok(segment)
     }
 
-    /// Runs `pattern` over the current generation with the configured
-    /// thread count, extracting match spans.
-    pub fn query(&self, pattern: &str) -> Result<LiveQueryResult> {
-        self.snapshot().query(pattern)
-    }
-
-    /// Runs `pattern` with an explicit confirmation thread count.
-    /// Results are identical for any `threads` value.
-    pub fn query_with(
-        &self,
-        pattern: &str,
-        threads: usize,
-        want_spans: bool,
-    ) -> Result<LiveQueryResult> {
-        self.snapshot().query_with(pattern, threads, want_spans)
-    }
-
     /// A snapshot of the index's shape.
     pub fn stats(&self) -> LiveStats {
         let segments: Vec<SegmentStats> = self
@@ -765,7 +707,7 @@ impl LiveIndex {
             memtable_docs: self.memtable.len(),
             memtable_bytes: self.memtable.bytes(),
             tombstones: self.deleted.len(),
-            live_docs: self.live_docs(),
+            live_docs: self.published.live_docs(),
             total_bytes: segments.iter().map(|s| s.data_bytes).sum::<u64>() + self.memtable.bytes(),
             segments,
         }
@@ -775,7 +717,7 @@ impl LiveIndex {
     /// last compaction, counting what the next flush would seal as
     /// flushed: the share of their postings on keys that are useless
     /// among them, each key's count set against [`useful_limit`] for
-    /// their number. This is the decision the next [`LiveIndex::compact`]
+    /// their number. This is the decision the next `Shard::compact`
     /// acts on ([`Drift::remines`]) and what `free segments` reports as
     /// `FA302`. It reads the counts the segments' key directories and the
     /// buffer's runs hold, never a document.
@@ -790,7 +732,7 @@ impl LiveIndex {
         let Some(dict) = self.segments.first().map(|s| &s.index) else {
             return Drift::NONE;
         };
-        if !rewrites || self.live_docs() == 0 {
+        if !rewrites || self.published.live_docs() == 0 {
             return Drift::NONE;
         }
         // Per dictionary key, the new documents holding it. A younger
@@ -853,7 +795,7 @@ impl LiveIndex {
     /// whenever the writer is quiescent; nonzero indicates a
     /// publication bug (surfaced by `free segments` as FA304).
     pub fn snapshot_lag(&self) -> u64 {
-        self.generation - self.snapshot().generation()
+        self.generation - self.published.generation
     }
 
     fn load_tombstones(&mut self) -> Result<()> {
@@ -901,12 +843,6 @@ impl LiveIndex {
             format!("{}\n", self.manifest.wal_epoch),
         )
         .map_err(|e| Error::io("write wal epoch", e))
-    }
-
-    fn record_shape_metrics(&self) {
-        metrics::global()
-            .gauge("free_live_segments", "Sealed segments in the live index")
-            .set(self.segments.len() as i64);
     }
 }
 
@@ -1014,17 +950,17 @@ mod tests {
     fn only_a_remine_drops_the_buffer_matcher() {
         let dir = std::env::temp_dir().join(format!("free-live-matcher-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut live = LiveIndex::create(&dir, LiveConfig::default()).unwrap();
+        let mut live = Shard::create(&dir, LiveConfig::default()).unwrap();
         let same = pages(7, 200);
-        live.add_batch(&same[..100]).unwrap();
+        live.add_batch_deferred(&same[..100]).unwrap();
         live.flush().unwrap();
-        live.add_batch(&same[100..]).unwrap();
+        live.add_batch_deferred(&same[100..]).unwrap();
         assert!(live.matcher.is_some());
         assert!(!live.drift().remines());
         assert!(live.compact().unwrap());
         assert!(live.matcher.is_some(), "a merge keeps the automaton");
 
-        live.add_batch(&pages(99, 100)).unwrap();
+        live.add_batch_deferred(&pages(99, 100)).unwrap();
         assert!(live.drift().remines());
         assert!(live.compact().unwrap());
         assert!(live.matcher.is_none(), "a re-mine drops it");

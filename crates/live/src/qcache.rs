@@ -4,7 +4,7 @@
 //! index mutates only occasionally; between two snapshot publications the
 //! answer to a given pattern cannot change (snapshots are immutable), so
 //! re-running confirmation is pure waste. This cache memoizes full match
-//! lists keyed by `(pattern, span flag)` and stamps each entry with the
+//! lists (with spans) keyed by pattern and stamps each entry with the
 //! **generation** of the snapshot it was computed against. A lookup hits
 //! only when the caller's current generation equals the stamp — every
 //! write that publishes a new snapshot bumps the generation, so the whole
@@ -30,14 +30,6 @@ use std::sync::{Arc, Mutex};
 /// pattern hash is a mask away.
 const SHARDS: usize = 8;
 
-/// Cache key: the pattern plus whether spans were extracted (a
-/// containment-only answer must not satisfy a span request).
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct Key {
-    pattern: String,
-    want_spans: bool,
-}
-
 struct Entry {
     /// Generation of the snapshot the matches were computed against.
     generation: u64,
@@ -46,8 +38,8 @@ struct Entry {
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<Key, Entry>,
-    fifo: VecDeque<Key>,
+    map: HashMap<String, Entry>,
+    fifo: VecDeque<String>,
 }
 
 /// An entry-bounded, sharded, thread-safe query result cache keyed on
@@ -68,7 +60,7 @@ impl QueryCache {
         }
     }
 
-    fn shard(&self, key: &Key) -> &Mutex<Shard> {
+    fn shard(&self, key: &str) -> &Mutex<Shard> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) & (SHARDS - 1)]
@@ -78,20 +70,14 @@ impl QueryCache {
     /// computed against exactly `generation`, counting a hit or miss.
     /// An entry stamped with an older generation is left in place (it
     /// will be overwritten by the next insert) and reported as a miss.
-    pub fn get(
-        &self,
-        pattern: &str,
-        want_spans: bool,
-        generation: u64,
-    ) -> Option<Arc<Vec<LiveMatch>>> {
-        let key = Key {
-            pattern: pattern.to_string(),
-            want_spans,
-        };
-        let shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
+    pub fn get(&self, pattern: &str, generation: u64) -> Option<Arc<Vec<LiveMatch>>> {
+        let shard = self
+            .shard(pattern)
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let found = shard
             .map
-            .get(&key)
+            .get(pattern)
             .filter(|e| e.generation == generation)
             .map(|e| e.matches.clone());
         let registry = free_trace::metrics::global();
@@ -114,17 +100,8 @@ impl QueryCache {
     /// Memoizes a freshly computed answer. An existing entry for the
     /// same pattern (any generation) is replaced in place; the oldest
     /// entries are evicted once the shard exceeds its budget.
-    pub fn insert(
-        &self,
-        pattern: &str,
-        want_spans: bool,
-        generation: u64,
-        matches: Arc<Vec<LiveMatch>>,
-    ) {
-        let key = Key {
-            pattern: pattern.to_string(),
-            want_spans,
-        };
+    pub fn insert(&self, pattern: &str, generation: u64, matches: Arc<Vec<LiveMatch>>) {
+        let key = pattern.to_string();
         let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
         let entry = Entry {
             generation,
@@ -181,30 +158,22 @@ mod tests {
     #[test]
     fn hit_only_at_the_same_generation() {
         let cache = QueryCache::new(64);
-        assert!(cache.get("needle", true, 7).is_none());
-        cache.insert("needle", true, 7, matches(&[1, 4]));
-        let hit = cache.get("needle", true, 7).expect("hit at generation 7");
+        assert!(cache.get("needle", 7).is_none());
+        cache.insert("needle", 7, matches(&[1, 4]));
+        let hit = cache.get("needle", 7).expect("hit at generation 7");
         assert_eq!(hit.len(), 2);
         // A publish bumps the generation: the entry silently stops
         // matching — invalidation without touching the cache.
-        assert!(cache.get("needle", true, 8).is_none());
-    }
-
-    #[test]
-    fn span_flag_is_part_of_the_key() {
-        let cache = QueryCache::new(64);
-        cache.insert("needle", false, 1, matches(&[2]));
-        assert!(cache.get("needle", true, 1).is_none());
-        assert!(cache.get("needle", false, 1).is_some());
+        assert!(cache.get("needle", 8).is_none());
     }
 
     #[test]
     fn newer_generation_replaces_in_place() {
         let cache = QueryCache::new(64);
-        cache.insert("p", true, 1, matches(&[1]));
-        cache.insert("p", true, 2, matches(&[1, 2]));
-        assert!(cache.get("p", true, 1).is_none());
-        assert_eq!(cache.get("p", true, 2).expect("hit").len(), 2);
+        cache.insert("p", 1, matches(&[1]));
+        cache.insert("p", 2, matches(&[1, 2]));
+        assert!(cache.get("p", 1).is_none());
+        assert_eq!(cache.get("p", 2).expect("hit").len(), 2);
         assert_eq!(cache.len(), 1, "replacement must not duplicate the key");
     }
 
@@ -212,7 +181,7 @@ mod tests {
     fn fifo_eviction_bounds_entries() {
         let cache = QueryCache::new(SHARDS * 2);
         for i in 0..64 {
-            cache.insert(&format!("p{i}"), true, 1, matches(&[i]));
+            cache.insert(&format!("p{i}"), 1, matches(&[i]));
         }
         assert!(cache.len() <= SHARDS * 2);
     }

@@ -19,7 +19,7 @@
 use crate::cursor::{OffsetCursor, SeqMapCursor, TombstoneFilterCursor};
 use crate::error::{Error, Result};
 use crate::memtable::BufferIndex;
-use crate::snapshot::Snapshot;
+use crate::snapshot::ShardSnapshot;
 use crate::view::LiveView;
 use free_corpus::DocId;
 use free_engine::exec::stream::{
@@ -37,7 +37,7 @@ use std::time::Instant;
 /// Per-request execution options: the request-scoped counterpart to the
 /// index-wide [`crate::LiveConfig`]. `threads = 0` means "use the configured
 /// default"; the budget defaults to unlimited, so `QueryOpts::default()`
-/// reproduces the classic `query()` behaviour exactly.
+/// is what [`crate::Snapshot::query`] runs with.
 #[derive(Clone, Debug)]
 pub struct QueryOpts {
     /// Confirmation thread count; `0` uses the engine config's value.
@@ -113,36 +113,6 @@ impl LiveQueryResult {
     }
 }
 
-/// Runs `pattern` over the live index view: builds the regex and logical
-/// plan, then executes them via [`execute_prepared`].
-pub(crate) fn execute(
-    snapshot: &Snapshot,
-    pattern: &str,
-    threads: usize,
-    want_spans: bool,
-    budget: &RequestBudget,
-) -> Result<LiveQueryResult> {
-    let econfig = &snapshot.config.engine;
-    let mut query_span = econfig.tracer.span("live.query");
-    query_span.record("pattern", pattern);
-    query_span.record("generation", snapshot.generation);
-    let prep_start = Instant::now();
-    let prepared = PreparedQuery::new_traced(pattern, econfig.class_expand_limit, &query_span)?;
-    let prep_time = prep_start.elapsed();
-    let mut result = execute_prepared(
-        snapshot,
-        &prepared,
-        threads,
-        want_spans,
-        budget,
-        &query_span,
-    )?;
-    result.stats.base.plan_time += prep_time;
-    free_engine::record_query(free_trace::metrics::global(), &result.stats.base);
-    emit_qlog(pattern, &result.stats, want_spans);
-    Ok(result)
-}
-
 /// Appends one record for a finished live query to the durable query
 /// log (no-op when none is installed). Live confirmation always runs to
 /// exhaustion, so records are `complete`, and they carry the plan's
@@ -167,8 +137,8 @@ pub(crate) fn emit_qlog(pattern: &str, stats: &LiveQueryStats, want_spans: bool)
 }
 
 /// A pattern parsed and logically planned once, reusable across every
-/// shard it executes against. A sharded index prepares one of these and
-/// fans it out to all shards; only the *physical* plan (which depends on
+/// shard it executes against. A query prepares one of these and fans it
+/// out to all shards; only the *physical* plan (which depends on
 /// each shard's dictionary) is derived per execution.
 pub(crate) struct PreparedQuery {
     pattern: String,
@@ -193,15 +163,15 @@ impl PreparedQuery {
     }
 }
 
-/// Runs an already-prepared query over one live index view. The caller
-/// owns query-span creation and metrics recording, so a fan-out over N
-/// shards pays regex parsing and logical planning once and records one
-/// query.
+/// Runs an already-prepared query over one shard's view. The caller
+/// ([`crate::Snapshot::query_opts`]) owns query-span creation and
+/// metrics recording, so a fan-out over N shards pays regex parsing and
+/// logical planning once and records one query.
 // `expect`: `compile_plan` returns `None` only for scan plans, which
 // the compiling branch excludes; `pop()` sits in the `len == 1` arm.
 #[allow(clippy::expect_used)]
 pub(crate) fn execute_prepared(
-    snapshot: &Snapshot,
+    snapshot: &ShardSnapshot,
     prepared: &PreparedQuery,
     threads: usize,
     want_spans: bool,

@@ -6,7 +6,7 @@
 //! uses (`SegmentWriter::mine`: [`free_engine::select_keys`], then
 //! [`free_engine::build_index`]): the first flush into an index with no
 //! segments, and a compaction that finds the new documents drifted from
-//! the dictionary (`LiveIndex::drift`). Every other segment is sealed over exactly the
+//! the dictionary (`Shard::drift`). Every other segment is sealed over exactly the
 //! dictionary's keys by the one postings writer (`SegmentWriter::seal`
 //! with the `postings` module): a flush writes the postings the write
 //! buffer recorded as documents arrived, and a merging compaction

@@ -1,19 +1,18 @@
-//! Sharded live index: N independent [`LiveIndex`] partitions behind one
-//! deterministic router.
+//! The live index: N >= 1 [`Shard`]s behind one deterministic router.
 //!
-//! The single-writer live index caps build throughput and query fan-out
-//! at one WAL / memtable / segment set. A [`ShardedLiveIndex`] splits the
-//! sequence space round-robin over `N` shards fixed at create time:
-//! global sequence `g` lives in shard `g % N` as local sequence `g / N`
-//! (inverse: `g = local * N + shard`). Routing is therefore O(1) in both
-//! directions, needs no persisted mapping, and keeps every shard's local
-//! sequence space contiguous — each shard is a completely ordinary
-//! [`LiveIndex`] directory that flush, compaction, crash recovery, and
-//! `fsck` already understand.
+//! A [`LiveIndex`] splits the sequence space round-robin over `N` shards
+//! fixed at create time: global sequence `g` lives in shard `g % N` as
+//! local sequence `g / N` (inverse: `g = local * N + shard`). Routing is
+//! therefore O(1) in both directions, needs no persisted mapping, and
+//! keeps every shard's local sequence space contiguous — each shard is a
+//! completely ordinary live directory that flush, compaction, crash
+//! recovery, and `fsck` already understand. With one shard, local and
+//! global sequences coincide.
 //!
 //! On disk, a live directory is N >= 1 shards. One shard is rooted at
-//! the directory itself — exactly the files [`LiveIndex::create`] writes,
-//! no sharded manifest — and N > 1 live under `shard-<s>/`:
+//! the directory itself — what [`LiveIndex::create`] writes, no sharded
+//! manifest — and N > 1 live under `shard-<s>/`
+//! ([`LiveIndex::create_sharded`]):
 //!
 //! ```text
 //! <dir>/sharded.manifest   CRC-checksummed `FREESHRD 1` header, shards=N
@@ -25,33 +24,32 @@
 //! versions wrote, still opens.)
 //!
 //! Writes route each document to its shard (batches split and commit to
-//! the per-shard WALs in parallel); flush and compaction run across all
-//! shards on scoped threads. Batch commits are all-or-nothing: auto-
-//! flush checks are deferred until every shard's WAL holds its part, so
-//! an interrupted commit — a shard's I/O error, or a crash — can only
+//! the per-shard WALs, in parallel when N > 1); flush and compaction run
+//! across all shards on scoped threads. Batch commits are all-or-nothing:
+//! auto-flush checks are deferred until every shard's WAL holds its part,
+//! so an interrupted commit — a shard's I/O error, or a crash — can only
 //! strand excess documents in shard WALs. A runtime failure rolls the
-//! committed shards back immediately ([`LiveIndex::truncate_buffer`]);
-//! a crash is repaired at the next open, which truncates every shard
-//! back to the longest consistent round-robin prefix — the same
-//! discard-the-unacknowledged-tail semantics as unsharded WAL recovery.
-//! After every mutation the writer republishes
-//! a composite [`ShardedSnapshot`] — an `Arc`'d vector of per-shard
-//! [`Snapshot`]s swapped atomically in one cell — so a reader can never
-//! observe a torn cross-shard state. Queries plan once (regex parse +
-//! logical plan), execute per shard against that consistent vector, and
-//! k-way-merge the per-shard match streams back into exact global
-//! sequence order: results are byte-identical to an unsharded index over
-//! the same schedule, for any shard count and any confirmation thread
-//! count (`tests/proptest_shard.rs` pins this differentially).
+//! committed shards back immediately (`Shard::truncate_buffer`); a
+//! crash is repaired at the next open, which truncates every shard back
+//! to the longest consistent round-robin prefix — the same
+//! discard-the-unacknowledged-tail semantics as WAL recovery inside one
+//! shard. After every mutation the writer republishes one [`Snapshot`] —
+//! an `Arc`'d vector of per-shard views swapped atomically in one cell —
+//! so a reader can never observe a torn cross-shard state. Queries plan
+//! once (regex parse + logical plan), execute per shard against that
+//! consistent vector (inline for one shard), and k-way-merge the
+//! per-shard match streams back into exact global sequence order:
+//! results are byte-identical for any shard count and any confirmation
+//! thread count (`tests/proptest_shard.rs` pins this differentially).
 
 use crate::error::{Error, Result};
 use crate::manifest::{read_checksummed, write_checksummed};
 use crate::query::{
     execute_prepared, LiveMatch, LiveQueryResult, LiveQueryStats, PreparedQuery, QueryOpts,
 };
-use crate::snapshot::{Snapshot, SnapshotCell};
+use crate::snapshot::{ShardSnapshot, SnapshotCell};
 use crate::stats::LiveStats;
-use crate::{LiveConfig, LiveIndex, Manifest};
+use crate::{LiveConfig, Manifest, Shard};
 use free_corpus::DocId;
 use free_engine::{partition_threads, QueryStats};
 use free_trace::metrics::{self, Counter, Gauge, Histogram};
@@ -219,12 +217,13 @@ pub fn recoverable_next_seq(locals: &[DocId]) -> DocId {
 /// restoring the routing invariant after an interrupted parallel batch
 /// commit. Fails with [`Error::Corrupt`] if an excess document is
 /// already sealed into a segment — batch commits defer flushes until
-/// the whole batch is durable, so only damage from outside the writer
-/// can produce that shape, and truncating sealed (acknowledged) data
-/// would destroy documents a caller was told were committed.
-fn repair_routing(shards: &mut [LiveIndex]) -> Result<()> {
+/// every shard's WAL holds the whole batch, so only damage from outside
+/// the writer can produce that shape, and truncating sealed
+/// (acknowledged) data would destroy documents a caller was told were
+/// committed.
+fn repair_routing(shards: &mut [Shard]) -> Result<()> {
     let n = shards.len();
-    let locals: Vec<DocId> = shards.iter().map(LiveIndex::next_seq).collect();
+    let locals: Vec<DocId> = shards.iter().map(Shard::next_seq).collect();
     let g = recoverable_next_seq(&locals);
     for (s, shard) in shards.iter_mut().enumerate() {
         let target = shard_local_count(g, s, n);
@@ -312,19 +311,25 @@ fn shard_metrics(shard: usize) -> ShardMetrics {
     }
 }
 
-/// A live index partitioned over N single-writer shards (see the module
-/// docs for the routing scheme and on-disk layout).
+/// An LSM-style incrementally updatable index over the FREE engine,
+/// partitioned over N >= 1 single-writer [`Shard`]s (see the module docs
+/// for the routing scheme and on-disk layout).
 ///
-/// The public surface mirrors [`LiveIndex`] — `add_batch`, `delete`,
-/// `flush`, `compact`, `query_with`, `reader` — but every sequence
-/// number crossing the API boundary is *global*; locals never escape.
-pub struct ShardedLiveIndex {
-    dir: PathBuf,
-    shards: Vec<LiveIndex>,
+/// Mutations — `add_batch`, `delete`, `flush`, `compact` — take
+/// `&mut self`; every sequence number crossing the API boundary is
+/// *global*, locals never escape. Reads go through the immutable
+/// [`Snapshot`] republished (an atomic `Arc` swap) after every mutation,
+/// so a [`LiveQueryResult`] always reflects exactly one generation — and
+/// any number of [`LiveReader`] threads can query concurrently without
+/// ever blocking on a flush or compaction.
+pub struct LiveIndex {
+    shards: Vec<Shard>,
     generation: u64,
     next_seq: DocId,
-    published: Arc<SnapshotCell<ShardedSnapshot>>,
+    published: Arc<SnapshotCell<Snapshot>>,
     metrics: Arc<[ShardMetrics]>,
+    /// `free_live_segments`: sealed segments over every shard.
+    segments: Gauge,
     /// Set when a partial batch commit could not be rolled back: the
     /// router's sequence cursor no longer agrees with shard state, so
     /// further mutations would assign wrong global sequences. Mutating
@@ -333,18 +338,26 @@ pub struct ShardedLiveIndex {
     poisoned: Option<String>,
 }
 
-impl ShardedLiveIndex {
+impl LiveIndex {
+    /// Creates a new live index of one shard rooted at `dir` itself (what
+    /// `free create` without `--shards` writes). Fails with
+    /// [`Error::AlreadyExists`] if `dir` already holds a live index of
+    /// either layout.
+    pub fn create(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
+        LiveIndex::create_sharded(dir, config, 1)
+    }
+
     /// Creates a new live index with `shards` partitions, fixed for the
     /// lifetime of the directory: one shard is rooted at `dir` itself
     /// (the bytes [`LiveIndex::create`] writes), more go under
     /// `shard-<s>/` behind a sharded manifest. Fails with
     /// [`Error::AlreadyExists`] if `dir` already holds a live index of
     /// either layout.
-    pub fn create(
+    pub fn create_sharded(
         dir: impl AsRef<Path>,
         config: LiveConfig,
         shards: usize,
-    ) -> Result<ShardedLiveIndex> {
+    ) -> Result<LiveIndex> {
         let dir = dir.as_ref();
         let manifest = ShardedManifest {
             shards,
@@ -359,43 +372,45 @@ impl ShardedLiveIndex {
             return Err(Error::AlreadyExists(dir.to_path_buf()));
         }
         if shards == 1 {
-            return ShardedLiveIndex::assemble(dir, vec![LiveIndex::create(dir, config)?]);
+            return LiveIndex::assemble(vec![Shard::create(dir, config)?]);
         }
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::io(format!("create {}", dir.display()), e))?;
         manifest.store(dir)?;
         let indexes = (0..shards)
-            .map(|s| LiveIndex::create(shard_dir(dir, s), config.clone()))
+            .map(|s| Shard::create(shard_dir(dir, s), config.clone()))
             .collect::<Result<Vec<_>>>()?;
-        ShardedLiveIndex::assemble(dir, indexes)
+        LiveIndex::assemble(indexes)
     }
 
     /// Opens an existing live index. A directory with a `FREELIVE`
     /// manifest and no sharded manifest is one shard rooted at `dir`;
-    /// otherwise the shard count comes from the sharded manifest. The
-    /// global sequence cursor is reconstructed from the shards' local
-    /// cursors, which also re-proves the round-robin routing invariant.
+    /// otherwise the shard count comes from the sharded manifest. Each
+    /// shard replays its WAL into its write buffer and discards any state
+    /// a crash left uncommitted. The global sequence cursor is
+    /// reconstructed from the shards' local cursors, which also re-proves
+    /// the round-robin routing invariant.
     ///
     /// A crash (or unrecoverable I/O failure) during a parallel batch
     /// commit can leave some shards holding documents of a batch other
     /// shards never committed. Those documents were never acknowledged
     /// — the batch's `add_batch` never returned — so recovery truncates
     /// every over-committed shard's buffered tail back to the longest
-    /// consistent round-robin prefix, exactly as unsharded WAL recovery
-    /// discards an uncommitted batch suffix. Divergence the truncation
-    /// cannot repair (excess documents already sealed into segments,
-    /// which no crash of the batch path can produce) surfaces as
-    /// [`Error::Corrupt`].
-    pub fn open(dir: impl AsRef<Path>, config: LiveConfig) -> Result<ShardedLiveIndex> {
+    /// consistent round-robin prefix, exactly as WAL recovery inside a
+    /// shard discards an uncommitted batch suffix. Divergence the
+    /// truncation cannot repair (excess documents already sealed into
+    /// segments, which no crash of the batch path can produce) surfaces
+    /// as [`Error::Corrupt`].
+    pub fn open(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
         let dir = dir.as_ref();
         if Manifest::exists(dir) && !ShardedManifest::exists(dir) {
-            return ShardedLiveIndex::assemble(dir, vec![LiveIndex::open(dir, config)?]);
+            return LiveIndex::assemble(vec![Shard::open(dir, config)?]);
         }
         let manifest = ShardedManifest::load(dir)?;
         let mut indexes = (0..manifest.shards)
-            .map(|s| LiveIndex::open(shard_dir(dir, s), config.clone()))
+            .map(|s| Shard::open(shard_dir(dir, s), config.clone()))
             .collect::<Result<Vec<_>>>()?;
-        let locals: Vec<DocId> = indexes.iter().map(LiveIndex::next_seq).collect();
+        let locals: Vec<DocId> = indexes.iter().map(Shard::next_seq).collect();
         if derive_next_seq(&locals).is_err() {
             repair_routing(&mut indexes)?;
             metrics::global()
@@ -405,38 +420,34 @@ impl ShardedLiveIndex {
                 )
                 .inc();
         }
-        ShardedLiveIndex::assemble(dir, indexes)
+        LiveIndex::assemble(indexes)
     }
 
-    /// Opens `dir` if it holds a live index of either layout, creates it
-    /// with `shards` partitions otherwise.
-    pub fn open_or_create(
-        dir: impl AsRef<Path>,
-        config: LiveConfig,
-        shards: usize,
-    ) -> Result<ShardedLiveIndex> {
+    /// Opens `dir` if it holds a live index of either layout, creates a
+    /// one-shard index there otherwise.
+    pub fn open_or_create(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
         let dir = dir.as_ref();
         if ShardedManifest::exists(dir) || Manifest::exists(dir) {
-            ShardedLiveIndex::open(dir, config)
+            LiveIndex::open(dir, config)
         } else {
-            ShardedLiveIndex::create(dir, config, shards)
+            LiveIndex::create(dir, config)
         }
     }
 
-    fn assemble(dir: &Path, shards: Vec<LiveIndex>) -> Result<ShardedLiveIndex> {
-        let locals: Vec<DocId> = shards.iter().map(LiveIndex::next_seq).collect();
+    fn assemble(shards: Vec<Shard>) -> Result<LiveIndex> {
+        let locals: Vec<DocId> = shards.iter().map(Shard::next_seq).collect();
         let next_seq = derive_next_seq(&locals)?;
-        let generation = shards.iter().map(LiveIndex::generation).sum();
+        let generation = shards.iter().map(Shard::generation).sum();
         let metrics: Arc<[ShardMetrics]> = (0..shards.len()).map(shard_metrics).collect();
-        let initial = Arc::new(ShardedSnapshot {
-            shards: shards.iter().map(LiveIndex::snapshot).collect(),
+        let initial = Arc::new(Snapshot {
+            shards: shards.iter().map(Shard::snapshot).collect(),
             metrics: metrics.clone(),
             generation,
-            next_seq,
         });
-        let index = ShardedLiveIndex {
-            dir: dir.to_path_buf(),
+        let index = LiveIndex {
             metrics,
+            segments: metrics::global()
+                .gauge("free_live_segments", "Sealed segments in the live index"),
             shards,
             generation,
             next_seq,
@@ -445,11 +456,6 @@ impl ShardedLiveIndex {
         };
         index.publish();
         Ok(index)
-    }
-
-    /// The index directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Number of shards, fixed at create time.
@@ -462,7 +468,8 @@ impl ShardedLiveIndex {
         self.shards[0].config()
     }
 
-    /// Composite mutation counter: bumped on every mutating call.
+    /// Mutation counter: bumped on every mutating call that changed
+    /// something, so two equal generations imply identical query results.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -474,12 +481,12 @@ impl ShardedLiveIndex {
 
     /// Total sealed segments across all shards.
     pub fn num_segments(&self) -> usize {
-        self.shards.iter().map(LiveIndex::num_segments).sum()
+        self.shards.iter().map(Shard::num_segments).sum()
     }
 
     /// Total live (queryable) documents across all shards.
     pub fn live_docs(&self) -> usize {
-        self.shards.iter().map(LiveIndex::live_docs).sum()
+        self.snapshot().live_docs()
     }
 
     /// Global sequence numbers of all live documents, ascending.
@@ -492,45 +499,68 @@ impl ShardedLiveIndex {
         self.snapshot().get(seq)
     }
 
-    /// The most recently published composite snapshot.
-    pub fn snapshot(&self) -> Arc<ShardedSnapshot> {
+    /// The most recently published snapshot. Mutating methods publish
+    /// before returning, so between mutations this is exactly the
+    /// writer's in-memory state.
+    pub fn snapshot(&self) -> Arc<Snapshot> {
         self.published.load()
     }
 
     /// A cheap, cloneable handle other threads can use to query the
-    /// sharded index concurrently with this writer.
-    pub fn reader(&self) -> ShardedReader {
-        ShardedReader {
+    /// index concurrently with this writer. Readers always see the
+    /// freshest published generation and never block on mutations.
+    pub fn reader(&self) -> LiveReader {
+        LiveReader {
             cell: self.published.clone(),
         }
     }
 
-    /// Per-shard statistics, indexed by shard number. Sequence-space
-    /// fields (`next_seq`, segment ranges) are in each shard's *local*
-    /// space.
-    pub fn shard_stats(&self) -> Vec<LiveStats> {
-        self.shards.iter().map(LiveIndex::stats).collect()
+    /// The index's shape: the shards' document, byte and tombstone counts
+    /// summed, the index's own `generation` and global `next_seq`, and
+    /// every shard's segments in shard order (their sequence ranges local
+    /// to their shard).
+    pub fn stats(&self) -> LiveStats {
+        let mut total = LiveStats {
+            generation: self.generation,
+            next_seq: self.next_seq,
+            ..LiveStats::default()
+        };
+        for shard in self.shards.iter().map(Shard::stats) {
+            total.segments.extend(shard.segments);
+            total.memtable_docs += shard.memtable_docs;
+            total.memtable_bytes += shard.memtable_bytes;
+            total.tombstones += shard.tombstones;
+            total.live_docs += shard.live_docs;
+            total.total_bytes += shard.total_bytes;
+        }
+        total
     }
 
     /// Read-only access to the underlying shards, indexed by shard
     /// number (for per-shard inspection: stats, drift probes, health).
-    pub fn shards(&self) -> &[LiveIndex] {
+    /// Sequence-space fields are in each shard's *local* space.
+    pub fn shards(&self) -> &[Shard] {
         &self.shards
     }
 
-    /// Adds one document, returning its global sequence number.
+    /// Adds one document, returning its global sequence number; may
+    /// trigger an automatic flush.
     pub fn add(&mut self, doc: &[u8]) -> Result<DocId> {
         Ok(self.add_batch(&[doc])?[0])
     }
 
     /// Adds a batch of documents, returning their global sequence
     /// numbers. The batch is split per shard by the round-robin router
-    /// and committed to the per-shard WALs in parallel on scoped
-    /// threads; per-shard auto-flush checks run only after *every*
-    /// shard has committed, so an interrupted commit never leaves
-    /// excess documents anywhere but shard WALs. The composite snapshot
-    /// is republished once the whole batch is durable, so readers see
-    /// the whole batch or none of it.
+    /// and committed to the per-shard WALs (in parallel on scoped
+    /// threads when N > 1), one append per shard; per-shard auto-flush
+    /// checks run only after *every* shard has committed, so an
+    /// interrupted commit never leaves excess documents anywhere but
+    /// shard WALs. The snapshot is republished once every shard's WAL
+    /// holds its part, so readers see the whole batch or none of it.
+    ///
+    /// On return the batch is committed to the WAL files in the page
+    /// cache: it survives a crash of this process, not a power loss or a
+    /// kernel crash, since nothing is synced to the disk (ROADMAP item 3).
     ///
     /// The batch is all-or-nothing: if any shard's commit fails, shards
     /// that did commit are rolled back (their buffered tails truncated)
@@ -539,7 +569,7 @@ impl ShardedLiveIndex {
     /// itself fails the writer is *poisoned*: every further mutation
     /// fails with [`Error::Corrupt`] naming both failures, reads keep
     /// working off the last consistent snapshot, and reopening the
-    /// index repairs the divergence (see [`ShardedLiveIndex::open`]).
+    /// index repairs the divergence (see [`LiveIndex::open`]).
     // `expect` on `join()`: re-raising a shard worker's panic on the
     // coordinating thread is the correct way to propagate it.
     #[allow(clippy::expect_used)]
@@ -596,9 +626,9 @@ impl ShardedLiveIndex {
         self.next_seq = end as DocId;
         self.generation += 1;
         self.publish();
-        // Deferred auto-flush, now that the whole batch is durable: a
-        // crash from here on leaves a legal round-robin shape.
-        self.for_each_shard(LiveIndex::maybe_flush)?;
+        // Deferred auto-flush, now that every shard's WAL holds the whole
+        // batch: a crash from here on leaves a legal round-robin shape.
+        self.for_each_shard(Shard::maybe_flush)?;
         Ok((g0..self.next_seq).collect())
     }
 
@@ -651,7 +681,7 @@ impl ShardedLiveIndex {
     }
 
     /// Fails with the poisoning message while the writer is unusable
-    /// (see [`ShardedLiveIndex::add_batch`]).
+    /// (see [`LiveIndex::add_batch`]).
     fn ensure_usable(&self) -> Result<()> {
         match &self.poisoned {
             Some(msg) => Err(Error::Corrupt(format!(
@@ -662,7 +692,10 @@ impl ShardedLiveIndex {
         }
     }
 
-    /// Tombstones the document with global sequence number `seq`.
+    /// Tombstones the document with global sequence number `seq`. The
+    /// document disappears from queries immediately; its storage is
+    /// reclaimed by the next compaction (or flush, for still-buffered
+    /// documents).
     pub fn delete(&mut self, seq: DocId) -> Result<()> {
         self.ensure_usable()?;
         let n = self.shards.len() as DocId;
@@ -674,47 +707,28 @@ impl ShardedLiveIndex {
         Ok(())
     }
 
-    /// Seals every shard's write buffer, in parallel. Returns whether
-    /// any shard flushed anything.
+    /// Seals every shard's write buffer into a new immutable segment, in
+    /// parallel (see `Shard::flush`). Returns whether any shard flushed
+    /// anything.
     pub fn flush(&mut self) -> Result<bool> {
         self.ensure_usable()?;
-        self.for_each_shard(LiveIndex::flush)
+        self.for_each_shard(Shard::flush)
     }
 
-    /// Compacts every shard, in parallel. Returns whether any shard
-    /// compacted anything.
+    /// Compacts every shard, in parallel: each rewrites its surviving
+    /// documents into one segment (see `Shard::compact`). Returns
+    /// whether any shard compacted anything.
     pub fn compact(&mut self) -> Result<bool> {
         self.ensure_usable()?;
-        self.for_each_shard(LiveIndex::compact)
+        self.for_each_shard(Shard::compact)
     }
 
-    /// Runs `pattern` over the current composite snapshot with the
-    /// configured thread count, extracting match spans.
-    pub fn query(&self, pattern: &str) -> Result<LiveQueryResult> {
-        self.snapshot().query(pattern)
-    }
-
-    /// Runs `pattern` with an explicit confirmation thread count.
-    /// Results are identical for any `threads` value and any shard
-    /// count.
-    pub fn query_with(
-        &self,
-        pattern: &str,
-        threads: usize,
-        want_spans: bool,
-    ) -> Result<LiveQueryResult> {
-        self.snapshot().query_with(pattern, threads, want_spans)
-    }
-
-    /// Runs a maintenance operation on every shard in parallel on
-    /// scoped threads, then republishes the composite snapshot.
+    /// Runs a maintenance operation on every shard (in parallel on
+    /// scoped threads when N > 1), then republishes the snapshot.
     // `expect` on `join()`: re-raising a shard worker's panic on the
     // coordinating thread is the correct way to propagate it.
     #[allow(clippy::expect_used)]
-    fn for_each_shard(
-        &mut self,
-        op: impl Fn(&mut LiveIndex) -> Result<bool> + Sync,
-    ) -> Result<bool> {
+    fn for_each_shard(&mut self, op: impl Fn(&mut Shard) -> Result<bool> + Sync) -> Result<bool> {
         let outcomes: Vec<Result<bool>> = if self.shards.len() == 1 {
             vec![op(&mut self.shards[0])]
         } else {
@@ -750,21 +764,23 @@ impl ShardedLiveIndex {
         Ok(any)
     }
 
-    /// Builds and publishes the composite snapshot. The per-shard
-    /// snapshot `Arc`s are collected *after* all shard mutations of the
-    /// current operation completed (this type is single-writer), so the
-    /// stored vector is always a consistent cross-shard cut.
+    /// Builds and publishes the snapshot. The per-shard snapshot `Arc`s
+    /// are collected *after* all shard mutations of the current
+    /// operation completed (this type is single-writer), so the stored
+    /// vector is always a consistent cross-shard cut.
     fn publish(&self) {
-        let snaps: Vec<Arc<Snapshot>> = self.shards.iter().map(LiveIndex::snapshot).collect();
+        let snaps: Vec<Arc<ShardSnapshot>> = self.shards.iter().map(Shard::snapshot).collect();
+        let mut segments = 0;
         for (snap, m) in snaps.iter().zip(self.metrics.iter()) {
             m.live_docs.set(snap.live_docs() as i64);
             m.segments.set(snap.segments.len() as i64);
+            segments += snap.segments.len();
         }
-        self.published.store(Arc::new(ShardedSnapshot {
+        self.segments.set(segments as i64);
+        self.published.store(Arc::new(Snapshot {
             shards: snaps,
             metrics: self.metrics.clone(),
             generation: self.generation,
-            next_seq: self.next_seq,
         }));
     }
 }
@@ -779,50 +795,28 @@ fn remap_seq_err(e: Error, global: DocId) -> Error {
     }
 }
 
-/// A frozen, consistent cross-shard view: one [`Snapshot`] per shard,
-/// all taken after the same mutation, swapped in and out atomically as a
-/// unit. All read operations are `&self` and thread-safe.
-pub struct ShardedSnapshot {
-    shards: Vec<Arc<Snapshot>>,
+/// A frozen, shareable view of the live index at one generation: one
+/// per-shard view per shard, all taken after the same mutation, swapped
+/// in and out atomically as a unit.
+///
+/// All read operations (`get`, `live_seqs`, `query`, …) are `&self` and
+/// thread-safe; the view never changes once published, so two calls at
+/// any distance in time return identical results.
+pub struct Snapshot {
+    shards: Vec<Arc<ShardSnapshot>>,
     metrics: Arc<[ShardMetrics]>,
     generation: u64,
-    next_seq: DocId,
 }
 
-impl ShardedSnapshot {
-    /// Number of shards in this view.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Composite generation this snapshot was published at.
+impl Snapshot {
+    /// The generation this snapshot was published at.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The next global sequence number, as of this snapshot.
-    pub fn next_seq(&self) -> DocId {
-        self.next_seq
-    }
-
-    /// The per-shard snapshot of shard `s`.
-    pub fn shard(&self, s: usize) -> &Snapshot {
-        &self.shards[s]
     }
 
     /// Total live (queryable) documents across all shards.
     pub fn live_docs(&self) -> usize {
         self.shards.iter().map(|s| s.live_docs()).sum()
-    }
-
-    /// Total tombstones visible across all shards.
-    pub fn num_tombstones(&self) -> usize {
-        self.shards.iter().map(|s| s.num_tombstones()).sum()
-    }
-
-    /// Total sealed segments across all shards.
-    pub fn num_segments(&self) -> usize {
-        self.shards.iter().map(|s| s.num_segments()).sum()
     }
 
     /// Global sequence numbers of all live documents, ascending.
@@ -847,47 +841,31 @@ impl ShardedSnapshot {
     /// Runs `pattern` over this view with the configured thread count,
     /// extracting match spans.
     pub fn query(&self, pattern: &str) -> Result<LiveQueryResult> {
-        let threads = self.shards[0].config.engine.effective_threads();
-        self.query_with(pattern, threads, true)
+        self.query_opts(pattern, &QueryOpts::default())
     }
 
-    /// Runs `pattern` over every shard of this view and merges the
-    /// per-shard result streams back into exact global sequence order.
+    /// Runs `pattern` over every shard of this view with full per-request
+    /// options (thread count, span extraction, deadline/cancellation
+    /// budget) and merges the per-shard result streams back into exact
+    /// global sequence order.
     ///
     /// The regex is parsed and logically planned **once**; only the
-    /// physical plan (a function of each source's own index) is derived
-    /// per shard. Shards execute in parallel on scoped threads, each
-    /// with a slice of the confirmation-thread budget
-    /// ([`partition_threads`]), and each shard's matches — ascending in
-    /// local sequence, therefore ascending in global sequence after the
-    /// `local * N + shard` lift — feed a k-way merge. Results are
-    /// identical to an unsharded index over the same documents for any
+    /// physical plan (a function of each shard's own dictionary) is
+    /// derived per shard. With more than one shard, shards execute in
+    /// parallel on scoped threads, each with a slice of the
+    /// confirmation-thread budget ([`partition_threads`]), and each
+    /// shard's matches — ascending in local sequence, therefore ascending
+    /// in global sequence after the `local * N + shard` lift — feed a
+    /// k-way merge. Results are identical for any shard count and any
     /// `threads` value.
     ///
-    /// With [`free_engine::ScanPolicy::Reject`], the query is rejected
-    /// if *any* shard with candidate sources degenerates to a scan over
-    /// its partition.
-    pub fn query_with(
-        &self,
-        pattern: &str,
-        threads: usize,
-        want_spans: bool,
-    ) -> Result<LiveQueryResult> {
-        self.query_opts(
-            pattern,
-            &QueryOpts {
-                threads,
-                want_spans,
-                ..QueryOpts::default()
-            },
-        )
-    }
-
-    /// [`ShardedSnapshot::query_with`] with full per-request options.
     /// The request budget is shared by every shard of the fan-out: one
     /// expired deadline or tripped cancel token stops all shard workers
     /// at their next confirmation batch boundary, and the whole query
-    /// returns the structured error.
+    /// returns a structured [`Error::Timeout`] / [`Error::Cancelled`] —
+    /// never partial results. With [`free_engine::ScanPolicy::Reject`],
+    /// the query is rejected if *any* shard with candidate sources
+    /// degenerates to a scan over its partition.
     // `expect` on `join()`: re-raising a shard query worker's panic on
     // the coordinating thread is the correct way to propagate it.
     #[allow(clippy::expect_used)]
@@ -901,7 +879,7 @@ impl ShardedSnapshot {
         };
         let want_spans = opts.want_spans;
         let req_budget = &opts.budget;
-        let mut query_span = econfig.tracer.span("live.query.sharded");
+        let mut query_span = econfig.tracer.span("live.query");
         query_span.record("pattern", pattern);
         query_span.record("generation", self.generation);
         query_span.record("shards", self.shards.len() as u64);
@@ -1011,29 +989,26 @@ impl ShardedSnapshot {
     }
 }
 
-/// A cheap, cloneable, `Send + Sync` handle for querying a sharded live
-/// index from any thread while the writer keeps ingesting. Each
-/// [`ShardedReader::snapshot`] call returns the freshest published
-/// composite view.
+/// A cheap, cloneable, `Send + Sync` handle for querying the live index
+/// from any thread while the writer keeps ingesting.
+///
+/// Obtained from [`LiveIndex::reader`]. Each [`LiveReader::snapshot`]
+/// call returns the freshest published view; hold the returned
+/// [`Snapshot`] to pin a generation across several reads.
 #[derive(Clone)]
-pub struct ShardedReader {
-    cell: Arc<SnapshotCell<ShardedSnapshot>>,
+pub struct LiveReader {
+    cell: Arc<SnapshotCell<Snapshot>>,
 }
 
-impl ShardedReader {
-    /// The most recently published composite snapshot.
-    pub fn snapshot(&self) -> Arc<ShardedSnapshot> {
+impl LiveReader {
+    /// The most recently published snapshot.
+    pub fn snapshot(&self) -> Arc<Snapshot> {
         self.cell.load()
     }
 
-    /// Generation of the most recently published composite snapshot.
+    /// Generation of the most recently published snapshot.
     pub fn generation(&self) -> u64 {
         self.snapshot().generation
-    }
-
-    /// Runs `pattern` over the freshest published composite snapshot.
-    pub fn query(&self, pattern: &str) -> Result<LiveQueryResult> {
-        self.snapshot().query(pattern)
     }
 }
 
@@ -1041,6 +1016,7 @@ impl ShardedReader {
 mod tests {
     use super::*;
     use free_engine::EngineConfig;
+    use free_regex::Span;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn config() -> LiveConfig {
@@ -1065,6 +1041,19 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// (seq, document, spans) of every match, at `threads` threads.
+    fn rows(idx: &LiveIndex, pattern: &str, threads: usize) -> Vec<(DocId, Vec<u8>, Vec<Span>)> {
+        let opts = QueryOpts {
+            threads,
+            ..QueryOpts::default()
+        };
+        let snapshot = idx.snapshot();
+        let result = snapshot.query_opts(pattern, &opts).unwrap();
+        (result.matches.into_iter())
+            .map(|m| (m.seq, snapshot.get(m.seq).unwrap(), m.spans))
+            .collect()
     }
 
     #[test]
@@ -1092,11 +1081,11 @@ mod tests {
     fn shard_count_bounds() {
         let dir = fresh_dir("bounds");
         assert!(matches!(
-            ShardedLiveIndex::create(&dir, config(), 0),
+            LiveIndex::create_sharded(&dir, config(), 0),
             Err(Error::Corrupt(_))
         ));
         assert!(matches!(
-            ShardedLiveIndex::create(&dir, config(), MAX_SHARDS + 1),
+            LiveIndex::create_sharded(&dir, config(), MAX_SHARDS + 1),
             Err(Error::Corrupt(_))
         ));
     }
@@ -1143,7 +1132,7 @@ mod tests {
     fn reopen_truncates_interrupted_batch_commit() {
         let dir = fresh_dir("crash-repair");
         let docs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![b'w', b'x' + (i % 2), i]).collect();
-        let mut idx = ShardedLiveIndex::create(&dir, config(), 2).unwrap();
+        let mut idx = LiveIndex::create_sharded(&dir, config(), 2).unwrap();
         idx.add_batch(&docs).unwrap();
         drop(idx);
         // Simulate a crash that committed shard 1's part of a later
@@ -1153,7 +1142,7 @@ mod tests {
             lone.add(b"never acknowledged").unwrap();
             assert_eq!(lone.next_seq(), 4);
         }
-        let reopened = ShardedLiveIndex::open(&dir, config()).unwrap();
+        let reopened = LiveIndex::open(&dir, config()).unwrap();
         assert_eq!(reopened.next_seq(), 6, "tail truncated back to 6 docs");
         assert_eq!(reopened.live_seqs(), (0..6).collect::<Vec<_>>());
         for (i, doc) in docs.iter().enumerate() {
@@ -1162,7 +1151,7 @@ mod tests {
         // The repaired index reopens cleanly and keeps assigning fresh
         // sequences where the truncated tail used to be.
         drop(reopened);
-        let mut again = ShardedLiveIndex::open(&dir, config()).unwrap();
+        let mut again = LiveIndex::open(&dir, config()).unwrap();
         assert_eq!(again.add(b"reassigned").unwrap(), 6);
         assert_eq!(&again.get(6).unwrap(), b"reassigned");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1171,14 +1160,14 @@ mod tests {
     #[test]
     fn reopen_truncates_from_scratch_crash_shape() {
         let dir = fresh_dir("crash-empty");
-        let idx = ShardedLiveIndex::create(&dir, config(), 2).unwrap();
+        let idx = LiveIndex::create_sharded(&dir, config(), 2).unwrap();
         drop(idx);
         // First-ever batch: only shard 1's part landed. Locals [0, 1].
         {
             let mut lone = LiveIndex::open(shard_dir(&dir, 1), config()).unwrap();
             lone.add(b"orphan").unwrap();
         }
-        let reopened = ShardedLiveIndex::open(&dir, config()).unwrap();
+        let reopened = LiveIndex::open(&dir, config()).unwrap();
         assert_eq!(reopened.next_seq(), 0);
         assert_eq!(reopened.live_docs(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1187,7 +1176,7 @@ mod tests {
     #[test]
     fn reopen_refuses_sealed_divergence() {
         let dir = fresh_dir("crash-sealed");
-        let mut idx = ShardedLiveIndex::create(&dir, config(), 2).unwrap();
+        let mut idx = LiveIndex::create_sharded(&dir, config(), 2).unwrap();
         idx.add_batch(&[b"aa".as_slice(), b"bb"]).unwrap();
         drop(idx);
         // Excess sealed into a segment is beyond what a crashed batch
@@ -1198,7 +1187,7 @@ mod tests {
             lone.flush().unwrap();
         }
         assert!(matches!(
-            ShardedLiveIndex::open(&dir, config()),
+            LiveIndex::open(&dir, config()),
             Err(Error::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1207,7 +1196,7 @@ mod tests {
     #[test]
     fn partial_batch_failure_rolls_back() {
         let dir = fresh_dir("partial-rollback");
-        let mut idx = ShardedLiveIndex::create(&dir, config(), 2).unwrap();
+        let mut idx = LiveIndex::create_sharded(&dir, config(), 2).unwrap();
         let seed: Vec<Vec<u8>> = (0..4u8).map(|i| vec![b'p', b'q', i]).collect();
         idx.add_batch(&seed).unwrap();
         // Break shard 1's WAL commit path: its index file becomes a
@@ -1221,9 +1210,8 @@ mod tests {
         // All-or-nothing: the failed batch left no trace anywhere.
         assert_eq!(idx.next_seq(), 4);
         assert_eq!(idx.live_seqs(), (0..4).collect::<Vec<_>>());
-        let r = idx.query_with("pq", 2, false).unwrap();
-        assert_eq!(r.matches.len(), 4);
-        assert!(idx.query_with("rs", 2, false).unwrap().matches.is_empty());
+        assert_eq!(rows(&idx, "pq", 2).len(), 4);
+        assert!(rows(&idx, "rs", 2).is_empty());
         // The writer stays usable: heal the WAL and retry the batch.
         std::fs::remove_dir(&wal_idx).unwrap();
         std::fs::write(&wal_idx, &saved).unwrap();
@@ -1232,9 +1220,9 @@ mod tests {
         for (i, doc) in batch.iter().enumerate() {
             assert_eq!(&idx.get(4 + i as DocId).unwrap(), doc);
         }
-        // Durable and legal on disk: a reopen sees the same state.
+        // Committed and legal on disk: a reopen sees the same state.
         drop(idx);
-        let reopened = ShardedLiveIndex::open(&dir, config()).unwrap();
+        let reopened = LiveIndex::open(&dir, config()).unwrap();
         assert_eq!(reopened.next_seq(), 8);
         assert_eq!(reopened.live_docs(), 8);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1244,7 +1232,7 @@ mod tests {
     fn routing_roundtrip_and_reopen() {
         let dir = fresh_dir("routing");
         let docs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![b'a' + (i % 3), b'b', i]).collect();
-        let mut idx = ShardedLiveIndex::create(&dir, config(), 4).unwrap();
+        let mut idx = LiveIndex::create_sharded(&dir, config(), 4).unwrap();
         let ids = idx.add_batch(&docs).unwrap();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
         assert_eq!(idx.live_seqs(), (0..10).collect::<Vec<_>>());
@@ -1257,7 +1245,7 @@ mod tests {
         idx.flush().unwrap();
         assert_eq!(idx.next_seq(), 10);
         drop(idx);
-        let reopened = ShardedLiveIndex::open(&dir, config()).unwrap();
+        let reopened = LiveIndex::open(&dir, config()).unwrap();
         assert_eq!(reopened.num_shards(), 4);
         assert_eq!(reopened.next_seq(), 10);
         assert_eq!(reopened.live_docs(), 9);
@@ -1275,7 +1263,7 @@ mod tests {
     fn sharded_matches_unsharded() {
         let sharded_dir = fresh_dir("diff-sharded");
         let plain_dir = fresh_dir("diff-plain");
-        let mut sharded = ShardedLiveIndex::create(&sharded_dir, config(), 3).unwrap();
+        let mut sharded = LiveIndex::create_sharded(&sharded_dir, config(), 3).unwrap();
         let mut plain = LiveIndex::create(&plain_dir, config()).unwrap();
         let docs: Vec<Vec<u8>> = vec![
             b"ab ca x".to_vec(),
@@ -1286,27 +1274,18 @@ mod tests {
             b"xxx".to_vec(),
             b"ab".to_vec(),
         ];
-        sharded.add_batch(&docs).unwrap();
-        plain.add_batch(&docs).unwrap();
-        sharded.delete(1).unwrap();
-        plain.delete(1).unwrap();
-        sharded.flush().unwrap();
-        plain.flush().unwrap();
+        for idx in [&mut sharded, &mut plain] {
+            idx.add_batch(&docs).unwrap();
+            idx.delete(1).unwrap();
+            idx.flush().unwrap();
+        }
         for pattern in ["ab", "bca*", "a b", "(ab|ca)x?"] {
             for threads in [1, 4] {
-                let got = sharded.query_with(pattern, threads, true).unwrap();
-                let want = plain.query_with(pattern, threads, true).unwrap();
-                let got_rows: Vec<_> = got
-                    .matches
-                    .iter()
-                    .map(|m| (m.seq, sharded.get(m.seq).unwrap(), m.spans.clone()))
-                    .collect();
-                let want_rows: Vec<_> = want
-                    .matches
-                    .iter()
-                    .map(|m| (m.seq, plain.get(m.seq).unwrap(), m.spans.clone()))
-                    .collect();
-                assert_eq!(got_rows, want_rows, "pattern {pattern} diverged");
+                assert_eq!(
+                    rows(&sharded, pattern, threads),
+                    rows(&plain, pattern, threads),
+                    "pattern {pattern} diverged"
+                );
             }
         }
         let _ = std::fs::remove_dir_all(&sharded_dir);
@@ -1316,28 +1295,21 @@ mod tests {
     #[test]
     fn create_refuses_existing_layouts() {
         let dir = fresh_dir("exists");
-        let _idx = ShardedLiveIndex::create(&dir, config(), 2).unwrap();
-        let plain = fresh_dir("exists-plain");
-        let _p = LiveIndex::create(&plain, config()).unwrap();
-        // A rooted single shard is byte for byte what `LiveIndex::create`
-        // writes: no sharded manifest, no `shard-0/`.
+        let _idx = LiveIndex::create_sharded(&dir, config(), 2).unwrap();
+        // A rooted single shard: no sharded manifest, no `shard-0/`.
         let rooted = fresh_dir("exists-rooted");
-        let one = ShardedLiveIndex::create(&rooted, config(), 1).unwrap();
+        let one = LiveIndex::create(&rooted, config()).unwrap();
         assert_eq!(one.num_shards(), 1);
         assert!(Manifest::exists(&rooted) && !ShardedManifest::exists(&rooted));
         assert!(!shard_dir(&rooted, 0).exists());
-        for existing in [&dir, &plain, &rooted] {
+        for existing in [&dir, &rooted] {
             let before = listing(existing);
             for shards in [1, 2] {
                 assert!(matches!(
-                    ShardedLiveIndex::create(existing, config(), shards),
+                    LiveIndex::create_sharded(existing, config(), shards),
                     Err(Error::AlreadyExists(_))
                 ));
             }
-            assert!(matches!(
-                LiveIndex::create(existing, config()),
-                Err(Error::AlreadyExists(_))
-            ));
             assert_eq!(listing(existing), before, "a refused create wrote files");
             let _ = std::fs::remove_dir_all(existing);
         }
@@ -1351,16 +1323,5 @@ mod tests {
             .collect();
         names.sort();
         names
-    }
-
-    #[test]
-    fn sharded_read_path_is_send_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        fn assert_clone<T: Clone>() {}
-        assert_send_sync::<ShardedSnapshot>();
-        assert_send_sync::<Arc<ShardedSnapshot>>();
-        assert_send_sync::<ShardedReader>();
-        assert_send_sync::<ShardedLiveIndex>();
-        assert_clone::<ShardedReader>();
     }
 }

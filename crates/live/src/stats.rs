@@ -23,7 +23,7 @@ pub struct SegmentStats {
 }
 
 /// A snapshot of the whole live index's shape.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LiveStats {
     /// Mutation counter (bumps on add/delete/flush/compact).
     pub generation: u64,

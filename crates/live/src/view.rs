@@ -1,15 +1,15 @@
-//! A [`Corpus`] view over a snapshot of the whole live index keyed by
-//! global sequence number, so the engine's confirmation machinery
+//! A [`Corpus`] view over a snapshot of one shard keyed by its
+//! sequence numbers, so the engine's confirmation machinery
 //! (including parallel confirmation and first-k early exit) runs
 //! unchanged against segments plus write buffer.
 
-use crate::snapshot::Snapshot;
+use crate::snapshot::ShardSnapshot;
 use free_corpus::{Corpus, DocId};
 
-/// Read view of a live index at one generation. `get` is keyed by global
-/// sequence number; ids with no live document error like any other
+/// Read view of one shard at one generation. `get` is keyed by the
+/// shard's sequence number; ids with no live document error like any other
 /// out-of-range access, and `len` is the live document count.
-pub(crate) struct LiveView<'a>(pub &'a Snapshot);
+pub(crate) struct LiveView<'a>(pub &'a ShardSnapshot);
 
 impl Corpus for LiveView<'_> {
     fn len(&self) -> usize {

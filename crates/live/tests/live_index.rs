@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_corpus::{DocId, MemCorpus};
 use free_engine::{Engine, EngineConfig};
-use free_live::{Error, LiveConfig, LiveIndex, ShardedLiveIndex};
+use free_live::{Error, LiveConfig, LiveIndex, QueryOpts};
 use std::path::Path;
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -45,7 +45,7 @@ fn assert_matches_rebuild(live: &LiveIndex, patterns: &[&str]) {
     )
     .unwrap();
     for pattern in patterns {
-        let got = live.query(pattern).unwrap();
+        let got = live.snapshot().query(pattern).unwrap();
         let want: Vec<(Vec<u8>, Vec<free_regex::Span>)> = engine
             .query(pattern)
             .unwrap()
@@ -71,7 +71,7 @@ fn create_add_query_roundtrip() {
     assert_eq!(ids, (0..6).collect::<Vec<DocId>>());
     assert_eq!(live.live_docs(), 6);
 
-    let result = live.query("qu[iao]").unwrap();
+    let result = live.snapshot().query("qu[iao]").unwrap();
     assert_eq!(result.matches.len(), 6);
     assert_matches_rebuild(&live, &["quick", "sphinx", "ju[md]", "xyzzy", "o"]);
     let _ = std::fs::remove_dir_all(&dir);
@@ -202,7 +202,7 @@ fn compaction_is_a_batch_build() {
     live.add_batch(&pages[20..]).unwrap();
     live.flush().unwrap();
     assert_eq!(live.num_segments(), 2);
-    let drift = live.drift();
+    let drift = live.shards()[0].drift();
     assert!(drift.remines(), "{drift:?}");
     assert!(live.compact().unwrap());
     let bytes = std::fs::read(dir.join("segments/seg-2.idx")).unwrap();
@@ -213,7 +213,7 @@ fn compaction_is_a_batch_build() {
         live.delete(seq).unwrap();
     }
     live.add_batch(&other_vocabulary(60)).unwrap();
-    let drift = live.drift();
+    let drift = live.shards()[0].drift();
     assert!(drift.remines(), "{drift:?}");
     assert!(live.compact().unwrap());
     let survivors = survivors(&live);
@@ -280,7 +280,7 @@ fn compaction_merges_under_the_dictionary() {
     for &seq in &deletes {
         live.delete(seq).unwrap();
     }
-    let drift = live.drift();
+    let drift = live.shards()[0].drift();
     assert!(!drift.remines(), "{drift:?}");
     assert!(live.compact().unwrap());
 
@@ -337,11 +337,11 @@ fn a_manifest_with_a_baseline_line_opens_and_compacts() {
     live.delete(7).unwrap();
     let answers = |live: &LiveIndex| -> Vec<Vec<DocId>> {
         (SYNTH_PATTERNS.iter())
-            .map(|p| live.query(p).unwrap().matching_seqs())
+            .map(|p| live.snapshot().query(p).unwrap().matching_seqs())
             .collect()
     };
     let before = answers(&live);
-    let drift = live.drift();
+    let drift = live.shards()[0].drift();
     assert!(!drift.remines(), "{drift:?}");
     drop(live);
     let path = dir.join(free_live::manifest::MANIFEST_FILE);
@@ -357,7 +357,7 @@ fn a_manifest_with_a_baseline_line_opens_and_compacts() {
 
     let mut live = LiveIndex::open(&dir, config()).unwrap();
     assert_eq!(answers(&live), before);
-    assert_eq!(live.drift(), drift);
+    assert_eq!(live.shards()[0].drift(), drift);
     let keys = free_index::IndexReader::open(dir.join("segments/seg-0.idx"))
         .unwrap()
         .keys()
@@ -387,7 +387,7 @@ fn drift_predicts_the_remine() {
         // Buffered, not flushed: the drift counts what compaction's flush
         // will seal.
         live.add_batch(&pages[first..]).unwrap();
-        let drift = live.drift();
+        let drift = live.shards()[0].drift();
         assert_eq!(drift.remines(), remines, "first flush {first}: {drift:?}");
         let dictionary = |name: &str| {
             let index = free_index::IndexReader::open(dir.join("segments").join(name)).unwrap();
@@ -414,7 +414,7 @@ fn compaction_refuses_damaged_postings() {
     live.add_batch(&pages[100..]).unwrap();
     live.flush().unwrap();
     live.delete(5).unwrap();
-    assert!(!live.drift().remines());
+    assert!(!live.shards()[0].drift().remines());
     drop(live);
     let path = dir.join("segments/seg-1.idx");
     let postings_bytes = {
@@ -510,7 +510,7 @@ fn later_flushes_index_the_dictionary() {
     live.delete(130).unwrap();
     live.delete(171).unwrap();
     assert_matches_rebuild(&live, &patterns);
-    let buffered = live.query(&words[0]).unwrap();
+    let buffered = live.snapshot().query(&words[0]).unwrap();
     assert!(!buffered.stats.grams.is_empty(), "the plan fetched no key");
     assert_eq!(buffered.stats.scanned_sources, 0);
 
@@ -616,7 +616,7 @@ fn a_traced_add_attributes_its_time() {
 }
 
 /// A `FREELIVE 2` directory has a key set per segment, which the
-/// one-dictionary planner would under-read: both open paths refuse it.
+/// one-dictionary planner would under-read: open refuses it.
 #[test]
 fn freelive_2_directories_are_refused() {
     let dir = tmp_dir("freelive-2");
@@ -631,17 +631,13 @@ fn freelive_2_directories_are_refused() {
     let path = dir.join("live.manifest");
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, text.replacen("FREELIVE 3 ", "FREELIVE 2 ", 1)).unwrap();
-    let errors = [
-        LiveIndex::open(&dir, config()).err(),
-        ShardedLiveIndex::open(&dir, config()).err(),
-    ];
-    for err in errors {
-        let err = err.expect("a FREELIVE 2 directory must not open");
-        assert!(
-            matches!(&err, Error::Corrupt(m) if m.contains("unsupported format, rebuild")),
-            "{err}"
-        );
-    }
+    let err = LiveIndex::open(&dir, config())
+        .err()
+        .expect("a FREELIVE 2 directory must not open");
+    assert!(
+        matches!(&err, Error::Corrupt(m) if m.contains("unsupported format, rebuild")),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -657,7 +653,7 @@ fn delete_hides_docs_everywhere() {
     live.delete(0).unwrap();
     live.delete(4).unwrap();
     assert_eq!(live.live_docs(), 4);
-    let result = live.query("jump").unwrap();
+    let result = live.snapshot().query("jump").unwrap();
     assert_eq!(result.matching_seqs(), vec![3]);
     assert_matches_rebuild(&live, &["quick", "jump", "sphinx"]);
 
@@ -768,7 +764,7 @@ fn compact_all_tombstoned_empties_index() {
     assert!(live.compact().unwrap());
     assert_eq!(live.num_segments(), 0);
     assert_eq!(live.live_docs(), 0);
-    assert!(live.query("quick").unwrap().matches.is_empty());
+    assert!(live.snapshot().query("quick").unwrap().matches.is_empty());
 
     // Sequence numbers are still never reused.
     let id = live.add(b"after the purge").unwrap();
@@ -846,9 +842,16 @@ fn query_threads_agree() {
     live.flush().unwrap();
     live.add_batch(&docs()[4..]).unwrap();
     live.delete(2).unwrap();
+    let snapshot = live.snapshot();
     for pattern in ["quick", "ju[md]", "o"] {
-        let one = live.query_with(pattern, 1, true).unwrap();
-        let four = live.query_with(pattern, 4, true).unwrap();
+        let at = |threads| {
+            let opts = QueryOpts {
+                threads,
+                ..QueryOpts::default()
+            };
+            snapshot.query_opts(pattern, &opts).unwrap()
+        };
+        let (one, four) = (at(1), at(4));
         assert_eq!(
             one.matches, four.matches,
             "pattern {pattern:?} diverged across thread counts"
@@ -866,12 +869,16 @@ fn key_set_drift_flags_novel_content() {
     let dir = tmp_dir("drift");
     let mut live = LiveIndex::create(&dir, config()).unwrap();
     live.add_batch(&synth_pages()[..100]).unwrap();
-    assert_eq!(live.drift().fraction, 0.0, "no segments yet");
+    assert_eq!(live.shards()[0].drift().fraction, 0.0, "no segments yet");
     live.flush().unwrap();
-    assert_eq!(live.drift().fraction, 0.0, "nothing since the mining");
+    assert_eq!(
+        live.shards()[0].drift().fraction,
+        0.0,
+        "nothing since the mining"
+    );
 
     live.add_batch(&other_vocabulary(100)).unwrap();
-    let drift = live.drift();
+    let drift = live.shards()[0].drift();
     assert!(drift.share.unwrap() > 0.2, "{drift:?}");
     assert!(drift.fraction > free_live::DRIFT_TOLERANCE && drift.remines());
     let _ = std::fs::remove_dir_all(&dir);
@@ -914,16 +921,15 @@ fn stats_json_shape() {
 }
 
 /// The per-shard RED series are resolved once at open and move by
-/// exactly one per query. This is the only test of this binary that
-/// queries through a `ShardedLiveIndex`, so the global `{shard="0"}`
-/// series are its own.
+/// exactly one per query. This is the only test of this binary with a
+/// second shard, so the global `{shard="1"}` series are its own.
 #[test]
 fn shard_red_series_count_each_query_once() {
     let dir = tmp_dir("shard-red");
-    let mut live = ShardedLiveIndex::create(&dir, config(), 1).unwrap();
+    let mut live = LiveIndex::create_sharded(&dir, config(), 2).unwrap();
     live.add_batch(&docs()).unwrap();
     let series = |name: &str| -> Option<u64> {
-        let prefix = format!("{name}{{shard=\"0\"}} ");
+        let prefix = format!("{name}{{shard=\"1\"}} ");
         free_trace::metrics::global()
             .expose()
             .lines()
@@ -931,7 +937,7 @@ fn shard_red_series_count_each_query_once() {
     };
     let before = series("free_shard_queries_total").unwrap_or(0);
     for (i, pattern) in ["quick", "sphinx.*quartz", "(unclosed"].iter().enumerate() {
-        let outcome = live.query(pattern);
+        let outcome = live.snapshot().query(pattern);
         assert_eq!(outcome.is_ok(), i < 2, "{pattern}");
         // A pattern that fails to parse never reaches a shard.
         let ran = (i as u64 + 1).min(2);
@@ -983,6 +989,72 @@ fn stale_wal_epoch_discards_wal_and_keeps_sealed_docs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file of the WAL, in name order.
+fn wal_files(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir.join(free_live::WAL_DIR))
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Every writer of the epoch stamp recreates the WAL empty first, so an
+/// unreadable stamp over buffered documents is damage, not a crash
+/// window: whether those documents are sealed already is unknowable.
+/// Open refuses and leaves the WAL byte for byte as it was; restoring the
+/// stamp brings every document back. Over an empty WAL the stamp is
+/// simply rewritten.
+#[test]
+fn unreadable_wal_epoch_refuses_to_discard_buffered_docs() {
+    let dir = tmp_dir("garbled-epoch");
+    let stamp = dir.join(free_live::WAL_EPOCH_FILE);
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&docs()[..3]).unwrap();
+    live.compact().unwrap();
+    live.add_batch(&docs()[3..]).unwrap();
+    drop(live);
+    let epoch = free_live::Manifest::load(&dir).unwrap().wal_epoch;
+    assert!(epoch >= 1);
+    let wal = wal_files(&dir);
+    for damage in ["x\n", ""] {
+        std::fs::write(&stamp, damage).unwrap();
+        let err = LiveIndex::open(&dir, config())
+            .err()
+            .expect("an unreadable stamp over buffered docs must not open");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("epoch stamp")),
+            "{err}"
+        );
+        assert_eq!(wal_files(&dir), wal, "open must leave the WAL as found");
+    }
+    std::fs::remove_file(&stamp).unwrap();
+    assert!(
+        LiveIndex::open(&dir, config()).is_err(),
+        "a missing stamp too"
+    );
+    assert_eq!(wal_files(&dir), wal);
+
+    std::fs::write(&stamp, format!("{epoch}\n")).unwrap();
+    let mut live = LiveIndex::open(&dir, config()).unwrap();
+    assert_eq!(live.live_docs(), 6);
+    live.flush().unwrap();
+    drop(live);
+    // Nothing buffered: the stamp is rewritten and the directory opens.
+    std::fs::write(&stamp, "x\n").unwrap();
+    let live = LiveIndex::open(&dir, config()).unwrap();
+    assert_eq!(live.live_docs(), 6);
+    let want = free_live::Manifest::load(&dir).unwrap().wal_epoch;
+    assert_eq!(
+        std::fs::read_to_string(&stamp).unwrap(),
+        format!("{want}\n")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn orphaned_segment_files_removed_on_reopen() {
     let dir = tmp_dir("orphan-cleanup");
@@ -1001,7 +1073,7 @@ fn orphaned_segment_files_removed_on_reopen() {
         vec![99]
     );
     let reopened = LiveIndex::open(&dir, config()).unwrap();
-    assert!(reopened.retired_segment_files().is_empty());
+    assert!(reopened.shards()[0].retired_segment_files().is_empty());
     assert!(!seg_root.join("seg-99.idx").exists());
     assert!(!seg_root.join("seg-99.seqs").exists());
     let _ = std::fs::remove_dir_all(&dir);

@@ -20,7 +20,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_corpus::MemCorpus;
 use free_engine::{Engine, EngineConfig};
-use free_live::{LiveConfig, LiveIndex, LiveReader};
+use free_live::{LiveConfig, LiveIndex, LiveReader, QueryOpts};
 use free_regex::Span;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -81,12 +81,23 @@ fn rebuild(docs: &[(u32, Vec<u8>)], pattern: &str) -> Vec<(u32, Vec<u8>, Vec<Spa
 }
 
 /// Runs `readers` query threads against a writer applying `ops` random
-/// operations (compaction weighted by `compact_weight` in 0..=100), then
-/// validates every observation against a from-scratch rebuild of the
-/// model at the observed generation.
-fn run_stress(tag: &str, seed: u64, readers: usize, ops: usize, compact_weight: u32) {
+/// operations (compaction weighted by `compact_weight` in 0..=100) over
+/// `shards` partitions, then validates every observation against a
+/// from-scratch rebuild of the model at the observed generation. With
+/// more than one shard the writer fans every operation out across them
+/// while readers stream from snapshots, so the snapshot must also be
+/// cross-shard consistent: a reader must never see shard A post-op and
+/// shard B pre-op for the same operation.
+fn run_stress(
+    tag: &str,
+    seed: u64,
+    shards: usize,
+    readers: usize,
+    ops: usize,
+    compact_weight: u32,
+) {
     let dir = fresh_dir(tag);
-    let mut live = LiveIndex::create(
+    let mut live = LiveIndex::create_sharded(
         &dir,
         LiveConfig {
             engine: engine_config(),
@@ -96,8 +107,14 @@ fn run_stress(tag: &str, seed: u64, readers: usize, ops: usize, compact_weight: 
             flush_threshold_docs: usize::MAX,
             ..LiveConfig::default()
         },
+        shards,
     )
     .unwrap();
+    // Readers confirm on one thread per shard, at most two.
+    let reader_opts = QueryOpts {
+        threads: shards.min(2),
+        ..QueryOpts::default()
+    };
 
     let model = Mutex::new(Model::new());
     model.lock().unwrap().insert(live.generation(), Vec::new());
@@ -142,6 +159,7 @@ fn run_stress(tag: &str, seed: u64, readers: usize, ops: usize, compact_weight: 
             let reader: LiveReader = reader_handle.clone();
             let observations = &observations;
             let done = &done;
+            let reader_opts = &reader_opts;
             scope.spawn(move || {
                 let mut local: Vec<Observation> = Vec::new();
                 let mut i = r; // stagger pattern phase across readers
@@ -149,7 +167,7 @@ fn run_stress(tag: &str, seed: u64, readers: usize, ops: usize, compact_weight: 
                     let pattern = PATTERNS[i % PATTERNS.len()];
                     i += 1;
                     let snapshot = reader.snapshot();
-                    let result = snapshot.query_with(pattern, 1, true).unwrap();
+                    let result = snapshot.query_opts(pattern, reader_opts).unwrap();
                     let rows = result
                         .matches
                         .into_iter()
@@ -181,7 +199,7 @@ fn run_stress(tag: &str, seed: u64, readers: usize, ops: usize, compact_weight: 
         assert_eq!(
             rows, expected,
             "snapshot at generation {gen} diverged from the rebuild of \
-             generation {model_gen} for pattern {pattern}"
+             generation {model_gen} for pattern {pattern} ({shards} shard(s))"
         );
     }
 
@@ -196,15 +214,20 @@ fn run_stress(tag: &str, seed: u64, readers: usize, ops: usize, compact_weight: 
         },
     )
     .unwrap();
+    let snapshot = reopened.snapshot();
     for pattern in PATTERNS {
         let expected = rebuild(&final_docs, pattern);
         for threads in [1, 8] {
-            let got: Vec<(u32, Vec<u8>, Vec<Span>)> = reopened
-                .query_with(pattern, threads, true)
+            let opts = QueryOpts {
+                threads,
+                ..QueryOpts::default()
+            };
+            let got: Vec<(u32, Vec<u8>, Vec<Span>)> = snapshot
+                .query_opts(pattern, &opts)
                 .unwrap()
                 .matches
                 .into_iter()
-                .map(|m| (m.seq, reopened.get(m.seq).unwrap(), m.spans))
+                .map(|m| (m.seq, snapshot.get(m.seq).unwrap(), m.spans))
                 .collect();
             assert_eq!(
                 got, expected,
@@ -215,171 +238,31 @@ fn run_stress(tag: &str, seed: u64, readers: usize, ops: usize, compact_weight: 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The sharded variant of [`run_stress`]: one writer fans operations
-/// out across `shards` partitions while readers stream from composite
-/// snapshots. The invariant is identical — every observed result set
-/// matches a from-scratch rebuild of *some* published state — plus the
-/// composite snapshot must be cross-shard consistent: a reader must
-/// never see shard A post-op and shard B pre-op for the same operation.
-fn run_stress_sharded(
-    tag: &str,
-    seed: u64,
-    shards: usize,
-    readers: usize,
-    ops: usize,
-    compact_weight: u32,
-) {
-    use free_live::{ShardedLiveIndex, ShardedReader};
-
-    let dir = fresh_dir(tag);
-    let mut live = ShardedLiveIndex::create(
-        &dir,
-        LiveConfig {
-            engine: engine_config(),
-            flush_threshold_bytes: u64::MAX,
-            flush_threshold_docs: usize::MAX,
-            ..LiveConfig::default()
-        },
-        shards,
-    )
-    .unwrap();
-
-    let model = Mutex::new(Model::new());
-    model.lock().unwrap().insert(live.generation(), Vec::new());
-    let reader_handle = live.reader();
-    let done = AtomicBool::new(false);
-    let observations: Mutex<Vec<Observation>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut alive: Vec<(u32, Vec<u8>)> = Vec::new();
-            for _ in 0..ops {
-                let roll = rng.gen_range(0u32..100);
-                if roll < 45 {
-                    let docs: Vec<Vec<u8>> = (0..rng.gen_range(1usize..4))
-                        .map(|_| random_doc(&mut rng))
-                        .collect();
-                    let ids = live.add_batch(&docs).unwrap();
-                    alive.extend(ids.into_iter().zip(docs));
-                } else if roll < 65 {
-                    if !alive.is_empty() {
-                        let (seq, _) = alive.remove(rng.gen_range(0usize..alive.len()));
-                        live.delete(seq).unwrap();
-                    }
-                } else if roll < 100 - compact_weight {
-                    live.flush().unwrap();
-                } else {
-                    live.compact().unwrap();
-                }
-                model
-                    .lock()
-                    .unwrap()
-                    .insert(live.generation(), alive.clone());
-            }
-            done.store(true, Ordering::SeqCst);
-        });
-
-        for r in 0..readers {
-            let reader: ShardedReader = reader_handle.clone();
-            let observations = &observations;
-            let done = &done;
-            scope.spawn(move || {
-                let mut local: Vec<Observation> = Vec::new();
-                let mut i = r;
-                while !done.load(Ordering::SeqCst) {
-                    let pattern = PATTERNS[i % PATTERNS.len()];
-                    i += 1;
-                    let snapshot = reader.snapshot();
-                    let result = snapshot.query_with(pattern, 2, true).unwrap();
-                    let rows = result
-                        .matches
-                        .into_iter()
-                        .map(|m| (m.seq, snapshot.get(m.seq).unwrap(), m.spans))
-                        .collect();
-                    if local.len() < 400 {
-                        local.push((snapshot.generation(), pattern, rows));
-                    }
-                }
-                observations.lock().unwrap().append(&mut local);
-            });
-        }
-    });
-
-    let model = model.into_inner().unwrap();
-    let observations = observations.into_inner().unwrap();
-    assert!(!observations.is_empty(), "readers observed nothing");
-    let mut expected_cache: BTreeMap<(u64, &str), Rows> = BTreeMap::new();
-    for (gen, pattern, rows) in &observations {
-        let (model_gen, docs) = model
-            .range(..=gen)
-            .next_back()
-            .unwrap_or_else(|| panic!("no recorded generation <= {gen}"));
-        let expected = expected_cache
-            .entry((*model_gen, pattern))
-            .or_insert_with(|| rebuild(docs, pattern));
-        assert_eq!(
-            rows, expected,
-            "sharded snapshot at generation {gen} diverged from the rebuild \
-             of generation {model_gen} for pattern {pattern}"
-        );
-    }
-
-    // The final state must survive a reopen and answer identically at
-    // 1 and 8 confirmation threads.
-    let final_docs = model.values().next_back().unwrap().clone();
-    let reopened = ShardedLiveIndex::open(
-        &dir,
-        LiveConfig {
-            engine: engine_config(),
-            ..LiveConfig::default()
-        },
-    )
-    .unwrap();
-    for pattern in PATTERNS {
-        let expected = rebuild(&final_docs, pattern);
-        for threads in [1, 8] {
-            let got: Vec<(u32, Vec<u8>, Vec<Span>)> = reopened
-                .query_with(pattern, threads, true)
-                .unwrap()
-                .matches
-                .into_iter()
-                .map(|m| (m.seq, reopened.get(m.seq).unwrap(), m.spans))
-                .collect();
-            assert_eq!(
-                got, expected,
-                "reopened sharded index diverged for pattern {pattern} at {threads} threads"
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn eight_readers_see_consistent_snapshots() {
-    run_stress("mixed", 0xF2EE, 8, 60, 10);
+    run_stress("mixed", 0xF2EE, 1, 8, 60, 10);
 }
 
 #[test]
 fn sharded_readers_see_consistent_composite_snapshots() {
-    run_stress_sharded("shard-mixed", 0x5AD5, 4, 6, 50, 10);
+    run_stress("shard-mixed", 0x5AD5, 4, 6, 50, 10);
 }
 
 #[test]
 fn sharded_readers_survive_parallel_compaction() {
     // Compaction rewrites every shard's segment files in parallel while
     // readers stream from the composite snapshot.
-    run_stress_sharded("shard-compact", 0x5CDE, 3, 6, 35, 35);
+    run_stress("shard-compact", 0x5CDE, 3, 6, 35, 35);
 }
 
 #[test]
 fn readers_survive_continuous_compaction() {
     // Compaction on every third op or so: segment files are constantly
     // rewritten and unlinked while eight readers stream from them.
-    run_stress("compact", 0xC0DE, 8, 40, 35);
+    run_stress("compact", 0xC0DE, 1, 8, 40, 35);
 }
 
 #[test]
 fn single_reader_matches_model() {
-    run_stress("single", 0x51E9, 1, 50, 10);
+    run_stress("single", 0x51E9, 1, 1, 50, 10);
 }

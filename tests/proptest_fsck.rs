@@ -20,7 +20,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_analyze::{fsck, FsckOptions};
 use free_engine::EngineConfig;
-use free_live::{LiveConfig, LiveIndex};
+use free_live::{LiveConfig, LiveIndex, QueryOpts};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -131,7 +131,12 @@ fn fixture() -> &'static Fixture {
 /// Matching sequence numbers for one pattern (spans are implied by seq +
 /// content, which `get` pins).
 fn probe(live: &LiveIndex, pattern: &str) -> Vec<u32> {
-    live.query_with(pattern, 1, true)
+    let opts = QueryOpts {
+        threads: 1,
+        ..QueryOpts::default()
+    };
+    live.snapshot()
+        .query_opts(pattern, &opts)
         .unwrap()
         .matches
         .iter()

@@ -9,7 +9,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_corpus::MemCorpus;
 use free_engine::{Engine, EngineConfig};
-use free_live::{LiveConfig, LiveIndex};
+use free_live::{LiveConfig, LiveIndex, QueryOpts};
 use free_regex::Span;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,7 +67,12 @@ fn fresh_dir() -> std::path::PathBuf {
 
 /// (document content, spans) for every live match, in sequence order.
 fn live_results(live: &LiveIndex, pattern: &str, threads: usize) -> Vec<(Vec<u8>, Vec<Span>)> {
-    live.query_with(pattern, threads, true)
+    let opts = QueryOpts {
+        threads,
+        ..QueryOpts::default()
+    };
+    live.snapshot()
+        .query_opts(pattern, &opts)
         .unwrap()
         .matches
         .into_iter()

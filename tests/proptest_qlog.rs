@@ -19,7 +19,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use free_analyze::{codes, fsck, FsckOptions};
-use free_live::{LiveConfig, LiveIndex, ShardedLiveIndex};
+use free_live::{LiveConfig, LiveIndex};
 use free_trace::qlog::{self, LogConfig, LogWriter, SegmentStatus};
 use freegrep::replay::{replay, ReplayOptions};
 use proptest::prelude::*;
@@ -59,41 +59,9 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Either live layout behind one add/flush/query surface.
-enum Layout {
-    Plain(LiveIndex),
-    Sharded(ShardedLiveIndex),
-}
-
-impl Layout {
-    fn create(dir: &Path, shards: usize) -> Layout {
-        if shards <= 1 {
-            Layout::Plain(LiveIndex::create(dir, LiveConfig::default()).unwrap())
-        } else {
-            Layout::Sharded(ShardedLiveIndex::create(dir, LiveConfig::default(), shards).unwrap())
-        }
-    }
-
-    fn add_batch(&mut self, docs: &[&str]) {
-        match self {
-            Layout::Plain(l) => drop(l.add_batch(docs).unwrap()),
-            Layout::Sharded(s) => drop(s.add_batch(docs).unwrap()),
-        }
-    }
-
-    fn flush(&mut self) {
-        match self {
-            Layout::Plain(l) => drop(l.flush().unwrap()),
-            Layout::Sharded(s) => drop(s.flush().unwrap()),
-        }
-    }
-
-    fn query(&self, pattern: &str) {
-        match self {
-            Layout::Plain(l) => drop(l.query(pattern).unwrap()),
-            Layout::Sharded(s) => drop(s.query(pattern).unwrap()),
-        }
-    }
+/// A live index of `shards` shards: one rooted at `dir`, more under it.
+fn create(dir: &Path, shards: usize) -> LiveIndex {
+    LiveIndex::create_sharded(dir, LiveConfig::default(), shards).unwrap()
 }
 
 /// Builds a live index in `dir` from `doc_picks`, capturing `schedule`
@@ -107,11 +75,11 @@ fn capture(
     flush_every: usize,
     schedule: &[usize],
 ) -> Vec<String> {
-    let mut layout = Layout::create(dir, shards);
+    let mut live = create(dir, shards);
     for (i, &pick) in doc_picks.iter().enumerate() {
-        layout.add_batch(&[DOCS[pick % DOCS.len()]]);
+        live.add_batch(&[DOCS[pick % DOCS.len()]]).unwrap();
         if (i + 1) % flush_every == 0 {
-            layout.flush();
+            live.flush().unwrap();
         }
     }
     let writer = LogWriter::with_config(
@@ -124,7 +92,9 @@ fn capture(
     .unwrap();
     qlog::install(writer);
     for &pick in schedule {
-        layout.query(PATTERNS[pick % PATTERNS.len()]);
+        live.snapshot()
+            .query(PATTERNS[pick % PATTERNS.len()])
+            .unwrap();
     }
     qlog::shutdown(); // seals every segment
     qlog::read_dir(log_dir)
@@ -147,11 +117,11 @@ fn live_records_carry_the_plan_grams() {
     for shards in [1, 3] {
         let dir = fresh_dir("grams-idx");
         let log_dir = fresh_dir("grams-log");
-        let mut layout = Layout::create(&dir, shards);
-        layout.add_batch(&docs);
-        layout.flush();
+        let mut live = create(&dir, shards);
+        live.add_batch(&docs).unwrap();
+        live.flush().unwrap();
         qlog::install(LogWriter::with_config(&log_dir, LogConfig::default()).unwrap());
-        layout.query("entry 042");
+        live.snapshot().query("entry 042").unwrap();
         qlog::shutdown();
         let records: Vec<String> = qlog::read_dir(&log_dir)
             .unwrap()

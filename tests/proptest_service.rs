@@ -258,13 +258,13 @@ proptest! {
                     .query_opts(pattern, &QueryOpts { threads: 1, ..QueryOpts::default() })
                     .unwrap()
                     .matches;
-                match cache.get(pattern, true, generation) {
+                match cache.get(pattern, generation) {
                     Some(hit) => {
                         // The coherence property: a hit at generation G
                         // IS the uncached answer at generation G.
                         prop_assert_eq!(hit.as_slice(), fresh.as_slice(), "{pattern}");
                     }
-                    None => cache.insert(pattern, true, generation, Arc::new(fresh)),
+                    None => cache.insert(pattern, generation, Arc::new(fresh)),
                 }
             }
         }

@@ -1,20 +1,20 @@
-//! Differential property test for the sharded live index: for ANY
-//! schedule of ingest / delete / flush / compact operations, a sharded
-//! index must be observationally identical to an unsharded one driven
-//! by the same schedule — same sequence numbers, same matches, same
-//! spans, in the same order — for any shard count and any confirmation
-//! thread count, and the equivalence must survive a reopen.
+//! Differential property test for sharding: for ANY schedule of ingest /
+//! delete / flush / compact operations, a live index over N shards must
+//! be observationally identical to a one-shard index driven by the same
+//! schedule — same sequence numbers, same matches, same spans, in the
+//! same order — for any shard count and any confirmation thread count,
+//! and the equivalence must survive a reopen.
 //!
 //! Shard count defaults to {1, 4} and can be pinned with `FREE_SHARDS=N`
-//! (the CI matrix runs both). One shard is the rooted layout: the very
-//! directory `LiveIndex` writes, which the second property hands back
-//! and forth between the two types.
+//! (the CI matrix runs both). One shard is the rooted layout; the second
+//! property checks it against the `shards=1` manifest over `shard-0/`
+//! that older versions wrote.
 
 // Integration tests: unwraps in helper functions are assertions, the
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_engine::EngineConfig;
-use free_live::{LiveConfig, LiveIndex, ShardedLiveIndex, ShardedManifest};
+use free_live::{LiveConfig, LiveIndex, QueryOpts, ShardedManifest};
 use free_regex::Span;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -88,8 +88,13 @@ fn shard_counts() -> Vec<usize> {
 }
 
 /// (seq, spans) for every match of `pattern`, in global order.
-fn plain_results(live: &LiveIndex, pattern: &str, threads: usize) -> Vec<(u32, Vec<Span>)> {
-    live.query_with(pattern, threads, true)
+fn results(live: &LiveIndex, pattern: &str, threads: usize) -> Vec<(u32, Vec<Span>)> {
+    let opts = QueryOpts {
+        threads,
+        ..QueryOpts::default()
+    };
+    live.snapshot()
+        .query_opts(pattern, &opts)
         .unwrap()
         .matches
         .into_iter()
@@ -110,15 +115,6 @@ fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
     }
 }
 
-fn sharded_results(idx: &ShardedLiveIndex, pattern: &str, threads: usize) -> Vec<(u32, Vec<Span>)> {
-    idx.query_with(pattern, threads, true)
-        .unwrap()
-        .matches
-        .into_iter()
-        .map(|m| (m.seq, m.spans))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -132,7 +128,7 @@ proptest! {
             let shard_dir = fresh_dir();
             let mut plain = LiveIndex::create(&plain_dir, live_config()).unwrap();
             let mut sharded =
-                ShardedLiveIndex::create(&shard_dir, live_config(), shards).unwrap();
+                LiveIndex::create_sharded(&shard_dir, live_config(), shards).unwrap();
             // One shard is rooted at the directory, with no manifest of
             // its own; more sit behind one.
             prop_assert_eq!(ShardedManifest::exists(&shard_dir), shards > 1);
@@ -170,9 +166,9 @@ proptest! {
                     prop_assert_eq!(&sharded.get(*seq).unwrap(), doc, "doc content diverged");
                 }
                 for pattern in PATTERNS {
-                    let want = plain_results(&plain, pattern, 1);
+                    let want = results(&plain, pattern, 1);
                     for threads in [1usize, 4] {
-                        let got = sharded_results(&sharded, pattern, threads);
+                        let got = results(&sharded, pattern, threads);
                         prop_assert_eq!(
                             &got, &want,
                             "pattern {} diverged at {} shard(s), {} thread(s)",
@@ -186,13 +182,13 @@ proptest! {
             drop(plain);
             drop(sharded);
             let plain = LiveIndex::open(&plain_dir, live_config()).unwrap();
-            let sharded = ShardedLiveIndex::open(&shard_dir, live_config()).unwrap();
+            let sharded = LiveIndex::open(&shard_dir, live_config()).unwrap();
             prop_assert_eq!(plain.next_seq(), sharded.next_seq(), "next_seq diverged on reopen");
             prop_assert_eq!(plain.live_seqs(), sharded.live_seqs(), "reopen seq sets diverged");
             for pattern in PATTERNS {
                 prop_assert_eq!(
-                    plain_results(&plain, pattern, 1),
-                    sharded_results(&sharded, pattern, 1),
+                    results(&plain, pattern, 1),
+                    results(&sharded, pattern, 1),
                     "pattern {} diverged after reopen", pattern
                 );
             }
@@ -201,13 +197,12 @@ proptest! {
         }
     }
 
-    /// One layout: a directory written by `LiveIndex` *is* a one-shard
-    /// index. After any schedule it opens as a `ShardedLiveIndex` with
-    /// byte-identical answers at 1 and 4 threads, takes further writes,
-    /// and opens as a `LiveIndex` again to those same answers — the
-    /// hand-over between `LiveIndex::create` and `free serve`. The same
-    /// files under `shard-0/` behind a hand-written `shards=1` manifest
-    /// (what older versions wrote) answer identically too.
+    /// One layout, two claims. `LiveIndex::create` roots one shard at the
+    /// directory (no sharded manifest, no `shard-0/`), and after any
+    /// schedule it reopens as that one shard with byte-identical answers
+    /// at 1 and 4 threads, then takes further writes. The same files
+    /// under `shard-0/` behind a hand-written `shards=1` manifest (what
+    /// older versions wrote) answer, and take writes, identically.
     #[test]
     fn plain_directory_is_one_rooted_shard(
         ops in prop::collection::vec(arb_op(), 1..8),
@@ -215,63 +210,56 @@ proptest! {
     ) {
         let rooted_dir = fresh_dir();
         let legacy_dir = fresh_dir();
-        let mut plain = LiveIndex::create(&rooted_dir, live_config()).unwrap();
-        let mut live: Vec<u32> = Vec::new();
+        let mut live = LiveIndex::create(&rooted_dir, live_config()).unwrap();
+        prop_assert!(!ShardedManifest::exists(&rooted_dir));
+        prop_assert!(!free_live::shard_dir(&rooted_dir, 0).exists());
+        let mut seqs: Vec<u32> = Vec::new();
         for op in &ops {
             match op {
-                Op::Add(docs) => live.extend(plain.add_batch(docs).unwrap()),
+                Op::Add(docs) => seqs.extend(live.add_batch(docs).unwrap()),
                 Op::Delete(raw) => {
-                    if !live.is_empty() {
-                        plain.delete(live.remove(raw % live.len())).unwrap();
+                    if !seqs.is_empty() {
+                        live.delete(seqs.remove(raw % seqs.len())).unwrap();
                     }
                 }
                 Op::Flush => {
-                    plain.flush().unwrap();
+                    live.flush().unwrap();
                 }
                 Op::Compact => {
-                    plain.compact().unwrap();
+                    live.compact().unwrap();
                 }
             }
         }
-        let next_seq = plain.next_seq();
-        let want: Vec<_> = PATTERNS.iter().map(|p| plain_results(&plain, p, 1)).collect();
-        drop(plain);
+        let next_seq = live.next_seq();
+        let want: Vec<_> = PATTERNS.iter().map(|p| results(&live, p, 1)).collect();
+        drop(live);
         copy_dir(&rooted_dir, &free_live::shard_dir(&legacy_dir, 0));
         ShardedManifest { shards: 1, selector: None }.store(&legacy_dir).unwrap();
 
         let mut after_writes = Vec::new();
         for dir in [&rooted_dir, &legacy_dir] {
-            let mut sharded = ShardedLiveIndex::open(dir, live_config()).unwrap();
-            prop_assert_eq!(sharded.num_shards(), 1);
-            prop_assert_eq!(sharded.next_seq(), next_seq);
-            prop_assert_eq!(sharded.live_seqs(), live.clone());
+            let mut live = LiveIndex::open(dir, live_config()).unwrap();
+            prop_assert_eq!(live.num_shards(), 1);
+            prop_assert_eq!(live.next_seq(), next_seq);
+            prop_assert_eq!(live.live_seqs(), seqs.clone());
             for (pattern, want) in PATTERNS.iter().zip(&want) {
                 for threads in [1usize, 4] {
                     prop_assert_eq!(
-                        &sharded_results(&sharded, pattern, threads), want,
+                        &results(&live, pattern, threads), want,
                         "pattern {} diverged at {} thread(s) in {}",
                         pattern, threads, dir.display()
                     );
                 }
             }
-            let ids = sharded.add_batch(&extra).unwrap();
+            let ids = live.add_batch(&extra).unwrap();
             prop_assert_eq!(ids[0], next_seq, "writes continue the sequence");
-            sharded.delete(ids[0]).unwrap();
-            sharded.flush().unwrap();
+            live.delete(ids[0]).unwrap();
+            live.flush().unwrap();
             after_writes.push(
-                PATTERNS.iter().map(|p| sharded_results(&sharded, p, 4)).collect::<Vec<_>>(),
+                PATTERNS.iter().map(|p| results(&live, p, 4)).collect::<Vec<_>>(),
             );
         }
         prop_assert_eq!(&after_writes[0], &after_writes[1]);
-
-        let plain = LiveIndex::open(&rooted_dir, live_config()).unwrap();
-        prop_assert_eq!(plain.next_seq(), next_seq + extra.len() as u32);
-        for (pattern, want) in PATTERNS.iter().zip(&after_writes[0]) {
-            prop_assert_eq!(
-                &plain_results(&plain, pattern, 1), want,
-                "pattern {} diverged after the hand-back", pattern
-            );
-        }
         let _ = std::fs::remove_dir_all(&rooted_dir);
         let _ = std::fs::remove_dir_all(&legacy_dir);
     }
