@@ -1324,4 +1324,18 @@ mod tests {
         names.sort();
         names
     }
+
+    /// The public read path must be shareable: snapshots are handed to
+    /// reader threads by `Arc`, and `LiveReader` clones are the
+    /// per-thread query handles.
+    #[test]
+    fn sharded_read_path_is_send_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        fn assert_clone<T: Clone>() {}
+        assert_send_sync::<Snapshot>();
+        assert_send_sync::<Arc<Snapshot>>();
+        assert_send_sync::<LiveReader>();
+        assert_send_sync::<LiveIndex>();
+        assert_clone::<LiveReader>();
+    }
 }
