@@ -12,11 +12,11 @@
 //! crc32(b"123456789") == 0xCBF43926
 //! ```
 //!
-//! The implementation is slicing-by-8 (Kounavis & Berry, 2008): eight
-//! 256-entry tables generated at first use let the main loop fold eight
-//! input bytes per step with independent lookups, about four times the
-//! throughput of the one-table bytewise loop and bit-identical to it
-//! (the bytewise loop survives as the test-only reference the sliced
+//! The implementation is slicing-by-16 (the widening of Kounavis &
+//! Berry's slicing-by-8, 2008): sixteen 256-entry tables (16 KiB)
+//! generated at first use let the main loop fold sixteen input bytes per
+//! step with independent lookups, bit-identical to the one-table
+//! bytewise loop (which survives as the test-only reference the sliced
 //! one is proven equal to). No external crates, no `unsafe`.
 
 use std::sync::OnceLock;
@@ -24,13 +24,17 @@ use std::sync::OnceLock;
 /// The reflected IEEE 802.3 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
+/// How many bytes [`Crc32::update`] folds per step, and so how many
+/// tables it needs.
+const SLICES: usize = 16;
+
 /// `tables()[0]` is the classic bytewise table; `tables()[k][i]` is the
-/// CRC of byte `i` followed by `k` zero bytes, which is what lets eight
-/// bytes be folded in one step.
-fn tables() -> &'static [[u32; 256]; 8] {
-    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+/// CRC of byte `i` followed by `k` zero bytes, which is what lets
+/// [`SLICES`] bytes be folded in one step.
+fn tables() -> &'static [[u32; 256]; SLICES] {
+    static TABLES: OnceLock<[[u32; 256]; SLICES]> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
+        let mut t = [[0u32; 256]; SLICES];
         for (i, slot) in t[0].iter_mut().enumerate() {
             let mut crc = i as u32;
             for _ in 0..8 {
@@ -42,7 +46,7 @@ fn tables() -> &'static [[u32; 256]; 8] {
             }
             *slot = crc;
         }
-        for k in 1..8 {
+        for k in 1..SLICES {
             for i in 0..256 {
                 let prev = t[k - 1][i];
                 t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
@@ -69,17 +73,17 @@ impl Crc32 {
     pub fn update(&mut self, bytes: &[u8]) {
         let t = tables();
         let mut crc = self.state;
-        let mut words = bytes.chunks_exact(8);
+        let mut words = bytes.chunks_exact(SLICES);
         for w in &mut words {
+            // The running CRC folds into the first four bytes; byte `k`
+            // of the step is then followed by `SLICES - 1 - k` more.
             let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][usize::from(w[4])]
-                ^ t[2][usize::from(w[5])]
-                ^ t[1][usize::from(w[6])]
-                ^ t[0][usize::from(w[7])];
+            crc = lo
+                .to_le_bytes()
+                .iter()
+                .chain(&w[4..])
+                .zip(t.iter().rev())
+                .fold(0, |acc, (&b, table)| acc ^ table[usize::from(b)]);
         }
         for &b in words.remainder() {
             crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
@@ -136,7 +140,7 @@ mod tests {
     #[test]
     fn sliced_equals_bytewise_at_every_length_and_offset() {
         let buf = buffer();
-        for start in 0..8 {
+        for start in 0..SLICES {
             for len in 0..=64 {
                 let piece = &buf[start..start + len];
                 assert_eq!(crc32(piece), bytewise(piece), "start {start} len {len}");

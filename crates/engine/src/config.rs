@@ -78,9 +78,11 @@ pub struct EngineConfig {
     pub prune_selectivity: f64,
     /// Anchoring (the extension sketched in §1 of the paper): before
     /// running the automaton over a candidate data unit, verify with a
-    /// Boyer-Moore-Horspool search that every literal the match requires
-    /// actually occurs. Rejects index false positives (e.g. a data unit
-    /// containing `.mp` and `mp3` but not `.mp3`) at sublinear cost.
+    /// word-at-a-time literal search that every literal the match
+    /// requires actually occurs. Rejects index false positives (e.g. a
+    /// data unit containing `.mp` and `mp3` but not `.mp3`) at
+    /// literal-scan speed. (Positioning the decision on the literal every
+    /// match ends with is the automaton's own business, on or off.)
     pub use_anchoring: bool,
     /// What to do when a query plan cannot use the index at all.
     pub scan_policy: ScanPolicy,

@@ -57,13 +57,13 @@ pub(crate) fn debug_assert_required_grams_sound(
     }
 }
 
-/// Builds Boyer-Moore finders for the plan's required grams (anchoring).
+/// Builds literal finders for the plan's required grams (anchoring).
 /// Grams of length 1 never reject realistic candidates and grams contained
 /// in a longer required gram are subsumed by it, so both are dropped.
 /// The finders come longest needle first (ties in byte order): the
 /// prefilter is a conjunction, so the order changes no outcome, and a
-/// longer literal is both the rarer one and the one Boyer-Moore skips
-/// through fastest, so it is the cheapest way to reject a page.
+/// longer literal is the rarer one, so it is the likeliest to reject a
+/// page with one scan.
 /// Public so alternative executors (the live index) can reuse the same
 /// confirmation prefilter.
 pub fn build_prefilter(logical: &LogicalPlan) -> Vec<Finder> {

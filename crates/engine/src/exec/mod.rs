@@ -150,7 +150,7 @@ pub fn confirm<C: Corpus>(
         stats.docs_examined += 1;
         stats.bytes_examined += bytes.len() as u64;
         // Anchoring: every required literal must occur before the
-        // automaton is engaged (sublinear rejection via Boyer-Moore).
+        // automaton is engaged (rejection at literal-scan speed).
         for f in prefilter {
             if !f.contains(bytes) {
                 stats.docs_prefiltered += 1;

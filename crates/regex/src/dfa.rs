@@ -11,9 +11,20 @@
 //!   ([`LazyDfa::accepting_positions_rev`]): it is accepting at offset
 //!   `i` exactly when some match begins at `i`;
 //! * *where does the longest match from this start end?* — an
-//!   **anchored** DFA over the pattern ([`LazyDfa::longest_match_at`]).
+//!   **anchored** DFA over the pattern ([`LazyDfa::longest_match_at`]);
+//! * *does a match end exactly here?* — an **anchored** DFA over the
+//!   reversed pattern, run right to left from that offset
+//!   ([`LazyDfa::accepts_ending_at`]): it accepts after consuming
+//!   `haystack[i..end]` backwards iff `haystack[i..end]` matches, and dies
+//!   as soon as no longer stretch can.
 //!
-//! [`crate::Searcher`] composes the three into leftmost-longest spans.
+//! [`crate::Searcher`] composes them: when every match ends with a
+//! literal ([`crate::literal::suffix_literal`]), the last automaton
+//! decides containment from each occurrence of that literal, so only the
+//! bytes a match could end on, and the few before them that tell it
+//! apart, are stepped through; otherwise the first one decides. The
+//! second and third then turn a page that matches into leftmost-longest
+//! spans.
 //!
 //! DFA states are created the first time they are visited (subset
 //! construction, McNaughton–Yamada), keyed by their NFA state set;
@@ -407,6 +418,26 @@ impl LazyDfa {
         }
         last
     }
+
+    /// Whether some match ends exactly at `end`: runs the automaton right
+    /// to left from `end`, stopping at its first accepting state or as
+    /// soon as it dies. Meant for an [anchored](LazyDfa::anchored)
+    /// automaton over a reversed pattern, the mirror of
+    /// [`LazyDfa::longest_match_at`].
+    ///
+    /// Returns whether it accepted and the offset it stopped at: the start
+    /// of the shortest match ending at `end`, the offset it died at, or
+    /// 0 when the input ran out first, so `end - stop` bytes were stepped.
+    pub fn accepts_ending_at(&mut self, nfa: &Nfa, haystack: &[u8], end: usize) -> (bool, usize) {
+        let mut state = self.start;
+        let mut pos = end;
+        while pos > 0 && state & (ACCEPT | DEAD) == 0 {
+            let (reached, consumed) = self.run::<true>(nfa, state, &haystack[..pos]);
+            state = reached;
+            pos -= consumed;
+        }
+        (state & ACCEPT != 0, pos)
+    }
 }
 
 #[cfg(test)]
@@ -544,6 +575,21 @@ mod tests {
         let mut out = Vec::new();
         LazyDfa::new(&rev).accepting_positions_rev(&rev, b"ba", &mut |i| out.push(i));
         assert_eq!(out, vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn reversed_anchored_automaton_accepts_where_a_match_ends() {
+        let ast = parse("a.*bc|xbc").unwrap();
+        let rev = Nfa::compile(&ast.reversed()).unwrap();
+        let mut dfa = LazyDfa::anchored(&rev, DEFAULT_STATE_LIMIT);
+        // Stops at the shortest match ending at 7: "xbc" from 4.
+        assert_eq!(dfa.accepts_ending_at(&rev, b"abcxxbcbc", 7), (true, 4));
+        assert_eq!(dfa.accepts_ending_at(&rev, b"abcxxbcbc", 9), (true, 0));
+        // `.*` keeps it alive back to the start of the input.
+        assert_eq!(dfa.accepts_ending_at(&rev, b"zzbc", 4), (false, 0));
+        // Dies on the `z` before the needed `b`.
+        assert_eq!(dfa.accepts_ending_at(&rev, b"azzc", 4), (false, 2));
+        assert_eq!(dfa.accepts_ending_at(&rev, b"abc", 0), (false, 0));
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //!   and hex escapes.
 //! * [`nfa::Nfa`] — Thompson construction over the parsed [`ast::Ast`].
 //! * [`dfa::LazyDfa`] — an on-the-fly determinized automaton with byte-class
-//!   alphabet compression. The production matcher is three of them: one
-//!   decides containment ("does this data unit match at all?"), one run
-//!   right to left over the reversed pattern marks where matches start,
-//!   one anchored extends a start to its longest end — leftmost-longest
-//!   *spans* (what `grep -o` would print) at DFA speed.
+//!   alphabet compression. The production matcher is four of them: two
+//!   decide containment ("does this data unit match at all?") — one run
+//!   right to left from each occurrence of the literal every match ends
+//!   with, when the pattern has one, else one forward over the whole
+//!   unit — one run right to left over the reversed pattern marks where
+//!   matches start, one anchored extends a start to its longest end —
+//!   leftmost-longest *spans* (what `grep -o` would print) at DFA speed.
 //! * [`Regex`] / [`Searcher`] — the high-level façade composing them.
 //! * [`pike::PikeVm`] — an NFA simulation that reports the same spans
 //!   directly; kept as the differential reference for the DFA path.

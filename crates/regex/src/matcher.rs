@@ -13,6 +13,7 @@
 use crate::ast::Ast;
 use crate::dfa::{LazyDfa, DEFAULT_STATE_LIMIT};
 use crate::error::Result;
+use crate::literal::{suffix_literal, Finder};
 use crate::nfa::Nfa;
 use crate::parser::{Parser, ParserConfig};
 use crate::Span;
@@ -30,8 +31,12 @@ pub struct RegexConfig {
 struct Program {
     ast: Ast,
     nfa: Nfa,
+    /// The literal every match ends with ([`suffix_literal`]), if any:
+    /// what the decision is positioned on.
+    anchor: Option<Finder>,
     /// The NFA of the reversed pattern, compiled the first time a
-    /// searcher needs match *starts* (containment never does).
+    /// searcher needs it: at its first decision when the pattern has an
+    /// anchor, else when it is first asked for match *starts*.
     reverse: OnceLock<Nfa>,
 }
 
@@ -122,6 +127,7 @@ impl Regex {
         Ok(Regex {
             pattern: pattern.to_string(),
             program: Arc::new(Program {
+                anchor: suffix_literal(&ast).map(|s| Finder::new(&s)),
                 ast,
                 nfa,
                 reverse: OnceLock::new(),
@@ -158,6 +164,7 @@ impl Regex {
     pub fn searcher_with_state_limit(&self, state_limit: usize) -> Searcher {
         Searcher {
             contains: LazyDfa::with_state_limit(&self.program.nfa, state_limit),
+            ends: None,
             spans: None,
             state_limit,
             program: self.program.clone(),
@@ -198,11 +205,16 @@ impl Regex {
 
 /// Mutable scratch state for searching one pattern: its lazy DFA caches.
 ///
-/// Three automata, each answering one question in linear time (see
-/// [`crate::dfa`]): the forward unanchored DFA decides *whether* the
-/// haystack matches; only if it does, and spans are wanted, the reverse
-/// DFA marks every offset a match starts at and the anchored DFA extends
-/// each start the iteration reaches to its longest end. The pattern
+/// Four automata, each answering one question in linear time (see
+/// [`crate::dfa`]). *Whether* the haystack matches is decided on the
+/// literal every match ends with, when the pattern has one: from each
+/// occurrence of it, left to right, the anchored reverse DFA steps back
+/// until it accepts (a match ends there) or dies. Otherwise, and when
+/// those walks have stepped as many bytes as the haystack holds, the
+/// forward unanchored DFA decides. Only if the haystack matches, and
+/// spans are wanted, the unanchored reverse DFA marks every offset a
+/// match starts at and the anchored DFA extends each start the
+/// iteration reaches to its longest end. The pattern
 /// language has no anchors or look-around, so whether `haystack[i..j]`
 /// matches never depends on the bytes around it, and the spans are
 /// exactly the leftmost-longest ones a backtracking or Pike-VM search
@@ -214,6 +226,10 @@ pub struct Searcher {
     state_limit: usize,
     /// Forward, unanchored: does the haystack contain a match?
     contains: LazyDfa,
+    /// Reversed pattern, anchored, run right to left from an anchor
+    /// occurrence's end: does a match end there? Built at the first
+    /// decision of a pattern that has an anchor.
+    ends: Option<LazyDfa>,
     /// Built the first time a haystack that matches is asked for spans.
     spans: Option<SpanScratch>,
 }
@@ -253,9 +269,50 @@ impl SpanScratch {
 }
 
 impl Searcher {
-    /// Whether `haystack` contains a match.
+    /// Whether `haystack` contains a match: the one containment decision
+    /// behind every search, positioned on the anchor where that answers,
+    /// else the forward pass.
     pub fn is_match(&mut self, haystack: &[u8]) -> bool {
-        self.contains.is_match(&self.program.nfa, haystack)
+        match self.positioned(haystack) {
+            Some(matched) => matched,
+            None => self.contains.is_match(&self.program.nfa, haystack),
+        }
+    }
+
+    /// Decides containment from the occurrences of the pattern's anchor,
+    /// or returns `None` when it has none or the walks ran out of steps.
+    ///
+    /// Every match ends with the anchor, so the haystack matches iff a
+    /// match ends where some occurrence does. The reverse walks share a
+    /// cap of `haystack.len()` steps, and each is handed only the bytes
+    /// the cap still allows, so a pattern whose walks never die (the
+    /// `.*` of `<script>.*</script>` carries each one back to the start)
+    /// costs at most one forward pass more than the forward pass alone.
+    fn positioned(&mut self, haystack: &[u8]) -> Option<bool> {
+        let program = &*self.program;
+        let anchor = program.anchor.as_ref()?;
+        let state_limit = self.state_limit;
+        let ends = self
+            .ends
+            .get_or_insert_with(|| LazyDfa::anchored(program.reverse(), state_limit));
+        let mut steps = haystack.len();
+        let mut at = 0;
+        while let Some(p) = anchor.find_at(haystack, at) {
+            let end = p + anchor.needle().len();
+            let floor = end.saturating_sub(steps);
+            let (accepted, stop) =
+                ends.accepts_ending_at(program.reverse(), &haystack[floor..], end - floor);
+            if accepted {
+                return Some(true);
+            }
+            if stop == 0 && floor > 0 {
+                // Cut short by the cap, not by the start of the haystack.
+                return None;
+            }
+            steps -= end - floor - stop;
+            at = p + 1;
+        }
+        Some(false)
     }
 
     /// The leftmost-longest match, if any.
@@ -283,11 +340,11 @@ impl Searcher {
     /// Visits the non-overlapping leftmost-longest matches in order until
     /// `visit` returns `false`.
     fn for_each_match(&mut self, haystack: &[u8], visit: &mut dyn FnMut(Span) -> bool) {
-        let program = &*self.program;
         // Decision pass: most haystacks end here.
-        if !self.contains.is_match(&program.nfa, haystack) {
+        if !self.is_match(haystack) {
             return;
         }
+        let program = &*self.program;
         let state_limit = self.state_limit;
         let spans = self.spans.get_or_insert_with(|| SpanScratch {
             starts: LazyDfa::with_state_limit(program.reverse(), state_limit),
@@ -365,6 +422,7 @@ mod tests {
 
     #[test]
     fn shared_searcher_is_built_on_first_use_only() {
+        // No anchor: `c` alone is too short to position a decision.
         let re = Regex::new("ab+c").unwrap();
         assert!(re.shared.get().is_none(), "compiling builds no scratch");
         let _ = re.searcher();
@@ -380,6 +438,38 @@ mod tests {
         assert!(re.program.reverse.get().is_none());
         assert_eq!(clone.find(b"xabcx").unwrap().range(), 1..4);
         assert!(re.program.reverse.get().is_some());
+        // Anchored on `cd`: the first decision walks the reverse program.
+        let re = Regex::new("ab+cd").unwrap();
+        let _ = re.searcher();
+        assert!(re.program.reverse.get().is_none());
+        assert!(!re.is_match(b"abbc"));
+        assert!(re.program.reverse.get().is_some());
+    }
+
+    /// `a.*bc` over `haystack`: the positioned answer, if the cap let it
+    /// give one, and the answer every search gives, checked against the
+    /// Pike VM.
+    fn capped(haystack: &[u8]) -> Option<bool> {
+        let re = Regex::new("a.*bc").unwrap();
+        let mut vm = crate::pike::PikeVm::new(re.nfa());
+        let want = vm.find_at(re.nfa(), haystack, 0);
+        let mut searcher = re.searcher_with_state_limit(3);
+        let positioned = searcher.positioned(haystack);
+        assert_eq!(searcher.is_match(haystack), want.is_some());
+        assert_eq!(searcher.find(haystack).map(|m| m.span()), want);
+        positioned
+    }
+
+    #[test]
+    fn positioned_decision_falls_back_when_its_walks_run_out() {
+        let bcs = b"bc".repeat(2048);
+        // No `a`: every `bc` walks back to the start without dying, and
+        // the cap hands the page to the forward pass.
+        assert_eq!(capped(&bcs), None);
+        // A leading `a`: the first walk accepts.
+        assert_eq!(capped(&[b"a", &bcs[..]].concat()), Some(true));
+        // A late `a`: the walks before it use up the cap.
+        assert_eq!(capped(&[&bcs[..], b"abc"].concat()), None);
     }
 
     #[test]

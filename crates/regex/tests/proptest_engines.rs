@@ -3,7 +3,9 @@
 //! haystacks over a small alphabet (small alphabets maximize the chance of
 //! overlapping matches and epsilon subtleties), and the production
 //! [`Searcher`](free_regex::Searcher)'s DFA-only spans must equal what the
-//! Pike VM and the oracle iterate.
+//! Pike VM and the oracle iterate. Longer haystacks (up to 300 bytes)
+//! exercise what a 16-byte one never reaches: the positioned decision on
+//! a pattern's suffix literal, down to the cap on its reverse walks.
 
 use free_regex::dense::DenseDfa;
 use free_regex::dfa::LazyDfa;
@@ -96,10 +98,8 @@ proptest! {
         hay in arb_haystack(),
         state_limit in 2usize..8,
     ) {
-        let rendered = format!("{ast:?}");
-        // ε is Debug-only notation, not parseable syntax; render it as
-        // the empty group the parser does accept.
-        let re = Regex::new(&rendered.replace('ε', "()")).expect("rendering parses");
+        let rendered = render(&ast);
+        let re = Regex::new(&rendered).expect("rendering parses");
         let nfa = Nfa::compile(re.ast()).expect("compiles");
         let mut vm = PikeVm::new(&nfa);
         let pike = iterate(&hay, |at| vm.find_at(&nfa, &hay, at));
@@ -131,6 +131,56 @@ proptest! {
         let nfa = Nfa::compile(&ast).expect("compiles");
         let mut small = LazyDfa::with_state_limit(&nfa, 2);
         prop_assert_eq!(small.is_match(&nfa, &hay), oracle::is_match(&ast, &hay));
+    }
+}
+
+fn arb_letter() -> impl Strategy<Value = u8> {
+    prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), Just(b'x')]
+}
+
+/// The regex syntax of `ast` (ε, Debug-only notation, as the empty group).
+fn render(ast: &Ast) -> String {
+    format!("{ast:?}").replace('ε', "()")
+}
+
+proptest! {
+    // About one case in seventy reaches the cap on the reverse walks.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// A pattern that ends with a literal of two to four bytes, over
+    /// haystacks of one to four letters with that literal planted up to
+    /// eight times: the
+    /// positioned decision (and the forward pass it falls back to) must
+    /// give the Pike VM's answers, at any cache size.
+    #[test]
+    fn positioned_decision_matches_pike(
+        ast in arb_ast(),
+        suffix in prop::collection::vec(arb_letter(), 2..=4),
+        letters in 1usize..=4,
+        hay in prop::collection::vec(any::<usize>(), 0..=300),
+        plants in prop::collection::vec(any::<usize>(), 0..=8),
+        state_limit in 2usize..8,
+    ) {
+        // Fewer letters leave the pattern's head nothing to match but the
+        // planted literals, so walks run long and reach the cap.
+        let mut hay: Vec<u8> = hay.iter().map(|i| b"xabc"[i % letters]).collect();
+        let pattern = format!("({}){}", render(&ast), String::from_utf8_lossy(&suffix));
+        let re = Regex::new(&pattern).expect("rendering parses");
+        prop_assert!(free_regex::literal::suffix_literal(re.ast()).is_some(), "{}", pattern);
+        if hay.len() >= suffix.len() {
+            for plant in &plants {
+                let at = plant % (hay.len() - suffix.len() + 1);
+                hay[at..at + suffix.len()].copy_from_slice(&suffix);
+            }
+        }
+        let mut vm = PikeVm::new(re.nfa());
+        let pike = iterate(&hay, |at| vm.find_at(re.nfa(), &hay, at));
+        for mut searcher in [re.searcher(), re.searcher_with_state_limit(state_limit)] {
+            prop_assert_eq!(searcher.is_match(&hay), !pike.is_empty(), "{} over {:?}", pattern, hay);
+            let got: Vec<Span> = searcher.find_all(&hay).iter().map(|m| m.span()).collect();
+            prop_assert_eq!(&got, &pike, "{} over {:?}", pattern, hay);
+            prop_assert_eq!(searcher.find(&hay).map(|m| m.span()), pike.first().copied());
+        }
     }
 }
 
