@@ -32,7 +32,9 @@
 //! than all 256 bytes. A state's id *is* its row offset in the transition
 //! table (pre-multiplied by the stride), with the accepting and dead
 //! flags in the two top bits, so the inner loop is one class lookup, one
-//! table read and one compare per byte.
+//! table read and one compare per byte. An unanchored automaton whose
+//! start state only a few ASCII ranges leave (`0-9`, `<`) passes over
+//! whole words of the haystack without them, one word test each.
 //!
 //! An *unanchored* automaton implicitly adds the epsilon closure of the
 //! NFA start state to every state set, which is equivalent to prefixing
@@ -43,6 +45,8 @@
 //! states, the cache is cleared and rebuilt; callers never observe a
 //! failure, only (rare) re-computation.
 
+use crate::class::ByteClass;
+use crate::literal::{load, LANES, LOW7, WORD};
 use crate::nfa::{Nfa, State, StateId};
 use rustc_hash::FxHashMap;
 
@@ -110,6 +114,94 @@ pub struct LazyDfa {
     stack: Vec<StateId>,
     /// One representative byte per input equivalence class.
     reps: Vec<u8>,
+    /// The bytes that can take an unanchored automaton out of its start
+    /// state, when a word can be tested for them at once.
+    escapes: Option<Escapes>,
+}
+
+/// How many byte ranges [`Escapes`] tests per word.
+const ESCAPE_RANGES: usize = 3;
+
+/// The bytes that can move an unanchored automaton off its start state,
+/// when they are at most [`ESCAPE_RANGES`] ranges of ASCII: the first
+/// bytes of the pattern's matches, such as `0-9` for a digit pattern or
+/// `<` for a tag. Eight haystack bytes holding none of them leave the
+/// automaton where it was, and this tests the eight with one word load
+/// and a few bit operations per range (SWAR, as
+/// [`crate::literal::Finder`] does), where the table test of
+/// [`LazyDfa::run`] makes sixteen dependent-free reads. A superset is
+/// safe: a word it flags is only stepped through.
+#[derive(Clone, Copy, Debug)]
+struct Escapes {
+    /// Per range `lo..=hi`, `128 - lo` and `127 - hi` in every lane:
+    /// added to a lane's low seven bits, the first sets its top bit iff
+    /// the byte is at least `lo`, the second iff it is above `hi`, and
+    /// neither carries into the next lane. Unused ranges are `(0, 0)`,
+    /// which never sets a top bit.
+    ranges: [(u64, u64); ESCAPE_RANGES],
+    /// How many of `ranges` are in use.
+    len: usize,
+}
+
+impl Escapes {
+    /// The escapes of the start state whose NFA set is `start`, if they
+    /// fit: the union of the classes its byte-consuming states accept.
+    /// Any other byte steps none of them, so the unanchored automaton
+    /// stays in `start`.
+    fn of(nfa: &Nfa, start: &[StateId]) -> Option<Escapes> {
+        let mut leaving = ByteClass::EMPTY;
+        for &s in start {
+            if let State::Class { class, .. } = nfa.state(s) {
+                leaving = leaving.union(nfa.class(class));
+            }
+        }
+        let runs = leaving.ranges();
+        if runs.is_empty() || runs.len() > ESCAPE_RANGES || runs.iter().any(|&(_, hi)| hi >= 0x80) {
+            return None;
+        }
+        let mut ranges = [(0, 0); ESCAPE_RANGES];
+        for (slot, &(lo, hi)) in ranges.iter_mut().zip(&runs) {
+            *slot = (LANES * (128 - u64::from(lo)), LANES * (127 - u64::from(hi)));
+        }
+        Some(Escapes {
+            ranges,
+            len: runs.len(),
+        })
+    }
+
+    /// Whether some byte of `word` is an escape, testing the first `N`
+    /// ranges. Exact: a lane counts when its byte is ASCII (top bit
+    /// clear), at least `lo` and not above `hi` of some range.
+    #[inline(always)]
+    fn hit<const N: usize>(&self, word: u64) -> bool {
+        let low = word & LOW7;
+        let lanes = self.ranges[..N]
+            .iter()
+            .fold(0, |acc, &(from, past)| acc | ((low + from) & !(low + past)));
+        lanes & !word & !LOW7 != 0
+    }
+
+    /// How many bytes at the front of `rest` (at its back, when `REV`)
+    /// hold no escape, counted in whole words.
+    #[inline(always)]
+    fn idle_len<const REV: bool>(&self, rest: &[u8]) -> usize {
+        // One loop per range count, so a single range costs one test.
+        match self.len {
+            1 => self.idle_words::<REV, 1>(rest),
+            2 => self.idle_words::<REV, 2>(rest),
+            _ => self.idle_words::<REV, ESCAPE_RANGES>(rest),
+        }
+    }
+
+    fn idle_words<const REV: bool, const N: usize>(&self, rest: &[u8]) -> usize {
+        let idle = |word: &[u8]| !self.hit::<N>(load(word, 0));
+        let words = if REV {
+            rest.rchunks_exact(WORD).take_while(|w| idle(w)).count()
+        } else {
+            rest.chunks_exact(WORD).take_while(|w| idle(w)).count()
+        };
+        words * WORD
+    }
 }
 
 impl LazyDfa {
@@ -157,8 +249,15 @@ impl LazyDfa {
             next: Vec::new(),
             stack: Vec::new(),
             reps: nfa.byte_class_representatives(),
+            escapes: None,
         };
         dfa.reset(nfa);
+        if !anchored {
+            // A reset re-interns the same start set first, so the start
+            // state, and what leaves it, outlive every reset.
+            let start = &dfa.sets[(dfa.start & OFFSET) as usize / stride];
+            dfa.escapes = Escapes::of(nfa, start);
+        }
         dfa
     }
 
@@ -263,7 +362,10 @@ impl LazyDfa {
     /// leads back there — lookups that do not depend on one another — is
     /// passed over whole. Where the text leaves the start state too often
     /// for that to pay (an alternation of many first letters), the
-    /// attempt is given up: see [`LazyDfa::note_idle`].
+    /// attempt is given up: see [`LazyDfa::note_idle`]. When the bytes
+    /// that leave the start state fit [`Escapes`], runs of whole words
+    /// without one are passed over with a word test instead of the
+    /// lookups, which is never given up.
     #[inline(always)]
     fn run<const REV: bool>(
         &mut self,
@@ -286,8 +388,22 @@ impl LazyDfa {
             let class_of = |b: u8| usize::from(classes[usize::from(b)]);
             // A flagged start (nullable pattern) never equals `state`.
             let idle = if self.idle_pays { self.start } else { UNKNOWN };
+            let escapes = self.escapes;
             let mut pending = None;
             'scan: while !rest.is_empty() {
+                if let Some(escapes) = escapes.filter(|_| state == idle) {
+                    // Whole words without an escape byte, at one test
+                    // each; the word that stops it is stepped below.
+                    let skip = escapes.idle_len::<REV>(rest);
+                    rest = if REV {
+                        &rest[..rest.len() - skip]
+                    } else {
+                        &rest[skip..]
+                    };
+                    if rest.is_empty() {
+                        break;
+                    }
+                }
                 let n = rest.len().min(STRIDE);
                 let stretch = if REV {
                     &rest[rest.len() - n..]
@@ -295,7 +411,7 @@ impl LazyDfa {
                     &rest[..n]
                 };
                 let mut idles = false;
-                if state == idle && n == STRIDE {
+                if state == idle && n == STRIDE && escapes.is_none() {
                     idles = stretch.iter().fold(true, |all, &b| {
                         all & (transitions[idle as usize + class_of(b)] == idle)
                     });
@@ -604,9 +720,17 @@ mod tests {
         for at in [4_000, 20_001, 40_950] {
             hay[at..at + 4].copy_from_slice(b"zyzx");
         }
-        for (pattern, idles) in [("zyzx", true), ("(a|e|i|o|u|t|h|r)zx|zyzx", false)] {
+        // `zyzx` is left by one byte, so whole words are tested at once;
+        // the other two need the table test (four ranges of first bytes,
+        // all but `z` absent from the text, and then eight of them).
+        for (pattern, words, idles) in [
+            ("zyzx", true, true),
+            ("(0|2|4)q|zyzx", false, true),
+            ("(a|e|i|o|u|t|h|r)zx|zyzx", false, false),
+        ] {
             let nfa = Nfa::compile(&parse(pattern).unwrap()).unwrap();
             let mut dfa = LazyDfa::new(&nfa);
+            assert_eq!(dfa.escapes.is_some(), words, "{pattern}");
             let mut vm = PikeVm::new(&nfa);
             assert_eq!(dfa.shortest_match(&nfa, &hay), Some(4_004), "{pattern}");
             assert_eq!(
@@ -627,6 +751,57 @@ mod tests {
             );
             assert_eq!(dfa.idle_pays, idles, "{pattern}");
         }
+    }
+
+    #[test]
+    fn escape_words_are_told_apart_exactly() {
+        let digits: Vec<u8> = (b'0'..=b'9').collect();
+        for (pattern, leaving) in [
+            (r"\d+x", digits.clone()),
+            ("<[^>]*<", b"<".to_vec()),
+            (r"\(\d|\d-", [&b"("[..], &digits].concat()),
+            ("(a|c|e)q", b"ace".to_vec()),
+        ] {
+            let (_, dfa) = dfa_for(pattern);
+            let escapes = dfa.escapes.expect(pattern);
+            assert_eq!(escapes.len, leaving_runs(&leaving), "{pattern}");
+            // Every byte in every lane, among fillers that are no escape;
+            // `0xb0` differs from `0` only in its top bit.
+            for filler in [b' ', b'z', 0xb0, 0xff] {
+                for b in 0..=255u8 {
+                    for lane in 0..WORD {
+                        let mut word = [filler; WORD];
+                        word[lane] = b;
+                        let word = u64::from_le_bytes(word);
+                        let want = leaving.contains(&b);
+                        assert_eq!(escapes.hit::<ESCAPE_RANGES>(word), want, "{pattern} {b}");
+                        let skipped = escapes.idle_len::<false>(&word.to_le_bytes());
+                        assert_eq!(skipped == 0, want, "{pattern} {b}");
+                    }
+                }
+            }
+        }
+        // Whole words only, from the front or from the back.
+        let (_, dfa) = dfa_for(r"\d+x");
+        let escapes = dfa.escapes.unwrap();
+        assert_eq!(escapes.idle_len::<false>(b"0abcdefghijklmnopq"), 0);
+        assert_eq!(escapes.idle_len::<true>(b"0abcdefghijklmnopq"), 16);
+        assert_eq!(escapes.idle_len::<false>(b"abcdefghijklmnop7"), 16);
+        // Four runs, a byte above ASCII, or none at all: no word test.
+        for pattern in ["(a|c|e|g)q", "a.b|.c", "()"] {
+            assert!(dfa_for(pattern).1.escapes.is_none(), "{pattern}");
+        }
+        // Anchored automata never idle in their start state.
+        let nfa = Nfa::compile(&parse("ab").unwrap()).unwrap();
+        assert!(LazyDfa::anchored(&nfa, DEFAULT_STATE_LIMIT)
+            .escapes
+            .is_none());
+    }
+
+    fn leaving_runs(bytes: &[u8]) -> usize {
+        let mut class = ByteClass::EMPTY;
+        bytes.iter().for_each(|&b| class.insert(b));
+        class.ranges().len()
     }
 
     #[test]

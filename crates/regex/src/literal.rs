@@ -36,17 +36,17 @@ pub struct Finder {
 }
 
 /// Window starts tested per step: the bytes in one `u64`.
-const WORD: usize = 8;
+pub(crate) const WORD: usize = 8;
 
 /// `0x0101..01`: times a byte, that byte in every lane.
-const LANES: u64 = u64::MAX / 255;
+pub(crate) const LANES: u64 = u64::MAX / 255;
 
 /// `0x7f7f..7f`: every bit of a lane but its top one.
-const LOW7: u64 = LANES * 0x7f;
+pub(crate) const LOW7: u64 = LANES * 0x7f;
 
 /// The eight bytes at `at`, lane `k` holding `bytes[at + k]`.
 #[inline(always)]
-fn load(bytes: &[u8], at: usize) -> u64 {
+pub(crate) fn load(bytes: &[u8], at: usize) -> u64 {
     let mut word = [0u8; WORD];
     word.copy_from_slice(&bytes[at..at + WORD]);
     u64::from_le_bytes(word)

@@ -182,6 +182,34 @@ proptest! {
             prop_assert_eq!(searcher.find(&hay).map(|m| m.span()), pike.first().copied());
         }
     }
+
+    /// Long haystacks whose letters sit sparsely among bytes the pattern
+    /// never consumes (a space, `z`, and two bytes above ASCII, one of
+    /// them `a` with its top bit set), so the automata pass over whole
+    /// idle words, forwards for the decision and backwards for the match
+    /// starts: answers must still be the Pike VM's, at any cache size.
+    #[test]
+    fn idle_words_are_passed_without_changing_spans(
+        ast in arb_ast(),
+        hay in prop::collection::vec((any::<usize>(), any::<usize>()), 0..=300),
+        sparsity in 1usize..40,
+        state_limit in 2usize..8,
+    ) {
+        let hay: Vec<u8> = hay
+            .iter()
+            .map(|&(i, j)| if i % sparsity == 0 { b"abc"[j % 3] } else { [b' ', b'z', 0xe1, 0xff][j % 4] })
+            .collect();
+        let rendered = render(&ast);
+        let re = Regex::new(&rendered).expect("rendering parses");
+        let mut vm = PikeVm::new(re.nfa());
+        let pike = iterate(&hay, |at| vm.find_at(re.nfa(), &hay, at));
+        for mut searcher in [re.searcher(), re.searcher_with_state_limit(state_limit)] {
+            prop_assert_eq!(searcher.is_match(&hay), !pike.is_empty(), "{} over {:?}", rendered, hay);
+            let got: Vec<Span> = searcher.find_all(&hay).iter().map(|m| m.span()).collect();
+            prop_assert_eq!(&got, &pike, "{} over {:?}", rendered, hay);
+            prop_assert_eq!(searcher.find(&hay).map(|m| m.span()), pike.first().copied());
+        }
+    }
 }
 
 proptest! {
