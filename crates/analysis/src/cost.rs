@@ -12,17 +12,11 @@
 //!   against a concrete index directory and classifies by
 //!   [`PhysicalPlan::estimate`] relative to the corpus size, exactly as
 //!   the engine does at query time.
-//! - **Cursor-backed** ([`classify_compiled`]): goes one step further and
-//!   compiles the physical plan into the engine's streaming cursor tree,
-//!   classifying by the root cursor's `cost_estimate()` — a bound
-//!   computed from the actual postings (after key dedup, absent-key
-//!   short-circuiting, and cursor priming) rather than directory
-//!   statistics, so it is never looser than the planner's estimate.
 
 use crate::diagnostics::{codes, Diagnostic, Severity};
 use free_engine::plan::logical::LogicalPlan;
 use free_engine::plan::physical::{PhysicalPlan, PlanOptions};
-use free_engine::PlanClass;
+use free_engine::{EngineConfig, PlanClass};
 use free_index::IndexRead;
 
 /// Classifies a logical plan without an index.
@@ -44,58 +38,9 @@ pub fn classify_physical<I: IndexRead>(
     index: &I,
     num_docs: usize,
 ) -> (PlanClass, usize) {
-    let physical = PhysicalPlan::from_logical_with(
-        plan,
-        index,
-        PlanOptions {
-            num_docs,
-            prune_selectivity: 1.0,
-        },
-    );
+    let options = PlanOptions::new(num_docs, &EngineConfig::default());
+    let physical = PhysicalPlan::from_logical_with(plan, index, options);
     (physical.classify(num_docs), physical.estimate())
-}
-
-/// Classifies a logical plan by compiling it into the engine's streaming
-/// cursor tree and reading the root cursor's remaining-docs upper bound.
-///
-/// Returns the class and the cursor-level estimate. Falls back to the
-/// static [`classify_physical`] judgment if cursor compilation fails
-/// (e.g. a corrupt on-disk postings entry).
-pub fn classify_compiled<I: IndexRead>(
-    plan: &LogicalPlan,
-    index: &I,
-    num_docs: usize,
-) -> (PlanClass, usize) {
-    use free_engine::exec::stream::compile_plan;
-    use free_engine::plan::physical::WEAK_FRACTION;
-    use free_index::PostingsCursor;
-
-    let physical = PhysicalPlan::from_logical_with(
-        plan,
-        index,
-        PlanOptions {
-            num_docs,
-            prune_selectivity: 1.0,
-        },
-    );
-    let mut stats = free_engine::QueryStats::default();
-    match compile_plan(&physical, index, &mut stats) {
-        Ok(Some(cursor)) => {
-            let mut estimate = cursor.cost_estimate();
-            if num_docs > 0 {
-                // An OR's bound (sum of children) can exceed the corpus.
-                estimate = estimate.min(num_docs);
-            }
-            let class = if num_docs > 0 && estimate as f64 >= WEAK_FRACTION * num_docs as f64 {
-                PlanClass::Weak
-            } else {
-                PlanClass::Indexed
-            };
-            (class, estimate)
-        }
-        Ok(None) => (PlanClass::Scan, num_docs),
-        Err(_) => classify_physical(plan, index, num_docs),
-    }
 }
 
 /// Renders a class as its `FA201`/`FA202`/`FA203` diagnostic.
@@ -229,31 +174,52 @@ mod tests {
         assert_eq!((class, est), (PlanClass::Weak, 9));
         let (class, _) = classify_physical(&logical("a*"), &idx, 10);
         assert_eq!(class, PlanClass::Scan);
+        // An AND of a rare and a common gram: the rare member sets the
+        // estimate, and pruning the common one leaves it standing.
+        let (class, est) = classify_physical(&logical("ab.*zz"), &idx, 10);
+        assert_eq!((class, est), (PlanClass::Indexed, 1));
     }
 
     #[test]
     fn compiled_classification_reads_cursor_estimates() {
-        use free_index::MemIndex;
+        use free_engine::exec::stream::compile_plan;
+        use free_index::{MemIndex, PostingsCursor};
         let mut idx = MemIndex::new();
         idx.add(b"ab", 0);
         for d in 0..9 {
             idx.add(b"zz", d);
         }
-        let (class, est) = classify_compiled(&logical("ab"), &idx, 10);
-        assert_eq!((class, est), (PlanClass::Indexed, 1));
-        let (class, est) = classify_compiled(&logical("zz"), &idx, 10);
-        assert_eq!((class, est), (PlanClass::Weak, 9));
-        let (class, _) = classify_compiled(&logical("a*"), &idx, 10);
-        assert_eq!(class, PlanClass::Scan);
+        // The static class must agree with the bound the engine's primed
+        // cursor tree reports, and that bound is never looser.
+        for pattern in ["ab", "zz", "ab.*zz", "a*"] {
+            let plan = logical(pattern);
+            let (class, static_est) = classify_physical(&plan, &idx, 10);
+            let options = PlanOptions::new(10, &EngineConfig::default());
+            let physical = PhysicalPlan::from_logical_with(&plan, &idx, options);
+            let mut stats = free_engine::QueryStats::default();
+            match compile_plan(&physical, &idx, &mut stats).unwrap() {
+                Some(cursor) => {
+                    let est = cursor.cost_estimate().min(10);
+                    assert!(est <= static_est, "{pattern}: {est} > {static_est}");
+                    assert_eq!(class, physical.classify(10), "{pattern}");
+                    assert_ne!(class, PlanClass::Scan, "{pattern}");
+                }
+                None => assert_eq!(class, PlanClass::Scan, "{pattern}"),
+            }
+        }
         // An AND of a rare and a common gram: the cursor bound is the
-        // rare child's remaining count — tighter than the common list.
-        let (class, est) = classify_compiled(&logical("ab.*zz"), &idx, 10);
-        assert_eq!(class, PlanClass::Indexed);
-        assert!(est <= 1, "AND bound must come from the rarest child: {est}");
-        // The static estimate agrees here; the compiled bound must never
-        // be looser than it.
-        let (_, static_est) = classify_physical(&logical("ab.*zz"), &idx, 10);
-        assert!(est <= static_est);
+        // rare child's remaining count.
+        let physical = PhysicalPlan::from_logical_with(
+            &logical("ab.*zz"),
+            &idx,
+            PlanOptions::new(10, &EngineConfig::default()),
+        );
+        let mut stats = free_engine::QueryStats::default();
+        let cursor = compile_plan(&physical, &idx, &mut stats).unwrap().unwrap();
+        assert!(
+            cursor.cost_estimate() <= 1,
+            "AND bound must come from the rarest child"
+        );
     }
 
     #[test]

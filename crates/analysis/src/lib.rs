@@ -92,12 +92,18 @@ impl Default for AnalysisConfig {
 /// the report rather than an error — the analyzer always has something
 /// to say.
 pub fn analyze(pattern: &str, cfg: &AnalysisConfig) -> Report {
+    analyze_planned(pattern, cfg).0
+}
+
+/// [`analyze`], also returning the logical plan (`None` when the pattern
+/// does not parse).
+fn analyze_planned(pattern: &str, cfg: &AnalysisConfig) -> (Report, Option<LogicalPlan>) {
     let tree = match parse_spanned(pattern) {
         Ok(tree) => tree,
         Err(e) => {
             let at = e.offset().min(pattern.len());
             let end = (at + 1).min(pattern.len().max(at));
-            return Report {
+            let report = Report {
                 pattern: pattern.to_string(),
                 plan: None,
                 class: None,
@@ -108,6 +114,7 @@ pub fn analyze(pattern: &str, cfg: &AnalysisConfig) -> Report {
                     format!("pattern does not parse: {}", e.kind()),
                 )],
             };
+            return (report, None);
         }
     };
     let mut diags = lint::lint(&tree, cfg);
@@ -118,12 +125,13 @@ pub fn analyze(pattern: &str, cfg: &AnalysisConfig) -> Report {
     }
     let class = cost::classify_logical(&plan);
     diags.push(cost::class_diagnostic(class));
-    Report {
+    let report = Report {
         pattern: pattern.to_string(),
         plan: Some(format!("{plan:?}")),
         class: Some(class),
         diagnostics: diags,
-    }
+    };
+    (report, Some(plan))
 }
 
 /// Like [`analyze`], but classifies against a concrete index directory
@@ -135,15 +143,10 @@ pub fn analyze_with_index<I: IndexRead>(
     num_docs: usize,
     cfg: &AnalysisConfig,
 ) -> Report {
-    let mut report = analyze(pattern, cfg);
-    let Some(_) = &report.plan else {
+    let (mut report, plan) = analyze_planned(pattern, cfg);
+    let Some(plan) = plan else {
         return report; // parse error: nothing more to classify
     };
-    let Ok(tree) = parse_spanned(pattern) else {
-        return report;
-    };
-    let ast = tree.to_ast();
-    let plan = LogicalPlan::from_ast(&ast, cfg.class_expand_limit);
     let (class, _estimate) = cost::classify_physical(&plan, index, num_docs);
     // Replace the shape-only judgment with the estimate-backed one.
     report.diagnostics.retain(|d| !d.code.starts_with("FA2"));

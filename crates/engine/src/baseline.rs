@@ -2,13 +2,14 @@
 //! sequentially, with no index at all — what running `grep`/`lex`/`awk`
 //! over the corpus would do.
 
+use crate::config::EngineConfig;
 use crate::exec::results::DocMatches;
 use crate::exec::{confirm, Candidates};
 use crate::metrics::QueryStats;
-use crate::plan::LogicalPlan;
+use crate::prepare::PreparedQuery;
 use crate::Result;
 use free_corpus::{Corpus, DocId};
-use free_regex::{Finder, Regex, Span};
+use free_regex::Span;
 use std::time::Instant;
 
 /// Scans the whole corpus, returning the matching data units.
@@ -16,14 +17,14 @@ pub fn scan_matching_docs<C: Corpus>(
     corpus: &C,
     pattern: &str,
 ) -> Result<(Vec<DocId>, QueryStats)> {
-    let (regex, prefilter, mut stats) = compile(pattern)?;
+    let (prepared, mut stats) = compile(pattern)?;
     let mut out = Vec::new();
     confirm(
         corpus,
-        &regex,
+        prepared.regex(),
         &Candidates::All,
         false,
-        &prefilter,
+        prepared.prefilter(),
         &mut stats,
         &mut |doc, _| {
             out.push(doc);
@@ -38,14 +39,14 @@ pub fn scan_all_matches<C: Corpus>(
     corpus: &C,
     pattern: &str,
 ) -> Result<(Vec<DocMatches>, QueryStats)> {
-    let (regex, prefilter, mut stats) = compile(pattern)?;
+    let (prepared, mut stats) = compile(pattern)?;
     let mut out = Vec::new();
     confirm(
         corpus,
-        &regex,
+        prepared.regex(),
         &Candidates::All,
         true,
-        &prefilter,
+        prepared.prefilter(),
         &mut stats,
         &mut |doc, spans| {
             out.push(DocMatches { doc, spans });
@@ -62,15 +63,15 @@ pub fn scan_first_k<C: Corpus>(
     pattern: &str,
     k: usize,
 ) -> Result<(Vec<(DocId, Span)>, QueryStats)> {
-    let (regex, prefilter, mut stats) = compile(pattern)?;
+    let (prepared, mut stats) = compile(pattern)?;
     let mut out: Vec<(DocId, Span)> = Vec::with_capacity(k);
     if k > 0 {
         confirm(
             corpus,
-            &regex,
+            prepared.regex(),
             &Candidates::All,
             true,
-            &prefilter,
+            prepared.prefilter(),
             &mut stats,
             &mut |doc, spans| {
                 for s in spans {
@@ -86,30 +87,27 @@ pub fn scan_first_k<C: Corpus>(
     Ok((out, stats))
 }
 
-fn compile(pattern: &str) -> Result<(Regex, Vec<Finder>, QueryStats)> {
+fn compile(pattern: &str) -> Result<(PreparedQuery, QueryStats)> {
     let start = Instant::now();
-    let regex = Regex::new(pattern)?;
-    // The scan baseline anchors on required literals too, mirroring the
+    // The scan baseline prepares the pattern exactly as the engine does,
+    // so it anchors on the same required literals, mirroring the
     // Boyer-Moore literal optimizations inside grep-class tools — keeping
     // the Figure 9 comparison honest. It is also the ground truth the
     // differential tests compare the engine against, so in debug builds
     // it proves those literals required exactly as `Engine::query` does:
     // an unsound gram would otherwise drop the same true matches from
-    // both sides, and the two paths carry the same checking cost.
-    let logical = LogicalPlan::from_ast(regex.ast(), 16);
-    crate::engine::debug_assert_required_grams_sound(regex.ast(), &logical, pattern);
-    let prefilter: Vec<Finder> = logical
-        .required_grams()
-        .into_iter()
-        .filter(|g| g.len() >= 2)
-        .map(Finder::new)
-        .collect();
+    // both sides.
+    let prepared = PreparedQuery::new(
+        pattern,
+        &EngineConfig::default(),
+        &free_trace::Span::disabled(),
+    )?;
     let stats = QueryStats {
         plan_time: start.elapsed(),
         used_scan: true,
         ..QueryStats::default()
     };
-    Ok((regex, prefilter, stats))
+    Ok((prepared, stats))
 }
 
 #[cfg(test)]

@@ -29,21 +29,6 @@ impl IndexKind {
     }
 }
 
-/// What to do when a query's plan degenerates to a full corpus scan
-/// (Example 2.1 / the `zip`, `phone`, `html` queries of §5.3).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ScanPolicy {
-    /// Execute the scan silently (the paper's behavior: "indexing
-    /// techniques do not degrade performance").
-    #[default]
-    Allow,
-    /// Execute the scan but print a warning to stderr first.
-    Warn,
-    /// Refuse the query with [`Error::ScanRejected`](crate::Error), for
-    /// deployments where an accidental full scan is worse than an error.
-    Reject,
-}
-
 /// Tunables for index construction and query execution.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -76,16 +61,6 @@ pub struct EngineConfig {
     /// more than it filters). Only bites on indexes storing common grams
     /// (the Complete baseline). `1.0` disables pruning.
     pub prune_selectivity: f64,
-    /// Anchoring (the extension sketched in §1 of the paper): before
-    /// running the automaton over a candidate data unit, verify with a
-    /// word-at-a-time literal search that every literal the match
-    /// requires actually occurs. Rejects index false positives (e.g. a
-    /// data unit containing `.mp` and `mp3` but not `.mp3`) at
-    /// literal-scan speed. (Positioning the decision on the literal every
-    /// match ends with is the automaton's own business, on or off.)
-    pub use_anchoring: bool,
-    /// What to do when a query plan cannot use the index at all.
-    pub scan_policy: ScanPolicy,
     /// Worker threads for the batched parallel confirmation stage. `0`
     /// means auto-detect (one per available CPU). The default is the
     /// `FREE_THREADS` environment variable if set and parseable, else `1`
@@ -123,8 +98,6 @@ impl Default for EngineConfig {
             class_expand_limit: 16,
             build_memory_budget: free_index::builder::DEFAULT_MEMORY_BUDGET,
             prune_selectivity: 0.5,
-            use_anchoring: true,
-            scan_policy: ScanPolicy::Allow,
             num_threads: std::env::var("FREE_THREADS")
                 .ok()
                 .and_then(|v| v.parse().ok())

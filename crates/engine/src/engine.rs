@@ -1,18 +1,15 @@
 //! The engine façade: index construction plus the query entry point.
 
-use crate::config::{EngineConfig, IndexKind, ScanPolicy};
+use crate::config::{EngineConfig, IndexKind};
 use crate::exec::results::QueryResult;
 use crate::exec::stream::{compile_plan, CandidateSource, StreamState};
 use crate::grams::GramMatcher;
 use crate::metrics::{BuildStats, QueryStats};
-use crate::plan::physical::PlanOptions;
-use crate::plan::{LogicalPlan, PhysicalPlan};
+use crate::prepare::PreparedQuery;
 use crate::select::{enumerate_complete, presuf_shell, selector_for, MiningStats, SelectedGram};
-use crate::Error;
 use crate::Result;
 use free_corpus::Corpus;
 use free_index::{CountedPostings, CountedRange, IndexRead, IndexReader, IndexWriter, MemIndex};
-use free_regex::{Finder, Regex};
 use std::path::Path;
 use std::time::Instant;
 
@@ -29,59 +26,6 @@ pub struct Engine<C: Corpus, I: IndexRead> {
 
 /// The all-in-memory engine used by tests and small corpora.
 pub type InMemoryEngine = Engine<free_corpus::MemCorpus, MemIndex>;
-
-/// Debug-mode soundness check: every gram in `required_grams()` must be a
-/// factor of the query language (every matching string contains it), or
-/// the index could discard true matches. Compiled out of release builds;
-/// a budget-exhausted check (`Unknown`) is treated as passing since it
-/// proves nothing either way.
-pub(crate) fn debug_assert_required_grams_sound(
-    ast: &free_regex::Ast,
-    logical: &LogicalPlan,
-    pattern: &str,
-) {
-    if cfg!(debug_assertions) {
-        use free_regex::factor::{gram_is_factor, FactorCheck, DEFAULT_STATE_BUDGET};
-        for gram in logical.required_grams() {
-            if let FactorCheck::Violated { witness } =
-                gram_is_factor(ast, gram, DEFAULT_STATE_BUDGET)
-            {
-                panic!(
-                    "plan soundness violation: query {pattern:?} requires gram \
-                     {:?} but matches {:?}, which does not contain it",
-                    String::from_utf8_lossy(gram),
-                    String::from_utf8_lossy(&witness),
-                );
-            }
-        }
-    }
-}
-
-/// Builds literal finders for the plan's required grams (anchoring).
-/// Grams of length 1 never reject realistic candidates and grams contained
-/// in a longer required gram are subsumed by it, so both are dropped.
-/// The finders come longest needle first (ties in byte order): the
-/// prefilter is a conjunction, so the order changes no outcome, and a
-/// longer literal is the rarer one, so it is the likeliest to reject a
-/// page with one scan.
-/// Public so alternative executors (the live index) can reuse the same
-/// confirmation prefilter.
-pub fn build_prefilter(logical: &LogicalPlan) -> Vec<Finder> {
-    let grams = logical.required_grams();
-    let mut needles: Vec<&[u8]> = grams
-        .iter()
-        .copied()
-        .filter(|g| g.len() >= 2)
-        .filter(|g| {
-            !grams
-                .iter()
-                .any(|other| other.len() > g.len() && other.windows(g.len()).any(|w| w == *g))
-        })
-        .collect();
-    needles.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-    needles.dedup();
-    needles.into_iter().map(Finder::new).collect()
-}
 
 /// Selects gram keys per the configured index kind. Returns the keys and
 /// the mining statistics (per-pass counters are empty for `Complete`,
@@ -434,51 +378,24 @@ impl<C: Corpus, I: IndexRead> Engine<C, I> {
         self.corpus.len()
     }
 
-    pub(crate) fn plan_options(&self) -> PlanOptions {
-        PlanOptions {
-            num_docs: self.corpus.len(),
-            prune_selectivity: self.config.prune_selectivity,
-        }
-    }
-
-    /// Compiles a query: parse, plan, and compile the physical plan into
-    /// a streaming cursor tree. The returned [`QueryResult`] pulls
-    /// candidates and confirms matches lazily.
-    ///
-    /// In builds with debug assertions, every gram the logical plan
-    /// requires is verified to be a factor of the query language (the
-    /// Algorithm 4.1 soundness invariant) before the plan is executed.
+    /// Compiles a query: prepare the pattern ([`PreparedQuery::new`]),
+    /// plan it against the index, and compile the physical plan into a
+    /// streaming cursor tree. The returned [`QueryResult`] pulls
+    /// candidates and confirms matches lazily. A plan that cannot use the
+    /// index scans the corpus, as the paper's engine does.
     pub fn query(&self, pattern: &str) -> Result<QueryResult<'_, C, I>> {
         let mut query_span = self.config.tracer.span("query");
         query_span.record("pattern", pattern);
         let plan_start = Instant::now();
-        let regex = Regex::new_traced(pattern, &query_span)?;
-        let logical = LogicalPlan::from_ast(regex.ast(), self.config.class_expand_limit);
-        debug_assert_required_grams_sound(regex.ast(), &logical, pattern);
+        let prepared = PreparedQuery::new(pattern, &self.config, &query_span)?;
         let physical = {
             let mut span = query_span.child("query.plan");
-            let physical =
-                PhysicalPlan::from_logical_with(&logical, &self.index, self.plan_options());
+            let physical = prepared.plan(&self.index, self.corpus.len(), &self.config);
             if span.is_enabled() {
                 span.record("class", physical.classify(self.corpus.len()).to_string());
                 span.record("estimate", physical.estimate().min(u64::MAX as usize));
             }
             physical
-        };
-        if physical.is_scan() {
-            match self.config.scan_policy {
-                ScanPolicy::Allow => {}
-                ScanPolicy::Warn => eprintln!(
-                    "warning: query {pattern:?} cannot use the index; \
-                     falling back to a full corpus scan"
-                ),
-                ScanPolicy::Reject => return Err(Error::ScanRejected(pattern.to_string())),
-            }
-        }
-        let prefilter = if self.config.use_anchoring {
-            build_prefilter(&logical)
-        } else {
-            Vec::new()
         };
         let mut stats = QueryStats {
             plan_time: plan_start.elapsed(),
@@ -507,17 +424,17 @@ impl<C: Corpus, I: IndexRead> Engine<C, I> {
         };
         stats.index_time += index_start.elapsed();
         Ok(QueryResult::new(
-            self, regex, logical, physical, source, prefilter, stats, query_span,
+            self, prepared, physical, source, stats, query_span,
         ))
     }
 
     /// Human-readable plan description for a query (does not execute it).
     pub fn explain(&self, pattern: &str) -> Result<String> {
-        let regex = Regex::new(pattern)?;
-        let logical = LogicalPlan::from_ast(regex.ast(), self.config.class_expand_limit);
-        let physical = PhysicalPlan::from_logical_with(&logical, &self.index, self.plan_options());
+        let prepared = PreparedQuery::new(pattern, &self.config, &free_trace::Span::disabled())?;
+        let physical = prepared.plan(&self.index, self.corpus.len(), &self.config);
         Ok(format!(
-            "pattern:  {pattern}\nlogical:  {logical:?}\nphysical: {physical:?}\nestimate: {} candidate(s)",
+            "pattern:  {pattern}\nlogical:  {:?}\nphysical: {physical:?}\nestimate: {} candidate(s)",
+            prepared.logical(),
             match physical.estimate() {
                 usize::MAX => "all".to_string(),
                 n => n.to_string(),
@@ -815,31 +732,17 @@ mod tests {
         let mut r = engine.query(r"\.mp3qq").unwrap();
         let docs = r.matching_docs().unwrap();
         assert_eq!(docs, vec![1]);
-        let with_anchor = r.stats().docs_prefiltered;
-        // Same query with anchoring disabled: same answer, no prefilter.
-        let engine2 = Engine::build_in_memory(
-            engine.corpus().clone(),
-            EngineConfig {
-                usefulness_threshold: 0.7,
-                use_anchoring: false,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        let mut r2 = engine2.query(r"\.mp3qq").unwrap();
-        assert_eq!(r2.matching_docs().unwrap(), vec![1]);
-        assert_eq!(r2.stats().docs_prefiltered, 0);
-        // The anchored run may or may not have had a false positive to
-        // reject depending on the candidate set; it must never exceed the
+        // The run may or may not have had a false positive to reject
+        // depending on the candidate set; it must never exceed the
         // examined count.
-        assert!(with_anchor <= r.stats().docs_examined);
+        assert!(r.stats().docs_prefiltered <= r.stats().docs_examined);
     }
 
     #[test]
     fn prefilter_checks_the_longest_literal_first() {
         let needles = |pattern: &str| -> Vec<Vec<u8>> {
             let ast = free_regex::parse(pattern).unwrap();
-            build_prefilter(&LogicalPlan::from_ast(&ast, 16))
+            crate::build_prefilter(&crate::plan::LogicalPlan::from_ast(&ast, 16))
                 .iter()
                 .map(|f| f.needle().to_vec())
                 .collect()
@@ -865,26 +768,16 @@ mod tests {
     }
 
     #[test]
-    fn scan_policy_reject_refuses_null_plans() {
-        use crate::config::ScanPolicy;
+    fn null_plans_scan_the_corpus() {
         let corpus = tiny_corpus();
-        let engine = Engine::build_in_memory(
-            corpus,
-            EngineConfig {
-                scan_policy: ScanPolicy::Reject,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        let n = corpus.len();
+        let engine = Engine::build_in_memory(corpus, EngineConfig::default()).unwrap();
         // `a*` is nullable: its logical plan is NULL, so the physical plan
-        // is a scan and the policy must reject it.
-        match engine.query("a*") {
-            Err(crate::Error::ScanRejected(p)) => assert_eq!(p, "a*"),
-            Err(other) => panic!("unexpected error {other:?}"),
-            Ok(_) => panic!("scan-degenerate query was not rejected"),
-        }
-        // Indexable queries are unaffected.
-        assert!(engine.query("clinton").is_ok());
+        // is a scan, and the query runs as one.
+        let mut r = engine.query("a*").unwrap();
+        assert_eq!(r.matching_docs().unwrap().len(), n);
+        assert!(r.used_scan());
+        assert_eq!(r.stats().docs_examined, n);
     }
 
     #[test]

@@ -16,10 +16,6 @@ pub enum Error {
     Index(free_index::Error),
     /// Configuration rejected (e.g. zero gram length).
     Config(String),
-    /// The query plan degenerated to a full corpus scan and the engine's
-    /// [`ScanPolicy`](crate::config::ScanPolicy) is `Reject`. Carries the
-    /// offending pattern.
-    ScanRejected(String),
     /// The request's [`RequestBudget`](crate::budget::RequestBudget)
     /// deadline expired; execution stopped at a confirmation batch
     /// boundary with no partial results. `elapsed` is how far past the
@@ -40,11 +36,6 @@ impl fmt::Display for Error {
             Error::Corpus(e) => write!(f, "corpus error: {e}"),
             Error::Index(e) => write!(f, "index error: {e}"),
             Error::Config(msg) => write!(f, "configuration error: {msg}"),
-            Error::ScanRejected(pattern) => write!(
-                f,
-                "query {pattern:?} cannot use the index (plan is a full \
-                 scan) and the scan policy is set to reject"
-            ),
             Error::Timeout { elapsed } => write!(
                 f,
                 "query deadline exceeded (noticed {:.1}ms past the deadline)",
@@ -61,10 +52,7 @@ impl std::error::Error for Error {
             Error::Regex(e) => Some(e),
             Error::Corpus(e) => Some(e),
             Error::Index(e) => Some(e),
-            Error::Config(_)
-            | Error::ScanRejected(_)
-            | Error::Timeout { .. }
-            | Error::Cancelled => None,
+            Error::Config(_) | Error::Timeout { .. } | Error::Cancelled => None,
         }
     }
 }

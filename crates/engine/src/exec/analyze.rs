@@ -1,97 +1,63 @@
 //! `EXPLAIN ANALYZE`: execute a query with every plan node instrumented
 //! and report estimated vs. actual per-operator work.
 //!
-//! [`Engine::explain_analyze`] compiles the physical plan exactly like
-//! [`Engine::query`](crate::Engine::query), but wraps each operator in an
-//! [`InstrumentedCursor`] before running the full confirmation pass. The
-//! wrappers record how the executor actually drove each node — seeks,
-//! advances, distinct docs yielded, inclusive wall time — and capture the
-//! node's subtree [`CursorStats`] at drop, so after execution the probe
-//! tree can be folded into a [`NodeStats`] tree whose root reconciles with
-//! the aggregate [`QueryStats`] (instrumentation is transparent to
-//! [`PostingsCursor::collect_stats`]).
+//! [`Engine::explain_analyze`] prepares and plans the query exactly like
+//! [`Engine::query`](crate::Engine::query) and compiles it through the
+//! same cursor compiler, which wraps each operator in an
+//! [`InstrumentedCursor`](free_index::InstrumentedCursor) before the full
+//! confirmation pass runs. The wrappers record how the executor actually
+//! drove each node — seeks, advances, distinct docs yielded, inclusive
+//! wall time — and capture the node's subtree [`CursorStats`] at drop, so
+//! after execution the probe tree can be folded into a [`NodeStats`] tree
+//! whose root reconciles with the aggregate [`QueryStats`]
+//! (instrumentation is transparent to
+//! [`PostingsCursor::collect_stats`](free_index::PostingsCursor::collect_stats)).
 //!
-//! Scan-degenerate plans have no cursor tree; they execute anyway (this is
-//! a diagnostic, so [`ScanPolicy::Reject`](crate::ScanPolicy) does not
-//! apply) and report `root: None` plus the scan-side stats.
+//! Scan-degenerate plans have no cursor tree; they execute as scans and
+//! report `root: None` plus the scan-side stats.
 
 use std::sync::Arc;
 
 use super::stream::{compile_node, confirm_source, CandidateSource, StreamState};
-use crate::engine::{build_prefilter, Engine};
+use crate::budget::RequestBudget;
+use crate::engine::Engine;
 use crate::metrics::QueryStats;
-use crate::plan::{LogicalPlan, PhysicalPlan};
+use crate::plan::PhysicalPlan;
+use crate::prepare::PreparedQuery;
 use crate::Result;
 use free_corpus::Corpus;
-use free_index::cursor::{CursorStats, PostingsCursor};
-use free_index::{AndCursor, IndexRead, InstrumentedCursor, OpCounters, OrCursor};
+use free_index::cursor::CursorStats;
+use free_index::{IndexRead, OpCounters};
 use free_trace::{JsonArray, JsonObject};
 use std::time::Instant;
 
 /// One instrumented plan node awaiting execution: its display label, the
 /// planner's cardinality estimate, the live counter handle, and the child
-/// probes in plan order.
-struct Probe {
+/// probes in plan order. The cursor compiler
+/// ([`compile_node`](super::stream::compile_node)) builds the probe tree
+/// next to the cursor tree it mirrors.
+pub(crate) struct Probe {
     label: String,
     estimate: usize,
-    counters: Arc<OpCounters>,
+    pub(crate) counters: Arc<OpCounters>,
     children: Vec<Probe>,
 }
 
-/// Compiles `plan` with every operator wrapped in an
-/// [`InstrumentedCursor`], returning the cursor tree plus the probe tree
-/// that mirrors it. Must not be called on [`PhysicalPlan::Scan`].
-fn instrument_node<I: IndexRead>(
-    plan: &PhysicalPlan,
-    index: &I,
-    stats: &mut QueryStats,
-) -> Result<(Box<dyn PostingsCursor>, Probe)> {
-    let (cursor, label, children): (Box<dyn PostingsCursor>, String, Vec<Probe>) = match plan {
-        PhysicalPlan::Scan => unreachable!("Scan plans have no cursor tree"),
-        PhysicalPlan::Fetch { .. } => {
-            // A Fetch (one gram, possibly several covering keys) is the
-            // smallest unit the planner reasons about, so it is
-            // instrumented whole rather than per key.
-            (
-                compile_node(plan, index, stats)?,
-                format!("{plan:?}"),
-                Vec::new(),
-            )
+impl Probe {
+    /// A probe for `plan`, whose operator children have `children`.
+    pub(crate) fn new(plan: &PhysicalPlan, children: Vec<Probe>) -> Probe {
+        let label = match plan {
+            PhysicalPlan::And(_) => "AND".to_string(),
+            PhysicalPlan::Or(_) => "OR".to_string(),
+            _ => format!("{plan:?}"),
+        };
+        Probe {
+            label,
+            estimate: plan.estimate(),
+            counters: Arc::new(OpCounters::new()),
+            children,
         }
-        PhysicalPlan::And(kids) => {
-            let mut cursors = Vec::with_capacity(kids.len());
-            let mut probes = Vec::with_capacity(kids.len());
-            for k in kids {
-                let (c, p) = instrument_node(k, index, stats)?;
-                cursors.push(c);
-                probes.push(p);
-            }
-            (
-                Box::new(AndCursor::new(cursors)?),
-                "AND".to_string(),
-                probes,
-            )
-        }
-        PhysicalPlan::Or(kids) => {
-            let mut cursors = Vec::with_capacity(kids.len());
-            let mut probes = Vec::with_capacity(kids.len());
-            for k in kids {
-                let (c, p) = instrument_node(k, index, stats)?;
-                cursors.push(c);
-                probes.push(p);
-            }
-            (Box::new(OrCursor::new(cursors)?), "OR".to_string(), probes)
-        }
-    };
-    let counters = Arc::new(OpCounters::new());
-    let wrapped = InstrumentedCursor::new(cursor, Arc::clone(&counters));
-    let probe = Probe {
-        label,
-        estimate: plan.estimate(),
-        counters,
-        children,
-    };
-    Ok((Box::new(wrapped), probe))
+    }
 }
 
 /// Per-operator execution statistics for one plan node.
@@ -261,46 +227,40 @@ impl<C: Corpus, I: IndexRead> Engine<C, I> {
     ///
     /// The full confirmation pass runs (no early exit, spans not
     /// extracted), so the reported actuals reflect a complete
-    /// `matching_docs`-style query. Scan-degenerate plans are executed as
-    /// scans regardless of the configured
-    /// [`ScanPolicy`](crate::ScanPolicy): refusing to run would leave the
-    /// very query being diagnosed unobserved.
+    /// `matching_docs`-style query.
     pub fn explain_analyze(&self, pattern: &str) -> Result<ExplainAnalyze> {
         let plan_start = Instant::now();
-        let regex = free_regex::Regex::new(pattern)?;
-        let logical = LogicalPlan::from_ast(regex.ast(), self.config().class_expand_limit);
-        let physical = PhysicalPlan::from_logical_with(&logical, self.index(), self.plan_options());
-        let prefilter = if self.config().use_anchoring {
-            build_prefilter(&logical)
-        } else {
-            Vec::new()
-        };
+        let prepared = PreparedQuery::new(pattern, self.config(), &free_trace::Span::disabled())?;
+        let num_docs = self.corpus().len();
+        let physical = prepared.plan(self.index(), num_docs, self.config());
         let mut stats = QueryStats {
             plan_time: plan_start.elapsed(),
             used_scan: physical.is_scan(),
-            plan_class: physical.classify(self.corpus().len()),
+            plan_class: physical.classify(num_docs),
             ..QueryStats::default()
         };
 
         let index_start = Instant::now();
-        let (mut source, probe) = if physical.is_scan() {
-            stats.candidates = self.corpus().len();
-            (CandidateSource::All, None)
+        let mut probes = Vec::new();
+        let mut source = if physical.is_scan() {
+            stats.candidates = num_docs;
+            CandidateSource::All
         } else {
-            let (cursor, probe) = instrument_node(&physical, self.index(), &mut stats)?;
+            let cursor = compile_node(&physical, self.index(), &mut stats, Some(&mut probes))?;
             let mut st = StreamState::new(cursor);
             st.refresh(&mut stats);
-            (CandidateSource::Stream(st), Some(probe))
+            CandidateSource::Stream(st)
         };
         stats.index_time += index_start.elapsed();
 
         confirm_source(
             self.corpus(),
-            &regex,
+            prepared.regex(),
             &mut source,
             false,
-            &prefilter,
+            prepared.prefilter(),
             self.config().effective_threads(),
+            &RequestBudget::unlimited(),
             &mut stats,
             &mut |_, _| true,
         )?;
@@ -314,7 +274,7 @@ impl<C: Corpus, I: IndexRead> Engine<C, I> {
         Ok(ExplainAnalyze {
             pattern: pattern.to_string(),
             plan: format!("{physical:?}"),
-            root: probe.as_ref().map(node_stats),
+            root: probes.first().map(node_stats),
             stats,
         })
     }

@@ -1,14 +1,15 @@
 //! Query results: lazily-confirmed matches with cost accounting.
 
-use super::stream::{confirm_source_budgeted, CandidateSource};
+use super::stream::{confirm_source, CandidateSource};
 use crate::budget::RequestBudget;
 use crate::engine::Engine;
 use crate::metrics::QueryStats;
 use crate::plan::{LogicalPlan, PhysicalPlan};
+use crate::prepare::PreparedQuery;
 use crate::Result;
 use free_corpus::{Corpus, DocId};
 use free_index::IndexRead;
-use free_regex::{Finder, Regex, Span};
+use free_regex::Span;
 use std::time::Instant;
 
 /// All matches within one data unit.
@@ -32,11 +33,9 @@ pub struct DocMatches {
 /// side effect of a full confirmation pass.
 pub struct QueryResult<'e, C: Corpus, I: IndexRead> {
     engine: &'e Engine<C, I>,
-    regex: Regex,
-    logical: LogicalPlan,
+    prepared: PreparedQuery,
     physical: PhysicalPlan,
     source: CandidateSource,
-    prefilter: Vec<Finder>,
     stats: QueryStats,
     span: free_trace::Span,
     /// Per-request deadline/cancel override; unlimited unless the caller
@@ -51,24 +50,19 @@ pub struct QueryResult<'e, C: Corpus, I: IndexRead> {
 }
 
 impl<'e, C: Corpus, I: IndexRead> QueryResult<'e, C, I> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         engine: &'e Engine<C, I>,
-        regex: Regex,
-        logical: LogicalPlan,
+        prepared: PreparedQuery,
         physical: PhysicalPlan,
         source: CandidateSource,
-        prefilter: Vec<Finder>,
         stats: QueryStats,
         span: free_trace::Span,
     ) -> Self {
         QueryResult {
             engine,
-            regex,
-            logical,
+            prepared,
             physical,
             source,
-            prefilter,
             stats,
             span,
             budget: RequestBudget::unlimited(),
@@ -94,7 +88,7 @@ impl<'e, C: Corpus, I: IndexRead> QueryResult<'e, C, I> {
 
     /// The logical access plan (Algorithm 4.1 output).
     pub fn logical_plan(&self) -> &LogicalPlan {
-        &self.logical
+        self.prepared.logical()
     }
 
     /// The physical access plan (§4.3 output).
@@ -155,12 +149,12 @@ impl<'e, C: Corpus, I: IndexRead> QueryResult<'e, C, I> {
         let mut confirm_span = self.span.child("query.confirm");
         let examined_before = self.stats.docs_examined;
         let mut stopped_early = false;
-        let result = confirm_source_budgeted(
+        let result = confirm_source(
             corpus,
-            &self.regex,
+            self.prepared.regex(),
             &mut self.source,
             want_spans,
-            &self.prefilter,
+            self.prepared.prefilter(),
             threads,
             &self.budget,
             &mut self.stats,
@@ -255,7 +249,7 @@ impl<C: Corpus, I: IndexRead> Drop for QueryResult<'_, C, I> {
             let slow = crate::qlog::is_slow(&self.stats);
             let analyze = if slow {
                 self.engine
-                    .explain_analyze(self.regex.pattern())
+                    .explain_analyze(self.prepared.pattern())
                     .ok()
                     .map(|a| a.to_json())
             } else {
@@ -263,7 +257,7 @@ impl<C: Corpus, I: IndexRead> Drop for QueryResult<'_, C, I> {
             };
             free_trace::qlog::emit(crate::qlog::query_record(
                 "batch",
-                self.regex.pattern(),
+                self.prepared.pattern(),
                 &self.stats,
                 &self.physical.gram_keys(),
                 self.confirm_complete,

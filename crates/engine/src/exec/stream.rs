@@ -19,15 +19,16 @@
 //! points, and every logical cost counter are identical for any thread
 //! count.
 
+use super::analyze::Probe;
 use crate::budget::RequestBudget;
 use crate::metrics::QueryStats;
 use crate::plan::PhysicalPlan;
 use crate::Result;
 use free_corpus::{Corpus, DocId};
 use free_index::cursor::{CursorStats, PostingsCursor};
-use free_index::{AndCursor, IndexRead, OrCursor, SliceCursor};
+use free_index::{AndCursor, IndexRead, InstrumentedCursor, OrCursor, SliceCursor};
 use free_regex::{Finder, Regex, Searcher, Span};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Candidate doc ids pulled per confirmation thread per batch (a batch is
@@ -58,62 +59,75 @@ pub fn compile_plan<I: IndexRead>(
 ) -> Result<Option<Box<dyn PostingsCursor>>> {
     match plan {
         PhysicalPlan::Scan => Ok(None),
-        _ => compile_node(plan, index, stats).map(Some),
+        _ => compile_node(plan, index, stats, None).map(Some),
     }
 }
 
-// `expect`: `pop()` happens in the `len == 1` branch.
-#[allow(clippy::expect_used)]
+/// Compiles one plan node. With `probes`, every operator (an AND, an OR,
+/// or a whole Fetch — the smallest unit the planner reasons about) is
+/// wrapped in an [`InstrumentedCursor`] and its [`Probe`] is pushed onto
+/// `probes`, its children's probes nested inside it in plan order.
 pub(crate) fn compile_node<I: IndexRead>(
     plan: &PhysicalPlan,
     index: &I,
     stats: &mut QueryStats,
+    probes: Option<&mut Vec<Probe>>,
 ) -> Result<Box<dyn PostingsCursor>> {
-    match plan {
+    let mut children = probes.as_ref().map(|_| Vec::new());
+    let mut compile_all = |kids: &[PhysicalPlan]| {
+        kids.iter()
+            .map(|k| compile_node(k, index, stats, children.as_mut()))
+            .collect::<Result<Vec<_>>>()
+    };
+    let cursor: Box<dyn PostingsCursor> = match plan {
         PhysicalPlan::Scan => unreachable!("Scan only occurs at the root"),
-        PhysicalPlan::Fetch { keys, .. } => {
-            // Keys all cover one gram and are intersected. Dedup repeated
-            // keys (a plan may mention one key twice; intersecting a list
-            // with itself is pure waste) and short-circuit to an empty
-            // cursor before opening anything if some key is absent — an
-            // AND with a missing leg cannot match.
-            let mut uniq: Vec<&[u8]> = keys.iter().map(|k| &**k).collect();
-            uniq.sort_unstable();
-            uniq.dedup();
-            if uniq.iter().any(|k| !index.contains_key(k)) {
-                return Ok(Box::new(SliceCursor::empty()));
+        PhysicalPlan::Fetch { keys, .. } => compile_fetch(keys, index, stats)?,
+        PhysicalPlan::And(kids) => Box::new(AndCursor::new(compile_all(kids)?)?),
+        PhysicalPlan::Or(kids) => Box::new(OrCursor::new(compile_all(kids)?)?),
+    };
+    let Some(probes) = probes else {
+        return Ok(cursor);
+    };
+    let probe = Probe::new(plan, children.unwrap_or_default());
+    let wrapped = InstrumentedCursor::new(cursor, Arc::clone(&probe.counters));
+    probes.push(probe);
+    Ok(Box::new(wrapped))
+}
+
+/// Compiles a Fetch leaf: the intersection of the postings of `keys`.
+// `expect`: `pop()` happens in the `len == 1` branch.
+#[allow(clippy::expect_used)]
+fn compile_fetch<I: IndexRead>(
+    keys: &[Box<[u8]>],
+    index: &I,
+    stats: &mut QueryStats,
+) -> Result<Box<dyn PostingsCursor>> {
+    // Keys all cover one gram and are intersected. Dedup repeated keys (a
+    // plan may mention one key twice; intersecting a list with itself is
+    // pure waste) and short-circuit to an empty cursor before opening
+    // anything if some key is absent — an AND with a missing leg cannot
+    // match.
+    let mut uniq: Vec<&[u8]> = keys.iter().map(|k| &**k).collect();
+    uniq.sort_unstable();
+    uniq.dedup();
+    if uniq.iter().any(|k| !index.contains_key(k)) {
+        return Ok(Box::new(SliceCursor::empty()));
+    }
+    let mut children: Vec<Box<dyn PostingsCursor>> = Vec::with_capacity(uniq.len());
+    for key in uniq {
+        match index.cursor(key)? {
+            Some(c) => {
+                stats.keys_fetched += 1;
+                children.push(c);
             }
-            let mut children: Vec<Box<dyn PostingsCursor>> = Vec::with_capacity(uniq.len());
-            for key in uniq {
-                match index.cursor(key)? {
-                    Some(c) => {
-                        stats.keys_fetched += 1;
-                        children.push(c);
-                    }
-                    None => return Ok(Box::new(SliceCursor::empty())),
-                }
-            }
-            Ok(if children.len() == 1 {
-                children.pop().expect("one child")
-            } else {
-                Box::new(AndCursor::new(children)?)
-            })
-        }
-        PhysicalPlan::And(children) => {
-            let cursors = children
-                .iter()
-                .map(|c| compile_node(c, index, stats))
-                .collect::<Result<Vec<_>>>()?;
-            Ok(Box::new(AndCursor::new(cursors)?))
-        }
-        PhysicalPlan::Or(children) => {
-            let cursors = children
-                .iter()
-                .map(|c| compile_node(c, index, stats))
-                .collect::<Result<Vec<_>>>()?;
-            Ok(Box::new(OrCursor::new(cursors)?))
+            None => return Ok(Box::new(SliceCursor::empty())),
         }
     }
+    Ok(if children.len() == 1 {
+        children.pop().expect("one child")
+    } else {
+        Box::new(AndCursor::new(children)?)
+    })
 }
 
 /// A partially-consumed candidate stream: the cursor still to drain plus
@@ -372,39 +386,13 @@ fn confirm_ids<C: Corpus>(
 /// converted in place to [`CandidateSource::Docs`], so later accessors
 /// reuse the materialized set instead of re-touching the index.
 ///
-/// [`confirm_source_budgeted`] is the same entry point with a per-request
-/// [`RequestBudget`]; this wrapper runs unlimited.
+/// The `budget` is polled at every confirmation batch boundary (and every
+/// 64 docs on the scan fallback); expiry aborts with
+/// [`crate::Error::Timeout`] / [`crate::Error::Cancelled`] and no partial
+/// results reach `on_doc`'s caller beyond the batches already folded.
+/// Callers without a deadline pass [`RequestBudget::unlimited`].
 #[allow(clippy::too_many_arguments)]
 pub fn confirm_source<C: Corpus>(
-    corpus: &C,
-    regex: &Regex,
-    source: &mut CandidateSource,
-    want_spans: bool,
-    prefilter: &[Finder],
-    threads: usize,
-    stats: &mut QueryStats,
-    on_doc: &mut dyn FnMut(DocId, Vec<Span>) -> bool,
-) -> Result<()> {
-    confirm_source_budgeted(
-        corpus,
-        regex,
-        source,
-        want_spans,
-        prefilter,
-        threads,
-        &RequestBudget::unlimited(),
-        stats,
-        on_doc,
-    )
-}
-
-/// [`confirm_source`] with a per-request budget. The budget is polled at
-/// every confirmation batch boundary (and every 64 docs on the scan
-/// fallback); expiry aborts with [`crate::Error::Timeout`] /
-/// [`crate::Error::Cancelled`] and no partial results reach `on_doc`'s
-/// caller beyond the batches already folded.
-#[allow(clippy::too_many_arguments)]
-pub fn confirm_source_budgeted<C: Corpus>(
     corpus: &C,
     regex: &Regex,
     source: &mut CandidateSource,
@@ -622,6 +610,7 @@ mod tests {
             true,
             &[],
             threads,
+            &RequestBudget::unlimited(),
             stats,
             &mut |doc, spans| {
                 hits.push((doc, spans.len()));
@@ -687,6 +676,7 @@ mod tests {
                 false,
                 &[],
                 threads,
+                &RequestBudget::unlimited(),
                 &mut stats,
                 &mut |_, _| {
                     count += 1;
@@ -744,6 +734,7 @@ mod tests {
             false,
             &[],
             1,
+            &RequestBudget::unlimited(),
             &mut stats,
             &mut |doc, _| {
                 first.push(doc);

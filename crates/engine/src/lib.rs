@@ -14,6 +14,7 @@
 //! | complete k-gram baseline index (§5.2 "Complete") | [`select::complete`] |
 //! | §4.2 Algorithm 4.1 — logical access plan, Table 2 NULL rules | [`plan::logical`] |
 //! | §4.3 physical access plan (key availability, substring cover) | [`plan::physical`] |
+//! | pattern → regex, logical plan, required-literal prefilter | [`prepare`] |
 //! | runtime execution: postings ops, candidate fetch, confirmation | [`exec`] |
 //! | "Scan" baseline (§5.3) | [`baseline`] |
 //!
@@ -44,6 +45,7 @@ pub mod exec;
 pub mod grams;
 pub mod metrics;
 pub mod plan;
+pub mod prepare;
 pub mod qlog;
 /// Index key selection: the strategies live in the `free-select` crate
 /// behind [`GramSelector`]; the engine re-exports it under its old name.
@@ -52,14 +54,13 @@ pub use free_select as select;
 mod engine;
 
 pub use budget::{CancelToken, RequestBudget};
-pub use config::{EngineConfig, IndexKind, ScanPolicy};
-pub use engine::{
-    build_index, build_prefilter, generate_postings, select_keys, Engine, InMemoryEngine,
-};
+pub use config::{EngineConfig, IndexKind};
+pub use engine::{build_index, generate_postings, select_keys, Engine, InMemoryEngine};
 pub use error::{Error, Result};
 pub use exec::analyze::{ExplainAnalyze, NodeStats};
 pub use exec::partition_threads;
 pub use exec::results::{DocMatches, QueryResult};
 pub use metrics::{record_build, record_query, BuildStats, QueryStats};
 pub use plan::physical::PlanClass;
+pub use prepare::{build_prefilter, PreparedQuery};
 pub use select::{selector_for, GramSelector, MiningStats, PassStats, SelectorSpec};

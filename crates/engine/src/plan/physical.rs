@@ -21,6 +21,7 @@
 //! RDBMS join ordering.
 
 use super::logical::LogicalPlan;
+use crate::config::EngineConfig;
 use free_index::IndexRead;
 use std::fmt;
 
@@ -40,6 +41,16 @@ pub struct PlanOptions {
 }
 
 impl PlanOptions {
+    /// The options a query over `num_docs` data units plans with under
+    /// `config`: the one place the engine reads
+    /// [`EngineConfig::prune_selectivity`].
+    pub fn new(num_docs: usize, config: &EngineConfig) -> PlanOptions {
+        PlanOptions {
+            num_docs,
+            prune_selectivity: config.prune_selectivity,
+        }
+    }
+
     /// No pruning (used by tests and by callers without corpus context).
     pub fn none() -> PlanOptions {
         PlanOptions {

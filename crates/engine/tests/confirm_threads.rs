@@ -13,7 +13,7 @@ use free_corpus::{DocId, MemCorpus};
 use free_engine::exec::stream::{
     confirm_source, CandidateSource, BATCH_PER_WORKER, HELPERS_SPAWNED_COUNTER,
 };
-use free_engine::QueryStats;
+use free_engine::{QueryStats, RequestBudget};
 use free_regex::Regex;
 
 fn spawned() -> u64 {
@@ -41,6 +41,7 @@ fn helpers_for(candidates: usize, threads: usize) -> u64 {
         true,
         &[],
         threads,
+        &RequestBudget::unlimited(),
         &mut stats,
         &mut |_, _| {
             hits += 1;

@@ -35,9 +35,6 @@ pub enum Error {
     UnknownDoc(u32),
     /// The document is already tombstoned.
     AlreadyDeleted(u32),
-    /// The query's plan over the dictionary degenerated to a scan and the
-    /// engine's scan policy is `Reject`. Carries the offending pattern.
-    ScanRejected(String),
     /// The request's deadline expired mid-confirmation; execution stopped
     /// at a batch boundary with no partial results.
     Timeout {
@@ -79,12 +76,6 @@ impl fmt::Display for Error {
             Error::AlreadyDeleted(seq) => {
                 write!(f, "document {seq} is already deleted")
             }
-            Error::ScanRejected(pattern) => write!(
-                f,
-                "query {pattern:?} cannot use the index (its plan over the \
-                 dictionary is a full scan) and the scan policy is set to \
-                 reject"
-            ),
             Error::Timeout { elapsed } => write!(
                 f,
                 "query deadline exceeded (noticed {:.1}ms past the deadline)",
@@ -123,7 +114,7 @@ impl From<free_index::Error> for Error {
 impl From<free_engine::Error> for Error {
     fn from(e: free_engine::Error) -> Error {
         match e {
-            free_engine::Error::ScanRejected(p) => Error::ScanRejected(p),
+            free_engine::Error::Regex(e) => Error::Regex(e),
             free_engine::Error::Timeout { elapsed } => Error::Timeout { elapsed },
             free_engine::Error::Cancelled => Error::Cancelled,
             other => Error::Engine(other),
@@ -145,8 +136,8 @@ mod tests {
     fn conversions_and_display() {
         let e: Error = free_corpus::Error::Corrupt("x".into()).into();
         assert!(e.to_string().contains("corpus error"));
-        let e: Error = free_engine::Error::ScanRejected("a.*b".into()).into();
-        assert!(matches!(e, Error::ScanRejected(_)));
+        let e: Error = free_engine::Error::from(free_regex::parse("(").unwrap_err()).into();
+        assert!(matches!(e, Error::Regex(_)));
         let e = Error::UnknownDoc(7);
         assert!(e.to_string().contains('7'));
         let e = Error::io("writing manifest", std::io::Error::other("boom"));

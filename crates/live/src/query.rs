@@ -1,12 +1,13 @@
 //! The multi-segment query executor.
 //!
-//! One logical plan is built per query and one *physical* plan per
-//! snapshot, against the index's dictionary (the oldest segment's key
-//! directory). Every source — each sealed segment and the write buffer —
-//! indexes exactly the dictionary's keys, so that one plan compiles
-//! against each source's index to a cursor over local ids, and a
-//! dictionary key absent from a source's directory is one none of its
-//! documents contains (an empty branch, not a NULL one). The cursors are
+//! One [`PreparedQuery`] (regex, logical plan, prefilter) is built per
+//! query and one *physical* plan per shard snapshot, against the index's
+//! dictionary (the oldest segment's key directory). Every source — each
+//! sealed segment and the write buffer — indexes exactly the
+//! dictionary's keys, so that one plan compiles against each source's
+//! index to a cursor over local ids, and a dictionary key absent from a
+//! source's directory is one none of its documents contains (an empty
+//! branch, not a NULL one). The cursors are
 //! lifted into the global sequence space by the adapters in
 //! [`crate::cursor`]. Before the first flush there is no dictionary and
 //! the buffer is confirmed whole. The per-source streams merge through
@@ -17,20 +18,16 @@
 //! identical to a from-scratch rebuild over the live documents.
 
 use crate::cursor::{OffsetCursor, SeqMapCursor, TombstoneFilterCursor};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::memtable::BufferIndex;
 use crate::snapshot::ShardSnapshot;
 use crate::view::LiveView;
 use free_corpus::DocId;
-use free_engine::exec::stream::{
-    compile_plan, confirm_source_budgeted, CandidateSource, StreamState,
-};
-use free_engine::plan::physical::{PhysicalPlan, PlanOptions};
-use free_engine::plan::LogicalPlan;
-use free_engine::{build_prefilter, PlanClass, QueryStats, RequestBudget, ScanPolicy};
+use free_engine::exec::stream::{compile_plan, confirm_source, CandidateSource, StreamState};
+use free_engine::{PlanClass, PreparedQuery, QueryStats, RequestBudget};
 use free_index::cursor::PostingsCursor;
 use free_index::{OrCursor, SliceCursor};
-use free_regex::{Regex, Span};
+use free_regex::Span;
 use free_trace::json::JsonObject;
 use std::time::Instant;
 
@@ -136,37 +133,10 @@ pub(crate) fn emit_qlog(pattern: &str, stats: &LiveQueryStats, want_spans: bool)
     }
 }
 
-/// A pattern parsed and logically planned once, reusable across every
-/// shard it executes against. A query prepares one of these and fans it
-/// out to all shards; only the *physical* plan (which depends on
-/// each shard's dictionary) is derived per execution.
-pub(crate) struct PreparedQuery {
-    pattern: String,
-    regex: Regex,
-    logical: LogicalPlan,
-}
-
-impl PreparedQuery {
-    /// Parses and plans `pattern`, recording regex details into `span`.
-    pub(crate) fn new_traced(
-        pattern: &str,
-        class_expand_limit: usize,
-        span: &free_trace::Span,
-    ) -> Result<PreparedQuery> {
-        let regex = Regex::new_traced(pattern, span)?;
-        let logical = LogicalPlan::from_ast(regex.ast(), class_expand_limit);
-        Ok(PreparedQuery {
-            pattern: pattern.to_string(),
-            regex,
-            logical,
-        })
-    }
-}
-
 /// Runs an already-prepared query over one shard's view. The caller
 /// ([`crate::Snapshot::query_opts`]) owns query-span creation and
-/// metrics recording, so a fan-out over N shards pays regex parsing and
-/// logical planning once and records one query.
+/// metrics recording, so a fan-out over N shards pays regex parsing,
+/// logical planning and the prefilter once and records one query.
 // `expect`: `compile_plan` returns `None` only for scan plans, which
 // the compiling branch excludes; `pop()` sits in the `len == 1` arm.
 #[allow(clippy::expect_used)]
@@ -179,10 +149,6 @@ pub(crate) fn execute_prepared(
     query_span: &free_trace::Span,
 ) -> Result<LiveQueryResult> {
     let econfig = &snapshot.config.engine;
-    let pattern = &prepared.pattern;
-    let regex = &prepared.regex;
-    let logical = &prepared.logical;
-
     let plan_start = Instant::now();
     let mut stats = QueryStats::default();
     let sources = snapshot.segments.len() + usize::from(!snapshot.memtable.is_empty());
@@ -190,13 +156,11 @@ pub(crate) fn execute_prepared(
     // One plan per snapshot, against the dictionary (the oldest segment's
     // key directory): every source indexes exactly its keys, so a key
     // missing from a source's directory is in none of its documents.
-    let planned = snapshot.segments.first().map(|dict| {
-        let options = PlanOptions {
-            num_docs: dict.meta.num_docs as usize,
-            prune_selectivity: econfig.prune_selectivity,
-        };
-        let physical = PhysicalPlan::from_logical_with(logical, &dict.index, options);
-        (dict, physical)
+    let planned = (snapshot.segments.first()).map(|dict| {
+        (
+            dict,
+            prepared.plan(&dict.index, dict.meta.num_docs as usize, econfig),
+        )
     });
     // Without a dictionary (nothing flushed yet) or with a plan that
     // cannot use it, every document is a candidate.
@@ -204,18 +168,6 @@ pub(crate) fn execute_prepared(
     {
         let mut span = query_span.child("live.plan");
         if scan {
-            // A buffer scan before the first flush is bounded by the flush
-            // thresholds: only a plan that cannot use the index is policed.
-            if planned.is_some() {
-                match econfig.scan_policy {
-                    ScanPolicy::Allow => {}
-                    ScanPolicy::Warn => eprintln!(
-                        "warning: query {pattern:?} cannot use the index; \
-                         scanning every live document"
-                    ),
-                    ScanPolicy::Reject => return Err(Error::ScanRejected(pattern.to_string())),
-                }
-            }
             for seg in &snapshot.segments {
                 cursors.push(Box::new(SliceCursor::new((*seg.seqs).clone())));
             }
@@ -273,21 +225,16 @@ pub(crate) fn execute_prepared(
     let mut source = CandidateSource::Stream(st);
     stats.index_time += index_start.elapsed();
 
-    let prefilter = if econfig.use_anchoring {
-        build_prefilter(logical)
-    } else {
-        Vec::new()
-    };
     let view = LiveView(snapshot);
     let mut matches = Vec::new();
     {
         let mut span = query_span.child("live.confirm");
-        confirm_source_budgeted(
+        confirm_source(
             &view,
-            regex,
+            prepared.regex(),
             &mut source,
             want_spans,
-            &prefilter,
+            prepared.prefilter(),
             threads,
             budget,
             &mut stats,

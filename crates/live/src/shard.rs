@@ -44,9 +44,7 @@
 
 use crate::error::{Error, Result};
 use crate::manifest::{read_checksummed, write_checksummed};
-use crate::query::{
-    execute_prepared, LiveMatch, LiveQueryResult, LiveQueryStats, PreparedQuery, QueryOpts,
-};
+use crate::query::{execute_prepared, LiveMatch, LiveQueryResult, LiveQueryStats, QueryOpts};
 use crate::snapshot::{ShardSnapshot, SnapshotCell};
 use crate::stats::LiveStats;
 use crate::{LiveConfig, Manifest, Shard};
@@ -849,9 +847,9 @@ impl Snapshot {
     /// budget) and merges the per-shard result streams back into exact
     /// global sequence order.
     ///
-    /// The regex is parsed and logically planned **once**; only the
-    /// physical plan (a function of each shard's own dictionary) is
-    /// derived per shard. With more than one shard, shards execute in
+    /// The pattern is prepared **once** ([`free_engine::PreparedQuery`]:
+    /// regex, logical plan, prefilter); only the physical plan (a
+    /// function of each shard's own dictionary) is derived per shard. With more than one shard, shards execute in
     /// parallel on scoped threads, each with a slice of the
     /// confirmation-thread budget ([`partition_threads`]), and each
     /// shard's matches — ascending in local sequence, therefore ascending
@@ -863,9 +861,7 @@ impl Snapshot {
     /// expired deadline or tripped cancel token stops all shard workers
     /// at their next confirmation batch boundary, and the whole query
     /// returns a structured [`Error::Timeout`] / [`Error::Cancelled`] —
-    /// never partial results. With [`free_engine::ScanPolicy::Reject`],
-    /// the query is rejected if *any* shard with candidate sources
-    /// degenerates to a scan over its partition.
+    /// never partial results.
     // `expect` on `join()`: re-raising a shard query worker's panic on
     // the coordinating thread is the correct way to propagate it.
     #[allow(clippy::expect_used)]
@@ -885,7 +881,7 @@ impl Snapshot {
         query_span.record("shards", self.shards.len() as u64);
 
         let prep_start = Instant::now();
-        let prepared = PreparedQuery::new_traced(pattern, econfig.class_expand_limit, &query_span)?;
+        let prepared = free_engine::PreparedQuery::new(pattern, econfig, &query_span)?;
         let prep_time = prep_start.elapsed();
 
         let n = self.shards.len();

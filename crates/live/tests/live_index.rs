@@ -227,6 +227,81 @@ fn compaction_is_a_batch_build() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A live query and a batch query run one pipeline: once a single shard
+/// has compacted into `seg-2`, `Engine::open` over the same pages and
+/// that index file answers every pattern as `Snapshot::query` does, seq
+/// for doc id, and counts the same work — plan class, scan, keys fetched,
+/// candidates, documents examined and prefiltered, matches.
+#[test]
+fn batch_and_live_queries_run_one_pipeline() {
+    use free_engine::PlanClass;
+    let dir = tmp_dir("one-pipeline");
+    let pages = synth_pages();
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&pages[..20]).unwrap();
+    live.flush().unwrap();
+    live.add_batch(&pages[20..]).unwrap();
+    live.flush().unwrap();
+    assert!(live.compact().unwrap());
+    let engine = Engine::open(
+        MemCorpus::from_docs(pages),
+        config().engine,
+        dir.join("segments/seg-2.idx"),
+    )
+    .unwrap();
+    let mut classes = Vec::new();
+    let mut index_rejects = 0;
+    for pattern in [
+        // INDEXED; the index's five `Clinton` candidates all fail the
+        // prefilter (the pages hold the keys, not the literal).
+        "Clinton",
+        "(Bill|William).*Clinton",
+        "Clinton.*zqxj",
+        "sigmod.*200[0-9]",
+        "ebay",
+        r"\.mp3",
+        // WEAK: six keys of 20 pages each, an estimate of 120 of 200.
+        "zij|wos|uzu|pif|huh|caj",
+        // SCAN; 167 pages fail `<script`'s prefilter.
+        "<script",
+        "[0-9]{5}",
+        "<[^>]*<",
+        "a*",
+    ] {
+        let got = live.snapshot().query(pattern).unwrap();
+        let mut batch = engine.query(pattern).unwrap();
+        let want = batch.all_matches().unwrap();
+        let want: Vec<(DocId, Vec<free_regex::Span>)> =
+            want.into_iter().map(|m| (m.doc, m.spans)).collect();
+        let got_matches: Vec<(DocId, Vec<free_regex::Span>)> =
+            got.matches.into_iter().map(|m| (m.seq, m.spans)).collect();
+        assert_eq!(got_matches, want, "{pattern}");
+        let (l, b) = (&got.stats.base, batch.stats());
+        let counters = |s: &free_engine::QueryStats| {
+            (
+                s.plan_class,
+                s.used_scan,
+                s.keys_fetched,
+                s.candidates,
+                s.docs_examined,
+                s.docs_prefiltered,
+                s.matching_docs,
+                s.match_count,
+            )
+        };
+        assert_eq!(counters(l), counters(b), "{pattern}");
+        classes.push(b.plan_class);
+        if !b.used_scan {
+            index_rejects += b.docs_prefiltered;
+        }
+    }
+    for class in [PlanClass::Indexed, PlanClass::Weak, PlanClass::Scan] {
+        assert!(classes.contains(&class), "no {class} pattern: {classes:?}");
+    }
+    assert!(index_rejects > 0, "no index candidate failed a prefilter");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The dictionary's keys with the number of `corpus` documents holding
 /// each, counted by a matcher scan: the key set a flush or a merge
 /// writes postings for.

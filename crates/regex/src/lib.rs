@@ -21,9 +21,8 @@
 //!   leftmost-longest *spans* (what `grep -o` would print) at DFA speed.
 //! * [`Regex`] / [`Searcher`] — the high-level façade composing them.
 //! * [`pike::PikeVm`] — an NFA simulation that reports the same spans
-//!   directly; kept as the differential reference for the DFA path.
-//! * [`dense::DenseDfa`] — an eagerly built DFA with Hopcroft minimization;
-//!   a second reference, cross-checking the lazy DFA in tests.
+//!   directly; kept, with the backtracking [`oracle`], as the
+//!   differential reference for the DFA path.
 //!
 //! Everything operates on `&[u8]`: FREE's corpus is raw web-page bytes and
 //! its index keys are byte multigrams, so no UTF-8 assumptions are made
@@ -44,7 +43,6 @@
 
 pub mod ast;
 pub mod class;
-pub mod dense;
 pub mod derivative;
 pub mod dfa;
 pub mod error;

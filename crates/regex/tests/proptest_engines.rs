@@ -1,5 +1,5 @@
-//! Property-based cross-checks: the Pike VM, lazy DFA and dense DFA must
-//! all agree with the naive backtracking oracle on random patterns and
+//! Property-based cross-checks: the Pike VM and the lazy DFA must both
+//! agree with the naive backtracking oracle on random patterns and
 //! haystacks over a small alphabet (small alphabets maximize the chance of
 //! overlapping matches and epsilon subtleties), and the production
 //! [`Searcher`](free_regex::Searcher)'s DFA-only spans must equal what the
@@ -7,7 +7,6 @@
 //! exercise what a 16-byte one never reaches: the positioned decision on
 //! a pattern's suffix literal, down to the cap on its reverse walks.
 
-use free_regex::dense::DenseDfa;
 use free_regex::dfa::LazyDfa;
 use free_regex::nfa::Nfa;
 use free_regex::oracle;
@@ -70,12 +69,10 @@ proptest! {
         let nfa = Nfa::compile(&ast).expect("compiles");
         let mut vm = PikeVm::new(&nfa);
         let mut lazy = LazyDfa::new(&nfa);
-        let dense = DenseDfa::build(&nfa).expect("dense builds");
 
         let want = oracle::is_match(&ast, &hay);
         prop_assert_eq!(vm.is_match(&nfa, &hay), want, "pike {:?}", ast);
         prop_assert_eq!(lazy.is_match(&nfa, &hay), want, "lazy {:?}", ast);
-        prop_assert_eq!(dense.is_match(&hay), want, "dense {:?}", ast);
     }
 
     #[test]
@@ -115,15 +112,6 @@ proptest! {
                 prop_assert_eq!(searcher.is_match(&hay), !pike.is_empty());
             }
         }
-    }
-
-    #[test]
-    fn minimized_dfa_equivalent(ast in arb_ast(), hay in arb_haystack()) {
-        let nfa = Nfa::compile(&ast).expect("compiles");
-        let dense = DenseDfa::build(&nfa).expect("dense builds");
-        let min = dense.minimize();
-        prop_assert_eq!(dense.shortest_match(&hay), min.shortest_match(&hay));
-        prop_assert!(min.num_states() <= dense.num_states());
     }
 
     #[test]

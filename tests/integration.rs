@@ -263,26 +263,23 @@ fn observation_3_14_presuf_covers_useful_grams() {
     assert!(probed > 5, "only {probed} useful grams probed — weak test");
 }
 
-/// Anchoring and plan pruning are both behavior-preserving: all four
-/// toggle combinations return identical matches.
+/// Plan pruning is behavior-preserving: with and without it the engine
+/// returns identical matches.
 #[test]
 fn optimizations_preserve_results() {
     let (corpus, _) = Generator::new(SynthConfig::tiny(120, 31)).build_mem();
     let mut engines = Vec::new();
-    for anchoring in [false, true] {
-        for prune in [1.0, 0.5] {
-            engines.push(
-                Engine::build_in_memory(
-                    corpus.clone(),
-                    EngineConfig {
-                        use_anchoring: anchoring,
-                        prune_selectivity: prune,
-                        ..EngineConfig::default()
-                    },
-                )
-                .unwrap(),
-            );
-        }
+    for prune in [1.0, 0.5] {
+        engines.push(
+            Engine::build_in_memory(
+                corpus.clone(),
+                EngineConfig {
+                    prune_selectivity: prune,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap(),
+        );
     }
     for pattern in [
         r"\.mp3",

@@ -17,7 +17,7 @@
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_corpus::{Corpus, DocId, MemCorpus};
-use free_engine::exec::stream::{confirm_source_budgeted, CandidateSource};
+use free_engine::exec::stream::{confirm_source, CandidateSource};
 use free_engine::{CancelToken, QueryStats, RequestBudget};
 use free_live::{LiveConfig, LiveIndex, QueryCache, QueryOpts};
 use free_regex::Regex;
@@ -39,7 +39,7 @@ fn confirm_with_budget(
 ) -> (Vec<(DocId, usize)>, QueryStats, free_engine::Result<()>) {
     let mut stats = QueryStats::default();
     let mut hits = Vec::new();
-    let verdict = confirm_source_budgeted(
+    let verdict = confirm_source(
         corpus,
         regex,
         &mut CandidateSource::Docs(ids.to_vec()),

@@ -10,7 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_corpus::{DocId, MemCorpus};
 use free_engine::exec::stream::{
-    compile_plan, confirm_source_budgeted, CandidateSource, StreamState, BATCH_PER_WORKER,
+    compile_plan, confirm_source, CandidateSource, StreamState, BATCH_PER_WORKER,
 };
 use free_engine::exec::{eval_plan, Candidates};
 use free_engine::metrics::QueryStats;
@@ -288,7 +288,7 @@ fn confirm_with(
     };
     let mut stats = QueryStats::default();
     let mut hits = Vec::new();
-    let outcome = confirm_source_budgeted(
+    let outcome = confirm_source(
         corpus,
         &regex,
         source,
