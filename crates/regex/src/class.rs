@@ -101,6 +101,12 @@ impl ByteClass {
         self.bits[(b >> 6) as usize] & (1u64 << (b & 63)) != 0
     }
 
+    /// The bitmap's four words: bit `b & 63` of word `b >> 6` is byte `b`.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64; 4] {
+        &self.bits
+    }
+
     /// The number of bytes in the class.
     pub fn len(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()

@@ -224,16 +224,11 @@ impl LazyDfa {
 
     fn build(nfa: &Nfa, anchored: bool, state_limit: usize) -> LazyDfa {
         let stride = nfa.num_byte_classes() as usize;
-        let mut classes = [0u8; 256];
-        for (b, slot) in classes.iter_mut().enumerate() {
-            // At most 256 classes, so every class index fits a byte.
-            *slot = nfa.byte_class(b as u8) as u8;
-        }
         let mut dfa = LazyDfa {
             transitions: Vec::new(),
             sets: Vec::new(),
             cache: FxHashMap::default(),
-            classes,
+            classes: *nfa.byte_classes(),
             stride,
             anchored,
             idle_pays: !anchored,
@@ -248,7 +243,7 @@ impl LazyDfa {
             current: Vec::new(),
             next: Vec::new(),
             stack: Vec::new(),
-            reps: nfa.byte_class_representatives(),
+            reps: nfa.representatives().to_vec(),
             escapes: None,
         };
         dfa.reset(nfa);

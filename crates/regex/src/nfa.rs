@@ -43,10 +43,8 @@ pub struct Nfa {
     states: Vec<State>,
     classes: Vec<ByteClass>,
     start: StateId,
-    /// Maps each byte to its input equivalence class.
-    byte_class: [u16; 256],
-    /// Number of distinct input equivalence classes.
-    num_byte_classes: u16,
+    /// The input equivalence classes, computed once per program.
+    partition: Partition,
     /// Whether the pattern matches the empty string.
     nullable: bool,
 }
@@ -73,13 +71,12 @@ impl Nfa {
         let frag = c.compile(ast)?;
         let match_id = c.push(State::Match)?;
         c.patch(frag.out, match_id);
-        let (byte_class, num_byte_classes) = compute_byte_classes(&c.classes);
+        let partition = compute_byte_classes(&c.classes);
         Ok(Nfa {
             states: c.states,
             classes: c.classes,
             start: frag.start,
-            byte_class,
-            num_byte_classes,
+            partition,
             nullable: ast.is_nullable(),
         })
     }
@@ -126,33 +123,22 @@ impl Nfa {
         self.nullable
     }
 
-    /// Maps a haystack byte to its input equivalence class.
+    /// Every byte's input equivalence class, indexed by byte.
     #[inline]
-    pub fn byte_class(&self, b: u8) -> u16 {
-        self.byte_class[b as usize]
+    pub(crate) fn byte_classes(&self) -> &[u8; 256] {
+        &self.partition.map
     }
 
-    /// Number of distinct input equivalence classes (≤ 256).
+    /// Number of distinct input equivalence classes (1..=256).
     #[inline]
     pub fn num_byte_classes(&self) -> u16 {
-        self.num_byte_classes
+        self.partition.len
     }
 
-    /// A representative byte for each input equivalence class.
-    // `expect`: class ids are assigned from observed bytes, so every
-    // class gains a representative in the loop above.
-    #[allow(clippy::expect_used)]
-    pub fn byte_class_representatives(&self) -> Vec<u8> {
-        let mut reps = vec![None; self.num_byte_classes as usize];
-        for b in 0..=255u8 {
-            let c = self.byte_class[b as usize] as usize;
-            if reps[c].is_none() {
-                reps[c] = Some(b);
-            }
-        }
-        reps.into_iter()
-            .map(|r| r.expect("every class has a rep"))
-            .collect()
+    /// The first byte of each input equivalence class, by class id.
+    #[inline]
+    pub(crate) fn representatives(&self) -> &[u8] {
+        &self.partition.reps[..usize::from(self.partition.len)]
     }
 
     /// Adds the epsilon closure of `id` to `set` (a sorted, deduped vector),
@@ -377,22 +363,26 @@ impl Compiler {
                         debug_assert!(max >= min);
                         let mut tail: Option<Fragment> = None;
                         // Build optional copies from the inside out:
-                        // opt_k = split(x opt_{k+1}, ε)
+                        // opt_k = split(x opt_{k+1}, ε). Every copy's ε
+                        // arm leaves the whole repetition, so the arms
+                        // gather in the one list that started with the
+                        // innermost copy's holes: linear in the copies.
                         for _ in min..max {
                             let frag = self.compile(node)?;
                             let split = self.push(State::Split {
                                 a: frag.start,
                                 b: HOLE,
                             })?;
-                            let mut out = vec![Dangling::SplitB(split)];
-                            match tail {
-                                None => out.extend(frag.out),
+                            let out = match tail {
+                                None => frag.out,
                                 Some(t) => {
                                     self.patch(frag.out, t.start);
-                                    out.extend(t.out);
+                                    t.out
                                 }
-                            }
-                            tail = Some(Fragment { start: split, out });
+                            };
+                            let mut t = Fragment { start: split, out };
+                            t.out.push(Dangling::SplitB(split));
+                            tail = Some(t);
                         }
                         tail
                     }
@@ -426,38 +416,151 @@ impl Compiler {
     }
 }
 
-/// Computes the byte equivalence partition for a set of byte classes: two
-/// bytes belong to the same input class iff every transition class either
-/// contains both or neither.
-fn compute_byte_classes(classes: &[ByteClass]) -> ([u16; 256], u16) {
-    let mut signature_ids: FxHashMap<Vec<u64>, u16> = FxHashMap::default();
-    let mut byte_class = [0u16; 256];
-    let mut next_id = 0u16;
-    for b in 0..=255u8 {
-        // Signature: bitmap of which classes contain b.
-        let mut sig = vec![0u64; classes.len().div_ceil(64)];
-        for (i, c) in classes.iter().enumerate() {
-            if c.contains(b) {
-                sig[i / 64] |= 1 << (i % 64);
-            }
+/// The byte equivalence partition of a program's classes: two bytes share
+/// an input class iff every transition class contains both or neither.
+/// Classes are numbered in the order of their first byte.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Partition {
+    /// Each byte's input class.
+    map: [u8; 256],
+    /// The first byte of each input class, by class id; the first `len`
+    /// entries are meaningful, the rest stay 0.
+    reps: [u8; 256],
+    /// Number of input classes (1..=256).
+    len: u16,
+}
+
+/// Computes the [`Partition`] of `classes` from the runs their bitmaps
+/// cut the byte range into. A run starts where any class changes its
+/// mind between a byte and the one before it; bytes inside a run share
+/// every membership, so one representative byte gives a run's signature
+/// (which classes contain it), and runs with equal signatures join one
+/// input class. Signatures are deduplicated in one flat buffer through
+/// a small open-addressed table; nothing is allocated or hashed per byte.
+fn compute_byte_classes(classes: &[ByteClass]) -> Partition {
+    // Bit `b` of `starts` is set when byte `b` starts a run: some class
+    // holds `b` but not `b - 1`, or the other way round. Each word's
+    // carry brings in the previous word's top byte; byte 0 always starts.
+    let mut starts = [0u64; 4];
+    for c in classes {
+        let mut carry = 0;
+        for (edges, &w) in starts.iter_mut().zip(c.words()) {
+            *edges |= w ^ (w << 1 | carry);
+            carry = w >> 63;
         }
-        let id = *signature_ids.entry(sig).or_insert_with(|| {
-            let id = next_id;
-            next_id += 1;
-            id
-        });
-        byte_class[b as usize] = id;
     }
-    (byte_class, next_id)
+    starts[0] |= 1;
+    let mut bounds = [0u16; 257];
+    let mut runs = 0;
+    for (w, &edges) in starts.iter().enumerate() {
+        let mut e = edges;
+        while e != 0 {
+            bounds[runs] = (w * 64) as u16 + e.trailing_zeros() as u16;
+            runs += 1;
+            e &= e - 1;
+        }
+    }
+    bounds[runs] = 256;
+
+    let width = classes.len().div_ceil(64);
+    // The distinct signatures, `width` words each, by input class id;
+    // a run's signature is appended and dropped again if it is known.
+    let mut sigs: Vec<u64> = Vec::with_capacity(width * (runs + 1));
+    // Open addressing over at most 256 signatures: input class id + 1,
+    // 0 for an empty slot.
+    let mut slots = [0u16; 512];
+    let mut p = Partition {
+        map: [0; 256],
+        reps: [0; 256],
+        len: 0,
+    };
+    for run in bounds[..=runs].windows(2) {
+        let (start, end) = (usize::from(run[0]), usize::from(run[1]));
+        let (word, bit) = (start >> 6, start & 63);
+        let at = sigs.len();
+        sigs.extend(classes.chunks(64).map(|chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |sig, (i, c)| sig | (c.words()[word] >> bit & 1) << i)
+        }));
+        let mut slot = signature_slot(&sigs[at..]);
+        let id = loop {
+            match slots[slot] {
+                0 => {
+                    let id = p.len;
+                    slots[slot] = id + 1;
+                    p.reps[usize::from(id)] = start as u8;
+                    p.len += 1;
+                    break id;
+                }
+                known => {
+                    let other = usize::from(known - 1) * width;
+                    if sigs[other..other + width] == sigs[at..] {
+                        sigs.truncate(at);
+                        break known - 1;
+                    }
+                    slot = (slot + 1) % slots.len();
+                }
+            }
+        };
+        // At most 256 input classes, so every id fits a byte.
+        p.map[start..end].fill(id as u8);
+    }
+    p
+}
+
+/// A signature's home slot in [`compute_byte_classes`]'s 512-slot table:
+/// the top nine bits of an Fx-style multiplicative fold of its words.
+fn signature_slot(sig: &[u64]) -> usize {
+    let h = sig.iter().fold(0u64, |h, &w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+    });
+    (h >> 55) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use proptest::prelude::*;
 
     fn nfa(pattern: &str) -> Nfa {
         Nfa::compile(&parse(pattern).unwrap()).unwrap()
+    }
+
+    /// The per-byte signature-hash partition the run-boundary one
+    /// replaced, kept only as the reference it is proven equal to: a
+    /// bitmap of the classes holding each byte, interned by hash, ids in
+    /// order of first byte.
+    fn by_signature(classes: &[ByteClass]) -> Partition {
+        let mut signature_ids: FxHashMap<Vec<u64>, u16> = FxHashMap::default();
+        let mut p = Partition {
+            map: [0; 256],
+            reps: [0; 256],
+            len: 0,
+        };
+        for b in 0..=255u8 {
+            let mut sig = vec![0u64; classes.len().div_ceil(64)];
+            for (i, c) in classes.iter().enumerate() {
+                if c.contains(b) {
+                    sig[i / 64] |= 1 << (i % 64);
+                }
+            }
+            let id = *signature_ids.entry(sig).or_insert_with(|| {
+                p.reps[usize::from(p.len)] = b;
+                p.len += 1;
+                p.len - 1
+            });
+            p.map[usize::from(b)] = id as u8;
+        }
+        p
+    }
+
+    fn assert_partition(classes: &[ByteClass]) -> Partition {
+        let p = compute_byte_classes(classes);
+        assert_eq!(p, by_signature(classes), "{classes:?}");
+        p
     }
 
     #[test]
@@ -509,17 +612,119 @@ mod tests {
         let n = nfa("[a-c]x");
         // Input classes: {a,b,c}, {x}, everything else → 3.
         assert_eq!(n.num_byte_classes(), 3);
-        assert_eq!(n.byte_class(b'a'), n.byte_class(b'b'));
-        assert_ne!(n.byte_class(b'a'), n.byte_class(b'x'));
-        assert_eq!(n.byte_class(b'!'), n.byte_class(b'z'));
-        let reps = n.byte_class_representatives();
-        assert_eq!(reps.len(), 3);
+        let class = |b: u8| n.byte_classes()[usize::from(b)];
+        assert_eq!(class(b'a'), class(b'b'));
+        assert_ne!(class(b'a'), class(b'x'));
+        assert_eq!(class(b'!'), class(b'z'));
+        // Ids follow each class's first byte: 0x00.., then a-c, then x.
+        assert_eq!(n.representatives(), &[0, b'a', b'x']);
+        assert_eq!(class(b'y'), 0);
     }
 
     #[test]
     fn dot_collapses_to_one_class() {
         let n = nfa(".");
         assert_eq!(n.num_byte_classes(), 1);
+        assert_eq!(n.representatives(), &[0]);
+        assert_partition(&[ByteClass::ANY]);
+    }
+
+    #[test]
+    fn no_classes_is_one_class() {
+        let p = assert_partition(&[]);
+        assert_eq!(p.len, 1);
+        assert_eq!(p.map, [0; 256]);
+    }
+
+    #[test]
+    fn runs_at_word_edges() {
+        // Classes starting or ending on either side of each 64-byte word
+        // boundary, and at both ends of the byte range.
+        let edges = [
+            0u8, 1, 62, 63, 64, 65, 126, 127, 128, 129, 190, 191, 192, 193, 254, 255,
+        ];
+        for &a in &edges {
+            for &b in edges.iter().filter(|&&b| b >= a) {
+                let range = ByteClass::range(a, b);
+                assert_partition(&[range]);
+                assert_partition(&[range.negate()]);
+                assert_partition(&[ByteClass::singleton(a), ByteClass::singleton(b)]);
+                assert_partition(&[range, ByteClass::singleton(b), ByteClass::ANY]);
+            }
+        }
+        let p = assert_partition(&[ByteClass::range(63, 64), ByteClass::range(128, 191)]);
+        assert_eq!(p.len, 3);
+        assert_eq!(&p.reps[..3], &[0, 63, 128]);
+        assert_eq!((p.map[62], p.map[63], p.map[64], p.map[65]), (0, 1, 1, 0));
+        assert_eq!(
+            (p.map[127], p.map[128], p.map[191], p.map[192]),
+            (0, 2, 2, 0)
+        );
+    }
+
+    #[test]
+    fn every_byte_its_own_class() {
+        let singletons: Vec<ByteClass> = (0..=255).map(ByteClass::singleton).collect();
+        let p = assert_partition(&singletons);
+        assert_eq!(p.len, 256);
+        // Reversed, the ids still follow the bytes.
+        let mut reversed = singletons;
+        reversed.reverse();
+        assert_eq!(assert_partition(&reversed).map[255], 255);
+    }
+
+    /// One random class: a singleton, a range, a sparse set, or the
+    /// negation of any of them.
+    fn class() -> impl Strategy<Value = ByteClass> {
+        let base = prop_oneof![
+            any::<u8>().prop_map(ByteClass::singleton),
+            (any::<u8>(), any::<u8>()).prop_map(|(a, b)| ByteClass::range(a.min(b), a.max(b))),
+            prop::collection::vec(any::<u8>(), 0..12).prop_map(|bytes| {
+                let mut c = ByteClass::new();
+                bytes.into_iter().for_each(|b| c.insert(b));
+                c
+            }),
+        ];
+        (base, any::<bool>()).prop_map(|(c, negate)| if negate { c.negate() } else { c })
+    }
+
+    proptest! {
+        /// Up to 140 classes, so signatures span one, two and three
+        /// words, and half the cases at most three, so that few classes
+        /// cut the range and each cut shows: the same partition as the
+        /// reference, ids included.
+        #[test]
+        fn partition_equals_the_signature_reference(
+            classes in prop_oneof![
+                prop::collection::vec(class(), 0..=3),
+                prop::collection::vec(class(), 0..=140),
+            ],
+        ) {
+            prop_assert_eq!(compute_byte_classes(&classes), by_signature(&classes));
+        }
+    }
+
+    #[test]
+    fn optional_copies_patch_like_before() {
+        // The pinned program of `a{1,4}`: one mandatory copy, then three
+        // optional ones built inside out, every ε arm to the match.
+        let n = nfa("a{1,4}");
+        let a = |next| State::Class { class: 0, next };
+        let split = |a, b| State::Split { a, b };
+        assert_eq!(
+            n.states(),
+            &[
+                a(6),
+                a(7),
+                split(1, 7),
+                a(2),
+                split(3, 7),
+                a(4),
+                split(5, 7),
+                State::Match
+            ]
+        );
+        assert_eq!(n.start(), 0);
     }
 
     #[test]
@@ -538,7 +743,19 @@ mod tests {
 
     #[test]
     fn no_dangling_holes_after_compile() {
-        for pat in ["a", "a*", "a|b", "(ab|cd)*ef", "a{2,5}", "a?b+c*", ""] {
+        for pat in [
+            "a",
+            "a*",
+            "a|b",
+            "(ab|cd)*ef",
+            "a{2,5}",
+            "a?b+c*",
+            "",
+            "a{0,1000}",
+            "a{1000}",
+            ".{0,200}sigmod",
+            "(ab|c){3,300}",
+        ] {
             let n = nfa(pat);
             for s in n.states() {
                 match *s {
