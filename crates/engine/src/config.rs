@@ -1,6 +1,7 @@
 //! Engine configuration.
 
 use crate::{Error, Result};
+use std::sync::OnceLock;
 
 /// Which index family to build — the three columns of Table 3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -119,12 +120,16 @@ impl EngineConfig {
 
     /// The number of confirmation worker threads to actually use:
     /// resolves `num_threads == 0` to the machine's available
-    /// parallelism.
+    /// parallelism, read once per process (the call reads cgroup files
+    /// and the affinity mask, which every query would otherwise pay).
     pub fn effective_threads(&self) -> usize {
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
         match self.num_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            0 => *AVAILABLE.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            }),
             n => n,
         }
     }

@@ -409,7 +409,7 @@ pub fn confirm_source<C: Corpus>(
             // the corpus scan hands out, although the automaton, not the
             // read, is its cost: over the benchmark's `query_batch` corpus
             // (2400 pages) a bare sequential read takes 0.6-0.7 ms of the
-            // 4.4-6.7 ms a SCAN query spends. Its cost is charged to
+            // 2.4-3.7 ms a SCAN query spends. Its cost is charged to
             // `scan_time`, not `confirm_time` — this is a blind scan, not
             // index-assisted confirmation.
             let start = Instant::now();

@@ -38,17 +38,24 @@ impl Corpus for LiveView<'_> {
         })
     }
 
+    /// Reads each segment front to back in one sequential pass, checking
+    /// every unit's CRC as [`Corpus::get`] does but bypassing the
+    /// segment's fetch cache, which a scan would otherwise flush of the
+    /// candidates it holds.
     fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> free_corpus::Result<()> {
         let s = self.0;
         for seg in &s.segments {
-            for (local, &seq) in seg.seqs.iter().enumerate() {
+            let mut stopped = false;
+            seg.corpus.scan_checked(&mut |local, bytes| {
+                let seq = seg.seqs[local as usize];
                 if s.deleted.contains(&seq) {
-                    continue;
+                    return true;
                 }
-                let bytes = seg.corpus.get(local as DocId)?;
-                if !f(seq, &bytes) {
-                    return Ok(());
-                }
+                stopped = !f(seq, bytes);
+                !stopped
+            })?;
+            if stopped {
+                return Ok(());
             }
         }
         for (local, doc) in s.memtable.docs().enumerate() {
@@ -58,5 +65,73 @@ impl Corpus for LiveView<'_> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::live::Shard;
+    use crate::LiveConfig;
+
+    /// A SCAN answers what reading every live document would, and leaves
+    /// a segment's fetch cache holding what it held: no entry evicted,
+    /// no hit or miss counted.
+    #[test]
+    fn a_scan_leaves_the_fetch_cache_alone() {
+        let dir = std::env::temp_dir().join(format!("free-live-view-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut shard = Shard::create(&dir, LiveConfig::default()).unwrap();
+        let docs: Vec<Vec<u8>> = (0..40)
+            .map(|i| format!("document {i} says {}", "la ".repeat(i)).into_bytes())
+            .collect();
+        shard.add_batch_deferred(&docs[..30]).unwrap();
+        shard.flush().unwrap();
+        shard.add_batch_deferred(&docs[30..]).unwrap();
+        for seq in [3, 33] {
+            shard.delete(seq).unwrap();
+        }
+        let snapshot = shard.snapshot();
+        let view = LiveView(&snapshot);
+        let corpus = &snapshot.segments[0].corpus;
+        let candidates = [1, 5, 7];
+        for seq in candidates {
+            view.get(seq).unwrap();
+        }
+        let warm = corpus.cache_stats().unwrap();
+
+        let mut seen = Vec::new();
+        view.scan(&mut |seq, bytes| {
+            seen.push((seq, bytes.to_vec()));
+            true
+        })
+        .unwrap();
+        let want: Vec<(DocId, Vec<u8>)> = (0..40)
+            .filter(|seq| ![3, 33].contains(seq))
+            .map(|seq| (seq, docs[seq as usize].clone()))
+            .collect();
+        assert_eq!(seen, want);
+        assert_eq!(
+            corpus.cache_stats().unwrap(),
+            warm,
+            "the scan counted nothing"
+        );
+        for seq in candidates {
+            view.get(seq).unwrap();
+        }
+        assert_eq!(
+            corpus.cache_stats().unwrap(),
+            (warm.0 + 3, warm.1),
+            "every candidate is still cached"
+        );
+
+        let mut visited = 0;
+        view.scan(&mut |_, _| {
+            visited += 1;
+            visited < 5
+        })
+        .unwrap();
+        assert_eq!(visited, 5, "a scan stops when told to");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

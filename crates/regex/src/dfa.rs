@@ -16,15 +16,20 @@
 //!   reversed pattern, run right to left from that offset
 //!   ([`LazyDfa::accepts_ending_at`]): it accepts after consuming
 //!   `haystack[i..end]` backwards iff `haystack[i..end]` matches, and dies
-//!   as soon as no longer stretch can.
+//!   as soon as no longer stretch can; run on past its first accepting
+//!   offset ([`LazyDfa::accepting_positions_rev`]), it finds *where the
+//!   matches ending here start*.
 //!
 //! [`crate::Searcher`] composes them: when every match ends with a
 //! literal ([`crate::literal::suffix_literal`]), the last automaton
 //! decides containment from each occurrence of that literal, so only the
 //! bytes a match could end on, and the few before them that tell it
-//! apart, are stepped through; otherwise the first one decides. The
-//! second and third then turn a page that matches into leftmost-longest
-//! spans.
+//! apart, are stepped through; on a page that matches, the same
+//! automaton, run on with [`LazyDfa::accepting_positions_rev`] from each
+//! occurrence, marks every offset a match ending there starts at. The
+//! first and second automata do those two jobs for a pattern without
+//! such a literal, or when the walks grow as long as the page; the third
+//! extends each start to a leftmost-longest span.
 //!
 //! DFA states are created the first time they are visited (subset
 //! construction, McNaughton–Yamada), keyed by their NFA state set;
@@ -490,13 +495,20 @@ impl LazyDfa {
     /// For an unanchored automaton over a reversed pattern those are
     /// exactly the offsets where a match of the original pattern starts:
     /// after consuming `haystack[i..]` backwards it accepts iff some
-    /// `haystack[i..j]` reversed is in the reversed language.
+    /// `haystack[i..j]` reversed is in the reversed language. For an
+    /// [anchored](LazyDfa::anchored) one they are the offsets `i` at
+    /// which `haystack[i..]` matches: the starts of the matches that end
+    /// at the end of the input.
+    ///
+    /// Returns the offset it stopped at and whether it died there (only
+    /// an anchored automaton can); `(0, false)` when the input ran out
+    /// first, so `haystack.len() - stop` bytes were stepped.
     pub fn accepting_positions_rev(
         &mut self,
         nfa: &Nfa,
         haystack: &[u8],
         on_accept: &mut dyn FnMut(usize),
-    ) {
+    ) -> (usize, bool) {
         let mut state = self.start;
         let mut pos = haystack.len();
         if state & ACCEPT != 0 {
@@ -510,6 +522,7 @@ impl LazyDfa {
                 on_accept(pos);
             }
         }
+        (pos, state & DEAD != 0)
     }
 
     /// Returns the end offset of the longest match that starts exactly at
@@ -684,8 +697,28 @@ mod tests {
         // A nullable pattern starts (an empty match) everywhere.
         let rev = Nfa::compile(&parse("a*").unwrap().reversed()).unwrap();
         let mut out = Vec::new();
-        LazyDfa::new(&rev).accepting_positions_rev(&rev, b"ba", &mut |i| out.push(i));
+        let stop = LazyDfa::new(&rev).accepting_positions_rev(&rev, b"ba", &mut |i| out.push(i));
         assert_eq!(out, vec![2, 1, 0]);
+        assert_eq!(stop, (0, false), "an unanchored automaton never dies");
+    }
+
+    #[test]
+    fn reversed_anchored_automaton_marks_the_starts_of_matches_ending_here() {
+        let rev = Nfa::compile(&parse("a*bc|xbc").unwrap().reversed()).unwrap();
+        let mut dfa = LazyDfa::anchored(&rev, DEFAULT_STATE_LIMIT);
+        let mut walk = |hay: &[u8]| {
+            let mut out = Vec::new();
+            let stop = dfa.accepting_positions_rev(&rev, hay, &mut |i| out.push(i));
+            (out, stop)
+        };
+        // Every `a` run before `bc` starts one; dies on the `z`.
+        assert_eq!(walk(b"zaabc"), (vec![3, 2, 1], (0, true)));
+        // `bc` from 2, `xbc` from 1, then the `z` kills it at 0.
+        assert_eq!(walk(b"zxbc"), (vec![2, 1], (0, true)));
+        // The input runs out first while it could still accept further left.
+        assert_eq!(walk(b"aabc"), (vec![2, 1, 0], (0, false)));
+        // No `bc` at the end: dead on the first byte.
+        assert_eq!(walk(b"bcz"), (vec![], (2, true)));
     }
 
     #[test]

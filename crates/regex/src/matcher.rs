@@ -163,11 +163,13 @@ impl Regex {
     /// which is what the differential tests use it for.
     pub fn searcher_with_state_limit(&self, state_limit: usize) -> Searcher {
         Searcher {
-            contains: LazyDfa::with_state_limit(&self.program.nfa, state_limit),
+            contains: None,
             ends: None,
             spans: None,
             state_limit,
             program: self.program.clone(),
+            #[cfg(test)]
+            marked: [0; 2],
         }
     }
 
@@ -205,54 +207,116 @@ impl Regex {
 
 /// Mutable scratch state for searching one pattern: its lazy DFA caches.
 ///
-/// Four automata, each answering one question in linear time (see
-/// [`crate::dfa`]). *Whether* the haystack matches is decided on the
-/// literal every match ends with, when the pattern has one: from each
-/// occurrence of it, left to right, the anchored reverse DFA steps back
-/// until it accepts (a match ends there) or dies. Otherwise, and when
-/// those walks have stepped as many bytes as the haystack holds, the
-/// forward unanchored DFA decides. Only if the haystack matches, and
-/// spans are wanted, the unanchored reverse DFA marks every offset a
-/// match starts at and the anchored DFA extends each start the
-/// iteration reaches to its longest end. The pattern
-/// language has no anchors or look-around, so whether `haystack[i..j]`
-/// matches never depends on the bytes around it, and the spans are
-/// exactly the leftmost-longest ones a backtracking or Pike-VM search
-/// reports ([`crate::pike`] and [`crate::oracle`] are the references the
-/// property tests hold this to).
+/// Up to four automata, each answering one question in linear time (see
+/// [`crate::dfa`]), each built the first time it is needed. When the
+/// pattern has a literal every match ends with (its *anchor*), the
+/// anchored reverse DFA answers from the anchor's occurrences: from each,
+/// left to right, it steps back until it accepts (a match ends there) or
+/// dies, which decides *whether* the haystack matches; on a haystack that
+/// does, it steps back from the occurrence that accepted and from every
+/// later one, marking each offset it accepts at, which is exactly where
+/// the matches start. The anchored forward DFA then extends each start
+/// the iteration reaches to its longest end. The walks of each stage
+/// share a cap of `haystack.len()` steps; a pattern without an anchor,
+/// or a stage whose walks reach the cap, falls back to one full pass of
+/// an unanchored DFA: forward for the decision, over the reversed pattern
+/// for the starts. The pattern language has no anchors or look-around,
+/// so whether `haystack[i..j]` matches never depends on the bytes around
+/// it, and the spans are exactly the leftmost-longest ones a backtracking
+/// or Pike-VM search reports ([`crate::pike`] and [`crate::oracle`] are
+/// the references the property tests hold this to).
 #[derive(Clone, Debug)]
 pub struct Searcher {
     program: Arc<Program>,
     state_limit: usize,
-    /// Forward, unanchored: does the haystack contain a match?
-    contains: LazyDfa,
+    /// Forward, unanchored: does the haystack contain a match? Built the
+    /// first time the anchor cannot decide.
+    contains: Option<LazyDfa>,
     /// Reversed pattern, anchored, run right to left from an anchor
-    /// occurrence's end: does a match end there? Built at the first
+    /// occurrence's end: which matches end there? Built at the first
     /// decision of a pattern that has an anchor.
     ends: Option<LazyDfa>,
     /// Built the first time a haystack that matches is asked for spans.
     spans: Option<SpanScratch>,
+    /// How many haystacks had their starts marked by walks from the
+    /// anchor, and how many by a full pass.
+    #[cfg(test)]
+    marked: [usize; 2],
+}
+
+/// What a containment decision found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Decision {
+    /// No match.
+    Absent,
+    /// A match ends at the end of the anchor occurrence at this offset,
+    /// and none ends at an occurrence before it.
+    EndsAfter(usize),
+    /// A match, found by the forward pass.
+    Present,
 }
 
 /// The span-recovery half of a [`Searcher`].
 #[derive(Clone, Debug)]
 struct SpanScratch {
-    /// Reversed pattern, unanchored, run right to left: accepting at `i`
-    /// iff some match starts at `i`.
-    starts: LazyDfa,
+    /// Reversed pattern, unanchored, run right to left over the whole
+    /// haystack: accepting at `i` iff some match starts at `i`. Built the
+    /// first time the walks from the anchor cannot mark the starts.
+    starts: Option<LazyDfa>,
     /// Forward, anchored: the longest end from a given start.
     longest: LazyDfa,
-    /// Bitset over `0..=haystack.len()` of the offsets `starts` accepted.
+    /// Bitset over `0..=haystack.len()` of the offsets a match starts at.
     marks: Vec<u64>,
 }
 
 impl SpanScratch {
-    /// Marks every offset of `haystack` at which a match starts.
-    fn mark_starts(&mut self, reverse: &Nfa, haystack: &[u8]) {
+    /// Unmarks every offset of a haystack of `len` bytes.
+    fn clear(&mut self, len: usize) {
         self.marks.clear();
-        self.marks.resize(haystack.len() / 64 + 1, 0);
+        self.marks.resize(len / 64 + 1, 0);
+    }
+
+    /// Marks the starts of the matches that end at an occurrence of
+    /// `anchor` at or after `first`, walking `ends` back from each, or
+    /// returns `false` once the walks have stepped `haystack.len()` bytes
+    /// (the marks are then partial).
+    fn mark_from_anchor(
+        &mut self,
+        ends: &mut LazyDfa,
+        reverse: &Nfa,
+        anchor: &Finder,
+        haystack: &[u8],
+        first: usize,
+    ) -> bool {
+        self.clear(haystack.len());
+        let marks = &mut self.marks;
+        let mut steps = haystack.len();
+        let mut at = first;
+        while let Some(p) = anchor.find_at(haystack, at) {
+            let end = p + anchor.needle().len();
+            let floor = end.saturating_sub(steps);
+            let (stop, died) =
+                ends.accepting_positions_rev(reverse, &haystack[floor..end], &mut |i| {
+                    let i = floor + i;
+                    marks[i / 64] |= 1 << (i % 64);
+                });
+            if !died && stop == 0 && floor > 0 {
+                // Cut short by the cap, not by the start of the haystack.
+                return false;
+            }
+            steps -= end - floor - stop;
+            at = p + 1;
+        }
+        true
+    }
+
+    /// Marks every offset of `haystack` at which a match starts, in one
+    /// pass of the unanchored reverse DFA.
+    fn mark_starts(&mut self, reverse: &Nfa, state_limit: usize, haystack: &[u8]) {
+        self.clear(haystack.len());
         let marks = &mut self.marks;
         self.starts
+            .get_or_insert_with(|| LazyDfa::with_state_limit(reverse, state_limit))
             .accepting_positions_rev(reverse, haystack, &mut |i| marks[i / 64] |= 1 << (i % 64));
     }
 
@@ -269,13 +333,35 @@ impl SpanScratch {
 }
 
 impl Searcher {
+    /// Whether this searcher has built an unanchored automaton: the
+    /// forward one that decides, or the reverse one that marks starts.
+    #[cfg(test)]
+    fn built_unanchored(&self) -> bool {
+        self.contains.is_some() || self.spans.as_ref().is_some_and(|s| s.starts.is_some())
+    }
+
     /// Whether `haystack` contains a match: the one containment decision
     /// behind every search, positioned on the anchor where that answers,
     /// else the forward pass.
     pub fn is_match(&mut self, haystack: &[u8]) -> bool {
-        match self.positioned(haystack) {
-            Some(matched) => matched,
-            None => self.contains.is_match(&self.program.nfa, haystack),
+        self.decide(haystack) != Decision::Absent
+    }
+
+    /// [`Searcher::is_match`], keeping where a positioned decision found
+    /// its first match end.
+    fn decide(&mut self, haystack: &[u8]) -> Decision {
+        if let Some(decision) = self.positioned(haystack) {
+            return decision;
+        }
+        let nfa = &self.program.nfa;
+        let state_limit = self.state_limit;
+        let contains = self
+            .contains
+            .get_or_insert_with(|| LazyDfa::with_state_limit(nfa, state_limit));
+        if contains.is_match(nfa, haystack) {
+            Decision::Present
+        } else {
+            Decision::Absent
         }
     }
 
@@ -288,7 +374,7 @@ impl Searcher {
     /// the cap still allows, so a pattern whose walks never die (the
     /// `.*` of `<script>.*</script>` carries each one back to the start)
     /// costs at most one forward pass more than the forward pass alone.
-    fn positioned(&mut self, haystack: &[u8]) -> Option<bool> {
+    fn positioned(&mut self, haystack: &[u8]) -> Option<Decision> {
         let program = &*self.program;
         let anchor = program.anchor.as_ref()?;
         let state_limit = self.state_limit;
@@ -303,7 +389,7 @@ impl Searcher {
             let (accepted, stop) =
                 ends.accepts_ending_at(program.reverse(), &haystack[floor..], end - floor);
             if accepted {
-                return Some(true);
+                return Some(Decision::EndsAfter(p));
             }
             if stop == 0 && floor > 0 {
                 // Cut short by the cap, not by the start of the haystack.
@@ -312,7 +398,7 @@ impl Searcher {
             steps -= end - floor - stop;
             at = p + 1;
         }
-        Some(false)
+        Some(Decision::Absent)
     }
 
     /// The leftmost-longest match, if any.
@@ -339,19 +425,39 @@ impl Searcher {
 
     /// Visits the non-overlapping leftmost-longest matches in order until
     /// `visit` returns `false`.
+    ///
+    /// Every match ends at the end of an anchor occurrence, and the
+    /// anchored reverse walk from an end `e` accepts at `i` iff
+    /// `haystack[i..e]` matches. A positioned decision that accepted at
+    /// occurrence `p` walked every occurrence before it to its death or
+    /// to offset 0 without accepting, so no match ends there: the walks
+    /// from `p` on mark exactly the starts the full reverse pass marks.
     fn for_each_match(&mut self, haystack: &[u8], visit: &mut dyn FnMut(Span) -> bool) {
         // Decision pass: most haystacks end here.
-        if !self.is_match(haystack) {
+        let decision = self.decide(haystack);
+        if decision == Decision::Absent {
             return;
         }
         let program = &*self.program;
         let state_limit = self.state_limit;
         let spans = self.spans.get_or_insert_with(|| SpanScratch {
-            starts: LazyDfa::with_state_limit(program.reverse(), state_limit),
+            starts: None,
             longest: LazyDfa::anchored(&program.nfa, state_limit),
             marks: Vec::new(),
         });
-        spans.mark_starts(program.reverse(), haystack);
+        let walked = match (decision, &program.anchor, &mut self.ends) {
+            (Decision::EndsAfter(first), Some(anchor), Some(ends)) => {
+                spans.mark_from_anchor(ends, program.reverse(), anchor, haystack, first)
+            }
+            _ => false,
+        };
+        if !walked {
+            spans.mark_starts(program.reverse(), state_limit, haystack);
+        }
+        #[cfg(test)]
+        {
+            self.marked[usize::from(!walked)] += 1;
+        }
         let mut at = 0;
         while let Some(start) = spans.next_start(at) {
             // A marked offset starts a match, so the anchored pass finds
@@ -457,7 +563,7 @@ mod tests {
         let positioned = searcher.positioned(haystack);
         assert_eq!(searcher.is_match(haystack), want.is_some());
         assert_eq!(searcher.find(haystack).map(|m| m.span()), want);
-        positioned
+        positioned.map(|decision| decision != Decision::Absent)
     }
 
     #[test]
@@ -470,6 +576,104 @@ mod tests {
         assert_eq!(capped(&[b"a", &bcs[..]].concat()), Some(true));
         // A late `a`: the walks before it use up the cap.
         assert_eq!(capped(&[&bcs[..], b"abc"].concat()), None);
+    }
+
+    /// Every match of `pattern` over `haystack` from a searcher with
+    /// `state_limit`, checked against the Pike VM, and whether its starts
+    /// were marked by walks from the anchor (`Some(true)`), by the full
+    /// reverse pass (`Some(false)`) or not at all (no match).
+    fn spans(pattern: &str, haystack: &[u8], state_limit: usize) -> (Vec<Span>, Option<bool>) {
+        let re = Regex::new(pattern).unwrap();
+        let mut vm = crate::pike::PikeVm::new(re.nfa());
+        let mut want = Vec::new();
+        let mut at = 0;
+        while let Some(span) = vm.find_at(re.nfa(), haystack, at) {
+            at = if span.is_empty() {
+                span.end + 1
+            } else {
+                span.end
+            };
+            want.push(span);
+        }
+        let mut searcher = re.searcher_with_state_limit(state_limit);
+        let got: Vec<Span> = searcher
+            .find_all(haystack)
+            .iter()
+            .map(|m| m.span())
+            .collect();
+        assert_eq!(
+            got,
+            want,
+            "{pattern} over {:?}",
+            String::from_utf8_lossy(haystack)
+        );
+        let walked = match searcher.marked {
+            [0, 0] => None,
+            [1, 0] => Some(true),
+            [0, 1] => Some(false),
+            other => panic!("one haystack, marked {other:?}"),
+        };
+        (got, walked)
+    }
+
+    #[test]
+    fn positioned_spans_walk_from_each_occurrence_of_the_anchor() {
+        // Overlapping occurrences: a walk from each, three bytes apiece
+        // (the third kills it), spend a five-byte cap at the third.
+        let (got, walked) = spans("aa", b"aaaaa", DEFAULT_STATE_LIMIT);
+        assert_eq!(got, [Span::new(0, 2), Span::new(2, 4)]);
+        assert_eq!(walked, Some(false));
+        // Among other bytes they fit, and mark the same starts.
+        let (got, walked) = spans("aa", b"xxaaaaaxxxxxxxxxxxxx", DEFAULT_STATE_LIMIT);
+        assert_eq!(got, [Span::new(2, 4), Span::new(4, 6)]);
+        assert_eq!(walked, Some(true));
+        let (got, walked) = spans("a+aa", b"aaaaa", 2);
+        assert_eq!(got, [Span::new(0, 5)]);
+        assert_eq!(walked, Some(false));
+        let (got, walked) = spans("ba+aa", b"xxxxbaaaaaxxxxxxxxxxxxx", 2);
+        assert_eq!(got, [Span::new(4, 10)]);
+        assert_eq!(walked, Some(true));
+        // The first `cd` ends no match; the decision accepts at the
+        // second and the walks resume from it.
+        let (got, walked) = spans("bx*cd", b"acd bcd xcd bxxcd", DEFAULT_STATE_LIMIT);
+        assert_eq!(got, [Span::new(4, 7), Span::new(12, 17)]);
+        assert_eq!(walked, Some(true));
+        // No anchor (`c` is too short): the full pass, as before.
+        assert_eq!(spans("ab+c", b"xabbc", 3).1, Some(false));
+        assert_eq!(spans("bx*cd", b"acd", 3).1, None);
+    }
+
+    #[test]
+    fn positioned_spans_fall_back_when_their_walks_run_out() {
+        // Every `</script>` walks back to the `<script>` before it; three
+        // dozen of them spend the cap, and the full pass marks the starts.
+        let page = [
+            &b"<script>"[..],
+            &b"x</script>".repeat(36),
+            b" tail <script>y</script>",
+        ]
+        .concat();
+        let (got, walked) = spans("<script>.*</script>", &page, DEFAULT_STATE_LIMIT);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].range(), 0..page.len());
+        assert_eq!(walked, Some(false));
+        // One of them is well within the cap.
+        let (_, walked) = spans("<script>.*</script>", b"<script>x</script>", 2);
+        assert_eq!(walked, Some(true));
+    }
+
+    #[test]
+    fn an_anchored_searcher_builds_no_unanchored_automaton_it_does_not_use() {
+        let re = Regex::new(r"\w+ vu").unwrap();
+        let mut searcher = re.searcher();
+        assert!(searcher.find_all(b"no such thing").is_empty());
+        assert_eq!(searcher.find_all(b"ka vu, ba vu").len(), 2);
+        assert!(!searcher.built_unanchored());
+        // A pattern without an anchor needs both.
+        let re = Regex::new(r"\w+ vu|x").unwrap();
+        let mut searcher = re.searcher();
+        assert_eq!(searcher.find_all(b"ka vu, ba vu").len(), 2);
+        assert!(searcher.built_unanchored());
     }
 
     #[test]

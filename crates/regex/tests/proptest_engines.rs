@@ -4,8 +4,9 @@
 //! overlapping matches and epsilon subtleties), and the production
 //! [`Searcher`](free_regex::Searcher)'s DFA-only spans must equal what the
 //! Pike VM and the oracle iterate. Longer haystacks (up to 300 bytes)
-//! exercise what a 16-byte one never reaches: the positioned decision on
-//! a pattern's suffix literal, down to the cap on its reverse walks.
+//! exercise what a 16-byte one never reaches: the positioned decision and
+//! match starts on a pattern's suffix literal, down to the cap on their
+//! reverse walks.
 
 use free_regex::dfa::LazyDfa;
 use free_regex::nfa::Nfa;
@@ -168,6 +169,32 @@ proptest! {
             let got: Vec<Span> = searcher.find_all(&hay).iter().map(|m| m.span()).collect();
             prop_assert_eq!(&got, &pike, "{} over {:?}", pattern, hay);
             prop_assert_eq!(searcher.find(&hay).map(|m| m.span()), pike.first().copied());
+        }
+    }
+
+    /// A pattern that ends with a literal of two to four bytes, over
+    /// haystacks of three letters only, so the literal occurs often and
+    /// its occurrences overlap: the starts marked by walks back from
+    /// each occurrence (and, once they spend their cap, by the full
+    /// reverse pass) must give the Pike VM's spans, at any cache size.
+    #[test]
+    fn positioned_spans_match_pike(
+        ast in arb_ast(),
+        suffix in prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 2..=4),
+        hay in prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..=200),
+        state_limit in 2usize..8,
+    ) {
+        let pattern = format!("({}){}", render(&ast), String::from_utf8_lossy(&suffix));
+        let re = Regex::new(&pattern).expect("rendering parses");
+        prop_assert!(free_regex::literal::suffix_literal(re.ast()).is_some(), "{}", pattern);
+        let mut vm = PikeVm::new(re.nfa());
+        let pike = iterate(&hay, |at| vm.find_at(re.nfa(), &hay, at));
+        for mut searcher in [re.searcher(), re.searcher_with_state_limit(state_limit)] {
+            // Twice: the second run reuses whatever the caches hold.
+            for _ in 0..2 {
+                let got: Vec<Span> = searcher.find_all(&hay).iter().map(|m| m.span()).collect();
+                prop_assert_eq!(&got, &pike, "{} over {:?}", pattern, hay);
+            }
         }
     }
 
