@@ -493,8 +493,8 @@ fn usage() -> String {
      [--analyze] [--json]\n  \
      freegrep replay <LOGDIR> (--index DIR | --dir LIVEDIR) [--qps N] \
      [--threads N] [--json]\n\n\
-     --threads N confirms candidates with N worker threads \
-     (default 0 = one per CPU); results are identical for any N\n\
+     --threads N confirms candidates, or the ranges of a full scan, on \
+     N threads (default 0 = one per CPU); results are identical for any N\n\
      explain --analyze executes the query with per-operator instrumentation \
      and renders estimated vs. actual work per plan node\n\
      metrics dumps the process metrics registry in Prometheus text format \

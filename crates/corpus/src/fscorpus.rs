@@ -8,6 +8,7 @@
 //! dedicated corpus file.
 
 use crate::{Corpus, CorpusStats, DocId, Error, Result};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// A read-only corpus over files discovered under a root directory.
@@ -120,7 +121,17 @@ impl Corpus for FsCorpus {
     }
 
     fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
-        for (i, path) in self.files.iter().enumerate() {
+        self.scan_range(0..self.files.len(), f)
+    }
+
+    fn scan_range(
+        &self,
+        positions: Range<usize>,
+        f: &mut dyn FnMut(DocId, &[u8]) -> bool,
+    ) -> Result<()> {
+        let end = positions.end.min(self.files.len());
+        for i in positions.start.min(end)..end {
+            let path = &self.files[i];
             let bytes = std::fs::read(path)
                 .map_err(|e| Error::io(format!("scan {}", path.display()), e))?;
             if !f(i as DocId, &bytes) {

@@ -35,6 +35,8 @@ pub use memory::MemCorpus;
 pub use stats::CorpusStats;
 pub use store::{CorpusWriter, DiskCorpus};
 
+use std::ops::Range;
+
 /// Identifier of a data unit within a corpus: a dense index starting at 0,
 /// assigned in insertion order.
 pub type DocId = u32;
@@ -47,9 +49,9 @@ pub type DocId = u32;
 /// lookup).
 ///
 /// `Sync` is a supertrait because the engine's parallel confirmation
-/// stage fans [`Corpus::get`] calls out to worker threads sharing one
-/// `&C`; implementations must use positioned reads or per-call handles
-/// rather than shared seek state.
+/// stage fans [`Corpus::get`] and [`Corpus::scan_range`] calls out to
+/// worker threads sharing one `&C`; implementations must use positioned
+/// reads or per-call handles rather than shared seek state.
 pub trait Corpus: Sync {
     /// Number of data units.
     fn len(&self) -> usize;
@@ -70,6 +72,24 @@ pub trait Corpus: Sync {
     /// stream with buffered I/O; the callback returning `false` stops the
     /// scan early (used by first-k result queries).
     fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()>;
+
+    /// [`Corpus::scan`] restricted to the data units whose position in
+    /// scan order lies in `positions` (clamped to `0..len`), so threads
+    /// that split one pass into ranges each read only their own. The
+    /// provided version scans from the start and skips ahead; stores
+    /// that can seek override it.
+    fn scan_range(
+        &self,
+        positions: Range<usize>,
+        f: &mut dyn FnMut(DocId, &[u8]) -> bool,
+    ) -> Result<()> {
+        let mut position = 0usize;
+        self.scan(&mut |doc, bytes| {
+            let at = position;
+            position += 1;
+            at < positions.start || (at < positions.end && f(doc, bytes))
+        })
+    }
 
     /// Convenience: basic corpus statistics.
     fn stats(&self) -> CorpusStats

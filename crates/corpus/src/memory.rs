@@ -1,6 +1,7 @@
 //! An in-memory corpus, for tests and small experiments.
 
 use crate::{Corpus, DocId, Error, Result};
+use std::ops::Range;
 
 /// A corpus whose data units all live in memory.
 #[derive(Clone, Debug, Default)]
@@ -63,8 +64,17 @@ impl Corpus for MemCorpus {
     }
 
     fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
-        for (i, d) in self.docs.iter().enumerate() {
-            if !f(i as DocId, d) {
+        self.scan_range(0..self.docs.len(), f)
+    }
+
+    fn scan_range(
+        &self,
+        positions: Range<usize>,
+        f: &mut dyn FnMut(DocId, &[u8]) -> bool,
+    ) -> Result<()> {
+        let end = positions.end.min(self.docs.len());
+        for i in positions.start.min(end)..end {
+            if !f(i as DocId, &self.docs[i]) {
                 break;
             }
         }

@@ -38,6 +38,7 @@ use crate::{Corpus, DocId, Error, Result};
 use free_checksum::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -52,11 +53,13 @@ const COUNT_OFFSET: u64 = 12;
 const TABLE_OFFSET: u64 = 24;
 /// Bytes per table entry: the u64 end offset, then the unit's CRC32.
 const ENTRY_STRIDE: u64 = 12;
-/// Read buffer of a sequential pass. Builds scan from several threads at
-/// once, and glibc keeps each thread's freed buffer resident in that
-/// thread's malloc arena; from the page cache 128 KiB reads stream as fast
+/// Most bytes one positioned read of a sequential pass covers (a unit
+/// larger than this is read alone). Builds and SCAN queries read from
+/// several threads at once, and glibc keeps each thread's freed buffer
+/// resident in that thread's malloc arena, so this bounds what a pass
+/// costs each thread; from the page cache reads this size stream as fast
 /// as larger ones.
-const READ_BUFFER: usize = 128 << 10;
+const READ_BUFFER: u64 = 256 << 10;
 
 /// Reads and validates the index-file header from the start of `idx`,
 /// leaving it at the entry table. Returns the unit count, which must
@@ -339,20 +342,27 @@ impl DiskCorpus {
         Ok(bad)
     }
 
-    /// [`Corpus::scan`] with every unit checked against its stored CRC32
-    /// before `f` sees it: the first that fails ends the pass with
+    /// [`Corpus::scan_range`] with every unit checked against its stored
+    /// CRC32 before `f` sees it: the first that fails ends the pass with
     /// [`Error::Corrupt`]. A copy that the writer checksums afresh (live
     /// compaction) reads through this, so damage is refused, not
-    /// laundered into a store that verifies clean.
-    pub fn scan_checked(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
+    /// laundered into a store that verifies clean; so does a live SCAN.
+    pub fn scan_checked(
+        &self,
+        positions: Range<usize>,
+        f: &mut dyn FnMut(DocId, &[u8]) -> bool,
+    ) -> Result<()> {
         let mut bad = None;
-        self.scan(&mut |id, bytes| match self.check_unit(id, bytes) {
-            Ok(()) => f(id, bytes),
-            Err(detail) => {
-                bad = Some(detail);
-                false
-            }
-        })?;
+        self.scan_range(
+            positions,
+            &mut |id, bytes| match self.check_unit(id, bytes) {
+                Ok(()) => f(id, bytes),
+                Err(detail) => {
+                    bad = Some(detail);
+                    false
+                }
+            },
+        )?;
         match bad {
             Some(detail) => Err(Error::Corrupt(format!(
                 "{detail} in {}",
@@ -418,20 +428,38 @@ impl Corpus for DiskCorpus {
     }
 
     fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
-        let file = File::open(&self.data_path)
-            .map_err(|e| Error::io(format!("open {}", self.data_path.display()), e))?;
-        let mut r = BufReader::with_capacity(READ_BUFFER, file);
+        self.scan_range(0..self.ends.len(), f)
+    }
+
+    /// Reads the range with one positioned read per 256 KiB of units
+    /// into one reused buffer; like [`Corpus::scan`], it does not
+    /// check unit CRCs (see [`DiskCorpus::scan_checked`]).
+    fn scan_range(
+        &self,
+        positions: Range<usize>,
+        f: &mut dyn FnMut(DocId, &[u8]) -> bool,
+    ) -> Result<()> {
+        let end = positions.end.min(self.ends.len());
+        let mut first = positions.start.min(end);
         let mut buf = Vec::new();
-        let mut prev = 0u64;
-        for (i, &end) in self.ends.iter().enumerate() {
-            let len = (end - prev) as usize;
-            buf.resize(len, 0);
-            r.read_exact(&mut buf)
-                .map_err(|e| Error::io(format!("scan data unit {i}"), e))?;
-            prev = end;
-            if !f(i as DocId, &buf) {
-                break;
+        while first < end {
+            let from = if first == 0 { 0 } else { self.ends[first - 1] };
+            // The units after `first` that still fit in one read.
+            let last =
+                first + 1 + self.ends[first + 1..end].partition_point(|&e| e - from <= READ_BUFFER);
+            buf.resize((self.ends[last - 1] - from) as usize, 0);
+            self.data
+                .read_exact_at(&mut buf, from)
+                .map_err(|e| Error::io(format!("scan data units {first}..{last}"), e))?;
+            let mut at = 0;
+            for id in first..last {
+                let next = (self.ends[id] - from) as usize;
+                if !f(id as DocId, &buf[at..next]) {
+                    return Ok(());
+                }
+                at = next;
             }
+            first = last;
         }
         Ok(())
     }
@@ -740,7 +768,7 @@ mod tests {
         // A checked scan hands over the good unit and stops at the bad one.
         let mut seen = Vec::new();
         let err = c
-            .scan_checked(&mut |id, _| {
+            .scan_checked(0..c.len(), &mut |id, _| {
                 seen.push(id);
                 true
             })

@@ -81,12 +81,6 @@ impl RequestBudget {
         self
     }
 
-    /// Whether this budget can ever interrupt a query. Lets hot paths
-    /// skip per-batch checks entirely for the common unlimited case.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none()
-    }
-
     /// The deadline, if one is set.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
@@ -125,14 +119,12 @@ mod tests {
     #[test]
     fn unlimited_budget_always_passes() {
         let b = RequestBudget::unlimited();
-        assert!(b.is_unlimited());
         assert!(b.check().is_ok());
     }
 
     #[test]
     fn expired_deadline_is_timeout() {
         let b = RequestBudget::with_timeout(Duration::ZERO);
-        assert!(!b.is_unlimited());
         match b.check() {
             Err(Error::Timeout { .. }) => {}
             other => panic!("want Timeout, got {other:?}"),

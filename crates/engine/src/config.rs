@@ -62,12 +62,12 @@ pub struct EngineConfig {
     /// more than it filters). Only bites on indexes storing common grams
     /// (the Complete baseline). `1.0` disables pruning.
     pub prune_selectivity: f64,
-    /// Worker threads for the batched parallel confirmation stage. `0`
-    /// means auto-detect (one per available CPU). The default is the
-    /// `FREE_THREADS` environment variable if set and parseable, else `1`
-    /// — single-threaded, so library users get deterministic scheduling
-    /// unless they opt in. Results and logical cost counters are
-    /// identical for every thread count; only wall-clock changes.
+    /// Threads that confirm a query's candidates. `0` means auto-detect
+    /// (one per available CPU). The default is the `FREE_THREADS`
+    /// environment variable if set and parseable, else `0`: a query uses
+    /// every core it can get, and a helper that never gets one costs only
+    /// its spawn. Results and logical cost counters are identical for
+    /// every thread count; only wall-clock changes.
     ///
     /// This governs confirmation only. Builds (mining and the postings
     /// scan) use the machine's available parallelism, whatever this says,
@@ -102,7 +102,7 @@ impl Default for EngineConfig {
             num_threads: std::env::var("FREE_THREADS")
                 .ok()
                 .and_then(|v| v.parse().ok())
-                .unwrap_or(1),
+                .unwrap_or(0),
             tracer: free_trace::Tracer::disabled(),
             selector: free_select::SelectorSpec::default(),
         }

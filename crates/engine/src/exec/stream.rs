@@ -1,4 +1,4 @@
-//! Streaming plan execution: cursor compilation plus batched parallel
+//! Streaming plan execution: cursor compilation plus parallel
 //! confirmation.
 //!
 //! [`compile_plan`] turns a [`PhysicalPlan`] into a tree of
@@ -7,17 +7,19 @@
 //! intersection might land (skip tables on the blocked on-disk format,
 //! galloping over decoded slices in memory).
 //!
-//! [`confirm_source`] drives confirmation from that cursor in batches.
-//! The first batch is always confirmed inline on the calling thread, so
-//! a query whose candidates fit in one batch never crosses a thread.
-//! With `threads > 1`, a stream that outlives its first batch gets
-//! `threads - 1` scoped helpers, spawned once for the rest of the query
-//! and fed a chunk of every later batch (the calling thread confirms
-//! the first chunk itself), reading candidate data units through shared
-//! [`Corpus`] random access. Helpers report per-document outcomes which
-//! the calling thread folds back in doc-id order, so results, early-exit
-//! points, and every logical cost counter are identical for any thread
-//! count.
+//! [`confirm_source`] confirms every candidate source with one executor.
+//! The calling thread cuts the work into units — [`BATCH_PER_WORKER`]
+//! ids pulled from the cursor, or, for a SCAN, a contiguous range of
+//! corpus positions read with [`Corpus::scan_range`] — and folds
+//! finished units in doc-id order. The first batch is always confirmed
+//! inline, so a query whose candidates fit in it never crosses a thread.
+//! With `threads > 1`, work past it gets `threads - 1` scoped helpers,
+//! spawned once for the rest of the query; every thread, the caller
+//! included, claims the oldest unclaimed unit, and the caller cuts only
+//! a few units per thread ahead of the one it folds. Helpers report
+//! per-document outcomes and only the outcomes the caller consumes are
+//! counted, so results, early-exit points, and every logical cost
+//! counter are identical for any thread count.
 
 use super::analyze::Probe;
 use crate::budget::RequestBudget;
@@ -28,23 +30,29 @@ use free_corpus::{Corpus, DocId};
 use free_index::cursor::{CursorStats, PostingsCursor};
 use free_index::{AndCursor, IndexRead, InstrumentedCursor, OrCursor, SliceCursor};
 use free_regex::{Finder, Regex, Searcher, Span};
-use std::sync::{mpsc, Arc};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Candidate doc ids pulled per confirmation thread per batch (a batch is
-/// `threads` times this); sized so a batch is large enough to amortize
-/// handing chunks to the helpers but small enough that first-k queries
-/// stop after a sliver of the candidate stream.
+/// Candidate doc ids in one unit of confirmation work; a batch, the
+/// stretch between two budget polls, is `threads` units. Sized so a unit
+/// amortizes claiming it, but a first-k query stops after a sliver of
+/// the candidate stream.
 pub const BATCH_PER_WORKER: usize = 32;
 
 /// Name of the global counter of confirmation helper threads spawned:
-/// zero for a query whose candidates fit in its first batch, at most
-/// `threads - 1` for any other, whatever the candidate count.
+/// zero for a query whose work fits in its inline units, `threads - 1`
+/// for any other, whatever the candidate count.
 pub const HELPERS_SPAWNED_COUNTER: &str = "free_confirm_helpers_spawned_total";
 
-/// How many scanned documents go by between budget polls on the scan
-/// fallback path (which has no batch boundaries of its own).
-const SCAN_CHECK_EVERY: usize = 64;
+/// Corpus bytes one unit of SCAN work covers (going by the corpus's mean
+/// unit size): one positioned read of a [`free_corpus::DiskCorpus`].
+const SCAN_RANGE_BYTES: u64 = 256 << 10;
+
+/// Units of work, per confirming thread, the caller cuts ahead of the
+/// one it folds next: bounds what a first-k query or an error wastes.
+const LOOKAHEAD_PER_THREAD: usize = 4;
 
 /// Compiles a physical plan into a primed cursor tree.
 ///
@@ -176,8 +184,8 @@ pub enum CandidateSource {
     Docs(Vec<DocId>),
 }
 
-/// What one worker observed about one candidate document. Folded on the
-/// main thread in doc-id order so stats stay deterministic.
+/// What one thread observed about one candidate document. Folded on the
+/// calling thread in doc-id order so stats stay deterministic.
 struct Outcome {
     doc: DocId,
     bytes: u64,
@@ -186,55 +194,112 @@ struct Outcome {
     spans: Vec<Span>,
 }
 
-/// Examines one document: prefilter, then one decision pass of the
-/// automaton (span extraction, when wanted, answers containment too).
-/// Pure with respect to `stats` — counting happens in `fold`.
-fn examine(
-    searcher: &mut Searcher,
-    prefilter: &[Finder],
+/// What every confirming thread of one query shares.
+struct Confirm<'a, C> {
+    corpus: &'a C,
+    regex: &'a Regex,
+    prefilter: &'a [Finder],
     want_spans: bool,
-    doc: DocId,
-    bytes: &[u8],
-) -> Outcome {
-    let mut outcome = Outcome {
-        doc,
-        bytes: bytes.len() as u64,
-        prefiltered: false,
-        matched: false,
-        spans: Vec::new(),
-    };
-    // Anchoring: every required literal must occur before the automaton
-    // is engaged (rejection at literal-scan speed).
-    if prefilter.iter().any(|f| !f.contains(bytes)) {
-        outcome.prefiltered = true;
-    } else if want_spans {
-        // `find_all` is empty exactly when the page does not match.
-        outcome.spans = searcher
-            .find_all(bytes)
-            .into_iter()
-            .map(|m| m.span())
-            .collect();
-        outcome.matched = !outcome.spans.is_empty();
-    } else {
-        outcome.matched = searcher.is_match(bytes);
-    }
-    outcome
 }
 
-/// Fetches and examines `ids` in order.
-fn examine_all<C: Corpus>(
-    corpus: &C,
+impl<C: Corpus> Confirm<'_, C> {
+    /// Examines one document: prefilter, then one decision pass of the
+    /// automaton (span extraction, when wanted, answers containment too).
+    /// Pure with respect to `stats` — counting happens in `fold`.
+    fn examine(&self, searcher: &mut Searcher, doc: DocId, bytes: &[u8]) -> Outcome {
+        let mut outcome = Outcome {
+            doc,
+            bytes: bytes.len() as u64,
+            prefiltered: false,
+            matched: false,
+            spans: Vec::new(),
+        };
+        // Anchoring: every required literal must occur before the
+        // automaton is engaged (rejection at literal-scan speed).
+        if self.prefilter.iter().any(|f| !f.contains(bytes)) {
+            outcome.prefiltered = true;
+        } else if self.want_spans {
+            // `find_all` is empty exactly when the page does not match.
+            outcome.spans = searcher
+                .find_all(bytes)
+                .into_iter()
+                .map(|m| m.span())
+                .collect();
+            outcome.matched = !outcome.spans.is_empty();
+        } else {
+            outcome.matched = searcher.is_match(bytes);
+        }
+        outcome
+    }
+
+    /// Examines the documents of `work` in order, handing each outcome to
+    /// `sink` until it returns `false`.
+    fn run(
+        &self,
+        searcher: &mut Searcher,
+        work: &Work,
+        sink: &mut dyn FnMut(Outcome) -> bool,
+    ) -> Result<()> {
+        match work {
+            Work::Ids(ids) => {
+                for &doc in ids {
+                    let bytes = self.corpus.get(doc)?;
+                    if !sink(self.examine(searcher, doc, &bytes)) {
+                        break;
+                    }
+                }
+            }
+            Work::Range(positions) => {
+                self.corpus
+                    .scan_range(positions.clone(), &mut |doc, bytes| {
+                        sink(self.examine(searcher, doc, bytes))
+                    })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Examines `work` into a buffer, for the caller to fold later.
+    fn buffer(&self, searcher: &mut Searcher, work: &Work) -> (Vec<Outcome>, Result<()>) {
+        let mut outcomes = Vec::new();
+        let result = self.run(searcher, work, &mut |o| {
+            outcomes.push(o);
+            true
+        });
+        (outcomes, result)
+    }
+}
+
+/// Examines and folds `work` on the calling thread, one document at a
+/// time; `false` once the visitor stops.
+fn fold_unit<C: Corpus>(
+    cx: &Confirm<'_, C>,
     searcher: &mut Searcher,
-    prefilter: &[Finder],
-    want_spans: bool,
-    ids: &[DocId],
-) -> Result<Vec<Outcome>> {
-    ids.iter()
-        .map(|&doc| {
-            let bytes = corpus.get(doc)?;
-            Ok(examine(searcher, prefilter, want_spans, doc, &bytes))
-        })
-        .collect()
+    work: &Work,
+    stats: &mut QueryStats,
+    on_doc: &mut dyn FnMut(DocId, Vec<Span>) -> bool,
+) -> Result<bool> {
+    let mut going = true;
+    cx.run(searcher, work, &mut |o| {
+        going = fold(o, stats, on_doc);
+        going
+    })?;
+    Ok(going)
+}
+
+/// Folds a unit another thread examined; `false` once the visitor stops.
+fn fold_done(
+    outcomes: Vec<Outcome>,
+    result: Result<()>,
+    stats: &mut QueryStats,
+    on_doc: &mut dyn FnMut(DocId, Vec<Span>) -> bool,
+) -> Result<bool> {
+    for o in outcomes {
+        if !fold(o, stats, on_doc) {
+            return Ok(false);
+        }
+    }
+    result.map(|()| true)
 }
 
 /// Folds one outcome into the stats and the caller's visitor. Returns
@@ -259,117 +324,280 @@ fn fold(
     on_doc(o.doc, o.spans)
 }
 
-/// Confirms candidate ids delivered by `next_batch`, which fills the
-/// buffer with up to `n` ids; an empty fill ends the stream.
-///
-/// The `budget` is polled once per batch, *before* any of the batch's
-/// outcomes are folded: an expired request therefore surfaces a structured
-/// error with exactly the counters of the batches already consumed — never
-/// a half-folded batch.
-///
-/// No thread is spawned per batch. The first batch (every batch, with one
-/// thread) is confirmed inline; only a stream that outlives it gets
-/// helpers, spawned once and fed over channels until the query ends.
-// `expect` on `recv()`: a helper only hangs up by panicking, and
-// re-raising that on the coordinating thread is the correct way to
-// propagate it.
-#[allow(clippy::too_many_arguments, clippy::expect_used)]
-fn confirm_ids<C: Corpus>(
-    corpus: &C,
-    regex: &Regex,
-    want_spans: bool,
-    prefilter: &[Finder],
-    threads: usize,
-    budget: &RequestBudget,
-    stats: &mut QueryStats,
-    on_doc: &mut dyn FnMut(DocId, Vec<Span>) -> bool,
-    next_batch: &mut dyn FnMut(usize, &mut Vec<DocId>) -> Result<()>,
-) -> Result<()> {
-    let threads = threads.max(1);
-    let mut batch = Vec::new();
-    let mut pull = |batch: &mut Vec<DocId>| -> Result<bool> {
-        budget.check()?;
-        batch.clear();
-        next_batch(threads * BATCH_PER_WORKER, batch)?;
-        Ok(!batch.is_empty())
-    };
-    // The lazy DFA caches this searcher builds keep paying off for the
-    // whole query, inline or not.
-    let mut searcher = regex.searcher();
-    for batch_no in 0usize.. {
-        if !pull(&mut batch)? {
-            return Ok(());
-        }
-        if threads > 1 && batch_no > 0 {
-            break;
-        }
-        for &doc in &batch {
-            let bytes = corpus.get(doc)?;
-            let o = examine(&mut searcher, prefilter, want_spans, doc, &bytes);
-            if !fold(o, stats, on_doc) {
-                return Ok(());
+/// One unit of confirmation work.
+enum Work {
+    /// [`BATCH_PER_WORKER`] candidate ids (fewer at the end of the
+    /// stream), in order.
+    Ids(Vec<DocId>),
+    /// Contiguous scan positions of a SCAN, [`SCAN_RANGE_BYTES`] of
+    /// corpus or so.
+    Range(Range<usize>),
+}
+
+/// Where one unit of work stands.
+enum Slot {
+    /// Not yet claimed.
+    Open(Work),
+    /// A thread is working on it.
+    Claimed,
+    /// Examined: the outcomes, and the error that cut the unit short.
+    Done(Vec<Outcome>, Result<()>),
+}
+
+/// The units between the fold point and the look-ahead bound.
+struct Queue {
+    /// Oldest first; `slots[0]` is the next unit to fold. Units are
+    /// claimed oldest first, so the claimed ones are a prefix.
+    slots: VecDeque<Slot>,
+    /// How many of `slots` are claimed (or done).
+    claimed: usize,
+    /// Units folded before `slots[0]`: turns a claim into a slot index.
+    folded: usize,
+    /// No unit will be added any more.
+    closed: bool,
+    /// The query is over (folded, stopped early, or failed): helpers
+    /// claim nothing more.
+    stopped: bool,
+    /// A helper panicked; its unit will never be done.
+    panicked: bool,
+}
+
+impl Queue {
+    /// Claims the oldest open unit: its number and its work.
+    fn claim(&mut self) -> Option<(usize, Work)> {
+        let slot = self.slots.get_mut(self.claimed)?;
+        match std::mem::replace(slot, Slot::Claimed) {
+            Slot::Open(work) => {
+                self.claimed += 1;
+                Some((self.folded + self.claimed - 1, work))
+            }
+            other => {
+                *slot = other;
+                None
             }
         }
     }
+
+    /// Takes the front unit off the queue, for the caller to fold.
+    fn take_front(&mut self) -> Option<Slot> {
+        let slot = self.slots.pop_front()?;
+        if !matches!(slot, Slot::Open(_)) {
+            self.claimed -= 1;
+        }
+        self.folded += 1;
+        Some(slot)
+    }
+
+    /// Stores the outcomes of unit `unit`, which a thread claimed.
+    fn finish(&mut self, unit: usize, outcomes: Vec<Outcome>, result: Result<()>) {
+        let at = unit - self.folded;
+        self.slots[at] = Slot::Done(outcomes, result);
+    }
+}
+
+/// The claim queue and its two signals.
+struct Shared {
+    queue: Mutex<Queue>,
+    /// A unit opened, or the queue closed or stopped.
+    opened: Condvar,
+    /// A unit is done, or a helper panicked.
+    done: Condvar,
+}
+
+impl Shared {
+    /// Locks the queue. A panic cannot leave it half-updated (every
+    /// update is a slot swap plus a counter step), so a poisoned lock is
+    /// taken over; a helper's panic itself is reported through
+    /// [`Queue::panicked`].
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Stops the helpers when the calling thread leaves the claim loop, by
+/// return, `?` or panic.
+struct StopOnDrop<'a>(&'a Shared);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        let mut q = self.0.lock();
+        q.stopped = true;
+        q.closed = true;
+        self.0.opened.notify_all();
+    }
+}
+
+/// Flags a helper's panic, so the caller does not wait on its unit.
+struct PanicFlag<'a>(&'a Shared);
+
+impl Drop for PanicFlag<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().panicked = true;
+            self.0.done.notify_all();
+        }
+    }
+}
+
+/// A helper thread: claims the oldest open unit and examines it into a
+/// buffer with its own `searcher`, until the query stops or no unit is
+/// left.
+fn help<C: Corpus>(cx: &Confirm<'_, C>, shared: &Shared, mut searcher: Searcher) {
+    let _flag = PanicFlag(shared);
+    let mut q = shared.lock();
+    while !q.stopped {
+        if let Some((unit, work)) = q.claim() {
+            drop(q);
+            let (outcomes, result) = cx.buffer(&mut searcher, &work);
+            q = shared.lock();
+            q.finish(unit, outcomes, result);
+            shared.done.notify_one();
+        } else if q.closed {
+            return;
+        } else {
+            q = shared
+                .opened
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Confirms the units `next_unit` cuts, folding every outcome in order.
+///
+/// The `budget` is polled before each batch of `per_batch` units is
+/// folded, never between two units of one batch, and once more when the
+/// units run out: an expired request therefore surfaces a structured
+/// error with exactly the counters of the batches already consumed —
+/// never a half-folded batch, and never a complete-looking answer.
+///
+/// The first `inline` units are examined and folded on the calling
+/// thread, one document at a time, and so is every unit with one thread.
+/// Only work past them gets helpers: `helpers` of them (`threads - 1`
+/// but in tests), spawned once for the rest of the query. From then on every thread, the caller
+/// included, claims the oldest open unit, and the caller cuts at most
+/// [`LOOKAHEAD_PER_THREAD`] units per thread ahead of the one it folds
+/// next. A helper that never gets a core claims nothing, so the caller
+/// never waits on a unit nobody started: it folds a front unit it
+/// claimed itself as it examines it, and while a helper holds the front
+/// unit it examines a later one or waits for that helper.
+// `panic!`: a helper panicked, and re-raising that on the coordinating
+// thread is the correct way to propagate it.
+#[allow(clippy::too_many_arguments)]
+fn confirm_units<C: Corpus>(
+    cx: &Confirm<'_, C>,
+    threads: usize,
+    helpers: usize,
+    per_batch: usize,
+    inline: usize,
+    budget: &RequestBudget,
+    stats: &mut QueryStats,
+    on_doc: &mut dyn FnMut(DocId, Vec<Span>) -> bool,
+    next_unit: &mut dyn FnMut() -> Result<Option<Work>>,
+) -> Result<()> {
+    // The lazy DFA caches this searcher builds keep paying off for the
+    // whole query, and helpers start from copies of it.
+    let mut searcher = cx.regex.searcher();
+    let mut folded = 0usize;
+    let poll = |folded: usize| {
+        if folded.is_multiple_of(per_batch) {
+            budget.check()
+        } else {
+            Ok(())
+        }
+    };
+    let first = loop {
+        let Some(work) = next_unit()? else {
+            return budget.check();
+        };
+        if threads > 1 && folded >= inline {
+            break work;
+        }
+        poll(folded)?;
+        folded += 1;
+        if !fold_unit(cx, &mut searcher, &work, stats, on_doc)? {
+            return Ok(());
+        }
+    };
     free_trace::metrics::global()
         .counter(
             HELPERS_SPAWNED_COUNTER,
-            "Confirmation helper threads spawned (once per query that outlives its first batch)",
+            "Confirmation helper threads spawned (once per query with work past its inline units)",
         )
-        .add(threads as u64 - 1);
+        .add(helpers as u64);
+    let shared = Shared {
+        queue: Mutex::new(Queue {
+            slots: VecDeque::from([Slot::Open(first)]),
+            claimed: 0,
+            folded,
+            closed: false,
+            stopped: false,
+            panicked: false,
+        }),
+        opened: Condvar::new(),
+        done: Condvar::new(),
+    };
+    let lookahead = LOOKAHEAD_PER_THREAD * threads;
     std::thread::scope(|s| {
-        // Each helper owns a searcher for as long as the query runs and
-        // answers one chunk per job; hanging up its job channel (leaving
-        // this closure) is what ends it.
-        let helpers: Vec<_> = (1..threads)
-            .map(|_| {
-                let (job_tx, job_rx) = mpsc::channel::<Vec<DocId>>();
-                let (out_tx, out_rx) = mpsc::channel();
-                s.spawn(move || {
-                    let mut searcher = regex.searcher();
-                    for ids in job_rx {
-                        let out = examine_all(corpus, &mut searcher, prefilter, want_spans, &ids);
-                        if out_tx.send(out).is_err() {
-                            break;
-                        }
-                    }
-                });
-                (job_tx, out_rx)
-            })
-            .collect();
+        for _ in 0..helpers {
+            // A helper starts from a copy of the caller's automaton, which
+            // the inline units have warmed, instead of building its own.
+            let (shared, searcher) = (&shared, searcher.clone());
+            s.spawn(move || help(cx, shared, searcher));
+        }
+        let _stop = StopOnDrop(&shared);
+        // An error cutting a unit surfaces once every unit cut before it
+        // is folded.
+        let mut cut_error = None;
         loop {
-            let mut chunks = batch.chunks(batch.len().div_ceil(threads));
-            let mine = chunks.next().unwrap_or_default();
-            let busy: Vec<_> = chunks
-                .zip(&helpers)
-                .map(|(ids, (job_tx, out_rx))| {
-                    // A failed send means the helper died; `recv` below
-                    // reports it.
-                    let _ = job_tx.send(ids.to_vec());
-                    out_rx
-                })
-                .collect();
-            let mut rounds = Vec::with_capacity(threads);
-            rounds.push(examine_all(
-                corpus,
-                &mut searcher,
-                prefilter,
-                want_spans,
-                mine,
-            ));
-            for out_rx in busy {
-                rounds.push(out_rx.recv().expect("confirmation helper panicked"));
-            }
-            // Chunks are contiguous slices of the sorted batch, so folding
-            // them in chunk order preserves doc-id order.
-            for r in rounds {
-                for o in r? {
-                    if !fold(o, stats, on_doc) {
-                        return Ok(());
+            // Cut units up to the look-ahead bound, not holding the lock.
+            let mut q = shared.lock();
+            while !q.closed && q.slots.len() < lookahead {
+                drop(q);
+                let next = next_unit();
+                q = shared.lock();
+                match next {
+                    Ok(Some(work)) => {
+                        q.slots.push_back(Slot::Open(work));
+                        shared.opened.notify_one();
+                    }
+                    Ok(None) => q.closed = true,
+                    Err(e) => {
+                        q.closed = true;
+                        cut_error = Some(e);
                     }
                 }
+                if q.closed {
+                    shared.opened.notify_all();
+                }
             }
-            if !pull(&mut batch)? {
+            // While a helper holds the front unit, examine a later one or
+            // wait for it.
+            while let Some(Slot::Claimed) = q.slots.front() {
+                if let Some((unit, work)) = q.claim() {
+                    drop(q);
+                    let (outcomes, result) = cx.buffer(&mut searcher, &work);
+                    q = shared.lock();
+                    q.finish(unit, outcomes, result);
+                } else if q.panicked {
+                    panic!("confirmation helper panicked");
+                } else {
+                    q = shared.done.wait(q).unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+            let Some(front) = q.take_front() else {
+                return cut_error.map_or_else(|| budget.check(), Err);
+            };
+            drop(q);
+            poll(folded)?;
+            folded += 1;
+            let going = match front {
+                Slot::Open(work) => fold_unit(cx, &mut searcher, &work, stats, on_doc)?,
+                Slot::Done(outcomes, result) => fold_done(outcomes, result, stats, on_doc)?,
+                // The loop above leaves no claimed unit at the front.
+                Slot::Claimed => true,
+            };
+            if !going {
                 return Ok(());
             }
         }
@@ -386,11 +614,14 @@ fn confirm_ids<C: Corpus>(
 /// converted in place to [`CandidateSource::Docs`], so later accessors
 /// reuse the materialized set instead of re-touching the index.
 ///
-/// The `budget` is polled at every confirmation batch boundary (and every
-/// 64 docs on the scan fallback); expiry aborts with
-/// [`crate::Error::Timeout`] / [`crate::Error::Cancelled`] and no partial
-/// results reach `on_doc`'s caller beyond the batches already folded.
-/// Callers without a deadline pass [`RequestBudget::unlimited`].
+/// Candidates are confirmed in units of [`BATCH_PER_WORKER`] ids, and the
+/// `budget` is polled before each batch of `threads` units; a SCAN
+/// ([`CandidateSource::All`]) is confirmed in ranges of about 256 KiB of
+/// corpus, and the budget is polled before each.
+/// Expiry aborts with [`crate::Error::Timeout`] /
+/// [`crate::Error::Cancelled`] and no partial results reach `on_doc`'s
+/// caller beyond the batches already folded. Callers without a deadline
+/// pass [`RequestBudget::unlimited`].
 #[allow(clippy::too_many_arguments)]
 pub fn confirm_source<C: Corpus>(
     corpus: &C,
@@ -403,86 +634,106 @@ pub fn confirm_source<C: Corpus>(
     stats: &mut QueryStats,
     on_doc: &mut dyn FnMut(DocId, Vec<Span>) -> bool,
 ) -> Result<()> {
+    let cx = Confirm {
+        corpus,
+        regex,
+        prefilter,
+        want_spans,
+    };
+    let threads = threads.max(1);
+    let helpers = threads - 1;
+    let start = Instant::now();
     match source {
         CandidateSource::All => {
-            // Scan confirmation stays sequential, on the borrowed buffers
-            // the corpus scan hands out, although the automaton, not the
-            // read, is its cost: over the benchmark's `query_batch` corpus
-            // (2400 pages) a bare sequential read takes 0.6-0.7 ms of the
-            // 2.4-3.7 ms a SCAN query spends. Its cost is charged to
-            // `scan_time`, not `confirm_time` — this is a blind scan, not
-            // index-assisted confirmation.
-            let start = Instant::now();
-            let mut searcher = regex.searcher();
-            let mut expired: Result<()> = Ok(());
-            let mut since_check = 0usize;
-            corpus.scan(&mut |doc, bytes| {
-                if !budget.is_unlimited() {
-                    since_check += 1;
-                    if since_check >= SCAN_CHECK_EVERY {
-                        since_check = 0;
-                        if let Err(e) = budget.check() {
-                            expired = Err(e);
-                            return false;
-                        }
-                    }
-                }
-                let o = examine(&mut searcher, prefilter, want_spans, doc, bytes);
-                fold(o, stats, on_doc)
-            })?;
+            // The ranges hold about SCAN_RANGE_BYTES of corpus each, going
+            // by the mean unit size. A blind scan's cost is charged to
+            // `scan_time`, not `confirm_time`.
+            let len = corpus.len();
+            let per_range = match corpus.total_bytes() {
+                0 => len,
+                bytes => (SCAN_RANGE_BYTES as u128 * len as u128 / bytes as u128) as usize,
+            }
+            .clamp(1, len.max(1));
+            let inline = if len.div_ceil(per_range) < 2 {
+                usize::MAX
+            } else {
+                0
+            };
+            let mut next = 0usize;
+            let mut next_range = || {
+                let range = next..(next + per_range).min(len);
+                next = range.end;
+                Ok((!range.is_empty()).then_some(Work::Range(range)))
+            };
+            confirm_units(
+                &cx,
+                threads,
+                helpers,
+                1,
+                inline,
+                budget,
+                stats,
+                on_doc,
+                &mut next_range,
+            )?;
             stats.scan_time += start.elapsed();
-            expired
+            Ok(())
         }
         CandidateSource::Docs(ids) => {
-            let start = Instant::now();
-            let ids: &[DocId] = ids;
-            let mut pos = 0;
-            let mut next = |n: usize, buf: &mut Vec<DocId>| -> Result<()> {
-                let end = (pos + n).min(ids.len());
-                buf.extend_from_slice(&ids[pos..end]);
-                pos = end;
-                Ok(())
-            };
-            confirm_ids(
-                corpus, regex, want_spans, prefilter, threads, budget, stats, on_doc, &mut next,
+            let mut chunks = ids.chunks(BATCH_PER_WORKER);
+            let mut next_chunk = || Ok(chunks.next().map(|c| Work::Ids(c.to_vec())));
+            confirm_units(
+                &cx,
+                threads,
+                helpers,
+                threads,
+                threads,
+                budget,
+                stats,
+                on_doc,
+                &mut next_chunk,
             )?;
             stats.confirm_time += start.elapsed();
             Ok(())
         }
         CandidateSource::Stream(st) => {
-            let start = Instant::now();
             let mut pull_time = Duration::ZERO;
             {
                 let seen = &mut st.seen;
                 let cursor = &mut st.cursor;
                 // Re-deliver previously pulled ids first so every
                 // confirmation pass sees the candidate set from the start,
-                // then pull fresh batches from the cursor.
+                // then pull fresh ones from the cursor.
                 let mut pos = 0usize;
-                let mut next = |n: usize, buf: &mut Vec<DocId>| -> Result<()> {
-                    if pos < seen.len() {
-                        let end = (pos + n).min(seen.len());
-                        buf.extend_from_slice(&seen[pos..end]);
-                        pos = end;
-                        return Ok(());
-                    }
-                    let t = Instant::now();
-                    for _ in 0..n {
-                        match cursor.current() {
-                            Some(doc) => {
-                                seen.push(doc);
-                                buf.push(doc);
-                                cursor.advance()?;
-                            }
-                            None => break,
+                let mut next_chunk = || -> Result<Option<Work>> {
+                    let end = (pos + BATCH_PER_WORKER).min(seen.len());
+                    let mut ids = seen[pos..end].to_vec();
+                    pos = end;
+                    if ids.len() < BATCH_PER_WORKER {
+                        let t = Instant::now();
+                        while ids.len() < BATCH_PER_WORKER {
+                            let Some(doc) = cursor.current() else {
+                                break;
+                            };
+                            seen.push(doc);
+                            ids.push(doc);
+                            cursor.advance()?;
                         }
+                        pos = seen.len();
+                        pull_time += t.elapsed();
                     }
-                    pos = seen.len();
-                    pull_time += t.elapsed();
-                    Ok(())
+                    Ok((!ids.is_empty()).then_some(Work::Ids(ids)))
                 };
-                confirm_ids(
-                    corpus, regex, want_spans, prefilter, threads, budget, stats, on_doc, &mut next,
+                confirm_units(
+                    &cx,
+                    threads,
+                    helpers,
+                    threads,
+                    threads,
+                    budget,
+                    stats,
+                    on_doc,
+                    &mut next_chunk,
                 )?;
             }
             st.refresh(stats);
@@ -689,6 +940,70 @@ mod tests {
                 stats.docs_examined, 5,
                 "early stop must count only consumed docs (threads={threads})"
             );
+        }
+    }
+
+    /// With threads but no helper ever claiming a unit — spawned helpers
+    /// that never get a core — the calling thread confirms every unit
+    /// itself, candidate chunks and scan ranges alike, and delivers what
+    /// one thread does.
+    #[test]
+    fn a_query_completes_when_no_helper_claims_a_unit() {
+        let docs: Vec<Vec<u8>> = (0..700)
+            .map(|i| format!("doc {i} {}", if i % 3 == 0 { "needle" } else { "hay" }).into_bytes())
+            .collect();
+        let corpus = MemCorpus::from_docs(docs);
+        let regex = Regex::new("needle").unwrap();
+        let cx = Confirm {
+            corpus: &corpus,
+            regex: &regex,
+            prefilter: &[],
+            want_spans: true,
+        };
+        let ids: Vec<DocId> = (0..700).collect();
+        let mut want_stats = QueryStats::default();
+        let want = confirm_collect(
+            &corpus,
+            &regex,
+            &mut CandidateSource::Docs(ids.clone()),
+            1,
+            &mut want_stats,
+        );
+        for threads in [2, 4] {
+            for ranges in [false, true] {
+                let mut chunks = ids.chunks(BATCH_PER_WORKER);
+                let mut next = 0;
+                let mut next_unit = || {
+                    Ok(if ranges {
+                        let range = next..(next + 50).min(ids.len());
+                        next = range.end;
+                        (!range.is_empty()).then_some(Work::Range(range))
+                    } else {
+                        chunks.next().map(|c| Work::Ids(c.to_vec()))
+                    })
+                };
+                let (per_batch, inline) = if ranges { (1, 0) } else { (threads, threads) };
+                let mut stats = QueryStats::default();
+                let mut hits = Vec::new();
+                confirm_units(
+                    &cx,
+                    threads,
+                    0,
+                    per_batch,
+                    inline,
+                    &RequestBudget::unlimited(),
+                    &mut stats,
+                    &mut |doc, spans| {
+                        hits.push((doc, spans.len()));
+                        true
+                    },
+                    &mut next_unit,
+                )
+                .unwrap();
+                assert_eq!(hits, want, "threads={threads} ranges={ranges}");
+                stats.confirm_time = want_stats.confirm_time;
+                assert_eq!(stats, want_stats, "threads={threads} ranges={ranges}");
+            }
         }
     }
 

@@ -642,7 +642,7 @@ impl Shard {
             let mut remap = Vec::with_capacity(seg.seqs.len());
             let mut appended = Ok(());
             seg.corpus
-                .scan_checked(&mut |local, bytes| {
+                .scan_checked(0..seg.seqs.len(), &mut |local, bytes| {
                     let seq = seg.seqs[local as usize];
                     if self.deleted.contains(&seq) {
                         remap.push(None);

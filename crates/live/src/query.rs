@@ -13,16 +13,19 @@
 //! the buffer is confirmed whole. The per-source streams merge through
 //! the engine's `OrCursor` k-way heap (global sequence order), tombstones
 //! are filtered out, and the surviving candidates are confirmed by the
-//! engine's batched (optionally parallel) confirmation running against a
-//! sequence-keyed corpus view. Results at any generation are therefore
-//! identical to a from-scratch rebuild over the live documents.
+//! engine's (optionally parallel) confirmation running against a
+//! sequence-keyed corpus view. A plan that cannot use the index is
+//! confirmed as a SCAN: ranged, CRC-checked reads of every live
+//! document that leave the segments' fetch caches alone. Results at any
+//! generation are therefore identical to a from-scratch rebuild over the
+//! live documents.
 
 use crate::cursor::{OffsetCursor, SeqMapCursor, TombstoneFilterCursor};
 use crate::error::Result;
 use crate::memtable::BufferIndex;
 use crate::snapshot::ShardSnapshot;
 use crate::view::LiveView;
-use free_corpus::DocId;
+use free_corpus::{Corpus, DocId};
 use free_engine::exec::stream::{compile_plan, confirm_source, CandidateSource, StreamState};
 use free_engine::{PlanClass, PreparedQuery, QueryStats, RequestBudget};
 use free_index::cursor::PostingsCursor;
@@ -167,15 +170,9 @@ pub(crate) fn execute_prepared(
     let scan = planned.as_ref().is_none_or(|(_, p)| p.is_scan());
     {
         let mut span = query_span.child("live.plan");
-        if scan {
-            for seg in &snapshot.segments {
-                cursors.push(Box::new(SliceCursor::new((*seg.seqs).clone())));
-            }
-            if !snapshot.memtable.is_empty() {
-                let seqs = (0..snapshot.memtable.len() as DocId).map(|i| snapshot.wal_base + i);
-                cursors.push(Box::new(SliceCursor::new(seqs.collect())));
-            }
-        } else if let Some((dict, physical)) = &planned {
+        // A scan compiles nothing: the view's ranged reads confirm every
+        // live document.
+        if let (false, Some((dict, physical))) = (scan, &planned) {
             for seg in &snapshot.segments {
                 let cursor = compile_plan(physical, &seg.index, &mut stats)?
                     .expect("non-scan plans always compile to a cursor");
@@ -206,26 +203,31 @@ pub(crate) fn execute_prepared(
         .map(|(_, p)| p.gram_keys().into_iter().map(Into::into).collect())
         .unwrap_or_default();
 
+    let view = LiveView(snapshot);
     let index_start = Instant::now();
-    let merged: Box<dyn PostingsCursor> = match cursors.len() {
-        0 => Box::new(SliceCursor::empty()),
-        1 => cursors.pop().expect("one cursor"),
-        _ => Box::new(OrCursor::new(cursors)?),
-    };
-    let root: Box<dyn PostingsCursor> = if snapshot.tombstones.is_empty() {
-        merged
+    let mut source = if scan {
+        stats.candidates = view.len();
+        CandidateSource::All
     } else {
-        Box::new(TombstoneFilterCursor::new(
-            merged,
-            snapshot.tombstones.clone(),
-        )?)
+        let merged: Box<dyn PostingsCursor> = match cursors.len() {
+            0 => Box::new(SliceCursor::empty()),
+            1 => cursors.pop().expect("one cursor"),
+            _ => Box::new(OrCursor::new(cursors)?),
+        };
+        let root: Box<dyn PostingsCursor> = if snapshot.tombstones.is_empty() {
+            merged
+        } else {
+            Box::new(TombstoneFilterCursor::new(
+                merged,
+                snapshot.tombstones.clone(),
+            )?)
+        };
+        let mut st = StreamState::new(root);
+        st.refresh(&mut stats);
+        CandidateSource::Stream(st)
     };
-    let mut st = StreamState::new(root);
-    st.refresh(&mut stats);
-    let mut source = CandidateSource::Stream(st);
     stats.index_time += index_start.elapsed();
 
-    let view = LiveView(snapshot);
     let mut matches = Vec::new();
     {
         let mut span = query_span.child("live.confirm");

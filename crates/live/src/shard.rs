@@ -1052,6 +1052,72 @@ mod tests {
             .collect()
     }
 
+    /// A query that cannot use the index confirms as a SCAN: ranged,
+    /// CRC-checked reads of the live documents. It answers what the regex
+    /// finds in every live document (a rebuild's answer), at one thread
+    /// and at four, over two segments with deletes and a non-empty write
+    /// buffer, and leaves every segment's fetch cache as it found it:
+    /// nothing evicted, no hit or miss counted.
+    #[test]
+    fn a_scan_query_leaves_the_fetch_caches_alone() {
+        let dir = fresh_dir("scan-cache");
+        let mut idx = LiveIndex::create(&dir, config()).unwrap();
+        // About 700 KiB, so the SCAN spans several ranges; every digit is
+        // in every document, so none is an index key.
+        let docs: Vec<Vec<u8>> = (0..360)
+            .map(|i| {
+                let mut d = format!("0123456789 doc {i} holds {} here", i * 37 % 1000).into_bytes();
+                d.resize(2_000, b'.');
+                d
+            })
+            .collect();
+        idx.add_batch(&docs[..150]).unwrap();
+        idx.flush().unwrap();
+        idx.add_batch(&docs[150..300]).unwrap();
+        idx.flush().unwrap();
+        idx.add_batch(&docs[300..]).unwrap();
+        let deleted = [3, 160, 161, 310];
+        for seq in deleted {
+            idx.delete(seq).unwrap();
+        }
+        let snapshot = idx.snapshot();
+        for seq in [1, 5, 170] {
+            snapshot.get(seq).unwrap();
+        }
+        let caches = || {
+            (snapshot.shards[0].segments.iter())
+                .map(|seg| seg.corpus.cache_stats())
+                .collect::<Vec<_>>()
+        };
+        let warm = caches();
+        let pattern = "[5-7][0-9][0-9] ";
+        let regex = free_regex::Regex::new(pattern).unwrap();
+        let want: Vec<(DocId, Vec<Span>)> = (0..docs.len() as DocId)
+            .filter(|seq| !deleted.contains(seq))
+            .map(|seq| {
+                let spans = regex.find_all(&docs[seq as usize]);
+                (seq, spans.into_iter().map(|m| m.span()).collect::<Vec<_>>())
+            })
+            .filter(|(_, spans)| !spans.is_empty())
+            .collect();
+        assert!(want.len() > 50, "{}", want.len());
+        for threads in [1, 4] {
+            let opts = QueryOpts {
+                threads,
+                ..QueryOpts::default()
+            };
+            let result = snapshot.query_opts(pattern, &opts).unwrap();
+            assert!(result.stats.base.used_scan, "threads={threads}");
+            let got: Vec<(DocId, Vec<Span>)> = (result.matches.into_iter())
+                .map(|m| (m.seq, m.spans))
+                .collect();
+            assert_eq!(got, want, "threads={threads}");
+            assert_eq!(result.stats.base.docs_examined, docs.len() - deleted.len());
+            assert_eq!(caches(), warm, "threads={threads}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn manifest_roundtrip_and_damage() {
         let dir = fresh_dir("manifest");

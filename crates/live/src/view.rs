@@ -5,6 +5,7 @@
 
 use crate::snapshot::ShardSnapshot;
 use free_corpus::{Corpus, DocId};
+use std::ops::Range;
 
 /// Read view of one shard at one generation. `get` is keyed by the
 /// shard's sequence number; ids with no live document error like any other
@@ -38,16 +39,41 @@ impl Corpus for LiveView<'_> {
         })
     }
 
-    /// Reads each segment front to back in one sequential pass, checking
-    /// every unit's CRC as [`Corpus::get`] does but bypassing the
-    /// segment's fetch cache, which a scan would otherwise flush of the
-    /// candidates it holds.
     fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> free_corpus::Result<()> {
+        self.scan_range(0..self.0.live_docs, f)
+    }
+
+    /// Positions count live documents in sequence order: each segment's,
+    /// then the write buffer's. Reads the segments a range covers front
+    /// to back, checking every unit's CRC as [`Corpus::get`] does but
+    /// bypassing the segment's fetch cache, which a scan would otherwise
+    /// flush of the candidates it holds.
+    fn scan_range(
+        &self,
+        positions: Range<usize>,
+        f: &mut dyn FnMut(DocId, &[u8]) -> bool,
+    ) -> free_corpus::Result<()> {
         let s = self.0;
+        let mut skip = positions.start;
+        let mut take = positions.end.saturating_sub(positions.start);
+        // The tombstones among the sequence numbers `first..=last`.
+        let dead_in = |first: DocId, last: DocId| {
+            let from = s.tombstones.partition_point(|&t| t < first);
+            &s.tombstones[from..s.tombstones.partition_point(|&t| t <= last)]
+        };
         for seg in &s.segments {
+            let seqs = &seg.seqs;
+            let (Some(&first), Some(&last)) = (seqs.first(), seqs.last()) else {
+                continue;
+            };
+            let dead = dead_in(first, last).iter();
+            let dead = dead.map(|&t| seqs.partition_point(|&seq| seq < t));
+            let Some(locals) = live_locals(dead, seqs.len(), &mut skip, &mut take) else {
+                continue;
+            };
             let mut stopped = false;
-            seg.corpus.scan_checked(&mut |local, bytes| {
-                let seq = seg.seqs[local as usize];
+            seg.corpus.scan_checked(locals, &mut |local, bytes| {
+                let seq = seqs[local as usize];
                 if s.deleted.contains(&seq) {
                     return true;
                 }
@@ -58,8 +84,13 @@ impl Corpus for LiveView<'_> {
                 return Ok(());
             }
         }
-        for (local, doc) in s.memtable.docs().enumerate() {
+        let buffered = s.memtable.len();
+        let last = s.wal_base + (buffered as DocId).saturating_sub(1);
+        let dead = dead_in(s.wal_base, last).iter();
+        let dead = dead.map(|&t| (t - s.wal_base) as usize);
+        for local in live_locals(dead, buffered, &mut skip, &mut take).unwrap_or_default() {
             let seq = s.wal_base + local as DocId;
+            let doc = s.memtable.doc(local).unwrap_or_default();
             if !s.deleted.contains(&seq) && !f(seq, doc) {
                 return Ok(());
             }
@@ -68,11 +99,113 @@ impl Corpus for LiveView<'_> {
     }
 }
 
+/// The local ids, out of a source's `len`, that hold its live documents
+/// `skip..skip + take` (dead ones may lie between), or `None` when there
+/// are none, given the local ids of its `dead` documents in ascending
+/// order. Counts the source's live documents off `skip`, then those
+/// taken off `take`. Costs a pass over the dead, not over the source.
+fn live_locals(
+    dead: impl Iterator<Item = usize> + Clone,
+    len: usize,
+    skip: &mut usize,
+    take: &mut usize,
+) -> Option<Range<usize>> {
+    if len == 0 {
+        return None;
+    }
+    let live = len - dead.clone().count();
+    if *skip >= live {
+        *skip -= live;
+        return None;
+    }
+    let wanted = (*take).min(live - *skip);
+    if wanted == 0 {
+        return None;
+    }
+    // Live document `k` sits at `k` plus the dead ones before it.
+    let local_of = |k: usize| dead.clone().fold(k, |at, d| at + usize::from(d <= at));
+    let range = local_of(*skip)..local_of(*skip + wanted - 1) + 1;
+    *skip = 0;
+    *take -= wanted;
+    Some(range)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::live::Shard;
     use crate::LiveConfig;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// What `scan_range(positions)` visits, stopping after `stop` units.
+    fn visited(view: &LiveView<'_>, positions: Range<usize>, stop: usize) -> Vec<(DocId, Vec<u8>)> {
+        let mut seen = Vec::new();
+        view.scan_range(positions, &mut |seq, bytes| {
+            seen.push((seq, bytes.to_vec()));
+            seen.len() < stop
+        })
+        .unwrap();
+        seen
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Over segments flushed at random points, random deletes (in the
+        /// segments and in the write buffer) and a buffer that may be
+        /// empty, `scan_range` visits exactly the live documents at those
+        /// positions of a full pass, for empty and reversed ranges, ranges
+        /// past the end, and visitors that stop early.
+        #[test]
+        fn scan_range_is_scan_and_skip(
+            sizes in prop::collection::vec(0usize..60, 1..60),
+            flushes in prop::collection::btree_set(0usize..60, 0..4),
+            dead in prop::collection::btree_set(0u32..60, 0..20),
+            ranges in prop::collection::vec((0usize..70, 0usize..70, 1usize..70), 1..8),
+        ) {
+            static DIRS: AtomicUsize = AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "free-live-view-range-{}-{}",
+                std::process::id(),
+                DIRS.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut shard = Shard::create(&dir, LiveConfig::default()).unwrap();
+            let docs: Vec<Vec<u8>> = (sizes.iter().enumerate())
+                .map(|(i, &len)| format!("doc {i} {}", "x".repeat(len)).into_bytes())
+                .collect();
+            let mut from = 0;
+            for &at in flushes.iter().filter(|&&at| at > 0 && at < docs.len()) {
+                shard.add_batch_deferred(&docs[from..at]).unwrap();
+                shard.flush().unwrap();
+                from = at;
+            }
+            shard.add_batch_deferred(&docs[from..]).unwrap();
+            for &seq in dead.iter().filter(|&&seq| (seq as usize) < docs.len()) {
+                shard.delete(seq).unwrap();
+            }
+            let snapshot = shard.snapshot();
+            let view = LiveView(&snapshot);
+            let live: Vec<(DocId, Vec<u8>)> = (0..docs.len() as DocId)
+                .filter(|seq| !dead.contains(seq))
+                .map(|seq| (seq, docs[seq as usize].clone()))
+                .collect();
+            prop_assert_eq!(view.len(), live.len());
+            prop_assert_eq!(&visited(&view, 0..usize::MAX, usize::MAX), &live);
+            for (start, end, stop) in ranges {
+                let first = start.min(live.len());
+                let want: Vec<_> = live[first..end.clamp(first, live.len())]
+                    .iter()
+                    .take(stop)
+                    .cloned()
+                    .collect();
+                prop_assert_eq!(&visited(&view, start..end, stop), &want, "{}..{}", start, end);
+            }
+            drop(shard);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 
     /// A SCAN answers what reading every live document would, and leaves
     /// a segment's fetch cache holding what it held: no entry evicted,

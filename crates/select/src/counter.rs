@@ -476,16 +476,7 @@ pub(crate) fn count_pass(
     let k = prefix_len + 1;
     debug_assert!(k <= k_end && k_end - k < GramCounter::MAX_LEVELS);
     let mut bytes_read = 0u64;
-    let mut next_position = 0usize;
-    corpus.scan(&mut |doc, bytes| {
-        let position = next_position;
-        next_position += 1;
-        if position < docs.start {
-            return true;
-        }
-        if position >= docs.end {
-            return false;
-        }
+    corpus.scan_range(docs, &mut |doc, bytes| {
         bytes_read += bytes.len() as u64;
         let Some(last_start) = bytes.len().checked_sub(k) else {
             return true;

@@ -3,12 +3,13 @@
 //! reference, over both the in-memory index and the blocked on-disk
 //! format, and confirmation must return the same matches for any thread
 //! count — also where the inline first batch hands over to the helper
-//! threads, and when a budget runs out between two batches.
+//! threads, when a budget runs out between two batches, when a first-k
+//! query stops, and for a SCAN cut into ranges of the corpus.
 
 // Integration tests: unwraps in helper functions are assertions, the
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use free_corpus::{DocId, MemCorpus};
+use free_corpus::{Corpus, CorpusWriter, DocId, MemCorpus};
 use free_engine::exec::stream::{
     compile_plan, confirm_source, CandidateSource, StreamState, BATCH_PER_WORKER,
 };
@@ -19,9 +20,10 @@ use free_engine::{CancelToken, Engine, EngineConfig, Error, RequestBudget};
 use free_index::cursor::drain;
 use free_index::postings::Postings;
 use free_index::{IndexRead, IndexReader, IndexWriter, MemIndex, SliceCursor};
-use free_regex::{Regex, Span};
+use free_regex::{Finder, Regex, Span};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Key names the plan generator draws from. `zz` is never inserted into
 /// the index, exercising the absent-key short-circuit.
@@ -395,6 +397,211 @@ fn budget_expiring_at_a_batch_boundary_yields_an_exact_prefix() {
                 stats.match_count,
                 prefix.iter().map(|(_, s)| s.len()).sum::<usize>()
             );
+        }
+    }
+}
+
+/// A page of at least `len` bytes of one of four kinds: matching
+/// `ne+dle` twice, once at its end, holding the prefilter's literal but
+/// no match, or plain hay that the prefilter rejects.
+fn sized_page(i: usize, len: usize, kind: u8) -> Vec<u8> {
+    let mut page = format!("page {i}: ").into_bytes();
+    match kind {
+        0 => page.extend_from_slice(b"a needle, then a neeedle "),
+        2 => page.extend_from_slice(b"a candle "),
+        _ => {}
+    }
+    while page.len() < len {
+        page.extend_from_slice(b"hay ");
+    }
+    if kind == 1 {
+        page.extend_from_slice(b"one needle");
+    }
+    page
+}
+
+/// Writes `pages` to a fresh on-disk corpus store.
+fn disk_corpus(pages: &[Vec<u8>]) -> free_corpus::DiskCorpus {
+    static STORES: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "free-stream-units-{}-{}",
+        std::process::id(),
+        STORES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut w = CorpusWriter::create(&dir).unwrap();
+    for page in pages {
+        w.append(page).unwrap();
+    }
+    let corpus = w.finish().unwrap();
+    // The open store keeps reading its unlinked files.
+    std::fs::remove_dir_all(&dir).unwrap();
+    corpus
+}
+
+/// How a confirmation pass ends.
+#[derive(Clone, Copy, Debug)]
+enum Stop {
+    /// Every candidate is confirmed.
+    Never,
+    /// The visitor stops after the k-th match (first-k).
+    FirstK(usize),
+    /// A cancel token trips as the k-th match is delivered.
+    CancelAt(usize),
+}
+
+/// Which candidate source a pass confirms.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    Docs,
+    Stream,
+    All,
+}
+
+/// Confirms `ids` (every page, for [`Source::All`]) from `source` with
+/// `threads`, stopping as `stop` says; the counters come back with their
+/// clocks zeroed and the cursor-side counters cleared, since a streamed
+/// pass pulls further ahead with more threads.
+fn confirm_units_with<C: Corpus>(
+    corpus: &C,
+    source: Source,
+    ids: &[DocId],
+    threads: usize,
+    stop: Stop,
+) -> Confirmed {
+    let regex = Regex::new("ne+dle").unwrap();
+    let prefilter = [Finder::new(b"dle")];
+    let token = CancelToken::new();
+    let budget = RequestBudget::unlimited().cancelled_by(token.clone());
+    let mut source = match source {
+        Source::Docs => CandidateSource::Docs(ids.to_vec()),
+        Source::Stream => {
+            CandidateSource::Stream(StreamState::new(Box::new(SliceCursor::new(ids.to_vec()))))
+        }
+        Source::All => CandidateSource::All,
+    };
+    let mut stats = QueryStats::default();
+    let mut hits = Vec::new();
+    let outcome = confirm_source(
+        corpus,
+        &regex,
+        &mut source,
+        true,
+        &prefilter,
+        threads,
+        &budget,
+        &mut stats,
+        &mut |doc, spans| {
+            hits.push((doc, spans));
+            match stop {
+                Stop::Never => true,
+                Stop::FirstK(k) => hits.len() < k,
+                Stop::CancelAt(k) => {
+                    if hits.len() == k {
+                        token.cancel();
+                    }
+                    true
+                }
+            }
+        },
+    );
+    stats.index_time = Default::default();
+    stats.confirm_time = Default::default();
+    stats.scan_time = Default::default();
+    stats.candidates = 0;
+    stats.postings_decoded = 0;
+    (hits, stats, outcome)
+}
+
+/// One corpus's [`confirm_units_with`].
+type Confirmer<'a> = dyn Fn(Source, &[DocId], usize, Stop) -> Confirmed + 'a;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Sparse and dense candidate sets, materialized or streamed, and
+    /// SCANs of corpora spanning one range or several, over memory and
+    /// disk: any thread count delivers the matches, spans and counters of
+    /// one thread, also when a first-k visitor stops at a random match.
+    /// A cancel at a random match ends every pass at the first batch
+    /// boundary after it, with exactly what one thread confirms of the
+    /// candidates before that boundary.
+    #[test]
+    fn any_thread_count_confirms_like_one(
+        sizes in prop::collection::vec((0usize..4_000, 0u8..4), 1..500),
+        every in prop_oneof![Just(1usize), Just(2), Just(23)],
+        on_disk in any::<bool>(),
+        source in prop_oneof![Just(Source::Docs), Just(Source::Stream), Just(Source::All)],
+        threads in 1usize..=7,
+        stop in prop_oneof![
+            Just(Stop::Never),
+            (1usize..100).prop_map(Stop::FirstK),
+            (1usize..100).prop_map(Stop::CancelAt),
+        ],
+    ) {
+        let pages: Vec<Vec<u8>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &(len, kind))| sized_page(i, len, kind))
+            .collect();
+        let ids: Vec<DocId> = match source {
+            Source::All => (0..pages.len() as DocId).collect(),
+            _ => (0..pages.len() as DocId).filter(|&d| (d as usize).is_multiple_of(every)).collect(),
+        };
+        let check = |corpus: &Confirmer<'_>| {
+            let (want, want_stats, want_outcome) = corpus(source, &ids, 1, Stop::Never);
+            want_outcome.unwrap();
+            let (got, stats, outcome) = corpus(source, &ids, threads, stop);
+            match stop {
+                Stop::CancelAt(k) if k <= want.len() => {
+                    prop_assert!(matches!(outcome, Err(Error::Cancelled)), "{outcome:?}");
+                    // The batch boundary after the k-th match: a batch is
+                    // `threads` units of ids, or one range of a SCAN.
+                    let at = ids.iter().position(|&d| d == want[k - 1].0).unwrap();
+                    let end = match source {
+                        Source::All => stats.docs_examined,
+                        _ => {
+                            let batch = threads * BATCH_PER_WORKER;
+                            ids.len().min((at / batch + 1) * batch)
+                        }
+                    };
+                    prop_assert!(end > at);
+                    let (prefix, prefix_stats, prefix_outcome) =
+                        corpus(Source::Docs, &ids[..end], 1, Stop::Never);
+                    prefix_outcome.unwrap();
+                    prop_assert_eq!(&got, &prefix);
+                    prop_assert_eq!(&stats, &prefix_stats);
+                    if let Source::All = source {
+                        // Ranges do not depend on the thread count.
+                        let (one, one_stats, _) = corpus(source, &ids, 1, stop);
+                        prop_assert_eq!(&got, &one);
+                        prop_assert_eq!(&stats, &one_stats);
+                    }
+                }
+                _ => {
+                    outcome.unwrap();
+                    let (one, one_stats, one_outcome) = corpus(source, &ids, 1, stop);
+                    one_outcome.unwrap();
+                    prop_assert_eq!(&got, &one);
+                    prop_assert_eq!(&stats, &one_stats);
+                    if let Stop::Never = stop {
+                        prop_assert_eq!(&got, &want);
+                        prop_assert_eq!(&stats, &want_stats);
+                    }
+                }
+            }
+            Ok(())
+        };
+        if on_disk {
+            let corpus = disk_corpus(&pages);
+            check(&|source, ids, threads, stop| {
+                confirm_units_with(&corpus, source, ids, threads, stop)
+            })?;
+        } else {
+            let corpus = MemCorpus::from_docs(pages);
+            check(&|source, ids, threads, stop| {
+                confirm_units_with(&corpus, source, ids, threads, stop)
+            })?;
         }
     }
 }

@@ -37,7 +37,9 @@ fn disabled_tracing_is_under_five_percent_of_query_time() {
     let per_hook = start.elapsed() / HOOK_SAMPLES;
 
     // Measure an average query on a small corpus. The engine's default
-    // tracer is disabled, so this is the production disabled path.
+    // tracer is disabled, so this is the production disabled path; one
+    // confirmation thread, so the query it is measured against is not
+    // shortened by however many cores the host lends it.
     let docs: Vec<Vec<u8>> = (0..200)
         .map(|i| {
             if i % 50 == 3 {
@@ -47,8 +49,11 @@ fn disabled_tracing_is_under_five_percent_of_query_time() {
             }
         })
         .collect();
-    let engine = Engine::build_in_memory(MemCorpus::from_docs(docs), EngineConfig::default())
-        .expect("build");
+    let config = EngineConfig {
+        num_threads: 1,
+        ..EngineConfig::default()
+    };
+    let engine = Engine::build_in_memory(MemCorpus::from_docs(docs), config).expect("build");
     let run = || {
         let mut r = engine.query("commongram.*rareneedle").expect("query");
         std::hint::black_box(r.count_matches().expect("count"));
