@@ -24,8 +24,10 @@
 //! - **Segments**: a *flush* seals the buffer into an immutable segment
 //!   in the `free-index` on-disk format, writing the buffered postings
 //!   without mining or scanning.
-//! - **Tombstones**: deletes are logged sequence numbers, filtered out of
-//!   every query and physically eliminated by compaction.
+//! - **Deletes**: every segment and the write buffer own a copy-on-write
+//!   bitmap of their deleted documents, which every query skips; the
+//!   tombstone log (`tombstones.log`) is its durable form. Compaction
+//!   (or a flush, for buffered documents) eliminates them physically.
 //! - **Compaction**: rewrites every surviving document into one segment.
 //!   It merges the segments' postings under the dictionary, unless the
 //!   documents flushed since the last compaction have drifted from it
@@ -38,7 +40,6 @@
 //! exactly what a from-scratch rebuild over the live documents would —
 //! the differential invariant checked by `tests/proptest_live.rs`.
 
-pub mod cursor;
 pub mod error;
 pub mod manifest;
 pub mod memtable;
@@ -48,6 +49,8 @@ pub mod segment;
 pub mod shard;
 pub mod stats;
 
+mod cursor;
+mod dead;
 mod live;
 mod postings;
 mod snapshot;

@@ -5,7 +5,7 @@ use crate::manifest::Manifest;
 use crate::memtable::{BufferMatcher, Memtable};
 use crate::postings::{write_postings, Source};
 use crate::segment::{remove_segment_files, Segment, SegmentWriter};
-use crate::snapshot::ShardSnapshot;
+use crate::snapshot::{Owner, Sealed, ShardSnapshot};
 use crate::stats::{LiveStats, SegmentStats};
 use crate::LiveConfig;
 use free_corpus::{Corpus, CorpusWriter, DiskCorpus, DocId};
@@ -102,10 +102,12 @@ pub const TOMBSTONES_HEADER: &str = "FREETOMB 2";
 /// mirrored in an in-memory [`Memtable`], indexed by the shard's one
 /// dictionary: the oldest segment's key directory. A *flush* seals the
 /// buffer into an immutable segment over that dictionary's keys (the
-/// first flush, with no dictionary yet, mines one); deletes are
-/// tombstones; *compaction* rewrites every surviving document into one
-/// segment, merging the segments' postings under the dictionary, or
-/// mining a fresh one when the new documents have drifted from it. Every
+/// first flush, with no dictionary yet, mines one); a delete sets one bit
+/// in the dead bitmap of the segment or buffer holding the document,
+/// and appends a line to the tombstone log, the bitmaps' durable form;
+/// *compaction* rewrites every surviving document into one segment,
+/// merging the segments' postings under the dictionary, or mining a
+/// fresh one when the new documents have drifted from it. Every
 /// document keeps a stable, never-reused sequence number (local to the
 /// shard), so query results are comparable across any schedule of
 /// mutations.
@@ -115,15 +117,15 @@ pub const TOMBSTONES_HEADER: &str = "FREETOMB 2";
 /// [`crate::LiveIndex::shards`]. After every mutation the shard freezes
 /// its state into a `ShardSnapshot`, which the router collects into
 /// the index's published [`crate::Snapshot`]. Segments, the write
-/// buffer's chunks, and the tombstone set are `Arc`-shared between the
-/// writer and snapshots; the writer mutates the buffer and the
-/// tombstones copy-on-write (`Arc::make_mut`), so an add copies chunk
-/// pointers, never postings.
+/// buffer's chunks, and the dead bitmaps are `Arc`-shared between the
+/// writer and snapshots; the writer mutates the buffer and the bitmaps
+/// copy-on-write (`Arc::make_mut`), so an add copies chunk pointers,
+/// never postings, and a delete copies one source's bitmap.
 pub struct Shard {
     dir: PathBuf,
     config: Arc<LiveConfig>,
     manifest: Manifest,
-    segments: Vec<Arc<Segment>>,
+    segments: Vec<Sealed>,
     memtable: Arc<Memtable>,
     /// The dictionary's automaton, built by the first add that needs it
     /// and dropped only when the dictionary is replaced: by a re-mining
@@ -131,7 +133,6 @@ pub struct Shard {
     /// a dictionary, and a merge keeps it key for key). Boxed: it is
     /// large, and the shard is moved around whole.
     matcher: Option<Box<BufferMatcher>>,
-    deleted: Arc<BTreeSet<DocId>>,
     generation: u64,
     published: Arc<ShardSnapshot>,
 }
@@ -224,17 +225,14 @@ impl Shard {
         })?;
         let generation = manifest.generation;
         let config = Arc::new(config);
-        let segments: Vec<Arc<Segment>> = segments.into_iter().map(Arc::new).collect();
+        let segments: Vec<Sealed> = segments.into_iter().map(Sealed::new).collect();
         let memtable = Arc::new(Memtable::default());
-        let deleted: Arc<BTreeSet<DocId>> = Arc::new(BTreeSet::new());
         let published = Arc::new(ShardSnapshot::new(
             segments.clone(),
             memtable.clone(),
             manifest.wal_base,
-            deleted.clone(),
             generation,
             config.clone(),
-            None,
         ));
         let mut live = Shard {
             dir,
@@ -243,7 +241,6 @@ impl Shard {
             segments,
             memtable,
             matcher: None,
-            deleted,
             generation,
             published,
         };
@@ -293,17 +290,14 @@ impl Shard {
     }
 
     /// Freezes a snapshot of the current state. Called at the end of
-    /// every mutation; cheap (a handful of `Arc` clones, plus one pass
-    /// over the tombstones when a delete or compaction changed them).
+    /// every mutation; cheap: a few `Arc` clones per source.
     fn publish(&mut self) {
         self.published = Arc::new(ShardSnapshot::new(
             self.segments.clone(),
             self.memtable.clone(),
             self.manifest.wal_base,
-            self.deleted.clone(),
             self.generation,
             self.config.clone(),
-            Some(&self.published),
         ));
     }
 
@@ -385,10 +379,9 @@ impl Shard {
     /// disappears from queries immediately; its storage is reclaimed by
     /// the next compaction (or flush, for still-buffered documents).
     pub(crate) fn delete(&mut self, seq: DocId) -> Result<()> {
-        if !self.snapshot().physically_present(seq) {
-            return Err(Error::UnknownDoc(seq));
-        }
-        if self.deleted.contains(&seq) {
+        let snapshot = self.snapshot();
+        let (owner, local) = snapshot.locate(seq).ok_or(Error::UnknownDoc(seq))?;
+        if snapshot.dead(owner).contains(local) {
             return Err(Error::AlreadyDeleted(seq));
         }
         let path = self.dir.join(TOMBSTONES_FILE);
@@ -398,7 +391,7 @@ impl Shard {
             .open(&path)
             .map_err(|e| Error::io(format!("open {}", path.display()), e))?;
         writeln!(f, "{}", tombstone_line(seq)).map_err(|e| Error::io("append tombstone", e))?;
-        Arc::make_mut(&mut self.deleted).insert(seq);
+        self.mark_dead(owner, local);
         self.generation += 1;
         self.publish();
         metrics::global()
@@ -462,7 +455,7 @@ impl Shard {
         let mut span = self.config.engine.tracer.span(op);
         let base = self.manifest.wal_base;
         let next_seq = base + keep_docs as DocId;
-        let live = |local: usize| !self.deleted.contains(&(base + local as DocId));
+        let live = |local: usize| !self.memtable.dead.contains(local);
         let survivors = (0..keep_docs).filter(|&local| live(local)).count();
         span.record("docs", survivors);
         span.record("dropped_tombstones", keep_docs - survivors);
@@ -501,30 +494,19 @@ impl Shard {
             new_segment = Some(seg);
         }
         // Commit: manifest first (it names the new segment and the new
-        // WAL epoch), then consume buffer tombstones and reset the WAL.
+        // WAL epoch), then the tombstones without the buffer's (its dead
+        // documents were not sealed, or were dropped), then the WAL reset.
         self.generation += 1;
         self.manifest.wal_base = next_seq;
         self.manifest.wal_epoch += 1;
         self.manifest.generation = self.generation;
         self.manifest.store(&self.dir)?;
-        // Everything at or above the old base is resolved: tombstones
-        // below the new base were consumed by the seal, tombstones at or
-        // beyond it named dropped documents that no longer exist.
-        let consumed: Vec<DocId> = self.deleted.range(base..).copied().collect();
-        if !consumed.is_empty() {
-            let deleted = Arc::make_mut(&mut self.deleted);
-            for seq in consumed {
-                deleted.remove(&seq);
-            }
-        }
-        self.rewrite_tombstones()?;
-        self.reset_wal()?;
         // Replace rather than clear: snapshots may still hold the old
         // buffer, which stays valid (and frozen) until they drop it.
         self.memtable = Arc::new(Memtable::default());
-        if let Some(seg) = new_segment {
-            self.segments.push(Arc::new(seg));
-        }
+        self.segments.extend(new_segment.map(Sealed::new));
+        self.rewrite_tombstones()?;
+        self.reset_wal()?;
         self.publish();
         Ok(())
     }
@@ -554,7 +536,7 @@ impl Shard {
         if self.segments.is_empty() {
             return Ok(false);
         }
-        if self.segments.len() == 1 && self.deleted.is_empty() {
+        if self.segments.len() == 1 && self.tombstones() == 0 {
             span.record("skipped", "single live segment, no tombstones");
             return Ok(false);
         }
@@ -587,7 +569,7 @@ impl Shard {
         self.manifest.segments = new_segment.iter().map(|s| s.meta.clone()).collect();
         self.manifest.generation = self.generation;
         self.manifest.store(&self.dir)?;
-        self.deleted = Arc::new(BTreeSet::new());
+        self.segments = new_segment.into_iter().map(Sealed::new).collect();
         self.rewrite_tombstones()?;
         // In-flight queries may still stream from the replaced
         // segments; unlinking their files only drops the directory
@@ -596,7 +578,6 @@ impl Shard {
         for &old in &old_ids {
             remove_segment_files(&seg_root, old);
         }
-        self.segments = new_segment.into_iter().map(Arc::new).collect();
         self.publish();
         span.record("commit", commit.elapsed());
         let m = metrics::global();
@@ -643,15 +624,14 @@ impl Shard {
             let mut appended = Ok(());
             seg.corpus
                 .scan_checked(0..seg.seqs.len(), &mut |local, bytes| {
-                    let seq = seg.seqs[local as usize];
-                    if self.deleted.contains(&seq) {
+                    if seg.dead.contains(local as usize) {
                         remap.push(None);
                         return true;
                     }
                     remap.push(Some(next));
                     next += 1;
                     *merge_bytes += bytes.len() as u64;
-                    appended = writer.append(seq, bytes);
+                    appended = writer.append(seg.seqs[local as usize], bytes);
                     appended.is_ok()
                 })
                 .map_err(|e| match e {
@@ -694,7 +674,7 @@ impl Shard {
             .map(|s| SegmentStats {
                 id: s.meta.id,
                 num_docs: s.meta.num_docs,
-                live_docs: s.live_docs(&self.deleted),
+                live_docs: s.live_docs(),
                 first_seq: s.meta.first_seq,
                 last_seq: s.meta.last_seq,
                 data_bytes: s.data_bytes(),
@@ -706,7 +686,7 @@ impl Shard {
             next_seq: self.next_seq(),
             memtable_docs: self.memtable.len(),
             memtable_bytes: self.memtable.bytes(),
-            tombstones: self.deleted.len(),
+            tombstones: self.tombstones(),
             live_docs: self.published.live_docs(),
             total_bytes: segments.iter().map(|s| s.data_bytes).sum::<u64>() + self.memtable.bytes(),
             segments,
@@ -722,13 +702,11 @@ impl Shard {
     /// `FA302`. It reads the counts the segments' key directories and the
     /// buffer's runs hold, never a document.
     pub fn drift(&self) -> Drift {
-        let base = self.manifest.wal_base;
-        let dead: Vec<DocId> = self.deleted.range(base..).map(|seq| seq - base).collect();
         // What the next compaction finds after its flush: nothing to
         // rewrite is nothing to re-mine.
-        let flushing = dead.len() < self.memtable.len();
+        let flushing = self.memtable.dead.count() < self.memtable.len();
         let rewrites = self.segments.len() + usize::from(flushing) > 1
-            || self.deleted.range(..base).next().is_some();
+            || self.segments.iter().any(|s| s.dead.count() > 0);
         let Some(dict) = self.segments.first().map(|s| &s.index) else {
             return Drift::NONE;
         };
@@ -739,7 +717,7 @@ impl Shard {
         // segment's keys are dictionary keys, in the same order.
         let keys = dict.keys();
         let mut counts = vec![0u32; keys.len()];
-        let mut n = self.memtable.count_keys(&dead, &mut counts);
+        let mut n = self.memtable.count_keys(&mut counts);
         for seg in &self.segments[1..] {
             n += u64::from(seg.meta.num_docs);
             let mut at = 0;
@@ -810,10 +788,9 @@ impl Shard {
         for seq in seqs {
             // Tombstones whose docs a compaction already eliminated (a
             // crash can leave the log ahead of the manifest) are stale.
-            if present.physically_present(seq) {
-                Arc::make_mut(&mut self.deleted).insert(seq);
-            } else {
-                stale = true;
+            match present.locate(seq) {
+                Some((owner, local)) => self.mark_dead(owner, local),
+                None => stale = true,
             }
         }
         if stale {
@@ -822,11 +799,33 @@ impl Shard {
         Ok(())
     }
 
+    /// Marks document `local` of `owner` dead in the writer's state,
+    /// copying that source's bitmap if a snapshot shares it.
+    fn mark_dead(&mut self, owner: Owner, local: usize) {
+        let dead = match owner {
+            Owner::Segment(i) => &mut self.segments[i].dead,
+            Owner::Buffer => &mut Arc::make_mut(&mut self.memtable).dead,
+        };
+        dead.insert(local);
+    }
+
+    /// How many stored documents are deleted: the set bits of every
+    /// source's dead bitmap.
+    fn tombstones(&self) -> usize {
+        let sealed = self.segments.iter().map(|s| s.dead.count()).sum::<usize>();
+        sealed + self.memtable.dead.count()
+    }
+
+    /// Rewrites the tombstone log from the dead bitmaps, in sequence
+    /// order: the segments' in theirs, then the buffer's.
     fn rewrite_tombstones(&self) -> Result<()> {
         let path = self.dir.join(TOMBSTONES_FILE);
         let tmp = self.dir.join(format!("{TOMBSTONES_FILE}.tmp"));
         let mut text = format!("{TOMBSTONES_HEADER}\n");
-        for &seq in self.deleted.iter() {
+        let sealed = (self.segments.iter()).flat_map(|s| s.dead.iter().map(|local| s.seqs[local]));
+        let base = self.manifest.wal_base;
+        let buffered = self.memtable.dead.iter().map(|l| base + l as DocId);
+        for seq in sealed.chain(buffered) {
             text.push_str(&tombstone_line(seq));
             text.push('\n');
         }
@@ -941,6 +940,44 @@ mod tests {
                 page.clone()
             })
             .collect()
+    }
+
+    /// A delete copies only the bitmap of the source holding the
+    /// document: the other segments' and the buffer's are still the very
+    /// ones the previous snapshot holds, and that snapshot still reads
+    /// the document.
+    #[test]
+    fn a_delete_touches_one_source() {
+        let dir = std::env::temp_dir().join(format!("free-live-one-source-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut live = Shard::create(&dir, LiveConfig::default()).unwrap();
+        let docs = pages(3, 40);
+        for part in docs.chunks(10) {
+            live.add_batch_deferred(part).unwrap();
+            if live.num_segments() < 3 {
+                live.flush().unwrap();
+            }
+        }
+        for seq in [2, 35] {
+            live.delete(seq).unwrap();
+        }
+        let before = live.snapshot();
+        assert_eq!(before.segments.len(), 3);
+        live.delete(15).unwrap();
+        let after = live.snapshot();
+        for i in [0, 2] {
+            assert!(
+                after.segments[i].dead.shares(&before.segments[i].dead),
+                "{i}"
+            );
+        }
+        assert!(!after.segments[1].dead.shares(&before.segments[1].dead));
+        assert!(after.memtable.dead.shares(&before.memtable.dead));
+        assert_eq!(before.get(15).unwrap(), docs[15]);
+        assert_eq!(before.live_docs(), 38);
+        assert!(matches!(after.get(15), Err(Error::UnknownDoc(15))));
+        assert_eq!(after.live_docs(), 37);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A merge keeps the dictionary key for key, so the write buffer's

@@ -9,8 +9,11 @@
 //! postings writer (the `postings` module), which writes the grouped
 //! postings into the new segment without scanning a document again.
 //! Before the first flush there is no dictionary: queries confirm the
-//! whole buffer, a scan the flush thresholds bound.
+//! whole buffer, a scan the flush thresholds bound. The buffer's deleted
+//! documents are a `DeadBits` bitmap over its local ids, which a flush
+//! leaves out of the segment it seals.
 
+use crate::dead::DeadBits;
 use crate::postings::Source;
 use free_corpus::DocId;
 use free_engine::grams::GramMatcher;
@@ -157,13 +160,15 @@ impl Chunk {
 
 /// The write buffer over documents not yet sealed into a segment.
 ///
-/// `Clone` copies chunk pointers only: the live index mutates the buffer
-/// copy-on-write (`Arc::make_mut`) while published snapshots keep the
-/// chunks they hold.
+/// `Clone` copies chunk pointers and shares the dead bitmap: the live
+/// index mutates the buffer copy-on-write (`Arc::make_mut`) while
+/// published snapshots keep the chunks and bitmap they hold.
 #[derive(Clone, Default)]
 pub struct Memtable {
     chunks: Vec<Arc<Chunk>>,
     bytes: u64,
+    /// The buffered documents deleted, by local id.
+    pub(crate) dead: DeadBits,
 }
 
 impl Memtable {
@@ -254,23 +259,25 @@ impl Memtable {
         self.chunks.iter().map(move |c| Source::chunk(c, remap))
     }
 
-    /// Adds to `counts[key]` how many buffered documents hold dictionary
-    /// key `key`, leaving out the local ids in `dead` (ascending), and
-    /// returns how many documents that leaves: what a flush would seal.
-    /// Run lengths, unless a dead document sits in a run.
-    pub(crate) fn count_keys(&self, dead: &[DocId], counts: &mut [u32]) -> u64 {
+    /// Adds to `counts[key]` how many live buffered documents hold
+    /// dictionary key `key`, and returns how many live documents there
+    /// are: what a flush would seal. Run lengths, unless a dead document
+    /// sits in a run.
+    pub(crate) fn count_keys(&self, counts: &mut [u32]) -> u64 {
         for chunk in &self.chunks {
             for (i, &key) in chunk.keys.iter().enumerate() {
                 let run = chunk.run(i);
-                let gone = if dead.is_empty() {
+                let gone = if self.dead.count() == 0 {
                     0
                 } else {
-                    run.iter().filter(|l| dead.binary_search(l).is_ok()).count()
+                    run.iter()
+                        .filter(|&&l| self.dead.contains(l as usize))
+                        .count()
                 };
                 counts[key as usize] += (run.len() - gone) as u32;
             }
         }
-        (self.len() - dead.len()) as u64
+        (self.len() - self.dead.count()) as u64
     }
 }
 

@@ -7,20 +7,19 @@
 //! dictionary's keys, so that one plan compiles against each source's
 //! index to a cursor over local ids, and a dictionary key absent from a
 //! source's directory is one none of its documents contains (an empty
-//! branch, not a NULL one). The cursors are
-//! lifted into the global sequence space by the adapters in
-//! [`crate::cursor`]. Before the first flush there is no dictionary and
+//! branch, not a NULL one). The cursor adapters drop each source's
+//! deleted documents by a bit test and lift the rest into the global
+//! sequence space. Before the first flush there is no dictionary and
 //! the buffer is confirmed whole. The per-source streams merge through
-//! the engine's `OrCursor` k-way heap (global sequence order), tombstones
-//! are filtered out, and the surviving candidates are confirmed by the
-//! engine's (optionally parallel) confirmation running against a
-//! sequence-keyed corpus view. A plan that cannot use the index is
-//! confirmed as a SCAN: ranged, CRC-checked reads of every live
-//! document that leave the segments' fetch caches alone. Results at any
-//! generation are therefore identical to a from-scratch rebuild over the
-//! live documents.
+//! the engine's `OrCursor` k-way heap (global sequence order), and the
+//! candidates are confirmed by the engine's (optionally parallel)
+//! confirmation running against a sequence-keyed corpus view. A plan
+//! that cannot use the index is confirmed as a SCAN: ranged, CRC-checked
+//! reads of every live document that leave the segments' fetch caches
+//! alone. Results at any generation are therefore identical to a
+//! from-scratch rebuild over the live documents.
 
-use crate::cursor::{OffsetCursor, SeqMapCursor, TombstoneFilterCursor};
+use crate::cursor::{OffsetCursor, SeqMapCursor};
 use crate::error::Result;
 use crate::memtable::BufferIndex;
 use crate::snapshot::ShardSnapshot;
@@ -176,7 +175,8 @@ pub(crate) fn execute_prepared(
             for seg in &snapshot.segments {
                 let cursor = compile_plan(physical, &seg.index, &mut stats)?
                     .expect("non-scan plans always compile to a cursor");
-                cursors.push(Box::new(SeqMapCursor::new(cursor, seg.seqs.clone())));
+                let cursor = SeqMapCursor::new(cursor, seg.seqs.clone(), seg.dead.clone())?;
+                cursors.push(Box::new(cursor));
             }
             if !snapshot.memtable.is_empty() {
                 let buffer = BufferIndex {
@@ -185,7 +185,9 @@ pub(crate) fn execute_prepared(
                 };
                 let cursor = compile_plan(physical, &buffer, &mut stats)?
                     .expect("non-scan plans always compile to a cursor");
-                cursors.push(Box::new(OffsetCursor::new(cursor, snapshot.wal_base)));
+                let dead = snapshot.memtable.dead.clone();
+                let cursor = OffsetCursor::new(cursor, snapshot.wal_base, dead)?;
+                cursors.push(Box::new(cursor));
             }
         }
         span.record("sources", sources);
@@ -209,18 +211,10 @@ pub(crate) fn execute_prepared(
         stats.candidates = view.len();
         CandidateSource::All
     } else {
-        let merged: Box<dyn PostingsCursor> = match cursors.len() {
+        let root: Box<dyn PostingsCursor> = match cursors.len() {
             0 => Box::new(SliceCursor::empty()),
             1 => cursors.pop().expect("one cursor"),
             _ => Box::new(OrCursor::new(cursors)?),
-        };
-        let root: Box<dyn PostingsCursor> = if snapshot.tombstones.is_empty() {
-            merged
-        } else {
-            Box::new(TombstoneFilterCursor::new(
-                merged,
-                snapshot.tombstones.clone(),
-            )?)
         };
         let mut st = StreamState::new(root);
         st.refresh(&mut stats);

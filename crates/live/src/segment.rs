@@ -177,14 +177,6 @@ impl Segment {
         self.seqs.binary_search(&seq).ok().map(|i| i as DocId)
     }
 
-    /// Number of documents not tombstoned, given the global tombstone set.
-    pub fn live_docs(&self, deleted: &std::collections::BTreeSet<DocId>) -> usize {
-        let dead = deleted
-            .range(self.meta.first_seq..=self.meta.last_seq)
-            .count();
-        self.seqs.len() - dead
-    }
-
     /// Total stored document bytes.
     pub fn data_bytes(&self) -> u64 {
         self.corpus.total_bytes()

@@ -2,75 +2,96 @@
 //! index publishes its snapshots through.
 //!
 //! A [`ShardSnapshot`] is a frozen view of one shard at one generation:
-//! `Arc`-shared sealed segments, an `Arc`-shared write buffer, and the
-//! tombstone set. After every mutation the writer ([`crate::LiveIndex`])
-//! collects one per shard into a [`crate::Snapshot`] and publishes it
-//! into a [`SnapshotCell`]; readers load the cell — a refcount bump under
-//! a briefly held lock, never blocking on flush or compaction — and query
-//! the frozen view for as long as they like. Compaction can retire
-//! segment files while snapshots still reference them: each segment holds
-//! its own open file handles, and on POSIX an unlinked file stays
-//! readable through an open descriptor, so memory (and disk) reclamation
-//! is simply the last `Arc` dropping.
+//! `Arc`-shared sealed segments and write buffer, each paired with the
+//! bitmap of its deleted documents ([`DeadBits`]; the buffer's is inside
+//! the [`Memtable`]). After every mutation the writer
+//! ([`crate::LiveIndex`]) collects one per shard into a
+//! [`crate::Snapshot`] and publishes it into a [`SnapshotCell`]; readers
+//! load the cell — a refcount bump under a briefly held lock, never
+//! blocking on flush or compaction — and query the frozen view for as
+//! long as they like. Compaction can retire segment files while
+//! snapshots still reference them: each segment holds its own open file
+//! handles, and on POSIX an unlinked file stays readable through an open
+//! descriptor, so memory (and disk) reclamation is simply the last `Arc`
+//! dropping.
 
+use crate::dead::DeadBits;
 use crate::error::{Error, Result};
 use crate::memtable::Memtable;
 use crate::segment::Segment;
 use crate::LiveConfig;
 use free_corpus::{Corpus, DocId};
-use std::collections::BTreeSet;
+use std::ops::Deref;
 use std::sync::{Arc, RwLock};
+
+/// A sealed segment and its documents deleted since it was sealed. A
+/// flush or compaction seals only live documents, so a new segment
+/// starts with no dead ones.
+#[derive(Clone)]
+pub(crate) struct Sealed {
+    pub(crate) segment: Arc<Segment>,
+    pub(crate) dead: DeadBits,
+}
+
+impl Sealed {
+    pub(crate) fn new(segment: Segment) -> Sealed {
+        Sealed {
+            segment: Arc::new(segment),
+            dead: DeadBits::default(),
+        }
+    }
+
+    /// Number of documents not deleted.
+    pub(crate) fn live_docs(&self) -> usize {
+        self.seqs.len() - self.dead.count()
+    }
+}
+
+impl Deref for Sealed {
+    type Target = Segment;
+
+    fn deref(&self) -> &Segment {
+        &self.segment
+    }
+}
+
+/// The source storing a document: a segment, by its position in the
+/// shard's segments, or the write buffer.
+#[derive(Clone, Copy)]
+pub(crate) enum Owner {
+    Segment(usize),
+    Buffer,
+}
 
 /// A frozen view of one shard at one generation, in the shard's local
 /// sequence space. Read operations are `&self` and thread-safe.
 pub(crate) struct ShardSnapshot {
-    pub(crate) segments: Vec<Arc<Segment>>,
+    pub(crate) segments: Vec<Sealed>,
     pub(crate) memtable: Arc<Memtable>,
     pub(crate) wal_base: DocId,
-    pub(crate) deleted: Arc<BTreeSet<DocId>>,
     pub(crate) generation: u64,
     pub(crate) config: Arc<LiveConfig>,
-    /// `deleted` as the sorted list the executor filters candidates
-    /// with, and the live document count: both fixed for the life of the
-    /// snapshot, so they are worked out once here, not once per query.
-    pub(crate) tombstones: Arc<Vec<DocId>>,
+    /// The live document count, summed from the sources' once.
     pub(crate) live_docs: usize,
 }
 
 impl ShardSnapshot {
-    /// Freezes the given state. `prev`, the snapshot this one replaces,
-    /// lends its tombstone list when no delete or compaction came
-    /// between the two (the set is then the very same `Arc`).
+    /// Freezes the given state.
     pub(crate) fn new(
-        segments: Vec<Arc<Segment>>,
+        segments: Vec<Sealed>,
         memtable: Arc<Memtable>,
         wal_base: DocId,
-        deleted: Arc<BTreeSet<DocId>>,
         generation: u64,
         config: Arc<LiveConfig>,
-        prev: Option<&ShardSnapshot>,
     ) -> ShardSnapshot {
-        let tombstones = match prev {
-            Some(p) if Arc::ptr_eq(&p.deleted, &deleted) => p.tombstones.clone(),
-            _ => Arc::new(deleted.iter().copied().collect()),
-        };
-        // Every sequence number from `wal_base` on names a buffered
-        // document, so the tombstones in that range are the buffer's dead.
-        let buffered_dead = deleted.range(wal_base..).count().min(memtable.len());
-        let live_docs = segments
-            .iter()
-            .map(|s| s.live_docs(&deleted))
-            .sum::<usize>()
-            + memtable.len()
-            - buffered_dead;
+        let live_docs = segments.iter().map(Sealed::live_docs).sum::<usize>() + memtable.len()
+            - memtable.dead.count();
         ShardSnapshot {
             segments,
             memtable,
             wal_base,
-            deleted,
             generation,
             config,
-            tombstones,
             live_docs,
         }
     }
@@ -82,56 +103,62 @@ impl ShardSnapshot {
 
     /// Sequence numbers of all live documents, ascending.
     pub(crate) fn live_seqs(&self) -> Vec<DocId> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.live_docs);
         for seg in &self.segments {
-            out.extend(seg.seqs.iter().filter(|s| !self.deleted.contains(s)));
+            let live = seg
+                .seqs
+                .iter()
+                .enumerate()
+                .filter(|(l, _)| !seg.dead.contains(*l));
+            out.extend(live.map(|(_, &seq)| seq));
         }
-        for i in 0..self.memtable.len() as DocId {
-            let seq = self.wal_base + i;
-            if !self.deleted.contains(&seq) {
-                out.push(seq);
-            }
-        }
+        let buffered = (0..self.memtable.len()).filter(|&l| !self.memtable.dead.contains(l));
+        out.extend(buffered.map(|l| self.wal_base + l as DocId));
         out
     }
 
     /// Reads one live document by sequence number.
-    // `expect`: `physically_present` was checked on entry, so the doc is
-    // guaranteed to be found in the buffer or in an owning segment.
-    #[allow(clippy::expect_used)]
     pub(crate) fn get(&self, seq: DocId) -> Result<Vec<u8>> {
-        if !self.physically_present(seq) || self.deleted.contains(&seq) {
-            return Err(Error::UnknownDoc(seq));
-        }
+        let (owner, local) = self.live(seq).ok_or(Error::UnknownDoc(seq))?;
+        Ok(self.read(owner, local)?)
+    }
+
+    /// The source storing `seq` and its local id there, whether the
+    /// document is live or deleted: the buffer from `wal_base` on, below
+    /// it a binary search over the segments' sorted, non-overlapping
+    /// sequence ranges.
+    pub(crate) fn locate(&self, seq: DocId) -> Option<(Owner, usize)> {
         if seq >= self.wal_base {
             let local = (seq - self.wal_base) as usize;
-            return Ok(self
-                .memtable
-                .doc(local)
-                .expect("present in buffer")
-                .to_vec());
+            return (local < self.memtable.len()).then_some((Owner::Buffer, local));
         }
-        let seg = self.owner(seq).expect("present in a segment");
-        let local = seg.local_of(seq).expect("present in a segment");
-        Ok(seg.corpus.get(local)?)
-    }
-
-    /// The segment owning `seq`, found by binary search over the
-    /// sorted, non-overlapping sequence ranges.
-    pub(crate) fn owner(&self, seq: DocId) -> Option<&Segment> {
         let i = self.segments.partition_point(|s| s.meta.last_seq < seq);
-        self.segments
-            .get(i)
-            .map(|s| &**s)
-            .filter(|s| s.meta.first_seq <= seq)
+        let local = self.segments.get(i)?.local_of(seq)?;
+        Some((Owner::Segment(i), local as usize))
     }
 
-    /// Whether `seq` names a stored document (live or tombstoned).
-    pub(crate) fn physically_present(&self, seq: DocId) -> bool {
-        if seq >= self.wal_base {
-            ((seq - self.wal_base) as usize) < self.memtable.len()
-        } else {
-            self.owner(seq).is_some_and(|s| s.local_of(seq).is_some())
+    /// [`ShardSnapshot::locate`] for a live document only.
+    pub(crate) fn live(&self, seq: DocId) -> Option<(Owner, usize)> {
+        self.locate(seq)
+            .filter(|&(owner, local)| !self.dead(owner).contains(local))
+    }
+
+    /// The dead documents of `owner`.
+    pub(crate) fn dead(&self, owner: Owner) -> &DeadBits {
+        match owner {
+            Owner::Segment(i) => &self.segments[i].dead,
+            Owner::Buffer => &self.memtable.dead,
+        }
+    }
+
+    /// The bytes of document `local` of `owner`, as
+    /// [`ShardSnapshot::locate`] found it.
+    // `expect`: `locate` only names buffered documents that exist.
+    #[allow(clippy::expect_used)]
+    pub(crate) fn read(&self, owner: Owner, local: usize) -> free_corpus::Result<Vec<u8>> {
+        match owner {
+            Owner::Segment(i) => self.segments[i].corpus.get(local as DocId),
+            Owner::Buffer => Ok(self.memtable.doc(local).expect("located").to_vec()),
         }
     }
 }

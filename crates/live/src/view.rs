@@ -3,6 +3,7 @@
 //! (including parallel confirmation and first-k early exit) runs
 //! unchanged against segments plus write buffer.
 
+use crate::dead::DeadBits;
 use crate::snapshot::ShardSnapshot;
 use free_corpus::{Corpus, DocId};
 use std::ops::Range;
@@ -24,19 +25,13 @@ impl Corpus for LiveView<'_> {
 
     fn get(&self, seq: DocId) -> free_corpus::Result<Vec<u8>> {
         let s = self.0;
-        if seq >= s.wal_base {
-            if let Some(doc) = s.memtable.doc((seq - s.wal_base) as usize) {
-                return Ok(doc.to_vec());
-            }
-        } else if let Some(seg) = s.owner(seq) {
-            if let Some(local) = seg.local_of(seq) {
-                return seg.corpus.get(local);
-            }
+        match s.live(seq) {
+            Some((owner, local)) => s.read(owner, local),
+            None => Err(free_corpus::Error::DocOutOfRange {
+                id: seq,
+                len: s.live_docs,
+            }),
         }
-        Err(free_corpus::Error::DocOutOfRange {
-            id: seq,
-            len: s.live_docs,
-        })
     }
 
     fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> free_corpus::Result<()> {
@@ -56,42 +51,27 @@ impl Corpus for LiveView<'_> {
         let s = self.0;
         let mut skip = positions.start;
         let mut take = positions.end.saturating_sub(positions.start);
-        // The tombstones among the sequence numbers `first..=last`.
-        let dead_in = |first: DocId, last: DocId| {
-            let from = s.tombstones.partition_point(|&t| t < first);
-            &s.tombstones[from..s.tombstones.partition_point(|&t| t <= last)]
-        };
         for seg in &s.segments {
-            let seqs = &seg.seqs;
-            let (Some(&first), Some(&last)) = (seqs.first(), seqs.last()) else {
-                continue;
-            };
-            let dead = dead_in(first, last).iter();
-            let dead = dead.map(|&t| seqs.partition_point(|&seq| seq < t));
-            let Some(locals) = live_locals(dead, seqs.len(), &mut skip, &mut take) else {
+            let Some(locals) = live_locals(&seg.dead, seg.seqs.len(), &mut skip, &mut take) else {
                 continue;
             };
             let mut stopped = false;
             seg.corpus.scan_checked(locals, &mut |local, bytes| {
-                let seq = seqs[local as usize];
-                if s.deleted.contains(&seq) {
+                if seg.dead.contains(local as usize) {
                     return true;
                 }
-                stopped = !f(seq, bytes);
+                stopped = !f(seg.seqs[local as usize], bytes);
                 !stopped
             })?;
             if stopped {
                 return Ok(());
             }
         }
-        let buffered = s.memtable.len();
-        let last = s.wal_base + (buffered as DocId).saturating_sub(1);
-        let dead = dead_in(s.wal_base, last).iter();
-        let dead = dead.map(|&t| (t - s.wal_base) as usize);
-        for local in live_locals(dead, buffered, &mut skip, &mut take).unwrap_or_default() {
-            let seq = s.wal_base + local as DocId;
+        let dead = &s.memtable.dead;
+        let locals = live_locals(dead, s.memtable.len(), &mut skip, &mut take);
+        for local in locals.unwrap_or_default() {
             let doc = s.memtable.doc(local).unwrap_or_default();
-            if !s.deleted.contains(&seq) && !f(seq, doc) {
+            if !dead.contains(local) && !f(s.wal_base + local as DocId, doc) {
                 return Ok(());
             }
         }
@@ -101,19 +81,15 @@ impl Corpus for LiveView<'_> {
 
 /// The local ids, out of a source's `len`, that hold its live documents
 /// `skip..skip + take` (dead ones may lie between), or `None` when there
-/// are none, given the local ids of its `dead` documents in ascending
-/// order. Counts the source's live documents off `skip`, then those
-/// taken off `take`. Costs a pass over the dead, not over the source.
+/// are none. Counts the source's live documents off `skip`, then those
+/// taken off `take`.
 fn live_locals(
-    dead: impl Iterator<Item = usize> + Clone,
+    dead: &DeadBits,
     len: usize,
     skip: &mut usize,
     take: &mut usize,
 ) -> Option<Range<usize>> {
-    if len == 0 {
-        return None;
-    }
-    let live = len - dead.clone().count();
+    let live = len - dead.count();
     if *skip >= live {
         *skip -= live;
         return None;
@@ -122,9 +98,7 @@ fn live_locals(
     if wanted == 0 {
         return None;
     }
-    // Live document `k` sits at `k` plus the dead ones before it.
-    let local_of = |k: usize| dead.clone().fold(k, |at, d| at + usize::from(d <= at));
-    let range = local_of(*skip)..local_of(*skip + wanted - 1) + 1;
+    let range = dead.nth_live(*skip)..dead.nth_live(*skip + wanted - 1) + 1;
     *skip = 0;
     *take -= wanted;
     Some(range)
@@ -136,6 +110,7 @@ mod tests {
     use crate::live::Shard;
     use crate::LiveConfig;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// What `scan_range(positions)` visits, stopping after `stop` units.
@@ -153,15 +128,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Over segments flushed at random points, random deletes (in the
-        /// segments and in the write buffer) and a buffer that may be
-        /// empty, `scan_range` visits exactly the live documents at those
-        /// positions of a full pass, for empty and reversed ranges, ranges
-        /// past the end, and visitors that stop early.
+        /// segments and in the write buffer, each some stages after its
+        /// document was added, so a flush may seal past one), an optional
+        /// compaction and a buffer that may be empty, `scan_range` visits
+        /// exactly the live documents at those positions of a full pass,
+        /// for empty and reversed ranges, ranges past the end, and
+        /// visitors that stop early.
         #[test]
         fn scan_range_is_scan_and_skip(
             sizes in prop::collection::vec(0usize..60, 1..60),
             flushes in prop::collection::btree_set(0usize..60, 0..4),
-            dead in prop::collection::btree_set(0u32..60, 0..20),
+            dead in prop::collection::vec((0u32..60, 0usize..3), 0..20),
+            compact_after in 0usize..8,
             ranges in prop::collection::vec((0usize..70, 0usize..70, 1usize..70), 1..8),
         ) {
             static DIRS: AtomicUsize = AtomicUsize::new(0);
@@ -175,20 +153,35 @@ mod tests {
             let docs: Vec<Vec<u8>> = (sizes.iter().enumerate())
                 .map(|(i, &len)| format!("doc {i} {}", "x".repeat(len)).into_bytes())
                 .collect();
+            let dead: BTreeMap<DocId, usize> =
+                dead.into_iter().filter(|&(seq, _)| (seq as usize) < docs.len()).collect();
+            // Stage `i` adds the documents up to `ends[i]`, deletes, then
+            // flushes unless it is the last, and compacts if it is stage
+            // `compact_after` (about half the cases name no stage).
+            let mut ends: Vec<usize> =
+                flushes.into_iter().filter(|&at| at > 0 && at < docs.len()).collect();
+            ends.push(docs.len());
+            let stage_of = |seq: DocId| ends.partition_point(|&end| end <= seq as usize);
             let mut from = 0;
-            for &at in flushes.iter().filter(|&&at| at > 0 && at < docs.len()) {
-                shard.add_batch_deferred(&docs[from..at]).unwrap();
-                shard.flush().unwrap();
-                from = at;
-            }
-            shard.add_batch_deferred(&docs[from..]).unwrap();
-            for &seq in dead.iter().filter(|&&seq| (seq as usize) < docs.len()) {
-                shard.delete(seq).unwrap();
+            for (stage, &end) in ends.iter().enumerate() {
+                shard.add_batch_deferred(&docs[from..end]).unwrap();
+                from = end;
+                for (&seq, &delay) in &dead {
+                    if (stage_of(seq) + delay).min(ends.len() - 1) == stage {
+                        shard.delete(seq).unwrap();
+                    }
+                }
+                if stage + 1 < ends.len() {
+                    shard.flush().unwrap();
+                }
+                if compact_after == stage {
+                    shard.compact().unwrap();
+                }
             }
             let snapshot = shard.snapshot();
             let view = LiveView(&snapshot);
             let live: Vec<(DocId, Vec<u8>)> = (0..docs.len() as DocId)
-                .filter(|seq| !dead.contains(seq))
+                .filter(|seq| !dead.contains_key(seq))
                 .map(|seq| (seq, docs[seq as usize].clone()))
                 .collect();
             prop_assert_eq!(view.len(), live.len());
@@ -205,6 +198,36 @@ mod tests {
             drop(shard);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// `get` of a deleted document errors like any other missing id, in
+    /// a segment and in the write buffer; its live neighbours read back.
+    #[test]
+    fn get_hides_deleted_documents() {
+        let dir = std::env::temp_dir().join(format!("free-live-view-get-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut shard = Shard::create(&dir, LiveConfig::default()).unwrap();
+        let docs: Vec<Vec<u8>> = (0..10).map(|i| format!("doc {i}").into_bytes()).collect();
+        shard.add_batch_deferred(&docs[..5]).unwrap();
+        shard.flush().unwrap();
+        shard.add_batch_deferred(&docs[5..]).unwrap();
+        for seq in [2, 7] {
+            shard.delete(seq).unwrap();
+        }
+        let snapshot = shard.snapshot();
+        let view = LiveView(&snapshot);
+        for seq in [2, 7] {
+            let got = view.get(seq);
+            assert!(
+                matches!(got, Err(free_corpus::Error::DocOutOfRange { id, len: 8 }) if id == seq),
+                "{seq}: {got:?}"
+            );
+        }
+        for seq in [1, 3, 6, 8] {
+            assert_eq!(view.get(seq).unwrap(), docs[seq as usize], "{seq}");
+        }
+        drop(shard);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A SCAN answers what reading every live document would, and leaves
