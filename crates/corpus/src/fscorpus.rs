@@ -7,7 +7,7 @@
 //! multigram idea later became famous for — without copying them into a
 //! dedicated corpus file.
 
-use crate::{Corpus, CorpusStats, DocId, Error, Result};
+use crate::{Corpus, DocId, Error, Result};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -120,10 +120,6 @@ impl Corpus for FsCorpus {
         std::fs::read(path).map_err(|e| Error::io(format!("read {}", path.display()), e))
     }
 
-    fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
-        self.scan_range(0..self.files.len(), f)
-    }
-
     fn scan_range(
         &self,
         positions: Range<usize>,
@@ -151,15 +147,6 @@ impl std::fmt::Debug for FsCorpus {
             self.files.len(),
             self.total_bytes
         )
-    }
-}
-
-/// Convenience: stats via a scan (kept off the trait default to avoid a
-/// second stat pass).
-impl FsCorpus {
-    /// Gathers statistics with a full scan.
-    pub fn stats(&self) -> CorpusStats {
-        CorpusStats::gather(self)
     }
 }
 
@@ -236,16 +223,6 @@ mod tests {
         for i in 0..paths.len() as u32 {
             assert_eq!(rebuilt.get(i).unwrap(), walked.get(i).unwrap());
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stats_gather() {
-        let dir = setup("stats");
-        let c = FsCorpus::open(&dir, &["rs"], &["target"]).unwrap();
-        let s = c.stats();
-        assert_eq!(s.num_docs, 3);
-        assert_eq!(s.total_bytes, 27);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -20,19 +20,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod error;
 pub mod fscorpus;
 pub mod memory;
-pub mod stats;
 pub mod store;
 pub mod synth;
 
-pub use cache::DocCache;
 pub use error::{Error, Result};
 pub use fscorpus::FsCorpus;
 pub use memory::MemCorpus;
-pub use stats::CorpusStats;
 pub use store::{CorpusWriter, DiskCorpus};
 
 use std::ops::Range;
@@ -64,39 +60,23 @@ pub trait Corpus: Sync {
     /// Total size of all data units in bytes (the paper's `|D|`).
     fn total_bytes(&self) -> u64;
 
-    /// Reads one data unit. The implementation may return a cached or
-    /// freshly-read buffer.
+    /// Reads one data unit into a freshly allocated buffer.
     fn get(&self, id: DocId) -> Result<Vec<u8>>;
 
-    /// Sequentially visits every data unit in id order. Implementations
-    /// stream with buffered I/O; the callback returning `false` stops the
-    /// scan early (used by first-k result queries).
-    fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()>;
-
-    /// [`Corpus::scan`] restricted to the data units whose position in
-    /// scan order lies in `positions` (clamped to `0..len`), so threads
-    /// that split one pass into ranges each read only their own. The
-    /// provided version scans from the start and skips ahead; stores
-    /// that can seek override it.
+    /// Sequentially visits the data units whose position in scan order
+    /// lies in `positions` (clamped to `0..len`), in id order, so threads
+    /// that split one pass into ranges each read only their own.
+    /// Implementations stream with buffered I/O; the callback returning
+    /// `false` stops the scan early (used by first-k result queries).
     fn scan_range(
         &self,
         positions: Range<usize>,
         f: &mut dyn FnMut(DocId, &[u8]) -> bool,
-    ) -> Result<()> {
-        let mut position = 0usize;
-        self.scan(&mut |doc, bytes| {
-            let at = position;
-            position += 1;
-            at < positions.start || (at < positions.end && f(doc, bytes))
-        })
-    }
+    ) -> Result<()>;
 
-    /// Convenience: basic corpus statistics.
-    fn stats(&self) -> CorpusStats
-    where
-        Self: Sized,
-    {
-        CorpusStats::gather(self)
+    /// [`Corpus::scan_range`] over every data unit.
+    fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
+        self.scan_range(0..self.len(), f)
     }
 }
 

@@ -63,10 +63,6 @@ impl Corpus for MemCorpus {
             })
     }
 
-    fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
-        self.scan_range(0..self.docs.len(), f)
-    }
-
     fn scan_range(
         &self,
         positions: Range<usize>,

@@ -25,15 +25,15 @@
 //! leaves the previously committed prefix readable and any torn tail
 //! bytes are truncated on the next reopen.
 //!
-//! Unit CRCs are verified on every [`Corpus::get`] cache miss, on the path
-//! that serves query results. That is not free: on the 2.3 KB pages of
-//! the benchmark corpus the CRC32 is about half of a `get` (1.3 of
-//! 2.65 µs). [`Corpus::scan`] (the mining/merge throughput path, which
-//! re-reads the corpus many times per build) does *not* verify; `free fsck` covers scans offline via
-//! [`DiskCorpus::verify_units`], and a scan whose bytes are written out
-//! again uses [`DiskCorpus::scan_checked`].
+//! The store keeps no cache: every [`Corpus::get`] is one positioned read
+//! of the unit and a check of its CRC, on the path that serves query
+//! results. That is not free: on the 2.3 KB pages of the benchmark corpus
+//! the CRC32 is about half of a `get` (1.3 of 2.65 µs). [`Corpus::scan`]
+//! (the mining/merge throughput path, which re-reads the corpus many
+//! times per build) does *not* verify; `free fsck` covers scans offline
+//! via [`DiskCorpus::verify_units`], and a scan whose bytes are written
+//! out again uses [`DiskCorpus::scan_checked`].
 
-use crate::cache::DocCache;
 use crate::{Corpus, DocId, Error, Result};
 use free_checksum::crc32;
 use std::fs::{File, OpenOptions};
@@ -261,23 +261,16 @@ pub struct DiskCorpus {
     ends: Vec<u64>,
     /// Per-unit CRC32s, parallel to `ends`.
     crcs: Vec<u32>,
-    /// Optional read-through document cache (see [`DocCache`]).
-    cache: Option<DocCache>,
 }
 
 impl DiskCorpus {
-    /// Enables a sharded read-through document cache of approximately
-    /// `total_bytes`, so repeated `get` calls for hot documents skip
-    /// the `pread` syscall. See [`DocCache`].
-    pub fn with_cache(mut self, total_bytes: usize) -> DiskCorpus {
-        self.cache = Some(DocCache::new(total_bytes));
-        self
+    /// Always `None`: the store has no document cache. Kept only for the
+    /// standalone benchmark's adapter, which reads it as a cache hit
+    /// share of 0; ROADMAP item 1 removes it together with that adapter.
+    pub fn cache_stats(&self) -> Option<(u64, u64)> {
+        None
     }
 
-    /// Cache `(hits, misses)` counters, if a cache is enabled.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache.as_ref().map(|c| (c.hits(), c.misses()))
-    }
     /// Opens an existing corpus store in `dir`.
     pub fn open(dir: impl AsRef<Path>) -> Result<DiskCorpus> {
         let dir = dir.as_ref();
@@ -323,7 +316,6 @@ impl DiskCorpus {
             data,
             ends,
             crcs,
-            cache: None,
         })
     }
 
@@ -406,11 +398,6 @@ impl Corpus for DiskCorpus {
 
     fn get(&self, id: DocId) -> Result<Vec<u8>> {
         let (start, end) = self.bounds(id)?;
-        if let Some(cache) = &self.cache {
-            if let Some(doc) = cache.get(id) {
-                return Ok((*doc).clone());
-            }
-        }
         let mut buf = vec![0u8; (end - start) as usize];
         self.data
             .read_exact_at(&mut buf, start)
@@ -421,19 +408,12 @@ impl Corpus for DiskCorpus {
                 self.data_path.display()
             )));
         }
-        if let Some(cache) = &self.cache {
-            cache.insert(id, std::sync::Arc::new(buf.clone()));
-        }
         Ok(buf)
     }
 
-    fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
-        self.scan_range(0..self.ends.len(), f)
-    }
-
     /// Reads the range with one positioned read per 256 KiB of units
-    /// into one reused buffer; like [`Corpus::scan`], it does not
-    /// check unit CRCs (see [`DiskCorpus::scan_checked`]).
+    /// into one reused buffer. It does not check unit CRCs (see
+    /// [`DiskCorpus::scan_checked`]).
     fn scan_range(
         &self,
         positions: Range<usize>,

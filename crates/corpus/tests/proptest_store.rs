@@ -45,28 +45,6 @@ proptest! {
     }
 }
 
-/// A corpus that implements only the required methods, so its
-/// `scan_range` is the trait's provided scan-and-skip.
-struct ScanOnly<'a>(&'a dyn Corpus);
-
-impl Corpus for ScanOnly<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.0.total_bytes()
-    }
-
-    fn get(&self, id: DocId) -> free_corpus::Result<Vec<u8>> {
-        self.0.get(id)
-    }
-
-    fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> free_corpus::Result<()> {
-        self.0.scan(f)
-    }
-}
-
 /// What `scan_range(positions)` visits, stopping after `stop` units.
 fn visited(c: &dyn Corpus, positions: Range<usize>, stop: usize) -> Vec<(DocId, Vec<u8>)> {
     let mut seen = Vec::new();
@@ -79,8 +57,7 @@ fn visited(c: &dyn Corpus, positions: Range<usize>, stop: usize) -> Vec<(DocId, 
 }
 
 /// Every range of `ranges` (start, end, units before the visitor stops)
-/// visits what a full scan visits at those positions, on `c` and on the
-/// provided scan-and-skip over it.
+/// visits what a full scan visits at those positions.
 fn ranges_agree(
     c: &dyn Corpus,
     docs: &[Vec<u8>],
@@ -103,14 +80,6 @@ fn ranges_agree(
             &visited(c, start..end, stop),
             &want,
             "{}..{} stop {}",
-            start,
-            end,
-            stop
-        );
-        prop_assert_eq!(
-            &visited(&ScanOnly(c), start..end, stop),
-            &want,
-            "provided {}..{} stop {}",
             start,
             end,
             stop

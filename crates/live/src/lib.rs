@@ -83,10 +83,6 @@ pub struct LiveConfig {
     pub flush_threshold_bytes: u64,
     /// Flush the write buffer once it holds this many documents.
     pub flush_threshold_docs: usize,
-    /// Byte budget of each sealed segment's read-through document
-    /// cache (see [`free_corpus::DocCache`]): confirmation reads of hot
-    /// documents skip the `pread` syscall. 0 disables caching.
-    pub segment_cache_bytes: usize,
 }
 
 impl Default for LiveConfig {
@@ -95,7 +91,6 @@ impl Default for LiveConfig {
             engine: EngineConfig::default(),
             flush_threshold_bytes: 4 << 20,
             flush_threshold_docs: 8192,
-            segment_cache_bytes: 1 << 20,
         }
     }
 }

@@ -181,11 +181,7 @@ impl Shard {
         let seg_root = dir.join(SEGMENTS_DIR);
         let mut segments = Vec::with_capacity(manifest.segments.len());
         for meta in &manifest.segments {
-            segments.push(Segment::open(
-                &seg_root,
-                meta.clone(),
-                config.segment_cache_bytes,
-            )?);
+            segments.push(Segment::open(&seg_root, meta.clone())?);
         }
         remove_orphans(&seg_root, &manifest);
         // WAL epoch check: a flush commits the manifest before recreating
@@ -477,10 +473,9 @@ impl Shard {
                 }
             }
             remap.resize(self.memtable.len(), None);
-            let cache_bytes = self.config.segment_cache_bytes;
             let seg = match self.segments.first() {
-                None => writer.mine(&self.config.engine, cache_bytes)?,
-                Some(dict) => writer.seal(cache_bytes, |_, path| {
+                None => writer.mine(&self.config.engine)?,
+                Some(dict) => writer.seal(|_, path| {
                     let mut index = IndexWriter::create(path)?;
                     let sources = self.memtable.sources(&remap).collect();
                     write_postings(dict.index.keys(), sources, false, &mut index)?;
@@ -645,11 +640,10 @@ impl Shard {
         }
         span.record("copy", start.elapsed());
         let start = Instant::now();
-        let cache_bytes = self.config.segment_cache_bytes;
         let segment = if remine {
-            writer.mine(&self.config.engine, cache_bytes)?
+            writer.mine(&self.config.engine)?
         } else {
-            writer.seal(cache_bytes, |_, path| {
+            writer.seal(|_, path| {
                 let sources = (self.segments.iter().zip(remaps))
                     .map(|(seg, remap)| Source::Segment {
                         id: seg.meta.id,

@@ -12,14 +12,13 @@
 //! stale entries simply stop matching and get overwritten on the next
 //! miss.
 //!
-//! The layout mirrors the corpus-side `DocCache`: entry-bounded
-//! independent `Mutex` FIFO shards keyed by pattern hash, so concurrent
-//! lookups of different patterns contend 1/N of the time and the critical
-//! section is a hash probe plus an `Arc` clone. Hit / miss / eviction
-//! counters are registered in the global metrics registry
-//! (`free_qcache_hits_total` / `free_qcache_misses_total` /
-//! `free_qcache_evictions_total`) so cache health shows up in
-//! `/metrics` next to the serve RED series.
+//! The layout is entry-bounded independent `Mutex` FIFO shards keyed by
+//! pattern hash, so concurrent lookups of different patterns contend 1/N
+//! of the time and the critical section is a hash probe plus an `Arc`
+//! clone. Hit / miss / eviction counters are registered in the global
+//! metrics registry (`free_qcache_hits_total` /
+//! `free_qcache_misses_total` / `free_qcache_evictions_total`) so cache
+//! health shows up in `/metrics` next to the serve RED series.
 
 use crate::query::LiveMatch;
 use std::collections::{HashMap, VecDeque};

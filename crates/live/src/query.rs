@@ -15,9 +15,9 @@
 //! candidates are confirmed by the engine's (optionally parallel)
 //! confirmation running against a sequence-keyed corpus view. A plan
 //! that cannot use the index is confirmed as a SCAN: ranged, CRC-checked
-//! reads of every live document that leave the segments' fetch caches
-//! alone. Results at any generation are therefore identical to a
-//! from-scratch rebuild over the live documents.
+//! reads of every live document; a candidate fetch is one CRC-checked
+//! positioned read of its unit. Results at any generation are therefore
+//! identical to a from-scratch rebuild over the live documents.
 
 use crate::cursor::{OffsetCursor, SeqMapCursor};
 use crate::error::Result;

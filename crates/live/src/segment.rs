@@ -126,26 +126,11 @@ pub struct Segment {
     pub seqs: Arc<Vec<DocId>>,
 }
 
-/// Wraps `corpus` in a read-through document cache of `cache_bytes`
-/// (0 leaves it uncached).
-pub(crate) fn maybe_cache(corpus: DiskCorpus, cache_bytes: usize) -> DiskCorpus {
-    if cache_bytes > 0 {
-        corpus.with_cache(cache_bytes)
-    } else {
-        corpus
-    }
-}
-
 impl Segment {
-    /// Opens the segment files named by `meta` under `seg_root`, with a
-    /// document cache of `cache_bytes` in front of the corpus (0
-    /// disables it).
-    pub fn open(seg_root: &Path, meta: SegmentMeta, cache_bytes: usize) -> Result<Segment> {
+    /// Opens the segment files named by `meta` under `seg_root`.
+    pub fn open(seg_root: &Path, meta: SegmentMeta) -> Result<Segment> {
         let seqs = read_seqs(&seqs_path(seg_root, meta.id))?;
-        let corpus = maybe_cache(
-            DiskCorpus::open(corpus_dir(seg_root, meta.id))?,
-            cache_bytes,
-        );
+        let corpus = DiskCorpus::open(corpus_dir(seg_root, meta.id))?;
         let index = IndexReader::open(index_path(seg_root, meta.id))?;
         let segment = Segment {
             meta,
@@ -223,8 +208,8 @@ impl SegmentWriter {
     /// ([`free_engine::select_keys`]), then one postings scan
     /// ([`free_engine::build_index`]). The index file is byte for byte
     /// what `Engine::build_on_disk` writes for the same documents.
-    pub(crate) fn mine(self, config: &EngineConfig, cache_bytes: usize) -> Result<Segment> {
-        self.seal(cache_bytes, |corpus, path| {
+    pub(crate) fn mine(self, config: &EngineConfig) -> Result<Segment> {
+        self.seal(|corpus, path| {
             let (keys, _mining) = free_engine::select_keys(corpus, config)?;
             Ok(free_engine::build_index(
                 corpus,
@@ -242,12 +227,11 @@ impl SegmentWriter {
     #[allow(clippy::expect_used)]
     pub(crate) fn seal(
         self,
-        cache_bytes: usize,
         index: impl FnOnce(&DiskCorpus, &Path) -> Result<IndexReader>,
     ) -> Result<Segment> {
         let (root, id, seqs) = (self.root, self.id, self.seqs);
         assert!(!seqs.is_empty(), "segments are never empty");
-        let corpus = maybe_cache(self.corpus.finish()?, cache_bytes);
+        let corpus = self.corpus.finish()?;
         write_seqs(&seqs_path(&root, id), &seqs)?;
         let segment = Segment {
             meta: SegmentMeta {
@@ -331,13 +315,13 @@ mod tests {
         for (seq, bytes) in docs {
             writer.append(seq, bytes).unwrap();
         }
-        let seg = writer.mine(&EngineConfig::default(), 1 << 16).unwrap();
+        let seg = writer.mine(&EngineConfig::default()).unwrap();
         assert_eq!(seg.meta.first_seq, 5);
         assert_eq!(seg.meta.last_seq, 12);
         assert_eq!(seg.local_of(9), Some(1));
         assert_eq!(seg.local_of(6), None);
         assert_eq!(seg.corpus.get(2).unwrap(), b"the quick red dog");
-        let reopened = Segment::open(&dir, seg.meta.clone(), 0).unwrap();
+        let reopened = Segment::open(&dir, seg.meta.clone()).unwrap();
         assert_eq!(reopened.seqs, seg.seqs);
         assert_eq!(reopened.num_keys(), seg.num_keys());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -34,15 +34,9 @@ impl Corpus for LiveView<'_> {
         }
     }
 
-    fn scan(&self, f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> free_corpus::Result<()> {
-        self.scan_range(0..self.0.live_docs, f)
-    }
-
     /// Positions count live documents in sequence order: each segment's,
     /// then the write buffer's. Reads the segments a range covers front
-    /// to back, checking every unit's CRC as [`Corpus::get`] does but
-    /// bypassing the segment's fetch cache, which a scan would otherwise
-    /// flush of the candidates it holds.
+    /// to back, checking every unit's CRC as [`Corpus::get`] does.
     fn scan_range(
         &self,
         positions: Range<usize>,
@@ -227,67 +221,6 @@ mod tests {
             assert_eq!(view.get(seq).unwrap(), docs[seq as usize], "{seq}");
         }
         drop(shard);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A SCAN answers what reading every live document would, and leaves
-    /// a segment's fetch cache holding what it held: no entry evicted,
-    /// no hit or miss counted.
-    #[test]
-    fn a_scan_leaves_the_fetch_cache_alone() {
-        let dir = std::env::temp_dir().join(format!("free-live-view-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut shard = Shard::create(&dir, LiveConfig::default()).unwrap();
-        let docs: Vec<Vec<u8>> = (0..40)
-            .map(|i| format!("document {i} says {}", "la ".repeat(i)).into_bytes())
-            .collect();
-        shard.add_batch_deferred(&docs[..30]).unwrap();
-        shard.flush().unwrap();
-        shard.add_batch_deferred(&docs[30..]).unwrap();
-        for seq in [3, 33] {
-            shard.delete(seq).unwrap();
-        }
-        let snapshot = shard.snapshot();
-        let view = LiveView(&snapshot);
-        let corpus = &snapshot.segments[0].corpus;
-        let candidates = [1, 5, 7];
-        for seq in candidates {
-            view.get(seq).unwrap();
-        }
-        let warm = corpus.cache_stats().unwrap();
-
-        let mut seen = Vec::new();
-        view.scan(&mut |seq, bytes| {
-            seen.push((seq, bytes.to_vec()));
-            true
-        })
-        .unwrap();
-        let want: Vec<(DocId, Vec<u8>)> = (0..40)
-            .filter(|seq| ![3, 33].contains(seq))
-            .map(|seq| (seq, docs[seq as usize].clone()))
-            .collect();
-        assert_eq!(seen, want);
-        assert_eq!(
-            corpus.cache_stats().unwrap(),
-            warm,
-            "the scan counted nothing"
-        );
-        for seq in candidates {
-            view.get(seq).unwrap();
-        }
-        assert_eq!(
-            corpus.cache_stats().unwrap(),
-            (warm.0 + 3, warm.1),
-            "every candidate is still cached"
-        );
-
-        let mut visited = 0;
-        view.scan(&mut |_, _| {
-            visited += 1;
-            visited < 5
-        })
-        .unwrap();
-        assert_eq!(visited, 5, "a scan stops when told to");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -550,6 +550,62 @@ fn compaction_refuses_corrupt_documents() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Every read of a segment document checks its CRC, however often the
+/// document was read before: after a byte of a unit that `get` and an
+/// INDEXED query have both fetched is flipped on disk, the next `get` and
+/// the next query that fetches it fail with `Error::Corrupt` rather than
+/// serving the bytes they read earlier.
+#[test]
+fn every_live_fetch_is_checked() {
+    use free_engine::PlanClass;
+    use std::os::unix::fs::FileExt;
+    let dir = tmp_dir("fetch-checked");
+    let pages = synth_pages();
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&pages).unwrap();
+    live.flush().unwrap();
+    let snapshot = live.snapshot();
+    let pattern = "ebay";
+    let result = snapshot.query(pattern).unwrap();
+    assert_eq!(result.stats.base.plan_class, PlanClass::Indexed);
+    assert!(!result.stats.base.used_scan);
+    let seq = result.matches.first().expect("a page mentions ebay").seq;
+    assert_eq!(snapshot.get(seq).unwrap(), pages[seq as usize]);
+
+    // The only segment holds every page, its local ids in sequence order.
+    let at: usize = pages[..seq as usize].iter().map(Vec::len).sum();
+    let data = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(dir.join("segments/seg-0.corpus/corpus.dat"))
+        .unwrap();
+    let mut byte = [0u8];
+    data.read_exact_at(&mut byte, at as u64).unwrap();
+    data.write_all_at(&[byte[0] ^ 0x20], at as u64).unwrap();
+
+    // A query's fetch fails inside the engine's confirmation.
+    let corrupt = |e: &Error| {
+        use free_corpus::Error::Corrupt;
+        let unit = format!("data unit {seq} fails its CRC");
+        matches!(e, Error::Corpus(Corrupt(m)) | Error::Engine(free_engine::Error::Corpus(Corrupt(m)))
+            if m.contains(&unit))
+    };
+    let got = snapshot.get(seq);
+    assert!(
+        got.as_ref().is_err_and(corrupt),
+        "{:?}",
+        got.map(|d| d.len())
+    );
+    let got = snapshot.query(pattern);
+    assert!(
+        got.as_ref().is_err_and(corrupt),
+        "{:?}",
+        got.map(|r| r.matches.len())
+    );
+    drop(live);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A flush into an index with a dictionary neither mines nor scans: the
 /// segment holds exactly the postings a batch build over its documents
 /// with the dictionary's keys (counted by a matcher scan) would, and the

@@ -105,7 +105,6 @@ fn run_stress(
             // recorded schedule is exact.
             flush_threshold_bytes: u64::MAX,
             flush_threshold_docs: usize::MAX,
-            ..LiveConfig::default()
         },
         shards,
     )

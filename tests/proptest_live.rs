@@ -107,7 +107,6 @@ proptest! {
                 // Only explicit Flush ops flush, so schedules are exact.
                 flush_threshold_bytes: u64::MAX,
                 flush_threshold_docs: usize::MAX,
-                ..LiveConfig::default()
             },
         )
         .unwrap();

@@ -61,7 +61,6 @@ fn live_config() -> LiveConfig {
         // Only explicit Flush ops flush, so schedules are exact.
         flush_threshold_bytes: u64::MAX,
         flush_threshold_docs: usize::MAX,
-        ..LiveConfig::default()
     }
 }
 
