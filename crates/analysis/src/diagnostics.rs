@@ -94,13 +94,6 @@ pub mod codes {
     /// The key directory violates the miner's prefix-free invariant
     /// (advisory: a complete-gram index legitimately does this).
     pub const PREFIX_FREE: &str = "FA424";
-    /// The on-disk gram dictionary is inconsistent with the selector the
-    /// manifest records (e.g. a fixed-k trigram index containing keys of
-    /// another length, or a recorded selector spec that no longer
-    /// parses). The index still answers correctly — the planner consults
-    /// the actual key set — but rebuilds and compactions will not
-    /// reproduce it, so the recorded provenance is a lie.
-    pub const SELECTOR_MISMATCH: &str = "FA425";
     /// A live segment other than the oldest holds a key outside the
     /// dictionary (the oldest segment's keys), which queries never read.
     pub const OUTSIDE_DICTIONARY: &str = "FA426";

@@ -344,49 +344,6 @@ fn check_prefix_free(idx: &IndexReader, path: &Path, what: &str, r: &mut FsckRep
     }
 }
 
-/// L2 selector ↔ key-directory cross-check (`FA425`): when a manifest
-/// records the gram-selection strategy, every key in the dictionary must
-/// be one that selector could have produced (a fixed-k index must hold
-/// only k-byte keys). The index still answers correctly — the planner
-/// consults the actual key set — but an error here means rebuilds and
-/// compaction re-mining will not reproduce this dictionary, so the
-/// recorded provenance is wrong.
-fn check_selector(idx: &IndexReader, spec: &str, what: &str, r: &mut FsckReport) {
-    let parsed = match free_engine::SelectorSpec::parse(spec) {
-        Ok(p) => p,
-        Err(e) => {
-            r.diagnostics.push(diag(
-                codes::SELECTOR_MISMATCH,
-                Severity::Error,
-                format!("{what}: manifest records unusable selector {spec:?}: {e}"),
-            ));
-            return;
-        }
-    };
-    let selector = free_engine::selector_for(&parsed);
-    let mut violations = 0usize;
-    let mut examples: Vec<String> = Vec::new();
-    for key in idx.keys() {
-        if let Some(why) = selector.check_key(key) {
-            violations += 1;
-            if examples.len() < 3 {
-                examples.push(format!("{:?} ({why})", printable(key)));
-            }
-        }
-    }
-    if violations > 0 {
-        r.diagnostics.push(diag(
-            codes::SELECTOR_MISMATCH,
-            Severity::Error,
-            format!(
-                "{what}: {violations} key(s) could not have been produced by the \
-                 recorded selector {spec}, e.g. {}",
-                examples.join(", ")
-            ),
-        ));
-    }
-}
-
 /// L0 over one corpus store. Returns the opened store for cross-checks.
 fn check_corpus(dir: &Path, what: &str, r: &mut FsckReport) -> Option<DiskCorpus> {
     r.artifacts_checked += 1;
@@ -604,24 +561,6 @@ fn fsck_sharded(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
                 ));
             }
         }
-        // L2: the shard must mine with the strategy the sharded manifest
-        // commits — a divergence means future flushes in that shard use a
-        // different gram dictionary than its siblings (FA425).
-        if let Ok(sm) = Manifest::load(&sdir) {
-            if sm.selector != manifest.selector {
-                r.diagnostics.push(diag(
-                    codes::SELECTOR_MISMATCH,
-                    Severity::Error,
-                    format!(
-                        "shard {s} records selector {} but the sharded manifest \
-                         commits {}; flushes in that shard mine with a different \
-                         strategy than its siblings",
-                        sm.selector.as_deref().unwrap_or("<default apriori>"),
-                        manifest.selector.as_deref().unwrap_or("<default apriori>"),
-                    ),
-                ));
-            }
-        }
         locals.push(shard_next_seq(&sdir));
     }
     // L2: shard-K directories on disk the manifest does not commit.
@@ -744,31 +683,12 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
             return r;
         }
     };
-    // L2: the recorded gram-selection strategy must be usable — reopening
-    // the index parses it, and every flush/compaction re-mines with it.
-    let mut selector: Option<&str> = None;
-    if let Some(spec) = &manifest.selector {
-        match free_engine::SelectorSpec::parse(spec) {
-            Ok(_) => selector = Some(spec),
-            Err(e) => {
-                r.diagnostics.push(diag(
-                    codes::SELECTOR_MISMATCH,
-                    Severity::Error,
-                    format!(
-                        "manifest in {} records unusable selector {spec:?}: {e}; the \
-                         index will refuse to open",
-                        dir.display()
-                    ),
-                ));
-            }
-        }
-    }
     let seg_root = dir.join(free_live::SEGMENTS_DIR);
     // The dictionary: the oldest segment's key directory.
     let mut dictionary: Option<IndexReader> = None;
     for (i, meta) in manifest.segments.iter().enumerate() {
         let keys = dictionary.as_ref().map(IndexReader::keys);
-        let idx = check_segment(&seg_root, meta, selector, keys, opts, &mut r);
+        let idx = check_segment(&seg_root, meta, keys, opts, &mut r);
         if i == 0 {
             dictionary = idx;
         }
@@ -883,15 +803,12 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
     r
 }
 
-/// All layers over one sealed segment. `selector` is the live manifest's
-/// recorded (and already parse-checked) gram-selection strategy, when
-/// any; `dictionary` is the live index's dictionary, `None` for the
-/// oldest segment, whose own directory it is. Returns the segment's
+/// All layers over one sealed segment. `dictionary` is the live index's
+/// dictionary, `None` for the oldest segment, whose own directory it is. Returns the segment's
 /// index when it is readable.
 fn check_segment(
     seg_root: &Path,
     meta: &SegmentMeta,
-    selector: Option<&str>,
     dictionary: Option<&[Key]>,
     opts: &FsckOptions,
     r: &mut FsckReport,
@@ -967,10 +884,6 @@ fn check_segment(
     }
     // L0/L1: the index, with doc ids bounded by the committed count.
     let idx = check_index_file(&idx_path, &what, Some(meta.num_docs), r);
-    // L2: keys must be producible by the recorded selector (FA425).
-    if let (Some(idx), Some(spec)) = (&idx, selector) {
-        check_selector(idx, spec, &what, r);
-    }
     // L2: a younger segment indexes only the dictionary's keys.
     let outside = dictionary.zip(idx.as_ref()).map_or(0, |(dict, idx)| {
         let outside = idx.keys().iter().filter(|k| dict.binary_search(k).is_err());
@@ -1014,7 +927,6 @@ fn fsck_batch(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
     let idx_path = dir.join("idx.free");
     let mut files: Vec<std::path::PathBuf> = Vec::new();
     let mut checksum: Option<String> = None;
-    let mut selector: Option<String> = None;
     r.artifacts_checked += 1;
     match std::fs::read_to_string(&manifest_path) {
         Ok(text) => {
@@ -1022,7 +934,6 @@ fn fsck_batch(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
                 match line.split_once('=') {
                     Some(("file", v)) => files.push(v.into()),
                     Some(("checksum", v)) => checksum = Some(v.trim().to_string()),
-                    Some(("selector", v)) => selector = Some(v.trim().to_string()),
                     Some(_) => {}
                     None => {
                         r.diagnostics.push(diag(
@@ -1115,9 +1026,6 @@ fn fsck_batch(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
         Some(files.len() as DocId)
     };
     let idx = check_index_file(&idx_path, "index", doc_bound, &mut r);
-    if let (Some(idx), Some(spec)) = (&idx, &selector) {
-        check_selector(idx, spec, "index", &mut r);
-    }
     if opts.deep {
         if let Some(idx) = idx {
             let files = files.clone();
@@ -1323,83 +1231,6 @@ mod tests {
             "{}",
             r.render_human()
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn selector_mismatch_is_flagged() {
-        let dir = tmpdir("selector");
-        // A batch manifest recording a trigram selector over an index
-        // whose dictionary holds a 2-byte key: the provenance is wrong.
-        let mut w = IndexWriter::create(dir.join("idx.free")).unwrap();
-        w.add(b"ab", &Postings::from_sorted(&[0])).unwrap();
-        w.add(b"abc", &Postings::from_sorted(&[0])).unwrap();
-        drop(w.finish().unwrap());
-        std::fs::write(
-            dir.join("manifest.txt"),
-            "version=1\nselector=trigram:k=3\n",
-        )
-        .unwrap();
-        let r = fsck(&dir, &FsckOptions::default()).unwrap();
-        assert_eq!(r.kind, "batch");
-        let hits = r.with_code(codes::SELECTOR_MISMATCH);
-        assert_eq!(hits.len(), 1, "{}", r.render_human());
-        assert_eq!(hits[0].severity, Severity::Error);
-        assert!(hits[0].message.contains("\"ab\""), "{}", hits[0].message);
-
-        // An all-3-byte dictionary is consistent with the selector.
-        let mut w = IndexWriter::create(dir.join("idx.free")).unwrap();
-        w.add(b"abc", &Postings::from_sorted(&[0])).unwrap();
-        drop(w.finish().unwrap());
-        let r = fsck(&dir, &FsckOptions::default()).unwrap();
-        assert_eq!(
-            r.with_code(codes::SELECTOR_MISMATCH).len(),
-            0,
-            "{}",
-            r.render_human()
-        );
-
-        // A recorded selector that no longer parses is itself an error.
-        std::fs::write(
-            dir.join("manifest.txt"),
-            "version=1\nselector=trigram:k=0\n",
-        )
-        .unwrap();
-        let r = fsck(&dir, &FsckOptions::default()).unwrap();
-        assert_eq!(
-            r.with_code(codes::SELECTOR_MISMATCH).len(),
-            1,
-            "{}",
-            r.render_human()
-        );
-        assert!(r.has_errors());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn shard_selector_divergence_is_flagged() {
-        let dir = tmpdir("selector-shard");
-        let root = dir.join("idx");
-        let idx = free_live::LiveIndex::create_sharded(&root, free_live::LiveConfig::default(), 2)
-            .unwrap();
-        drop(idx);
-        let r = fsck(&root, &FsckOptions::default()).unwrap();
-        assert_eq!(
-            r.with_code(codes::SELECTOR_MISMATCH).len(),
-            0,
-            "{}",
-            r.render_human()
-        );
-        // Rewrite shard 0's manifest to claim a different strategy than
-        // the sharded manifest commits.
-        let sdir = free_live::shard_dir(&root, 0);
-        let mut m = Manifest::load(&sdir).unwrap();
-        m.selector = Some("trigram:k=3".into());
-        m.store(&sdir).unwrap();
-        let r = fsck(&root, &FsckOptions::default()).unwrap();
-        let hits = r.with_code(codes::SELECTOR_MISMATCH);
-        assert_eq!(hits.len(), 1, "{}", r.render_human());
-        assert!(r.has_errors());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -35,11 +35,6 @@ pub struct WorkloadOptions {
     /// `FA601` fires when a SCAN-class pattern appears at least this
     /// many times.
     pub scan_repeat_threshold: usize,
-    /// The query-log directory the records came from, when known.
-    /// [`analyze_workload`] fills it in automatically; with it, `FA601`
-    /// can name the exact `free build --selector workload:qlog=DIR`
-    /// invocation that mines an index from this very workload.
-    pub qlog_dir: Option<std::path::PathBuf>,
     /// `FA602` fires when aggregate candidates exceed this multiple of
     /// aggregate matching documents (over complete records only).
     pub drift_factor: f64,
@@ -57,7 +52,6 @@ impl Default for WorkloadOptions {
     fn default() -> WorkloadOptions {
         WorkloadOptions {
             scan_repeat_threshold: 3,
-            qlog_dir: None,
             drift_factor: 4.0,
             drift_min_candidates: 64,
             concentration_share: 0.5,
@@ -294,13 +288,7 @@ pub fn analyze_workload(dir: &Path, opts: &WorkloadOptions) -> std::io::Result<W
     }
     report.queries = records.len();
     report.slow = records.iter().filter(|r| r.slow).count();
-    // Fill in the log's own directory so FA601 can spell out the
-    // workload-selector rebuild against it.
-    let mut opts = opts.clone();
-    if opts.qlog_dir.is_none() {
-        opts.qlog_dir = Some(dir.to_path_buf());
-    }
-    report.diagnostics = analyze_records(&records, &opts);
+    report.diagnostics = analyze_records(&records, opts);
     Ok(report)
 }
 
@@ -351,18 +339,10 @@ pub fn analyze_records(records: &[QueryRecord], opts: &WorkloadOptions) -> Vec<D
                      every execution walks the whole corpus"
                 ),
             )
-            .with_suggestion(match &opts.qlog_dir {
-                Some(dir) => format!(
-                    "run `free analyze` on the pattern; anchoring it with a literal \
-                     of length >= 2 lets the multigram index prune — or rebuild with \
-                     the workload-aware selector so the index mines its grams from \
-                     this log: `free build --selector workload:qlog={} --force <ROOT>`",
-                    dir.display()
-                ),
-                None => "run `free analyze` on the pattern; anchoring it with a literal \
-                         of length >= 2 lets the multigram index prune"
-                    .to_string(),
-            }),
+            .with_suggestion(
+                "run `free analyze` on the pattern; anchoring it with a literal \
+                 of length >= 2 lets the multigram index prune",
+            ),
         );
     }
 
@@ -499,21 +479,8 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, codes::HOT_SCAN_PATTERN);
         assert!(diags[0].message.contains("3 times"));
-        // Without a known log directory the hint stays generic…
         let hint = diags[0].suggestion.as_deref().unwrap();
-        assert!(!hint.contains("workload:qlog="), "{hint}");
-        // …and with one (what `analyze_workload` fills in) it spells out
-        // the exact workload-selector rebuild.
-        let opts = WorkloadOptions {
-            qlog_dir: Some("/var/log/free".into()),
-            ..WorkloadOptions::default()
-        };
-        let diags = analyze_records(&records, &opts);
-        let hint = diags[0].suggestion.as_deref().unwrap();
-        assert!(
-            hint.contains("--selector workload:qlog=/var/log/free"),
-            "{hint}"
-        );
+        assert!(hint.contains("free analyze"), "{hint}");
     }
 
     #[test]

@@ -22,16 +22,8 @@
 //!             open-loop against the same index, verify every recorded
 //!             result count, and mine the log for FA6xx workload
 //!             diagnostics (report also written to results/replay.txt)
-//!   selection-shootout  gram-selection strategy shootout: build the same
-//!             corpus under every GramSelector backend (a-priori,
-//!             trigram, budgeted, workload-aware) and compare index
-//!             size, build time, grams kept, plan-class mix, and query
-//!             p50/p99 over the benchmark queries plus a replayed
-//!             captured workload; asserts every strategy answers every
-//!             query identically (report also written to
-//!             results/selection_shootout.txt)
-//!   all       everything above (except disk, grams, shard-scaling,
-//!             replay, and selection-shootout)
+//!   all       everything above (except disk, grams, shard-scaling
+//!             and replay)
 //!
 //! Options:
 //!   --docs N      number of synthetic pages (default 2000)
@@ -96,15 +88,11 @@ fn main() {
         .collect();
     }
 
-    // `disk`, `shard-scaling`, `replay` and `selection-shootout` build
-    // their own pipelines; only the paper figures need the four prebuilt
-    // in-memory indexes.
-    let needs_experiment = commands.iter().any(|c| {
-        !matches!(
-            c.as_str(),
-            "disk" | "shard-scaling" | "replay" | "selection-shootout"
-        )
-    });
+    // `disk`, `shard-scaling` and `replay` build their own pipelines;
+    // only the paper figures need the four prebuilt in-memory indexes.
+    let needs_experiment = commands
+        .iter()
+        .any(|c| !matches!(c.as_str(), "disk" | "shard-scaling" | "replay"));
     let experiment = if needs_experiment {
         eprintln!(
             "# building experiment: {} docs, seed {:#x}, c={}, repeats={}",
@@ -157,7 +145,6 @@ fn main() {
             "grams" => run_gram_report(exp()),
             "shard-scaling" => run_shard_scaling(&config),
             "replay" => run_replay(&config),
-            "selection-shootout" => run_selection_shootout(&config),
             other => usage(&format!("unknown command {other}")),
         };
         println!("{rendered}");
@@ -541,204 +528,6 @@ fn run_replay(config: &ExperimentConfig) -> String {
     out
 }
 
-/// Gram-selection strategy shootout (`selection-shootout`): builds the
-/// same synthetic corpus under every [`free_engine::GramSelector`]
-/// backend — the paper's a-priori miner (reference), the fixed-k trigram
-/// baseline, the budgeted threshold sweep, and the workload-aware
-/// selector mining from a captured query log — then compares index
-/// size, build time, grams kept, plan-class mix, and query latency
-/// percentiles over the ten benchmark queries plus every pattern
-/// replayed from the captured log. Selectors compete on size and speed
-/// only: the run asserts every strategy answers every query with
-/// byte-identical document sets, and aborts otherwise. The report is
-/// also written to `results/selection_shootout.txt`.
-fn run_selection_shootout(config: &ExperimentConfig) -> String {
-    use free_bench::queries::benchmark_queries;
-    use free_engine::{PlanClass, SelectorSpec};
-    use std::fmt::Write as _;
-
-    const CAPTURE_ROUNDS: usize = 2;
-    const TIMED_REPEATS: usize = 3;
-    let log_dir = std::env::temp_dir().join(format!("free-shootout-qlog-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&log_dir);
-
-    let synth = free_corpus::synth::SynthConfig {
-        num_docs: config.num_docs,
-        seed: config.seed,
-        ..free_corpus::synth::SynthConfig::default()
-    };
-    let (corpus, _) = free_corpus::synth::Generator::new(synth).build_mem();
-    let base = EngineConfig {
-        usefulness_threshold: config.usefulness_threshold,
-        max_gram_len: config.max_gram_len,
-        ..EngineConfig::default()
-    };
-
-    // Phase 1 — capture a workload against the reference (a-priori)
-    // engine. The workload selector mines its gram candidates from this
-    // very log; a 2ms slow threshold gives it slow-query weighting to
-    // chew on.
-    eprintln!("# selection-shootout: capturing workload against the a-priori reference ...");
-    let reference = Engine::build_in_memory(corpus.clone(), base.clone()).expect("reference build");
-    let apriori_bytes = reference.build_stats().index_stats.total_bytes();
-    let writer = free_trace::LogWriter::create(&log_dir).expect("create query log");
-    free_trace::qlog::install(writer);
-    free_trace::qlog::set_slow_threshold_ns(Some(2_000_000));
-    let queries = free_bench::queries::benchmark_queries();
-    for _ in 0..CAPTURE_ROUNDS {
-        for q in &queries {
-            let mut r = reference.query(q.pattern).expect("capture query");
-            let _ = r.matching_docs().expect("capture result");
-        }
-    }
-    free_trace::qlog::shutdown();
-    free_trace::qlog::set_slow_threshold_ns(None);
-    drop(reference);
-
-    // The query set: the ten benchmark queries plus every distinct
-    // pattern replayed out of the captured log (here the same ten, which
-    // proves the log round-trips; a production log would add more).
-    let mut patterns: Vec<String> = benchmark_queries()
-        .iter()
-        .map(|q| q.pattern.to_string())
-        .collect();
-    let replayed = free_trace::qlog::read_dir(&log_dir).expect("read query log");
-    for seg in &replayed {
-        for line in seg.trusted_records() {
-            if let Some(q) = free_analyze::workload::QueryRecord::parse(line) {
-                if !patterns.contains(&q.pattern) {
-                    patterns.push(q.pattern);
-                }
-            }
-        }
-    }
-
-    // Phase 2 — build the same corpus under each strategy. The budgeted
-    // sweep gets half the reference index's bytes, so it has to actually
-    // trade grams for space rather than rubber-stamp the default.
-    let strategies: Vec<(&str, SelectorSpec)> = vec![
-        ("apriori", SelectorSpec::default()),
-        ("trigram", SelectorSpec::Trigram { k: 3 }),
-        (
-            "budgeted",
-            SelectorSpec::Budgeted {
-                budget: (apriori_bytes / 2).max(1),
-                c: None,
-                steps: 8,
-            },
-        ),
-        (
-            "workload",
-            SelectorSpec::Workload {
-                qlog: log_dir.clone(),
-                c: None,
-                max_grams: 0,
-            },
-        ),
-    ];
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Gram-selection shootout — {} docs, {} queries x {TIMED_REPEATS} repeat(s) per strategy",
-        config.num_docs,
-        patterns.len()
-    );
-    let _ = writeln!(
-        out,
-        "{:<10}{:>8}{:>12}{:>12}{:>16}{:>10}{:>10}",
-        "strategy", "grams", "index B", "build", "plan I/W/S", "p50", "p99"
-    );
-
-    // Reference answers: pattern -> sorted matching doc ids. Every other
-    // strategy must reproduce these exactly.
-    let mut reference_docs: Vec<Vec<u32>> = Vec::new();
-    let mut spec_lines: Vec<String> = Vec::new();
-
-    for (si, (name, spec)) in strategies.iter().enumerate() {
-        let build_start = Instant::now();
-        let engine = Engine::build_in_memory(
-            corpus.clone(),
-            EngineConfig {
-                selector: spec.clone(),
-                ..base.clone()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{name} build: {e}"));
-        let build_time = build_start.elapsed();
-        let stats = engine.build_stats();
-        spec_lines.push(format!("{name}: --selector {spec}"));
-
-        let mut nanos: Vec<u64> = Vec::with_capacity(patterns.len() * TIMED_REPEATS);
-        let mut classes = [0usize; 3]; // INDEXED / WEAK / SCAN
-        for (qi, pattern) in patterns.iter().enumerate() {
-            let mut docs: Vec<u32> = Vec::new();
-            for rep in 0..TIMED_REPEATS {
-                let start = Instant::now();
-                let mut r = engine.query(pattern).expect("shootout query");
-                let d = r.matching_docs().expect("shootout result").to_vec();
-                nanos.push(start.elapsed().as_nanos() as u64);
-                if rep == 0 {
-                    match r.stats().plan_class {
-                        PlanClass::Indexed => classes[0] += 1,
-                        PlanClass::Weak => classes[1] += 1,
-                        PlanClass::Scan => classes[2] += 1,
-                    }
-                    docs = d;
-                }
-            }
-            if si == 0 {
-                reference_docs.push(docs);
-            } else {
-                assert_eq!(
-                    docs, reference_docs[qi],
-                    "{name} diverges from apriori on {pattern:?}"
-                );
-            }
-        }
-        nanos.sort_unstable();
-        let pct = |q: f64| -> f64 {
-            if nanos.is_empty() {
-                return 0.0;
-            }
-            let i = ((nanos.len() - 1) as f64 * q).round() as usize;
-            nanos[i] as f64 / 1_000.0
-        };
-        let _ = writeln!(
-            out,
-            "{:<10}{:>8}{:>12}{:>12}{:>16}{:>9.0}u{:>9.0}u",
-            name,
-            stats.index_stats.num_keys,
-            stats.index_stats.total_bytes(),
-            format!("{:.0?}", build_time),
-            format!("{}/{}/{}", classes[0], classes[1], classes[2]),
-            pct(0.50),
-            pct(0.99),
-        );
-    }
-
-    let _ = writeln!(
-        out,
-        "all {} strategies answered {} queries identically (doc sets byte-equal)",
-        strategies.len(),
-        patterns.len()
-    );
-    let _ = writeln!(out, "selector specs:");
-    for line in &spec_lines {
-        let _ = writeln!(out, "  {line}");
-    }
-
-    let _ = std::fs::remove_dir_all(&log_dir);
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/selection_shootout.txt", &out))
-    {
-        eprintln!("# could not write results/selection_shootout.txt: {e}");
-    } else {
-        eprintln!("# report written to results/selection_shootout.txt");
-    }
-    out
-}
-
 /// Sharded live-index scaling benchmark (`shard-scaling`): streams the
 /// same synthetic corpus into sharded live indexes at 1/2/4/8 shards,
 /// timing the full ingest (WAL append + memtable + threshold-triggered
@@ -923,7 +712,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: experiments [--docs N] [--seed S] [--c X] [--repeats N] [--csv DIR] \
          <table3|fig9|fig10|fig11|fig12|latency|ablate|disk|grams|shard-scaling|\
-         replay|selection-shootout|all>..."
+         replay|all>..."
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -91,11 +91,9 @@ pub struct IndexOptions {
     pub extensions: Vec<String>,
     /// Directory names to skip.
     pub skip_dirs: Vec<String>,
-    /// Usefulness threshold `c`.
+    /// Usefulness threshold `c`, `0 < c <= 1`: the one knob of key
+    /// selection.
     pub threshold: f64,
-    /// Gram-selection strategy (`--selector NAME[:k=v,...]`); recorded in
-    /// the manifest so reopen and fsck use the same strategy.
-    pub selector: free_engine::SelectorSpec,
     /// Print a progress line per a-priori mining pass (to stderr, live).
     pub verbose: bool,
     /// Overwrite an existing index in `index_dir`. Without this, building
@@ -119,18 +117,10 @@ impl IndexOptions {
                 "node_modules".into(),
             ],
             threshold: 0.1,
-            selector: free_engine::SelectorSpec::default(),
             verbose: false,
             force: false,
         }
     }
-}
-
-/// Parses a `--selector NAME[:k=v,...]` argument, turning selector
-/// validation failures into usage errors (the `--shards 0` precedent:
-/// degenerate parameters are refused before any file is touched).
-pub fn parse_selector(spec: &str) -> Result<free_engine::SelectorSpec> {
-    free_engine::SelectorSpec::parse(spec).map_err(|e| CliError::Usage(e.to_string()))
 }
 
 const MANIFEST_FILE: &str = "manifest.txt";
@@ -167,6 +157,21 @@ pub fn build_index(options: &IndexOptions) -> Result<String> {
 /// Like [`build_index`], but also returns the engine's build statistics
 /// (for `--stats-json`).
 pub fn build_index_report(options: &IndexOptions) -> Result<(String, free_engine::BuildStats)> {
+    // A degenerate configuration (`--c 0`, `--c 1.5`) is a usage error
+    // refused before any file is read or written (the `--shards 0`
+    // precedent).
+    let config = EngineConfig {
+        usefulness_threshold: options.threshold,
+        tracer: if options.verbose {
+            verbose_tracer()
+        } else {
+            free_trace::Tracer::disabled()
+        },
+        ..EngineConfig::default()
+    };
+    config
+        .validate()
+        .map_err(|e| CliError::Usage(e.to_string()))?;
     let exts: Vec<&str> = options.extensions.iter().map(String::as_str).collect();
     let skips: Vec<&str> = options.skip_dirs.iter().map(String::as_str).collect();
     let corpus = FsCorpus::open(&options.root, &exts, &skips)?;
@@ -188,16 +193,6 @@ pub fn build_index_report(options: &IndexOptions) -> Result<(String, free_engine
         )));
     }
     std::fs::create_dir_all(&options.index_dir)?;
-    let config = EngineConfig {
-        usefulness_threshold: options.threshold,
-        selector: options.selector.clone(),
-        tracer: if options.verbose {
-            verbose_tracer()
-        } else {
-            free_trace::Tracer::disabled()
-        },
-        ..EngineConfig::default()
-    };
     let engine = Engine::build_on_disk(corpus, config, options.index_dir.join(INDEX_FILE))?;
     let stats = engine.build_stats();
 
@@ -209,9 +204,6 @@ pub fn build_index_report(options: &IndexOptions) -> Result<(String, free_engine
     let _ = writeln!(manifest, "version=1");
     let _ = writeln!(manifest, "root={}", options.root.display());
     let _ = writeln!(manifest, "threshold={}", options.threshold);
-    if !options.selector.is_default() {
-        let _ = writeln!(manifest, "selector={}", options.selector);
-    }
     let _ = writeln!(
         manifest,
         "checksum={:08x}",
@@ -261,7 +253,6 @@ impl SearchIndex {
         })?;
         let mut root: Option<PathBuf> = None;
         let mut threshold = 0.1f64;
-        let mut selector = free_engine::SelectorSpec::default();
         let mut files: Vec<PathBuf> = Vec::new();
         for (lineno, line) in manifest.lines().enumerate() {
             let Some((key, value)) = line.split_once('=') else {
@@ -283,11 +274,6 @@ impl SearchIndex {
                         .map_err(|_| CliError::Manifest(format!("bad threshold {value:?}")))?;
                 }
                 "file" => files.push(PathBuf::from(value)),
-                "selector" => {
-                    selector = free_engine::SelectorSpec::parse(value).map_err(|e| {
-                        CliError::Manifest(format!("manifest selector {value:?}: {e}"))
-                    })?;
-                }
                 _ => {} // forward compatible
             }
         }
@@ -296,7 +282,6 @@ impl SearchIndex {
         let config = EngineConfig {
             usefulness_threshold: threshold,
             num_threads: threads,
-            selector,
             ..EngineConfig::default()
         };
         let engine = Engine::open(corpus, config, index_dir.join(INDEX_FILE))?;
@@ -422,7 +407,7 @@ impl SearchIndex {
 
     /// Static pattern analysis refined against this index's actual gram
     /// dictionary (`free analyze --index DIR`): the plan class reflects
-    /// which grams the active selector kept and how selective they are,
+    /// which grams the index holds and how selective they are,
     /// instead of the shape-only judgment. Exit status mirrors plain
     /// `analyze`: 1 when the report has errors, 0 otherwise.
     pub fn analyze(&self, pattern: &str, json: bool) -> (String, i32) {
@@ -516,31 +501,20 @@ pub(crate) fn live_stats_json(idx: &LiveIndex) -> String {
 /// `free create`: initializes an empty live index at `dir` over `shards`
 /// independent shards with round-robin document routing (the count is
 /// fixed for the lifetime of the directory; one shard is rooted at `dir`
-/// itself). The selection strategy is likewise fixed at create time and
-/// persisted in the manifest(s) so flushes and compactions keep
-/// re-mining with it.
-pub fn live_create(
-    dir: &Path,
-    shards: usize,
-    selector: free_engine::SelectorSpec,
-) -> Result<String> {
+/// itself).
+pub fn live_create(dir: &Path, shards: usize) -> Result<String> {
     if shards == 0 {
         return Err(CliError::Usage(format!(
             "--shards must be between 1 and {} (got 0)",
             free_live::MAX_SHARDS
         )));
     }
-    let mut note = if shards == 1 {
+    let note = if shards == 1 {
         String::new()
     } else {
         format!(" with {shards} shards")
     };
-    if !selector.is_default() {
-        let _ = write!(note, " (selector {selector})");
-    }
-    let mut config = live_config(0);
-    config.engine.selector = selector;
-    LiveIndex::create_sharded(dir, config, shards)?;
+    LiveIndex::create_sharded(dir, live_config(0), shards)?;
     Ok(format!("created live index at {}{note}\n", dir.display()))
 }
 
@@ -950,14 +924,14 @@ mod tests {
 
         // A zero shard count is a usage error, not a silent one-shard
         // index.
-        let zero = live_create(&live_dir, 0, free_engine::SelectorSpec::default());
+        let zero = live_create(&live_dir, 0);
         assert!(
             matches!(&zero, Err(CliError::Usage(m)) if m.contains("--shards")),
             "{zero:?}"
         );
         assert!(!live_dir.exists(), "--shards 0 must not create anything");
 
-        let created = live_create(&live_dir, shards, free_engine::SelectorSpec::default()).unwrap();
+        let created = live_create(&live_dir, shards).unwrap();
         assert_eq!(created.contains("4 shards"), shards == 4, "{created}");
         // One shard is rooted at the directory, more sit behind a
         // sharded manifest.
@@ -966,7 +940,7 @@ mod tests {
         // Creating over an existing index must refuse, not clobber —
         // whichever layout either side has.
         for again in [1, 2] {
-            assert!(live_create(&live_dir, again, free_engine::SelectorSpec::default()).is_err());
+            assert!(live_create(&live_dir, again).is_err());
         }
 
         let out = live_add(&live_dir, &files).unwrap();

@@ -1,13 +1,13 @@
 //! `freegrep` — grep with a prebuilt gram index (the paper's presuf shell).
 //!
 //! ```text
-//! freegrep index|build [--out DIR] [--ext rs,toml] [--c 0.1] [--selector SPEC] [--force] [--verbose] [--stats-json] <ROOT>
+//! freegrep index|build [--out DIR] [--ext rs,toml] [--c 0.1] [--force] [--verbose] [--stats-json] <ROOT>
 //! freegrep search [--index DIR] [--live DIR] [--limit N] [--threads N] [--files-only] [--stats-json] [--query-log DIR] [--slow-ms N] <PATTERN>
 //! freegrep explain [--index DIR] [--analyze] [--json] <PATTERN>
 //! freegrep analyze [--index DIR] [--json] <PATTERN>
 //! freegrep stats  [--index DIR]
 //! freegrep metrics [--index DIR] [PATTERN]
-//! freegrep create [--dir DIR] [--shards N] [--selector SPEC]
+//! freegrep create [--dir DIR] [--shards N]
 //! freegrep add [--dir DIR] <FILE>...
 //! freegrep delete [--dir DIR] <SEQ>...
 //! freegrep compact [--dir DIR]
@@ -56,7 +56,6 @@ fn run(args: &[String]) -> CmdResult {
             let mut out_dir: Option<PathBuf> = None;
             let mut extensions: Vec<String> = Vec::new();
             let mut threshold = 0.1f64;
-            let mut selector = free_engine::SelectorSpec::default();
             let mut force = false;
             let mut verbose = false;
             let mut stats_json = false;
@@ -77,11 +76,10 @@ fn run(args: &[String]) -> CmdResult {
                     }
                     "--c" => {
                         i += 1;
-                        threshold = value(rest, i, "--c")?.parse()?;
-                    }
-                    "--selector" => {
-                        i += 1;
-                        selector = freegrep::parse_selector(value(rest, i, "--selector")?)?;
+                        let c = value(rest, i, "--c")?;
+                        threshold = c
+                            .parse()
+                            .map_err(|_| format!("--c needs a number in (0,1], got {c:?}"))?;
                     }
                     "--force" => force = true,
                     "--verbose" => verbose = true,
@@ -95,7 +93,6 @@ fn run(args: &[String]) -> CmdResult {
             let mut options = IndexOptions::new(root);
             options.extensions = extensions;
             options.threshold = threshold;
-            options.selector = selector;
             options.verbose = verbose;
             options.force = force;
             if let Some(dir) = out_dir {
@@ -128,7 +125,7 @@ fn run(args: &[String]) -> CmdResult {
             let pattern = pattern.ok_or("analyze needs a PATTERN")?;
             if let Some(dir) = index_dir {
                 // With an index, refine the plan class against the gram
-                // dictionary the active selector actually kept.
+                // dictionary the index actually holds.
                 let index = SearchIndex::open_with_threads(&dir, 0)?;
                 return Ok(index.analyze(&pattern, json));
             }
@@ -239,7 +236,6 @@ fn run(args: &[String]) -> CmdResult {
         "create" => {
             let mut dir = PathBuf::from(freegrep::DEFAULT_LIVE_DIR);
             let mut shards = 1usize;
-            let mut selector = free_engine::SelectorSpec::default();
             let mut i = 0;
             while i < rest.len() {
                 match rest[i].as_str() {
@@ -251,15 +247,11 @@ fn run(args: &[String]) -> CmdResult {
                         i += 1;
                         shards = value(rest, i, "--shards")?.parse()?;
                     }
-                    "--selector" => {
-                        i += 1;
-                        selector = freegrep::parse_selector(value(rest, i, "--selector")?)?;
-                    }
                     other => return Err(format!("unknown option {other}\n{}", usage()).into()),
                 }
                 i += 1;
             }
-            Ok((freegrep::live_create(&dir, shards, selector)?, 0))
+            Ok((freegrep::live_create(&dir, shards)?, 0))
         }
         "add" | "delete" | "compact" | "segments" => {
             let mut dir = PathBuf::from(freegrep::DEFAULT_LIVE_DIR);
@@ -473,14 +465,14 @@ fn value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, String
 
 fn usage() -> String {
     "usage:\n  freegrep index|build [--out DIR] [--ext rs,toml] [--c 0.1] \
-     [--selector SPEC] [--force] [--verbose] [--stats-json] <ROOT>\n  \
+     [--force] [--verbose] [--stats-json] <ROOT>\n  \
      freegrep search [--index DIR] [--live DIR] [--limit N] [--threads N] \
      [--files-only] [--stats-json] [--query-log DIR] [--slow-ms N] <PATTERN>\n  \
      freegrep explain [--index DIR] [--analyze] [--json] <PATTERN>\n  \
      freegrep analyze [--index DIR] [--json] <PATTERN>\n  \
      freegrep stats  [--index DIR]\n  \
      freegrep metrics [--index DIR] [PATTERN]\n  \
-     freegrep create [--dir DIR] [--shards N] [--selector SPEC]\n  \
+     freegrep create [--dir DIR] [--shards N]\n  \
      freegrep add [--dir DIR] <FILE>...\n  \
      freegrep delete [--dir DIR] <SEQ>...\n  \
      freegrep compact [--dir DIR]\n  \
@@ -502,13 +494,10 @@ fn usage() -> String {
      create initializes an empty live index of N >= 1 shards (default 1, \
      rooted at DIR; N > 1 go under DIR/shard-<s>/; fixed for the \
      directory's lifetime)\n\
-     --selector SPEC picks the gram-selection strategy, recorded in the \
-     manifest: apriori[:c=0.1] (paper Algorithm 3.1, the default), \
-     trigram[:k=3] (complete fixed-k grams), \
-     budgeted:budget=64m[,c=0.5,steps=8] (sweeps c under an index-size \
-     budget), workload:qlog=DIR[,c=0.1,max_grams=N] (mines grams from a \
-     captured query log); analyze --index DIR classifies the plan against \
-     that index's actual gram dictionary\n\
+     --c C is the usefulness threshold, 0 < C <= 1 (default 0.1): the \
+     index keys are the shortest grams in at most a C share of the files \
+     (paper Algorithm 3.1), cut to their presuf shell; analyze --index DIR \
+     classifies the plan against that index's actual gram dictionary\n\
      add/delete/compact/segments operate a live (incrementally updatable) \
      index in DIR (default ./.freelive), whatever its shard count; \
      search --live DIR queries it\n\

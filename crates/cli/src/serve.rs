@@ -1322,7 +1322,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("free-serve-shard-{shards}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        crate::live_create(&dir, shards, free_engine::SelectorSpec::default()).unwrap();
+        crate::live_create(&dir, shards).unwrap();
         let (addr, handle) = start_server(&dir);
 
         let added = roundtrip(

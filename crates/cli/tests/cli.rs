@@ -402,7 +402,10 @@ fn help_prints_usage() {
     let usage = String::from_utf8_lossy(&out.stdout);
     assert!(usage.contains("usage:"), "{usage}");
     assert!(usage.contains("analyze [--index DIR] [--json]"), "{usage}");
-    assert!(usage.contains("--selector SPEC"), "{usage}");
+    assert!(
+        usage.contains("--c C is the usefulness threshold"),
+        "{usage}"
+    );
 }
 
 #[test]
@@ -683,6 +686,92 @@ fn build_refuses_overwrite_without_force() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `--c` must satisfy 0 < c <= 1: anything else is a usage error (exit 2)
+/// refused before `--out` is created. At `c = 0` no gram is useful, so the
+/// index would hold no key and every query would scan.
+#[test]
+fn degenerate_c_is_a_usage_error_that_writes_nothing() {
+    let dir = setup("bad-c");
+    let index_dir = dir.join("idx");
+    for c in ["0", "1.5", "abc"] {
+        let out = free()
+            .args(["build", "--out"])
+            .arg(&index_dir)
+            .args(["--ext", "rs", "--c", c])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--c {c}: {stderr}");
+        assert!(
+            stderr.contains("usefulness threshold") || stderr.contains("--c"),
+            "--c {c}: {stderr}"
+        );
+        assert!(
+            !index_dir.exists(),
+            "--c {c} created {}",
+            index_dir.display()
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A batch index whose manifest still names a key selector (a line older
+/// builds wrote) opens, answers and verifies exactly as without it: every
+/// manifest reader ignores keys it does not know.
+#[test]
+fn a_manifest_selector_line_is_ignored() {
+    let dir = setup("old-selector");
+    let index_dir = dir.join("idx");
+    let out = free()
+        .args(["build", "--out"])
+        .arg(&index_dir)
+        .args(["--ext", "rs", "--c", "0.9"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let search = || {
+        let out = free()
+            .args(["search", "--files-only", "--index"])
+            .arg(&index_dir)
+            .arg(r"magic_\w+|quiet")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let before = search();
+    assert!(
+        before.contains("main.rs") && before.contains("lib.rs"),
+        "{before}"
+    );
+
+    let manifest = index_dir.join("manifest.txt");
+    let mut text = std::fs::read_to_string(&manifest).unwrap();
+    text.push_str("selector=trigram:k=3\n");
+    std::fs::write(&manifest, text).unwrap();
+
+    assert_eq!(search(), before);
+    let out = free()
+        .args(["fsck", "--deep"])
+        .arg(&index_dir)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("no integrity errors"), "{stdout}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -37,7 +37,9 @@ pub struct EngineConfig {
     pub index_kind: IndexKind,
     /// The usefulness threshold `c` (Definition 3.4): a gram is useful if
     /// `sel(x) <= c`. The paper's experiments fix `c = 0.1` and suggest
-    /// tying it to the random/sequential I/O cost ratio.
+    /// tying it to the random/sequential I/O cost ratio. The one knob of
+    /// key selection; `0 < c <= 1` (at `c = 0` no gram is useful and
+    /// every query would scan).
     pub usefulness_threshold: f64,
     /// Maximum gram length indexed; the paper cuts off at 10.
     pub max_gram_len: usize,
@@ -80,13 +82,6 @@ pub struct EngineConfig {
     /// test. Attach an enabled tracer to collect parse → plan → mine →
     /// execute → confirm spans.
     pub tracer: free_trace::Tracer,
-    /// Which gram-selection strategy mines the index keys (the default is
-    /// plain Algorithm 3.1 a-priori mining). Only consulted for
-    /// [`IndexKind::Multigram`] and [`IndexKind::Presuf`] — the Complete
-    /// baseline enumerates every gram by definition. Persisted in index
-    /// manifests so reopening, fsck, and compaction re-mining all use the
-    /// strategy the index was built with.
-    pub selector: free_select::SelectorSpec,
 }
 
 impl Default for EngineConfig {
@@ -104,7 +99,6 @@ impl Default for EngineConfig {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0),
             tracer: free_trace::Tracer::disabled(),
-            selector: free_select::SelectorSpec::default(),
         }
     }
 }
@@ -136,10 +130,10 @@ impl EngineConfig {
 
     /// Validates invariants, returning a [`Error::Config`] on violation.
     pub fn validate(&self) -> Result<()> {
-        if !(0.0..=1.0).contains(&self.usefulness_threshold) {
+        let c = self.usefulness_threshold;
+        if !(c > 0.0 && c <= 1.0) {
             return Err(Error::Config(format!(
-                "usefulness threshold must be in [0,1], got {}",
-                self.usefulness_threshold
+                "usefulness threshold must be in (0,1], got {c}"
             )));
         }
         if self.max_gram_len == 0 {
@@ -154,19 +148,11 @@ impl EngineConfig {
                 self.prune_selectivity
             )));
         }
-        self.selector.validate()?;
-        if self.index_kind == IndexKind::Complete && !self.selector.is_default() {
-            return Err(Error::Config(format!(
-                "selector {} cannot combine with the Complete index kind \
-                 (complete enumeration indexes every gram by definition)",
-                self.selector
-            )));
-        }
         Ok(())
     }
 
-    /// The mining-relevant slice of this config, for dispatching to a
-    /// [`free_select::GramSelector`].
+    /// The mining-relevant slice of this config, for
+    /// [`free_select::mine_multigrams`].
     pub fn select_config(&self) -> free_select::SelectConfig {
         free_select::SelectConfig {
             usefulness_threshold: self.usefulness_threshold,
@@ -218,6 +204,14 @@ mod tests {
             },
             EngineConfig {
                 usefulness_threshold: -0.1,
+                ..Default::default()
+            },
+            EngineConfig {
+                usefulness_threshold: 0.0,
+                ..Default::default()
+            },
+            EngineConfig {
+                usefulness_threshold: f64::NAN,
                 ..Default::default()
             },
             EngineConfig {

@@ -6,7 +6,7 @@ use crate::exec::stream::{compile_plan, CandidateSource, StreamState};
 use crate::grams::GramMatcher;
 use crate::metrics::{BuildStats, QueryStats};
 use crate::prepare::PreparedQuery;
-use crate::select::{enumerate_complete, presuf_shell, selector_for, MiningStats, SelectedGram};
+use crate::select::{enumerate_complete, mine_multigrams, presuf_shell, MiningStats, SelectedGram};
 use crate::Result;
 use free_corpus::Corpus;
 use free_index::{CountedPostings, CountedRange, IndexRead, IndexReader, IndexWriter, MemIndex};
@@ -47,15 +47,11 @@ pub fn select_keys<C: Corpus>(
             Ok((grams, stats))
         }
         IndexKind::Multigram => {
-            let sel = selector_for(&config.selector).select(corpus, &config.select_config())?;
+            let sel = mine_multigrams(corpus, &config.select_config())?;
             Ok((sel.grams, sel.stats))
         }
         IndexKind::Presuf => {
-            // Every strategy's output is prefix free, so the shell's
-            // shortest-common-suffix sweep applies to all of them (for a
-            // fixed-k set it is the identity: equal-length keys cannot be
-            // proper suffixes of one another).
-            let sel = selector_for(&config.selector).select(corpus, &config.select_config())?;
+            let sel = mine_multigrams(corpus, &config.select_config())?;
             Ok((presuf_shell(sel.grams), sel.stats))
         }
     }
@@ -108,8 +104,8 @@ pub fn generate_postings<C: Corpus>(
 /// opens it: the shared final stage of every on-disk build (the batch
 /// engine, a live flush).
 ///
-/// `keys` is a selector's output: sorted, and each `doc_count` exact
-/// (the [`GramSelector`](crate::GramSelector) contract). The counts size
+/// `keys` is [`select_keys`]'s output: sorted, and each `doc_count`
+/// exact. The counts size
 /// one [`CountedPostings`] buffer of 4 bytes per posting, corpus scans
 /// fill it by key index, and it is written out in key order. If the
 /// buffer would exceed `memory_budget` bytes the keys are cut into

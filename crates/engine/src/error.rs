@@ -80,9 +80,6 @@ impl From<free_select::Error> for Error {
         match e {
             free_select::Error::Config(msg) => Error::Config(msg),
             free_select::Error::Corpus(e) => Error::Corpus(e),
-            free_select::Error::Io { context, source } => {
-                Error::Config(format!("selector I/O error ({context}): {source}"))
-            }
         }
     }
 }

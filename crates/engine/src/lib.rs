@@ -47,8 +47,9 @@ pub mod metrics;
 pub mod plan;
 pub mod prepare;
 pub mod qlog;
-/// Index key selection: the strategies live in the `free-select` crate
-/// behind [`GramSelector`]; the engine re-exports it under its old name.
+/// Index key selection: the a-priori miner, the presuf shell and the
+/// complete baseline live in the `free-select` crate; the engine
+/// re-exports it under its old name.
 pub use free_select as select;
 
 mod engine;
@@ -63,4 +64,4 @@ pub use exec::results::{DocMatches, QueryResult};
 pub use metrics::{record_build, record_query, BuildStats, QueryStats};
 pub use plan::physical::PlanClass;
 pub use prepare::{build_prefilter, PreparedQuery};
-pub use select::{selector_for, GramSelector, MiningStats, PassStats, SelectorSpec};
+pub use select::{MiningStats, PassStats};

@@ -1,7 +1,7 @@
 //! The index file is a function of the corpus and the configuration
 //! alone: pinned checksums of files built before the build kernels were
 //! rewritten, the same bytes for any memory budget, and a structured
-//! error — never a short list — when a key set breaks the selector
+//! error — never a short list — when a key set breaks the selection
 //! contract.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -9,7 +9,7 @@
 use free_corpus::synth::{Generator, SynthConfig};
 use free_corpus::MemCorpus;
 use free_engine::select::SelectedGram;
-use free_engine::{build_index, select_keys, Engine, EngineConfig, IndexKind, SelectorSpec};
+use free_engine::{build_index, select_keys, Engine, EngineConfig, IndexKind};
 use free_index::IndexRead;
 use std::path::PathBuf;
 
@@ -31,10 +31,9 @@ fn corpus() -> MemCorpus {
 }
 
 /// CRC32 and length of the file `Engine::build_on_disk` writes for
-/// `SynthConfig::tiny(200, 7)`. The kinds and selectors other than the
-/// default were recorded at commit 1ac5c4b (hash-map miner,
-/// per-state-map matcher, run-file builder); the multigram file was the
-/// default then, and still writing it byte for byte shows that making the
+/// `SynthConfig::tiny(200, 7)`. The kinds other than the default were
+/// recorded at commit 1ac5c4b (hash-map miner, per-state-map matcher,
+/// run-file builder); the multigram file was the default then, and still writing it byte for byte shows that making the
 /// presuf shell the default changed what is built, not how.
 #[test]
 fn golden_index_files() {
@@ -69,15 +68,6 @@ fn golden_index_files() {
             },
             0x2e74_d079,
             535_592,
-        ),
-        (
-            "trigram",
-            EngineConfig {
-                selector: SelectorSpec::Trigram { k: 3 },
-                ..EngineConfig::default()
-            },
-            0x9da0_afa4,
-            98_464,
         ),
     ];
     for (name, config, crc, len) in cases {

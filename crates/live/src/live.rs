@@ -148,14 +148,7 @@ impl Shard {
         }
         std::fs::create_dir_all(dir.join(SEGMENTS_DIR))
             .map_err(|e| Error::io(format!("create {}", dir.display()), e))?;
-        let mut manifest = Manifest::new();
-        // The selection strategy is fixed at create time: persisting it
-        // here makes every future flush / compaction re-mine with the
-        // same strategy regardless of the opening config.
-        if !config.engine.selector.is_default() {
-            manifest.selector = Some(config.engine.selector.to_string());
-        }
-        manifest.store(dir)?;
+        Manifest::new().store(dir)?;
         CorpusWriter::create(dir.join(WAL_DIR))?.commit()?;
         std::fs::write(dir.join(WAL_EPOCH_FILE), "0\n")
             .map_err(|e| Error::io("write wal epoch", e))?;
@@ -169,15 +162,6 @@ impl Shard {
     pub(crate) fn open(dir: impl AsRef<Path>, config: LiveConfig) -> Result<Shard> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = Manifest::load(&dir)?;
-        // The manifest's recorded selection strategy wins over whatever
-        // the opening config carries: segments on disk were mined with
-        // it, and flush/compaction must keep doing so.
-        let mut config = config;
-        if let Some(spec) = &manifest.selector {
-            config.engine.selector = free_engine::SelectorSpec::parse(spec).map_err(|e| {
-                Error::Corrupt(format!("manifest records unusable selector {spec:?}: {e}"))
-            })?;
-        }
         let seg_root = dir.join(SEGMENTS_DIR);
         let mut segments = Vec::with_capacity(manifest.segments.len());
         for meta in &manifest.segments {
@@ -725,11 +709,7 @@ impl Shard {
         if n == 0 {
             return Drift::NONE;
         }
-        let engine = &self.config.engine;
-        let c = engine
-            .selector
-            .usefulness_threshold(engine.usefulness_threshold);
-        let limit = useful_limit(n, c);
+        let limit = useful_limit(n, self.config.engine.usefulness_threshold);
         let (mut useless, mut total) = (0u64, 0u64);
         for count in counts.into_iter().map(u64::from) {
             total += count;

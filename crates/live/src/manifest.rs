@@ -68,11 +68,6 @@ pub struct Manifest {
     pub wal_epoch: u64,
     /// Next segment id to assign.
     pub next_segment_id: u64,
-    /// Gram-selection strategy spec (`free_engine::SelectorSpec` syntax)
-    /// every flush and compaction re-mines with. `None` means the default
-    /// a-priori strategy; the line is omitted on store so pre-selector
-    /// manifests stay byte-identical.
-    pub selector: Option<String>,
     /// Sealed segments in ascending sequence order.
     pub segments: Vec<SegmentMeta>,
 }
@@ -85,7 +80,6 @@ impl Manifest {
             wal_base: 0,
             wal_epoch: 0,
             next_segment_id: 0,
-            selector: None,
             segments: Vec::new(),
         }
     }
@@ -118,7 +112,6 @@ impl Manifest {
                 "wal_base" => m.wal_base = value.parse().map_err(bad)?,
                 "wal_epoch" => m.wal_epoch = value.parse().map_err(bad)?,
                 "next_segment_id" => m.next_segment_id = value.parse().map_err(bad)?,
-                "selector" => m.selector = Some(value.to_string()),
                 "segment" => {
                     let fields: Vec<&str> = value.split_whitespace().collect();
                     if fields.len() != 4 {
@@ -147,9 +140,6 @@ impl Manifest {
         body.push_str(&format!("wal_base={}\n", self.wal_base));
         body.push_str(&format!("wal_epoch={}\n", self.wal_epoch));
         body.push_str(&format!("next_segment_id={}\n", self.next_segment_id));
-        if let Some(selector) = &self.selector {
-            body.push_str(&format!("selector={selector}\n"));
-        }
         for s in &self.segments {
             body.push_str(&format!(
                 "segment={} {} {} {}\n",
@@ -262,7 +252,6 @@ mod tests {
             wal_base: 120,
             wal_epoch: 3,
             next_segment_id: 5,
-            selector: Some("trigram:k=3".to_string()),
             segments: vec![
                 SegmentMeta {
                     id: 2,
@@ -298,7 +287,6 @@ mod tests {
             wal_base: 100,
             wal_epoch: 0,
             next_segment_id: 2,
-            selector: None,
             segments: vec![
                 SegmentMeta {
                     id: 0,
@@ -355,29 +343,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn default_selector_line_is_omitted() {
-        let dir = tmpdir("selector-omit");
-        let mut m = Manifest::new();
-        m.wal_base = 1;
-        m.store(&dir).unwrap();
-        let text = std::fs::read_to_string(Manifest::path(&dir)).unwrap();
-        assert!(!text.contains("selector="), "{text}");
-        m.selector = Some("apriori:c=0.2".to_string());
-        m.store(&dir).unwrap();
-        let loaded = Manifest::load(&dir).unwrap();
-        assert_eq!(loaded.selector.as_deref(), Some("apriori:c=0.2"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// A manifest written before the drift rule read the segments' own
-    /// counts carries `baseline=<postings> <bytes>`: it loads as if the
-    /// line were absent, and the next store drops it.
+    /// counts carries `baseline=<postings> <bytes>`, and one written while
+    /// the key selector was a choice may carry `selector=<spec>`: it
+    /// loads as if those lines were absent, and the next store drops them.
     #[test]
     fn a_baseline_line_is_ignored() {
         let dir = tmpdir("baseline");
         let body = "generation=3\nwal_base=10\nwal_epoch=1\nnext_segment_id=1\n\
-                    baseline=3100 52000\nsegment=0 0 9 10\n";
+                    selector=trigram:k=3\nbaseline=3100 52000\nsegment=0 0 9 10\n";
         let text = format!("{HEADER}{:08x}\n{body}", crc32(body.as_bytes()));
         std::fs::write(Manifest::path(&dir), text).unwrap();
         let m = Manifest::load(&dir).unwrap();
@@ -385,6 +359,7 @@ mod tests {
         m.store(&dir).unwrap();
         let stored = std::fs::read_to_string(Manifest::path(&dir)).unwrap();
         assert!(!stored.contains("baseline="), "{stored}");
+        assert!(!stored.contains("selector="), "{stored}");
         assert_eq!(Manifest::load(&dir).unwrap(), m);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -75,10 +75,6 @@ pub fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
 pub struct ShardedManifest {
     /// Number of shards (1..=[`MAX_SHARDS`]).
     pub shards: usize,
-    /// Gram-selection strategy spec shared by every shard (mirrors the
-    /// per-shard `FREELIVE` manifests; recorded here too so fsck can
-    /// cross-check without opening shards). `None` = default a-priori.
-    pub selector: Option<String>,
 }
 
 impl ShardedManifest {
@@ -96,7 +92,6 @@ impl ShardedManifest {
     pub fn load(dir: &Path) -> Result<ShardedManifest> {
         let body = read_checksummed(dir, SHARDED_MANIFEST_FILE, SHARDED_HEADER)?;
         let mut shards: Option<usize> = None;
-        let mut selector: Option<String> = None;
         for line in body.lines() {
             let line = line.trim();
             if line.is_empty() {
@@ -110,8 +105,6 @@ impl ShardedManifest {
                 shards = Some(value.parse().map_err(|_| {
                     Error::Corrupt(format!("bad sharded manifest value in {line:?}"))
                 })?);
-            } else if key == "selector" {
-                selector = Some(value.to_string());
             }
         }
         let m = ShardedManifest {
@@ -121,7 +114,6 @@ impl ShardedManifest {
                     dir.display()
                 ))
             })?,
-            selector,
         };
         m.validate()?;
         Ok(m)
@@ -131,10 +123,7 @@ impl ShardedManifest {
     /// with the checksummed header.
     pub fn store(&self, dir: &Path) -> Result<()> {
         self.validate()?;
-        let mut body = format!("shards={}\n", self.shards);
-        if let Some(selector) = &self.selector {
-            body.push_str(&format!("selector={selector}\n"));
-        }
+        let body = format!("shards={}\n", self.shards);
         write_checksummed(dir, SHARDED_MANIFEST_FILE, SHARDED_HEADER, &body)
     }
 
@@ -357,14 +346,7 @@ impl LiveIndex {
         shards: usize,
     ) -> Result<LiveIndex> {
         let dir = dir.as_ref();
-        let manifest = ShardedManifest {
-            shards,
-            selector: if config.engine.selector.is_default() {
-                None
-            } else {
-                Some(config.engine.selector.to_string())
-            },
-        };
+        let manifest = ShardedManifest { shards };
         manifest.validate()?;
         if ShardedManifest::exists(dir) || Manifest::exists(dir) {
             return Err(Error::AlreadyExists(dir.to_path_buf()));
@@ -558,7 +540,7 @@ impl LiveIndex {
     ///
     /// On return the batch is committed to the WAL files in the page
     /// cache: it survives a crash of this process, not a power loss or a
-    /// kernel crash, since nothing is synced to the disk (ROADMAP item 3).
+    /// kernel crash, since nothing is synced to the disk (ROADMAP item 4).
     ///
     /// The batch is all-or-nothing: if any shard's commit fails, shards
     /// that did commit are rolled back (their buffered tails truncated)
@@ -1110,10 +1092,7 @@ mod tests {
     fn manifest_roundtrip_and_damage() {
         let dir = fresh_dir("manifest");
         std::fs::create_dir_all(&dir).unwrap();
-        let m = ShardedManifest {
-            shards: 4,
-            selector: None,
-        };
+        let m = ShardedManifest { shards: 4 };
         m.store(&dir).unwrap();
         assert_eq!(ShardedManifest::load(&dir).unwrap(), m);
         // Any body flip fails the header CRC.

@@ -16,7 +16,7 @@
 //! the pass ends) and filtered level-by-level afterwards.
 
 use crate::counter::{count_ranges, GramCounter, GramSet};
-use crate::{Error, GramSelector, Result, SelectConfig, SelectedGram};
+use crate::{Result, SelectConfig, SelectedGram};
 use free_corpus::Corpus;
 use std::ops::Range;
 
@@ -66,53 +66,18 @@ impl Selection {
     }
 }
 
-/// A substring-closed gram predicate accepted by [`mine_filtered`].
-pub(crate) type GramFilter<'a> = &'a (dyn Fn(&[u8]) -> bool + Sync);
-
 /// Runs Algorithm 3.1 over `corpus` with the config's threshold.
 pub fn mine_multigrams(corpus: &dyn Corpus, config: &SelectConfig) -> Result<Selection> {
-    mine_filtered(corpus, config, config.usefulness_threshold, None)
+    mine_in_ranges(corpus, config, crate::build_ranges(corpus.total_bytes()))
 }
 
-/// Runs Algorithm 3.1 restricted to a *substring-closed* candidate
-/// universe.
-///
-/// `threshold_c` overrides the config's usefulness threshold. When
-/// `filter` is `Some(f)`, only grams with `f(gram) == true` are counted,
-/// selected, or extended; `f` **must be substring-closed** (if `f(g)`
-/// holds then `f` holds for every substring of `g`) — the scan prunes
-/// longer extensions as soon as a shorter gram at the same position is
-/// rejected, and the minimality argument needs prefixes of relevant grams
-/// to themselves be relevant. Within the filtered universe the output is
-/// exactly the minimal useful grams, hence still prefix free.
-pub(crate) fn mine_filtered(
-    corpus: &dyn Corpus,
-    config: &SelectConfig,
-    threshold_c: f64,
-    filter: Option<GramFilter<'_>>,
-) -> Result<Selection> {
-    let ranges = crate::build_ranges(corpus.total_bytes());
-    mine_in_ranges(corpus, config, threshold_c, filter, ranges)
-}
-
-/// [`mine_filtered`] with each pass counting `ranges` document ranges at
-/// once; the selection and its statistics are the same for any number.
-fn mine_in_ranges(
-    corpus: &dyn Corpus,
-    config: &SelectConfig,
-    threshold_c: f64,
-    filter: Option<GramFilter<'_>>,
-    ranges: usize,
-) -> Result<Selection> {
+/// [`mine_multigrams`] with each pass counting `ranges` document ranges
+/// at once; the selection and its statistics are the same for any number.
+fn mine_in_ranges(corpus: &dyn Corpus, config: &SelectConfig, ranges: usize) -> Result<Selection> {
     config.validate()?;
-    if !(0.0..=1.0).contains(&threshold_c) {
-        return Err(Error::Config(format!(
-            "usefulness threshold must be in [0,1], got {threshold_c}"
-        )));
-    }
     let n = corpus.len();
     // floor(c * N): a gram is useful iff count <= threshold.
-    let threshold = (threshold_c * n as f64).floor() as u32;
+    let threshold = (config.usefulness_threshold * n as f64).floor() as u32;
 
     // The minimal useful grams found so far, their bytes end to end in
     // `useful_bytes`. Nothing is allocated per gram while the counters
@@ -138,10 +103,10 @@ fn mine_in_ranges(
         let kept_before = useful.len();
 
         // One corpus scan: count every gram of length k..=k_end whose
-        // (k-1)-prefix is in the frontier and that the filter accepts.
+        // (k-1)-prefix is in the frontier.
         // Grams longer than k are counted optimistically: whether their
         // immediate prefix is useless is only known once the scan ends.
-        let (bytes_read, fold) = count_ranges(corpus, &frontier, &mut counters, k_end, filter)?;
+        let (bytes_read, fold) = count_ranges(corpus, &frontier, &mut counters, k_end)?;
         let counter = &mut counters[0];
         stats.passes += 1;
         stats.candidates_counted += counter.len() as u64;
@@ -210,32 +175,6 @@ fn mine_in_ranges(
         num_docs: n,
         stats,
     })
-}
-
-/// The reference strategy: Algorithm 3.1 as published, with an optional
-/// override for the usefulness threshold `c`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct AprioriSelector {
-    /// Overrides [`SelectConfig::usefulness_threshold`] when set.
-    pub c: Option<f64>,
-}
-
-impl GramSelector for AprioriSelector {
-    fn name(&self) -> &'static str {
-        "apriori"
-    }
-
-    fn spec_string(&self) -> String {
-        match self.c {
-            Some(c) => format!("apriori:c={c}"),
-            None => "apriori".to_string(),
-        }
-    }
-
-    fn select(&self, corpus: &dyn Corpus, config: &SelectConfig) -> Result<Selection> {
-        let c = self.c.unwrap_or(config.usefulness_threshold);
-        mine_filtered(corpus, config, c, None)
-    }
 }
 
 #[cfg(test)]
@@ -437,7 +376,7 @@ mod tests {
             tracer: tracer.clone(),
             ..SelectConfig::default()
         };
-        let sel = mine_in_ranges(&corpus, &config, config.usefulness_threshold, None, 2).unwrap();
+        let sel = mine_in_ranges(&corpus, &config, 2).unwrap();
         let passes: Vec<_> = tracer
             .events()
             .into_iter()
@@ -465,63 +404,15 @@ mod tests {
         assert_eq!(ks, sorted);
     }
 
-    #[test]
-    fn selector_c_override_matches_direct_mine() {
-        let docs = ["the cat sat", "the dog ran", "a cat ran", "the owl"];
-        let corpus = MemCorpus::from_docs(docs.iter().map(|d| d.as_bytes().to_vec()).collect());
-        let config = SelectConfig::default();
-        let with_override = AprioriSelector { c: Some(0.5) }
-            .select(&corpus, &config)
-            .unwrap();
-        let direct = mine(&docs, 0.5, 10);
-        assert_eq!(keys(&with_override), keys(&direct));
-        assert_eq!(
-            AprioriSelector { c: Some(0.5) }.spec_string(),
-            "apriori:c=0.5"
-        );
-        assert_eq!(AprioriSelector::default().spec_string(), "apriori");
-    }
-
-    #[test]
-    fn filtered_mining_respects_substring_closed_universe() {
-        let docs: Vec<String> = (0..20)
-            .map(|i| format!("needle{} haystack filler", i % 5))
-            .collect();
-        let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
-        let corpus = MemCorpus::from_docs(refs.iter().map(|d| d.as_bytes().to_vec()).collect());
-        // Universe: substrings of "needle".
-        let universe = b"needle";
-        let filter = |g: &[u8]| universe.windows(g.len()).any(|w| w == g);
-        let sel = mine_filtered(&corpus, &SelectConfig::default(), 0.3, Some(&filter)).unwrap();
-        // Everything kept is a substring of "needle" …
-        for g in &sel.grams {
-            assert!(filter(&g.gram), "{:?}", String::from_utf8_lossy(&g.gram));
-        }
-        // … and the output is still prefix free.
-        for a in &sel.grams {
-            for b in &sel.grams {
-                if a.gram != b.gram {
-                    assert!(!b.gram.starts_with(&a.gram));
-                }
-            }
-        }
-    }
-
     /// The definition the miner must reproduce, computed the slow way:
-    /// document counts of every substring up to `max_len` that `filter`
-    /// accepts, by enumeration.
-    fn oracle_counts(
-        docs: &[Vec<u8>],
-        max_len: usize,
-        filter: &dyn Fn(&[u8]) -> bool,
-    ) -> std::collections::BTreeMap<Vec<u8>, u32> {
+    /// document counts of every substring up to `max_len`, by
+    /// enumeration.
+    fn oracle_counts(docs: &[Vec<u8>], max_len: usize) -> std::collections::BTreeMap<Vec<u8>, u32> {
         let mut seen = std::collections::BTreeSet::new();
         for (d, doc) in docs.iter().enumerate() {
             for i in 0..doc.len() {
                 for m in 1..=max_len.min(doc.len() - i) {
-                    if filter(&doc[i..i + m]) {
-                        seen.insert((doc[i..i + m].to_vec(), d));
-                    }
+                    seen.insert((doc[i..i + m].to_vec(), d));
                 }
             }
         }
@@ -540,7 +431,7 @@ mod tests {
         /// Against the definition, for any corpus over a small alphabet
         /// with long shared stretches (so useless grams, and with them
         /// keys, pass 16 bytes), any cutoff, any number of lengths per
-        /// pass, with and without a substring-closed filter.
+        /// pass and any number of document ranges.
         #[test]
         fn mining_matches_the_definition(
             shared in prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..32),
@@ -551,10 +442,6 @@ mod tests {
             threshold in prop_oneof![0usize..16, 1usize..4],
             max_gram_len in prop_oneof![1usize..=20, 17usize..=20],
             lengths_per_pass in 1usize..=4,
-            universe in prop_oneof![
-                Just(None),
-                prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 1..24).prop_map(Some),
-            ],
             ranges in 1usize..=4,
         ) {
             // Each document: a cut of the shared stretch, then its own tail.
@@ -571,19 +458,13 @@ mod tests {
                 lengths_per_pass,
                 ..SelectConfig::default()
             };
-            // Substrings of one string: substring-closed by construction.
-            let in_universe = |g: &[u8]| match &universe {
-                Some(u) => u.windows(g.len()).any(|w| w == g),
-                None => true,
-            };
-            let filter: Option<GramFilter<'_>> = universe.as_ref().map(|_| &in_universe as GramFilter<'_>);
-            let sel = mine_in_ranges(&corpus, &config, c, filter, ranges).unwrap();
+            let sel = mine_in_ranges(&corpus, &config, ranges).unwrap();
             // Document ranges (more of them than documents, too) change
             // neither the selection nor its statistics.
-            let one_range = mine_in_ranges(&corpus, &config, c, filter, 1).unwrap();
+            let one_range = mine_in_ranges(&corpus, &config, 1).unwrap();
             prop_assert_eq!(&sel.grams, &one_range.grams);
             prop_assert_eq!(&sel.stats, &one_range.stats);
-            let counts = oracle_counts(&docs, max_gram_len, &in_universe);
+            let counts = oracle_counts(&docs, max_gram_len);
             let threshold = threshold.min(docs.len()) as u32;
             let useful = |g: &[u8]| counts[g] <= threshold;
 

@@ -31,7 +31,6 @@ pub fn enumerate_complete(
         Prefixes::Any(&mut prefixes),
         0..usize::MAX,
         max_len,
-        None,
         &mut counter,
         &mut GramCounter::reserve,
     )?;

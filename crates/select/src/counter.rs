@@ -24,7 +24,6 @@
 //! counts them at once (a thread and a counter each, the frontier shared)
 //! and folds the counters into one.
 
-use crate::apriori::GramFilter;
 use crate::Result;
 use free_corpus::{Corpus, DocId};
 use std::ops::Range;
@@ -459,8 +458,8 @@ impl Prefixes<'_> {
 /// One corpus scan over the data units whose position in scan order is
 /// in `docs`. At every position where a gram one byte longer than the
 /// `prefixes` fits and whose prefix of their length is one of them,
-/// counts the grams of each length up to `k_end` that fit, stopping at
-/// the first one `filter` rejects. A `counter` without room for the
+/// counts the grams of each length up to `k_end` that fit. A `counter`
+/// without room for the
 /// grams of a position is handed to `grow` (given how many), which must
 /// leave it with that room. Returns the bytes of those data units.
 pub(crate) fn count_pass(
@@ -468,7 +467,6 @@ pub(crate) fn count_pass(
     mut prefixes: Prefixes<'_>,
     docs: Range<usize>,
     k_end: usize,
-    filter: Option<GramFilter<'_>>,
     counter: &mut GramCounter,
     grow: &mut dyn FnMut(&mut GramCounter, usize),
 ) -> Result<u64> {
@@ -502,14 +500,6 @@ pub(crate) fn count_pass(
             }
             let mut parent = prefix_id;
             for m in k..=longest {
-                if let Some(f) = filter {
-                    // Substring closure: once a gram at this position is
-                    // irrelevant, every extension contains it and is
-                    // irrelevant too.
-                    if !f(&bytes[i..i + m]) {
-                        break;
-                    }
-                }
                 parent = counter.bump(parent, (m - k) as u32, bytes[i + m - 1], doc);
             }
         }
@@ -533,7 +523,6 @@ pub(crate) fn count_ranges(
     frontier: &GramSet,
     counters: &mut [GramCounter],
     k_end: usize,
-    filter: Option<GramFilter<'_>>,
 ) -> Result<(u64, Duration)> {
     let ranges = counters.len();
     let per_range = corpus.len().div_ceil(ranges.max(1));
@@ -554,7 +543,6 @@ pub(crate) fn count_ranges(
                 Prefixes::In(frontier),
                 docs(r),
                 k_end,
-                filter,
                 counter,
                 grow,
             )
@@ -844,7 +832,6 @@ mod tests {
             In(&frontier),
             ALL,
             3,
-            None,
             &mut counter,
             &mut GramCounter::reserve,
         )
@@ -880,7 +867,6 @@ mod tests {
             In(&frontier),
             ALL,
             6,
-            None,
             &mut counter,
             &mut GramCounter::reserve,
         )
@@ -897,7 +883,6 @@ mod tests {
             Any(&mut open),
             ALL,
             4,
-            None,
             &mut counter,
             &mut GramCounter::reserve,
         )
@@ -924,7 +909,6 @@ mod tests {
                 In(&frontier),
                 cut[0]..cut[1],
                 3,
-                None,
                 &mut counter,
                 &mut GramCounter::reserve,
             );
@@ -947,7 +931,7 @@ mod tests {
         for ranges in [1, 2, 3, 4, docs.len() + 3] {
             let mut counters: Vec<GramCounter> = (0..ranges).map(|_| GramCounter::new()).collect();
             for pass in 0..2 {
-                let (bytes, _) = count_ranges(&corpus, &frontier, &mut counters, 3, None).unwrap();
+                let (bytes, _) = count_ranges(&corpus, &frontier, &mut counters, 3).unwrap();
                 assert_eq!(bytes, total, "{ranges} ranges, pass {pass}");
                 assert_eq!(
                     counted(&counters[0], &frontier),
@@ -981,42 +965,9 @@ mod tests {
         assert!(want.len() > 2 * GramCounter::new().slots.len());
         for ranges in [1, 2, 4] {
             let mut counters: Vec<GramCounter> = (0..ranges).map(|_| GramCounter::new()).collect();
-            count_ranges(&corpus, &frontier, &mut counters, 3, None).unwrap();
+            count_ranges(&corpus, &frontier, &mut counters, 3).unwrap();
             assert_eq!(counted(&counters[0], &frontier), want, "{ranges} ranges");
         }
-    }
-
-    #[test]
-    fn filter_stops_a_position_at_the_first_rejected_length() {
-        let docs = vec![b"abcabd".to_vec(), b"xabcx".to_vec()];
-        let corpus = MemCorpus::from_docs(docs);
-        let universe = b"abc";
-        let filter = |g: &[u8]| universe.windows(g.len()).any(|w| w == g);
-        let mut frontier = GramSet::new(0);
-        frontier.intern(0, &[]);
-        let mut counter = GramCounter::with_table_bits(1);
-        count_pass(
-            &corpus,
-            In(&frontier),
-            ALL,
-            3,
-            Some(&filter),
-            &mut counter,
-            &mut GramCounter::reserve,
-        )
-        .unwrap();
-        let want: BTreeMap<Vec<u8>, u32> = [
-            (&b"a"[..], 2),
-            (b"ab", 2),
-            (b"abc", 2),
-            (b"b", 2),
-            (b"bc", 2),
-            (b"c", 2),
-        ]
-        .into_iter()
-        .map(|(g, n)| (g.to_vec(), n))
-        .collect();
-        assert_eq!(counted(&counter, &frontier), want);
     }
 
     #[test]

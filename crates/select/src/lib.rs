@@ -1,54 +1,31 @@
-//! Gram-selection strategies for the FREE engine.
+//! Gram selection for the FREE engine: the paper's one way of choosing
+//! index keys.
 //!
-//! The paper's Algorithm 3.1 (a-priori mining of minimal useful grams) is
-//! one point in a design space that later work benchmarks head-to-head.
-//! This crate puts the choice behind the [`GramSelector`] trait and ships
-//! four strategies:
+//! * [`apriori`] — Algorithm 3.1: a-priori mining of the minimal useful
+//!   grams (the paper's "Multigram" selection). Its output is sorted and
+//!   **prefix free** (Theorem 3.9), which bounds total postings by `|D|`
+//!   (Observation 3.8).
+//! * [`presuf`] — §3.2: the presuf shell of a mined set, the keys the
+//!   engine indexes by default.
+//! * [`complete`] — the "Complete" baseline of Table 3: every k-gram.
 //!
-//! * [`apriori`] — Algorithm 3.1, the reference implementation (moved out
-//!   of the engine crate; the paper's "Multigram" selection).
-//! * [`trigram`] — fixed-k complete enumeration, the Russ Cox /
-//!   code-search baseline (`k = 3` by default).
-//! * [`budgeted`] — sweeps the usefulness threshold `c` and keeps the
-//!   most capable selection whose estimated index size fits a byte
-//!   budget.
-//! * [`workload`] — mines only grams relevant to a captured query log
-//!   (a qlog directory), weighting candidates by how often — and how
-//!   slowly — the recorded patterns would exercise them.
-//!
-//! Every selector returns a **prefix-free** gram set, so downstream
-//! consumers (postings generation, the planner, the presuf shell) can
-//! rely on the same invariants regardless of strategy. Missing grams only
-//! ever degrade plans toward a scan — selection strategy never affects
-//! which documents match, only how fast the candidates narrow.
-//!
-//! Strategy identity and parameters round-trip through
-//! [`SelectorSpec`]: parsed from `NAME[:k=v,...]` command-line syntax,
-//! persisted in index manifests, and re-hydrated when a segment is
-//! re-mined during compaction.
+//! The one knob is the usefulness threshold `c`
+//! ([`SelectConfig::usefulness_threshold`]). The planner consults the
+//! index's actual key set, so the keys chosen never change which
+//! documents match, only how fast the candidates narrow.
 
 #![forbid(unsafe_code)]
 
 use core::fmt;
 
-use free_corpus::Corpus;
-
 pub mod apriori;
-pub mod budgeted;
 pub mod complete;
 mod counter;
 pub mod presuf;
-pub mod spec;
-pub mod trigram;
-pub mod workload;
 
-pub use apriori::{mine_multigrams, AprioriSelector, MiningStats, PassStats, Selection};
-pub use budgeted::BudgetedSelector;
+pub use apriori::{mine_multigrams, MiningStats, PassStats, Selection};
 pub use complete::enumerate_complete;
 pub use presuf::presuf_shell;
-pub use spec::{selector_for, SelectorSpec};
-pub use trigram::TrigramSelector;
-pub use workload::WorkloadSelector;
 
 /// Convenience alias.
 pub type Result<T> = core::result::Result<T, Error>;
@@ -56,17 +33,10 @@ pub type Result<T> = core::result::Result<T, Error>;
 /// Any failure while selecting grams.
 #[derive(Debug)]
 pub enum Error {
-    /// Invalid selector parameters or tunables.
+    /// Invalid tunables.
     Config(String),
     /// Corpus storage failure during a mining scan.
     Corpus(free_corpus::Error),
-    /// I/O failure reading an external input (e.g. a qlog directory).
-    Io {
-        /// What the selector was doing.
-        context: String,
-        /// The OS-level error.
-        source: std::io::Error,
-    },
 }
 
 impl fmt::Display for Error {
@@ -74,9 +44,6 @@ impl fmt::Display for Error {
         match self {
             Error::Config(msg) => write!(f, "selector configuration error: {msg}"),
             Error::Corpus(e) => write!(f, "corpus error during selection: {e}"),
-            Error::Io { context, source } => {
-                write!(f, "selector I/O error ({context}): {source}")
-            }
         }
     }
 }
@@ -85,7 +52,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Corpus(e) => Some(e),
-            Error::Io { source, .. } => Some(source),
             Error::Config(_) => None,
         }
     }
@@ -134,16 +100,12 @@ impl SelectedGram {
     }
 }
 
-/// Tunables shared by every selection strategy.
-///
-/// This is the mining-relevant slice of the engine configuration; the
-/// engine converts its own config into one of these before dispatching to
-/// a selector.
+/// The mining tunables: the slice of the engine configuration the
+/// a-priori miner reads.
 #[derive(Clone, Debug)]
 pub struct SelectConfig {
     /// The usefulness threshold `c` (Definition 3.4): a gram is useful if
-    /// `sel(x) <= c`. Strategies that take their own `c` parameter use it
-    /// to override this value.
+    /// `sel(x) <= c`.
     pub usefulness_threshold: f64,
     /// Maximum gram length considered; the paper cuts off at 10.
     pub max_gram_len: usize,
@@ -184,40 +146,6 @@ impl SelectConfig {
     }
 }
 
-/// A gram-selection strategy.
-///
-/// Contract every implementation must honor:
-///
-/// 1. **Prefix-free output** — no selected gram is a proper prefix of
-///    another. This bounds total postings (Observation 3.8) and is what
-///    the presuf shell and the FA424 fsck check assume.
-/// 2. **Sorted output** — grams sorted lexicographically, ready for the
-///    index builder.
-/// 3. **Accurate counts** — `doc_count` is the number of data units
-///    containing the gram (not occurrences).
-/// 4. **Soundness is free** — the planner consults the index's actual key
-///    set, so *any* gram set yields correct query results; strategies
-///    compete only on index size and candidate-set quality.
-pub trait GramSelector: Send + Sync {
-    /// The strategy's short name (`apriori`, `trigram`, ...).
-    fn name(&self) -> &'static str;
-
-    /// The canonical spec string (`trigram:k=3`) that re-creates this
-    /// selector; persisted in index manifests.
-    fn spec_string(&self) -> String;
-
-    /// Runs the strategy over `corpus`.
-    fn select(&self, corpus: &dyn Corpus, config: &SelectConfig) -> Result<Selection>;
-
-    /// Per-key shape invariant for fsck: returns a violation message if
-    /// an on-disk index key could not have been produced by this
-    /// strategy (e.g. a non-k-length key under `trigram:k=3`). `None`
-    /// means the key is consistent.
-    fn check_key(&self, _key: &[u8]) -> Option<String> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,11 +178,5 @@ mod tests {
             ..SelectConfig::default()
         };
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn trait_is_object_safe() {
-        let s: Box<dyn GramSelector> = Box::new(AprioriSelector::default());
-        assert_eq!(s.name(), "apriori");
     }
 }

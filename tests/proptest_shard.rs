@@ -233,7 +233,7 @@ proptest! {
         let want: Vec<_> = PATTERNS.iter().map(|p| results(&live, p, 1)).collect();
         drop(live);
         copy_dir(&rooted_dir, &free_live::shard_dir(&legacy_dir, 0));
-        ShardedManifest { shards: 1, selector: None }.store(&legacy_dir).unwrap();
+        ShardedManifest { shards: 1 }.store(&legacy_dir).unwrap();
 
         let mut after_writes = Vec::new();
         for dir in [&rooted_dir, &legacy_dir] {
