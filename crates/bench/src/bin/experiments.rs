@@ -14,7 +14,7 @@
 //!   disk      end-to-end on-disk pipeline demo (DiskCorpus + IndexReader)
 //!   grams     mined-gram report: length histogram, most/least selective keys
 //!   shard-scaling  sharded live-index scaling: ingest/build time and
-//!               fan-out query QPS + latency percentiles at 1/2/4/8
+//!               query QPS + latency percentiles at 1/2/4/8
 //!               shards over the same synthetic corpus (report also
 //!               written to results/shard_scaling.txt)
 //!   replay    workload capture/replay round-trip: run a query schedule
@@ -533,8 +533,8 @@ fn run_replay(config: &ExperimentConfig) -> String {
 /// timing the full ingest (WAL append + memtable + threshold-triggered
 /// segment flushes, which run across shards in parallel) and a final
 /// compaction, then runs a fixed-duration query loop against composite
-/// snapshots — the plan-once / fan-out / k-way-merge read path, with one
-/// confirmation thread per shard. The report is also written to
+/// snapshots — one candidate stream over every shard, confirmed with
+/// one thread per shard. The report is also written to
 /// `results/shard_scaling.txt`.
 fn run_shard_scaling(config: &ExperimentConfig) -> String {
     use free_bench::queries::benchmark_queries;
@@ -633,8 +633,8 @@ fn run_shard_scaling(config: &ExperimentConfig) -> String {
         live.compact().expect("compact");
         let compact_time = t.elapsed();
 
-        // Fixed-duration fan-out query loop over one composite snapshot,
-        // one confirmation thread per shard.
+        // Fixed-duration query loop over one composite snapshot, one
+        // confirmation thread per shard.
         let latency = free_trace::Histogram::new();
         let snapshot = live.snapshot();
         let started = Instant::now();
@@ -653,7 +653,7 @@ fn run_shard_scaling(config: &ExperimentConfig) -> String {
                         ..free_live::QueryOpts::default()
                     },
                 )
-                .expect("fan-out query");
+                .expect("sharded query");
             latency.observe_duration(qt.elapsed());
             std::hint::black_box(result.matches.len());
             served += 1;

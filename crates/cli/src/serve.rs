@@ -82,7 +82,9 @@ const READ_POLL: Duration = Duration::from_millis(200);
 /// Upper bound on one HTTP request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 64 * 1024;
 
-/// Upper bound on one HTTP request body.
+/// Upper bound on one HTTP request body, and on any one line the
+/// server reads (a line-protocol request, the sniffed first line, an
+/// HTTP request line or header).
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// `Retry-After` seconds advertised on shed responses.
@@ -431,20 +433,26 @@ enum LineRead {
     Shutdown,
     /// Unrecoverable socket error.
     Failed,
+    /// More than [`MAX_BODY_BYTES`] arrived without a line end; the
+    /// buffer holds the first `MAX_BODY_BYTES + 1` of them.
+    TooLong,
 }
 
 /// Reads one `\n`-terminated line into `buf`, polling the shutdown flag
-/// on read timeouts. Partial data survives each poll.
+/// on read timeouts. Partial data survives each poll. Never buffers
+/// more than one byte past [`MAX_BODY_BYTES`].
 fn read_line_poll(
     reader: &mut BufReader<TcpStream>,
     ctx: &ServeCtx,
     buf: &mut Vec<u8>,
 ) -> LineRead {
     loop {
-        match reader.read_until(b'\n', buf) {
+        let room = (MAX_BODY_BYTES + 1).saturating_sub(buf.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', buf) {
             Ok(0) => return LineRead::Eof,
-            Ok(_) if buf.last() != Some(&b'\n') => continue, // partial read
-            Ok(_) => return LineRead::Line,
+            Ok(_) if buf.last() == Some(&b'\n') => return LineRead::Line,
+            Ok(_) if buf.len() > MAX_BODY_BYTES => return LineRead::TooLong,
+            Ok(_) => continue, // partial read
             Err(e)
                 if matches!(
                     e.kind(),
@@ -494,9 +502,28 @@ fn handle_connection(stream: TcpStream, ctx: &ServeCtx) {
                 }
             }
         }
+        LineRead::TooLong => refuse_long_line(&mut out, &line, ctx),
         LineRead::Shutdown | LineRead::Failed => {}
     }
     ctx.connections.add(-1);
+}
+
+/// Answers a line longer than [`MAX_BODY_BYTES`] once, in the protocol
+/// its first bytes name; the caller then closes the connection.
+fn refuse_long_line(out: &mut TcpStream, prefix: &[u8], ctx: &ServeCtx) {
+    let (request_id, started) = (ctx.next_id(), Instant::now());
+    let message = format!("request line exceeds {MAX_BODY_BYTES} bytes");
+    let body = error_response(ctx, request_id, RequestStatus::Error, &message);
+    let proto = if looks_like_http(prefix) {
+        let reply = http_response_bytes(400, "Bad Request", "application/json", &body, true, false);
+        let _ = out.write_all(&reply);
+        "http"
+    } else {
+        let _ = writeln!(out, "{body}");
+        "tcp"
+    };
+    let _ = out.flush();
+    ctx.log_access(request_id, proto, "unparsed", RequestStatus::Error, started);
 }
 
 /// Whether a first request line is an HTTP/1.x request line.
@@ -545,6 +572,7 @@ fn serve_lines(
                 }
                 return;
             }
+            LineRead::TooLong => return refuse_long_line(out, &line, ctx),
             LineRead::Shutdown | LineRead::Failed => return,
         }
     }
@@ -1023,6 +1051,7 @@ fn serve_http(
         let mut line = Vec::new();
         match read_line_poll(reader, ctx, &mut line) {
             LineRead::Line => next_line = Some(line),
+            LineRead::TooLong => return refuse_long_line(out, &line, ctx),
             LineRead::Eof | LineRead::Shutdown | LineRead::Failed => return,
         }
     }
@@ -1331,7 +1360,8 @@ mod tests {
         );
         assert_eq!(added.get("ok").and_then(JsonValue::as_bool), Some(true));
 
-        // Matches come back in global sequence order despite fan-out.
+        // Matches come back in global sequence order, whichever shard
+        // holds each.
         let found = roundtrip(addr, r#"{"query":"needle"}"#);
         assert_eq!(found.get("total").and_then(JsonValue::as_u64), Some(2));
         let seqs: Vec<u64> = found
@@ -1504,6 +1534,40 @@ mod tests {
         }
         drop(s);
 
+        roundtrip(addr, r#"{"shutdown":true}"#);
+        handle.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A line that runs past the cap with no end gets one error, in the
+    /// protocol its first bytes name, as soon as the cap is reached; the
+    /// server keeps serving.
+    #[test]
+    fn an_endless_line_is_refused_once() {
+        let dir = std::env::temp_dir().join(format!("free-serve-long-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (addr, handle) = start_server(&dir);
+        for prefix in [&b"{\"query\":\""[..], b"GET /"] {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut line = prefix.to_vec();
+            line.resize(MAX_BODY_BYTES + 1, b'a');
+            s.write_all(&line).unwrap();
+            let mut reply = String::new();
+            BufReader::new(s).read_to_string(&mut reply).unwrap();
+            let body = if prefix.starts_with(b"GET") {
+                assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+                reply.split_once("\r\n\r\n").unwrap().1
+            } else {
+                assert_eq!(reply.lines().count(), 1, "{reply}");
+                &reply
+            };
+            let v = JsonValue::parse(body.trim()).unwrap();
+            assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(false));
+            let error = v.get("error").and_then(JsonValue::as_str).unwrap();
+            assert!(error.contains("exceeds"), "{error}");
+        }
+        assert_eq!(http(addr, "GET", "/healthz", None).0, 200);
         roundtrip(addr, r#"{"shutdown":true}"#);
         handle.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

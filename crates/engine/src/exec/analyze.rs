@@ -270,7 +270,7 @@ impl<C: Corpus, I: IndexRead> Engine<C, I> {
         // their subtree stats at drop.
         drop(source);
 
-        crate::metrics::record_query(free_trace::metrics::global(), &stats);
+        crate::metrics::QueryMetrics::global().record(&stats);
         Ok(ExplainAnalyze {
             pattern: pattern.to_string(),
             plan: format!("{physical:?}"),

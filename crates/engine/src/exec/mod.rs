@@ -19,20 +19,6 @@ use free_corpus::{Corpus, DocId};
 use free_index::{ops, IndexRead};
 use std::time::Instant;
 
-/// Splits a confirmation-thread budget across `parts` parallel executors
-/// (one per shard of a partitioned index): every part gets at least one
-/// thread, and when the budget exceeds the part count the remainder goes
-/// to the earliest parts, deterministically. The confirmation pass is
-/// deterministic for any thread count, so callers may hand each partition
-/// any slice of the budget without affecting results.
-pub fn partition_threads(threads: usize, parts: usize) -> Vec<usize> {
-    let parts = parts.max(1);
-    let threads = threads.max(1);
-    let base = (threads / parts).max(1);
-    let extra = threads.saturating_sub(base * parts);
-    (0..parts).map(|i| base + usize::from(i < extra)).collect()
-}
-
 /// The candidate set produced by plan evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Candidates {
@@ -207,16 +193,6 @@ mod tests {
             }
         }
         idx
-    }
-
-    #[test]
-    fn partition_threads_covers_every_part() {
-        assert_eq!(partition_threads(1, 4), vec![1, 1, 1, 1]);
-        assert_eq!(partition_threads(4, 4), vec![1, 1, 1, 1]);
-        assert_eq!(partition_threads(6, 4), vec![2, 2, 1, 1]);
-        assert_eq!(partition_threads(9, 2), vec![5, 4]);
-        assert_eq!(partition_threads(0, 0), vec![1]);
-        assert_eq!(partition_threads(8, 1), vec![8]);
     }
 
     fn eval(pattern: &str, idx: &MemIndex) -> (Candidates, QueryStats) {

@@ -243,7 +243,7 @@ impl<C: Corpus, I: IndexRead> Drop for QueryResult<'_, C, I> {
         if let CandidateSource::Stream(st) = &mut self.source {
             st.refresh(&mut self.stats);
         }
-        crate::metrics::record_query(free_trace::metrics::global(), &self.stats);
+        crate::metrics::QueryMetrics::global().record(&self.stats);
         self.span.record("matches", self.stats.match_count);
         if free_trace::qlog::enabled() {
             let slow = crate::qlog::is_slow(&self.stats);

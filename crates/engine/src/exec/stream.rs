@@ -30,9 +30,10 @@ use free_corpus::{Corpus, DocId};
 use free_index::cursor::{CursorStats, PostingsCursor};
 use free_index::{AndCursor, IndexRead, InstrumentedCursor, OrCursor, SliceCursor};
 use free_regex::{Finder, Regex, Searcher, Span};
+use free_trace::Counter;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Candidate doc ids in one unit of confirmation work; a batch, the
@@ -519,11 +520,14 @@ fn confirm_units<C: Corpus>(
             return Ok(());
         }
     };
-    free_trace::metrics::global()
-        .counter(
-            HELPERS_SPAWNED_COUNTER,
-            "Confirmation helper threads spawned (once per query with work past its inline units)",
-        )
+    static SPAWNED: OnceLock<Counter> = OnceLock::new();
+    SPAWNED
+        .get_or_init(|| {
+            free_trace::metrics::global().counter(
+                HELPERS_SPAWNED_COUNTER,
+                "Confirmation helper threads spawned (once per query with work past its inline units)",
+            )
+        })
         .add(helpers as u64);
     let shared = Shared {
         queue: Mutex::new(Queue {

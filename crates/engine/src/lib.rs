@@ -59,9 +59,8 @@ pub use config::{EngineConfig, IndexKind};
 pub use engine::{build_index, generate_postings, select_keys, Engine, InMemoryEngine};
 pub use error::{Error, Result};
 pub use exec::analyze::{ExplainAnalyze, NodeStats};
-pub use exec::partition_threads;
 pub use exec::results::{DocMatches, QueryResult};
-pub use metrics::{record_build, record_query, BuildStats, QueryStats};
+pub use metrics::{record_build, BuildStats, QueryMetrics, QueryStats};
 pub use plan::physical::PlanClass;
 pub use prepare::{build_prefilter, PreparedQuery};
 pub use select::{MiningStats, PassStats};

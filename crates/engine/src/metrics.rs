@@ -7,7 +7,8 @@
 
 use crate::plan::physical::PlanClass;
 use crate::select::MiningStats;
-use free_trace::{JsonArray, JsonObject, Registry};
+use free_trace::{Counter, Histogram, JsonArray, JsonObject, Registry};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Cost accounting for one query execution.
@@ -67,33 +68,6 @@ impl QueryStats {
         self.plan_time + self.index_time + self.confirm_time + self.scan_time
     }
 
-    /// Folds another execution's counters into this one, for callers
-    /// that fan one query out over several partitions and report it as a
-    /// single execution. Counters and times are summed; `used_scan` is
-    /// sticky (any partition scanning marks the whole query); the plan
-    /// class keeps the worse of the two.
-    pub fn absorb(&mut self, other: &QueryStats) {
-        self.plan_time += other.plan_time;
-        self.index_time += other.index_time;
-        self.confirm_time += other.confirm_time;
-        self.scan_time += other.scan_time;
-        self.used_scan |= other.used_scan;
-        if plan_class_rank(other.plan_class) > plan_class_rank(self.plan_class) {
-            self.plan_class = other.plan_class;
-        }
-        self.keys_fetched += other.keys_fetched;
-        self.postings_decoded += other.postings_decoded;
-        self.cursor_seeks += other.cursor_seeks;
-        self.blocks_decoded += other.blocks_decoded;
-        self.postings_skipped += other.postings_skipped;
-        self.candidates += other.candidates;
-        self.docs_examined += other.docs_examined;
-        self.docs_prefiltered += other.docs_prefiltered;
-        self.bytes_examined += other.bytes_examined;
-        self.matching_docs += other.matching_docs;
-        self.match_count += other.match_count;
-    }
-
     /// Fraction of the corpus that had to be examined (lower is better;
     /// 1.0 for scans).
     pub fn examine_fraction(&self, corpus_docs: usize) -> f64 {
@@ -132,15 +106,6 @@ impl QueryStats {
 
 fn duration_ns(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// Ordering of plan classes from best to worst, for [`QueryStats::absorb`].
-fn plan_class_rank(c: PlanClass) -> u8 {
-    match c {
-        PlanClass::Indexed => 0,
-        PlanClass::Weak => 1,
-        PlanClass::Scan => 2,
-    }
 }
 
 impl core::fmt::Display for QueryStats {
@@ -231,75 +196,97 @@ impl BuildStats {
     }
 }
 
-/// Folds one finished query's counters into `registry` (normally
-/// [`free_trace::metrics::global`]). Called automatically when a
-/// [`QueryResult`](crate::QueryResult) is dropped.
-pub fn record_query(registry: &Registry, stats: &QueryStats) {
-    registry
-        .counter("free_queries_total", "Queries executed")
-        .inc();
-    if stats.used_scan {
-        registry
-            .counter(
+/// Handles of the per-query series, resolved once so that recording a
+/// query is plain atomic updates: no name formatting, registry lock or
+/// map lookup per query.
+pub struct QueryMetrics {
+    queries: Counter,
+    scan_fallbacks: Counter,
+    postings_decoded: Counter,
+    cursor_seeks: Counter,
+    blocks_decoded: Counter,
+    postings_skipped: Counter,
+    docs_examined: Counter,
+    matches: Counter,
+    plan_ns: Histogram,
+    index_ns: Histogram,
+    confirm_ns: Histogram,
+    scan_ns: Histogram,
+    total_ns: Histogram,
+}
+
+impl QueryMetrics {
+    /// Resolves (registering on first use) every series in `registry`.
+    pub fn new(registry: &Registry) -> QueryMetrics {
+        QueryMetrics {
+            queries: registry.counter("free_queries_total", "Queries executed"),
+            scan_fallbacks: registry.counter(
                 "free_query_scan_fallbacks_total",
                 "Queries whose plan degenerated to a full corpus scan",
-            )
-            .inc();
+            ),
+            postings_decoded: registry.counter(
+                "free_query_postings_decoded_total",
+                "Postings decoded across all queries",
+            ),
+            cursor_seeks: registry.counter(
+                "free_query_cursor_seeks_total",
+                "Cursor seeks issued across all queries",
+            ),
+            blocks_decoded: registry.counter(
+                "free_query_blocks_decoded_total",
+                "Encoded postings blocks decoded across all queries",
+            ),
+            postings_skipped: registry.counter(
+                "free_query_postings_skipped_total",
+                "Postings skipped without decoding across all queries",
+            ),
+            docs_examined: registry.counter(
+                "free_query_docs_examined_total",
+                "Candidate data units read by the matcher",
+            ),
+            matches: registry.counter(
+                "free_query_matches_total",
+                "Matching strings found across all queries",
+            ),
+            plan_ns: registry.histogram("free_query_plan_ns", "Parse+plan latency per query (ns)"),
+            index_ns: registry
+                .histogram("free_query_index_ns", "Index probe latency per query (ns)"),
+            confirm_ns: registry.histogram(
+                "free_query_confirm_ns",
+                "Confirmation latency per query (ns)",
+            ),
+            scan_ns: registry
+                .histogram("free_query_scan_ns", "Scan-fallback latency per query (ns)"),
+            total_ns: registry
+                .histogram("free_query_total_ns", "End-to-end latency per query (ns)"),
+        }
     }
-    registry
-        .counter(
-            "free_query_postings_decoded_total",
-            "Postings decoded across all queries",
-        )
-        .add(stats.postings_decoded);
-    registry
-        .counter(
-            "free_query_cursor_seeks_total",
-            "Cursor seeks issued across all queries",
-        )
-        .add(stats.cursor_seeks);
-    registry
-        .counter(
-            "free_query_blocks_decoded_total",
-            "Encoded postings blocks decoded across all queries",
-        )
-        .add(stats.blocks_decoded);
-    registry
-        .counter(
-            "free_query_postings_skipped_total",
-            "Postings skipped without decoding across all queries",
-        )
-        .add(stats.postings_skipped);
-    registry
-        .counter(
-            "free_query_docs_examined_total",
-            "Candidate data units read by the matcher",
-        )
-        .add(stats.docs_examined as u64);
-    registry
-        .counter(
-            "free_query_matches_total",
-            "Matching strings found across all queries",
-        )
-        .add(stats.match_count as u64);
-    registry
-        .histogram("free_query_plan_ns", "Parse+plan latency per query (ns)")
-        .observe_duration(stats.plan_time);
-    registry
-        .histogram("free_query_index_ns", "Index probe latency per query (ns)")
-        .observe_duration(stats.index_time);
-    registry
-        .histogram(
-            "free_query_confirm_ns",
-            "Confirmation latency per query (ns)",
-        )
-        .observe_duration(stats.confirm_time);
-    registry
-        .histogram("free_query_scan_ns", "Scan-fallback latency per query (ns)")
-        .observe_duration(stats.scan_time);
-    registry
-        .histogram("free_query_total_ns", "End-to-end latency per query (ns)")
-        .observe_duration(stats.total_time());
+
+    /// The series in [`free_trace::metrics::global`], resolved on first
+    /// use.
+    pub fn global() -> &'static QueryMetrics {
+        static GLOBAL: OnceLock<QueryMetrics> = OnceLock::new();
+        GLOBAL.get_or_init(|| QueryMetrics::new(free_trace::metrics::global()))
+    }
+
+    /// Folds one finished query's counters into the series. Called
+    /// automatically (on the global series) when a
+    /// [`QueryResult`](crate::QueryResult) is dropped.
+    pub fn record(&self, stats: &QueryStats) {
+        self.queries.inc();
+        self.scan_fallbacks.add(u64::from(stats.used_scan));
+        self.postings_decoded.add(stats.postings_decoded);
+        self.cursor_seeks.add(stats.cursor_seeks);
+        self.blocks_decoded.add(stats.blocks_decoded);
+        self.postings_skipped.add(stats.postings_skipped);
+        self.docs_examined.add(stats.docs_examined as u64);
+        self.matches.add(stats.match_count as u64);
+        self.plan_ns.observe_duration(stats.plan_time);
+        self.index_ns.observe_duration(stats.index_time);
+        self.confirm_ns.observe_duration(stats.confirm_time);
+        self.scan_ns.observe_duration(stats.scan_time);
+        self.total_ns.observe_duration(stats.total_time());
+    }
 }
 
 /// Folds one finished index build's counters into `registry`.
@@ -416,8 +403,9 @@ mod tests {
             used_scan: true,
             ..Default::default()
         };
-        record_query(&r, &s);
-        record_query(&r, &s);
+        let metrics = QueryMetrics::new(&r);
+        metrics.record(&s);
+        metrics.record(&s);
         let text = r.expose();
         assert!(text.contains("free_queries_total 2"), "{text}");
         assert!(text.contains("free_query_scan_fallbacks_total 2"), "{text}");

@@ -74,8 +74,10 @@ impl PlanOptions {
 /// in query stats: INDEXED plans touch a small slice of the corpus, WEAK
 /// plans are index-assisted but still expect to fetch a large fraction of
 /// it, and SCAN plans cannot use the index at all (the paper's
-/// `zip`/`phone`/`html` queries).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// `zip`/`phone`/`html` queries). The variants are declared best to
+/// worst, so the order ranks them: the worst of several plans is their
+/// `max`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PlanClass {
     /// The index narrows candidates to under [`WEAK_FRACTION`] of the
     /// corpus.

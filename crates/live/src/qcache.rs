@@ -21,6 +21,7 @@
 //! health shows up in `/metrics` next to the serve RED series.
 
 use crate::query::LiveMatch;
+use free_trace::Counter;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex};
@@ -47,15 +48,23 @@ pub struct QueryCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard entry budget (total / number of shards).
     shard_budget: usize,
+    /// The hit / miss / eviction series, resolved once.
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
 }
 
 impl QueryCache {
     /// Creates a cache holding at most (approximately) `total_entries`
     /// memoized queries across all shards.
     pub fn new(total_entries: usize) -> QueryCache {
+        let registry = free_trace::metrics::global();
         QueryCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_budget: (total_entries / SHARDS).max(1),
+            hits: registry.counter("free_qcache_hits_total", "query cache hits"),
+            misses: registry.counter("free_qcache_misses_total", "query cache misses"),
+            evictions: registry.counter("free_qcache_evictions_total", "query cache evictions"),
         }
     }
 
@@ -79,21 +88,11 @@ impl QueryCache {
             .get(pattern)
             .filter(|e| e.generation == generation)
             .map(|e| e.matches.clone());
-        let registry = free_trace::metrics::global();
-        match found {
-            Some(m) => {
-                registry
-                    .counter("free_qcache_hits_total", "query cache hits")
-                    .inc();
-                Some(m)
-            }
-            None => {
-                registry
-                    .counter("free_qcache_misses_total", "query cache misses")
-                    .inc();
-                None
-            }
+        match &found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        found
     }
 
     /// Memoizes a freshly computed answer. An existing entry for the
@@ -118,11 +117,7 @@ impl QueryCache {
                 evicted += 1;
             }
         }
-        if evicted > 0 {
-            free_trace::metrics::global()
-                .counter("free_qcache_evictions_total", "query cache evictions")
-                .add(evicted);
-        }
+        self.evictions.add(evicted);
     }
 
     /// Number of memoized queries across all shards (any generation).

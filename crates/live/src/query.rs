@@ -1,34 +1,40 @@
-//! The multi-segment query executor.
+//! The live query executor: one candidate stream over every shard,
+//! confirmed by one executor.
 //!
 //! One [`PreparedQuery`] (regex, logical plan, prefilter) is built per
-//! query and one *physical* plan per shard snapshot, against the index's
-//! dictionary (the oldest segment's key directory). Every source — each
-//! sealed segment and the write buffer — indexes exactly the
-//! dictionary's keys, so that one plan compiles against each source's
-//! index to a cursor over local ids, and a dictionary key absent from a
-//! source's directory is one none of its documents contains (an empty
-//! branch, not a NULL one). The cursor adapters drop each source's
+//! query and one *physical* plan per shard, against the shard's
+//! dictionary (its oldest segment's key directory). Every source of a
+//! shard — each sealed segment and the write buffer — indexes exactly
+//! the dictionary's keys, so that one plan compiles against each
+//! source's index to a cursor over local ids, and a dictionary key absent
+//! from a source's directory is one none of its documents contains (an
+//! empty branch, not a NULL one). The cursor adapters drop each source's
 //! deleted documents by a bit test and lift the rest into the global
-//! sequence space. Before the first flush there is no dictionary and
-//! the buffer is confirmed whole. The per-source streams merge through
-//! the engine's `OrCursor` k-way heap (global sequence order), and the
-//! candidates are confirmed by the engine's (optionally parallel)
-//! confirmation running against a sequence-keyed corpus view. A plan
-//! that cannot use the index is confirmed as a SCAN: ranged, CRC-checked
-//! reads of every live document; a candidate fetch is one CRC-checked
-//! positioned read of its unit. Results at any generation are therefore
-//! identical to a from-scratch rebuild over the live documents.
+//! sequence space (`local * N + shard`), so the sources of every indexed
+//! shard merge through one engine `OrCursor` k-way heap, in global
+//! sequence order. A shard scans instead when it has no dictionary yet
+//! (nothing flushed) or its plan cannot use the index: ranged,
+//! CRC-checked reads of its live documents.
+//!
+//! A query therefore makes at most two passes of the engine's
+//! confirmation executor ([`confirm_source`]), both on the calling
+//! thread with the whole thread budget and against one view of the
+//! whole snapshot: the candidate stream of the indexed shards, then the
+//! scan of the scanning shards. A candidate fetch is one CRC-checked
+//! positioned read of its unit. Results at any generation, for any shard
+//! and thread count, are therefore identical to a from-scratch rebuild
+//! over the live documents.
 
-use crate::cursor::{OffsetCursor, SeqMapCursor};
+use crate::cursor::{Lift, Seqs, SourceCursor};
 use crate::error::Result;
 use crate::memtable::BufferIndex;
-use crate::snapshot::ShardSnapshot;
 use crate::view::LiveView;
+use crate::Snapshot;
 use free_corpus::{Corpus, DocId};
 use free_engine::exec::stream::{compile_plan, confirm_source, CandidateSource, StreamState};
 use free_engine::{PlanClass, PreparedQuery, QueryStats, RequestBudget};
 use free_index::cursor::PostingsCursor;
-use free_index::{OrCursor, SliceCursor};
+use free_index::OrCursor;
 use free_regex::Span;
 use free_trace::json::JsonObject;
 use std::time::Instant;
@@ -135,121 +141,122 @@ pub(crate) fn emit_qlog(pattern: &str, stats: &LiveQueryStats, want_spans: bool)
     }
 }
 
-/// Runs an already-prepared query over one shard's view. The caller
-/// ([`crate::Snapshot::query_opts`]) owns query-span creation and
-/// metrics recording, so a fan-out over N shards pays regex parsing,
-/// logical planning and the prefilter once and records one query.
+/// Runs an already-prepared query over every shard of `snapshot`,
+/// handing each match to `on_doc`. The stream pass delivers ascending
+/// global sequences; a scan pass delivers each scanning shard's
+/// ascending, one shard after another. The caller
+/// ([`crate::Snapshot::query_opts`]) owns the query span, the prepare
+/// time, ordering and metrics recording. Counters fold across shards as
+/// one execution would count them: sums, `used_scan` if any shard
+/// scanned, and the worst plan class of any shard.
 // `expect`: `compile_plan` returns `None` only for scan plans, which
 // the compiling branch excludes; `pop()` sits in the `len == 1` arm.
-#[allow(clippy::expect_used)]
+#[allow(clippy::expect_used, clippy::too_many_arguments)]
 pub(crate) fn execute_prepared(
-    snapshot: &ShardSnapshot,
+    snapshot: &Snapshot,
     prepared: &PreparedQuery,
     threads: usize,
     want_spans: bool,
     budget: &RequestBudget,
     query_span: &free_trace::Span,
-) -> Result<LiveQueryResult> {
-    let econfig = &snapshot.config.engine;
+    on_doc: &mut dyn FnMut(DocId, Vec<Span>) -> bool,
+) -> Result<LiveQueryStats> {
     let plan_start = Instant::now();
     let mut stats = QueryStats::default();
-    let sources = snapshot.segments.len() + usize::from(!snapshot.memtable.is_empty());
-    let mut cursors: Vec<Box<dyn PostingsCursor>> = Vec::with_capacity(sources);
-    // One plan per snapshot, against the dictionary (the oldest segment's
-    // key directory): every source indexes exactly its keys, so a key
-    // missing from a source's directory is in none of its documents.
-    let planned = (snapshot.segments.first()).map(|dict| {
-        (
-            dict,
-            prepared.plan(&dict.index, dict.meta.num_docs as usize, econfig),
-        )
-    });
-    // Without a dictionary (nothing flushed yet) or with a plan that
-    // cannot use it, every document is a candidate.
-    let scan = planned.as_ref().is_none_or(|(_, p)| p.is_scan());
+    let mut cursors: Vec<Box<dyn PostingsCursor>> = Vec::new();
+    let (mut sources, mut scanned_sources) = (0, 0);
+    let mut scanning = Vec::new();
+    let mut grams: Vec<Box<[u8]>> = Vec::new();
     {
         let mut span = query_span.child("live.plan");
-        // A scan compiles nothing: the view's ranged reads confirm every
-        // live document.
-        if let (false, Some((dict, physical))) = (scan, &planned) {
-            for seg in &snapshot.segments {
-                let cursor = compile_plan(physical, &seg.index, &mut stats)?
+        for (s, shard) in snapshot.shards.iter().enumerate() {
+            let lift = Lift::new(s, snapshot.shards.len());
+            let shard_sources = shard.segments.len() + usize::from(!shard.memtable.is_empty());
+            sources += shard_sources;
+            // One plan per shard, against its dictionary (the oldest
+            // segment's key directory): every source indexes exactly its
+            // keys, so a key missing from a source's directory is in none
+            // of its documents.
+            let planned = (shard.segments.first()).map(|dict| {
+                let num_docs = dict.meta.num_docs as usize;
+                let physical = prepared.plan(&dict.index, num_docs, &shard.config.engine);
+                (dict, physical.classify(num_docs), physical)
+            });
+            let Some((dict, class, physical)) = planned.filter(|p| p.1 != PlanClass::Scan) else {
+                // Without a dictionary (nothing flushed yet) or with a
+                // plan that cannot use it, every live document is a
+                // candidate: the scan pass reads them.
+                if shard_sources > 0 {
+                    scanning.push(s);
+                    scanned_sources += shard_sources;
+                    stats.plan_class = PlanClass::Scan;
+                }
+                continue;
+            };
+            stats.plan_class = stats.plan_class.max(class);
+            grams.extend(physical.gram_keys().into_iter().map(Into::into));
+            for seg in &shard.segments {
+                let cursor = compile_plan(&physical, &seg.index, &mut stats)?
                     .expect("non-scan plans always compile to a cursor");
-                let cursor = SeqMapCursor::new(cursor, seg.seqs.clone(), seg.dead.clone())?;
+                let seqs = Seqs::Map(seg.seqs.clone());
+                let cursor = SourceCursor::new(cursor, seqs, seg.dead.clone(), lift)?;
                 cursors.push(Box::new(cursor));
             }
-            if !snapshot.memtable.is_empty() {
+            if !shard.memtable.is_empty() {
                 let buffer = BufferIndex {
                     keys: dict.index.keys(),
-                    memtable: &snapshot.memtable,
+                    memtable: &shard.memtable,
                 };
-                let cursor = compile_plan(physical, &buffer, &mut stats)?
+                let cursor = compile_plan(&physical, &buffer, &mut stats)?
                     .expect("non-scan plans always compile to a cursor");
-                let dead = snapshot.memtable.dead.clone();
-                let cursor = OffsetCursor::new(cursor, snapshot.wal_base, dead)?;
+                let (seqs, dead) = (Seqs::From(shard.wal_base), shard.memtable.dead.clone());
+                let cursor = SourceCursor::new(cursor, seqs, dead, lift)?;
                 cursors.push(Box::new(cursor));
             }
         }
         span.record("sources", sources);
-        span.record("scanned_sources", if scan { sources } else { 0 });
+        span.record("scanned_sources", scanned_sources);
     }
-    stats.used_scan = scan && sources > 0;
-    stats.plan_class = match &planned {
-        Some((dict, physical)) => physical.classify(dict.meta.num_docs as usize),
-        None if stats.used_scan => PlanClass::Scan,
-        None => PlanClass::Indexed,
-    };
+    stats.used_scan = !scanning.is_empty();
     stats.plan_time = plan_start.elapsed();
-    let grams = planned
-        .as_ref()
-        .map(|(_, p)| p.gram_keys().into_iter().map(Into::into).collect())
-        .unwrap_or_default();
+    grams.sort_unstable();
+    grams.dedup();
 
-    let view = LiveView(snapshot);
-    let index_start = Instant::now();
-    let mut source = if scan {
-        stats.candidates = view.len();
-        CandidateSource::All
-    } else {
-        let root: Box<dyn PostingsCursor> = match cursors.len() {
-            0 => Box::new(SliceCursor::empty()),
-            1 => cursors.pop().expect("one cursor"),
-            _ => Box::new(OrCursor::new(cursors)?),
-        };
-        let mut st = StreamState::new(root);
-        st.refresh(&mut stats);
-        CandidateSource::Stream(st)
+    let streamed = !cursors.is_empty();
+    let view = LiveView::new(snapshot, scanning);
+    let mut confirm = |source: &mut CandidateSource, stats: &mut QueryStats| {
+        let (regex, prefilter) = (prepared.regex(), prepared.prefilter());
+        confirm_source(
+            &view, regex, source, want_spans, prefilter, threads, budget, stats, on_doc,
+        )
     };
-    stats.index_time += index_start.elapsed();
-
-    let mut matches = Vec::new();
     {
         let mut span = query_span.child("live.confirm");
-        confirm_source(
-            &view,
-            prepared.regex(),
-            &mut source,
-            want_spans,
-            prepared.prefilter(),
-            threads,
-            budget,
-            &mut stats,
-            &mut |seq, spans| {
-                matches.push(LiveMatch { seq, spans });
-                true
-            },
-        )?;
+        if streamed {
+            let index_start = Instant::now();
+            let root: Box<dyn PostingsCursor> = match cursors.len() {
+                1 => cursors.pop().expect("one cursor"),
+                _ => Box::new(OrCursor::new(cursors)?),
+            };
+            let mut st = StreamState::new(root);
+            st.refresh(&mut stats);
+            stats.index_time += index_start.elapsed();
+            confirm(&mut CandidateSource::Stream(st), &mut stats)?;
+        }
+        // With no stream to confirm, the scan pass runs even over no
+        // document, so an expired budget still surfaces.
+        if stats.used_scan || !streamed {
+            stats.candidates += view.len();
+            confirm(&mut CandidateSource::All, &mut stats)?;
+        }
         span.record("matching_docs", stats.matching_docs);
         span.record("docs_examined", stats.docs_examined);
     }
-    Ok(LiveQueryResult {
-        matches,
-        stats: LiveQueryStats {
-            base: stats,
-            sources,
-            scanned_sources: if scan { sources } else { 0 },
-            grams,
-            generation: snapshot.generation,
-        },
+    Ok(LiveQueryStats {
+        base: stats,
+        sources,
+        scanned_sources,
+        grams,
+        generation: snapshot.generation,
     })
 }

@@ -35,22 +35,23 @@
 //! discard-the-unacknowledged-tail semantics as WAL recovery inside one
 //! shard. After every mutation the writer republishes one [`Snapshot`] —
 //! an `Arc`'d vector of per-shard views swapped atomically in one cell —
-//! so a reader can never observe a torn cross-shard state. Queries plan
-//! once (regex parse + logical plan), execute per shard against that
-//! consistent vector (inline for one shard), and k-way-merge the
-//! per-shard match streams back into exact global sequence order:
-//! results are byte-identical for any shard count and any confirmation
-//! thread count (`tests/proptest_shard.rs` pins this differentially).
+//! so a reader can never observe a torn cross-shard state. A query
+//! prepares once (regex parse + logical plan), plans per shard against
+//! that consistent vector, and runs as one candidate stream over every
+//! shard in global sequence order, confirmed by one executor on the
+//! calling thread ([`crate::query`]; no thread per shard): results are
+//! byte-identical for any shard count and any confirmation thread count
+//! (`tests/proptest_shard.rs` pins this differentially).
 
 use crate::error::{Error, Result};
 use crate::manifest::{read_checksummed, write_checksummed};
-use crate::query::{execute_prepared, LiveMatch, LiveQueryResult, LiveQueryStats, QueryOpts};
+use crate::query::{execute_prepared, LiveMatch, LiveQueryResult, QueryOpts};
 use crate::snapshot::{ShardSnapshot, SnapshotCell};
 use crate::stats::LiveStats;
 use crate::{LiveConfig, Manifest, Shard};
 use free_corpus::DocId;
-use free_engine::{partition_threads, QueryStats};
-use free_trace::metrics::{self, Counter, Gauge, Histogram};
+use free_engine::QueryMetrics;
+use free_trace::metrics::{self, Counter, Gauge};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -232,27 +233,12 @@ fn repair_routing(shards: &mut [Shard]) -> Result<()> {
     Ok(())
 }
 
-/// Per-shard labeled metric handles, resolved once at open so hot-path
-/// updates are plain atomic stores. The three `query*` series are the
-/// per-shard RED metrics: a hot or slow shard is visible in `free
-/// metrics` without per-query logs, and all three exist for every shard
-/// from open on.
+/// Per-shard labeled metric handles of the write side, resolved once at
+/// open so hot-path updates are plain atomic stores.
 struct ShardMetrics {
     added: Counter,
     live_docs: Gauge,
     segments: Gauge,
-    queries: Counter,
-    query_errors: Counter,
-    query_ns: Histogram,
-}
-
-impl ShardMetrics {
-    /// Folds one shard's slice of a fanned-out query into its RED series.
-    fn record_query(&self, ok: bool, elapsed: std::time::Duration) {
-        self.queries.inc();
-        self.query_errors.add(u64::from(!ok));
-        self.query_ns.observe_duration(elapsed);
-    }
 }
 
 fn shard_metrics(shard: usize) -> ShardMetrics {
@@ -274,24 +260,6 @@ fn shard_metrics(shard: usize) -> ShardMetrics {
         segments: registry.labeled_gauge(
             "free_shard_segments",
             "Sealed segments per shard of a sharded live index",
-            "shard",
-            &label,
-        ),
-        queries: registry.labeled_counter(
-            "free_shard_queries_total",
-            "per-shard query executions",
-            "shard",
-            &label,
-        ),
-        query_errors: registry.labeled_counter(
-            "free_shard_query_errors_total",
-            "per-shard query failures",
-            "shard",
-            &label,
-        ),
-        query_ns: registry.labeled_histogram(
-            "free_shard_query_ns",
-            "per-shard query latency in nanoseconds",
             "shard",
             &label,
         ),
@@ -421,7 +389,6 @@ impl LiveIndex {
         let metrics: Arc<[ShardMetrics]> = (0..shards.len()).map(shard_metrics).collect();
         let initial = Arc::new(Snapshot {
             shards: shards.iter().map(Shard::snapshot).collect(),
-            metrics: metrics.clone(),
             generation,
         });
         let index = LiveIndex {
@@ -759,7 +726,6 @@ impl LiveIndex {
         self.segments.set(segments as i64);
         self.published.store(Arc::new(Snapshot {
             shards: snaps,
-            metrics: self.metrics.clone(),
             generation: self.generation,
         }));
     }
@@ -783,9 +749,8 @@ fn remap_seq_err(e: Error, global: DocId) -> Error {
 /// thread-safe; the view never changes once published, so two calls at
 /// any distance in time return identical results.
 pub struct Snapshot {
-    shards: Vec<Arc<ShardSnapshot>>,
-    metrics: Arc<[ShardMetrics]>,
-    generation: u64,
+    pub(crate) shards: Vec<Arc<ShardSnapshot>>,
+    pub(crate) generation: u64,
 }
 
 impl Snapshot {
@@ -826,37 +791,27 @@ impl Snapshot {
 
     /// Runs `pattern` over every shard of this view with full per-request
     /// options (thread count, span extraction, deadline/cancellation
-    /// budget) and merges the per-shard result streams back into exact
-    /// global sequence order.
+    /// budget). Matches come in exact global sequence order.
     ///
     /// The pattern is prepared **once** ([`free_engine::PreparedQuery`]:
     /// regex, logical plan, prefilter); only the physical plan (a
-    /// function of each shard's own dictionary) is derived per shard. With more than one shard, shards execute in
-    /// parallel on scoped threads, each with a slice of the
-    /// confirmation-thread budget ([`partition_threads`]), and each
-    /// shard's matches — ascending in local sequence, therefore ascending
-    /// in global sequence after the `local * N + shard` lift — feed a
-    /// k-way merge. Results are identical for any shard count and any
-    /// `threads` value.
+    /// function of each shard's own dictionary) is derived per shard.
+    /// Every indexed shard's candidates then form one stream in global
+    /// sequence order, and the scanning shards' live documents one scan,
+    /// each confirmed by the engine's executor with the whole `threads`
+    /// budget (see [`crate::query`]). Results are identical for any shard
+    /// count and any `threads` value.
     ///
-    /// The request budget is shared by every shard of the fan-out: one
-    /// expired deadline or tripped cancel token stops all shard workers
-    /// at their next confirmation batch boundary, and the whole query
-    /// returns a structured [`Error::Timeout`] / [`Error::Cancelled`] —
-    /// never partial results.
-    // `expect` on `join()`: re-raising a shard query worker's panic on
-    // the coordinating thread is the correct way to propagate it.
-    #[allow(clippy::expect_used)]
+    /// An expired deadline or tripped cancel token stops confirmation at
+    /// its next batch boundary, and the whole query returns a structured
+    /// [`Error::Timeout`] / [`Error::Cancelled`] — never partial results.
     pub fn query_opts(&self, pattern: &str, opts: &QueryOpts) -> Result<LiveQueryResult> {
-        let config = &self.shards[0].config;
-        let econfig = &config.engine;
+        let econfig = &self.shards[0].config.engine;
         let threads = if opts.threads == 0 {
             econfig.effective_threads()
         } else {
             opts.threads
         };
-        let want_spans = opts.want_spans;
-        let req_budget = &opts.budget;
         let mut query_span = econfig.tracer.span("live.query");
         query_span.record("pattern", pattern);
         query_span.record("generation", self.generation);
@@ -865,104 +820,28 @@ impl Snapshot {
         let prep_start = Instant::now();
         let prepared = free_engine::PreparedQuery::new(pattern, econfig, &query_span)?;
         let prep_time = prep_start.elapsed();
-
-        let n = self.shards.len();
-        let budgets = partition_threads(threads, n);
-        let mut outcomes: Vec<Result<LiveQueryResult>> = Vec::with_capacity(n);
-        if n == 1 {
-            let started = Instant::now();
-            let outcome = execute_prepared(
-                &self.shards[0],
-                &prepared,
-                budgets[0],
-                want_spans,
-                req_budget,
-                &query_span,
-            );
-            self.metrics[0].record_query(outcome.is_ok(), started.elapsed());
-            outcomes.push(outcome);
-        } else {
-            std::thread::scope(|scope| {
-                let prepared = &prepared;
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .zip(&budgets)
-                    .zip(self.metrics.iter())
-                    .enumerate()
-                    .map(|(s, ((snap, &budget), red))| {
-                        let mut span = query_span.child("live.query.shard");
-                        span.record("shard", s as u64);
-                        scope.spawn(move || {
-                            let started = Instant::now();
-                            let outcome = execute_prepared(
-                                snap, prepared, budget, want_spans, req_budget, &span,
-                            );
-                            red.record_query(outcome.is_ok(), started.elapsed());
-                            outcome
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    outcomes.push(handle.join().expect("shard query worker panicked"));
-                }
-            });
+        let mut matches = Vec::new();
+        let mut stats = execute_prepared(
+            self,
+            &prepared,
+            threads,
+            opts.want_spans,
+            &opts.budget,
+            &query_span,
+            &mut |seq, spans| {
+                matches.push(LiveMatch { seq, spans });
+                true
+            },
+        )?;
+        // Each pass yields ascending global sequences. With more than one
+        // shard, a scan pass follows the stream pass or reads several
+        // shards one after another.
+        if self.shards.len() > 1 && stats.scanned_sources > 0 {
+            matches.sort_unstable_by_key(|m| m.seq);
         }
-
-        let mut stats = QueryStats::default();
-        let mut sources = 0usize;
-        let mut scanned = 0usize;
-        let mut grams: Vec<Box<[u8]>> = Vec::new();
-        let n_docid = n as DocId;
-        // Per-shard match streams, lifted into global sequence space.
-        let mut queues: Vec<std::vec::IntoIter<LiveMatch>> = Vec::with_capacity(n);
-        let mut total = 0usize;
-        for (s, outcome) in outcomes.into_iter().enumerate() {
-            let mut result = outcome?;
-            stats.absorb(&result.stats.base);
-            sources += result.stats.sources;
-            scanned += result.stats.scanned_sources;
-            grams.extend(result.stats.grams);
-            for m in &mut result.matches {
-                m.seq = m.seq * n_docid + s as DocId;
-            }
-            total += result.matches.len();
-            queues.push(result.matches.into_iter());
-        }
-        stats.plan_time += prep_time;
-        grams.sort_unstable();
-        grams.dedup();
-
-        // K-way merge by global sequence. Each queue is already
-        // ascending; with at most MAX_SHARDS queues a linear min-scan
-        // per output element is cheap and allocation-free.
-        let mut heads: Vec<Option<LiveMatch>> = queues.iter_mut().map(Iterator::next).collect();
-        let mut matches = Vec::with_capacity(total);
-        loop {
-            let mut best: Option<(usize, DocId)> = None;
-            for (i, head) in heads.iter().enumerate() {
-                if let Some(m) = head {
-                    if best.is_none_or(|(_, seq)| m.seq < seq) {
-                        best = Some((i, m.seq));
-                    }
-                }
-            }
-            let Some((i, _)) = best else { break };
-            if let Some(m) = heads[i].take() {
-                matches.push(m);
-            }
-            heads[i] = queues[i].next();
-        }
-
-        free_engine::record_query(free_trace::metrics::global(), &stats);
-        let stats = LiveQueryStats {
-            base: stats,
-            sources,
-            scanned_sources: scanned,
-            grams,
-            generation: self.generation,
-        };
-        crate::query::emit_qlog(pattern, &stats, want_spans);
+        stats.base.plan_time += prep_time;
+        QueryMetrics::global().record(&stats.base);
+        crate::query::emit_qlog(pattern, &stats, opts.want_spans);
         Ok(LiveQueryResult { matches, stats })
     }
 }
@@ -993,7 +872,7 @@ impl LiveReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use free_engine::EngineConfig;
+    use free_engine::{CancelToken, EngineConfig, RequestBudget};
     use free_regex::Span;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1086,6 +965,131 @@ mod tests {
             assert_eq!(result.stats.base.docs_examined, docs.len() - deleted.len());
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One word of five per document, so a word is a selective pattern.
+    fn worded(seqs: std::ops::Range<usize>) -> Vec<Vec<u8>> {
+        const WORDS: [&str; 5] = ["alpha", "bravo", "charlie", "delta", "echo"];
+        seqs.map(|i| format!("doc {i} {}", WORDS[i % 5]).into_bytes())
+            .collect()
+    }
+
+    /// 40 documents with every odd seq deleted, a flush, then 10 more.
+    /// On an even shard count the odd shards seal nothing (their buffers
+    /// hold only deleted documents), so afterwards they hold a buffer and
+    /// no dictionary, while the even shards hold a segment, a dictionary
+    /// and a buffer.
+    fn mixed(dir: &Path, shards: usize) -> LiveIndex {
+        let mut idx = LiveIndex::create_sharded(dir, config(), shards).unwrap();
+        idx.add_batch(&worded(0..40)).unwrap();
+        for seq in (1..40).step_by(2) {
+            idx.delete(seq).unwrap();
+        }
+        idx.flush().unwrap();
+        idx.add_batch(&worded(40..50)).unwrap();
+        idx
+    }
+
+    /// A shard without a dictionary scans while its neighbour streams
+    /// its candidates: the answers and spans are an unsharded index's, in
+    /// global order, and the logical counters do not depend on the thread
+    /// count.
+    #[test]
+    fn a_shard_without_a_dictionary_scans_beside_an_indexed_one() {
+        let (plain_dir, dir) = (fresh_dir("mixed-plain"), fresh_dir("mixed"));
+        let plain = mixed(&plain_dir, 1);
+        let idx = mixed(&dir, 2);
+        let segments: Vec<usize> = idx.shards().iter().map(Shard::num_segments).collect();
+        assert_eq!(segments, [1, 0]);
+        let pattern = "bravo";
+        let want = rows(&plain, pattern, 1);
+        let seqs: Vec<DocId> = want.iter().map(|(seq, ..)| *seq).collect();
+        assert_eq!(seqs, [6, 16, 26, 36, 41, 46], "41 is shard 1's");
+        let mut counters = Vec::new();
+        for threads in [1, 4] {
+            assert_eq!(rows(&idx, pattern, threads), want, "threads={threads}");
+            let opts = QueryOpts {
+                threads,
+                ..QueryOpts::default()
+            };
+            let plain_stats = plain.snapshot().query_opts(pattern, &opts).unwrap().stats;
+            assert!(!plain_stats.base.used_scan, "threads={threads}");
+            let stats = idx.snapshot().query_opts(pattern, &opts).unwrap().stats;
+            assert!(stats.base.used_scan, "threads={threads}");
+            assert_eq!(stats.base.plan_class, free_engine::PlanClass::Scan);
+            // Shard 0's segment and buffer, shard 1's buffer.
+            assert_eq!((stats.sources, stats.scanned_sources), (3, 1));
+            let b = &stats.base;
+            counters.push((b.docs_examined, b.candidates, b.matching_docs));
+        }
+        assert_eq!(counters[0], counters[1]);
+        let (examined, candidates, matching) = counters[0];
+        // Shard 0 streamed fewer than its 25 live documents; shard 1's 5
+        // were all candidates.
+        assert!(candidates < 25 + 5, "{candidates}");
+        assert_eq!((examined, matching), (candidates, 6));
+        let _ = std::fs::remove_dir_all(&plain_dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Four shards that all scan (nothing flushed), that mix scanning and
+    /// indexed shards, and that are all indexed: an expired deadline, and
+    /// a token cancelled by the first match, each fail the whole query
+    /// with a structured error, whichever pass they stop.
+    #[test]
+    fn the_budget_stops_both_passes() {
+        let pattern = "bravo";
+        let dirs = [
+            fresh_dir("budget-scan"),
+            fresh_dir("budget-mixed"),
+            fresh_dir("budget-indexed"),
+        ];
+        let mut scanning = LiveIndex::create_sharded(&dirs[0], config(), 4).unwrap();
+        scanning.add_batch(&worded(0..50)).unwrap();
+        let mut indexed = LiveIndex::create_sharded(&dirs[2], config(), 4).unwrap();
+        indexed.add_batch(&worded(0..50)).unwrap();
+        indexed.flush().unwrap();
+        let shapes = [scanning, mixed(&dirs[1], 4), indexed];
+        for (idx, used_scan) in shapes.iter().zip([true, true, false]) {
+            let snapshot = idx.snapshot();
+            let found = snapshot.query(pattern).unwrap();
+            assert_eq!(found.stats.base.used_scan, used_scan);
+            assert!(!found.matches.is_empty());
+            let expired = QueryOpts {
+                budget: RequestBudget::with_deadline(Instant::now()),
+                ..QueryOpts::default()
+            };
+            let got = snapshot.query_opts(pattern, &expired);
+            assert!(
+                matches!(got, Err(Error::Timeout { .. })),
+                "{:?}",
+                got.map(|r| r.matches)
+            );
+            let token = CancelToken::new();
+            let budget = RequestBudget::unlimited().cancelled_by(token.clone());
+            let econfig = &snapshot.shards[0].config.engine;
+            let span = free_trace::Span::disabled();
+            let prepared = free_engine::PreparedQuery::new(pattern, econfig, &span).unwrap();
+            let mut delivered = 0;
+            let got = execute_prepared(
+                &snapshot,
+                &prepared,
+                4,
+                true,
+                &budget,
+                &span,
+                &mut |_, _| {
+                    delivered += 1;
+                    token.cancel();
+                    true
+                },
+            );
+            assert!(matches!(got, Err(Error::Cancelled)), "{got:?}");
+            assert!(delivered > 0);
+        }
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

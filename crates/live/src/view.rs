@@ -1,72 +1,100 @@
-//! A [`Corpus`] view over a snapshot of one shard keyed by its
-//! sequence numbers, so the engine's confirmation machinery
-//! (including parallel confirmation and first-k early exit) runs
-//! unchanged against segments plus write buffer.
+//! A [`Corpus`] view over a whole [`Snapshot`] keyed by global
+//! sequence numbers, so the engine's confirmation machinery (including
+//! parallel confirmation and first-k early exit) runs unchanged against
+//! every shard's segments plus write buffer.
 
+use crate::cursor::Lift;
 use crate::dead::DeadBits;
 use crate::snapshot::ShardSnapshot;
+use crate::Snapshot;
 use free_corpus::{Corpus, DocId};
 use std::ops::Range;
 
-/// Read view of one shard at one generation. `get` is keyed by the
-/// shard's sequence number; ids with no live document error like any other
-/// out-of-range access, and `len` is the live document count.
-pub(crate) struct LiveView<'a>(pub &'a ShardSnapshot);
+/// Read view of every shard at one generation. `get` is keyed by global
+/// sequence number and routes global `g` to shard `g % N` as local
+/// `g / N`; ids with no live document error like any other out-of-range
+/// access. `len`, `total_bytes` and `scan_range` cover the live
+/// documents of the `scanning` shards only — the ones a query confirms
+/// whole.
+pub(crate) struct LiveView<'a> {
+    snapshot: &'a Snapshot,
+    /// Shard numbers, ascending.
+    scanning: Vec<usize>,
+}
+
+impl<'a> LiveView<'a> {
+    pub(crate) fn new(snapshot: &'a Snapshot, scanning: Vec<usize>) -> LiveView<'a> {
+        LiveView { snapshot, scanning }
+    }
+
+    /// The scanning shards, each with its lift, in shard order.
+    fn scanned(&self) -> impl Iterator<Item = (Lift, &'a ShardSnapshot)> + '_ {
+        let shards = &self.snapshot.shards[..];
+        (self.scanning.iter()).map(move |&s| (Lift::new(s, shards.len()), &*shards[s]))
+    }
+}
 
 impl Corpus for LiveView<'_> {
     fn len(&self) -> usize {
-        self.0.live_docs
+        self.scanned().map(|(_, s)| s.live_docs).sum()
     }
 
     fn total_bytes(&self) -> u64 {
-        let s = self.0;
-        s.segments.iter().map(|s| s.data_bytes()).sum::<u64>() + s.memtable.bytes()
+        let bytes = |s: &ShardSnapshot| {
+            s.segments.iter().map(|s| s.data_bytes()).sum::<u64>() + s.memtable.bytes()
+        };
+        self.scanned().map(|(_, s)| bytes(s)).sum()
     }
 
     fn get(&self, seq: DocId) -> free_corpus::Result<Vec<u8>> {
-        let s = self.0;
-        match s.live(seq) {
+        let shards = &self.snapshot.shards;
+        let n = shards.len() as DocId;
+        let s = &shards[(seq % n) as usize];
+        match s.live(seq / n) {
             Some((owner, local)) => s.read(owner, local),
             None => Err(free_corpus::Error::DocOutOfRange {
                 id: seq,
-                len: s.live_docs,
+                len: self.snapshot.live_docs(),
             }),
         }
     }
 
-    /// Positions count live documents in sequence order: each segment's,
-    /// then the write buffer's. Reads the segments a range covers front
-    /// to back, checking every unit's CRC as [`Corpus::get`] does.
+    /// Positions count the scanning shards' live documents shard-major,
+    /// each shard's in sequence order: its segments', then its write
+    /// buffer's. Reads the segments a range covers front to back,
+    /// checking every unit's CRC as [`Corpus::get`] does.
     fn scan_range(
         &self,
         positions: Range<usize>,
         f: &mut dyn FnMut(DocId, &[u8]) -> bool,
     ) -> free_corpus::Result<()> {
-        let s = self.0;
         let mut skip = positions.start;
         let mut take = positions.end.saturating_sub(positions.start);
-        for seg in &s.segments {
-            let Some(locals) = live_locals(&seg.dead, seg.seqs.len(), &mut skip, &mut take) else {
-                continue;
-            };
-            let mut stopped = false;
-            seg.corpus.scan_checked(locals, &mut |local, bytes| {
-                if seg.dead.contains(local as usize) {
-                    return true;
+        for (lift, s) in self.scanned() {
+            for seg in &s.segments {
+                let Some(locals) = live_locals(&seg.dead, seg.seqs.len(), &mut skip, &mut take)
+                else {
+                    continue;
+                };
+                let mut stopped = false;
+                seg.corpus.scan_checked(locals, &mut |local, bytes| {
+                    if seg.dead.contains(local as usize) {
+                        return true;
+                    }
+                    stopped = !f(lift.up(seg.seqs[local as usize]), bytes);
+                    !stopped
+                })?;
+                if stopped {
+                    return Ok(());
                 }
-                stopped = !f(seg.seqs[local as usize], bytes);
-                !stopped
-            })?;
-            if stopped {
-                return Ok(());
             }
-        }
-        let dead = &s.memtable.dead;
-        let locals = live_locals(dead, s.memtable.len(), &mut skip, &mut take);
-        for local in locals.unwrap_or_default() {
-            let doc = s.memtable.doc(local).unwrap_or_default();
-            if !dead.contains(local) && !f(s.wal_base + local as DocId, doc) {
-                return Ok(());
+            let dead = &s.memtable.dead;
+            let locals = live_locals(dead, s.memtable.len(), &mut skip, &mut take);
+            for local in locals.unwrap_or_default() {
+                let doc = s.memtable.doc(local).unwrap_or_default();
+                if !dead.contains(local) && !f(lift.up(s.wal_base + local as DocId), doc) {
+                    return Ok(());
+                }
             }
         }
         Ok(())
@@ -101,8 +129,7 @@ fn live_locals(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::Shard;
-    use crate::LiveConfig;
+    use crate::{LiveConfig, LiveIndex};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -118,32 +145,49 @@ mod tests {
         seen
     }
 
+    /// Only explicit flushes flush, so a schedule is exact.
+    fn config() -> LiveConfig {
+        LiveConfig {
+            flush_threshold_bytes: u64::MAX,
+            flush_threshold_docs: usize::MAX,
+            ..LiveConfig::default()
+        }
+    }
+
+    fn fresh_dir(tag: &str) -> std::path::PathBuf {
+        static DIRS: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "free-live-view-{tag}-{}-{}",
+            std::process::id(),
+            DIRS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Over segments flushed at random points, random deletes (in the
-        /// segments and in the write buffer, each some stages after its
-        /// document was added, so a flush may seal past one), an optional
-        /// compaction and a buffer that may be empty, `scan_range` visits
-        /// exactly the live documents at those positions of a full pass,
-        /// for empty and reversed ranges, ranges past the end, and
-        /// visitors that stop early.
+        /// Over 1-3 shards holding segments flushed at random points,
+        /// random deletes (in the segments and in the write buffers, each
+        /// some stages after its document was added, so a flush may seal
+        /// past one), an optional compaction and buffers that may be
+        /// empty, `scan_range` visits exactly the live documents of the
+        /// scanning shards at those positions of a shard-major pass, for
+        /// empty and reversed ranges, ranges past the end, and visitors
+        /// that stop early.
         #[test]
         fn scan_range_is_scan_and_skip(
+            shards in 1usize..4,
+            scanning in prop::collection::vec(any::<bool>(), 3),
             sizes in prop::collection::vec(0usize..60, 1..60),
             flushes in prop::collection::btree_set(0usize..60, 0..4),
             dead in prop::collection::vec((0u32..60, 0usize..3), 0..20),
             compact_after in 0usize..8,
             ranges in prop::collection::vec((0usize..70, 0usize..70, 1usize..70), 1..8),
         ) {
-            static DIRS: AtomicUsize = AtomicUsize::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "free-live-view-range-{}-{}",
-                std::process::id(),
-                DIRS.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let mut shard = Shard::create(&dir, LiveConfig::default()).unwrap();
+            let dir = fresh_dir("range");
+            let mut index = LiveIndex::create_sharded(&dir, config(), shards).unwrap();
             let docs: Vec<Vec<u8>> = (sizes.iter().enumerate())
                 .map(|(i, &len)| format!("doc {i} {}", "x".repeat(len)).into_bytes())
                 .collect();
@@ -158,26 +202,29 @@ mod tests {
             let stage_of = |seq: DocId| ends.partition_point(|&end| end <= seq as usize);
             let mut from = 0;
             for (stage, &end) in ends.iter().enumerate() {
-                shard.add_batch_deferred(&docs[from..end]).unwrap();
+                index.add_batch(&docs[from..end]).unwrap();
                 from = end;
                 for (&seq, &delay) in &dead {
                     if (stage_of(seq) + delay).min(ends.len() - 1) == stage {
-                        shard.delete(seq).unwrap();
+                        index.delete(seq).unwrap();
                     }
                 }
                 if stage + 1 < ends.len() {
-                    shard.flush().unwrap();
+                    index.flush().unwrap();
                 }
                 if compact_after == stage {
-                    shard.compact().unwrap();
+                    index.compact().unwrap();
                 }
             }
-            let snapshot = shard.snapshot();
-            let view = LiveView(&snapshot);
-            let live: Vec<(DocId, Vec<u8>)> = (0..docs.len() as DocId)
-                .filter(|seq| !dead.contains_key(seq))
+            let snapshot = index.snapshot();
+            let scanning: Vec<usize> = (0..shards).filter(|&s| scanning[s]).collect();
+            let view = LiveView::new(&snapshot, scanning.clone());
+            let shard_of = |seq: DocId| seq as usize % shards;
+            let mut live: Vec<(DocId, Vec<u8>)> = (0..docs.len() as DocId)
+                .filter(|seq| !dead.contains_key(seq) && scanning.contains(&shard_of(*seq)))
                 .map(|seq| (seq, docs[seq as usize].clone()))
                 .collect();
+            live.sort_by_key(|&(seq, _)| (shard_of(seq), seq));
             prop_assert_eq!(view.len(), live.len());
             prop_assert_eq!(&visited(&view, 0..usize::MAX, usize::MAX), &live);
             for (start, end, stop) in ranges {
@@ -189,38 +236,44 @@ mod tests {
                     .collect();
                 prop_assert_eq!(&visited(&view, start..end, stop), &want, "{}..{}", start, end);
             }
-            drop(shard);
+            drop(index);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
     /// `get` of a deleted document errors like any other missing id, in
-    /// a segment and in the write buffer; its live neighbours read back.
+    /// a segment and in a write buffer, whichever shard holds it; its
+    /// live neighbours read back.
     #[test]
     fn get_hides_deleted_documents() {
-        let dir = std::env::temp_dir().join(format!("free-live-view-get-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut shard = Shard::create(&dir, LiveConfig::default()).unwrap();
-        let docs: Vec<Vec<u8>> = (0..10).map(|i| format!("doc {i}").into_bytes()).collect();
-        shard.add_batch_deferred(&docs[..5]).unwrap();
-        shard.flush().unwrap();
-        shard.add_batch_deferred(&docs[5..]).unwrap();
-        for seq in [2, 7] {
-            shard.delete(seq).unwrap();
+        for shards in [1, 3] {
+            let dir = fresh_dir("get");
+            let mut index = LiveIndex::create_sharded(&dir, config(), shards).unwrap();
+            let docs: Vec<Vec<u8>> = (0..10).map(|i| format!("doc {i}").into_bytes()).collect();
+            index.add_batch(&docs[..5]).unwrap();
+            index.flush().unwrap();
+            index.add_batch(&docs[5..]).unwrap();
+            for seq in [2, 7] {
+                index.delete(seq).unwrap();
+            }
+            let snapshot = index.snapshot();
+            let view = LiveView::new(&snapshot, Vec::new());
+            for seq in [2, 7] {
+                let got = view.get(seq);
+                assert!(
+                    matches!(got, Err(free_corpus::Error::DocOutOfRange { id, len: 8 }) if id == seq),
+                    "{shards} shard(s), {seq}: {got:?}"
+                );
+            }
+            for seq in [1, 3, 6, 8] {
+                assert_eq!(
+                    view.get(seq).unwrap(),
+                    docs[seq as usize],
+                    "{shards}: {seq}"
+                );
+            }
+            drop(index);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        let snapshot = shard.snapshot();
-        let view = LiveView(&snapshot);
-        for seq in [2, 7] {
-            let got = view.get(seq);
-            assert!(
-                matches!(got, Err(free_corpus::Error::DocOutOfRange { id, len: 8 }) if id == seq),
-                "{seq}: {got:?}"
-            );
-        }
-        for seq in [1, 3, 6, 8] {
-            assert_eq!(view.get(seq).unwrap(), docs[seq as usize], "{seq}");
-        }
-        drop(shard);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

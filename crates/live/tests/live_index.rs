@@ -1051,34 +1051,6 @@ fn stats_json_shape() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The per-shard RED series are resolved once at open and move by
-/// exactly one per query. This is the only test of this binary with a
-/// second shard, so the global `{shard="1"}` series are its own.
-#[test]
-fn shard_red_series_count_each_query_once() {
-    let dir = tmp_dir("shard-red");
-    let mut live = LiveIndex::create_sharded(&dir, config(), 2).unwrap();
-    live.add_batch(&docs()).unwrap();
-    let series = |name: &str| -> Option<u64> {
-        let prefix = format!("{name}{{shard=\"1\"}} ");
-        free_trace::metrics::global()
-            .expose()
-            .lines()
-            .find_map(|l| l.strip_prefix(&prefix)?.trim().parse().ok())
-    };
-    let before = series("free_shard_queries_total").unwrap_or(0);
-    for (i, pattern) in ["quick", "sphinx.*quartz", "(unclosed"].iter().enumerate() {
-        let outcome = live.snapshot().query(pattern);
-        assert_eq!(outcome.is_ok(), i < 2, "{pattern}");
-        // A pattern that fails to parse never reaches a shard.
-        let ran = (i as u64 + 1).min(2);
-        assert_eq!(series("free_shard_queries_total"), Some(before + ran));
-        assert_eq!(series("free_shard_query_errors_total"), Some(0));
-        assert_eq!(series("free_shard_query_ns_count"), Some(before + ran));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(from).unwrap() {

@@ -14,7 +14,7 @@
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_engine::EngineConfig;
-use free_live::{LiveConfig, LiveIndex, QueryOpts, ShardedManifest};
+use free_live::{LiveConfig, LiveIndex, LiveQueryResult, QueryOpts, ShardedManifest};
 use free_regex::Span;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,17 +86,31 @@ fn shard_counts() -> Vec<usize> {
     }
 }
 
-/// (seq, spans) for every match of `pattern`, in global order.
+/// (seq, spans) for every match of `pattern`, in global order, at
+/// `threads` threads. The logical counters of a run at more than one
+/// thread must equal those of a run at one.
 fn results(live: &LiveIndex, pattern: &str, threads: usize) -> Vec<(u32, Vec<Span>)> {
-    let opts = QueryOpts {
-        threads,
-        ..QueryOpts::default()
+    let snapshot = live.snapshot();
+    let run = |threads| {
+        let opts = QueryOpts {
+            threads,
+            ..QueryOpts::default()
+        };
+        snapshot.query_opts(pattern, &opts).unwrap()
     };
-    live.snapshot()
-        .query_opts(pattern, &opts)
-        .unwrap()
-        .matches
-        .into_iter()
+    let counters = |r: &LiveQueryResult| {
+        let b = &r.stats.base;
+        (b.docs_examined, b.candidates, b.matching_docs)
+    };
+    let result = run(threads);
+    if threads > 1 {
+        assert_eq!(
+            counters(&result),
+            counters(&run(1)),
+            "counters of {pattern} at {threads} thread(s)"
+        );
+    }
+    (result.matches.into_iter())
         .map(|m| (m.seq, m.spans))
         .collect()
 }
