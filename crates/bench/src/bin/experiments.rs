@@ -533,9 +533,10 @@ fn run_replay(config: &ExperimentConfig) -> String {
 /// timing the full ingest (WAL append + memtable + threshold-triggered
 /// segment flushes, which run across shards in parallel) and a final
 /// compaction, then runs a fixed-duration query loop against composite
-/// snapshots — one candidate stream over every shard, confirmed with
-/// one thread per shard. The report is also written to
-/// `results/shard_scaling.txt`.
+/// snapshots — one candidate stream over every shard, confirmed on as
+/// many threads as the host has cores at every shard count, so the
+/// shard count is the only axis that moves. The report is also written
+/// to `results/shard_scaling.txt`.
 fn run_shard_scaling(config: &ExperimentConfig) -> String {
     use free_bench::queries::benchmark_queries;
     use std::fmt::Write as _;
@@ -570,7 +571,8 @@ fn run_shard_scaling(config: &ExperimentConfig) -> String {
     let _ = writeln!(
         out,
         "Shard scaling — {} docs ({:.1} MiB) per build, batches of {BATCH}, \
-         {RUN_FOR:?} query loop, {cores} core(s)",
+         {RUN_FOR:?} query loop, {cores} core(s), {cores} confirmation \
+         thread(s) per query at every shard count",
         config.num_docs,
         corpus_bytes as f64 / (1 << 20) as f64
     );
@@ -633,8 +635,8 @@ fn run_shard_scaling(config: &ExperimentConfig) -> String {
         live.compact().expect("compact");
         let compact_time = t.elapsed();
 
-        // Fixed-duration query loop over one composite snapshot, one
-        // confirmation thread per shard.
+        // Fixed-duration query loop over one composite snapshot, at the
+        // same confirmation thread count for every shard count.
         let latency = free_trace::Histogram::new();
         let snapshot = live.snapshot();
         let started = Instant::now();
@@ -648,7 +650,7 @@ fn run_shard_scaling(config: &ExperimentConfig) -> String {
                 .query_opts(
                     q.pattern,
                     &free_live::QueryOpts {
-                        threads: shards,
+                        threads: cores,
                         want_spans: false,
                         ..free_live::QueryOpts::default()
                     },

@@ -511,8 +511,8 @@ fn usage() -> String {
      announced on stdout); --max-concurrent N sheds queries past N in \
      flight with 429 + Retry-After, --queue N bounds the accept queue, \
      --timeout-ms N sets the default query deadline (per-request \
-     timeout_ms overrides), --cache N sizes the snapshot-keyed result \
-     cache (0 disables)\n\
+     timeout_ms overrides), --cache N sizes the result cache, whose \
+     answers adds extend (0 disables)\n\
      --query-log DIR captures one crash-safe JSONL record per query into \
      DIR; --slow-ms N additionally captures a full explain-analyze tree \
      for queries slower than N ms (0 = every query)\n\

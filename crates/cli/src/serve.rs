@@ -37,10 +37,17 @@
 //! threaded into confirmation; expiry stops the executor between batches
 //! and the client gets a structured timeout error, never partial results.
 //!
-//! **Result cache.** Full match lists are memoized per pattern, stamped
-//! with the snapshot generation they were computed against
-//! ([`free_live::QueryCache`]); any write publishes a new generation, so
-//! stale entries miss without any invalidation hook.
+//! **Result cache.** Full match lists are memoized per pattern
+//! ([`free_live::QueryCache`]), stamped with the `next_seq` and removal
+//! count of the snapshot they were computed against. Flushes and
+//! compactions leave a cached answer a hit; an add extends it by
+//! running the query over the appended documents only; a delete makes
+//! the next lookup a miss. No write invalidates anything explicitly.
+//!
+//! **Replies.** Every reply goes out in one write, a line-protocol
+//! reply with its line end, on a stream with Nagle's algorithm off: a
+//! reply split over two writes would hold its tail until the client's
+//! delayed ACK, about 40 ms per request.
 //!
 //! Every admitted-or-shed request emits a qlog access record with a
 //! `status` field (`ok|error|timeout|shed`) and bumps the RED series
@@ -79,12 +86,13 @@ use std::time::{Duration, Instant};
 /// shutdown flag. Partial lines survive the timeout.
 const READ_POLL: Duration = Duration::from_millis(200);
 
-/// Upper bound on one HTTP request head (request line + headers).
+/// Upper bound on one HTTP request head (request line + headers); each
+/// header line is read under what is left of it.
 const MAX_HEAD_BYTES: usize = 64 * 1024;
 
-/// Upper bound on one HTTP request body, and on any one line the
+/// Upper bound on one HTTP request body, and on any other line the
 /// server reads (a line-protocol request, the sniffed first line, an
-/// HTTP request line or header).
+/// HTTP request line).
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// `Retry-After` seconds advertised on shed responses.
@@ -119,8 +127,7 @@ pub struct ServeOptions {
     /// a request does not carry its own `timeout_ms` (`None` = no
     /// deadline).
     pub timeout_ms: Option<u64>,
-    /// Entries in the snapshot-keyed query result cache (`0` = cache
-    /// disabled).
+    /// Entries in the query result cache (`0` = cache disabled).
     pub cache_entries: usize,
 }
 
@@ -375,13 +382,16 @@ pub fn serve(options: &ServeOptions, announce: impl FnOnce(SocketAddr)) -> Resul
             // unserved; everything already queued still completes.
             break;
         }
-        match stream {
-            Ok(s) => match tx.try_send(s) {
-                Ok(()) => {}
-                Err(mpsc::TrySendError::Full(s)) => shed_at_accept(s, &ctx),
-                Err(mpsc::TrySendError::Disconnected(_)) => break,
-            },
-            Err(_) => continue, // transient accept failure
+        let Ok(s) = stream else {
+            continue; // transient accept failure
+        };
+        // Every reply is one write; with Nagle's algorithm on, the tail
+        // of one past a segment would wait on the client's ACK.
+        let _ = s.set_nodelay(true);
+        match tx.try_send(s) {
+            Ok(()) => {}
+            Err(mpsc::TrySendError::Full(s)) => shed_at_accept(s, &ctx),
+            Err(mpsc::TrySendError::Disconnected(_)) => break,
         }
     }
     drop(tx);
@@ -433,25 +443,26 @@ enum LineRead {
     Shutdown,
     /// Unrecoverable socket error.
     Failed,
-    /// More than [`MAX_BODY_BYTES`] arrived without a line end; the
-    /// buffer holds the first `MAX_BODY_BYTES + 1` of them.
+    /// More than the cap arrived without a line end; the buffer holds
+    /// the first cap + 1 of them.
     TooLong,
 }
 
 /// Reads one `\n`-terminated line into `buf`, polling the shutdown flag
 /// on read timeouts. Partial data survives each poll. Never buffers
-/// more than one byte past [`MAX_BODY_BYTES`].
+/// more than one byte past `cap`.
 fn read_line_poll(
     reader: &mut BufReader<TcpStream>,
     ctx: &ServeCtx,
     buf: &mut Vec<u8>,
+    cap: usize,
 ) -> LineRead {
     loop {
-        let room = (MAX_BODY_BYTES + 1).saturating_sub(buf.len()) as u64;
+        let room = (cap + 1).saturating_sub(buf.len()) as u64;
         match reader.by_ref().take(room).read_until(b'\n', buf) {
             Ok(0) => return LineRead::Eof,
             Ok(_) if buf.last() == Some(&b'\n') => return LineRead::Line,
-            Ok(_) if buf.len() > MAX_BODY_BYTES => return LineRead::TooLong,
+            Ok(_) if buf.len() > cap => return LineRead::TooLong,
             Ok(_) => continue, // partial read
             Err(e)
                 if matches!(
@@ -483,7 +494,7 @@ fn handle_connection(stream: TcpStream, ctx: &ServeCtx) {
     });
     let mut out = stream;
     let mut line: Vec<u8> = Vec::new();
-    match read_line_poll(&mut reader, ctx, &mut line) {
+    match read_line_poll(&mut reader, ctx, &mut line, MAX_BODY_BYTES) {
         LineRead::Line => {
             if looks_like_http(&line) {
                 serve_http(&mut reader, &mut out, line, ctx);
@@ -498,7 +509,7 @@ fn handle_connection(stream: TcpStream, ctx: &ServeCtx) {
                     serve_http(&mut reader, &mut out, line, ctx);
                 } else {
                     let (response, _) = dispatch(&line, ctx);
-                    let _ = writeln!(out, "{response}");
+                    let _ = send_line(&mut out, response);
                 }
             }
         }
@@ -519,11 +530,17 @@ fn refuse_long_line(out: &mut TcpStream, prefix: &[u8], ctx: &ServeCtx) {
         let _ = out.write_all(&reply);
         "http"
     } else {
-        let _ = writeln!(out, "{body}");
+        let _ = send_line(out, body);
         "tcp"
     };
-    let _ = out.flush();
     ctx.log_access(request_id, proto, "unparsed", RequestStatus::Error, started);
+}
+
+/// Sends one line-protocol reply and its line end in one write.
+fn send_line(out: &mut TcpStream, reply: String) -> std::io::Result<()> {
+    let mut bytes = reply.into_bytes();
+    bytes.push(b'\n');
+    out.write_all(&bytes)
 }
 
 /// Whether a first request line is an HTTP/1.x request line.
@@ -554,7 +571,7 @@ fn serve_lines(
             false
         } else {
             let (response, stop) = dispatch(&line, ctx);
-            if writeln!(out, "{response}").is_err() || out.flush().is_err() {
+            if send_line(out, response).is_err() {
                 return;
             }
             stop
@@ -563,12 +580,12 @@ fn serve_lines(
         if stop {
             return;
         }
-        match read_line_poll(reader, ctx, &mut line) {
+        match read_line_poll(reader, ctx, &mut line, MAX_BODY_BYTES) {
             LineRead::Line => {}
             LineRead::Eof => {
                 if !line.iter().all(u8::is_ascii_whitespace) {
                     let (response, _) = dispatch(&line, ctx);
-                    let _ = writeln!(out, "{response}");
+                    let _ = send_line(out, response);
                 }
                 return;
             }
@@ -829,34 +846,24 @@ impl<'a> QueryParams<'a> {
 }
 
 /// Runs one search against the freshest published snapshot (never
-/// touching the writer lock) and renders the response. Consults the
-/// snapshot-keyed result cache first: a hit at the current generation
-/// skips planning and confirmation entirely; any write invalidates by
-/// bumping the generation.
+/// touching the writer lock) and renders the response, through the
+/// result cache when there is one: a hit skips planning and
+/// confirmation, an extension confirms only the documents appended
+/// since the cached answer.
 fn run_query(params: &QueryParams<'_>, ctx: &ServeCtx, request_id: u64) -> Result<String> {
     ctx.queries.inc();
     let started = Instant::now();
     let snapshot = ctx.reader.snapshot();
     let generation = snapshot.generation();
-    let cached = ctx
-        .cache
-        .as_ref()
-        .and_then(|c| c.get(params.pattern, generation));
-    let matches: Arc<Vec<free_live::LiveMatch>> = match cached {
-        Some(hit) => hit,
+    let budget = params.budget(ctx);
+    let matches = match &ctx.cache {
+        Some(cache) => cache.query(&snapshot, params.pattern, &budget)?.0,
         None => {
-            let result = snapshot.query_opts(
-                params.pattern,
-                &QueryOpts {
-                    budget: params.budget(ctx),
-                    ..QueryOpts::default()
-                },
-            )?;
-            let fresh = Arc::new(result.matches);
-            if let Some(cache) = &ctx.cache {
-                cache.insert(params.pattern, generation, fresh.clone());
-            }
-            fresh
+            let opts = QueryOpts {
+                budget,
+                ..QueryOpts::default()
+            };
+            Arc::new(snapshot.query_opts(params.pattern, &opts)?.matches)
         }
     };
     ctx.query_ns.observe_duration(started.elapsed());
@@ -946,14 +953,14 @@ fn read_http_head(
     let mut header: Vec<u8> = Vec::new();
     loop {
         header.clear();
-        match read_line_poll(reader, ctx, &mut header) {
+        // A header line gets what is left of the head's cap, so an
+        // endless one is refused once the head passes it.
+        let room = MAX_HEAD_BYTES.saturating_sub(head_bytes);
+        match read_line_poll(reader, ctx, &mut header, room) {
             LineRead::Line => {}
             _ => return None,
         }
         head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return None;
-        }
         let h = std::str::from_utf8(&header).ok()?.trim_end();
         if h.is_empty() {
             break;
@@ -1049,7 +1056,7 @@ fn serve_http(
         }
         // Next request line (keep-alive).
         let mut line = Vec::new();
-        match read_line_poll(reader, ctx, &mut line) {
+        match read_line_poll(reader, ctx, &mut line, MAX_BODY_BYTES) {
             LineRead::Line => next_line = Some(line),
             LineRead::TooLong => return refuse_long_line(out, &line, ctx),
             LineRead::Eof | LineRead::Shutdown | LineRead::Failed => return,
@@ -1573,6 +1580,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A header line with no end is refused as soon as the head passes
+    /// its cap, while the client still holds the connection open and
+    /// keeps sending.
+    #[test]
+    fn an_endless_header_is_refused_at_the_head_cap() {
+        let dir = std::env::temp_dir().join(format!("free-serve-head-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (addr, handle) = start_server(&dir);
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut head = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(1 << 20, b'a');
+        let mut sender = s.try_clone().unwrap();
+        // The server stops reading at the cap, so the rest of the pad
+        // may never be taken: send it beside the read, ignoring errors.
+        let pad = std::thread::spawn(move || {
+            let _ = sender.write_all(&head);
+        });
+        let mut reply = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while !reply.windows(4).any(|w| w == b"\r\n\r\n") {
+            match s.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => reply.extend_from_slice(&chunk[..n]),
+                Err(e) => panic!("no reply within the read timeout: {e}"),
+            }
+        }
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+        pad.join().unwrap();
+        assert_eq!(http(addr, "GET", "/healthz", None).0, 200);
+        roundtrip(addr, r#"{"shutdown":true}"#);
+        handle.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn zero_timeout_returns_structured_timeout() {
         let dir = std::env::temp_dir().join(format!("free-serve-to-{}", std::process::id()));
@@ -1613,37 +1656,6 @@ mod tests {
             to.get("status").and_then(JsonValue::as_str),
             Some("timeout")
         );
-
-        roundtrip(addr, r#"{"shutdown":true}"#);
-        handle.join().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_hits_until_write_invalidates() {
-        let dir = std::env::temp_dir().join(format!("free-serve-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (addr, handle) = start_server(&dir);
-
-        roundtrip(addr, r#"{"add":["cache needle"]}"#);
-        let hits_before = free_trace::metrics::global()
-            .counter("free_qcache_hits_total", "query cache hits")
-            .get();
-        let a = roundtrip(addr, r#"{"query":"cache.needle"}"#);
-        let b = roundtrip(addr, r#"{"query":"cache.needle"}"#);
-        assert_eq!(
-            a.get("total").and_then(JsonValue::as_u64),
-            b.get("total").and_then(JsonValue::as_u64)
-        );
-        let hits_mid = free_trace::metrics::global()
-            .counter("free_qcache_hits_total", "query cache hits")
-            .get();
-        assert!(hits_mid > hits_before, "second identical query must hit");
-
-        // A write publishes a new generation: same pattern, fresh answer.
-        roundtrip(addr, r#"{"add":["cache needle again"]}"#);
-        let c = roundtrip(addr, r#"{"query":"cache.needle"}"#);
-        assert_eq!(c.get("total").and_then(JsonValue::as_u64), Some(2));
 
         roundtrip(addr, r#"{"shutdown":true}"#);
         handle.join().unwrap();

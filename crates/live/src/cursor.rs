@@ -40,7 +40,7 @@ impl Lift {
     }
 
     /// The least local sequence whose global one is `>= global`.
-    fn down(self, global: DocId) -> DocId {
+    pub(crate) fn down(self, global: DocId) -> DocId {
         global.saturating_sub(self.shard).div_ceil(self.shards)
     }
 }

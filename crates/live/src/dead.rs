@@ -28,6 +28,17 @@ impl DeadBits {
         self.count
     }
 
+    /// How many local ids below `local` are dead.
+    pub(crate) fn count_below(&self, local: usize) -> usize {
+        let (full, bits) = (local / 64, local % 64);
+        let whole: u32 = self.words.iter().take(full).map(|w| w.count_ones()).sum();
+        let part = self
+            .words
+            .get(full)
+            .map_or(0, |w| (w & ((1 << bits) - 1)).count_ones());
+        (whole + part) as usize
+    }
+
     /// Marks `local` dead, copying the bitmap first if a snapshot shares
     /// it and growing it to reach `local`; returns whether it was live.
     pub(crate) fn insert(&mut self, local: usize) -> bool {
@@ -95,9 +106,9 @@ mod tests {
 
         /// Against a `BTreeSet` model, over inserts spread across a
         /// growing id range and clones taken along the way: `contains`,
-        /// `count`, ascending iteration and the k-th live id agree with
-        /// the model, an insert reports whether the id was live, and a
-        /// clone keeps the bits it was taken with.
+        /// `count`, `count_below`, ascending iteration and the k-th live
+        /// id agree with the model, an insert reports whether the id was
+        /// live, and a clone keeps the bits it was taken with.
         #[test]
         fn bitmap_is_a_set(
             inserts in prop::collection::vec(0usize..300, 0..120),
@@ -119,6 +130,9 @@ mod tests {
                     prop_assert_eq!(bits.contains(local), model.contains(&local), "{}", local);
                 }
                 prop_assert_eq!(bits.count(), model.len());
+                for local in 0..len {
+                    prop_assert_eq!(bits.count_below(local), model.range(..local).count());
+                }
                 let dead: Vec<usize> = model.iter().copied().collect();
                 prop_assert_eq!(bits.iter().collect::<Vec<_>>(), dead);
                 let live: Vec<usize> = (0..len).filter(|l| !model.contains(l)).collect();

@@ -62,7 +62,7 @@ pub use live::{
     TOMBSTONES_FILE, TOMBSTONES_HEADER, WAL_DIR, WAL_EPOCH_FILE,
 };
 pub use manifest::{Manifest, SegmentMeta};
-pub use qcache::QueryCache;
+pub use qcache::{Lookup, QueryCache};
 pub use query::{LiveMatch, LiveQueryResult, LiveQueryStats, QueryOpts};
 pub use shard::{
     derive_next_seq, recoverable_next_seq, shard_dir, shard_local_count, LiveIndex, LiveReader,

@@ -142,19 +142,27 @@ pub(crate) fn emit_qlog(pattern: &str, stats: &LiveQueryStats, want_spans: bool)
 }
 
 /// Runs an already-prepared query over every shard of `snapshot`,
-/// handing each match to `on_doc`. The stream pass delivers ascending
+/// handing each match at global sequence `since` or above to `on_doc`
+/// (`since` 0 is the whole snapshot). The stream pass delivers ascending
 /// global sequences; a scan pass delivers each scanning shard's
 /// ascending, one shard after another. The caller
 /// ([`crate::Snapshot::query_opts`]) owns the query span, the prepare
 /// time, ordering and metrics recording. Counters fold across shards as
 /// one execution would count them: sums, `used_scan` if any shard
 /// scanned, and the worst plan class of any shard.
+///
+/// A source whose documents all sit below `since` is skipped, and so is
+/// a shard with no other source; the candidate stream starts with a
+/// seek to `since`, and the scan pass reads only the documents at or
+/// above it. A result cache extends an answer past appends this way at
+/// the cost of the appended documents ([`crate::QueryCache`]).
 // `expect`: `compile_plan` returns `None` only for scan plans, which
 // the compiling branch excludes; `pop()` sits in the `len == 1` arm.
 #[allow(clippy::expect_used, clippy::too_many_arguments)]
 pub(crate) fn execute_prepared(
     snapshot: &Snapshot,
     prepared: &PreparedQuery,
+    since: DocId,
     threads: usize,
     want_spans: bool,
     budget: &RequestBudget,
@@ -171,7 +179,17 @@ pub(crate) fn execute_prepared(
         let mut span = query_span.child("live.plan");
         for (s, shard) in snapshot.shards.iter().enumerate() {
             let lift = Lift::new(s, snapshot.shards.len());
-            let shard_sources = shard.segments.len() + usize::from(!shard.memtable.is_empty());
+            // The sources holding a document at `since` or above: a
+            // suffix of the segments, which hold ascending, disjoint
+            // sequence ranges, and the write buffer past them.
+            let from = lift.down(since);
+            let first = (shard.segments).partition_point(|seg| seg.meta.last_seq < from);
+            let segments = &shard.segments[first..];
+            let buffered = shard.memtable.len() as DocId > from.saturating_sub(shard.wal_base);
+            let shard_sources = segments.len() + usize::from(buffered);
+            if shard_sources == 0 {
+                continue;
+            }
             sources += shard_sources;
             // One plan per shard, against its dictionary (the oldest
             // segment's key directory): every source indexes exactly its
@@ -186,23 +204,21 @@ pub(crate) fn execute_prepared(
                 // Without a dictionary (nothing flushed yet) or with a
                 // plan that cannot use it, every live document is a
                 // candidate: the scan pass reads them.
-                if shard_sources > 0 {
-                    scanning.push(s);
-                    scanned_sources += shard_sources;
-                    stats.plan_class = PlanClass::Scan;
-                }
+                scanning.push(s);
+                scanned_sources += shard_sources;
+                stats.plan_class = PlanClass::Scan;
                 continue;
             };
             stats.plan_class = stats.plan_class.max(class);
             grams.extend(physical.gram_keys().into_iter().map(Into::into));
-            for seg in &shard.segments {
+            for seg in segments {
                 let cursor = compile_plan(&physical, &seg.index, &mut stats)?
                     .expect("non-scan plans always compile to a cursor");
                 let seqs = Seqs::Map(seg.seqs.clone());
                 let cursor = SourceCursor::new(cursor, seqs, seg.dead.clone(), lift)?;
                 cursors.push(Box::new(cursor));
             }
-            if !shard.memtable.is_empty() {
+            if buffered {
                 let buffer = BufferIndex {
                     keys: dict.index.keys(),
                     memtable: &shard.memtable,
@@ -223,7 +239,7 @@ pub(crate) fn execute_prepared(
     grams.dedup();
 
     let streamed = !cursors.is_empty();
-    let view = LiveView::new(snapshot, scanning);
+    let view = LiveView::new(snapshot, scanning, since);
     let mut confirm = |source: &mut CandidateSource, stats: &mut QueryStats| {
         let (regex, prefilter) = (prepared.regex(), prepared.prefilter());
         confirm_source(
@@ -234,10 +250,13 @@ pub(crate) fn execute_prepared(
         let mut span = query_span.child("live.confirm");
         if streamed {
             let index_start = Instant::now();
-            let root: Box<dyn PostingsCursor> = match cursors.len() {
+            let mut root: Box<dyn PostingsCursor> = match cursors.len() {
                 1 => cursors.pop().expect("one cursor"),
                 _ => Box::new(OrCursor::new(cursors)?),
             };
+            if since > 0 {
+                root.seek(since)?;
+            }
             let mut st = StreamState::new(root);
             st.refresh(&mut stats);
             stats.index_time += index_start.elapsed();

@@ -281,6 +281,11 @@ pub struct LiveIndex {
     shards: Vec<Shard>,
     generation: u64,
     next_seq: DocId,
+    /// Publications that took documents out of the index: deletes and
+    /// batch rollbacks. Adds, flushes and compactions leave it alone, so
+    /// a cached answer over the sequences below a snapshot's `next_seq`
+    /// holds at every later snapshot with the same count.
+    removals: u64,
     published: Arc<SnapshotCell<Snapshot>>,
     metrics: Arc<[ShardMetrics]>,
     /// `free_live_segments`: sealed segments over every shard.
@@ -390,6 +395,8 @@ impl LiveIndex {
         let initial = Arc::new(Snapshot {
             shards: shards.iter().map(Shard::snapshot).collect(),
             generation,
+            next_seq,
+            removals: 0,
         });
         let index = LiveIndex {
             metrics,
@@ -398,6 +405,7 @@ impl LiveIndex {
             shards,
             generation,
             next_seq,
+            removals: 0,
             published: Arc::new(SnapshotCell::new(initial)),
             poisoned: None,
         };
@@ -621,7 +629,10 @@ impl LiveIndex {
         if rolled {
             // The truncations sealed pre-batch buffers into segments;
             // republish so readers track that (unchanged) document set.
+            // Count it as a removal: a cached answer is not extended
+            // past a rollback.
             self.generation += 1;
+            self.removals += 1;
             self.publish();
         }
         cause
@@ -650,6 +661,7 @@ impl LiveIndex {
             .delete(seq / n)
             .map_err(|e| remap_seq_err(e, seq))?;
         self.generation += 1;
+        self.removals += 1;
         self.publish();
         Ok(())
     }
@@ -727,6 +739,8 @@ impl LiveIndex {
         self.published.store(Arc::new(Snapshot {
             shards: snaps,
             generation: self.generation,
+            next_seq: self.next_seq,
+            removals: self.removals,
         }));
     }
 }
@@ -751,6 +765,11 @@ fn remap_seq_err(e: Error, global: DocId) -> Error {
 pub struct Snapshot {
     pub(crate) shards: Vec<Arc<ShardSnapshot>>,
     pub(crate) generation: u64,
+    /// The writer's global `next_seq`: every document ever added sits
+    /// below it.
+    pub(crate) next_seq: DocId,
+    /// The writer's removal count (see `LiveIndex::removals`).
+    pub(crate) removals: u64,
 }
 
 impl Snapshot {
@@ -806,6 +825,21 @@ impl Snapshot {
     /// its next batch boundary, and the whole query returns a structured
     /// [`Error::Timeout`] / [`Error::Cancelled`] — never partial results.
     pub fn query_opts(&self, pattern: &str, opts: &QueryOpts) -> Result<LiveQueryResult> {
+        let result = self.query_since(pattern, opts, 0)?;
+        QueryMetrics::global().record(&result.stats.base);
+        crate::query::emit_qlog(pattern, &result.stats, opts.want_spans);
+        Ok(result)
+    }
+
+    /// [`Snapshot::query_opts`] over the documents at global sequence
+    /// `since` or above only, recording no metrics and no query-log
+    /// record: what [`crate::QueryCache`] runs to extend an answer.
+    pub(crate) fn query_since(
+        &self,
+        pattern: &str,
+        opts: &QueryOpts,
+        since: DocId,
+    ) -> Result<LiveQueryResult> {
         let econfig = &self.shards[0].config.engine;
         let threads = if opts.threads == 0 {
             econfig.effective_threads()
@@ -816,6 +850,7 @@ impl Snapshot {
         query_span.record("pattern", pattern);
         query_span.record("generation", self.generation);
         query_span.record("shards", self.shards.len() as u64);
+        query_span.record("since", u64::from(since));
 
         let prep_start = Instant::now();
         let prepared = free_engine::PreparedQuery::new(pattern, econfig, &query_span)?;
@@ -824,6 +859,7 @@ impl Snapshot {
         let mut stats = execute_prepared(
             self,
             &prepared,
+            since,
             threads,
             opts.want_spans,
             &opts.budget,
@@ -840,8 +876,6 @@ impl Snapshot {
             matches.sort_unstable_by_key(|m| m.seq);
         }
         stats.base.plan_time += prep_time;
-        QueryMetrics::global().record(&stats.base);
-        crate::query::emit_qlog(pattern, &stats, opts.want_spans);
         Ok(LiveQueryResult { matches, stats })
     }
 }
@@ -1032,6 +1066,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A query from `since` answers exactly the full answer's matches at
+    /// `since` or above, spans included, for every `since` over shards
+    /// that stream, shards without a dictionary that scan, deletes in the
+    /// segments and in the buffers, at one thread and at four.
+    #[test]
+    fn a_query_since_answers_the_tail() {
+        for shards in [1, 2, 3] {
+            let dir = fresh_dir("since");
+            let mut idx = mixed(&dir, shards);
+            for seq in [41, 46] {
+                idx.delete(seq).unwrap();
+            }
+            let snapshot = idx.snapshot();
+            for pattern in ["bravo", "doc 4", "[0-9]"] {
+                let full = snapshot.query(pattern).unwrap().matches;
+                for since in 0..=idx.next_seq() + 1 {
+                    for threads in [1, 4] {
+                        let opts = QueryOpts {
+                            threads,
+                            ..QueryOpts::default()
+                        };
+                        let got = snapshot.query_since(pattern, &opts, since).unwrap();
+                        let want: Vec<_> =
+                            (full.iter()).filter(|m| m.seq >= since).cloned().collect();
+                        assert_eq!(got.matches, want, "{shards} {pattern} {since} {threads}");
+                    }
+                }
+            }
+            drop(idx);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     /// Four shards that all scan (nothing flushed), that mix scanning and
     /// indexed shards, and that are all indexed: an expired deadline, and
     /// a token cancelled by the first match, each fail the whole query
@@ -1074,6 +1141,7 @@ mod tests {
             let got = execute_prepared(
                 &snapshot,
                 &prepared,
+                0,
                 4,
                 true,
                 &budget,

@@ -1,49 +1,90 @@
 //! A [`Corpus`] view over a whole [`Snapshot`] keyed by global
 //! sequence numbers, so the engine's confirmation machinery (including
 //! parallel confirmation and first-k early exit) runs unchanged against
-//! every shard's segments plus write buffer.
+//! every shard's segments plus write buffer, or against only the
+//! documents from a given sequence on.
 
 use crate::cursor::Lift;
 use crate::dead::DeadBits;
-use crate::snapshot::ShardSnapshot;
+use crate::snapshot::{Owner, ShardSnapshot};
 use crate::Snapshot;
 use free_corpus::{Corpus, DocId};
 use std::ops::Range;
+
+/// One source of a scanning shard, with its shard's lift and the range
+/// of its local ids a scan covers.
+type Source<'a> = (Lift, &'a ShardSnapshot, Owner, Range<usize>);
 
 /// Read view of every shard at one generation. `get` is keyed by global
 /// sequence number and routes global `g` to shard `g % N` as local
 /// `g / N`; ids with no live document error like any other out-of-range
 /// access. `len`, `total_bytes` and `scan_range` cover the live
 /// documents of the `scanning` shards only — the ones a query confirms
-/// whole.
+/// whole — and of those only the ones at global sequence `since` or
+/// above.
 pub(crate) struct LiveView<'a> {
     snapshot: &'a Snapshot,
     /// Shard numbers, ascending.
     scanning: Vec<usize>,
+    /// The least global sequence the scan covers.
+    since: DocId,
 }
 
 impl<'a> LiveView<'a> {
-    pub(crate) fn new(snapshot: &'a Snapshot, scanning: Vec<usize>) -> LiveView<'a> {
-        LiveView { snapshot, scanning }
+    pub(crate) fn new(snapshot: &'a Snapshot, scanning: Vec<usize>, since: DocId) -> LiveView<'a> {
+        LiveView {
+            snapshot,
+            scanning,
+            since,
+        }
     }
 
-    /// The scanning shards, each with its lift, in shard order.
-    fn scanned(&self) -> impl Iterator<Item = (Lift, &'a ShardSnapshot)> + '_ {
-        let shards = &self.snapshot.shards[..];
-        (self.scanning.iter()).map(move |&s| (Lift::new(s, shards.len()), &*shards[s]))
+    /// The scanning shards' sources, shard-major, each shard's segments
+    /// and then its write buffer, with the range of the source's local
+    /// ids at global sequence `since` or above.
+    fn sources(&self) -> impl Iterator<Item = Source<'a>> + '_ {
+        let (shards, since) = (&self.snapshot.shards[..], self.since);
+        self.scanning.iter().flat_map(move |&s| {
+            let (lift, shard) = (Lift::new(s, shards.len()), &*shards[s]);
+            let from = lift.down(since);
+            let segments = shard.segments.iter().enumerate().map(move |(i, seg)| {
+                let first = seg.seqs.partition_point(|&seq| seq < from);
+                (lift, shard, Owner::Segment(i), first..seg.seqs.len())
+            });
+            let buffered = shard.memtable.len();
+            let first = (from.saturating_sub(shard.wal_base) as usize).min(buffered);
+            segments.chain(std::iter::once((
+                lift,
+                shard,
+                Owner::Buffer,
+                first..buffered,
+            )))
+        })
     }
 }
 
 impl Corpus for LiveView<'_> {
     fn len(&self) -> usize {
-        self.scanned().map(|(_, s)| s.live_docs).sum()
+        let live = |(_, s, owner, locals): Source<'_>| {
+            let dead = s.dead(owner);
+            locals.len() - (dead.count() - dead.count_below(locals.start))
+        };
+        self.sources().map(live).sum()
     }
 
+    /// The bytes of the sources the scan covers, each counted in the
+    /// share of its documents at `since` or above.
     fn total_bytes(&self) -> u64 {
-        let bytes = |s: &ShardSnapshot| {
-            s.segments.iter().map(|s| s.data_bytes()).sum::<u64>() + s.memtable.bytes()
+        let bytes = |(_, s, owner, locals): Source<'_>| {
+            let (bytes, len) = match owner {
+                Owner::Segment(i) => (s.segments[i].data_bytes(), s.segments[i].seqs.len()),
+                Owner::Buffer => (s.memtable.bytes(), s.memtable.len()),
+            };
+            (bytes * locals.len() as u64)
+                .checked_div(len as u64)
+                .unwrap_or(0)
         };
-        self.scanned().map(|(_, s)| bytes(s)).sum()
+        self.sources().map(bytes).sum()
     }
 
     fn get(&self, seq: DocId) -> free_corpus::Result<Vec<u8>> {
@@ -59,10 +100,11 @@ impl Corpus for LiveView<'_> {
         }
     }
 
-    /// Positions count the scanning shards' live documents shard-major,
-    /// each shard's in sequence order: its segments', then its write
-    /// buffer's. Reads the segments a range covers front to back,
-    /// checking every unit's CRC as [`Corpus::get`] does.
+    /// Positions count the scanning shards' live documents at `since`
+    /// or above shard-major, each shard's in sequence order: its
+    /// segments', then its write buffer's. Reads the segments a range
+    /// covers front to back, checking every unit's CRC as
+    /// [`Corpus::get`] does.
     fn scan_range(
         &self,
         positions: Range<usize>,
@@ -70,30 +112,33 @@ impl Corpus for LiveView<'_> {
     ) -> free_corpus::Result<()> {
         let mut skip = positions.start;
         let mut take = positions.end.saturating_sub(positions.start);
-        for (lift, s) in self.scanned() {
-            for seg in &s.segments {
-                let Some(locals) = live_locals(&seg.dead, seg.seqs.len(), &mut skip, &mut take)
-                else {
-                    continue;
-                };
-                let mut stopped = false;
-                seg.corpus.scan_checked(locals, &mut |local, bytes| {
-                    if seg.dead.contains(local as usize) {
-                        return true;
+        for (lift, s, owner, locals) in self.sources() {
+            let dead = s.dead(owner);
+            let Some(locals) = live_locals(dead, locals, &mut skip, &mut take) else {
+                continue;
+            };
+            match owner {
+                Owner::Segment(i) => {
+                    let seg = &s.segments[i];
+                    let mut stopped = false;
+                    seg.corpus.scan_checked(locals, &mut |local, bytes| {
+                        if dead.contains(local as usize) {
+                            return true;
+                        }
+                        stopped = !f(lift.up(seg.seqs[local as usize]), bytes);
+                        !stopped
+                    })?;
+                    if stopped {
+                        return Ok(());
                     }
-                    stopped = !f(lift.up(seg.seqs[local as usize]), bytes);
-                    !stopped
-                })?;
-                if stopped {
-                    return Ok(());
                 }
-            }
-            let dead = &s.memtable.dead;
-            let locals = live_locals(dead, s.memtable.len(), &mut skip, &mut take);
-            for local in locals.unwrap_or_default() {
-                let doc = s.memtable.doc(local).unwrap_or_default();
-                if !dead.contains(local) && !f(lift.up(s.wal_base + local as DocId), doc) {
-                    return Ok(());
+                Owner::Buffer => {
+                    for local in locals {
+                        let doc = s.memtable.doc(local).unwrap_or_default();
+                        if !dead.contains(local) && !f(lift.up(s.wal_base + local as DocId), doc) {
+                            return Ok(());
+                        }
+                    }
                 }
             }
         }
@@ -101,17 +146,18 @@ impl Corpus for LiveView<'_> {
     }
 }
 
-/// The local ids, out of a source's `len`, that hold its live documents
-/// `skip..skip + take` (dead ones may lie between), or `None` when there
-/// are none. Counts the source's live documents off `skip`, then those
-/// taken off `take`.
+/// The local ids, out of a source's `locals`, that hold its live
+/// documents `skip..skip + take` counted from `locals.start` (dead ones
+/// may lie between), or `None` when there are none. Counts the source's
+/// live documents in `locals` off `skip`, then those taken off `take`.
 fn live_locals(
     dead: &DeadBits,
-    len: usize,
+    locals: Range<usize>,
     skip: &mut usize,
     take: &mut usize,
 ) -> Option<Range<usize>> {
-    let live = len - dead.count();
+    let dead_before = dead.count_below(locals.start);
+    let live = locals.len() - (dead.count() - dead_before);
     if *skip >= live {
         *skip -= live;
         return None;
@@ -120,7 +166,9 @@ fn live_locals(
     if wanted == 0 {
         return None;
     }
-    let range = dead.nth_live(*skip)..dead.nth_live(*skip + wanted - 1) + 1;
+    // Live documents below `locals.start`, which `nth_live` counts too.
+    let first = locals.start - dead_before + *skip;
+    let range = dead.nth_live(first)..dead.nth_live(first + wanted - 1) + 1;
     *skip = 0;
     *take -= wanted;
     Some(range)
@@ -173,9 +221,10 @@ mod tests {
         /// some stages after its document was added, so a flush may seal
         /// past one), an optional compaction and buffers that may be
         /// empty, `scan_range` visits exactly the live documents of the
-        /// scanning shards at those positions of a shard-major pass, for
-        /// empty and reversed ranges, ranges past the end, and visitors
-        /// that stop early.
+        /// scanning shards at sequence `since` or above, at those
+        /// positions of a shard-major pass, for empty and reversed
+        /// ranges, ranges past the end, and visitors that stop early;
+        /// `len` counts them.
         #[test]
         fn scan_range_is_scan_and_skip(
             shards in 1usize..4,
@@ -185,6 +234,7 @@ mod tests {
             dead in prop::collection::vec((0u32..60, 0usize..3), 0..20),
             compact_after in 0usize..8,
             ranges in prop::collection::vec((0usize..70, 0usize..70, 1usize..70), 1..8),
+            since in prop_oneof![Just(0 as DocId), 0 as DocId..70],
         ) {
             let dir = fresh_dir("range");
             let mut index = LiveIndex::create_sharded(&dir, config(), shards).unwrap();
@@ -218,10 +268,11 @@ mod tests {
             }
             let snapshot = index.snapshot();
             let scanning: Vec<usize> = (0..shards).filter(|&s| scanning[s]).collect();
-            let view = LiveView::new(&snapshot, scanning.clone());
+            let view = LiveView::new(&snapshot, scanning.clone(), since);
             let shard_of = |seq: DocId| seq as usize % shards;
             let mut live: Vec<(DocId, Vec<u8>)> = (0..docs.len() as DocId)
                 .filter(|seq| !dead.contains_key(seq) && scanning.contains(&shard_of(*seq)))
+                .filter(|&seq| seq >= since)
                 .map(|seq| (seq, docs[seq as usize].clone()))
                 .collect();
             live.sort_by_key(|&(seq, _)| (shard_of(seq), seq));
@@ -257,7 +308,7 @@ mod tests {
                 index.delete(seq).unwrap();
             }
             let snapshot = index.snapshot();
-            let view = LiveView::new(&snapshot, Vec::new());
+            let view = LiveView::new(&snapshot, Vec::new(), 0);
             for seq in [2, 7] {
                 let got = view.get(seq);
                 assert!(
