@@ -12,12 +12,13 @@
 //! | `FA201`–`FA299` | static cost classifier (INDEXED / WEAK / SCAN) |
 //! | `FA301`–`FA399` | live-index health (fragmentation, drift, tombstones) |
 //! | `FA401`–`FA499` | on-disk integrity (`free fsck`) |
-//! | `FA500`–`FA599` | sharded-index health and layout (imbalance, routing) |
 //! | `FA600`–`FA699` | workload diagnostics (query-log mining) |
 //!
 //! `FA400` (an advisory for artifacts written before the checksummed
 //! formats) is retired: those formats are no longer read, so the finding
-//! cannot occur. The number is not reused.
+//! cannot occur. So are `FA501`–`FA504` (the balance, layout and routing
+//! of the N-shard layout, which no longer opens; `free fsck` reports a
+//! sharded directory as one `FA401`). The numbers are not reused.
 
 use free_engine::PlanClass;
 use free_regex::Span;
@@ -112,23 +113,6 @@ pub mod codes {
     /// Deep check: a postings list claims a sampled document that does
     /// not contain the gram (false positives cost time, not answers).
     pub const POSTINGS_EXTRA: &str = "FA431";
-    /// Live documents are heavily imbalanced across the shards of a
-    /// sharded live index (skewed deletes or an external writer).
-    pub const SHARD_IMBALANCE: &str = "FA501";
-    /// The sharded manifest commits a shard whose directory is missing
-    /// or is not a live index.
-    pub const SHARD_MISSING: &str = "FA502";
-    /// `shard-K` directories exist on disk beyond the committed shard
-    /// count; no query will ever consult them.
-    pub const ORPHANED_SHARD: &str = "FA503";
-    /// The cross-shard round-robin routing invariant is violated: some
-    /// global sequence number is missing from — or would be claimed by —
-    /// more than one shard. A *warning* when every excess document is
-    /// still buffered in a shard WAL (the shape an interrupted parallel
-    /// batch commit leaves; reopening the index truncates the
-    /// unacknowledged tail), an *error* when the excess is sealed into
-    /// segments and no automatic repair can run.
-    pub const SHARD_ROUTING: &str = "FA504";
     /// A SCAN-class pattern recurs in the captured workload: every
     /// execution walks the whole corpus, and the repetition says it is
     /// not a one-off exploration.

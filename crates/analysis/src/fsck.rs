@@ -134,10 +134,9 @@ impl FsckReport {
 
 /// Verifies the on-disk state at `path`, auto-detecting what it is:
 ///
-/// * a sharded live index directory (contains `sharded.manifest`; every
-///   shard is recursively verified as a live index, then the cross-shard
-///   routing invariant is checked),
-/// * a live index directory (contains `live.manifest`),
+/// * a live index directory (contains `live.manifest`; one holding the
+///   N-shard layout's `sharded.manifest` is one `FA401` error, since
+///   nothing opens that layout),
 /// * a batch index directory (contains `idx.free`),
 /// * a corpus store directory (contains `corpus.idx`),
 /// * a durable query-log directory (contains `qlog-*.jsonl` segments),
@@ -148,8 +147,19 @@ impl FsckReport {
 pub fn fsck(path: &Path, opts: &FsckOptions) -> std::io::Result<FsckReport> {
     let target = path.display().to_string();
     if path.is_dir() {
-        if path.join(free_live::SHARDED_MANIFEST_FILE).is_file() {
-            return Ok(fsck_sharded(path, opts, target));
+        if let Some(manifest) = free_live::sharded_layout(path) {
+            let error = free_live::Error::ShardedLayout(manifest);
+            return Ok(FsckReport {
+                target,
+                kind: "live",
+                artifacts_checked: 1,
+                docs_sampled: 0,
+                diagnostics: vec![diag(
+                    codes::STRUCTURAL_DAMAGE,
+                    Severity::Error,
+                    error.to_string(),
+                )],
+            });
         }
         if path.join(free_live::manifest::MANIFEST_FILE).is_file() {
             return Ok(fsck_live(path, opts, target));
@@ -495,154 +505,6 @@ fn check_deep(
 
 fn printable(key: &[u8]) -> String {
     String::from_utf8_lossy(key).into_owned()
-}
-
-/// fsck over a sharded live index directory: the sharded manifest (L0),
-/// every committed shard recursively verified as an ordinary live index
-/// (all layers, with findings prefixed `shard N:`), orphaned `shard-K`
-/// directories beyond the committed count (L2), and the cross-shard
-/// round-robin routing invariant (L2): each shard's local sequence count
-/// must match what round-robin assignment of the reconstructed global
-/// count would give it — anything else means a global sequence is
-/// missing from, or claimed by, more than one shard (`FA504`, a
-/// warning when reopening the index can repair it by truncating a
-/// still-buffered tail, an error otherwise).
-fn fsck_sharded(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
-    let mut r = FsckReport {
-        target,
-        kind: "sharded",
-        artifacts_checked: 0,
-        docs_sampled: 0,
-        diagnostics: Vec::new(),
-    };
-    r.artifacts_checked += 1;
-    let manifest = match free_live::ShardedManifest::load(dir) {
-        Ok(m) => m,
-        Err(e) => {
-            let msg = e.to_string();
-            r.diagnostics.push(diag(
-                damage_code(&msg),
-                Severity::Error,
-                format!("sharded manifest in {} unreadable: {msg}", dir.display()),
-            ));
-            return r;
-        }
-    };
-    let mut locals: Vec<Option<(DocId, DocId)>> = Vec::with_capacity(manifest.shards);
-    for s in 0..manifest.shards {
-        let sdir = free_live::shard_dir(dir, s);
-        if !sdir.join(free_live::manifest::MANIFEST_FILE).is_file() {
-            r.diagnostics.push(diag(
-                codes::SHARD_MISSING,
-                Severity::Error,
-                format!(
-                    "shard {s} is committed by the sharded manifest but {} is missing \
-                     or not a live index directory",
-                    sdir.display()
-                ),
-            ));
-            locals.push(None);
-            continue;
-        }
-        match fsck(&sdir, opts) {
-            Ok(sub) => {
-                r.artifacts_checked += sub.artifacts_checked;
-                r.docs_sampled += sub.docs_sampled;
-                for mut d in sub.diagnostics {
-                    d.message = format!("shard {s}: {}", d.message);
-                    r.diagnostics.push(d);
-                }
-            }
-            Err(e) => {
-                r.diagnostics.push(diag(
-                    codes::STRUCTURAL_DAMAGE,
-                    Severity::Error,
-                    format!("shard {s}: cannot be verified: {e}"),
-                ));
-            }
-        }
-        locals.push(shard_next_seq(&sdir));
-    }
-    // L2: shard-K directories on disk the manifest does not commit.
-    let mut orphans: Vec<String> = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(k) = name
-                .strip_prefix("shard-")
-                .and_then(|k| k.parse::<usize>().ok())
-            {
-                if k >= manifest.shards && entry.path().is_dir() {
-                    orphans.push(name);
-                }
-            }
-        }
-    }
-    if !orphans.is_empty() {
-        orphans.sort();
-        r.diagnostics.push(diag(
-            codes::ORPHANED_SHARD,
-            Severity::Warning,
-            format!(
-                "{} shard directorie(s) on disk beyond the committed count of {}: {}; \
-                 no query will ever consult them",
-                orphans.len(),
-                manifest.shards,
-                orphans.join(", ")
-            ),
-        ));
-    }
-    // L2: the cross-shard routing invariant, when every shard's local
-    // sequence count could be determined.
-    let known: Vec<(DocId, DocId)> = locals.iter().copied().flatten().collect();
-    if known.len() == manifest.shards {
-        let counts: Vec<DocId> = known.iter().map(|&(next, _)| next).collect();
-        if let Err(e) = free_live::derive_next_seq(&counts) {
-            // An interrupted parallel batch commit strands its excess in
-            // shard WALs only (auto-flush is deferred until the whole
-            // batch is durable), so a divergence whose excess is all
-            // buffered is repaired by reopening the index; excess sealed
-            // into segments means damage with no automatic repair.
-            let g = free_live::recoverable_next_seq(&counts);
-            let recoverable = known.iter().enumerate().all(|(s, &(next, wal_base))| {
-                let target = free_live::shard_local_count(g, s, manifest.shards);
-                next <= target || target >= wal_base
-            });
-            if recoverable {
-                r.diagnostics.push(diag(
-                    codes::SHARD_ROUTING,
-                    Severity::Warning,
-                    format!(
-                        "{e}; the excess is still buffered in shard WALs — the shape \
-                         an interrupted parallel batch commit leaves — and reopening \
-                         the index truncates the unacknowledged tail back to a \
-                         consistent global count of {g}"
-                    ),
-                ));
-            } else {
-                r.diagnostics.push(diag(
-                    codes::SHARD_ROUTING,
-                    Severity::Error,
-                    format!(
-                        "{e}; the excess is sealed into segments, so a document was \
-                         lost or double-assigned across shards with no automatic repair"
-                    ),
-                ));
-            }
-        }
-    }
-    r
-}
-
-/// A shard's local next-sequence count and flush frontier (`wal_base`),
-/// read directly from its committed manifest and WAL store (never
-/// through `LiveIndex::open`, which repairs). `None` when either
-/// artifact is unreadable — those cases already carry their own
-/// findings from the per-shard recursion.
-fn shard_next_seq(sdir: &Path) -> Option<(DocId, DocId)> {
-    let manifest = Manifest::load(sdir).ok()?;
-    let wal = DiskCorpus::open(sdir.join(free_live::WAL_DIR)).ok()?;
-    Some((manifest.wal_base + wal.len() as DocId, manifest.wal_base))
 }
 
 /// What the next open does about an unreadable WAL epoch stamp: with
@@ -1140,97 +1002,28 @@ mod tests {
         assert!(s.windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// A directory of the N-shard layout is one structural error naming
+    /// its `sharded.manifest`, and nothing under it is read as a live
+    /// index.
     #[test]
-    fn sharded_index_recurses_and_checks_routing() {
+    fn a_sharded_directory_is_one_error() {
         let dir = tmpdir("sharded");
         let root = dir.join("idx");
-        let config = free_live::LiveConfig::default();
-        let mut idx = free_live::LiveIndex::create_sharded(&root, config.clone(), 3).unwrap();
-        let docs: Vec<Vec<u8>> = (0..9u8).map(|i| vec![b'a' + (i % 4); 12]).collect();
-        idx.add_batch(&docs).unwrap();
-        idx.flush().unwrap();
-        drop(idx);
-        let r = fsck(&root, &FsckOptions::default()).unwrap();
-        assert_eq!(r.kind, "sharded");
-        assert!(!r.has_errors(), "{}", r.render_human());
-        // One sharded manifest + three shards' worth of artifacts.
-        assert!(r.artifacts_checked > 3, "{}", r.artifacts_checked);
-
-        // An extra shard directory beyond the committed count is flagged.
-        std::fs::create_dir_all(root.join("shard-7")).unwrap();
-        let r = fsck(&root, &FsckOptions::default()).unwrap();
-        assert_eq!(r.with_code(codes::ORPHANED_SHARD).len(), 1);
-        std::fs::remove_dir_all(root.join("shard-7")).unwrap();
-
-        // Losing a committed shard directory is an error.
-        let moved = dir.join("stash");
-        std::fs::rename(root.join("shard-1"), &moved).unwrap();
-        let r = fsck(&root, &FsckOptions::default()).unwrap();
-        assert!(r.has_errors());
-        assert_eq!(r.with_code(codes::SHARD_MISSING).len(), 1);
-        std::fs::rename(&moved, root.join("shard-1")).unwrap();
-
-        // A shard holding the wrong share of the sequence space breaks
-        // the routing invariant: grow shard 2's WAL behind the router's
-        // back. Buffered excess is the interrupted-batch-commit shape,
-        // which reopening repairs, so it is a warning rather than an
-        // error.
-        {
-            let mut lone =
-                free_live::LiveIndex::open(root.join("shard-2"), config.clone()).unwrap();
-            lone.add(b"interloper document").unwrap();
-        }
-        let r = fsck(&root, &FsckOptions::default()).unwrap();
-        let routing = r.with_code(codes::SHARD_ROUTING);
-        assert_eq!(routing.len(), 1, "{}", r.render_human());
-        assert_eq!(
-            routing[0].severity,
-            Severity::Warning,
-            "{}",
-            r.render_human()
-        );
-        assert!(!r.has_errors(), "{}", r.render_human());
-
-        // Sealing the excess into a segment removes the repair path:
-        // now a document really was lost or double-assigned.
-        {
-            let mut lone =
-                free_live::LiveIndex::open(root.join("shard-2"), config.clone()).unwrap();
-            lone.flush().unwrap();
-        }
-        let r = fsck(&root, &FsckOptions::default()).unwrap();
-        let routing = r.with_code(codes::SHARD_ROUTING);
-        assert_eq!(routing.len(), 1, "{}", r.render_human());
-        assert_eq!(routing[0].severity, Severity::Error, "{}", r.render_human());
-        assert!(r.has_errors(), "{}", r.render_human());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_shard_surfaces_with_prefix() {
-        let dir = tmpdir("sharded-corrupt");
-        let root = dir.join("idx");
-        let mut idx =
-            free_live::LiveIndex::create_sharded(&root, free_live::LiveConfig::default(), 2)
+        let mut shard =
+            free_live::LiveIndex::create(root.join("shard-0"), free_live::LiveConfig::default())
                 .unwrap();
-        idx.add_batch(&[b"alpha beta gamma".as_slice(), b"delta epsilon zeta"])
-            .unwrap();
-        idx.flush().unwrap();
-        drop(idx);
-        // Flip a byte in shard 0's segment corpus payload.
-        let data = root.join("shard-0/segments/seg-0.corpus/corpus.dat");
-        let mut bytes = std::fs::read(&data).unwrap();
-        bytes[3] ^= 0x08;
-        std::fs::write(&data, &bytes).unwrap();
+        shard.add_batch(&[b"alpha beta gamma".as_slice()]).unwrap();
+        drop(shard);
+        std::fs::write(root.join("sharded.manifest"), "FREESHRD 1 0\nshards=1\n").unwrap();
         let r = fsck(&root, &FsckOptions::default()).unwrap();
-        assert!(r.has_errors(), "{}", r.render_human());
-        let hits = r.with_code(codes::CHECKSUM_MISMATCH);
-        assert!(!hits.is_empty(), "{}", r.render_human());
-        assert!(
-            hits.iter().all(|d| d.message.starts_with("shard 0:")),
-            "{}",
-            r.render_human()
+        assert_eq!(r.kind, "live");
+        assert_eq!(r.diagnostics.len(), 1, "{}", r.render_human());
+        let d = &r.diagnostics[0];
+        assert_eq!(
+            (d.code, d.severity),
+            (codes::STRUCTURAL_DAMAGE, Severity::Error)
         );
+        assert!(d.message.contains("sharded.manifest"), "{}", d.message);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1315,10 +1108,10 @@ mod tests {
     }
 
     #[test]
-    fn pristine_multi_segment_sharded_directory_is_clean() {
-        let dir = tmpdir("dictionary-sharded");
+    fn pristine_multi_segment_directory_is_clean() {
+        let dir = tmpdir("dictionary-pristine");
         let root = dir.join("idx");
-        let mut idx = free_live::LiveIndex::create_sharded(&root, dictionary_config(), 2).unwrap();
+        let mut idx = free_live::LiveIndex::create(&root, dictionary_config()).unwrap();
         for batch in [0..40, 40..60, 60..80] {
             idx.add_batch(&numbered_docs(batch)).unwrap();
             idx.flush().unwrap();

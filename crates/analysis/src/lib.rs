@@ -45,9 +45,7 @@ pub mod workload;
 pub use diagnostics::{codes, Diagnostic, Report, Severity};
 pub use fsck::{fsck, FsckOptions, FsckReport};
 pub use lint::predicts_null;
-pub use live::{
-    analyze_live, analyze_shards, LiveAnalysisConfig, LiveHealth, ShardAnalysisConfig, ShardHealth,
-};
+pub use live::{analyze_live, LiveAnalysisConfig, LiveHealth};
 pub use soundness::SoundnessSummary;
 pub use workload::{analyze_workload, QueryRecord, WorkloadOptions, WorkloadReport};
 

@@ -13,12 +13,6 @@
 //! | `FA302` | dictionary drift: the next compaction re-mines the dictionary |
 //! | `FA303` | tombstone debt: deleted docs dominate stored docs |
 //! | `FA304` | snapshot staleness: retired segment files linger, or the published snapshot trails the writer |
-//!
-//! [`analyze_shards`] extends the same idea to a *sharded* live index
-//! (`FA501`): round-robin routing keeps stored documents balanced by
-//! construction, so a heavily imbalanced live-document distribution
-//! means skewed deletes concentrated query and compaction cost on a few
-//! shards.
 
 use crate::diagnostics::{codes, Diagnostic, Severity};
 
@@ -169,73 +163,6 @@ pub fn analyze_live(health: &LiveHealth, cfg: &LiveAnalysisConfig) -> Vec<Diagno
     out
 }
 
-/// A shape summary of a sharded live index: live-document counts per
-/// shard, indexed by shard number.
-#[derive(Clone, Debug)]
-pub struct ShardHealth {
-    /// Live (queryable) documents in each shard.
-    pub live_docs_per_shard: Vec<usize>,
-}
-
-/// Thresholds for [`analyze_shards`].
-#[derive(Clone, Copy, Debug)]
-pub struct ShardAnalysisConfig {
-    /// Flag `FA501` when the fullest shard holds more than this multiple
-    /// of the mean live-document count.
-    pub imbalance_ratio: f64,
-    /// Suppress `FA501` below this many total live documents (tiny
-    /// indexes are trivially "imbalanced").
-    pub min_docs: usize,
-}
-
-impl Default for ShardAnalysisConfig {
-    fn default() -> ShardAnalysisConfig {
-        ShardAnalysisConfig {
-            imbalance_ratio: 2.0,
-            min_docs: 64,
-        }
-    }
-}
-
-/// Analyzes a sharded live index's balance, returning zero or more
-/// diagnostics.
-pub fn analyze_shards(health: &ShardHealth, cfg: &ShardAnalysisConfig) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let n = health.live_docs_per_shard.len();
-    let total: usize = health.live_docs_per_shard.iter().sum();
-    if n < 2 || total < cfg.min_docs {
-        return out;
-    }
-    let mean = total as f64 / n as f64;
-    let (fullest, &max) = health
-        .live_docs_per_shard
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, &d)| d)
-        .unwrap_or((0, &0));
-    if max as f64 > cfg.imbalance_ratio * mean {
-        out.push(
-            Diagnostic::new(
-                codes::SHARD_IMBALANCE,
-                Severity::Warning,
-                None,
-                format!(
-                    "shard {fullest} holds {max} live doc(s), {:.1}x the per-shard mean \
-                     of {mean:.0} across {n} shards; queries and compaction bottleneck \
-                     on it",
-                    max as f64 / mean
-                ),
-            )
-            .with_suggestion(
-                "deletes are concentrated on a few shards; run `free compact` to \
-                 reclaim tombstones, or rebuild with a different shard count to \
-                 re-balance",
-            ),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,38 +266,6 @@ mod tests {
             "{}",
             diags[0].message
         );
-    }
-
-    #[test]
-    fn balanced_shards_are_clean() {
-        let h = ShardHealth {
-            live_docs_per_shard: vec![100, 98, 101, 99],
-        };
-        assert!(analyze_shards(&h, &ShardAnalysisConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn imbalance_flags_fa501() {
-        let h = ShardHealth {
-            live_docs_per_shard: vec![500, 10, 10, 10],
-        };
-        let diags = analyze_shards(&h, &ShardAnalysisConfig::default());
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, codes::SHARD_IMBALANCE);
-        assert_eq!(diags[0].severity, Severity::Warning);
-        assert!(diags[0].message.contains("shard 0"), "{}", diags[0].message);
-    }
-
-    #[test]
-    fn tiny_and_single_shard_indexes_are_exempt() {
-        let tiny = ShardHealth {
-            live_docs_per_shard: vec![5, 0, 0, 0],
-        };
-        assert!(analyze_shards(&tiny, &ShardAnalysisConfig::default()).is_empty());
-        let single = ShardHealth {
-            live_docs_per_shard: vec![10_000],
-        };
-        assert!(analyze_shards(&single, &ShardAnalysisConfig::default()).is_empty());
     }
 
     #[test]

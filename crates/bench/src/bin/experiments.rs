@@ -13,17 +13,12 @@
 //!   ablate    threshold & gram-length sweeps (design-choice ablations)
 //!   disk      end-to-end on-disk pipeline demo (DiskCorpus + IndexReader)
 //!   grams     mined-gram report: length histogram, most/least selective keys
-//!   shard-scaling  sharded live-index scaling: ingest/build time and
-//!               query QPS + latency percentiles at 1/2/4/8
-//!               shards over the same synthetic corpus (report also
-//!               written to results/shard_scaling.txt)
 //!   replay    workload capture/replay round-trip: run a query schedule
 //!             with the durable query log on, replay it closed-loop and
 //!             open-loop against the same index, verify every recorded
 //!             result count, and mine the log for FA6xx workload
 //!             diagnostics (report also written to results/replay.txt)
-//!   all       everything above (except disk, grams, shard-scaling
-//!             and replay)
+//!   all       everything above (except disk, grams and replay)
 //!
 //! Options:
 //!   --docs N      number of synthetic pages (default 2000)
@@ -88,11 +83,11 @@ fn main() {
         .collect();
     }
 
-    // `disk`, `shard-scaling` and `replay` build their own pipelines;
+    // `disk` and `replay` build their own pipelines;
     // only the paper figures need the four prebuilt in-memory indexes.
     let needs_experiment = commands
         .iter()
-        .any(|c| !matches!(c.as_str(), "disk" | "shard-scaling" | "replay"));
+        .any(|c| !matches!(c.as_str(), "disk" | "replay"));
     let experiment = if needs_experiment {
         eprintln!(
             "# building experiment: {} docs, seed {:#x}, c={}, repeats={}",
@@ -143,7 +138,6 @@ fn main() {
             "ablate" => run_ablations(exp()),
             "disk" => run_disk_demo(&config),
             "grams" => run_gram_report(exp()),
-            "shard-scaling" => run_shard_scaling(&config),
             "replay" => run_replay(&config),
             other => usage(&format!("unknown command {other}")),
         };
@@ -386,9 +380,9 @@ fn run_disk_demo(config: &ExperimentConfig) -> String {
 }
 
 /// Workload capture/replay round-trip (`replay`): queries a live index
-/// — one rooted shard and 2-way sharded — with the durable query log on, then
-/// replays each captured log against its own directory, closed-loop and
-/// open-loop, verifying every recorded per-query result count. The log
+/// with the durable query log on, then replays the captured log against
+/// the same directory, closed-loop and open-loop, verifying every
+/// recorded per-query result count. The log
 /// is finally mined for `FA6xx` workload diagnostics (what `free log
 /// --stats` reports). The report is also written to results/replay.txt.
 fn run_replay(config: &ExperimentConfig) -> String {
@@ -400,123 +394,117 @@ fn run_replay(config: &ExperimentConfig) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Workload capture/replay — {} docs, {} queries x {ROUNDS} round(s) per layout",
+        "Workload capture/replay — {} docs, {} queries x {ROUNDS} round(s)",
         config.num_docs,
         queries.len()
     );
     let _ = writeln!(
         out,
-        "{:<10}{:<12}{:>10}{:>12}{:>12}{:>8}{:>8}",
-        "layout", "loop", "records", "replayed", "mismatch", "slow", "qps"
+        "{:<12}{:>10}{:>12}{:>12}{:>8}{:>8}",
+        "loop", "records", "replayed", "mismatch", "slow", "qps"
     );
 
-    for shards in [1usize, 2] {
-        let tag = if shards == 1 { "plain" } else { "sharded" };
-        let dir = std::env::temp_dir().join(format!("free-replay-{tag}-{}", std::process::id()));
-        let log_dir =
-            std::env::temp_dir().join(format!("free-replay-{tag}-log-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&log_dir);
+    let dir = std::env::temp_dir().join(format!("free-replay-{}", std::process::id()));
+    let log_dir = std::env::temp_dir().join(format!("free-replay-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&log_dir);
 
-        // Build the index.
-        let synth = free_corpus::synth::SynthConfig {
-            num_docs: config.num_docs,
-            seed: config.seed,
-            ..free_corpus::synth::SynthConfig::default()
-        };
-        let generator = free_corpus::synth::Generator::new(synth);
-        let live_config = free_live::LiveConfig {
-            engine: free_engine::EngineConfig {
-                usefulness_threshold: config.usefulness_threshold,
-                max_gram_len: config.max_gram_len,
-                ..free_engine::EngineConfig::default()
-            },
-            flush_threshold_docs: (config.num_docs / 4).max(32),
-            ..free_live::LiveConfig::default()
-        };
-        let mut idx =
-            free_live::LiveIndex::create_sharded(&dir, live_config, shards).expect("create");
-        let mut page = Vec::new();
-        let mut batch: Vec<Vec<u8>> = Vec::new();
-        for doc_id in 0..config.num_docs as u32 {
-            page.clear();
-            generator.page(doc_id, &mut page);
-            batch.push(page.clone());
-            if batch.len() == 64 {
-                idx.add_batch(&batch).expect("ingest");
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
+    // Build the index.
+    let synth = free_corpus::synth::SynthConfig {
+        num_docs: config.num_docs,
+        seed: config.seed,
+        ..free_corpus::synth::SynthConfig::default()
+    };
+    let generator = free_corpus::synth::Generator::new(synth);
+    let live_config = free_live::LiveConfig {
+        engine: free_engine::EngineConfig {
+            usefulness_threshold: config.usefulness_threshold,
+            max_gram_len: config.max_gram_len,
+            ..free_engine::EngineConfig::default()
+        },
+        flush_threshold_docs: (config.num_docs / 4).max(32),
+        ..free_live::LiveConfig::default()
+    };
+    let mut idx = free_live::LiveIndex::create(&dir, live_config).expect("create");
+    let mut page = Vec::new();
+    let mut batch: Vec<Vec<u8>> = Vec::new();
+    for doc_id in 0..config.num_docs as u32 {
+        page.clear();
+        generator.page(doc_id, &mut page);
+        batch.push(page.clone());
+        if batch.len() == 64 {
             idx.add_batch(&batch).expect("ingest");
+            batch.clear();
         }
+    }
+    if !batch.is_empty() {
+        idx.add_batch(&batch).expect("ingest");
+    }
 
-        // Capture: every query is recorded; a 2ms slow threshold gives
-        // the flight recorder something to flag without tripping on
-        // every cheap lookup.
-        let writer = free_trace::LogWriter::create(&log_dir).expect("create query log");
-        free_trace::qlog::install(writer);
-        free_trace::qlog::set_slow_threshold_ns(Some(2_000_000));
-        for _ in 0..ROUNDS {
-            for q in &queries {
-                idx.snapshot().query(q.pattern).expect("query");
-            }
+    // Capture: every query is recorded; a 2ms slow threshold gives
+    // the flight recorder something to flag without tripping on
+    // every cheap lookup.
+    let writer = free_trace::LogWriter::create(&log_dir).expect("create query log");
+    free_trace::qlog::install(writer);
+    free_trace::qlog::set_slow_threshold_ns(Some(2_000_000));
+    for _ in 0..ROUNDS {
+        for q in &queries {
+            idx.snapshot().query(q.pattern).expect("query");
         }
-        free_trace::qlog::shutdown();
-        free_trace::qlog::set_slow_threshold_ns(None);
-        drop(idx);
+    }
+    free_trace::qlog::shutdown();
+    free_trace::qlog::set_slow_threshold_ns(None);
+    drop(idx);
 
-        // Replay, closed-loop then open-loop at a deliberately
-        // throttled rate, via the same code path as `free replay`.
-        for (label, qps) in [("closed", 0u64), ("open", 200)] {
-            let mut opts = freegrep::replay::ReplayOptions::new(&log_dir);
-            opts.live_dir = Some(dir.clone());
-            opts.qps = qps;
-            opts.json = true;
-            let (json, code) = freegrep::replay::replay(&opts).expect("replay");
-            assert_eq!(code, 0, "replay found mismatches: {json}");
-            let field = |name: &str| -> String {
-                json.split(&format!("\"{name}\":"))
-                    .nth(1)
-                    .and_then(|rest| rest.split([',', '}']).next())
-                    .unwrap_or("?")
-                    .to_string()
-            };
-            let report =
-                free_analyze::analyze_workload(&log_dir, &free_analyze::WorkloadOptions::default())
-                    .expect("workload");
-            let _ = writeln!(
-                out,
-                "{:<10}{:<12}{:>10}{:>12}{:>12}{:>8}{:>8.0}",
-                tag,
-                label,
-                field("records"),
-                field("replayed"),
-                field("mismatches"),
-                report.slow,
-                field("qps_achieved").parse::<f64>().unwrap_or(0.0),
-            );
-        }
-
-        // Mine the captured workload (what `free log --stats` shows).
+    // Replay, closed-loop then open-loop at a deliberately
+    // throttled rate, via the same code path as `free replay`.
+    for (label, qps) in [("closed", 0u64), ("open", 200)] {
+        let mut opts = freegrep::replay::ReplayOptions::new(&log_dir);
+        opts.live_dir = Some(dir.clone());
+        opts.qps = qps;
+        opts.json = true;
+        let (json, code) = freegrep::replay::replay(&opts).expect("replay");
+        assert_eq!(code, 0, "replay found mismatches: {json}");
+        let field = |name: &str| -> String {
+            json.split(&format!("\"{name}\":"))
+                .nth(1)
+                .and_then(|rest| rest.split([',', '}']).next())
+                .unwrap_or("?")
+                .to_string()
+        };
         let report =
             free_analyze::analyze_workload(&log_dir, &free_analyze::WorkloadOptions::default())
                 .expect("workload");
         let _ = writeln!(
             out,
-            "{tag} workload: {} record(s) in {} segment(s), {} slow; {} FA6xx finding(s)",
-            report.queries,
-            report.segments,
+            "{:<12}{:>10}{:>12}{:>12}{:>8}{:>8.0}",
+            label,
+            field("records"),
+            field("replayed"),
+            field("mismatches"),
             report.slow,
-            report.diagnostics.len()
+            field("qps_achieved").parse::<f64>().unwrap_or(0.0),
         );
-        for d in &report.diagnostics {
-            let _ = writeln!(out, "  {}[{}]: {}", d.severity, d.code, d.message);
-        }
-
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&log_dir);
     }
+
+    // Mine the captured workload (what `free log --stats` shows).
+    let report =
+        free_analyze::analyze_workload(&log_dir, &free_analyze::WorkloadOptions::default())
+            .expect("workload");
+    let _ = writeln!(
+        out,
+        "workload: {} record(s) in {} segment(s), {} slow; {} FA6xx finding(s)",
+        report.queries,
+        report.segments,
+        report.slow,
+        report.diagnostics.len()
+    );
+    for d in &report.diagnostics {
+        let _ = writeln!(out, "  {}[{}]: {}", d.severity, d.code, d.message);
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&log_dir);
 
     if let Err(e) =
         std::fs::create_dir_all("results").and_then(|()| std::fs::write("results/replay.txt", &out))
@@ -524,168 +512,6 @@ fn run_replay(config: &ExperimentConfig) -> String {
         eprintln!("# could not write results/replay.txt: {e}");
     } else {
         eprintln!("# report written to results/replay.txt");
-    }
-    out
-}
-
-/// Sharded live-index scaling benchmark (`shard-scaling`): streams the
-/// same synthetic corpus into sharded live indexes at 1/2/4/8 shards,
-/// timing the full ingest (WAL append + memtable + threshold-triggered
-/// segment flushes, which run across shards in parallel) and a final
-/// compaction, then runs a fixed-duration query loop against composite
-/// snapshots — one candidate stream over every shard, confirmed on as
-/// many threads as the host has cores at every shard count, so the
-/// shard count is the only axis that moves. The report is also written
-/// to `results/shard_scaling.txt`.
-fn run_shard_scaling(config: &ExperimentConfig) -> String {
-    use free_bench::queries::benchmark_queries;
-    use std::fmt::Write as _;
-    use std::time::Duration;
-
-    const RUN_FOR: Duration = Duration::from_millis(1500);
-    const BATCH: usize = 256;
-
-    let queries: Vec<_> = benchmark_queries()
-        .into_iter()
-        .filter(|q| !q.expect_scan)
-        .take(4)
-        .collect();
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
-    // One cheap generation pass up front so the report states the real
-    // corpus size (generation is orders of magnitude cheaper than
-    // indexing the same bytes).
-    let corpus_bytes = {
-        let synth = free_corpus::synth::SynthConfig {
-            num_docs: config.num_docs,
-            seed: config.seed,
-            ..free_corpus::synth::SynthConfig::default()
-        };
-        let generator = free_corpus::synth::Generator::new(synth);
-        let mut stream = generator.stream();
-        while stream.next_page().is_some() {}
-        stream.bytes_emitted()
-    };
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Shard scaling — {} docs ({:.1} MiB) per build, batches of {BATCH}, \
-         {RUN_FOR:?} query loop, {cores} core(s), {cores} confirmation \
-         thread(s) per query at every shard count",
-        config.num_docs,
-        corpus_bytes as f64 / (1 << 20) as f64
-    );
-    if cores == 1 {
-        let _ = writeln!(
-            out,
-            "(single-core host: shard parallelism cannot beat wall-clock here; \
-             the signal is that sharding adds no more than bounded overhead \
-             on build and query while keeping results byte-identical)"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{:<8}{:>10}{:>11}{:>10}{:>10}{:>10}{:>11}{:>11}",
-        "shards", "build", "docs/s", "MiB/s", "compact", "QPS", "p50", "p99"
-    );
-
-    for shards in [1usize, 2, 4, 8] {
-        let dir = std::env::temp_dir().join(format!(
-            "free-shard-scaling-{}-{shards}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let synth = free_corpus::synth::SynthConfig {
-            num_docs: config.num_docs,
-            seed: config.seed,
-            ..free_corpus::synth::SynthConfig::default()
-        };
-        let generator = free_corpus::synth::Generator::new(synth);
-        let mut stream = generator.stream();
-        let mut live = free_live::LiveIndex::create_sharded(
-            &dir,
-            free_live::LiveConfig {
-                engine: free_engine::EngineConfig {
-                    usefulness_threshold: config.usefulness_threshold,
-                    max_gram_len: config.max_gram_len,
-                    ..free_engine::EngineConfig::default()
-                },
-                // Per-shard threshold: aim for a handful of flushes per
-                // shard over the run regardless of the shard count.
-                flush_threshold_docs: (config.num_docs / 8 / shards).max(BATCH),
-                ..free_live::LiveConfig::default()
-            },
-            shards,
-        )
-        .expect("create sharded index");
-
-        let t = Instant::now();
-        let mut batch: Vec<Vec<u8>> = Vec::new();
-        while stream.next_batch(BATCH, &mut batch) > 0 {
-            live.add_batch(&batch).expect("ingest batch");
-        }
-        live.flush().expect("final flush");
-        let build = t.elapsed();
-        let total_bytes = stream.bytes_emitted();
-        let docs_per_sec = config.num_docs as f64 / build.as_secs_f64();
-        let mib_per_sec = total_bytes as f64 / (1 << 20) as f64 / build.as_secs_f64();
-
-        let t = Instant::now();
-        live.compact().expect("compact");
-        let compact_time = t.elapsed();
-
-        // Fixed-duration query loop over one composite snapshot, at the
-        // same confirmation thread count for every shard count.
-        let latency = free_trace::Histogram::new();
-        let snapshot = live.snapshot();
-        let started = Instant::now();
-        let mut served = 0u64;
-        let mut i = 0usize;
-        while started.elapsed() < RUN_FOR {
-            let q = &queries[i % queries.len()];
-            i += 1;
-            let qt = Instant::now();
-            let result = snapshot
-                .query_opts(
-                    q.pattern,
-                    &free_live::QueryOpts {
-                        threads: cores,
-                        want_spans: false,
-                        ..free_live::QueryOpts::default()
-                    },
-                )
-                .expect("sharded query");
-            latency.observe_duration(qt.elapsed());
-            std::hint::black_box(result.matches.len());
-            served += 1;
-        }
-        let qps = served as f64 / started.elapsed().as_secs_f64();
-
-        let _ = writeln!(
-            out,
-            "{:<8}{:>10}{:>11.0}{:>10.1}{:>10}{:>10.0}{:>11}{:>11}",
-            shards,
-            format!("{build:.2?}"),
-            docs_per_sec,
-            mib_per_sec,
-            format!("{compact_time:.2?}"),
-            qps,
-            format!("{:.2?}", Duration::from_nanos(latency.quantile(0.50))),
-            format!("{:.2?}", Duration::from_nanos(latency.quantile(0.99))),
-        );
-        drop(live);
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Hour-scale corpora at paper scale: persist after every row so
-        // an interrupted run still leaves a usable partial report.
-        if let Err(e) = std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write("results/shard_scaling.txt", &out))
-        {
-            eprintln!("# could not write results/shard_scaling.txt: {e}");
-        } else {
-            eprintln!("# report written to results/shard_scaling.txt ({shards} shard row done)");
-        }
     }
     out
 }
@@ -713,8 +539,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: experiments [--docs N] [--seed S] [--c X] [--repeats N] [--csv DIR] \
-         <table3|fig9|fig10|fig11|fig12|latency|ablate|disk|grams|shard-scaling|\
-         replay|all>..."
+         <table3|fig9|fig10|fig11|fig12|latency|ablate|disk|grams|replay|all>..."
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -23,7 +23,7 @@ pub mod serve;
 use free_corpus::{Corpus, FsCorpus};
 use free_engine::{Engine, EngineConfig};
 use free_index::IndexReader;
-use free_live::{LiveIndex, LiveStats, Shard};
+use free_live::LiveIndex;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -158,8 +158,7 @@ pub fn build_index(options: &IndexOptions) -> Result<String> {
 /// (for `--stats-json`).
 pub fn build_index_report(options: &IndexOptions) -> Result<(String, free_engine::BuildStats)> {
     // A degenerate configuration (`--c 0`, `--c 1.5`) is a usage error
-    // refused before any file is read or written (the `--shards 0`
-    // precedent).
+    // refused before any file is read or written.
     let config = EngineConfig {
         usefulness_threshold: options.threshold,
         tracer: if options.verbose {
@@ -452,75 +451,14 @@ fn live_config(threads: usize) -> free_live::LiveConfig {
     }
 }
 
-/// Writes the aggregate shape ([`LiveIndex::stats`]) as JSON fields of
-/// `o`.
-fn aggregate_fields(o: &mut free_trace::json::JsonObject, stats: &LiveStats) {
-    o.field_u64("generation", stats.generation)
-        .field_u64("next_seq", u64::from(stats.next_seq))
-        .field_u64("num_segments", stats.segments.len() as u64)
-        .field_u64("memtable_docs", stats.memtable_docs as u64)
-        .field_u64("tombstones", stats.tombstones as u64)
-        .field_u64("live_docs", stats.live_docs as u64)
-        .field_u64("total_bytes", stats.total_bytes);
-}
-
-/// Each shard's own stats, in shard order.
-fn shard_stats(idx: &LiveIndex) -> Vec<LiveStats> {
-    idx.shards().iter().map(Shard::stats).collect()
-}
-
-/// The `per_shard` JSON array: each shard's stats, plus its dictionary
-/// drift when `drifts` carries one per shard.
-fn per_shard_json(per_shard: &[LiveStats], drifts: Option<&[free_live::Drift]>) -> String {
-    let mut arr = free_trace::json::JsonArray::new();
-    for (s, stats) in per_shard.iter().enumerate() {
-        let mut o = free_trace::json::JsonObject::new();
-        o.field_u64("shard", s as u64)
-            .field_raw("stats", stats.to_json());
-        if let Some(drift) = drifts.map(|d| d[s]) {
-            o.field_f64("drift_fraction", drift.fraction);
-            if let Some(share) = drift.share {
-                o.field_f64("drift_share", share);
-            }
-        }
-        arr.push_raw(o.finish());
-    }
-    arr.finish()
-}
-
-/// Index shape as one JSON object (the line protocol's `stats` reply):
-/// the shard count, the aggregate, and a `per_shard` breakdown.
-pub(crate) fn live_stats_json(idx: &LiveIndex) -> String {
-    let mut o = free_trace::json::JsonObject::new();
-    o.field_u64("shards", idx.num_shards() as u64);
-    aggregate_fields(&mut o, &idx.stats());
-    o.field_raw("per_shard", per_shard_json(&shard_stats(idx), None));
-    o.finish()
-}
-
-/// `free create`: initializes an empty live index at `dir` over `shards`
-/// independent shards with round-robin document routing (the count is
-/// fixed for the lifetime of the directory; one shard is rooted at `dir`
-/// itself).
-pub fn live_create(dir: &Path, shards: usize) -> Result<String> {
-    if shards == 0 {
-        return Err(CliError::Usage(format!(
-            "--shards must be between 1 and {} (got 0)",
-            free_live::MAX_SHARDS
-        )));
-    }
-    let note = if shards == 1 {
-        String::new()
-    } else {
-        format!(" with {shards} shards")
-    };
-    LiveIndex::create_sharded(dir, live_config(0), shards)?;
-    Ok(format!("created live index at {}{note}\n", dir.display()))
+/// `free create`: initializes an empty live index at `dir`.
+pub fn live_create(dir: &Path) -> Result<String> {
+    LiveIndex::create(dir, live_config(0))?;
+    Ok(format!("created live index at {}\n", dir.display()))
 }
 
 /// `free add`: ingests each file as one document into the live index at
-/// `dir` (created with one shard on first use), printing the assigned
-/// sequence numbers.
+/// `dir` (created on first use), printing the assigned sequence numbers.
 pub fn live_add(dir: &Path, files: &[PathBuf]) -> Result<String> {
     let mut live = LiveIndex::open_or_create(dir, live_config(0))?;
     let mut docs = Vec::with_capacity(files.len());
@@ -556,7 +494,7 @@ pub fn live_delete(dir: &Path, seqs: &[u32]) -> Result<String> {
 }
 
 /// `free compact`: flushes the write buffer and merges all segments into
-/// one per shard (shards in parallel), reclaiming tombstoned documents.
+/// one, reclaiming tombstoned documents.
 pub fn live_compact(dir: &Path) -> Result<String> {
     let mut live = LiveIndex::open(dir, live_config(0))?;
     let before = live.stats();
@@ -596,86 +534,50 @@ fn diags_to_json(diags: &[free_analyze::Diagnostic]) -> String {
     arr.finish()
 }
 
-/// `free segments`: reports the live index's shape shard by shard, plus
-/// each shard's `FA30x` health findings (prefixed `shard N:`) and the
-/// cross-shard balance check (`FA501`, trivially quiet for one shard).
-/// With `json`, emits one object: `shards`, the aggregate under `stats`,
-/// a `per_shard` breakdown with each shard's `drift_fraction` (and
-/// `drift_share` when there is one), and the `diagnostics`. The returned
-/// exit code is 1 when any finding is error-severity (e.g. `FA304`
-/// snapshot lag), so scripts and CI can gate on index health without
-/// parsing the output.
+/// `free segments`: reports the live index's shape, its dictionary drift
+/// and its `FA30x` health findings. With `json`, emits one object: the
+/// shape under `stats`, `drift_fraction` (and `drift_share` when there is
+/// one), and the `diagnostics`. The returned exit code is 1 when any
+/// finding is error-severity (e.g. `FA304` snapshot lag), so scripts and
+/// CI can gate on index health without parsing the output.
 pub fn live_segments(dir: &Path, json: bool) -> Result<(String, i32)> {
     let idx = LiveIndex::open(dir, live_config(0))?;
-    let per = shard_stats(&idx);
-    let mut diags = Vec::new();
-    let mut drifts = Vec::with_capacity(per.len());
-    for (s, (live, stats)) in idx.shards().iter().zip(&per).enumerate() {
-        let drift = live.drift();
-        drifts.push(drift);
-        let health = free_analyze::LiveHealth {
-            num_segments: stats.segments.len(),
-            memtable_docs: stats.memtable_docs,
-            live_docs: stats.live_docs,
-            tombstoned_docs: stats.tombstones,
-            drift_fraction: drift.fraction,
-            retired_segment_files: live.retired_segment_files().len(),
-            snapshot_lag: live.snapshot_lag(),
-        };
-        for mut d in
-            free_analyze::analyze_live(&health, &free_analyze::LiveAnalysisConfig::default())
-        {
-            d.message = format!("shard {s}: {}", d.message);
-            diags.push(d);
-        }
-    }
-    let balance = free_analyze::ShardHealth {
-        live_docs_per_shard: per.iter().map(|s| s.live_docs).collect(),
+    let stats = idx.stats();
+    let drift = idx.drift();
+    let health = free_analyze::LiveHealth {
+        num_segments: stats.segments.len(),
+        memtable_docs: stats.memtable_docs,
+        live_docs: stats.live_docs,
+        tombstoned_docs: stats.tombstones,
+        drift_fraction: drift.fraction,
+        retired_segment_files: idx.retired_segment_files().len(),
+        snapshot_lag: idx.snapshot_lag(),
     };
-    diags.extend(free_analyze::analyze_shards(
-        &balance,
-        &free_analyze::ShardAnalysisConfig::default(),
-    ));
+    let diags = free_analyze::analyze_live(&health, &free_analyze::LiveAnalysisConfig::default());
     let exit_code = i32::from(
         diags
             .iter()
             .any(|d| d.severity == free_analyze::Severity::Error),
     );
-    let shape = idx.stats();
     if json {
-        let mut agg = free_trace::json::JsonObject::new();
-        aggregate_fields(&mut agg, &shape);
         let mut o = free_trace::json::JsonObject::new();
-        o.field_u64("shards", idx.num_shards() as u64)
-            .field_raw("stats", agg.finish())
-            .field_raw("per_shard", per_shard_json(&per, Some(&drifts)))
-            .field_raw("diagnostics", diags_to_json(&diags));
+        o.field_raw("stats", stats.to_json())
+            .field_f64("drift_fraction", drift.fraction);
+        if let Some(share) = drift.share {
+            o.field_f64("drift_share", share);
+        }
+        o.field_raw("diagnostics", diags_to_json(&diags));
         return Ok((format!("{}\n", o.finish()), exit_code));
     }
-    let mut out = format!(
-        "live index: {} shard(s), generation {}, next seq {}\n\
-         # total: {} live doc(s), {} segment(s), {} tombstone(s)\n",
-        idx.num_shards(),
-        shape.generation,
-        shape.next_seq,
-        shape.live_docs,
-        shape.segments.len(),
-        shape.tombstones,
+    let mut out = stats.render_human();
+    let share = (drift.share).map_or_else(|| "n/a".to_string(), |r| format!("{:.1}%", r * 100.0));
+    let _ = writeln!(
+        out,
+        "dictionary drift: {:.1}% (new postings on keys useless among the new \
+         documents: {share}; re-mine past {:.1}%)",
+        drift.fraction * 100.0,
+        free_live::DRIFT_TOLERANCE * 100.0
     );
-    for (s, stats) in per.iter().enumerate() {
-        let _ = writeln!(out, "-- shard {s} --");
-        out.push_str(&stats.render_human());
-        let share = drifts[s]
-            .share
-            .map_or_else(|| "n/a".to_string(), |r| format!("{:.1}%", r * 100.0));
-        let _ = writeln!(
-            out,
-            "dictionary drift: {:.1}% (new postings on keys useless among the new \
-             documents: {share}; re-mine past {:.1}%)",
-            drifts[s].fraction * 100.0,
-            free_live::DRIFT_TOLERANCE * 100.0
-        );
-    }
     for d in &diags {
         let _ = writeln!(out, "{}[{}]: {}", d.severity, d.code, d.message);
         if let Some(s) = &d.suggestion {
@@ -901,15 +803,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_live_cli_roundtrip() {
-        for shards in [1usize, 4] {
-            live_cli_roundtrip(shards);
-        }
-    }
-
-    fn live_cli_roundtrip(shards: usize) {
-        let dir =
-            std::env::temp_dir().join(format!("freegrep-shardcli-{shards}-{}", std::process::id()));
+    fn live_cli_roundtrip() {
+        let dir = std::env::temp_dir().join(format!("freegrep-livecli-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let live_dir = dir.join("live");
@@ -922,26 +817,11 @@ mod tests {
             })
             .collect();
 
-        // A zero shard count is a usage error, not a silent one-shard
-        // index.
-        let zero = live_create(&live_dir, 0);
-        assert!(
-            matches!(&zero, Err(CliError::Usage(m)) if m.contains("--shards")),
-            "{zero:?}"
-        );
-        assert!(!live_dir.exists(), "--shards 0 must not create anything");
-
-        let created = live_create(&live_dir, shards).unwrap();
-        assert_eq!(created.contains("4 shards"), shards == 4, "{created}");
-        // One shard is rooted at the directory, more sit behind a
-        // sharded manifest.
-        assert_eq!(live_dir.join("live.manifest").is_file(), shards == 1);
-        assert_eq!(live_dir.join("sharded.manifest").is_file(), shards > 1);
-        // Creating over an existing index must refuse, not clobber —
-        // whichever layout either side has.
-        for again in [1, 2] {
-            assert!(live_create(&live_dir, again).is_err());
-        }
+        let created = live_create(&live_dir).unwrap();
+        assert!(created.starts_with("created live index at"), "{created}");
+        assert!(live_dir.join("live.manifest").is_file());
+        // Creating over an existing index must refuse, not clobber.
+        assert!(live_create(&live_dir).is_err());
 
         let out = live_add(&live_dir, &files).unwrap();
         assert!(
@@ -964,22 +844,15 @@ mod tests {
 
         let (json, code) = live_segments(&live_dir, true).unwrap();
         assert_eq!(code, 0, "{json}");
-        assert!(json.contains(&format!("\"shards\":{shards}")), "{json}");
-        assert!(json.contains("\"per_shard\":["), "{json}");
+        assert!(json.starts_with("{\"stats\":{"), "{json}");
         assert!(json.contains("\"drift_fraction\":"), "{json}");
         assert!(json.contains("\"live_docs\":5"), "{json}");
+        assert!(!json.contains("shard"), "{json}");
         let (human, code) = live_segments(&live_dir, false).unwrap();
         assert_eq!(code, 0, "{human}");
-        assert!(
-            human.contains(&format!("live index: {shards} shard(s)")),
-            "{human}"
-        );
-        assert!(
-            human.contains(&format!("-- shard {} --", shards - 1)),
-            "{human}"
-        );
+        assert!(human.contains("1 sealed segment(s)"), "{human}");
+        assert!(human.contains("dictionary drift: "), "{human}");
 
-        // fsck auto-detects the layout and verifies every shard.
         let (fsck_out, code) = fsck(&live_dir, false, 4, false).unwrap();
         assert_eq!(code, 0, "{fsck_out}");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -7,7 +7,7 @@
 //! freegrep analyze [--index DIR] [--json] <PATTERN>
 //! freegrep stats  [--index DIR]
 //! freegrep metrics [--index DIR] [PATTERN]
-//! freegrep create [--dir DIR] [--shards N]
+//! freegrep create [--dir DIR]
 //! freegrep add [--dir DIR] <FILE>...
 //! freegrep delete [--dir DIR] <SEQ>...
 //! freegrep compact [--dir DIR]
@@ -235,7 +235,6 @@ fn run(args: &[String]) -> CmdResult {
         }
         "create" => {
             let mut dir = PathBuf::from(freegrep::DEFAULT_LIVE_DIR);
-            let mut shards = 1usize;
             let mut i = 0;
             while i < rest.len() {
                 match rest[i].as_str() {
@@ -243,15 +242,11 @@ fn run(args: &[String]) -> CmdResult {
                         i += 1;
                         dir = value(rest, i, "--dir")?.into();
                     }
-                    "--shards" => {
-                        i += 1;
-                        shards = value(rest, i, "--shards")?.parse()?;
-                    }
                     other => return Err(format!("unknown option {other}\n{}", usage()).into()),
                 }
                 i += 1;
             }
-            Ok((freegrep::live_create(&dir, shards)?, 0))
+            Ok((freegrep::live_create(&dir)?, 0))
         }
         "add" | "delete" | "compact" | "segments" => {
             let mut dir = PathBuf::from(freegrep::DEFAULT_LIVE_DIR);
@@ -472,7 +467,7 @@ fn usage() -> String {
      freegrep analyze [--index DIR] [--json] <PATTERN>\n  \
      freegrep stats  [--index DIR]\n  \
      freegrep metrics [--index DIR] [PATTERN]\n  \
-     freegrep create [--dir DIR] [--shards N]\n  \
+     freegrep create [--dir DIR]\n  \
      freegrep add [--dir DIR] <FILE>...\n  \
      freegrep delete [--dir DIR] <SEQ>...\n  \
      freegrep compact [--dir DIR]\n  \
@@ -491,16 +486,13 @@ fn usage() -> String {
      and renders estimated vs. actual work per plan node\n\
      metrics dumps the process metrics registry in Prometheus text format \
      (run with a PATTERN to populate it from one query first)\n\
-     create initializes an empty live index of N >= 1 shards (default 1, \
-     rooted at DIR; N > 1 go under DIR/shard-<s>/; fixed for the \
-     directory's lifetime)\n\
+     create initializes an empty live index in DIR\n\
      --c C is the usefulness threshold, 0 < C <= 1 (default 0.1): the \
      index keys are the shortest grams in at most a C share of the files \
      (paper Algorithm 3.1), cut to their presuf shell; analyze --index DIR \
      classifies the plan against that index's actual gram dictionary\n\
      add/delete/compact/segments operate a live (incrementally updatable) \
-     index in DIR (default ./.freelive), whatever its shard count; \
-     search --live DIR queries it\n\
+     index in DIR (default ./.freelive); search --live DIR queries it\n\
      fsck verifies on-disk state (live dir, batch index dir, corpus store, \
      or bare index file; default ./.freelive) without mutating anything; \
      --deep re-mines --sample N docs per segment (default 64) to prove the \

@@ -3,9 +3,9 @@
 //! `free log` tails, filters, and aggregates a query-log directory
 //! (written by `free search --query-log` or `free serve --query-log`).
 //! `free replay` re-executes a captured workload against any index —
-//! batch or live, sharded or not — and verifies that every replayed
-//! query reproduces the result counts its record captured: the
-//! observability layer doubles as a differential test harness.
+//! batch or live — and verifies that every replayed query reproduces the
+//! result counts its record captured: the observability layer doubles as
+//! a differential test harness.
 //!
 //! Both commands trust exactly what `free fsck` trusts: whole records
 //! from sealed and unsealed segments; a torn trailing fragment or a
@@ -188,7 +188,7 @@ pub struct ReplayOptions {
     pub log_dir: PathBuf,
     /// Replay against this batch index directory…
     pub index: Option<PathBuf>,
-    /// …or against this live index directory (sharded or not).
+    /// …or against this live index directory.
     pub live_dir: Option<PathBuf>,
     /// Open-loop pacing: issue queries at this rate (0 = closed loop,
     /// each query starts when the previous one finishes).

@@ -54,12 +54,11 @@
 //! `free_serve_requests_total{status=…}`.
 //!
 //! Concurrency model: queries are served from the snapshots a
-//! [`free_live::LiveReader`] hands out (a live directory is N >= 1
-//! shards; the usual one is rooted at the directory itself) and never
-//! take the writer lock, so any number of connections can search while
-//! an `add`/`delete`/`flush`/`compact` command holds the single writer
-//! (a `Mutex<LiveIndex>`; writes fan out across shards inside it). Workers are a fixed thread pool fed by the bounded channel; each
-//! worker owns one connection at a time.
+//! [`free_live::LiveReader`] hands out and never take the writer lock,
+//! so any number of connections can search while an
+//! `add`/`delete`/`flush`/`compact` command holds the single writer (a
+//! `Mutex<LiveIndex>`). Workers are a fixed thread pool fed by the
+//! bounded channel; each worker owns one connection at a time.
 //!
 //! Shutdown is a protocol command rather than a signal handler (the
 //! workspace forbids `unsafe`, which rules out `sigaction`): on
@@ -513,17 +512,17 @@ fn handle_connection(stream: TcpStream, ctx: &ServeCtx) {
                 }
             }
         }
-        LineRead::TooLong => refuse_long_line(&mut out, &line, ctx),
+        LineRead::TooLong => refuse_long_line(&mut out, &line, MAX_BODY_BYTES, ctx),
         LineRead::Shutdown | LineRead::Failed => {}
     }
     ctx.connections.add(-1);
 }
 
-/// Answers a line longer than [`MAX_BODY_BYTES`] once, in the protocol
-/// its first bytes name; the caller then closes the connection.
-fn refuse_long_line(out: &mut TcpStream, prefix: &[u8], ctx: &ServeCtx) {
+/// Answers a line longer than `cap` bytes once, in the protocol its first
+/// bytes name; the caller then closes the connection.
+fn refuse_long_line(out: &mut TcpStream, prefix: &[u8], cap: usize, ctx: &ServeCtx) {
     let (request_id, started) = (ctx.next_id(), Instant::now());
-    let message = format!("request line exceeds {MAX_BODY_BYTES} bytes");
+    let message = format!("request line exceeds {cap} bytes");
     let body = error_response(ctx, request_id, RequestStatus::Error, &message);
     let proto = if looks_like_http(prefix) {
         let reply = http_response_bytes(400, "Bad Request", "application/json", &body, true, false);
@@ -589,7 +588,7 @@ fn serve_lines(
                 }
                 return;
             }
-            LineRead::TooLong => return refuse_long_line(out, &line, ctx),
+            LineRead::TooLong => return refuse_long_line(out, &line, MAX_BODY_BYTES, ctx),
             LineRead::Shutdown | LineRead::Failed => return,
         }
     }
@@ -768,7 +767,7 @@ fn execute_request(request: &JsonValue, ctx: &ServeCtx, request_id: u64) -> Resu
         });
     }
     if request.get("stats").is_some() {
-        let stats = crate::live_stats_json(&lock_writer(ctx));
+        let stats = lock_writer(ctx).stats().to_json();
         o.field_raw("stats", stats);
         return Ok(Executed::Response {
             body: o.finish(),
@@ -1054,11 +1053,12 @@ fn serve_http(
         if out.write_all(&rendered).is_err() || out.flush().is_err() || close {
             return;
         }
-        // Next request line (keep-alive).
+        // Next request line (keep-alive): part of the head, so under the
+        // head's cap.
         let mut line = Vec::new();
-        match read_line_poll(reader, ctx, &mut line, MAX_BODY_BYTES) {
+        match read_line_poll(reader, ctx, &mut line, MAX_HEAD_BYTES) {
             LineRead::Line => next_line = Some(line),
-            LineRead::TooLong => return refuse_long_line(out, &line, ctx),
+            LineRead::TooLong => return refuse_long_line(out, &line, MAX_HEAD_BYTES, ctx),
             LineRead::Eof | LineRead::Shutdown | LineRead::Failed => return,
         }
     }
@@ -1348,17 +1348,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_index_serves_and_reports_shards() {
-        for shards in [1, 3] {
-            serves_and_reports_shards(shards);
-        }
-    }
-
-    fn serves_and_reports_shards(shards: usize) {
-        let dir =
-            std::env::temp_dir().join(format!("free-serve-shard-{shards}-{}", std::process::id()));
+    fn serves_in_sequence_order_and_reports_stats() {
+        let dir = std::env::temp_dir().join(format!("free-serve-stats-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        crate::live_create(&dir, shards).unwrap();
+        crate::live_create(&dir).unwrap();
         let (addr, handle) = start_server(&dir);
 
         let added = roundtrip(
@@ -1367,8 +1360,6 @@ mod tests {
         );
         assert_eq!(added.get("ok").and_then(JsonValue::as_bool), Some(true));
 
-        // Matches come back in global sequence order, whichever shard
-        // holds each.
         let found = roundtrip(addr, r#"{"query":"needle"}"#);
         assert_eq!(found.get("total").and_then(JsonValue::as_u64), Some(2));
         let seqs: Vec<u64> = found
@@ -1380,18 +1371,15 @@ mod tests {
             .collect();
         assert_eq!(seqs, vec![0, 2]);
 
+        roundtrip(addr, r#"{"flush":true}"#);
         let stats = roundtrip(addr, r#"{"stats":true}"#);
         let shape = stats.get("stats").unwrap();
-        assert_eq!(
-            shape.get("shards").and_then(JsonValue::as_u64),
-            Some(shards as u64)
-        );
         assert_eq!(shape.get("live_docs").and_then(JsonValue::as_u64), Some(4));
-        let per_shard = shape
-            .get("per_shard")
-            .and_then(JsonValue::as_array)
-            .unwrap();
-        assert_eq!(per_shard.len(), shards);
+        assert_eq!(
+            shape.get("num_segments").and_then(JsonValue::as_u64),
+            Some(1)
+        );
+        assert!(shape.get("shards").is_none());
 
         let bye = roundtrip(addr, r#"{"shutdown":true}"#);
         assert_eq!(

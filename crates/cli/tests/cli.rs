@@ -604,62 +604,127 @@ fn live_segments_json_is_parseable() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A second `free create` over an existing live directory is refused in
-/// both orders — four shards then one, one then four — and writes
-/// nothing. (The first order used to exit 0 and drop a second, rooted
-/// layout into the root of the sharded directory.)
-#[test]
-fn create_refuses_a_second_layout() {
-    let dir = setup("double-create");
-    let tree = |root: &std::path::Path| {
-        fn walk(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
-            for entry in std::fs::read_dir(dir).unwrap() {
-                let path = entry.unwrap().path();
-                if path.is_dir() {
-                    walk(&path, out);
-                }
-                out.push(path);
+/// Every file under `root` with its bytes, sorted by path.
+fn tree(root: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    fn walk(dir: &std::path::Path, out: &mut Vec<(PathBuf, Vec<u8>)>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                out.push((path, bytes));
             }
         }
-        let mut out = Vec::new();
-        walk(root, &mut out);
-        out.sort();
-        out
-    };
-    for (name, first, second) in [("sharded-first", "4", "1"), ("rooted-first", "1", "4")] {
-        let live_dir = dir.join(name);
-        let create = |shards: &str| {
-            free()
-                .args(["create", "--shards", shards, "--dir"])
-                .arg(&live_dir)
-                .output()
-                .unwrap()
-        };
-        let out = create(first);
+    }
+    let mut out = Vec::new();
+    walk(root, &mut out);
+    out.sort();
+    out
+}
+
+/// A directory of the N-shard layout: `sharded.manifest` over two
+/// `shard-<s>/` live directories, as earlier versions wrote it.
+fn sharded_layout(dir: &std::path::Path) -> PathBuf {
+    let root = dir.join("sharded");
+    for s in 0..2 {
+        let shard = root.join(format!("shard-{s}"));
+        let out = free()
+            .args(["add", "--dir"])
+            .arg(&shard)
+            .arg(dir.join("src/main.rs"))
+            .output()
+            .unwrap();
         assert!(
             out.status.success(),
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let before = tree(&live_dir);
-        let out = create(second);
-        assert!(!out.status.success(), "{name}: second create must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("already exists"), "{stderr}");
-        assert_eq!(
-            tree(&live_dir),
-            before,
-            "{name}: refused create wrote files"
-        );
-        // Without `--shards`, the default of one is refused the same way.
-        let out = free()
-            .args(["create", "--dir"])
-            .arg(&live_dir)
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "{name}: bare create must fail");
-        assert_eq!(tree(&live_dir), before);
     }
+    std::fs::write(root.join("sharded.manifest"), "FREESHRD 1 0\nshards=2\n").unwrap();
+    root
+}
+
+/// A second `free create` over an existing live directory is refused,
+/// and so is one over a directory of the sharded layout; neither writes
+/// a byte.
+#[test]
+fn create_refuses_a_second_layout() {
+    let dir = setup("double-create");
+    let live_dir = dir.join("live");
+    let sharded = sharded_layout(&dir);
+    let create = |at: &std::path::Path| free().args(["create", "--dir"]).arg(at).output().unwrap();
+    let out = create(&live_dir);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for (existing, why) in [
+        (&live_dir, "already exists"),
+        (&sharded, "sharded.manifest"),
+    ] {
+        let before = tree(existing);
+        let out = create(existing);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{existing:?}: second create must fail"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why), "{stderr}");
+        assert_eq!(
+            tree(existing),
+            before,
+            "{existing:?}: refused create wrote files"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every verb refuses a directory of the sharded layout with an error
+/// naming its `sharded.manifest` (`serve` before it listens), `fsck`
+/// reports it as one `FA401` error and exits 1, and not a byte under the
+/// directory changes.
+#[test]
+fn a_sharded_directory_is_refused_untouched() {
+    let dir = setup("sharded-refusal");
+    let sharded = sharded_layout(&dir);
+    let before = tree(&sharded);
+    let doc = dir.join("src/lib.rs");
+    let refusals: [&[&str]; 6] = [
+        &["add", "--dir"],
+        &["delete", "--dir"],
+        &["compact", "--dir"],
+        &["segments", "--dir"],
+        &["search", "quiet", "--live"],
+        &["serve", "--port", "0", "--dir"],
+    ];
+    for args in refusals {
+        let mut cmd = free();
+        cmd.args(args).arg(&sharded);
+        match args[0] {
+            "add" => cmd.arg(&doc),
+            "delete" => cmd.arg("0"),
+            _ => &mut cmd,
+        };
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("sharded.manifest"), "{args:?}: {stderr}");
+        assert_eq!(tree(&sharded), before, "{args:?} changed the directory");
+    }
+    let out = free()
+        .args(["fsck", "--json"])
+        .arg(&sharded)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.matches("\"code\":").count(), 1, "{stdout}");
+    assert!(stdout.contains("\"code\":\"FA401\""), "{stdout}");
+    assert!(stdout.contains("sharded.manifest"), "{stdout}");
+    assert_eq!(tree(&sharded), before, "fsck changed the directory");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -464,28 +464,27 @@ fn an_add_extends_the_cached_answer() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `free_live_segments` counts the sealed segments of every shard: after
-/// a flush of a 4-shard index holding 3 documents, three shards hold one
-/// segment each. The server is a process of its own, so the gauge is this
-/// index's alone.
+/// `free_live_segments` counts the index's sealed segments: one per
+/// flush, and one after a compaction. The server is a process of its
+/// own, so the gauge is this index's alone.
 #[test]
-fn live_segments_gauge_sums_every_shard() {
+fn live_segments_gauge_counts_the_segments() {
     let dir = std::env::temp_dir().join(format!("free-serve-segments-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let created = Command::new(env!("CARGO_BIN_EXE_free"))
-        .args(["create", "--shards", "4", "--dir"])
-        .arg(&dir)
-        .status()
-        .unwrap();
-    assert!(created.success());
     let server = Server::start(&dir);
-    assert!(ok(
-        &server.request(r#"{"add":["one doc","two doc","three doc"]}"#)
-    ));
-    assert!(ok(&server.request(r#"{"flush":true}"#)));
-    let metrics = server.request(r#"{"metrics":true}"#);
-    let text = metrics.get("metrics").and_then(JsonValue::as_str).unwrap();
-    assert_eq!(metric_value(text, "free_live_segments "), 3, "{text}");
+    let segments = || {
+        let metrics = server.request(r#"{"metrics":true}"#);
+        let text = metrics.get("metrics").and_then(JsonValue::as_str).unwrap();
+        metric_value(text, "free_live_segments ")
+    };
+    for batch in [r#"["one doc","two doc"]"#, r#"["three doc"]"#] {
+        assert!(ok(&server.request(&format!(r#"{{"add":{batch}}}"#))));
+        assert!(ok(&server.request(r#"{"flush":true}"#)));
+    }
+    assert_eq!(segments(), 2);
+    assert!(ok(&server.request(r#"{"delete":0}"#)));
+    assert!(ok(&server.request(r#"{"compact":true}"#)));
+    assert_eq!(segments(), 1);
     assert!(ok(&server.request(r#"{"shutdown":true}"#)));
     let Server {
         mut child,
@@ -493,6 +492,66 @@ fn live_segments_gauge_sums_every_shard() {
         ..
     } = server;
     std::io::Read::read_to_string(&mut stdout, &mut String::new()).unwrap();
+    assert!(child.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// After a first request on a kept HTTP connection, the next request
+/// line is part of a head and held to the head's cap: `GET /` and 1 MiB
+/// with no line end gets a 400, or a close, within a second, not a wait
+/// for the body cap's 16 MiB.
+#[test]
+fn a_keep_alive_request_line_is_held_to_the_head_cap() {
+    let dir = std::env::temp_dir().join(format!("free-serve-keepalive-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(&dir);
+    let mut s = TcpStream::connect(server.addr).unwrap();
+    s.write_all(b"GET /healthz HTTP/1.1\r\nHost: e2e\r\n\r\n")
+        .unwrap();
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    let mut status = String::new();
+    reader.read_line(&mut status).unwrap();
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    let mut length = 0;
+    loop {
+        let mut header = String::new();
+        reader.read_line(&mut header).unwrap();
+        if header == "\r\n" {
+            break;
+        }
+        if let Some(v) = header.to_ascii_lowercase().strip_prefix("content-length:") {
+            length = v.trim().parse().unwrap();
+        }
+    }
+    std::io::Read::read_exact(&mut reader, &mut vec![0; length]).unwrap();
+
+    let started = std::time::Instant::now();
+    let mut writer = s.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let mut line = b"GET /".to_vec();
+        line.resize(1 << 20, b'a');
+        // The server may close mid-flood; a failed write is expected.
+        let _ = writer.write_all(&line);
+    });
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reply = Vec::new();
+    let read = std::io::Read::read_to_end(&mut reader, &mut reply);
+    let elapsed = started.elapsed();
+    let reset = matches!(&read, Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset);
+    assert!(read.is_ok() || reset, "{read:?} after {elapsed:?}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "answered after {elapsed:?}"
+    );
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(
+        reply.is_empty() || reply.starts_with("HTTP/1.1 400"),
+        "{reply}"
+    );
+    flood.join().unwrap();
+    drop(s);
+    assert!(ok(&server.request(r#"{"shutdown":true}"#)));
+    let Server { mut child, .. } = server;
     assert!(child.wait().unwrap().success());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@ use super::stream::{confirm_source, CandidateSource};
 use crate::budget::RequestBudget;
 use crate::engine::Engine;
 use crate::metrics::QueryStats;
-use crate::plan::{LogicalPlan, PhysicalPlan};
+use crate::plan::PhysicalPlan;
 use crate::prepare::PreparedQuery;
 use crate::Result;
 use free_corpus::{Corpus, DocId};
@@ -78,22 +78,6 @@ impl<'e, C: Corpus, I: IndexRead> QueryResult<'e, C, I> {
     /// [`crate::Error::Cancelled`] once it expires.
     pub fn set_budget(&mut self, budget: RequestBudget) {
         self.budget = budget;
-    }
-
-    /// Builder-style [`QueryResult::set_budget`].
-    pub fn with_budget(mut self, budget: RequestBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The logical access plan (Algorithm 4.1 output).
-    pub fn logical_plan(&self) -> &LogicalPlan {
-        self.prepared.logical()
-    }
-
-    /// The physical access plan (§4.3 output).
-    pub fn physical_plan(&self) -> &PhysicalPlan {
-        &self.physical
     }
 
     /// Cost counters accumulated so far. Confirmation costs appear after

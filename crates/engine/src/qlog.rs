@@ -14,10 +14,8 @@
 //!
 //! * `source` — `"batch"` (immutable index) or `"live"`.
 //! * `grams` — the index keys the physical plan fetched (empty for
-//!   scans; a live query's plan is one per shard, and its record holds
-//!   their union);
-//!   workload mining (`free log --analyze`, ROADMAP item 3) reads gram
-//!   popularity from here.
+//!   scans); workload mining (`free log --analyze`, ROADMAP item 3)
+//!   reads gram popularity from here.
 //! * `complete` — a confirmation pass ran to exhaustion, so
 //!   `stats.matching_docs` is the full answer; `free replay` verifies
 //!   only complete records (a first-k query that stopped early is

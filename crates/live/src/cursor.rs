@@ -1,49 +1,20 @@
-//! The cursor adapter that lifts per-source candidate streams into the
-//! global sequence-number space.
+//! The cursor adapter that maps per-source candidate streams into the
+//! sequence-number space.
 //!
-//! Each source (sealed segment or write buffer) of each shard compiles
-//! its physical plan into a [`PostingsCursor`] over *local* doc ids.
-//! [`SourceCursor`] drops the ids the source's dead bitmap
-//! ([`DeadBits`]) marks deleted, with one bit test per candidate, and
-//! translates the rest to the shard's sequence numbers ([`Seqs`]: a
-//! segment's strictly ascending sequence map, or the write buffer's base
-//! offset) and those to global ones ([`Lift`]). The adapted streams of
-//! every shard obey the cursor contract in the global space, so they
-//! compose directly under one engine `OrCursor` k-way merge.
+//! Each source (sealed segment or write buffer) compiles the physical
+//! plan into a [`PostingsCursor`] over *local* doc ids. [`SourceCursor`]
+//! drops the ids the source's dead bitmap ([`DeadBits`]) marks deleted,
+//! with one bit test per candidate, and translates the rest to sequence
+//! numbers ([`Seqs`]: a segment's strictly ascending sequence map, or the
+//! write buffer's base offset). The adapted streams obey the cursor
+//! contract in the sequence space, so they compose directly under one
+//! engine `OrCursor` k-way merge.
 
 use crate::dead::DeadBits;
 use free_corpus::DocId;
 use free_index::cursor::{CursorStats, PostingsCursor};
 use free_index::Result;
 use std::sync::Arc;
-
-/// Where one shard's sequences sit among the global ones: local
-/// sequence `l` of shard `shard` out of `shards` is global
-/// `l * shards + shard` (the identity for one shard).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Lift {
-    shards: DocId,
-    shard: DocId,
-}
-
-impl Lift {
-    pub(crate) fn new(shard: usize, shards: usize) -> Lift {
-        Lift {
-            shards: shards as DocId,
-            shard: shard as DocId,
-        }
-    }
-
-    /// The global sequence of local sequence `local`.
-    pub(crate) fn up(self, local: DocId) -> DocId {
-        local * self.shards + self.shard
-    }
-
-    /// The least local sequence whose global one is `>= global`.
-    pub(crate) fn down(self, global: DocId) -> DocId {
-        global.saturating_sub(self.shard).div_ceil(self.shards)
-    }
-}
 
 /// Advances `inner` past the dead local ids it stands on; returns the
 /// live one it stops at.
@@ -57,7 +28,7 @@ fn skip_dead(inner: &mut dyn PostingsCursor, dead: &DeadBits) -> Result<Option<D
     Ok(None)
 }
 
-/// How one source's local ids map to its shard's sequence numbers.
+/// How one source's local ids map to sequence numbers.
 pub(crate) enum Seqs {
     /// A segment's strictly ascending sequence map.
     Map(Arc<Vec<DocId>>),
@@ -82,15 +53,13 @@ impl Seqs {
     }
 }
 
-/// Maps a source-local cursor into global sequence numbers through the
-/// source's [`Seqs`] and its shard's [`Lift`], skipping its dead
-/// documents. Both maps are strictly ascending, so the mapped stream is
-/// too, and `seek` stays monotone.
+/// Maps a source-local cursor into sequence numbers through the source's
+/// [`Seqs`], skipping its dead documents. The map is strictly ascending,
+/// so the mapped stream is too, and `seek` stays monotone.
 pub(crate) struct SourceCursor {
     inner: Box<dyn PostingsCursor>,
     seqs: Seqs,
     dead: DeadBits,
-    lift: Lift,
 }
 
 impl SourceCursor {
@@ -101,20 +70,14 @@ impl SourceCursor {
         inner: Box<dyn PostingsCursor>,
         seqs: Seqs,
         dead: DeadBits,
-        lift: Lift,
     ) -> Result<SourceCursor> {
-        let mut c = SourceCursor {
-            inner,
-            seqs,
-            dead,
-            lift,
-        };
+        let mut c = SourceCursor { inner, seqs, dead };
         skip_dead(&mut *c.inner, &c.dead)?;
         Ok(c)
     }
 
     fn map(&self, local: Option<DocId>) -> Option<DocId> {
-        local.map(|l| self.lift.up(self.seqs.of(l)))
+        local.map(|l| self.seqs.of(l))
     }
 }
 
@@ -130,7 +93,7 @@ impl PostingsCursor for SourceCursor {
     }
 
     fn seek(&mut self, target: DocId) -> Result<Option<DocId>> {
-        let local_target = self.seqs.local_of(self.lift.down(target));
+        let local_target = self.seqs.local_of(target);
         self.inner.seek(local_target)?;
         let landed = skip_dead(&mut *self.inner, &self.dead)?;
         Ok(self.map(landed))
@@ -159,12 +122,6 @@ mod tests {
         out
     }
 
-    /// The lift of a one-shard index: the identity.
-    const ONE: Lift = Lift {
-        shards: 1,
-        shard: 0,
-    };
-
     fn dead(locals: &[usize]) -> DeadBits {
         let mut dead = DeadBits::default();
         for &l in locals {
@@ -177,21 +134,21 @@ mod tests {
     fn seq_map_translates_and_seeks() {
         let seqs = Arc::new(vec![10, 14, 15, 22, 30]);
         let inner = Box::new(SliceCursor::new(vec![0, 2, 4]));
-        let mut c = SourceCursor::new(inner, Seqs::Map(seqs.clone()), dead(&[]), ONE).unwrap();
+        let mut c = SourceCursor::new(inner, Seqs::Map(seqs.clone()), dead(&[])).unwrap();
         assert_eq!(c.current(), Some(10));
         assert_eq!(c.seek(15).unwrap(), Some(15));
         assert_eq!(c.seek(16).unwrap(), Some(30));
         assert_eq!(c.advance().unwrap(), None);
 
         let inner = Box::new(SliceCursor::new(vec![0, 2, 4]));
-        let c = SourceCursor::new(inner, Seqs::Map(seqs), dead(&[]), ONE).unwrap();
+        let c = SourceCursor::new(inner, Seqs::Map(seqs), dead(&[])).unwrap();
         assert_eq!(drain(c), vec![10, 15, 30]);
     }
 
     #[test]
     fn offset_shifts() {
         let inner = Box::new(SliceCursor::new(vec![0, 1, 3]));
-        let mut c = SourceCursor::new(inner, Seqs::From(100), dead(&[]), ONE).unwrap();
+        let mut c = SourceCursor::new(inner, Seqs::From(100), dead(&[])).unwrap();
         assert_eq!(c.current(), Some(100));
         assert_eq!(c.seek(101).unwrap(), Some(101));
         assert_eq!(c.advance().unwrap(), Some(103));
@@ -200,35 +157,15 @@ mod tests {
     }
 
     /// The adapter over a segment and over a write buffer whose local id
-    /// `l` is sequence `100 + l` of the shard `lift` names, yielding the
-    /// local ids `ids` minus `dead_ids`.
-    fn lifted(ids: &[DocId], dead_ids: &[usize], lift: Lift) -> [Box<dyn PostingsCursor>; 2] {
+    /// `l` is sequence `100 + l`, yielding the local ids `ids` minus
+    /// `dead_ids`.
+    fn adapters(ids: &[DocId], dead_ids: &[usize]) -> [Box<dyn PostingsCursor>; 2] {
         let inner = || Box::new(SliceCursor::new(ids.to_vec()));
         let seqs = Arc::new((100..200).collect());
         [
-            Box::new(SourceCursor::new(inner(), Seqs::Map(seqs), dead(dead_ids), lift).unwrap()),
-            Box::new(SourceCursor::new(inner(), Seqs::From(100), dead(dead_ids), lift).unwrap()),
+            Box::new(SourceCursor::new(inner(), Seqs::Map(seqs), dead(dead_ids)).unwrap()),
+            Box::new(SourceCursor::new(inner(), Seqs::From(100), dead(dead_ids)).unwrap()),
         ]
-    }
-
-    fn adapters(ids: &[DocId], dead_ids: &[usize]) -> [Box<dyn PostingsCursor>; 2] {
-        lifted(ids, dead_ids, ONE)
-    }
-
-    /// Shard 2 of 3 yields global `3 * seq + 2`, and a seek to a global
-    /// target between two of its sequences lands on the next one.
-    #[test]
-    fn shard_lift_yields_and_seeks_global_seqs() {
-        let lift = Lift::new(2, 3);
-        for c in lifted(&[0, 2, 5], &[2], lift) {
-            assert_eq!(drain(c), vec![302, 317]);
-        }
-        for mut c in lifted(&[0, 2, 5], &[], lift) {
-            assert_eq!(c.seek(302).unwrap(), Some(302));
-            assert_eq!(c.seek(303).unwrap(), Some(308));
-            assert_eq!(c.seek(309).unwrap(), Some(317));
-            assert_eq!(c.seek(318).unwrap(), None);
-        }
     }
 
     /// A leading dead id is skipped at construction, and a `seek` that

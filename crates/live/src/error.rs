@@ -30,6 +30,10 @@ pub enum Error {
     AlreadyExists(PathBuf),
     /// No live index manifest was found at the given directory.
     NotFound(PathBuf),
+    /// The directory holds the N-shard layout (this is its
+    /// `sharded.manifest`), which no open or create path accepts; the
+    /// directory is left as it is.
+    ShardedLayout(PathBuf),
     /// The sequence number does not name a document in the index (never
     /// assigned, or already removed by compaction).
     UnknownDoc(u32),
@@ -72,6 +76,12 @@ impl fmt::Display for Error {
             Error::NotFound(dir) => {
                 write!(f, "no live index at {} (create one first)", dir.display())
             }
+            Error::ShardedLayout(path) => write!(
+                f,
+                "{} belongs to a sharded live index, a layout this version does not \
+                 open; add its documents to a new live index",
+                path.display()
+            ),
             Error::UnknownDoc(seq) => write!(f, "no document with sequence number {seq}"),
             Error::AlreadyDeleted(seq) => {
                 write!(f, "document {seq} is already deleted")

@@ -5,12 +5,13 @@ use crate::manifest::Manifest;
 use crate::memtable::{BufferMatcher, Memtable};
 use crate::postings::{write_postings, Source};
 use crate::segment::{remove_segment_files, Segment, SegmentWriter};
-use crate::snapshot::{Owner, Sealed, ShardSnapshot};
+use crate::snapshot::{LiveReader, Owner, Sealed, Snapshot, SnapshotCell};
 use crate::stats::{LiveStats, SegmentStats};
 use crate::LiveConfig;
 use free_corpus::{Corpus, CorpusWriter, DiskCorpus, DocId};
 use free_index::IndexWriter;
-use free_trace::{metrics, Span};
+use free_trace::metrics::{self, Gauge};
+use free_trace::Span;
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -25,6 +26,18 @@ pub const WAL_EPOCH_FILE: &str = "wal.epoch";
 pub const TOMBSTONES_FILE: &str = "tombstones.log";
 /// Sealed-segments directory name.
 pub const SEGMENTS_DIR: &str = "segments";
+/// The root file of the N-shard layout earlier versions could write (a
+/// `FREESHRD` manifest over `shard-<s>/` directories). Nothing opens that
+/// layout any more; see [`sharded_layout`].
+const SHARDED_MANIFEST_FILE: &str = "sharded.manifest";
+
+/// The sharded-layout manifest in `dir`, if there is one: such a
+/// directory is refused by every open and create path
+/// ([`Error::ShardedLayout`]) and by `free fsck`, and left as it is.
+pub fn sharded_layout(dir: &Path) -> Option<PathBuf> {
+    let path = dir.join(SHARDED_MANIFEST_FILE);
+    path.is_file().then_some(path)
+}
 
 /// How far the dictionary may drift before compaction re-mines it: a
 /// compaction re-mines when more than this share of the postings of the
@@ -64,7 +77,7 @@ pub fn useful_limit(n: u64, c: f64) -> u64 {
 }
 
 /// The dictionary measured against the documents flushed since the last
-/// compaction (see [`Shard::drift`]).
+/// compaction (see [`LiveIndex::drift`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Drift {
     /// The share of those documents' postings that fall on keys useless
@@ -95,11 +108,11 @@ impl Drift {
 /// (or delete) the wrong document. No other line shape is accepted.
 pub const TOMBSTONES_HEADER: &str = "FREETOMB 2";
 
-/// One shard of a [`crate::LiveIndex`]: an LSM-style incrementally
-/// updatable index over the FREE engine, in one directory.
+/// An LSM-style incrementally updatable index over the FREE engine, in
+/// one directory.
 ///
 /// Documents are added to a write-ahead corpus store (the WAL) and
-/// mirrored in an in-memory [`Memtable`], indexed by the shard's one
+/// mirrored in an in-memory [`Memtable`], indexed by the index's one
 /// dictionary: the oldest segment's key directory. A *flush* seals the
 /// buffer into an immutable segment over that dictionary's keys (the
 /// first flush, with no dictionary yet, mines one); a delete sets one bit
@@ -108,20 +121,20 @@ pub const TOMBSTONES_HEADER: &str = "FREETOMB 2";
 /// *compaction* rewrites every surviving document into one segment,
 /// merging the segments' postings under the dictionary, or mining a
 /// fresh one when the new documents have drifted from it. Every
-/// document keeps a stable, never-reused sequence number (local to the
-/// shard), so query results are comparable across any schedule of
-/// mutations.
+/// document keeps a stable, never-reused sequence number, so query
+/// results are comparable across any schedule of mutations.
 ///
-/// Mutations take `&mut self` and are the router's alone; outside the
-/// crate a shard is read-only inspection through
-/// [`crate::LiveIndex::shards`]. After every mutation the shard freezes
-/// its state into a `ShardSnapshot`, which the router collects into
-/// the index's published [`crate::Snapshot`]. Segments, the write
-/// buffer's chunks, and the dead bitmaps are `Arc`-shared between the
-/// writer and snapshots; the writer mutates the buffer and the bitmaps
-/// copy-on-write (`Arc::make_mut`), so an add copies chunk pointers,
-/// never postings, and a delete copies one source's bitmap.
-pub struct Shard {
+/// Mutations — `add_batch`, `delete`, `flush`, `compact` — take
+/// `&mut self`. Reads go through the immutable [`Snapshot`] republished
+/// (an atomic `Arc` swap) after every mutation, so a query result always
+/// reflects exactly one generation, and any number of [`LiveReader`]
+/// threads can query concurrently without ever blocking on a flush or
+/// compaction. Segments, the write buffer's chunks, and the dead bitmaps
+/// are `Arc`-shared between the writer and snapshots; the writer mutates
+/// the buffer and the bitmaps copy-on-write (`Arc::make_mut`), so an add
+/// copies chunk pointers, never postings, and a delete copies one
+/// source's bitmap.
+pub struct LiveIndex {
     dir: PathBuf,
     config: Arc<LiveConfig>,
     manifest: Manifest,
@@ -131,19 +144,28 @@ pub struct Shard {
     /// and dropped only when the dictionary is replaced: by a re-mining
     /// compaction, or one that leaves no segment (the first flush creates
     /// a dictionary, and a merge keeps it key for key). Boxed: it is
-    /// large, and the shard is moved around whole.
+    /// large.
     matcher: Option<Box<BufferMatcher>>,
     generation: u64,
-    published: Arc<ShardSnapshot>,
+    /// Deletes published so far. Adds, flushes and compactions leave it
+    /// alone, so a cached answer over the sequences below a snapshot's
+    /// `next_seq` holds at every later snapshot with the same count.
+    removals: u64,
+    published: Arc<SnapshotCell>,
+    /// `free_live_segments`: the sealed segments.
+    segments_gauge: Gauge,
 }
 
-impl Shard {
-    /// Initializes an empty shard in `dir`. Fails with
-    /// [`Error::AlreadyExists`] if a live index is already there, rooted
-    /// or sharded.
-    pub(crate) fn create(dir: impl AsRef<Path>, config: LiveConfig) -> Result<Shard> {
+impl LiveIndex {
+    /// Creates a new, empty live index in `dir`. Fails with
+    /// [`Error::AlreadyExists`] if a live index is already there, and
+    /// with [`Error::ShardedLayout`] over a sharded directory.
+    pub fn create(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
         let dir = dir.as_ref();
-        if Manifest::exists(dir) || crate::ShardedManifest::exists(dir) {
+        if let Some(path) = sharded_layout(dir) {
+            return Err(Error::ShardedLayout(path));
+        }
+        if Manifest::exists(dir) {
             return Err(Error::AlreadyExists(dir.to_path_buf()));
         }
         std::fs::create_dir_all(dir.join(SEGMENTS_DIR))
@@ -154,13 +176,18 @@ impl Shard {
             .map_err(|e| Error::io("write wal epoch", e))?;
         std::fs::write(dir.join(TOMBSTONES_FILE), format!("{TOMBSTONES_HEADER}\n"))
             .map_err(|e| Error::io("write tombstones", e))?;
-        Shard::open(dir, config)
+        LiveIndex::open(dir, config)
     }
 
-    /// Opens the shard in `dir`, replaying the WAL into the write buffer
-    /// and discarding any state a crash left uncommitted.
-    pub(crate) fn open(dir: impl AsRef<Path>, config: LiveConfig) -> Result<Shard> {
+    /// Opens the live index in `dir`, replaying the WAL into the write
+    /// buffer and discarding any state a crash left uncommitted. Fails
+    /// with [`Error::ShardedLayout`] over a sharded directory, which it
+    /// leaves untouched.
+    pub fn open(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
         let dir = dir.as_ref().to_path_buf();
+        if let Some(path) = sharded_layout(&dir) {
+            return Err(Error::ShardedLayout(path));
+        }
         let manifest = Manifest::load(&dir)?;
         let seg_root = dir.join(SEGMENTS_DIR);
         let mut segments = Vec::with_capacity(manifest.segments.len());
@@ -207,14 +234,15 @@ impl Shard {
         let config = Arc::new(config);
         let segments: Vec<Sealed> = segments.into_iter().map(Sealed::new).collect();
         let memtable = Arc::new(Memtable::default());
-        let published = Arc::new(ShardSnapshot::new(
+        let published = Arc::new(SnapshotCell::new(Arc::new(Snapshot::new(
             segments.clone(),
             memtable.clone(),
             manifest.wal_base,
             generation,
+            0,
             config.clone(),
-        ));
-        let mut live = Shard {
+        ))));
+        let mut live = LiveIndex {
             dir,
             config,
             manifest,
@@ -222,7 +250,10 @@ impl Shard {
             memtable,
             matcher: None,
             generation,
+            removals: 0,
             published,
+            segments_gauge: metrics::global()
+                .gauge("free_live_segments", "Sealed segments in the live index"),
         };
         if !buffered.is_empty() {
             live.buffer(&buffered, &mut Span::disabled());
@@ -234,19 +265,29 @@ impl Shard {
         Ok(live)
     }
 
-    /// The shard's configuration.
-    pub(crate) fn config(&self) -> &LiveConfig {
+    /// Opens `dir` if it holds a live index, creates one there otherwise.
+    pub fn open_or_create(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
+        let dir = dir.as_ref();
+        if Manifest::exists(dir) || sharded_layout(dir).is_some() {
+            LiveIndex::open(dir, config)
+        } else {
+            LiveIndex::create(dir, config)
+        }
+    }
+
+    /// The configuration in use.
+    pub fn config(&self) -> &LiveConfig {
         &self.config
     }
 
     /// Mutation counter: bumps on every add/delete/flush/compact, so two
     /// equal generations imply identical query results.
-    pub(crate) fn generation(&self) -> u64 {
+    pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// The next (local) sequence number to be assigned.
-    pub(crate) fn next_seq(&self) -> DocId {
+    /// The next sequence number to be assigned.
+    pub fn next_seq(&self) -> DocId {
         self.manifest.wal_base + self.memtable.len() as DocId
     }
 
@@ -255,41 +296,70 @@ impl Shard {
         self.segments.len()
     }
 
-    /// Number of buffered (unflushed) documents in the write buffer,
-    /// live or tombstoned. `next_seq() - buffered_docs()` is the flush
-    /// frontier: everything below it is sealed into segments.
-    pub(crate) fn buffered_docs(&self) -> usize {
-        self.memtable.len()
+    /// Number of live (queryable) documents.
+    pub fn live_docs(&self) -> usize {
+        self.snapshot().live_docs()
     }
 
-    /// The most recently frozen snapshot. Mutating methods publish
+    /// Sequence numbers of all live documents, ascending.
+    pub fn live_seqs(&self) -> Vec<DocId> {
+        self.snapshot().live_seqs()
+    }
+
+    /// Reads one live document by sequence number.
+    pub fn get(&self, seq: DocId) -> Result<Vec<u8>> {
+        self.snapshot().get(seq)
+    }
+
+    /// The most recently published snapshot. Mutating methods publish
     /// before returning, so between mutations this is exactly the
     /// writer's in-memory state.
-    pub(crate) fn snapshot(&self) -> Arc<ShardSnapshot> {
-        self.published.clone()
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        self.published.load()
     }
 
-    /// Freezes a snapshot of the current state. Called at the end of
-    /// every mutation; cheap: a few `Arc` clones per source.
-    fn publish(&mut self) {
-        self.published = Arc::new(ShardSnapshot::new(
+    /// A cheap, cloneable handle other threads can use to query the
+    /// index concurrently with this writer. Readers always see the
+    /// freshest published generation and never block on mutations.
+    pub fn reader(&self) -> LiveReader {
+        LiveReader {
+            cell: self.published.clone(),
+        }
+    }
+
+    /// Freezes a snapshot of the current state and publishes it. Called
+    /// at the end of every mutation; cheap: a few `Arc` clones per
+    /// source.
+    fn publish(&self) {
+        self.segments_gauge.set(self.segments.len() as i64);
+        self.published.store(Arc::new(Snapshot::new(
             self.segments.clone(),
             self.memtable.clone(),
             self.manifest.wal_base,
             self.generation,
+            self.removals,
             self.config.clone(),
-        ));
+        )));
     }
 
-    /// Appends a batch of documents to the WAL and the write buffer,
-    /// returning their local sequence numbers. The whole batch commits to
-    /// the WAL with one append-reopen. Never auto-flushes, leaving the
-    /// whole batch in the write buffer regardless of thresholds: the
-    /// router commits one batch across its shards with this and runs
-    /// [`Shard::maybe_flush`] only after *every* shard holds its part, so
-    /// a crash mid-commit can only ever leave excess documents in shard
-    /// WALs — where [`Shard::truncate_buffer`] can still discard them.
-    pub(crate) fn add_batch_deferred<D: AsRef<[u8]>>(&mut self, docs: &[D]) -> Result<Vec<DocId>> {
+    /// Adds one document, returning its sequence number; may trigger an
+    /// automatic flush.
+    pub fn add(&mut self, doc: &[u8]) -> Result<DocId> {
+        Ok(self.add_batch(&[doc])?[0])
+    }
+
+    /// Adds a batch of documents, returning their sequence numbers. The
+    /// whole batch commits to the WAL with one append-reopen, then lands
+    /// in the write buffer, and the snapshot is republished once, so
+    /// readers see the whole batch or none of it; a flush follows if the
+    /// buffer crossed either configured threshold.
+    ///
+    /// On return the batch is committed to the WAL files in the page
+    /// cache: it survives a crash of this process, not a power loss or a
+    /// kernel crash, since nothing is synced to the disk (ROADMAP item 4).
+    /// The WAL commits first and the buffer takes the batch after it, so
+    /// an I/O error leaves the in-memory state as it was.
+    pub fn add_batch<D: AsRef<[u8]>>(&mut self, docs: &[D]) -> Result<Vec<DocId>> {
         if docs.is_empty() {
             return Ok(Vec::new());
         }
@@ -298,8 +368,6 @@ impl Shard {
         if end > u64::from(DocId::MAX) {
             return Err(Error::Corrupt("sequence-number space exhausted".into()));
         }
-        // WAL first, memtable after the commit: an I/O error mid-batch
-        // leaves the in-memory state agreeing with the committed prefix.
         let wal = Instant::now();
         let mut writer = CorpusWriter::open_append(self.dir.join(WAL_DIR))?;
         let mut bytes = 0u64;
@@ -310,7 +378,6 @@ impl Shard {
         writer.commit()?;
         span.record("wal_us", wal.elapsed().as_micros() as u64);
         let first = self.manifest.wal_base + self.buffer(docs, &mut span);
-        let ids: Vec<DocId> = (first..first + docs.len() as DocId).collect();
         self.generation += 1;
         metrics::global()
             .counter(
@@ -322,7 +389,12 @@ impl Shard {
         span.record("bytes", bytes);
         drop(span);
         self.publish();
-        Ok(ids)
+        if self.memtable.bytes() >= self.config.flush_threshold_bytes
+            || self.memtable.len() >= self.config.flush_threshold_docs
+        {
+            self.flush()?;
+        }
+        Ok((first..first + docs.len() as DocId).collect())
     }
 
     /// Appends `docs` to the write buffer as one chunk, indexed by the
@@ -342,23 +414,10 @@ impl Shard {
         Arc::make_mut(&mut self.memtable).push_batch(docs, matcher, span)
     }
 
-    /// Flushes if the write buffer has crossed either configured
-    /// threshold; the auto-flush check [`crate::LiveIndex::add_batch`]
-    /// runs after every ingest. Returns whether a flush happened.
-    pub(crate) fn maybe_flush(&mut self) -> Result<bool> {
-        if self.memtable.bytes() >= self.config.flush_threshold_bytes
-            || self.memtable.len() >= self.config.flush_threshold_docs
-        {
-            self.flush()
-        } else {
-            Ok(false)
-        }
-    }
-
     /// Tombstones the document with sequence number `seq`. The document
     /// disappears from queries immediately; its storage is reclaimed by
     /// the next compaction (or flush, for still-buffered documents).
-    pub(crate) fn delete(&mut self, seq: DocId) -> Result<()> {
+    pub fn delete(&mut self, seq: DocId) -> Result<()> {
         let snapshot = self.snapshot();
         let (owner, local) = snapshot.locate(seq).ok_or(Error::UnknownDoc(seq))?;
         if snapshot.dead(owner).contains(local) {
@@ -373,6 +432,7 @@ impl Shard {
         writeln!(f, "{}", tombstone_line(seq)).map_err(|e| Error::io("append tombstone", e))?;
         self.mark_dead(owner, local);
         self.generation += 1;
+        self.removals += 1;
         self.publish();
         metrics::global()
             .counter(
@@ -388,66 +448,28 @@ impl Shard {
     /// the buffer recorded; only the first flush, into an index with no
     /// segments, mines (and so creates the dictionary). Tombstoned buffer
     /// documents are simply not written — their tombstones are consumed.
-    /// Returns whether anything was flushed.
-    pub(crate) fn flush(&mut self) -> Result<bool> {
+    /// Commit order (manifest first, then tombstones, then the WAL reset)
+    /// makes a crash at any point recoverable via the WAL epoch check in
+    /// [`LiveIndex::open`]. Returns whether anything was flushed.
+    pub fn flush(&mut self) -> Result<bool> {
         if self.memtable.is_empty() {
             return Ok(false);
         }
-        self.seal_buffer_prefix(self.memtable.len(), "flush")?;
-        metrics::global()
-            .counter("free_live_flushes_total", "Write-buffer flushes")
-            .inc();
-        Ok(true)
-    }
-
-    /// Discards every buffered (unflushed) document except the first
-    /// `keep_docs`, sealing those into a segment so the drop commits
-    /// with the same crash-safe manifest-then-WAL-reset protocol a flush
-    /// uses. The dropped documents' sequence numbers are reassigned to
-    /// future adds — the same semantics as unsharded WAL recovery for a
-    /// batch whose commit never completed. Recovery-only: the sharded
-    /// router uses this to restore the cross-shard routing invariant
-    /// after a partial batch commit; nothing else should call it.
-    /// Returns whether anything was dropped.
-    pub(crate) fn truncate_buffer(&mut self, keep_docs: usize) -> Result<bool> {
-        if keep_docs >= self.memtable.len() {
-            return Ok(false);
-        }
-        self.seal_buffer_prefix(keep_docs, "truncate")?;
-        metrics::global()
-            .counter(
-                "free_live_truncates_total",
-                "Write-buffer truncations (sharded crash recovery)",
-            )
-            .inc();
-        Ok(true)
-    }
-
-    /// Shared core of [`Shard::flush`] and
-    /// [`Shard::truncate_buffer`]: seals the first `keep_docs`
-    /// buffered documents (minus tombstoned ones) into a segment,
-    /// advances `wal_base` past exactly those documents, and resets the
-    /// WAL — dropping any buffered tail beyond `keep_docs`. Commit
-    /// order (manifest first, then tombstones, then the WAL reset) makes
-    /// a crash at any point recoverable via the WAL epoch check in
-    /// [`Shard::open`].
-    fn seal_buffer_prefix(&mut self, keep_docs: usize, op: &'static str) -> Result<()> {
-        let mut span = self.config.engine.tracer.span(op);
+        let mut span = self.config.engine.tracer.span("flush");
         let base = self.manifest.wal_base;
-        let next_seq = base + keep_docs as DocId;
+        let buffered = self.memtable.len();
         let live = |local: usize| !self.memtable.dead.contains(local);
-        let survivors = (0..keep_docs).filter(|&local| live(local)).count();
+        let survivors = (0..buffered).filter(|&local| live(local)).count();
         span.record("docs", survivors);
-        span.record("dropped_tombstones", keep_docs - survivors);
-        span.record("dropped_docs", self.memtable.len() - keep_docs);
+        span.record("dropped_tombstones", buffered - survivors);
         let mut new_segment = None;
         if survivors > 0 {
             let id = self.manifest.next_segment_id;
             let mut writer = SegmentWriter::create(&self.dir.join(SEGMENTS_DIR), id)?;
             // Buffer local id -> segment local id; `None` is not sealed.
-            let mut remap: Vec<Option<DocId>> = Vec::with_capacity(self.memtable.len());
+            let mut remap: Vec<Option<DocId>> = Vec::with_capacity(buffered);
             let mut sealed: DocId = 0;
-            for (local, doc) in self.memtable.docs().take(keep_docs).enumerate() {
+            for (local, doc) in self.memtable.docs().enumerate() {
                 if live(local) {
                     writer.append(base + local as DocId, doc)?;
                     remap.push(Some(sealed));
@@ -456,7 +478,6 @@ impl Shard {
                     remap.push(None);
                 }
             }
-            remap.resize(self.memtable.len(), None);
             let seg = match self.segments.first() {
                 None => writer.mine(&self.config.engine)?,
                 Some(dict) => writer.seal(|_, path| {
@@ -474,9 +495,9 @@ impl Shard {
         }
         // Commit: manifest first (it names the new segment and the new
         // WAL epoch), then the tombstones without the buffer's (its dead
-        // documents were not sealed, or were dropped), then the WAL reset.
+        // documents were not sealed), then the WAL reset.
         self.generation += 1;
-        self.manifest.wal_base = next_seq;
+        self.manifest.wal_base = base + buffered as DocId;
         self.manifest.wal_epoch += 1;
         self.manifest.generation = self.generation;
         self.manifest.store(&self.dir)?;
@@ -487,14 +508,18 @@ impl Shard {
         self.rewrite_tombstones()?;
         self.reset_wal()?;
         self.publish();
-        Ok(())
+        drop(span);
+        metrics::global()
+            .counter("free_live_flushes_total", "Write-buffer flushes")
+            .inc();
+        Ok(true)
     }
 
     /// Flushes, then rewrites every surviving document into one segment:
     /// the survivors, in sequence order, are copied into a new corpus,
     /// each checked against its stored CRC on the way (a damaged one is
     /// [`Error::Corrupt`] and nothing is committed). The segment is
-    /// indexed one of two ways, as [`Shard::drift`] decides:
+    /// indexed one of two ways, as [`LiveIndex::drift`] decides:
     ///
     /// - *Merge* (the dictionary fits): each dictionary key's postings
     ///   are the segments' lists, concatenated and renumbered, read in
@@ -509,7 +534,7 @@ impl Shard {
     ///
     /// Tombstoned documents are dropped and their tombstones consumed;
     /// sequence numbers are kept. Returns whether anything changed.
-    pub(crate) fn compact(&mut self) -> Result<bool> {
+    pub fn compact(&mut self) -> Result<bool> {
         let mut span = self.config.engine.tracer.span("compact");
         self.flush()?;
         if self.segments.is_empty() {
@@ -528,7 +553,7 @@ impl Shard {
         let mut merge_bytes = 0u64;
         let mut new_segment = None;
         // The flush left every live document in a segment.
-        if self.published.live_docs() > 0 {
+        if self.live_docs() > 0 {
             let id = self.manifest.next_segment_id;
             let written = self.write_compacted(id, drift.remines(), &mut merge_bytes, &mut span);
             // A failed rewrite leaves the committed state as it was.
@@ -665,7 +690,7 @@ impl Shard {
             memtable_docs: self.memtable.len(),
             memtable_bytes: self.memtable.bytes(),
             tombstones: self.tombstones(),
-            live_docs: self.published.live_docs(),
+            live_docs: self.live_docs(),
             total_bytes: segments.iter().map(|s| s.data_bytes).sum::<u64>() + self.memtable.bytes(),
             segments,
         }
@@ -675,7 +700,7 @@ impl Shard {
     /// last compaction, counting what the next flush would seal as
     /// flushed: the share of their postings on keys that are useless
     /// among them, each key's count set against [`useful_limit`] for
-    /// their number. This is the decision the next `Shard::compact`
+    /// their number. This is the decision the next [`LiveIndex::compact`]
     /// acts on ([`Drift::remines`]) and what `free segments` reports as
     /// `FA302`. It reads the counts the segments' key directories and the
     /// buffer's runs hold, never a document.
@@ -688,7 +713,7 @@ impl Shard {
         let Some(dict) = self.segments.first().map(|s| &s.index) else {
             return Drift::NONE;
         };
-        if !rewrites || self.published.live_docs() == 0 {
+        if !rewrites || self.live_docs() == 0 {
             return Drift::NONE;
         }
         // Per dictionary key, the new documents holding it. A younger
@@ -747,7 +772,7 @@ impl Shard {
     /// whenever the writer is quiescent; nonzero indicates a
     /// publication bug (surfaced by `free segments` as FA304).
     pub fn snapshot_lag(&self) -> u64 {
-        self.generation - self.published.generation
+        self.generation - self.snapshot().generation
     }
 
     fn load_tombstones(&mut self) -> Result<()> {
@@ -903,7 +928,35 @@ fn remove_orphans(seg_root: &Path, manifest: &Manifest) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{execute_prepared, QueryOpts};
     use free_corpus::synth::{Generator, SynthConfig};
+    use free_engine::{CancelToken, EngineConfig, RequestBudget};
+    use free_regex::Span;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Only explicit flushes flush, and tiny corpora mine keys.
+    fn small_config() -> LiveConfig {
+        LiveConfig {
+            engine: EngineConfig {
+                usefulness_threshold: 0.6,
+                max_gram_len: 6,
+                ..EngineConfig::default()
+            },
+            flush_threshold_bytes: u64::MAX,
+            flush_threshold_docs: usize::MAX,
+        }
+    }
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "free-live-unit-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
     fn pages(seed: u64, n: usize) -> Vec<Vec<u8>> {
         let generator = Generator::new(SynthConfig::tiny(n, seed));
@@ -924,10 +977,10 @@ mod tests {
     fn a_delete_touches_one_source() {
         let dir = std::env::temp_dir().join(format!("free-live-one-source-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut live = Shard::create(&dir, LiveConfig::default()).unwrap();
+        let mut live = LiveIndex::create(&dir, LiveConfig::default()).unwrap();
         let docs = pages(3, 40);
         for part in docs.chunks(10) {
-            live.add_batch_deferred(part).unwrap();
+            live.add_batch(part).unwrap();
             if live.num_segments() < 3 {
                 live.flush().unwrap();
             }
@@ -961,20 +1014,260 @@ mod tests {
     fn only_a_remine_drops_the_buffer_matcher() {
         let dir = std::env::temp_dir().join(format!("free-live-matcher-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut live = Shard::create(&dir, LiveConfig::default()).unwrap();
+        let mut live = LiveIndex::create(&dir, LiveConfig::default()).unwrap();
         let same = pages(7, 200);
-        live.add_batch_deferred(&same[..100]).unwrap();
+        live.add_batch(&same[..100]).unwrap();
         live.flush().unwrap();
-        live.add_batch_deferred(&same[100..]).unwrap();
+        live.add_batch(&same[100..]).unwrap();
         assert!(live.matcher.is_some());
         assert!(!live.drift().remines());
         assert!(live.compact().unwrap());
         assert!(live.matcher.is_some(), "a merge keeps the automaton");
 
-        live.add_batch_deferred(&pages(99, 100)).unwrap();
+        live.add_batch(&pages(99, 100)).unwrap();
         assert!(live.drift().remines());
         assert!(live.compact().unwrap());
         assert!(live.matcher.is_none(), "a re-mine drops it");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A query that cannot use the index confirms as a SCAN: ranged,
+    /// CRC-checked reads of the live documents. It answers what the regex
+    /// finds in every live document (a rebuild's answer), at one thread
+    /// and at four, over two segments with deletes and a non-empty write
+    /// buffer.
+    #[test]
+    fn a_scan_query_reads_every_live_document() {
+        let dir = fresh_dir("scan-live");
+        let mut idx = LiveIndex::create(&dir, small_config()).unwrap();
+        // About 700 KiB, so the SCAN spans several ranges; every digit is
+        // in every document, so none is an index key.
+        let docs: Vec<Vec<u8>> = (0..360)
+            .map(|i| {
+                let mut d = format!("0123456789 doc {i} holds {} here", i * 37 % 1000).into_bytes();
+                d.resize(2_000, b'.');
+                d
+            })
+            .collect();
+        idx.add_batch(&docs[..150]).unwrap();
+        idx.flush().unwrap();
+        idx.add_batch(&docs[150..300]).unwrap();
+        idx.flush().unwrap();
+        idx.add_batch(&docs[300..]).unwrap();
+        let deleted = [3, 160, 161, 310];
+        for seq in deleted {
+            idx.delete(seq).unwrap();
+        }
+        let snapshot = idx.snapshot();
+        let pattern = "[5-7][0-9][0-9] ";
+        let regex = free_regex::Regex::new(pattern).unwrap();
+        let want: Vec<(DocId, Vec<Span>)> = (0..docs.len() as DocId)
+            .filter(|seq| !deleted.contains(seq))
+            .map(|seq| {
+                let spans = regex.find_all(&docs[seq as usize]);
+                (seq, spans.into_iter().map(|m| m.span()).collect::<Vec<_>>())
+            })
+            .filter(|(_, spans)| !spans.is_empty())
+            .collect();
+        assert!(want.len() > 50, "{}", want.len());
+        for threads in [1, 4] {
+            let opts = QueryOpts {
+                threads,
+                ..QueryOpts::default()
+            };
+            let result = snapshot.query_opts(pattern, &opts).unwrap();
+            assert!(result.stats.base.used_scan, "threads={threads}");
+            let got: Vec<(DocId, Vec<Span>)> = (result.matches.into_iter())
+                .map(|m| (m.seq, m.spans))
+                .collect();
+            assert_eq!(got, want, "threads={threads}");
+            assert_eq!(result.stats.base.docs_examined, docs.len() - deleted.len());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One word of five per document, so a word is a selective pattern.
+    fn worded(seqs: std::ops::Range<usize>) -> Vec<Vec<u8>> {
+        const WORDS: [&str; 5] = ["alpha", "bravo", "charlie", "delta", "echo"];
+        seqs.map(|i| format!("doc {i} {}", WORDS[i % 5]).into_bytes())
+            .collect()
+    }
+
+    /// 40 documents with every odd seq deleted, a flush unless
+    /// `scanning` (then nothing is flushed and every query scans), and 10
+    /// more in the write buffer.
+    fn mixed(dir: &Path, scanning: bool) -> LiveIndex {
+        let mut idx = LiveIndex::create(dir, small_config()).unwrap();
+        idx.add_batch(&worded(0..40)).unwrap();
+        for seq in (1..40).step_by(2) {
+            idx.delete(seq).unwrap();
+        }
+        if !scanning {
+            idx.flush().unwrap();
+        }
+        idx.add_batch(&worded(40..50)).unwrap();
+        idx
+    }
+
+    /// A query from `since` answers exactly the full answer's matches at
+    /// `since` or above, spans included, for every `since`, over an index
+    /// that streams its candidates and one without a dictionary that
+    /// scans, with deletes in the segment and in the buffer, at one thread
+    /// and at four.
+    #[test]
+    fn a_query_since_answers_the_tail() {
+        for scanning in [false, true] {
+            let dir = fresh_dir("since");
+            let mut idx = mixed(&dir, scanning);
+            for seq in [41, 46] {
+                idx.delete(seq).unwrap();
+            }
+            let snapshot = idx.snapshot();
+            for pattern in ["bravo", "doc 4", "[0-9]"] {
+                let full = snapshot.query(pattern).unwrap().matches;
+                for since in 0..=idx.next_seq() + 1 {
+                    for threads in [1, 4] {
+                        let opts = QueryOpts {
+                            threads,
+                            ..QueryOpts::default()
+                        };
+                        let got = snapshot.query_since(pattern, &opts, since).unwrap();
+                        let want: Vec<_> =
+                            (full.iter()).filter(|m| m.seq >= since).cloned().collect();
+                        assert_eq!(got.matches, want, "{scanning} {pattern} {since} {threads}");
+                    }
+                }
+            }
+            drop(idx);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// An index that scans (nothing flushed) and one that streams its
+    /// candidates: an expired deadline, and a token cancelled by the first
+    /// match, each fail the whole query with a structured error, whichever
+    /// pass they stop.
+    #[test]
+    fn the_budget_stops_both_passes() {
+        let pattern = "bravo";
+        for used_scan in [true, false] {
+            let dir = fresh_dir("budget");
+            let idx = mixed(&dir, used_scan);
+            let snapshot = idx.snapshot();
+            let found = snapshot.query(pattern).unwrap();
+            assert_eq!(found.stats.base.used_scan, used_scan);
+            assert!(!found.matches.is_empty());
+            let expired = QueryOpts {
+                budget: RequestBudget::with_deadline(Instant::now()),
+                ..QueryOpts::default()
+            };
+            let got = snapshot.query_opts(pattern, &expired);
+            assert!(
+                matches!(got, Err(Error::Timeout { .. })),
+                "{:?}",
+                got.map(|r| r.matches)
+            );
+            let token = CancelToken::new();
+            let budget = RequestBudget::unlimited().cancelled_by(token.clone());
+            let econfig = &snapshot.config.engine;
+            let span = free_trace::Span::disabled();
+            let prepared = free_engine::PreparedQuery::new(pattern, econfig, &span).unwrap();
+            let mut delivered = 0;
+            let got = execute_prepared(
+                &snapshot,
+                &prepared,
+                0,
+                4,
+                true,
+                &budget,
+                &span,
+                &mut |_, _| {
+                    delivered += 1;
+                    token.cancel();
+                    true
+                },
+            );
+            assert!(matches!(got, Err(Error::Cancelled)), "{got:?}");
+            assert!(delivered > 0);
+            drop(idx);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A batch whose WAL commit fails leaves no trace: the sequence
+    /// cursor, the live documents and the answers are as before, the
+    /// writer stays usable, and the retried batch takes the same
+    /// sequences, on reopen too.
+    #[test]
+    fn a_failed_wal_commit_leaves_no_trace() {
+        let dir = fresh_dir("failed-commit");
+        let mut idx = LiveIndex::create(&dir, small_config()).unwrap();
+        let seed: Vec<Vec<u8>> = (0..4u8).map(|i| vec![b'p', b'q', i]).collect();
+        idx.add_batch(&seed).unwrap();
+        // Break the WAL's commit path: its index file becomes a
+        // directory, so the next append fails.
+        let wal_idx = dir.join(WAL_DIR).join("corpus.idx");
+        let saved = std::fs::read(&wal_idx).unwrap();
+        std::fs::remove_file(&wal_idx).unwrap();
+        std::fs::create_dir(&wal_idx).unwrap();
+        let batch: Vec<Vec<u8>> = (0..4u8).map(|i| vec![b'r', b's', i]).collect();
+        let generation = idx.generation();
+        assert!(idx.add_batch(&batch).is_err());
+        assert_eq!(idx.next_seq(), 4);
+        assert_eq!(idx.generation(), generation);
+        assert_eq!(idx.live_seqs(), (0..4).collect::<Vec<_>>());
+        assert_eq!(idx.snapshot().query("pq").unwrap().matches.len(), 4);
+        assert!(idx.snapshot().query("rs").unwrap().matches.is_empty());
+        // Heal the WAL and retry the batch.
+        std::fs::remove_dir(&wal_idx).unwrap();
+        std::fs::write(&wal_idx, &saved).unwrap();
+        let ids = idx.add_batch(&batch).unwrap();
+        assert_eq!(ids, (4..8).collect::<Vec<_>>());
+        for (i, doc) in batch.iter().enumerate() {
+            assert_eq!(&idx.get(4 + i as DocId).unwrap(), doc);
+        }
+        drop(idx);
+        let reopened = LiveIndex::open(&dir, small_config()).unwrap();
+        assert_eq!(reopened.next_seq(), 8);
+        assert_eq!(reopened.live_docs(), 8);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `create` over an existing index is [`Error::AlreadyExists`], and
+    /// over a directory holding the sharded layout's manifest it is
+    /// [`Error::ShardedLayout`] naming that file; neither writes anything.
+    #[test]
+    fn create_refuses_existing_layouts() {
+        let rooted = fresh_dir("exists-rooted");
+        drop(LiveIndex::create(&rooted, small_config()).unwrap());
+        let sharded = fresh_dir("exists-sharded");
+        std::fs::create_dir_all(sharded.join("shard-0")).unwrap();
+        std::fs::write(
+            sharded.join(SHARDED_MANIFEST_FILE),
+            "FREESHRD 1 0\nshards=2\n",
+        )
+        .unwrap();
+        for existing in [&rooted, &sharded] {
+            let before = listing(existing);
+            match LiveIndex::create(existing, small_config()) {
+                Err(Error::AlreadyExists(dir)) => assert_eq!(&dir, existing),
+                Err(Error::ShardedLayout(path)) => {
+                    assert_eq!(path, sharded.join(SHARDED_MANIFEST_FILE));
+                }
+                other => panic!("{existing:?}: {:?}", other.map(|_| ())),
+            }
+            assert_eq!(listing(existing), before, "a refused create wrote files");
+            let _ = std::fs::remove_dir_all(existing);
+        }
+    }
+
+    /// Sorted names directly under `dir`.
+    fn listing(dir: &Path) -> Vec<std::ffi::OsString> {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
     }
 }

@@ -96,7 +96,7 @@ impl Manifest {
 
     /// Loads and validates the manifest in `dir`.
     pub fn load(dir: &Path) -> Result<Manifest> {
-        let body = read_checksummed(dir, MANIFEST_FILE, HEADER)?;
+        let body = read_checksummed(dir)?;
         let mut m = Manifest::new();
         for line in body.lines() {
             let line = line.trim();
@@ -146,7 +146,7 @@ impl Manifest {
                 s.id, s.first_seq, s.last_seq, s.num_docs
             ));
         }
-        write_checksummed(dir, MANIFEST_FILE, HEADER, &body)
+        write_checksummed(dir, &body)
     }
 
     /// Structural invariants: segments sorted by sequence range, ranges
@@ -184,11 +184,11 @@ impl Manifest {
     }
 }
 
-/// Reads the file `file` in `dir`: a `<header><crc32-hex>` line, then the
+/// Reads the manifest in `dir`: a `<HEADER><crc32-hex>` line, then the
 /// body that checksum covers, which is returned. A missing file is
 /// [`Error::NotFound`]; another header is "unsupported format, rebuild".
-pub(crate) fn read_checksummed(dir: &Path, file: &str, header: &str) -> Result<String> {
-    let path = dir.join(file);
+fn read_checksummed(dir: &Path) -> Result<String> {
+    let path = Manifest::path(dir);
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -197,11 +197,11 @@ pub(crate) fn read_checksummed(dir: &Path, file: &str, header: &str) -> Result<S
         Err(e) => return Err(Error::io(format!("read {}", path.display()), e)),
     };
     let (first, body) = text.split_once('\n').unwrap_or((&text, ""));
-    let hex = first.strip_prefix(header).ok_or_else(|| {
+    let hex = first.strip_prefix(HEADER).ok_or_else(|| {
         Error::Corrupt(format!(
-            "{}: unsupported format, rebuild (header {:?}, expected \"{header}<crc32>\")",
+            "{}: unsupported format, rebuild (header {:?}, expected \"{HEADER}<crc32>\")",
             path.display(),
-            first.get(..header.len()).unwrap_or(first)
+            first.get(..HEADER.len()).unwrap_or(first)
         ))
     })?;
     let expected = u32::from_str_radix(hex.trim(), 16)
@@ -216,14 +216,14 @@ pub(crate) fn read_checksummed(dir: &Path, file: &str, header: &str) -> Result<S
     Ok(body.to_string())
 }
 
-/// Atomically writes `body` under a `<header><crc32-hex>` line to the
-/// file `file` in `dir` (temp file + rename).
-pub(crate) fn write_checksummed(dir: &Path, file: &str, header: &str, body: &str) -> Result<()> {
-    let text = format!("{header}{:08x}\n{body}", crc32(body.as_bytes()));
-    let tmp = dir.join(format!("{file}.tmp"));
+/// Atomically writes `body` under a `<HEADER><crc32-hex>` line as the
+/// manifest in `dir` (temp file + rename).
+fn write_checksummed(dir: &Path, body: &str) -> Result<()> {
+    let text = format!("{HEADER}{:08x}\n{body}", crc32(body.as_bytes()));
+    let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
     std::fs::write(&tmp, text).map_err(|e| Error::io(format!("write {}", tmp.display()), e))?;
-    std::fs::rename(&tmp, dir.join(file))
-        .map_err(|e| Error::io(format!("rename {} over {file}", tmp.display()), e))
+    std::fs::rename(&tmp, Manifest::path(dir))
+        .map_err(|e| Error::io(format!("rename {} over {MANIFEST_FILE}", tmp.display()), e))
 }
 
 impl Default for Manifest {

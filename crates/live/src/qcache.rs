@@ -8,8 +8,8 @@
 //! sequences past it, and a flush or compaction moves documents without
 //! changing one. This cache memoizes full match lists (with spans) keyed
 //! by pattern and stamps each entry with the `next_seq` and the
-//! *removal count* (deletes and batch rollbacks published so far) of the
-//! snapshot it was computed against. [`QueryCache::query`] answers a
+//! *removal count* (the deletes published so far) of the snapshot it was
+//! computed against. [`QueryCache::query`] answers a
 //! pattern against a snapshot in one of three ways ([`Lookup`]):
 //!
 //! - the same stamp: a **hit**, the memoized answer as it is;
@@ -59,7 +59,7 @@ impl Stamp {
     fn of(snapshot: &Snapshot) -> Stamp {
         Stamp {
             removals: snapshot.removals,
-            next_seq: snapshot.next_seq,
+            next_seq: snapshot.next_seq(),
         }
     }
 }

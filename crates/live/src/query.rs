@@ -1,31 +1,29 @@
-//! The live query executor: one candidate stream over every shard,
-//! confirmed by one executor.
+//! The live query executor: one candidate stream, confirmed by one
+//! executor.
 //!
 //! One [`PreparedQuery`] (regex, logical plan, prefilter) is built per
-//! query and one *physical* plan per shard, against the shard's
-//! dictionary (its oldest segment's key directory). Every source of a
-//! shard — each sealed segment and the write buffer — indexes exactly
-//! the dictionary's keys, so that one plan compiles against each
-//! source's index to a cursor over local ids, and a dictionary key absent
-//! from a source's directory is one none of its documents contains (an
-//! empty branch, not a NULL one). The cursor adapters drop each source's
-//! deleted documents by a bit test and lift the rest into the global
-//! sequence space (`local * N + shard`), so the sources of every indexed
-//! shard merge through one engine `OrCursor` k-way heap, in global
-//! sequence order. A shard scans instead when it has no dictionary yet
-//! (nothing flushed) or its plan cannot use the index: ranged,
-//! CRC-checked reads of its live documents.
+//! query and one *physical* plan against the index's dictionary (its
+//! oldest segment's key directory). Every source — each sealed segment
+//! and the write buffer — indexes exactly the dictionary's keys, so that
+//! one plan compiles against each source's index to a cursor over local
+//! ids, and a dictionary key absent from a source's directory is one
+//! none of its documents contains (an empty branch, not a NULL one). The
+//! cursor adapters drop each source's deleted documents by a bit test
+//! and map the rest to sequence numbers, so the sources merge through
+//! one engine `OrCursor` k-way heap, in sequence order. The query scans
+//! instead when there is no dictionary yet (nothing flushed) or the plan
+//! cannot use the index: ranged, CRC-checked reads of the live
+//! documents.
 //!
-//! A query therefore makes at most two passes of the engine's
-//! confirmation executor ([`confirm_source`]), both on the calling
-//! thread with the whole thread budget and against one view of the
-//! whole snapshot: the candidate stream of the indexed shards, then the
-//! scan of the scanning shards. A candidate fetch is one CRC-checked
-//! positioned read of its unit. Results at any generation, for any shard
-//! and thread count, are therefore identical to a from-scratch rebuild
-//! over the live documents.
+//! A query therefore makes one pass of the engine's confirmation
+//! executor ([`confirm_source`]) on the calling thread with the whole
+//! thread budget, against one view of the snapshot: the candidate
+//! stream or the scan. A candidate fetch is one CRC-checked positioned
+//! read of its unit. Results at any generation, for any thread count,
+//! are therefore identical to a from-scratch rebuild over the live
+//! documents.
 
-use crate::cursor::{Lift, Seqs, SourceCursor};
+use crate::cursor::{Seqs, SourceCursor};
 use crate::error::Result;
 use crate::memtable::BufferIndex;
 use crate::view::LiveView;
@@ -82,8 +80,7 @@ pub struct LiveQueryStats {
     /// Sources confirmed whole: every source when the plan cannot use the
     /// index, or the write buffer before the first flush.
     pub scanned_sources: usize,
-    /// The index keys the plan fetched, deduplicated (over every shard of
-    /// a sharded index, sorted).
+    /// The index keys the plan fetched, sorted and deduplicated.
     pub grams: Vec<Box<[u8]>>,
     /// Generation the query ran at.
     pub generation: u64,
@@ -141,21 +138,17 @@ pub(crate) fn emit_qlog(pattern: &str, stats: &LiveQueryStats, want_spans: bool)
     }
 }
 
-/// Runs an already-prepared query over every shard of `snapshot`,
-/// handing each match at global sequence `since` or above to `on_doc`
-/// (`since` 0 is the whole snapshot). The stream pass delivers ascending
-/// global sequences; a scan pass delivers each scanning shard's
-/// ascending, one shard after another. The caller
+/// Runs an already-prepared query over `snapshot`, handing each match at
+/// sequence `since` or above to `on_doc` (`since` 0 is the whole
+/// snapshot), in ascending sequence order. The caller
 /// ([`crate::Snapshot::query_opts`]) owns the query span, the prepare
-/// time, ordering and metrics recording. Counters fold across shards as
-/// one execution would count them: sums, `used_scan` if any shard
-/// scanned, and the worst plan class of any shard.
+/// time and metrics recording.
 ///
-/// A source whose documents all sit below `since` is skipped, and so is
-/// a shard with no other source; the candidate stream starts with a
-/// seek to `since`, and the scan pass reads only the documents at or
-/// above it. A result cache extends an answer past appends this way at
-/// the cost of the appended documents ([`crate::QueryCache`]).
+/// A segment whose documents all sit below `since` is skipped; the
+/// candidate stream starts with a seek to `since`, and a scan reads only
+/// the documents at or above it. A result cache extends an answer past
+/// appends this way at the cost of the appended documents
+/// ([`crate::QueryCache`]).
 // `expect`: `compile_plan` returns `None` only for scan plans, which
 // the compiling branch excludes; `pop()` sits in the `len == 1` arm.
 #[allow(clippy::expect_used, clippy::too_many_arguments)]
@@ -172,83 +165,75 @@ pub(crate) fn execute_prepared(
     let plan_start = Instant::now();
     let mut stats = QueryStats::default();
     let mut cursors: Vec<Box<dyn PostingsCursor>> = Vec::new();
-    let (mut sources, mut scanned_sources) = (0, 0);
-    let mut scanning = Vec::new();
     let mut grams: Vec<Box<[u8]>> = Vec::new();
+    // The sources holding a document at `since` or above: a suffix of
+    // the segments, which hold ascending, disjoint sequence ranges, and
+    // the write buffer past them.
+    let first = (snapshot.segments).partition_point(|seg| seg.meta.last_seq < since);
+    let segments = &snapshot.segments[first..];
+    let buffered = snapshot.memtable.len() as DocId > since.saturating_sub(snapshot.wal_base);
+    let sources = segments.len() + usize::from(buffered);
+    let scanned_sources = |stats: &QueryStats| if stats.used_scan { sources } else { 0 };
     {
         let mut span = query_span.child("live.plan");
-        for (s, shard) in snapshot.shards.iter().enumerate() {
-            let lift = Lift::new(s, snapshot.shards.len());
-            // The sources holding a document at `since` or above: a
-            // suffix of the segments, which hold ascending, disjoint
-            // sequence ranges, and the write buffer past them.
-            let from = lift.down(since);
-            let first = (shard.segments).partition_point(|seg| seg.meta.last_seq < from);
-            let segments = &shard.segments[first..];
-            let buffered = shard.memtable.len() as DocId > from.saturating_sub(shard.wal_base);
-            let shard_sources = segments.len() + usize::from(buffered);
-            if shard_sources == 0 {
-                continue;
-            }
-            sources += shard_sources;
-            // One plan per shard, against its dictionary (the oldest
-            // segment's key directory): every source indexes exactly its
-            // keys, so a key missing from a source's directory is in none
-            // of its documents.
-            let planned = (shard.segments.first()).map(|dict| {
+        // One plan, against the dictionary (the oldest segment's key
+        // directory): every source indexes exactly its keys, so a key
+        // missing from a source's directory is in none of its documents.
+        let planned = (snapshot.segments.first())
+            .filter(|_| sources > 0)
+            .map(|dict| {
                 let num_docs = dict.meta.num_docs as usize;
-                let physical = prepared.plan(&dict.index, num_docs, &shard.config.engine);
+                let physical = prepared.plan(&dict.index, num_docs, &snapshot.config.engine);
                 (dict, physical.classify(num_docs), physical)
             });
-            let Some((dict, class, physical)) = planned.filter(|p| p.1 != PlanClass::Scan) else {
-                // Without a dictionary (nothing flushed yet) or with a
-                // plan that cannot use it, every live document is a
-                // candidate: the scan pass reads them.
-                scanning.push(s);
-                scanned_sources += shard_sources;
+        match planned.filter(|p| p.1 != PlanClass::Scan) {
+            Some((dict, class, physical)) => {
+                stats.plan_class = class;
+                grams.extend(physical.gram_keys().into_iter().map(Into::into));
+                for seg in segments {
+                    let cursor = compile_plan(&physical, &seg.index, &mut stats)?
+                        .expect("non-scan plans always compile to a cursor");
+                    let seqs = Seqs::Map(seg.seqs.clone());
+                    cursors.push(Box::new(SourceCursor::new(cursor, seqs, seg.dead.clone())?));
+                }
+                if buffered {
+                    let buffer = BufferIndex {
+                        keys: dict.index.keys(),
+                        memtable: &snapshot.memtable,
+                    };
+                    let cursor = compile_plan(&physical, &buffer, &mut stats)?
+                        .expect("non-scan plans always compile to a cursor");
+                    let seqs = Seqs::From(snapshot.wal_base);
+                    let dead = snapshot.memtable.dead.clone();
+                    cursors.push(Box::new(SourceCursor::new(cursor, seqs, dead)?));
+                }
+            }
+            // Without a dictionary (nothing flushed yet) or with a plan
+            // that cannot use it, every live document is a candidate:
+            // the scan reads them.
+            None if sources > 0 => {
                 stats.plan_class = PlanClass::Scan;
-                continue;
-            };
-            stats.plan_class = stats.plan_class.max(class);
-            grams.extend(physical.gram_keys().into_iter().map(Into::into));
-            for seg in segments {
-                let cursor = compile_plan(&physical, &seg.index, &mut stats)?
-                    .expect("non-scan plans always compile to a cursor");
-                let seqs = Seqs::Map(seg.seqs.clone());
-                let cursor = SourceCursor::new(cursor, seqs, seg.dead.clone(), lift)?;
-                cursors.push(Box::new(cursor));
+                stats.used_scan = true;
             }
-            if buffered {
-                let buffer = BufferIndex {
-                    keys: dict.index.keys(),
-                    memtable: &shard.memtable,
-                };
-                let cursor = compile_plan(&physical, &buffer, &mut stats)?
-                    .expect("non-scan plans always compile to a cursor");
-                let (seqs, dead) = (Seqs::From(shard.wal_base), shard.memtable.dead.clone());
-                let cursor = SourceCursor::new(cursor, seqs, dead, lift)?;
-                cursors.push(Box::new(cursor));
-            }
+            None => {}
         }
         span.record("sources", sources);
-        span.record("scanned_sources", scanned_sources);
+        span.record("scanned_sources", scanned_sources(&stats));
     }
-    stats.used_scan = !scanning.is_empty();
     stats.plan_time = plan_start.elapsed();
     grams.sort_unstable();
     grams.dedup();
 
-    let streamed = !cursors.is_empty();
-    let view = LiveView::new(snapshot, scanning, since);
-    let mut confirm = |source: &mut CandidateSource, stats: &mut QueryStats| {
-        let (regex, prefilter) = (prepared.regex(), prepared.prefilter());
-        confirm_source(
-            &view, regex, source, want_spans, prefilter, threads, budget, stats, on_doc,
-        )
-    };
+    let view = LiveView::new(snapshot, since);
+    let (regex, prefilter) = (prepared.regex(), prepared.prefilter());
     {
         let mut span = query_span.child("live.confirm");
-        if streamed {
+        // With no stream to confirm, the scan runs even over no document,
+        // so an expired budget still surfaces.
+        let mut source = if cursors.is_empty() {
+            stats.candidates += view.len();
+            CandidateSource::All
+        } else {
             let index_start = Instant::now();
             let mut root: Box<dyn PostingsCursor> = match cursors.len() {
                 1 => cursors.pop().expect("one cursor"),
@@ -260,21 +245,26 @@ pub(crate) fn execute_prepared(
             let mut st = StreamState::new(root);
             st.refresh(&mut stats);
             stats.index_time += index_start.elapsed();
-            confirm(&mut CandidateSource::Stream(st), &mut stats)?;
-        }
-        // With no stream to confirm, the scan pass runs even over no
-        // document, so an expired budget still surfaces.
-        if stats.used_scan || !streamed {
-            stats.candidates += view.len();
-            confirm(&mut CandidateSource::All, &mut stats)?;
-        }
+            CandidateSource::Stream(st)
+        };
+        confirm_source(
+            &view,
+            regex,
+            &mut source,
+            want_spans,
+            prefilter,
+            threads,
+            budget,
+            &mut stats,
+            on_doc,
+        )?;
         span.record("matching_docs", stats.matching_docs);
         span.record("docs_examined", stats.docs_examined);
     }
     Ok(LiveQueryStats {
+        scanned_sources: scanned_sources(&stats),
         base: stats,
         sources,
-        scanned_sources,
         grams,
         generation: snapshot.generation,
     })

@@ -1,72 +1,51 @@
-//! A [`Corpus`] view over a whole [`Snapshot`] keyed by global
-//! sequence numbers, so the engine's confirmation machinery (including
-//! parallel confirmation and first-k early exit) runs unchanged against
-//! every shard's segments plus write buffer, or against only the
-//! documents from a given sequence on.
+//! A [`Corpus`] view over a whole [`Snapshot`] keyed by sequence
+//! numbers, so the engine's confirmation machinery (including parallel
+//! confirmation and first-k early exit) runs unchanged against the
+//! segments plus write buffer, or against only the documents from a
+//! given sequence on.
 
-use crate::cursor::Lift;
 use crate::dead::DeadBits;
-use crate::snapshot::{Owner, ShardSnapshot};
-use crate::Snapshot;
+use crate::snapshot::{Owner, Snapshot};
 use free_corpus::{Corpus, DocId};
 use std::ops::Range;
 
-/// One source of a scanning shard, with its shard's lift and the range
-/// of its local ids a scan covers.
-type Source<'a> = (Lift, &'a ShardSnapshot, Owner, Range<usize>);
+/// One source of the snapshot, with the range of its local ids a scan
+/// covers.
+type Source = (Owner, Range<usize>);
 
-/// Read view of every shard at one generation. `get` is keyed by global
-/// sequence number and routes global `g` to shard `g % N` as local
-/// `g / N`; ids with no live document error like any other out-of-range
+/// Read view of the index at one generation. `get` is keyed by sequence
+/// number; ids with no live document error like any other out-of-range
 /// access. `len`, `total_bytes` and `scan_range` cover the live
-/// documents of the `scanning` shards only — the ones a query confirms
-/// whole — and of those only the ones at global sequence `since` or
-/// above.
+/// documents at sequence `since` or above.
 pub(crate) struct LiveView<'a> {
     snapshot: &'a Snapshot,
-    /// Shard numbers, ascending.
-    scanning: Vec<usize>,
-    /// The least global sequence the scan covers.
+    /// The least sequence the scan covers.
     since: DocId,
 }
 
 impl<'a> LiveView<'a> {
-    pub(crate) fn new(snapshot: &'a Snapshot, scanning: Vec<usize>, since: DocId) -> LiveView<'a> {
-        LiveView {
-            snapshot,
-            scanning,
-            since,
-        }
+    pub(crate) fn new(snapshot: &'a Snapshot, since: DocId) -> LiveView<'a> {
+        LiveView { snapshot, since }
     }
 
-    /// The scanning shards' sources, shard-major, each shard's segments
-    /// and then its write buffer, with the range of the source's local
-    /// ids at global sequence `since` or above.
-    fn sources(&self) -> impl Iterator<Item = Source<'a>> + '_ {
-        let (shards, since) = (&self.snapshot.shards[..], self.since);
-        self.scanning.iter().flat_map(move |&s| {
-            let (lift, shard) = (Lift::new(s, shards.len()), &*shards[s]);
-            let from = lift.down(since);
-            let segments = shard.segments.iter().enumerate().map(move |(i, seg)| {
-                let first = seg.seqs.partition_point(|&seq| seq < from);
-                (lift, shard, Owner::Segment(i), first..seg.seqs.len())
-            });
-            let buffered = shard.memtable.len();
-            let first = (from.saturating_sub(shard.wal_base) as usize).min(buffered);
-            segments.chain(std::iter::once((
-                lift,
-                shard,
-                Owner::Buffer,
-                first..buffered,
-            )))
-        })
+    /// The sources, the segments and then the write buffer, with the
+    /// range of the source's local ids at sequence `since` or above.
+    fn sources(&self) -> impl Iterator<Item = Source> + '_ {
+        let (s, since) = (self.snapshot, self.since);
+        let segments = s.segments.iter().enumerate().map(move |(i, seg)| {
+            let first = seg.seqs.partition_point(|&seq| seq < since);
+            (Owner::Segment(i), first..seg.seqs.len())
+        });
+        let buffered = s.memtable.len();
+        let first = (since.saturating_sub(s.wal_base) as usize).min(buffered);
+        segments.chain(std::iter::once((Owner::Buffer, first..buffered)))
     }
 }
 
 impl Corpus for LiveView<'_> {
     fn len(&self) -> usize {
-        let live = |(_, s, owner, locals): Source<'_>| {
-            let dead = s.dead(owner);
+        let live = |(owner, locals): Source| {
+            let dead = self.snapshot.dead(owner);
             locals.len() - (dead.count() - dead.count_below(locals.start))
         };
         self.sources().map(live).sum()
@@ -75,7 +54,8 @@ impl Corpus for LiveView<'_> {
     /// The bytes of the sources the scan covers, each counted in the
     /// share of its documents at `since` or above.
     fn total_bytes(&self) -> u64 {
-        let bytes = |(_, s, owner, locals): Source<'_>| {
+        let s = self.snapshot;
+        let bytes = |(owner, locals): Source| {
             let (bytes, len) = match owner {
                 Owner::Segment(i) => (s.segments[i].data_bytes(), s.segments[i].seqs.len()),
                 Owner::Buffer => (s.memtable.bytes(), s.memtable.len()),
@@ -88,31 +68,29 @@ impl Corpus for LiveView<'_> {
     }
 
     fn get(&self, seq: DocId) -> free_corpus::Result<Vec<u8>> {
-        let shards = &self.snapshot.shards;
-        let n = shards.len() as DocId;
-        let s = &shards[(seq % n) as usize];
-        match s.live(seq / n) {
+        let s = self.snapshot;
+        match s.live(seq) {
             Some((owner, local)) => s.read(owner, local),
             None => Err(free_corpus::Error::DocOutOfRange {
                 id: seq,
-                len: self.snapshot.live_docs(),
+                len: s.live_docs(),
             }),
         }
     }
 
-    /// Positions count the scanning shards' live documents at `since`
-    /// or above shard-major, each shard's in sequence order: its
-    /// segments', then its write buffer's. Reads the segments a range
-    /// covers front to back, checking every unit's CRC as
-    /// [`Corpus::get`] does.
+    /// Positions count the live documents at `since` or above in
+    /// sequence order: the segments', then the write buffer's. Reads the
+    /// segments a range covers front to back, checking every unit's CRC
+    /// as [`Corpus::get`] does.
     fn scan_range(
         &self,
         positions: Range<usize>,
         f: &mut dyn FnMut(DocId, &[u8]) -> bool,
     ) -> free_corpus::Result<()> {
+        let s = self.snapshot;
         let mut skip = positions.start;
         let mut take = positions.end.saturating_sub(positions.start);
-        for (lift, s, owner, locals) in self.sources() {
+        for (owner, locals) in self.sources() {
             let dead = s.dead(owner);
             let Some(locals) = live_locals(dead, locals, &mut skip, &mut take) else {
                 continue;
@@ -125,7 +103,7 @@ impl Corpus for LiveView<'_> {
                         if dead.contains(local as usize) {
                             return true;
                         }
-                        stopped = !f(lift.up(seg.seqs[local as usize]), bytes);
+                        stopped = !f(seg.seqs[local as usize], bytes);
                         !stopped
                     })?;
                     if stopped {
@@ -135,7 +113,7 @@ impl Corpus for LiveView<'_> {
                 Owner::Buffer => {
                     for local in locals {
                         let doc = s.memtable.doc(local).unwrap_or_default();
-                        if !dead.contains(local) && !f(lift.up(s.wal_base + local as DocId), doc) {
+                        if !dead.contains(local) && !f(s.wal_base + local as DocId, doc) {
                             return Ok(());
                         }
                     }
@@ -216,19 +194,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Over 1-3 shards holding segments flushed at random points,
-        /// random deletes (in the segments and in the write buffers, each
-        /// some stages after its document was added, so a flush may seal
-        /// past one), an optional compaction and buffers that may be
-        /// empty, `scan_range` visits exactly the live documents of the
-        /// scanning shards at sequence `since` or above, at those
-        /// positions of a shard-major pass, for empty and reversed
-        /// ranges, ranges past the end, and visitors that stop early;
-        /// `len` counts them.
+        /// Over segments flushed at random points, random deletes (in the
+        /// segments and in the write buffer, each some stages after its
+        /// document was added, so a flush may seal past one), an optional
+        /// compaction and a buffer that may be empty, `scan_range` visits
+        /// exactly the live documents at sequence `since` or above, at
+        /// those positions of a pass in sequence order, for empty and
+        /// reversed ranges, ranges past the end, and visitors that stop
+        /// early; `len` counts them.
         #[test]
         fn scan_range_is_scan_and_skip(
-            shards in 1usize..4,
-            scanning in prop::collection::vec(any::<bool>(), 3),
             sizes in prop::collection::vec(0usize..60, 1..60),
             flushes in prop::collection::btree_set(0usize..60, 0..4),
             dead in prop::collection::vec((0u32..60, 0usize..3), 0..20),
@@ -237,7 +212,7 @@ mod tests {
             since in prop_oneof![Just(0 as DocId), 0 as DocId..70],
         ) {
             let dir = fresh_dir("range");
-            let mut index = LiveIndex::create_sharded(&dir, config(), shards).unwrap();
+            let mut index = LiveIndex::create(&dir, config()).unwrap();
             let docs: Vec<Vec<u8>> = (sizes.iter().enumerate())
                 .map(|(i, &len)| format!("doc {i} {}", "x".repeat(len)).into_bytes())
                 .collect();
@@ -267,15 +242,11 @@ mod tests {
                 }
             }
             let snapshot = index.snapshot();
-            let scanning: Vec<usize> = (0..shards).filter(|&s| scanning[s]).collect();
-            let view = LiveView::new(&snapshot, scanning.clone(), since);
-            let shard_of = |seq: DocId| seq as usize % shards;
-            let mut live: Vec<(DocId, Vec<u8>)> = (0..docs.len() as DocId)
-                .filter(|seq| !dead.contains_key(seq) && scanning.contains(&shard_of(*seq)))
-                .filter(|&seq| seq >= since)
+            let view = LiveView::new(&snapshot, since);
+            let live: Vec<(DocId, Vec<u8>)> = (since..docs.len() as DocId)
+                .filter(|seq| !dead.contains_key(seq))
                 .map(|seq| (seq, docs[seq as usize].clone()))
                 .collect();
-            live.sort_by_key(|&(seq, _)| (shard_of(seq), seq));
             prop_assert_eq!(view.len(), live.len());
             prop_assert_eq!(&visited(&view, 0..usize::MAX, usize::MAX), &live);
             for (start, end, stop) in ranges {
@@ -293,38 +264,31 @@ mod tests {
     }
 
     /// `get` of a deleted document errors like any other missing id, in
-    /// a segment and in a write buffer, whichever shard holds it; its
-    /// live neighbours read back.
+    /// a segment and in the write buffer; its live neighbours read back.
     #[test]
     fn get_hides_deleted_documents() {
-        for shards in [1, 3] {
-            let dir = fresh_dir("get");
-            let mut index = LiveIndex::create_sharded(&dir, config(), shards).unwrap();
-            let docs: Vec<Vec<u8>> = (0..10).map(|i| format!("doc {i}").into_bytes()).collect();
-            index.add_batch(&docs[..5]).unwrap();
-            index.flush().unwrap();
-            index.add_batch(&docs[5..]).unwrap();
-            for seq in [2, 7] {
-                index.delete(seq).unwrap();
-            }
-            let snapshot = index.snapshot();
-            let view = LiveView::new(&snapshot, Vec::new(), 0);
-            for seq in [2, 7] {
-                let got = view.get(seq);
-                assert!(
-                    matches!(got, Err(free_corpus::Error::DocOutOfRange { id, len: 8 }) if id == seq),
-                    "{shards} shard(s), {seq}: {got:?}"
-                );
-            }
-            for seq in [1, 3, 6, 8] {
-                assert_eq!(
-                    view.get(seq).unwrap(),
-                    docs[seq as usize],
-                    "{shards}: {seq}"
-                );
-            }
-            drop(index);
-            std::fs::remove_dir_all(&dir).unwrap();
+        let dir = fresh_dir("get");
+        let mut index = LiveIndex::create(&dir, config()).unwrap();
+        let docs: Vec<Vec<u8>> = (0..10).map(|i| format!("doc {i}").into_bytes()).collect();
+        index.add_batch(&docs[..5]).unwrap();
+        index.flush().unwrap();
+        index.add_batch(&docs[5..]).unwrap();
+        for seq in [2, 7] {
+            index.delete(seq).unwrap();
         }
+        let snapshot = index.snapshot();
+        let view = LiveView::new(&snapshot, 0);
+        for seq in [2, 7] {
+            let got = view.get(seq);
+            assert!(
+                matches!(got, Err(free_corpus::Error::DocOutOfRange { id, len: 8 }) if id == seq),
+                "{seq}: {got:?}"
+            );
+        }
+        for seq in [1, 3, 6, 8] {
+            assert_eq!(view.get(seq).unwrap(), docs[seq as usize], "{seq}");
+        }
+        drop(index);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -88,6 +88,57 @@ fn create_refuses_existing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file under `dir`, by path relative to it, with its bytes.
+fn tree(dir: &Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(at) = pending.pop() {
+        for entry in std::fs::read_dir(&at).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                files.push((path.strip_prefix(dir).unwrap().to_path_buf(), bytes));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A directory of the N-shard layout (`sharded.manifest` over
+/// `shard-<s>/`, which earlier versions wrote) is refused by `open`,
+/// `open_or_create` and `create` with an error naming the file, and not
+/// a byte under it changes.
+#[test]
+fn a_sharded_directory_is_refused_untouched() {
+    let dir = tmp_dir("sharded-layout");
+    for s in 0..2 {
+        let mut shard = LiveIndex::create(dir.join(format!("shard-{s}")), config()).unwrap();
+        shard.add_batch(&docs()[s..s + 2]).unwrap();
+    }
+    let manifest = dir.join("sharded.manifest");
+    std::fs::write(&manifest, "FREESHRD 1 0\nshards=2\n").unwrap();
+    let before = tree(&dir);
+    let refusals = [
+        LiveIndex::open(&dir, config()).map(|_| ()),
+        LiveIndex::open_or_create(&dir, config()).map(|_| ()),
+        LiveIndex::create(&dir, config()).map(|_| ()),
+    ];
+    for refused in refusals {
+        match refused {
+            Err(e @ Error::ShardedLayout(_)) => {
+                assert!(matches!(&e, Error::ShardedLayout(p) if *p == manifest));
+                assert!(e.to_string().contains("sharded.manifest"), "{e}");
+            }
+            other => panic!("expected ShardedLayout, got {other:?}"),
+        }
+    }
+    assert_eq!(tree(&dir), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn reopen_replays_wal() {
     let dir = tmp_dir("reopen");
@@ -202,7 +253,7 @@ fn compaction_is_a_batch_build() {
     live.add_batch(&pages[20..]).unwrap();
     live.flush().unwrap();
     assert_eq!(live.num_segments(), 2);
-    let drift = live.shards()[0].drift();
+    let drift = live.drift();
     assert!(drift.remines(), "{drift:?}");
     assert!(live.compact().unwrap());
     let bytes = std::fs::read(dir.join("segments/seg-2.idx")).unwrap();
@@ -213,7 +264,7 @@ fn compaction_is_a_batch_build() {
         live.delete(seq).unwrap();
     }
     live.add_batch(&other_vocabulary(60)).unwrap();
-    let drift = live.shards()[0].drift();
+    let drift = live.drift();
     assert!(drift.remines(), "{drift:?}");
     assert!(live.compact().unwrap());
     let survivors = survivors(&live);
@@ -227,8 +278,8 @@ fn compaction_is_a_batch_build() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A live query and a batch query run one pipeline: once a single shard
-/// has compacted into `seg-2`, `Engine::open` over the same pages and
+/// A live query and a batch query run one pipeline: once the index has
+/// compacted into `seg-2`, `Engine::open` over the same pages and
 /// that index file answers every pattern as `Snapshot::query` does, seq
 /// for doc id, and counts the same work — plan class, scan, keys fetched,
 /// candidates, documents examined and prefiltered, matches.
@@ -355,7 +406,7 @@ fn compaction_merges_under_the_dictionary() {
     for &seq in &deletes {
         live.delete(seq).unwrap();
     }
-    let drift = live.shards()[0].drift();
+    let drift = live.drift();
     assert!(!drift.remines(), "{drift:?}");
     assert!(live.compact().unwrap());
 
@@ -416,7 +467,7 @@ fn a_manifest_with_a_baseline_line_opens_and_compacts() {
             .collect()
     };
     let before = answers(&live);
-    let drift = live.shards()[0].drift();
+    let drift = live.drift();
     assert!(!drift.remines(), "{drift:?}");
     drop(live);
     let path = dir.join(free_live::manifest::MANIFEST_FILE);
@@ -432,7 +483,7 @@ fn a_manifest_with_a_baseline_line_opens_and_compacts() {
 
     let mut live = LiveIndex::open(&dir, config()).unwrap();
     assert_eq!(answers(&live), before);
-    assert_eq!(live.shards()[0].drift(), drift);
+    assert_eq!(live.drift(), drift);
     let keys = free_index::IndexReader::open(dir.join("segments/seg-0.idx"))
         .unwrap()
         .keys()
@@ -462,7 +513,7 @@ fn drift_predicts_the_remine() {
         // Buffered, not flushed: the drift counts what compaction's flush
         // will seal.
         live.add_batch(&pages[first..]).unwrap();
-        let drift = live.shards()[0].drift();
+        let drift = live.drift();
         assert_eq!(drift.remines(), remines, "first flush {first}: {drift:?}");
         let dictionary = |name: &str| {
             let index = free_index::IndexReader::open(dir.join("segments").join(name)).unwrap();
@@ -489,7 +540,7 @@ fn compaction_refuses_damaged_postings() {
     live.add_batch(&pages[100..]).unwrap();
     live.flush().unwrap();
     live.delete(5).unwrap();
-    assert!(!live.shards()[0].drift().remines());
+    assert!(!live.drift().remines());
     drop(live);
     let path = dir.join("segments/seg-1.idx");
     let postings_bytes = {
@@ -1000,16 +1051,12 @@ fn key_set_drift_flags_novel_content() {
     let dir = tmp_dir("drift");
     let mut live = LiveIndex::create(&dir, config()).unwrap();
     live.add_batch(&synth_pages()[..100]).unwrap();
-    assert_eq!(live.shards()[0].drift().fraction, 0.0, "no segments yet");
+    assert_eq!(live.drift().fraction, 0.0, "no segments yet");
     live.flush().unwrap();
-    assert_eq!(
-        live.shards()[0].drift().fraction,
-        0.0,
-        "nothing since the mining"
-    );
+    assert_eq!(live.drift().fraction, 0.0, "nothing since the mining");
 
     live.add_batch(&other_vocabulary(100)).unwrap();
-    let drift = live.shards()[0].drift();
+    let drift = live.drift();
     assert!(drift.share.unwrap() > 0.2, "{drift:?}");
     assert!(drift.fraction > free_live::DRIFT_TOLERANCE && drift.remines());
     let _ = std::fs::remove_dir_all(&dir);
@@ -1176,7 +1223,7 @@ fn orphaned_segment_files_removed_on_reopen() {
         vec![99]
     );
     let reopened = LiveIndex::open(&dir, config()).unwrap();
-    assert!(reopened.shards()[0].retired_segment_files().is_empty());
+    assert!(reopened.retired_segment_files().is_empty());
     assert!(!seg_root.join("seg-99.idx").exists());
     assert!(!seg_root.join("seg-99.seqs").exists());
     let _ = std::fs::remove_dir_all(&dir);

@@ -80,24 +80,21 @@ fn rebuild(docs: &[(u32, Vec<u8>)], pattern: &str) -> Vec<(u32, Vec<u8>, Vec<Spa
         .collect()
 }
 
-/// Runs `readers` query threads against a writer applying `ops` random
-/// operations (compaction weighted by `compact_weight` in 0..=100) over
-/// `shards` partitions, then validates every observation against a
-/// from-scratch rebuild of the model at the observed generation. With
-/// more than one shard the writer fans every operation out across them
-/// while readers stream from snapshots, so the snapshot must also be
-/// cross-shard consistent: a reader must never see shard A post-op and
-/// shard B pre-op for the same operation.
+/// Runs `readers` query threads, each confirming on `threads` threads,
+/// against a writer applying `ops` random operations (compaction
+/// weighted by `compact_weight` in 0..=100), then validates every
+/// observation against a from-scratch rebuild of the model at the
+/// observed generation.
 fn run_stress(
     tag: &str,
     seed: u64,
-    shards: usize,
+    threads: usize,
     readers: usize,
     ops: usize,
     compact_weight: u32,
 ) {
     let dir = fresh_dir(tag);
-    let mut live = LiveIndex::create_sharded(
+    let mut live = LiveIndex::create(
         &dir,
         LiveConfig {
             engine: engine_config(),
@@ -106,12 +103,10 @@ fn run_stress(
             flush_threshold_bytes: u64::MAX,
             flush_threshold_docs: usize::MAX,
         },
-        shards,
     )
     .unwrap();
-    // Readers confirm on one thread per shard, at most two.
     let reader_opts = QueryOpts {
-        threads: shards.min(2),
+        threads,
         ..QueryOpts::default()
     };
 
@@ -198,7 +193,7 @@ fn run_stress(
         assert_eq!(
             rows, expected,
             "snapshot at generation {gen} diverged from the rebuild of \
-             generation {model_gen} for pattern {pattern} ({shards} shard(s))"
+             generation {model_gen} for pattern {pattern} ({threads} thread(s))"
         );
     }
 
@@ -243,15 +238,15 @@ fn eight_readers_see_consistent_snapshots() {
 }
 
 #[test]
-fn sharded_readers_see_consistent_composite_snapshots() {
-    run_stress("shard-mixed", 0x5AD5, 4, 6, 50, 10);
+fn two_thread_readers_see_consistent_snapshots() {
+    run_stress("threaded-mixed", 0x5AD5, 2, 6, 50, 10);
 }
 
 #[test]
-fn sharded_readers_survive_parallel_compaction() {
-    // Compaction rewrites every shard's segment files in parallel while
-    // readers stream from the composite snapshot.
-    run_stress("shard-compact", 0x5CDE, 3, 6, 35, 35);
+fn two_thread_readers_survive_compaction() {
+    // Compaction rewrites the segment files while readers confirm from
+    // snapshots on two threads each.
+    run_stress("threaded-compact", 0x5CDE, 2, 6, 35, 35);
 }
 
 #[test]

@@ -360,21 +360,13 @@ fn a_multigram_live_directory_becomes_a_shell_at_its_first_remine() {
     live.add_batch(&same[150..]).unwrap();
     live.delete(3).unwrap();
     check(&live);
-    assert!(
-        !live.shards()[0].drift().remines(),
-        "{:?}",
-        live.shards()[0].drift()
-    );
+    assert!(!live.drift().remines(), "{:?}", live.drift());
     assert!(live.compact().unwrap());
     assert_eq!(dictionary(&live), mined, "a merge keeps the dictionary");
     check(&live);
 
     live.add_batch(&pages(100, 99)).unwrap();
-    assert!(
-        live.shards()[0].drift().remines(),
-        "{:?}",
-        live.shards()[0].drift()
-    );
+    assert!(live.drift().remines(), "{:?}", live.drift());
     assert!(live.compact().unwrap());
     let survivors: Vec<Vec<u8>> = (live.live_seqs().iter())
         .map(|&s| live.get(s).unwrap())

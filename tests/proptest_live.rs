@@ -2,14 +2,15 @@
 //! ingest / delete / flush / compact operations, queries must return
 //! exactly what a from-scratch batch build over the surviving documents
 //! returns — same documents, same match spans — and must be identical
-//! across confirmation thread counts.
+//! across confirmation thread counts: the answers, their order and the
+//! logical counters at 2 and 4 threads are those at one.
 
 // Integration tests: unwraps in helper functions are assertions, the
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use free_corpus::MemCorpus;
 use free_engine::{Engine, EngineConfig};
-use free_live::{LiveConfig, LiveIndex, QueryOpts};
+use free_live::{LiveConfig, LiveIndex, LiveQueryResult, QueryOpts};
 use free_regex::Span;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,6 +55,15 @@ fn engine_config() -> EngineConfig {
     }
 }
 
+/// Only explicit Flush ops flush, so schedules are exact.
+fn live_config() -> LiveConfig {
+    LiveConfig {
+        engine: engine_config(),
+        flush_threshold_bytes: u64::MAX,
+        flush_threshold_docs: usize::MAX,
+    }
+}
+
 fn fresh_dir() -> std::path::PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -80,6 +90,41 @@ fn live_results(live: &LiveIndex, pattern: &str, threads: usize) -> Vec<(Vec<u8>
         .collect()
 }
 
+/// The answer to `pattern` at `threads` threads: (seq, spans) of every
+/// match in sequence order, and the logical counters (documents
+/// examined, candidates, matching documents).
+type Answer = (Vec<(u32, Vec<Span>)>, (usize, usize, usize));
+
+fn answer(live: &LiveIndex, pattern: &str, threads: usize) -> Answer {
+    let opts = QueryOpts {
+        threads,
+        ..QueryOpts::default()
+    };
+    let r: LiveQueryResult = live.snapshot().query_opts(pattern, &opts).unwrap();
+    let b = &r.stats.base;
+    let counters = (b.docs_examined, b.candidates, b.matching_docs);
+    let matches = r.matches.into_iter().map(|m| (m.seq, m.spans)).collect();
+    (matches, counters)
+}
+
+/// Asserts every pattern's answer at 2 and 4 threads is its answer at 1.
+fn assert_thread_invariant(live: &LiveIndex, when: &str) -> Result<(), TestCaseError> {
+    for pattern in PATTERNS {
+        let want = answer(live, pattern, 1);
+        for threads in [2, 4] {
+            prop_assert_eq!(
+                &answer(live, pattern, threads),
+                &want,
+                "pattern {} at {} thread(s), {}",
+                pattern,
+                threads,
+                when
+            );
+        }
+    }
+    Ok(())
+}
+
 /// The reference: a batch engine built from scratch over the model's
 /// surviving documents, results keyed back to content.
 fn rebuild_results(model: &[Vec<u8>], pattern: &str) -> Vec<(Vec<u8>, Vec<Span>)> {
@@ -100,16 +145,7 @@ proptest! {
     #[test]
     fn any_schedule_matches_from_scratch_rebuild(ops in prop::collection::vec(arb_op(), 1..8)) {
         let dir = fresh_dir();
-        let mut live = LiveIndex::create(
-            &dir,
-            LiveConfig {
-                engine: engine_config(),
-                // Only explicit Flush ops flush, so schedules are exact.
-                flush_threshold_bytes: u64::MAX,
-                flush_threshold_docs: usize::MAX,
-            },
-        )
-        .unwrap();
+        let mut live = LiveIndex::create(&dir, live_config()).unwrap();
         // The model: surviving documents in sequence order.
         let mut model: Vec<(u32, Vec<u8>)> = Vec::new();
 
@@ -158,6 +194,54 @@ proptest! {
             let want = rebuild_results(&contents, pattern);
             prop_assert_eq!(&live_results(&live, pattern, 1), &want, "reopen diverged");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Thread invariance: at every point in a random schedule, and after
+    /// a reopen of its final state, every pattern's matches (seqs and
+    /// spans, in order) and logical counters at 2 and 4 confirmation
+    /// threads equal those at one. The reopened index answers as before
+    /// and its next add continues the sequence.
+    #[test]
+    fn answers_do_not_depend_on_the_thread_count(
+        ops in prop::collection::vec(arb_op(), 1..8),
+        extra in prop::collection::vec(arb_doc(), 1..5),
+    ) {
+        let dir = fresh_dir();
+        let mut live = LiveIndex::create(&dir, live_config()).unwrap();
+        let mut seqs: Vec<u32> = Vec::new();
+        for (step, op) in ops.iter().enumerate() {
+            match op {
+                Op::Add(docs) => seqs.extend(live.add_batch(docs).unwrap()),
+                Op::Delete(raw) => {
+                    if !seqs.is_empty() {
+                        live.delete(seqs.remove(raw % seqs.len())).unwrap();
+                    }
+                }
+                Op::Flush => {
+                    live.flush().unwrap();
+                }
+                Op::Compact => {
+                    live.compact().unwrap();
+                }
+            }
+            assert_thread_invariant(&live, &format!("after op {step} ({op:?})"))?;
+        }
+        let next_seq = live.next_seq();
+        let want: Vec<Answer> = PATTERNS.iter().map(|p| answer(&live, p, 1)).collect();
+        drop(live);
+
+        let mut live = LiveIndex::open(&dir, live_config()).unwrap();
+        prop_assert_eq!(live.next_seq(), next_seq);
+        prop_assert_eq!(live.live_seqs(), seqs);
+        for (pattern, want) in PATTERNS.iter().zip(&want) {
+            prop_assert_eq!(&answer(&live, pattern, 1).0, &want.0, "{} after reopen", pattern);
+        }
+        assert_thread_invariant(&live, "after reopen")?;
+        let ids = live.add_batch(&extra).unwrap();
+        prop_assert_eq!(ids[0], next_seq, "writes continue the sequence");
+        assert_thread_invariant(&live, "after a write past reopen")?;
+        drop(live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

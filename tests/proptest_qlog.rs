@@ -10,7 +10,7 @@
 //!    before the cut and never invent one, and undamaged segments lose
 //!    nothing.
 //! 2. **Differential replay**: a workload captured while querying a
-//!    live index — sharded or not — replays against the same directory
+//!    live index replays against the same directory
 //!    with every per-query result count (`matching_docs` and
 //!    `match_count`) reproduced exactly.
 
@@ -59,23 +59,17 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A live index of `shards` shards: one rooted at `dir`, more under it.
-fn create(dir: &Path, shards: usize) -> LiveIndex {
-    LiveIndex::create_sharded(dir, LiveConfig::default(), shards).unwrap()
-}
-
 /// Builds a live index in `dir` from `doc_picks`, capturing `schedule`
 /// queries into a query log at `log_dir` (small segments force
 /// rotation). Returns the captured record lines, segment-ascending.
 fn capture(
     dir: &Path,
     log_dir: &Path,
-    shards: usize,
     doc_picks: &[usize],
     flush_every: usize,
     schedule: &[usize],
 ) -> Vec<String> {
-    let mut live = create(dir, shards);
+    let mut live = LiveIndex::create(dir, LiveConfig::default()).unwrap();
     for (i, &pick) in doc_picks.iter().enumerate() {
         live.add_batch(&[DOCS[pick % DOCS.len()]]).unwrap();
         if (i + 1) % flush_every == 0 {
@@ -104,9 +98,8 @@ fn capture(
         .collect()
 }
 
-/// A live query has one plan per shard (against that shard's
-/// dictionary), so its record carries the plan's gram keys: the union
-/// over shards, each key once.
+/// A live query has one plan (against the index's dictionary), so its
+/// record carries the plan's gram keys, each key once.
 #[test]
 fn live_records_carry_the_plan_grams() {
     let _guard = QLOG.lock().unwrap_or_else(|e| e.into_inner());
@@ -114,37 +107,35 @@ fn live_records_carry_the_plan_grams() {
         .map(|i| format!("entry {i:03} filed under shelf {}", i % 7))
         .collect();
     let docs: Vec<&str> = docs.iter().map(String::as_str).collect();
-    for shards in [1, 3] {
-        let dir = fresh_dir("grams-idx");
-        let log_dir = fresh_dir("grams-log");
-        let mut live = create(&dir, shards);
-        live.add_batch(&docs).unwrap();
-        live.flush().unwrap();
-        qlog::install(LogWriter::with_config(&log_dir, LogConfig::default()).unwrap());
-        live.snapshot().query("entry 042").unwrap();
-        qlog::shutdown();
-        let records: Vec<String> = qlog::read_dir(&log_dir)
-            .unwrap()
-            .iter()
-            .flat_map(|seg| seg.trusted_records().to_vec())
-            .collect();
-        assert_eq!(records.len(), 1, "{records:?}");
-        let record = free_trace::JsonValue::parse(&records[0]).unwrap();
-        let grams: Vec<&str> = record
-            .get("grams")
-            .and_then(free_trace::JsonValue::as_array)
-            .unwrap()
-            .iter()
-            .filter_map(free_trace::JsonValue::as_str)
-            .collect();
-        assert!(!grams.is_empty(), "{shards} shard(s): {}", records[0]);
-        let mut unique = grams.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), grams.len(), "{}", records[0]);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&log_dir);
-    }
+    let dir = fresh_dir("grams-idx");
+    let log_dir = fresh_dir("grams-log");
+    let mut live = LiveIndex::create(&dir, LiveConfig::default()).unwrap();
+    live.add_batch(&docs).unwrap();
+    live.flush().unwrap();
+    qlog::install(LogWriter::with_config(&log_dir, LogConfig::default()).unwrap());
+    live.snapshot().query("entry 042").unwrap();
+    qlog::shutdown();
+    let records: Vec<String> = qlog::read_dir(&log_dir)
+        .unwrap()
+        .iter()
+        .flat_map(|seg| seg.trusted_records().to_vec())
+        .collect();
+    assert_eq!(records.len(), 1, "{records:?}");
+    let record = free_trace::JsonValue::parse(&records[0]).unwrap();
+    let grams: Vec<&str> = record
+        .get("grams")
+        .and_then(free_trace::JsonValue::as_array)
+        .unwrap()
+        .iter()
+        .filter_map(free_trace::JsonValue::as_str)
+        .collect();
+    assert!(!grams.is_empty(), "{}", records[0]);
+    let mut unique = grams.clone();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(unique.len(), grams.len(), "{}", records[0]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&log_dir);
 }
 
 proptest! {
@@ -167,7 +158,7 @@ proptest! {
         let _guard = QLOG.lock().unwrap_or_else(|e| e.into_inner());
         let dir = fresh_dir("kill-idx");
         let log_dir = fresh_dir("kill-log");
-        let original = capture(&dir, &log_dir, 1, &doc_picks, 3, &schedule);
+        let original = capture(&dir, &log_dir, &doc_picks, 3, &schedule);
         prop_assert_eq!(original.len(), schedule.len());
 
         // Truncate one segment at a random interior offset.
@@ -238,21 +229,19 @@ proptest! {
     }
 
     /// Differential replay: every captured workload replays with result
-    /// counts reproduced exactly, over both live layouts.
+    /// counts reproduced exactly.
     #[test]
     fn replay_reproduces_recorded_counts(
         doc_picks in prop::collection::vec(any::<usize>(), 4..12),
         schedule in prop::collection::vec(any::<usize>(), 3..10),
         flush_every in 2usize..5,
-        sharded in any::<bool>(),
         open_loop in any::<bool>(),
     ) {
-        let shards = if sharded { 3 } else { 1 };
         let qps = if open_loop { 2000 } else { 0 };
         let _guard = QLOG.lock().unwrap_or_else(|e| e.into_inner());
         let dir = fresh_dir("diff-idx");
         let log_dir = fresh_dir("diff-log");
-        let original = capture(&dir, &log_dir, shards, &doc_picks, flush_every, &schedule);
+        let original = capture(&dir, &log_dir, &doc_picks, flush_every, &schedule);
         prop_assert_eq!(original.len(), schedule.len());
 
         let mut opts = ReplayOptions::new(&log_dir);

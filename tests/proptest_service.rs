@@ -9,7 +9,7 @@
 //! The cache invariant: a cached answer — a hit, or one extended over
 //! the documents appended since it was computed — is byte-identical to
 //! an uncached execution against the same snapshot, under any schedule
-//! of add / delete / flush / compact over 1-3 shards, and a delete never
+//! of add / delete / flush / compact, and a delete never
 //! lets an answer be extended.
 
 // Integration tests: unwraps in helper functions are assertions, the
@@ -209,7 +209,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Serving through the cache never changes an answer: at every point
-    /// in a random mutation schedule over 1-3 shards, what
+    /// in a random mutation schedule, what
     /// `QueryCache::query` answers (a hit, an extension or a miss) equals
     /// an uncached `query_opts` on the same snapshot. And the lookup is
     /// the one the stamps call for: an add extends the answer, a flush,
@@ -217,11 +217,10 @@ proptest! {
     /// never yields an extension.
     #[test]
     fn cached_results_equal_uncached_under_any_schedule(
-        shards in 1usize..4,
         ops in prop::collection::vec(arb_op(), 1..8),
     ) {
         let dir = fresh_dir();
-        let mut live = LiveIndex::create_sharded(
+        let mut live = LiveIndex::create(
             &dir,
             LiveConfig {
                 // Only explicit Flush ops flush, so schedules are exact.
@@ -229,7 +228,6 @@ proptest! {
                 flush_threshold_docs: usize::MAX,
                 ..LiveConfig::default()
             },
-            shards,
         )
         .unwrap();
         let cache = QueryCache::new(64);
