@@ -40,14 +40,16 @@ pub type DocId = u32;
 /// Read access to a corpus of data units.
 ///
 /// The two access patterns FREE uses map directly onto the trait: full
-/// sequential scans (index construction; the "Scan" baseline) and random
-/// access to candidate data units (the confirmation step after an index
-/// lookup).
+/// sequential scans (index construction; the "Scan" baseline) and reads
+/// of candidate data units (the confirmation step after an index
+/// lookup), a sorted list of them at a time ([`Corpus::get_sorted`]), so
+/// a store can read candidates that lie close together the way a scan
+/// reads: one read per run of them.
 ///
 /// `Sync` is a supertrait because the engine's parallel confirmation
-/// stage fans [`Corpus::get`] and [`Corpus::scan_range`] calls out to
-/// worker threads sharing one `&C`; implementations must use positioned
-/// reads or per-call handles rather than shared seek state.
+/// stage fans [`Corpus::get_sorted`] and [`Corpus::scan_range`] calls
+/// out to worker threads sharing one `&C`; implementations must use
+/// positioned reads or per-call handles rather than shared seek state.
 pub trait Corpus: Sync {
     /// Number of data units.
     fn len(&self) -> usize;
@@ -62,6 +64,21 @@ pub trait Corpus: Sync {
 
     /// Reads one data unit into a freshly allocated buffer.
     fn get(&self, id: DocId) -> Result<Vec<u8>>;
+
+    /// Hands `f` the data units `ids`, in the order given, until it
+    /// returns `false`: what a [`Corpus::get`] per id would read, and an
+    /// id that `get` refuses ends the read with `get`'s error after the
+    /// ids before it. `ids` should be ascending; the stores that read
+    /// runs of them ([`DiskCorpus`], the live view) read any other order
+    /// correctly, one id per read. The default calls `get`.
+    fn get_sorted(&self, ids: &[DocId], f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
+        for &id in ids {
+            if !f(id, &self.get(id)?) {
+                break;
+            }
+        }
+        Ok(())
+    }
 
     /// Sequentially visits the data units whose position in scan order
     /// lies in `positions` (clamped to `0..len`), in id order, so threads

@@ -63,6 +63,20 @@ impl Corpus for MemCorpus {
             })
     }
 
+    /// Hands out the stored slices, copying nothing.
+    fn get_sorted(&self, ids: &[DocId], f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
+        for &id in ids {
+            let doc = self.doc(id).ok_or(Error::DocOutOfRange {
+                id,
+                len: self.docs.len(),
+            })?;
+            if !f(id, doc) {
+                break;
+            }
+        }
+        Ok(())
+    }
+
     fn scan_range(
         &self,
         positions: Range<usize>,

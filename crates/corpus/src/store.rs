@@ -27,12 +27,19 @@
 //!
 //! The store keeps no cache: every [`Corpus::get`] is one positioned read
 //! of the unit and a check of its CRC, on the path that serves query
-//! results. That is not free: on the 2.3 KB pages of the benchmark corpus
-//! the CRC32 is about half of a `get` (1.3 of 2.65 µs). [`Corpus::scan`]
-//! (the mining/merge throughput path, which re-reads the corpus many
-//! times per build) does *not* verify; `free fsck` covers scans offline
-//! via [`DiskCorpus::verify_units`], and a scan whose bytes are written
-//! out again uses [`DiskCorpus::scan_checked`].
+//! results. The confirmation step reads its candidates through
+//! [`Corpus::get_sorted`] instead: candidates that lie close together
+//! become one *run*, read with one positioned read into one reused
+//! buffer, and every candidate unit of it is CRC-checked before it is
+//! handed out (the units between them are neither checked nor handed
+//! out). A run spans at most 256 KiB and at most twice its
+//! candidates' own bytes, a rule on offsets alone, so what is read never
+//! depends on timing. [`Corpus::scan`] (the mining/merge throughput path,
+//! which re-reads the corpus many times per build, and a batch SCAN
+//! query) does *not* verify; `free fsck` covers scans offline via
+//! [`DiskCorpus::verify_units`], and a scan whose bytes are written out
+//! again, or that answers a live query, uses [`DiskCorpus::scan_checked`].
+//! Every read goes through one ranged reader.
 
 use crate::{Corpus, DocId, Error, Result};
 use free_checksum::crc32;
@@ -53,9 +60,9 @@ const COUNT_OFFSET: u64 = 12;
 const TABLE_OFFSET: u64 = 24;
 /// Bytes per table entry: the u64 end offset, then the unit's CRC32.
 const ENTRY_STRIDE: u64 = 12;
-/// Most bytes one positioned read of a sequential pass covers (a unit
-/// larger than this is read alone). Builds and SCAN queries read from
-/// several threads at once, and glibc keeps each thread's freed buffer
+/// Most bytes one positioned read of a sequential pass or of a run of
+/// candidates covers (a unit larger than this is read alone). Builds
+/// and SCAN queries read from several threads at once, and glibc keeps each thread's freed buffer
 /// resident in that thread's malloc arena, so this bounds what a pass
 /// costs each thread; from the page cache reads this size stream as fast
 /// as larger ones.
@@ -194,6 +201,15 @@ impl CorpusWriter {
 
     /// Appends one data unit, returning its id.
     pub fn append(&mut self, doc: &[u8]) -> Result<DocId> {
+        self.append_with_crc(doc, crc32(doc))
+    }
+
+    /// [`CorpusWriter::append`] of a unit whose CRC32 the caller has just
+    /// checked to be `crc` (a copy out of
+    /// [`DiskCorpus::scan_checked`]), so its bytes are not summed twice.
+    /// A wrong `crc` is stored as given, and every later read of the unit
+    /// fails its check.
+    pub fn append_with_crc(&mut self, doc: &[u8], crc: u32) -> Result<DocId> {
         let id = self.len() as DocId;
         self.data
             .write_all(doc)
@@ -201,7 +217,7 @@ impl CorpusWriter {
         self.written += doc.len() as u64;
         let entries = &mut self.new_entries;
         entries.extend_from_slice(&self.written.to_le_bytes());
-        entries.extend_from_slice(&crc32(doc).to_le_bytes());
+        entries.extend_from_slice(&crc.to_le_bytes());
         Ok(id)
     }
 
@@ -335,33 +351,25 @@ impl DiskCorpus {
     }
 
     /// [`Corpus::scan_range`] with every unit checked against its stored
-    /// CRC32 before `f` sees it: the first that fails ends the pass with
-    /// [`Error::Corrupt`]. A copy that the writer checksums afresh (live
-    /// compaction) reads through this, so damage is refused, not
-    /// laundered into a store that verifies clean; so does a live SCAN.
+    /// CRC32 before `f` sees it, with that CRC: the first that fails ends
+    /// the pass with [`Error::Corrupt`]. A copy that writes the units out
+    /// again (live compaction) reads through this and stores the CRC it
+    /// was handed, so damage is refused, not laundered into a store that
+    /// verifies clean; so does a live SCAN.
     pub fn scan_checked(
         &self,
         positions: Range<usize>,
-        f: &mut dyn FnMut(DocId, &[u8]) -> bool,
+        f: &mut dyn FnMut(DocId, &[u8], u32) -> bool,
     ) -> Result<()> {
         let mut bad = None;
-        self.scan_range(
-            positions,
-            &mut |id, bytes| match self.check_unit(id, bytes) {
-                Ok(()) => f(id, bytes),
-                Err(detail) => {
-                    bad = Some(detail);
-                    false
-                }
-            },
-        )?;
-        match bad {
-            Some(detail) => Err(Error::Corrupt(format!(
-                "{detail} in {}",
-                self.data_path.display()
-            ))),
-            None => Ok(()),
-        }
+        self.scan_range(positions, &mut |id, bytes| match self.checked(id, bytes) {
+            Ok(()) => f(id, bytes, self.crcs[id as usize]),
+            Err(e) => {
+                bad = Some(e);
+                false
+            }
+        })?;
+        bad.map_or(Ok(()), Err)
     }
 
     fn check_unit(&self, id: DocId, bytes: &[u8]) -> std::result::Result<(), String> {
@@ -374,7 +382,59 @@ impl DiskCorpus {
         Ok(())
     }
 
-    fn bounds(&self, id: DocId) -> Result<(u64, u64)> {
+    /// [`DiskCorpus::check_unit`] as the error a read returns.
+    fn checked(&self, id: DocId, bytes: &[u8]) -> Result<()> {
+        self.check_unit(id, bytes)
+            .map_err(|detail| Error::Corrupt(format!("{detail} in {}", self.data_path.display())))
+    }
+
+    /// The offset unit `i` (in range) starts at.
+    fn start(&self, i: usize) -> u64 {
+        if i == 0 {
+            0
+        } else {
+            self.ends[i - 1]
+        }
+    }
+
+    /// The ranged reader every read goes through: the bytes of units
+    /// `units` (non-empty, in range) into `buf` with one positioned read.
+    /// Returns the offset `buf[0]` was read from.
+    fn read_units(&self, units: Range<usize>, buf: &mut Vec<u8>) -> Result<u64> {
+        let from = self.start(units.start);
+        buf.resize((self.ends[units.end - 1] - from) as usize, 0);
+        self.data
+            .read_exact_at(buf, from)
+            .map_err(|e| Error::io(format!("read data units {}..{}", units.start, units.end), e))?;
+        Ok(from)
+    }
+
+    /// How many of `ids` (the first in range) one run reads: each next id
+    /// lies past the one before it, and the run's span stays within
+    /// [`READ_BUFFER`] and within twice its candidates' own bytes.
+    fn run_len(&self, ids: &[DocId]) -> usize {
+        let first = ids[0] as usize;
+        let from = self.start(first);
+        let mut own = self.ends[first] - from;
+        let mut last = first;
+        let mut n = 1;
+        for &id in &ids[1..] {
+            let id = id as usize;
+            if id <= last || id >= self.ends.len() {
+                break;
+            }
+            let span = self.ends[id] - from;
+            let grown = own + (self.ends[id] - self.ends[id - 1]);
+            if span > READ_BUFFER || span > 2 * grown {
+                break;
+            }
+            (own, last, n) = (grown, id, n + 1);
+        }
+        n
+    }
+
+    /// `id` as an index, or the error a read of a missing unit returns.
+    fn index_of(&self, id: DocId) -> Result<usize> {
         let i = id as usize;
         if i >= self.ends.len() {
             return Err(Error::DocOutOfRange {
@@ -382,8 +442,7 @@ impl DiskCorpus {
                 len: self.ends.len(),
             });
         }
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        Ok((start, self.ends[i]))
+        Ok(i)
     }
 }
 
@@ -397,18 +456,36 @@ impl Corpus for DiskCorpus {
     }
 
     fn get(&self, id: DocId) -> Result<Vec<u8>> {
-        let (start, end) = self.bounds(id)?;
-        let mut buf = vec![0u8; (end - start) as usize];
-        self.data
-            .read_exact_at(&mut buf, start)
-            .map_err(|e| Error::io(format!("read data unit {id}"), e))?;
-        if crc32(&buf) != self.crcs[id as usize] {
-            return Err(Error::Corrupt(format!(
-                "data unit {id} fails its CRC in {}",
-                self.data_path.display()
-            )));
-        }
+        let i = self.index_of(id)?;
+        let mut buf = Vec::new();
+        self.read_units(i..i + 1, &mut buf)?;
+        self.checked(id, &buf)?;
         Ok(buf)
+    }
+
+    /// Reads the ids run by run (see the module docs), each run with one
+    /// positioned read into one buffer reused for the whole call, and
+    /// checks every candidate unit's CRC before `f` sees it.
+    fn get_sorted(&self, ids: &[DocId], f: &mut dyn FnMut(DocId, &[u8]) -> bool) -> Result<()> {
+        let mut buf = Vec::new();
+        let mut rest = ids;
+        while let Some(&first) = rest.first() {
+            let first = self.index_of(first)?;
+            let n = self.run_len(rest);
+            let (run, later) = rest.split_at(n);
+            let last = run[n - 1] as usize;
+            let from = self.read_units(first..last + 1, &mut buf)?;
+            for &id in run {
+                let i = id as usize;
+                let bytes = &buf[(self.start(i) - from) as usize..(self.ends[i] - from) as usize];
+                self.checked(id, bytes)?;
+                if !f(id, bytes) {
+                    return Ok(());
+                }
+            }
+            rest = later;
+        }
+        Ok(())
     }
 
     /// Reads the range with one positioned read per 256 KiB of units
@@ -423,14 +500,11 @@ impl Corpus for DiskCorpus {
         let mut first = positions.start.min(end);
         let mut buf = Vec::new();
         while first < end {
-            let from = if first == 0 { 0 } else { self.ends[first - 1] };
+            let from = self.start(first);
             // The units after `first` that still fit in one read.
             let last =
                 first + 1 + self.ends[first + 1..end].partition_point(|&e| e - from <= READ_BUFFER);
-            buf.resize((self.ends[last - 1] - from) as usize, 0);
-            self.data
-                .read_exact_at(&mut buf, from)
-                .map_err(|e| Error::io(format!("scan data units {first}..{last}"), e))?;
+            self.read_units(first..last, &mut buf)?;
             let mut at = 0;
             for id in first..last {
                 let next = (self.ends[id] - from) as usize;
@@ -748,7 +822,7 @@ mod tests {
         // A checked scan hands over the good unit and stops at the bad one.
         let mut seen = Vec::new();
         let err = c
-            .scan_checked(0..c.len(), &mut |id, _| {
+            .scan_checked(0..c.len(), &mut |id, _, _| {
                 seen.push(id);
                 true
             })
@@ -758,6 +832,30 @@ mod tests {
             "{err}"
         );
         assert_eq!(seen, vec![0]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn runs_follow_offsets_only() {
+        let dir = tmpdir("runs");
+        let mut w = CorpusWriter::create(&dir).unwrap();
+        for _ in 0..10 {
+            w.append(&[7u8; 100]).unwrap();
+        }
+        w.append(&vec![7u8; READ_BUFFER as usize]).unwrap();
+        let c = w.finish().unwrap();
+        // Every other unit: the span is under twice the candidates' bytes,
+        // so one run reads the units between them too.
+        assert_eq!(c.run_len(&[0, 2, 4, 6, 8]), 5);
+        // Two units in six: 600 bytes spanned for 200 of candidates.
+        assert_eq!(c.run_len(&[0, 5, 6]), 1);
+        assert_eq!(c.run_len(&[5, 6]), 2);
+        // Not ascending: a new run.
+        assert_eq!(c.run_len(&[3, 3]), 1);
+        assert_eq!(c.run_len(&[4, 2]), 1);
+        // The run would pass READ_BUFFER; an id past the end stops it.
+        assert_eq!(c.run_len(&[9, 10]), 1);
+        assert_eq!(c.run_len(&[10, 11]), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

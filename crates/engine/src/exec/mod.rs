@@ -166,12 +166,7 @@ pub fn confirm<C: Corpus>(
             stats.scan_time += start.elapsed();
         }
         Candidates::Docs(ids) => {
-            for &id in ids {
-                let bytes = corpus.get(id)?;
-                if !visit(id, &bytes, stats) {
-                    break;
-                }
-            }
+            corpus.get_sorted(ids, &mut |id, bytes| visit(id, bytes, stats))?;
             stats.confirm_time += start.elapsed();
         }
     }

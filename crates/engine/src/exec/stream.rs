@@ -9,7 +9,9 @@
 //!
 //! [`confirm_source`] confirms every candidate source with one executor.
 //! The calling thread cuts the work into units — [`BATCH_PER_WORKER`]
-//! ids pulled from the cursor, or, for a SCAN, a contiguous range of
+//! ids pulled from the cursor, read with [`Corpus::get_sorted`] (on disk:
+//! one CRC-checked positioned read per run of candidates that lie close
+//! together, into one buffer), or, for a SCAN, a contiguous range of
 //! corpus positions read with [`Corpus::scan_range`] — and folds
 //! finished units in doc-id order. The first batch is always confirmed
 //! inline, so a query whose candidates fit in it never crosses a thread.
@@ -243,12 +245,9 @@ impl<C: Corpus> Confirm<'_, C> {
     ) -> Result<()> {
         match work {
             Work::Ids(ids) => {
-                for &doc in ids {
-                    let bytes = self.corpus.get(doc)?;
-                    if !sink(self.examine(searcher, doc, &bytes)) {
-                        break;
-                    }
-                }
+                self.corpus.get_sorted(ids, &mut |doc, bytes| {
+                    sink(self.examine(searcher, doc, bytes))
+                })?;
             }
             Work::Range(positions) => {
                 self.corpus
@@ -1068,5 +1067,78 @@ mod tests {
             hits.iter().map(|(d, _)| *d).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 4]
         );
+    }
+
+    /// On disk, candidates are read in runs that span the units between
+    /// them: damage in those units leaves the answer and every counter
+    /// alone, and damage in a candidate fails the query with
+    /// `Error::Corrupt`, at any thread count.
+    #[test]
+    fn only_candidates_are_checked_on_disk() {
+        use free_corpus::{CorpusWriter, DiskCorpus};
+        let dir = std::env::temp_dir().join(format!("free-stream-runs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let docs: Vec<Vec<u8>> = (0..300)
+            .map(|i| {
+                format!("doc {i:03} {}", if i % 3 == 0 { "needle" } else { "hay" }).into_bytes()
+            })
+            .collect();
+        let mut w = CorpusWriter::create(&dir).unwrap();
+        for d in &docs {
+            w.append(d).unwrap();
+        }
+        w.commit().unwrap();
+        let flip = |id: usize| {
+            let path = dir.join("corpus.dat");
+            let mut data = std::fs::read(&path).unwrap();
+            data[docs[..id].iter().map(Vec::len).sum::<usize>()] ^= 0x20;
+            std::fs::write(&path, data).unwrap();
+        };
+        let regex = Regex::new("needle").unwrap();
+        let ids: Vec<DocId> = (0..300).step_by(2).collect();
+        let confirm = |threads: usize| {
+            let corpus = DiskCorpus::open(&dir).unwrap();
+            let (mut stats, mut hits) = (QueryStats::default(), Vec::new());
+            let result = confirm_source(
+                &corpus,
+                &regex,
+                &mut CandidateSource::Docs(ids.clone()),
+                true,
+                &[],
+                threads,
+                &RequestBudget::unlimited(),
+                &mut stats,
+                &mut |doc, spans| {
+                    hits.push((doc, spans.len()));
+                    true
+                },
+            );
+            result.map(|()| (hits, stats.docs_examined, stats.matching_docs))
+        };
+        let mut s = QueryStats::default();
+        let want = confirm_collect(
+            &MemCorpus::from_docs(docs.clone()),
+            &regex,
+            &mut CandidateSource::Docs(ids.clone()),
+            1,
+            &mut s,
+        );
+        for id in (1..300).step_by(2) {
+            flip(id);
+        }
+        for threads in [1, 3] {
+            let got = confirm(threads).unwrap();
+            assert_eq!(got, (want.clone(), s.docs_examined, s.matching_docs));
+        }
+        flip(200);
+        for threads in [1, 3] {
+            let err = confirm(threads).unwrap_err();
+            assert!(
+                matches!(&err, crate::Error::Corpus(free_corpus::Error::Corrupt(m))
+                    if m.contains("data unit 200 fails its CRC")),
+                "{err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -74,8 +74,10 @@ pub struct IndexWriter {
     /// Spill the postings section to a temp file when it outgrows memory.
     spill: Option<BufWriter<File>>,
     spilled_bytes: u64,
-    /// Running CRC over the postings section, fed in [`IndexWriter::add`]
-    /// so it stays correct when postings spill to disk.
+    /// Running CRC over the postings section, fed one whole buffer at a
+    /// time (each spill and the last one), so it stays correct when
+    /// postings spill to disk and its braided loop sees long inputs, not
+    /// one short payload per key.
     postings_crc: Crc32,
 }
 
@@ -160,13 +162,12 @@ impl IndexWriter {
         self.last_key.extend_from_slice(key);
         let start = self.postings.len();
         write(&mut self.postings);
-        let payload = &self.postings[start..];
-        self.postings_crc.update(payload);
+        let payload_len = self.postings.len() - start;
         varint::encode(key.len() as u64, &mut self.directory);
         self.directory.extend_from_slice(key);
         varint::encode(count as u64, &mut self.directory);
         self.directory.push(enc);
-        varint::encode(payload.len() as u64, &mut self.directory);
+        varint::encode(payload_len as u64, &mut self.directory);
         self.num_keys += 1;
         self.num_postings += count as u64;
         self.key_bytes += key.len() as u64;
@@ -185,6 +186,7 @@ impl IndexWriter {
             self.spill = Some(BufWriter::new(f));
         }
         let w = self.spill.as_mut().expect("just created");
+        self.postings_crc.update(&self.postings);
         w.write_all(&self.postings)
             .map_err(|e| Error::io("spill postings", e))?;
         self.spilled_bytes += self.postings.len() as u64;
@@ -221,6 +223,7 @@ impl IndexWriter {
             std::io::copy(&mut src, &mut w).map_err(|e| Error::io("copy spill", e))?;
             std::fs::remove_file(self.spill_path()).map_err(|e| Error::io("remove spill", e))?;
         } else {
+            self.postings_crc.update(&self.postings);
             w.write_all(&self.postings)
                 .map_err(|e| Error::io("write postings", e))?;
         }

@@ -605,7 +605,8 @@ impl LiveIndex {
     }
 
     /// Writes compaction's segment `id`: every surviving document, copied
-    /// in sequence order after a check against its stored CRC, indexed by
+    /// in sequence order after a check against its stored CRC (which the
+    /// copy then stores, not summing the bytes twice), indexed by
     /// the batch build when `remine` and by merging the segments'
     /// postings under the dictionary otherwise. Records the copy and the
     /// merge-or-mine durations on `span`.
@@ -627,7 +628,7 @@ impl LiveIndex {
             let mut remap = Vec::with_capacity(seg.seqs.len());
             let mut appended = Ok(());
             seg.corpus
-                .scan_checked(0..seg.seqs.len(), &mut |local, bytes| {
+                .scan_checked(0..seg.seqs.len(), &mut |local, bytes, crc| {
                     if seg.dead.contains(local as usize) {
                         remap.push(None);
                         return true;
@@ -635,7 +636,7 @@ impl LiveIndex {
                     remap.push(Some(next));
                     next += 1;
                     *merge_bytes += bytes.len() as u64;
-                    appended = writer.append(seg.seqs[local as usize], bytes);
+                    appended = writer.append_copied(seg.seqs[local as usize], bytes, crc);
                     appended.is_ok()
                 })
                 .map_err(|e| match e {

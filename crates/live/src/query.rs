@@ -18,8 +18,11 @@
 //! A query therefore makes one pass of the engine's confirmation
 //! executor ([`confirm_source`]) on the calling thread with the whole
 //! thread budget, against one view of the snapshot: the candidate
-//! stream or the scan. A candidate fetch is one CRC-checked positioned
-//! read of its unit. Results at any generation, for any thread count,
+//! stream or the scan. Candidates are read a unit of them at a time
+//! ([`Corpus::get_sorted`]): per segment, one positioned read per run of
+//! candidates that lie close together, every candidate's CRC checked on
+//! every read; write-buffer documents are handed out by reference.
+//! Results at any generation, for any thread count,
 //! are therefore identical to a from-scratch rebuild over the live
 //! documents.
 

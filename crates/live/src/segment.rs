@@ -204,6 +204,15 @@ impl SegmentWriter {
         Ok(())
     }
 
+    /// [`SegmentWriter::append`] of a document copied out of a checked
+    /// read that found its CRC32 to be `crc`, which the store records as
+    /// given instead of summing the bytes again.
+    pub(crate) fn append_copied(&mut self, seq: DocId, bytes: &[u8], crc: u32) -> Result<()> {
+        self.corpus.append_with_crc(bytes, crc)?;
+        self.seqs.push(seq);
+        Ok(())
+    }
+
     /// Seals the segment with the batch build: a key set mined over its
     /// documents with the engine's selection policy
     /// ([`free_engine::select_keys`]), then one postings scan

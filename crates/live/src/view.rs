@@ -78,6 +78,54 @@ impl Corpus for LiveView<'_> {
         }
     }
 
+    /// Reads the seqs in order, source by source: the seqs that follow
+    /// one another in one segment are one [`Corpus::get_sorted`] of their
+    /// local ids there (a CRC-checked read per run of them), and the
+    /// write buffer's documents are handed out by reference.
+    fn get_sorted(
+        &self,
+        seqs: &[DocId],
+        f: &mut dyn FnMut(DocId, &[u8]) -> bool,
+    ) -> free_corpus::Result<()> {
+        let s = self.snapshot;
+        let mut locals = Vec::new();
+        let mut rest = seqs;
+        while let Some(&seq) = rest.first() {
+            let Some((owner, local)) = s.live(seq) else {
+                return Err(free_corpus::Error::DocOutOfRange {
+                    id: seq,
+                    len: s.live_docs(),
+                });
+            };
+            let Owner::Segment(i) = owner else {
+                if !f(seq, s.memtable.doc(local).unwrap_or_default()) {
+                    return Ok(());
+                }
+                rest = &rest[1..];
+                continue;
+            };
+            locals.clear();
+            locals.push(local as DocId);
+            for &next in &rest[1..] {
+                match s.live(next) {
+                    Some((Owner::Segment(j), local)) if j == i => locals.push(local as DocId),
+                    _ => break,
+                }
+            }
+            let seg = &s.segments[i];
+            let mut stopped = false;
+            seg.corpus.get_sorted(&locals, &mut |local, bytes| {
+                stopped = !f(seg.seqs[local as usize], bytes);
+                !stopped
+            })?;
+            if stopped {
+                return Ok(());
+            }
+            rest = &rest[locals.len()..];
+        }
+        Ok(())
+    }
+
     /// Positions count the live documents at `since` or above in
     /// sequence order: the segments', then the write buffer's. Reads the
     /// segments a range covers front to back, checking every unit's CRC
@@ -99,7 +147,7 @@ impl Corpus for LiveView<'_> {
                 Owner::Segment(i) => {
                     let seg = &s.segments[i];
                     let mut stopped = false;
-                    seg.corpus.scan_checked(locals, &mut |local, bytes| {
+                    seg.corpus.scan_checked(locals, &mut |local, bytes, _| {
                         if dead.contains(local as usize) {
                             return true;
                         }
@@ -191,17 +239,96 @@ mod tests {
         dir
     }
 
+    /// An index built by a random schedule: the documents, the deleted
+    /// ones (by sequence), and the index.
+    ///
+    /// Stage `i` adds the documents up to the `i`-th flush point, deletes,
+    /// then flushes unless it is the last, and compacts if it is stage
+    /// `compact_after` (about half the cases name no stage). Each delete
+    /// lands some stages after its document was added, so a flush may
+    /// seal past one.
+    fn scheduled(
+        dir: &std::path::Path,
+        sizes: &[usize],
+        flushes: std::collections::BTreeSet<usize>,
+        dead: Vec<(DocId, usize)>,
+        compact_after: usize,
+    ) -> (Vec<Vec<u8>>, BTreeMap<DocId, usize>, LiveIndex) {
+        let mut index = LiveIndex::create(dir, config()).unwrap();
+        let docs: Vec<Vec<u8>> = (sizes.iter().enumerate())
+            .map(|(i, &len)| format!("doc {i} {}", "x".repeat(len)).into_bytes())
+            .collect();
+        let dead: BTreeMap<DocId, usize> = dead
+            .into_iter()
+            .filter(|&(seq, _)| (seq as usize) < docs.len())
+            .collect();
+        let mut ends: Vec<usize> = flushes
+            .into_iter()
+            .filter(|&at| at > 0 && at < docs.len())
+            .collect();
+        ends.push(docs.len());
+        let stage_of = |seq: DocId| ends.partition_point(|&end| end <= seq as usize);
+        let mut from = 0;
+        for (stage, &end) in ends.iter().enumerate() {
+            index.add_batch(&docs[from..end]).unwrap();
+            from = end;
+            for (&seq, &delay) in &dead {
+                if (stage_of(seq) + delay).min(ends.len() - 1) == stage {
+                    index.delete(seq).unwrap();
+                }
+            }
+            if stage + 1 < ends.len() {
+                index.flush().unwrap();
+            }
+            if compact_after == stage {
+                index.compact().unwrap();
+            }
+        }
+        (docs, dead, index)
+    }
+
+    /// What reading `seqs` hands out, stopping after `stop` documents,
+    /// and the error that ended the read: by `get_sorted`, or with
+    /// `each` by one `get` per seq.
+    fn read(
+        view: &LiveView<'_>,
+        seqs: &[DocId],
+        stop: usize,
+        each: bool,
+    ) -> (Vec<(DocId, Vec<u8>)>, Option<String>) {
+        let mut seen = Vec::new();
+        let mut take = |seq: DocId, bytes: &[u8]| {
+            seen.push((seq, bytes.to_vec()));
+            seen.len() < stop
+        };
+        let result = if each {
+            let mut result = Ok(());
+            for &seq in seqs {
+                match view.get(seq) {
+                    Ok(bytes) if take(seq, &bytes) => {}
+                    Ok(_) => break,
+                    Err(e) => {
+                        result = Err(e);
+                        break;
+                    }
+                }
+            }
+            result
+        } else {
+            view.get_sorted(seqs, &mut take)
+        };
+        (seen, result.err().map(|e| e.to_string()))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Over segments flushed at random points, random deletes (in the
-        /// segments and in the write buffer, each some stages after its
-        /// document was added, so a flush may seal past one), an optional
-        /// compaction and a buffer that may be empty, `scan_range` visits
-        /// exactly the live documents at sequence `since` or above, at
-        /// those positions of a pass in sequence order, for empty and
-        /// reversed ranges, ranges past the end, and visitors that stop
-        /// early; `len` counts them.
+        /// segments and in the write buffer), an optional compaction and a
+        /// buffer that may be empty, `scan_range` visits exactly the live
+        /// documents at sequence `since` or above, at those positions of a
+        /// pass in sequence order, for empty and reversed ranges, ranges
+        /// past the end, and visitors that stop early; `len` counts them.
         #[test]
         fn scan_range_is_scan_and_skip(
             sizes in prop::collection::vec(0usize..60, 1..60),
@@ -212,35 +339,7 @@ mod tests {
             since in prop_oneof![Just(0 as DocId), 0 as DocId..70],
         ) {
             let dir = fresh_dir("range");
-            let mut index = LiveIndex::create(&dir, config()).unwrap();
-            let docs: Vec<Vec<u8>> = (sizes.iter().enumerate())
-                .map(|(i, &len)| format!("doc {i} {}", "x".repeat(len)).into_bytes())
-                .collect();
-            let dead: BTreeMap<DocId, usize> =
-                dead.into_iter().filter(|&(seq, _)| (seq as usize) < docs.len()).collect();
-            // Stage `i` adds the documents up to `ends[i]`, deletes, then
-            // flushes unless it is the last, and compacts if it is stage
-            // `compact_after` (about half the cases name no stage).
-            let mut ends: Vec<usize> =
-                flushes.into_iter().filter(|&at| at > 0 && at < docs.len()).collect();
-            ends.push(docs.len());
-            let stage_of = |seq: DocId| ends.partition_point(|&end| end <= seq as usize);
-            let mut from = 0;
-            for (stage, &end) in ends.iter().enumerate() {
-                index.add_batch(&docs[from..end]).unwrap();
-                from = end;
-                for (&seq, &delay) in &dead {
-                    if (stage_of(seq) + delay).min(ends.len() - 1) == stage {
-                        index.delete(seq).unwrap();
-                    }
-                }
-                if stage + 1 < ends.len() {
-                    index.flush().unwrap();
-                }
-                if compact_after == stage {
-                    index.compact().unwrap();
-                }
-            }
+            let (docs, dead, index) = scheduled(&dir, &sizes, flushes, dead, compact_after);
             let snapshot = index.snapshot();
             let view = LiveView::new(&snapshot, since);
             let live: Vec<(DocId, Vec<u8>)> = (since..docs.len() as DocId)
@@ -257,6 +356,45 @@ mod tests {
                     .cloned()
                     .collect();
                 prop_assert_eq!(&visited(&view, start..end, stop), &want, "{}..{}", start, end);
+            }
+            drop(index);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        /// Over the same schedules, `get_sorted` of any ascending set of
+        /// seqs hands out what one `get` per seq reads, in order, across
+        /// segments and the write buffer; it stops when asked, and a
+        /// deleted seq (or one past the end) ends it with `get`'s error
+        /// after the seqs before it.
+        #[test]
+        fn get_sorted_is_get_per_seq(
+            sizes in prop::collection::vec(0usize..60, 1..60),
+            flushes in prop::collection::btree_set(0usize..60, 0..4),
+            dead in prop::collection::vec((0u32..60, 0usize..3), 0..20),
+            compact_after in 0usize..8,
+            picks in prop::collection::vec(0usize..4, 62),
+            stop in prop_oneof![Just(usize::MAX), 1usize..60],
+        ) {
+            let dir = fresh_dir("sorted");
+            let (docs, dead, index) = scheduled(&dir, &sizes, flushes, dead, compact_after);
+            let snapshot = index.snapshot();
+            let view = LiveView::new(&snapshot, 0);
+            // Mostly live seqs; a pick of 0 also takes a deleted seq, and
+            // the seqs past the end are taken as well.
+            let seqs: Vec<DocId> = (0..picks.len() as DocId)
+                .filter(|&seq| {
+                    let pick = picks[seq as usize];
+                    pick >= 2 || (pick == 0 && dead.contains_key(&seq))
+                })
+                .collect();
+            let live: Vec<DocId> = seqs
+                .iter()
+                .copied()
+                .filter(|seq| (*seq as usize) < docs.len() && !dead.contains_key(seq))
+                .collect();
+            for seqs in [&seqs, &live] {
+                let (want, err) = read(&view, seqs, stop, true);
+                prop_assert_eq!(read(&view, seqs, stop, false), (want, err));
             }
             drop(index);
             std::fs::remove_dir_all(&dir).unwrap();
