@@ -30,7 +30,7 @@
 use crate::diagnostics::{codes, diagnostic_json, json_string, Diagnostic, Severity};
 use free_corpus::{Corpus, DiskCorpus, DocId};
 use free_engine::grams::GramMatcher;
-use free_index::{IndexRead, IndexReader, Key, VerifyIssueKind};
+use free_index::{IndexRead, IndexReader, Keys, VerifyIssueKind};
 use free_live::{Manifest, SegmentMeta};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -337,9 +337,8 @@ fn check_index_file(
 /// legitimately violates this, so it is advisory only.
 fn check_prefix_free(idx: &IndexReader, path: &Path, what: &str, r: &mut FsckReport) {
     let keys = idx.keys();
-    let violations = keys
-        .windows(2)
-        .filter(|w| w[1].starts_with(&w[0][..]))
+    let violations = (keys.iter().zip(keys.iter().skip(1)))
+        .filter(|(key, next)| next.starts_with(key))
         .count();
     if violations > 0 {
         r.diagnostics.push(diag(
@@ -421,14 +420,18 @@ fn sample_ids(n: usize, want: usize) -> Vec<DocId> {
 /// L3: re-mines `sample` documents with the gram scanner for `keys`, the
 /// dictionary `idx` must be complete for, and proves the postings
 /// invariant both ways (a key absent from `idx` has empty postings).
-/// `get_doc` resolves a local id to bytes.
+/// `get_doc` resolves a local id to bytes. A document `dead` says is
+/// deleted needs no postings: a flush keeps the buffer's deleted
+/// documents in the segment's store, unindexed, until compaction.
+#[allow(clippy::too_many_arguments)]
 fn check_deep(
     idx: &IndexReader,
-    keys: &[Key],
+    keys: Keys<'_>,
     what: &str,
     num_docs: usize,
     sample: usize,
     get_doc: &mut dyn FnMut(DocId) -> Result<Vec<u8>, String>,
+    dead: &dyn Fn(DocId) -> bool,
     r: &mut FsckReport,
 ) {
     if keys.is_empty() {
@@ -439,7 +442,8 @@ fn check_deep(
         return;
     }
     // One automaton pass per sampled doc records which keys it contains.
-    let mut matcher = GramMatcher::new(keys);
+    let patterns: Vec<&[u8]> = keys.iter().collect();
+    let mut matcher = GramMatcher::new(&patterns);
     let mut present: Vec<BTreeSet<DocId>> = vec![BTreeSet::new(); keys.len()];
     for &id in &sampled {
         let bytes = match get_doc(id) {
@@ -477,7 +481,10 @@ fn check_deep(
             .into_iter()
             .filter(|d| sampled_set.contains(d))
             .collect();
-        for &id in present[ki].difference(&in_postings) {
+        for &id in present[ki]
+            .difference(&in_postings)
+            .filter(|&&id| !dead(id))
+        {
             r.diagnostics.push(diag(
                 codes::POSTINGS_INCOMPLETE,
                 Severity::Error,
@@ -546,11 +553,36 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
         }
     };
     let seg_root = dir.join(free_live::SEGMENTS_DIR);
+    let wal_dir = dir.join(free_live::WAL_DIR);
+    let tomb_path = dir.join(free_live::TOMBSTONES_FILE);
+    let tombstones = free_live::read_tombstones(&tomb_path);
+    let dead: BTreeSet<DocId> = tombstones.iter().flatten().copied().collect();
+    // A flush that committed and crashed before its WAL became the
+    // segment's store: the next open renames it, so the store is checked
+    // where it is, and the WAL and its stamp are the flush's, not stale.
+    let pending = free_live::pending_flush(dir, &manifest).ok().flatten();
+    if let Some(meta) = &pending {
+        r.diagnostics.push(diag(
+            codes::STALE_WAL_EPOCH,
+            Severity::Warning,
+            format!(
+                "segment {}'s store is still {}: the flush that committed WAL epoch {} \
+                 was cut off before renaming it, and the next open completes it",
+                meta.id,
+                wal_dir.display(),
+                manifest.wal_epoch
+            ),
+        ));
+    }
     // The dictionary: the oldest segment's key directory.
     let mut dictionary: Option<IndexReader> = None;
     for (i, meta) in manifest.segments.iter().enumerate() {
         let keys = dictionary.as_ref().map(IndexReader::keys);
-        let idx = check_segment(&seg_root, meta, keys, opts, &mut r);
+        let store = match &pending {
+            Some(p) if p.id == meta.id => wal_dir.clone(),
+            _ => free_live::segment::corpus_dir(&seg_root, meta.id),
+        };
+        let idx = check_segment(&seg_root, meta, &store, keys, &dead, opts, &mut r);
         if i == 0 {
             dictionary = idx;
         }
@@ -569,10 +601,59 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
             ),
         ));
     }
-    // L2: the WAL and its epoch stamp.
+    // L2: the WAL and its epoch stamp, unless the WAL is that flush's.
+    let wal_len = match pending {
+        Some(_) => None,
+        None => check_wal(dir, &manifest, &mut r),
+    };
+    // L1/L2: the tombstone log.
+    r.artifacts_checked += 1;
+    match tombstones {
+        Ok(seqs) => {
+            let wal_end = wal_len.map(|n| manifest.wal_base + n as DocId);
+            for seq in seqs {
+                let in_segment = manifest
+                    .segments
+                    .iter()
+                    .any(|s| s.first_seq <= seq && seq <= s.last_seq);
+                let in_wal = seq >= manifest.wal_base && wal_end.is_some_and(|e| seq < e);
+                if !in_segment && !in_wal {
+                    r.diagnostics.push(diag(
+                        codes::BAD_TOMBSTONE,
+                        Severity::Warning,
+                        format!(
+                            "tombstone for seq {seq} references no stored document \
+                             (stale after compaction; rewritten on next open)"
+                        ),
+                    ));
+                }
+            }
+        }
+        Err(free_live::Error::NotFound(_)) => {
+            r.diagnostics.push(diag(
+                codes::MISSING_SEGMENT_FILES,
+                Severity::Error,
+                format!("tombstone log {} is missing", tomb_path.display()),
+            ));
+        }
+        Err(e) => {
+            let msg = e.to_string();
+            r.diagnostics.push(diag(
+                damage_code(&msg),
+                Severity::Error,
+                format!("tombstone log {} unreadable: {msg}", tomb_path.display()),
+            ));
+        }
+    }
+    r
+}
+
+/// L2 over the WAL and its epoch stamp. Returns how many documents the
+/// WAL holds when it is readable.
+fn check_wal(dir: &Path, manifest: &Manifest, r: &mut FsckReport) -> Option<usize> {
     let wal_dir = dir.join(free_live::WAL_DIR);
     let wal_len = if wal_dir.join("corpus.idx").is_file() {
-        check_corpus(&wal_dir, "WAL corpus", &mut r).map(|c| c.len())
+        check_corpus(&wal_dir, "WAL corpus", r).map(|c| c.len())
     } else {
         r.diagnostics.push(diag(
             codes::MISSING_SEGMENT_FILES,
@@ -622,65 +703,27 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
             ));
         }
     }
-    // L1/L2: the tombstone log.
-    r.artifacts_checked += 1;
-    let tomb_path = dir.join(free_live::TOMBSTONES_FILE);
-    match free_live::read_tombstones(&tomb_path) {
-        Ok(seqs) => {
-            let wal_end = wal_len.map(|n| manifest.wal_base + n as DocId);
-            for seq in seqs {
-                let in_segment = manifest
-                    .segments
-                    .iter()
-                    .any(|s| s.first_seq <= seq && seq <= s.last_seq);
-                let in_wal = seq >= manifest.wal_base && wal_end.is_some_and(|e| seq < e);
-                if !in_segment && !in_wal {
-                    r.diagnostics.push(diag(
-                        codes::BAD_TOMBSTONE,
-                        Severity::Warning,
-                        format!(
-                            "tombstone for seq {seq} references no stored document \
-                             (stale after compaction; rewritten on next open)"
-                        ),
-                    ));
-                }
-            }
-        }
-        Err(free_live::Error::NotFound(_)) => {
-            r.diagnostics.push(diag(
-                codes::MISSING_SEGMENT_FILES,
-                Severity::Error,
-                format!("tombstone log {} is missing", tomb_path.display()),
-            ));
-        }
-        Err(e) => {
-            let msg = e.to_string();
-            r.diagnostics.push(diag(
-                damage_code(&msg),
-                Severity::Error,
-                format!("tombstone log {} unreadable: {msg}", tomb_path.display()),
-            ));
-        }
-    }
-    r
+    wal_len
 }
 
-/// All layers over one sealed segment. `dictionary` is the live index's
-/// dictionary, `None` for the oldest segment, whose own directory it is. Returns the segment's
-/// index when it is readable.
+/// All layers over one sealed segment whose corpus store is `store`.
+/// `dictionary` is the live index's dictionary, `None` for the oldest
+/// segment, whose own directory it is; `dead` holds the sequences the
+/// tombstone log names. Returns the segment's index when it is readable.
 fn check_segment(
     seg_root: &Path,
     meta: &SegmentMeta,
-    dictionary: Option<&[Key]>,
+    store: &Path,
+    dictionary: Option<Keys<'_>>,
+    dead: &BTreeSet<DocId>,
     opts: &FsckOptions,
     r: &mut FsckReport,
 ) -> Option<IndexReader> {
     let what = format!("segment {}", meta.id);
     let idx_path = free_live::segment::index_path(seg_root, meta.id);
     let seqs_path = free_live::segment::seqs_path(seg_root, meta.id);
-    let corpus_dir = free_live::segment::corpus_dir(seg_root, meta.id);
     let mut missing = Vec::new();
-    for (p, is_dir) in [(&idx_path, false), (&seqs_path, false), (&corpus_dir, true)] {
+    for (p, is_dir) in [(&*idx_path, false), (&seqs_path, false), (store, true)] {
         if (is_dir && !p.is_dir()) || (!is_dir && !p.is_file()) {
             missing.push(p.display().to_string());
         }
@@ -698,8 +741,10 @@ fn check_segment(
     }
     // L0/L1: the sequence map.
     r.artifacts_checked += 1;
+    let mut seqs = Vec::new();
     match free_live::segment::read_seqs(&seqs_path) {
-        Ok(seqs) => {
+        Ok(read) => {
+            seqs = read;
             if seqs.len() != meta.num_docs as usize
                 || seqs.first() != Some(&meta.first_seq)
                 || seqs.last() != Some(&meta.last_seq)
@@ -730,7 +775,7 @@ fn check_segment(
         }
     }
     // L0/L2: the corpus store, cross-checked against the manifest.
-    let corpus = check_corpus(&corpus_dir, &what, r);
+    let corpus = check_corpus(store, &what, r);
     if let Some(c) = &corpus {
         if c.len() != meta.num_docs as usize {
             r.diagnostics.push(diag(
@@ -748,8 +793,7 @@ fn check_segment(
     let idx = check_index_file(&idx_path, &what, Some(meta.num_docs), r);
     // L2: a younger segment indexes only the dictionary's keys.
     let outside = dictionary.zip(idx.as_ref()).map_or(0, |(dict, idx)| {
-        let outside = idx.keys().iter().filter(|k| dict.binary_search(k).is_err());
-        outside.count()
+        idx.keys().iter().filter(|k| !dict.contains(k)).count()
     });
     if outside > 0 {
         r.diagnostics.push(diag(
@@ -761,6 +805,8 @@ fn check_segment(
     // L3: sampled re-mining against the dictionary's keys.
     if opts.deep {
         if let (Some(idx), Some(corpus)) = (&idx, corpus) {
+            let deleted =
+                |local: DocId| (seqs.get(local as usize)).is_some_and(|seq| dead.contains(seq));
             check_deep(
                 idx,
                 dictionary.unwrap_or(idx.keys()),
@@ -768,6 +814,7 @@ fn check_segment(
                 corpus.len(),
                 opts.sample,
                 &mut |id| corpus.get(id).map_err(|e| e.to_string()),
+                &deleted,
                 r,
             );
         }
@@ -901,6 +948,7 @@ fn fsck_batch(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
                     std::fs::read(&files[id as usize])
                         .map_err(|e| format!("{}: {e}", files[id as usize].display()))
                 },
+                &|_| false,
                 &mut r,
             );
         }
@@ -912,7 +960,7 @@ fn fsck_batch(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
 mod tests {
     use super::*;
     use free_corpus::CorpusWriter;
-    use free_index::{IndexWriter, Postings};
+    use free_index::{IndexWriter, Key, Postings};
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1049,7 +1097,7 @@ mod tests {
         let mut entries: Vec<(Key, Vec<DocId>)> = idx
             .keys()
             .iter()
-            .map(|k| (k.clone(), idx.postings(k).unwrap().unwrap()))
+            .map(|k| (k.into(), idx.postings(k).unwrap().unwrap()))
             .collect();
         drop(idx);
         edit(&mut entries);

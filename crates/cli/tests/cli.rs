@@ -1043,6 +1043,104 @@ fn a_garbled_wal_epoch_keeps_buffered_docs() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `free fsck --deep --json` on every state a crash inside a flush can
+/// leave, before and after the open a search makes. The segment's store
+/// still at `wal/` is one FA422 warning (the open completes the flush),
+/// not FA420 errors; the cuts after the rename keep their findings (a
+/// missing WAL, a stale stamp), which the open repairs. After the open
+/// every directory is clean: a segment store holding documents the
+/// tombstone log marks deleted is valid.
+#[test]
+fn fsck_reads_a_cut_flush_and_the_open_completes_it() {
+    use free_live::{LiveConfig, LiveIndex};
+    let fsck = |dir: &std::path::Path| {
+        let out = free()
+            .args(["fsck", "--deep", "--json"])
+            .arg(dir)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        (out.status.code(), stdout)
+    };
+    let cuts: [(&str, Option<i32>, &[&str]); 4] = [
+        ("unrenamed", Some(0), &["FA422 warning"]),
+        ("unrenamed-garbled", Some(0), &["FA422 warning"]),
+        ("no-fresh-wal", Some(1), &["FA420 error", "FA422 error"]),
+        ("fresh-wal-old-stamp", Some(1), &["FA422 error"]),
+    ];
+    for (cut, code, want) in cuts {
+        let dir = setup(&format!("cut-flush-{cut}"));
+        let live_dir = dir.join("live");
+        let docs: Vec<String> = (0..40)
+            .map(|i| {
+                format!(
+                    "record {i} of the ledger holds item{} and lot{}",
+                    i % 7,
+                    i % 3
+                )
+            })
+            .collect();
+        let mut live = LiveIndex::create(&live_dir, LiveConfig::default()).unwrap();
+        live.add_batch(&docs[..20]).unwrap();
+        live.flush().unwrap();
+        live.add_batch(&docs[20..]).unwrap();
+        for seq in [3, 25, 31] {
+            live.delete(seq).unwrap();
+        }
+        let stamp = live_dir.join("wal.epoch");
+        let old_stamp = std::fs::read_to_string(&stamp).unwrap();
+        live.flush().unwrap();
+        drop(live);
+        let (wal, store) = (live_dir.join("wal"), live_dir.join("segments/seg-1.corpus"));
+        match cut {
+            "unrenamed" | "unrenamed-garbled" => {
+                std::fs::remove_dir_all(&wal).unwrap();
+                std::fs::rename(&store, &wal).unwrap();
+            }
+            "no-fresh-wal" => std::fs::remove_dir_all(&wal).unwrap(),
+            _ => {}
+        }
+        let garbled = cut == "unrenamed-garbled";
+        std::fs::write(&stamp, if garbled { "x\n" } else { &old_stamp }).unwrap();
+
+        let (status, json) = fsck(&live_dir);
+        assert!(json_value(&json).is_ok(), "{json}");
+        assert_eq!(status, code, "{cut}: {json}");
+        assert_eq!(
+            json.matches("\"code\":").count(),
+            want.len(),
+            "{cut}: {json}"
+        );
+        for finding in want {
+            let (code, severity) = finding.split_once(' ').unwrap();
+            let shape = format!("{{\"code\":\"{code}\",\"severity\":\"{severity}\"");
+            assert!(json.contains(&shape), "{cut}: {json}");
+        }
+        if cut.starts_with("unrenamed") {
+            assert!(json.contains("the next open completes it"), "{json}");
+        }
+
+        let out = free()
+            .args(["search", "--live"])
+            .arg(&live_dir)
+            .arg("item3")
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{cut}");
+        let found = String::from_utf8(out.stdout).unwrap();
+        // Records 3, 10, 17, 24, 31 and 38 hold item3; 3 and 31 are
+        // deleted.
+        assert!(
+            found.contains("4 matching doc(s) of 37 live"),
+            "{cut}: {found}"
+        );
+        let (status, json) = fsck(&live_dir);
+        assert_eq!(status, Some(0), "{cut}: {json}");
+        assert!(json.contains("\"diagnostics\":[]"), "{cut}: {json}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// `free fsck` with no PATH checks ./.freelive; a missing target is a
 /// usage-style failure (exit 2), not a crash.
 #[test]

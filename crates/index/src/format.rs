@@ -18,7 +18,11 @@
 //! The whole directory is loaded into memory on open. The paper's design
 //! leans on exactly this property: the multigram directory is tiny (<1 %
 //! of a complete n-gram index's keys), so key lookups never touch disk and
-//! I/O is spent only on the postings actually needed by a query.
+//! I/O is spent only on the postings actually needed by a query. In
+//! memory each key is held once, in a [`KeyDirectory`]: the key bytes in
+//! one buffer, `u32` key ends, and an open-addressing table of key
+//! positions; beside it, one fixed-size entry per key (postings offset,
+//! length and count).
 //!
 //! Each list is stored in one of two encodings, tagged per directory
 //! entry: short lists stay plain delta-varint, while lists longer than
@@ -36,12 +40,12 @@
 
 use crate::blocked::{BlockedPostings, BLOCK_SIZE};
 use crate::cursor::{PostingsCursor, SliceCursor};
+use crate::keys::{KeyDirectory, Keys};
 use crate::postings::{decode_into, encode_into, Postings};
 use crate::stats::IndexStats;
 use crate::{varint, DocId, Error, IndexRead, Key, Result};
 use bytes::Bytes;
 use free_checksum::Crc32;
-use rustc_hash::FxHashMap;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
@@ -260,9 +264,8 @@ impl DirEntry {
 pub struct IndexReader {
     file: File,
     postings_start: u64,
-    /// Each key's position in `sorted_keys` and `dir`.
-    entries: FxHashMap<Key, u32>,
-    sorted_keys: Vec<Key>,
+    /// The keys, in order; key `i`'s entry is `dir[i]`.
+    keys: KeyDirectory,
     /// Directory entries in key order.
     dir: Vec<DirEntry>,
     num_postings: u64,
@@ -343,9 +346,7 @@ impl IndexReader {
             .map_err(|e| Error::io("read directory", e))?;
         let postings_start = header.len() as u64 + dir_bytes;
 
-        let mut entries =
-            FxHashMap::with_capacity_and_hasher(num_keys as usize, Default::default());
-        let mut sorted_keys = Vec::with_capacity(num_keys as usize);
+        let mut keys = KeyDirectory::with_capacity(num_keys as usize);
         let mut entry_list = Vec::with_capacity(num_keys as usize);
         let overflow = || Error::Corrupt(format!("{}: directory sizes overflow", path.display()));
         let mut cursor = &dir[..];
@@ -358,7 +359,7 @@ impl IndexReader {
             if cursor.len() < key_len as usize {
                 return Err(Error::Corrupt(format!("truncated key {i}")));
             }
-            let key: Key = cursor[..key_len as usize].into();
+            keys.push(&cursor[..key_len as usize])?;
             cursor = &cursor[key_len as usize..];
             let (doc_count, used) = varint::decode(cursor)?;
             cursor = &cursor[used..];
@@ -386,8 +387,6 @@ impl IndexReader {
                     if blocked { "blocked" } else { "plain" }
                 )));
             }
-            entries.insert(key.clone(), i as u32);
-            sorted_keys.push(key);
             entry_list.push(DirEntry {
                 offset,
                 len,
@@ -429,11 +428,11 @@ impl IndexReader {
             )));
         }
         let postings_crc = u32::from_le_bytes(footer[12..16].try_into().expect("fixed size"));
+        keys.seal();
         Ok(IndexReader {
             file,
             postings_start,
-            entries,
-            sorted_keys,
+            keys,
             dir: entry_list,
             num_postings,
             key_bytes,
@@ -462,7 +461,7 @@ impl IndexReader {
                         if let Err(err) = b.validate() {
                             issues.push(VerifyIssue {
                                 kind: VerifyIssueKind::SkipTable,
-                                key: Some(key.clone()),
+                                key: Some(key.into()),
                                 detail: format!("blocked list for {name:?} invalid: {err}"),
                             });
                             continue;
@@ -472,7 +471,7 @@ impl IndexReader {
                             Err(err) => {
                                 issues.push(VerifyIssue {
                                     kind: VerifyIssueKind::Decode,
-                                    key: Some(key.clone()),
+                                    key: Some(key.into()),
                                     detail: format!("blocked list for {name:?} undecodable: {err}"),
                                 });
                                 continue;
@@ -482,7 +481,7 @@ impl IndexReader {
                     Err(err) => {
                         issues.push(VerifyIssue {
                             kind: VerifyIssueKind::Decode,
-                            key: Some(key.clone()),
+                            key: Some(key.into()),
                             detail: format!("blocked list for {name:?} unreadable: {err}"),
                         });
                         continue;
@@ -495,7 +494,7 @@ impl IndexReader {
                     Err(err) => {
                         issues.push(VerifyIssue {
                             kind: VerifyIssueKind::Decode,
-                            key: Some(key.clone()),
+                            key: Some(key.into()),
                             detail: format!("postings for {name:?} undecodable: {err}"),
                         });
                         continue;
@@ -507,7 +506,7 @@ impl IndexReader {
             if let Some(w) = decoded.windows(2).find(|w| w[1] <= w[0]) {
                 issues.push(VerifyIssue {
                     kind: VerifyIssueKind::Order,
-                    key: Some(key.clone()),
+                    key: Some(key.into()),
                     detail: format!(
                         "doc ids for {name:?} not strictly ascending: {} then {}",
                         w[0], w[1]
@@ -517,7 +516,7 @@ impl IndexReader {
             if decoded.len() != e.doc_count as usize {
                 issues.push(VerifyIssue {
                     kind: VerifyIssueKind::DocCount,
-                    key: Some(key.clone()),
+                    key: Some(key.into()),
                     detail: format!(
                         "directory says {} docs for {name:?}, payload decodes to {}",
                         e.doc_count,
@@ -529,7 +528,7 @@ impl IndexReader {
                 if let Some(&bad) = decoded.iter().find(|&&d| d >= bound) {
                     issues.push(VerifyIssue {
                         kind: VerifyIssueKind::DocRange,
-                        key: Some(key.clone()),
+                        key: Some(key.into()),
                         detail: format!(
                             "doc id {bad} for {name:?} is outside the corpus (bound {bound})"
                         ),
@@ -585,12 +584,12 @@ impl IndexReader {
     }
 
     fn entry(&self, key: &[u8]) -> Option<DirEntry> {
-        self.entries.get(key).map(|&i| self.dir[i as usize])
+        self.keys().position(key).map(|i| self.dir[i])
     }
 
-    /// The sorted key list (borrowed).
-    pub fn keys(&self) -> &[Key] {
-        &self.sorted_keys
+    /// The sorted key directory (borrowed).
+    pub fn keys(&self) -> Keys<'_> {
+        self.keys.keys()
     }
 
     /// Each key's document count, in the order of [`IndexReader::keys`].
@@ -598,6 +597,10 @@ impl IndexReader {
         self.dir.iter().map(|e| e.doc_count)
     }
 }
+
+/// One entry as a [`PostingsStream`] reads it: its key, its directory
+/// entry and its raw payload.
+type RawEntry<'k, 'p> = (&'k [u8], DirEntry, &'p [u8]);
 
 /// Bytes a [`PostingsStream`] reads at a time.
 const STREAM_CHUNK: usize = 256 << 10;
@@ -625,7 +628,7 @@ pub struct PostingsStream<'a> {
 impl<'a> PostingsStream<'a> {
     /// The key of the next entry; `None` past the last.
     pub fn peek_key(&self) -> Option<&'a [u8]> {
-        self.index.sorted_keys.get(self.next).map(|k| &**k)
+        self.index.keys().get(self.next)
     }
 
     /// Decodes the next entry's postings into `out`, replacing what it
@@ -652,9 +655,9 @@ impl<'a> PostingsStream<'a> {
     }
 
     /// The next entry's key, directory entry and raw payload.
-    fn next_raw(&mut self) -> Result<Option<(&'a Key, DirEntry, &[u8])>> {
+    fn next_raw(&mut self) -> Result<Option<RawEntry<'a, '_>>> {
         let index = self.index;
-        let Some(key) = index.sorted_keys.get(self.next) else {
+        let Some(key) = index.keys().get(self.next) else {
             return Ok(None);
         };
         let e = index.dir[self.next];
@@ -696,11 +699,11 @@ impl<'a> PostingsStream<'a> {
 
 impl IndexRead for IndexReader {
     fn num_keys(&self) -> usize {
-        self.entries.len()
+        self.dir.len()
     }
 
     fn contains_key(&self, key: &[u8]) -> bool {
-        self.entries.contains_key(key)
+        self.keys().contains(key)
     }
 
     fn doc_count(&self, key: &[u8]) -> Option<usize> {
@@ -730,14 +733,12 @@ impl IndexRead for IndexReader {
     }
 
     fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
-        for k in &self.sorted_keys {
-            f(k);
-        }
+        self.keys().iter().for_each(f);
     }
 
     fn stats(&self) -> IndexStats {
         IndexStats {
-            num_keys: self.entries.len() as u64,
+            num_keys: self.dir.len() as u64,
             num_postings: self.num_postings,
             key_bytes: self.key_bytes,
             postings_bytes: self.postings_bytes,
@@ -1147,6 +1148,38 @@ mod tests {
             matches!(&err, Error::Corrupt(m) if m.contains("checksum")),
             "{err}"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The directory is held once: 23 k keys of five to eight bytes, a
+    /// live dictionary's shape, take under 1 MiB of heap, where a hash
+    /// map and a sorted list of boxed keys took about 3 MiB. Every key is
+    /// found through the position table, and only keys are.
+    #[test]
+    fn a_directory_is_held_once() {
+        let path = tmpfile("held-once");
+        let keys: Vec<Vec<u8>> = (0..23_000u32)
+            .map(|i| format!("{:0width$x}", i * 7, width = 5 + (i % 4) as usize).into_bytes())
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let mut w = IndexWriter::create(&path).unwrap();
+        for (i, key) in keys.iter().enumerate() {
+            w.add_sorted(key, &[i as DocId]).unwrap();
+        }
+        let r = w.finish().unwrap();
+        assert_eq!(r.num_keys(), keys.len());
+        let held = r.keys.resident_bytes() + r.dir.capacity() * std::mem::size_of::<DirEntry>();
+        assert!(held < 1 << 20, "{held} B");
+        for (i, key) in keys.iter().enumerate().step_by(97) {
+            assert_eq!(r.keys().position(key), Some(i));
+            assert_eq!(r.postings(key).unwrap(), Some(vec![i as DocId]));
+        }
+        assert_eq!(
+            r.keys().iter().map(<[u8]>::to_vec).collect::<Vec<_>>(),
+            keys
+        );
+        assert!(!r.contains_key(b"zzzz"));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -34,6 +34,7 @@ pub mod cursor;
 pub mod error;
 pub mod format;
 pub mod instrument;
+pub mod keys;
 pub mod memindex;
 pub mod ops;
 pub mod postings;
@@ -46,6 +47,7 @@ pub use cursor::{CursorStats, PostingsCursor, SliceCursor};
 pub use error::{Error, Result};
 pub use format::{IndexReader, IndexWriter, PostingsStream, VerifyIssue, VerifyIssueKind};
 pub use instrument::{InstrumentedCursor, OpCounters};
+pub use keys::{KeyDirectory, Keys};
 pub use memindex::MemIndex;
 pub use ops::{AndCursor, OrCursor};
 pub use postings::{Postings, PostingsBuilder};

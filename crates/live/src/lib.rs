@@ -22,11 +22,13 @@
 //!   the dictionary as it arrives and keeps its postings by key id.
 //! - **Segments**: a *flush* seals the buffer into an immutable segment
 //!   in the `free-index` on-disk format, writing the buffered postings
-//!   without mining or scanning.
+//!   without mining or scanning, and no document: the WAL becomes the
+//!   segment's store.
 //! - **Deletes**: every segment and the write buffer own a copy-on-write
 //!   bitmap of their deleted documents, which every query skips; the
 //!   tombstone log (`tombstones.log`) is its durable form. Compaction
-//!   (or a flush, for buffered documents) eliminates them physically.
+//!   eliminates them physically (a flush carries the buffer's bitmap
+//!   over to the segment, whose store keeps the documents).
 //! - **Compaction**: rewrites every surviving document into one segment.
 //!   It merges the segments' postings under the dictionary, unless the
 //!   documents flushed since the last compaction have drifted from it
@@ -56,8 +58,9 @@ mod view;
 
 pub use error::{Error, Result};
 pub use live::{
-    orphan_segment_ids, read_tombstones, sharded_layout, useful_limit, Drift, LiveIndex,
-    DRIFT_TOLERANCE, SEGMENTS_DIR, TOMBSTONES_FILE, TOMBSTONES_HEADER, WAL_DIR, WAL_EPOCH_FILE,
+    orphan_segment_ids, pending_flush, read_tombstones, sharded_layout, useful_limit, Drift,
+    LiveIndex, DRIFT_TOLERANCE, SEGMENTS_DIR, TOMBSTONES_FILE, TOMBSTONES_HEADER, WAL_DIR,
+    WAL_EPOCH_FILE,
 };
 pub use manifest::{Manifest, SegmentMeta};
 pub use qcache::{Lookup, QueryCache};

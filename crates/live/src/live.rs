@@ -1,10 +1,13 @@
 //! The live index: ingest, tombstone deletes, flush, and compaction.
 
 use crate::error::{Error, Result};
-use crate::manifest::Manifest;
-use crate::memtable::{BufferMatcher, Memtable};
+use crate::manifest::{Manifest, SegmentMeta};
+use crate::memtable::{BufferMatcher, LiveBuffer, Memtable};
 use crate::postings::{write_postings, Source};
-use crate::segment::{remove_segment_files, Segment, SegmentWriter};
+use crate::segment::{
+    corpus_dir, index_path, mine_index, remove_segment_files, seqs_path, write_seqs, Segment,
+    SegmentWriter,
+};
 use crate::snapshot::{LiveReader, Owner, Sealed, Snapshot, SnapshotCell};
 use crate::stats::{LiveStats, SegmentStats};
 use crate::LiveConfig;
@@ -115,7 +118,8 @@ pub const TOMBSTONES_HEADER: &str = "FREETOMB 2";
 /// mirrored in an in-memory [`Memtable`], indexed by the index's one
 /// dictionary: the oldest segment's key directory. A *flush* seals the
 /// buffer into an immutable segment over that dictionary's keys (the
-/// first flush, with no dictionary yet, mines one); a delete sets one bit
+/// first flush, with no dictionary yet, mines one), whose store is the
+/// WAL itself, renamed; a delete sets one bit
 /// in the dead bitmap of the segment or buffer holding the document,
 /// and appends a line to the tombstone log, the bitmaps' durable form;
 /// *compaction* rewrites every surviving document into one segment,
@@ -171,18 +175,17 @@ impl LiveIndex {
         std::fs::create_dir_all(dir.join(SEGMENTS_DIR))
             .map_err(|e| Error::io(format!("create {}", dir.display()), e))?;
         Manifest::new().store(dir)?;
-        CorpusWriter::create(dir.join(WAL_DIR))?.commit()?;
-        std::fs::write(dir.join(WAL_EPOCH_FILE), "0\n")
-            .map_err(|e| Error::io("write wal epoch", e))?;
+        reset_wal(dir, 0)?;
         std::fs::write(dir.join(TOMBSTONES_FILE), format!("{TOMBSTONES_HEADER}\n"))
             .map_err(|e| Error::io("write tombstones", e))?;
         LiveIndex::open(dir, config)
     }
 
     /// Opens the live index in `dir`, replaying the WAL into the write
-    /// buffer and discarding any state a crash left uncommitted. Fails
-    /// with [`Error::ShardedLayout`] over a sharded directory, which it
-    /// leaves untouched.
+    /// buffer, completing a flush a crash interrupted after its commit
+    /// ([`pending_flush`]) and discarding any state a crash left
+    /// uncommitted. Fails with [`Error::ShardedLayout`] over a sharded
+    /// directory, which it leaves untouched.
     pub fn open(dir: impl AsRef<Path>, config: LiveConfig) -> Result<LiveIndex> {
         let dir = dir.as_ref().to_path_buf();
         if let Some(path) = sharded_layout(&dir) {
@@ -190,18 +193,23 @@ impl LiveIndex {
         }
         let manifest = Manifest::load(&dir)?;
         let seg_root = dir.join(SEGMENTS_DIR);
+        let wal_dir = dir.join(WAL_DIR);
+        let epoch = read_wal_epoch(&dir);
+        if let Some(meta) = pending_flush(&dir, &manifest)? {
+            let store = corpus_dir(&seg_root, meta.id);
+            std::fs::rename(&wal_dir, &store)
+                .map_err(|e| Error::io(format!("rename WAL to {}", store.display()), e))?;
+        }
         let mut segments = Vec::with_capacity(manifest.segments.len());
         for meta in &manifest.segments {
             segments.push(Segment::open(&seg_root, meta.clone())?);
         }
         remove_orphans(&seg_root, &manifest);
-        // WAL epoch check: a flush commits the manifest before recreating
-        // the WAL, so a crash in between leaves a stale WAL whose epoch
-        // stamp disagrees — its docs are already sealed in a segment.
-        let epoch = std::fs::read_to_string(dir.join(WAL_EPOCH_FILE))
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok());
-        let wal_dir = dir.join(WAL_DIR);
+        // WAL epoch check: a flush commits the manifest (with the next
+        // epoch) before its WAL becomes the segment's store and a fresh
+        // WAL is stamped, so a WAL whose stamp disagrees is stale: its
+        // documents are already sealed in a segment (a fresh WAL that
+        // missed its stamp is empty).
         let wal_present = wal_dir.join("corpus.idx").is_file();
         if epoch.is_none() && wal_present && DiskCorpus::open(&wal_dir)?.len() > 0 {
             // Every writer of the stamp recreates the WAL empty first, so
@@ -216,13 +224,7 @@ impl LiveIndex {
             )));
         }
         if epoch != Some(manifest.wal_epoch) || !wal_present {
-            let _ = std::fs::remove_dir_all(&wal_dir);
-            CorpusWriter::create(&wal_dir)?.commit()?;
-            std::fs::write(
-                dir.join(WAL_EPOCH_FILE),
-                format!("{}\n", manifest.wal_epoch),
-            )
-            .map_err(|e| Error::io("write wal epoch", e))?;
+            reset_wal(&dir, manifest.wal_epoch)?;
         }
         let wal = DiskCorpus::open(&wal_dir)?;
         let mut buffered: Vec<Vec<u8>> = Vec::with_capacity(wal.len());
@@ -416,7 +418,7 @@ impl LiveIndex {
 
     /// Tombstones the document with sequence number `seq`. The document
     /// disappears from queries immediately; its storage is reclaimed by
-    /// the next compaction (or flush, for still-buffered documents).
+    /// the next compaction.
     pub fn delete(&mut self, seq: DocId) -> Result<()> {
         let snapshot = self.snapshot();
         let (owner, local) = snapshot.locate(seq).ok_or(Error::UnknownDoc(seq))?;
@@ -443,14 +445,23 @@ impl LiveIndex {
         Ok(())
     }
 
-    /// Seals the write buffer into a new immutable segment and resets the
-    /// WAL. The segment indexes the dictionary's keys with the postings
-    /// the buffer recorded; only the first flush, into an index with no
-    /// segments, mines (and so creates the dictionary). Tombstoned buffer
-    /// documents are simply not written — their tombstones are consumed.
-    /// Commit order (manifest first, then tombstones, then the WAL reset)
-    /// makes a crash at any point recoverable via the WAL epoch check in
-    /// [`LiveIndex::open`]. Returns whether anything was flushed.
+    /// Seals the write buffer into a new immutable segment. No document
+    /// is written: the WAL, already a CRC-checked store in the segment
+    /// format, becomes the segment's store. The flush writes the
+    /// segment's sequence map and its index (the postings the buffer
+    /// recorded, under the dictionary's keys; only the first flush, into
+    /// an index with no segments, mines, over the live documents, and so
+    /// creates the dictionary), commits the manifest naming the segment
+    /// and the next WAL epoch, renames `wal/` to the segment's store, and
+    /// starts an empty WAL stamped with that epoch. A crash after the
+    /// commit leaves a state [`LiveIndex::open`] completes; one before it,
+    /// files the next open removes.
+    ///
+    /// Deleted buffered documents stay in the store under the segment's
+    /// dead bits, with their tombstones, and no postings; compaction drops
+    /// them. A buffer whose every document is deleted seals nothing: its
+    /// WAL is replaced and its tombstones consumed. Returns whether
+    /// anything was flushed.
     pub fn flush(&mut self) -> Result<bool> {
         if self.memtable.is_empty() {
             return Ok(false);
@@ -458,55 +469,73 @@ impl LiveIndex {
         let mut span = self.config.engine.tracer.span("flush");
         let base = self.manifest.wal_base;
         let buffered = self.memtable.len();
-        let live = |local: usize| !self.memtable.dead.contains(local);
-        let survivors = (0..buffered).filter(|&local| live(local)).count();
-        span.record("docs", survivors);
-        span.record("dropped_tombstones", buffered - survivors);
-        let mut new_segment = None;
-        if survivors > 0 {
-            let id = self.manifest.next_segment_id;
-            let mut writer = SegmentWriter::create(&self.dir.join(SEGMENTS_DIR), id)?;
-            // Buffer local id -> segment local id; `None` is not sealed.
-            let mut remap: Vec<Option<DocId>> = Vec::with_capacity(buffered);
-            let mut sealed: DocId = 0;
-            for (local, doc) in self.memtable.docs().enumerate() {
-                if live(local) {
-                    writer.append(base + local as DocId, doc)?;
-                    remap.push(Some(sealed));
-                    sealed += 1;
-                } else {
-                    remap.push(None);
-                }
-            }
-            let seg = match self.segments.first() {
-                None => writer.mine(&self.config.engine)?,
-                Some(dict) => writer.seal(|_, path| {
-                    let mut index = IndexWriter::create(path)?;
-                    let sources = self.memtable.sources(&remap).collect();
+        let dead = self.memtable.dead.clone();
+        span.record("docs", buffered - dead.count());
+        span.record("dead", dead.count());
+        let seg_root = self.dir.join(SEGMENTS_DIR);
+        let id = self.manifest.next_segment_id;
+        let mut sealed = None;
+        if dead.count() < buffered {
+            let start = Instant::now();
+            // The store keeps only what the WAL committed: reopening it
+            // for append cuts the bytes a crashed add left past that.
+            drop(CorpusWriter::open_append(self.dir.join(WAL_DIR))?);
+            let seqs: Vec<DocId> = (base..base + buffered as DocId).collect();
+            write_seqs(&seqs_path(&seg_root, id), &seqs)?;
+            let path = index_path(&seg_root, id);
+            let index = match self.segments.first() {
+                None => mine_index(&LiveBuffer::new(&self.memtable), &self.config.engine, &path)?,
+                Some(dict) => {
+                    let mut index = IndexWriter::create(&path)?;
+                    let sources = self.memtable.sources().collect();
                     write_postings(dict.index.keys(), sources, false, &mut index)?;
-                    Ok(index.finish()?)
-                })?,
+                    index.finish()?
+                }
             };
+            span.record("index", start.elapsed());
             span.record("segment_id", id);
-            span.record("keys", seg.num_keys());
-            self.manifest.segments.push(seg.meta.clone());
+            span.record("keys", index.keys().len());
+            let meta = SegmentMeta {
+                id,
+                num_docs: buffered as u32,
+                first_seq: base,
+                last_seq: base + buffered as DocId - 1,
+            };
+            self.manifest.segments.push(meta.clone());
             self.manifest.next_segment_id += 1;
-            new_segment = Some(seg);
+            sealed = Some((meta, index, seqs));
         }
-        // Commit: manifest first (it names the new segment and the new
-        // WAL epoch), then the tombstones without the buffer's (its dead
-        // documents were not sealed), then the WAL reset.
+        // Commit: the manifest names the new segment and the new WAL
+        // epoch; then the WAL becomes the segment's store, and a fresh
+        // one starts.
+        let commit = Instant::now();
         self.generation += 1;
         self.manifest.wal_base = base + buffered as DocId;
         self.manifest.wal_epoch += 1;
         self.manifest.generation = self.generation;
         self.manifest.store(&self.dir)?;
+        let wal_dir = self.dir.join(WAL_DIR);
+        if sealed.is_some() {
+            let store = corpus_dir(&seg_root, id);
+            std::fs::rename(&wal_dir, &store)
+                .map_err(|e| Error::io(format!("rename WAL to {}", store.display()), e))?;
+        }
+        reset_wal(&self.dir, self.manifest.wal_epoch)?;
+        span.record("commit", commit.elapsed());
         // Replace rather than clear: snapshots may still hold the old
         // buffer, which stays valid (and frozen) until they drop it.
         self.memtable = Arc::new(Memtable::default());
-        self.segments.extend(new_segment.map(Sealed::new));
-        self.rewrite_tombstones()?;
-        self.reset_wal()?;
+        match sealed {
+            Some((meta, index, seqs)) => {
+                let mut segment = Sealed::new(Segment::with_index(&seg_root, meta, index, seqs)?);
+                // The buffer's deletes carry over, local id for local id,
+                // and the tombstone log already names them.
+                segment.dead = dead;
+                self.segments.push(segment);
+            }
+            // Nothing sealed: the dropped documents' tombstones go.
+            None => self.rewrite_tombstones()?,
+        }
         self.publish();
         drop(span);
         metrics::global()
@@ -701,10 +730,11 @@ impl LiveIndex {
     /// last compaction, counting what the next flush would seal as
     /// flushed: the share of their postings on keys that are useless
     /// among them, each key's count set against [`useful_limit`] for
-    /// their number. This is the decision the next [`LiveIndex::compact`]
-    /// acts on ([`Drift::remines`]) and what `free segments` reports as
-    /// `FA302`. It reads the counts the segments' key directories and the
-    /// buffer's runs hold, never a document.
+    /// the number of live documents among them. This is the decision the
+    /// next [`LiveIndex::compact`] acts on ([`Drift::remines`]) and what
+    /// `free segments` reports as `FA302`. It reads the counts the
+    /// segments' key directories and the buffer's runs hold, never a
+    /// document, and finds each key's dictionary id with one lookup.
     pub fn drift(&self) -> Drift {
         // What the next compaction finds after its flush: nothing to
         // rewrite is nothing to re-mine.
@@ -718,16 +748,15 @@ impl LiveIndex {
             return Drift::NONE;
         }
         // Per dictionary key, the new documents holding it. A younger
-        // segment's keys are dictionary keys, in the same order.
+        // segment's keys are dictionary keys; the documents a flush found
+        // deleted are in its store but in no postings.
         let keys = dict.keys();
         let mut counts = vec![0u32; keys.len()];
         let mut n = self.memtable.count_keys(&mut counts);
         for seg in &self.segments[1..] {
-            n += u64::from(seg.meta.num_docs);
-            let mut at = 0;
+            n += seg.live_docs() as u64;
             for (key, count) in seg.index.keys().iter().zip(seg.index.doc_counts()) {
-                at += keys[at..].partition_point(|k| k < key);
-                if keys.get(at) == Some(key) {
+                if let Some(at) = keys.position(key) {
                     counts[at] += count;
                 }
             }
@@ -832,17 +861,53 @@ impl LiveIndex {
         std::fs::write(&tmp, text).map_err(|e| Error::io(format!("write {}", tmp.display()), e))?;
         std::fs::rename(&tmp, &path).map_err(|e| Error::io("rename tombstones", e))
     }
+}
 
-    fn reset_wal(&self) -> Result<()> {
-        let wal_dir = self.dir.join(WAL_DIR);
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        CorpusWriter::create(&wal_dir)?.commit()?;
-        std::fs::write(
-            self.dir.join(WAL_EPOCH_FILE),
-            format!("{}\n", self.manifest.wal_epoch),
-        )
+/// The WAL epoch stamp in `dir`; `None` when it is missing or garbled.
+fn read_wal_epoch(dir: &Path) -> Option<u64> {
+    let stamp = std::fs::read_to_string(dir.join(WAL_EPOCH_FILE)).ok()?;
+    stamp.trim().parse().ok()
+}
+
+/// Replaces the WAL in `dir` with an empty one, then stamps it `epoch`:
+/// a stamp never names a WAL that holds documents of an older epoch.
+fn reset_wal(dir: &Path, epoch: u64) -> Result<()> {
+    let wal_dir = dir.join(WAL_DIR);
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    CorpusWriter::create(&wal_dir)?.commit()?;
+    std::fs::write(dir.join(WAL_EPOCH_FILE), format!("{epoch}\n"))
         .map_err(|e| Error::io("write wal epoch", e))
+}
+
+/// The segment whose flush committed but did not finish, if a crash left
+/// one: the manifest's newest segment has no store, and `wal/` holds
+/// its documents under a stamp older than the manifest's epoch (or a
+/// garbled one: the stamp is written last). [`LiveIndex::open`]
+/// completes that flush by renaming `wal/` to the segment's store; `free
+/// fsck` reports the state as a warning. A WAL holding another number of
+/// documents than the segment is [`Error::Corrupt`].
+pub fn pending_flush(dir: &Path, manifest: &Manifest) -> Result<Option<SegmentMeta>> {
+    let Some(meta) = manifest.segments.last() else {
+        return Ok(None);
+    };
+    let wal_dir = dir.join(WAL_DIR);
+    if corpus_dir(&dir.join(SEGMENTS_DIR), meta.id).exists()
+        || read_wal_epoch(dir) == Some(manifest.wal_epoch)
+        || !wal_dir.join("corpus.idx").is_file()
+    {
+        return Ok(None);
     }
+    let held = DiskCorpus::open(&wal_dir)?.len();
+    if held != meta.num_docs as usize {
+        return Err(Error::Corrupt(format!(
+            "{}: segment {} has no store, and the WAL that would be it holds {held} \
+             document(s), not {}",
+            dir.display(),
+            meta.id,
+            meta.num_docs
+        )));
+    }
+    Ok(Some(meta.clone()))
 }
 
 /// One serialized tombstone entry: the sequence number plus the CRC32 of

@@ -16,11 +16,15 @@
 //! (temp file + rename) by flush and compaction. Everything else is
 //! either append-only between manifest commits (the WAL, the tombstone
 //! log) or immutable once named by a committed manifest (segments).
-//! Flush bumps `wal_epoch` and recreates the WAL *after* committing the
-//! manifest; a crash in between leaves a WAL whose epoch stamp disagrees
-//! with the manifest, which `open` detects and discards — the docs are
-//! already sealed in the flushed segment, so nothing is lost or
-//! duplicated.
+//! A flush commits the manifest (naming the new segment and the next
+//! `wal_epoch`) first, then renames `wal/` to the segment's store and
+//! starts an empty WAL stamped with the new epoch. A crash before the
+//! rename leaves the newest segment without a store and `wal/` holding
+//! its documents under the older stamp: `open` finishes the rename. A
+//! crash after it leaves no WAL, or an empty one under the older stamp,
+//! which `open` replaces. A WAL whose stamp disagrees with the manifest
+//! while its segment's store exists is stale and is discarded, so
+//! nothing is lost or duplicated.
 //!
 //! Manifests written before the drift rule read only the segments' own
 //! counts also carry a `baseline=` line. Like any unknown key, it is

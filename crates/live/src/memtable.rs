@@ -9,16 +9,19 @@
 //! postings writer (the `postings` module), which writes the grouped
 //! postings into the new segment without scanning a document again.
 //! Before the first flush there is no dictionary: queries confirm the
-//! whole buffer, a scan the flush thresholds bound. The buffer's deleted
-//! documents are a `DeadBits` bitmap over its local ids, which a flush
-//! leaves out of the segment it seals.
+//! whole buffer, a scan the flush thresholds bound, and that flush mines
+//! one over the buffer's live documents (`LiveBuffer`). The buffer's
+//! deleted documents are a `DeadBits` bitmap over its local ids: a flush
+//! hands it to the segment it seals, whose store (the adopted WAL) keeps
+//! them, and writes none of their postings.
 
 use crate::dead::DeadBits;
 use crate::postings::Source;
-use free_corpus::DocId;
+use free_corpus::{Corpus, DocId};
 use free_engine::grams::GramMatcher;
-use free_index::{IndexRead, IndexStats, Key};
+use free_index::{IndexRead, IndexStats, Keys};
 use free_trace::Span;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,9 +38,10 @@ pub(crate) struct BufferMatcher {
 }
 
 impl BufferMatcher {
-    pub(crate) fn new(keys: &[Key]) -> BufferMatcher {
+    pub(crate) fn new(keys: Keys<'_>) -> BufferMatcher {
+        let patterns: Vec<&[u8]> = keys.iter().collect();
         BufferMatcher {
-            matcher: GramMatcher::new(keys),
+            matcher: GramMatcher::new(&patterns),
             matched: 0,
             counts: vec![0; keys.len()],
         }
@@ -251,12 +255,9 @@ impl Memtable {
     }
 
     /// The buffer's chunks as sources of a segment's postings (see the
-    /// `postings` module), each buffered local id `l` becoming `remap[l]`.
-    pub(crate) fn sources<'a>(
-        &'a self,
-        remap: &'a [Option<DocId>],
-    ) -> impl Iterator<Item = Source<'a>> {
-        self.chunks.iter().map(move |c| Source::chunk(c, remap))
+    /// `postings` module): its live documents, under their local ids.
+    pub(crate) fn sources(&self) -> impl Iterator<Item = Source<'_>> {
+        self.chunks.iter().map(|c| Source::chunk(c, &self.dead))
     }
 
     /// Adds to `counts[key]` how many live buffered documents hold
@@ -281,18 +282,83 @@ impl Memtable {
     }
 }
 
+/// The live documents of a write buffer as a [`Corpus`] under their
+/// local ids: what the first flush mines, in memory, so the segment's
+/// index is the batch build over exactly these documents, numbered as the
+/// adopted WAL numbers them. With no document deleted, the ids are
+/// `0..n` and the index is byte for byte the batch build's.
+pub(crate) struct LiveBuffer<'a> {
+    memtable: &'a Memtable,
+    /// The live local ids, ascending: position `p` of a scan is `live[p]`.
+    live: Vec<DocId>,
+    bytes: u64,
+}
+
+impl<'a> LiveBuffer<'a> {
+    pub(crate) fn new(memtable: &'a Memtable) -> LiveBuffer<'a> {
+        let (mut live, mut bytes) = (Vec::with_capacity(memtable.len()), 0);
+        for (local, doc) in memtable.docs().enumerate() {
+            if !memtable.dead.contains(local) {
+                live.push(local as DocId);
+                bytes += doc.len() as u64;
+            }
+        }
+        LiveBuffer {
+            memtable,
+            live,
+            bytes,
+        }
+    }
+}
+
+impl Corpus for LiveBuffer<'_> {
+    fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    fn total_bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    fn get(&self, id: DocId) -> free_corpus::Result<Vec<u8>> {
+        match self.memtable.doc(id as usize) {
+            Some(doc) if self.live.binary_search(&id).is_ok() => Ok(doc.to_vec()),
+            _ => Err(free_corpus::Error::DocOutOfRange {
+                id,
+                len: self.live.len(),
+            }),
+        }
+    }
+
+    fn scan_range(
+        &self,
+        positions: Range<usize>,
+        f: &mut dyn FnMut(DocId, &[u8]) -> bool,
+    ) -> free_corpus::Result<()> {
+        let end = positions.end.min(self.live.len());
+        let ids = &self.live[positions.start.min(end)..end];
+        for &id in ids {
+            let doc = self.memtable.doc(id as usize).unwrap_or_default();
+            if !f(id, doc) {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The buffer read through the dictionary it was indexed with, so a plan
 /// over the dictionary compiles against it like against any segment.
 pub(crate) struct BufferIndex<'a> {
     /// The dictionary: the oldest segment's sorted key directory.
-    pub(crate) keys: &'a [Key],
+    pub(crate) keys: Keys<'a>,
     pub(crate) memtable: &'a Memtable,
 }
 
 impl BufferIndex<'_> {
+    /// The dictionary id of `key`: one lookup in the directory's table.
     fn id(&self, key: &[u8]) -> Option<u32> {
-        let i = self.keys.binary_search_by(|k| (**k).cmp(key)).ok()?;
-        Some(i as u32)
+        Some(self.keys.position(key)? as u32)
     }
 }
 
@@ -314,7 +380,7 @@ impl IndexRead for BufferIndex<'_> {
     }
 
     fn for_each_key(&self, f: &mut dyn FnMut(&[u8])) {
-        self.keys.iter().for_each(|k| f(k));
+        self.keys.iter().for_each(f);
     }
 
     /// Key count only: nothing reads the sizes of the buffer's postings.
@@ -329,9 +395,10 @@ impl IndexRead for BufferIndex<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use free_index::KeyDirectory;
 
-    fn keys(list: &[&str]) -> Vec<Key> {
-        list.iter().map(|k| k.as_bytes().into()).collect()
+    fn keys(list: &[&str]) -> KeyDirectory {
+        KeyDirectory::from_sorted(list)
     }
 
     /// `push_batch` without a trace.
@@ -346,7 +413,7 @@ mod tests {
     #[test]
     fn indexes_dictionary_keys_by_id() {
         let dict = keys(&["ab", "ca", "zz"]);
-        let mut matcher = BufferMatcher::new(&dict);
+        let mut matcher = BufferMatcher::new(dict.keys());
         let mut m = Memtable::default();
         assert_eq!(push(&mut m, &[&b"abcab"[..], b"xy"], Some(&mut matcher)), 0);
         assert_eq!(push(&mut m, &[b"cab"], Some(&mut matcher)), 2);
@@ -356,7 +423,7 @@ mod tests {
         assert_eq!(m.doc(2), Some(&b"cab"[..]));
         assert_eq!(m.doc(3), None);
         let index = BufferIndex {
-            keys: &dict,
+            keys: dict.keys(),
             memtable: &m,
         };
         assert_eq!(index.postings(b"ab").unwrap(), Some(vec![0, 2]));
@@ -370,7 +437,7 @@ mod tests {
     #[test]
     fn chunks_merge_like_a_binary_counter() {
         let dict = keys(&["a", "b", "c"]);
-        let mut matcher = BufferMatcher::new(&dict);
+        let mut matcher = BufferMatcher::new(dict.keys());
         let mut m = Memtable::default();
         let docs: Vec<String> = (0..7)
             .map(|i| ["ab", "bc", "ca"][i % 3].repeat(i + 1))
@@ -387,7 +454,7 @@ mod tests {
             assert_eq!(m.doc(i), Some(doc.as_bytes()));
         }
         let index = BufferIndex {
-            keys: &dict,
+            keys: dict.keys(),
             memtable: &m,
         };
         for key in ["a", "b", "c"] {
@@ -409,7 +476,7 @@ mod tests {
         );
         let dict = keys(&["ll"]);
         let index = BufferIndex {
-            keys: &dict,
+            keys: dict.keys(),
             memtable: &m,
         };
         assert_eq!(index.postings(b"ll").unwrap(), Some(vec![]));
@@ -440,7 +507,7 @@ mod tests {
         ) {
             let dict = keys(&["a", "ab", "b", "bca", "c", "cc", "xx"]);
             let contains = |doc: &[u8], key: &[u8]| doc.windows(key.len()).any(|w| w == key);
-            let mut matcher = BufferMatcher::new(&dict);
+            let mut matcher = BufferMatcher::new(dict.keys());
             let mut m = Memtable::default();
             let mut docs: Vec<Vec<u8>> = Vec::new();
             let tail = [vec![b"xqx".to_vec()], vec![b"q".to_vec()]];
@@ -452,7 +519,7 @@ mod tests {
                 let first = chunk.first as usize;
                 let mut pairs: Vec<(u32, DocId)> = Vec::new();
                 for (local, doc) in (first..).zip(&docs[first..first + chunk.docs.len()]) {
-                    for (key, k) in dict.iter().enumerate() {
+                    for (key, k) in dict.keys().iter().enumerate() {
                         if contains(doc, k) {
                             pairs.push((key as u32, local as DocId));
                         }
@@ -468,8 +535,8 @@ mod tests {
                 }
                 prop_assert_eq!(chunk.locals.len(), pairs.len());
             }
-            let index = BufferIndex { keys: &dict, memtable: &m };
-            for k in &dict {
+            let index = BufferIndex { keys: dict.keys(), memtable: &m };
+            for k in dict.keys().iter() {
                 let want: Vec<DocId> = (0..docs.len() as DocId)
                     .filter(|&l| contains(&docs[l as usize], k))
                     .collect();

@@ -3,32 +3,35 @@
 //! A flush and a merging compaction both write a segment whose keys are
 //! the live index's dictionary, and neither mines nor scans a document.
 //! For each dictionary key in order, the writer concatenates what each
-//! source holds for it, in source order, mapping every local id through
-//! the source's remap and leaving out documents it maps to `None`
-//! (tombstoned, or not sealed). Sources cover disjoint, ascending ranges
-//! of the new segment's documents, so the concatenation is sorted.
+//! source holds for it, in source order, leaving out deleted documents.
+//! Sources cover disjoint, ascending ranges of the new segment's
+//! documents, so the concatenation is sorted.
 //!
 //! A source is either a write-buffer chunk (its runs by key id, recorded
-//! as documents arrived) or a sealed segment, whose postings section is
-//! read once, in key order, by a [`PostingsStream`] that checks the
-//! section's CRC. A segment holding a key outside the dictionary, an id
+//! as documents arrived, under the local ids the flushed segment keeps,
+//! its store being the adopted WAL) or a sealed segment, whose ids a
+//! compaction maps through the source's remap (`None`: deleted) and
+//! whose postings section is read once, in key order, by a
+//! [`PostingsStream`] that checks the section's CRC. A segment holding a key outside the dictionary, an id
 //! beyond its documents, or damaged postings is [`Error::Corrupt`].
 
+use crate::dead::DeadBits;
 use crate::error::{Error, Result};
 use crate::memtable::Chunk;
 use free_corpus::DocId;
-use free_index::{IndexWriter, Key, PostingsStream};
+use free_index::{IndexWriter, Keys, PostingsStream};
 
-/// Where a segment's postings come from, with the map from the source's
-/// local ids to the new segment's (`None`: left out).
+/// Where a segment's postings come from.
 pub(crate) enum Source<'a> {
-    /// A write-buffer chunk, from its run number `next` on.
+    /// A write-buffer chunk, from its run number `next` on, whose
+    /// documents keep their local ids, less the `dead` ones.
     Chunk {
         chunk: &'a Chunk,
         next: usize,
-        remap: &'a [Option<DocId>],
+        dead: &'a DeadBits,
     },
-    /// A sealed segment's postings section.
+    /// A sealed segment's postings section, with the map from its local
+    /// ids to the new segment's (`None`: left out).
     Segment {
         id: u64,
         stream: PostingsStream<'a>,
@@ -37,11 +40,11 @@ pub(crate) enum Source<'a> {
 }
 
 impl<'a> Source<'a> {
-    pub(crate) fn chunk(chunk: &'a Chunk, remap: &'a [Option<DocId>]) -> Source<'a> {
+    pub(crate) fn chunk(chunk: &'a Chunk, dead: &'a DeadBits) -> Source<'a> {
         Source::Chunk {
             chunk,
             next: 0,
-            remap,
+            dead,
         }
     }
 
@@ -56,9 +59,14 @@ impl<'a> Source<'a> {
         out: &mut Vec<DocId>,
     ) -> Result<()> {
         match self {
-            Source::Chunk { chunk, next, remap } => {
+            Source::Chunk { chunk, next, dead } => {
                 if chunk.keys.get(*next).is_some_and(|&k| k as usize == id) {
-                    map(chunk.run(*next), remap, out)?;
+                    let run = chunk.run(*next);
+                    if dead.count() == 0 {
+                        out.extend_from_slice(run);
+                    } else {
+                        out.extend(run.iter().filter(|&&l| !dead.contains(l as usize)));
+                    }
                     *next += 1;
                 }
             }
@@ -94,7 +102,7 @@ impl<'a> Source<'a> {
 /// (a compaction's segment defines the dictionary, so it keeps every
 /// key), and left out otherwise.
 pub(crate) fn write_postings(
-    keys: &[Key],
+    keys: Keys<'_>,
     mut sources: Vec<Source<'_>>,
     keep_empty: bool,
     writer: &mut IndexWriter,

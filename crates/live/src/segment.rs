@@ -3,17 +3,22 @@
 //!
 //! The oldest segment's key directory is the live index's *dictionary*.
 //! Two operations mine one, with the same pipeline the offline engine
-//! uses (`SegmentWriter::mine`: [`free_engine::select_keys`], then
+//! uses (`mine_index`: [`free_engine::select_keys`], then
 //! [`free_engine::build_index`]): the first flush into an index with no
 //! segments, and a compaction that finds the new documents drifted from
 //! the dictionary (`LiveIndex::drift`). Every other segment is sealed
-//! over exactly the dictionary's keys by the one postings writer
-//! (`SegmentWriter::seal` with the `postings` module): a flush writes
-//! the postings the write buffer recorded as documents arrived, and a
-//! merging compaction
-//! concatenates the segments' own, keeping every dictionary key. Each
-//! segment is therefore complete for every dictionary key: a key absent
-//! from its directory occurs in none of its documents.
+//! over exactly the dictionary's keys by the one postings writer (the
+//! `postings` module): a flush writes the postings the write buffer
+//! recorded as documents arrived, and a merging compaction concatenates
+//! the segments' own, keeping every dictionary key. Each segment is
+//! therefore complete for every dictionary key: a key absent from its
+//! directory occurs in none of its live documents.
+//!
+//! A flush writes no document: the WAL, already a CRC-checked store in
+//! this format, becomes the segment's store by a rename. The buffered
+//! documents deleted before the flush stay in it, under their dead bits
+//! and their tombstones, with no postings, until a compaction drops them.
+//! Compaction writes its store through a `SegmentWriter`.
 
 use crate::error::{Error, Result};
 use crate::manifest::SegmentMeta;
@@ -131,11 +136,21 @@ impl Segment {
     /// Opens the segment files named by `meta` under `seg_root`.
     pub fn open(seg_root: &Path, meta: SegmentMeta) -> Result<Segment> {
         let seqs = read_seqs(&seqs_path(seg_root, meta.id))?;
-        let corpus = DiskCorpus::open(corpus_dir(seg_root, meta.id))?;
         let index = IndexReader::open(index_path(seg_root, meta.id))?;
+        Segment::with_index(seg_root, meta, index, seqs)
+    }
+
+    /// The segment `meta` names, its index and sequence map already in
+    /// hand: opens its corpus store and checks the three agree.
+    pub(crate) fn with_index(
+        seg_root: &Path,
+        meta: SegmentMeta,
+        index: IndexReader,
+        seqs: Vec<DocId>,
+    ) -> Result<Segment> {
         let segment = Segment {
+            corpus: DiskCorpus::open(corpus_dir(seg_root, meta.id))?,
             meta,
-            corpus,
             index,
             seqs: Arc::new(seqs),
         };
@@ -197,16 +212,9 @@ impl SegmentWriter {
     }
 
     /// Appends the document with sequence number `seq`, which must exceed
-    /// every one appended before it.
-    pub(crate) fn append(&mut self, seq: DocId, bytes: &[u8]) -> Result<()> {
-        self.corpus.append(bytes)?;
-        self.seqs.push(seq);
-        Ok(())
-    }
-
-    /// [`SegmentWriter::append`] of a document copied out of a checked
-    /// read that found its CRC32 to be `crc`, which the store records as
-    /// given instead of summing the bytes again.
+    /// every one appended before it, copied out of a checked read that
+    /// found its CRC32 to be `crc`, which the store records as given
+    /// instead of summing the bytes again.
     pub(crate) fn append_copied(&mut self, seq: DocId, bytes: &[u8], crc: u32) -> Result<()> {
         self.corpus.append_with_crc(bytes, crc)?;
         self.seqs.push(seq);
@@ -219,15 +227,7 @@ impl SegmentWriter {
     /// ([`free_engine::build_index`]). The index file is byte for byte
     /// what `Engine::build_on_disk` writes for the same documents.
     pub(crate) fn mine(self, config: &EngineConfig) -> Result<Segment> {
-        self.seal(|corpus, path| {
-            let (keys, _mining) = free_engine::select_keys(corpus, config)?;
-            Ok(free_engine::build_index(
-                corpus,
-                &keys,
-                path,
-                config.build_memory_budget,
-            )?)
-        })
+        self.seal(|corpus, path| mine_index(corpus, config, path))
     }
 
     /// Seals the segment with the index `index` writes at the given path
@@ -257,6 +257,25 @@ impl SegmentWriter {
         segment.check()?;
         Ok(segment)
     }
+}
+
+/// The batch build over `corpus`, written at `path`: a key set mined
+/// with the engine's selection policy ([`free_engine::select_keys`]),
+/// then one postings scan ([`free_engine::build_index`]). The file is
+/// byte for byte what `Engine::build_on_disk` writes for the same
+/// documents under the same ids.
+pub(crate) fn mine_index(
+    corpus: &impl Corpus,
+    config: &EngineConfig,
+    path: &Path,
+) -> Result<IndexReader> {
+    let (keys, _mining) = free_engine::select_keys(corpus, config)?;
+    Ok(free_engine::build_index(
+        corpus,
+        &keys,
+        path,
+        config.build_memory_budget,
+    )?)
 }
 
 /// Best-effort removal of a segment's files (after compaction replaced
@@ -323,7 +342,8 @@ mod tests {
         ];
         let mut writer = SegmentWriter::create(&dir, 0).unwrap();
         for (seq, bytes) in docs {
-            writer.append(seq, bytes).unwrap();
+            let crc = free_checksum::crc32(bytes);
+            writer.append_copied(seq, bytes, crc).unwrap();
         }
         let seg = writer.mine(&EngineConfig::default()).unwrap();
         assert_eq!(seg.meta.first_seq, 5);

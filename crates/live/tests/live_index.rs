@@ -357,10 +357,11 @@ fn batch_and_live_queries_run_one_pipeline() {
 /// each, counted by a matcher scan: the key set a flush or a merge
 /// writes postings for.
 fn counted_keys(
-    keys: &[free_index::Key],
+    keys: free_index::Keys<'_>,
     corpus: &impl free_corpus::Corpus,
 ) -> Vec<free_engine::select::SelectedGram> {
-    let mut matcher = free_engine::grams::GramMatcher::new(keys);
+    let patterns: Vec<&[u8]> = keys.iter().collect();
+    let mut matcher = free_engine::grams::GramMatcher::new(&patterns);
     let mut counts = vec![0u32; keys.len()];
     corpus
         .scan(&mut |doc, bytes| {
@@ -370,7 +371,7 @@ fn counted_keys(
         .unwrap();
     (keys.iter().zip(counts))
         .map(|(gram, doc_count)| free_engine::select::SelectedGram {
-            gram: gram.clone(),
+            gram: gram.into(),
             doc_count,
         })
         .collect()
@@ -426,7 +427,7 @@ fn compaction_merges_under_the_dictionary() {
     // The batch build leaves the emptied key out; the merge keeps it.
     let want = dir.join("want.free");
     let mut writer = IndexWriter::create(&want).unwrap();
-    for key in dict.keys() {
+    for key in dict.keys().iter() {
         let postings = built.postings(key).unwrap().unwrap_or_default();
         writer.add_sorted(key, &postings).unwrap();
     }
@@ -490,7 +491,7 @@ fn a_manifest_with_a_baseline_line_opens_and_compacts() {
         .to_vec();
     assert!(live.compact().unwrap());
     let merged = free_index::IndexReader::open(dir.join("segments/seg-2.idx")).unwrap();
-    assert_eq!(merged.keys(), &keys[..]);
+    assert_eq!(merged.keys().to_vec(), keys);
     assert_eq!(answers(&live), before);
     assert!(!std::fs::read_to_string(&path)
         .unwrap()
@@ -665,8 +666,7 @@ fn every_live_fetch_is_checked() {
 fn later_flushes_index_the_dictionary() {
     use free_corpus::{Corpus, DiskCorpus};
     use free_engine::grams::GramMatcher;
-    use free_engine::select::SelectedGram;
-    use free_index::IndexReader;
+    use free_index::{IndexReader, IndexWriter};
     let dir = tmp_dir("dictionary-flush");
     let pages = synth_pages();
     let mut live = LiveIndex::create(&dir, config()).unwrap();
@@ -699,27 +699,32 @@ fn later_flushes_index_the_dictionary() {
     live.flush().unwrap();
     assert_eq!(live.num_segments(), 2);
     assert_matches_rebuild(&live, &patterns);
+    // The adopted WAL keeps the two deleted documents (local ids 30 and
+    // 71) until compaction; the index leaves them out.
     let second = DiskCorpus::open(dir.join("segments/seg-1.corpus")).unwrap();
-    assert_eq!(second.len(), 98);
-    let mut matcher = GramMatcher::new(dict.keys());
-    let mut counts = vec![0u32; dict.keys().len()];
+    assert_eq!(second.len(), 100);
+    let dead = [30, 71];
+    let keys: Vec<&[u8]> = dict.keys().iter().collect();
+    let mut matcher = GramMatcher::new(&keys);
+    let mut postings: Vec<Vec<DocId>> = vec![Vec::new(); keys.len()];
     second
         .scan(&mut |doc, bytes| {
-            matcher.match_distinct(bytes, u64::from(doc), &mut |k| counts[k as usize] += 1);
+            if !dead.contains(&doc) {
+                matcher.match_distinct(bytes, u64::from(doc), &mut |k| {
+                    postings[k as usize].push(doc)
+                });
+            }
             true
         })
         .unwrap();
-    let keys: Vec<SelectedGram> = dict
-        .keys()
-        .iter()
-        .zip(counts)
-        .map(|(gram, doc_count)| SelectedGram {
-            gram: gram.clone(),
-            doc_count,
-        })
-        .collect();
     let want = dir.join("second.free");
-    free_engine::build_index(&second, &keys, &want, usize::MAX).unwrap();
+    let mut writer = IndexWriter::create(&want).unwrap();
+    for (key, ids) in keys.iter().zip(&postings) {
+        if !ids.is_empty() {
+            writer.add_sorted(key, ids).unwrap();
+        }
+    }
+    drop(writer.finish().unwrap());
     assert_eq!(
         std::fs::read(dir.join("segments/seg-1.idx")).unwrap(),
         std::fs::read(&want).unwrap()
@@ -1014,6 +1019,164 @@ fn stale_wal_is_discarded_after_simulated_crash() {
     assert_matches_rebuild(&live, &["quick", "box"]);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&wal_backup);
+}
+
+/// Where a crash cuts off a flush that adopts the WAL: after the
+/// manifest commit, before the WAL becomes the segment's store (with the
+/// old stamp, or a garbled one); after that rename, before a fresh WAL
+/// exists; and after the fresh WAL, before its stamp.
+#[derive(Clone, Copy, Debug)]
+enum FlushCut {
+    Unrenamed,
+    UnrenamedGarbledStamp,
+    NoFreshWal,
+    FreshWalOldStamp,
+}
+
+impl FlushCut {
+    const ALL: [FlushCut; 4] = [
+        FlushCut::Unrenamed,
+        FlushCut::UnrenamedGarbledStamp,
+        FlushCut::NoFreshWal,
+        FlushCut::FreshWalOldStamp,
+    ];
+}
+
+/// Builds in `dir` the state `cut` leaves: segments before the flush
+/// when `sealed_before` (so the cut flush writes postings under the
+/// dictionary; otherwise it mines the first one), a buffer with two
+/// deleted documents and one deleted sealed document, and the flush cut
+/// off. Returns the acknowledged live sequences with their documents.
+fn cut_flush(dir: &Path, cut: FlushCut, sealed_before: bool) -> Vec<(DocId, Vec<u8>)> {
+    let pages = tiny_pages(120, 11);
+    let mut live = LiveIndex::create(dir, config()).unwrap();
+    let mut deleted = vec![70, 95];
+    if sealed_before {
+        live.add_batch(&pages[..60]).unwrap();
+        live.flush().unwrap();
+        deleted.push(12);
+    }
+    for batch in pages[live.next_seq() as usize..].chunks(25) {
+        live.add_batch(batch).unwrap();
+    }
+    for &seq in &deleted {
+        live.delete(seq).unwrap();
+    }
+    let stamp = dir.join(free_live::WAL_EPOCH_FILE);
+    let old_stamp = std::fs::read_to_string(&stamp).unwrap();
+    live.flush().unwrap();
+    drop(live);
+    let manifest = free_live::Manifest::load(dir).unwrap();
+    let id = manifest.segments.last().unwrap().id;
+    let store = dir.join(format!("segments/seg-{id}.corpus"));
+    let wal = dir.join(free_live::WAL_DIR);
+    match cut {
+        FlushCut::Unrenamed | FlushCut::UnrenamedGarbledStamp => {
+            std::fs::remove_dir_all(&wal).unwrap();
+            std::fs::rename(&store, &wal).unwrap();
+        }
+        FlushCut::NoFreshWal => std::fs::remove_dir_all(&wal).unwrap(),
+        FlushCut::FreshWalOldStamp => {}
+    }
+    let stamp_text = match cut {
+        FlushCut::UnrenamedGarbledStamp => "x\n".to_string(),
+        _ => old_stamp,
+    };
+    std::fs::write(&stamp, stamp_text).unwrap();
+    (0..pages.len() as DocId)
+        .filter(|seq| !deleted.contains(seq))
+        .map(|seq| (seq, pages[seq as usize].clone()))
+        .collect()
+}
+
+/// Every state a crash inside an adopting flush can leave reopens to the
+/// acknowledged history: the live documents are exactly the ones added
+/// and not deleted, the answers are a rebuild's, the deleted buffered
+/// documents stay deleted, and a second open changes no file.
+#[test]
+fn every_cut_flush_reopens_to_the_acknowledged_history() {
+    for cut in FlushCut::ALL {
+        for sealed_before in [false, true] {
+            let dir = tmp_dir(&format!("cut-flush-{cut:?}-{sealed_before}"));
+            let acknowledged = cut_flush(&dir, cut, sealed_before);
+            let live = LiveIndex::open(&dir, config()).unwrap();
+            let seqs: Vec<DocId> = acknowledged.iter().map(|(seq, _)| *seq).collect();
+            assert_eq!(live.live_seqs(), seqs, "{cut:?} {sealed_before}");
+            for (seq, doc) in &acknowledged {
+                assert_eq!(&live.get(*seq).unwrap(), doc, "{cut:?} {sealed_before}");
+            }
+            assert_eq!(live.stats().memtable_docs, 0, "{cut:?} {sealed_before}");
+            assert_eq!(live.next_seq(), 120);
+            assert_matches_rebuild(&live, SYNTH_PATTERNS);
+            drop(live);
+            let settled = tree(&dir);
+            let again = LiveIndex::open(&dir, config()).unwrap();
+            assert_eq!(again.live_seqs(), seqs);
+            drop(again);
+            assert!(
+                tree(&dir) == settled,
+                "{cut:?} {sealed_before}: a second open wrote"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// A flush writes no document byte: the segment's store is the WAL's
+/// data file itself, the same inode at the same length, renamed.
+#[test]
+fn a_threshold_flush_renames_the_wal_data_file() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = tmp_dir("flush-inode");
+    let pages = tiny_pages(100, 5);
+    let mut live = LiveIndex::create(
+        &dir,
+        LiveConfig {
+            flush_threshold_docs: 80,
+            ..config()
+        },
+    )
+    .unwrap();
+    live.add_batch(&pages[..60]).unwrap();
+    live.delete(7).unwrap();
+    let before = std::fs::metadata(dir.join("wal/corpus.dat")).unwrap();
+    live.add_batch(&pages[60..80]).unwrap();
+    assert_eq!(live.num_segments(), 1, "the add crossed the threshold");
+    let wal = std::fs::metadata(dir.join("wal/corpus.dat")).unwrap();
+    let after = std::fs::metadata(dir.join("segments/seg-0.corpus/corpus.dat")).unwrap();
+    assert_eq!(after.ino(), before.ino());
+    let want: u64 = pages[..80].iter().map(|p| p.len() as u64).sum();
+    assert_eq!(after.len(), want);
+    assert_ne!(wal.ino(), before.ino());
+    assert_eq!(wal.len(), 0);
+    // The deleted document stays in the store until compaction.
+    assert_eq!(live.stats().segments[0].num_docs, 80);
+    assert_eq!(live.live_docs(), 79);
+    live.compact().unwrap();
+    assert_eq!(live.stats().segments[0].num_docs, 79);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An add that crashed mid-write leaves bytes past the WAL's last
+/// committed document. A flush straight after the reopen adopts the WAL
+/// without them.
+#[test]
+fn a_flush_adopts_no_torn_wal_tail() {
+    let dir = tmp_dir("torn-wal-tail");
+    let mut live = LiveIndex::create(&dir, config()).unwrap();
+    live.add_batch(&docs()).unwrap();
+    drop(live);
+    let data = dir.join("wal/corpus.dat");
+    let mut bytes = std::fs::read(&data).unwrap();
+    let committed = bytes.len() as u64;
+    bytes.extend_from_slice(b"half of an uncommitted document");
+    std::fs::write(&data, &bytes).unwrap();
+    let mut live = LiveIndex::open(&dir, config()).unwrap();
+    live.flush().unwrap();
+    let store = std::fs::metadata(dir.join("segments/seg-0.corpus/corpus.dat")).unwrap();
+    assert_eq!(store.len(), committed);
+    assert_matches_rebuild(&live, &["quick", "jump"]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

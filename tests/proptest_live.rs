@@ -3,7 +3,9 @@
 //! exactly what a from-scratch batch build over the surviving documents
 //! returns — same documents, same match spans — and must be identical
 //! across confirmation thread counts: the answers, their order and the
-//! logical counters at 2 and 4 threads are those at one.
+//! logical counters at 2 and 4 threads are those at one. Schedules
+//! delete buffered documents just before a flush and reopen after it, so
+//! segments whose stores keep deleted documents are read back from disk.
 
 // Integration tests: unwraps in helper functions are assertions, the
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
@@ -29,6 +31,10 @@ enum Op {
     Flush,
     /// Merge all segments, dropping tombstones.
     Compact,
+    /// Delete the (raw % buffered)-th live buffered document, if any,
+    /// then flush and reopen: the segment the flush seals keeps the
+    /// deleted document in its store, under its dead bit.
+    DeleteBufferedFlushReopen(usize),
 }
 
 fn arb_doc() -> impl Strategy<Value = Vec<u8>> {
@@ -44,7 +50,31 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => any::<usize>().prop_map(Op::Delete),
         2 => Just(Op::Flush),
         1 => Just(Op::Compact),
+        2 => any::<usize>().prop_map(Op::DeleteBufferedFlushReopen),
     ]
+}
+
+/// The live buffered sequences of `seqs` (live, ascending).
+fn buffered(live: &LiveIndex, seqs: impl IntoIterator<Item = u32>) -> Vec<u32> {
+    let first = live.next_seq() - live.stats().memtable_docs as u32;
+    seqs.into_iter().filter(|&seq| seq >= first).collect()
+}
+
+/// Deletes the (raw % n)-th of the `n` live buffered documents, if any,
+/// and returns its sequence; then flushes and reopens `live`.
+fn delete_buffered_flush_reopen(
+    live: &mut LiveIndex,
+    dir: &std::path::Path,
+    candidates: Vec<u32>,
+    raw: usize,
+) -> Option<u32> {
+    let deleted = (!candidates.is_empty()).then(|| candidates[raw % candidates.len()]);
+    if let Some(seq) = deleted {
+        live.delete(seq).unwrap();
+    }
+    live.flush().unwrap();
+    *live = LiveIndex::open(dir, live_config()).unwrap();
+    deleted
 }
 
 fn engine_config() -> EngineConfig {
@@ -169,6 +199,11 @@ proptest! {
                 Op::Compact => {
                     live.compact().unwrap();
                 }
+                Op::DeleteBufferedFlushReopen(raw) => {
+                    let candidates = buffered(&live, model.iter().map(|(s, _)| *s));
+                    let gone = delete_buffered_flush_reopen(&mut live, &dir, candidates, raw);
+                    model.retain(|(s, _)| Some(*s) != gone);
+                }
             }
             let seqs: Vec<u32> = model.iter().map(|(s, _)| *s).collect();
             prop_assert_eq!(&live.live_seqs(), &seqs, "live seq set diverged");
@@ -223,6 +258,11 @@ proptest! {
                 }
                 Op::Compact => {
                     live.compact().unwrap();
+                }
+                Op::DeleteBufferedFlushReopen(raw) => {
+                    let candidates = buffered(&live, seqs.iter().copied());
+                    let gone = delete_buffered_flush_reopen(&mut live, &dir, candidates, *raw);
+                    seqs.retain(|&s| Some(s) != gone);
                 }
             }
             assert_thread_invariant(&live, &format!("after op {step} ({op:?})"))?;
