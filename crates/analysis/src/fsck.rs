@@ -652,45 +652,63 @@ fn fsck_live(dir: &Path, opts: &FsckOptions, target: String) -> FsckReport {
 /// WAL holds when it is readable.
 fn check_wal(dir: &Path, manifest: &Manifest, r: &mut FsckReport) -> Option<usize> {
     let wal_dir = dir.join(free_live::WAL_DIR);
-    let wal_len = if wal_dir.join("corpus.idx").is_file() {
+    let wal_present = wal_dir.join("corpus.idx").is_file();
+    let wal_len = if wal_present {
         check_corpus(&wal_dir, "WAL corpus", r).map(|c| c.len())
     } else {
+        None
+    };
+    r.artifacts_checked += 1;
+    let epoch_path = dir.join(free_live::WAL_EPOCH_FILE);
+    let stamp = std::fs::read_to_string(&epoch_path).map(|s| s.trim().parse::<u64>());
+    let stale = matches!(stamp, Ok(Ok(epoch)) if epoch != manifest.wal_epoch);
+    if !wal_present && !stale {
         r.diagnostics.push(diag(
             codes::MISSING_SEGMENT_FILES,
             Severity::Error,
             format!("WAL corpus store missing under {}", wal_dir.display()),
         ));
-        None
-    };
-    r.artifacts_checked += 1;
-    let epoch_path = dir.join(free_live::WAL_EPOCH_FILE);
-    match std::fs::read_to_string(&epoch_path) {
-        Ok(s) => match s.trim().parse::<u64>() {
-            Ok(epoch) if epoch != manifest.wal_epoch => {
-                r.diagnostics.push(diag(
-                    codes::STALE_WAL_EPOCH,
-                    Severity::Error,
-                    format!(
-                        "WAL epoch stamp is {epoch} but the manifest commits epoch {}; the \
-                         WAL's {} buffered doc(s) will be discarded on the next open",
-                        manifest.wal_epoch,
-                        wal_len.unwrap_or(0)
-                    ),
-                ));
-            }
-            Ok(_) => {}
-            Err(_) => {
-                r.diagnostics.push(diag(
-                    codes::STRUCTURAL_DAMAGE,
-                    Severity::Error,
-                    format!(
-                        "WAL epoch stamp {} is not a number; {}",
-                        epoch_path.display(),
-                        unreadable_stamp_outcome(wal_len, manifest.wal_epoch)
-                    ),
-                ));
-            }
-        },
+    }
+    match stamp {
+        Ok(Ok(epoch)) if epoch == manifest.wal_epoch => {}
+        // A flush cut after its WAL became the segment's store and before
+        // a fresh WAL was stamped: a stale stamp over no WAL, or over an
+        // empty one, discards nothing.
+        Ok(Ok(epoch)) if !wal_present || wal_len == Some(0) => {
+            r.diagnostics.push(diag(
+                codes::STALE_WAL_EPOCH,
+                Severity::Warning,
+                format!(
+                    "WAL epoch stamp is {epoch} but the manifest commits epoch {}; the WAL is \
+                     {}, so nothing is discarded: the next open starts an empty WAL",
+                    manifest.wal_epoch,
+                    if wal_present { "empty" } else { "absent" }
+                ),
+            ));
+        }
+        Ok(Ok(epoch)) => {
+            r.diagnostics.push(diag(
+                codes::STALE_WAL_EPOCH,
+                Severity::Error,
+                format!(
+                    "WAL epoch stamp is {epoch} but the manifest commits epoch {}; the \
+                     WAL's {} buffered doc(s) will be discarded on the next open",
+                    manifest.wal_epoch,
+                    wal_len.unwrap_or(0)
+                ),
+            ));
+        }
+        Ok(Err(_)) => {
+            r.diagnostics.push(diag(
+                codes::STRUCTURAL_DAMAGE,
+                Severity::Error,
+                format!(
+                    "WAL epoch stamp {} is not a number; {}",
+                    epoch_path.display(),
+                    unreadable_stamp_outcome(wal_len, manifest.wal_epoch)
+                ),
+            ));
+        }
         Err(e) => {
             r.diagnostics.push(diag(
                 codes::STALE_WAL_EPOCH,

@@ -612,7 +612,7 @@ pub fn live_search(dir: &Path, pattern: &str, threads: usize) -> Result<String> 
     let result = live.snapshot().query(pattern)?;
     let mut out = String::new();
     for m in &result.matches {
-        let _ = writeln!(out, "doc {}: {} match(es)", m.seq, m.spans.len());
+        let _ = writeln!(out, "doc {}: {} match(es)", m.seq, m.count);
     }
     let _ = writeln!(
         out,

@@ -228,8 +228,8 @@ impl ReplayTarget {
             ReplayTarget::Live(handle) => {
                 let result = handle.snapshot().query(pattern)?;
                 let docs = result.matches.len() as u64;
-                let spans = result.matches.iter().map(|m| m.spans.len() as u64).sum();
-                Ok((docs, spans))
+                let matches = result.matches.iter().map(|m| u64::from(m.count)).sum();
+                Ok((docs, matches))
             }
         }
     }

@@ -1,10 +1,15 @@
 //! `free serve` — a dependency-free query service over a live index.
 //!
-//! The server speaks **two protocols on one port**, distinguished by
-//! sniffing the first request line of each connection:
+//! The server speaks **two framings on one port**, told apart by the
+//! first request line of each connection, over **one request handler**.
+//! Each framing parses a request into one of nine commands (`Command`)
+//! and writes back the `Reply` that `handle` returns; everything in
+//! between — the request id, the span, admission, the deadline, the
+//! result cache, the writer lock, the RED counter and the access record —
+//! is the handler's, whichever framing the request came in.
 //!
-//! **Line-delimited JSON** (the original protocol): each request is one
-//! JSON object on one line, each response one JSON object on one line.
+//! **Line-delimited JSON**: each request is one JSON object on one line,
+//! each reply one JSON object on one line.
 //!
 //! ```text
 //! {"query":"ab.c","limit":10,"docs":true}   search the live index
@@ -18,18 +23,20 @@
 //! {"shutdown":true}                         graceful shutdown
 //! ```
 //!
-//! **HTTP/1.1** (hand-rolled, keep-alive): `POST /query` takes the same
-//! JSON body as the line protocol's `query` command (plus `timeout_ms`),
-//! `GET /metrics` exposes the Prometheus registry, `GET /healthz` is the
-//! liveness probe. A connection whose first bytes look like an HTTP
-//! method stays HTTP for its lifetime.
+//! **HTTP/1.1** (hand-rolled, keep-alive): `POST /query` takes the
+//! `query` object above as its body, `GET /metrics` is `metrics` in the
+//! Prometheus text format, `GET /healthz` is `ping` and `POST /shutdown`
+//! is `shutdown`. A reply's outcome picks its status: 200, 400 (a
+//! request that does not parse, or a query that fails), 404, 405, 429
+//! with `Retry-After` (shed) or 504 (deadline). A connection whose first
+//! bytes look like an HTTP method stays HTTP for its lifetime.
 //!
 //! **Admission control.** Two bounded layers shed load instead of
 //! queueing unboundedly: the accept queue between the listener and the
 //! worker pool is a bounded channel (overflow answers `429` with
 //! `Retry-After` and closes), and in-flight queries take a permit from a
-//! max-concurrency gate (exhaustion answers `429 Retry-After` on HTTP,
-//! `"status":"shed"` on the line protocol). Writes and metadata commands
+//! max-concurrency gate. A shed reply carries `"status":"shed"` and
+//! `retry_after_s` in either framing. Writes and metadata commands
 //! bypass the gate — they serialize on the writer lock anyway.
 //!
 //! **Deadlines.** A query's `timeout_ms` (or the server-wide
@@ -37,12 +44,13 @@
 //! threaded into confirmation; expiry stops the executor between batches
 //! and the client gets a structured timeout error, never partial results.
 //!
-//! **Result cache.** Full match lists are memoized per pattern
-//! ([`free_live::QueryCache`]), stamped with the `next_seq` and removal
-//! count of the snapshot they were computed against. Flushes and
-//! compactions leave a cached answer a hit; an add extends it by
-//! running the query over the appended documents only; a delete makes
-//! the next lookup a miss. No write invalidates anything explicitly.
+//! **Result cache.** Match lists (each document's sequence number and
+//! match count) are memoized per pattern ([`free_live::QueryCache`]),
+//! stamped with the `next_seq` and removal count of the snapshot they
+//! were computed against. Flushes and compactions leave a cached answer
+//! a hit; an add extends it by running the query over the appended
+//! documents only; a delete makes the next lookup a miss. No write
+//! invalidates anything explicitly.
 //!
 //! **Replies.** Every reply goes out in one write, a line-protocol
 //! reply with its line end, on a stream with Nagle's algorithm off: a
@@ -62,11 +70,10 @@
 //!
 //! Shutdown is a protocol command rather than a signal handler (the
 //! workspace forbids `unsafe`, which rules out `sigaction`): on
-//! `{"shutdown":true}` the handler answers the client, raises the
-//! shutdown flag, and self-connects to unblock `accept`. The accept
-//! loop stops handing out new connections, the channel closes, and
-//! every worker finishes the requests already in flight before the
-//! server returns.
+//! `shutdown` the handler raises the shutdown flag and self-connects to
+//! unblock `accept`, and the client gets its reply. The accept loop stops
+//! handing out new connections, the channel closes, and every worker
+//! finishes the requests already in flight before the server returns.
 
 use crate::{CliError, Result};
 use free_engine::RequestBudget;
@@ -173,17 +180,6 @@ impl RequestStatus {
     }
 }
 
-/// Maps an execution failure to the status it should be reported as.
-fn status_of_error(e: &CliError) -> RequestStatus {
-    match e {
-        CliError::Live(free_live::Error::Timeout { .. })
-        | CliError::Live(free_live::Error::Cancelled)
-        | CliError::Engine(free_engine::Error::Timeout { .. })
-        | CliError::Engine(free_engine::Error::Cancelled) => RequestStatus::Timeout,
-        _ => RequestStatus::Error,
-    }
-}
-
 /// The max-concurrency gate: a try-only semaphore. `max == 0` admits
 /// everything (but still tracks the in-flight count for the gauge).
 struct Gate {
@@ -256,22 +252,33 @@ struct ServeCtx {
 }
 
 impl ServeCtx {
-    /// Bumps `free_serve_requests_total{status=…}` for one finished (or
-    /// shed) request.
-    fn record_request(&self, status: RequestStatus) {
-        free_trace::metrics::global()
-            .labeled_counter(
-                "free_serve_requests_total",
-                "requests handled by free serve, by outcome",
-                "status",
-                status.as_str(),
-            )
-            .inc();
+    fn new(options: &ServeOptions, live: LiveIndex, addr: SocketAddr) -> ServeCtx {
+        let registry = free_trace::metrics::global();
+        ServeCtx {
+            reader: live.reader(),
+            writer: Mutex::new(live),
+            addr,
+            shutdown: AtomicBool::new(false),
+            tracer: free_trace::Tracer::with_capacity(1024),
+            gate: Gate::new(options.max_concurrent),
+            cache: (options.cache_entries > 0).then(|| QueryCache::new(options.cache_entries)),
+            default_timeout: options.timeout_ms.map(Duration::from_millis),
+            queries: registry.counter("free_serve_queries_total", "search requests handled"),
+            errors: registry.counter("free_serve_errors_total", "requests answered with ok:false"),
+            query_ns: registry.histogram("free_serve_query_ns", "per-query latency in nanoseconds"),
+            connections: registry.gauge("free_serve_connections", "currently open connections"),
+            in_flight: registry.gauge(
+                "free_serve_queries_in_flight",
+                "queries holding an admission permit",
+            ),
+            next_request_id: AtomicU64::new(0),
+        }
     }
 
-    /// Appends one access record to the durable query log (no-op when
-    /// none is installed). Shed and timed-out requests flow through
-    /// here too — every admitted-or-shed request leaves a trace.
+    /// Bumps `free_serve_requests_total{status=…}` for one finished (or
+    /// shed) request and appends its access record to the durable query
+    /// log (when one is installed): every admitted-or-shed request leaves
+    /// a trace.
     fn log_access(
         &self,
         request_id: u64,
@@ -280,7 +287,14 @@ impl ServeCtx {
         status: RequestStatus,
         started: Instant,
     ) {
-        self.record_request(status);
+        free_trace::metrics::global()
+            .labeled_counter(
+                "free_serve_requests_total",
+                "requests handled by free serve, by outcome",
+                "status",
+                status.as_str(),
+            )
+            .inc();
         if free_trace::qlog::enabled() {
             let mut o = JsonObject::new();
             o.field_str("type", "access")
@@ -296,10 +310,6 @@ impl ServeCtx {
                 );
             free_trace::qlog::emit(o.finish());
         }
-    }
-
-    fn next_id(&self) -> u64 {
-        self.next_request_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 }
 
@@ -319,6 +329,20 @@ pub fn serve(options: &ServeOptions, announce: impl FnOnce(SocketAddr)) -> Resul
     let live = LiveIndex::open_or_create(&options.dir, crate::live_config(options.threads))?;
     let listener = TcpListener::bind(("127.0.0.1", options.port))?;
     let addr = listener.local_addr()?;
+    let ctx = Arc::new(ServeCtx::new(options, live, addr));
+    announce(addr);
+    run(listener, ctx, options);
+    if options.query_log.is_some() {
+        // Seal the current log segment so a stopped server leaves a
+        // fully verifiable directory behind.
+        free_trace::qlog::shutdown();
+    }
+    Ok(())
+}
+
+/// The accept loop and the worker pool, until shutdown is raised and
+/// every queued connection is served.
+fn run(listener: TcpListener, ctx: Arc<ServeCtx>, options: &ServeOptions) {
     let workers = if options.workers == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -332,29 +356,6 @@ pub fn serve(options: &ServeOptions, announce: impl FnOnce(SocketAddr)) -> Resul
     } else {
         options.queue_depth
     };
-
-    let registry = free_trace::metrics::global();
-    let ctx = Arc::new(ServeCtx {
-        reader: live.reader(),
-        writer: Mutex::new(live),
-        addr,
-        shutdown: AtomicBool::new(false),
-        tracer: free_trace::Tracer::with_capacity(1024),
-        gate: Gate::new(options.max_concurrent),
-        cache: (options.cache_entries > 0).then(|| QueryCache::new(options.cache_entries)),
-        default_timeout: options.timeout_ms.map(Duration::from_millis),
-        queries: registry.counter("free_serve_queries_total", "search requests handled"),
-        errors: registry.counter("free_serve_errors_total", "requests answered with ok:false"),
-        query_ns: registry.histogram("free_serve_query_ns", "per-query latency in nanoseconds"),
-        connections: registry.gauge("free_serve_connections", "currently open connections"),
-        in_flight: registry.gauge(
-            "free_serve_queries_in_flight",
-            "queries holding an admission permit",
-        ),
-        next_request_id: AtomicU64::new(0),
-    });
-    announce(addr);
-
     // Bounded handoff: when every worker is busy and the queue is full,
     // the accept loop sheds instead of queueing unboundedly.
     let (tx, rx) = mpsc::sync_channel::<TcpStream>(queue_depth);
@@ -397,42 +398,387 @@ pub fn serve(options: &ServeOptions, announce: impl FnOnce(SocketAddr)) -> Resul
     for worker in pool {
         let _ = worker.join();
     }
-    if options.query_log.is_some() {
-        // Seal the current log segment so a stopped server leaves a
-        // fully verifiable directory behind.
-        free_trace::qlog::shutdown();
+}
+
+// ---------------------------------------------------------------------
+// The request handler: one path for every command of both framings
+// ---------------------------------------------------------------------
+
+/// The command names, in the order a line-protocol object is matched
+/// against them (the first key present wins).
+const COMMANDS: [&str; 9] = [
+    "query", "add", "delete", "flush", "compact", "stats", "metrics", "ping", "shutdown",
+];
+
+/// What a request asks for: both framings parse into this.
+enum Command<'a> {
+    Query(QueryParams<'a>),
+    Add(Vec<&'a [u8]>),
+    Delete(u32),
+    Flush,
+    Compact,
+    Stats,
+    /// The metrics registry; `text` answers in the Prometheus text
+    /// format itself (`GET /metrics`) instead of as a JSON string field.
+    Metrics {
+        text: bool,
+    },
+    Ping,
+    Shutdown,
+}
+
+impl Command<'_> {
+    fn name(&self) -> &'static str {
+        match self {
+            Command::Query(_) => "query",
+            Command::Add(_) => "add",
+            Command::Delete(_) => "delete",
+            Command::Flush => "flush",
+            Command::Compact => "compact",
+            Command::Stats => "stats",
+            Command::Metrics { .. } => "metrics",
+            Command::Ping => "ping",
+            Command::Shutdown => "shutdown",
+        }
     }
+}
+
+/// Parsed query parameters.
+struct QueryParams<'a> {
+    pattern: &'a str,
+    limit: usize,
+    want_docs: bool,
+    timeout_ms: Option<u64>,
+}
+
+impl QueryParams<'_> {
+    /// The effective budget: the request's own `timeout_ms` wins over
+    /// the server default; neither means unlimited.
+    fn budget(&self, ctx: &ServeCtx) -> RequestBudget {
+        match self
+            .timeout_ms
+            .map(Duration::from_millis)
+            .or(ctx.default_timeout)
+        {
+            Some(t) => RequestBudget::with_timeout(t),
+            None => RequestBudget::unlimited(),
+        }
+    }
+}
+
+/// A request as a framing parsed it: a command, or why there is none.
+type Parsed<'a> = std::result::Result<Command<'a>, Refused>;
+
+/// Why a request is not answered `ok`: the outcome it counts as, the
+/// HTTP status that frames it, and the message its reply carries.
+struct Failure {
+    status: RequestStatus,
+    code: u16,
+    message: String,
+}
+
+impl Failure {
+    fn bad_request(message: String) -> Failure {
+        Failure {
+            status: RequestStatus::Error,
+            code: 400,
+            message,
+        }
+    }
+
+    fn shed(reason: &str) -> Failure {
+        Failure {
+            status: RequestStatus::Shed,
+            code: 429,
+            message: format!("server overloaded: {reason}"),
+        }
+    }
+}
+
+impl From<CliError> for Failure {
+    fn from(e: CliError) -> Failure {
+        let timed_out = matches!(
+            e,
+            CliError::Live(free_live::Error::Timeout { .. } | free_live::Error::Cancelled)
+                | CliError::Engine(
+                    free_engine::Error::Timeout { .. } | free_engine::Error::Cancelled
+                )
+        );
+        Failure {
+            status: if timed_out {
+                RequestStatus::Timeout
+            } else {
+                RequestStatus::Error
+            },
+            code: if timed_out { 504 } else { 400 },
+            message: e.to_string(),
+        }
+    }
+}
+
+impl From<free_live::Error> for Failure {
+    fn from(e: free_live::Error) -> Failure {
+        CliError::from(e).into()
+    }
+}
+
+/// A request refused before it ran: the command name its access record
+/// carries (`unparsed` when it named none) and why.
+struct Refused {
+    cmd: &'static str,
+    failure: Failure,
+}
+
+impl Refused {
+    fn bad_request(cmd: &'static str, message: String) -> Refused {
+        Refused {
+            cmd,
+            failure: Failure::bad_request(message),
+        }
+    }
+}
+
+/// One answered request, ready for either framing.
+struct Reply {
+    /// The HTTP status that frames it.
+    code: u16,
+    status: RequestStatus,
+    /// A JSON object, or Prometheus text for `Metrics { text: true }`.
+    body: String,
+    text: bool,
+    /// The server is shutting down; the connection closes after this.
+    stop: bool,
+}
+
+impl Reply {
+    fn ok(body: String) -> Reply {
+        Reply {
+            code: 200,
+            status: RequestStatus::Ok,
+            body,
+            text: false,
+            stop: false,
+        }
+    }
+}
+
+/// Answers one request in either framing (`proto`, `tcp` or `http`, as
+/// the access record names it). Every request gets a fresh id, echoed in
+/// its reply, recorded on its span and — when a query log is installed —
+/// written to the access log with its command, outcome and latency.
+fn handle(ctx: &ServeCtx, proto: &str, request: Parsed<'_>) -> Reply {
+    let request_id = ctx.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
+    let started = Instant::now();
+    let mut span = ctx.tracer.span("serve.request");
+    span.record("request_id", request_id);
+    let (cmd, result) = match request {
+        Ok(command) => (command.name(), execute(ctx, command, request_id)),
+        Err(refused) => (refused.cmd, Err(refused.failure)),
+    };
+    span.record("kind", cmd);
+    let reply = result.unwrap_or_else(|failure| {
+        ctx.errors.inc();
+        let mut o = JsonObject::new();
+        o.field_bool("ok", false)
+            .field_u64("request_id", request_id)
+            .field_str("status", failure.status.as_str());
+        if failure.status == RequestStatus::Shed {
+            o.field_u64("retry_after_s", RETRY_AFTER_SECS);
+        }
+        o.field_str("error", &failure.message);
+        Reply {
+            code: failure.code,
+            status: failure.status,
+            ..Reply::ok(o.finish())
+        }
+    });
+    ctx.log_access(request_id, proto, cmd, reply.status, started);
+    reply
+}
+
+/// Runs one command: a query under an admission permit, a write under
+/// the writer lock, the rest inline.
+fn execute(
+    ctx: &ServeCtx,
+    command: Command<'_>,
+    request_id: u64,
+) -> std::result::Result<Reply, Failure> {
+    let mut o = JsonObject::new();
+    o.field_bool("ok", true).field_u64("request_id", request_id);
+    match command {
+        Command::Query(params) => {
+            let Some(permit) = ctx.gate.try_acquire() else {
+                return Err(Failure::shed("concurrency limit reached"));
+            };
+            ctx.in_flight.add(1);
+            let result = run_query(&params, ctx, &mut o);
+            ctx.in_flight.add(-1);
+            drop(permit);
+            result?;
+        }
+        Command::Add(docs) => {
+            let seqs = lock_writer(ctx).add_batch(&docs)?;
+            let mut rendered = JsonArray::new();
+            for seq in seqs {
+                rendered.push_u64(u64::from(seq));
+            }
+            o.field_raw("seqs", rendered.finish());
+        }
+        Command::Delete(seq) => {
+            lock_writer(ctx).delete(seq)?;
+            o.field_u64("deleted", u64::from(seq));
+        }
+        Command::Flush => {
+            o.field_bool("changed", lock_writer(ctx).flush()?);
+        }
+        Command::Compact => {
+            o.field_bool("changed", lock_writer(ctx).compact()?);
+        }
+        Command::Stats => {
+            o.field_raw("stats", lock_writer(ctx).stats().to_json());
+        }
+        Command::Metrics { text: true } => {
+            let mut reply = Reply::ok(crate::metrics_text());
+            reply.text = true;
+            return Ok(reply);
+        }
+        Command::Metrics { text: false } => {
+            o.field_str("metrics", &crate::metrics_text());
+        }
+        Command::Ping => {
+            o.field_bool("pong", true)
+                .field_u64("generation", ctx.reader.generation());
+        }
+        Command::Shutdown => {
+            ctx.shutdown.store(true, Ordering::SeqCst);
+            // Unblock the accept loop so it observes the flag; a failure
+            // here just means the next real connection triggers the exit.
+            let _ = TcpStream::connect(ctx.addr);
+            o.field_bool("shutting_down", true);
+            let mut reply = Reply::ok(o.finish());
+            reply.stop = true;
+            return Ok(reply);
+        }
+    }
+    Ok(Reply::ok(o.finish()))
+}
+
+/// Runs one search against the freshest published snapshot (never
+/// touching the writer lock) and renders its answer into `o`, through
+/// the result cache when there is one: a hit skips planning and
+/// confirmation, an extension confirms only the documents appended
+/// since the cached answer.
+fn run_query(params: &QueryParams<'_>, ctx: &ServeCtx, o: &mut JsonObject) -> Result<()> {
+    ctx.queries.inc();
+    let started = Instant::now();
+    let snapshot = ctx.reader.snapshot();
+    let generation = snapshot.generation();
+    let budget = params.budget(ctx);
+    let matches = match &ctx.cache {
+        Some(cache) => cache.query(&snapshot, params.pattern, &budget)?.0,
+        None => {
+            let opts = QueryOpts {
+                budget,
+                ..QueryOpts::default()
+            };
+            Arc::new(snapshot.query_opts(params.pattern, &opts)?.matches)
+        }
+    };
+    ctx.query_ns.observe_duration(started.elapsed());
+
+    let mut rendered = JsonArray::new();
+    for m in matches.iter().take(params.limit) {
+        let mut doc = JsonObject::new();
+        // `spans` carries the match count: the name is part of the wire
+        // format.
+        doc.field_u64("seq", u64::from(m.seq))
+            .field_u64("spans", u64::from(m.count));
+        if params.want_docs {
+            let bytes = snapshot.get(m.seq)?;
+            doc.field_str("doc", &String::from_utf8_lossy(&bytes));
+        }
+        rendered.push_raw(doc.finish());
+    }
+    o.field_u64("generation", generation)
+        .field_u64("total", matches.len() as u64)
+        .field_raw("matches", rendered.finish());
     Ok(())
 }
 
-/// Sheds a connection the worker pool has no room for: one `429` with
-/// `Retry-After`, then close. The response is HTTP-shaped (the
-/// production front end); line-protocol clients treat the closed
-/// connection as the backpressure signal. Even shed connections leave
-/// an access record and bump the `shed` RED counter.
-fn shed_at_accept(mut stream: TcpStream, ctx: &ServeCtx) {
-    let started = Instant::now();
-    let request_id = ctx.next_id();
-    let mut body = JsonObject::new();
-    body.field_bool("ok", false)
-        .field_u64("request_id", request_id)
-        .field_str("status", "shed")
-        .field_str("error", "server overloaded: accept queue full");
-    let _ = stream.write_all(
-        http_response_bytes(
-            429,
-            "Too Many Requests",
-            "application/json",
-            &body.finish(),
-            true,
-            true,
-        )
-        .as_slice(),
-    );
-    ctx.log_access(request_id, "http", "accept", RequestStatus::Shed, started);
+/// The serialized writer: one command at a time, queries unaffected.
+fn lock_writer(ctx: &ServeCtx) -> std::sync::MutexGuard<'_, LiveIndex> {
+    ctx.writer.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Parses a JSON request (a line, or a `POST /query` body).
+fn parse_json(bytes: &[u8]) -> std::result::Result<JsonValue, Refused> {
+    std::str::from_utf8(bytes)
+        .map_err(|_| "request is not UTF-8".to_string())
+        .and_then(|s| JsonValue::parse(s.trim()))
+        .map_err(|e| Refused::bad_request("unparsed", format!("bad request: {e}")))
+}
+
+/// The command a line-protocol request names: the first key of
+/// [`COMMANDS`] its object holds. `json` holds the parsed object while
+/// the command borrows it.
+fn line_command<'a>(line: &[u8], json: &'a mut Option<JsonValue>) -> Parsed<'a> {
+    let request = &*json.insert(parse_json(line)?);
+    let Some(&name) = COMMANDS.iter().find(|k| request.get(k).is_some()) else {
+        let message = format!(
+            "bad request: unknown command: expected one of {}",
+            COMMANDS.join("/")
+        );
+        return Err(Refused::bad_request("unknown", message));
+    };
+    let bad = |what: &str| Refused::bad_request(name, format!("bad request: {what}"));
+    Ok(match name {
+        "query" => return query_command(request),
+        "add" => {
+            let items = request.get(name).and_then(JsonValue::as_array);
+            let docs = items.and_then(|items| {
+                (items.iter())
+                    .map(|item| item.as_str().map(str::as_bytes))
+                    .collect()
+            });
+            Command::Add(docs.ok_or_else(|| bad("\"add\" must be an array of strings"))?)
+        }
+        "delete" => Command::Delete(
+            (request.get(name).and_then(JsonValue::as_u64))
+                .and_then(|s| u32::try_from(s).ok())
+                .ok_or_else(|| bad("\"delete\" must be a sequence number"))?,
+        ),
+        "flush" => Command::Flush,
+        "compact" => Command::Compact,
+        "stats" => Command::Stats,
+        "metrics" => Command::Metrics { text: false },
+        "ping" => Command::Ping,
+        _ => Command::Shutdown,
+    })
+}
+
+/// A `query` object: a line-protocol request or a `POST /query` body.
+fn query_command(request: &JsonValue) -> Parsed<'_> {
+    let Some(pattern) = request.get("query").and_then(JsonValue::as_str) else {
+        return Err(Refused::bad_request(
+            "query",
+            "bad request: \"query\" must be a string".to_string(),
+        ));
+    };
+    Ok(Command::Query(QueryParams {
+        pattern,
+        limit: (request.get("limit").and_then(JsonValue::as_u64))
+            .map_or(usize::MAX, |n| n as usize),
+        want_docs: (request.get("docs").and_then(JsonValue::as_bool)).unwrap_or(false),
+        timeout_ms: request.get("timeout_ms").and_then(JsonValue::as_u64),
+    }))
+}
+
+// ---------------------------------------------------------------------
+// Framing: reading requests and writing replies
+// ---------------------------------------------------------------------
+
 /// What one polled line read produced.
+#[derive(Clone, Copy)]
 enum LineRead {
     /// A complete line (separator included) is in the buffer.
     Line,
@@ -463,12 +809,7 @@ fn read_line_poll(
             Ok(_) if buf.last() == Some(&b'\n') => return LineRead::Line,
             Ok(_) if buf.len() > cap => return LineRead::TooLong,
             Ok(_) => continue, // partial read
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if is_poll_timeout(&e) => {
                 if ctx.shutdown.load(Ordering::SeqCst) {
                     return LineRead::Shutdown;
                 }
@@ -478,68 +819,32 @@ fn read_line_poll(
     }
 }
 
-/// Serves one connection. The first request line decides the protocol:
-/// an HTTP method keeps the whole connection on the HTTP/1.1 path,
-/// anything else is the line-delimited JSON protocol.
+/// Whether a socket read ended on the [`READ_POLL`] timeout: the caller
+/// re-checks the shutdown flag and reads on.
+fn is_poll_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Serves one connection. The first request line decides the framing:
+/// an HTTP method keeps the whole connection on HTTP/1.1, anything else
+/// is the line-delimited JSON protocol.
 fn handle_connection(stream: TcpStream, ctx: &ServeCtx) {
     ctx.connections.add(1);
     let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            ctx.connections.add(-1);
-            return;
+    if let Ok(clone) = stream.try_clone() {
+        let (mut reader, mut out) = (BufReader::new(clone), stream);
+        let mut line = Vec::new();
+        let read = read_line_poll(&mut reader, ctx, &mut line, MAX_BODY_BYTES);
+        if matches!(read, LineRead::Line | LineRead::Eof) && looks_like_http(&line) {
+            serve_http(&mut reader, &mut out, line, ctx);
+        } else {
+            serve_lines(&mut reader, &mut out, line, read, ctx);
         }
-    });
-    let mut out = stream;
-    let mut line: Vec<u8> = Vec::new();
-    match read_line_poll(&mut reader, ctx, &mut line, MAX_BODY_BYTES) {
-        LineRead::Line => {
-            if looks_like_http(&line) {
-                serve_http(&mut reader, &mut out, line, ctx);
-            } else {
-                serve_lines(&mut reader, &mut out, line, ctx);
-            }
-        }
-        LineRead::Eof => {
-            // EOF; an unterminated final request is still served.
-            if !line.iter().all(u8::is_ascii_whitespace) {
-                if looks_like_http(&line) {
-                    serve_http(&mut reader, &mut out, line, ctx);
-                } else {
-                    let (response, _) = dispatch(&line, ctx);
-                    let _ = send_line(&mut out, response);
-                }
-            }
-        }
-        LineRead::TooLong => refuse_long_line(&mut out, &line, MAX_BODY_BYTES, ctx),
-        LineRead::Shutdown | LineRead::Failed => {}
     }
     ctx.connections.add(-1);
-}
-
-/// Answers a line longer than `cap` bytes once, in the protocol its first
-/// bytes name; the caller then closes the connection.
-fn refuse_long_line(out: &mut TcpStream, prefix: &[u8], cap: usize, ctx: &ServeCtx) {
-    let (request_id, started) = (ctx.next_id(), Instant::now());
-    let message = format!("request line exceeds {cap} bytes");
-    let body = error_response(ctx, request_id, RequestStatus::Error, &message);
-    let proto = if looks_like_http(prefix) {
-        let reply = http_response_bytes(400, "Bad Request", "application/json", &body, true, false);
-        let _ = out.write_all(&reply);
-        "http"
-    } else {
-        let _ = send_line(out, body);
-        "tcp"
-    };
-    ctx.log_access(request_id, proto, "unparsed", RequestStatus::Error, started);
-}
-
-/// Sends one line-protocol reply and its line end in one write.
-fn send_line(out: &mut TcpStream, reply: String) -> std::io::Result<()> {
-    let mut bytes = reply.into_bytes();
-    bytes.push(b'\n');
-    out.write_all(&bytes)
 }
 
 /// Whether a first request line is an HTTP/1.x request line.
@@ -556,345 +861,70 @@ fn looks_like_http(line: &[u8]) -> bool {
     .any(|m| line.starts_with(m))
 }
 
-/// The line-delimited JSON protocol loop. `first` holds the line that
-/// was already read for protocol sniffing.
+/// Sheds a connection the worker pool has no room for: one `429` with
+/// `Retry-After`, then close. The reply is HTTP-framed (the production
+/// front end); line-protocol clients treat the closed connection as the
+/// backpressure signal. Even shed connections leave an access record
+/// and bump the `shed` RED counter.
+fn shed_at_accept(mut stream: TcpStream, ctx: &ServeCtx) {
+    let refused = Refused {
+        cmd: "accept",
+        failure: Failure::shed("accept queue full"),
+    };
+    let reply = handle(ctx, "http", Err(refused));
+    let _ = send_http(&mut stream, reply, true, false);
+}
+
+/// Answers a line longer than `cap` bytes once, in the framing its first
+/// bytes name; the caller then closes the connection.
+fn refuse_long_line(out: &mut TcpStream, prefix: &[u8], cap: usize, ctx: &ServeCtx) {
+    let message = format!("request line exceeds {cap} bytes");
+    let refused = Refused::bad_request("unparsed", message);
+    if looks_like_http(prefix) {
+        let _ = send_http(out, handle(ctx, "http", Err(refused)), true, false);
+    } else {
+        let _ = send_line(out, handle(ctx, "tcp", Err(refused)));
+    }
+}
+
+/// The line-delimited JSON loop. `line` and `read` are the first line
+/// and how its read ended; an unterminated last line is served too.
 fn serve_lines(
     reader: &mut BufReader<TcpStream>,
     out: &mut TcpStream,
-    first: Vec<u8>,
+    mut line: Vec<u8>,
+    mut read: LineRead,
     ctx: &ServeCtx,
 ) {
-    let mut line = first;
     loop {
-        let stop = if line.iter().all(u8::is_ascii_whitespace) {
-            false
-        } else {
-            let (response, stop) = dispatch(&line, ctx);
-            if send_line(out, response).is_err() {
-                return;
-            }
-            stop
-        };
-        line.clear();
-        if stop {
-            return;
-        }
-        match read_line_poll(reader, ctx, &mut line, MAX_BODY_BYTES) {
-            LineRead::Line => {}
-            LineRead::Eof => {
+        match read {
+            LineRead::Line | LineRead::Eof => {
                 if !line.iter().all(u8::is_ascii_whitespace) {
-                    let (response, _) = dispatch(&line, ctx);
-                    let _ = send_line(out, response);
+                    let mut json = None;
+                    let reply = handle(ctx, "tcp", line_command(&line, &mut json));
+                    let stop = reply.stop;
+                    if send_line(out, reply).is_err() || stop {
+                        return;
+                    }
                 }
-                return;
+                if matches!(read, LineRead::Eof) {
+                    return;
+                }
             }
             LineRead::TooLong => return refuse_long_line(out, &line, MAX_BODY_BYTES, ctx),
             LineRead::Shutdown | LineRead::Failed => return,
         }
+        line.clear();
+        read = read_line_poll(reader, ctx, &mut line, MAX_BODY_BYTES);
     }
 }
 
-/// The keys that name protocol commands, in dispatch order.
-const COMMANDS: [&str; 9] = [
-    "query", "add", "delete", "flush", "compact", "stats", "metrics", "ping", "shutdown",
-];
-
-/// Which command a parsed request names (for spans and the access log).
-fn command_name(request: &JsonValue) -> &'static str {
-    COMMANDS
-        .iter()
-        .find(|k| request.get(k).is_some())
-        .copied()
-        .unwrap_or("unknown")
+/// Sends one line-protocol reply and its line end in one write.
+fn send_line(out: &mut TcpStream, reply: Reply) -> std::io::Result<()> {
+    let mut bytes = reply.body.into_bytes();
+    bytes.push(b'\n');
+    out.write_all(&bytes)
 }
-
-/// Parses and executes one request line, returning the response line
-/// and whether this connection should close (shutdown acknowledged).
-/// Every request gets a fresh id, echoed in the response, recorded on
-/// the span, and — when a query log is installed — written to the
-/// access log with the command, outcome status, and latency.
-fn dispatch(line: &[u8], ctx: &ServeCtx) -> (String, bool) {
-    let request_id = ctx.next_id();
-    let started = Instant::now();
-    let mut span = ctx.tracer.span("serve.request");
-    span.record("request_id", request_id);
-    let parsed = std::str::from_utf8(line)
-        .map_err(|_| "request is not UTF-8".to_string())
-        .and_then(|s| JsonValue::parse(s.trim()));
-    let (response, stop, cmd, status) = match parsed {
-        Ok(request) => {
-            let cmd = command_name(&request);
-            span.record("kind", cmd);
-            match execute_request(&request, ctx, request_id) {
-                Ok(Executed::Response { body, stop }) => (body, stop, cmd, RequestStatus::Ok),
-                Ok(Executed::Shed) => (
-                    shed_response(ctx, request_id),
-                    false,
-                    cmd,
-                    RequestStatus::Shed,
-                ),
-                Err(e) => {
-                    let status = status_of_error(&e);
-                    (
-                        error_response(ctx, request_id, status, &e.to_string()),
-                        false,
-                        cmd,
-                        status,
-                    )
-                }
-            }
-        }
-        Err(e) => (
-            error_response(
-                ctx,
-                request_id,
-                RequestStatus::Error,
-                &format!("bad request: {e}"),
-            ),
-            false,
-            "unparsed",
-            RequestStatus::Error,
-        ),
-    };
-    ctx.log_access(request_id, "tcp", cmd, status, started);
-    (response, stop)
-}
-
-/// Renders an `ok:false` response with its status and counts it.
-fn error_response(ctx: &ServeCtx, request_id: u64, status: RequestStatus, message: &str) -> String {
-    ctx.errors.inc();
-    let mut o = JsonObject::new();
-    o.field_bool("ok", false)
-        .field_u64("request_id", request_id)
-        .field_str("status", status.as_str())
-        .field_str("error", message);
-    o.finish()
-}
-
-/// Renders the line-protocol shed response (the `429` analogue).
-fn shed_response(ctx: &ServeCtx, request_id: u64) -> String {
-    ctx.errors.inc();
-    let mut o = JsonObject::new();
-    o.field_bool("ok", false)
-        .field_u64("request_id", request_id)
-        .field_str("status", "shed")
-        .field_u64("retry_after_s", RETRY_AFTER_SECS)
-        .field_str("error", "server overloaded: concurrency limit reached");
-    o.finish()
-}
-
-/// Outcome of executing an admitted request.
-enum Executed {
-    /// A response body (and whether the connection should close).
-    Response { body: String, stop: bool },
-    /// Admission control refused the query.
-    Shed,
-}
-
-/// Executes a parsed request against the index. Every response object
-/// echoes the request's id.
-fn execute_request(request: &JsonValue, ctx: &ServeCtx, request_id: u64) -> Result<Executed> {
-    let mut o = JsonObject::new();
-    o.field_bool("ok", true).field_u64("request_id", request_id);
-    if let Some(pattern) = request.get("query") {
-        let pattern = pattern
-            .as_str()
-            .ok_or_else(|| CliError::Manifest("\"query\" must be a string".into()))?;
-        let Some(permit) = ctx.gate.try_acquire() else {
-            return Ok(Executed::Shed);
-        };
-        ctx.in_flight.add(1);
-        let params = QueryParams::from_request(pattern, request);
-        let result = run_query(&params, ctx, request_id);
-        ctx.in_flight.add(-1);
-        drop(permit);
-        return Ok(Executed::Response {
-            body: result?,
-            stop: false,
-        });
-    }
-    if let Some(docs) = request.get("add") {
-        let items = docs
-            .as_array()
-            .ok_or_else(|| CliError::Manifest("\"add\" must be an array of strings".into()))?;
-        let mut bytes: Vec<&[u8]> = Vec::with_capacity(items.len());
-        for item in items {
-            bytes.push(
-                item.as_str()
-                    .ok_or_else(|| {
-                        CliError::Manifest("\"add\" must be an array of strings".into())
-                    })?
-                    .as_bytes(),
-            );
-        }
-        let seqs = lock_writer(ctx).add_batch(&bytes)?;
-        let mut arr = JsonArray::new();
-        for s in &seqs {
-            arr.push_u64(u64::from(*s));
-        }
-        o.field_raw("seqs", arr.finish());
-        return Ok(Executed::Response {
-            body: o.finish(),
-            stop: false,
-        });
-    }
-    if let Some(seq) = request.get("delete") {
-        let seq = seq
-            .as_u64()
-            .and_then(|s| u32::try_from(s).ok())
-            .ok_or_else(|| CliError::Manifest("\"delete\" must be a sequence number".into()))?;
-        lock_writer(ctx).delete(seq)?;
-        o.field_u64("deleted", u64::from(seq));
-        return Ok(Executed::Response {
-            body: o.finish(),
-            stop: false,
-        });
-    }
-    if request.get("flush").is_some() {
-        let changed = lock_writer(ctx).flush()?;
-        o.field_bool("changed", changed);
-        return Ok(Executed::Response {
-            body: o.finish(),
-            stop: false,
-        });
-    }
-    if request.get("compact").is_some() {
-        let changed = lock_writer(ctx).compact()?;
-        o.field_bool("changed", changed);
-        return Ok(Executed::Response {
-            body: o.finish(),
-            stop: false,
-        });
-    }
-    if request.get("stats").is_some() {
-        let stats = lock_writer(ctx).stats().to_json();
-        o.field_raw("stats", stats);
-        return Ok(Executed::Response {
-            body: o.finish(),
-            stop: false,
-        });
-    }
-    if request.get("metrics").is_some() {
-        o.field_str("metrics", &crate::metrics_text());
-        return Ok(Executed::Response {
-            body: o.finish(),
-            stop: false,
-        });
-    }
-    if request.get("ping").is_some() {
-        o.field_bool("pong", true)
-            .field_u64("generation", ctx.reader.generation());
-        return Ok(Executed::Response {
-            body: o.finish(),
-            stop: false,
-        });
-    }
-    if request.get("shutdown").is_some() {
-        ctx.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop so it observes the flag; a failure
-        // here just means the next real connection triggers the exit.
-        let _ = TcpStream::connect(ctx.addr);
-        o.field_bool("shutting_down", true);
-        return Ok(Executed::Response {
-            body: o.finish(),
-            stop: true,
-        });
-    }
-    Err(CliError::Manifest(
-        "unknown command: expected one of query/add/delete/flush/compact/stats/metrics/ping/shutdown"
-            .into(),
-    ))
-}
-
-/// Parsed query parameters, shared by both protocols.
-struct QueryParams<'a> {
-    pattern: &'a str,
-    limit: usize,
-    want_docs: bool,
-    timeout_ms: Option<u64>,
-}
-
-impl<'a> QueryParams<'a> {
-    fn from_request(pattern: &'a str, request: &JsonValue) -> QueryParams<'a> {
-        QueryParams {
-            pattern,
-            limit: request
-                .get("limit")
-                .and_then(JsonValue::as_u64)
-                .map_or(usize::MAX, |n| n as usize),
-            want_docs: request
-                .get("docs")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
-            timeout_ms: request.get("timeout_ms").and_then(JsonValue::as_u64),
-        }
-    }
-
-    /// The effective budget: the request's own `timeout_ms` wins over
-    /// the server default; neither means unlimited.
-    fn budget(&self, ctx: &ServeCtx) -> RequestBudget {
-        match self
-            .timeout_ms
-            .map(Duration::from_millis)
-            .or(ctx.default_timeout)
-        {
-            Some(t) => RequestBudget::with_timeout(t),
-            None => RequestBudget::unlimited(),
-        }
-    }
-}
-
-/// Runs one search against the freshest published snapshot (never
-/// touching the writer lock) and renders the response, through the
-/// result cache when there is one: a hit skips planning and
-/// confirmation, an extension confirms only the documents appended
-/// since the cached answer.
-fn run_query(params: &QueryParams<'_>, ctx: &ServeCtx, request_id: u64) -> Result<String> {
-    ctx.queries.inc();
-    let started = Instant::now();
-    let snapshot = ctx.reader.snapshot();
-    let generation = snapshot.generation();
-    let budget = params.budget(ctx);
-    let matches = match &ctx.cache {
-        Some(cache) => cache.query(&snapshot, params.pattern, &budget)?.0,
-        None => {
-            let opts = QueryOpts {
-                budget,
-                ..QueryOpts::default()
-            };
-            Arc::new(snapshot.query_opts(params.pattern, &opts)?.matches)
-        }
-    };
-    ctx.query_ns.observe_duration(started.elapsed());
-
-    let mut rendered = JsonArray::new();
-    for m in matches.iter().take(params.limit) {
-        let mut o = JsonObject::new();
-        o.field_u64("seq", u64::from(m.seq))
-            .field_u64("spans", m.spans.len() as u64);
-        if params.want_docs {
-            let doc = snapshot.get(m.seq)?;
-            o.field_str("doc", &String::from_utf8_lossy(&doc));
-        }
-        rendered.push_raw(o.finish());
-    }
-    let mut o = JsonObject::new();
-    o.field_bool("ok", true)
-        .field_u64("request_id", request_id)
-        .field_u64("generation", generation)
-        .field_u64("total", matches.len() as u64)
-        .field_raw("matches", rendered.finish());
-    Ok(o.finish())
-}
-
-/// The serialized writer: one command at a time, queries unaffected.
-fn lock_writer(ctx: &ServeCtx) -> std::sync::MutexGuard<'_, LiveIndex> {
-    ctx.writer.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-// ---------------------------------------------------------------------
-// HTTP/1.1 front end
-// ---------------------------------------------------------------------
 
 /// One parsed HTTP request head.
 struct HttpRequest {
@@ -902,32 +932,6 @@ struct HttpRequest {
     path: String,
     content_length: usize,
     close: bool,
-}
-
-/// Renders a full HTTP/1.1 response.
-fn http_response_bytes(
-    code: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-    close: bool,
-    retry_after: bool,
-) -> Vec<u8> {
-    let mut head = format!(
-        "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
-        body.len()
-    );
-    if retry_after {
-        head.push_str(&format!("Retry-After: {RETRY_AFTER_SECS}\r\n"));
-    }
-    head.push_str(if close {
-        "Connection: close\r\n\r\n"
-    } else {
-        "Connection: keep-alive\r\n\r\n"
-    });
-    let mut out = head.into_bytes();
-    out.extend_from_slice(body.as_bytes());
-    out
 }
 
 /// Parses the request line plus headers. `first` is the already-read
@@ -991,12 +995,7 @@ fn read_http_body(reader: &mut BufReader<TcpStream>, ctx: &ServeCtx, n: usize) -
         match reader.read(&mut body[filled..]) {
             Ok(0) => return None,
             Ok(k) => filled += k,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if is_poll_timeout(&e) => {
                 if ctx.shutdown.load(Ordering::SeqCst) {
                     return None;
                 }
@@ -1007,242 +1006,113 @@ fn read_http_body(reader: &mut BufReader<TcpStream>, ctx: &ServeCtx, n: usize) -
     Some(body)
 }
 
-/// The HTTP/1.1 keep-alive loop. `first` is the sniffed request line.
+/// The command an HTTP request names: its route, and for `POST /query`
+/// its body. `json` holds the parsed body while the command borrows it.
+fn http_command<'a>(
+    head: &HttpRequest,
+    body: &[u8],
+    json: &'a mut Option<JsonValue>,
+) -> Parsed<'a> {
+    match (head.method.as_str(), head.path.as_str()) {
+        ("GET" | "HEAD", "/healthz") => Ok(Command::Ping),
+        ("GET" | "HEAD", "/metrics") => Ok(Command::Metrics { text: true }),
+        ("POST", "/query") => query_command(json.insert(parse_json(body)?)),
+        ("POST", "/shutdown") => Ok(Command::Shutdown),
+        (_, "/query" | "/metrics" | "/healthz" | "/shutdown") => Err(Refused {
+            cmd: "bad-method",
+            failure: Failure {
+                code: 405,
+                ..Failure::bad_request("method not allowed".to_string())
+            },
+        }),
+        _ => Err(Refused {
+            cmd: "not-found",
+            failure: Failure {
+                code: 404,
+                ..Failure::bad_request(
+                    "not found: try POST /query, GET /metrics, GET /healthz".to_string(),
+                )
+            },
+        }),
+    }
+}
+
+/// The HTTP/1.1 keep-alive loop. `line` is the sniffed request line.
 fn serve_http(
     reader: &mut BufReader<TcpStream>,
     out: &mut TcpStream,
-    first: Vec<u8>,
+    mut line: Vec<u8>,
     ctx: &ServeCtx,
 ) {
-    let mut next_line = Some(first);
     loop {
-        let Some(line) = next_line.take() else { return };
         let Some(head) = read_http_head(reader, line, ctx) else {
-            let body = r#"{"ok":false,"status":"error","error":"malformed HTTP request"}"#;
-            let _ = out.write_all(&http_response_bytes(
-                400,
-                "Bad Request",
-                "application/json",
-                body,
-                true,
-                false,
-            ));
+            let refused = Refused::bad_request("unparsed", "malformed HTTP request".to_string());
+            let _ = send_http(out, handle(ctx, "http", Err(refused)), true, false);
             return;
         };
-        let body = if head.content_length > 0 {
-            match read_http_body(reader, ctx, head.content_length) {
+        let body = match head.content_length {
+            0 => Vec::new(),
+            n => match read_http_body(reader, ctx, n) {
                 Some(b) => b,
                 None => return,
-            }
-        } else {
-            Vec::new()
+            },
         };
-        let (response, stop) = http_dispatch(&head, &body, ctx);
-        let close = head.close || stop;
-        let mut rendered = http_response_bytes(
-            response.code,
-            response.reason,
-            response.content_type,
-            &response.body,
-            close,
-            response.retry_after,
-        );
-        if head.method == "HEAD" {
-            rendered.truncate(rendered.len() - response.body.len());
-        }
-        if out.write_all(&rendered).is_err() || out.flush().is_err() || close {
+        let mut json = None;
+        let reply = handle(ctx, "http", http_command(&head, &body, &mut json));
+        let close = head.close || reply.stop;
+        if send_http(out, reply, close, head.method == "HEAD").is_err() || close {
             return;
         }
         // Next request line (keep-alive): part of the head, so under the
         // head's cap.
-        let mut line = Vec::new();
+        line = Vec::new();
         match read_line_poll(reader, ctx, &mut line, MAX_HEAD_BYTES) {
-            LineRead::Line => next_line = Some(line),
+            LineRead::Line => {}
             LineRead::TooLong => return refuse_long_line(out, &line, MAX_HEAD_BYTES, ctx),
             LineRead::Eof | LineRead::Shutdown | LineRead::Failed => return,
         }
     }
 }
 
-/// One rendered HTTP response, pre-serialization.
-struct HttpResponse {
-    code: u16,
-    reason: &'static str,
-    content_type: &'static str,
-    body: String,
-    retry_after: bool,
-}
-
-impl HttpResponse {
-    fn json(code: u16, reason: &'static str, body: String) -> HttpResponse {
-        HttpResponse {
-            code,
-            reason,
-            content_type: "application/json",
-            body,
-            retry_after: false,
-        }
-    }
-}
-
-/// Routes one HTTP request, emitting the access record and RED metric.
-/// Returns the response and whether the server is shutting down.
-fn http_dispatch(head: &HttpRequest, body: &[u8], ctx: &ServeCtx) -> (HttpResponse, bool) {
-    let request_id = ctx.next_id();
-    let started = Instant::now();
-    let mut span = ctx.tracer.span("serve.request");
-    span.record("request_id", request_id);
-    span.record(
-        "kind",
-        format!("http {} {}", head.method, head.path).as_str(),
+/// Sends one HTTP/1.1 response in one write: the status the reply's
+/// outcome picks, its headers and (unless `head_only`) its body.
+fn send_http(
+    out: &mut TcpStream,
+    reply: Reply,
+    close: bool,
+    head_only: bool,
+) -> std::io::Result<()> {
+    let reason = match reply.code {
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        429 => "Too Many Requests",
+        504 => "Gateway Timeout",
+        _ => "OK",
+    };
+    let content_type = if reply.text {
+        "text/plain; version=0.0.4"
+    } else {
+        "application/json"
+    };
+    let mut head = format!(
+        "HTTP/1.1 {} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
+        reply.code,
+        reply.body.len()
     );
-    let (response, cmd, status, stop) = match (head.method.as_str(), head.path.as_str()) {
-        ("GET" | "HEAD", "/healthz") => {
-            let mut o = JsonObject::new();
-            o.field_bool("ok", true)
-                .field_u64("request_id", request_id)
-                .field_u64("generation", ctx.reader.generation());
-            (
-                HttpResponse::json(200, "OK", o.finish()),
-                "healthz",
-                RequestStatus::Ok,
-                false,
-            )
-        }
-        ("GET" | "HEAD", "/metrics") => (
-            HttpResponse {
-                code: 200,
-                reason: "OK",
-                content_type: "text/plain; version=0.0.4",
-                body: crate::metrics_text(),
-                retry_after: false,
-            },
-            "metrics",
-            RequestStatus::Ok,
-            false,
-        ),
-        ("POST", "/query") => {
-            let (resp, status) = http_query(body, ctx, request_id);
-            (resp, "query", status, false)
-        }
-        ("POST", "/shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(ctx.addr);
-            let mut o = JsonObject::new();
-            o.field_bool("ok", true)
-                .field_u64("request_id", request_id)
-                .field_bool("shutting_down", true);
-            (
-                HttpResponse::json(200, "OK", o.finish()),
-                "shutdown",
-                RequestStatus::Ok,
-                true,
-            )
-        }
-        (_, "/query" | "/metrics" | "/healthz" | "/shutdown") => (
-            HttpResponse::json(
-                405,
-                "Method Not Allowed",
-                error_response(ctx, request_id, RequestStatus::Error, "method not allowed"),
-            ),
-            "bad-method",
-            RequestStatus::Error,
-            false,
-        ),
-        _ => (
-            HttpResponse::json(
-                404,
-                "Not Found",
-                error_response(
-                    ctx,
-                    request_id,
-                    RequestStatus::Error,
-                    "not found: try POST /query, GET /metrics, GET /healthz",
-                ),
-            ),
-            "not-found",
-            RequestStatus::Error,
-            false,
-        ),
-    };
-    ctx.log_access(request_id, "http", cmd, status, started);
-    (response, stop)
-}
-
-/// `POST /query`: same body schema as the line protocol's `query`
-/// command plus `timeout_ms`. Admission and deadline failures map to
-/// distinct HTTP statuses (429 shed, 504 timeout).
-fn http_query(body: &[u8], ctx: &ServeCtx, request_id: u64) -> (HttpResponse, RequestStatus) {
-    let parsed = std::str::from_utf8(body)
-        .map_err(|_| "body is not UTF-8".to_string())
-        .and_then(|s| JsonValue::parse(s.trim()));
-    let request = match parsed {
-        Ok(r) => r,
-        Err(e) => {
-            return (
-                HttpResponse::json(
-                    400,
-                    "Bad Request",
-                    error_response(
-                        ctx,
-                        request_id,
-                        RequestStatus::Error,
-                        &format!("bad request: {e}"),
-                    ),
-                ),
-                RequestStatus::Error,
-            )
-        }
-    };
-    let Some(pattern) = request.get("query").and_then(JsonValue::as_str) else {
-        return (
-            HttpResponse::json(
-                400,
-                "Bad Request",
-                error_response(
-                    ctx,
-                    request_id,
-                    RequestStatus::Error,
-                    "\"query\" must be a string",
-                ),
-            ),
-            RequestStatus::Error,
-        );
-    };
-    let Some(permit) = ctx.gate.try_acquire() else {
-        ctx.errors.inc();
-        let mut o = JsonObject::new();
-        o.field_bool("ok", false)
-            .field_u64("request_id", request_id)
-            .field_str("status", "shed")
-            .field_str("error", "server overloaded: concurrency limit reached");
-        let mut resp = HttpResponse::json(429, "Too Many Requests", o.finish());
-        resp.retry_after = true;
-        return (resp, RequestStatus::Shed);
-    };
-    ctx.in_flight.add(1);
-    let params = QueryParams::from_request(pattern, &request);
-    let result = run_query(&params, ctx, request_id);
-    ctx.in_flight.add(-1);
-    drop(permit);
-    match result {
-        Ok(body) => (HttpResponse::json(200, "OK", body), RequestStatus::Ok),
-        Err(e) => {
-            let status = status_of_error(&e);
-            let (code, reason) = match status {
-                RequestStatus::Timeout => (504, "Gateway Timeout"),
-                _ => (400, "Bad Request"),
-            };
-            (
-                HttpResponse::json(
-                    code,
-                    reason,
-                    error_response(ctx, request_id, status, &e.to_string()),
-                ),
-                status,
-            )
-        }
+    if reply.code == 429 {
+        head.push_str(&format!("Retry-After: {RETRY_AFTER_SECS}\r\n"));
     }
+    head.push_str(if close {
+        "Connection: close\r\n\r\n"
+    } else {
+        "Connection: keep-alive\r\n\r\n"
+    });
+    let mut bytes = head.into_bytes();
+    if !head_only {
+        bytes.extend_from_slice(reply.body.as_bytes());
+    }
+    out.write_all(&bytes)
 }
 
 #[cfg(test)]
@@ -1647,6 +1517,124 @@ mod tests {
 
         roundtrip(addr, r#"{"shutdown":true}"#);
         handle.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One line-protocol request over a fresh connection: the reply line
+    /// without its line end.
+    fn line_reply(addr: SocketAddr, request: &str) -> String {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(format!("{request}\n").as_bytes()).unwrap();
+        let mut line = String::new();
+        BufReader::new(s).read_line(&mut line).unwrap();
+        assert_eq!(line.pop(), Some('\n'), "{line}");
+        line
+    }
+
+    /// A reply body with its request id zeroed.
+    fn without_id(body: &str) -> String {
+        let key = "\"request_id\":";
+        let at = body.find(key).map_or(body.len(), |i| i + key.len());
+        let digits = body[at..].bytes().take_while(u8::is_ascii_digit).count();
+        format!("{}0{}", &body[..at], &body[at + digits..])
+    }
+
+    /// The same request gets the same JSON body from both framings, but
+    /// for its request id: a query miss, hit and extension, a ping, a
+    /// malformed request, a pattern that does not parse, a query shed
+    /// while another holds the one permit, and a timeout.
+    #[test]
+    fn both_framings_answer_alike() {
+        let dir = std::env::temp_dir().join(format!("free-serve-alike-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = ServeOptions {
+            workers: 2,
+            threads: 1,
+            max_concurrent: 1,
+            ..ServeOptions::new(&dir)
+        };
+        let live = LiveIndex::open_or_create(&dir, crate::live_config(1)).unwrap();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let ctx = Arc::new(ServeCtx::new(&options, live, addr));
+        let server = {
+            let ctx = Arc::clone(&ctx);
+            std::thread::spawn(move || run(listener, ctx, &options))
+        };
+        // The line reply, then the HTTP status and body, or the other
+        // way round when `http_first`.
+        let both = |request: &str, http_first: bool| {
+            let post = || http(addr, "POST", "/query", Some(request));
+            let (line, (code, body)) = if http_first {
+                let http = post();
+                (line_reply(addr, request), http)
+            } else {
+                (line_reply(addr, request), post())
+            };
+            (line, code, body)
+        };
+        let alike = |request: &str, http_first: bool| {
+            let (line, code, body) = both(request, http_first);
+            assert_eq!(without_id(&line), without_id(&body), "{request}");
+            (code, JsonValue::parse(&body).unwrap())
+        };
+        let field = |v: &JsonValue, key: &str| v.get(key).cloned();
+        let total = |v: &JsonValue| v.get("total").and_then(JsonValue::as_u64);
+
+        roundtrip(addr, r#"{"add":["one needle","hay","two needle"]}"#);
+        // Each pattern misses in the framing that asks first and hits in
+        // the other; after the add, the first asker extends the answer.
+        let needle = r#"{"query":"needle","docs":true}"#;
+        let (code, v) = alike(needle, false);
+        assert_eq!((code, total(&v)), (200, Some(2)));
+        let (code, v) = alike(r#"{"query":"two|hay"}"#, true);
+        assert_eq!((code, total(&v)), (200, Some(2)));
+        roundtrip(addr, r#"{"add":["three needle"]}"#);
+        let (code, v) = alike(needle, false);
+        assert_eq!((code, total(&v)), (200, Some(3)));
+        let (code, v) = alike(r#"{"query":"two|hay"}"#, true);
+        assert_eq!((code, total(&v)), (200, Some(2)));
+
+        let (code, body) = http(addr, "GET", "/healthz", None);
+        assert_eq!(code, 200);
+        assert_eq!(
+            without_id(&line_reply(addr, r#"{"ping":true}"#)),
+            without_id(&body)
+        );
+
+        for request in [r#"{"query":"#, r#"{"query":"(unclosed"}"#] {
+            let (code, v) = alike(request, false);
+            assert_eq!(code, 400, "{request}");
+            let status = field(&v, "status");
+            assert_eq!(status.as_ref().and_then(JsonValue::as_str), Some("error"));
+        }
+
+        // An admitted query holds the one permit while it runs.
+        let in_flight = ctx.gate.try_acquire().unwrap();
+        let (code, v) = alike(needle, false);
+        assert_eq!(code, 429);
+        assert_eq!(
+            field(&v, "status").as_ref().and_then(JsonValue::as_str),
+            Some("shed")
+        );
+        assert_eq!(
+            field(&v, "retry_after_s")
+                .as_ref()
+                .and_then(JsonValue::as_u64),
+            Some(1)
+        );
+        drop(in_flight);
+
+        // A timeout is never cached, so both framings time out; the error
+        // says how far past the deadline each noticed, so digits go.
+        let (line, code, body) = both(r#"{"query":"n.edle","timeout_ms":0}"#, false);
+        assert_eq!(code, 504, "{body}");
+        let digitless = |s: &str| without_id(s).replace(|c: char| c.is_ascii_digit(), "");
+        assert_eq!(digitless(&line), digitless(&body));
+        assert!(body.contains(r#""status":"timeout""#), "{body}");
+
+        roundtrip(addr, r#"{"shutdown":true}"#);
+        server.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

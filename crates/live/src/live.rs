@@ -994,10 +994,9 @@ fn remove_orphans(seg_root: &Path, manifest: &Manifest) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{execute_prepared, QueryOpts};
+    use crate::query::{execute_prepared, LiveMatch, QueryOpts};
     use free_corpus::synth::{Generator, SynthConfig};
     use free_engine::{CancelToken, EngineConfig, RequestBudget};
-    use free_regex::Span;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Only explicit flushes flush, and tiny corpora mine keys.
@@ -1127,13 +1126,13 @@ mod tests {
         let snapshot = idx.snapshot();
         let pattern = "[5-7][0-9][0-9] ";
         let regex = free_regex::Regex::new(pattern).unwrap();
-        let want: Vec<(DocId, Vec<Span>)> = (0..docs.len() as DocId)
+        let want: Vec<LiveMatch> = (0..docs.len() as DocId)
             .filter(|seq| !deleted.contains(seq))
             .map(|seq| {
-                let spans = regex.find_all(&docs[seq as usize]);
-                (seq, spans.into_iter().map(|m| m.span()).collect::<Vec<_>>())
+                let count = regex.find_all(&docs[seq as usize]).len() as u32;
+                LiveMatch { seq, count }
             })
-            .filter(|(_, spans)| !spans.is_empty())
+            .filter(|m| m.count > 0)
             .collect();
         assert!(want.len() > 50, "{}", want.len());
         for threads in [1, 4] {
@@ -1143,10 +1142,7 @@ mod tests {
             };
             let result = snapshot.query_opts(pattern, &opts).unwrap();
             assert!(result.stats.base.used_scan, "threads={threads}");
-            let got: Vec<(DocId, Vec<Span>)> = (result.matches.into_iter())
-                .map(|m| (m.seq, m.spans))
-                .collect();
-            assert_eq!(got, want, "threads={threads}");
+            assert_eq!(result.matches, want, "threads={threads}");
             assert_eq!(result.stats.base.docs_examined, docs.len() - deleted.len());
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1176,7 +1172,7 @@ mod tests {
     }
 
     /// A query from `since` answers exactly the full answer's matches at
-    /// `since` or above, spans included, for every `since`, over an index
+    /// `since` or above, counts included, for every `since`, over an index
     /// that streams its candidates and one without a dictionary that
     /// scans, with deletes in the segment and in the buffer, at one thread
     /// and at four.
@@ -1199,7 +1195,7 @@ mod tests {
                         };
                         let got = snapshot.query_since(pattern, &opts, since).unwrap();
                         let want: Vec<_> =
-                            (full.iter()).filter(|m| m.seq >= since).cloned().collect();
+                            (full.iter()).filter(|m| m.seq >= since).copied().collect();
                         assert_eq!(got.matches, want, "{scanning} {pattern} {since} {threads}");
                     }
                 }
@@ -1239,20 +1235,11 @@ mod tests {
             let span = free_trace::Span::disabled();
             let prepared = free_engine::PreparedQuery::new(pattern, econfig, &span).unwrap();
             let mut delivered = 0;
-            let got = execute_prepared(
-                &snapshot,
-                &prepared,
-                0,
-                4,
-                true,
-                &budget,
-                &span,
-                &mut |_, _| {
-                    delivered += 1;
-                    token.cancel();
-                    true
-                },
-            );
+            let got = execute_prepared(&snapshot, &prepared, 0, 4, &budget, &span, &mut |_, _| {
+                delivered += 1;
+                token.cancel();
+                true
+            });
             assert!(matches!(got, Err(Error::Cancelled)), "{got:?}");
             assert!(delivered > 0);
             drop(idx);

@@ -6,11 +6,12 @@
 //! below a snapshot's `next_seq` stays the answer over those sequences
 //! for as long as no document below it is removed: an add only appends
 //! sequences past it, and a flush or compaction moves documents without
-//! changing one. This cache memoizes full match lists (with spans) keyed
-//! by pattern and stamps each entry with the `next_seq` and the
-//! *removal count* (the deletes published so far) of the snapshot it was
-//! computed against. [`QueryCache::query`] answers a
-//! pattern against a snapshot in one of three ways ([`Lookup`]):
+//! changing one. This cache memoizes full match lists (each document's
+//! sequence number and match count) keyed by pattern and stamps each
+//! entry with the `next_seq` and the *removal count* (the deletes
+//! published so far) of the snapshot it was computed against.
+//! [`QueryCache::query`] answers a pattern against a snapshot in one of
+//! three ways ([`Lookup`]):
 //!
 //! - the same stamp: a **hit**, the memoized answer as it is;
 //! - the same removal count and an older `next_seq`: an **extension**,
@@ -124,8 +125,8 @@ impl QueryCache {
         &self.shards[(h.finish() as usize) & (SHARDS - 1)]
     }
 
-    /// The matches of `pattern` in `snapshot`, with their spans, in
-    /// global sequence order: what [`Snapshot::query_opts`] answers
+    /// The matches of `pattern` in `snapshot`, with their match counts,
+    /// in global sequence order: what [`Snapshot::query_opts`] answers
     /// under `budget` at the configured thread count, served from the
     /// memoized answer where the stamps allow (see the module docs).
     /// A run that fails (a timeout, say) leaves the entry as it was.
@@ -159,7 +160,7 @@ impl QueryCache {
                 let matches = if appended.is_empty() {
                     cached
                 } else {
-                    Arc::new(cached.iter().cloned().chain(appended).collect())
+                    Arc::new(cached.iter().copied().chain(appended).collect())
                 };
                 (matches, Lookup::Extended)
             }
@@ -229,10 +230,7 @@ mod tests {
     fn matches(seqs: &[u32]) -> Arc<Vec<LiveMatch>> {
         Arc::new(
             seqs.iter()
-                .map(|&seq| LiveMatch {
-                    seq,
-                    spans: Vec::new(),
-                })
+                .map(|&seq| LiveMatch { seq, count: 1 })
                 .collect(),
         )
     }

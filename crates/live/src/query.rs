@@ -44,33 +44,21 @@ use std::time::Instant;
 /// index-wide [`crate::LiveConfig`]. `threads = 0` means "use the configured
 /// default"; the budget defaults to unlimited, so `QueryOpts::default()`
 /// is what [`crate::Snapshot::query`] runs with.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct QueryOpts {
     /// Confirmation thread count; `0` uses the engine config's value.
     pub threads: usize,
-    /// Extract match spans (versus containment-only confirmation).
-    pub want_spans: bool,
     /// Deadline / cancellation for this request.
     pub budget: RequestBudget,
 }
 
-impl Default for QueryOpts {
-    fn default() -> QueryOpts {
-        QueryOpts {
-            threads: 0,
-            want_spans: true,
-            budget: RequestBudget::unlimited(),
-        }
-    }
-}
-
 /// One matching document.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LiveMatch {
     /// The document's global sequence number.
     pub seq: DocId,
-    /// Match spans within the document, in position order.
-    pub spans: Vec<Span>,
+    /// The number of leftmost-longest matches in the document.
+    pub count: u32,
 }
 
 /// Execution statistics for one live query.
@@ -102,7 +90,7 @@ impl LiveQueryStats {
 }
 
 /// The result of one live query: all matching documents, in ascending
-/// sequence order, with their match spans.
+/// sequence order, with their match counts.
 #[derive(Clone, Debug)]
 pub struct LiveQueryResult {
     /// Matching documents in sequence order.
@@ -120,11 +108,11 @@ impl LiveQueryResult {
 
 /// Appends one record for a finished live query to the durable query
 /// log (no-op when none is installed). Live confirmation always runs to
-/// exhaustion, so records are `complete`, and they carry the plan's
-/// gram keys. There is no per-operator flight-recorder tree on the live
+/// exhaustion and counts every match, so records are `complete` with
+/// their `match_count` confirmed, and they carry the plan's gram keys. There is no per-operator flight-recorder tree on the live
 /// path (the analyze executor is batch-only) — slow live queries are
 /// still flagged `slow`.
-pub(crate) fn emit_qlog(pattern: &str, stats: &LiveQueryStats, want_spans: bool) {
+pub(crate) fn emit_qlog(pattern: &str, stats: &LiveQueryStats) {
     if free_trace::qlog::enabled() {
         let slow = free_engine::qlog::is_slow(&stats.base);
         let grams: Vec<&[u8]> = stats.grams.iter().map(|g| &**g).collect();
@@ -134,7 +122,7 @@ pub(crate) fn emit_qlog(pattern: &str, stats: &LiveQueryStats, want_spans: bool)
             &stats.base,
             &grams,
             true,
-            want_spans,
+            true,
             slow,
             None,
         ));
@@ -160,7 +148,6 @@ pub(crate) fn execute_prepared(
     prepared: &PreparedQuery,
     since: DocId,
     threads: usize,
-    want_spans: bool,
     budget: &RequestBudget,
     query_span: &free_trace::Span,
     on_doc: &mut dyn FnMut(DocId, Vec<Span>) -> bool,
@@ -254,7 +241,7 @@ pub(crate) fn execute_prepared(
             &view,
             regex,
             &mut source,
-            want_spans,
+            true,
             prefilter,
             threads,
             budget,

@@ -181,16 +181,16 @@ impl Snapshot {
         }
     }
 
-    /// Runs `pattern` over this view with the configured thread count,
-    /// extracting match spans.
+    /// Runs `pattern` over this view with the configured thread count:
+    /// each matching document with its number of matches.
     pub fn query(&self, pattern: &str) -> Result<LiveQueryResult> {
         self.query_opts(pattern, &QueryOpts::default())
     }
 
-    /// Runs `pattern` over this view with full per-request options
-    /// (thread count, span extraction, deadline/cancellation budget).
-    /// Matches come in sequence order, identical for any `threads` value
-    /// (see [`crate::query`]).
+    /// Runs `pattern` over this view with per-request options (thread
+    /// count, deadline/cancellation budget). Matches come in sequence
+    /// order, each with its number of leftmost-longest matches, identical
+    /// for any `threads` value (see [`crate::query`]).
     ///
     /// An expired deadline or tripped cancel token stops confirmation at
     /// its next batch boundary, and the whole query returns a structured
@@ -198,7 +198,7 @@ impl Snapshot {
     pub fn query_opts(&self, pattern: &str, opts: &QueryOpts) -> Result<LiveQueryResult> {
         let result = self.query_since(pattern, opts, 0)?;
         QueryMetrics::global().record(&result.stats.base);
-        crate::query::emit_qlog(pattern, &result.stats, opts.want_spans);
+        crate::query::emit_qlog(pattern, &result.stats);
         Ok(result)
     }
 
@@ -231,11 +231,11 @@ impl Snapshot {
             &prepared,
             since,
             threads,
-            opts.want_spans,
             &opts.budget,
             &query_span,
             &mut |seq, spans| {
-                matches.push(LiveMatch { seq, spans });
+                let count = u32::try_from(spans.len()).unwrap_or(u32::MAX);
+                matches.push(LiveMatch { seq, count });
                 true
             },
         )?;

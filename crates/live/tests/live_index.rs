@@ -35,7 +35,7 @@ fn docs() -> Vec<&'static [u8]> {
 }
 
 /// Queries the live index and a from-scratch batch rebuild over the same
-/// live documents, asserting identical (content, spans) results.
+/// live documents, asserting identical (content, match count) results.
 fn assert_matches_rebuild(live: &LiveIndex, patterns: &[&str]) {
     let seqs = live.live_seqs();
     let contents: Vec<Vec<u8>> = seqs.iter().map(|&s| live.get(s).unwrap()).collect();
@@ -46,18 +46,18 @@ fn assert_matches_rebuild(live: &LiveIndex, patterns: &[&str]) {
     .unwrap();
     for pattern in patterns {
         let got = live.snapshot().query(pattern).unwrap();
-        let want: Vec<(Vec<u8>, Vec<free_regex::Span>)> = engine
+        let want: Vec<(Vec<u8>, usize)> = engine
             .query(pattern)
             .unwrap()
             .all_matches()
             .unwrap()
             .into_iter()
-            .map(|m| (contents[m.doc as usize].clone(), m.spans))
+            .map(|m| (contents[m.doc as usize].clone(), m.spans.len()))
             .collect();
-        let got: Vec<(Vec<u8>, Vec<free_regex::Span>)> = got
+        let got: Vec<(Vec<u8>, usize)> = got
             .matches
             .into_iter()
-            .map(|m| (live.get(m.seq).unwrap(), m.spans))
+            .map(|m| (live.get(m.seq).unwrap(), m.count as usize))
             .collect();
         assert_eq!(got, want, "pattern {pattern:?} diverged from rebuild");
     }
@@ -322,10 +322,10 @@ fn batch_and_live_queries_run_one_pipeline() {
         let got = live.snapshot().query(pattern).unwrap();
         let mut batch = engine.query(pattern).unwrap();
         let want = batch.all_matches().unwrap();
-        let want: Vec<(DocId, Vec<free_regex::Span>)> =
-            want.into_iter().map(|m| (m.doc, m.spans)).collect();
-        let got_matches: Vec<(DocId, Vec<free_regex::Span>)> =
-            got.matches.into_iter().map(|m| (m.seq, m.spans)).collect();
+        let want: Vec<(DocId, usize)> = want.into_iter().map(|m| (m.doc, m.spans.len())).collect();
+        let got_matches: Vec<(DocId, usize)> = (got.matches.iter())
+            .map(|m| (m.seq, m.count as usize))
+            .collect();
         assert_eq!(got_matches, want, "{pattern}");
         let (l, b) = (&got.stats.base, batch.stats());
         let counters = |s: &free_engine::QueryStats| {

@@ -54,7 +54,6 @@ pub mod nfa;
 pub mod oracle;
 pub mod parser;
 pub mod pike;
-pub mod rewrite;
 pub mod spanned;
 
 mod matcher;

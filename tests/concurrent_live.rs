@@ -21,7 +21,6 @@
 use free_corpus::MemCorpus;
 use free_engine::{Engine, EngineConfig};
 use free_live::{LiveConfig, LiveIndex, LiveReader, QueryOpts};
-use free_regex::Span;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -30,14 +29,14 @@ use std::sync::Mutex;
 const PATTERNS: [&str; 4] = ["ab", "bca*", "a b", "(ab|ca)x?"];
 
 /// One observed query: the snapshot generation it ran against, the
-/// pattern, and each match's (seq, content, spans).
+/// pattern, and each match's (seq, content, match count).
 type Observation = (u64, &'static str, Rows);
 
 /// Generation → live (seq, content) pairs after each writer op.
 type Model = BTreeMap<u64, Vec<(u32, Vec<u8>)>>;
 
-/// Match rows of one query: (seq, content, spans) per matching doc.
-type Rows = Vec<(u32, Vec<u8>, Vec<Span>)>;
+/// Match rows of one query: (seq, content, match count) per matching doc.
+type Rows = Vec<(u32, Vec<u8>, usize)>;
 
 fn engine_config() -> EngineConfig {
     EngineConfig {
@@ -66,8 +65,8 @@ fn random_doc(rng: &mut StdRng) -> Vec<u8> {
 }
 
 /// What a from-scratch batch engine over `docs` returns for `pattern`,
-/// keyed back to (seq, content, spans).
-fn rebuild(docs: &[(u32, Vec<u8>)], pattern: &str) -> Vec<(u32, Vec<u8>, Vec<Span>)> {
+/// keyed back to (seq, content, match count).
+fn rebuild(docs: &[(u32, Vec<u8>)], pattern: &str) -> Vec<(u32, Vec<u8>, usize)> {
     let contents: Vec<Vec<u8>> = docs.iter().map(|(_, d)| d.clone()).collect();
     let engine = Engine::build_in_memory(MemCorpus::from_docs(contents), engine_config()).unwrap();
     let matches = engine.query(pattern).unwrap().all_matches().unwrap();
@@ -75,7 +74,7 @@ fn rebuild(docs: &[(u32, Vec<u8>)], pattern: &str) -> Vec<(u32, Vec<u8>, Vec<Spa
         .into_iter()
         .map(|m| {
             let (seq, content) = &docs[m.doc as usize];
-            (*seq, content.clone(), m.spans)
+            (*seq, content.clone(), m.spans.len())
         })
         .collect()
 }
@@ -165,7 +164,7 @@ fn run_stress(
                     let rows = result
                         .matches
                         .into_iter()
-                        .map(|m| (m.seq, snapshot.get(m.seq).unwrap(), m.spans))
+                        .map(|m| (m.seq, snapshot.get(m.seq).unwrap(), m.count as usize))
                         .collect();
                     if local.len() < 400 {
                         local.push((snapshot.generation(), pattern, rows));
@@ -216,12 +215,12 @@ fn run_stress(
                 threads,
                 ..QueryOpts::default()
             };
-            let got: Vec<(u32, Vec<u8>, Vec<Span>)> = snapshot
+            let got: Vec<(u32, Vec<u8>, usize)> = snapshot
                 .query_opts(pattern, &opts)
                 .unwrap()
                 .matches
                 .into_iter()
-                .map(|m| (m.seq, snapshot.get(m.seq).unwrap(), m.spans))
+                .map(|m| (m.seq, snapshot.get(m.seq).unwrap(), m.count as usize))
                 .collect();
             assert_eq!(
                 got, expected,

@@ -1,7 +1,7 @@
 //! Differential property test for the live index: after ANY schedule of
 //! ingest / delete / flush / compact operations, queries must return
 //! exactly what a from-scratch batch build over the surviving documents
-//! returns — same documents, same match spans — and must be identical
+//! returns — same documents, same match counts — and must be identical
 //! across confirmation thread counts: the answers, their order and the
 //! logical counters at 2 and 4 threads are those at one. Schedules
 //! delete buffered documents just before a flush and reopen after it, so
@@ -13,7 +13,6 @@
 use free_corpus::MemCorpus;
 use free_engine::{Engine, EngineConfig};
 use free_live::{LiveConfig, LiveIndex, LiveQueryResult, QueryOpts};
-use free_regex::Span;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -105,8 +104,9 @@ fn fresh_dir() -> std::path::PathBuf {
     dir
 }
 
-/// (document content, spans) for every live match, in sequence order.
-fn live_results(live: &LiveIndex, pattern: &str, threads: usize) -> Vec<(Vec<u8>, Vec<Span>)> {
+/// (document content, match count) for every live match, in sequence
+/// order.
+fn live_results(live: &LiveIndex, pattern: &str, threads: usize) -> Vec<(Vec<u8>, usize)> {
     let opts = QueryOpts {
         threads,
         ..QueryOpts::default()
@@ -116,14 +116,14 @@ fn live_results(live: &LiveIndex, pattern: &str, threads: usize) -> Vec<(Vec<u8>
         .unwrap()
         .matches
         .into_iter()
-        .map(|m| (live.get(m.seq).unwrap(), m.spans))
+        .map(|m| (live.get(m.seq).unwrap(), m.count as usize))
         .collect()
 }
 
-/// The answer to `pattern` at `threads` threads: (seq, spans) of every
+/// The answer to `pattern` at `threads` threads: (seq, match count) of every
 /// match in sequence order, and the logical counters (documents
 /// examined, candidates, matching documents).
-type Answer = (Vec<(u32, Vec<Span>)>, (usize, usize, usize));
+type Answer = (Vec<(u32, u32)>, (usize, usize, usize));
 
 fn answer(live: &LiveIndex, pattern: &str, threads: usize) -> Answer {
     let opts = QueryOpts {
@@ -133,7 +133,7 @@ fn answer(live: &LiveIndex, pattern: &str, threads: usize) -> Answer {
     let r: LiveQueryResult = live.snapshot().query_opts(pattern, &opts).unwrap();
     let b = &r.stats.base;
     let counters = (b.docs_examined, b.candidates, b.matching_docs);
-    let matches = r.matches.into_iter().map(|m| (m.seq, m.spans)).collect();
+    let matches = r.matches.into_iter().map(|m| (m.seq, m.count)).collect();
     (matches, counters)
 }
 
@@ -157,13 +157,13 @@ fn assert_thread_invariant(live: &LiveIndex, when: &str) -> Result<(), TestCaseE
 
 /// The reference: a batch engine built from scratch over the model's
 /// surviving documents, results keyed back to content.
-fn rebuild_results(model: &[Vec<u8>], pattern: &str) -> Vec<(Vec<u8>, Vec<Span>)> {
+fn rebuild_results(model: &[Vec<u8>], pattern: &str) -> Vec<(Vec<u8>, usize)> {
     let engine =
         Engine::build_in_memory(MemCorpus::from_docs(model.to_vec()), engine_config()).unwrap();
     let matches = engine.query(pattern).unwrap().all_matches().unwrap();
     matches
         .into_iter()
-        .map(|m| (model[m.doc as usize].clone(), m.spans))
+        .map(|m| (model[m.doc as usize].clone(), m.spans.len()))
         .collect()
 }
 
@@ -234,7 +234,7 @@ proptest! {
 
     /// Thread invariance: at every point in a random schedule, and after
     /// a reopen of its final state, every pattern's matches (seqs and
-    /// spans, in order) and logical counters at 2 and 4 confirmation
+    /// match counts, in order) and logical counters at 2 and 4 confirmation
     /// threads equal those at one. The reopened index answers as before
     /// and its next add continues the sequence.
     #[test]

@@ -10,7 +10,8 @@
 //! the documents appended since it was computed — is byte-identical to
 //! an uncached execution against the same snapshot, under any schedule
 //! of add / delete / flush / compact, and a delete never
-//! lets an answer be extended.
+//! lets an answer be extended. Every answer, cached or not, counts in
+//! each document the matches `Regex::find_all` finds there.
 
 // Integration tests: unwraps in helper functions are assertions, the
 // same as inside #[test] bodies (clippy.toml only exempts the latter).
@@ -214,7 +215,9 @@ proptest! {
     /// an uncached `query_opts` on the same snapshot. And the lookup is
     /// the one the stamps call for: an add extends the answer, a flush,
     /// a compaction or a delete of nothing leaves it a hit, and a delete
-    /// never yields an extension.
+    /// never yields an extension. Every answer holds each live document
+    /// with a match, and its count is the number of `Regex::find_all`
+    /// matches in the document as it was added.
     #[test]
     fn cached_results_equal_uncached_under_any_schedule(
         ops in prop::collection::vec(arb_op(), 1..8),
@@ -233,11 +236,14 @@ proptest! {
         let cache = QueryCache::new(64);
         let reader = live.reader();
         let mut live_seqs: Vec<u32> = Vec::new();
+        // Every document added, at its sequence number.
+        let mut added: Vec<Vec<u8>> = Vec::new();
 
         for (step, op) in ops.into_iter().enumerate() {
             let want = match op {
                 Op::Add(docs) => {
                     live_seqs.extend(live.add_batch(&docs).unwrap());
+                    added.extend(docs);
                     Lookup::Extended
                 }
                 Op::Delete(raw) if !live_seqs.is_empty() => {
@@ -266,6 +272,13 @@ proptest! {
                     cache.query(&snapshot, pattern, &RequestBudget::unlimited()).unwrap();
                 prop_assert_eq!(cached.as_slice(), fresh.as_slice(), "{} {:?}", pattern, lookup);
                 prop_assert_eq!(lookup, want, "{}", pattern);
+                let regex = Regex::new(pattern).unwrap();
+                let rebuilt: Vec<(u32, u32)> = (live_seqs.iter())
+                    .map(|&seq| (seq, regex.find_all(&added[seq as usize]).len() as u32))
+                    .filter(|&(_, count)| count > 0)
+                    .collect();
+                let counted: Vec<(u32, u32)> = cached.iter().map(|m| (m.seq, m.count)).collect();
+                prop_assert_eq!(counted, rebuilt, "{} {:?}", pattern, lookup);
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
