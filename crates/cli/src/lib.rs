@@ -133,14 +133,15 @@ fn verbose_tracer() -> free_trace::Tracer {
         if e.name == "mine.pass" {
             let get = |k: &str| e.attr(k).map(ToString::to_string).unwrap_or_default();
             eprintln!(
-                "pass {}: gram lengths {}..={}, {} considered, {} kept, {} corpus bytes read \
-                 in {} range(s), folded in {} us",
+                "pass {}: gram lengths {}..={}, {} considered, {} kept, {} corpus bytes read, \
+                 {} positions probed in {} range(s), folded in {} us",
                 get("pass"),
                 get("min_len"),
                 get("max_len"),
                 get("grams_considered"),
                 get("grams_kept"),
                 get("bytes_read"),
+                get("positions_probed"),
                 get("ranges"),
                 get("fold_us"),
             );

@@ -56,7 +56,9 @@ pub struct EngineConfig {
     /// Memory budget in bytes for the postings buffer of an on-disk build
     /// (4 bytes per posting). A key set whose postings exceed it is built
     /// one buffer at a time over consecutive key ranges, with the same
-    /// resulting file (see [`build_index`](crate::build_index)).
+    /// resulting file (see [`build_index`](crate::build_index)). Mining
+    /// keeps one bit per corpus byte only if that fits too; otherwise
+    /// every pass visits every position, with the same keys.
     pub build_memory_budget: usize,
     /// Conjunction members whose estimated selectivity exceeds this are
     /// pruned when a more selective member exists (the paper's Example
@@ -152,12 +154,13 @@ impl EngineConfig {
     }
 
     /// The mining-relevant slice of this config, for
-    /// [`free_select::mine_multigrams`].
+    /// [`free_select::mine`].
     pub fn select_config(&self) -> free_select::SelectConfig {
         free_select::SelectConfig {
             usefulness_threshold: self.usefulness_threshold,
             max_gram_len: self.max_gram_len,
             lengths_per_pass: self.lengths_per_pass,
+            memory_budget: self.build_memory_budget,
             tracer: self.tracer.clone(),
         }
     }

@@ -6,12 +6,12 @@ use crate::exec::stream::{compile_plan, CandidateSource, StreamState};
 use crate::grams::GramMatcher;
 use crate::metrics::{BuildStats, QueryStats};
 use crate::prepare::PreparedQuery;
-use crate::select::{enumerate_complete, mine_multigrams, presuf_shell, MiningStats, SelectedGram};
+use crate::select::{enumerate_complete, mine, MiningStats, SelectedGram};
 use crate::Result;
 use free_corpus::Corpus;
 use free_index::{CountedPostings, CountedRange, IndexRead, IndexReader, IndexWriter, MemIndex};
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A FREE engine: a corpus, a gram index over it, and the runtime
 /// machinery to answer regex queries (Figure 1's "runtime matching
@@ -35,26 +35,65 @@ pub fn select_keys<C: Corpus>(
     corpus: &C,
     config: &EngineConfig,
 ) -> Result<(Vec<SelectedGram>, MiningStats)> {
+    let selected = select_timed(corpus, config)?;
+    Ok((selected.keys, selected.mining))
+}
+
+/// [`select_keys`] in a `build.select` child span of `build`, which
+/// records the key count, the passes, and the time spent mining and
+/// making the keys of the mined grams.
+fn select_in_span<C: Corpus>(
+    build: &free_trace::Span,
+    corpus: &C,
+    config: &EngineConfig,
+) -> Result<(Vec<SelectedGram>, MiningStats)> {
+    let mut span = build.child("build.select");
+    let selected = select_timed(corpus, config)?;
+    span.record("keys", selected.keys.len());
+    span.record("passes", selected.mining.passes);
+    span.record("mine_us", selected.mine_time.as_micros() as u64);
+    span.record("shell_us", selected.shell_time.as_micros() as u64);
+    Ok((selected.keys, selected.mining))
+}
+
+/// [`select_keys`]'s keys and statistics, and how long mining and making
+/// the keys of the mined grams took.
+struct Selected {
+    keys: Vec<SelectedGram>,
+    mining: MiningStats,
+    mine_time: Duration,
+    shell_time: Duration,
+}
+
+fn select_timed<C: Corpus>(corpus: &C, config: &EngineConfig) -> Result<Selected> {
     config.validate()?;
-    match config.index_kind {
-        IndexKind::Complete => {
-            let grams =
-                enumerate_complete(corpus, 2.min(config.max_gram_len), config.max_gram_len)?;
-            let stats = MiningStats {
-                passes: 1,
-                ..MiningStats::default()
-            };
-            Ok((grams, stats))
-        }
-        IndexKind::Multigram => {
-            let sel = mine_multigrams(corpus, &config.select_config())?;
-            Ok((sel.grams, sel.stats))
-        }
-        IndexKind::Presuf => {
-            let sel = mine_multigrams(corpus, &config.select_config())?;
-            Ok((presuf_shell(sel.grams), sel.stats))
-        }
+    let started = Instant::now();
+    if config.index_kind == IndexKind::Complete {
+        let keys = enumerate_complete(corpus, 2.min(config.max_gram_len), config.max_gram_len)?;
+        let mining = MiningStats {
+            passes: 1,
+            ..MiningStats::default()
+        };
+        return Ok(Selected {
+            keys,
+            mining,
+            mine_time: started.elapsed(),
+            shell_time: Duration::ZERO,
+        });
     }
+    let mined = mine(corpus, &config.select_config())?;
+    let mine_time = started.elapsed();
+    let started = Instant::now();
+    let selection = match config.index_kind {
+        IndexKind::Presuf => mined.presuf_shell(),
+        IndexKind::Multigram | IndexKind::Complete => mined.multigrams(),
+    };
+    Ok(Selected {
+        keys: selection.grams,
+        mining: selection.stats,
+        mine_time,
+        shell_time: started.elapsed(),
+    })
 }
 
 /// The Aho-Corasick automaton over `keys`, pattern `i` being `keys[i]`.
@@ -238,13 +277,7 @@ impl<C: Corpus> Engine<C, MemIndex> {
     pub fn build_in_memory(corpus: C, config: EngineConfig) -> Result<Self> {
         let build_span = config.tracer.span("build");
         let select_start = Instant::now();
-        let (keys, mining) = {
-            let mut span = build_span.child("build.select");
-            let (keys, mining) = select_keys(&corpus, &config)?;
-            span.record("keys", keys.len());
-            span.record("passes", mining.passes);
-            (keys, mining)
-        };
+        let (keys, mining) = select_in_span(&build_span, &corpus, &config)?;
         let select_time = select_start.elapsed();
 
         let construct_start = Instant::now();
@@ -287,13 +320,7 @@ impl<C: Corpus> Engine<C, IndexReader> {
     ) -> Result<Self> {
         let build_span = config.tracer.span("build");
         let select_start = Instant::now();
-        let (keys, mining) = {
-            let mut span = build_span.child("build.select");
-            let (keys, mining) = select_keys(&corpus, &config)?;
-            span.record("keys", keys.len());
-            span.record("passes", mining.passes);
-            (keys, mining)
-        };
+        let (keys, mining) = select_in_span(&build_span, &corpus, &config)?;
         let select_time = select_start.elapsed();
 
         let construct_start = Instant::now();
@@ -669,7 +696,24 @@ mod tests {
             Some(&free_trace::Value::F64(1.0))
         );
         let pass = events.iter().find(|e| e.name == "mine.pass").unwrap();
-        assert!(pass.attr("ranges").is_some() && pass.attr("fold_us").is_some());
+        for attr in [
+            "ranges",
+            "positions_probed",
+            "count_us",
+            "fold_us",
+            "resolve_us",
+        ] {
+            assert!(pass.attr(attr).is_some(), "{attr}: {pass:?}");
+        }
+        let select = (events.iter()).find(|e| {
+            e.name == "build.select" && matches!(e.kind, free_trace::EventKind::SpanEnd { .. })
+        });
+        for attr in ["mine_us", "shell_us"] {
+            assert!(
+                select.and_then(|e| e.attr(attr)).is_some(),
+                "{attr}: {select:?}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

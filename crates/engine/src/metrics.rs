@@ -174,7 +174,8 @@ impl BuildStats {
                 .field_u64("max_len", p.lengths.1 as u64)
                 .field_u64("grams_considered", p.grams_considered)
                 .field_u64("grams_kept", p.grams_kept)
-                .field_u64("bytes_read", p.bytes_read);
+                .field_u64("bytes_read", p.bytes_read)
+                .field_u64("positions_probed", p.positions_probed);
             passes.push_raw(po.finish());
         }
         let mut idx = JsonObject::new();
@@ -384,6 +385,7 @@ mod tests {
                     grams_considered: 60,
                     grams_kept: 5,
                     bytes_read: 1234,
+                    positions_probed: 987,
                 }],
             },
             ..Default::default()
@@ -392,6 +394,7 @@ mod tests {
         assert!(json.contains("\"select_passes\":2"), "{json}");
         assert!(json.contains("\"grams_considered\":60"), "{json}");
         assert!(json.contains("\"bytes_read\":1234"), "{json}");
+        assert!(json.contains("\"positions_probed\":987"), "{json}");
         assert!(json.contains("\"index\":{"), "{json}");
     }
 

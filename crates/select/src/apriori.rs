@@ -14,11 +14,19 @@
 //! consecutive gram lengths: grams of the longer lengths are counted
 //! optimistically (their immediate prefix's usefulness is unknown until
 //! the pass ends) and filtered level-by-level afterwards.
+//!
+//! Every pass after the first visits only the corpus positions where the
+//! pass before it found a frontier prefix (one bit per corpus byte, when
+//! that fits [`memory_budget`](crate::SelectConfig::memory_budget)). The
+//! grams found are kept end to end in one byte buffer, a [`Mined`] set;
+//! only the keys asked of it, all of them or the presuf shell's, become
+//! [`SelectedGram`]s.
 
-use crate::counter::{count_ranges, GramCounter, GramSet};
+use crate::counter::{all_marked, count_ranges, Dense, GramCounter, GramSet, RangeTables};
 use crate::{Result, SelectConfig, SelectedGram};
 use free_corpus::Corpus;
 use std::ops::Range;
+use std::time::Instant;
 
 /// Statistics from a mining run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -46,12 +54,16 @@ pub struct PassStats {
     pub grams_kept: u64,
     /// Corpus bytes read by the scan.
     pub bytes_read: u64,
+    /// Corpus positions the scan visited: every one in the first pass
+    /// (and in every pass when the visit bitmap exceeds the memory
+    /// budget), else those where the pass before found a frontier prefix.
+    pub positions_probed: u64,
 }
 
-/// The result of mining: the minimal useful grams plus statistics.
+/// The result of mining: selected grams plus statistics.
 #[derive(Clone, Debug)]
 pub struct Selection {
-    /// Minimal useful grams, sorted lexicographically.
+    /// The selected grams, sorted lexicographically.
     pub grams: Vec<SelectedGram>,
     /// Number of data units scanned (the paper's `N`).
     pub num_docs: usize,
@@ -59,46 +71,88 @@ pub struct Selection {
     pub stats: MiningStats,
 }
 
-impl Selection {
-    /// The raw gram keys, sorted.
-    pub fn keys(&self) -> Vec<Box<[u8]>> {
-        self.grams.iter().map(|g| g.gram.clone()).collect()
+/// The minimal useful grams as mining finds them: end to end in one byte
+/// buffer, in the order found. [`Mined::multigrams`] or
+/// [`Mined::presuf_shell`] makes the keys.
+#[derive(Debug)]
+pub struct Mined {
+    bytes: Vec<u8>,
+    /// Each gram's range of `bytes` and its document count.
+    grams: Vec<(Range<usize>, u32)>,
+    num_docs: usize,
+    stats: MiningStats,
+}
+
+impl Mined {
+    /// Every minimal useful gram, sorted: the multigram selection.
+    pub fn multigrams(mut self) -> Selection {
+        let bytes = &self.bytes;
+        self.grams
+            .sort_unstable_by(|a, b| bytes[a.0.clone()].cmp(&bytes[b.0.clone()]));
+        let grams = (self.grams.iter())
+            .map(|(gram, doc_count)| SelectedGram {
+                gram: bytes[gram.clone()].into(),
+                doc_count: *doc_count,
+            })
+            .collect();
+        Selection {
+            grams,
+            num_docs: self.num_docs,
+            stats: self.stats,
+        }
+    }
+
+    /// The presuf shell (§3.2) of the minimal useful grams, sorted: the
+    /// grams none of whose proper suffixes is one of them.
+    pub fn presuf_shell(self) -> Selection {
+        Selection {
+            grams: crate::presuf::shell(&self.bytes, &self.grams),
+            num_docs: self.num_docs,
+            stats: self.stats,
+        }
     }
 }
 
 /// Runs Algorithm 3.1 over `corpus` with the config's threshold.
-pub fn mine_multigrams(corpus: &dyn Corpus, config: &SelectConfig) -> Result<Selection> {
+pub fn mine(corpus: &dyn Corpus, config: &SelectConfig) -> Result<Mined> {
     mine_in_ranges(corpus, config, crate::build_ranges(corpus.total_bytes()))
 }
 
-/// [`mine_multigrams`] with each pass counting `ranges` document ranges
-/// at once; the selection and its statistics are the same for any number.
-fn mine_in_ranges(corpus: &dyn Corpus, config: &SelectConfig, ranges: usize) -> Result<Selection> {
+/// [`mine`], every minimal useful gram sorted: the multigram selection.
+pub fn mine_multigrams(corpus: &dyn Corpus, config: &SelectConfig) -> Result<Selection> {
+    Ok(mine(corpus, config)?.multigrams())
+}
+
+/// [`mine`] with each pass counting `ranges` document ranges at once; the
+/// grams and their statistics are the same for any number.
+fn mine_in_ranges(corpus: &dyn Corpus, config: &SelectConfig, ranges: usize) -> Result<Mined> {
     config.validate()?;
     let n = corpus.len();
     // floor(c * N): a gram is useful iff count <= threshold.
     let threshold = (config.usefulness_threshold * n as f64).floor() as u32;
+    let levels = config.lengths_per_pass.min(GramCounter::MAX_LEVELS);
 
     // The minimal useful grams found so far, their bytes end to end in
-    // `useful_bytes`. Nothing is allocated per gram while the counters
-    // hold their tables, so the grams' allocations, which outlive the
-    // mining, are not left scattered between the tables' freed space.
+    // `useful_bytes`. Nothing is allocated per gram: keys are made from
+    // the buffer once the tables are freed, so their allocations, which
+    // outlive mining, are not left scattered between the tables' space.
     let mut useful_bytes: Vec<u8> = Vec::new();
     let mut useful: Vec<(Range<usize>, u32)> = Vec::new();
     let mut stats = MiningStats::default();
     // The grams confirmed useless at length `k-1`, to be extended: the
     // empty gram before the first pass.
     let mut frontier = GramSet::new(0);
-    frontier.intern(0, &[]);
+    frontier.intern(&[]);
     let mut gram = Vec::new();
     let mut k = 1usize;
-    // One counter per document range, kept from pass to pass.
-    let mut counters: Vec<GramCounter> = (0..ranges.clamp(1, n.max(1)))
-        .map(|_| GramCounter::new())
+    // One set of tables per document range, kept from pass to pass. The
+    // first pass counts its shortest grams in a dense table.
+    let first_lengths = levels.min(config.max_gram_len);
+    let mut tables: Vec<RangeTables> = (0..ranges.clamp(1, n.max(1)))
+        .map(|_| RangeTables::new(GramCounter::new(), Some(Dense::new(first_lengths))))
         .collect();
 
     while k <= config.max_gram_len && !frontier.is_empty() {
-        let levels = config.lengths_per_pass.min(GramCounter::MAX_LEVELS);
         let k_end = k.saturating_add(levels - 1).min(config.max_gram_len);
         let kept_before = useful.len();
 
@@ -106,8 +160,11 @@ fn mine_in_ranges(corpus: &dyn Corpus, config: &SelectConfig, ranges: usize) -> 
         // (k-1)-prefix is in the frontier.
         // Grams longer than k are counted optimistically: whether their
         // immediate prefix is useless is only known once the scan ends.
-        let (bytes_read, fold) = count_ranges(corpus, &frontier, &mut counters, k_end)?;
-        let counter = &mut counters[0];
+        let counting = Instant::now();
+        let scanned = count_ranges(corpus, &frontier, &mut tables, k_end)?;
+        let count_time = counting.elapsed();
+        let resolving = Instant::now();
+        let counter = &mut tables[0].counter;
         stats.passes += 1;
         stats.candidates_counted += counter.len() as u64;
 
@@ -133,16 +190,35 @@ fn mine_in_ranges(corpus: &dyn Corpus, config: &SelectConfig, ranges: usize) -> 
                     useful_bytes.extend_from_slice(&gram);
                     useful.push((start..useful_bytes.len(), c.doc_count));
                 } else {
-                    next_frontier.intern(next_frontier.hash(&gram), &gram);
+                    next_frontier.intern(&gram);
                 }
             }
         }
+        let resolve_time = resolving.elapsed();
         let pass = PassStats {
             lengths: (k, k_end),
             grams_considered: counter.len() as u64,
             grams_kept: (useful.len() - kept_before) as u64,
-            bytes_read,
+            bytes_read: scanned.ranges.iter().map(|r| r.bytes).sum(),
+            positions_probed: scanned.ranges.iter().map(|r| r.positions).sum(),
         };
+        // Each prefix the first pass extended, the empty gram, is found at
+        // every position; from the second pass on a range visits only
+        // where the pass before found one, if a bit per position fits.
+        let bitmap_bytes: u64 = scanned
+            .ranges
+            .iter()
+            .map(|r| r.bytes.div_ceil(64) * 8)
+            .sum();
+        if stats.passes == 1
+            && k_end < config.max_gram_len
+            && !next_frontier.is_empty()
+            && bitmap_bytes <= config.memory_budget as u64
+        {
+            for (tables, range) in tables.iter_mut().zip(&scanned.ranges) {
+                tables.marks = Some(all_marked(range.bytes));
+            }
+        }
         frontier = next_frontier;
         config.tracer.event(
             "mine.pass",
@@ -153,25 +229,20 @@ fn mine_in_ranges(corpus: &dyn Corpus, config: &SelectConfig, ranges: usize) -> 
                 ("grams_considered", pass.grams_considered.into()),
                 ("grams_kept", pass.grams_kept.into()),
                 ("bytes_read", pass.bytes_read.into()),
-                ("ranges", counters.len().into()),
-                ("fold_us", (fold.as_micros() as u64).into()),
+                ("positions_probed", pass.positions_probed.into()),
+                ("ranges", tables.len().into()),
+                ("count_us", (count_time.as_micros() as u64).into()),
+                ("fold_us", (scanned.fold.as_micros() as u64).into()),
+                ("resolve_us", (resolve_time.as_micros() as u64).into()),
             ],
         );
         stats.per_pass.push(pass);
         k = k_end + 1;
     }
 
-    drop(counters);
-    let bytes = |gram: &Range<usize>| &useful_bytes[gram.clone()];
-    useful.sort_by(|a, b| bytes(&a.0).cmp(bytes(&b.0)));
-    let grams = (useful.iter())
-        .map(|(gram, doc_count)| SelectedGram {
-            gram: bytes(gram).into(),
-            doc_count: *doc_count,
-        })
-        .collect();
-    Ok(Selection {
-        grams,
+    Ok(Mined {
+        bytes: useful_bytes,
+        grams: useful,
         num_docs: n,
         stats,
     })
@@ -278,6 +349,24 @@ mod tests {
         let sel = mine(&docs, 0.9, 4);
         for g in &sel.grams {
             assert!(g.gram.len() <= 4);
+        }
+        // A cutoff shorter than a pass: the first pass's dense table
+        // counts no length past it.
+        let corpus = MemCorpus::from_docs(vec![b"ab".to_vec(), b"cd".to_vec(), b"ab".to_vec()]);
+        for lengths_per_pass in 1..=3 {
+            let config = SelectConfig {
+                usefulness_threshold: 0.5,
+                max_gram_len: 1,
+                lengths_per_pass,
+                ..SelectConfig::default()
+            };
+            let sel = mine_multigrams(&corpus, &config).unwrap();
+            assert_eq!(
+                keys(&sel),
+                ["c", "d"],
+                "{lengths_per_pass} lengths per pass"
+            );
+            assert_eq!(sel.stats.candidates_counted, 4);
         }
     }
 
@@ -390,8 +479,63 @@ mod tests {
                 "{e:?}"
             );
             assert!(e.attr("bytes_read").is_some());
+            assert_eq!(
+                e.attr("positions_probed"),
+                Some(&free_trace::Value::U64(
+                    sel.stats.per_pass[i].positions_probed
+                ))
+            );
             assert_eq!(e.attr("ranges"), Some(&free_trace::Value::U64(2)));
-            assert!(e.attr("fold_us").is_some());
+            for timer in ["count_us", "fold_us", "resolve_us"] {
+                assert!(e.attr(timer).is_some(), "{timer}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_pass_probes_the_positions_the_pass_before_found() {
+        let docs: Vec<Vec<u8>> = (0..30)
+            .map(|i| format!("alpha beta gamma {} filler {}", i % 6, i % 4).into_bytes())
+            .collect();
+        let corpus = MemCorpus::from_docs(docs.clone());
+        let total_bytes = corpus.total_bytes();
+        let counts = oracle_counts(&docs, 10);
+        // floor(0.2 * 30) documents.
+        let useless = |g: &[u8]| counts[g] > 6;
+        // Where a pass counting from length k finds its prefix: a k-gram
+        // fits and every prefix of the (k-1)-gram is useless.
+        let found = |k: usize| -> u64 {
+            (docs.iter())
+                .map(|d| {
+                    (0..d.len())
+                        .filter(|&i| i + k <= d.len() && (1..k).all(|m| useless(&d[i..i + m])))
+                        .count() as u64
+                })
+                .sum()
+        };
+        for lengths_per_pass in 1..=3 {
+            let config = SelectConfig {
+                usefulness_threshold: 0.2,
+                lengths_per_pass,
+                ..SelectConfig::default()
+            };
+            for ranges in [1, 2, 3] {
+                let per_pass = mine_in_ranges(&corpus, &config, ranges)
+                    .unwrap()
+                    .stats
+                    .per_pass;
+                assert!(per_pass.len() >= 3, "{per_pass:?}");
+                assert_eq!(per_pass[0].positions_probed, total_bytes);
+                for pair in per_pass.windows(2) {
+                    assert_eq!(
+                        pair[1].positions_probed,
+                        found(pair[0].lengths.0),
+                        "{lengths_per_pass} lengths per pass, {ranges} ranges: {per_pass:?}"
+                    );
+                }
+                let last = per_pass.last().unwrap();
+                assert!(last.positions_probed < total_bytes, "{per_pass:?}");
+            }
         }
     }
 
@@ -430,17 +574,19 @@ mod tests {
 
         /// Against the definition, for any corpus over a small alphabet
         /// with long shared stretches (so useless grams, and with them
-        /// keys, pass 16 bytes), any cutoff, any number of lengths per
-        /// pass and any number of document ranges.
+        /// keys, pass 16 bytes), any cutoff (on both sides of 8 and 16
+        /// bytes, where frontier keys start comparing a tail), any number
+        /// of lengths per pass, any number of document ranges, and with
+        /// and without the visit bitmap.
         #[test]
         fn mining_matches_the_definition(
-            shared in prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c')], 0..32),
+            shared in prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), Just(0xffu8)], 0..32),
             docs in prop::collection::vec(
-                (prop_oneof![0usize..33, 18usize..33], prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), Just(0u8)], 0..10)),
+                (prop_oneof![0usize..33, 18usize..33], prop::collection::vec(prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), Just(0u8), Just(0xffu8)], 0..10)),
                 1..14,
             ),
             threshold in prop_oneof![0usize..16, 1usize..4],
-            max_gram_len in prop_oneof![1usize..=20, 17usize..=20],
+            max_gram_len in prop_oneof![1usize..=20, 7usize..=10, 15usize..=18],
             lengths_per_pass in 1usize..=4,
             ranges in 1usize..=4,
         ) {
@@ -458,12 +604,28 @@ mod tests {
                 lengths_per_pass,
                 ..SelectConfig::default()
             };
-            let sel = mine_in_ranges(&corpus, &config, ranges).unwrap();
+            let sel = mine_in_ranges(&corpus, &config, ranges).unwrap().multigrams();
             // Document ranges (more of them than documents, too) change
             // neither the selection nor its statistics.
-            let one_range = mine_in_ranges(&corpus, &config, 1).unwrap();
+            let one_range = mine_in_ranges(&corpus, &config, 1).unwrap().multigrams();
             prop_assert_eq!(&sel.grams, &one_range.grams);
             prop_assert_eq!(&sel.stats, &one_range.stats);
+            // Nor does a budget too small for the visit bitmap, under which
+            // every pass visits every position.
+            let unmarked = SelectConfig { memory_budget: 0, ..config.clone() };
+            let unmarked = mine_in_ranges(&corpus, &unmarked, ranges).unwrap().multigrams();
+            prop_assert_eq!(&sel.grams, &unmarked.grams);
+            let positions = |stats: &MiningStats| -> Vec<u64> {
+                stats.per_pass.iter().map(|p| p.positions_probed).collect()
+            };
+            let visited_everywhere = MiningStats {
+                per_pass: (sel.stats.per_pass.iter())
+                    .map(|p| PassStats { positions_probed: p.bytes_read, ..p.clone() })
+                    .collect(),
+                ..sel.stats.clone()
+            };
+            prop_assert_eq!(&unmarked.stats, &visited_everywhere);
+            prop_assert!(positions(&sel.stats).iter().zip(positions(&unmarked.stats)).all(|(m, u)| *m <= u));
             let counts = oracle_counts(&docs, max_gram_len);
             let threshold = threshold.min(docs.len()) as u32;
             let useful = |g: &[u8]| counts[g] <= threshold;

@@ -6,7 +6,7 @@
 //! (up to the cutoff) can be looked up — and shows it is an order of
 //! magnitude larger than the multigram index while only ~32 % faster.
 
-use crate::counter::{count_pass, GramCounter, GramSet, Prefixes};
+use crate::counter::{count_pass, GramCounter, GramSet, Prefixes, RangeTables};
 use crate::{Result, SelectedGram};
 use free_corpus::Corpus;
 
@@ -25,15 +25,16 @@ pub fn enumerate_complete(
     // corpus holds, collected as the scan meets them: one range, since
     // the frontier is written while it is read.
     let mut prefixes = GramSet::new(min_len - 1);
-    let mut counter = GramCounter::new();
+    let mut tables = RangeTables::new(GramCounter::new(), None);
     count_pass(
         corpus,
         Prefixes::Any(&mut prefixes),
         0..usize::MAX,
         max_len,
-        &mut counter,
+        &mut tables,
         &mut GramCounter::reserve,
     )?;
+    let counter = tables.counter;
     let mut out = Vec::with_capacity(counter.len());
     let mut gram = Vec::new();
     for slot in counter.slots_by_level() {

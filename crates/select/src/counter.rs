@@ -2,27 +2,36 @@
 //! enumeration: two flat open-addressing tables and the corpus scan that
 //! fills them.
 //!
-//! A counting pass looks at every position of every data unit. The
-//! `(k-1)`-byte prefix at the position is looked up in a [`GramSet`] (the
-//! *frontier*: the grams still worth extending), found by a rolling hash
-//! so the probe costs the same for any gram length. Each gram of length
-//! `k..=k_end` starting there is then one edge of a trie: *(parent,
-//! byte)*, where the parent of the shortest gram is its frontier id and
-//! the parent of every longer gram is the slot of the gram one byte
-//! shorter. A [`GramCounter`] slot holds that edge and the gram's
-//! document count in 16 bytes, so counting a gram is one probe of one
-//! array with an exact fixed-width comparison — no key bytes are hashed,
-//! stored or chased, whatever the gram length. Gram bytes are rebuilt
-//! from the edges only for the grams a pass keeps.
+//! A counting pass looks at positions of data units. The `(k-1)`-byte
+//! prefix at a position is looked up in a [`GramSet`] (the *frontier*: the
+//! grams still worth extending), keyed by the prefix's first eight bytes
+//! read as one integer, so a key can be read at any position and the
+//! probe costs the same for any gram length; a longer prefix also
+//! compares its remaining bytes. Each gram of length `k..=k_end` starting
+//! there is then one edge of a trie: *(parent, byte)*, where the parent
+//! of the shortest gram is its frontier id and the parent of every longer
+//! gram is the slot of the gram one byte shorter. A [`GramCounter`] slot
+//! holds that edge and the gram's document count in 16 bytes, so counting
+//! a gram is one probe of one array with an exact fixed-width comparison
+//! — no key bytes are hashed, stored or chased, whatever the gram length.
+//! Gram bytes are rebuilt from the edges only for the grams a pass keeps.
 //!
-//! Both tables are sized by the grams actually seen. A frontier is
+//! Every gram of a frontier extends a gram of the frontier before it, so
+//! a pass need only visit the positions where the last pass found its
+//! prefix: a range's [visit bitmap](RangeTables::marks) holds one bit per
+//! corpus byte and each pass clears the bits of the positions it did not
+//! find. The first pass extends the empty gram, found everywhere; it
+//! counts its one- and two-byte grams in a [`Dense`] table indexed by the
+//! bytes themselves and moves them into counter slots once the scan ends.
+//!
+//! Both hash tables are sized by the grams actually seen. A frontier is
 //! dropped with its pass; counters are cleared for the next pass and
 //! dropped with the selection.
 //!
 //! A pass over a closed frontier sums over independent data units, so
 //! [`count_ranges`] cuts the corpus into contiguous document ranges,
-//! counts them at once (a thread and a counter each, the frontier shared)
-//! and folds the counters into one.
+//! counts them at once (a thread and the [`RangeTables`] of its range
+//! each, the frontier shared) and folds the counters into one.
 
 use crate::Result;
 use free_corpus::{Corpus, DocId};
@@ -33,19 +42,45 @@ use std::time::{Duration, Instant};
 /// Multiplier of the Fibonacci hash that spreads a key over a table.
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Base of the polynomial rolling hash (odd, so it is invertible mod 2^64).
-const BASE: u64 = 0x0000_0100_0000_01B3;
+/// The first `min(len, 8)` bytes of `bytes[at..at + len]` read as one
+/// little-endian integer, the bytes past them zero. A gram of up to eight
+/// bytes is told apart from every other gram of its length by this alone.
+#[inline]
+pub(crate) fn head_at(bytes: &[u8], at: usize, len: usize) -> u64 {
+    let take = len.min(8);
+    match bytes.get(at..).and_then(<[u8]>::first_chunk::<8>) {
+        Some(word) => {
+            let keep = if take == 8 {
+                u64::MAX
+            } else {
+                (1 << (8 * take)) - 1
+            };
+            u64::from_le_bytes(*word) & keep
+        }
+        None => {
+            let mut word = [0u8; 8];
+            word[..take].copy_from_slice(&bytes[at..at + take]);
+            u64::from_le_bytes(word)
+        }
+    }
+}
+
+/// Spreads a head over all 64 bits: a table slot is read from the high
+/// bits, a fingerprint from the low ones.
+#[inline]
+pub(crate) fn spread(head: u64) -> u64 {
+    let h = head.wrapping_mul(MIX);
+    h ^ (h >> 32)
+}
 
 /// A set of distinct grams of one length, each with a dense id in
 /// insertion order.
 pub(crate) struct GramSet {
     gram_len: usize,
-    /// `BASE^(gram_len - 1)`: the weight of the byte leaving the window.
-    out_weight: u64,
     /// Gram `id` is `arena[id * gram_len..][..gram_len]`.
     arena: Vec<u8>,
-    /// `0` is empty; otherwise the low half of the gram's hash in the
-    /// high 32 bits and `id + 1` in the low 32.
+    /// `0` is empty; otherwise the low half of the gram's spread head in
+    /// the high 32 bits and `id + 1` in the low 32.
     table: Vec<u64>,
     /// `64 - log2(table.len())`.
     shift: u32,
@@ -60,11 +95,9 @@ impl GramSet {
 
     /// As [`GramSet::new`], starting from `2^bits` table slots.
     pub(crate) fn with_table_bits(gram_len: usize, bits: u32) -> GramSet {
-        let out_weight = (1..gram_len).fold(1u64, |w, _| w.wrapping_mul(BASE));
         let bits = bits.max(1);
         GramSet {
             gram_len,
-            out_weight,
             arena: Vec::new(),
             table: vec![0; 1 << bits],
             shift: 64 - bits,
@@ -88,44 +121,44 @@ impl GramSet {
         &self.arena[start..start + self.gram_len]
     }
 
-    /// The hash of a whole gram.
-    pub(crate) fn hash(&self, gram: &[u8]) -> u64 {
-        debug_assert_eq!(gram.len(), self.gram_len);
-        gram.iter().fold(0u64, |h, &b| {
-            h.wrapping_mul(BASE).wrapping_add(u64::from(b))
-        })
+    #[inline]
+    fn slot_of(&self, spread: u64) -> usize {
+        (spread >> self.shift) as usize
     }
 
-    /// The hash of the window one byte to the right of the window whose
-    /// hash is `h`: `out` leaves on the left, `inc` enters on the right.
-    /// Only meaningful for `gram_len > 0`.
+    /// Whether gram `id` is `bytes[at..at + gram_len]`, whose head is
+    /// `head`.
     #[inline]
-    pub(crate) fn roll(&self, h: u64, out: u8, inc: u8) -> u64 {
-        h.wrapping_sub(u64::from(out).wrapping_mul(self.out_weight))
-            .wrapping_mul(BASE)
-            .wrapping_add(u64::from(inc))
+    fn is_at(&self, id: u32, head: u64, bytes: &[u8], at: usize) -> bool {
+        let start = id as usize * self.gram_len;
+        // Byte by byte past the head: for grams this short a `memcmp`
+        // call costs more than the comparison.
+        head_at(&self.arena, start, self.gram_len) == head
+            && (self.arena[start..start + self.gram_len].iter())
+                .zip(&bytes[at..at + self.gram_len])
+                .skip(8)
+                .all(|(a, b)| a == b)
     }
 
-    #[inline]
-    fn slot_of(&self, hash: u64) -> usize {
-        (hash.wrapping_mul(MIX) >> self.shift) as usize
-    }
-
-    /// The id of `gram` (whose hash is `hash`), if it is in the set.
-    #[inline]
-    pub(crate) fn find(&self, hash: u64, gram: &[u8]) -> Option<u32> {
+    /// The id of the gram `bytes[at..at + gram_len]`, if it is in the set.
+    #[inline(always)]
+    pub(crate) fn find_at(&self, bytes: &[u8], at: usize) -> Option<u32> {
+        if self.gram_len == 0 {
+            // The empty gram is the only one of its length.
+            return (self.len > 0).then_some(0);
+        }
+        let head = head_at(bytes, at, self.gram_len);
+        let spread = spread(head);
         let mask = self.table.len() - 1;
-        let mut i = self.slot_of(hash);
+        let mut i = self.slot_of(spread);
         loop {
             let entry = self.table[i];
             if entry == 0 {
                 return None;
             }
-            if (entry >> 32) as u32 == hash as u32 {
+            if (entry >> 32) as u32 == spread as u32 {
                 let id = entry as u32 - 1;
-                // Byte by byte: for grams this short a `memcmp` call costs
-                // more than the comparison.
-                if self.gram(id).iter().zip(gram).all(|(a, b)| a == b) {
+                if self.is_at(id, head, bytes, at) {
                     return Some(id);
                 }
             }
@@ -133,28 +166,45 @@ impl GramSet {
         }
     }
 
-    /// The id of `gram` (whose hash is `hash`), adding it if new.
-    pub(crate) fn intern(&mut self, hash: u64, gram: &[u8]) -> u32 {
-        if let Some(id) = self.find(hash, gram) {
+    /// The id of `gram`, if it is in the set.
+    #[cfg(test)]
+    pub(crate) fn find(&self, gram: &[u8]) -> Option<u32> {
+        self.find_at(gram, 0)
+    }
+
+    /// The id of the gram `bytes[at..at + gram_len]`, adding it if new.
+    pub(crate) fn intern_at(&mut self, bytes: &[u8], at: usize) -> u32 {
+        if let Some(id) = self.find_at(bytes, at) {
             return id;
         }
         if (self.len + 1) * 2 > self.table.len() {
             self.grow();
         }
         let id = self.len as u32;
-        self.arena.extend_from_slice(gram);
+        self.arena.extend_from_slice(&bytes[at..at + self.gram_len]);
         self.len += 1;
-        self.place(hash, id);
+        self.place(id);
         id
     }
 
-    fn place(&mut self, hash: u64, id: u32) {
+    /// The id of `gram`, adding it if new.
+    pub(crate) fn intern(&mut self, gram: &[u8]) -> u32 {
+        debug_assert_eq!(gram.len(), self.gram_len);
+        self.intern_at(gram, 0)
+    }
+
+    fn place(&mut self, id: u32) {
+        let spread = spread(head_at(
+            &self.arena,
+            id as usize * self.gram_len,
+            self.gram_len,
+        ));
         let mask = self.table.len() - 1;
-        let mut i = self.slot_of(hash);
+        let mut i = self.slot_of(spread);
         while self.table[i] != 0 {
             i = (i + 1) & mask;
         }
-        self.table[i] = (hash << 32) | u64::from(id + 1);
+        self.table[i] = (spread << 32) | u64::from(id + 1);
     }
 
     fn grow(&mut self) {
@@ -163,7 +213,7 @@ impl GramSet {
         self.table = vec![0; self.table.len() * 2];
         self.shift -= 1;
         for id in 0..self.len as u32 {
-            self.place(self.hash(self.gram(id)), id);
+            self.place(id);
         }
     }
 }
@@ -238,6 +288,11 @@ impl GramCounter {
             shift: 64 - bits,
             len: 0,
         }
+    }
+
+    /// An empty counter with room for `grams` grams.
+    fn with_room(grams: usize) -> GramCounter {
+        GramCounter::with_table_bits((2 * grams).max(2).next_power_of_two().trailing_zeros())
     }
 
     /// A counter of no slots, standing in for one away being grown.
@@ -326,6 +381,12 @@ impl GramCounter {
     /// went. Afterwards each gram's `last_doc` in `other` (which no scan
     /// reads again) names the slot the gram went to.
     pub(crate) fn absorb(&mut self, other: &mut GramCounter) {
+        self.absorb_above(other, 0, &|parent| parent);
+    }
+
+    /// [`absorb`](Self::absorb) with every gram of `other` moved `lift`
+    /// levels up and each level-0 parent `p` read as `root(p)`.
+    fn absorb_above(&mut self, other: &mut GramCounter, lift: u32, root: &dyn Fn(u32) -> u32) {
         let order = other.slots_by_level();
         for (done, &from) in order.iter().enumerate() {
             if !self.has_room(1) {
@@ -337,30 +398,38 @@ impl GramCounter {
             }
             let slot = other.slots[from as usize];
             let parent = if level_of(slot.tag) == 0 {
-                slot.parent
+                root(slot.parent)
             } else {
                 other.slots[slot.parent as usize].last_doc
             };
-            let key = slot.tag & !USELESS;
-            let mask = self.slots.len() - 1;
-            let mut to = self.slot_of(parent, key);
-            loop {
-                let here = &mut self.slots[to];
-                if here.tag == 0 {
-                    *here = Slot {
-                        parent,
-                        count: 0,
-                        ..slot
-                    };
-                    self.len += 1;
-                }
-                if here.tag & !USELESS == key && here.parent == parent {
-                    here.count += slot.count;
-                    break;
-                }
-                to = (to + 1) & mask;
+            let tag = (slot.tag & !USELESS) + (lift << LEVEL_SHIFT);
+            let to = self.add(parent, tag, slot.count, slot.last_doc);
+            other.slots[from as usize].last_doc = to;
+        }
+    }
+
+    /// Adds `count` to the gram keyed *(parent, tag)*, a slot of its own
+    /// (last touched by `last_doc`) if new, and returns its slot. The
+    /// caller has made room for it.
+    fn add(&mut self, parent: u32, tag: u32, count: u32, last_doc: DocId) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut to = self.slot_of(parent, tag);
+        loop {
+            let here = &mut self.slots[to];
+            if here.tag == 0 {
+                *here = Slot {
+                    parent,
+                    tag,
+                    count: 0,
+                    last_doc,
+                };
+                self.len += 1;
             }
-            other.slots[from as usize].last_doc = to as u32;
+            if here.tag & !USELESS == tag && here.parent == parent {
+                here.count += count;
+                return to as u32;
+            }
+            to = (to + 1) & mask;
         }
     }
 
@@ -455,76 +524,292 @@ impl Prefixes<'_> {
     }
 }
 
+/// The first pass's counts of its one-byte grams and, when it counts two
+/// lengths or more, its two-byte grams, by index: gram `a` at `a`, gram
+/// `ab` at `256 + (a << 8 | b)`. The grams it counts longer than those go
+/// to the counter with the two-byte gram's index `a << 8 | b` as their
+/// level-0 parent, until [`settle`](Dense::settle) moves everything into
+/// counter slots.
+pub(crate) struct Dense {
+    /// `(count, last data unit that touched the gram)` per gram.
+    grams: Vec<(u32, DocId)>,
+    /// Gram lengths counted here: 1 or 2.
+    levels: usize,
+}
+
+impl Dense {
+    /// A table for a first pass counting `lengths` gram lengths.
+    pub(crate) fn new(lengths: usize) -> Dense {
+        let levels = lengths.clamp(1, 2);
+        Dense {
+            grams: vec![(0, DocId::MAX); if levels == 2 { 256 + (1 << 16) } else { 256 }],
+            levels,
+        }
+    }
+
+    #[inline]
+    fn bump(&mut self, index: usize, doc: DocId) {
+        let (count, last_doc) = &mut self.grams[index];
+        if *last_doc != doc {
+            *last_doc = doc;
+            *count += 1;
+        }
+    }
+
+    /// Counts data unit `doc` for the grams of its lengths at `bytes[at..]`
+    /// and returns the counter's level-0 parent of the grams longer than
+    /// them.
+    #[inline]
+    fn count(&mut self, bytes: &[u8], at: usize, doc: DocId) -> u32 {
+        let a = bytes[at];
+        self.bump(usize::from(a), doc);
+        match bytes.get(at + 1) {
+            Some(&b) if self.levels == 2 => {
+                let code = u32::from(a) << 8 | u32::from(b);
+                self.bump(256 + code as usize, doc);
+                code
+            }
+            _ => u32::from(a),
+        }
+    }
+
+    /// Adds the counts of `other`, a table of the same pass over other
+    /// data units.
+    fn absorb(&mut self, other: &Dense) {
+        for (mine, theirs) in self.grams.iter_mut().zip(&other.grams) {
+            mine.0 += theirs.0;
+        }
+    }
+
+    /// Moves the counts into `counter`, which holds the pass's longer
+    /// grams: every gram here gets a slot, shortest first (in the empty
+    /// frontier gram's pass, so the one-byte grams' parent is frontier id
+    /// 0), and the longer grams are re-keyed onto the slots of their
+    /// two-byte prefixes. Runs on the calling thread: the counter's new
+    /// table is allocated there.
+    fn settle(mut self, counter: &mut GramCounter) {
+        let seen = self.grams.iter().filter(|g| g.0 > 0).count();
+        let mut above = std::mem::replace(counter, GramCounter::with_room(seen + counter.len()));
+        // Each gram's `last_doc` becomes its slot.
+        for index in 0..self.grams.len() {
+            let (count, _) = self.grams[index];
+            if count > 0 {
+                let (parent, level, byte) = match index.checked_sub(256) {
+                    None => (0, 0, index as u32),
+                    Some(code) => (self.grams[code >> 8].1, 1, (code & 0xff) as u32),
+                };
+                let tag = OCCUPIED | level << LEVEL_SHIFT | byte;
+                self.grams[index].1 = counter.add(parent, tag, count, 0);
+            }
+        }
+        let levels = self.levels as u32;
+        counter.absorb_above(&mut above, levels, &|code| {
+            self.grams[256 + code as usize].1
+        });
+    }
+}
+
+/// What one document range of a counting pass counts into. The calling
+/// thread allocates all of it (see [`Handoff`]); the mining passes keep
+/// it from pass to pass.
+pub(crate) struct RangeTables {
+    pub(crate) counter: GramCounter,
+    /// The first pass's table of its shortest grams, until that pass is
+    /// folded.
+    pub(crate) dense: Option<Dense>,
+    /// The visit bitmap, bit `p` for the range's `p`-th byte in scan
+    /// order: set where the last pass found the prefix at that position in
+    /// its frontier. `None`: every position is visited.
+    pub(crate) marks: Option<Vec<u64>>,
+}
+
+impl RangeTables {
+    /// Tables that visit every position and count into `counter`.
+    pub(crate) fn new(counter: GramCounter, dense: Option<Dense>) -> RangeTables {
+        RangeTables {
+            counter,
+            dense,
+            marks: None,
+        }
+    }
+}
+
+/// A visit bitmap of `bytes` positions, every one set.
+pub(crate) fn all_marked(bytes: u64) -> Vec<u64> {
+    let bytes = usize::try_from(bytes).unwrap_or(usize::MAX);
+    let mut marks = vec![u64::MAX; bytes.div_ceil(64)];
+    if let Some(last) = marks.last_mut() {
+        *last >>= (64 - bytes % 64) % 64;
+    }
+    marks
+}
+
+/// What a counting pass read: corpus bytes and the positions it visited.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Scanned {
+    pub(crate) bytes: u64,
+    pub(crate) positions: u64,
+}
+
+/// Visits positions `0..len` of a data unit whose first byte is position
+/// `start` of its range, the ones whose bit is set in `marks`, and clears
+/// the bit where `visit` returns false. Returns how many it visited.
+#[inline(always)]
+fn visit_marked(
+    marks: &mut [u64],
+    start: usize,
+    len: usize,
+    mut visit: impl FnMut(usize) -> bool,
+) -> u64 {
+    if len == 0 {
+        return 0;
+    }
+    let end = start + len;
+    let mut visited = 0;
+    for w in start / 64..end.div_ceil(64) {
+        let Some(word) = marks.get_mut(w) else {
+            break;
+        };
+        let base = w * 64;
+        let lo = start.saturating_sub(base);
+        let hi = (end - base).min(64);
+        let mine = (u64::MAX >> (64 - (hi - lo))) << lo;
+        let mut todo = *word & mine;
+        visited += u64::from(todo.count_ones());
+        let mut found = todo;
+        while todo != 0 {
+            let bit = todo.trailing_zeros();
+            todo &= todo - 1;
+            if !visit(base + bit as usize - start) {
+                found &= !(1 << bit);
+            }
+        }
+        *word = (*word & !mine) | found;
+    }
+    visited
+}
+
 /// One corpus scan over the data units whose position in scan order is
-/// in `docs`. At every position where a gram one byte longer than the
-/// `prefixes` fits and whose prefix of their length is one of them,
-/// counts the grams of each length up to `k_end` that fit. A `counter`
-/// without room for the
-/// grams of a position is handed to `grow` (given how many), which must
-/// leave it with that room. Returns the bytes of those data units.
+/// in `docs`. At every visited position (see [`RangeTables::marks`])
+/// where a gram one byte longer than the `prefixes` fits and whose prefix
+/// of their length is one of them, counts the grams of each length up to
+/// `k_end` that fit, the shortest in `tables.dense` if it is there. A
+/// counter without room for the grams of a position is handed to `grow`
+/// (given how many), which must leave it with that room.
 pub(crate) fn count_pass(
     corpus: &dyn Corpus,
-    mut prefixes: Prefixes<'_>,
+    prefixes: Prefixes<'_>,
     docs: Range<usize>,
     k_end: usize,
-    counter: &mut GramCounter,
+    tables: &mut RangeTables,
     grow: &mut dyn FnMut(&mut GramCounter, usize),
-) -> Result<u64> {
-    let prefix_len = prefixes.set().gram_len();
-    let k = prefix_len + 1;
+) -> Result<Scanned> {
+    let k = prefixes.set().gram_len() + 1;
+    debug_assert!(
+        (tables.dense.as_ref()).is_none_or(|d| k == 1 && d.levels <= k_end),
+        "a dense table counts the shortest lengths of the empty gram's pass"
+    );
     debug_assert!(k <= k_end && k_end - k < GramCounter::MAX_LEVELS);
-    let mut bytes_read = 0u64;
+    let mut pass = Pass {
+        prefixes,
+        base: k + tables.dense.as_ref().map_or(0, |d| d.levels),
+        k,
+        k_end,
+        counter: &mut tables.counter,
+        dense: tables.dense.as_mut(),
+        grow,
+    };
+    let marks = &mut tables.marks;
+    let mut scanned = Scanned::default();
     corpus.scan_range(docs, &mut |doc, bytes| {
-        bytes_read += bytes.len() as u64;
-        let Some(last_start) = bytes.len().checked_sub(k) else {
-            return true;
+        let start = scanned.bytes as usize;
+        scanned.bytes += bytes.len() as u64;
+        scanned.positions += match marks.as_deref_mut() {
+            None => {
+                for i in 0..bytes.len() {
+                    pass.count_at(bytes, i, doc);
+                }
+                bytes.len() as u64
+            }
+            Some(marks) => {
+                visit_marked(marks, start, bytes.len(), |i| pass.count_at(bytes, i, doc))
+            }
         };
-        let mut hash = prefixes.set().hash(&bytes[..prefix_len]);
-        for i in 0..=last_start {
-            if i > 0 && prefix_len > 0 {
-                hash = prefixes
-                    .set()
-                    .roll(hash, bytes[i - 1], bytes[i + prefix_len - 1]);
+        true
+    })?;
+    Ok(scanned)
+}
+
+/// One counting pass's tables, as [`count_pass`] sees them.
+struct Pass<'a, 'b> {
+    prefixes: Prefixes<'a>,
+    /// The length of the grams the pass extends, plus one.
+    k: usize,
+    /// The shortest length the counter counts.
+    base: usize,
+    k_end: usize,
+    counter: &'b mut GramCounter,
+    dense: Option<&'b mut Dense>,
+    grow: &'b mut dyn FnMut(&mut GramCounter, usize),
+}
+
+impl Pass<'_, '_> {
+    /// Counts data unit `doc` for the grams at `bytes[at..]`, if their
+    /// prefix is one of the pass's; returns whether it is.
+    #[inline(always)]
+    fn count_at(&mut self, bytes: &[u8], at: usize, doc: DocId) -> bool {
+        if at + self.k > bytes.len() {
+            return false;
+        }
+        let prefix_id = match &mut self.prefixes {
+            Prefixes::In(set) => match set.find_at(bytes, at) {
+                Some(id) => id,
+                None => return false,
+            },
+            Prefixes::Any(set) => set.intern_at(bytes, at),
+        };
+        let mut parent = match &mut self.dense {
+            Some(dense) => dense.count(bytes, at, doc),
+            None => prefix_id,
+        };
+        let longest = self.k_end.min(bytes.len() - at);
+        if longest >= self.base {
+            let counter = &mut *self.counter;
+            if !counter.has_room(longest + 1 - self.base) {
+                (self.grow)(counter, longest + 1 - self.base);
             }
-            let prefix = &bytes[i..i + prefix_len];
-            let prefix_id = match &mut prefixes {
-                Prefixes::In(set) => match set.find(hash, prefix) {
-                    Some(id) => id,
-                    None => continue,
-                },
-                Prefixes::Any(set) => set.intern(hash, prefix),
-            };
-            let longest = k_end.min(bytes.len() - i);
-            if !counter.has_room(longest - prefix_len) {
-                grow(counter, longest - prefix_len);
-            }
-            let mut parent = prefix_id;
-            for m in k..=longest {
-                parent = counter.bump(parent, (m - k) as u32, bytes[i + m - 1], doc);
+            for m in self.base..=longest {
+                parent = counter.bump(parent, (m - self.base) as u32, bytes[at + m - 1], doc);
             }
         }
         true
-    })?;
-    Ok(bytes_read)
+    }
+}
+
+/// What [`count_ranges`] read and how long its fold took.
+pub(crate) struct RangesScanned {
+    /// Per range, in range order.
+    pub(crate) ranges: Vec<Scanned>,
+    pub(crate) fold: Duration,
 }
 
 /// One [`count_pass`] over the closed `frontier` with the corpus cut into
-/// one contiguous document range per counter, counted at once, each by
-/// its own thread into its own counter (cleared first); every thread
-/// scans the corpus and skips the data units outside its range. The
-/// counters are then folded into the first: counts stay exact because no
-/// data unit is in two ranges. Returns the corpus bytes read and how long
-/// the fold took.
+/// one contiguous document range per [`RangeTables`], counted at once,
+/// each by its own thread into its own tables (counter cleared first);
+/// every thread scans the corpus and skips the data units outside its
+/// range. The counters, and the dense tables of a first pass, are then
+/// folded into the first range's counter: counts stay exact because no
+/// data unit is in two ranges.
 ///
-/// The counters keep their tables from pass to pass, and the calling
-/// thread allocates every table (see [`Handoff`]).
+/// The tables are kept from pass to pass, and the calling thread
+/// allocates every one (see [`Handoff`]).
 pub(crate) fn count_ranges(
     corpus: &dyn Corpus,
     frontier: &GramSet,
-    counters: &mut [GramCounter],
+    tables: &mut [RangeTables],
     k_end: usize,
-) -> Result<(u64, Duration)> {
-    let ranges = counters.len();
+) -> Result<RangesScanned> {
+    let ranges = tables.len();
     let per_range = corpus.len().div_ceil(ranges.max(1));
     // The last range is open, whatever the scan turns out to visit.
     let docs = |r: usize| {
@@ -536,30 +821,23 @@ pub(crate) fn count_ranges(
         r * per_range..end
     };
     let count =
-        |r: usize, counter: &mut GramCounter, grow: &mut dyn FnMut(&mut GramCounter, usize)| {
-            counter.clear();
-            count_pass(
-                corpus,
-                Prefixes::In(frontier),
-                docs(r),
-                k_end,
-                counter,
-                grow,
-            )
+        |r: usize, tables: &mut RangeTables, grow: &mut dyn FnMut(&mut GramCounter, usize)| {
+            tables.counter.clear();
+            count_pass(corpus, Prefixes::In(frontier), docs(r), k_end, tables, grow)
         };
-    let bytes: Vec<Result<u64>> = match counters {
-        [counter] => vec![count(0, counter, &mut GramCounter::reserve)],
+    let scanned: Vec<Result<Scanned>> = match tables {
+        [tables] => vec![count(0, tables, &mut GramCounter::reserve)],
         _ => {
             let handoff = Handoff::new(ranges);
             std::thread::scope(|s| {
                 // Threads waiting on a caller that unwinds are let go.
                 let _closing = Closing(&handoff);
-                let workers: Vec<_> = (counters.iter_mut().enumerate())
-                    .map(|(r, counter)| {
+                let workers: Vec<_> = (tables.iter_mut().enumerate())
+                    .map(|(r, tables)| {
                         let handoff = &handoff;
                         s.spawn(move || {
                             let _done = Done(handoff);
-                            count(r, counter, &mut |counter, additional| {
+                            count(r, tables, &mut |counter, additional| {
                                 handoff.grow(r, counter, additional);
                             })
                         })
@@ -573,17 +851,23 @@ pub(crate) fn count_ranges(
             })
         }
     };
-    let mut bytes_read = 0;
-    for range in bytes {
-        bytes_read += range?;
-    }
+    let scanned = scanned.into_iter().collect::<Result<Vec<Scanned>>>()?;
     let started = Instant::now();
-    if let Some((folded, others)) = counters.split_first_mut() {
+    if let Some((folded, others)) = tables.split_first_mut() {
         for other in others {
-            folded.absorb(other);
+            folded.counter.absorb(&mut other.counter);
+            if let (Some(dense), Some(theirs)) = (&mut folded.dense, other.dense.take()) {
+                dense.absorb(&theirs);
+            }
+        }
+        if let Some(dense) = folded.dense.take() {
+            dense.settle(&mut folded.counter);
         }
     }
-    Ok((bytes_read, started.elapsed()))
+    Ok(RangesScanned {
+        ranges: scanned,
+        fold: started.elapsed(),
+    })
 }
 
 /// Where the threads of [`count_ranges`] hand in a counter that filled,
@@ -768,38 +1052,52 @@ mod tests {
     }
 
     #[test]
-    fn rolling_hash_equals_direct_hash() {
+    fn head_keys_read_the_first_eight_bytes() {
         let text = b"the quick brown fox \x00\xff\xff jumps";
-        for len in 1..12 {
-            let set = GramSet::new(len);
-            let mut h = set.hash(&text[..len]);
-            for i in 1..=text.len() - len {
-                h = set.roll(h, text[i - 1], text[i + len - 1]);
-                assert_eq!(h, set.hash(&text[i..i + len]), "len {len} at {i}");
+        for len in 0..12 {
+            for at in 0..=text.len() - len {
+                let mut word = [0u8; 8];
+                let take = len.min(8);
+                word[..take].copy_from_slice(&text[at..at + take]);
+                let want = u64::from_le_bytes(word);
+                assert_eq!(head_at(text, at, len), want, "len {len} at {at}");
+                // Read from a slice that ends with the gram, too.
+                assert_eq!(head_at(&text[..at + len], at, len), want);
             }
         }
     }
 
     #[test]
     fn gram_set_grows_from_two_slots_and_keeps_ids() {
-        for len in [0usize, 1, 3, 20] {
+        for (len, distinct) in [
+            (0usize, 1u32),
+            (1, 200),
+            (3, 700),
+            (8, 700),
+            (9, 700),
+            (20, 700),
+        ] {
             let mut set = GramSet::with_table_bits(len, 1);
-            let distinct = [1u32, 200, 700, 700][len.min(3)];
+            // Bytes past the eighth vary too, so long grams differ in
+            // their tails as well as their heads.
             let grams: Vec<Vec<u8>> = (0..distinct)
-                .map(|i| (0..len).map(|j| (i >> (8 * (j % 2))) as u8).collect())
+                .map(|i| {
+                    (0..len)
+                        .map(|j| (i >> (8 * (j % 2))) as u8 ^ (j as u8))
+                        .collect()
+                })
                 .collect();
             for (i, g) in grams.iter().enumerate() {
-                assert_eq!(set.find(set.hash(g), g), None);
-                assert_eq!(set.intern(set.hash(g), g), i as u32);
-                assert_eq!(
-                    set.intern(set.hash(g), g),
-                    i as u32,
-                    "second intern is a lookup"
-                );
+                assert_eq!(set.find(g), None);
+                assert_eq!(set.intern(g), i as u32);
+                assert_eq!(set.intern(g), i as u32, "second intern is a lookup");
             }
             for (i, g) in grams.iter().enumerate() {
-                assert_eq!(set.find(set.hash(g), g), Some(i as u32));
+                assert_eq!(set.find(g), Some(i as u32));
                 assert_eq!(set.gram(i as u32), &g[..]);
+                // Found inside a longer text, at any offset.
+                let text = [b"xyz", &g[..], b"q"].concat();
+                assert_eq!(set.find_at(&text, 3), Some(i as u32));
             }
             assert!(!set.is_empty());
         }
@@ -807,15 +1105,34 @@ mod tests {
 
     #[test]
     fn equal_fingerprints_are_told_apart_by_bytes() {
-        // Grams interned under one hash: every probe collides, and a
-        // lookup's fingerprint matches stored grams with different bytes.
-        let mut set = GramSet::with_table_bits(2, 3);
-        let a = set.intern(7, b"aa");
-        let b = set.intern(7, b"bb");
-        assert_ne!(a, b);
-        assert_eq!(set.find(7, b"aa"), Some(a));
-        assert_eq!(set.find(7, b"bb"), Some(b));
-        assert_eq!(set.find(7, b"cc"), None);
+        // Grams with one head: every probe lands on the same slot with
+        // the same fingerprint, and only the bytes past the eighth differ.
+        let mut set = GramSet::with_table_bits(11, 3);
+        let a = set.intern(b"abcdefghaaa");
+        let b = set.intern(b"abcdefghaab");
+        let c = set.intern(b"abcdefghbaa");
+        assert_eq!([a, b, c], [0, 1, 2]);
+        assert_eq!(set.find(b"abcdefghaab"), Some(b));
+        assert_eq!(set.find(b"abcdefghbaa"), Some(c));
+        assert_eq!(set.find(b"abcdefghaaa"), Some(a));
+        assert_eq!(set.find(b"abcdefghcaa"), None);
+    }
+
+    /// The empty gram's frontier, a first pass's.
+    fn empty_frontier() -> GramSet {
+        let mut frontier = GramSet::with_table_bits(0, 1);
+        frontier.intern(&[]);
+        frontier
+    }
+
+    /// One range's tables: a counter of two slots, and a dense table for
+    /// a first pass of `dense` lengths.
+    fn small_tables(dense: Option<usize>) -> RangeTables {
+        RangeTables::new(GramCounter::with_table_bits(1), dense.map(Dense::new))
+    }
+
+    fn total_bytes(docs: &[Vec<u8>]) -> u64 {
+        docs.iter().map(|d| d.len() as u64).sum()
     }
 
     #[test]
@@ -824,21 +1141,22 @@ mod tests {
         let corpus = MemCorpus::from_docs(docs.clone());
         // Closed frontier of the empty gram: every gram of length 1..=3,
         // three levels of parents that every doubling has to re-key.
-        let mut frontier = GramSet::with_table_bits(0, 1);
-        frontier.intern(0, &[]);
-        let mut counter = GramCounter::with_table_bits(1);
-        let bytes = count_pass(
+        let frontier = empty_frontier();
+        let mut tables = small_tables(None);
+        let scanned = count_pass(
             &corpus,
             In(&frontier),
             ALL,
             3,
-            &mut counter,
+            &mut tables,
             &mut GramCounter::reserve,
         )
         .unwrap();
-        assert_eq!(bytes, docs.iter().map(|d| d.len() as u64).sum::<u64>());
+        assert_eq!(scanned.bytes, total_bytes(&docs));
+        assert_eq!(scanned.positions, scanned.bytes, "no marks: every position");
         let want = naive_counts(&docs, None, 1, 3);
-        assert_eq!(counted(&counter, &frontier), want);
+        let counter = &tables.counter;
+        assert_eq!(counted(counter, &frontier), want);
         assert_eq!(counter.len(), want.len());
         assert!(
             counter.slots.len() >= 2 * counter.len(),
@@ -859,60 +1177,172 @@ mod tests {
         .into();
         let mut frontier = GramSet::with_table_bits(2, 1);
         for p in &prefixes {
-            frontier.intern(frontier.hash(p), p);
+            frontier.intern(p);
         }
-        let mut counter = GramCounter::with_table_bits(1);
+        let mut tables = small_tables(None);
         count_pass(
             &corpus,
             In(&frontier),
             ALL,
             6,
-            &mut counter,
+            &mut tables,
             &mut GramCounter::reserve,
         )
         .unwrap();
         assert_eq!(
-            counted(&counter, &frontier),
+            counted(&tables.counter, &frontier),
             naive_counts(&docs, Some(&prefixes), 3, 6)
         );
 
         let mut open = GramSet::with_table_bits(2, 1);
-        let mut counter = GramCounter::with_table_bits(1);
+        let mut tables = small_tables(None);
         count_pass(
             &corpus,
             Any(&mut open),
             ALL,
             4,
-            &mut counter,
+            &mut tables,
             &mut GramCounter::reserve,
         )
         .unwrap();
-        assert_eq!(counted(&counter, &open), naive_counts(&docs, None, 3, 4));
+        assert_eq!(
+            counted(&tables.counter, &open),
+            naive_counts(&docs, None, 3, 4)
+        );
+    }
+
+    #[test]
+    fn marked_passes_visit_only_the_positions_the_last_pass_found() {
+        let docs = docs();
+        let corpus = MemCorpus::from_docs(docs.clone());
+        let found_at = |prefixes: &BTreeSet<Vec<u8>>, k: usize| -> Vec<(usize, usize)> {
+            let mut found = Vec::new();
+            for (d, doc) in docs.iter().enumerate() {
+                for i in 0..doc.len() {
+                    if i + k <= doc.len() && prefixes.contains(&doc[i..i + k - 1]) {
+                        found.push((d, i));
+                    }
+                }
+            }
+            found
+        };
+        // Each frontier extends the one before, as the miner's do.
+        let frontiers: [&[&[u8]]; 3] = [
+            &[b"ab", b"ra", b"zz", b"\x00\xff", b"br"],
+            &[b"abr", b"rac", b"zzz", b"\x00\xffx", b"bra"],
+            &[b"abra", b"zzzz", b"brac"],
+        ];
+        for ranges in [1, 2, 3, docs.len() + 1] {
+            let mut tables: Vec<RangeTables> = (0..ranges).map(|_| small_tables(None)).collect();
+            // The empty gram's pass finds every position.
+            let scanned = count_ranges(&corpus, &empty_frontier(), &mut tables, 1).unwrap();
+            for (tables, range) in tables.iter_mut().zip(&scanned.ranges) {
+                tables.marks = Some(all_marked(range.bytes));
+            }
+            let mut last_found = total_bytes(&docs);
+            for grams in frontiers {
+                let prefixes: BTreeSet<Vec<u8>> = grams.iter().map(|g| g.to_vec()).collect();
+                let k = grams[0].len() + 1;
+                let mut frontier = GramSet::new(k - 1);
+                for g in grams {
+                    frontier.intern(g);
+                }
+                let scanned = count_ranges(&corpus, &frontier, &mut tables, k + 1).unwrap();
+                let visited: u64 = scanned.ranges.iter().map(|r| r.positions).sum();
+                assert_eq!(
+                    counted(&tables[0].counter, &frontier),
+                    naive_counts(&docs, Some(&prefixes), k, k + 1),
+                    "{ranges} ranges, k {k}"
+                );
+                assert_eq!(visited, last_found, "{ranges} ranges, k {k}");
+                let found = found_at(&prefixes, k);
+                let set: u64 = (tables.iter().flat_map(|t| t.marks.iter().flatten()))
+                    .map(|w| u64::from(w.count_ones()))
+                    .sum();
+                assert_eq!(set, found.len() as u64, "{ranges} ranges, k {k}");
+                last_found = found.len() as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn visit_marked_keeps_the_bits_of_other_units() {
+        for start in [0usize, 1, 63, 64, 65, 100] {
+            for len in [0usize, 1, 2, 63, 64, 65, 130] {
+                let mut marks = all_marked((start + len + 70) as u64);
+                let before = marks.clone();
+                let mut seen = Vec::new();
+                let visited = visit_marked(&mut marks, start, len, |i| {
+                    seen.push(i);
+                    i % 3 == 0
+                });
+                assert_eq!(seen, (0..len).collect::<Vec<_>>());
+                assert_eq!(visited, len as u64);
+                for p in 0..marks.len() * 64 {
+                    let bit = |m: &[u64]| m[p / 64] >> (p % 64) & 1;
+                    let want = if (start..start + len).contains(&p) {
+                        u64::from((p - start) % 3 == 0)
+                    } else {
+                        bit(&before)
+                    };
+                    assert_eq!(bit(&marks), want, "start {start} len {len} bit {p}");
+                }
+            }
+        }
+        assert_eq!(all_marked(0), Vec::<u64>::new());
+        assert_eq!(all_marked(65), vec![u64::MAX, 1]);
+    }
+
+    #[test]
+    fn a_dense_first_pass_counts_what_a_counter_counts() {
+        let docs = docs();
+        let corpus = MemCorpus::from_docs(docs.clone());
+        let frontier = empty_frontier();
+        for lengths in 1..=5 {
+            let want = naive_counts(&docs, None, 1, lengths);
+            for ranges in [1, 2, 3, docs.len() + 2] {
+                let mut tables: Vec<RangeTables> =
+                    (0..ranges).map(|_| small_tables(Some(lengths))).collect();
+                let scanned = count_ranges(&corpus, &frontier, &mut tables, lengths).unwrap();
+                let bytes: u64 = scanned.ranges.iter().map(|r| r.bytes).sum();
+                assert_eq!(bytes, total_bytes(&docs));
+                assert!(
+                    tables.iter().all(|t| t.dense.is_none()),
+                    "folded and dropped"
+                );
+                let counter = &tables[0].counter;
+                assert_eq!(
+                    counted(counter, &frontier),
+                    want,
+                    "{lengths} lengths, {ranges} ranges"
+                );
+                assert_eq!(counter.len(), want.len());
+            }
+        }
     }
 
     #[test]
     fn folding_disjoint_ranges_counts_their_union() {
         let docs = docs();
         let corpus = MemCorpus::from_docs(docs.clone());
-        let mut frontier = GramSet::with_table_bits(0, 1);
-        frontier.intern(0, &[]);
+        let frontier = empty_frontier();
         let want = naive_counts(&docs, None, 1, 3);
-        let total: u64 = docs.iter().map(|d| d.len() as u64).sum();
+        let total = total_bytes(&docs);
         // Ranges in scan order, one of them empty and the last one open.
         // Every counter starts from two slots, so the fold grows the first
         // while re-keying what it absorbs.
         let cuts = [0, 1, 1, 17, usize::MAX];
         let mut counters = cuts.windows(2).map(|cut| {
-            let mut counter = GramCounter::with_table_bits(1);
-            let bytes = count_pass(
+            let mut tables = small_tables(None);
+            let scanned = count_pass(
                 &corpus,
                 In(&frontier),
                 cut[0]..cut[1],
                 3,
-                &mut counter,
+                &mut tables,
                 &mut GramCounter::reserve,
             );
-            (counter, bytes.unwrap())
+            (tables.counter, scanned.unwrap().bytes)
         });
         let (mut folded, mut bytes) = counters.next().unwrap();
         let slots_before = folded.slots.len();
@@ -929,12 +1359,15 @@ mod tests {
         // The same through the threaded pass, more ranges than documents
         // included, twice over the same counters: each pass starts clean.
         for ranges in [1, 2, 3, 4, docs.len() + 3] {
-            let mut counters: Vec<GramCounter> = (0..ranges).map(|_| GramCounter::new()).collect();
+            let mut tables: Vec<RangeTables> = (0..ranges)
+                .map(|_| RangeTables::new(GramCounter::new(), None))
+                .collect();
             for pass in 0..2 {
-                let (bytes, _) = count_ranges(&corpus, &frontier, &mut counters, 3).unwrap();
+                let scanned = count_ranges(&corpus, &frontier, &mut tables, 3).unwrap();
+                let bytes: u64 = scanned.ranges.iter().map(|r| r.bytes).sum();
                 assert_eq!(bytes, total, "{ranges} ranges, pass {pass}");
                 assert_eq!(
-                    counted(&counters[0], &frontier),
+                    counted(&tables[0].counter, &frontier),
                     want,
                     "{ranges} ranges, pass {pass}"
                 );
@@ -958,15 +1391,24 @@ mod tests {
             })
             .collect();
         let corpus = MemCorpus::from_docs(docs.clone());
-        let mut frontier = GramSet::new(0);
-        frontier.intern(0, &[]);
-        let want = naive_counts(&docs, None, 1, 3);
+        let frontier = empty_frontier();
+        let want = naive_counts(&docs, None, 1, 4);
         // A counter is full at half its slots.
         assert!(want.len() > 2 * GramCounter::new().slots.len());
         for ranges in [1, 2, 4] {
-            let mut counters: Vec<GramCounter> = (0..ranges).map(|_| GramCounter::new()).collect();
-            count_ranges(&corpus, &frontier, &mut counters, 3).unwrap();
-            assert_eq!(counted(&counters[0], &frontier), want, "{ranges} ranges");
+            // Without and with a dense table, which leaves the counter
+            // the grams of three and four bytes.
+            for dense in [None, Some(4)] {
+                let mut tables: Vec<RangeTables> = (0..ranges)
+                    .map(|_| RangeTables::new(GramCounter::new(), dense.map(Dense::new)))
+                    .collect();
+                count_ranges(&corpus, &frontier, &mut tables, 4).unwrap();
+                assert_eq!(
+                    counted(&tables[0].counter, &frontier),
+                    want,
+                    "{ranges} ranges"
+                );
+            }
         }
     }
 

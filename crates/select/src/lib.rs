@@ -2,11 +2,11 @@
 //! index keys.
 //!
 //! * [`apriori`] — Algorithm 3.1: a-priori mining of the minimal useful
-//!   grams (the paper's "Multigram" selection). Its output is sorted and
-//!   **prefix free** (Theorem 3.9), which bounds total postings by `|D|`
+//!   grams (the paper's "Multigram" selection). They are **prefix free**
+//!   (Theorem 3.9), which bounds total postings by `|D|`
 //!   (Observation 3.8).
 //! * [`presuf`] — §3.2: the presuf shell of a mined set, the keys the
-//!   engine indexes by default.
+//!   engine indexes by default, cut from the miner's buffer.
 //! * [`complete`] — the "Complete" baseline of Table 3: every k-gram.
 //!
 //! The one knob is the usefulness threshold `c`
@@ -23,9 +23,8 @@ pub mod complete;
 mod counter;
 pub mod presuf;
 
-pub use apriori::{mine_multigrams, MiningStats, PassStats, Selection};
+pub use apriori::{mine, mine_multigrams, Mined, MiningStats, PassStats, Selection};
 pub use complete::enumerate_complete;
-pub use presuf::presuf_shell;
 
 /// Convenience alias.
 pub type Result<T> = core::result::Result<T, Error>;
@@ -112,6 +111,10 @@ pub struct SelectConfig {
     /// How many gram lengths the a-priori miner evaluates per corpus
     /// scan.
     pub lengths_per_pass: usize,
+    /// Bytes the miner's visit bitmaps may take (one bit per corpus
+    /// byte); over it every pass visits every position. The engine passes
+    /// its build memory budget.
+    pub memory_budget: usize,
     /// Trace collector for `mine.pass` / `select.*` events.
     pub tracer: free_trace::Tracer,
 }
@@ -122,6 +125,7 @@ impl Default for SelectConfig {
             usefulness_threshold: 0.1,
             max_gram_len: 10,
             lengths_per_pass: 2,
+            memory_budget: 256 << 20,
             tracer: free_trace::Tracer::disabled(),
         }
     }
