@@ -163,21 +163,30 @@ pub fn build_index<C: Corpus>(
     memory_budget: usize,
 ) -> Result<IndexReader> {
     let ranges = crate::select::build_ranges(corpus.total_bytes());
-    let (index, ..) = build_index_in(corpus, keys, index_path, memory_budget, ranges)?;
-    Ok(index)
+    Ok(build_index_in(corpus, keys, index_path, memory_budget, ranges)?.index)
 }
 
-/// [`build_index`] cutting each wave into `ranges` key ranges. Returns
-/// the index, the number of key ranges (corpus scans) it took, the most
-/// bytes its matchers held at once, and the keys its matchers report per
-/// trie leaf.
+/// What [`build_index_in`] built, and what it took.
+struct Constructed {
+    index: IndexReader,
+    /// Key ranges, one corpus scan each.
+    scans: usize,
+    /// The most bytes the matchers held at once.
+    matcher_bytes: usize,
+    /// Keys the matchers report per trie leaf.
+    keys_per_leaf: f64,
+    /// Wall time of the key-range scans, the writes after them excluded.
+    scan_time: Duration,
+}
+
+/// [`build_index`] cutting each wave into `ranges` key ranges.
 fn build_index_in<C: Corpus>(
     corpus: &C,
     keys: &[SelectedGram],
     index_path: &Path,
     memory_budget: usize,
     ranges: usize,
-) -> Result<(IndexReader, usize, usize, f64)> {
+) -> Result<Constructed> {
     let mut writer = IndexWriter::create(index_path)?;
     let max_postings =
         (memory_budget / std::mem::size_of::<free_corpus::DocId>()).min(u32::MAX as usize) as u64;
@@ -188,6 +197,7 @@ fn build_index_in<C: Corpus>(
     };
     let (mut scans, mut matcher_bytes) = (0, 0);
     let (mut leaves, mut leaf_keys) = (0, 0);
+    let mut scan_time = Duration::ZERO;
     let mut rest = keys;
     while !rest.is_empty() {
         // The keys before the first one that overflows the buffer, and
@@ -222,6 +232,7 @@ fn build_index_in<C: Corpus>(
             leaf_keys += matcher.leaf_keys();
             matcher
         };
+        let started = Instant::now();
         let filled: Vec<Result<()>> = std::thread::scope(|s| {
             let first = parts.next();
             let others: Vec<_> = parts
@@ -239,13 +250,19 @@ fn build_index_in<C: Corpus>(
                 )
                 .collect()
         });
+        scan_time += started.elapsed();
         filled.into_iter().collect::<Result<()>>()?;
         matcher_bytes = matcher_bytes.max(wave_bytes);
         counted.write_to(wave.iter().map(|g| &*g.gram), &mut writer)?;
         rest = later;
     }
-    let keys_per_leaf = leaf_keys as f64 / leaves.max(1) as f64;
-    Ok((writer.finish()?, scans, matcher_bytes, keys_per_leaf))
+    Ok(Constructed {
+        index: writer.finish()?,
+        scans,
+        matcher_bytes,
+        keys_per_leaf: leaf_keys as f64 / leaves.max(1) as f64,
+        scan_time,
+    })
 }
 
 /// Where to cut the sorted `wave` into at most `ranges` consecutive key
@@ -326,18 +343,19 @@ impl<C: Corpus> Engine<C, IndexReader> {
         let construct_start = Instant::now();
         let index = {
             let mut span = build_span.child("build.construct");
-            let (index, ranges, matcher_bytes, keys_per_leaf) = build_index_in(
+            let built = build_index_in(
                 &corpus,
                 &keys,
                 index_path.as_ref(),
                 config.build_memory_budget,
                 crate::select::build_ranges(corpus.total_bytes()),
             )?;
-            span.record("postings", index.stats().num_postings);
-            span.record("ranges", ranges);
-            span.record("matcher_bytes", matcher_bytes);
-            span.record("keys_per_leaf", keys_per_leaf);
-            index
+            span.record("postings", built.index.stats().num_postings);
+            span.record("ranges", built.scans);
+            span.record("scan_us", built.scan_time.as_micros() as u64);
+            span.record("matcher_bytes", built.matcher_bytes);
+            span.record("keys_per_leaf", built.keys_per_leaf);
+            built.index
         };
         let construct_time = construct_start.elapsed();
 
@@ -649,7 +667,9 @@ mod tests {
         let (keys, _) = select_keys(&corpus, &EngineConfig::default()).unwrap();
         let build = |budget: usize, ranges: usize| {
             let path = dir.join(format!("{budget}-{ranges}.free"));
-            let (_, scans, ..) = build_index_in(&corpus, &keys, &path, budget, ranges).unwrap();
+            let scans = build_index_in(&corpus, &keys, &path, budget, ranges)
+                .unwrap()
+                .scans;
             (std::fs::read(&path).unwrap(), scans)
         };
         let (want, _) = build(usize::MAX, 1);
@@ -686,6 +706,10 @@ mod tests {
             construct.and_then(|e| e.attr("ranges")),
             Some(&free_trace::Value::U64(ranges as u64))
         );
+        assert!(matches!(
+            construct.and_then(|e| e.attr("scan_us")),
+            Some(&free_trace::Value::U64(_))
+        ));
         assert!(matches!(
             construct.and_then(|e| e.attr("matcher_bytes")),
             Some(&free_trace::Value::U64(bytes)) if bytes > 0
